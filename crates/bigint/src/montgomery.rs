@@ -10,9 +10,11 @@ use crate::BigUint;
 
 /// Largest limb count served by the fixed-width kernels below. Moduli up to
 /// `8 × 64 = 512` bits — every prime-power and `n^(s+1)` modulus in the test
-/// parameter sets, and the CRT sides of production 2048-bit keys — run on
-/// stack arrays with fully unrolled loops; larger moduli fall back to the
-/// heap-allocating generic routines.
+/// parameter sets — run on stack arrays with fully unrolled loops; larger
+/// moduli fall back to the heap-allocating generic routines. That includes
+/// production keys: the CRT sides of a 2048-bit key (`p²`, `q²`) are 32
+/// limbs each and take the dynamic path, as csbench's `sharded_packed_2048b`
+/// workload shows.
 const FIXED_MAX_LIMBS: usize = 8;
 
 /// Fixed-width CIOS Montgomery multiplication: `a·b·R^{-1} mod n` with all

@@ -20,15 +20,21 @@
 //!   epochs of virtual time: each epoch, parked workers are woken through a
 //!   condvar and claim shards from an atomic injector; a barrier closes the
 //!   epoch. No per-node threads, no sleep-polling anywhere.
-//! * **In-shard delivery** is a direct queue push of the decoded
-//!   [`Message`] — no serialization (byte-accounted via
-//!   [`Message::encoded_len`]), no loss, no delay: same-shard pairs ride a
-//!   perfect in-memory edge. **Cross-shard delivery** goes through the
-//!   wire codec and the link model (latency, jitter, loss, bandwidth) and
-//!   lands in the destination shard's mailbox, becoming visible at the next
-//!   epoch boundary. With the default 64 shards only `1/64` of the traffic
-//!   takes the perfect edge; see [`ShardedConfig::link`] for when that
-//!   matters.
+//! * **Messages move, bytes do not.** No frame is serialized in here:
+//!   every delivery carries the message and its [`TraceContext`] by move
+//!   and is accounted at the length its frame *would* have
+//!   ([`traced_len`](crate::wire::Message::traced_len) — proptested equal
+//!   to the encoder's output, and asserted against it on every cross-shard
+//!   send in debug builds). The codec is exercised by the threaded, TCP
+//!   and multi-process substrates, whose transport format it is.
+//! * **In-shard delivery** is a direct queue push — no loss, no delay:
+//!   same-shard pairs ride a perfect in-memory edge. **Cross-shard
+//!   delivery** applies the link model (latency, jitter, loss, bandwidth)
+//!   to the computed frame length and reaches the destination shard's
+//!   mailbox in one batch per (source shard, destination shard, epoch),
+//!   becoming visible at the next epoch boundary. With the default 64
+//!   shards only `1/64` of the traffic takes the perfect edge; see
+//!   [`ShardedConfig::link`] for when that matters.
 //! * **Churn is executor-scheduled**: a [`crate::churn::ChurnEvent`]'s
 //!   offset is a *virtual* timestamp here, so "node 7 crashes 3 ms into the
 //!   step" happens at exactly the same protocol moment in every same-seed
@@ -55,7 +61,7 @@ use crate::churn::{ChurnEvent, ChurnKind};
 use crate::node::{FaultSpec, NodeParams, NodeReport, Outbound, ProtocolNode};
 use crate::runtime::{assemble_outcome, StepCrypto, StepRun};
 use crate::transport::{mix, unit_f64, ClassCounts, LinkConfig, NodeId, TrafficSnapshot};
-use crate::wire::{decode_frame_traced, encode_frame_traced, FrameClass, Message, TraceContext};
+use crate::wire::{FrameClass, TraceContext};
 use chiaroscuro::config::ChiaroscuroConfig;
 use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::CryptoContext;
@@ -66,7 +72,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -177,15 +183,6 @@ const CLASS_CHURN: u8 = 0;
 const CLASS_TIMER: u8 = 1;
 const CLASS_DELIVER: u8 = 2;
 
-/// A message in flight. Same-shard messages skip the codec entirely (the
-/// trace context rides along decoded); cross-shard messages travel as
-/// encoded frames — context stamped into the wire bytes — and are decoded
-/// (and strict-checked) on arrival, exactly like the threaded transport.
-enum Payload {
-    Local(Message, TraceContext),
-    Frame(Vec<u8>),
-}
-
 /// Timer events carry the target node's timer *generation* at scheduling
 /// time. A crash (or leave) bumps the generation, invalidating every
 /// pending pre-crash timer — otherwise a rejoin would resurrect the old
@@ -193,10 +190,18 @@ enum Payload {
 /// the pre-crash clock.
 enum EventKind {
     Churn(ChurnKind),
-    Tick { gen: u64 },
-    Retry { gen: u64 },
-    Deadline { gen: u64 },
-    Deliver { to: NodeId, payload: Payload },
+    Tick {
+        gen: u64,
+    },
+    Retry {
+        gen: u64,
+    },
+    Deadline {
+        gen: u64,
+    },
+    /// A message in flight — the node's [`Outbound`] itself, moved (never
+    /// serialized) on the in-shard and the cross-shard edge alike.
+    Deliver(Outbound),
 }
 
 /// One scheduled event. The key `(at, class, actor, seq)` is unique and
@@ -268,6 +273,15 @@ struct Shard {
     slots: Vec<Slot>,
     // [gossip, decrypt, control] × [messages, bytes, dropped]
     counters: [[u64; 3]; 3],
+    /// Same-shard and cross-shard deliveries routed in the window being
+    /// processed; added to the `exec.deliveries.*` counters once per window
+    /// instead of one contended atomic per frame.
+    in_shard: u64,
+    cross_shard: u64,
+    /// Cross-shard events produced in the window being processed, one
+    /// outbox per destination shard, handed to the mailboxes when the
+    /// window's events are drained.
+    outboxes: Vec<Vec<Event>>,
     /// Reusable output buffer for node activations.
     scratch: Vec<Outbound>,
 }
@@ -294,16 +308,22 @@ impl Mailbox {
         }
     }
 
-    fn push(&self, event: Event) {
+    /// Takes everything in `outbox` under one lock.
+    fn deliver(&self, outbox: &mut Vec<Event>) {
+        let Some(earliest) = outbox.iter().map(|e| e.at).min() else {
+            return;
+        };
         let mut inner = self.inner.lock().expect("mailbox poisoned");
-        inner.earliest = inner.earliest.min(event.at);
-        inner.queue.push(event);
+        inner.earliest = inner.earliest.min(earliest);
+        inner.queue.append(outbox);
     }
 }
 
 /// Epoch coordination: the main loop publishes a window, parked workers
 /// wake through `start`, claim shards from the injector, and the last one
-/// out rings `done`.
+/// out rings `done`. Node construction is the pool's first round: the
+/// state starts with every worker still to check in, so one thread scope
+/// serves the whole step.
 struct Coord {
     state: Mutex<CoordState>,
     start: Condvar,
@@ -315,6 +335,37 @@ struct CoordState {
     window_end: u64,
     remaining: usize,
     shutdown: bool,
+}
+
+/// A worker's check-in at the barrier. It runs on drop so that a worker
+/// whose shard work panicked still checks in — flagging shutdown — and the
+/// driver wakes, stops, and re-raises the panic when it joins the pool
+/// instead of waiting on a barrier that can no longer fill.
+struct CheckIn<'a>(&'a Coord);
+
+impl Drop for CheckIn<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.remaining -= 1;
+        state.shutdown |= thread::panicking();
+        if state.remaining == 0 || state.shutdown {
+            self.0.done.notify_all();
+        }
+    }
+}
+
+/// A `[class][messages, bytes, dropped]` counter block as a snapshot.
+fn snapshot_of(counters: &[[u64; 3]; 3]) -> TrafficSnapshot {
+    let read = |ci: usize| ClassCounts {
+        messages: counters[ci][0],
+        bytes: counters[ci][1],
+        dropped: counters[ci][2],
+    };
+    TrafficSnapshot {
+        gossip: read(0),
+        decrypt: read(1),
+        control: read(2),
+    }
 }
 
 fn class_index(class: FrameClass) -> usize {
@@ -331,10 +382,10 @@ fn class_index(class: FrameClass) -> usize {
 /// worker count or scheduling, and counter/histogram increments commute —
 /// locked in by the `metrics_are_deterministic_across_worker_counts` test.
 struct ExecMetrics {
-    /// Same-shard deliveries, which skip the codec and the link model
+    /// Same-shard deliveries, which skip the link model
     /// (`exec.deliveries.in_shard`).
     in_shard: Arc<Counter>,
-    /// Cross-shard deliveries through codec + link model + epoch barrier
+    /// Cross-shard deliveries through link model + epoch barrier
     /// (`exec.deliveries.cross_shard`).
     cross_shard: Arc<Counter>,
     /// Due-event backlog one shard drained in one epoch window
@@ -388,7 +439,48 @@ enum TimerKind {
     Deadline,
 }
 
-impl Exec<'_> {
+impl<'a> Exec<'a> {
+    /// The shared state of one step. The pool starts inside its
+    /// construction round: all `workers` are still to check in.
+    fn new(
+        home: &'a [(u32, u32)],
+        shards: &'a [Mutex<Shard>],
+        mailboxes: &'a [Mailbox],
+        workers: usize,
+        step_seed: u64,
+        sharded: &ShardedConfig,
+        registry: &Registry,
+    ) -> Self {
+        let push_interval = sharded.push_interval.as_nanos() as u64;
+        Exec {
+            home,
+            shards,
+            mailboxes,
+            injector: AtomicUsize::new(0),
+            metrics: ExecMetrics::new(registry),
+            coord: Coord {
+                state: Mutex::new(CoordState {
+                    epoch: 0,
+                    window_end: 0,
+                    remaining: workers,
+                    shutdown: false,
+                }),
+                start: Condvar::new(),
+                done: Condvar::new(),
+            },
+            step_seed,
+            loss: sharded.link.loss,
+            latency: sharded.link.latency.as_nanos() as u64,
+            jitter: sharded.link.jitter.as_nanos() as u64,
+            bandwidth: sharded.link.bandwidth_bytes_per_sec,
+            push_interval,
+            // Same shape as the threaded runtime: a retry is loss recovery,
+            // not pacing — it stays well above one committee round-trip.
+            retry_interval: (push_interval * 50).max(Duration::from_millis(150).as_nanos() as u64),
+            decrypt_deadline: sharded.decrypt_deadline.as_nanos() as u64,
+        }
+    }
+
     fn schedule_timer(shard: &mut Shard, local: usize, at: u64, kind: TimerKind) {
         let slot = &mut shard.slots[local];
         slot.timer_seq += 1;
@@ -435,7 +527,8 @@ impl Exec<'_> {
         out: &mut Vec<Outbound>,
     ) {
         let from_local = self.home[from].1 as usize;
-        for (to, msg, ctx) in out.drain(..) {
+        for outbound in out.drain(..) {
+            let (to, msg, ctx) = &outbound;
             let class = msg.class();
             let ci = class_index(class);
             let seq = {
@@ -443,38 +536,36 @@ impl Exec<'_> {
                 slot.send_seq += 1;
                 slot.send_seq
             };
-            let target_shard = self.home[to].0 as usize;
+            // The message moves; what is accounted — and, cross-shard, fed
+            // to the link model — is the length of the frame it *would*
+            // occupy on a wire, trace block included, so both edges account
+            // exactly like the substrates that do serialize.
+            let len = msg.traced_len(*ctx);
+            let target_shard = self.home[*to].0 as usize;
             if target_shard == shard_idx {
-                // Direct queue push: same shard, same epoch, no codec. The
-                // byte accounting still reflects the frame the message
-                // *would* occupy on a wire — trace block included, so
-                // in-shard and cross-shard edges account identically.
-                self.metrics.in_shard.inc();
-                let trace_bytes = if ctx.is_set() {
-                    TraceContext::WIRE_BYTES
-                } else {
-                    0
-                };
+                // Direct queue push: same shard, same epoch, perfect edge.
+                shard.in_shard += 1;
                 shard.counters[ci][0] += 1;
-                shard.counters[ci][1] += (msg.encoded_len() + trace_bytes) as u64;
+                shard.counters[ci][1] += len as u64;
                 shard.heap.push(Event {
                     at: now,
                     class: CLASS_DELIVER,
                     actor: from as u32,
                     seq,
-                    kind: EventKind::Deliver {
-                        to,
-                        payload: Payload::Local(msg, ctx),
-                    },
+                    kind: EventKind::Deliver(outbound),
                 });
                 continue;
             }
-            // Cross-shard: through the codec and the link model. The draw is
-            // keyed by (step seed, sender, sender sequence), so the loss and
-            // jitter pattern is identical in every same-seed run.
-            self.metrics.cross_shard.inc();
-            let frame = encode_frame_traced(&msg, ctx);
-            let len = frame.len();
+            // Cross-shard: through the link model. The draw is keyed by
+            // (step seed, sender, sender sequence), so the loss and jitter
+            // pattern is identical in every same-seed run.
+            shard.cross_shard += 1;
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                crate::wire::encode_frame_traced(msg, *ctx).len(),
+                len,
+                "computed frame length diverged from the codec"
+            );
             let draw = mix(self.step_seed
                 ^ (from as u64).wrapping_mul(0xA076_1D64_78BD_642F)
                 ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -494,15 +585,12 @@ impl Exec<'_> {
             // Visible no earlier than the next epoch boundary — the barrier
             // that makes cross-shard interleaving schedule-independent.
             let at = (now + delay).max(window_end);
-            self.mailboxes[target_shard].push(Event {
+            shard.outboxes[target_shard].push(Event {
                 at,
                 class: CLASS_DELIVER,
                 actor: from as u32,
                 seq,
-                kind: EventKind::Deliver {
-                    to,
-                    payload: Payload::Frame(frame),
-                },
+                kind: EventKind::Deliver(outbound),
             });
         }
     }
@@ -613,28 +701,16 @@ impl Exec<'_> {
                     self.route(shard, shard_idx, node, now, window_end, &mut out);
                 }
             }
-            EventKind::Deliver { to, payload } => {
+            EventKind::Deliver((to, msg, ctx)) => {
                 let local = self.home[to].1 as usize;
                 // A crashed node loses everything addressed to it, exactly
                 // like the threaded runtime's inbox drain.
                 if shard.slots[local].alive {
                     let from = event.actor as usize;
-                    let msg = match payload {
-                        Payload::Local(msg, ctx) => Some((msg, ctx)),
-                        Payload::Frame(frame) => match decode_frame_traced(&frame) {
-                            Ok(decoded) => Some(decoded),
-                            Err(_) => {
-                                shard.slots[local].node.note_bad_frame();
-                                None
-                            }
-                        },
-                    };
-                    if let Some((msg, ctx)) = msg {
-                        Self::sync_trace_clock(shard, local, now);
-                        shard.slots[local].node.handle(from, msg, ctx, &mut out);
-                        self.route(shard, shard_idx, to, now, window_end, &mut out);
-                        self.arm_decrypt_timers(shard, local, now);
-                    }
+                    Self::sync_trace_clock(shard, local, now);
+                    shard.slots[local].node.handle(from, msg, ctx, &mut out);
+                    self.route(shard, shard_idx, to, now, window_end, &mut out);
+                    self.arm_decrypt_timers(shard, local, now);
                 }
             }
         }
@@ -643,26 +719,36 @@ impl Exec<'_> {
     }
 
     /// Drives one shard through the window `[·, window_end)`: drain the
-    /// mailbox, then pop events in key order until none are due.
+    /// mailbox, pop events in key order until none are due, then hand the
+    /// window's cross-shard output to the destination mailboxes.
     fn process_shard(&self, shard_idx: usize, window_end: u64) {
-        let mut shard = self.shards[shard_idx].lock().expect("shard poisoned");
-        {
+        let mut guard = self.shards[shard_idx].lock().expect("shard poisoned");
+        let shard = &mut *guard;
+        let mail = {
             let mut mail = self.mailboxes[shard_idx]
                 .inner
                 .lock()
                 .expect("mailbox poisoned");
-            for event in mail.queue.drain(..) {
-                shard.heap.push(event);
-            }
             mail.earliest = u64::MAX;
-        }
+            std::mem::take(&mut mail.queue)
+        };
+        shard.heap.extend(mail);
         let mut drained = 0u64;
         while shard.heap.peek().is_some_and(|e| e.at < window_end) {
             let event = shard.heap.pop().unwrap();
             drained += 1;
-            self.handle_event(&mut shard, shard_idx, event, window_end);
+            self.handle_event(shard, shard_idx, event, window_end);
+        }
+        for (mailbox, outbox) in self.mailboxes.iter().zip(&mut shard.outboxes) {
+            mailbox.deliver(outbox);
         }
         self.metrics.queue_depth.record(drained);
+        self.metrics
+            .in_shard
+            .add(std::mem::take(&mut shard.in_shard));
+        self.metrics
+            .cross_shard
+            .add(std::mem::take(&mut shard.cross_shard));
     }
 
     /// Earliest pending event across all shards and mailboxes, or `None`
@@ -678,7 +764,33 @@ impl Exec<'_> {
         (min < u64::MAX).then_some(min)
     }
 
-    fn worker_loop(&self, shard_count: usize) {
+    /// Claims shards from the injector until none are left, then checks in
+    /// at the barrier.
+    fn claim_shards(&self, work: impl Fn(usize)) {
+        let _check_in = CheckIn(&self.coord);
+        loop {
+            let shard_idx = self.injector.fetch_add(1, Ordering::SeqCst);
+            if shard_idx >= self.shards.len() {
+                break;
+            }
+            work(shard_idx);
+        }
+    }
+
+    /// Waits until every worker has checked in; `false` when a worker
+    /// panicked instead and the step must stop.
+    fn await_workers(&self) -> bool {
+        let mut state = self.coord.state.lock().expect("coord poisoned");
+        while state.remaining > 0 && !state.shutdown {
+            state = self.coord.done.wait(state).expect("coord poisoned");
+        }
+        !state.shutdown
+    }
+
+    /// One pool worker: builds shards in the construction round, then
+    /// drives shards through every window the main loop publishes.
+    fn worker_loop(&self, build_shard: impl Fn(usize)) {
+        self.claim_shards(build_shard);
         let mut seen_epoch = 0u64;
         loop {
             let window_end = {
@@ -694,18 +806,7 @@ impl Exec<'_> {
                     state = self.coord.start.wait(state).expect("coord poisoned");
                 }
             };
-            loop {
-                let shard_idx = self.injector.fetch_add(1, Ordering::SeqCst);
-                if shard_idx >= shard_count {
-                    break;
-                }
-                self.process_shard(shard_idx, window_end);
-            }
-            let mut state = self.coord.state.lock().expect("coord poisoned");
-            state.remaining -= 1;
-            if state.remaining == 0 {
-                self.coord.done.notify_all();
-            }
+            self.claim_shards(|shard_idx| self.process_shard(shard_idx, window_end));
         }
     }
 }
@@ -767,80 +868,74 @@ pub fn run_step_sharded(
                 heap: BinaryHeap::new(),
                 slots: Vec::new(),
                 counters: [[0; 3]; 3],
+                in_shard: 0,
+                cross_shard: 0,
+                outboxes: (0..shard_count).map(|_| Vec::new()).collect(),
                 scratch: Vec::new(),
             })
         })
         .collect();
     let mailboxes: Vec<Mailbox> = (0..shard_count).map(|_| Mailbox::new()).collect();
 
-    // Parallel construction: contribution encryption (the expensive part in
-    // real-crypto mode) runs on all workers concurrently, one shard at a
-    // time per worker. Node state only depends on per-node seeds, so the
-    // build order is irrelevant to determinism.
-    let build_next = AtomicUsize::new(0);
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let shard_idx = build_next.fetch_add(1, Ordering::SeqCst);
-                if shard_idx >= shard_count {
-                    break;
-                }
-                let mut shard = shards[shard_idx].lock().expect("shard poisoned");
-                for &id in &members[shard_idx] {
-                    let params = NodeParams {
-                        id,
-                        population: n,
-                        iteration: step_seed,
-                        pushes: config.gossip_cycles,
-                        committee: step.committee.clone(),
-                        seed: step_seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                        votes: sharded.termination_votes,
-                        corrupt_partials: sharded.fault.is_some_and(|f| f.corrupts_partials(id)),
-                    };
-                    let node_crypto = step.node_crypto(crypto, config, id);
-                    let contribution = contributions[id].as_deref();
-                    let mut node = ProtocolNode::new(params, *layout, node_crypto, contribution);
-                    let trace = sharded.trace.then(|| {
-                        let clock = Arc::new(VirtualClock::new());
-                        let tracer = Arc::new(Tracer::new(clock.clone() as Arc<dyn cs_obs::Clock>));
-                        (clock, tracer)
-                    });
-                    if let Some((_, tracer)) = &trace {
-                        // trace id = step seed: every node's trace of this
-                        // step carries the same id, which is what the
-                        // critical-path analyzer groups rounds by.
-                        node = node.with_tracer(CausalTracer::new(
-                            tracer.clone(),
-                            step_seed,
-                            id as u64,
-                            TraceContext::NONE,
-                        ));
-                    }
-                    let alive = contribution.is_some();
-                    let mut slot = Slot {
-                        node,
-                        alive,
-                        send_seq: 0,
-                        timer_seq: 0,
-                        timer_gen: 0,
-                        timers_armed: false,
-                        trace,
-                    };
-                    if alive {
-                        slot.timer_seq += 1;
-                        shard.heap.push(Event {
-                            at: 0,
-                            class: CLASS_TIMER,
-                            actor: id as u32,
-                            seq: slot.timer_seq,
-                            kind: EventKind::Tick { gen: 0 },
-                        });
-                    }
-                    shard.slots.push(slot);
-                }
+    // Construction, one shard at a time per worker: contribution encryption
+    // (the expensive part in real-crypto mode) runs on all workers
+    // concurrently. Node state only depends on per-node seeds, so the build
+    // order is irrelevant to determinism.
+    let build_shard = |shard_idx: usize| {
+        let mut shard = shards[shard_idx].lock().expect("shard poisoned");
+        for &id in &members[shard_idx] {
+            let params = NodeParams {
+                id,
+                population: n,
+                iteration: step_seed,
+                pushes: config.gossip_cycles,
+                committee: step.committee.clone(),
+                seed: step_seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                votes: sharded.termination_votes,
+                corrupt_partials: sharded.fault.is_some_and(|f| f.corrupts_partials(id)),
+            };
+            let node_crypto = step.node_crypto(crypto, config, id);
+            let contribution = contributions[id].as_deref();
+            let mut node = ProtocolNode::new(params, *layout, node_crypto, contribution);
+            let trace = sharded.trace.then(|| {
+                let clock = Arc::new(VirtualClock::new());
+                let tracer = Arc::new(Tracer::new(clock.clone() as Arc<dyn cs_obs::Clock>));
+                (clock, tracer)
             });
+            if let Some((_, tracer)) = &trace {
+                // trace id = step seed: every node's trace of this step
+                // carries the same id, which is what the critical-path
+                // analyzer groups rounds by.
+                node = node.with_tracer(CausalTracer::new(
+                    tracer.clone(),
+                    step_seed,
+                    id as u64,
+                    TraceContext::NONE,
+                ));
+            }
+            let alive = contribution.is_some();
+            let mut slot = Slot {
+                node,
+                alive,
+                send_seq: 0,
+                timer_seq: 0,
+                timer_gen: 0,
+                timers_armed: false,
+                trace,
+            };
+            if alive {
+                slot.timer_seq += 1;
+                shard.heap.push(Event {
+                    at: 0,
+                    class: CLASS_TIMER,
+                    actor: id as u32,
+                    seq: slot.timer_seq,
+                    kind: EventKind::Tick { gen: 0 },
+                });
+            }
+            shard.slots.push(slot);
         }
-    });
+    };
 
     // Scripted churn, scheduled into the owning shards at virtual offsets.
     for (index, event) in step_churn.iter().enumerate() {
@@ -858,73 +953,59 @@ pub fn run_step_sharded(
             });
     }
 
-    let push_interval = sharded.push_interval.as_nanos() as u64;
     let registry = Registry::new();
-    let exec = Exec {
-        home: &home,
-        shards: &shards,
-        mailboxes: &mailboxes,
-        injector: AtomicUsize::new(0),
-        metrics: ExecMetrics::new(&registry),
-        coord: Coord {
-            state: Mutex::new(CoordState {
-                epoch: 0,
-                window_end: 0,
-                remaining: 0,
-                shutdown: false,
-            }),
-            start: Condvar::new(),
-            done: Condvar::new(),
-        },
-        step_seed,
-        loss: sharded.link.loss,
-        latency: sharded.link.latency.as_nanos() as u64,
-        jitter: sharded.link.jitter.as_nanos() as u64,
-        bandwidth: sharded.link.bandwidth_bytes_per_sec,
-        push_interval,
-        // Same shape as the threaded runtime: a retry is loss recovery, not
-        // pacing — it stays well above one committee round-trip.
-        retry_interval: (push_interval * 50).max(Duration::from_millis(150).as_nanos() as u64),
-        decrypt_deadline: sharded.decrypt_deadline.as_nanos() as u64,
-    };
+    let exec = Exec::new(
+        &home, &shards, &mailboxes, workers, step_seed, sharded, &registry,
+    );
     let quantum = sharded.epoch.as_nanos() as u64;
     let timeout = sharded.step_timeout.as_nanos() as u64;
 
     thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| exec.worker_loop(shard_count));
-        }
-        // The epoch loop: jump virtual time to the next pending event,
-        // publish the window, let the pool drain it, repeat until global
-        // quiescence (every node done, every message delivered) or the
-        // virtual deadline.
-        while let Some(next) = exec.next_event_time() {
-            if next >= timeout {
-                break;
+        let pool: Vec<_> = (0..workers)
+            .map(|_| scope.spawn(|| exec.worker_loop(build_shard)))
+            .collect();
+        // The epoch loop: once the pool has built the shards, jump virtual
+        // time to the next pending event, publish the window, let the pool
+        // drain it, repeat until global quiescence (every node done, every
+        // message delivered) or the virtual deadline.
+        if exec.await_workers() {
+            while let Some(next) = exec.next_event_time() {
+                if next >= timeout {
+                    break;
+                }
+                let window_start = next - next % quantum;
+                let window_end = window_start + quantum;
+                {
+                    let mut state = exec.coord.state.lock().expect("coord poisoned");
+                    exec.injector.store(0, Ordering::SeqCst);
+                    state.epoch += 1;
+                    state.window_end = window_end;
+                    state.remaining = workers;
+                }
+                exec.coord.start.notify_all();
+                let wait_started = Instant::now();
+                if !exec.await_workers() {
+                    break;
+                }
+                exec.metrics.epochs.inc();
+                exec.metrics
+                    .epoch_wait
+                    .record(wait_started.elapsed().as_nanos() as u64);
             }
-            let window_start = next - next % quantum;
-            let window_end = window_start + quantum;
-            {
-                let mut state = exec.coord.state.lock().expect("coord poisoned");
-                exec.injector.store(0, Ordering::SeqCst);
-                state.epoch += 1;
-                state.window_end = window_end;
-                state.remaining = workers;
-            }
-            exec.coord.start.notify_all();
-            let wait_started = Instant::now();
-            let mut state = exec.coord.state.lock().expect("coord poisoned");
-            while state.remaining > 0 {
-                state = exec.coord.done.wait(state).expect("coord poisoned");
-            }
-            drop(state);
-            exec.metrics.epochs.inc();
-            exec.metrics
-                .epoch_wait
-                .record(wait_started.elapsed().as_nanos() as u64);
         }
         exec.coord.state.lock().expect("coord poisoned").shutdown = true;
         exec.coord.start.notify_all();
+        // Joined by handle, not left to the scope: the scope only waits for
+        // the workers' closures to return, a join waits for the OS threads
+        // to be gone. A worker still exiting when the next step spawns its
+        // pool makes the allocator open a fresh per-thread arena instead of
+        // reusing the exited thread's, and resident memory creeps up by one
+        // arena's footprint at scheduler-chosen moments.
+        for worker in pool {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
 
     // Deterministic collection: nodes back into id order, counters merged
@@ -955,16 +1036,7 @@ pub fn run_step_sharded(
         traces.extend(trace);
     }
 
-    let read = |ci: usize| ClassCounts {
-        messages: counters[ci][0],
-        bytes: counters[ci][1],
-        dropped: counters[ci][2],
-    };
-    let snapshot = TrafficSnapshot {
-        gossip: read(0),
-        decrypt: read(1),
-        control: read(2),
-    };
+    let snapshot = snapshot_of(&counters);
 
     // End-of-step audit, after deterministic collection: the evidence —
     // and therefore every alert and counter minted — is a pure function
@@ -987,6 +1059,7 @@ pub fn run_step_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Message;
     use chiaroscuro::noise::contribution_vector;
     use chiaroscuro::rounds::ComputationOutcome;
     use cs_dp::NoiseShareGenerator;
@@ -1170,6 +1243,165 @@ mod tests {
         );
         // The wall-clock metric exists but is allowed to differ.
         assert!(a.metrics.histogram("exec.epoch.wait_ns").is_some());
+    }
+
+    /// A traced `PackedPush` and a traced `DecryptShare`.
+    fn traced_crypto_messages() -> ([Message; 2], TraceContext) {
+        use cs_bigint::BigUint;
+        use cs_crypto::{Ciphertext, PartialDecryption};
+
+        let big = |bytes: usize| BigUint::from_bytes_le(&vec![0xA5; bytes]);
+        let messages = [
+            Message::PackedPush {
+                iteration: 9,
+                denom_exp: 3,
+                weight: 0.5,
+                buckets: 12,
+                slots: vec![
+                    Ciphertext::from_biguint(big(64)),
+                    Ciphertext::from_biguint(big(63)),
+                ],
+            },
+            Message::DecryptShare {
+                iteration: 9,
+                partials: vec![PartialDecryption::from_parts(2, big(61))],
+            },
+        ];
+        let ctx = TraceContext {
+            trace_id: 9,
+            span_id: (1 << 32) | 7,
+            parent_id: 0,
+        };
+        (messages, ctx)
+    }
+
+    /// Node 0 (shard 0) sends node 1 (shard 1) the two
+    /// [`traced_crypto_messages`]. Returns the executor's accounting of the
+    /// sends, how many of them node 1 received, and its `bad_frames`.
+    fn cross_shard_sends(destination_alive: bool) -> (TrafficSnapshot, usize, u64) {
+        use crate::node::NodeCrypto;
+
+        let (messages, ctx) = traced_crypto_messages();
+        let clock = Arc::new(VirtualClock::new());
+        let tracer = Arc::new(Tracer::new(clock.clone() as Arc<dyn cs_obs::Clock>));
+        let shards: Vec<Mutex<Shard>> = (0..2)
+            .map(|id| {
+                let params = NodeParams {
+                    id,
+                    population: 2,
+                    iteration: 9,
+                    pushes: 1,
+                    committee: Vec::new(),
+                    seed: id as u64,
+                    votes: false,
+                    corrupt_partials: false,
+                };
+                let mut node = ProtocolNode::new(params, layout(), NodeCrypto::Plain, None);
+                let mut trace = None;
+                if id == 1 {
+                    node = node.with_tracer(CausalTracer::new(
+                        tracer.clone(),
+                        9,
+                        1,
+                        TraceContext::NONE,
+                    ));
+                    trace = Some((clock.clone(), tracer.clone()));
+                }
+                Mutex::new(Shard {
+                    heap: BinaryHeap::new(),
+                    slots: vec![Slot {
+                        node,
+                        alive: id == 0 || destination_alive,
+                        send_seq: 0,
+                        timer_seq: 0,
+                        timer_gen: 0,
+                        timers_armed: false,
+                        trace,
+                    }],
+                    counters: [[0; 3]; 3],
+                    in_shard: 0,
+                    cross_shard: 0,
+                    outboxes: vec![Vec::new(), Vec::new()],
+                    scratch: Vec::new(),
+                })
+            })
+            .collect();
+        let mailboxes = [Mailbox::new(), Mailbox::new()];
+        let home = [(0, 0), (1, 0)];
+        let registry = Registry::new();
+        let sharded = ShardedConfig {
+            // A finite bandwidth, so the computed length also feeds the
+            // delay arithmetic.
+            link: LinkConfig {
+                bandwidth_bytes_per_sec: Some(1_000_000),
+                ..LinkConfig::ideal()
+            },
+            ..ShardedConfig::default()
+        };
+        let exec = Exec::new(&home, &shards, &mailboxes, 0, 1, &sharded, &registry);
+
+        let mut out: Vec<Outbound> = messages.iter().map(|m| (1, m.clone(), ctx)).collect();
+        let snapshot = {
+            let mut shard = shards[0].lock().unwrap();
+            exec.route(&mut shard, 0, 0, 0, 1_000, &mut out);
+            snapshot_of(&shard.counters)
+        };
+
+        // Window one hands the outbox over; window two delivers it.
+        exec.process_shard(0, 1_000);
+        assert_eq!(mailboxes[1].inner.lock().unwrap().queue.len(), 2);
+        exec.process_shard(1, u64::MAX);
+        assert!(mailboxes[1].inner.lock().unwrap().queue.is_empty());
+        assert_eq!(
+            registry.snapshot().counter("exec.deliveries.cross_shard"),
+            2
+        );
+        drop(exec);
+
+        let shard = shards.into_iter().nth(1).unwrap().into_inner().unwrap();
+        assert!(shard.heap.is_empty(), "both deliveries were consumed");
+        let received = tracer
+            .snapshot_events()
+            .iter()
+            .filter(|e| e.name == "recv")
+            .count();
+        let slot = shard.slots.into_iter().next().unwrap();
+        (snapshot, received, slot.node.into_report().bad_frames)
+    }
+
+    #[test]
+    fn cross_shard_sends_are_accounted_like_the_channel_transport() {
+        use crate::transport::{ChannelTransport, Transport};
+        use crate::wire::encode_frame_traced;
+
+        let (snapshot, received, bad_frames) = cross_shard_sends(true);
+        assert_eq!(received, 2, "a live destination receives both messages");
+        assert_eq!(bad_frames, 0);
+
+        // The same two messages, serialized and sent over the threaded
+        // substrate's transport.
+        let (messages, ctx) = traced_crypto_messages();
+        let channel = ChannelTransport::new(2, LinkConfig::ideal(), 1);
+        for msg in &messages {
+            channel
+                .send(0, 1, encode_frame_traced(msg, ctx), msg.class())
+                .unwrap();
+        }
+        assert_eq!(snapshot, channel.snapshot());
+        assert_eq!(snapshot.gossip.messages, 1);
+        assert_eq!(snapshot.decrypt.messages, 1);
+    }
+
+    #[test]
+    fn crashed_destination_drops_cross_shard_deliveries_silently() {
+        let (snapshot, received, bad_frames) = cross_shard_sends(false);
+        // The sender cannot observe the crash: both frames were put on the
+        // wire and accounted…
+        assert_eq!(snapshot.messages(), 2);
+        // …and the dead destination neither saw them nor counted them as
+        // corrupt.
+        assert_eq!(received, 0);
+        assert_eq!(bad_frames, 0);
     }
 
     #[test]
@@ -1489,6 +1721,28 @@ mod tests {
             16_384,
             "every virtual node finished the step"
         );
+    }
+
+    /// A worker that panics (here: a malformed contribution trips a
+    /// `ProtocolNode::new` assertion during construction) must surface as a
+    /// panic of the step — the worker's own, re-raised where the pool is
+    /// joined — not park the driver on a barrier that can no longer fill.
+    #[test]
+    #[should_panic(expected = "contribution length")]
+    fn worker_panic_surfaces_instead_of_hanging_the_step() {
+        let config = ChiaroscuroConfig {
+            k: 2,
+            ..ChiaroscuroConfig::demo_simulated()
+        };
+        let mut rng = StdRng::seed_from_u64(1);
+        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
+        let mut contributions = tiny_contributions(16, 2);
+        contributions[5].as_mut().unwrap().pop();
+        let cfg = ShardedConfig {
+            workers: 2,
+            ..small_sharded()
+        };
+        let _ = run_step_sharded(&config, &layout(), &contributions, &crypto, 7, &cfg, &[]);
     }
 
     #[test]

@@ -194,7 +194,10 @@ pub struct NodeReport {
     pub gossip_cut_short: bool,
     /// Peers whose termination vote reported no usable estimate.
     pub peer_failures: u64,
-    /// Frames that failed to decode (corrupt or mis-versioned).
+    /// Frames that failed to decode (corrupt or mis-versioned) or whose
+    /// payload did not fit this node's slot layout. Decode failures are
+    /// raised by the substrates that put bytes on a wire (threaded, TCP,
+    /// cluster); the sharded executor moves messages and has none.
     pub bad_frames: u64,
     /// Wall-clock spent inside each step phase's crypto/arithmetic on this
     /// node. A pure side channel — nothing protocol-visible reads it, so

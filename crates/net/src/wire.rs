@@ -191,11 +191,11 @@ impl Message {
     /// Exact length in bytes of [`encode_frame`]'s output for this message,
     /// computed without serializing.
     ///
-    /// The sharded executor delivers same-shard messages by direct queue
-    /// push — no frame is ever materialized — but its bytes-on-wire
-    /// accounting must stay comparable with the threaded transport's, so
-    /// this mirrors the codec's layout arithmetic exactly (asserted by a
-    /// round-trip proptest).
+    /// The sharded executor delivers messages by move — no frame is ever
+    /// materialized — but its bytes-on-wire accounting and its link model
+    /// must stay comparable with the threaded transport's, so this mirrors
+    /// the codec's layout arithmetic exactly (asserted by a round-trip
+    /// proptest).
     pub fn encoded_len(&self) -> usize {
         let ciphertexts = |slots: &[Ciphertext]| -> usize {
             4 + slots
@@ -225,6 +225,19 @@ impl Message {
                 Message::Join { .. } => 8 + 8,
                 Message::Leave { .. } => 8,
             }
+    }
+
+    /// Exact length in bytes of [`encode_frame_traced`]'s output for this
+    /// message under `ctx`: [`Message::encoded_len`], plus the trace block
+    /// when the context is set. The sharded executor's traffic counters and
+    /// link model run on this number; the encoder sizes its buffer with it.
+    pub fn traced_len(&self, ctx: TraceContext) -> usize {
+        let trace_bytes = if ctx.is_set() {
+            TraceContext::WIRE_BYTES
+        } else {
+            0
+        };
+        self.encoded_len() + trace_bytes
     }
 }
 
@@ -316,14 +329,17 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
 /// it is set ([`TraceContext::is_set`]); an unset context encodes
 /// identically to [`encode_frame`].
 pub fn encode_frame_traced(msg: &Message, ctx: TraceContext) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
-    body.push(WIRE_VERSION);
-    body.push(msg.tag());
+    // One allocation at the exact frame size; the length prefix is patched
+    // in place once the body is written.
+    let mut frame = Vec::with_capacity(msg.traced_len(ctx));
+    put_u32(&mut frame, 0);
+    frame.push(WIRE_VERSION);
+    frame.push(msg.tag());
     if ctx.is_set() {
-        body.push(1);
-        body.extend_from_slice(&ctx.to_bytes());
+        frame.push(1);
+        frame.extend_from_slice(&ctx.to_bytes());
     } else {
-        body.push(0);
+        frame.push(0);
     }
     match msg {
         Message::EncryptedPush {
@@ -332,51 +348,53 @@ pub fn encode_frame_traced(msg: &Message, ctx: TraceContext) -> Vec<u8> {
             weight,
             slots,
         } => {
-            put_u64(&mut body, *iteration);
-            put_u32(&mut body, *denom_exp);
-            put_f64(&mut body, *weight);
-            put_ciphertexts(&mut body, slots);
+            put_u64(&mut frame, *iteration);
+            put_u32(&mut frame, *denom_exp);
+            put_f64(&mut frame, *weight);
+            put_ciphertexts(&mut frame, slots);
         }
         Message::PlainPush {
             iteration,
             weight,
             slots,
         } => {
-            put_u64(&mut body, *iteration);
-            put_f64(&mut body, *weight);
-            put_u32(&mut body, slots.len() as u32);
-            for v in slots {
-                put_f64(&mut body, *v);
+            put_u64(&mut frame, *iteration);
+            put_f64(&mut frame, *weight);
+            put_u32(&mut frame, slots.len() as u32);
+            let start = frame.len();
+            frame.resize(start + 8 * slots.len(), 0);
+            for (dst, v) in frame[start..].chunks_exact_mut(8).zip(slots) {
+                dst.copy_from_slice(&v.to_bits().to_le_bytes());
             }
         }
         Message::DecryptRequest { iteration, slots } => {
-            put_u64(&mut body, *iteration);
-            put_ciphertexts(&mut body, slots);
+            put_u64(&mut frame, *iteration);
+            put_ciphertexts(&mut frame, slots);
         }
         Message::DecryptShare {
             iteration,
             partials,
         } => {
-            put_u64(&mut body, *iteration);
-            put_u32(&mut body, partials.len() as u32);
+            put_u64(&mut frame, *iteration);
+            put_u32(&mut frame, partials.len() as u32);
             for p in partials {
-                put_u64(&mut body, p.index());
-                put_biguint(&mut body, p.value());
+                put_u64(&mut frame, p.index());
+                put_biguint(&mut frame, p.value());
             }
         }
         Message::TerminationVote {
             iteration,
             completed,
         } => {
-            put_u64(&mut body, *iteration);
-            body.push(u8::from(*completed));
+            put_u64(&mut frame, *iteration);
+            frame.push(u8::from(*completed));
         }
         Message::Join { node, iteration } => {
-            put_u64(&mut body, *node);
-            put_u64(&mut body, *iteration);
+            put_u64(&mut frame, *node);
+            put_u64(&mut frame, *iteration);
         }
         Message::Leave { node } => {
-            put_u64(&mut body, *node);
+            put_u64(&mut frame, *node);
         }
         Message::PackedPush {
             iteration,
@@ -385,16 +403,15 @@ pub fn encode_frame_traced(msg: &Message, ctx: TraceContext) -> Vec<u8> {
             buckets,
             slots,
         } => {
-            put_u64(&mut body, *iteration);
-            put_u32(&mut body, *denom_exp);
-            put_f64(&mut body, *weight);
-            put_u32(&mut body, *buckets);
-            put_ciphertexts(&mut body, slots);
+            put_u64(&mut frame, *iteration);
+            put_u32(&mut frame, *denom_exp);
+            put_f64(&mut frame, *weight);
+            put_u32(&mut frame, *buckets);
+            put_ciphertexts(&mut frame, slots);
         }
     }
-    let mut frame = Vec::with_capacity(4 + body.len());
-    put_u32(&mut frame, body.len() as u32);
-    frame.extend_from_slice(&body);
+    let declared = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&declared.to_le_bytes());
     frame
 }
 
@@ -522,10 +539,13 @@ pub fn decode_frame_traced(frame: &[u8]) -> Result<(Message, TraceContext), Wire
             let iteration = r.u64()?;
             let weight = r.f64()?;
             let n = r.count()?;
-            let mut slots = Vec::with_capacity(n.min(65_536));
-            for _ in 0..n {
-                slots.push(r.f64()?);
-            }
+            // One bounds check for the whole slot block (`n` is capped, so
+            // `8 * n` cannot overflow), then a straight conversion pass.
+            let slots = r
+                .take(8 * n)?
+                .chunks_exact(8)
+                .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
+                .collect();
             Message::PlainPush {
                 iteration,
                 weight,
@@ -665,6 +685,7 @@ mod tests {
             let frame = encode_frame_traced(&msg, ctx);
             // The trace block costs exactly 24 bytes over the untraced frame.
             assert_eq!(frame.len(), msg.encoded_len() + TraceContext::WIRE_BYTES);
+            assert_eq!(frame.len(), msg.traced_len(ctx));
             let (back, back_ctx) = decode_frame_traced(&frame).unwrap();
             assert_eq!(back, msg, "{msg:?}");
             assert_eq!(back_ctx, ctx, "{msg:?}");

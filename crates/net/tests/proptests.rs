@@ -100,9 +100,9 @@ proptest! {
         floats in vec(-1e12f64..1e12, 0..12),
         flag in any::<bool>(),
     ) {
-        // The sharded executor accounts same-shard bytes-on-wire through
-        // `encoded_len` without ever serializing — it must agree with the
-        // real codec on every reachable message.
+        // The sharded executor accounts bytes-on-wire (and feeds its link
+        // model) through `encoded_len` without ever serializing — it must
+        // agree with the real codec on every reachable message.
         let msg = build_message(variant, iteration, denom_exp, weight, &raw_slots, &floats, flag);
         prop_assert_eq!(msg.encoded_len(), encode_frame(&msg).len());
     }

@@ -362,3 +362,142 @@ fn sharded_packed_crypto_churn_matches_simulator() {
     let gap = max_centroid_gap(&sim.centroids, &net.centroids);
     assert!(gap < 0.35, "packed churned sharded run diverged: gap {gap}");
 }
+
+/// Everything the golden-timeline test pins about one step: per-class
+/// `[messages, bytes, dropped]`, the deterministic `exec.*` counters, and
+/// FNV-1a hashes of the estimates' bit patterns and of the serialized
+/// traces.
+#[derive(Debug, PartialEq)]
+struct Timeline {
+    gossip: [u64; 3],
+    decrypt: [u64; 3],
+    control: [u64; 3],
+    in_shard: u64,
+    cross_shard: u64,
+    epochs: u64,
+    estimates: u64,
+    traces: u64,
+}
+
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash = (*hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+fn timeline_of(step: &cs_net::StepRun) -> Timeline {
+    let class = |c: &cs_net::transport::ClassCounts| [c.messages, c.bytes, c.dropped];
+    let mut estimates = 0xCBF2_9CE4_8422_2325u64;
+    for est in &step.outcome.estimates {
+        match est {
+            None => fnv1a(&mut estimates, &[0]),
+            Some(est) => {
+                fnv1a(&mut estimates, &[1]);
+                for v in est.sums.iter().flatten().chain(&est.counts) {
+                    fnv1a(&mut estimates, &v.to_bits().to_le_bytes());
+                }
+            }
+        }
+    }
+    let mut traces = 0xCBF2_9CE4_8422_2325u64;
+    fnv1a(
+        &mut traces,
+        serde_json::to_string(&step.traces).unwrap().as_bytes(),
+    );
+    Timeline {
+        gossip: class(&step.snapshot.gossip),
+        decrypt: class(&step.snapshot.decrypt),
+        control: class(&step.snapshot.control),
+        in_shard: step.metrics.counter("exec.deliveries.in_shard"),
+        cross_shard: step.metrics.counter("exec.deliveries.cross_shard"),
+        epochs: step.metrics.counter("exec.epochs"),
+        estimates,
+        traces,
+    }
+}
+
+/// The executor accounts a cross-shard frame by its *computed* length
+/// (`Message::encoded_len` + the trace block) — no frame is serialized in
+/// process. These timelines were recorded on the commit that still ran
+/// every cross-shard message through `encode_frame_traced` →
+/// `decode_frame_traced`: the loss/jitter draws, the bandwidth delay
+/// (24-byte trace block included), every counter, estimate bit and trace
+/// byte must reproduce them exactly, at one worker and at the machine's
+/// worker count.
+#[test]
+fn sharded_timeline_matches_the_recorded_golden_values() {
+    let link = cs_net::LinkConfig {
+        latency: Duration::from_micros(300),
+        jitter: Duration::from_micros(150),
+        loss: 0.02,
+        bandwidth_bytes_per_sec: Some(20_000_000),
+    };
+    let run = |cfg: &ChiaroscuroConfig, series: &[TimeSeries], sharded: &ShardedConfig| {
+        let engine = Engine::new(cfg.clone()).unwrap();
+        [1usize, 0].map(|workers| {
+            let mut backend = NetBackend::sharded(ShardedConfig {
+                workers,
+                ..sharded.clone()
+            });
+            engine.run_with_backend(series, &mut backend).unwrap();
+            timeline_of(backend.last_step().expect("one step ran"))
+        })
+    };
+
+    // Plain (simulated-crypto) step, 256 nodes.
+    let (series, _) = dataset(256, 67);
+    let mut cfg = ChiaroscuroConfig::demo_simulated();
+    cfg.k = 2;
+    cfg.max_iterations = 1;
+    cfg.gossip_cycles = 20;
+    cfg.epsilon = 50.0;
+    let sharded = ShardedConfig {
+        shards: 16,
+        trace: true,
+        link: link.clone(),
+        ..ShardedConfig::default()
+    };
+    let plain = Timeline {
+        gossip: [5013, 1_218_159, 107],
+        decrypt: [0, 0, 0],
+        control: [64_060, 2_562_400, 1220],
+        in_shard: 4130,
+        cross_shard: 66_270,
+        epochs: 40,
+        estimates: 295_482_550_361_495_114,
+        traces: 13_671_129_458_458_459_801,
+    };
+    for got in run(&cfg, &series, &sharded) {
+        assert_eq!(got, plain, "plain 256-node timeline moved");
+    }
+
+    // Packed real-crypto step, 16 nodes: ciphertext pushes, decrypt
+    // requests and shares all cross shards under the same link.
+    let (series, _) = dataset(16, 71);
+    let mut cfg = ChiaroscuroConfig::test_real();
+    cfg.k = 2;
+    cfg.max_iterations = 1;
+    cfg.gossip_cycles = 10;
+    cfg.packing = true;
+    cfg.epsilon = 1e5;
+    cfg.value_bound = 8.0;
+    let sharded = ShardedConfig {
+        shards: 4,
+        trace: true,
+        link,
+        ..ShardedConfig::default()
+    };
+    let packed = Timeline {
+        gossip: [158, 138_232, 2],
+        decrypt: [88, 41_794, 1],
+        control: [237, 9480, 3],
+        in_shard: 101,
+        cross_shard: 388,
+        epochs: 26,
+        estimates: 7_895_182_781_160_865_522,
+        traces: 15_885_533_389_625_550_733,
+    };
+    for got in run(&cfg, &series, &sharded) {
+        assert_eq!(got, packed, "packed 16-node timeline moved");
+    }
+}
