@@ -403,9 +403,11 @@ impl MontgomeryCtx {
 
     /// `a · b mod n` for `a, b < n`.
     pub fn mul_mod(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        self.from_mont(&self.mont_mul(&am, &bm))
+        // (a·R) · b · R⁻¹ = a·b: one operand in Montgomery form cancels the
+        // reduction's R⁻¹, so the product never needs converting back.
+        debug_assert!(*b < self.modulus());
+        let b = pad(b.limbs().to_vec(), self.k());
+        BigUint::from_limbs(self.mont_mul(&self.to_mont(a), &b))
     }
 
     /// `base^exp mod n` with a windowed square-and-multiply chain.
@@ -586,6 +588,38 @@ mod tests {
             0xffff_ffff_ffff_ffc5u128,
         );
         assert_eq!(got.to_u128(), Some(want));
+    }
+
+    /// `mul_mod` against schoolbook `(a·b) % n` on both sides of
+    /// `FIXED_MAX_LIMBS`: the fixed-width kernels (1, 8 limbs) and the
+    /// dynamic path (32, 64 limbs), including the edge operands.
+    #[test]
+    fn mul_mod_matches_schoolbook_across_limb_counts() {
+        // xorshift64*: deterministic, full-width limbs.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        for k in [1usize, 8, 32, 64] {
+            let mut limbs: Vec<u64> = (0..k).map(|_| next()).collect();
+            limbs[0] |= 1; // odd
+            limbs[k - 1] |= 1 << 63; // exactly k limbs
+            let n = BigUint::from_limbs(limbs);
+            let ctx = MontgomeryCtx::new(&n);
+            let n_minus_1 = n.sub_u64(1);
+            let mut operands = vec![BigUint::zero(), BigUint::one(), n_minus_1];
+            for _ in 0..6 {
+                operands.push(&BigUint::from_limbs((0..k).map(|_| next()).collect()) % &n);
+            }
+            for a in &operands {
+                for b in &operands {
+                    assert_eq!(ctx.mul_mod(a, b), &(a * b) % &n, "{k}-limb modulus");
+                }
+            }
+        }
     }
 
     #[test]

@@ -268,17 +268,25 @@ impl HePushSumNode {
         let incoming_shift = k_new - push.denom_exp;
         let local_shift = k_new - self.denom_exp;
         for (local, incoming) in self.cipher.iter_mut().zip(&push.slots) {
-            let mut incoming = incoming.clone();
-            if incoming_shift > 0 {
-                incoming = self.pk.scalar_mul_pow2(&incoming, incoming_shift);
+            // Equal denominators (every absorb of a lock-step run) add the
+            // two ciphertexts in place: nothing is scaled, nothing copied.
+            let scaled_incoming;
+            let incoming = if incoming_shift > 0 {
+                scaled_incoming = self.pk.scalar_mul_pow2(incoming, incoming_shift);
                 self.ops.pow2_scalings += 1;
-            }
-            let mut aligned = local.clone();
-            if local_shift > 0 {
-                aligned = self.pk.scalar_mul_pow2(&aligned, local_shift);
+                &scaled_incoming
+            } else {
+                incoming
+            };
+            let scaled_local;
+            let aligned = if local_shift > 0 {
+                scaled_local = self.pk.scalar_mul_pow2(local, local_shift);
                 self.ops.pow2_scalings += 1;
-            }
-            *local = self.pk.add(&aligned, &incoming);
+                &scaled_local
+            } else {
+                &*local
+            };
+            *local = self.pk.add(aligned, incoming);
             self.ops.additions += 1;
         }
         self.denom_exp = k_new;

@@ -59,7 +59,7 @@
 
 use crate::churn::{ChurnEvent, ChurnKind};
 use crate::node::{FaultSpec, NodeParams, NodeReport, Outbound, ProtocolNode};
-use crate::runtime::{assemble_outcome, StepCrypto, StepRun};
+use crate::runtime::{assemble_outcome, decrypt_retry_interval, StepCrypto, StepRun};
 use crate::transport::{mix, unit_f64, ClassCounts, LinkConfig, NodeId, TrafficSnapshot};
 use crate::wire::{FrameClass, TraceContext};
 use chiaroscuro::config::ChiaroscuroConfig;
@@ -474,9 +474,8 @@ impl<'a> Exec<'a> {
             jitter: sharded.link.jitter.as_nanos() as u64,
             bandwidth: sharded.link.bandwidth_bytes_per_sec,
             push_interval,
-            // Same shape as the threaded runtime: a retry is loss recovery,
-            // not pacing — it stays well above one committee round-trip.
-            retry_interval: (push_interval * 50).max(Duration::from_millis(150).as_nanos() as u64),
+            // The threaded runtime's cadence, in virtual time.
+            retry_interval: decrypt_retry_interval(sharded.push_interval).as_nanos() as u64,
             decrypt_deadline: sharded.decrypt_deadline.as_nanos() as u64,
         }
     }
@@ -1634,6 +1633,190 @@ mod tests {
             "virtual deadline must not cost wall-clock: {:?}",
             run.elapsed
         );
+    }
+
+    /// Virtual time a traced node spent in the decryption round.
+    fn decrypt_round_time(trace: &NodeTrace) -> Duration {
+        let at = |name: &str| {
+            let event = trace.events.iter().find(|e| e.name == name);
+            event.unwrap_or_else(|| panic!("node {} has no {name} marker", trace.node))
+        };
+        Duration::from_nanos(at("step.done").ts_ns - at("gossip.end").ts_ns)
+    }
+
+    fn packed_real_config(gossip_cycles: usize) -> ChiaroscuroConfig {
+        ChiaroscuroConfig {
+            k: 2,
+            gossip_cycles,
+            packing: true,
+            ..ChiaroscuroConfig::test_real()
+        }
+    }
+
+    /// Committee member 1 dies silently 1 ms into the gossip phase: nobody
+    /// learns of it, so the requesters whose rotation reaches it — members
+    /// 0 (asks 1) and non-members with `id % 3` of 0 (ask 0, 1) or 1 (ask
+    /// 1, 2) — ask a dead node. Their first retry, one interval after the
+    /// round started, reaches the member they held back, and they complete
+    /// there: not at the decrypt deadline, and with a full-size combine.
+    #[test]
+    fn decrypt_round_hedges_past_a_silently_dead_asked_member() {
+        let config = packed_real_config(8);
+        let mut rng = StdRng::seed_from_u64(81);
+        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
+        let contributions = tiny_contributions(8, 82);
+        let events = [ChurnEvent {
+            step: 0,
+            after: Duration::from_millis(1),
+            node: 1,
+            kind: ChurnKind::Crash,
+        }];
+        let cfg = ShardedConfig {
+            shards: 4,
+            trace: true,
+            ..ShardedConfig::default()
+        };
+        let run = run_step_sharded(
+            &config,
+            &layout(),
+            &contributions,
+            &crypto,
+            83,
+            &cfg,
+            &events,
+        )
+        .unwrap();
+        let retry = decrypt_retry_interval(cfg.push_interval);
+        assert!(retry * 2 < cfg.decrypt_deadline);
+        for (report, trace) in run.reports.iter().zip(&run.traces) {
+            let id = report.id;
+            if id == 1 {
+                assert!(run.outcome.estimates[id].is_none(), "node 1 stayed down");
+                continue;
+            }
+            assert!(
+                run.outcome.estimates[id].is_some(),
+                "node {id} must complete despite the dead member"
+            );
+            assert_eq!(report.decrypt_audit.undersized_combines, 0, "node {id}");
+            let asked_the_dead = id == 0 || (id > 2 && id % 3 != 2);
+            let took = decrypt_round_time(trace);
+            if asked_the_dead {
+                assert!(
+                    took >= retry && took < retry + Duration::from_millis(5),
+                    "node {id} should complete one retry interval into the round, took {took:?}"
+                );
+            } else {
+                assert!(
+                    took < Duration::from_millis(5),
+                    "node {id} asked two live members, took {took:?}"
+                );
+            }
+        }
+    }
+
+    /// A 5 % lossy cross-shard link: every node still ends with an
+    /// estimate, and the committee computes more than `t` partial
+    /// decryption vectors per requester only where a retry fired — each
+    /// requester whose round outlived one retry interval widened to the
+    /// `parties − t` members it had held back, nobody else did.
+    #[test]
+    fn decrypt_round_on_a_lossy_link_pays_only_for_the_hedges_that_fired() {
+        let config = packed_real_config(8);
+        let mut rng = StdRng::seed_from_u64(91);
+        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
+        let n = 16;
+        let contributions = tiny_contributions(n, 92);
+        let cfg = ShardedConfig {
+            shards: 8,
+            trace: true,
+            link: LinkConfig {
+                loss: 0.05,
+                ..LinkConfig::ideal()
+            },
+            ..ShardedConfig::default()
+        };
+        let run =
+            run_step_sharded(&config, &layout(), &contributions, &crypto, 93, &cfg, &[]).unwrap();
+        assert!(
+            run.outcome.estimates.iter().all(|e| e.is_some()),
+            "every node recovers from the lost frames"
+        );
+        assert!(
+            run.snapshot.decrypt.dropped > 0,
+            "the loss must hit the decryption round for this test to mean anything"
+        );
+        let ops = &run.outcome.decrypt_ops;
+        let ciphertexts = ops.combinations / n as u64;
+        let params = config.threshold;
+        let asked = params.threshold as u64 * ciphertexts * n as u64;
+        let retry = decrypt_retry_interval(cfg.push_interval);
+        let hedgers = run
+            .traces
+            .iter()
+            .filter(|t| decrypt_round_time(t) >= retry)
+            .count() as u64;
+        assert!(hedgers > 0, "a lost decrypt frame stalls its requester");
+        let hedged = ops.partial_decryptions - asked;
+        let held_back = (params.parties - params.threshold) as u64;
+        assert!(
+            hedged > 0 && hedged <= hedgers * held_back * ciphertexts,
+            "{hedged} partial decryptions beyond ask-t, {hedgers} hedgers"
+        );
+        assert!(run
+            .reports
+            .iter()
+            .all(|r| r.decrypt_audit.undersized_combines == 0));
+    }
+
+    /// Fault-free, the committee computes exactly what the combines read —
+    /// `threshold` vectors per requester, the count the in-process
+    /// simulator and the analytical cost model charge — and the rotation
+    /// spreads it: no member serves more than ⌈N·t/parties⌉ + 1 requesters
+    /// (its own round included), where asking everyone made each serve N.
+    #[test]
+    fn decrypt_round_asks_exactly_threshold_and_spreads_the_load() {
+        let config = packed_real_config(8);
+        let mut rng = StdRng::seed_from_u64(101);
+        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
+        let n = 16u64;
+        let contributions = tiny_contributions(n as usize, 102);
+        let run = run_step_sharded(
+            &config,
+            &layout(),
+            &contributions,
+            &crypto,
+            103,
+            &small_sharded(),
+            &[],
+        )
+        .unwrap();
+        assert!(run.outcome.estimates.iter().all(|e| e.is_some()));
+        let ops = &run.outcome.decrypt_ops;
+        let ciphertexts = ops.combinations / n;
+        let (t, parties) = (
+            config.threshold.threshold as u64,
+            config.threshold.parties as u64,
+        );
+        let model = chiaroscuro::cost::synthesize_decrypt_ops(
+            n as usize,
+            ciphertexts as usize,
+            t as usize,
+            0,
+        );
+        assert_eq!(ops.partial_decryptions, t * ciphertexts * n);
+        assert_eq!(ops.partial_decryptions, model.partial_decryptions);
+        // One request and one reply per vector that crossed the network:
+        // everything but the committee members' own.
+        assert_eq!(ops.messages, 2 * (t * n - parties));
+        let ceiling = (n * t).div_ceil(parties) + 1;
+        for member in 0..parties as usize {
+            let served = run.reports[member].decrypt_ops.partial_decryptions / ciphertexts;
+            assert!(
+                served <= ceiling,
+                "member {member} served {served} of {n} requesters, ceiling {ceiling}"
+            );
+        }
     }
 
     /// Regression: a rejoin landing *before* a pre-crash timer fires must

@@ -20,11 +20,41 @@
 //!    unaffected because value and weight travel together).
 //! 2. **AwaitShares** (real crypto) — fold the encrypted noise block onto
 //!    the data block homomorphically, snapshot the combined ciphertexts,
-//!    and ask the key committee for partial decryptions; combine the first
-//!    `threshold` replies.
+//!    and ask the key committee for exactly the `threshold` partial
+//!    decryption vectors the combine will read (see below); combine the
+//!    first `threshold` replies.
 //! 3. **Done** — broadcast a termination vote and keep serving committee
 //!    duties (partial decryptions for slower peers) until the runtime shuts
 //!    the population down.
+//!
+//! ## The decryption round: ask *t*, hedge the rest
+//!
+//! A partial decryption is the step's most expensive operation and the
+//! combine reads exactly `threshold` of them, so the requester asks for
+//! exactly that many: `threshold` minus its own share (when it sits on the
+//! committee) of the live committee members, taken from the live committee
+//! **rotated by the requester's id**. The rotation draws nothing from the
+//! node's RNG (the peer-sampling stream, and with it every estimate bit,
+//! is untouched) and spreads the committee's work: each member serves
+//! ≈ `N·t/parties` of `N` requesters instead of the first `t` members
+//! serving everyone. Threshold combining is exact over any `t`-subset, so
+//! the estimate does not depend on who answers.
+//!
+//! The rest of the live committee is the **hedge**. The node keeps the
+//! full rotated list with the request, and widens in two cases:
+//!
+//! * the driver's retry timer ([`ProtocolNode::retry_decrypt`]) fires: the
+//!   request goes to *every* live member that has not answered — the ones
+//!   already asked (their request or reply may have been lost; they answer
+//!   from their reply cache) and the ones not asked yet. A member that
+//!   died silently, or a lost frame, therefore costs one retry interval —
+//!   ≥ 150 ms of wall-clock on the threaded, TCP and `cs_node` substrates,
+//!   virtual time on the sharded executor — not the decrypt deadline;
+//! * a `Leave` for a member that was asked and has not answered arrives
+//!   during the round: the next member in the rotation is asked at once.
+//!
+//! Decrypt-class traffic above `threshold` requests per estimate is
+//! therefore a hedge that fired, never background noise.
 
 use crate::transport::NodeId;
 use crate::wire::Message;
@@ -164,6 +194,17 @@ enum Phase {
     Done,
 }
 
+/// The decryption request a node in `AwaitShares` has in flight.
+struct PendingRequest {
+    /// The committee members alive when the round started (this node
+    /// excluded), rotated by this node's id: the order they are asked in.
+    recipients: Vec<NodeId>,
+    /// `recipients[..asked]` have been sent the request; the rest are the
+    /// hedge.
+    asked: usize,
+    request: Message,
+}
+
 /// What a node hands back to the driver when the step completes.
 ///
 /// Serializable: in the multi-process deployment (`cs_node`) the report is
@@ -253,7 +294,7 @@ pub struct ProtocolNode {
     snapshot_weight: f64,
     snapshot_denom: u32,
     shares_by_sender: BTreeMap<NodeId, Vec<PartialDecryption>>,
-    pending_request: Option<(Vec<NodeId>, Message)>,
+    pending_request: Option<PendingRequest>,
     served_replies: HashMap<NodeId, Message>,
     gossip_cut_short: bool,
     peer_failures: u64,
@@ -500,11 +541,14 @@ impl ProtocolNode {
         }
     }
 
-    /// Resilience nudge for the decryption round: re-sends the pending
-    /// `DecryptRequest` to committee members that have not answered yet
-    /// (their earlier request or reply may have been lost). Idempotent —
-    /// duplicate replies are ignored by [`Self::handle`]. The runtime calls
-    /// this at a coarse interval while the node awaits shares.
+    /// Resilience nudge for the decryption round, and its hedge: sends the
+    /// pending `DecryptRequest` to every live committee member that has not
+    /// answered — the ones already asked (their request or reply may have
+    /// been lost) and the ones held back so far (an asked member may be
+    /// dead without this node knowing). Idempotent — members answer a
+    /// repeated request from their reply cache and duplicate replies are
+    /// ignored by [`Self::handle`]. The runtime calls this at a coarse
+    /// interval while the node awaits shares.
     pub fn retry_decrypt(&mut self, out: &mut Vec<Outbound>) {
         if !matches!(self.phase, Phase::AwaitShares) {
             return;
@@ -513,14 +557,16 @@ impl ProtocolNode {
         if let Some(t) = &mut self.tracer {
             t.local_root();
         }
-        let Some((recipients, request)) = self.pending_request.clone() else {
+        let Some(mut pending) = self.pending_request.take() else {
             return;
         };
-        for m in recipients {
+        for &m in &pending.recipients {
             if !self.shares_by_sender.contains_key(&m) && self.peer_alive(m) {
-                self.emit(m, request.clone(), out);
+                self.emit(m, pending.request.clone(), out);
             }
         }
+        pending.asked = pending.recipients.len();
+        self.pending_request = Some(pending);
     }
 
     /// `true` while the node is waiting for partial decryptions.
@@ -687,6 +733,9 @@ impl ProtocolNode {
             Message::Leave { node } => {
                 if (node as usize) < self.params.population {
                     self.dead_view.insert(node as usize);
+                    // A departed member that was asked will never answer:
+                    // widen to the next one now, not on the retry timer.
+                    self.ask_committee(out);
                 }
             }
         }
@@ -886,7 +935,7 @@ impl ProtocolNode {
                 self.snapshot_weight = weight;
                 self.snapshot_denom = denom;
 
-                let recipients: Vec<NodeId> = self
+                let mut recipients: Vec<NodeId> = self
                     .params
                     .committee
                     .iter()
@@ -915,32 +964,67 @@ impl ProtocolNode {
                         own_started.elapsed().as_nanos() as u64,
                     );
                 }
-                let threshold = match &self.crypto {
-                    NodeCrypto::Real { params, .. } => params.threshold,
-                    NodeCrypto::Plain => unreachable!("decrypt phase implies real crypto"),
-                };
-                if recipients.len() + usize::from(own_partials.is_some()) < threshold {
+                if recipients.len() + usize::from(own_partials.is_some()) < self.threshold() {
                     // Not enough live committee members: no estimate.
                     self.finish(None, out);
                     return;
                 }
-                self.phase = Phase::AwaitShares;
-                let request = Message::DecryptRequest {
-                    iteration: self.params.iteration,
-                    slots: combined,
-                };
-                for &m in &recipients {
-                    self.emit(m, request.clone(), out);
+                // Rotated by the requester's id — no RNG draw — so the
+                // population's requests spread evenly over the committee.
+                if !recipients.is_empty() {
+                    let start = self.params.id % recipients.len();
+                    recipients.rotate_left(start);
                 }
-                // Kept for loss recovery: `retry_decrypt` re-sends to
-                // committee members that have not answered.
-                self.pending_request = Some((recipients, request));
+                self.phase = Phase::AwaitShares;
+                self.pending_request = Some(PendingRequest {
+                    recipients,
+                    asked: 0,
+                    request: Message::DecryptRequest {
+                        iteration: self.params.iteration,
+                        slots: combined,
+                    },
+                });
                 if let Some(partials) = own_partials {
                     self.decrypt_ops.partial_decryptions += partials.len() as u64;
                     self.accept_share(self.params.id, partials, out);
                 }
+                self.ask_committee(out);
             }
         }
+    }
+
+    /// Shares the combine needs.
+    fn threshold(&self) -> usize {
+        match &self.crypto {
+            NodeCrypto::Real { params, .. } => params.threshold,
+            NodeCrypto::Plain => unreachable!("decrypt phase implies real crypto"),
+        }
+    }
+
+    /// Sends the pending request to further committee members, in rotation
+    /// order, until the shares already held plus the live members asked
+    /// and still to answer reach `threshold` — exactly what the combine
+    /// will read, no more. The rest of the committee stays the hedge
+    /// [`Self::retry_decrypt`] falls back on. No-op outside the round.
+    fn ask_committee(&mut self, out: &mut Vec<Outbound>) {
+        let Some(mut pending) = self.pending_request.take() else {
+            return;
+        };
+        let threshold = self.threshold();
+        let mut expected = self.shares_by_sender.len()
+            + pending.recipients[..pending.asked]
+                .iter()
+                .filter(|&&m| self.peer_alive(m) && !self.shares_by_sender.contains_key(&m))
+                .count();
+        while expected < threshold && pending.asked < pending.recipients.len() {
+            let m = pending.recipients[pending.asked];
+            pending.asked += 1;
+            if self.peer_alive(m) {
+                self.emit(m, pending.request.clone(), out);
+                expected += 1;
+            }
+        }
+        self.pending_request = Some(pending);
     }
 
     /// `true` when this node speaks the packed wire dialect.

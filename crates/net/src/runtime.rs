@@ -637,10 +637,10 @@ fn node_loop(
     let mut out: Vec<Outbound> = Vec::new();
     let mut next_tick = Instant::now();
     let retry_interval = decrypt_retry_interval(push_interval);
-    let mut next_retry = Instant::now() + retry_interval;
     let mut was_crashed = controls.is_crashed(id);
     let mut done_since: Option<Instant> = None;
-    let mut await_since: Option<Instant> = None;
+    // (round start, next retry) once the node awaits shares.
+    let mut decrypt_clocks: Option<(Instant, Instant)> = None;
 
     while !shutdown.load(Ordering::Acquire) {
         match controls.liveness(id) {
@@ -682,18 +682,19 @@ fn node_loop(
             node.tick(&mut out);
             next_tick = now + push_interval;
         }
-        // Loss recovery for the decryption round: periodically re-send the
-        // pending request to committee members that have not answered, and
-        // give up (no estimate) if the committee stays silent past the
-        // deadline — a dead committee must not pin the step to its hard
-        // timeout.
+        // The decryption round's two clocks, both started with the round.
+        // Every retry interval, re-send the pending request to the live
+        // committee members that have not answered — loss recovery for the
+        // ones asked, the hedge for the ones held back. Past the deadline
+        // give up (no estimate): a dead committee must not pin the step to
+        // its hard timeout.
         if node.awaiting_shares() {
-            let since = *await_since.get_or_insert(now);
-            if now.duration_since(since) >= decrypt_deadline {
+            let (since, next_retry) = decrypt_clocks.get_or_insert((now, now + retry_interval));
+            if now.duration_since(*since) >= decrypt_deadline {
                 node.abandon_decrypt(&mut out);
-            } else if now >= next_retry {
+            } else if now >= *next_retry {
                 node.retry_decrypt(&mut out);
-                next_retry = now + retry_interval;
+                *next_retry = now + retry_interval;
             }
         }
         flush(id, &mut out, transport.as_ref());
@@ -730,7 +731,13 @@ pub fn dispatch_frame(
 /// The decryption-round re-request cadence for a given gossip pacing.
 /// Coarse by design: a retry is loss recovery, not pacing — it must stay
 /// well above the committee's worst-case service time for one request so
-/// slow replies are never mistaken for lost ones. Load-bearing for the
+/// slow replies are never mistaken for lost ones. It is also the **hedging
+/// delay**: a requester first asks only the `threshold` members whose
+/// shares it will combine, and the first retry — one interval after the
+/// round started — is what reaches the rest of the committee, so this is
+/// what a silently dead asked member costs the requester (and a retry that
+/// fires while a live member is merely slow buys a discarded vector of
+/// partial decryptions from each member not yet asked). Load-bearing for the
 /// cross-substrate differential tests; every node event loop (threaded
 /// runtime, `cs_node` daemon) must use this, not its own formula.
 pub fn decrypt_retry_interval(push_interval: Duration) -> Duration {

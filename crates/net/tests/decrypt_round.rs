@@ -1,0 +1,276 @@
+//! The decryption round at the `ProtocolNode` level, driven by hand: who a
+//! requester asks, when it widens to the committee members it held back,
+//! and that the estimate it combines does not depend on which `threshold`
+//! members answered or in which order. The timer-driven half of the hedge
+//! is tested on the virtual-time executor (`executor::tests`), where a
+//! retry interval is an exact number.
+
+use chiaroscuro::config::ChiaroscuroConfig;
+use chiaroscuro::noise::SlotLayout;
+use chiaroscuro::rounds::{CryptoContext, PerturbedAggregates};
+use cs_crypto::threshold::delta_for;
+use cs_crypto::ThresholdParams;
+use cs_net::node::{NodeCrypto, NodeParams, Outbound, ProtocolNode};
+use cs_net::transport::NodeId;
+use cs_net::wire::{Message, TraceContext};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::OnceLock;
+
+const LAYOUT: SlotLayout = SlotLayout {
+    k: 2,
+    series_len: 3,
+};
+const ITERATION: u64 = 7;
+
+/// One dealer run per committee shape, shared by every case.
+fn context(params: ThresholdParams) -> &'static CryptoContext {
+    static TWO_OF_THREE: OnceLock<CryptoContext> = OnceLock::new();
+    static THREE_OF_FIVE: OnceLock<CryptoContext> = OnceLock::new();
+    let cell = match (params.threshold, params.parties) {
+        (2, 3) => &TWO_OF_THREE,
+        (3, 5) => &THREE_OF_FIVE,
+        other => panic!("no fixture for a {other:?} committee"),
+    };
+    cell.get_or_init(|| {
+        let config = ChiaroscuroConfig {
+            threshold: params,
+            ..ChiaroscuroConfig::test_real()
+        };
+        CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(5)).unwrap()
+    })
+}
+
+/// A node that skips gossip (`pushes: 0`): its first tick snapshots its own
+/// contribution and starts the decryption round. The committee is nodes
+/// `0..parties`; the population has two more.
+fn node(ctx: &CryptoContext, id: NodeId, contribution: &[f64], seed: u64) -> ProtocolNode {
+    let CryptoContext::Real {
+        tkp,
+        pk,
+        codec,
+        plans,
+        ..
+    } = ctx
+    else {
+        unreachable!("fixtures are real-crypto contexts");
+    };
+    let parties = tkp.params().parties;
+    let params = NodeParams {
+        id,
+        population: parties + 2,
+        iteration: ITERATION,
+        pushes: 0,
+        committee: (0..parties).collect(),
+        seed,
+        votes: false,
+        corrupt_partials: false,
+    };
+    let crypto = NodeCrypto::Real {
+        pk: pk.clone(),
+        codec: *codec,
+        share: (id < parties).then(|| tkp.shares()[id].clone()),
+        params: tkp.params(),
+        delta: delta_for(parties),
+        plans: plans.clone(),
+        rerandomize: false,
+        packed: None,
+    };
+    ProtocolNode::new(params, LAYOUT, crypto, Some(contribution))
+}
+
+/// Destinations of the `DecryptRequest`s in `out`, in emission order.
+fn requested(out: &[Outbound]) -> Vec<NodeId> {
+    out.iter()
+        .filter(|(_, msg, _)| matches!(msg, Message::DecryptRequest { .. }))
+        .map(|(to, _, _)| *to)
+        .collect()
+}
+
+fn contribution(values: &[f64]) -> Vec<f64> {
+    (0..LAYOUT.total())
+        .map(|i| values[i % values.len()])
+        .collect()
+}
+
+/// Every ordered selection of `len` distinct items.
+fn ordered_selections(items: &[NodeId], len: usize) -> Vec<Vec<NodeId>> {
+    if len == 0 {
+        return vec![Vec::new()];
+    }
+    let mut all = Vec::new();
+    for &first in items {
+        let rest: Vec<NodeId> = items.iter().copied().filter(|&m| m != first).collect();
+        for mut tail in ordered_selections(&rest, len - 1) {
+            tail.insert(0, first);
+            all.push(tail);
+        }
+    }
+    all
+}
+
+fn bits(est: &PerturbedAggregates) -> Vec<u64> {
+    let values = est.sums.iter().flatten().chain(&est.counts);
+    values.map(|v| v.to_bits()).collect()
+}
+
+/// A non-member of a 2-of-3 committee, id 3: the rotation starts at member
+/// `3 % 3 = 0`, so it asks 0 and 1 and holds 2 back.
+#[test]
+fn decrypt_round_widens_on_leave_of_an_asked_member_without_the_timer() {
+    let ctx = context(ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    });
+    let values = contribution(&[1.5, -2.0, 0.25]);
+    let mut requester = node(ctx, 3, &values, 11);
+    let mut out = Vec::new();
+    requester.tick(&mut out);
+    assert!(requester.awaiting_shares());
+    assert_eq!(
+        requested(&out),
+        [0, 1],
+        "exactly `threshold` members are asked"
+    );
+    let request = out[0].1.clone();
+
+    // Departures that cost the round nothing ask nobody: a non-member, and
+    // the member held back.
+    for bystander in [4u64, 2] {
+        out.clear();
+        requester.handle(
+            bystander as NodeId,
+            Message::Leave { node: bystander },
+            TraceContext::NONE,
+            &mut out,
+        );
+        assert!(requested(&out).is_empty(), "node {bystander} leaving");
+    }
+    out.clear();
+    requester.handle(
+        2,
+        Message::Join {
+            node: 2,
+            iteration: ITERATION,
+        },
+        TraceContext::NONE,
+        &mut out,
+    );
+
+    // Member 1 was asked and has not answered: its departure sends the
+    // request to member 2 at once.
+    out.clear();
+    requester.handle(1, Message::Leave { node: 1 }, TraceContext::NONE, &mut out);
+    assert_eq!(requested(&out), [2], "the held-back member is asked now");
+    assert_eq!(out[0].1, request, "with the same request");
+
+    // Member 0 answers; its later departure needs no replacement, and the
+    // retry timer re-asks only the live member still owing a reply.
+    let mut reply = Vec::new();
+    node(ctx, 0, &values, 12).handle(3, request.clone(), TraceContext::NONE, &mut reply);
+    let (_, share, _) = reply.pop().expect("member 0 serves the request");
+    out.clear();
+    requester.handle(0, share, TraceContext::NONE, &mut out);
+    requester.handle(0, Message::Leave { node: 0 }, TraceContext::NONE, &mut out);
+    assert!(requested(&out).is_empty());
+    requester.retry_decrypt(&mut out);
+    assert_eq!(requested(&out), [2]);
+
+    let mut reply = Vec::new();
+    node(ctx, 2, &values, 13).handle(3, request, TraceContext::NONE, &mut reply);
+    let (_, share, _) = reply.pop().expect("member 2 serves the request");
+    requester.handle(2, share, TraceContext::NONE, &mut out);
+    assert!(requester.step_done());
+    let report = requester.into_report();
+    assert!(report.estimate.is_some());
+    assert_eq!(report.decrypt_audit.undersized_combines, 0);
+}
+
+/// The first retry reaches every live member that has not answered — the
+/// ones asked and the one held back.
+#[test]
+fn decrypt_round_retry_reaches_the_members_held_back() {
+    let ctx = context(ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    });
+    let values = contribution(&[0.5]);
+    // Member 1 holds a share of its own: it asks one other member.
+    let mut requester = node(ctx, 1, &values, 21);
+    let mut out = Vec::new();
+    requester.tick(&mut out);
+    assert_eq!(requested(&out), [2], "own share + one reply = threshold");
+    out.clear();
+    requester.retry_decrypt(&mut out);
+    assert_eq!(requested(&out), [2, 0]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Threshold combining is exact over any `t`-subset: whichever members
+    /// answer, in whatever order, the requester decodes the same bits. This
+    /// is what lets the round ask `t` members chosen by rotation and accept
+    /// a hedged reply in place of a lost one without the estimate noticing.
+    #[test]
+    fn decrypt_round_estimate_is_identical_for_every_subset_and_arrival_order(
+        three_of_five in any::<bool>(),
+        requester_id in 0usize..7,
+        seed in any::<u64>(),
+        values in proptest::collection::vec(-4.0f64..4.0, 1..8),
+    ) {
+        let params = if three_of_five {
+            ThresholdParams { threshold: 3, parties: 5 }
+        } else {
+            ThresholdParams { threshold: 2, parties: 3 }
+        };
+        let ctx = context(params);
+        let id = requester_id % (params.parties + 2);
+        let values = contribution(&values);
+        let others: Vec<NodeId> = (0..params.parties).filter(|&m| m != id).collect();
+        let needed = params.threshold - usize::from(id < params.parties);
+
+        let start = |out: &mut Vec<Outbound>| {
+            let mut requester = node(ctx, id, &values, seed);
+            requester.tick(out);
+            requester
+        };
+        let mut out = Vec::new();
+        start(&mut out);
+        prop_assert_eq!(requested(&out).len(), needed, "asks what it will combine");
+        let request = out[0].1.clone();
+
+        let replies: Vec<(NodeId, Message)> = others
+            .iter()
+            .map(|&m| {
+                let mut reply = Vec::new();
+                node(ctx, m, &values, seed ^ m as u64).handle(
+                    id,
+                    request.clone(),
+                    TraceContext::NONE,
+                    &mut reply,
+                );
+                (m, reply.pop().expect("a member serves the request").1)
+            })
+            .collect();
+
+        let mut reference: Option<Vec<u64>> = None;
+        for order in ordered_selections(&others, needed) {
+            let mut out = Vec::new();
+            let mut requester = start(&mut out);
+            for m in &order {
+                let (_, share) = replies.iter().find(|(from, _)| from == m).unwrap();
+                requester.handle(*m, share.clone(), TraceContext::NONE, &mut out);
+            }
+            prop_assert!(requester.step_done(), "{:?} completes the round", order);
+            let report = requester.into_report();
+            prop_assert_eq!(report.decrypt_audit.undersized_combines, 0);
+            let got = bits(&report.estimate.expect("a full combine decodes"));
+            match &reference {
+                None => reference = Some(got),
+                Some(want) => prop_assert_eq!(&got, want, "repliers {:?}", order),
+            }
+        }
+    }
+}

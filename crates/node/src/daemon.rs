@@ -789,9 +789,9 @@ fn run_step(
     let mut out: Vec<Outbound> = Vec::new();
     let mut next_tick = Instant::now();
     let retry_interval = decrypt_retry_interval(push_interval);
-    let mut next_retry = Instant::now() + retry_interval;
     let mut done_since: Option<Instant> = None;
-    let mut await_since: Option<Instant> = None;
+    // (round start, next retry) once the node awaits shares.
+    let mut decrypt_clocks: Option<(Instant, Instant)> = None;
     let mut announced = false;
 
     loop {
@@ -815,12 +815,14 @@ fn run_step(
             next_tick = now + push_interval;
         }
         if node.awaiting_shares() {
-            let since = *await_since.get_or_insert(now);
-            if now.duration_since(since) >= decrypt_deadline {
+            // Both clocks start with the round (see `node_loop`): the
+            // first retry, one interval in, is also the hedge.
+            let (since, next_retry) = decrypt_clocks.get_or_insert((now, now + retry_interval));
+            if now.duration_since(*since) >= decrypt_deadline {
                 node.abandon_decrypt(&mut out);
-            } else if now >= next_retry {
+            } else if now >= *next_retry {
                 node.retry_decrypt(&mut out);
-                next_retry = now + retry_interval;
+                *next_retry = now + retry_interval;
             }
         }
         for (to, msg, msg_ctx) in out.drain(..) {

@@ -200,7 +200,9 @@ fn real_crypto_cluster_distributes_shares_and_decrypts() {
     config.max_iterations = 1;
     config.gossip_cycles = 6;
     config.epsilon = 1e5;
+    let threshold = config.threshold.threshold;
     let engine = Engine::new(config).unwrap();
+    let sim = engine.run(&data.series).unwrap();
 
     let coordinator = Coordinator::bind().unwrap();
     let addr = coordinator.addr().unwrap().to_string();
@@ -232,13 +234,26 @@ fn real_crypto_cluster_distributes_shares_and_decrypts() {
         with_estimates > n / 2,
         "most daemons decrypt an estimate, got {with_estimates}/{n}"
     );
-    assert!(
-        reports
-            .iter()
-            .map(|r| r.decrypt_ops.partial_decryptions)
-            .sum::<u64>()
-            > 0,
-        "committee daemons served partial decryptions"
+    // Fault-free: every daemon decrypts, and the committee daemons compute
+    // exactly the `threshold` vectors per requester the combines read — the
+    // in-process simulator's count and the cost model's d·s·t. (The debug
+    // pacing above also keeps the retry interval, 50 pushes, far above the
+    // committee's service time: a hedge that fired would show up here.)
+    assert_eq!(with_estimates, n);
+    let slots = 2 * (3 + 1); // k · (series_len + 1) combined ciphertexts
+    let partials: u64 = reports
+        .iter()
+        .map(|r| r.decrypt_ops.partial_decryptions)
+        .sum();
+    assert_eq!(partials, (threshold * slots * n) as u64);
+    assert_eq!(
+        partials, sim.log.records[0].cost.decrypt_ops.partial_decryptions,
+        "the simulator's committee[..t]"
+    );
+    assert_eq!(
+        partials,
+        chiaroscuro::cost::synthesize_decrypt_ops(n, slots, threshold, 0).partial_decryptions,
+        "the cost model's d·s·t"
     );
     let snap = backend.last_snapshot().unwrap();
     assert!(snap.decrypt.bytes > 0, "decrypt frames crossed the sockets");

@@ -121,6 +121,52 @@ fn real_crypto_net_run_with_crash_matches_simulator() {
     assert!(ari > 0.6, "net-run clustering degraded: ARI {ari}");
 }
 
+/// Fault-free and loss-free, the committee computes exactly the partial
+/// decryptions the combines read — `threshold` vectors per requester — which
+/// is what the in-process simulator performs and the analytical cost model
+/// charges for the same configuration.
+#[test]
+fn decrypt_round_count_parity_threaded_vs_simulator() {
+    let n = 8;
+    let (series, _) = dataset(n, 41);
+    let mut cfg = ChiaroscuroConfig::test_real();
+    cfg.k = 2;
+    cfg.max_iterations = 1;
+    cfg.gossip_cycles = 8;
+    cfg.epsilon = 1e5;
+    cfg.value_bound = 8.0;
+    let threshold = cfg.threshold.threshold;
+    let slots = cfg.k * (series[0].len() + 1);
+    let engine = Engine::new(cfg).unwrap();
+
+    let sim = engine.run(&series).unwrap();
+
+    // The retry interval (50 pushes) stays far above the committee's
+    // service time: a retry that fired on a merely slow member would widen
+    // the ask and show up here as extra partial decryptions.
+    let push_ms: u64 = if cfg!(debug_assertions) { 20 } else { 4 };
+    let mut backend = NetBackend::new(NetConfig {
+        push_interval: Duration::from_millis(push_ms),
+        ..fast_net()
+    });
+    engine.run_with_backend(&series, &mut backend).unwrap();
+
+    let step = backend.last_step().expect("one step ran");
+    assert!(step.outcome.estimates.iter().all(|e| e.is_some()));
+    let ops = &step.outcome.decrypt_ops;
+    assert_eq!(ops.combinations, (n * slots) as u64);
+    assert_eq!(ops.partial_decryptions, (threshold * slots * n) as u64);
+    assert_eq!(
+        ops.partial_decryptions, sim.log.records[0].cost.decrypt_ops.partial_decryptions,
+        "the simulator's committee[..t]"
+    );
+    assert_eq!(
+        ops.partial_decryptions,
+        chiaroscuro::cost::synthesize_decrypt_ops(n, slots, threshold, 0).partial_decryptions,
+        "the cost model's d·s·t"
+    );
+}
+
 /// Simulated-crypto mode over the runtime: larger population, two full
 /// iterations, still matching the cycle simulator.
 #[test]

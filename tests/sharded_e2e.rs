@@ -363,6 +363,50 @@ fn sharded_packed_crypto_churn_matches_simulator() {
     assert!(gap < 0.35, "packed churned sharded run diverged: gap {gap}");
 }
 
+/// Fault-free on an ideal link, the sharded executor's committee computes
+/// exactly `threshold` partial-decryption vectors per requester: the count
+/// the in-process simulator performs and the analytical cost model charges
+/// for the same packed configuration.
+#[test]
+fn decrypt_round_count_parity_sharded_vs_simulator() {
+    let n = 12;
+    let (series, _) = dataset(n, 73);
+    let mut cfg = ChiaroscuroConfig::test_real();
+    cfg.k = 2;
+    cfg.max_iterations = 1;
+    cfg.gossip_cycles = 8;
+    cfg.packing = true;
+    cfg.epsilon = 1e5;
+    cfg.value_bound = 8.0;
+    let threshold = cfg.threshold.threshold;
+    let engine = Engine::new(cfg).unwrap();
+
+    let sim = engine.run(&series).unwrap();
+    let mut backend = NetBackend::sharded(ShardedConfig {
+        shards: 4,
+        ..ShardedConfig::default()
+    });
+    engine.run_with_backend(&series, &mut backend).unwrap();
+
+    let step = backend.last_step().expect("one step ran");
+    assert!(step.outcome.estimates.iter().all(|e| e.is_some()));
+    let ops = &step.outcome.decrypt_ops;
+    let ciphertexts = ops.combinations as usize / n;
+    assert_eq!(
+        ops.partial_decryptions,
+        (threshold * ciphertexts * n) as u64
+    );
+    assert_eq!(
+        ops.partial_decryptions, sim.log.records[0].cost.decrypt_ops.partial_decryptions,
+        "the simulator's committee[..t]"
+    );
+    assert_eq!(
+        ops.partial_decryptions,
+        chiaroscuro::cost::synthesize_decrypt_ops(n, ciphertexts, threshold, 0).partial_decryptions,
+        "the cost model's d·s·t"
+    );
+}
+
 /// Everything the golden-timeline test pins about one step: per-class
 /// `[messages, bytes, dropped]`, the deterministic `exec.*` counters, and
 /// FNV-1a hashes of the estimates' bit patterns and of the serialized
@@ -424,6 +468,17 @@ fn timeline_of(step: &cs_net::StepRun) -> Timeline {
 /// (24-byte trace block included), every counter, estimate bit and trace
 /// byte must reproduce them exactly, at one worker and at the machine's
 /// worker count.
+///
+/// The packed half's `decrypt`, `in_shard`, `cross_shard`, `epochs` and
+/// `traces` were re-recorded when the decryption round started asking
+/// exactly `threshold` committee members: 13 non-members × 2 + 3 members × 1
+/// = 29 requests and as many replies, less the one request the 2 % link
+/// loses (56 frames), plus what the retry timer sends for it one interval
+/// later — the re-ask and the hedge to the member held back, each answered
+/// (4 frames): 60 where asking the whole committee took 88. `gossip`,
+/// `control` and the `estimates` hash are the values recorded before —
+/// who answers changes no estimate bit — and the plain half has no
+/// decryption round, so none of it moved.
 #[test]
 fn sharded_timeline_matches_the_recorded_golden_values() {
     let link = cs_net::LinkConfig {
@@ -489,13 +544,13 @@ fn sharded_timeline_matches_the_recorded_golden_values() {
     };
     let packed = Timeline {
         gossip: [158, 138_232, 2],
-        decrypt: [88, 41_794, 1],
+        decrypt: [60, 28_497, 1],
         control: [237, 9480, 3],
-        in_shard: 101,
-        cross_shard: 388,
-        epochs: 26,
+        in_shard: 97,
+        cross_shard: 364,
+        epochs: 30,
         estimates: 7_895_182_781_160_865_522,
-        traces: 15_885_533_389_625_550_733,
+        traces: 7_889_734_367_666_215_637,
     };
     for got in run(&cfg, &series, &sharded) {
         assert_eq!(got, packed, "packed 16-node timeline moved");
