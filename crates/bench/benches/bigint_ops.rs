@@ -54,11 +54,29 @@ fn bench_mont_mul(c: &mut Criterion) {
     group.finish();
 }
 
+/// Squaring chains (`pow_mod_pow2`, 64 squarings): the kernel every
+/// exponentiation spends most of its time in. 512 bits runs the fixed-width
+/// kernels; 2048 and 4096 bits (32/64 limbs, the `n²` of a 1024/2048-bit
+/// key) run the slice-based engine.
+fn bench_mont_sqr(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bigint/montgomery_sqr_x64");
+    let mut rng = StdRng::seed_from_u64(5);
+    for bits in [512usize, 2048, 4096] {
+        let m = odd_modulus(bits, &mut rng);
+        let ctx = MontgomeryCtx::new(&m);
+        let a = random_below(&mut rng, &m);
+        group.bench_with_input(BenchmarkId::from_parameter(bits), &bits, |bench, _| {
+            bench.iter(|| ctx.pow_mod_pow2(black_box(&a), 64));
+        });
+    }
+    group.finish();
+}
+
 fn bench_mod_pow(c: &mut Criterion) {
     let mut group = c.benchmark_group("bigint/mod_pow");
     group.sample_size(20);
     let mut rng = StdRng::seed_from_u64(4);
-    for bits in [512usize, 1024, 2048] {
+    for bits in [512usize, 1024, 2048, 4096] {
         let m = odd_modulus(bits, &mut rng);
         let ctx = MontgomeryCtx::new(&m);
         let base = random_below(&mut rng, &m);
@@ -75,6 +93,7 @@ criterion_group!(
     bench_mul,
     bench_div_rem,
     bench_mont_mul,
+    bench_mont_sqr,
     bench_mod_pow
 );
 criterion_main!(benches);

@@ -18,6 +18,13 @@
 //! the *same run* — machine-speed-independent — and, when a committed
 //! `BENCH_CRYPTO.json` is readable, below twice its recorded unpacked
 //! baseline (the absolute guard; slack ×2 absorbs runner variance).
+//!
+//! The `1024b`/`2048b` rows (ROADMAP 1(b)) time the operations a
+//! deployment-grade key pays — `mont_mul`, `mont_sqr`, `pow_mod` at the
+//! ciphertext modulus `n²`, one fixed-base `randomizer`, one CRT
+//! `partial_decrypt` — all on the slice-based Montgomery engine that serves
+//! moduli above 8 limbs. `--check` holds each below twice its committed
+//! figure.
 
 use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::CryptoContext;
@@ -35,6 +42,7 @@ use cs_net::runtime::{run_step_over_transport, NetConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -138,6 +146,9 @@ fn main() {
     entries.extend(bench_decrypt(&ctx, reps.min(6), &mut rng));
     entries.extend(bench_combine(&ctx, reps.min(6), &mut rng));
     entries.extend(bench_multi_exp(&ctx, reps, &mut rng));
+    for bits in WIDE_KEY_BITS {
+        entries.extend(bench_wide_key(bits, reps, &mut rng));
+    }
     if !quick {
         for packing in [false, true] {
             entries.push(bench_net_step(8, packing));
@@ -258,6 +269,22 @@ fn run_check(summary: &CryptoBenchSummary) {
     }
     // Relative guard against drift, when a committed baseline is readable.
     if let Some(committed) = read_committed_baseline() {
+        for (bits, name) in WIDE_KEY_BITS
+            .iter()
+            .flat_map(|bits| WIDE_ROWS.map(|name| (bits, name)))
+        {
+            let mode = wide_mode(*bits);
+            match (
+                mode_us(&summary.entries, name, &mode),
+                mode_us(&committed.entries, name, &mode),
+            ) {
+                (Some(now), Some(was)) if now >= was * 2.0 => failures.push(format!(
+                    "{name}@{mode}: {now:.2} us exceeds 2x the committed {was:.2}"
+                )),
+                (None, _) => failures.push(format!("{name}@{mode}: measurement missing")),
+                _ => {}
+            }
+        }
         for name in ["encrypt", "decrypt"] {
             if let (Some((_, packed)), Some((committed_unpacked, _))) = (
                 per_bucket(&summary.entries, name),
@@ -311,6 +338,100 @@ fn entry(name: &str, mode: &str, total_ms: f64) -> CryptoBenchEntry {
         bytes: 0,
         bytes_per_message: 0.0,
     }
+}
+
+/// Key sizes of the deployment-grade rows.
+const WIDE_KEY_BITS: [usize; 2] = [1024, 2048];
+
+/// The `mode` of a wide-key row.
+fn wide_mode(bits: usize) -> String {
+    format!("{bits}b")
+}
+
+/// The rows measured per wide key, in table order.
+const WIDE_ROWS: [&str; 5] = [
+    "mont_mul",
+    "mont_sqr",
+    "pow_mod",
+    "randomizer",
+    "partial_decrypt",
+];
+
+/// Squarings per `mont_sqr` sample: long enough that the conversions into
+/// and out of Montgomery form around the chain are under 1 % of it.
+const SQR_CHAIN: u32 = 256;
+
+/// A row of the wide-key table: `units` kernel invocations per sample,
+/// `per_bucket_us` the cost of one.
+fn wide_entry(name: &str, bits: usize, units: usize, samples: &mut [f64]) -> CryptoBenchEntry {
+    let total_ms = median(samples);
+    CryptoBenchEntry {
+        buckets: units,
+        per_bucket_us: total_ms * 1e3 / units as f64,
+        ..entry(name, &wide_mode(bits), total_ms)
+    }
+}
+
+/// Per-operation cost at a `bits`-bit key (plain primes, as csbench's
+/// `sharded_packed_2048b` generates them): the Montgomery kernels and a
+/// full exponentiation at `n²`, one pooled randomizer from the 8-bit-window
+/// fixed-base table, one CRT partial decryption.
+fn bench_wide_key(bits: usize, reps: usize, rng: &mut StdRng) -> Vec<CryptoBenchEntry> {
+    let tkp = ThresholdKeyPair::generate(
+        &KeyGenOptions {
+            modulus_bits: bits,
+            s: 1,
+            safe_primes: false,
+        },
+        ThresholdParams {
+            threshold: 2,
+            parties: 3,
+        },
+        rng,
+    )
+    .expect("valid params");
+    let pk = Arc::new(tkp.public().clone());
+    let enc = FastEncryptor::new(pk.clone(), rng);
+    let mont = MontgomeryCtx::new(pk.n_s1());
+    let a = random_below(rng, pk.n_s1());
+    let b = random_below(rng, pk.n_s1());
+    let e = random_below(rng, pk.n());
+    let c = enc.encrypt(&random_below(rng, pk.n_s()), rng);
+    let share = &tkp.shares()[0];
+
+    let time = |reps: usize, op: &mut dyn FnMut()| -> Vec<f64> {
+        (0..reps)
+            .map(|_| {
+                let t = Instant::now();
+                op();
+                t.elapsed().as_secs_f64() * 1e3
+            })
+            .collect()
+    };
+    // One `mul_mod` is two Montgomery products: conversion in, product out.
+    let mut mul = time(reps * 16, &mut || {
+        black_box(mont.mul_mod(black_box(&a), black_box(&b)));
+    });
+    let mut sqr = time(reps * 4, &mut || {
+        black_box(mont.pow_mod_pow2(black_box(&a), SQR_CHAIN));
+    });
+    let mut pow = time(reps.min(6), &mut || {
+        black_box(mont.pow_mod(black_box(&a), black_box(&e)));
+    });
+    let mut randomizer = time(reps, &mut || {
+        black_box(enc.randomizer(rng));
+    });
+    let mut partial = time(reps.min(6), &mut || {
+        black_box(share.partial_decrypt(black_box(&c)));
+    });
+    let units = [2, SQR_CHAIN as usize, 1, 1, 1];
+    let samples = [&mut mul, &mut sqr, &mut pow, &mut randomizer, &mut partial];
+    WIDE_ROWS
+        .iter()
+        .zip(units)
+        .zip(samples)
+        .map(|((name, units), samples)| wide_entry(name, bits, units, samples))
+        .collect()
 }
 
 /// Encrypts the bucket vector: per-bucket `PublicKey::encrypt` vs packed

@@ -13,6 +13,19 @@ impl BigUint {
         self.limbs[limb] >> (i % 64) & 1 == 1
     }
 
+    /// The `len < 64` bits starting at bit `lo`, as an integer: one window
+    /// digit of an exponent. Out-of-range bits are `0`.
+    pub(crate) fn bits_at(&self, lo: usize, len: usize) -> usize {
+        debug_assert!(len < 64);
+        let (limb, shift) = (lo / 64, lo % 64);
+        let get = |i: usize| self.limbs.get(i).copied().unwrap_or(0);
+        let mut v = get(limb) >> shift;
+        if shift + len > 64 {
+            v |= get(limb + 1) << (64 - shift);
+        }
+        (v & ((1 << len) - 1)) as usize
+    }
+
     /// Sets bit `i` to `value`, growing the limb vector if needed.
     pub fn set_bit(&mut self, i: usize, value: bool) {
         let limb = i / 64;
@@ -69,6 +82,17 @@ mod tests {
         assert_eq!(v.count_ones(), 2);
         v.set_bit(100, false);
         assert_eq!(v, BigUint::one());
+    }
+
+    #[test]
+    fn bits_at_matches_bit_by_bit() {
+        let v = BigUint::from_limbs(vec![0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210, 0x5a]);
+        for lo in 0..200 {
+            for len in [0usize, 1, 4, 8, 12, 63] {
+                let want = (0..len).fold(0usize, |d, b| d | (v.bit(lo + b) as usize) << b);
+                assert_eq!(v.bits_at(lo, len), want, "lo={lo} len={len}");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Fixed-base windowed modular exponentiation.
 //!
 //! The generic [`MontgomeryCtx::pow_mod`] spends one squaring per exponent
-//! bit plus one multiplication per 4-bit window. When the *base* is known
-//! ahead of time and many exponents will be raised to it — the
+//! bit plus one multiplication per window of a few bits. When the *base* is
+//! known ahead of time and many exponents will be raised to it — the
 //! Damgård-Jurik randomizer base `h^(n^s)` on the encryption hot path, the
 //! generator `(1+n)` when the binomial shortcut does not apply — all the
 //! squarings can be paid once, at table-build time: precompute
@@ -41,8 +41,11 @@ pub struct FixedBaseExp {
     ctx: MontgomeryCtx,
     /// The base reduced mod n (kept for the oversized-exponent fallback).
     base: BigUint,
-    /// `table[i][d-1] = base^(d · 2^(window_bits·i))` in Montgomery form.
-    table: Vec<Vec<Vec<u64>>>,
+    /// `base^(d · 2^(window_bits·i))` in Montgomery form for window `i` and
+    /// digit `d ≥ 1`, as one flat run of `k`-limb entries (see
+    /// [`Self::entry`]): a 2048-bit `n²` table at 8-bit windows is 67 320
+    /// entries, ~33 MiB, in a single allocation. Empty for a zero base.
+    table: Vec<u64>,
     window_bits: usize,
     max_exp_bits: usize,
 }
@@ -76,23 +79,26 @@ impl FixedBaseExp {
             "window_bits must be in 1..=12"
         );
         let digits = (1usize << window_bits) - 1; // non-zero digits per window
-        let modulus = ctx.modulus();
-        let base = base % &modulus;
+        let base = base % ctx.modulus();
         let windows = max_exp_bits.max(1).div_ceil(window_bits);
-        let mut table = Vec::with_capacity(windows);
+        let mut table = Vec::new();
         if !base.is_zero() {
-            // cur = base^(2^(window_bits·i)) at the top of iteration i.
-            let mut cur = ctx.to_mont(&base);
-            for _ in 0..windows {
-                let mut row = Vec::with_capacity(digits);
-                row.push(cur.clone());
-                for d in 1..digits {
-                    let prev: &Vec<u64> = &row[d - 1];
-                    row.push(ctx.mont_mul(prev, &cur));
-                }
-                // base^(2^w·2^(wi)) = base^((2^w−1)·2^(wi)) · base^(2^(wi)).
-                cur = ctx.mont_mul(&row[digits - 1], &cur);
-                table.push(row);
+            let k = ctx.limbs();
+            table = vec![0u64; windows * digits * k];
+            let mut scratch = vec![0u64; ctx.scratch_len()];
+            // Each entry is the one before it times the window's first entry
+            // `base^(2^(window_bits·i))`; the entry after a window's last
+            // digit, `base^(2^w · 2^(wi))`, is the next window's first.
+            ctx.to_mont_into(&mut table[..k], &base, &mut scratch);
+            for e in 1..windows * digits {
+                let (done, rest) = table.split_at_mut(e * k);
+                let first = (e - 1) / digits * digits * k;
+                ctx.mont_mul_into(
+                    &mut rest[..k],
+                    &done[(e - 1) * k..],
+                    &done[first..first + k],
+                    &mut scratch,
+                );
             }
         }
         FixedBaseExp {
@@ -115,12 +121,20 @@ impl FixedBaseExp {
     }
 
     /// The modulus the table was built for.
-    pub fn modulus(&self) -> BigUint {
+    pub fn modulus(&self) -> &BigUint {
         self.ctx.modulus()
     }
 
+    /// `base^(digit · 2^(window_bits·window))` for `digit ≥ 1`.
+    fn entry(&self, window: usize, digit: usize) -> &[u64] {
+        let k = self.ctx.limbs();
+        let digits = (1usize << self.window_bits) - 1;
+        &self.table[(window * digits + digit - 1) * k..][..k]
+    }
+
     /// `base^exp mod n` using the precomputed tables: one Montgomery
-    /// multiplication per non-zero window, zero squarings.
+    /// multiplication per non-zero window, zero squarings, and no allocation
+    /// between the first multiplication and the last.
     ///
     /// Exponents longer than [`Self::max_exp_bits`] fall back to the generic
     /// [`MontgomeryCtx::pow_mod`] (correct, just not accelerated).
@@ -136,30 +150,28 @@ impl FixedBaseExp {
             return self.ctx.pow_mod(&self.base, exp);
         }
         let w = self.window_bits;
-        let mut acc: Option<Vec<u64>> = None;
-        for (i, row) in self.table.iter().enumerate().take(bits.div_ceil(w)) {
-            let mut digit = 0usize;
-            for b in (0..w).rev() {
-                let bit_idx = i * w + b;
-                digit <<= 1;
-                if bit_idx < bits && exp.bit(bit_idx) {
-                    digit |= 1;
-                }
+        let k = self.ctx.limbs();
+        let mut buf = vec![0u64; 2 * k + self.ctx.scratch_len()];
+        let (mut acc, rest) = buf.split_at_mut(k);
+        let (mut tmp, scratch) = rest.split_at_mut(k);
+        let mut started = false;
+        for i in 0..bits.div_ceil(w) {
+            let digit = exp.bits_at(i * w, w);
+            if digit == 0 {
+                continue;
             }
-            if digit != 0 {
-                let entry = &row[digit - 1];
-                acc = Some(match acc {
-                    Some(a) => self.ctx.mont_mul(&a, entry),
-                    None => entry.clone(),
-                });
+            if started {
+                self.ctx
+                    .mont_mul_into(tmp, acc, self.entry(i, digit), scratch);
+                std::mem::swap(&mut acc, &mut tmp);
+            } else {
+                acc.copy_from_slice(self.entry(i, digit));
+                started = true;
             }
         }
-        match acc {
-            Some(a) => self.ctx.from_mont(&a),
-            // All windows zero is impossible for a non-zero exponent, but
-            // stay total.
-            None => BigUint::one() % self.ctx.modulus(),
-        }
+        // A non-zero exponent has a non-zero window, so `acc` is set.
+        debug_assert!(started);
+        self.ctx.from_mont(acc)
     }
 }
 

@@ -53,6 +53,7 @@ pub mod rng;
 mod serde_impl;
 mod shift;
 mod uint;
+mod wide;
 
 pub use fixed_base::FixedBaseExp;
 pub use int::{BigInt, Sign};

@@ -2,19 +2,28 @@
 //!
 //! All Damgård-Jurik moduli (`n`, `n^s`, `n^(s+1)`) are odd, so modular
 //! exponentiation — the dominant cost of encryption, decryption shares, and
-//! push-sum rescaling — always takes this fast path. The implementation is
-//! the word-level CIOS (Coarsely Integrated Operand Scanning) algorithm with
-//! a 4-bit fixed window for exponentiation.
+//! push-sum rescaling — always takes this fast path. Two sets of kernels
+//! serve it, chosen by the modulus' limb count alone:
+//!
+//! * up to `FIXED_MAX_LIMBS` (8) limbs, the const-generic kernels in this file
+//!   (word-level CIOS multiplication, SOS squaring) on stack arrays, and a
+//!   4-bit fixed-window exponentiation;
+//! * above that, the slice-based engine in the `wide` module — two-row
+//!   kernels writing into caller-owned buffers — and a sliding-window
+//!   exponentiation over an odd-power table whose width follows the
+//!   exponent's bit length.
+//!
+//! Every result is a canonical residue, so which kernel computed it never
+//! shows in a value.
 
-use crate::BigUint;
+use crate::{wide, BigUint};
 
 /// Largest limb count served by the fixed-width kernels below. Moduli up to
 /// `8 × 64 = 512` bits — every prime-power and `n^(s+1)` modulus in the test
-/// parameter sets — run on stack arrays with fully unrolled loops; larger
-/// moduli fall back to the heap-allocating generic routines. That includes
-/// production keys: the CRT sides of a 2048-bit key (`p²`, `q²`) are 32
-/// limbs each and take the dynamic path, as csbench's `sharded_packed_2048b`
-/// workload shows.
+/// parameter sets — run on stack arrays with fully unrolled loops. Anything
+/// wider runs on the slice-based engine in [`crate::wide`], production keys
+/// included: a 2048-bit key has 32-limb CRT sides (`p²`, `q²`) and a 64-limb
+/// `n²`, as csbench's `sharded_packed_2048b` workload exercises.
 const FIXED_MAX_LIMBS: usize = 8;
 
 /// Fixed-width CIOS Montgomery multiplication: `a·b·R^{-1} mod n` with all
@@ -144,6 +153,37 @@ fn sub_k<const K: usize>(a: &mut [u64; K], n: &[u64; K]) {
     }
 }
 
+/// Runs `$body` — and returns its value from the enclosing function — with
+/// `$K` bound to the modulus' limb count when a fixed-width kernel serves it;
+/// falls through for wider moduli.
+macro_rules! dispatch_fixed {
+    ($k:expr, $K:ident => $body:expr) => {
+        dispatch_fixed!(@arms $k, $K, $body, 1 2 3 4 5 6 7 8)
+    };
+    (@arms $k:expr, $K:ident, $body:expr, $($n:literal)*) => {
+        match $k {
+            $($n => {
+                const $K: usize = $n;
+                return $body;
+            })*
+            _ => {}
+        }
+    };
+}
+
+/// Window width of the sliding-window chain for a `bits`-bit exponent: the
+/// `w` minimising `2^(w-1)` table entries plus one multiplication per `w + 1`
+/// exponent bits. The 2048-bit exponents of partial decryption get `w = 6`.
+fn sliding_window_bits(bits: usize) -> usize {
+    match bits {
+        0..=23 => 1,
+        24..=79 => 3,
+        80..=239 => 4,
+        240..=671 => 5,
+        _ => 6,
+    }
+}
+
 /// Reusable Montgomery context for a fixed odd modulus.
 ///
 /// ```
@@ -157,8 +197,8 @@ fn sub_k<const K: usize>(a: &mut [u64; K], n: &[u64; K]) {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MontgomeryCtx {
-    /// The modulus `n` (odd, > 1).
-    n: Vec<u64>,
+    /// The modulus `n` (odd, > 1); the kernels read its limbs.
+    modulus: BigUint,
     /// `-n^{-1} mod 2^64`.
     n0_inv: u64,
     /// `R² mod n` where `R = 2^(64·limbs)`; converts into Montgomery form.
@@ -176,12 +216,11 @@ impl MontgomeryCtx {
             n.is_odd() && !n.is_one(),
             "Montgomery requires an odd modulus > 1"
         );
-        let limbs = n.limbs().to_vec();
-        let k = limbs.len();
+        let k = n.limb_len();
 
         // n0_inv = -n^{-1} mod 2^64 via Newton-Hensel lifting:
         // x_{i+1} = x_i * (2 - n*x_i) doubles correct low bits each step.
-        let n0 = limbs[0];
+        let n0 = n.limbs()[0];
         let mut x = n0; // correct to 3 bits for odd n0? Start: x ≡ n0^{-1} mod 2^3.
         for _ in 0..5 {
             x = x.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(x)));
@@ -195,7 +234,7 @@ impl MontgomeryCtx {
         let rr = (&(&r * &r) % n).limbs().to_vec();
 
         MontgomeryCtx {
-            n: limbs,
+            modulus: n.clone(),
             n0_inv,
             rr: pad(rr, k),
             one: pad(one, k),
@@ -203,292 +242,188 @@ impl MontgomeryCtx {
     }
 
     /// The modulus.
-    pub fn modulus(&self) -> BigUint {
-        BigUint::from_limbs(self.n.clone())
+    pub fn modulus(&self) -> &BigUint {
+        &self.modulus
     }
 
-    /// Number of limbs of the modulus.
-    fn k(&self) -> usize {
-        self.n.len()
+    /// Limb count `k` of the modulus: the length of every Montgomery-form
+    /// residue this context reads or writes.
+    pub(crate) fn limbs(&self) -> usize {
+        self.modulus.limb_len()
     }
 
-    /// CIOS Montgomery multiplication: returns `a·b·R^{-1} mod n` for
-    /// `a, b < n` given as padded limb slices of length `k`.
-    pub(crate) fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let k = self.k();
-        debug_assert!(a.len() == k && b.len() == k);
-        macro_rules! fixed {
-            ($K:literal) => {{
-                let a: &[u64; $K] = a.try_into().unwrap();
-                let b: &[u64; $K] = b.try_into().unwrap();
-                let n: &[u64; $K] = self.n.as_slice().try_into().unwrap();
-                return mmul_k(a, b, n, self.n0_inv).to_vec();
-            }};
-        }
-        match k {
-            1 => fixed!(1),
-            2 => fixed!(2),
-            3 => fixed!(3),
-            4 => fixed!(4),
-            5 => fixed!(5),
-            6 => fixed!(6),
-            7 => fixed!(7),
-            8 => fixed!(8),
-            _ => {}
-        }
-        // t has k+2 limbs: accumulator for the running sum.
-        let mut t = vec![0u64; k + 2];
-        for &ai in a.iter() {
-            // t += ai * b
-            let mut carry = 0u128;
-            for j in 0..k {
-                let s = t[j] as u128 + ai as u128 * b[j] as u128 + carry;
-                t[j] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[k] as u128 + carry;
-            t[k] = s as u64;
-            t[k + 1] = (s >> 64) as u64;
-
-            // m = t[0] * n0_inv mod 2^64; then t = (t + m*n) / 2^64
-            let m = t[0].wrapping_mul(self.n0_inv);
-            let s = t[0] as u128 + m as u128 * self.n[0] as u128;
-            debug_assert_eq!(s as u64, 0);
-            let mut carry = s >> 64;
-            for j in 1..k {
-                let s = t[j] as u128 + m as u128 * self.n[j] as u128 + carry;
-                t[j - 1] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[k] as u128 + carry;
-            t[k - 1] = s as u64;
-            let s2 = t[k + 1] as u128 + (s >> 64);
-            t[k] = s2 as u64;
-            t[k + 1] = 0;
-            debug_assert_eq!(s2 >> 64, 0);
-        }
-        // Final conditional subtraction: t may be in [0, 2n).
-        let needs_sub =
-            t[k] != 0 || BigUint::cmp_limbs(&t[..k], &self.n) != std::cmp::Ordering::Less;
-        let mut out = t;
-        if needs_sub {
-            let mut borrow = 0u64;
-            #[allow(clippy::needless_range_loop)] // lockstep over out and self.n
-            for j in 0..k {
-                let (d1, b1) = out[j].overflowing_sub(self.n[j]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                out[j] = d2;
-                borrow = (b1 as u64) + (b2 as u64);
-            }
-            out[k] = out[k].wrapping_sub(borrow);
-            debug_assert_eq!(out[k], 0);
-        }
-        out.truncate(k);
-        out
+    /// Length of the scratch buffer the `*_into` kernels take.
+    pub(crate) fn scratch_len(&self) -> usize {
+        2 * self.limbs()
     }
 
-    /// Montgomery squaring: returns `a²·R^{-1} mod n` for `a < n`.
+    /// Montgomery multiplication into a caller-owned buffer:
+    /// `out = a·b·R^{-1} mod n` for `k`-limb `a, b < n`, with
+    /// [`Self::scratch_len`] limbs of scratch. Allocates nothing.
+    pub(crate) fn mont_mul_into(&self, out: &mut [u64], a: &[u64], b: &[u64], t: &mut [u64]) {
+        let n = self.modulus.limbs();
+        debug_assert!(out.len() == n.len() && a.len() == n.len() && b.len() == n.len());
+        dispatch_fixed!(n.len(), K => {
+            out.copy_from_slice(&mmul_k::<K>(fixed(a), fixed(b), fixed(n), self.n0_inv))
+        });
+        wide::mont_mul(out, a, b, n, self.n0_inv, t);
+    }
+
+    /// Montgomery squaring into a caller-owned buffer: `out = a²·R^{-1} mod n`.
     ///
-    /// Separated-operand-scanning form: the full double-width square is
-    /// computed first (off-diagonal products counted once and doubled, so
-    /// ~k²/2 word multiplications instead of k²), then reduced with k
-    /// Montgomery reduction rounds — ~25% fewer word multiplications than
-    /// `mont_mul(a, a)`, and squarings dominate every exponentiation chain.
-    pub(crate) fn mont_sqr(&self, a: &[u64]) -> Vec<u64> {
-        let k = self.k();
-        debug_assert_eq!(a.len(), k);
-        macro_rules! fixed {
-            ($K:literal) => {{
-                let a: &[u64; $K] = a.try_into().unwrap();
-                let n: &[u64; $K] = self.n.as_slice().try_into().unwrap();
-                return msqr_k(a, n, self.n0_inv).to_vec();
-            }};
-        }
-        match k {
-            1 => fixed!(1),
-            2 => fixed!(2),
-            3 => fixed!(3),
-            4 => fixed!(4),
-            5 => fixed!(5),
-            6 => fixed!(6),
-            7 => fixed!(7),
-            8 => fixed!(8),
-            _ => {}
-        }
-        // t = a² over 2k limbs (+1 guard limb for reduction carries).
-        let mut t = vec![0u64; 2 * k + 1];
-        for i in 0..k {
-            let mut carry = 0u128;
-            for j in (i + 1)..k {
-                let s = t[i + j] as u128 + a[i] as u128 * a[j] as u128 + carry;
-                t[i + j] = s as u64;
-                carry = s >> 64;
-            }
-            t[i + k] = carry as u64;
-        }
-        // Double the off-diagonal triangle …
-        let mut carry = 0u64;
-        for limb in t.iter_mut().take(2 * k) {
-            let next = *limb >> 63;
-            *limb = (*limb << 1) | carry;
-            carry = next;
-        }
-        debug_assert_eq!(carry, 0);
-        // … and add the diagonal squares.
-        let mut carry = 0u128;
-        for i in 0..k {
-            let sq = a[i] as u128 * a[i] as u128;
-            let s = t[2 * i] as u128 + (sq as u64) as u128 + carry;
-            t[2 * i] = s as u64;
-            let s = t[2 * i + 1] as u128 + (sq >> 64) + (s >> 64);
-            t[2 * i + 1] = s as u64;
-            carry = s >> 64;
-        }
-        debug_assert_eq!(carry, 0);
-
-        // Montgomery reduction: k rounds of t += m·n·2^(64i), then shift.
-        for i in 0..k {
-            let m = t[i].wrapping_mul(self.n0_inv);
-            let mut carry = 0u128;
-            for j in 0..k {
-                let s = t[i + j] as u128 + m as u128 * self.n[j] as u128 + carry;
-                t[i + j] = s as u64;
-                carry = s >> 64;
-            }
-            let mut idx = i + k;
-            while carry != 0 {
-                let s = t[idx] as u128 + carry;
-                t[idx] = s as u64;
-                carry = s >> 64;
-                idx += 1;
-            }
-        }
-        let needs_sub =
-            t[2 * k] != 0 || BigUint::cmp_limbs(&t[k..2 * k], &self.n) != std::cmp::Ordering::Less;
-        let mut out = t[k..=2 * k].to_vec();
-        if needs_sub {
-            let mut borrow = 0u64;
-            #[allow(clippy::needless_range_loop)] // lockstep over out and self.n
-            for j in 0..k {
-                let (d1, b1) = out[j].overflowing_sub(self.n[j]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                out[j] = d2;
-                borrow = (b1 as u64) + (b2 as u64);
-            }
-            out[k] = out[k].wrapping_sub(borrow);
-            debug_assert_eq!(out[k], 0);
-        }
-        out.truncate(k);
-        out
+    /// The double-width square counts each off-diagonal product once and
+    /// doubles it — ~25% fewer word multiplications than
+    /// `mont_mul_into(a, a)`, and squarings dominate every exponentiation.
+    pub(crate) fn mont_sqr_into(&self, out: &mut [u64], a: &[u64], t: &mut [u64]) {
+        let n = self.modulus.limbs();
+        debug_assert!(out.len() == n.len() && a.len() == n.len());
+        dispatch_fixed!(n.len(), K => {
+            out.copy_from_slice(&msqr_k::<K>(fixed(a), fixed(n), self.n0_inv))
+        });
+        wide::mont_sqr(out, a, n, self.n0_inv, t);
     }
 
     /// The Montgomery representation of 1 (for chain accumulators).
-    pub(crate) fn one_mont(&self) -> Vec<u64> {
-        self.one.clone()
+    pub(crate) fn one_mont(&self) -> &[u64] {
+        &self.one
     }
 
-    /// Converts `a < n` into Montgomery form (`a·R mod n`).
-    pub(crate) fn to_mont(&self, a: &BigUint) -> Vec<u64> {
-        debug_assert!(*a < self.modulus());
-        self.mont_mul(&pad(a.limbs().to_vec(), self.k()), &self.rr)
+    /// Converts `a < n` into Montgomery form (`out = a·R mod n`).
+    pub(crate) fn to_mont_into(&self, out: &mut [u64], a: &BigUint, t: &mut [u64]) {
+        debug_assert!(*a < self.modulus);
+        let n = self.modulus.limbs();
+        dispatch_fixed!(n.len(), K => out.copy_from_slice(&self.to_mont_fixed::<K>(a)));
+        wide::mont_mul(out, &self.rr, a.limbs(), n, self.n0_inv, t);
     }
 
-    /// Converts out of Montgomery form (`a·R^{-1} mod n`).
+    /// [`Self::to_mont_into`] for a `K`-limb modulus, on the stack.
+    fn to_mont_fixed<const K: usize>(&self, a: &BigUint) -> [u64; K] {
+        let mut padded = [0u64; K];
+        padded[..a.limb_len()].copy_from_slice(a.limbs());
+        let n = fixed(self.modulus.limbs());
+        mmul_k(&padded, fixed(&self.rr), n, self.n0_inv)
+    }
+
+    /// Converts out of Montgomery form (`a·R^{-1} mod n`): a reduction with
+    /// no product in front of it.
     #[allow(clippy::wrong_self_convention)] // "from Montgomery domain", not a constructor
     pub(crate) fn from_mont(&self, a: &[u64]) -> BigUint {
-        let k = self.k();
-        let one = pad(vec![1], k);
-        BigUint::from_limbs(self.mont_mul(a, &one))
+        let k = self.limbs();
+        let mut t = vec![0u64; 2 * k];
+        t[..k].copy_from_slice(a);
+        // Its own exact-size vector: results live on in pools and ciphertexts.
+        let mut out = vec![0u64; k];
+        wide::redc(&mut out, &mut t, self.modulus.limbs(), self.n0_inv);
+        BigUint::from_limbs(out)
     }
 
     /// `a · b mod n` for `a, b < n`.
     pub fn mul_mod(&self, a: &BigUint, b: &BigUint) -> BigUint {
         // (a·R) · b · R⁻¹ = a·b: one operand in Montgomery form cancels the
         // reduction's R⁻¹, so the product never needs converting back.
-        debug_assert!(*b < self.modulus());
-        let b = pad(b.limbs().to_vec(), self.k());
-        BigUint::from_limbs(self.mont_mul(&self.to_mont(a), &b))
+        debug_assert!(*a < self.modulus && *b < self.modulus);
+        let n = self.modulus.limbs();
+        dispatch_fixed!(n.len(), K => {
+            let mut b_padded = [0u64; K];
+            b_padded[..b.limb_len()].copy_from_slice(b.limbs());
+            let a_m = self.to_mont_fixed::<K>(a);
+            BigUint::from_limbs(mmul_k(&a_m, &b_padded, fixed(n), self.n0_inv).to_vec())
+        });
+        let k = n.len();
+        let mut buf = vec![0u64; k + self.scratch_len()];
+        let (a_m, t) = buf.split_at_mut(k);
+        self.to_mont_into(a_m, a, t);
+        let mut out = vec![0u64; k];
+        wide::mont_mul(&mut out, a_m, b.limbs(), n, self.n0_inv, t);
+        BigUint::from_limbs(out)
     }
 
     /// `base^exp mod n` with a windowed square-and-multiply chain.
     ///
-    /// `base` is reduced mod `n` first; `exp` may be any size. The window
-    /// width adapts to the exponent: 4-bit windows (15-entry table) for
-    /// long exponents, plain binary for short ones where building the
-    /// table would cost more multiplications than it saves.
+    /// `base` is reduced mod `n` first; `exp` may be any size.
     pub fn pow_mod(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
-            return BigUint::one() % self.modulus();
+            return BigUint::one() % &self.modulus;
         }
-        let base = base % &self.modulus();
-        let base_m = if base.is_zero() {
+        let base = base % &self.modulus;
+        if base.is_zero() {
             return BigUint::zero();
-        } else {
-            self.to_mont(&base)
-        };
-
-        // Fixed-width fast path: the whole chain (window table, squarings,
-        // multiplies) lives in stack arrays — no per-operation allocation.
-        macro_rules! fixed {
-            ($K:literal) => {{
-                return self.pow_windowed_fixed::<$K>(&base_m, exp);
-            }};
         }
-        match self.k() {
-            1 => fixed!(1),
-            2 => fixed!(2),
-            3 => fixed!(3),
-            4 => fixed!(4),
-            5 => fixed!(5),
-            6 => fixed!(6),
-            7 => fixed!(7),
-            8 => fixed!(8),
-            _ => {}
-        }
-
-        let bits = exp.bit_len();
-        let window = if bits >= 32 { 4usize } else { 1 };
-
-        // Precompute base^1 .. base^(2^w − 1) in Montgomery form.
-        let mut table = Vec::with_capacity((1 << window) - 1);
-        table.push(base_m.clone());
-        for i in 1..(1 << window) - 1 {
-            let prev: &Vec<u64> = &table[i - 1];
-            table.push(self.mont_mul(prev, &base_m));
-        }
-
-        // Process the exponent in windows, most significant first:
-        // acc = acc^(2^w) · base^digit per window, starting from acc = 1.
-        let top_window = bits.div_ceil(window);
-        let mut acc = self.one.clone();
-        for w in (0..top_window).rev() {
-            if w + 1 != top_window {
-                for _ in 0..window {
-                    acc = self.mont_sqr(&acc);
-                }
-            }
-            let mut digit = 0usize;
-            for b in (0..window).rev() {
-                let bit_idx = w * window + b;
-                digit <<= 1;
-                if bit_idx < bits && exp.bit(bit_idx) {
-                    digit |= 1;
-                }
-            }
-            if digit != 0 {
-                acc = self.mont_mul(&acc, &table[digit - 1]);
-            }
-        }
-        self.from_mont(&acc)
+        self.from_mont(&self.pow_mont(&base, exp))
     }
 
-    /// Windowed exponentiation specialized to a `K`-limb modulus: identical
-    /// chain to the generic [`Self::pow_mod`] body, but every intermediate
-    /// is a stack array and the CIOS/SOS inner loops unroll at compile time.
-    fn pow_windowed_fixed<const K: usize>(&self, base_m: &[u64], exp: &BigUint) -> BigUint {
-        let n: &[u64; K] = self.n.as_slice().try_into().unwrap();
+    /// `base^exp` in Montgomery form, for a non-zero `base < n` and a
+    /// non-zero `exp`.
+    ///
+    /// Moduli of up to `FIXED_MAX_LIMBS` limbs keep the whole chain in
+    /// stack arrays with a 4-bit fixed window (binary below 32 bits). Wider
+    /// moduli run a sliding window over an odd-power table, its width set by
+    /// `sliding_window_bits`; table, accumulators and scratch are one
+    /// buffer sized up front, so the chain itself allocates nothing.
+    pub(crate) fn pow_mont(&self, base: &BigUint, exp: &BigUint) -> Vec<u64> {
+        debug_assert!(!base.is_zero() && *base < self.modulus && !exp.is_zero());
+        let k = self.limbs();
+        dispatch_fixed!(k, K => {
+            self.pow_windowed_fixed::<K>(&self.to_mont_fixed(base), exp).to_vec()
+        });
+
+        let bits = exp.bit_len();
+        let w = sliding_window_bits(bits);
+        let entries = 1usize << (w - 1); // base^1, base^3, …, base^(2^w − 1)
+        let mut buf = vec![0u64; (entries + 2) * k + self.scratch_len()];
+        let (table, rest) = buf.split_at_mut(entries * k);
+        let (mut acc, rest) = rest.split_at_mut(k);
+        let (mut tmp, t) = rest.split_at_mut(k);
+
+        self.to_mont_into(&mut table[..k], base, t);
+        if entries > 1 {
+            let base_sq = &mut *tmp;
+            self.mont_sqr_into(base_sq, &table[..k], t);
+            for i in 1..entries {
+                let (done, next) = table.split_at_mut(i * k);
+                self.mont_mul_into(&mut next[..k], &done[(i - 1) * k..], base_sq, t);
+            }
+        }
+
+        // Bits at and above `i` are consumed. Each window ends on a set bit,
+        // so its digit is odd and in the table; zero bits between windows
+        // cost one squaring each.
+        let mut i = bits;
+        let mut started = false;
+        while i > 0 {
+            if !exp.bit(i - 1) {
+                self.mont_sqr_into(tmp, acc, t);
+                std::mem::swap(&mut acc, &mut tmp);
+                i -= 1;
+                continue;
+            }
+            let mut lo = i.saturating_sub(w);
+            while !exp.bit(lo) {
+                lo += 1;
+            }
+            let entry = &table[(exp.bits_at(lo, i - lo) >> 1) * k..][..k];
+            if started {
+                for _ in lo..i {
+                    self.mont_sqr_into(tmp, acc, t);
+                    std::mem::swap(&mut acc, &mut tmp);
+                }
+                self.mont_mul_into(tmp, acc, entry, t);
+                std::mem::swap(&mut acc, &mut tmp);
+            } else {
+                acc.copy_from_slice(entry);
+                started = true;
+            }
+            i = lo;
+        }
+        acc.to_vec()
+    }
+
+    /// Windowed exponentiation specialized to a `K`-limb modulus: every
+    /// intermediate is a stack array and the CIOS/SOS inner loops unroll at
+    /// compile time. Takes and returns Montgomery form.
+    fn pow_windowed_fixed<const K: usize>(&self, base: &[u64; K], exp: &BigUint) -> [u64; K] {
+        let n = fixed(self.modulus.limbs());
         let n0 = self.n0_inv;
-        let base: &[u64; K] = base_m.try_into().unwrap();
 
         let bits = exp.bit_len();
         let window = if bits >= 32 { 4usize } else { 1 };
@@ -500,26 +435,19 @@ impl MontgomeryCtx {
         }
 
         let top_window = bits.div_ceil(window);
-        let mut acc: [u64; K] = self.one.as_slice().try_into().unwrap();
+        let mut acc = *fixed::<K>(&self.one);
         for w in (0..top_window).rev() {
             if w + 1 != top_window {
                 for _ in 0..window {
                     acc = msqr_k(&acc, n, n0);
                 }
             }
-            let mut digit = 0usize;
-            for b in (0..window).rev() {
-                let bit_idx = w * window + b;
-                digit <<= 1;
-                if bit_idx < bits && exp.bit(bit_idx) {
-                    digit |= 1;
-                }
-            }
+            let digit = exp.bits_at(w * window, window);
             if digit != 0 {
                 acc = mmul_k(&acc, &table[digit - 1], n, n0);
             }
         }
-        self.from_mont(&acc)
+        acc
     }
 
     /// `base^(2^j) mod n`: exactly `j` Montgomery squarings, no window
@@ -527,38 +455,37 @@ impl MontgomeryCtx {
     /// small powers of two on every absorbed message, so skipping the
     /// table build that a generic [`Self::pow_mod`] would pay matters.
     pub fn pow_mod_pow2(&self, base: &BigUint, j: u32) -> BigUint {
-        let base = base % &self.modulus();
+        let base = base % &self.modulus;
         if base.is_zero() {
             return BigUint::zero();
         }
-        let acc = self.to_mont(&base);
-        macro_rules! fixed {
-            ($K:literal) => {{
-                let n: &[u64; $K] = self.n.as_slice().try_into().unwrap();
-                let mut a: [u64; $K] = acc.as_slice().try_into().unwrap();
-                for _ in 0..j {
-                    a = msqr_k(&a, n, self.n0_inv);
-                }
-                return self.from_mont(&a);
-            }};
-        }
-        match self.k() {
-            1 => fixed!(1),
-            2 => fixed!(2),
-            3 => fixed!(3),
-            4 => fixed!(4),
-            5 => fixed!(5),
-            6 => fixed!(6),
-            7 => fixed!(7),
-            8 => fixed!(8),
-            _ => {}
-        }
-        let mut acc = acc;
+        let k = self.limbs();
+        dispatch_fixed!(k, K => {
+            let n = fixed(self.modulus.limbs());
+            let mut a = self.to_mont_fixed::<K>(&base);
+            for _ in 0..j {
+                a = msqr_k(&a, n, self.n0_inv);
+            }
+            self.from_mont(&a)
+        });
+        let mut buf = vec![0u64; 2 * k + self.scratch_len()];
+        let (mut acc, rest) = buf.split_at_mut(k);
+        let (mut tmp, t) = rest.split_at_mut(k);
+        self.to_mont_into(acc, &base, t);
         for _ in 0..j {
-            acc = self.mont_sqr(&acc);
+            self.mont_sqr_into(tmp, acc, t);
+            std::mem::swap(&mut acc, &mut tmp);
         }
-        self.from_mont(&acc)
+        self.from_mont(acc)
     }
+}
+
+/// A `K`-limb residue as the array the fixed-width kernels take.
+#[inline(always)]
+fn fixed<const K: usize>(limbs: &[u64]) -> &[u64; K] {
+    limbs
+        .try_into()
+        .expect("a residue has the modulus' limb count")
 }
 
 fn pad(mut v: Vec<u64>, k: usize) -> Vec<u64> {
@@ -681,33 +608,23 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(99);
-        // Moduli from 1 to 8 limbs, values spanning the full range.
-        for limbs in 1..=8usize {
-            let m = {
-                let v = crate::rng::random_bits(&mut rng, limbs * 64);
-                if v.is_even() {
-                    v.add_u64(1)
-                } else {
-                    v
-                }
-            };
-            if m.is_one() {
-                continue;
-            }
+        // Every fixed-width kernel, then the slice engine at even and odd
+        // limb counts; values spanning the full range.
+        for limbs in (1..=8usize).chain([9, 16, 17, 33]) {
+            let mut m = crate::rng::random_bits(&mut rng, limbs * 64);
+            m.set_bit(0, true);
+            m.set_bit(limbs * 64 - 1, true);
             let ctx = MontgomeryCtx::new(&m);
-            for _ in 0..25 {
-                let a = random_below(&mut rng, &m);
-                let am = pad(a.limbs().to_vec(), ctx.k());
-                assert_eq!(
-                    ctx.mont_sqr(&am),
-                    ctx.mont_mul(&am, &am),
-                    "limbs={limbs} a={a:?}"
-                );
-            }
-            // Edge values: 0, 1, m−1.
-            for a in [BigUint::zero(), BigUint::one(), m.sub_u64(1)] {
-                let am = pad(a.limbs().to_vec(), ctx.k());
-                assert_eq!(ctx.mont_sqr(&am), ctx.mont_mul(&am, &am));
+            let k = ctx.limbs();
+            let mut t = vec![0u64; ctx.scratch_len()];
+            let (mut sqr, mut mul) = (vec![0u64; k], vec![0u64; k]);
+            let edges = [BigUint::zero(), BigUint::one(), m.sub_u64(1)];
+            let random: Vec<BigUint> = (0..25).map(|_| random_below(&mut rng, &m)).collect();
+            for a in edges.iter().chain(&random) {
+                let am = pad(a.limbs().to_vec(), k);
+                ctx.mont_sqr_into(&mut sqr, &am, &mut t);
+                ctx.mont_mul_into(&mut mul, &am, &am, &mut t);
+                assert_eq!(sqr, mul, "limbs={limbs} a={a:?}");
             }
         }
     }

@@ -3,7 +3,7 @@
 //! Threshold combination evaluates `Π_i base_i^{exp_i} mod n` for a handful
 //! of bases whose exponents are small signed Lagrange multiples. Computing
 //! each factor with its own [`MontgomeryCtx::pow_mod`] repeats the squaring
-//! chain (and a 15-entry window table) per base; the Straus trick shares one
+//! chain (and a window table) per base; the Straus trick shares one
 //! squaring chain across all bases, multiplying each base's windowed digit
 //! in as the chain passes its position. Negative exponents accumulate into a
 //! separate denominator product over the same chain, so a whole combine
@@ -75,11 +75,11 @@ pub fn multi_exp(ctx: &MontgomeryCtx, terms: &[(BigUint, BigUint)]) -> BigUint {
 /// negative exponents contributed.
 pub fn multi_exp_signed(ctx: &MontgomeryCtx, terms: &[MultiExpTerm]) -> (BigUint, BigUint) {
     let modulus = ctx.modulus();
-    let one = BigUint::one() % &modulus;
+    let one = BigUint::one() % modulus;
     let mut live: Vec<(BigUint, &BigUint, bool)> = terms
         .iter()
         .filter(|t| !t.exp.is_zero())
-        .map(|t| (&t.base % &modulus, &t.exp, t.negative))
+        .map(|t| (&t.base % modulus, &t.exp, t.negative))
         .collect();
     // A zero base with a non-zero exponent collapses its side of the
     // fraction to zero; the Straus tables below assume unit-group
@@ -104,62 +104,58 @@ pub fn multi_exp_signed(ctx: &MontgomeryCtx, terms: &[MultiExpTerm]) -> (BigUint
     let window = if max_bits >= 32 { 4usize } else { 1 };
     let digits = (1usize << window) - 1;
 
-    // Per-base digit tables in Montgomery form: table[b][d-1] = base_b^d.
-    let tables: Vec<Vec<Vec<u64>>> = live
-        .iter()
-        .map(|(base, _, _)| {
-            let base_m = ctx.to_mont(base);
-            let mut t = Vec::with_capacity(digits);
-            t.push(base_m.clone());
-            for d in 1..digits {
-                let prev = &t[d - 1];
-                t.push(ctx.mont_mul(prev, &base_m));
-            }
-            t
-        })
-        .collect();
+    // One buffer for the whole chain: per-base digit tables in Montgomery
+    // form (`base_b^d` at entry `b·digits + d − 1`), the two accumulators,
+    // their ping-pong partner, and the kernels' scratch.
+    let k = ctx.limbs();
+    let entries = live.len() * digits;
+    let mut buf = vec![0u64; (entries + 3) * k + ctx.scratch_len()];
+    let (tables, rest) = buf.split_at_mut(entries * k);
+    let (mut num, rest) = rest.split_at_mut(k);
+    let (mut den, rest) = rest.split_at_mut(k);
+    let (mut tmp, t) = rest.split_at_mut(k);
+    for (table, (base, _, _)) in tables.chunks_exact_mut(digits * k).zip(&live) {
+        ctx.to_mont_into(&mut table[..k], base, t);
+        for d in 1..digits {
+            let (done, rest) = table.split_at_mut(d * k);
+            ctx.mont_mul_into(&mut rest[..k], &done[(d - 1) * k..], &done[..k], t);
+        }
+    }
 
     let has_neg = live.iter().any(|(_, _, neg)| *neg);
-    let mut num = ctx.one_mont();
-    let mut den = ctx.one_mont();
+    num.copy_from_slice(ctx.one_mont());
+    den.copy_from_slice(ctx.one_mont());
     let top_window = max_bits.div_ceil(window);
     for w in (0..top_window).rev() {
         if w + 1 != top_window {
             for _ in 0..window {
-                num = ctx.mont_sqr(&num);
+                ctx.mont_sqr_into(tmp, num, t);
+                std::mem::swap(&mut num, &mut tmp);
                 if has_neg {
-                    den = ctx.mont_sqr(&den);
+                    ctx.mont_sqr_into(tmp, den, t);
+                    std::mem::swap(&mut den, &mut tmp);
                 }
             }
         }
         for (b, (_, exp, neg)) in live.iter().enumerate() {
-            let mut digit = 0usize;
-            for bit in (0..window).rev() {
-                let idx = w * window + bit;
-                digit <<= 1;
-                if idx < exp.bit_len() && exp.bit(idx) {
-                    digit |= 1;
-                }
-            }
+            let digit = exp.bits_at(w * window, window);
             if digit != 0 {
-                let entry = &tables[b][digit - 1];
-                if *neg {
-                    den = ctx.mont_mul(&den, entry);
-                } else {
-                    num = ctx.mont_mul(&num, entry);
-                }
+                let entry = &tables[(b * digits + digit - 1) * k..][..k];
+                let side = if *neg { &mut den } else { &mut num };
+                ctx.mont_mul_into(tmp, side, entry, t);
+                std::mem::swap(side, &mut tmp);
             }
         }
     }
     let num = if num_zero {
         BigUint::zero()
     } else {
-        ctx.from_mont(&num)
+        ctx.from_mont(num)
     };
     let den = if den_zero {
         BigUint::zero()
     } else {
-        ctx.from_mont(&den)
+        ctx.from_mont(den)
     };
     (num, den)
 }
@@ -188,13 +184,13 @@ pub fn batch_inverse(ctx: &MontgomeryCtx, values: &[BigUint]) -> Option<Vec<BigU
     let modulus = ctx.modulus();
     // Prefix products: prefix[i] = v_0 · … · v_{i-1} mod n.
     let mut prefix = Vec::with_capacity(values.len());
-    let mut acc = BigUint::one() % &modulus;
+    let mut acc = BigUint::one() % modulus;
     for v in values {
         prefix.push(acc.clone());
         acc = ctx.mul_mod(&acc, v);
     }
     // One inversion of the full product …
-    let mut inv_acc = acc.mod_inverse(&modulus)?;
+    let mut inv_acc = acc.mod_inverse(modulus)?;
     // … then peel values off the back: inv(v_i) = inv_suffix · prefix_i,
     // and fold v_i into the running suffix inverse.
     let mut out = vec![BigUint::zero(); values.len()];
@@ -219,7 +215,7 @@ mod tests {
     }
 
     fn naive(ctx: &MontgomeryCtx, terms: &[(BigUint, BigUint)]) -> BigUint {
-        let mut acc = BigUint::one() % &ctx.modulus();
+        let mut acc = BigUint::one() % ctx.modulus();
         for (b, e) in terms {
             acc = ctx.mul_mod(&acc, &ctx.pow_mod(b, e));
         }
@@ -234,8 +230,8 @@ mod tests {
             let terms: Vec<(BigUint, BigUint)> = (0..t)
                 .map(|_| {
                     (
-                        random_below(&mut rng, &ctx.modulus()),
-                        random_below(&mut rng, &ctx.modulus()),
+                        random_below(&mut rng, ctx.modulus()),
+                        random_below(&mut rng, ctx.modulus()),
                     )
                 })
                 .collect();
@@ -268,7 +264,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let terms: Vec<MultiExpTerm> = (0..4)
             .map(|i| MultiExpTerm {
-                base: random_below(&mut rng, &ctx.modulus()),
+                base: random_below(&mut rng, ctx.modulus()),
                 exp: BigUint::from(3u64 + 5 * i as u64),
                 negative: i % 2 == 1,
             })
@@ -324,8 +320,8 @@ mod tests {
                     // Values coprime to the modulus with overwhelming
                     // probability; retry if not.
                     loop {
-                        let v = random_below(&mut rng, &ctx.modulus());
-                        if !v.is_zero() && v.gcd(&ctx.modulus()).is_one() {
+                        let v = random_below(&mut rng, ctx.modulus());
+                        if !v.is_zero() && v.gcd(ctx.modulus()).is_one() {
                             return v;
                         }
                     }
@@ -333,7 +329,7 @@ mod tests {
                 .collect();
             let invs = batch_inverse(&ctx, &vals).expect("all units");
             for (v, inv) in vals.iter().zip(&invs) {
-                assert_eq!(*inv, v.mod_inverse(&ctx.modulus()).unwrap());
+                assert_eq!(*inv, v.mod_inverse(ctx.modulus()).unwrap());
             }
         }
     }

@@ -1,5 +1,6 @@
 //! Primality testing (Miller-Rabin) and random prime generation.
 
+use crate::add_sub::sub_assign_limbs;
 use crate::rng::{random_bits, random_range};
 use crate::{BigUint, MontgomeryCtx};
 use rand::Rng;
@@ -28,25 +29,30 @@ fn small_primes() -> &'static [u64] {
     })
 }
 
-/// One Miller-Rabin round for witness `a` against odd `n = d·2^r + 1`.
+/// One Miller-Rabin round for witness `1 < a < n − 1` against odd
+/// `n = d·2^r + 1`. The whole round stays in Montgomery form: `a^d` is
+/// squared in place and compared against the Montgomery images of `±1`
+/// (`minus_one` is `n − R mod n`).
 fn miller_rabin_round(
     ctx: &MontgomeryCtx,
-    n: &BigUint,
+    minus_one: &[u64],
     d: &BigUint,
     r: usize,
     a: &BigUint,
 ) -> bool {
-    let n_minus_1 = n.sub_u64(1);
-    let mut x = ctx.pow_mod(a, d);
-    if x.is_one() || x == n_minus_1 {
+    let mut x = ctx.pow_mont(a, d);
+    if x == ctx.one_mont() || x == minus_one {
         return true;
     }
+    let mut next = vec![0u64; x.len()];
+    let mut scratch = vec![0u64; ctx.scratch_len()];
     for _ in 1..r {
-        x = ctx.mul_mod(&x, &x);
-        if x == n_minus_1 {
+        ctx.mont_sqr_into(&mut next, &x, &mut scratch);
+        std::mem::swap(&mut x, &mut next);
+        if x == minus_one {
             return true;
         }
-        if x.is_one() {
+        if x == ctx.one_mont() {
             return false; // non-trivial square root of 1
         }
     }
@@ -78,14 +84,16 @@ pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut 
         .expect("n-1 of odd n > 1 is non-zero even");
     let d = &n_minus_1 >> r;
     let ctx = MontgomeryCtx::new(n);
+    let mut minus_one = n.limbs().to_vec();
+    sub_assign_limbs(&mut minus_one, ctx.one_mont());
 
-    if !miller_rabin_round(&ctx, n, &d, r, &BigUint::two()) {
+    if !miller_rabin_round(&ctx, &minus_one, &d, r, &BigUint::two()) {
         return false;
     }
     let two = BigUint::two();
     for _ in 0..rounds {
         let a = random_range(rng, &two, &n_minus_1);
-        if !miller_rabin_round(&ctx, n, &d, r, &a) {
+        if !miller_rabin_round(&ctx, &minus_one, &d, r, &a) {
             return false;
         }
     }

@@ -1,9 +1,12 @@
 //! Property-based tests for `cs-bigint`.
 //!
-//! Two families: (1) cross-checks against native `u128` arithmetic on small
-//! values, (2) algebraic identities on arbitrarily large values built from
-//! random byte strings.
+//! Three families: (1) cross-checks against native `u128` arithmetic on
+//! small values, (2) algebraic identities on arbitrarily large values built
+//! from random byte strings (≤ 8 limbs: the fixed-width Montgomery kernels),
+//! (3) the slice-based Montgomery engine that serves every wider modulus,
+//! checked against division-based `BigUint` arithmetic at 9–72 limbs.
 
+use cs_bigint::multi_exp::{multi_exp_signed, MultiExpTerm};
 use cs_bigint::{
     gcd::extended_gcd, rng::random_below, BigInt, BigUint, FixedBaseExp, MontgomeryCtx,
 };
@@ -213,6 +216,215 @@ proptest! {
         let bb = BigUint::from(bound);
         let v = random_below(&mut rng, &bb);
         prop_assert!(v < bb);
+    }
+}
+
+// ---- the wide-modulus Montgomery engine (> 8 limbs) -------------------------
+
+/// A limb that is often all-zeros or all-ones, so carry chains run long.
+fn spiky_limb() -> impl Strategy<Value = u64> {
+    (any::<u64>(), 0u8..8).prop_map(|(x, pick)| match pick {
+        0 => 0,
+        1 => u64::MAX,
+        _ => x,
+    })
+}
+
+/// Strategy: an odd modulus of exactly 9–72 limbs. Half the draws take one
+/// of the odd counts 9/17/33/65, so the two-row kernels' single-row and
+/// single-limb remainders run at every size class.
+fn wide_modulus() -> impl Strategy<Value = BigUint> {
+    (0usize..8, 9usize..=72)
+        .prop_map(|(pick, any)| [9, 17, 33, 65].get(pick).copied().unwrap_or(any))
+        .prop_flat_map(|k| proptest::collection::vec(spiky_limb(), k))
+        .prop_map(|mut limbs| {
+            limbs[0] |= 1;
+            *limbs.last_mut().expect("k >= 9") |= 1 << 63;
+            BigUint::from_limbs(limbs)
+        })
+}
+
+/// Strategy: raw material for an operand — reduce it mod the case's modulus.
+fn wide_operand() -> impl Strategy<Value = BigUint> {
+    proptest::collection::vec(spiky_limb(), 0..=72).prop_map(BigUint::from_limbs)
+}
+
+/// `0`, `1`, `n − 1`, then the given values reduced mod `n`.
+fn with_edges(n: &BigUint, values: &[&BigUint]) -> Vec<BigUint> {
+    let mut out = vec![BigUint::zero(), BigUint::one(), n.sub_u64(1)];
+    out.extend(values.iter().map(|v| *v % n));
+    out
+}
+
+/// An exponent of exactly `bits` bits (zero for `bits == 0`).
+fn exponent_of_bits(raw: &BigUint, bits: usize) -> BigUint {
+    if bits == 0 {
+        return BigUint::zero();
+    }
+    let mut e = raw % &(BigUint::one() << bits);
+    e.set_bit(bits - 1, true);
+    e
+}
+
+/// Division-based square-and-multiply: the reference every Montgomery chain
+/// is held to (`BigUint::mod_pow` would itself go through Montgomery).
+fn ref_pow(base: &BigUint, exp: &BigUint, n: &BigUint) -> BigUint {
+    let mut acc = BigUint::one();
+    for i in (0..exp.bit_len()).rev() {
+        acc = &(&acc * &acc) % n;
+        if exp.bit(i) {
+            acc = &(&acc * base) % n;
+        }
+    }
+    acc
+}
+
+proptest! {
+    // Debug builds keep the kernels' `debug_assert`s on but are ~20× slower
+    // at these widths: a few cases there, the search proper in release (CI).
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 3 } else { 128 }))]
+
+    /// `mont_mul` through `mul_mod`, `mont_sqr` through one `pow_mod_pow2`
+    /// squaring, over every pair of edge and random operands.
+    #[test]
+    fn wide_mul_and_sqr_match_division(
+        n in wide_modulus(),
+        a in wide_operand(),
+        b in wide_operand(),
+    ) {
+        let ctx = MontgomeryCtx::new(&n);
+        let operands = with_edges(&n, &[&a, &b]);
+        for x in &operands {
+            prop_assert_eq!(ctx.pow_mod_pow2(x, 1), &(x * x) % &n);
+            for y in &operands {
+                prop_assert_eq!(ctx.mul_mod(x, y), &(x * y) % &n);
+            }
+        }
+    }
+
+    /// The sliding-window chain and the pure squaring chain.
+    #[test]
+    fn wide_pow_mod_matches_reference(
+        n in wide_modulus(),
+        base in wide_operand(),
+        raw_exp in wide_operand(),
+        exp_bits in 0usize..=300,
+        j in 0u32..24,
+    ) {
+        let ctx = MontgomeryCtx::new(&n);
+        let exp = exponent_of_bits(&raw_exp, exp_bits);
+        for b in with_edges(&n, &[&base]) {
+            prop_assert_eq!(ctx.pow_mod(&b, &exp), ref_pow(&b, &exp, &n));
+            prop_assert_eq!(
+                ctx.pow_mod_pow2(&b, j),
+                ref_pow(&b, &(BigUint::one() << j as usize), &n)
+            );
+        }
+        // An unreduced base is reduced first.
+        let big = &base + &n;
+        prop_assert_eq!(ctx.pow_mod(&big, &exp), ref_pow(&(&big % &n), &exp, &n));
+    }
+
+    /// The flat fixed-base table at 4- and 8-bit windows, with the exponent
+    /// at `max_exp_bits` (last table window) and one bit past it (fallback).
+    #[test]
+    fn wide_fixed_base_matches_reference(
+        n in wide_modulus(),
+        base in wide_operand(),
+        raw_exp in wide_operand(),
+        short_bits in 0usize..96,
+    ) {
+        let ctx = MontgomeryCtx::new(&n);
+        for b in with_edges(&n, &[&base]) {
+            for window in [4usize, 8] {
+                let fixed = FixedBaseExp::with_window(&ctx, &b, 96, window);
+                prop_assert_eq!(fixed.max_exp_bits(), 96);
+                for bits in [short_bits, 96, 97] {
+                    let exp = exponent_of_bits(&raw_exp, bits);
+                    prop_assert_eq!(fixed.pow_mod(&exp), ref_pow(&b, &exp, &n));
+                }
+            }
+        }
+    }
+
+    /// Straus chains: binary (all exponents < 32 bits) and 4-bit windowed,
+    /// with both signs, a zero exponent and a zero base in the mix.
+    #[test]
+    fn wide_multi_exp_signed_matches_reference(
+        n in wide_modulus(),
+        bases in proptest::collection::vec(wide_operand(), 1..4),
+        raw_exp in wide_operand(),
+        long_bits in 32usize..200,
+        signs in any::<u8>(),
+    ) {
+        let ctx = MontgomeryCtx::new(&n);
+        let mut bases = with_edges(&n, &bases.iter().collect::<Vec<_>>());
+        bases.remove(0); // the zero base joins below, on its own
+        for max_bits in [31usize, long_bits] {
+            let mut terms: Vec<MultiExpTerm> = bases
+                .iter()
+                .enumerate()
+                .map(|(i, base)| MultiExpTerm {
+                    base: base.clone(),
+                    exp: exponent_of_bits(&(&raw_exp >> i), max_bits - i),
+                    negative: signs >> i & 1 == 1,
+                })
+                .collect();
+            terms[0].exp = BigUint::zero();
+            let reference = |terms: &[MultiExpTerm], negative: bool| {
+                terms
+                    .iter()
+                    .filter(|t| t.negative == negative)
+                    .fold(BigUint::one(), |acc, t| {
+                        &(&acc * &ref_pow(&t.base, &t.exp, &n)) % &n
+                    })
+            };
+            let (num, den) = multi_exp_signed(&ctx, &terms);
+            prop_assert_eq!(num, reference(&terms, false));
+            prop_assert_eq!(den, reference(&terms, true));
+
+            terms.push(MultiExpTerm {
+                base: BigUint::zero(),
+                exp: BigUint::from(3u64),
+                negative: signs & 0x80 != 0,
+            });
+            let (num, den) = multi_exp_signed(&ctx, &terms);
+            prop_assert_eq!(num, reference(&terms, false));
+            prop_assert_eq!(den, reference(&terms, true));
+        }
+    }
+}
+
+/// Exponents one bit below and exactly at every width threshold of the
+/// sliding-window rule (w = 1/3/4/5/6 from 24, 80, 240 and 672 bits), on an
+/// odd and an even limb count.
+#[test]
+fn wide_pow_mod_straddles_every_window_threshold() {
+    let mut rng = StdRng::seed_from_u64(0x51D1_4600);
+    for limbs in [9usize, 16] {
+        let mut n = cs_bigint::rng::random_bits(&mut rng, limbs * 64);
+        n.set_bit(0, true);
+        n.set_bit(limbs * 64 - 1, true);
+        let ctx = MontgomeryCtx::new(&n);
+        let base = random_below(&mut rng, &n);
+        for threshold in [24usize, 80, 240, 672] {
+            for bits in [threshold - 1, threshold, threshold + 1] {
+                let raw = cs_bigint::rng::random_bits(&mut rng, bits);
+                // Random, all-ones (every window full) and a lone top bit
+                // (one window, then squarings only).
+                for exp in [
+                    exponent_of_bits(&raw, bits),
+                    (BigUint::one() << bits).sub_u64(1),
+                    BigUint::one() << (bits - 1),
+                ] {
+                    assert_eq!(
+                        ctx.pow_mod(&base, &exp),
+                        ref_pow(&base, &exp, &n),
+                        "{limbs} limbs, {bits}-bit exponent"
+                    );
+                }
+            }
+        }
     }
 }
 

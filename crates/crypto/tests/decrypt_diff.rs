@@ -217,3 +217,53 @@ fn short_subsets_are_rejected_everywhere() {
     assert_eq!(format!("{naive:?}"), format!("{fast:?}"));
     assert_eq!(format!("{naive:?}"), format!("{cached:?}"));
 }
+
+/// The same equivalences at a 1024-bit key: the CRT sides `p²`, `q²` are 16
+/// limbs and `n²` is 32, so every exponentiation runs on the slice-based
+/// Montgomery engine instead of the ≤ 8-limb kernels the 256-bit suite
+/// above exercises. One key, a few ciphertexts, every committee pair.
+#[test]
+fn wide_key_fast_paths_equal_their_oracles() {
+    let mut rng = StdRng::seed_from_u64(0xC0FF_EE10);
+    let opts = KeyGenOptions {
+        modulus_bits: 1024,
+        s: 1,
+        safe_primes: false,
+    };
+    let params = ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    };
+    let t = ThresholdKeyPair::generate(&opts, params, &mut rng).expect("valid threshold params");
+    assert_eq!(t.public().n_s1().limb_len(), 32);
+    let delta = t.delta().clone();
+    let cache = CombinePlanCache::new();
+    for _ in 0..3 {
+        let m = random_below(&mut rng, t.public().n_s());
+        let c = t.public().encrypt(&m, &mut rng);
+        let partials: Vec<_> = t
+            .shares()
+            .iter()
+            .map(|share| {
+                assert!(share.has_crt_hint());
+                let fast = share.partial_decrypt(&c);
+                assert_eq!(fast, share.partial_decrypt_slow(&c));
+                assert_eq!(fast, share.without_crt().partial_decrypt(&c));
+                fast
+            })
+            .collect();
+        for (i, j) in [(0, 1), (2, 0), (1, 2)] {
+            let subset = vec![partials[i].clone(), partials[j].clone()];
+            let naive = combine_partials_naive(t.public(), params, &delta, &subset).unwrap();
+            assert_eq!(naive, m);
+            assert_eq!(
+                combine_partials(t.public(), params, &delta, &subset).unwrap(),
+                naive
+            );
+            assert_eq!(
+                cache.combine(t.public(), params, &delta, &subset).unwrap(),
+                naive
+            );
+        }
+    }
+}

@@ -16,8 +16,8 @@
 
 use cs_bigint::BigUint;
 use cs_crypto::{
-    CryptoError, FastEncryptor, FixedPointCodec, KeyGenOptions, PackedCodec, ThresholdKeyPair,
-    ThresholdParams,
+    CryptoError, FastEncryptor, FixedPointCodec, KeyGenOptions, PackedCodec, RandomizerPool,
+    ThresholdKeyPair, ThresholdParams,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -309,4 +309,50 @@ fn weight_zero_aggregate_is_rejected() {
         c.unpack_integers(&pts, 1, 0, 0.0, 1).unwrap_err(),
         CryptoError::InvalidParameters(_)
     ));
+}
+
+/// The encryption fast paths at a 1024-bit key (32-limb `n²`: fixed-base
+/// table, pool and CRT decryption all on the slice-based Montgomery
+/// engine): ciphertexts from [`FastEncryptor`] and [`RandomizerPool`],
+/// fresh or re-randomized, decrypt like [`PublicKey::encrypt`] ones.
+///
+/// [`PublicKey::encrypt`]: cs_crypto::PublicKey::encrypt
+#[test]
+fn wide_key_fast_ciphertexts_decrypt_like_plain_ones() {
+    let mut rng = StdRng::seed_from_u64(0xC0FF_EE10);
+    let opts = KeyGenOptions {
+        modulus_bits: 1024,
+        s: 1,
+        safe_primes: false,
+    };
+    let params = ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    };
+    let t = ThresholdKeyPair::generate(&opts, params, &mut rng).expect("valid threshold params");
+    let decrypt = |c: &cs_crypto::Ciphertext| {
+        let partials = vec![
+            t.shares()[2].partial_decrypt(c),
+            t.shares()[1].partial_decrypt(c),
+        ];
+        t.combine(&partials).expect("enough shares")
+    };
+    let enc = Arc::new(FastEncryptor::new(Arc::new(t.public().clone()), &mut rng));
+    // One pooled randomizer per plaintext: `encrypt` pops it, `rerandomize`
+    // then takes the run-dry fallback.
+    let mut pool = RandomizerPool::new(enc.clone());
+    let codec = PackedCodec::plan(FixedPointCodec::new(8), 64.0, 4, 8, t.public().n_s()).unwrap();
+    let values = [1.5, -2.25, 40.0, -39.5, 0.0];
+    for m in codec.pack(&values).unwrap() {
+        pool.refill(1, &mut rng);
+        let plain = t.public().encrypt(&m, &mut rng);
+        let fast = enc.encrypt(&m, &mut rng);
+        let pooled = pool.encrypt(&m, &mut rng);
+        let rerandomized = enc.rerandomize(&plain, &mut rng);
+        let pool_rerandomized = pool.rerandomize(&fast, &mut rng);
+        assert!(rerandomized != plain && pool_rerandomized != fast);
+        for c in [&plain, &fast, &pooled, &rerandomized, &pool_rerandomized] {
+            assert_eq!(decrypt(c), m);
+        }
+    }
 }
