@@ -24,7 +24,9 @@
 //! ciphertext modulus `n²`, one fixed-base `randomizer`, one CRT
 //! `partial_decrypt` — all on the slice-based Montgomery engine that serves
 //! moduli above 8 limbs. `--check` holds each below twice its committed
-//! figure.
+//! figure. Next to each `randomizer` row a `randomizer_table` row records
+//! what the randomizers cost a device up front: the build time of the
+//! `FastEncryptor` and, in `bytes`, the fixed-base table it keeps resident.
 
 use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::CryptoContext;
@@ -66,7 +68,8 @@ struct CryptoBenchEntry {
     per_bucket_us: f64,
     /// Frames on the wire (net step rows only).
     messages: u64,
-    /// Bytes on the wire (net step rows only).
+    /// Bytes on the wire (net step rows); resident fixed-base table bytes
+    /// (`randomizer_table` rows).
     bytes: u64,
     /// Average frame size (net step rows only).
     bytes_per_message: f64,
@@ -170,6 +173,14 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
+    for e in entries.iter().filter(|e| e.name == TABLE_ROW) {
+        println!(
+            "randomizer@{}: fixed-base table {:.1} MiB, built in {:.0} ms",
+            e.mode,
+            e.bytes as f64 / (1 << 20) as f64,
+            e.total_ms
+        );
+    }
     for name in ["encrypt", "add", "decrypt"] {
         if let Some(s) = speedup(&entries, name) {
             println!("{name}: packed is {s:.1}x cheaper per bucket");
@@ -357,6 +368,11 @@ const WIDE_ROWS: [&str; 5] = [
     "partial_decrypt",
 ];
 
+/// The ungated row that follows each `randomizer` row: `total_ms` is one
+/// `FastEncryptor::new` (the generic `h^(n^s)` plus the table fill), `bytes`
+/// the table's size.
+const TABLE_ROW: &str = "randomizer_table";
+
 /// Squarings per `mont_sqr` sample: long enough that the conversions into
 /// and out of Montgomery form around the chain are under 1 % of it.
 const SQR_CHAIN: u32 = 256;
@@ -391,7 +407,9 @@ fn bench_wide_key(bits: usize, reps: usize, rng: &mut StdRng) -> Vec<CryptoBench
     )
     .expect("valid params");
     let pk = Arc::new(tkp.public().clone());
+    let built = Instant::now();
     let enc = FastEncryptor::new(pk.clone(), rng);
+    let table_build_ms = built.elapsed().as_secs_f64() * 1e3;
     let mont = MontgomeryCtx::new(pk.n_s1());
     let a = random_below(rng, pk.n_s1());
     let b = random_below(rng, pk.n_s1());
@@ -426,12 +444,24 @@ fn bench_wide_key(bits: usize, reps: usize, rng: &mut StdRng) -> Vec<CryptoBench
     });
     let units = [2, SQR_CHAIN as usize, 1, 1, 1];
     let samples = [&mut mul, &mut sqr, &mut pow, &mut randomizer, &mut partial];
-    WIDE_ROWS
+    let mut rows: Vec<CryptoBenchEntry> = WIDE_ROWS
         .iter()
         .zip(units)
         .zip(samples)
         .map(|((name, units), samples)| wide_entry(name, bits, units, samples))
-        .collect()
+        .collect();
+    let after_randomizer = 1 + rows
+        .iter()
+        .position(|e| e.name == "randomizer")
+        .expect("randomizer is a wide row");
+    rows.insert(
+        after_randomizer,
+        CryptoBenchEntry {
+            bytes: enc.table().table_bytes() as u64,
+            ..wide_entry(TABLE_ROW, bits, 1, &mut [table_build_ms])
+        },
+    );
+    rows
 }
 
 /// Encrypts the bucket vector: per-bucket `PublicKey::encrypt` vs packed

@@ -43,8 +43,9 @@ pub struct FixedBaseExp {
     base: BigUint,
     /// `base^(d · 2^(window_bits·i))` in Montgomery form for window `i` and
     /// digit `d ≥ 1`, as one flat run of `k`-limb entries (see
-    /// [`Self::entry`]): a 2048-bit `n²` table at 8-bit windows is 67 320
-    /// entries, ~33 MiB, in a single allocation. Empty for a zero base.
+    /// [`Self::entry`]): the 1024-bit-exponent, 8-bit-window table of a
+    /// 2048-bit key's randomizers is 128 × 255 = 32 640 entries of 64
+    /// limbs, ~16 MiB, in a single allocation. Empty for a zero base.
     table: Vec<u64>,
     window_bits: usize,
     max_exp_bits: usize,
@@ -125,6 +126,11 @@ impl FixedBaseExp {
         self.ctx.modulus()
     }
 
+    /// Bytes of precomputed table this value keeps resident.
+    pub fn table_bytes(&self) -> usize {
+        std::mem::size_of_val(self.table.as_slice())
+    }
+
     /// `base^(digit · 2^(window_bits·window))` for `digit ≥ 1`.
     fn entry(&self, window: usize, digit: usize) -> &[u64] {
         let k = self.ctx.limbs();
@@ -202,6 +208,9 @@ mod tests {
             let fixed = FixedBaseExp::with_window(&ctx, &base, 192, w);
             assert_eq!(fixed.pow_mod(&e), expect, "window={w}");
             assert_eq!(fixed.window_bits(), w);
+            // 3-limb entries, 2^w − 1 digits per window.
+            let entries = 192usize.div_ceil(w) * ((1 << w) - 1);
+            assert_eq!(fixed.table_bytes(), entries * 3 * 8, "window={w}");
         }
     }
 

@@ -3,21 +3,29 @@
 use crate::BigUint;
 use rand::Rng;
 
+/// `⌈bits/64⌉` uniformly random limbs with every bit from `bits` up cleared.
+fn random_limbs<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> Vec<u64> {
+    let mut limbs: Vec<u64> = (0..bits.div_ceil(64)).map(|_| rng.gen()).collect();
+    if let Some(top) = limbs.last_mut() {
+        *top &= u64::MAX >> ((64 - bits % 64) % 64);
+    }
+    limbs
+}
+
 /// Samples a uniformly random value with exactly `bits` significant bits
 /// (the top bit is forced to 1). Returns zero when `bits == 0`.
 pub fn random_bits<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> BigUint {
-    if bits == 0 {
-        return BigUint::zero();
+    let mut limbs = random_limbs(rng, bits);
+    if let Some(top) = limbs.last_mut() {
+        *top |= 1u64 << ((bits - 1) % 64);
     }
-    let limbs_needed = bits.div_ceil(64);
-    let mut limbs: Vec<u64> = (0..limbs_needed).map(|_| rng.gen()).collect();
-    let top_bits = bits - (limbs_needed - 1) * 64;
-    let top = &mut limbs[limbs_needed - 1];
-    if top_bits < 64 {
-        *top &= (1u64 << top_bits) - 1;
-    }
-    *top |= 1u64 << (top_bits - 1);
     BigUint::from_limbs(limbs)
+}
+
+/// Samples uniformly from `[0, 2^bits)` — every bit free, unlike
+/// [`random_bits`]. Returns zero when `bits == 0`.
+pub fn random_below_pow2<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> BigUint {
+    BigUint::from_limbs(random_limbs(rng, bits))
 }
 
 /// Samples uniformly from `[0, bound)` by rejection.
@@ -26,18 +34,9 @@ pub fn random_bits<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> BigUint {
 pub fn random_below<R: Rng + ?Sized>(rng: &mut R, bound: &BigUint) -> BigUint {
     assert!(!bound.is_zero(), "empty range");
     let bits = bound.bit_len();
-    let limbs_needed = bits.div_ceil(64);
-    let top_bits = bits - (limbs_needed - 1) * 64;
-    let mask = if top_bits == 64 {
-        u64::MAX
-    } else {
-        (1u64 << top_bits) - 1
-    };
     // Rejection sampling: each draw succeeds with probability > 1/2.
     loop {
-        let mut limbs: Vec<u64> = (0..limbs_needed).map(|_| rng.gen()).collect();
-        limbs[limbs_needed - 1] &= mask;
-        let candidate = BigUint::from_limbs(limbs);
+        let candidate = random_below_pow2(rng, bits);
         if candidate < *bound {
             return candidate;
         }
@@ -81,6 +80,23 @@ mod tests {
             assert_eq!(v.bit_len(), bits, "requested {bits} bits");
         }
         assert!(random_bits(&mut rng, 0).is_zero());
+    }
+
+    #[test]
+    fn random_below_pow2_is_bounded_and_leaves_the_top_bit_free() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for bits in [1usize, 63, 64, 65, 128] {
+            let lens: Vec<usize> = (0..64)
+                .map(|_| random_below_pow2(&mut rng, bits).bit_len())
+                .collect();
+            assert!(lens.iter().all(|&l| l <= bits), "{bits} bits");
+            assert!(lens.contains(&bits), "{bits} bits: top bit never set");
+            assert!(
+                lens.iter().any(|&l| l < bits),
+                "{bits} bits: top bit forced"
+            );
+        }
+        assert!(random_below_pow2(&mut rng, 0).is_zero());
     }
 
     #[test]

@@ -5,28 +5,42 @@
 //! (`(1+n)^m` is nearly free thanks to the binomial shortcut, which is
 //! itself why no window table is kept for the `(1+n)` generator: the
 //! closed form beats any precomputation). [`FastEncryptor`] removes the
-//! per-ciphertext exponentiation with the classic fixed-base randomizer
-//! construction:
+//! per-ciphertext exponentiation with the short-randomness variant of
+//! Damgård, Jurik and Nielsen (*A generalization of Paillier's public-key
+//! system with applications to electronic voting*, Int. J. Inf. Secur. 9,
+//! 2010, §4.2):
 //!
-//! 1. pick one random unit `h ∈ Z*_n` at setup and pay a single generic
-//!    exponentiation for `H = h^(n^s) mod n^(s+1)`;
-//! 2. build a [`FixedBaseExp`] window table for `H`;
-//! 3. a fresh randomizer is `H^t` for a random `t` — with the table that is
-//!    one Montgomery multiplication per 4-bit window of `t`, no squarings,
-//!    and it equals `r^(n^s)` for `r = h^t`.
+//! 1. pick one random unit `x ∈ Z*_n` at setup, set `h = −x² mod n`, and
+//!    pay a single generic exponentiation for `H = h^(n^s) mod n^(s+1)`;
+//! 2. build a [`FixedBaseExp`] table for `H` at 8-bit windows;
+//! 3. a fresh randomizer is `H^t` for `t` uniform in `[0, 2^⌈|n|/2⌉)` —
+//!    with the table that is one Montgomery multiplication per non-zero
+//!    8-bit window of `t` (at most `⌈|n|/16⌉`), no squarings, and it
+//!    equals `r^(n^s)` for `r = h^t`.
+//!
+//! The exponent length is derived from the key and nothing else: half the
+//! bits of `n`, so half the products and half the table of a full-length
+//! exponent.
 //!
 //! [`RandomizerPool`] adds batch amortization on top: refill during idle
 //! time, pop on the hot path.
 //!
-//! **Scope note** (honest-but-curious model, as in the paper): randomizers
-//! drawn this way range over the cyclic subgroup generated by `h^(n^s)`
-//! rather than the full group of `n^s`-th powers. That is the standard
-//! trade of precomputed-randomizer schemes and does not affect correctness
-//! or the additive homomorphism; deployments needing full-entropy
+//! **Scope note** (honest-but-curious model, as in the paper): `H^t` is
+//! always an `n^s`-th power, so correctness and the additive homomorphism
+//! hold for every key. *Hiding* is computational, not statistical: `h^t`
+//! for a half-length `t` is indistinguishable from a uniform element of
+//! `⟨h⟩` under the assumption the construction's authors state, for keys
+//! with `p ≡ q ≡ 3 (mod 4)` and `gcd(p−1, q−1) = 2` — which safe-prime
+//! keys ([`crate::KeyGenOptions::secure_default`]) satisfy and
+//! `safe_primes: false` test and benchmark keys in general do not.
+//! `docs/architecture.md` ("Half-length randomizers") carries the
+//! statement and its preconditions. Randomizers range over the `n^s`-th
+//! powers of `⟨h⟩` — the Jacobi-symbol-1 half of the units for such keys —
+//! rather than of all of `Z*_n`; deployments needing full-entropy
 //! randomizers can keep [`crate::PublicKey::encrypt`] on cold paths.
 
 use crate::{Ciphertext, CryptoError, PublicKey};
-use cs_bigint::rng::{random_bits, random_unit};
+use cs_bigint::rng::{random_below_pow2, random_unit};
 use cs_bigint::{BigUint, FixedBaseExp};
 use rand::Rng;
 use std::sync::Arc;
@@ -37,7 +51,7 @@ pub struct FastEncryptor {
     pk: Arc<PublicKey>,
     /// Fixed-base table for `H = h^(n^s) mod n^(s+1)`.
     h_ns: FixedBaseExp,
-    /// Bit length of the random exponent `t`.
+    /// Bit length of the random exponent `t`: `⌈|n|/2⌉`.
     exp_bits: usize,
 }
 
@@ -45,11 +59,12 @@ impl FastEncryptor {
     /// Builds the fixed-base tables for `pk` (one generic exponentiation +
     /// the window-table fill; amortized after a handful of encryptions).
     pub fn new<R: Rng + ?Sized>(pk: Arc<PublicKey>, rng: &mut R) -> Self {
-        let h = random_unit(rng, pk.n());
+        let n = pk.n();
+        let x = random_unit(rng, n);
+        // x is a unit, so x² mod n is non-zero and h lands in [1, n).
+        let h = n - &(&x.square() % n);
         let h_ns_val = pk.mont().pow_mod(&h, pk.n_s());
-        // |n| + 64 bits of exponent keep H^t statistically well spread over
-        // <H> while the table stays modest.
-        let exp_bits = pk.n().bit_len() + 64;
+        let exp_bits = n.bit_len().div_ceil(2);
         // 8-bit windows: the table serves every encryption and
         // re-randomization of a run (thousands per gossip step), so the
         // 16× build cost over the default 4-bit table amortizes immediately
@@ -64,9 +79,21 @@ impl FastEncryptor {
         &self.pk
     }
 
+    /// Bit length of the random exponent `t`: `⌈|n|/2⌉`.
+    pub fn exp_bits(&self) -> usize {
+        self.exp_bits
+    }
+
+    /// The fixed-base table for `H = h^(n^s) mod n^(s+1)` (its
+    /// [`FixedBaseExp::max_exp_bits`] covers [`Self::exp_bits`]; its
+    /// [`FixedBaseExp::table_bytes`] is what a device keeps resident).
+    pub fn table(&self) -> &FixedBaseExp {
+        &self.h_ns
+    }
+
     /// A fresh randomizer `r^(n^s) mod n^(s+1)` (for `r = h^t`).
     pub fn randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
-        let t = random_bits(rng, self.exp_bits);
+        let t = random_below_pow2(rng, self.exp_bits);
         self.h_ns.pow_mod(&t)
     }
 

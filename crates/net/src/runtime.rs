@@ -142,8 +142,9 @@ impl StepCrypto {
 /// vector — data and noise halves, `2 · data_cts` ciphertexts), capped so
 /// huge lane counts don't make pre-warming itself the bottleneck. A node
 /// that forwards more than expected falls back to on-the-fly randomizers;
-/// one that terminates early simply wastes the tail.
-fn pool_target_for(config: &ChiaroscuroConfig, data_cts: usize) -> usize {
+/// one that terminates early simply wastes the tail. The one sizing rule:
+/// the `csnoded` daemon's persistent pool targets the same figure.
+pub fn pool_target_for(config: &ChiaroscuroConfig, data_cts: usize) -> usize {
     (config.gossip_cycles * 2 * data_cts).min(512)
 }
 

@@ -42,7 +42,7 @@ use chiaroscuro::ChiaroscuroConfig;
 use cs_crypto::threshold::{delta_for, CombinePlanCache};
 use cs_crypto::{FastEncryptor, FixedPointCodec, KeyShare, PublicKey, RandomizerPool};
 use cs_net::node::{NodeCrypto, NodeParams, Outbound, PackedCrypto, ProtocolNode};
-use cs_net::runtime::{decrypt_retry_interval, dispatch_frame};
+use cs_net::runtime::{decrypt_retry_interval, dispatch_frame, pool_target_for};
 use cs_net::tcp::{PeerDirectory, TcpEndpoint, TcpTransport};
 use cs_net::transport::{NodeId, TrafficSnapshot, Transport};
 use cs_net::wire::{encode_frame_traced, WIRE_VERSION};
@@ -213,16 +213,15 @@ impl RunContext {
         }))
     }
 
-    /// Randomizers the persistent pool targets: the expected demand of one
-    /// full gossip run (each push re-randomizes the node's whole ciphertext
-    /// vector — data and noise halves), capped so restocking stays cheap.
-    /// Zero when the run doesn't re-randomize packed ciphertexts.
+    /// Randomizers the persistent pool targets — the in-process
+    /// substrates' [`pool_target_for`]. Zero when the run doesn't
+    /// re-randomize packed ciphertexts.
     fn pool_target(&self) -> usize {
         match &self.packed {
-            Some(p) if self.config.rerandomize => {
-                let data_cts = p.codec.ciphertexts_for(self.layout.noise_offset());
-                (self.config.gossip_cycles * 2 * data_cts).min(512)
-            }
+            Some(p) if self.config.rerandomize => pool_target_for(
+                &self.config,
+                p.codec.ciphertexts_for(self.layout.noise_offset()),
+            ),
             _ => 0,
         }
     }
