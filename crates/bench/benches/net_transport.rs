@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use cs_bench::datasets::synthetic_contributions;
 use cs_bigint::BigUint;
 use cs_crypto::Ciphertext;
-use cs_net::runtime::{run_step_over_transport, NetConfig};
+use cs_net::runtime::{run_step_over_transport, Carrier, NetConfig};
 use cs_net::wire::{decode_frame, decode_frame_traced, encode_frame, encode_frame_traced, Message};
 use cs_obs::{CausalTracer, TraceContext, Tracer, VirtualClock};
 use rand::rngs::StdRng;
@@ -74,8 +74,17 @@ fn bench_threaded_step(c: &mut Criterion) {
                 ..NetConfig::default()
             };
             bench.iter(|| {
-                run_step_over_transport(&config, &layout, &contributions, &crypto, 42, &net, &[])
-                    .unwrap()
+                run_step_over_transport(
+                    &config,
+                    &layout,
+                    &contributions,
+                    &crypto,
+                    42,
+                    &net,
+                    &[],
+                    Carrier::Channel,
+                )
+                .unwrap()
             });
         });
     }

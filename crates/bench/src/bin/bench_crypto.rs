@@ -40,7 +40,7 @@ use cs_crypto::{
     Ciphertext, FastEncryptor, FixedPointCodec, KeyGenOptions, PackedCodec, ThresholdKeyPair,
     ThresholdParams,
 };
-use cs_net::runtime::{run_step_over_transport, NetConfig};
+use cs_net::runtime::{run_step_over_transport, Carrier, NetConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -694,8 +694,17 @@ fn bench_net_step(n: usize, packing: bool) -> CryptoBenchEntry {
         ..NetConfig::default()
     };
     let t = Instant::now();
-    let run = run_step_over_transport(&config, &layout, &contributions, &crypto, 43, &net, &[])
-        .expect("step");
+    let run = run_step_over_transport(
+        &config,
+        &layout,
+        &contributions,
+        &crypto,
+        43,
+        &net,
+        &[],
+        Carrier::Channel,
+    )
+    .expect("step");
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
     let messages = run.snapshot.messages();
     let bytes = run.snapshot.bytes();

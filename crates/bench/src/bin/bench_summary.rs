@@ -23,7 +23,7 @@ use cs_bench::{f, Table};
 use cs_bigint::BigUint;
 use cs_crypto::Ciphertext;
 use cs_net::executor::{run_step_sharded, ShardedConfig};
-use cs_net::runtime::{prewarm_step_pools, run_step_over_tcp, run_step_over_transport, NetConfig};
+use cs_net::runtime::{prewarm_step_pools, run_step_over_transport, Carrier, NetConfig};
 use cs_net::wire::{decode_frame, encode_frame, Message};
 use cs_obs::{PhaseProfile, StepPhase};
 use rand::rngs::StdRng;
@@ -364,17 +364,6 @@ fn net_config() -> NetConfig {
     }
 }
 
-/// The thread-per-node substrates a workload can be measured on. The
-/// protocol configuration is shared (one [`StepWorkload`] feeds both), so
-/// the threaded-vs-tcp rows stay comparable by construction.
-#[derive(Clone, Copy)]
-enum Substrate {
-    /// In-memory channel transport.
-    Threaded,
-    /// Real kernel sockets on `127.0.0.1`.
-    TcpLoopback,
-}
-
 /// One protocol configuration measured as a full computation step.
 struct StepWorkload {
     name: &'static str,
@@ -428,23 +417,22 @@ impl StepWorkload {
         }
     }
 
-    /// Runs the workload at population `n` on `substrate` and measures it.
+    /// Runs the workload at population `n` on the thread-per-node substrate
+    /// over `carrier` and measures it. The protocol configuration is shared
+    /// (one [`StepWorkload`] feeds both carriers), so the threaded-vs-tcp
+    /// rows stay comparable by construction.
     /// The wall-clock substrates are nondeterministic and the gated rows
     /// are compared as a *ratio*, so each measurement is the median of
     /// [`STEP_REPS`] full runs — one outlier run (scheduler hiccup, page
     /// cache miss) must not trip a CI gate.
-    fn measure(&self, n: usize, substrate: Substrate) -> BenchEntry {
+    fn measure(&self, n: usize, carrier: Carrier) -> BenchEntry {
         let mut rng = StdRng::seed_from_u64(self.rng_seed);
         let crypto = CryptoContext::from_config(&self.config, &mut rng).expect("context");
         let contributions = synthetic_contributions(n, &self.layout, self.values_seed);
-        let runner = match substrate {
-            Substrate::Threaded => run_step_over_transport,
-            Substrate::TcpLoopback => run_step_over_tcp,
-        };
         let mut runs: Vec<(f64, _)> = (0..STEP_REPS)
             .map(|_| {
                 let t = Instant::now();
-                let run = runner(
+                let run = run_step_over_transport(
                     &self.config,
                     &self.layout,
                     &contributions,
@@ -452,6 +440,7 @@ impl StepWorkload {
                     self.step_seed,
                     &net_config(),
                     &[],
+                    carrier,
                 )
                 .expect("step");
                 (t.elapsed().as_secs_f64() * 1e3, run)
@@ -479,20 +468,20 @@ impl StepWorkload {
 
 /// One full threaded computation step in simulated-crypto (plaintext) mode.
 fn bench_plain_step(n: usize, quick: bool) -> BenchEntry {
-    StepWorkload::plain("net_step_plain", quick).measure(n, Substrate::Threaded)
+    StepWorkload::plain("net_step_plain", quick).measure(n, Carrier::Channel)
 }
 
 /// The same plaintext step over the TCP loopback substrate — identical
 /// protocol configuration, but every frame crosses a real kernel socket.
 fn bench_plain_step_tcp(n: usize, quick: bool) -> BenchEntry {
-    StepWorkload::plain("net_step_plain_tcp", quick).measure(n, Substrate::TcpLoopback)
+    StepWorkload::plain("net_step_plain_tcp", quick).measure(n, Carrier::Tcp)
 }
 
 /// One full computation step over TCP loopback with the real Damgård-Jurik
 /// pipeline *and* the crypto fast path — the wire configuration of a
 /// deployed `csnoded` cluster, measured in-process.
 fn bench_packed_step_tcp(n: usize) -> BenchEntry {
-    StepWorkload::real("net_step_real_packed_tcp", true).measure(n, Substrate::TcpLoopback)
+    StepWorkload::real("net_step_real_packed_tcp", true).measure(n, Carrier::Tcp)
 }
 
 /// Sharded-executor settings for the sweep: votes stay on at the overlap
@@ -607,5 +596,5 @@ fn bench_packed_step_sharded(n: usize) -> BenchEntry {
 /// One full threaded computation step with the real Damgård-Jurik pipeline
 /// (test-size keys).
 fn bench_real_step(n: usize) -> BenchEntry {
-    StepWorkload::real("net_step_real_crypto", false).measure(n, Substrate::Threaded)
+    StepWorkload::real("net_step_real_crypto", false).measure(n, Carrier::Channel)
 }

@@ -71,10 +71,9 @@ impl ComputationBackend for SimulatorBackend {
 /// Wraps any backend with coarse causal tracing: one `step.start` /
 /// `step.done` span pair per computation step, trace id = step seed.
 ///
-/// The in-process simulators (cycle-driven and event-driven) execute a
-/// whole step inside one call, so — unlike the message-passing substrates,
-/// which trace per node — the wrapper records the substrate as a single
-/// actor. The resulting trace segments cleanly under
+/// The in-process cycle simulator executes a whole step inside one call,
+/// so — unlike the message-passing substrates, which trace per node — the
+/// wrapper records the substrate as a single actor. The resulting trace segments cleanly under
 /// [`cs_obs::critical::analyze`] (one participant per round) and lines a
 /// simulator run up against cluster timelines in the same tooling.
 pub struct TracedBackend<B> {

@@ -22,10 +22,11 @@
 //! * [`coalescence`]: an exactly-once merge-and-forward aggregation kept as
 //!   an ablation baseline;
 //! * [`epidemic`]: push-pull dissemination of mergeable state (decrypted
-//!   results, iteration synchronization for late participants);
-//! * [`async_network`]: the event-driven counterpart of the cycle engine —
-//!   Poisson initiations at heterogeneous per-node rates, validating the
-//!   protocol under true asynchrony (no global rounds at all).
+//!   results, iteration synchronization for late participants).
+//!
+//! Execution without global rounds is not simulated here: the `cs_net`
+//! substrates (sharded executor, threaded runtime, TCP, `cs_node` cluster)
+//! run the same push-sum code with every node on its own clock.
 
 //! ## Example: averaging 32 values with push-sum
 //!
@@ -44,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod async_network;
 pub mod coalescence;
 pub mod epidemic;
 pub mod failure;

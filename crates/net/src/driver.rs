@@ -1,0 +1,297 @@
+//! The node driver: the one owner of a [`ProtocolNode`]'s clocks.
+//!
+//! The paper's protocol "proceeds without any global synchronization", so
+//! a participant's only clocks are its own: the gossip pacing tick, the
+//! decryption round's retry (= hedge) and give-up timers, and the
+//! vote/quiescence rule that ends its part of the step. [`NodeDriver`]
+//! wraps one [`ProtocolNode`] and owns all of that step-local timing state,
+//! including what a crash, a rejoin and a leave do to it. Like the node it
+//! is *sans-IO*: time comes in as a number (nanoseconds since the step's
+//! gossip start), messages come in decoded, and what goes out is
+//! [`Outbound`]s plus the armed timers as plain values. Every substrate is
+//! a way of feeding it:
+//!
+//! * the sharded executor keeps each armed timer as a heap event and calls
+//!   [`NodeDriver::fire`] when it pops — a timer disarmed in the meantime
+//!   (crash, leave, round over) simply does not fire;
+//! * the wall-clock substrates (threads, TCP loopback, `csnoded`) run
+//!   [`crate::runtime::pump`], which calls [`NodeDriver::poll`] once a turn
+//!   — a loop over [`NodeDriver::fire`], not a second implementation.
+//!
+//! What arms, fires and clears each [`Timer`] is stated on the methods
+//! below and, as one table, under "One driver, three clocks" in
+//! `docs/architecture.md`. In short: a crash clears every armed timer and a
+//! rejoin re-arms from the rejoin instant, so a node never resumes a
+//! pre-crash pacing chain and never abandons a round on a pre-crash clock.
+
+use crate::node::{NodeReport, Outbound, ProtocolNode};
+use crate::transport::NodeId;
+use crate::wire::{Message, TraceContext};
+use cs_crypto::RandomizerPool;
+use cs_obs::CausalTracer;
+use std::time::Duration;
+
+/// The step's clocks, as a substrate configures them: virtual durations on
+/// the sharded executor, wall-clock ones everywhere else.
+#[derive(Clone, Copy, Debug)]
+pub struct Timing {
+    /// Pacing between a node's gossip pushes.
+    pub push_interval: Duration,
+    /// How long a finished node keeps waiting for peers' termination votes
+    /// before its part of the step counts as complete (absorbs silent
+    /// crashes).
+    pub quiesce: Duration,
+    /// How long a node keeps waiting (and re-requesting) in the decryption
+    /// round before giving up with no estimate.
+    pub decrypt_deadline: Duration,
+    /// Hard deadline for the node's part of the step.
+    pub step_timeout: Duration,
+}
+
+/// The decryption-round re-request cadence for a given gossip pacing.
+/// Coarse by design: a retry is loss recovery, not pacing — it must stay
+/// well above the committee's worst-case service time for one request so
+/// slow replies are never mistaken for lost ones. It is also the **hedging
+/// delay**: a requester first asks only the `threshold` members whose
+/// shares it will combine, and the first retry — one interval after the
+/// round started — is what reaches the rest of the committee, so this is
+/// what a silently dead asked member costs the requester (and a retry that
+/// fires while a live member is merely slow buys a discarded vector of
+/// partial decryptions from each member not yet asked).
+pub fn decrypt_retry_interval(push_interval: Duration) -> Duration {
+    (push_interval * 50).max(Duration::from_millis(150))
+}
+
+/// A node's timers. The declaration order is the firing order among timers
+/// due at the same instant: the deadline wins over a retry, so a round
+/// that is out of time is abandoned without one last re-request burst.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Timer {
+    /// The gossip pacing tick.
+    Tick,
+    /// The decryption round's give-up timer.
+    Deadline,
+    /// The decryption round's re-request (and hedge) timer.
+    Retry,
+}
+
+impl Timer {
+    /// Every timer, in firing order.
+    pub const ALL: [Timer; 3] = [Timer::Tick, Timer::Deadline, Timer::Retry];
+}
+
+/// The instants a node's timers are armed for — at most one per [`Timer`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Armed([Option<u64>; 3]);
+
+impl Armed {
+    /// When `timer` is due, if it is armed.
+    pub fn at(&self, timer: Timer) -> Option<u64> {
+        self.0[timer as usize]
+    }
+
+    /// The armed timers with their instants, in [`Timer::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (Timer, u64)> + '_ {
+        Timer::ALL
+            .into_iter()
+            .filter_map(|timer| Some((timer, self.at(timer)?)))
+    }
+}
+
+/// One [`ProtocolNode`] plus every tick, retry, deadline and completion
+/// decision of its step. All instants are nanoseconds since the step's
+/// gossip start.
+pub struct NodeDriver {
+    node: ProtocolNode,
+    alive: bool,
+    /// The pacing tick: armed while the node is alive and gossiping.
+    tick: Option<u64>,
+    /// The decryption round's clocks: both armed while the node is alive
+    /// and awaiting shares — they start with the round and end with it.
+    retry: Option<u64>,
+    deadline: Option<u64>,
+    /// When the node's own part of the step finished.
+    done_since: Option<u64>,
+    push_interval: u64,
+    retry_interval: u64,
+    decrypt_deadline: u64,
+    quiesce: u64,
+    step_timeout: u64,
+}
+
+impl NodeDriver {
+    /// Wraps `node` for one step. A node that is `alive` at step start has
+    /// its first tick armed at 0; one that is down holds its slot with no
+    /// timer armed until a [`NodeDriver::rejoin`].
+    pub fn new(node: ProtocolNode, timing: &Timing, alive: bool) -> Self {
+        let ns = |d: Duration| d.as_nanos() as u64;
+        NodeDriver {
+            node,
+            alive,
+            tick: alive.then_some(0),
+            retry: None,
+            deadline: None,
+            done_since: None,
+            push_interval: ns(timing.push_interval),
+            retry_interval: ns(decrypt_retry_interval(timing.push_interval)),
+            decrypt_deadline: ns(timing.decrypt_deadline),
+            quiesce: ns(timing.quiesce),
+            step_timeout: ns(timing.step_timeout),
+        }
+    }
+
+    /// Attaches a causal tracer to the node (see
+    /// [`ProtocolNode::with_tracer`]).
+    pub fn with_tracer(mut self, tracer: CausalTracer) -> Self {
+        self.node = self.node.with_tracer(tracer);
+        self
+    }
+
+    /// The node's id.
+    pub fn id(&self) -> NodeId {
+        self.node.id()
+    }
+
+    /// The node itself, read-only.
+    pub fn node(&self) -> &ProtocolNode {
+        &self.node
+    }
+
+    /// `false` while the node is crashed or has left.
+    pub fn is_alive(&self) -> bool {
+        self.alive
+    }
+
+    /// The gossip pacing this driver ticks at.
+    pub fn push_interval(&self) -> Duration {
+        Duration::from_nanos(self.push_interval)
+    }
+
+    /// The timers currently armed. A substrate that keeps timers as events
+    /// compares this across an input to learn what the input armed.
+    pub fn armed(&self) -> Armed {
+        Armed([self.tick, self.deadline, self.retry])
+    }
+
+    /// Fires `timer` at instant `now` if it is armed and due — armed for an
+    /// instant no later than `now` — and returns whether it did. An event
+    /// scheduled for a timer that has since been cleared or re-armed for
+    /// later is stale, and asking is how a substrate finds out.
+    pub fn fire(&mut self, timer: Timer, now: u64, out: &mut Vec<Outbound>) -> bool {
+        if self.armed().at(timer).is_none_or(|at| at > now) {
+            return false;
+        }
+        match timer {
+            Timer::Tick => {
+                self.node.tick(out);
+                self.tick = self.gossiping().then_some(now + self.push_interval);
+            }
+            Timer::Deadline => self.node.abandon_decrypt(out),
+            Timer::Retry => {
+                self.node.retry_decrypt(out);
+                self.retry = Some(now + self.retry_interval);
+            }
+        }
+        self.settle(now);
+        true
+    }
+
+    /// Fires every timer due at `now`, each at most once: the wall-clock
+    /// substrates' once-a-turn call.
+    pub fn poll(&mut self, now: u64, out: &mut Vec<Outbound>) {
+        for timer in Timer::ALL {
+            self.fire(timer, now, out);
+        }
+    }
+
+    /// Hands the node one decoded message. A crashed node loses everything
+    /// addressed to it.
+    pub fn deliver(
+        &mut self,
+        from: NodeId,
+        msg: Message,
+        ctx: TraceContext,
+        now: u64,
+        out: &mut Vec<Outbound>,
+    ) {
+        if self.alive {
+            self.node.handle(from, msg, ctx, out);
+            self.settle(now);
+        }
+    }
+
+    /// Records a frame that failed to decode.
+    pub fn note_bad_frame(&mut self) {
+        self.node.note_bad_frame();
+    }
+
+    /// Silent fail-stop: every armed timer is cleared.
+    pub fn crash(&mut self) {
+        self.alive = false;
+        (self.tick, self.retry, self.deadline) = (None, None, None);
+    }
+
+    /// Recovery with pre-crash state: the node announces itself and its
+    /// clocks restart from `now` — a fresh tick chain one `push_interval`
+    /// later if it is still gossiping, fresh retry and deadline clocks if
+    /// it is awaiting shares. No-op on a live node.
+    pub fn rejoin(&mut self, now: u64, out: &mut Vec<Outbound>) {
+        if self.alive {
+            return;
+        }
+        self.alive = true;
+        self.node.on_rejoin(out);
+        self.tick = self.gossiping().then_some(now + self.push_interval);
+        self.settle(now);
+    }
+
+    /// Graceful departure: the node announces it, then fail-stops. No-op
+    /// on a node that is already down.
+    pub fn leave(&mut self, out: &mut Vec<Outbound>) {
+        if self.alive {
+            self.node.on_leave(out);
+            self.crash();
+        }
+    }
+
+    /// `true` once the node's part of the step is over as far as a
+    /// wall-clock substrate can tell: it is done and either every peer it
+    /// believes alive has voted or it has waited out `quiesce`; or the
+    /// step timed out. (The sharded executor observes global quiescence
+    /// instead and never asks.)
+    pub fn complete(&self, now: u64) -> bool {
+        let quiesced = self
+            .done_since
+            .is_some_and(|since| now.saturating_sub(since) >= self.quiesce);
+        (self.node.step_done() && (quiesced || self.node.all_votes_in()))
+            || now >= self.step_timeout
+    }
+
+    /// Consumes the driver into the node's report and its (possibly
+    /// drained) randomizer pool, for substrates that keep pools across
+    /// steps.
+    pub fn finish(mut self) -> (NodeReport, Option<RandomizerPool>) {
+        let pool = self.node.take_randomizer_pool();
+        (self.node.into_report(), pool)
+    }
+
+    fn gossiping(&self) -> bool {
+        !self.node.awaiting_shares() && !self.node.step_done()
+    }
+
+    /// Brings the decryption-round clocks and the done instant in line
+    /// with the node's phase after an input.
+    fn settle(&mut self, now: u64) {
+        if self.node.awaiting_shares() {
+            if self.retry.is_none() {
+                self.retry = Some(now + self.retry_interval);
+                self.deadline = Some(now + self.decrypt_deadline);
+            }
+        } else {
+            (self.retry, self.deadline) = (None, None);
+            if self.done_since.is_none() && self.node.step_done() {
+                self.done_since = Some(now);
+            }
+        }
+    }
+}

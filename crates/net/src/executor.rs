@@ -58,8 +58,9 @@
 //! control-plane broadcast at very large populations.
 
 use crate::churn::{ChurnEvent, ChurnKind};
-use crate::node::{FaultSpec, NodeParams, NodeReport, Outbound, ProtocolNode};
-use crate::runtime::{assemble_outcome, decrypt_retry_interval, StepCrypto, StepRun};
+use crate::driver::{Armed, NodeDriver, Timer, Timing};
+use crate::node::{FaultSpec, NodeParams, Outbound, ProtocolNode};
+use crate::runtime::{StepCrypto, StepRun};
 use crate::transport::{mix, unit_f64, ClassCounts, LinkConfig, NodeId, TrafficSnapshot};
 use crate::wire::{FrameClass, TraceContext};
 use chiaroscuro::config::ChiaroscuroConfig;
@@ -161,6 +162,17 @@ impl ShardedConfig {
         }
     }
 
+    /// The node drivers' clocks, on virtual time. Completion is observed
+    /// as event-queue quiescence, so `quiesce` is never consulted.
+    fn timing(&self) -> Timing {
+        Timing {
+            push_interval: self.push_interval,
+            quiesce: Duration::ZERO,
+            decrypt_deadline: self.decrypt_deadline,
+            step_timeout: self.step_timeout,
+        }
+    }
+
     fn validate(&self) -> Result<(), ChiaroscuroError> {
         let fail = |msg: &str| Err(ChiaroscuroError::InvalidConfig(msg.to_string()));
         if self.shards == 0 {
@@ -183,22 +195,15 @@ const CLASS_CHURN: u8 = 0;
 const CLASS_TIMER: u8 = 1;
 const CLASS_DELIVER: u8 = 2;
 
-/// Timer events carry the target node's timer *generation* at scheduling
-/// time. A crash (or leave) bumps the generation, invalidating every
-/// pending pre-crash timer — otherwise a rejoin would resurrect the old
-/// pacing chain (double push rate) or fire a stale decrypt deadline from
-/// the pre-crash clock.
+/// A timer event is scheduled when the node's [`NodeDriver`] arms the timer
+/// and carries only which one. When it pops, the driver decides: a timer
+/// it has since cleared (crash, leave, round over) or re-armed for later
+/// does not fire, so a stale event is a no-op and a rejoin can neither
+/// resurrect the pre-crash pacing chain (double push rate) nor fire a
+/// decrypt deadline from the pre-crash clock.
 enum EventKind {
     Churn(ChurnKind),
-    Tick {
-        gen: u64,
-    },
-    Retry {
-        gen: u64,
-    },
-    Deadline {
-        gen: u64,
-    },
+    Timer(Timer),
     /// A message in flight — the node's [`Outbound`] itself, moved (never
     /// serialized) on the in-shard and the cross-shard edge alike.
     Deliver(Outbound),
@@ -245,25 +250,36 @@ impl Ord for Event {
     }
 }
 
-/// One virtual node: the protocol state machine plus executor bookkeeping.
+/// One virtual node: the driven protocol state machine plus the executor's
+/// event-key bookkeeping.
 struct Slot {
-    node: ProtocolNode,
-    alive: bool,
+    driver: NodeDriver,
     /// Per-sender message sequence (deliveries' deterministic tiebreak and
     /// loss/jitter draw input).
     send_seq: u64,
     /// Per-node timer sequence.
     timer_seq: u64,
-    /// Current timer generation; pending timers from older generations
-    /// (scheduled before a crash/leave) are ignored when they fire.
-    timer_gen: u64,
-    /// Decrypt retry/deadline timers already scheduled for the current
-    /// await (prevents duplicates on every share arrival).
-    timers_armed: bool,
     /// This node's trace clock and buffer when tracing is on. The clock is
     /// jumped to the event timestamp before every activation, so trace
     /// timestamps are pure virtual time — identical across worker counts.
     trace: Option<(Arc<VirtualClock>, Arc<Tracer>)>,
+}
+
+/// Schedules an event for every timer `slot`'s driver has armed since
+/// `before`, its armed set ahead of the input just handled.
+fn schedule_armed(heap: &mut BinaryHeap<Event>, slot: &mut Slot, before: Armed) {
+    for (timer, at) in slot.driver.armed().iter() {
+        if before.at(timer) != Some(at) {
+            slot.timer_seq += 1;
+            heap.push(Event {
+                at,
+                class: CLASS_TIMER,
+                actor: slot.driver.id() as u32,
+                seq: slot.timer_seq,
+                kind: EventKind::Timer(timer),
+            });
+        }
+    }
 }
 
 /// A shard: the nodes it owns, their event queue, and local (unsynchronized)
@@ -426,17 +442,6 @@ struct Exec<'a> {
     latency: u64,
     jitter: u64,
     bandwidth: Option<u64>,
-    push_interval: u64,
-    retry_interval: u64,
-    decrypt_deadline: u64,
-}
-
-/// The three per-node timer flavors; [`Exec::schedule_timer`] stamps them
-/// with the node's current generation.
-enum TimerKind {
-    Tick,
-    Retry,
-    Deadline,
 }
 
 impl<'a> Exec<'a> {
@@ -451,7 +456,6 @@ impl<'a> Exec<'a> {
         sharded: &ShardedConfig,
         registry: &Registry,
     ) -> Self {
-        let push_interval = sharded.push_interval.as_nanos() as u64;
         Exec {
             home,
             shards,
@@ -473,44 +477,6 @@ impl<'a> Exec<'a> {
             latency: sharded.link.latency.as_nanos() as u64,
             jitter: sharded.link.jitter.as_nanos() as u64,
             bandwidth: sharded.link.bandwidth_bytes_per_sec,
-            push_interval,
-            // The threaded runtime's cadence, in virtual time.
-            retry_interval: decrypt_retry_interval(sharded.push_interval).as_nanos() as u64,
-            decrypt_deadline: sharded.decrypt_deadline.as_nanos() as u64,
-        }
-    }
-
-    fn schedule_timer(shard: &mut Shard, local: usize, at: u64, kind: TimerKind) {
-        let slot = &mut shard.slots[local];
-        slot.timer_seq += 1;
-        let gen = slot.timer_gen;
-        let event = Event {
-            at,
-            class: CLASS_TIMER,
-            actor: slot.node.id() as u32,
-            seq: slot.timer_seq,
-            kind: match kind {
-                TimerKind::Tick => EventKind::Tick { gen },
-                TimerKind::Retry => EventKind::Retry { gen },
-                TimerKind::Deadline => EventKind::Deadline { gen },
-            },
-        };
-        shard.heap.push(event);
-    }
-
-    /// Arms the decryption-round timers once the node starts awaiting
-    /// shares (the virtual-time counterpart of the threaded runtime's
-    /// retry/deadline bookkeeping).
-    fn arm_decrypt_timers(&self, shard: &mut Shard, local: usize, now: u64) {
-        if shard.slots[local].node.awaiting_shares() && !shard.slots[local].timers_armed {
-            shard.slots[local].timers_armed = true;
-            Self::schedule_timer(shard, local, now + self.retry_interval, TimerKind::Retry);
-            Self::schedule_timer(
-                shard,
-                local,
-                now + self.decrypt_deadline,
-                TimerKind::Deadline,
-            );
         }
     }
 
@@ -594,125 +560,37 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// Jumps a slot's trace clock to the activation instant (no-op
-    /// untraced). Every trace timestamp a node records is therefore the
-    /// virtual time of the event that activated it.
-    fn sync_trace_clock(shard: &Shard, local: usize, now: u64) {
-        if let Some((clock, _)) = &shard.slots[local].trace {
-            clock.set_ns(now);
-        }
-    }
-
+    /// One event: feed it to the target node's driver, schedule whatever
+    /// timers that armed, route whatever it emitted.
     fn handle_event(&self, shard: &mut Shard, shard_idx: usize, event: Event, window_end: u64) {
         let now = event.at;
         let mut out = std::mem::take(&mut shard.scratch);
+        // `actor` is the sender of a delivery, the target of anything else.
+        let node = match &event.kind {
+            EventKind::Deliver((to, _, _)) => *to,
+            _ => event.actor as usize,
+        };
+        let slot = &mut shard.slots[self.home[node].1 as usize];
+        if let Some((clock, _)) = &slot.trace {
+            // Every trace timestamp a node records is the virtual time of
+            // the event that activated it.
+            clock.set_ns(now);
+        }
+        let before = slot.driver.armed();
         match event.kind {
-            EventKind::Churn(kind) => {
-                let node = event.actor as usize;
-                let local = self.home[node].1 as usize;
-                match kind {
-                    ChurnKind::Crash => {
-                        shard.slots[local].alive = false;
-                        // Invalidate every pending pre-crash timer: a later
-                        // rejoin starts a single fresh pacing chain and a
-                        // fresh decrypt clock, never resurrecting the old
-                        // ones.
-                        shard.slots[local].timer_gen += 1;
-                    }
-                    ChurnKind::Rejoin => {
-                        if !shard.slots[local].alive {
-                            shard.slots[local].alive = true;
-                            Self::sync_trace_clock(shard, local, now);
-                            shard.slots[local].node.on_rejoin(&mut out);
-                            self.route(shard, shard_idx, node, now, window_end, &mut out);
-                            let awaiting = shard.slots[local].node.awaiting_shares();
-                            let done = shard.slots[local].node.step_done();
-                            if awaiting {
-                                // Restart the decrypt-round clocks from the
-                                // rejoin instant.
-                                shard.slots[local].timers_armed = false;
-                                self.arm_decrypt_timers(shard, local, now);
-                            } else if !done {
-                                Self::schedule_timer(
-                                    shard,
-                                    local,
-                                    now + self.push_interval,
-                                    TimerKind::Tick,
-                                );
-                            }
-                        }
-                    }
-                    ChurnKind::Leave => {
-                        if shard.slots[local].alive {
-                            Self::sync_trace_clock(shard, local, now);
-                            shard.slots[local].node.on_leave(&mut out);
-                            self.route(shard, shard_idx, node, now, window_end, &mut out);
-                            shard.slots[local].alive = false;
-                            shard.slots[local].timer_gen += 1;
-                        }
-                    }
-                }
+            EventKind::Churn(ChurnKind::Crash) => slot.driver.crash(),
+            EventKind::Churn(ChurnKind::Rejoin) => slot.driver.rejoin(now, &mut out),
+            EventKind::Churn(ChurnKind::Leave) => slot.driver.leave(&mut out),
+            EventKind::Timer(timer) => {
+                slot.driver.fire(timer, now, &mut out);
             }
-            EventKind::Tick { gen } => {
-                let node = event.actor as usize;
-                let local = self.home[node].1 as usize;
-                // A crashed node's pacing stops (its generation was bumped);
-                // rejoin starts a fresh chain.
-                if shard.slots[local].alive && gen == shard.slots[local].timer_gen {
-                    Self::sync_trace_clock(shard, local, now);
-                    shard.slots[local].node.tick(&mut out);
-                    self.route(shard, shard_idx, node, now, window_end, &mut out);
-                    self.arm_decrypt_timers(shard, local, now);
-                    let gossiping = !shard.slots[local].node.step_done()
-                        && !shard.slots[local].node.awaiting_shares();
-                    if gossiping {
-                        Self::schedule_timer(
-                            shard,
-                            local,
-                            now + self.push_interval,
-                            TimerKind::Tick,
-                        );
-                    }
-                }
-            }
-            EventKind::Retry { gen } => {
-                let node = event.actor as usize;
-                let local = self.home[node].1 as usize;
-                if shard.slots[local].alive
-                    && gen == shard.slots[local].timer_gen
-                    && shard.slots[local].node.awaiting_shares()
-                {
-                    Self::sync_trace_clock(shard, local, now);
-                    shard.slots[local].node.retry_decrypt(&mut out);
-                    self.route(shard, shard_idx, node, now, window_end, &mut out);
-                    Self::schedule_timer(shard, local, now + self.retry_interval, TimerKind::Retry);
-                }
-            }
-            EventKind::Deadline { gen } => {
-                let node = event.actor as usize;
-                let local = self.home[node].1 as usize;
-                if shard.slots[local].alive
-                    && gen == shard.slots[local].timer_gen
-                    && shard.slots[local].node.awaiting_shares()
-                {
-                    Self::sync_trace_clock(shard, local, now);
-                    shard.slots[local].node.abandon_decrypt(&mut out);
-                    self.route(shard, shard_idx, node, now, window_end, &mut out);
-                }
-            }
-            EventKind::Deliver((to, msg, ctx)) => {
-                let local = self.home[to].1 as usize;
-                // A crashed node loses everything addressed to it, exactly
-                // like the threaded runtime's inbox drain.
-                if shard.slots[local].alive {
-                    let from = event.actor as usize;
-                    Self::sync_trace_clock(shard, local, now);
-                    shard.slots[local].node.handle(from, msg, ctx, &mut out);
-                    self.route(shard, shard_idx, to, now, window_end, &mut out);
-                    self.arm_decrypt_timers(shard, local, now);
-                }
+            EventKind::Deliver((_, msg, ctx)) => {
+                let from = event.actor as usize;
+                slot.driver.deliver(from, msg, ctx, now, &mut out);
             }
         }
+        schedule_armed(&mut shard.heap, slot, before);
+        self.route(shard, shard_idx, node, now, window_end, &mut out);
         out.clear();
         shard.scratch = out;
     }
@@ -880,19 +758,20 @@ pub fn run_step_sharded(
     // (the expensive part in real-crypto mode) runs on all workers
     // concurrently. Node state only depends on per-node seeds, so the build
     // order is irrelevant to determinism.
+    let timing = sharded.timing();
     let build_shard = |shard_idx: usize| {
-        let mut shard = shards[shard_idx].lock().expect("shard poisoned");
+        let mut guard = shards[shard_idx].lock().expect("shard poisoned");
+        let shard = &mut *guard;
         for &id in &members[shard_idx] {
-            let params = NodeParams {
+            let params = NodeParams::for_step(
                 id,
-                population: n,
-                iteration: step_seed,
-                pushes: config.gossip_cycles,
-                committee: step.committee.clone(),
-                seed: step_seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                votes: sharded.termination_votes,
-                corrupt_partials: sharded.fault.is_some_and(|f| f.corrupts_partials(id)),
-            };
+                n,
+                step_seed,
+                config.gossip_cycles,
+                step.committee.clone(),
+                sharded.termination_votes,
+                sharded.fault,
+            );
             let node_crypto = step.node_crypto(crypto, config, id);
             let contribution = contributions[id].as_deref();
             let mut node = ProtocolNode::new(params, *layout, node_crypto, contribution);
@@ -912,26 +791,14 @@ pub fn run_step_sharded(
                     TraceContext::NONE,
                 ));
             }
-            let alive = contribution.is_some();
             let mut slot = Slot {
-                node,
-                alive,
+                driver: NodeDriver::new(node, &timing, contribution.is_some()),
                 send_seq: 0,
                 timer_seq: 0,
-                timer_gen: 0,
-                timers_armed: false,
                 trace,
             };
-            if alive {
-                slot.timer_seq += 1;
-                shard.heap.push(Event {
-                    at: 0,
-                    class: CLASS_TIMER,
-                    actor: id as u32,
-                    seq: slot.timer_seq,
-                    kind: EventKind::Tick { gen: 0 },
-                });
-            }
+            // A node alive at step start has its first tick armed at 0.
+            schedule_armed(&mut shard.heap, &mut slot, Armed::default());
             shard.slots.push(slot);
         }
     };
@@ -1007,9 +874,11 @@ pub fn run_step_sharded(
         }
     });
 
-    // Deterministic collection: nodes back into id order, counters merged
-    // in shard order.
-    let mut collected: Vec<(NodeId, bool, NodeReport, Option<NodeTrace>)> = Vec::with_capacity(n);
+    // Deterministic collection: counters merged in shard order, nodes put
+    // back into id order by `conclude`. The end-of-step audit runs after
+    // it: the evidence — and therefore every alert and counter minted — is
+    // a pure function of the virtual timeline.
+    let mut nodes = Vec::with_capacity(n);
     let mut counters = [[0u64; 3]; 3];
     for shard in shards {
         let shard = shard.into_inner().expect("shard poisoned");
@@ -1019,100 +888,31 @@ pub fn run_step_sharded(
             }
         }
         for slot in shard.slots {
-            let id = slot.node.id();
+            let id = slot.driver.id() as u64;
             let trace = slot
                 .trace
-                .map(|(_, tracer)| NodeTrace::capture(id as u64, &tracer));
-            collected.push((id, slot.alive, slot.node.into_report(), trace));
+                .map(|(_, tracer)| NodeTrace::capture(id, &tracer));
+            let alive = slot.driver.is_alive();
+            nodes.push((slot.driver.finish().0, alive, trace));
         }
     }
-    collected.sort_by_key(|(id, _, _, _)| *id);
-    let alive_after: Vec<bool> = collected.iter().map(|&(_, alive, _, _)| alive).collect();
-    let mut reports = Vec::with_capacity(n);
-    let mut traces = Vec::new();
-    for (_, _, report, trace) in collected {
-        reports.push(report);
-        traces.extend(trace);
-    }
-
     let snapshot = snapshot_of(&counters);
-
-    // End-of-step audit, after deterministic collection: the evidence —
-    // and therefore every alert and counter minted — is a pure function
-    // of the virtual timeline, so the byte-identity contract holds.
-    let evidence =
-        crate::audit::StepEvidence::distill(step_seed, &reports, &snapshot, &registry.snapshot());
-    let alerts = crate::audit::audit_step(&sharded.audit, &evidence, &registry, None, None);
-
-    Ok(StepRun {
-        outcome: assemble_outcome(&reports, alive_after, &snapshot),
-        reports,
+    Ok(StepRun::conclude(
+        step_seed,
+        &sharded.audit,
+        &registry,
+        started,
+        nodes,
         snapshot,
-        metrics: registry.snapshot(),
-        traces,
-        alerts,
-        elapsed: started.elapsed(),
-    })
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::decrypt_retry_interval;
+    use crate::fixtures::{check_estimates, layout, tiny_contributions};
     use crate::wire::Message;
-    use chiaroscuro::noise::contribution_vector;
-    use chiaroscuro::rounds::ComputationOutcome;
-    use cs_dp::NoiseShareGenerator;
-
-    fn layout() -> SlotLayout {
-        SlotLayout {
-            k: 2,
-            series_len: 3,
-        }
-    }
-
-    /// Two tight clusters with negligible noise — same fixture as the
-    /// threaded runtime's tests, so the suites stay comparable.
-    fn tiny_contributions(n: usize, seed: u64) -> Vec<Option<Vec<f64>>> {
-        let layout = layout();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let shares = NoiseShareGenerator::new(n, 1e-9);
-        (0..n)
-            .map(|i| {
-                let series = if i % 2 == 0 {
-                    [1.0, 2.0, 3.0]
-                } else {
-                    [10.0, 10.0, 10.0]
-                };
-                Some(contribution_vector(
-                    &layout,
-                    &series,
-                    i % 2,
-                    &shares,
-                    &mut rng,
-                ))
-            })
-            .collect()
-    }
-
-    fn check_estimates(outcome: &ComputationOutcome, n: usize, tol: f64) {
-        let produced = outcome.estimates.iter().flatten().count();
-        assert!(
-            produced > n / 2,
-            "most nodes should produce estimates, got {produced}/{n}"
-        );
-        for est in outcome.estimates.iter().flatten() {
-            for d in 0..3 {
-                let mean0 = est.sums[0][d] / est.counts[0];
-                let mean1 = est.sums[1][d] / est.counts[1];
-                let want0 = [1.0, 2.0, 3.0][d];
-                assert!(
-                    (mean0 - want0).abs() < tol,
-                    "cluster0 dim{d}: {mean0} vs {want0}"
-                );
-                assert!((mean1 - 10.0).abs() < tol, "cluster1 dim{d}: {mean1}");
-            }
-        }
-    }
 
     fn small_sharded() -> ShardedConfig {
         ShardedConfig {
@@ -1283,6 +1083,16 @@ mod tests {
         let (messages, ctx) = traced_crypto_messages();
         let clock = Arc::new(VirtualClock::new());
         let tracer = Arc::new(Tracer::new(clock.clone() as Arc<dyn cs_obs::Clock>));
+        let sharded = ShardedConfig {
+            // A finite bandwidth, so the computed length also feeds the
+            // delay arithmetic.
+            link: LinkConfig {
+                bandwidth_bytes_per_sec: Some(1_000_000),
+                ..LinkConfig::ideal()
+            },
+            ..ShardedConfig::default()
+        };
+        let timing = sharded.timing();
         let shards: Vec<Mutex<Shard>> = (0..2)
             .map(|id| {
                 let params = NodeParams {
@@ -1309,12 +1119,9 @@ mod tests {
                 Mutex::new(Shard {
                     heap: BinaryHeap::new(),
                     slots: vec![Slot {
-                        node,
-                        alive: id == 0 || destination_alive,
+                        driver: NodeDriver::new(node, &timing, id == 0 || destination_alive),
                         send_seq: 0,
                         timer_seq: 0,
-                        timer_gen: 0,
-                        timers_armed: false,
                         trace,
                     }],
                     counters: [[0; 3]; 3],
@@ -1328,15 +1135,6 @@ mod tests {
         let mailboxes = [Mailbox::new(), Mailbox::new()];
         let home = [(0, 0), (1, 0)];
         let registry = Registry::new();
-        let sharded = ShardedConfig {
-            // A finite bandwidth, so the computed length also feeds the
-            // delay arithmetic.
-            link: LinkConfig {
-                bandwidth_bytes_per_sec: Some(1_000_000),
-                ..LinkConfig::ideal()
-            },
-            ..ShardedConfig::default()
-        };
         let exec = Exec::new(&home, &shards, &mailboxes, 0, 1, &sharded, &registry);
 
         let mut out: Vec<Outbound> = messages.iter().map(|m| (1, m.clone(), ctx)).collect();
@@ -1365,7 +1163,7 @@ mod tests {
             .filter(|e| e.name == "recv")
             .count();
         let slot = shard.slots.into_iter().next().unwrap();
-        (snapshot, received, slot.node.into_report().bad_frames)
+        (snapshot, received, slot.driver.finish().0.bad_frames)
     }
 
     #[test]

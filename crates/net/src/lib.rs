@@ -1,9 +1,9 @@
 //! # cs-net — the message-passing node runtime
 //!
-//! The Chiaroscuro reproduction's simulators (`cs_gossip::Network`
-//! cycle-driven, `cs_gossip::async_network` event-driven) advance the
-//! protocol as shared-memory interactions: no participant ever serializes a
-//! message or runs concurrently. This crate closes that gap — the paper's
+//! The Chiaroscuro reproduction's cycle-driven simulator
+//! (`cs_gossip::Network`) advances the protocol as shared-memory
+//! interactions: no participant ever serializes a message or runs
+//! concurrently. This crate closes that gap — the paper's
 //! claim is clustering that "proceeds without any global synchronization",
 //! and what actually crosses the wire is the security-relevant object:
 //!
@@ -21,13 +21,19 @@
 //!   is the *same code* the simulators run
 //!   (`cs_gossip::homomorphic_pushsum::HePushSumNode::split_push`/`absorb`
 //!   and the plaintext twins); this crate only adds the messaging shell.
+//! * [`driver`] — the sans-IO **node driver**: owns one node's state
+//!   machine and all of its step-local clocks — pacing tick, decryption
+//!   retry/hedge and deadline, vote/quiescence completion, and what crash,
+//!   rejoin and leave do to them. Time goes in as a number, timers come out
+//!   as values; every substrate below is a way of feeding it.
 //! * [`churn`] — scripted crash / rejoin / leave injection with
 //!   millisecond placement ("node 7 crashes mid-gossip"). On the threaded
 //!   runtime the offsets are wall-clock; on the sharded executor they are
 //!   **virtual time**, making churn placement deterministic under a seed.
 //! * [`runtime`] — the **thread-per-node actor runtime**: each participant
-//!   runs its own event loop over its inbox; [`runtime::NetBackend`] plugs
-//!   either runtime into `chiaroscuro::Engine::run_with_backend`, so a full
+//!   runs [`runtime::pump`] — the one wall-clock event loop, shared with the
+//!   `cs_node` daemon — over its inbox; [`runtime::NetBackend`] plugs either
+//!   runtime into `chiaroscuro::Engine::run_with_backend`, so a full
 //!   protocol run executes end-to-end over real messages.
 //! * [`executor`] — the **sharded event-loop executor**: thousands of
 //!   virtual nodes dealt into per-shard event queues and driven by a fixed
@@ -71,7 +77,7 @@
 //! config.max_iterations = 1;
 //! config.gossip_cycles = 20;
 //! let engine = Engine::new(config).unwrap();
-//! let mut backend = NetBackend::new(NetConfig::default());
+//! let mut backend = NetBackend::threaded(NetConfig::default());
 //! let output = engine.run_with_backend(&data.series, &mut backend).unwrap();
 //! assert_eq!(output.centroids.len(), 2);
 //! assert_eq!(backend.steps_run(), 1);
@@ -85,7 +91,10 @@
 
 pub mod audit;
 pub mod churn;
+pub mod driver;
 pub mod executor;
+#[cfg(test)]
+pub(crate) mod fixtures;
 pub mod node;
 mod poll;
 pub mod runtime;
@@ -97,7 +106,7 @@ pub use audit::{audit_step, StepEvidence};
 pub use churn::{ChurnEvent, ChurnKind, ChurnSchedule};
 pub use executor::{run_step_sharded, ShardedConfig};
 pub use node::FaultSpec;
-pub use runtime::{run_step_over_tcp, run_step_over_transport, NetBackend, NetConfig, StepRun};
+pub use runtime::{run_step_over_transport, Carrier, NetBackend, NetConfig, StepRun};
 pub use tcp::{FrameReassembler, PeerDirectory, TcpEndpoint, TcpRecord, TcpTransport, TcpTuning};
 pub use transport::{ChannelTransport, Envelope, LinkConfig, NetError, Transport};
 pub use wire::{decode_frame, encode_frame, FrameClass, Message, WireError, WIRE_VERSION};

@@ -158,6 +158,33 @@ pub struct NodeParams {
     pub corrupt_partials: bool,
 }
 
+impl NodeParams {
+    /// Node `id`'s parameters for the step keyed by `step_seed`, the same
+    /// on every substrate: the step seed tags every frame (it is unique
+    /// per step) and, mixed with the id, seeds the node's RNG — so which
+    /// substrate runs a step never changes whom a node samples.
+    pub fn for_step(
+        id: NodeId,
+        population: usize,
+        step_seed: u64,
+        pushes: usize,
+        committee: Vec<NodeId>,
+        votes: bool,
+        fault: Option<FaultSpec>,
+    ) -> Self {
+        NodeParams {
+            id,
+            population,
+            iteration: step_seed,
+            pushes,
+            committee,
+            seed: step_seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            votes,
+            corrupt_partials: fault.is_some_and(|f| f.corrupts_partials(id)),
+        }
+    }
+}
+
 /// A scripted fault a substrate injects into one node — the chaos half of
 /// the inject-and-detect drills the invariant auditor is tested with.
 /// Carried by [`crate::runtime::NetConfig::fault`] and
@@ -760,9 +787,10 @@ impl ProtocolNode {
 
     /// Recovers the (possibly drained) randomizer pool from the aggregator.
     ///
-    /// Daemons call this before [`ProtocolNode::into_report`] so a persistent
-    /// pool survives the step and can be refilled during idle time; the
-    /// in-process runtimes never persist pools across steps (see
+    /// [`crate::driver::NodeDriver::finish`] calls this before
+    /// [`ProtocolNode::into_report`] so a daemon's persistent pool survives
+    /// the step and can be refilled during idle time; the in-process
+    /// runtimes never persist pools across steps (see
     /// [`cs_crypto::PoolBank`] for why).
     pub fn take_randomizer_pool(&mut self) -> Option<cs_crypto::RandomizerPool> {
         match &mut self.agg {

@@ -2,13 +2,16 @@
 //!
 //! [`run_step_over_transport`] executes one Chiaroscuro computation step
 //! (paper steps 2a–2d) as real concurrency: every participant runs its own
-//! event loop on its own OS thread, exchanging wire-encoded frames over a
-//! [`Transport`] — no global synchronization, no shared protocol state.
-//! [`NetBackend`] plugs that into `chiaroscuro::Engine::run_with_backend`,
-//! so the full iteration sequence (assignment → computation → convergence)
-//! runs end-to-end over real messages.
+//! event loop — [`pump`], the one wall-clock way of feeding a
+//! [`NodeDriver`] — on its own OS thread, exchanging wire-encoded frames
+//! over a [`Transport`]: no global synchronization, no shared protocol
+//! state. [`NetBackend`] plugs that into
+//! `chiaroscuro::Engine::run_with_backend`, so the full iteration sequence
+//! (assignment → computation → convergence) runs end-to-end over real
+//! messages.
 
 use crate::churn::{ChurnKind, ChurnSchedule, Controls, Liveness};
+use crate::driver::{NodeDriver, Timing};
 use crate::executor::ShardedConfig;
 use crate::node::{FaultSpec, NodeCrypto, NodeParams, NodeReport, Outbound, ProtocolNode};
 use crate::transport::{ChannelTransport, LinkConfig, NodeId, TrafficSnapshot, Transport};
@@ -24,8 +27,10 @@ use cs_gossip::homomorphic_pushsum::HomomorphicOpCounts;
 use cs_gossip::TrafficStats;
 use cs_obs::health::Alert;
 use cs_obs::{AuditConfig, CausalTracer, NodeTrace, Tracer, WallClock};
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -255,38 +260,6 @@ pub fn assemble_outcome(
     }
 }
 
-/// Completion tracking shared between the node threads and the driver: each
-/// node flips its flag once its part of the step is over, and rings the
-/// condvar so the driver re-evaluates without sleep-polling.
-struct Completion {
-    flags: Vec<AtomicBool>,
-    state: Mutex<()>,
-    bell: Condvar,
-}
-
-impl Completion {
-    fn new(n: usize) -> Self {
-        Completion {
-            flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            state: Mutex::new(()),
-            bell: Condvar::new(),
-        }
-    }
-
-    fn is_marked(&self, id: NodeId) -> bool {
-        self.flags[id].load(Ordering::Acquire)
-    }
-
-    fn mark(&self, id: NodeId) {
-        if !self.flags[id].swap(true, Ordering::AcqRel) {
-            // Taking the lock orders the notify against the driver's
-            // check-then-wait, so the wakeup can never be lost.
-            let _guard = self.state.lock().expect("completion poisoned");
-            self.bell.notify_all();
-        }
-    }
-}
-
 /// Tuning knobs of the threaded runtime.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
@@ -362,13 +335,67 @@ pub struct StepRun {
     pub elapsed: Duration,
 }
 
-/// Runs one computation step over a freshly built in-memory threaded
-/// transport.
+impl StepRun {
+    /// The tail both in-process step runners share once their nodes have
+    /// reported — `nodes` holds each node's report, whether it ended the
+    /// step alive, and its trace when tracing was on. Puts them in id
+    /// order, distills the audit evidence from a pre-audit metrics reading,
+    /// runs the monitors (minting `obs.alert.<kind>` counters into
+    /// `registry`), then takes the final metrics snapshot so the step's
+    /// metrics include the verdict.
+    pub(crate) fn conclude(
+        step_seed: u64,
+        audit: &AuditConfig,
+        registry: &cs_obs::Registry,
+        started: Instant,
+        mut nodes: Vec<(NodeReport, bool, Option<NodeTrace>)>,
+        snapshot: TrafficSnapshot,
+    ) -> StepRun {
+        nodes.sort_by_key(|(report, _, _)| report.id);
+        let mut reports = Vec::with_capacity(nodes.len());
+        let mut alive_after = Vec::with_capacity(nodes.len());
+        let mut traces = Vec::new();
+        for (report, alive, trace) in nodes {
+            reports.push(report);
+            alive_after.push(alive);
+            traces.extend(trace);
+        }
+        let pre_audit = registry.snapshot();
+        let evidence =
+            crate::audit::StepEvidence::distill(step_seed, &reports, &snapshot, &pre_audit);
+        let alerts = crate::audit::audit_step(audit, &evidence, registry, None, None);
+        StepRun {
+            outcome: assemble_outcome(&reports, alive_after, &snapshot),
+            reports,
+            snapshot,
+            metrics: registry.snapshot(),
+            traces,
+            alerts,
+            elapsed: started.elapsed(),
+        }
+    }
+}
+
+/// What carries the thread-per-node substrate's frames.
+#[derive(Clone, Copy, Debug)]
+pub enum Carrier {
+    /// The in-memory [`ChannelTransport`].
+    Channel,
+    /// Real kernel sockets on `127.0.0.1` (see
+    /// [`crate::tcp::TcpTransport::loopback`]).
+    Tcp,
+}
+
+/// Runs one computation step on the thread-per-node substrate, over a
+/// freshly built transport of the kind `carrier` names: spawns one thread
+/// per node against it, applies the scripted churn, and folds reports +
+/// traffic into a [`StepRun`].
 ///
 /// `contributions[i]` is `Some(vector)` for participants alive at step
 /// start and `None` for crashed ones (they spawn fail-stopped and can be
 /// revived by the churn schedule). `step_churn` lists this step's scripted
 /// events.
+#[allow(clippy::too_many_arguments)]
 pub fn run_step_over_transport(
     config: &ChiaroscuroConfig,
     layout: &SlotLayout,
@@ -377,6 +404,7 @@ pub fn run_step_over_transport(
     step_seed: u64,
     net: &NetConfig,
     step_churn: &[crate::churn::ChurnEvent],
+    carrier: Carrier,
 ) -> Result<StepRun, ChiaroscuroError> {
     let n = contributions.len();
     if n < 2 {
@@ -384,82 +412,30 @@ pub fn run_step_over_transport(
             "the runtime needs at least two nodes".into(),
         ));
     }
-    let registry = cs_obs::Registry::new();
-    let transport: Arc<dyn Transport> =
-        Arc::new(ChannelTransport::new(n, net.link.clone(), step_seed).with_metrics(&registry));
-    run_step_on(
-        config,
-        layout,
-        contributions,
-        crypto,
-        step_seed,
-        net,
-        step_churn,
-        transport,
-        registry,
-    )
-}
-
-/// Runs one computation step over a freshly built TCP loopback transport:
-/// the same thread-per-node event loops as [`run_step_over_transport`], but
-/// every frame crosses a real kernel socket on `127.0.0.1` instead of an
-/// in-memory channel (see [`crate::tcp::TcpTransport::loopback`]).
-pub fn run_step_over_tcp(
-    config: &ChiaroscuroConfig,
-    layout: &SlotLayout,
-    contributions: &[Option<Vec<f64>>],
-    crypto: &CryptoContext,
-    step_seed: u64,
-    net: &NetConfig,
-    step_churn: &[crate::churn::ChurnEvent],
-) -> Result<StepRun, ChiaroscuroError> {
-    let n = contributions.len();
-    if n < 2 {
-        return Err(ChiaroscuroError::InvalidConfig(
-            "the runtime needs at least two nodes".into(),
-        ));
-    }
-    let registry = cs_obs::Registry::new();
-    let transport: Arc<dyn Transport> = Arc::new(
-        crate::tcp::TcpTransport::loopback_with_metrics(n, net.link.clone(), step_seed, &registry)
-            .map_err(|e| ChiaroscuroError::Transport(format!("tcp loopback bind: {e}")))?,
-    );
-    run_step_on(
-        config,
-        layout,
-        contributions,
-        crypto,
-        step_seed,
-        net,
-        step_churn,
-        transport,
-        registry,
-    )
-}
-
-/// The substrate-independent step driver behind the `run_step_over_*`
-/// entry points: spawns one thread per node against `transport`, applies
-/// the scripted churn, and folds reports + traffic into a [`StepRun`].
-#[allow(clippy::too_many_arguments)]
-fn run_step_on(
-    config: &ChiaroscuroConfig,
-    layout: &SlotLayout,
-    contributions: &[Option<Vec<f64>>],
-    crypto: &CryptoContext,
-    step_seed: u64,
-    net: &NetConfig,
-    step_churn: &[crate::churn::ChurnEvent],
-    transport: Arc<dyn Transport>,
-    registry: cs_obs::Registry,
-) -> Result<StepRun, ChiaroscuroError> {
-    let n = contributions.len();
     net.link.validate();
+    let registry = cs_obs::Registry::new();
+    let transport: Arc<dyn Transport> = match carrier {
+        Carrier::Channel => {
+            Arc::new(ChannelTransport::new(n, net.link.clone(), step_seed).with_metrics(&registry))
+        }
+        Carrier::Tcp => Arc::new(
+            crate::tcp::TcpTransport::loopback_with_metrics(
+                n,
+                net.link.clone(),
+                step_seed,
+                &registry,
+            )
+            .map_err(|e| ChiaroscuroError::Transport(format!("tcp loopback bind: {e}")))?,
+        ),
+    };
     let started = Instant::now();
 
     let step = StepCrypto::prepare(config, layout, n, crypto, step_seed)?;
     let controls = Arc::new(Controls::new(n));
     let shutdown = Arc::new(AtomicBool::new(false));
-    let completed = Arc::new(Completion::new(n));
+    // Each node announces the end of its part of the step here, which also
+    // wakes the driver thread below without sleep-polling.
+    let (announce_tx, announced) = mpsc::channel::<NodeId>();
     // Start barrier: every node finishes construction (contribution
     // encryption included) before anyone gossips and before the churn clock
     // starts — scripted offsets are relative to the *gossip* start, so
@@ -475,6 +451,12 @@ fn run_step_on(
                 .then(|| Arc::new(Tracer::new(trace_clock.clone())))
         })
         .collect();
+    let timing = Timing {
+        push_interval: net.push_interval,
+        quiesce: net.quiesce,
+        decrypt_deadline: net.decrypt_deadline,
+        step_timeout: net.step_timeout,
+    };
 
     let mut handles = Vec::with_capacity(n);
     for (i, contribution) in contributions.iter().enumerate() {
@@ -487,31 +469,24 @@ fn run_step_on(
                 kind: ChurnKind::Crash,
             });
         }
-        let params = NodeParams {
-            id: i,
-            population: n,
-            iteration: step_seed, // unique per step; tags every frame
-            pushes: config.gossip_cycles,
-            committee: step.committee.clone(),
-            seed: step_seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            votes: true,
-            corrupt_partials: net.fault.is_some_and(|f| f.corrupts_partials(i)),
-        };
+        let params = NodeParams::for_step(
+            i,
+            n,
+            step_seed,
+            config.gossip_cycles,
+            step.committee.clone(),
+            true,
+            net.fault,
+        );
         let node_crypto = step.node_crypto(crypto, config, i);
         let contribution = contribution.clone();
         let layout = *layout;
         let transport = transport.clone();
         let controls = controls.clone();
         let shutdown = shutdown.clone();
-        let completed = completed.clone();
+        let announce_tx = announce_tx.clone();
         let start_gate = start_gate.clone();
         let tracer = tracers[i].clone();
-        let timing = NodeTiming {
-            push_interval: net.push_interval,
-            quiesce: net.quiesce,
-            decrypt_deadline: net.decrypt_deadline,
-            step_timeout: net.step_timeout,
-        };
         handles.push(
             thread::Builder::new()
                 .name(format!("cs-net-node-{i}"))
@@ -519,20 +494,42 @@ fn run_step_on(
                     // Construct inside the thread: the contribution
                     // encryption (the expensive part in real-crypto mode)
                     // runs on all node threads concurrently.
-                    let mut node =
+                    let node =
                         ProtocolNode::new(params, layout, node_crypto, contribution.as_deref());
+                    let mut driver = NodeDriver::new(node, &timing, contribution.is_some());
                     start_gate.wait();
                     if let Some(tracer) = tracer {
                         // Attached after the barrier, so every node's
                         // `step.start` lands at the shared gossip start.
-                        node = node.with_tracer(CausalTracer::new(
+                        driver = driver.with_tracer(CausalTracer::new(
                             tracer,
                             step_seed,
                             i as u64,
                             TraceContext::NONE,
                         ));
                     }
-                    node_loop(node, transport, controls, shutdown, completed, timing)
+                    // The population's switches decide each turn; completion
+                    // is a message to the driver thread.
+                    let turn = || {
+                        if shutdown.load(Ordering::Acquire) {
+                            return Ok(ControlFlow::Break(()));
+                        }
+                        let liveness = controls.liveness(i);
+                        if liveness == Liveness::Leaving {
+                            // The pump announces the departure this turn;
+                            // from here on the node counts as fail-stopped.
+                            controls.confirm_left(i);
+                        }
+                        Ok(ControlFlow::Continue(liveness))
+                    };
+                    let announce = || {
+                        // The driver thread may have timed the step out.
+                        let _ = announce_tx.send(i);
+                        Ok(())
+                    };
+                    let Ok(()) =
+                        pump::<Infallible>(&mut driver, transport.as_ref(), turn, announce);
+                    driver.finish().0
                 })
                 .expect("spawn node thread"),
         );
@@ -540,120 +537,93 @@ fn run_step_on(
 
     // Driver: apply scripted churn at its offsets, then shut the population
     // down once every (currently live) node completed its part of the step.
-    // The driver parks on the completion condvar between churn deadlines —
-    // no sleep-polling, no busy core while the population works.
+    // The driver parks on the announcement channel between churn deadlines
+    // — no sleep-polling, no busy core while the population works.
     start_gate.wait();
     let churn_clock = Instant::now();
     let mut events: Vec<_> = step_churn.to_vec();
     events.sort_by_key(|e| e.after);
     let mut pending: std::collections::VecDeque<_> = events.into_iter().collect();
-    let mut guard = completed.state.lock().expect("completion poisoned");
+    let mut completed = vec![false; n];
     loop {
         let now = churn_clock.elapsed();
         while pending.front().is_some_and(|e| e.after <= now) {
             let event = pending.pop_front().unwrap();
             controls.apply(&event);
         }
-        let all_done =
-            pending.is_empty() && (0..n).all(|i| controls.is_crashed(i) || completed.is_marked(i));
+        let all_done = pending.is_empty() && (0..n).all(|i| controls.is_crashed(i) || completed[i]);
         if all_done || started.elapsed() >= net.step_timeout {
             break;
         }
         // Wake for whichever comes first: the next scripted churn event, the
-        // step deadline, or a node ringing the completion bell.
+        // step deadline, or a node announcing completion.
         let until_timeout = net.step_timeout.saturating_sub(started.elapsed());
         let wait = pending
             .front()
             .map(|e| e.after.saturating_sub(now))
             .map_or(until_timeout, |d| d.min(until_timeout))
             .max(Duration::from_micros(50));
-        guard = completed
-            .bell
-            .wait_timeout(guard, wait)
-            .expect("completion poisoned")
-            .0;
+        if let Ok(id) = announced.recv_timeout(wait) {
+            completed[id] = true;
+        }
     }
-    drop(guard);
     shutdown.store(true, Ordering::Release);
 
-    let mut reports: Vec<NodeReport> = handles
+    let nodes = handles
         .into_iter()
-        .map(|h| h.join().expect("node thread panicked"))
+        .map(|handle| {
+            let report = handle.join().expect("node thread panicked");
+            let id = report.id;
+            let trace = tracers[id]
+                .as_ref()
+                .map(|tracer| NodeTrace::capture(id as u64, tracer));
+            (report, !controls.is_crashed(id), trace)
+        })
         .collect();
-    reports.sort_by_key(|r| r.id);
-
-    let alive_after: Vec<bool> = (0..n).map(|i| !controls.is_crashed(i)).collect();
-    let snapshot = transport.snapshot();
-    let traces: Vec<NodeTrace> = tracers
-        .iter()
-        .enumerate()
-        .filter_map(|(i, t)| t.as_ref().map(|t| NodeTrace::capture(i as u64, t)))
-        .collect();
-
-    // The end-of-step audit: distill the evidence from a pre-audit
-    // metrics reading, run the monitors (minting `obs.alert.<kind>`
-    // counters into the registry), then take the final snapshot so the
-    // step's metrics include the verdict.
-    let evidence =
-        crate::audit::StepEvidence::distill(step_seed, &reports, &snapshot, &registry.snapshot());
-    let alerts = crate::audit::audit_step(&net.audit, &evidence, &registry, None, None);
-
-    Ok(StepRun {
-        outcome: assemble_outcome(&reports, alive_after, &snapshot),
-        reports,
-        snapshot,
-        metrics: registry.snapshot(),
-        traces,
-        alerts,
-        elapsed: started.elapsed(),
-    })
+    Ok(StepRun::conclude(
+        step_seed,
+        &net.audit,
+        &registry,
+        started,
+        nodes,
+        transport.snapshot(),
+    ))
 }
 
-/// Per-thread timing knobs, copied out of [`NetConfig`].
-#[derive(Clone, Copy)]
-struct NodeTiming {
-    push_interval: Duration,
-    quiesce: Duration,
-    decrypt_deadline: Duration,
-    step_timeout: Duration,
-}
-
-/// One node's event loop: receive/decode/handle, paced gossip ticks,
-/// completion signalling, then committee service until shutdown.
-fn node_loop(
-    mut node: ProtocolNode,
-    transport: Arc<dyn Transport>,
-    controls: Arc<Controls>,
-    shutdown: Arc<AtomicBool>,
-    completed: Arc<Completion>,
-    NodeTiming {
-        push_interval,
-        quiesce,
-        decrypt_deadline,
-        step_timeout,
-    }: NodeTiming,
-) -> NodeReport {
-    let id = node.id();
-    let started = Instant::now();
+/// The wall-clock pump: one node's event loop on every substrate that runs
+/// on real time — a thread of the threaded and TCP-loopback runtimes, a
+/// `csnoded` process. Each turn: ask the host how to go on, wait briefly
+/// for frames and decode them into the driver, let the driver fire what is
+/// due, flush what it emitted, and announce completion once. All protocol
+/// timing is the [`NodeDriver`]'s; the pump only supplies the clock
+/// (nanoseconds since it was entered, i.e. since the gossip start).
+///
+/// The hosts differ in two closures. `turn` runs at the top of every turn:
+/// `Break` ends the loop (shutdown flag, `StepEnd`), `Continue` carries the
+/// node's scripted [`Liveness`]. `announce` runs once, when the node's part
+/// of the step is complete ([`NodeDriver::complete`]). Either may fail; the
+/// error ends the pump.
+pub fn pump<E>(
+    driver: &mut NodeDriver,
+    transport: &dyn Transport,
+    mut turn: impl FnMut() -> Result<ControlFlow<(), Liveness>, E>,
+    mut announce: impl FnMut() -> Result<(), E>,
+) -> Result<(), E> {
+    let id = driver.id();
+    let epoch = Instant::now();
+    let now = || epoch.elapsed().as_nanos() as u64;
+    // A short receive wait keeps ticks and control flips prompt.
+    let wait = driver.push_interval().min(Duration::from_micros(500));
     let mut out: Vec<Outbound> = Vec::new();
-    let mut next_tick = Instant::now();
-    let retry_interval = decrypt_retry_interval(push_interval);
-    let mut was_crashed = controls.is_crashed(id);
-    let mut done_since: Option<Instant> = None;
-    // (round start, next retry) once the node awaits shares.
-    let mut decrypt_clocks: Option<(Instant, Instant)> = None;
-
-    while !shutdown.load(Ordering::Acquire) {
-        match controls.liveness(id) {
-            Liveness::Leaving => {
-                node.on_leave(&mut out);
-                flush(id, &mut out, transport.as_ref());
-                controls.confirm_left(id);
-                was_crashed = true;
-                continue;
-            }
-            Liveness::Crashed => {
-                was_crashed = true;
+    let mut announced = false;
+    loop {
+        match turn()? {
+            ControlFlow::Break(()) => return Ok(()),
+            // The rest of the turn flushes the announcement; whatever
+            // arrives meanwhile is already lost on the departed node.
+            ControlFlow::Continue(Liveness::Leaving) => driver.leave(&mut out),
+            ControlFlow::Continue(Liveness::Crashed) => {
+                driver.crash();
                 // A crashed node loses everything addressed to it. The
                 // blocking receive parks the thread on the inbox condvar
                 // between liveness polls instead of spin-sleeping.
@@ -661,88 +631,31 @@ fn node_loop(
                 let _ = transport.recv_timeout(id, Duration::from_micros(250));
                 continue;
             }
-            Liveness::Alive => {
-                if was_crashed {
-                    node.on_rejoin(&mut out);
-                    was_crashed = false;
+            ControlFlow::Continue(Liveness::Alive) => {
+                if !driver.is_alive() {
+                    driver.rejoin(now(), &mut out);
                 }
             }
         }
 
-        // Receive with a short wait so ticks and control flips stay prompt.
-        let wait = push_interval.min(Duration::from_micros(500));
-        if let Some(env) = transport.recv_timeout(id, wait) {
-            dispatch_frame(&mut node, env, &mut out);
-            while let Some(env) = transport.try_recv(id) {
-                dispatch_frame(&mut node, env, &mut out);
+        let mut next = transport.recv_timeout(id, wait);
+        let arrived = now();
+        while let Some(env) = next {
+            // Corrupt frames are counted, never fatal.
+            match decode_frame_traced(&env.frame) {
+                Ok((msg, ctx)) => driver.deliver(env.from, msg, ctx, arrived, &mut out),
+                Err(_) => driver.note_bad_frame(),
             }
+            next = transport.try_recv(id);
         }
+        driver.poll(now(), &mut out);
+        flush(id, &mut out, transport);
 
-        let now = Instant::now();
-        if now >= next_tick {
-            node.tick(&mut out);
-            next_tick = now + push_interval;
-        }
-        // The decryption round's two clocks, both started with the round.
-        // Every retry interval, re-send the pending request to the live
-        // committee members that have not answered — loss recovery for the
-        // ones asked, the hedge for the ones held back. Past the deadline
-        // give up (no estimate): a dead committee must not pin the step to
-        // its hard timeout.
-        if node.awaiting_shares() {
-            let (since, next_retry) = decrypt_clocks.get_or_insert((now, now + retry_interval));
-            if now.duration_since(*since) >= decrypt_deadline {
-                node.abandon_decrypt(&mut out);
-            } else if now >= *next_retry {
-                node.retry_decrypt(&mut out);
-                *next_retry = now + retry_interval;
-            }
-        }
-        flush(id, &mut out, transport.as_ref());
-
-        if !completed.is_marked(id) {
-            if node.step_done() && done_since.is_none() {
-                done_since = Some(Instant::now());
-            }
-            let quiesced = done_since.is_some_and(|t| t.elapsed() >= quiesce);
-            let timed_out = started.elapsed() >= step_timeout;
-            if (node.step_done() && (node.all_votes_in() || quiesced)) || timed_out {
-                completed.mark(id);
-            }
+        if !announced && driver.complete(now()) {
+            announce()?;
+            announced = true;
         }
     }
-    node.into_report()
-}
-
-/// Decodes one delivered frame into the node; corrupt frames are counted,
-/// never fatal. Shared by every event loop fronting a [`ProtocolNode`] —
-/// the threaded runtime here and the `cs_node` daemon — so frame-handling
-/// policy exists exactly once.
-pub fn dispatch_frame(
-    node: &mut ProtocolNode,
-    env: crate::transport::Envelope,
-    out: &mut Vec<Outbound>,
-) {
-    match decode_frame_traced(&env.frame) {
-        Ok((msg, ctx)) => node.handle(env.from, msg, ctx, out),
-        Err(_) => node.note_bad_frame(),
-    }
-}
-
-/// The decryption-round re-request cadence for a given gossip pacing.
-/// Coarse by design: a retry is loss recovery, not pacing — it must stay
-/// well above the committee's worst-case service time for one request so
-/// slow replies are never mistaken for lost ones. It is also the **hedging
-/// delay**: a requester first asks only the `threshold` members whose
-/// shares it will combine, and the first retry — one interval after the
-/// round started — is what reaches the rest of the committee, so this is
-/// what a silently dead asked member costs the requester (and a retry that
-/// fires while a live member is merely slow buys a discarded vector of
-/// partial decryptions from each member not yet asked). Load-bearing for the
-/// cross-substrate differential tests; every node event loop (threaded
-/// runtime, `cs_node` daemon) must use this, not its own formula.
-pub fn decrypt_retry_interval(push_interval: Duration) -> Duration {
-    (push_interval * 50).max(Duration::from_millis(150))
 }
 
 fn flush(id: NodeId, out: &mut Vec<Outbound>, transport: &dyn Transport) {
@@ -756,10 +669,9 @@ fn flush(id: NodeId, out: &mut Vec<Outbound>, transport: &dyn Transport) {
 
 /// The execution substrate a [`NetBackend`] drives each computation step on.
 enum Flavor {
-    /// Thread-per-node over the in-memory channel transport.
-    Threaded(NetConfig),
-    /// Thread-per-node over localhost TCP sockets (see [`crate::tcp`]).
-    Tcp(NetConfig),
+    /// Thread-per-node, over the in-memory channel transport or localhost
+    /// TCP sockets (see [`crate::tcp`]).
+    Threaded(NetConfig, Carrier),
     /// Sharded virtual-time event-loop executor (see [`crate::executor`]).
     Sharded(ShardedConfig),
 }
@@ -781,19 +693,17 @@ pub struct NetBackend {
 }
 
 impl NetBackend {
-    /// Creates the thread-per-node backend (alias of
-    /// [`NetBackend::threaded`], kept for source compatibility).
-    pub fn new(net: NetConfig) -> Self {
-        NetBackend::threaded(net)
+    fn on(flavor: Flavor) -> Self {
+        NetBackend {
+            flavor,
+            steps_run: 0,
+            last: None,
+        }
     }
 
     /// Creates the backend on the thread-per-node runtime.
     pub fn threaded(net: NetConfig) -> Self {
-        NetBackend {
-            flavor: Flavor::Threaded(net),
-            steps_run: 0,
-            last: None,
-        }
+        NetBackend::on(Flavor::Threaded(net, Carrier::Channel))
     }
 
     /// Creates the backend on the TCP loopback substrate: the same
@@ -802,20 +712,12 @@ impl NetBackend {
     /// twin of the `cs_node` multi-process cluster, and the substrate the
     /// `net_step_*_tcp` bench rows measure.
     pub fn tcp(net: NetConfig) -> Self {
-        NetBackend {
-            flavor: Flavor::Tcp(net),
-            steps_run: 0,
-            last: None,
-        }
+        NetBackend::on(Flavor::Threaded(net, Carrier::Tcp))
     }
 
     /// Creates the backend on the sharded event-loop executor.
     pub fn sharded(cfg: ShardedConfig) -> Self {
-        NetBackend {
-            flavor: Flavor::Sharded(cfg),
-            steps_run: 0,
-            last: None,
-        }
+        NetBackend::on(Flavor::Sharded(cfg))
     }
 
     /// Computation steps executed so far.
@@ -833,8 +735,8 @@ impl NetBackend {
 impl ComputationBackend for NetBackend {
     fn label(&self) -> &'static str {
         match self.flavor {
-            Flavor::Threaded(_) => "threaded-transport",
-            Flavor::Tcp(_) => "tcp-loopback",
+            Flavor::Threaded(_, Carrier::Channel) => "threaded-transport",
+            Flavor::Threaded(_, Carrier::Tcp) => "tcp-loopback",
             Flavor::Sharded(_) => "sharded-executor",
         }
     }
@@ -849,42 +751,25 @@ impl ComputationBackend for NetBackend {
         _rng: &mut rand::rngs::StdRng,
     ) -> Result<ComputationOutcome, ChiaroscuroError> {
         let run = match &self.flavor {
-            Flavor::Threaded(net) => {
-                let events = net.churn.for_step(self.steps_run);
-                run_step_over_transport(
-                    config,
-                    layout,
-                    contributions,
-                    crypto,
-                    step_seed,
-                    net,
-                    &events,
-                )?
-            }
-            Flavor::Tcp(net) => {
-                let events = net.churn.for_step(self.steps_run);
-                run_step_over_tcp(
-                    config,
-                    layout,
-                    contributions,
-                    crypto,
-                    step_seed,
-                    net,
-                    &events,
-                )?
-            }
-            Flavor::Sharded(cfg) => {
-                let events = cfg.churn.for_step(self.steps_run);
-                crate::executor::run_step_sharded(
-                    config,
-                    layout,
-                    contributions,
-                    crypto,
-                    step_seed,
-                    cfg,
-                    &events,
-                )?
-            }
+            Flavor::Threaded(net, carrier) => run_step_over_transport(
+                config,
+                layout,
+                contributions,
+                crypto,
+                step_seed,
+                net,
+                &net.churn.for_step(self.steps_run),
+                *carrier,
+            )?,
+            Flavor::Sharded(cfg) => crate::executor::run_step_sharded(
+                config,
+                layout,
+                contributions,
+                crypto,
+                step_seed,
+                cfg,
+                &cfg.churn.for_step(self.steps_run),
+            )?,
         };
         self.steps_run += 1;
         let outcome = run.outcome.clone();
@@ -896,62 +781,9 @@ impl ComputationBackend for NetBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chiaroscuro::noise::contribution_vector;
-    use cs_dp::NoiseShareGenerator;
+    use crate::fixtures::{check_estimates, layout, tiny_contributions};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn layout() -> SlotLayout {
-        SlotLayout {
-            k: 2,
-            series_len: 3,
-        }
-    }
-
-    /// Two tight clusters with negligible noise so estimates are checkable:
-    /// even nodes hold [1,2,3] in cluster 0, odd nodes [10,10,10] in
-    /// cluster 1.
-    fn tiny_contributions(n: usize, seed: u64) -> Vec<Option<Vec<f64>>> {
-        let layout = layout();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let shares = NoiseShareGenerator::new(n, 1e-9);
-        (0..n)
-            .map(|i| {
-                let series = if i % 2 == 0 {
-                    [1.0, 2.0, 3.0]
-                } else {
-                    [10.0, 10.0, 10.0]
-                };
-                Some(contribution_vector(
-                    &layout,
-                    &series,
-                    i % 2,
-                    &shares,
-                    &mut rng,
-                ))
-            })
-            .collect()
-    }
-
-    fn check_estimates(outcome: &ComputationOutcome, n: usize, tol: f64) {
-        let produced = outcome.estimates.iter().flatten().count();
-        assert!(
-            produced > n / 2,
-            "most nodes should produce estimates, got {produced}/{n}"
-        );
-        for est in outcome.estimates.iter().flatten() {
-            for d in 0..3 {
-                let mean0 = est.sums[0][d] / est.counts[0];
-                let mean1 = est.sums[1][d] / est.counts[1];
-                let want0 = [1.0, 2.0, 3.0][d];
-                assert!(
-                    (mean0 - want0).abs() < tol,
-                    "cluster0 dim{d}: {mean0} vs {want0}"
-                );
-                assert!((mean1 - 10.0).abs() < tol, "cluster1 dim{d}: {mean1}");
-            }
-        }
-    }
 
     fn fast_net() -> NetConfig {
         NetConfig {
@@ -980,6 +812,7 @@ mod tests {
             7,
             &fast_net(),
             &[],
+            Carrier::Channel,
         )
         .unwrap();
         check_estimates(&run.outcome, 16, 0.35);
@@ -1001,7 +834,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(71);
         let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
         let contributions = tiny_contributions(12, 72);
-        let run = run_step_over_tcp(
+        let run = run_step_over_transport(
             &config,
             &layout(),
             &contributions,
@@ -1009,6 +842,7 @@ mod tests {
             73,
             &fast_net(),
             &[],
+            Carrier::Tcp,
         )
         .unwrap();
         check_estimates(&run.outcome, 12, 0.35);
@@ -1029,7 +863,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(81);
         let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
         let contributions = tiny_contributions(6, 82);
-        let run = run_step_over_tcp(
+        let run = run_step_over_transport(
             &config,
             &layout(),
             &contributions,
@@ -1037,6 +871,7 @@ mod tests {
             83,
             &fast_net(),
             &[],
+            Carrier::Tcp,
         )
         .unwrap();
         check_estimates(&run.outcome, 6, 0.5);
@@ -1096,6 +931,7 @@ mod tests {
             11,
             &fast_net(),
             &[],
+            Carrier::Channel,
         )
         .unwrap();
         check_estimates(&run.outcome, 8, 0.5);
@@ -1125,6 +961,7 @@ mod tests {
             63,
             &fast_net(),
             &[],
+            Carrier::Channel,
         )
         .unwrap();
         check_estimates(&run.outcome, 8, 0.5);
@@ -1168,6 +1005,7 @@ mod tests {
             13,
             &fast_net(),
             &events,
+            Carrier::Channel,
         )
         .unwrap();
         assert!(!run.outcome.alive_after[5], "node 5 stays down");
@@ -1207,6 +1045,7 @@ mod tests {
             17,
             &fast_net(),
             &events,
+            Carrier::Channel,
         )
         .unwrap();
         assert!(run.outcome.alive_after[3], "node 3 is back");
@@ -1240,6 +1079,7 @@ mod tests {
             19,
             &fast_net(),
             &events,
+            Carrier::Channel,
         )
         .unwrap();
         assert!(!run.outcome.alive_after[2]);
@@ -1269,6 +1109,7 @@ mod tests {
             23,
             &fast_net(),
             &[],
+            Carrier::Channel,
         )
         .unwrap();
         assert!(run.outcome.estimates[3].is_none());
@@ -1306,6 +1147,7 @@ mod tests {
             29,
             &fast_net(),
             &events,
+            Carrier::Channel,
         )
         .unwrap();
         assert!(
@@ -1337,9 +1179,17 @@ mod tests {
             },
             ..fast_net()
         };
-        let run =
-            run_step_over_transport(&config, &layout(), &contributions, &crypto, 43, &net, &[])
-                .unwrap();
+        let run = run_step_over_transport(
+            &config,
+            &layout(),
+            &contributions,
+            &crypto,
+            43,
+            &net,
+            &[],
+            Carrier::Channel,
+        )
+        .unwrap();
         assert!(
             run.elapsed < Duration::from_secs(20),
             "decrypt round stalled: {:?}",
@@ -1389,6 +1239,7 @@ mod tests {
             53,
             &net,
             &events,
+            Carrier::Channel,
         )
         .unwrap();
         assert!(
@@ -1419,7 +1270,7 @@ mod tests {
         config.gossip_cycles = 25;
         config.epsilon = 1000.0;
         let engine = chiaroscuro::Engine::new(config).unwrap();
-        let mut backend = NetBackend::new(NetConfig {
+        let mut backend = NetBackend::threaded(NetConfig {
             push_interval: Duration::from_micros(150),
             quiesce: Duration::from_millis(120),
             ..NetConfig::default()

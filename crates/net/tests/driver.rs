@@ -1,0 +1,535 @@
+//! The timer policy at the `NodeDriver` level, on a fake clock: instants
+//! are plain numbers (written in milliseconds here), nothing sleeps. What
+//! the substrates' own timer tests then check is only that their loop or
+//! event queue calls the driver.
+
+use chiaroscuro::config::ChiaroscuroConfig;
+use chiaroscuro::noise::SlotLayout;
+use chiaroscuro::rounds::CryptoContext;
+use cs_crypto::threshold::delta_for;
+use cs_net::driver::{decrypt_retry_interval, Armed, NodeDriver, Timer, Timing};
+use cs_net::node::{NodeCrypto, NodeParams, Outbound, ProtocolNode};
+use cs_net::transport::NodeId;
+use cs_net::wire::{Message, TraceContext};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::collections::BTreeSet;
+use std::sync::OnceLock;
+use std::time::Duration;
+
+const LAYOUT: SlotLayout = SlotLayout {
+    k: 2,
+    series_len: 3,
+};
+const STEP_SEED: u64 = 7;
+/// The 2-of-3 committee is nodes 0–2; nodes 3 and 4 hold no share.
+const POPULATION: usize = 5;
+
+const MS: u64 = 1_000_000;
+const PUSH: u64 = MS;
+const QUIESCE: u64 = 40 * MS;
+const DEADLINE: u64 = 1_000 * MS;
+const TIMEOUT: u64 = 60_000 * MS;
+
+fn timing() -> Timing {
+    Timing {
+        push_interval: Duration::from_nanos(PUSH),
+        quiesce: Duration::from_nanos(QUIESCE),
+        decrypt_deadline: Duration::from_nanos(DEADLINE),
+        step_timeout: Duration::from_nanos(TIMEOUT),
+    }
+}
+
+fn retry() -> u64 {
+    decrypt_retry_interval(Duration::from_nanos(PUSH)).as_nanos() as u64
+}
+
+/// One dealer run, shared by every case.
+fn context() -> &'static CryptoContext {
+    static CONTEXT: OnceLock<CryptoContext> = OnceLock::new();
+    CONTEXT.get_or_init(|| {
+        let config = ChiaroscuroConfig::test_real();
+        CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(5)).unwrap()
+    })
+}
+
+fn contribution() -> Vec<f64> {
+    (0..LAYOUT.total()).map(|i| i as f64 * 0.25 - 1.0).collect()
+}
+
+/// Node `id` with a push quota of `pushes`, voting on completion. With
+/// `real` crypto the node ends its gossip in the decryption round; plain,
+/// the tick that exhausts the quota finishes the step.
+fn node(id: NodeId, pushes: usize, real: bool) -> ProtocolNode {
+    let CryptoContext::Real {
+        tkp,
+        pk,
+        codec,
+        plans,
+        ..
+    } = context()
+    else {
+        unreachable!("the fixture is a real-crypto context");
+    };
+    let parties = tkp.params().parties;
+    let committee = if real {
+        (0..parties).collect()
+    } else {
+        Vec::new()
+    };
+    let params = NodeParams::for_step(id, POPULATION, STEP_SEED, pushes, committee, true, None);
+    let crypto = if real {
+        NodeCrypto::Real {
+            pk: pk.clone(),
+            codec: *codec,
+            share: (id < parties).then(|| tkp.shares()[id].clone()),
+            params: tkp.params(),
+            delta: delta_for(parties),
+            plans: plans.clone(),
+            rerandomize: false,
+            packed: None,
+        }
+    } else {
+        NodeCrypto::Plain
+    };
+    ProtocolNode::new(params, LAYOUT, crypto, Some(&contribution()))
+}
+
+fn driver(id: NodeId, pushes: usize, real: bool) -> NodeDriver {
+    NodeDriver::new(node(id, pushes, real), &timing(), true)
+}
+
+fn count(out: &[Outbound], wanted: fn(&Message) -> bool) -> usize {
+    out.iter().filter(|(_, msg, _)| wanted(msg)).count()
+}
+
+fn is_push(msg: &Message) -> bool {
+    matches!(
+        msg,
+        Message::EncryptedPush { .. } | Message::PlainPush { .. }
+    )
+}
+
+fn is_request(msg: &Message) -> bool {
+    matches!(msg, Message::DecryptRequest { .. })
+}
+
+fn is_vote(msg: &Message) -> bool {
+    matches!(msg, Message::TerminationVote { .. })
+}
+
+/// The reply committee member `member` serves to `request`.
+fn share_from(member: NodeId, request: &Message) -> Message {
+    let (CryptoContext::Real { tkp, .. }, Message::DecryptRequest { iteration, slots }) =
+        (context(), request)
+    else {
+        unreachable!("a decrypt request under the real-crypto fixture");
+    };
+    let share = &tkp.shares()[member];
+    Message::DecryptShare {
+        iteration: *iteration,
+        partials: slots.iter().map(|c| share.partial_decrypt(c)).collect(),
+    }
+}
+
+/// The gossip push `from` opens its step with.
+fn push_from(from: NodeId) -> Message {
+    static PUSHES: OnceLock<Vec<Message>> = OnceLock::new();
+    let pushes = PUSHES.get_or_init(|| {
+        (0..POPULATION)
+            .map(|peer| {
+                let mut pushed = Vec::new();
+                node(peer, 1, true).tick(&mut pushed);
+                pushed.swap_remove(0).1
+            })
+            .collect()
+    });
+    pushes[from].clone()
+}
+
+/// PR 14's regression, pinned below the substrates: both round clocks
+/// start with the round, not with the step, and the first retry — exactly
+/// one interval later — is the hedge that reaches the member held back.
+#[test]
+fn first_retry_is_the_hedge_exactly_one_interval_after_the_round_starts() {
+    // Two pushes at 0 and 1 ms; the second exhausts the quota and starts
+    // the round.
+    let mut requester = driver(3, 2, true);
+    let mut out = Vec::new();
+    requester.poll(0, &mut out);
+    assert_eq!((count(&out, is_push), count(&out, is_request)), (1, 0));
+    out.clear();
+    let round_start = PUSH;
+    requester.poll(round_start, &mut out);
+    assert!(requester.node().awaiting_shares());
+    assert_eq!(count(&out, is_push), 1);
+    assert_eq!(count(&out, is_request), 2, "exactly `threshold` are asked");
+    let armed = requester.armed();
+    assert_eq!(armed.at(Timer::Retry), Some(round_start + retry()));
+    assert_eq!(armed.at(Timer::Deadline), Some(round_start + DEADLINE));
+
+    out.clear();
+    requester.poll(round_start + retry() - 1, &mut out);
+    assert!(out.is_empty(), "nothing is due before the interval is up");
+    requester.poll(round_start + retry(), &mut out);
+    assert_eq!(
+        count(&out, is_request),
+        3,
+        "asked or not, all who owe a reply"
+    );
+    assert_eq!(
+        requester.armed().at(Timer::Retry),
+        Some(round_start + 2 * retry()),
+        "the retry chain continues one interval later"
+    );
+    assert_eq!(
+        requester.armed().at(Timer::Deadline),
+        Some(round_start + DEADLINE),
+        "a retry does not move the deadline"
+    );
+}
+
+#[test]
+fn tick_chain_stops_at_await_shares() {
+    let mut requester = driver(3, 2, true);
+    let mut out = Vec::new();
+    for at in [0, PUSH] {
+        assert_eq!(requester.armed().at(Timer::Tick), Some(at));
+        requester.poll(at, &mut out);
+    }
+    assert!(requester.node().awaiting_shares());
+    assert_eq!(requester.armed().at(Timer::Tick), None);
+    out.clear();
+    requester.poll(PUSH + retry() - 1, &mut out);
+    assert!(out.is_empty(), "no tick fires once the round has started");
+    assert_eq!(requester.finish().0.pushes_sent, 2);
+}
+
+#[test]
+fn deadline_abandons_once_and_only_while_awaiting() {
+    // Nobody answers: the round is abandoned at the deadline, once.
+    let mut stranded = driver(3, 0, true);
+    let mut out = Vec::new();
+    stranded.poll(0, &mut out);
+    assert!(stranded.node().awaiting_shares());
+    assert_eq!(stranded.armed().at(Timer::Deadline), Some(DEADLINE));
+    // A retry is due at the same poll (it has been since its interval was
+    // up): the deadline wins, without one last burst of requests.
+    out.clear();
+    stranded.poll(DEADLINE, &mut out);
+    assert!(stranded.node().step_done());
+    assert_eq!(count(&out, is_request), 0);
+    assert_eq!(count(&out, is_vote), POPULATION - 1, "voted: no estimate");
+    assert_eq!(stranded.armed(), Armed::default());
+    out.clear();
+    stranded.poll(3 * DEADLINE, &mut out);
+    assert!(out.is_empty(), "abandoned once");
+    assert!(stranded.finish().0.estimate.is_none());
+
+    // Answered in time: the round's clocks end with the round, so the
+    // deadline instant passes without a second verdict.
+    let mut served = driver(3, 0, true);
+    let mut out = Vec::new();
+    served.poll(0, &mut out);
+    let request = out[0].1.clone();
+    for member in [0, 1] {
+        let share = share_from(member, &request);
+        served.deliver(member, share, TraceContext::NONE, 5 * MS, &mut out);
+    }
+    assert!(served.node().step_done());
+    assert_eq!(served.armed(), Armed::default());
+    out.clear();
+    served.poll(DEADLINE, &mut out);
+    assert!(out.is_empty());
+    assert!(served.finish().0.estimate.is_some());
+}
+
+/// Complete = done ∧ (all votes ∨ quiesced) ∨ timed out.
+#[test]
+fn completion_is_done_and_voted_or_quiesced_or_timed_out() {
+    let vote = |from: NodeId, at: u64, node: &mut NodeDriver| {
+        let vote = Message::TerminationVote {
+            iteration: STEP_SEED,
+            completed: true,
+        };
+        node.deliver(from, vote, TraceContext::NONE, at, &mut Vec::new());
+    };
+
+    // Done at 1 ms (plain: the second tick finishes the step).
+    let mut voted = driver(3, 2, false);
+    let mut out = Vec::new();
+    voted.poll(0, &mut out);
+    assert!(!voted.complete(0), "still gossiping");
+    voted.poll(PUSH, &mut out);
+    assert!(voted.node().step_done());
+    assert!(!voted.complete(PUSH), "done, but nobody has voted");
+    for peer in [0, 1, 2] {
+        vote(peer, 2 * MS, &mut voted);
+    }
+    assert!(!voted.complete(2 * MS), "node 4 has not voted");
+    vote(4, 3 * MS, &mut voted);
+    assert!(voted.complete(3 * MS), "done and every live peer voted");
+
+    // No votes at all: quiescence is counted from the done instant.
+    let mut quiet = driver(3, 2, false);
+    quiet.poll(0, &mut out);
+    quiet.poll(PUSH, &mut out);
+    assert!(!quiet.complete(PUSH + QUIESCE - 1));
+    assert!(quiet.complete(PUSH + QUIESCE));
+
+    // Never done: only the step timeout completes it.
+    let mut stuck = driver(3, 0, true);
+    stuck.poll(0, &mut out);
+    assert!(stuck.node().awaiting_shares());
+    assert!(!stuck.complete(TIMEOUT - 1));
+    assert!(stuck.complete(TIMEOUT));
+}
+
+/// The cross-substrate bugfix. A node that crashes while awaiting shares
+/// and comes back after more than `decrypt_deadline` is not abandoned on
+/// its pre-crash clock, and its next retry is one interval after the
+/// rejoin — the sharded executor's semantics, now everyone's. (At the
+/// parent commit the threaded and TCP loops kept the pre-crash clocks:
+/// the node gave up the instant it was back.)
+#[test]
+fn rejoin_restarts_the_decrypt_clocks_from_the_rejoin_instant() {
+    let mut requester = driver(3, 0, true);
+    let mut out = Vec::new();
+    requester.poll(0, &mut out);
+    assert!(requester.node().awaiting_shares());
+
+    requester.crash();
+    assert_eq!(requester.armed(), Armed::default(), "a crash clears all");
+    out.clear();
+    requester.poll(2 * DEADLINE, &mut out);
+    assert!(out.is_empty(), "a crashed node's clocks do not run");
+
+    let back = 2 * DEADLINE + 3 * MS;
+    requester.rejoin(back, &mut out);
+    assert_eq!(count(&out, |m| matches!(m, Message::Join { .. })), 4);
+    out.clear();
+    requester.poll(back, &mut out);
+    assert!(requester.node().awaiting_shares(), "not abandoned");
+    assert!(out.is_empty(), "and no immediate retry");
+    let armed = requester.armed();
+    assert_eq!(armed.at(Timer::Retry), Some(back + retry()));
+    assert_eq!(armed.at(Timer::Deadline), Some(back + DEADLINE));
+    assert_eq!(armed.at(Timer::Tick), None);
+    requester.poll(back + retry() - 1, &mut out);
+    assert!(out.is_empty());
+    requester.poll(back + retry(), &mut out);
+    assert_eq!(count(&out, is_request), 3);
+}
+
+/// A node that rejoins while still gossiping gets one fresh tick chain,
+/// one `push_interval` after the rejoin.
+#[test]
+fn rejoin_while_gossiping_starts_one_fresh_tick_chain() {
+    let mut gossiper = driver(3, 10, false);
+    let mut out = Vec::new();
+    gossiper.poll(0, &mut out);
+    gossiper.poll(PUSH, &mut out);
+    gossiper.crash();
+    let back = 7 * MS + 300_000;
+    gossiper.rejoin(back, &mut out);
+    assert_eq!(gossiper.armed().at(Timer::Tick), Some(back + PUSH));
+    out.clear();
+    gossiper.poll(back + PUSH - 1, &mut out);
+    assert!(out.is_empty(), "the overdue pre-crash tick does not fire");
+    gossiper.poll(back + PUSH, &mut out);
+    gossiper.poll(back + 2 * PUSH, &mut out);
+    assert_eq!(count(&out, is_push), 2);
+    // Leaving announces, then clears like a crash.
+    out.clear();
+    gossiper.leave(&mut out);
+    assert_eq!(count(&out, |m| matches!(m, Message::Leave { .. })), 4);
+    assert!(!gossiper.is_alive());
+    assert_eq!(gossiper.armed(), Armed::default());
+    assert_eq!(gossiper.finish().0.pushes_sent, 4);
+}
+
+/// One step of a random schedule.
+#[derive(Clone, Debug)]
+enum Op {
+    /// Let this many nanoseconds pass.
+    Advance(u64),
+    Crash,
+    Rejoin,
+    Leave,
+    /// A peer's termination vote.
+    Vote(NodeId),
+    PeerLeaves(NodeId),
+    PeerJoins(NodeId),
+    /// The committee member's reply to the pending request, if one is out.
+    Share(NodeId),
+    /// A gossip push from a peer.
+    Push(NodeId),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    (0u8..15, 0u64..2 * DEADLINE, 0usize..POPULATION - 1).prop_map(|(kind, span, who)| {
+        // `who` as a peer of node 3, and as a committee member.
+        let peer = if who >= 3 { who + 1 } else { who };
+        let member = who % 3;
+        match kind {
+            // Time jumps from below a push interval to past the decrypt
+            // deadline, weighted towards the scales the timers live on.
+            0 | 1 => Op::Advance(span % (3 * PUSH)),
+            2 | 3 => Op::Advance(span % (400 * MS)),
+            4 => Op::Advance(span),
+            5 => Op::Crash,
+            6 | 7 => Op::Rejoin,
+            8 => Op::Leave,
+            9 => Op::Vote(peer),
+            10 => Op::PeerLeaves(peer),
+            11 => Op::PeerJoins(peer),
+            12 | 13 => Op::Share(member),
+            _ => Op::Push(peer),
+        }
+    })
+}
+
+/// How a run turns `Op::Advance` into timer firings.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Clocking {
+    /// A punctual wall-clock pump: `poll` at every instant something is due.
+    Poll,
+    /// The sharded executor's way: every timer an input arms becomes a
+    /// queued event that is never withdrawn, and `fire` sorts the live
+    /// ones from the stale when they come up, in `(at, timer)` order.
+    Events,
+}
+
+/// Drives node 3 through `ops`; returns every outbound with the instant it
+/// was emitted at, and the final report (without its wall-clock profile).
+fn run(ops: &[Op], pushes: usize, clocking: Clocking) -> (Vec<(u64, Outbound)>, String) {
+    let mut driver = driver(3, pushes, true);
+    let mut now = 0u64;
+    let mut log: Vec<(u64, Outbound)> = Vec::new();
+    let mut out: Vec<Outbound> = Vec::new();
+    let mut queue: BTreeSet<(u64, Timer, u64)> = BTreeSet::new();
+    let mut queued = 0u64;
+    let mut enqueue = |queue: &mut BTreeSet<_>, before: Armed, after: Armed| {
+        for (timer, at) in after.iter() {
+            if before.at(timer) != Some(at) {
+                queued += 1;
+                queue.insert((at, timer, queued));
+            }
+        }
+    };
+    enqueue(&mut queue, Armed::default(), driver.armed());
+
+    for op in ops {
+        let before = driver.armed();
+        match op {
+            Op::Advance(by) => {
+                let target = now + by;
+                match clocking {
+                    Clocking::Poll => {
+                        while let Some(due) = driver.armed().iter().map(|(_, at)| at).min() {
+                            if due > target {
+                                break;
+                            }
+                            now = now.max(due);
+                            driver.poll(now, &mut out);
+                            log.extend(out.drain(..).map(|o| (now, o)));
+                        }
+                    }
+                    Clocking::Events => {
+                        while let Some(&(at, timer, seq)) = queue.first() {
+                            if at > target {
+                                break;
+                            }
+                            queue.remove(&(at, timer, seq));
+                            let before = driver.armed();
+                            let fired = driver.fire(timer, at, &mut out);
+                            assert_eq!(fired, before.at(timer) == Some(at), "stale ⇔ not fired");
+                            enqueue(&mut queue, before, driver.armed());
+                            log.extend(out.drain(..).map(|o| (at, o)));
+                        }
+                    }
+                }
+                now = target;
+            }
+            Op::Crash => driver.crash(),
+            Op::Rejoin => driver.rejoin(now, &mut out),
+            Op::Leave => driver.leave(&mut out),
+            Op::Vote(from) => {
+                let vote = Message::TerminationVote {
+                    iteration: STEP_SEED,
+                    completed: true,
+                };
+                driver.deliver(*from, vote, TraceContext::NONE, now, &mut out);
+            }
+            Op::PeerLeaves(peer) => {
+                let leave = Message::Leave { node: *peer as u64 };
+                driver.deliver(*peer, leave, TraceContext::NONE, now, &mut out);
+            }
+            Op::PeerJoins(peer) => {
+                let join = Message::Join {
+                    node: *peer as u64,
+                    iteration: STEP_SEED,
+                };
+                driver.deliver(*peer, join, TraceContext::NONE, now, &mut out);
+            }
+            Op::Share(member) => {
+                let request = log.iter().map(|(_, o)| &o.1).find(|m| is_request(m));
+                if let Some(request) = request {
+                    let share = share_from(*member, request);
+                    driver.deliver(*member, share, TraceContext::NONE, now, &mut out);
+                }
+            }
+            Op::Push(from) => {
+                driver.deliver(*from, push_from(*from), TraceContext::NONE, now, &mut out);
+            }
+        }
+        if clocking == Clocking::Events && !matches!(op, Op::Advance(_)) {
+            enqueue(&mut queue, before, driver.armed());
+        }
+        log.extend(out.drain(..).map(|o| (now, o)));
+
+        // (b) what may be armed, after every input.
+        let armed = driver.armed();
+        let node = driver.node();
+        let gossiping = !node.awaiting_shares() && !node.step_done();
+        assert_eq!(
+            armed.at(Timer::Tick).is_some(),
+            driver.is_alive() && gossiping,
+            "a tick is armed iff the node is alive and gossiping ({op:?})"
+        );
+        for timer in [Timer::Retry, Timer::Deadline] {
+            assert_eq!(
+                armed.at(timer).is_some(),
+                driver.is_alive() && node.awaiting_shares(),
+                "{timer:?} is armed iff the node is alive and awaiting shares ({op:?})"
+            );
+        }
+        assert!(armed.iter().all(|(_, at)| at >= now), "nothing overdue");
+    }
+    let mut report = driver.finish().0;
+    report.profile = Default::default();
+    (log, format!("{report:?}"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// (a) `poll` is a loop over `fire`: a pump that polls punctually and
+    /// an event queue that keeps every timer ever armed and lets `fire`
+    /// reject the stale ones drive the node identically — same outbound
+    /// messages at the same instants, same report. (b) lives in `run`.
+    #[test]
+    fn poll_and_event_style_fire_drive_a_node_identically(
+        ops in proptest::collection::vec(op(), 1..40),
+        pushes in 0usize..4,
+    ) {
+        let (polled_log, polled_report) = run(&ops, pushes, Clocking::Poll);
+        let (fired_log, fired_report) = run(&ops, pushes, Clocking::Events);
+        prop_assert_eq!(polled_log.len(), fired_log.len());
+        for (polled, fired) in polled_log.iter().zip(&fired_log) {
+            prop_assert_eq!(polled, fired);
+        }
+        prop_assert_eq!(polled_report, fired_report);
+    }
+}

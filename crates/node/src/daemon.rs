@@ -6,14 +6,16 @@
 //! configuration, population manifest, key share if on the committee), and
 //! then serve `Step` commands until `Shutdown`: each step drives one
 //! [`ProtocolNode`] — the *same* sans-IO state machine every other
-//! substrate runs — over a [`TcpTransport`] whose peers are other
-//! processes, announces `Done` when its own part completes, keeps serving
-//! committee duties until `StepEnd`, and ships its [`NodeReport`] plus the
-//! step's traffic delta back up the control channel.
+//! substrate runs, under the same [`NodeDriver`] and the same wall-clock
+//! [`pump`] as the threaded runtime — over a [`TcpTransport`] whose peers
+//! are other processes, announces `Done` when its own part completes,
+//! keeps serving committee duties until `StepEnd`, and ships its
+//! [`cs_net::node::NodeReport`] plus the step's traffic delta back up the
+//! control channel.
 //!
 //! The daemon is deliberately boring: all protocol behavior lives in
-//! `cs_net::node`, all transport behavior in `cs_net::tcp`; this module
-//! only sequences bootstrap and steps. If the control connection dies the
+//! `cs_net::node`, all timing in `cs_net::driver`, all transport behavior
+//! in `cs_net::tcp`; this module only sequences bootstrap and steps. If the control connection dies the
 //! daemon exits — in this deployment the coordinator *is* the experiment,
 //! so an orphaned participant has nothing left to do.
 //!
@@ -41,11 +43,12 @@ use chiaroscuro::rounds::plan_packed_codec;
 use chiaroscuro::ChiaroscuroConfig;
 use cs_crypto::threshold::{delta_for, CombinePlanCache};
 use cs_crypto::{FastEncryptor, FixedPointCodec, KeyShare, PublicKey, RandomizerPool};
-use cs_net::node::{NodeCrypto, NodeParams, Outbound, PackedCrypto, ProtocolNode};
-use cs_net::runtime::{decrypt_retry_interval, dispatch_frame, pool_target_for};
+use cs_net::driver::{NodeDriver, Timing};
+use cs_net::node::{NodeCrypto, NodeParams, PackedCrypto, ProtocolNode};
+use cs_net::runtime::{pool_target_for, pump};
 use cs_net::tcp::{PeerDirectory, TcpEndpoint, TcpTransport};
 use cs_net::transport::{NodeId, TrafficSnapshot, Transport};
-use cs_net::wire::{encode_frame_traced, WIRE_VERSION};
+use cs_net::wire::WIRE_VERSION;
 use cs_obs::http::{ObsProviders, ObsServer};
 use cs_obs::{
     AuditConfig, CausalTracer, Clock, HealthState, Liveness, NodeTrace, Registry, SeriesRing,
@@ -55,6 +58,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -174,10 +178,10 @@ struct RunContext {
     pool: Mutex<Option<RandomizerPool>>,
     /// Private randomness feeding [`RunContext::refill_pool`].
     pool_rng: Mutex<StdRng>,
-    /// `true` when the Bootstrap's fault spec names *this* daemon: every
-    /// partial decryption it emits gets its value bytes corrupted, a
+    /// The Bootstrap's fault spec. When it names *this* daemon, every
+    /// partial decryption it emits gets its value bytes corrupted — a
     /// scripted drill the invariant audit must catch.
-    corrupt_partials: bool,
+    fault: Option<cs_net::FaultSpec>,
 }
 
 impl RunContext {
@@ -243,9 +247,10 @@ impl RunContext {
         Some(pool)
     }
 
-    /// Returns the (possibly drained) pool recovered from a finished step.
-    fn stash_pool(&self, pool: RandomizerPool) {
-        *self.pool.lock().expect("pool lock") = Some(pool);
+    /// Returns the (possibly drained) pool recovered from a finished step
+    /// (`None` when the run keeps none — the slot was empty already).
+    fn stash_pool(&self, pool: Option<RandomizerPool>) {
+        *self.pool.lock().expect("pool lock") = pool;
     }
 
     /// Tops the stashed pool back up to target. Called after the step's
@@ -448,7 +453,7 @@ pub fn run(opts: &DaemonOpts) -> io::Result<()> {
         plans: Arc::new(CombinePlanCache::new()),
         pool: Mutex::new(None),
         pool_rng: Mutex::new(StdRng::seed_from_u64(pool_rng_seed)),
-        corrupt_partials: fault.is_some_and(|f| f.corrupts_partials(opts.id)),
+        fault,
     };
     ctx.packed = ctx.prepare_packed(opts.id)?;
 
@@ -657,36 +662,25 @@ fn serve_steps(
     }
 }
 
-/// What the step loop should do next, after polling the control channel.
-enum Control {
-    Continue,
-    StepEnd,
-    Dead,
-}
-
-fn poll_control(rx: &mpsc::Receiver<ControlMsg>) -> Control {
+/// Polls the control channel mid-step: `Break` once the coordinator ends
+/// the step, an error once the channel is dead.
+fn poll_control(rx: &mpsc::Receiver<ControlMsg>) -> io::Result<ControlFlow<()>> {
     match rx.try_recv() {
-        Ok(ControlMsg::StepEnd) => Control::StepEnd,
-        Ok(ControlMsg::Shutdown) => Control::Dead,
-        Ok(_) => Control::Continue, // late duplicates are harmless
-        Err(TryRecvError::Empty) => Control::Continue,
-        Err(TryRecvError::Disconnected) => Control::Dead,
+        Ok(ControlMsg::StepEnd) => Ok(ControlFlow::Break(())),
+        Ok(ControlMsg::Shutdown) | Err(TryRecvError::Disconnected) => {
+            Err(bad_data("control channel died mid-step"))
+        }
+        // Late duplicates are harmless.
+        Ok(_) | Err(TryRecvError::Empty) => Ok(ControlFlow::Continue(())),
     }
 }
 
-/// Drives one computation step. Mirrors the threaded runtime's node loop
-/// (receive → tick → decrypt retries → flush → completion), with two
-/// differences: completion is *announced* to the coordinator instead of a
-/// shared flag, and the loop ends on `StepEnd` instead of a shutdown
-/// atomic. A `None` contribution runs the step dark — drain and discard,
-/// exactly the crashed-node semantics of the other substrates.
-///
-/// KEEP IN SYNC with `cs_net::runtime::node_loop`: frame dispatch and the
-/// decrypt-retry cadence are shared helpers (`dispatch_frame`,
-/// `decrypt_retry_interval`), but the loop shape — the `min(500µs)`
-/// receive wait and the done/all-votes/quiesce completion rule — is
-/// load-bearing for the cross-substrate differential e2e tests, and a
-/// change applied to only one loop desynchronizes the substrates silently.
+/// Drives one computation step: the node's event loop is the same
+/// [`pump`] the threaded runtime's node threads run, hosted differently —
+/// completion is *announced* to the coordinator instead of ringing a shared
+/// bell, and the loop ends on `StepEnd` instead of a shutdown flag. A
+/// `None` contribution runs the step dark — drain and discard, exactly the
+/// crashed-node semantics of the other substrates.
 #[allow(clippy::too_many_arguments)] // one call site; mirrors the Step fields
 fn run_step(
     ctx: &RunContext,
@@ -700,10 +694,12 @@ fn run_step(
     control: &mut TcpStream,
 ) -> io::Result<cs_net::node::NodeReport> {
     let transport = ctx.transport.as_ref();
-    let push_interval = Duration::from_micros(ctx.timing.push_interval_us.max(1));
-    let quiesce = Duration::from_millis(ctx.timing.quiesce_ms);
-    let decrypt_deadline = Duration::from_millis(ctx.timing.decrypt_deadline_ms);
-    let step_timeout = Duration::from_millis(ctx.timing.step_timeout_ms);
+    let timing = Timing {
+        push_interval: Duration::from_micros(ctx.timing.push_interval_us.max(1)),
+        quiesce: Duration::from_millis(ctx.timing.quiesce_ms),
+        decrypt_deadline: Duration::from_millis(ctx.timing.decrypt_deadline_ms),
+        step_timeout: Duration::from_millis(ctx.timing.step_timeout_ms),
+    };
 
     if contribution.is_none() {
         // Down at step start: hold the slot dark. Everything addressed to
@@ -714,33 +710,37 @@ fn run_step(
         write_msg(control, &ControlMsg::Done { step, node: id })?;
         let started = Instant::now();
         loop {
-            match poll_control(rx) {
-                Control::StepEnd => return Ok(cs_net::node::NodeReport::dead(id)),
-                Control::Dead => {
-                    return Err(bad_data("control channel died mid-step"));
-                }
-                Control::Continue => {}
+            if poll_control(rx)?.is_break() {
+                return Ok(cs_net::node::NodeReport::dead(id));
             }
             while transport.try_recv(id).is_some() {}
             let _ = transport.recv_timeout(id, Duration::from_millis(2));
-            if started.elapsed() >= step_timeout {
+            if started.elapsed() >= timing.step_timeout {
                 return Ok(cs_net::node::NodeReport::dead(id));
             }
         }
     }
 
-    let params = NodeParams {
+    let params = NodeParams::for_step(
         id,
-        population: transport.node_count(),
-        iteration: step_seed, // unique per step; tags every frame
-        pushes: ctx.config.gossip_cycles,
-        committee: ctx.committee.clone(),
-        seed: step_seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        votes: true,
-        corrupt_partials: ctx.corrupt_partials,
-    };
+        transport.node_count(),
+        step_seed,
+        ctx.config.gossip_cycles,
+        ctx.committee.clone(),
+        true,
+        ctx.fault,
+    );
     let node_crypto = ctx.node_crypto()?;
-    let mut node = ProtocolNode::new(params, ctx.layout, node_crypto, contribution.as_deref());
+    let node = ProtocolNode::new(params, ctx.layout, node_crypto, contribution.as_deref());
+    let mut driver = NodeDriver::new(node, &timing, true);
+    // However the step ends, the (possibly drained) randomizer pool
+    // survives it; it is restocked after the Report ships (see
+    // `serve_steps`).
+    let finish = |driver: NodeDriver| {
+        let (report, pool) = driver.finish();
+        ctx.stash_pool(pool);
+        report
+    };
 
     // Start barrier, mirroring the threaded runtime's start gate: node
     // construction (contribution encryption — the expensive part in
@@ -754,16 +754,11 @@ fn run_step(
             Ok(ControlMsg::Go { step: s }) if s == step => break,
             // A coordinator that timed out collecting Readys may skip
             // straight to ending the step.
-            Ok(ControlMsg::StepEnd) => {
-                if let Some(pool) = node.take_randomizer_pool() {
-                    ctx.stash_pool(pool);
-                }
-                return Ok(node.into_report());
-            }
+            Ok(ControlMsg::StepEnd) => return Ok(finish(driver)),
             Ok(ControlMsg::Shutdown) => return Err(bad_data("shutdown mid-step")),
             Ok(_) => {}
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                if barrier.elapsed() >= step_timeout {
+                if barrier.elapsed() >= timing.step_timeout {
                     return Err(bad_data("no Go from the coordinator"));
                 }
             }
@@ -777,76 +772,17 @@ fn run_step(
     // runtime's post-gate attach) so the `step.start` span marks the start
     // of *gossip*, not of the encryption stampede before the barrier. Its
     // causal parent is the coordinator's `Step` send.
-    node = node.with_tracer(CausalTracer::new(
+    driver = driver.with_tracer(CausalTracer::new(
         flight.clone(),
         step_seed,
         id as u64,
         step_ctx,
     ));
 
-    let started = Instant::now();
-    let mut out: Vec<Outbound> = Vec::new();
-    let mut next_tick = Instant::now();
-    let retry_interval = decrypt_retry_interval(push_interval);
-    let mut done_since: Option<Instant> = None;
-    // (round start, next retry) once the node awaits shares.
-    let mut decrypt_clocks: Option<(Instant, Instant)> = None;
-    let mut announced = false;
-
-    loop {
-        match poll_control(rx) {
-            Control::StepEnd => break,
-            Control::Dead => return Err(bad_data("control channel died mid-step")),
-            Control::Continue => {}
-        }
-
-        let wait = push_interval.min(Duration::from_micros(500));
-        if let Some(env) = transport.recv_timeout(id, wait) {
-            dispatch_frame(&mut node, env, &mut out);
-            while let Some(env) = transport.try_recv(id) {
-                dispatch_frame(&mut node, env, &mut out);
-            }
-        }
-
-        let now = Instant::now();
-        if now >= next_tick {
-            node.tick(&mut out);
-            next_tick = now + push_interval;
-        }
-        if node.awaiting_shares() {
-            // Both clocks start with the round (see `node_loop`): the
-            // first retry, one interval in, is also the hedge.
-            let (since, next_retry) = decrypt_clocks.get_or_insert((now, now + retry_interval));
-            if now.duration_since(*since) >= decrypt_deadline {
-                node.abandon_decrypt(&mut out);
-            } else if now >= *next_retry {
-                node.retry_decrypt(&mut out);
-                *next_retry = now + retry_interval;
-            }
-        }
-        for (to, msg, msg_ctx) in out.drain(..) {
-            let class = msg.class();
-            let frame = encode_frame_traced(&msg, msg_ctx);
-            // Sends to dead peers degrade into loss inside the transport.
-            let _ = transport.send(id, to, frame, class);
-        }
-
-        if !announced {
-            if node.step_done() && done_since.is_none() {
-                done_since = Some(Instant::now());
-            }
-            let quiesced = done_since.is_some_and(|t| t.elapsed() >= quiesce);
-            let timed_out = started.elapsed() >= step_timeout;
-            if (node.step_done() && (node.all_votes_in() || quiesced)) || timed_out {
-                write_msg(control, &ControlMsg::Done { step, node: id })?;
-                announced = true;
-            }
-        }
-    }
-    // The (possibly drained) randomizer pool survives the step; it is
-    // restocked after the Report ships (see `serve_steps`).
-    if let Some(pool) = node.take_randomizer_pool() {
-        ctx.stash_pool(pool);
-    }
-    Ok(node.into_report())
+    // This deployment scripts no churn: a daemon's node is alive until the
+    // coordinator ends the step (a SIGKILL needs no bookkeeping).
+    let turn = || Ok(poll_control(rx)?.map_continue(|()| cs_net::churn::Liveness::Alive));
+    let announce = || write_msg(control, &ControlMsg::Done { step, node: id });
+    pump(&mut driver, transport, turn, announce)?;
+    Ok(finish(driver))
 }

@@ -1,8 +1,8 @@
 //! # cs-node — Chiaroscuro out of one process
 //!
-//! Every other execution substrate in this workspace — the cycle and
-//! event-driven simulators, the threaded runtime, the sharded executor,
-//! even the TCP loopback — still lives inside a single OS process. This
+//! Every other execution substrate in this workspace — the cycle
+//! simulator, the threaded runtime, the sharded executor, even the TCP
+//! loopback — still lives inside a single OS process. This
 //! crate is the deployment layer that doesn't: one **`csnoded` daemon per
 //! participant**, gossiping wire frames over real sockets
 //! ([`cs_net::tcp::TcpTransport`]), with a thin coordinator for bootstrap
@@ -14,8 +14,9 @@
 //!   `Shutdown`. The data plane never touches the coordinator.
 //! * [`daemon`] — the `csnoded` body: bootstrap handshake (protocol
 //!   version check, population manifest, key-share delivery), then one
-//!   [`cs_net::node::ProtocolNode`] per step driven to termination over
-//!   TCP.
+//!   [`cs_net::node::ProtocolNode`] per step, driven to termination over
+//!   TCP by the same [`cs_net::driver::NodeDriver`] and
+//!   [`cs_net::runtime::pump`] as the in-process wall-clock substrates.
 //! * [`coordinator`] — accept/bootstrap a cluster and drive it as a
 //!   [`chiaroscuro::backend::ComputationBackend`]
 //!   ([`coordinator::ClusterBackend`]), so

@@ -54,7 +54,7 @@ fn main() {
             .rejoin(0, Duration::from_millis(8), 5),
         ..NetConfig::default()
     };
-    let mut backend = NetBackend::new(net);
+    let mut backend = NetBackend::threaded(net);
 
     let output = engine
         .run_with_backend(&data.series, &mut backend)

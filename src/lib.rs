@@ -8,8 +8,8 @@
 //! * [`cs_bigint`] / [`cs_crypto`] — arbitrary-precision arithmetic and the
 //!   Damgård-Jurik threshold cryptosystem;
 //! * [`cs_dp`] — Laplace/gamma differential-privacy machinery;
-//! * [`cs_gossip`] — the cycle- and event-driven gossip simulators and
-//!   push-sum (plaintext and homomorphic);
+//! * [`cs_gossip`] — the cycle-driven gossip simulator and push-sum
+//!   (plaintext and homomorphic);
 //! * [`cs_timeseries`] — series types, distances, PAA, synthetic datasets;
 //! * [`cs_kmeans`] — the centralized baseline and quality metrics;
 //! * [`cs_net`] — the message-passing node runtime: wire codec, threaded

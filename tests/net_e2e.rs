@@ -80,7 +80,7 @@ fn real_crypto_net_run_with_crash_matches_simulator() {
     // verifiably dies before finishing its quota.
     let push_ms: u64 = if cfg!(debug_assertions) { 250 } else { 30 };
     let churn = ChurnSchedule::none().crash(0, Duration::from_millis(push_ms * 14 * 3 / 4), 7);
-    let mut backend = NetBackend::new(NetConfig {
+    let mut backend = NetBackend::threaded(NetConfig {
         churn,
         push_interval: Duration::from_millis(push_ms),
         ..fast_net()
@@ -145,7 +145,7 @@ fn decrypt_round_count_parity_threaded_vs_simulator() {
     // service time: a retry that fired on a merely slow member would widen
     // the ask and show up here as extra partial decryptions.
     let push_ms: u64 = if cfg!(debug_assertions) { 20 } else { 4 };
-    let mut backend = NetBackend::new(NetConfig {
+    let mut backend = NetBackend::threaded(NetConfig {
         push_interval: Duration::from_millis(push_ms),
         ..fast_net()
     });
@@ -182,7 +182,7 @@ fn plain_net_run_matches_simulator_over_two_iterations() {
     let engine = Engine::new(cfg).unwrap();
 
     let sim = engine.run(&series).unwrap();
-    let mut backend = NetBackend::new(fast_net());
+    let mut backend = NetBackend::threaded(fast_net());
     let net = engine.run_with_backend(&series, &mut backend).unwrap();
 
     assert_eq!(backend.steps_run(), 2);

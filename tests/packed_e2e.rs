@@ -71,7 +71,7 @@ fn packed_net_run_with_crash_matches_unpacked_simulator() {
     let engine = Engine::new(cfg).unwrap();
     let push_ms: u64 = if cfg!(debug_assertions) { 60 } else { 15 };
     let churn = ChurnSchedule::none().crash(0, Duration::from_millis(push_ms * 14 * 3 / 4), 7);
-    let mut backend = NetBackend::new(NetConfig {
+    let mut backend = NetBackend::threaded(NetConfig {
         churn,
         push_interval: Duration::from_millis(push_ms),
         quiesce: Duration::from_millis(150),
