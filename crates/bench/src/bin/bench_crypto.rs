@@ -49,8 +49,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Buckets per measured vector: one k=2, len=5 contribution (data + noise
-/// blocks), the standard layout of the transport benches.
+/// Buckets per measured vector. The per-op rows report per-bucket cost,
+/// so the width is arbitrary; 24 is what `BENCH_CRYPTO.json`'s rows were
+/// recorded with.
 const BUCKETS: usize = 24;
 
 /// One measurement row.

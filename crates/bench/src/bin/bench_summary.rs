@@ -313,7 +313,7 @@ fn run_check(summary: &BenchSummary) {
 }
 
 /// Median wall-clock of encode+decode for a realistic encrypted push frame
-/// (24 slots of 256-byte ciphertexts ≈ a k=2, len=5 aggregate at 2048-bit
+/// (24 slots of 256-byte ciphertexts ≈ a k=4, len=5 aggregate at 2048-bit
 /// keys).
 fn bench_wire_codec(quick: bool) -> BenchEntry {
     let mut rng = StdRng::seed_from_u64(1);

@@ -2,8 +2,8 @@
 //!
 //! The engine's iteration loop (assignment → computation → convergence) is
 //! substrate-independent: only paper step 2 — the distributed gossip
-//! aggregation, noise folding, and collaborative decryption — touches a
-//! network. [`ComputationBackend`] isolates that step so `Engine::run` can
+//! aggregation of the contributions (each with its noise share already
+//! folded in) and the collaborative decryption — touches a network. [`ComputationBackend`] isolates that step so `Engine::run` can
 //! execute over the in-process cycle simulator (the default, Peersim-style)
 //! or over a real message-passing runtime (`cs_net`'s thread-per-node
 //! transport, or its sharded virtual-time executor for 10k+ virtual nodes)

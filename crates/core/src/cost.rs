@@ -120,14 +120,12 @@ impl CostModel {
 /// Synthesizes the homomorphic op counts the *real* backend would have
 /// produced, for simulated-mode accounting:
 ///
-/// * every participant encrypts its own series slots plus all noise slots
-///   (`(k+1)·(series_len+1)` real encryptions; zero slots ship as free
-///   trivial encryptions);
+/// * every participant encrypts its whole contribution — a noise share
+///   sits on every one of the `slots = k·(series_len+1)` slots, so none
+///   ships as a free trivial encryption;
 /// * every delivered gossip message carries `slots` additions, up to
 ///   `slots` pow2-rescalings, and — when enabled — `slots`
-///   re-randomizations;
-/// * step 2c's local noise addition adds `slots/2` additions per
-///   participant.
+///   re-randomizations.
 pub fn synthesize_ops(
     k: usize,
     series_len: usize,
@@ -135,12 +133,10 @@ pub fn synthesize_ops(
     delivered_messages: u64,
     rerandomize: bool,
 ) -> HomomorphicOpCounts {
-    let per_cluster = (series_len + 1) as u64;
-    let slots = 2 * k as u64 * per_cluster;
-    let combine_adds = k as u64 * per_cluster * participants as u64;
+    let slots = (k * (series_len + 1)) as u64;
     HomomorphicOpCounts {
-        encryptions: participants as u64 * (k as u64 + 1) * per_cluster,
-        additions: delivered_messages * slots + combine_adds,
+        encryptions: participants as u64 * slots,
+        additions: delivered_messages * slots,
         pow2_scalings: delivered_messages * slots,
         rerandomizations: if rerandomize {
             delivered_messages * slots
@@ -226,12 +222,11 @@ mod tests {
     #[test]
     fn synthesized_ops_formulas() {
         let ops = synthesize_ops(2, 3, 10, 100, true);
-        // per_cluster = 4; slots = 16; encryptions = 10 * 3 * 4 = 120
-        assert_eq!(ops.encryptions, 120);
-        // additions = 100*16 + combine 2*4*10 = 1680
-        assert_eq!(ops.additions, 1680);
-        assert_eq!(ops.pow2_scalings, 1600);
-        assert_eq!(ops.rerandomizations, 1600);
+        // slots = 2 * 4 = 8; encryptions = 10 * 8
+        assert_eq!(ops.encryptions, 80);
+        assert_eq!(ops.additions, 800);
+        assert_eq!(ops.pow2_scalings, 800);
+        assert_eq!(ops.rerandomizations, 800);
         let ops = synthesize_ops(2, 3, 10, 100, false);
         assert_eq!(ops.rerandomizations, 0);
     }

@@ -1,21 +1,24 @@
-//! Per-participant noise share vectors for one computation step.
+//! Per-participant contribution vectors for one computation step.
 //!
-//! Implements paper step 2b's payload: each participant generates, for every
-//! disclosed slot (k clusters × (series_len + 1) coordinates), one additive
-//! noise share such that the *sum over the population* of shares is a
-//! Laplace variable calibrated to the iteration's ε slice.
+//! Implements the payload of paper steps 1–2c: each participant holds, for
+//! every disclosed slot (k clusters × (series_len + 1) coordinates), its
+//! data value plus one additive noise share such that the *sum over the
+//! population* of shares is a Laplace variable calibrated to the
+//! iteration's ε slice.
 
 use cs_dp::NoiseShareGenerator;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Slot layout of one computation step's aggregate vector.
+/// Slot layout of one computation step's aggregate vector: one block,
+/// cluster by cluster (series sums then the member count).
 ///
-/// The first half holds the data aggregates, cluster by cluster (series sums
-/// then the member count); the second half holds the matching noise
-/// aggregates — mirroring the paper's separate "gossip computation of the
-/// encrypted means" (2a) and "of the encrypted noises" (2b), merged slotwise
-/// in step 2c.
+/// The paper gossips the encrypted means (2a) and the encrypted noises
+/// (2b) separately and merges them slotwise (2c). Both gossips would see
+/// the same mixing coefficients `cᵢ`, and push-sum is linear —
+/// `Σᵢ cᵢ·dᵢ + Σᵢ cᵢ·νᵢ = Σᵢ cᵢ·(dᵢ + νᵢ)` — so each participant adds its
+/// share onto its data slot in cleartext, before encrypting, and one block
+/// travels (see "Why one block" in `docs/architecture.md`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SlotLayout {
     /// Number of clusters.
@@ -30,7 +33,7 @@ impl SlotLayout {
         self.series_len + 1
     }
 
-    /// Data slot of coordinate `d` of cluster `j`.
+    /// Slot of coordinate `d` of cluster `j`.
     pub fn data_slot(&self, j: usize, d: usize) -> usize {
         debug_assert!(j < self.k && d < self.series_len);
         j * self.per_cluster() + d
@@ -42,26 +45,22 @@ impl SlotLayout {
         j * self.per_cluster() + self.series_len
     }
 
-    /// Offset of the noise block.
+    /// Alias of [`Self::total`], kept for `benchmark/`'s probes only.
+    #[doc(hidden)]
     pub fn noise_offset(&self) -> usize {
-        self.k * self.per_cluster()
+        self.total()
     }
 
-    /// Noise slot matching data slot `i`.
-    pub fn noise_slot(&self, i: usize) -> usize {
-        debug_assert!(i < self.noise_offset());
-        self.noise_offset() + i
-    }
-
-    /// Total slots (data + noise blocks).
+    /// Total slots: `k · (series_len + 1)`.
     pub fn total(&self) -> usize {
-        2 * self.k * self.per_cluster()
+        self.k * self.per_cluster()
     }
 }
 
-/// Builds one participant's full contribution vector (data block + noise
-/// block) in cleartext. The caller encrypts it (real mode) or feeds it to
-/// the plaintext push-sum (simulated mode).
+/// Builds one participant's contribution vector in cleartext: the series
+/// and the membership indicator in the assigned cluster's slots, plus one
+/// fresh noise share on *every* slot. The caller encrypts it (real mode)
+/// or feeds it to the plaintext push-sum (simulated mode).
 ///
 /// * `series` — the participant's clamped series values;
 /// * `cluster` — the cluster this participant assigned itself to;
@@ -80,8 +79,8 @@ pub fn contribution_vector<R: Rng + ?Sized>(
         v[layout.data_slot(cluster, d)] = x;
     }
     v[layout.count_slot(cluster)] = 1.0;
-    for i in 0..layout.noise_offset() {
-        v[layout.noise_slot(i)] = shares.sample_share(rng);
+    for slot in &mut v {
+        *slot += shares.sample_share(rng);
     }
     v
 }
@@ -90,7 +89,29 @@ pub fn contribution_vector<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// A contribution and the shares it drew, by replaying the draws on a
+    /// clone of the RNG `contribution_vector` consumed. Both streams must
+    /// end in the same state: one share per slot, in slot order, and
+    /// nothing else drawn.
+    fn with_shares(
+        layout: &SlotLayout,
+        series: &[f64],
+        cluster: usize,
+        shares: &NoiseShareGenerator,
+        rng: &mut StdRng,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let mut replay = rng.clone();
+        let v = contribution_vector(layout, series, cluster, shares, rng);
+        let drawn = shares.sample_share_vec(layout.total(), &mut replay);
+        assert_eq!(
+            rng.next_u64(),
+            replay.next_u64(),
+            "a contribution draws exactly total() shares"
+        );
+        (v, drawn)
+    }
 
     #[test]
     fn layout_indexing_is_disjoint_and_complete() {
@@ -98,23 +119,17 @@ mod tests {
             k: 3,
             series_len: 4,
         };
-        assert_eq!(layout.total(), 30);
+        assert_eq!(layout.total(), 15);
         let mut seen = vec![false; layout.total()];
         for j in 0..3 {
             for d in 0..4 {
                 let i = layout.data_slot(j, d);
                 assert!(!seen[i]);
                 seen[i] = true;
-                let ni = layout.noise_slot(i);
-                assert!(!seen[ni]);
-                seen[ni] = true;
             }
             let c = layout.count_slot(j);
             assert!(!seen[c]);
             seen[c] = true;
-            let nc = layout.noise_slot(c);
-            assert!(!seen[nc]);
-            seen[nc] = true;
         }
         assert!(seen.iter().all(|&s| s), "every slot is addressed");
     }
@@ -127,50 +142,90 @@ mod tests {
         };
         let shares = NoiseShareGenerator::new(100, 1.0);
         let mut rng = StdRng::seed_from_u64(1);
-        let v = contribution_vector(&layout, &[1.0, 2.0, 3.0], 1, &shares, &mut rng);
-        // Cluster 0 data block all zero:
-        assert_eq!(v[layout.data_slot(0, 0)], 0.0);
-        assert_eq!(v[layout.count_slot(0)], 0.0);
-        // Cluster 1 holds the series and the indicator:
-        assert_eq!(v[layout.data_slot(1, 0)], 1.0);
-        assert_eq!(v[layout.data_slot(1, 2)], 3.0);
-        assert_eq!(v[layout.count_slot(1)], 1.0);
+        let (v, drawn) = with_shares(&layout, &[1.0, 2.0, 3.0], 1, &shares, &mut rng);
+        // Cluster 1 holds the series and the indicator, each plus its share:
+        for (d, x) in [1.0, 2.0, 3.0].into_iter().enumerate() {
+            let slot = layout.data_slot(1, d);
+            assert_eq!(v[slot], x + drawn[slot]);
+        }
+        let count = layout.count_slot(1);
+        assert_eq!(v[count], 1.0 + drawn[count]);
     }
 
     #[test]
-    fn noise_block_filled_everywhere() {
+    fn other_clusters_hold_shares_only() {
         let layout = SlotLayout {
             k: 2,
             series_len: 3,
         };
         let shares = NoiseShareGenerator::new(10, 5.0);
         let mut rng = StdRng::seed_from_u64(2);
-        let v = contribution_vector(&layout, &[0.0; 3], 0, &shares, &mut rng);
-        let nonzero_noise = (0..layout.noise_offset())
-            .filter(|&i| v[layout.noise_slot(i)] != 0.0)
-            .count();
-        assert_eq!(nonzero_noise, 8, "every noise slot gets a share");
+        let (v, drawn) = with_shares(&layout, &[7.0; 3], 0, &shares, &mut rng);
+        assert!(drawn.iter().all(|&s| s != 0.0), "every slot gets a share");
+        for slot in layout.data_slot(1, 0)..=layout.count_slot(1) {
+            assert_eq!(v[slot], drawn[slot], "slot {slot} of the other cluster");
+        }
     }
 
     #[test]
     fn summed_contributions_reconstruct_cluster_sums() {
         // Three participants, two clusters: the slot-wise sum of their
-        // contributions must be (cluster sums, counts, total noise).
+        // contributions, shares taken out, must be (cluster sums, counts).
         let layout = SlotLayout {
             k: 2,
             series_len: 2,
         };
         let shares = NoiseShareGenerator::new(3, 1.0);
         let mut rng = StdRng::seed_from_u64(3);
-        let a = contribution_vector(&layout, &[1.0, 2.0], 0, &shares, &mut rng);
-        let b = contribution_vector(&layout, &[3.0, 4.0], 0, &shares, &mut rng);
-        let c = contribution_vector(&layout, &[5.0, 6.0], 1, &shares, &mut rng);
-        let sum: Vec<f64> = (0..layout.total()).map(|i| a[i] + b[i] + c[i]).collect();
-        assert_eq!(sum[layout.data_slot(0, 0)], 4.0);
-        assert_eq!(sum[layout.data_slot(0, 1)], 6.0);
-        assert_eq!(sum[layout.count_slot(0)], 2.0);
-        assert_eq!(sum[layout.data_slot(1, 1)], 6.0);
-        assert_eq!(sum[layout.count_slot(1)], 1.0);
+        let (a, sa) = with_shares(&layout, &[1.0, 2.0], 0, &shares, &mut rng);
+        let (b, sb) = with_shares(&layout, &[3.0, 4.0], 0, &shares, &mut rng);
+        let (c, sc) = with_shares(&layout, &[5.0, 6.0], 1, &shares, &mut rng);
+        let want = [4.0, 6.0, 2.0, 5.0, 6.0, 1.0];
+        for (slot, w) in want.iter().enumerate() {
+            let sum = a[slot] + b[slot] + c[slot];
+            let noise = sa[slot] + sb[slot] + sc[slot];
+            assert!((sum - noise - w).abs() < 1e-12, "slot {slot}: {sum} vs {w}");
+        }
+    }
+
+    #[test]
+    fn population_shares_still_sum_to_the_calibrated_laplace() {
+        // The privacy side of folding: over the whole population, what the
+        // contributions add to the clean cluster sums and counts is one
+        // Laplace(b) per slot — mean 0, variance 2b².
+        let layout = SlotLayout {
+            k: 2,
+            series_len: 3,
+        };
+        let (population, b, trials) = (50usize, 1.5, 2000usize);
+        let shares = NoiseShareGenerator::new(population, b);
+        let mut rng = StdRng::seed_from_u64(18);
+        let mut clean = vec![0.0; layout.total()];
+        for i in 0..population {
+            clean[layout.data_slot(i % 2, 0)] += i as f64 / 10.0;
+            clean[layout.count_slot(i % 2)] += 1.0;
+        }
+        let (mut sum, mut sum_sq) = (0.0, 0.0);
+        for _ in 0..trials {
+            let mut total = vec![0.0; layout.total()];
+            for i in 0..population {
+                let series = [i as f64 / 10.0, 0.0, 0.0];
+                let v = contribution_vector(&layout, &series, i % 2, &shares, &mut rng);
+                for (t, x) in total.iter_mut().zip(&v) {
+                    *t += x;
+                }
+            }
+            for (t, c) in total.iter().zip(&clean) {
+                sum += t - c;
+                sum_sq += (t - c) * (t - c);
+            }
+        }
+        let n = (trials * layout.total()) as f64;
+        let mean = sum / n;
+        let var = sum_sq / n - mean * mean;
+        assert!(mean.abs() < 0.05 * b, "noise mean {mean}");
+        let want = 2.0 * b * b;
+        assert!((var / want - 1.0).abs() < 0.10, "variance {var} vs {want}");
     }
 
     #[test]

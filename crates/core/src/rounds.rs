@@ -1,13 +1,14 @@
 //! The distributed computation step (paper §II-B, step 2).
 //!
-//! Given every live participant's contribution vector (data block + noise
-//! block, see [`crate::noise::SlotLayout`]), this module:
+//! Given every live participant's contribution vector (its data with its
+//! noise share already folded in, see [`crate::noise::SlotLayout`]), this
+//! module:
 //!
-//! 2a/2b. gossips the encrypted means and noises (one homomorphic push-sum
-//!        over the concatenated vector — both blocks travel together and
-//!        therefore experience the *same* mixing weights);
-//! 2c.    adds the noise block onto the data block homomorphically at each
-//!        participant;
+//! 2a–2c. gossips the encrypted perturbed means: one homomorphic push-sum
+//!        over the one-block vector. The paper's separate noise gossip (2b)
+//!        and slotwise merge (2c) would see the same mixing weights, and
+//!        push-sum is linear, so the merge happened in cleartext at each
+//!        contributor, before encryption;
 //! 2d.    collaboratively decrypts each participant's perturbed estimate via
 //!        threshold partial decryptions.
 //!
@@ -20,7 +21,9 @@ use crate::cost::{synthesize_decrypt_ops, synthesize_ops, DecryptionOps};
 use crate::error::ChiaroscuroError;
 use crate::noise::SlotLayout;
 use cs_crypto::threshold::{CombinePlanCache, ThresholdKeyPair};
-use cs_crypto::{Ciphertext, FastEncryptor, FixedPointCodec, PackedCodec, PoolBank, PublicKey};
+use cs_crypto::{
+    Ciphertext, FastEncryptor, FixedPointCodec, PackedCodec, PartialDecryption, PoolBank, PublicKey,
+};
 use cs_gossip::homomorphic_pushsum::{HePushSumNode, HomomorphicOpCounts};
 use cs_gossip::pushsum::PushSumNode;
 use cs_gossip::{Network, TrafficStats};
@@ -147,22 +150,15 @@ pub fn plan_packed_codec(
     }
 }
 
-/// Packs and encrypts one contribution vector: the data block and the noise
-/// block are packed *separately* (identical chunking), so the data
-/// ciphertext `j` and the noise ciphertext `data_cts + j` share lane
-/// positions and protocol step 2c stays a single homomorphic addition per
-/// ciphertext pair. Returns the ciphertexts and the encryption count.
+/// Packs and encrypts one contribution vector. Returns the ciphertexts and
+/// the encryption count.
 pub fn encrypt_packed_contribution<R: rand::Rng + ?Sized>(
     packed: &PackedCodec,
     enc: &FastEncryptor,
-    layout: &SlotLayout,
     values: &[f64],
     rng: &mut R,
 ) -> Result<(Vec<Ciphertext>, u64), ChiaroscuroError> {
-    debug_assert_eq!(values.len(), layout.total(), "contribution length");
-    let split = layout.noise_offset();
-    let mut plaintexts = packed.pack(&values[..split])?;
-    plaintexts.extend(packed.pack(&values[split..])?);
+    let plaintexts = packed.pack(values)?;
     let cipher: Vec<Ciphertext> = plaintexts.iter().map(|m| enc.encrypt(m, rng)).collect();
     let count = cipher.len() as u64;
     Ok((cipher, count))
@@ -178,9 +174,9 @@ pub struct PerturbedAggregates {
     pub counts: Vec<f64>,
 }
 
-/// Arranges final per-data-slot perturbed values into per-cluster sums and
-/// counts. `slot_value(i)` must return the perturbed value of data slot `i`
-/// (noise already folded in, push-sum weight already divided out).
+/// Arranges final per-slot perturbed values into per-cluster sums and
+/// counts. `slot_value(i)` must return the perturbed value of slot `i`
+/// (push-sum weight already divided out).
 ///
 /// Shared by every execution substrate — the plaintext simulator, the real
 /// homomorphic pipeline, and the `cs_net` message-passing runtime — so the
@@ -191,7 +187,7 @@ pub fn assemble_aggregates(
 ) -> PerturbedAggregates {
     let mut sums = vec![vec![0.0; layout.series_len]; layout.k];
     let mut counts = vec![0.0; layout.k];
-    for slot in 0..layout.noise_offset() {
+    for slot in 0..layout.total() {
         let value = slot_value(slot);
         let j = slot / layout.per_cluster();
         let d = slot % layout.per_cluster();
@@ -204,11 +200,11 @@ pub fn assemble_aggregates(
     PerturbedAggregates { sums, counts }
 }
 
-/// Encrypts one contribution vector slot by slot, shipping zero slots as
-/// free trivial encryptions (paper step 1: non-selected clusters start as
-/// "encryptions of zero-valued time-series"; re-randomization on the first
-/// forward blinds them). Returns the ciphertexts and the number of *real*
-/// encryptions performed.
+/// Encrypts one contribution vector slot by slot. An exactly-zero slot
+/// (every slot carries a noise share, so there is almost never one) ships
+/// as a free trivial encryption; re-randomization on the first forward
+/// blinds it. Returns the ciphertexts and the number of *real* encryptions
+/// performed.
 pub fn encrypt_contribution<R: rand::Rng + ?Sized>(
     pk: &PublicKey,
     codec: &FixedPointCodec,
@@ -229,6 +225,24 @@ pub fn encrypt_contribution<R: rand::Rng + ?Sized>(
         })
         .collect();
     (cipher, encryptions)
+}
+
+/// Step 2d, committee side: every chosen member's partial decryption of
+/// every ciphertext, grouped per ciphertext for the batched combine.
+fn committee_partials(
+    tkp: &ThresholdKeyPair,
+    committee: &[usize],
+    cipher: &[Ciphertext],
+) -> Vec<Vec<PartialDecryption>> {
+    cipher
+        .iter()
+        .map(|c| {
+            committee
+                .iter()
+                .map(|&m| tkp.shares()[m].partial_decrypt(c))
+                .collect()
+        })
+        .collect()
 }
 
 /// Result of one computation step.
@@ -315,9 +329,7 @@ pub fn run_computation_step(
 }
 
 /// The packed variant of [`run_real`]: one ciphertext carries a whole lane
-/// vector, encryption takes the fixed-base path, and step 2c folds the
-/// noise block onto the data block with one addition per ciphertext *pair*
-/// instead of per bucket.
+/// vector and encryption takes the fixed-base path.
 #[allow(clippy::too_many_arguments)]
 fn run_real_packed(
     config: &ChiaroscuroConfig,
@@ -332,8 +344,7 @@ fn run_real_packed(
     rng: &mut StdRng,
 ) -> Result<ComputationOutcome, ChiaroscuroError> {
     let packed = plan_packed_codec(config, &pk, codec, layout, contributions.len())?;
-    let data_slots = layout.noise_offset();
-    let data_cts = packed.ciphertexts_for(data_slots);
+    let data_cts = packed.ciphertexts_for(layout.total());
     let mut encryptions = 0u64;
     let mut phases = PhaseProfile::default();
     let encrypt_started = Instant::now();
@@ -341,15 +352,14 @@ fn run_real_packed(
     for c in contributions {
         let node = match c {
             Some(values) => {
-                let (cipher, enc_count) =
-                    encrypt_packed_contribution(&packed, &enc, layout, values, rng)?;
+                let (cipher, enc_count) = encrypt_packed_contribution(&packed, &enc, values, rng)?;
                 encryptions += enc_count;
                 HePushSumNode::from_ciphertexts(pk.clone(), cipher, 1.0, config.rerandomize)
             }
             None => {
                 // Down at step start: zero weight, *unbiased* zero lanes —
                 // the lane bias must travel exactly with the weight mass.
-                let cipher = vec![pk.trivial_zero(); 2 * data_cts];
+                let cipher = vec![pk.trivial_zero(); data_cts];
                 HePushSumNode::from_ciphertexts(pk.clone(), cipher, 0.0, config.rerandomize)
             }
         };
@@ -385,7 +395,7 @@ fn run_real_packed(
         ops.merge(&n.op_counts());
     }
 
-    // Steps 2c + 2d, per ciphertext pair instead of per bucket.
+    // Step 2d, per ciphertext instead of per bucket.
     let mut decrypt_ops = DecryptionOps::default();
     let mut estimates = Vec::with_capacity(nodes.len());
     let t = config.threshold.threshold;
@@ -400,27 +410,13 @@ fn run_real_packed(
         committee.shuffle(rng);
         let committee = &committee[..t];
 
-        let mut groups = Vec::with_capacity(data_cts);
-        for j in 0..data_cts {
-            let fold_started = Instant::now();
-            let combined = pk.add(&cipher[j], &cipher[data_cts + j]);
-            let share_started = Instant::now();
-            phases.add(
-                StepPhase::Combine,
-                share_started.duration_since(fold_started).as_nanos() as u64,
-            );
-            ops.additions += 1;
-            let partials: Vec<_> = committee
-                .iter()
-                .map(|&m| tkp.shares()[m].partial_decrypt(&combined))
-                .collect();
-            phases.add(
-                StepPhase::DecryptShare,
-                share_started.elapsed().as_nanos() as u64,
-            );
-            decrypt_ops.partial_decryptions += t as u64;
-            groups.push(partials);
-        }
+        let share_started = Instant::now();
+        let groups = committee_partials(tkp, committee, cipher);
+        phases.add(
+            StepPhase::DecryptShare,
+            share_started.elapsed().as_nanos() as u64,
+        );
+        decrypt_ops.partial_decryptions += (t * data_cts) as u64;
         // One cached plan for the committee, one batched inversion for the
         // node's whole ciphertext vector.
         let combine_started = Instant::now();
@@ -431,8 +427,13 @@ fn run_real_packed(
         );
         decrypt_ops.combinations += data_cts as u64;
         let unpack_started = Instant::now();
-        let values =
-            packed.unpack_aggregate(&raws, data_slots, node.denominator_exp(), node.weight(), 2)?;
+        let values = packed.unpack_aggregate(
+            &raws,
+            layout.total(),
+            node.denominator_exp(),
+            node.weight(),
+            1,
+        )?;
         phases.add(
             StepPhase::Unpack,
             unpack_started.elapsed().as_nanos() as u64,
@@ -512,9 +513,8 @@ fn run_real(
         ops.merge(&n.op_counts());
     }
 
-    // Steps 2c + 2d per participant: fold noise into data homomorphically,
-    // then threshold-decrypt the combined slots.
-    let data_slots = layout.noise_offset();
+    // Step 2d per participant: threshold-decrypt the perturbed slots.
+    let data_slots = layout.total();
     let mut decrypt_ops = DecryptionOps::default();
     let mut estimates = Vec::with_capacity(nodes.len());
     let t = config.threshold.threshold;
@@ -532,30 +532,15 @@ fn run_real(
         committee.shuffle(rng);
         let committee = &committee[..t];
 
-        let mut groups = Vec::with_capacity(data_slots);
-        for slot in 0..data_slots {
-            // 2c: local addition of the encrypted noise to the encrypted mean.
-            let fold_started = Instant::now();
-            let combined = pk.add(&cipher[slot], &cipher[layout.noise_slot(slot)]);
-            let share_started = Instant::now();
-            phases.add(
-                StepPhase::Combine,
-                share_started.duration_since(fold_started).as_nanos() as u64,
-            );
-            ops.additions += 1;
-            // 2d: collaborative decryption — shares here, combine batched
-            // below under this committee's cached plan.
-            let partials: Vec<_> = committee
-                .iter()
-                .map(|&m| tkp.shares()[m].partial_decrypt(&combined))
-                .collect();
-            phases.add(
-                StepPhase::DecryptShare,
-                share_started.elapsed().as_nanos() as u64,
-            );
-            decrypt_ops.partial_decryptions += t as u64;
-            groups.push(partials);
-        }
+        // Collaborative decryption — shares here, combine batched below
+        // under this committee's cached plan.
+        let share_started = Instant::now();
+        let groups = committee_partials(tkp, committee, cipher);
+        phases.add(
+            StepPhase::DecryptShare,
+            share_started.elapsed().as_nanos() as u64,
+        );
+        decrypt_ops.partial_decryptions += (t * data_slots) as u64;
         let combine_started = Instant::now();
         let raws = plans.combine_batch(pk.as_ref(), config.threshold, tkp.delta(), &groups)?;
         phases.add(
@@ -618,7 +603,6 @@ fn run_simulated(
     traffic.bytes = (traffic.bytes as f64 * scale) as u64;
     let (nodes, _) = net.into_parts();
 
-    let data_slots = layout.noise_offset();
     let mut estimates = Vec::with_capacity(nodes.len());
     let mut decryptors = 0usize;
     let combine_started = Instant::now();
@@ -630,9 +614,7 @@ fn run_simulated(
         match node.estimate() {
             Some(est) => {
                 decryptors += 1;
-                estimates.push(Some(assemble_aggregates(layout, |slot| {
-                    est[slot] + est[layout.noise_slot(slot)]
-                })));
+                estimates.push(Some(assemble_aggregates(layout, |slot| est[slot])));
             }
             None => estimates.push(None),
         }
@@ -652,7 +634,7 @@ fn run_simulated(
     );
     let decrypt_ops = synthesize_decrypt_ops(
         decryptors,
-        data_slots,
+        layout.total(),
         config.threshold.threshold,
         ciphertext_bytes,
     );
@@ -749,6 +731,32 @@ mod tests {
         check_estimates(&outcome, 8);
         assert!(outcome.decrypt_ops.partial_decryptions > 0);
         assert!(outcome.ops.additions > 0);
+    }
+
+    #[test]
+    fn cost_model_matches_a_real_step() {
+        // The homomorphic half of the cost model against the run it models:
+        // failure-free, every delivered message is one split (`slots`
+        // re-randomizations) and one absorb (`slots` additions, at most as
+        // many rescalings), and nothing else adds.
+        let mut rng = StdRng::seed_from_u64(41);
+        let config = ChiaroscuroConfig {
+            k: 2,
+            gossip_cycles: 4,
+            ..ChiaroscuroConfig::test_real()
+        };
+        let contributions = tiny_contributions(6, &mut rng);
+        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
+        let outcome =
+            run_computation_step(&config, &layout(), &contributions, &crypto, 9, &mut rng).unwrap();
+        assert!(outcome.traffic.messages > 0 && outcome.traffic.dropped == 0);
+        let model = synthesize_ops(2, 3, 6, outcome.traffic.messages, config.rerandomize);
+        assert_eq!(outcome.ops.rerandomizations, model.rerandomizations);
+        assert_eq!(outcome.ops.additions, model.additions);
+        assert!(outcome.ops.pow2_scalings <= model.pow2_scalings);
+        // An exactly-zero slot would ship as a free trivial encryption.
+        assert!(outcome.ops.encryptions <= model.encryptions);
+        assert!(outcome.ops.encryptions > 0);
     }
 
     #[test]

@@ -34,8 +34,9 @@
 //!
 //! A lane must absorb the largest possible aggregate without carrying into
 //! its neighbour. With population `≤ P`, denominator exponents `≤ K`, and
-//! at most `bias_count ≤ 2` biased vectors folded together (data + noise in
-//! protocol step 2c):
+//! at most `bias_count ≤ 2` biased vectors folded together (the protocol
+//! always passes 1 — a contribution is one vector, its noise share folded
+//! in before packing — but the codec stays general):
 //!
 //! ```text
 //! lane_sum < bias_count · P · 2^K · 2^value_bits ≤ 2^(1 + ⌈log₂(P+1)⌉ + K + value_bits)
@@ -254,7 +255,8 @@ impl PackedCodec {
     ///   dropped);
     /// * `denom_exp`, `weight` — the aggregate's push-sum metadata;
     /// * `bias_count` — how many biased vectors were folded into each lane
-    ///   (1 for a plain aggregate, 2 after the data+noise combination).
+    ///   (1 for a plain aggregate, which is all the protocol produces; 2
+    ///   after adding two packed aggregates lane-wise).
     ///
     /// Errors with [`CryptoError::LaneHeadroomExceeded`] when the carry
     /// multiplier exceeds the planned headroom — lane sums could have
@@ -327,7 +329,7 @@ mod tests {
         let c = codec();
         // |x| ≤ 16 on a 2^12 grid → 17 bits + bias + slack.
         assert!(c.value_bits() >= 18, "value bits {}", c.value_bits());
-        // population 64, denom ≤ 10, data+noise fold.
+        // population 64, denom ≤ 10, one carry bit for a two-vector fold.
         assert!(c.headroom_bits() >= 18, "headroom {}", c.headroom_bits());
         assert!(c.lanes() >= 4, "lanes {}", c.lanes());
         assert!(c.lanes() * c.lane_bits() as usize <= 255);

@@ -6,8 +6,10 @@
 //! aggregation — for random bucket counts, populations, denominator
 //! schedules, and signed values. Both pipelines compute the same integer
 //! `Σ_i c_i · (x_i + y_i)` per bucket (`c_i = 2^(K − k_i)` the push-sum
-//! alignment coefficients, `y_i` the noise block), so the comparison is
-//! `assert_eq!` on `i128`, not an epsilon.
+//! alignment coefficients, `y_i` a second vector packed on its own and
+//! folded in under encryption — `bias_count = 2`, the codec's general case;
+//! the protocol folds its noise shares in cleartext and only ever unpacks
+//! with 1), so the comparison is `assert_eq!` on `i128`, not an epsilon.
 //!
 //! Lane-carry saturation is a *typed* failure: boundary tests pin down that
 //! packing a too-large value returns [`CryptoError::LaneOverflow`] and that
@@ -87,7 +89,8 @@ impl Schedule {
 
 /// Runs the packed pipeline: pack data+noise per participant, encrypt with
 /// the fixed-base encryptor, align + sum homomorphically, fold noise onto
-/// data (step 2c), threshold-decrypt, unpack. Returns per-bucket integers.
+/// data under encryption, threshold-decrypt, unpack. Returns per-bucket
+/// integers.
 fn packed_pipeline(
     codec: &PackedCodec,
     data: &[Vec<f64>],
@@ -270,7 +273,7 @@ fn aggregate_beyond_headroom_is_typed_not_wrapped() {
         c.unpack_integers(&pts, 1, 4, 1.0, 1).unwrap_err(),
         CryptoError::LaneHeadroomExceeded
     );
-    // The data+noise fold doubles the bias mass: budget halves.
+    // A two-vector fold doubles the bias mass: budget halves.
     assert_eq!(
         c.unpack_integers(&pts, 1, 3, 1.0, 2).unwrap_err(),
         CryptoError::LaneHeadroomExceeded

@@ -64,6 +64,46 @@ proptest! {
     }
 
     #[test]
+    fn push_sum_is_linear_in_the_contributions(
+        parts in proptest::collection::vec(
+            (proptest::collection::vec(-50.0f64..50.0, 3), proptest::collection::vec(-50.0f64..50.0, 3)),
+            4..24,
+        ),
+        seed in any::<u64>(),
+        crash in 0.0f64..0.2,
+        drop in 0.0f64..0.3,
+    ) {
+        // What lets a participant add its noise share `b` onto its data `a`
+        // before gossiping: under one schedule — crashes, recoveries and
+        // losses included — gossiping `[a | b]` and summing the two halves
+        // of the estimate gives what gossiping `a + b` gives.
+        let failure = FailureModel { crash_prob: crash, recovery_prob: 0.5, drop_prob: drop };
+        let network = |values: Vec<Vec<f64>>| {
+            let nodes = values.into_iter().map(|v| PushSumNode::new(v, 1.0)).collect();
+            let mut net = Network::new(nodes, Overlay::Full, failure, seed);
+            net.run_cycles(12);
+            net
+        };
+        let two_blocks = network(parts.iter().map(|(a, b)| [a.clone(), b.clone()].concat()).collect());
+        let folded = network(
+            parts.iter().map(|(a, b)| a.iter().zip(b).map(|(x, y)| x + y).collect()).collect(),
+        );
+        for i in 0..parts.len() {
+            prop_assert_eq!(two_blocks.is_alive(i), folded.is_alive(i));
+            match (two_blocks.nodes()[i].estimate(), folded.nodes()[i].estimate()) {
+                (None, None) => {}
+                (Some(ab), Some(sum)) => {
+                    for d in 0..3 {
+                        prop_assert!((ab[d] + ab[3 + d] - sum[d]).abs() <= 1e-9,
+                            "node {i} slot {d}: {} + {} vs {}", ab[d], ab[3 + d], sum[d]);
+                    }
+                }
+                (ab, sum) => prop_assert!(false, "node {i}: {ab:?} vs {sum:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn epidemic_version_floods_any_population(
         n in 4usize..128,
         source in any::<usize>(),

@@ -11,18 +11,18 @@
 //! code; the slot bookkeeping and encryption helpers come from
 //! `chiaroscuro::rounds` for the same reason.
 //!
-//! Phases of one step (paper steps 2a–2d):
+//! Phases of one step (paper steps 2a–2d; the node's contribution arrives
+//! with its noise share already folded in, so there is no 2c to run):
 //!
 //! 1. **Gossip** — every pacing tick, split the local mass and push it to a
 //!    uniformly-sampled live peer, until the push quota is exhausted;
 //!    incoming pushes are absorbed in any phase (they keep mixing mass even
 //!    after this node snapshots its own estimate — the ratio estimate is
 //!    unaffected because value and weight travel together).
-//! 2. **AwaitShares** (real crypto) — fold the encrypted noise block onto
-//!    the data block homomorphically, snapshot the combined ciphertexts,
-//!    and ask the key committee for exactly the `threshold` partial
-//!    decryption vectors the combine will read (see below); combine the
-//!    first `threshold` replies.
+//! 2. **AwaitShares** (real crypto) — snapshot the gossip ciphertexts as
+//!    they are and ask the key committee for exactly the `threshold`
+//!    partial decryption vectors the combine will read (see below);
+//!    combine the first `threshold` replies.
 //! 3. **Done** — broadcast a termination vote and keep serving committee
 //!    duties (partial decryptions for slower peers) until the runtime shuts
 //!    the population down.
@@ -66,8 +66,8 @@ use chiaroscuro::rounds::{
 use cs_bigint::BigUint;
 use cs_crypto::threshold::CombinePlanCache;
 use cs_crypto::{
-    Ciphertext, FastEncryptor, FixedPointCodec, KeyShare, PackedCodec, PartialDecryption,
-    PublicKey, RandomizerPool, ThresholdParams,
+    FastEncryptor, FixedPointCodec, KeyShare, PackedCodec, PartialDecryption, PublicKey,
+    RandomizerPool, ThresholdParams,
 };
 use cs_gossip::homomorphic_pushsum::{HePush, HePushSumNode, HomomorphicOpCounts};
 use cs_gossip::pushsum::{PlainPush, PushSumNode};
@@ -343,11 +343,13 @@ pub struct ProtocolNode {
 impl ProtocolNode {
     /// Creates the node for one computation step.
     ///
-    /// `contribution` is this node's cleartext contribution vector (data
-    /// block + noise block, see [`SlotLayout`]), or `None` for a node that
-    /// is down at step start — it holds zero weight and contributes
-    /// nothing, but still occupies a slot so it can recover mid-step,
-    /// exactly like the cycle simulator's crashed nodes.
+    /// `contribution` is this node's cleartext contribution vector (one
+    /// block of [`SlotLayout::total`] finite values, noise shares folded
+    /// in — callers taking it from outside the process check that before
+    /// they get here), or `None` for a node that is down at step start —
+    /// it holds zero weight and contributes nothing, but still occupies a
+    /// slot so it can recover mid-step, exactly like the cycle simulator's
+    /// crashed nodes.
     pub fn new(
         params: NodeParams,
         layout: SlotLayout,
@@ -356,6 +358,10 @@ impl ProtocolNode {
     ) -> Self {
         assert!(params.population >= 2, "need at least two nodes");
         assert!(params.id < params.population, "id outside population");
+        assert!(
+            contribution.is_none_or(|v| v.len() == layout.total()),
+            "contribution length"
+        );
         // The pre-warmed randomizer pool moves into the aggregator (it is
         // per-node state, not shared crypto configuration).
         let pool = match &mut crypto {
@@ -378,16 +384,13 @@ impl ProtocolNode {
             } => {
                 let (cipher, weight) = match (contribution, packed) {
                     (Some(values), Some(p)) => {
-                        assert_eq!(values.len(), layout.total(), "contribution length");
-                        let (cipher, enc) = encrypt_packed_contribution(
-                            &p.codec, &p.enc, &layout, values, &mut rng,
-                        )
-                        .expect("planned lanes fit the contribution envelope");
+                        let (cipher, enc) =
+                            encrypt_packed_contribution(&p.codec, &p.enc, values, &mut rng)
+                                .expect("planned lanes fit the contribution envelope");
                         ops.encryptions += enc;
                         (cipher, 1.0)
                     }
                     (Some(values), None) => {
-                        assert_eq!(values.len(), layout.total(), "contribution length");
                         let (cipher, enc) =
                             encrypt_contribution(pk.as_ref(), codec, values, &mut rng);
                         ops.encryptions += enc;
@@ -397,7 +400,7 @@ impl ProtocolNode {
                         // Down at step start: zero weight and *unbiased* zero
                         // lanes (the lane bias travels with the weight mass).
                         let cts = match packed {
-                            Some(p) => 2 * p.codec.ciphertexts_for(layout.noise_offset()),
+                            Some(p) => p.codec.ciphertexts_for(layout.total()),
                             None => layout.total(),
                         };
                         (vec![pk.trivial_zero(); cts], 0.0)
@@ -413,16 +416,10 @@ impl ProtocolNode {
                 }
                 Aggregator::Encrypted(he)
             }
-            NodeCrypto::Plain => {
-                let (values, weight) = match contribution {
-                    Some(values) => {
-                        assert_eq!(values.len(), layout.total(), "contribution length");
-                        (values.to_vec(), 1.0)
-                    }
-                    None => (vec![0.0; layout.total()], 0.0),
-                };
-                Aggregator::Plain(PushSumNode::new(values, weight))
-            }
+            NodeCrypto::Plain => Aggregator::Plain(match contribution {
+                Some(values) => PushSumNode::new(values.to_vec(), 1.0),
+                None => PushSumNode::new(vec![0.0; layout.total()], 0.0),
+            }),
         };
         profile.add(
             StepPhase::Encrypt,
@@ -902,123 +899,79 @@ impl ProtocolNode {
         if let Some(t) = &mut self.tracer {
             t.mark("gossip.end", &[("pushes", self.pushes_sent as u64)]);
         }
-        enum Next {
-            Finish(Option<PerturbedAggregates>),
-            Decrypt {
-                weight: f64,
-                denom: u32,
-                combined: Vec<Ciphertext>,
-            },
-        }
-        let layout = self.layout;
-        let mut combine_ns = 0u64;
-        let next = match &self.agg {
+        let snapshot = match &self.agg {
+            Aggregator::Plain(ps) => {
+                let est = ps
+                    .estimate()
+                    .map(|est| assemble_aggregates(&self.layout, |slot| est[slot]));
+                return self.finish(est, out);
+            }
+            Aggregator::Encrypted(he) if he.weight() <= f64::MIN_POSITIVE => {
+                return self.finish(None, out);
+            }
+            // Snapshot — later absorbs keep mixing the gossip state but no
+            // longer affect this estimate.
             Aggregator::Encrypted(he) => {
-                let weight = he.weight();
-                if weight <= f64::MIN_POSITIVE {
-                    Next::Finish(None)
-                } else {
-                    let NodeCrypto::Real { pk, packed, .. } = &self.crypto else {
-                        unreachable!("encrypted aggregator implies real crypto");
-                    };
-                    // Step 2c: fold the noise block onto the data block
-                    // homomorphically, then snapshot — later absorbs keep
-                    // mixing the gossip state but no longer affect this
-                    // estimate. Packed mode folds whole ciphertext pairs
-                    // (every lane at once) instead of slot pairs.
-                    let cipher = he.ciphertexts();
-                    let fold_started = Instant::now();
-                    let combined: Vec<Ciphertext> = match packed {
-                        Some(p) => {
-                            let data_cts = p.codec.ciphertexts_for(layout.noise_offset());
-                            (0..data_cts)
-                                .map(|j| pk.add(&cipher[j], &cipher[data_cts + j]))
-                                .collect()
-                        }
-                        None => (0..layout.noise_offset())
-                            .map(|slot| pk.add(&cipher[slot], &cipher[layout.noise_slot(slot)]))
-                            .collect(),
-                    };
-                    combine_ns = fold_started.elapsed().as_nanos() as u64;
-                    Next::Decrypt {
-                        weight,
-                        denom: he.denominator_exp(),
-                        combined,
-                    }
-                }
+                self.snapshot_weight = he.weight();
+                self.snapshot_denom = he.denominator_exp();
+                he.ciphertexts().to_vec()
             }
-            Aggregator::Plain(ps) => Next::Finish(ps.estimate().map(|est| {
-                assemble_aggregates(&layout, |slot| est[slot] + est[layout.noise_slot(slot)])
-            })),
         };
-        match next {
-            Next::Finish(est) => self.finish(est, out),
-            Next::Decrypt {
-                weight,
-                denom,
-                combined,
-            } => {
-                self.profile.add(StepPhase::Combine, combine_ns);
-                self.ops.additions += combined.len() as u64;
-                self.snapshot_weight = weight;
-                self.snapshot_denom = denom;
 
-                let mut recipients: Vec<NodeId> = self
-                    .params
-                    .committee
-                    .iter()
-                    .copied()
-                    .filter(|&m| m != self.params.id && self.peer_alive(m))
-                    .collect();
-                // Committee members contribute their own partials without a
-                // network hop.
-                let own_started = Instant::now();
-                let own_partials = match &self.crypto {
-                    NodeCrypto::Real {
-                        share: Some(share), ..
-                    } => Some(
-                        self.maybe_corrupt(
-                            combined
-                                .iter()
-                                .map(|c| share.partial_decrypt(c))
-                                .collect::<Vec<_>>(),
-                        ),
-                    ),
-                    _ => None,
-                };
-                if own_partials.is_some() {
-                    self.profile.add(
-                        StepPhase::DecryptShare,
-                        own_started.elapsed().as_nanos() as u64,
-                    );
-                }
-                if recipients.len() + usize::from(own_partials.is_some()) < self.threshold() {
-                    // Not enough live committee members: no estimate.
-                    self.finish(None, out);
-                    return;
-                }
-                // Rotated by the requester's id — no RNG draw — so the
-                // population's requests spread evenly over the committee.
-                if !recipients.is_empty() {
-                    let start = self.params.id % recipients.len();
-                    recipients.rotate_left(start);
-                }
-                self.phase = Phase::AwaitShares;
-                self.pending_request = Some(PendingRequest {
-                    recipients,
-                    asked: 0,
-                    request: Message::DecryptRequest {
-                        iteration: self.params.iteration,
-                        slots: combined,
-                    },
-                });
-                if let Some(partials) = own_partials {
-                    self.decrypt_ops.partial_decryptions += partials.len() as u64;
-                    self.accept_share(self.params.id, partials, out);
-                }
-                self.ask_committee(out);
-            }
+        let mut recipients: Vec<NodeId> = self
+            .params
+            .committee
+            .iter()
+            .copied()
+            .filter(|&m| m != self.params.id && self.peer_alive(m))
+            .collect();
+        // Committee members contribute their own partials without a
+        // network hop.
+        let own_started = Instant::now();
+        let own_partials = match &self.crypto {
+            NodeCrypto::Real {
+                share: Some(share), ..
+            } => Some(
+                self.maybe_corrupt(
+                    snapshot
+                        .iter()
+                        .map(|c| share.partial_decrypt(c))
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+            _ => None,
+        };
+        if own_partials.is_some() {
+            self.profile.add(
+                StepPhase::DecryptShare,
+                own_started.elapsed().as_nanos() as u64,
+            );
         }
+        if recipients.len() + usize::from(own_partials.is_some()) < self.threshold() {
+            // Not enough live committee members: no estimate.
+            self.finish(None, out);
+            return;
+        }
+        // Rotated by the requester's id — no RNG draw — so the
+        // population's requests spread evenly over the committee.
+        if !recipients.is_empty() {
+            let start = self.params.id % recipients.len();
+            recipients.rotate_left(start);
+        }
+        self.phase = Phase::AwaitShares;
+        self.pending_request = Some(PendingRequest {
+            recipients,
+            asked: 0,
+            request: Message::DecryptRequest {
+                iteration: self.params.iteration,
+                slots: snapshot,
+            },
+        });
+        if let Some(partials) = own_partials {
+            self.decrypt_ops.partial_decryptions += partials.len() as u64;
+            self.accept_share(self.params.id, partials, out);
+        }
+        self.ask_committee(out);
     }
 
     /// Shares the combine needs.
@@ -1066,14 +1019,14 @@ impl ProtocolNode {
         )
     }
 
-    /// Combined (data + noise) ciphertexts this node snapshots for
-    /// decryption: one per data slot unpacked, one per lane group packed.
+    /// Ciphertexts this node gossips and snapshots for decryption: one per
+    /// slot unpacked, one per lane group packed.
     fn data_ciphertext_count(&self) -> usize {
         match &self.crypto {
             NodeCrypto::Real {
                 packed: Some(p), ..
-            } => p.codec.ciphertexts_for(self.layout.noise_offset()),
-            _ => self.layout.noise_offset(),
+            } => p.codec.ciphertexts_for(self.layout.total()),
+            _ => self.layout.total(),
         }
     }
 
@@ -1132,63 +1085,37 @@ impl ProtocolNode {
         }
         let weight = self.snapshot_weight;
         let denom = self.snapshot_denom;
-        let mut combinations = 0u64;
-        let combine_ns;
-        let mut unpack_ns = 0u64;
-        let est = match packed {
-            Some(p) => {
-                // Combine each packed ciphertext, then unpack every lane at
-                // once. A headroom violation surfaces as a failed step, not
-                // silently-wrapped values.
-                let data_slots = self.layout.noise_offset();
-                let data_cts = p.codec.ciphertexts_for(data_slots);
-                let combine_started = Instant::now();
-                let groups: Vec<Vec<PartialDecryption>> = (0..data_cts)
-                    .map(|j| contributors.iter().map(|c| c[j].clone()).collect())
-                    .collect();
-                let raws = plans.combine_batch(pk.as_ref(), *params, delta, &groups);
-                combine_ns = combine_started.elapsed().as_nanos() as u64;
-                match raws {
-                    Ok(raws) => {
-                        combinations += data_cts as u64;
-                        let unpack_started = Instant::now();
-                        let est = match p
-                            .codec
-                            .unpack_aggregate(&raws, data_slots, denom, weight, 2)
-                        {
-                            Ok(values) => {
-                                Some(assemble_aggregates(&self.layout, |slot| values[slot]))
-                            }
-                            Err(_) => None,
-                        };
-                        unpack_ns = unpack_started.elapsed().as_nanos() as u64;
-                        est
-                    }
-                    Err(_) => None,
-                }
-            }
-            None => {
-                let data_slots = self.layout.noise_offset();
-                let combine_started = Instant::now();
-                let groups: Vec<Vec<PartialDecryption>> = (0..data_slots)
-                    .map(|slot| contributors.iter().map(|p| p[slot].clone()).collect())
-                    .collect();
-                let raws = plans.combine_batch(pk.as_ref(), *params, delta, &groups);
-                let est = match raws {
-                    Ok(raws) => {
-                        combinations += data_slots as u64;
-                        Some(assemble_aggregates(&self.layout, |slot| {
-                            codec.decode(&raws[slot], pk.n_s(), denom) / weight
-                        }))
-                    }
-                    Err(_) => None,
-                };
-                combine_ns = combine_started.elapsed().as_nanos() as u64;
-                est
-            }
+        let combine_started = Instant::now();
+        let groups: Vec<Vec<PartialDecryption>> = (0..self.data_ciphertext_count())
+            .map(|j| contributors.iter().map(|c| c[j].clone()).collect())
+            .collect();
+        let raws = plans
+            .combine_batch(pk.as_ref(), *params, delta, &groups)
+            .ok();
+        let combine_ns = combine_started.elapsed().as_nanos() as u64;
+        let combinations = raws.as_ref().map_or(0, |r| r.len() as u64);
+        let decode_started = Instant::now();
+        let est = raws.and_then(|raws| match packed {
+            // Every lane at once. A headroom violation surfaces as a failed
+            // step, not silently-wrapped values.
+            Some(p) => p
+                .codec
+                .unpack_aggregate(&raws, self.layout.total(), denom, weight, 1)
+                .ok()
+                .map(|values| assemble_aggregates(&self.layout, |slot| values[slot])),
+            None => Some(assemble_aggregates(&self.layout, |slot| {
+                codec.decode(&raws[slot], pk.n_s(), denom) / weight
+            })),
+        });
+        // Lane extraction is a phase of its own; the per-slot decode of an
+        // unpacked aggregate counts as part of the combine.
+        let decode_phase = match packed {
+            Some(_) => StepPhase::Unpack,
+            None => StepPhase::Combine,
         };
         self.profile.add(StepPhase::Combine, combine_ns);
-        self.profile.add(StepPhase::Unpack, unpack_ns);
+        self.profile
+            .add(decode_phase, decode_started.elapsed().as_nanos() as u64);
         self.decrypt_ops.combinations += combinations;
         self.finish(est, out);
     }

@@ -82,7 +82,7 @@ impl StepCrypto {
         };
         let pool_target = match &packed {
             Some(p) if config.rerandomize => {
-                pool_target_for(config, p.codec.ciphertexts_for(layout.noise_offset()))
+                pool_target_for(config, p.codec.ciphertexts_for(layout.total()))
             }
             _ => 0,
         };
@@ -144,13 +144,13 @@ impl StepCrypto {
 
 /// Randomizers a node's pool holds at step start: the expected demand of a
 /// full gossip run (each push re-randomizes the node's whole ciphertext
-/// vector — data and noise halves, `2 · data_cts` ciphertexts), capped so
-/// huge lane counts don't make pre-warming itself the bottleneck. A node
-/// that forwards more than expected falls back to on-the-fly randomizers;
-/// one that terminates early simply wastes the tail. The one sizing rule:
-/// the `csnoded` daemon's persistent pool targets the same figure.
+/// vector, `data_cts` ciphertexts), capped so huge lane counts don't make
+/// pre-warming itself the bottleneck. A node that forwards more than
+/// expected falls back to on-the-fly randomizers; one that terminates
+/// early simply wastes the tail. The one sizing rule: the `csnoded`
+/// daemon's persistent pool targets the same figure.
 pub fn pool_target_for(config: &ChiaroscuroConfig, data_cts: usize) -> usize {
-    (config.gossip_cycles * 2 * data_cts).min(512)
+    (config.gossip_cycles * data_cts).min(512)
 }
 
 /// Builds node `i`'s randomizer pool for the step. **Pure function of
@@ -202,7 +202,7 @@ pub fn prewarm_step_pools(
     else {
         return 0;
     };
-    let target = pool_target_for(config, packed.ciphertexts_for(layout.noise_offset()));
+    let target = pool_target_for(config, packed.ciphertexts_for(layout.total()));
     if target == 0 {
         return 0;
     }

@@ -77,10 +77,11 @@ pub enum FrameClass {
 /// Everything a Chiaroscuro participant ever puts on the wire.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Message {
-    /// One encrypted push-sum half-exchange: Damgård-Jurik ciphertext slots
-    /// (data block + noise block) with their denominator exponent and the
-    /// halved push-sum weight (steps 2a/2b merged — both blocks travel
-    /// together and experience the same mixing weights).
+    /// One encrypted push-sum half-exchange: Damgård-Jurik ciphertext
+    /// slots — one per slot of the sender's one-block contribution layout,
+    /// noise shares folded in before encryption — with their denominator
+    /// exponent and the halved push-sum weight (steps 2a–2c as one
+    /// aggregate).
     EncryptedPush {
         /// Protocol iteration this push belongs to.
         iteration: u64,
@@ -94,8 +95,9 @@ pub enum Message {
     /// The packed counterpart of [`Message::EncryptedPush`] (wire v2): each
     /// ciphertext carries a whole lane vector (`cs_crypto::packing`), so a
     /// push ships `⌈buckets/lanes⌉` ciphertexts instead of one per bucket.
-    /// `buckets` is the logical bucket count (data + noise blocks), letting
-    /// the receiver cross-check the sender's layout before absorbing.
+    /// `buckets` is the logical bucket count (`SlotLayout::total()`),
+    /// letting the receiver cross-check the sender's layout before
+    /// absorbing.
     PackedPush {
         /// Protocol iteration this push belongs to.
         iteration: u64,
@@ -118,12 +120,12 @@ pub enum Message {
         /// The pushed plaintext slots.
         slots: Vec<f64>,
     },
-    /// A request for partial decryptions of the requester's combined
-    /// (mean + noise) ciphertext slots (step 2d).
+    /// A request for partial decryptions of the requester's snapshot of its
+    /// gossip ciphertexts — the perturbed aggregate (step 2d).
     DecryptRequest {
         /// Protocol iteration of the decryption round.
         iteration: u64,
-        /// The combined ciphertexts to partially decrypt.
+        /// The ciphertexts to partially decrypt.
         slots: Vec<Ciphertext>,
     },
     /// A committee member's partial decryptions, one per requested slot.

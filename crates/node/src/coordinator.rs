@@ -5,9 +5,10 @@
 //! The coordinator models the paper's *initialization* role, not a trusted
 //! aggregator: it deals key shares (the dealer of `cs_crypto::threshold`),
 //! distributes the population manifest, and paces steps — but the gossip
-//! aggregation, noise folding, and collaborative decryption run entirely
-//! between the daemons, and all the coordinator ever learns back are the
-//! *DP-perturbed* aggregate estimates the protocol discloses anyway.
+//! aggregation of the noise-carrying contributions and the collaborative
+//! decryption run entirely between the daemons, and all the coordinator
+//! ever learns back are the *DP-perturbed* aggregate estimates the
+//! protocol discloses anyway.
 //!
 //! Orchestration per step mirrors the threaded runtime's driver: hand every
 //! live daemon its `Step`, wait until each announces `Done` (or its process

@@ -222,10 +222,9 @@ impl RunContext {
     /// re-randomize packed ciphertexts.
     fn pool_target(&self) -> usize {
         match &self.packed {
-            Some(p) if self.config.rerandomize => pool_target_for(
-                &self.config,
-                p.codec.ciphertexts_for(self.layout.noise_offset()),
-            ),
+            Some(p) if self.config.rerandomize => {
+                pool_target_for(&self.config, p.codec.ciphertexts_for(self.layout.total()))
+            }
             _ => 0,
         }
     }
@@ -675,6 +674,24 @@ fn poll_control(rx: &mpsc::Receiver<ControlMsg>) -> io::Result<ControlFlow<()>> 
     }
 }
 
+/// A `Step`'s contribution comes off the control socket. One of the wrong
+/// length (a coordinator on another contribution layout) or with a
+/// non-finite value would trip [`ProtocolNode::new`]'s assertions and
+/// panic the daemon; this fails the step with an error instead.
+fn check_contribution(layout: &SlotLayout, contribution: &[f64]) -> io::Result<()> {
+    if contribution.len() != layout.total() {
+        return Err(bad_data(format!(
+            "step contribution has {} values, this run's layout has {} slots",
+            contribution.len(),
+            layout.total(),
+        )));
+    }
+    match contribution.iter().position(|v| !v.is_finite()) {
+        Some(slot) => Err(bad_data(format!("contribution slot {slot} is not finite"))),
+        None => Ok(()),
+    }
+}
+
 /// Drives one computation step: the node's event loop is the same
 /// [`pump`] the threaded runtime's node threads run, hosted differently —
 /// completion is *announced* to the coordinator instead of ringing a shared
@@ -701,7 +718,7 @@ fn run_step(
         step_timeout: Duration::from_millis(ctx.timing.step_timeout_ms),
     };
 
-    if contribution.is_none() {
+    let Some(contribution) = contribution else {
         // Down at step start: hold the slot dark. Everything addressed to
         // this node is received and destroyed, like a crashed node. A dark
         // slot still acknowledges Ready so it can never stall the
@@ -719,8 +736,9 @@ fn run_step(
                 return Ok(cs_net::node::NodeReport::dead(id));
             }
         }
-    }
+    };
 
+    check_contribution(&ctx.layout, &contribution)?;
     let params = NodeParams::for_step(
         id,
         transport.node_count(),
@@ -731,7 +749,7 @@ fn run_step(
         ctx.fault,
     );
     let node_crypto = ctx.node_crypto()?;
-    let node = ProtocolNode::new(params, ctx.layout, node_crypto, contribution.as_deref());
+    let node = ProtocolNode::new(params, ctx.layout, node_crypto, Some(&contribution));
     let mut driver = NodeDriver::new(node, &timing, true);
     // However the step ends, the (possibly drained) randomizer pool
     // survives it; it is restocked after the Report ships (see
@@ -785,4 +803,33 @@ fn run_step(
     let announce = || write_msg(control, &ControlMsg::Done { step, node: id });
     pump(&mut driver, transport, turn, announce)?;
     Ok(finish(driver))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn malformed_step_contributions_are_typed_errors() {
+        let layout = SlotLayout {
+            k: 2,
+            series_len: 3,
+        };
+        assert!(check_contribution(&layout, &[0.5; 8]).is_ok());
+        // What a coordinator on the old two-block layout would send.
+        let err = check_contribution(&layout, &[0.5; 16]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("16 values") && msg.contains("8 slots"),
+            "{msg}"
+        );
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut values = [0.5; 8];
+            values[5] = bad;
+            let err = check_contribution(&layout, &values).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("slot 5"), "{err}");
+        }
+    }
 }

@@ -240,7 +240,7 @@ fn real_crypto_cluster_distributes_shares_and_decrypts() {
     // pacing above also keeps the retry interval, 50 pushes, far above the
     // committee's service time: a hedge that fired would show up here.)
     assert_eq!(with_estimates, n);
-    let slots = 2 * (3 + 1); // k · (series_len + 1) combined ciphertexts
+    let slots = 2 * (3 + 1); // k · (series_len + 1) ciphertexts
     let partials: u64 = reports
         .iter()
         .map(|r| r.decrypt_ops.partial_decryptions)
@@ -255,6 +255,17 @@ fn real_crypto_cluster_distributes_shares_and_decrypts() {
         chiaroscuro::cost::synthesize_decrypt_ops(n, slots, threshold, 0).partial_decryptions,
         "the cost model's d·s·t"
     );
+    // The gossip side of the same parity: a daemon encrypts, and on every
+    // push re-randomizes, exactly the one block it later has decrypted.
+    for r in reports {
+        assert_eq!(r.ops.encryptions, slots as u64, "node {}", r.id);
+        assert_eq!(
+            r.ops.rerandomizations,
+            (r.pushes_sent * slots) as u64,
+            "node {}",
+            r.id
+        );
+    }
     let snap = backend.last_snapshot().unwrap();
     assert!(snap.decrypt.bytes > 0, "decrypt frames crossed the sockets");
 

@@ -6,9 +6,9 @@
 //! exponentiations, once per node per step), **gossip** crypto (the
 //! push-sum split/absorb homomorphic work), the committee's
 //! **decrypt-share** service (one partial decryption per requested
-//! ciphertext), **combine** (the 2c data+noise fold plus Lagrange
-//! recombination of partial decryptions), and **unpack** (lane extraction
-//! in packed mode). A [`PhaseProfile`] holds per-phase nanosecond totals;
+//! ciphertext), **combine** (Lagrange recombination of partial
+//! decryptions), and **unpack** (lane extraction in packed mode). A
+//! [`PhaseProfile`] holds per-phase nanosecond totals;
 //! the sans-IO protocol node accumulates one, every substrate ships it
 //! home in its report, and the per-node profiles sum ([`PhaseProfile::plus`])
 //! into the step outcome that `bench_summary --profile` emits.
@@ -29,7 +29,7 @@ pub enum StepPhase {
     Gossip,
     /// Serving partial decryptions as a committee member.
     DecryptShare,
-    /// The 2c data+noise fold and the Lagrange combine of partials.
+    /// The Lagrange combine of partials.
     Combine,
     /// Lane extraction of a packed aggregate.
     Unpack,

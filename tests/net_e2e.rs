@@ -165,6 +165,17 @@ fn decrypt_round_count_parity_threaded_vs_simulator() {
         chiaroscuro::cost::synthesize_decrypt_ops(n, slots, threshold, 0).partial_decryptions,
         "the cost model's d·s·t"
     );
+    // The gossip side of the same parity: a node encrypts, and on every
+    // push re-randomizes, exactly the one block it later has decrypted.
+    for r in &step.reports {
+        assert_eq!(r.ops.encryptions, slots as u64, "node {}", r.id);
+        assert_eq!(
+            r.ops.rerandomizations,
+            (r.pushes_sent * slots) as u64,
+            "node {}",
+            r.id
+        );
+    }
 }
 
 /// Simulated-crypto mode over the runtime: larger population, two full

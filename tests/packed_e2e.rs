@@ -97,10 +97,10 @@ fn packed_net_run_with_crash_matches_unpacked_simulator() {
     );
 
     // Packing must shrink the gossip payload: an unpacked push carries
-    // layout.total() = 24 ciphertexts (~64 B each at test keys).
+    // layout.total() = 12 ciphertexts (~64 B each at test keys).
     let per_push = step.snapshot.gossip.bytes as f64 / step.snapshot.gossip.messages as f64;
     assert!(
-        per_push < 24.0 * 64.0 * 0.6,
+        per_push < 12.0 * 64.0 * 0.6,
         "packed push of {per_push} B is not materially smaller"
     );
 

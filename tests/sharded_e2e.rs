@@ -405,6 +405,26 @@ fn decrypt_round_count_parity_sharded_vs_simulator() {
         chiaroscuro::cost::synthesize_decrypt_ops(n, ciphertexts, threshold, 0).partial_decryptions,
         "the cost model's d·s·t"
     );
+    // The gossip side of the same parity: a node encrypts, and on every
+    // push re-randomizes, exactly the ciphertexts it later has decrypted —
+    // and every `PackedPush` carries that many: each delivered push is
+    // absorbed with one addition per ciphertext, and one of any other
+    // width is a bad frame.
+    for r in &step.reports {
+        assert_eq!(r.ops.encryptions, ciphertexts as u64, "node {}", r.id);
+        assert_eq!(
+            r.ops.rerandomizations,
+            (r.pushes_sent * ciphertexts) as u64,
+            "node {}",
+            r.id
+        );
+        assert_eq!(r.bad_frames, 0, "node {}", r.id);
+    }
+    let additions: u64 = step.reports.iter().map(|r| r.ops.additions).sum();
+    assert_eq!(
+        additions,
+        step.snapshot.gossip.messages * ciphertexts as u64
+    );
 }
 
 /// Everything the golden-timeline test pins about one step: per-class
@@ -494,6 +514,25 @@ fn timeline_of(step: &cs_net::StepRun) -> Timeline {
 /// randomizer reproduces every old field except the ciphertext-derived ones
 /// (`traces`, one byte of `decrypt`), which is how the cause was confirmed.
 /// The plain half builds no `FastEncryptor` and did not move.
+///
+/// Both halves were re-recorded when a participant started folding its
+/// noise share into its contribution before encrypting, so a push carries
+/// one block of `k·(series_len+1)` = 12 slots where it carried two. Plain
+/// half: gossip `bytes` 1 218 159 → 736 911, which is 5 013 delivered
+/// frames × 12 slots × 8 B; the `estimates` bits (one rounding of the sum
+/// where there were two) and the `traces` hash (frame lengths) follow, and
+/// every count — gossip 5 013 + 107 dropped, `control`, 4 130 / 66 270
+/// in/cross-shard, 40 epochs — is the value recorded before. Packed half:
+/// 12 slots in 2 lanes are 6 ciphertexts a push where there were 12, gossip
+/// `bytes` 137 358 → 73 310 over the same 157 + 3 frames; `decrypt` is 60
+/// frames as before (one byte longer: new ciphertext values), `control` and
+/// `epochs` did not move. The in/cross-shard split moved 95/366 → 91/370
+/// (461 either way) by the mechanism of the paragraph above: a node now
+/// draws 6 contribution randomizers, not 12, from the RNG that then samples
+/// its peers. Encrypting the contribution a second time and discarding the
+/// result puts the split back at 95/366 with every count as recorded, and
+/// leaves only ciphertext-derived fields different (gossip `bytes` 73 315,
+/// `decrypt` 28 500, the two hashes), which is how the cause was confirmed.
 #[test]
 fn sharded_timeline_matches_the_recorded_golden_values() {
     let link = cs_net::LinkConfig {
@@ -528,14 +567,14 @@ fn sharded_timeline_matches_the_recorded_golden_values() {
         ..ShardedConfig::default()
     };
     let plain = Timeline {
-        gossip: [5013, 1_218_159, 107],
+        gossip: [5013, 736_911, 107],
         decrypt: [0, 0, 0],
         control: [64_060, 2_562_400, 1220],
         in_shard: 4130,
         cross_shard: 66_270,
         epochs: 40,
-        estimates: 295_482_550_361_495_114,
-        traces: 13_671_129_458_458_459_801,
+        estimates: 16_601_599_894_618_725_702,
+        traces: 7_134_035_615_412_258_229,
     };
     for got in run(&cfg, &series, &sharded) {
         assert_eq!(got, plain, "plain 256-node timeline moved");
@@ -558,14 +597,14 @@ fn sharded_timeline_matches_the_recorded_golden_values() {
         ..ShardedConfig::default()
     };
     let packed = Timeline {
-        gossip: [157, 137_358, 3],
-        decrypt: [60, 28_497, 1],
+        gossip: [157, 73_310, 3],
+        decrypt: [60, 28_498, 1],
         control: [237, 9480, 3],
-        in_shard: 95,
-        cross_shard: 366,
+        in_shard: 91,
+        cross_shard: 370,
         epochs: 30,
-        estimates: 17_188_256_826_184_034_951,
-        traces: 11_128_246_906_971_169_263,
+        estimates: 17_351_782_896_621_205_483,
+        traces: 13_984_838_906_201_862_816,
     };
     for got in run(&cfg, &series, &sharded) {
         assert_eq!(got, packed, "packed 16-node timeline moved");

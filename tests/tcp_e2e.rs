@@ -299,10 +299,10 @@ fn packed_real_crypto_cluster_runs_across_processes() {
     );
     // Packed pushes ship ⌈buckets/lanes⌉ ciphertexts instead of one per
     // bucket: the per-push payload must be materially below the unpacked
-    // floor (12 data+noise buckets × ~64 B ciphertexts at test keys).
+    // floor (k·(series_len+1) = 12 buckets × ~64 B ciphertexts at test keys).
     let snap = backend.last_snapshot().unwrap();
     let per_push = snap.gossip.bytes as f64 / snap.gossip.messages.max(1) as f64;
-    let unpacked_floor = (2 * 2 * (5 + 1) * 64) as f64;
+    let unpacked_floor = (2 * (5 + 1) * 64) as f64;
     assert!(
         per_push < unpacked_floor * 0.6,
         "packed push of {per_push} B is not smaller than unpacked {unpacked_floor} B"
