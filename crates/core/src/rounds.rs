@@ -20,9 +20,11 @@ use crate::config::{ChiaroscuroConfig, CryptoMode};
 use crate::cost::{synthesize_decrypt_ops, synthesize_ops, DecryptionOps};
 use crate::error::ChiaroscuroError;
 use crate::noise::SlotLayout;
+use cs_bigint::BigUint;
 use cs_crypto::threshold::{CombinePlanCache, ThresholdKeyPair};
 use cs_crypto::{
-    Ciphertext, FastEncryptor, FixedPointCodec, PackedCodec, PartialDecryption, PoolBank, PublicKey,
+    Ciphertext, FastEncryptor, FixedPointCodec, PackedCodec, PartialDecryption, PublicKey,
+    RandomizerPool,
 };
 use cs_gossip::homomorphic_pushsum::{HePushSumNode, HomomorphicOpCounts};
 use cs_gossip::pushsum::PushSumNode;
@@ -30,6 +32,7 @@ use cs_gossip::{Network, TrafficStats};
 use cs_obs::phase::{PhaseProfile, StepPhase};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use rand::Rng;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,18 +47,12 @@ pub enum CryptoContext {
         /// Fixed-point codec.
         codec: FixedPointCodec,
         /// Fixed-base fast encryptor — `Some` when ciphertext packing is
-        /// enabled ([`ChiaroscuroConfig::packing`]); the per-step lane plan
-        /// is derived via [`plan_packed_codec`].
+        /// enabled ([`ChiaroscuroConfig::packing`]); the per-step layout is
+        /// a [`StepCipher`].
         fast: Option<Arc<FastEncryptor>>,
         /// Per-committee-subset combine plans (Lagrange exponents and the
         /// `(4Δ²)^{-1}` constant), shared across every step of the run.
         plans: Arc<CombinePlanCache>,
-        /// Pre-warmed randomizer pools keyed by `(step seed, node)` — a
-        /// pure cache (pool contents are a function of the seeds alone), so
-        /// drivers can fill it during idle time between steps and the
-        /// message-passing substrates pop randomizers instead of paying
-        /// fixed-base exponentiations mid-gossip.
-        pool_bank: Arc<PoolBank>,
     },
     /// Plaintext pipeline with synthesized cost accounting.
     Simulated {
@@ -90,12 +87,37 @@ impl CryptoContext {
                     codec: FixedPointCodec::new(config.codec_scale_bits),
                     fast,
                     plans: Arc::new(CombinePlanCache::new()),
-                    pool_bank: Arc::new(PoolBank::new()),
                 })
             }
             CryptoMode::Simulated { cost_profile } => Ok(CryptoContext::Simulated {
                 ciphertext_bytes: cost_profile.ciphertext_bytes.max(1),
             }),
+        }
+    }
+
+    /// The decryption committee of a `population`-node run: the first
+    /// `parties` nodes, in share order — the dealer hands share `j` to node
+    /// `j`. Empty in simulated mode.
+    pub fn committee(&self, population: usize) -> Vec<usize> {
+        match self {
+            CryptoContext::Real { tkp, .. } => (0..tkp.params().parties.min(population)).collect(),
+            CryptoContext::Simulated { .. } => Vec::new(),
+        }
+    }
+
+    /// The ciphertext layout of one step over `population` nodes; `None` in
+    /// simulated mode, where nothing is encrypted.
+    pub fn step_cipher(
+        &self,
+        config: &ChiaroscuroConfig,
+        layout: &SlotLayout,
+        population: usize,
+    ) -> Result<Option<StepCipher>, ChiaroscuroError> {
+        match self {
+            CryptoContext::Real { pk, fast, .. } => {
+                StepCipher::plan(config, pk, fast.as_ref(), layout, population).map(Some)
+            }
+            CryptoContext::Simulated { .. } => Ok(None),
         }
     }
 }
@@ -150,18 +172,198 @@ pub fn plan_packed_codec(
     }
 }
 
-/// Packs and encrypts one contribution vector. Returns the ciphertexts and
-/// the encryption count.
-pub fn encrypt_packed_contribution<R: rand::Rng + ?Sized>(
-    packed: &PackedCodec,
-    enc: &FastEncryptor,
-    values: &[f64],
-    rng: &mut R,
-) -> Result<(Vec<Ciphertext>, u64), ChiaroscuroError> {
-    let plaintexts = packed.pack(values)?;
-    let cipher: Vec<Ciphertext> = plaintexts.iter().map(|m| enc.encrypt(m, rng)).collect();
-    let count = cipher.len() as u64;
-    Ok((cipher, count))
+/// How one computation step's contributions become ciphertexts and its
+/// decrypted aggregates become values — the one place that data format is
+/// decided. [`ChiaroscuroConfig::packing`] selects between two layouts:
+/// *per-slot*, one [`FixedPointCodec`] plaintext per ciphertext under the
+/// generic encryption, and *packed*, one [`PackedCodec`] lane vector per
+/// ciphertext under the [`FastEncryptor`]'s fixed-base encryption and
+/// re-randomization. Every substrate — the cycle simulator below, the
+/// `cs_net` runtimes, a `csnoded` process — plans one from public inputs
+/// alone (see [`plan_packed_codec`]), so the whole population agrees on it
+/// without coordination, and asks it for everything the two layouts do
+/// differently.
+#[derive(Clone)]
+pub struct StepCipher {
+    pk: Arc<PublicKey>,
+    layout: SlotLayout,
+    rerandomize: bool,
+    /// Randomizers a node's gossip is expected to draw (0 = no pooling).
+    pool_target: usize,
+    lanes: Lanes,
+}
+
+#[derive(Clone)]
+enum Lanes {
+    PerSlot(FixedPointCodec),
+    Packed(PackedCodec, Arc<FastEncryptor>),
+}
+
+impl StepCipher {
+    /// Plans the step's layout: packed when the run has a fast encryptor,
+    /// per-slot otherwise.
+    pub fn plan(
+        config: &ChiaroscuroConfig,
+        pk: &Arc<PublicKey>,
+        fast: Option<&Arc<FastEncryptor>>,
+        layout: &SlotLayout,
+        population: usize,
+    ) -> Result<Self, ChiaroscuroError> {
+        let codec = FixedPointCodec::new(config.codec_scale_bits);
+        let (lanes, pool_target) = match fast {
+            Some(enc) => {
+                let packed = plan_packed_codec(config, pk, &codec, layout, population)?;
+                // The expected demand of a full gossip run — each push
+                // re-randomizes the node's whole ciphertext vector — capped
+                // so huge lane counts don't make the refill the bottleneck.
+                // A node that forwards more falls back to on-the-fly
+                // randomizers; one that terminates early wastes the tail.
+                let demand = config.gossip_cycles * packed.ciphertexts_for(layout.total());
+                let target = if config.rerandomize {
+                    demand.min(512)
+                } else {
+                    0
+                };
+                (Lanes::Packed(packed, enc.clone()), target)
+            }
+            None => (Lanes::PerSlot(codec), 0),
+        };
+        Ok(StepCipher {
+            pk: pk.clone(),
+            layout: *layout,
+            rerandomize: config.rerandomize,
+            pool_target,
+            lanes,
+        })
+    }
+
+    /// The public key every ciphertext of the step is under.
+    pub fn public_key(&self) -> &Arc<PublicKey> {
+        &self.pk
+    }
+
+    /// Ciphertexts a node gossips and snapshots for decryption: one per
+    /// slot, or one per lane group.
+    pub fn ciphertexts(&self) -> usize {
+        match &self.lanes {
+            Lanes::PerSlot(_) => self.layout.total(),
+            Lanes::Packed(codec, _) => codec.ciphertexts_for(self.layout.total()),
+        }
+    }
+
+    /// The logical bucket count a push declares on the wire when its
+    /// ciphertexts carry lane vectors, so the receiver can cross-check the
+    /// sender's layout; `None` when every ciphertext is one slot.
+    pub fn packed_buckets(&self) -> Option<u32> {
+        matches!(self.lanes, Lanes::Packed(..)).then_some(self.layout.total() as u32)
+    }
+
+    /// The lane plan's carry headroom in bits — the watermark the
+    /// lane-headroom audit checks; `None` without lanes.
+    pub fn lane_headroom_bits(&self) -> Option<u64> {
+        match &self.lanes {
+            Lanes::PerSlot(_) => None,
+            Lanes::Packed(codec, _) => Some(codec.headroom_bits() as u64),
+        }
+    }
+
+    /// The phase [`Self::decode`] is booked under: lane extraction is a
+    /// phase of its own, a per-slot decode counts as part of the combine.
+    pub fn decode_phase(&self) -> StepPhase {
+        match &self.lanes {
+            Lanes::PerSlot(_) => StepPhase::Combine,
+            Lanes::Packed(..) => StepPhase::Unpack,
+        }
+    }
+
+    /// Builds one participant's push-sum node: encrypts `contribution` at
+    /// weight 1, or — for a participant down at step start — holds zero
+    /// weight over *unbiased* trivial zeros (the lane bias must travel
+    /// exactly with the weight mass). Per-slot, an exactly-zero slot (every
+    /// slot carries a noise share, so there is almost never one) ships as a
+    /// free trivial encryption; re-randomization on the first forward
+    /// blinds it. `pool` serves the forward re-randomizations when given.
+    /// Returns the node and the number of real encryptions performed.
+    pub fn node<R: Rng + ?Sized>(
+        &self,
+        contribution: Option<&[f64]>,
+        pool: Option<RandomizerPool>,
+        rng: &mut R,
+    ) -> Result<(HePushSumNode, u64), ChiaroscuroError> {
+        let pk = &self.pk;
+        let mut encryptions = 0u64;
+        let (cipher, weight): (Vec<Ciphertext>, f64) = match (contribution, &self.lanes) {
+            (None, _) => (vec![pk.trivial_zero(); self.ciphertexts()], 0.0),
+            (Some(values), Lanes::PerSlot(codec)) => {
+                let encrypt = |&v: &f64| {
+                    if v == 0.0 {
+                        return pk.trivial_zero();
+                    }
+                    encryptions += 1;
+                    let m = codec.encode(v, pk.n_s()).expect("clamped value fits");
+                    pk.encrypt(&m, rng)
+                };
+                (values.iter().map(encrypt).collect(), 1.0)
+            }
+            (Some(values), Lanes::Packed(codec, enc)) => {
+                let plaintexts = codec.pack(values)?;
+                encryptions = plaintexts.len() as u64;
+                let cipher = plaintexts.iter().map(|m| enc.encrypt(m, rng)).collect();
+                (cipher, 1.0)
+            }
+        };
+        let mut node =
+            HePushSumNode::from_ciphertexts(pk.clone(), cipher, weight, self.rerandomize);
+        if let Lanes::Packed(_, enc) = &self.lanes {
+            node = node.with_encryptor(enc.clone());
+        }
+        if let Some(pool) = pool {
+            node = node.with_pool(pool);
+        }
+        Ok((node, encryptions))
+    }
+
+    /// Decodes a node's combined plaintexts — one per ciphertext, at push-sum
+    /// state `(denom_exp, weight)` — into its perturbed aggregates. A packed
+    /// aggregate that outran its planned headroom is a typed error, never
+    /// silently-wrapped values.
+    pub fn decode(
+        &self,
+        raws: &[BigUint],
+        denom_exp: u32,
+        weight: f64,
+    ) -> Result<PerturbedAggregates, ChiaroscuroError> {
+        Ok(match &self.lanes {
+            Lanes::PerSlot(codec) => assemble_aggregates(&self.layout, |slot| {
+                codec.decode(&raws[slot], self.pk.n_s(), denom_exp) / weight
+            }),
+            Lanes::Packed(codec, _) => {
+                let values =
+                    codec.unpack_aggregate(raws, self.layout.total(), denom_exp, weight, 1)?;
+                assemble_aggregates(&self.layout, |slot| values[slot])
+            }
+        })
+    }
+
+    /// Tops `pool` up — or builds one — to the randomizers a node's gossip
+    /// is expected to draw, so forwards pop precomputed randomizers instead
+    /// of paying a fixed-base exponentiation each. `None` when the step
+    /// pools nothing (per-slot layout, or re-randomization off).
+    pub fn fill_pool<R: Rng + ?Sized>(
+        &self,
+        pool: Option<RandomizerPool>,
+        rng: &mut R,
+    ) -> Option<RandomizerPool> {
+        let Lanes::Packed(_, enc) = &self.lanes else {
+            return None;
+        };
+        if self.pool_target == 0 {
+            return None;
+        }
+        let mut pool = pool.unwrap_or_else(|| RandomizerPool::new(enc.clone()));
+        pool.refill(self.pool_target.saturating_sub(pool.len()), rng);
+        Some(pool)
+    }
 }
 
 /// One participant's decrypted, perturbed aggregate estimates.
@@ -198,33 +400,6 @@ pub fn assemble_aggregates(
         }
     }
     PerturbedAggregates { sums, counts }
-}
-
-/// Encrypts one contribution vector slot by slot. An exactly-zero slot
-/// (every slot carries a noise share, so there is almost never one) ships
-/// as a free trivial encryption; re-randomization on the first forward
-/// blinds it. Returns the ciphertexts and the number of *real* encryptions
-/// performed.
-pub fn encrypt_contribution<R: rand::Rng + ?Sized>(
-    pk: &PublicKey,
-    codec: &FixedPointCodec,
-    values: &[f64],
-    rng: &mut R,
-) -> (Vec<Ciphertext>, u64) {
-    let mut encryptions = 0u64;
-    let cipher = values
-        .iter()
-        .map(|&v| {
-            if v == 0.0 {
-                pk.trivial_zero()
-            } else {
-                encryptions += 1;
-                let m = codec.encode(v, pk.n_s()).expect("clamped value fits");
-                pk.encrypt(&m, rng)
-            }
-        })
-        .collect();
-    (cipher, encryptions)
 }
 
 /// Step 2d, committee side: every chosen member's partial decryption of
@@ -284,40 +459,13 @@ pub fn run_computation_step(
         CryptoContext::Real {
             tkp,
             pk,
-            codec,
-            fast: Some(enc),
+            fast,
             plans,
             ..
-        } => run_real_packed(
-            config,
-            layout,
-            contributions,
-            tkp,
-            pk.clone(),
-            codec,
-            enc.clone(),
-            plans,
-            step_seed,
-            rng,
-        ),
-        CryptoContext::Real {
-            tkp,
-            pk,
-            codec,
-            fast: None,
-            plans,
-            ..
-        } => run_real(
-            config,
-            layout,
-            contributions,
-            tkp,
-            pk.clone(),
-            codec,
-            plans,
-            step_seed,
-            rng,
-        ),
+        } => {
+            let cipher = StepCipher::plan(config, pk, fast.as_ref(), layout, contributions.len())?;
+            run_real(config, contributions, tkp, &cipher, plans, step_seed, rng)
+        }
         CryptoContext::Simulated { ciphertext_bytes } => Ok(run_simulated(
             config,
             layout,
@@ -328,160 +476,25 @@ pub fn run_computation_step(
     }
 }
 
-/// The packed variant of [`run_real`]: one ciphertext carries a whole lane
-/// vector and encryption takes the fixed-base path.
-#[allow(clippy::too_many_arguments)]
-fn run_real_packed(
+fn run_real(
     config: &ChiaroscuroConfig,
-    layout: &SlotLayout,
     contributions: &[Option<Vec<f64>>],
     tkp: &ThresholdKeyPair,
-    pk: Arc<PublicKey>,
-    codec: &FixedPointCodec,
-    enc: Arc<FastEncryptor>,
+    cipher: &StepCipher,
     plans: &CombinePlanCache,
     step_seed: u64,
     rng: &mut StdRng,
 ) -> Result<ComputationOutcome, ChiaroscuroError> {
-    let packed = plan_packed_codec(config, &pk, codec, layout, contributions.len())?;
-    let data_cts = packed.ciphertexts_for(layout.total());
+    let pk = cipher.public_key();
     let mut encryptions = 0u64;
     let mut phases = PhaseProfile::default();
     let encrypt_started = Instant::now();
     let mut nodes = Vec::with_capacity(contributions.len());
     for c in contributions {
-        let node = match c {
-            Some(values) => {
-                let (cipher, enc_count) = encrypt_packed_contribution(&packed, &enc, values, rng)?;
-                encryptions += enc_count;
-                HePushSumNode::from_ciphertexts(pk.clone(), cipher, 1.0, config.rerandomize)
-            }
-            None => {
-                // Down at step start: zero weight, *unbiased* zero lanes —
-                // the lane bias must travel exactly with the weight mass.
-                let cipher = vec![pk.trivial_zero(); data_cts];
-                HePushSumNode::from_ciphertexts(pk.clone(), cipher, 0.0, config.rerandomize)
-            }
-        };
-        nodes.push(node.with_encryptor(enc.clone()));
+        let (node, encrypted) = cipher.node(c.as_deref(), None, rng)?;
+        encryptions += encrypted;
+        nodes.push(node);
     }
-    phases.add(
-        StepPhase::Encrypt,
-        encrypt_started.elapsed().as_nanos() as u64,
-    );
-
-    let mut net = Network::new(nodes, config.overlay.clone(), config.failure, step_seed);
-    for (i, c) in contributions.iter().enumerate() {
-        if c.is_none() {
-            net.set_alive(i, false);
-        }
-    }
-    let gossip_started = Instant::now();
-    net.run_cycles(config.gossip_cycles);
-    phases.add(
-        StepPhase::Gossip,
-        gossip_started.elapsed().as_nanos() as u64,
-    );
-
-    let alive_after: Vec<bool> = (0..net.len()).map(|i| net.is_alive(i)).collect();
-    let traffic = net.traffic().clone();
-    let (nodes, _) = net.into_parts();
-
-    let mut ops = HomomorphicOpCounts {
-        encryptions,
-        ..Default::default()
-    };
-    for n in &nodes {
-        ops.merge(&n.op_counts());
-    }
-
-    // Step 2d, per ciphertext instead of per bucket.
-    let mut decrypt_ops = DecryptionOps::default();
-    let mut estimates = Vec::with_capacity(nodes.len());
-    let t = config.threshold.threshold;
-    let share_pool: Vec<usize> = (0..tkp.shares().len()).collect();
-    for (i, node) in nodes.iter().enumerate() {
-        if !alive_after[i] || node.weight() <= f64::MIN_POSITIVE {
-            estimates.push(None);
-            continue;
-        }
-        let cipher = node.ciphertexts();
-        let mut committee = share_pool.clone();
-        committee.shuffle(rng);
-        let committee = &committee[..t];
-
-        let share_started = Instant::now();
-        let groups = committee_partials(tkp, committee, cipher);
-        phases.add(
-            StepPhase::DecryptShare,
-            share_started.elapsed().as_nanos() as u64,
-        );
-        decrypt_ops.partial_decryptions += (t * data_cts) as u64;
-        // One cached plan for the committee, one batched inversion for the
-        // node's whole ciphertext vector.
-        let combine_started = Instant::now();
-        let raws = plans.combine_batch(pk.as_ref(), config.threshold, tkp.delta(), &groups)?;
-        phases.add(
-            StepPhase::Combine,
-            combine_started.elapsed().as_nanos() as u64,
-        );
-        decrypt_ops.combinations += data_cts as u64;
-        let unpack_started = Instant::now();
-        let values = packed.unpack_aggregate(
-            &raws,
-            layout.total(),
-            node.denominator_exp(),
-            node.weight(),
-            1,
-        )?;
-        phases.add(
-            StepPhase::Unpack,
-            unpack_started.elapsed().as_nanos() as u64,
-        );
-        decrypt_ops.messages += 2 * t as u64;
-        decrypt_ops.bytes += 2 * (t * data_cts * pk.ciphertext_bytes()) as u64;
-        estimates.push(Some(assemble_aggregates(layout, |slot| values[slot])));
-    }
-
-    Ok(ComputationOutcome {
-        estimates,
-        ops,
-        decrypt_ops,
-        traffic,
-        alive_after,
-        phases,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_real(
-    config: &ChiaroscuroConfig,
-    layout: &SlotLayout,
-    contributions: &[Option<Vec<f64>>],
-    tkp: &ThresholdKeyPair,
-    pk: Arc<PublicKey>,
-    codec: &FixedPointCodec,
-    plans: &CombinePlanCache,
-    step_seed: u64,
-    rng: &mut StdRng,
-) -> Result<ComputationOutcome, ChiaroscuroError> {
-    let mut encryptions = 0u64;
-    let mut phases = PhaseProfile::default();
-    let encrypt_started = Instant::now();
-    let nodes: Vec<HePushSumNode> = contributions
-        .iter()
-        .map(|c| match c {
-            Some(values) => {
-                let (cipher, enc) = encrypt_contribution(pk.as_ref(), codec, values, rng);
-                encryptions += enc;
-                HePushSumNode::from_ciphertexts(pk.clone(), cipher, 1.0, config.rerandomize)
-            }
-            None => {
-                let cipher = vec![pk.trivial_zero(); layout.total()];
-                HePushSumNode::from_ciphertexts(pk.clone(), cipher, 0.0, config.rerandomize)
-            }
-        })
-        .collect();
     phases.add(
         StepPhase::Encrypt,
         encrypt_started.elapsed().as_nanos() as u64,
@@ -513,8 +526,8 @@ fn run_real(
         ops.merge(&n.op_counts());
     }
 
-    // Step 2d per participant: threshold-decrypt the perturbed slots.
-    let data_slots = layout.total();
+    // Step 2d per participant: threshold-decrypt its ciphertext vector.
+    let data_cts = cipher.ciphertexts();
     let mut decrypt_ops = DecryptionOps::default();
     let mut estimates = Vec::with_capacity(nodes.len());
     let t = config.threshold.threshold;
@@ -524,36 +537,36 @@ fn run_real(
             estimates.push(None);
             continue;
         }
-        let weight = node.weight();
-        let denom = node.denominator_exp();
-        let cipher = node.ciphertexts();
         // Random committee subset for this participant's decryption.
         let mut committee = share_pool.clone();
         committee.shuffle(rng);
         let committee = &committee[..t];
 
-        // Collaborative decryption — shares here, combine batched below
-        // under this committee's cached plan.
         let share_started = Instant::now();
-        let groups = committee_partials(tkp, committee, cipher);
+        let groups = committee_partials(tkp, committee, node.ciphertexts());
         phases.add(
             StepPhase::DecryptShare,
             share_started.elapsed().as_nanos() as u64,
         );
-        decrypt_ops.partial_decryptions += (t * data_slots) as u64;
+        decrypt_ops.partial_decryptions += (t * data_cts) as u64;
+        // One cached plan for the committee, one batched inversion for the
+        // node's whole ciphertext vector.
         let combine_started = Instant::now();
         let raws = plans.combine_batch(pk.as_ref(), config.threshold, tkp.delta(), &groups)?;
         phases.add(
             StepPhase::Combine,
             combine_started.elapsed().as_nanos() as u64,
         );
-        decrypt_ops.combinations += data_slots as u64;
-        let est = assemble_aggregates(layout, |slot| {
-            codec.decode(&raws[slot], pk.n_s(), denom) / weight
-        });
+        decrypt_ops.combinations += data_cts as u64;
+        let decode_started = Instant::now();
+        let estimate = cipher.decode(&raws, node.denominator_exp(), node.weight())?;
+        phases.add(
+            cipher.decode_phase(),
+            decode_started.elapsed().as_nanos() as u64,
+        );
         decrypt_ops.messages += 2 * t as u64;
-        decrypt_ops.bytes += 2 * (t * data_slots * pk.ciphertext_bytes()) as u64;
-        estimates.push(Some(est));
+        decrypt_ops.bytes += 2 * (t * data_cts * pk.ciphertext_bytes()) as u64;
+        estimates.push(Some(estimate));
     }
 
     Ok(ComputationOutcome {

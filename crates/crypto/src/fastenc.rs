@@ -190,71 +190,6 @@ impl RandomizerPool {
     }
 }
 
-/// A bank of pre-warmed [`RandomizerPool`]s keyed by `(step seed, node)`.
-///
-/// Pool contents are a *pure function* of the seeds a substrate derives
-/// them from, never of consumption history: a consumer that finds its pool
-/// missing rebuilds the identical pool from the same seed. Pre-warming is
-/// therefore a pure cache — it moves the fixed-base exponentiations of a
-/// step's randomizers into idle time (between steps, while a daemon waits
-/// for its coordinator) without changing a single byte of the run. Entries
-/// are removed on [`Self::take`], so a bank never serves stale randomizers
-/// across steps.
-#[derive(Debug, Default)]
-pub struct PoolBank {
-    pools: std::sync::Mutex<std::collections::HashMap<(u64, u64), RandomizerPool>>,
-}
-
-impl PoolBank {
-    /// An empty bank.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Deposits a pre-warmed pool for `(step_seed, node)`.
-    pub fn insert(&self, step_seed: u64, node: u64, pool: RandomizerPool) {
-        self.pools
-            .lock()
-            .expect("pool bank lock")
-            .insert((step_seed, node), pool);
-    }
-
-    /// `true` when a pool for `(step_seed, node)` is deposited.
-    pub fn contains(&self, step_seed: u64, node: u64) -> bool {
-        self.pools
-            .lock()
-            .expect("pool bank lock")
-            .contains_key(&(step_seed, node))
-    }
-
-    /// Withdraws the pool for `(step_seed, node)`, if one was pre-warmed.
-    pub fn take(&self, step_seed: u64, node: u64) -> Option<RandomizerPool> {
-        self.pools
-            .lock()
-            .expect("pool bank lock")
-            .remove(&(step_seed, node))
-    }
-
-    /// Number of deposited pools.
-    pub fn len(&self) -> usize {
-        self.pools.lock().expect("pool bank lock").len()
-    }
-
-    /// `true` when no pool is deposited.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every pool not belonging to `step_seed` — bounds memory when a
-    /// driver pre-warms ahead of steps it then skips.
-    pub fn retain_step(&self, step_seed: u64) {
-        self.pools
-            .lock()
-            .expect("pool bank lock")
-            .retain(|(s, _), _| *s == step_seed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,33 +273,6 @@ mod tests {
             assert_ne!(c, c2);
             assert_eq!(kp.private().decrypt(&c2), m);
         }
-    }
-
-    #[test]
-    fn pool_bank_is_a_pure_cache() {
-        let (_, enc, _) = setup(8);
-        // Pools built from the same seed are identical whether or not they
-        // went through the bank — pre-warming must never change results.
-        let build = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut pool = RandomizerPool::new(enc.clone());
-            pool.refill(3, &mut rng);
-            pool
-        };
-        let bank = PoolBank::new();
-        bank.insert(11, 0, build(99));
-        bank.insert(12, 0, build(98));
-        assert_eq!(bank.len(), 2);
-        let banked = bank.take(11, 0).unwrap();
-        assert!(bank.take(11, 0).is_none(), "entries are single-use");
-        let direct = build(99);
-        let mut drain_rng = StdRng::seed_from_u64(0);
-        let (mut banked, mut direct) = (banked, direct);
-        for _ in 0..3 {
-            assert_eq!(banked.next(&mut drain_rng), direct.next(&mut drain_rng));
-        }
-        bank.retain_step(13);
-        assert!(bank.is_empty());
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use ciphertext::Ciphertext;
 pub use cost::CryptoCostProfile;
 pub use encoding::FixedPointCodec;
 pub use error::CryptoError;
-pub use fastenc::{FastEncryptor, PoolBank, RandomizerPool};
+pub use fastenc::{FastEncryptor, RandomizerPool};
 pub use keys::{KeyGenOptions, KeyPair, PrivateKey, PublicKey};
 pub use packing::PackedCodec;
 pub use threshold::{KeyShare, PartialDecryption, ThresholdKeyPair, ThresholdParams};

@@ -8,8 +8,9 @@
 //! in-process. The gossip arithmetic itself lives in
 //! `cs_gossip` (`HePushSumNode::split_push`/`absorb` and the plaintext
 //! twins), so the simulators and this runtime execute the *same* protocol
-//! code; the slot bookkeeping and encryption helpers come from
-//! `chiaroscuro::rounds` for the same reason.
+//! code; how a contribution becomes ciphertexts and an aggregate becomes
+//! values is `chiaroscuro::rounds::StepCipher`'s business, for the same
+//! reason.
 //!
 //! Phases of one step (paper steps 2a–2d; the node's contribution arrives
 //! with its noise share already folded in, so there is no 2c to run):
@@ -60,15 +61,10 @@ use crate::transport::NodeId;
 use crate::wire::Message;
 use chiaroscuro::cost::DecryptionOps;
 use chiaroscuro::noise::SlotLayout;
-use chiaroscuro::rounds::{
-    assemble_aggregates, encrypt_contribution, encrypt_packed_contribution, PerturbedAggregates,
-};
+use chiaroscuro::rounds::{assemble_aggregates, PerturbedAggregates, StepCipher};
 use cs_bigint::BigUint;
-use cs_crypto::threshold::CombinePlanCache;
-use cs_crypto::{
-    FastEncryptor, FixedPointCodec, KeyShare, PackedCodec, PartialDecryption, PublicKey,
-    RandomizerPool, ThresholdParams,
-};
+use cs_crypto::threshold::{delta_for, CombinePlanCache};
+use cs_crypto::{KeyShare, PartialDecryption, RandomizerPool, ThresholdParams};
 use cs_gossip::homomorphic_pushsum::{HePush, HePushSumNode, HomomorphicOpCounts};
 use cs_gossip::pushsum::{PlainPush, PushSumNode};
 use cs_obs::health::DecryptAudit;
@@ -84,20 +80,6 @@ use std::time::Instant;
 /// whatever triggered it ([`TraceContext::NONE`] on untraced nodes).
 pub type Outbound = (NodeId, Message, TraceContext);
 
-/// Packed-mode crypto state: the lane codec every participant agreed on
-/// for this step, plus the fixed-base encryptor serving contribution
-/// encryption and forward re-randomization.
-#[derive(Clone)]
-pub struct PackedCrypto {
-    /// Lane layout shared by the whole population this step.
-    pub codec: PackedCodec,
-    /// Fixed-base fast encryptor for the shared public key.
-    pub enc: Arc<FastEncryptor>,
-    /// Pre-warmed per-node randomizer pool for forward re-randomization;
-    /// `None` generates randomizers on the hot path as before.
-    pub pool: Option<RandomizerPool>,
-}
-
 /// Crypto substrate of one node.
 // One value per node per step; the size gap to `Plain` is irrelevant next
 // to the ciphertext vectors the node holds anyway.
@@ -105,10 +87,9 @@ pub struct PackedCrypto {
 pub enum NodeCrypto {
     /// Real Damgård-Jurik pipeline.
     Real {
-        /// Shared public key.
-        pk: Arc<PublicKey>,
-        /// Fixed-point codec.
-        codec: FixedPointCodec,
+        /// The step's ciphertext layout, public key included — the same
+        /// for the whole population.
+        cipher: StepCipher,
         /// This node's key share, if it sits on the decryption committee.
         share: Option<KeyShare>,
         /// Threshold parameters of the committee.
@@ -118,14 +99,37 @@ pub enum NodeCrypto {
         /// Cached per-committee-subset combine plans, shared across the
         /// population and across steps.
         plans: Arc<CombinePlanCache>,
-        /// Re-randomize ciphertexts before each forward.
-        rerandomize: bool,
-        /// Ciphertext packing (`Some` = packed payloads on the wire).
-        packed: Option<PackedCrypto>,
+        /// Precomputed randomizers for this node's forward
+        /// re-randomizations; `None` generates them on the hot path.
+        pool: Option<RandomizerPool>,
     },
     /// Plaintext pipeline (simulated-crypto mode): same dataflow, cleartext
     /// slots, no decryption round.
     Plain,
+}
+
+impl NodeCrypto {
+    /// One node's real-crypto substrate, assembled from its key material.
+    /// Every substrate builds its nodes' crypto here — the in-process
+    /// runtimes from the dealer's output, a `csnoded` process from what
+    /// its `Bootstrap` shipped — so what a node computes with cannot
+    /// depend on what runs it.
+    pub fn real(
+        cipher: &StepCipher,
+        share: Option<KeyShare>,
+        params: ThresholdParams,
+        plans: &Arc<CombinePlanCache>,
+        pool: Option<RandomizerPool>,
+    ) -> Self {
+        NodeCrypto::Real {
+            cipher: cipher.clone(),
+            share,
+            params,
+            delta: delta_for(params.parties),
+            plans: plans.clone(),
+            pool,
+        }
+    }
 }
 
 /// Static parameters of one node for one computation step.
@@ -213,6 +217,13 @@ impl FaultSpec {
 enum Aggregator {
     Encrypted(HePushSumNode),
     Plain(PushSumNode),
+}
+
+/// An incoming push, whichever wire variant carried it.
+enum Inbound {
+    /// Ciphertexts, with the bucket count a packed push declares.
+    Ciphertexts(Option<u32>, HePush),
+    Cleartext(PlainPush),
 }
 
 enum Phase {
@@ -362,58 +373,18 @@ impl ProtocolNode {
             contribution.is_none_or(|v| v.len() == layout.total()),
             "contribution length"
         );
-        // The pre-warmed randomizer pool moves into the aggregator (it is
-        // per-node state, not shared crypto configuration).
-        let pool = match &mut crypto {
-            NodeCrypto::Real {
-                packed: Some(p), ..
-            } => p.pool.take(),
-            _ => None,
-        };
         let mut rng = StdRng::seed_from_u64(params.seed);
         let mut ops = HomomorphicOpCounts::default();
         let mut profile = PhaseProfile::default();
         let encrypt_started = Instant::now();
-        let agg = match &crypto {
-            NodeCrypto::Real {
-                pk,
-                codec,
-                rerandomize,
-                packed,
-                ..
-            } => {
-                let (cipher, weight) = match (contribution, packed) {
-                    (Some(values), Some(p)) => {
-                        let (cipher, enc) =
-                            encrypt_packed_contribution(&p.codec, &p.enc, values, &mut rng)
-                                .expect("planned lanes fit the contribution envelope");
-                        ops.encryptions += enc;
-                        (cipher, 1.0)
-                    }
-                    (Some(values), None) => {
-                        let (cipher, enc) =
-                            encrypt_contribution(pk.as_ref(), codec, values, &mut rng);
-                        ops.encryptions += enc;
-                        (cipher, 1.0)
-                    }
-                    (None, packed) => {
-                        // Down at step start: zero weight and *unbiased* zero
-                        // lanes (the lane bias travels with the weight mass).
-                        let cts = match packed {
-                            Some(p) => p.codec.ciphertexts_for(layout.total()),
-                            None => layout.total(),
-                        };
-                        (vec![pk.trivial_zero(); cts], 0.0)
-                    }
-                };
-                let mut he =
-                    HePushSumNode::from_ciphertexts(pk.clone(), cipher, weight, *rerandomize);
-                if let Some(p) = packed {
-                    he = he.with_encryptor(p.enc.clone());
-                }
-                if let Some(pool) = pool {
-                    he = he.with_pool(pool);
-                }
+        let agg = match &mut crypto {
+            // The randomizer pool moves into the aggregator: it is per-node
+            // state, not shared crypto configuration.
+            NodeCrypto::Real { cipher, pool, .. } => {
+                let (he, encryptions) = cipher
+                    .node(contribution, pool.take(), &mut rng)
+                    .expect("planned lanes fit the contribution envelope");
+                ops.encryptions += encryptions;
                 Aggregator::Encrypted(he)
             }
             NodeCrypto::Plain => Aggregator::Plain(match contribution {
@@ -502,7 +473,7 @@ impl ProtocolNode {
         if self.pushes_sent < self.params.pushes {
             match self.sample_peer() {
                 Some(peer) => {
-                    let packed = self.is_packed();
+                    let buckets = self.packed_buckets();
                     let split_started = Instant::now();
                     let msg = match &mut self.agg {
                         Aggregator::Encrypted(he) => {
@@ -511,21 +482,20 @@ impl ProtocolNode {
                                 denom_exp,
                                 weight,
                             } = he.split_push(&mut self.rng);
-                            if packed {
-                                Message::PackedPush {
+                            match buckets {
+                                Some(buckets) => Message::PackedPush {
                                     iteration: self.params.iteration,
                                     denom_exp,
                                     weight,
-                                    buckets: self.layout.total() as u32,
+                                    buckets,
                                     slots,
-                                }
-                            } else {
-                                Message::EncryptedPush {
+                                },
+                                None => Message::EncryptedPush {
                                     iteration: self.params.iteration,
                                     denom_exp,
                                     weight,
                                     slots,
-                                }
+                                },
                             }
                         }
                         Aggregator::Plain(ps) => {
@@ -619,29 +589,12 @@ impl ProtocolNode {
                 weight,
                 slots,
             } => {
-                if iteration != self.params.iteration {
-                    return;
-                }
-                // An unpacked push into a packed population (or vice versa)
-                // would corrupt the lane bias accounting — rejected like any
-                // dimension mismatch.
-                let packed = self.is_packed();
-                if let Aggregator::Encrypted(he) = &mut self.agg {
-                    if !packed && slots.len() == he.dim() {
-                        let absorb_started = Instant::now();
-                        he.absorb(&HePush {
-                            slots,
-                            denom_exp,
-                            weight,
-                        });
-                        self.profile.add(
-                            StepPhase::Gossip,
-                            absorb_started.elapsed().as_nanos() as u64,
-                        );
-                    } else {
-                        self.bad_frames += 1;
-                    }
-                }
+                let push = HePush {
+                    slots,
+                    denom_exp,
+                    weight,
+                };
+                self.absorb(iteration, Inbound::Ciphertexts(None, push));
             }
             Message::PackedPush {
                 iteration,
@@ -650,60 +603,42 @@ impl ProtocolNode {
                 buckets,
                 slots,
             } => {
-                if iteration != self.params.iteration {
-                    return;
-                }
-                let packed = self.is_packed();
-                if let Aggregator::Encrypted(he) = &mut self.agg {
-                    if packed && buckets as usize == self.layout.total() && slots.len() == he.dim()
-                    {
-                        let absorb_started = Instant::now();
-                        he.absorb(&HePush {
-                            slots,
-                            denom_exp,
-                            weight,
-                        });
-                        self.profile.add(
-                            StepPhase::Gossip,
-                            absorb_started.elapsed().as_nanos() as u64,
-                        );
-                    } else {
-                        self.bad_frames += 1;
-                    }
-                }
+                let push = HePush {
+                    slots,
+                    denom_exp,
+                    weight,
+                };
+                self.absorb(iteration, Inbound::Ciphertexts(Some(buckets), push));
             }
             Message::PlainPush {
                 iteration,
                 weight,
                 slots,
             } => {
-                if iteration != self.params.iteration {
-                    return;
-                }
-                if let Aggregator::Plain(ps) = &mut self.agg {
-                    if slots.len() == ps.dim() {
-                        let absorb_started = Instant::now();
-                        ps.absorb(&PlainPush {
-                            values: slots,
-                            weight,
-                        });
-                        self.profile.add(
-                            StepPhase::Gossip,
-                            absorb_started.elapsed().as_nanos() as u64,
-                        );
-                    } else {
-                        self.bad_frames += 1;
-                    }
-                }
+                let push = PlainPush {
+                    values: slots,
+                    weight,
+                };
+                self.absorb(iteration, Inbound::Cleartext(push));
             }
             Message::DecryptRequest { iteration, slots } => {
                 if iteration != self.params.iteration {
                     return;
                 }
                 if let NodeCrypto::Real {
-                    share: Some(share), ..
+                    cipher,
+                    share: Some(share),
+                    ..
                 } = &self.crypto
                 {
+                    // A partial decryption is the step's most expensive
+                    // operation, and an honest request asks for exactly one
+                    // per ciphertext of the step's layout: anything else is
+                    // refused before a single one is computed.
+                    if slots.len() != cipher.ciphertexts() {
+                        self.bad_frames += 1;
+                        return;
+                    }
                     // Each requester decrypts once per step, so a repeated
                     // request is a loss-recovery retry: re-send the cached
                     // reply instead of recomputing the (expensive) partials.
@@ -787,8 +722,8 @@ impl ProtocolNode {
     /// [`crate::driver::NodeDriver::finish`] calls this before
     /// [`ProtocolNode::into_report`] so a daemon's persistent pool survives
     /// the step and can be refilled during idle time; the in-process
-    /// runtimes never persist pools across steps (see
-    /// [`cs_crypto::PoolBank`] for why).
+    /// runtimes build each node's pool from the step seed and drop what is
+    /// left of it.
     pub fn take_randomizer_pool(&mut self) -> Option<cs_crypto::RandomizerPool> {
         match &mut self.agg {
             Aggregator::Encrypted(he) => he.take_pool(),
@@ -807,10 +742,8 @@ impl ProtocolNode {
             Aggregator::Plain(_) => self.ops,
         };
         let lane_headroom_bits = match &self.crypto {
-            NodeCrypto::Real {
-                packed: Some(p), ..
-            } => Some(p.codec.headroom_bits() as u64),
-            _ => None,
+            NodeCrypto::Real { cipher, .. } => cipher.lane_headroom_bits(),
+            NodeCrypto::Plain => None,
         };
         NodeReport {
             id: self.params.id,
@@ -1008,26 +941,46 @@ impl ProtocolNode {
         self.pending_request = Some(pending);
     }
 
-    /// `true` when this node speaks the packed wire dialect.
-    fn is_packed(&self) -> bool {
-        matches!(
-            &self.crypto,
-            NodeCrypto::Real {
-                packed: Some(_),
-                ..
-            }
-        )
+    /// What this node's pushes declare beside their ciphertexts — see
+    /// [`StepCipher::packed_buckets`].
+    fn packed_buckets(&self) -> Option<u32> {
+        match &self.crypto {
+            NodeCrypto::Real { cipher, .. } => cipher.packed_buckets(),
+            NodeCrypto::Plain => None,
+        }
     }
 
-    /// Ciphertexts this node gossips and snapshots for decryption: one per
-    /// slot unpacked, one per lane group packed.
-    fn data_ciphertext_count(&self) -> usize {
-        match &self.crypto {
-            NodeCrypto::Real {
-                packed: Some(p), ..
-            } => p.codec.ciphertexts_for(self.layout.total()),
-            _ => self.layout.total(),
+    /// Folds an incoming push into the local mass — in any phase: pushes
+    /// keep mixing after this node snapshots its own estimate. The one
+    /// check every push variant goes through: a push in another dialect
+    /// than this node's (cleartext into ciphertexts or the reverse, lane
+    /// vectors into per-slot ciphertexts or the reverse — the lane bias
+    /// accounting would not survive it), or of another width, is a bad
+    /// frame, counted once and dropped.
+    fn absorb(&mut self, iteration: u64, inbound: Inbound) {
+        if iteration != self.params.iteration {
+            return;
         }
+        let buckets_here = self.packed_buckets();
+        let absorb_started = Instant::now();
+        match (&mut self.agg, &inbound) {
+            (Aggregator::Encrypted(he), Inbound::Ciphertexts(buckets, push))
+                if *buckets == buckets_here && push.slots.len() == he.dim() =>
+            {
+                he.absorb(push);
+            }
+            (Aggregator::Plain(ps), Inbound::Cleartext(push)) if push.values.len() == ps.dim() => {
+                ps.absorb(push);
+            }
+            _ => {
+                self.bad_frames += 1;
+                return;
+            }
+        }
+        self.profile.add(
+            StepPhase::Gossip,
+            absorb_started.elapsed().as_nanos() as u64,
+        );
     }
 
     fn accept_share(
@@ -1046,27 +999,23 @@ impl ProtocolNode {
         if !matches!(self.phase, Phase::AwaitShares) {
             return;
         }
-        if partials.len() != self.data_ciphertext_count()
-            || self.shares_by_sender.contains_key(&from)
-        {
+        let NodeCrypto::Real {
+            cipher,
+            params,
+            delta,
+            plans,
+            ..
+        } = &self.crypto
+        else {
+            return;
+        };
+        if partials.len() != cipher.ciphertexts() || self.shares_by_sender.contains_key(&from) {
             return;
         }
         self.shares_by_sender.insert(from, partials);
         if self.shares_by_sender.len() > self.params.committee.len() {
             self.audit.oversized_rounds += 1;
         }
-        let NodeCrypto::Real {
-            pk,
-            codec,
-            params,
-            delta,
-            plans,
-            packed,
-            ..
-        } = &self.crypto
-        else {
-            return;
-        };
         if self.shares_by_sender.len() < params.threshold {
             return;
         }
@@ -1086,33 +1035,19 @@ impl ProtocolNode {
         let weight = self.snapshot_weight;
         let denom = self.snapshot_denom;
         let combine_started = Instant::now();
-        let groups: Vec<Vec<PartialDecryption>> = (0..self.data_ciphertext_count())
+        let groups: Vec<Vec<PartialDecryption>> = (0..cipher.ciphertexts())
             .map(|j| contributors.iter().map(|c| c[j].clone()).collect())
             .collect();
         let raws = plans
-            .combine_batch(pk.as_ref(), *params, delta, &groups)
+            .combine_batch(cipher.public_key(), *params, delta, &groups)
             .ok();
         let combine_ns = combine_started.elapsed().as_nanos() as u64;
         let combinations = raws.as_ref().map_or(0, |r| r.len() as u64);
         let decode_started = Instant::now();
-        let est = raws.and_then(|raws| match packed {
-            // Every lane at once. A headroom violation surfaces as a failed
-            // step, not silently-wrapped values.
-            Some(p) => p
-                .codec
-                .unpack_aggregate(&raws, self.layout.total(), denom, weight, 1)
-                .ok()
-                .map(|values| assemble_aggregates(&self.layout, |slot| values[slot])),
-            None => Some(assemble_aggregates(&self.layout, |slot| {
-                codec.decode(&raws[slot], pk.n_s(), denom) / weight
-            })),
-        });
-        // Lane extraction is a phase of its own; the per-slot decode of an
-        // unpacked aggregate counts as part of the combine.
-        let decode_phase = match packed {
-            Some(_) => StepPhase::Unpack,
-            None => StepPhase::Combine,
-        };
+        // A headroom violation surfaces as a failed step, not
+        // silently-wrapped values.
+        let est = raws.and_then(|raws| cipher.decode(&raws, denom, weight).ok());
+        let decode_phase = cipher.decode_phase();
         self.profile.add(StepPhase::Combine, combine_ns);
         self.profile
             .add(decode_phase, decode_started.elapsed().as_nanos() as u64);

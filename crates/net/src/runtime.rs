@@ -20,13 +20,14 @@ use chiaroscuro::backend::ComputationBackend;
 use chiaroscuro::config::ChiaroscuroConfig;
 use chiaroscuro::cost::DecryptionOps;
 use chiaroscuro::noise::SlotLayout;
-use chiaroscuro::rounds::{ComputationOutcome, CryptoContext};
+use chiaroscuro::rounds::{ComputationOutcome, CryptoContext, StepCipher};
 use chiaroscuro::ChiaroscuroError;
-use cs_crypto::threshold::delta_for;
 use cs_gossip::homomorphic_pushsum::HomomorphicOpCounts;
 use cs_gossip::TrafficStats;
 use cs_obs::health::Alert;
 use cs_obs::{AuditConfig, CausalTracer, NodeTrace, Tracer, WallClock};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,187 +35,55 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Per-step crypto state shared by every node: committee membership and, in
-/// packed mode, the lane plan + fast encryptor. Both execution substrates
+/// Per-step crypto state shared by every node of an in-process substrate:
+/// the committee and the step's ciphertext layout. Both substrates
 /// (thread-per-node and sharded event loop) derive identical per-node
 /// [`NodeCrypto`] values from this, so swapping the substrate can never
 /// change what the protocol computes.
-pub(crate) struct StepCrypto {
-    /// The committee: the first `parties` nodes, in share order (the dealer
-    /// hands share `j` to node `j`, mirroring the simulator's indexing).
+pub(crate) struct StepCrypto<'a> {
+    /// Nodes holding key shares, in share order.
     pub committee: Vec<NodeId>,
-    packed: Option<crate::node::PackedCrypto>,
-    /// Step seed — keys the pre-warmed randomizer pools in the bank.
+    crypto: &'a CryptoContext,
+    /// `None` in simulated mode.
+    cipher: Option<StepCipher>,
     step_seed: u64,
-    /// Randomizers each node's pool holds at step start (0 = no pooling).
-    pool_target: usize,
 }
 
-impl StepCrypto {
-    /// Derives the shared step state from the crypto context. The packed
-    /// lane plan uses only public inputs (the same ones the in-process
+impl<'a> StepCrypto<'a> {
+    /// Derives the shared step state from the crypto context. The layout
+    /// is planned from public inputs only (the same ones the in-process
     /// simulator uses), so every node independently agrees on it.
     pub fn prepare(
         config: &ChiaroscuroConfig,
         layout: &SlotLayout,
         population: usize,
-        crypto: &CryptoContext,
+        crypto: &'a CryptoContext,
         step_seed: u64,
     ) -> Result<Self, ChiaroscuroError> {
-        let committee: Vec<NodeId> = match crypto {
-            CryptoContext::Real { tkp, .. } => (0..tkp.params().parties.min(population)).collect(),
-            CryptoContext::Simulated { .. } => Vec::new(),
-        };
-        let packed = match crypto {
-            CryptoContext::Real {
-                pk,
-                codec,
-                fast: Some(fast),
-                ..
-            } => Some(crate::node::PackedCrypto {
-                codec: chiaroscuro::rounds::plan_packed_codec(
-                    config, pk, codec, layout, population,
-                )?,
-                enc: fast.clone(),
-                pool: None,
-            }),
-            _ => None,
-        };
-        let pool_target = match &packed {
-            Some(p) if config.rerandomize => {
-                pool_target_for(config, p.codec.ciphertexts_for(layout.total()))
-            }
-            _ => 0,
-        };
         Ok(StepCrypto {
-            committee,
-            packed,
+            committee: crypto.committee(population),
+            crypto,
+            cipher: crypto.step_cipher(config, layout, population)?,
             step_seed,
-            pool_target,
         })
     }
 
-    /// The crypto substrate node `i` runs with.
-    ///
-    /// In packed + re-randomizing mode every node gets a randomizer pool:
-    /// the pre-warmed one from the bank when a driver deposited it, or an
-    /// identical one rebuilt on the spot (pool contents are a pure function
-    /// of `(step_seed, node)`, so pre-warming never changes the bits on the
-    /// wire — it only moves the fixed-base exponentiations off the step's
-    /// critical path).
-    pub fn node_crypto(
-        &self,
-        crypto: &CryptoContext,
-        config: &ChiaroscuroConfig,
-        i: usize,
-    ) -> NodeCrypto {
-        match crypto {
-            CryptoContext::Real {
-                tkp,
-                pk,
-                codec,
-                plans,
-                pool_bank,
-                ..
-            } => {
-                let mut packed = self.packed.clone();
-                if self.pool_target > 0 {
-                    if let Some(p) = &mut packed {
-                        let pool = pool_bank.take(self.step_seed, i as u64).unwrap_or_else(|| {
-                            build_node_pool(&p.enc, self.pool_target, self.step_seed, i as u64)
-                        });
-                        p.pool = Some(pool);
-                    }
-                }
-                NodeCrypto::Real {
-                    pk: pk.clone(),
-                    codec: *codec,
-                    share: self.committee.contains(&i).then(|| tkp.shares()[i].clone()),
-                    params: tkp.params(),
-                    delta: delta_for(tkp.params().parties),
-                    plans: plans.clone(),
-                    rerandomize: config.rerandomize,
-                    packed,
-                }
-            }
-            CryptoContext::Simulated { .. } => NodeCrypto::Plain,
-        }
+    /// The crypto substrate node `i` runs with. Its randomizer pool, when
+    /// the step pools at all, is a **pure function of `(step_seed, i)`**:
+    /// it moves the fixed-base exponentiations of the node's forwards out
+    /// of the gossip phase and into node construction without the bits on
+    /// the wire depending on which substrate, worker or thread built it.
+    pub fn node_crypto(&self, i: usize) -> NodeCrypto {
+        let (Some(cipher), CryptoContext::Real { tkp, plans, .. }) = (&self.cipher, self.crypto)
+        else {
+            return NodeCrypto::Plain;
+        };
+        let seed =
+            self.step_seed ^ 0x005E_ED0F_9001_u64 ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let pool = cipher.fill_pool(None, &mut StdRng::seed_from_u64(seed));
+        let share = self.committee.contains(&i).then(|| tkp.shares()[i].clone());
+        NodeCrypto::real(cipher, share, tkp.params(), plans, pool)
     }
-}
-
-/// Randomizers a node's pool holds at step start: the expected demand of a
-/// full gossip run (each push re-randomizes the node's whole ciphertext
-/// vector, `data_cts` ciphertexts), capped so huge lane counts don't make
-/// pre-warming itself the bottleneck. A node that forwards more than
-/// expected falls back to on-the-fly randomizers; one that terminates
-/// early simply wastes the tail. The one sizing rule: the `csnoded`
-/// daemon's persistent pool targets the same figure.
-pub fn pool_target_for(config: &ChiaroscuroConfig, data_cts: usize) -> usize {
-    (config.gossip_cycles * data_cts).min(512)
-}
-
-/// Builds node `i`'s randomizer pool for the step. **Pure function of
-/// `(step_seed, node)`** — both the pre-warming driver and the fallback in
-/// [`StepCrypto::node_crypto`] call this, so a hit and a miss in the
-/// [`cs_crypto::PoolBank`] yield bit-identical pools.
-fn build_node_pool(
-    enc: &Arc<cs_crypto::FastEncryptor>,
-    target: usize,
-    step_seed: u64,
-    node: u64,
-) -> cs_crypto::RandomizerPool {
-    use rand::SeedableRng;
-    let seed = step_seed ^ 0x005E_ED0F_9001_u64 ^ node.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut pool = cs_crypto::RandomizerPool::new(enc.clone());
-    pool.refill(target, &mut rng);
-    pool
-}
-
-/// Pre-warms the per-node randomizer pools for the step keyed by
-/// `step_seed`, depositing them in the crypto context's [`cs_crypto::PoolBank`].
-/// Returns the number of pools built (0 when the run is not packed +
-/// re-randomizing, or the bank already holds them). Drivers call this during
-/// idle time — between steps, before the step clock starts — so the gossip
-/// hot path pops precomputed randomizers instead of paying a fixed-base
-/// exponentiation per forward.
-pub fn prewarm_step_pools(
-    config: &ChiaroscuroConfig,
-    layout: &SlotLayout,
-    population: usize,
-    crypto: &CryptoContext,
-    step_seed: u64,
-) -> usize {
-    let CryptoContext::Real {
-        pk,
-        codec,
-        fast: Some(enc),
-        pool_bank,
-        ..
-    } = crypto
-    else {
-        return 0;
-    };
-    if !config.rerandomize {
-        return 0;
-    }
-    let Ok(packed) = chiaroscuro::rounds::plan_packed_codec(config, pk, codec, layout, population)
-    else {
-        return 0;
-    };
-    let target = pool_target_for(config, packed.ciphertexts_for(layout.total()));
-    if target == 0 {
-        return 0;
-    }
-    let mut built = 0;
-    for i in 0..population as u64 {
-        if pool_bank.contains(step_seed, i) {
-            continue;
-        }
-        pool_bank.insert(step_seed, i, build_node_pool(enc, target, step_seed, i));
-        built += 1;
-    }
-    built
 }
 
 /// Folds per-node reports and the transport's per-class accounting into the
@@ -478,7 +347,7 @@ pub fn run_step_over_transport(
             true,
             net.fault,
         );
-        let node_crypto = step.node_crypto(crypto, config, i);
+        let node_crypto = step.node_crypto(i);
         let contribution = contribution.clone();
         let layout = *layout;
         let transport = transport.clone();

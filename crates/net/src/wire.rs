@@ -7,7 +7,7 @@
 //! ┌────────────┬─────────┬─────┬──────────┬───────────────┬───────────────────┐
 //! │ length u32 │ version │ tag │ trace    │ trace context │ body (per-variant)│
 //! │ (LE, body) │   u8    │ u8  │ flag u8  │ 24 B, if flag │                   │
-//! │            │         │     │ (v3+)    │ is 1 (v3+)    │                   │
+//! │            │         │     │          │ is 1          │                   │
 //! └────────────┴─────────┴─────┴──────────┴───────────────┴───────────────────┘
 //! ```
 //!
@@ -20,12 +20,15 @@
 //! the wire is the security-relevant object, so nothing is silently
 //! tolerated.
 //!
-//! Wire v3 adds the optional [`TraceContext`] block between the tag and
-//! the body: a one-byte flag (0 = absent, 1 = present, anything else is
-//! corrupt) followed, when present, by the 24-byte context — so causality
-//! crosses process boundaries with the message that carries it. v1/v2
-//! frames have no trace block and still decode ([`decode_frame_traced`]
-//! reports [`TraceContext::NONE`] for them).
+//! The optional [`TraceContext`] block sits between the tag and the body:
+//! a one-byte flag (0 = absent, 1 = present, anything else is corrupt)
+//! followed, when present, by the 24-byte context — so causality crosses
+//! process boundaries with the message that carries it.
+//!
+//! There is one layout, [`WIRE_VERSION`]. No peer of another version is
+//! deployed anywhere and the `cs_node` handshake demands an exact match, so
+//! frames of the earlier layouts (v1: no packed push; v2: no trace block)
+//! are rejected as [`WireError::BadVersion`] like any other foreign byte.
 //!
 //! The [`Message`] type also derives serde, so every variant has a JSON
 //! form for logs and debugging; the binary frame codec is the transport
@@ -37,23 +40,9 @@ pub use cs_obs::TraceContext;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Current wire format version. Bump on any incompatible layout change.
-///
-/// v2 added the [`Message::PackedPush`] payload (tag 7); v3 added the
-/// optional trace-context block after the tag. Every v1 frame is also a
-/// valid v2 frame, and both decode on a v3 decoder (they simply carry no
-/// trace block), so decoding accepts [`LEGACY_WIRE_VERSION`] through
-/// [`WIRE_VERSION`] with the per-version layout rules. The guarantee is
-/// **decode-side**: upgraded nodes keep reading captured or in-flight
-/// older frames, while [`encode_frame`] stamps the current version on
-/// everything it emits (a strict older-version decoder rejects those).
+/// The wire format version — the only one [`decode_frame`] accepts and
+/// [`encode_frame`] emits. Bump on any layout change.
 pub const WIRE_VERSION: u8 = 3;
-
-/// The pre-tracing wire version: packed payloads, no trace block.
-pub const TRACELESS_WIRE_VERSION: u8 = 2;
-
-/// Oldest wire version [`decode_frame`] still accepts.
-pub const LEGACY_WIRE_VERSION: u8 = 1;
 
 /// Hard upper bound on one frame's body, guarding decode against hostile
 /// length prefixes (64 MiB comfortably fits any realistic slot vector).
@@ -92,7 +81,7 @@ pub enum Message {
         /// The pushed ciphertext slots.
         slots: Vec<Ciphertext>,
     },
-    /// The packed counterpart of [`Message::EncryptedPush`] (wire v2): each
+    /// The packed counterpart of [`Message::EncryptedPush`]: each
     /// ciphertext carries a whole lane vector (`cs_crypto::packing`), so a
     /// push ships `⌈buckets/lanes⌉` ciphertexts instead of one per bucket.
     /// `buckets` is the logical bucket count (`SlotLayout::total()`),
@@ -488,7 +477,7 @@ pub fn decode_frame(frame: &[u8]) -> Result<Message, WireError> {
 }
 
 /// Decodes one length-prefixed frame together with its trace context
-/// ([`TraceContext::NONE`] for v1/v2 frames and untraced v3 frames).
+/// ([`TraceContext::NONE`] for an untraced frame).
 pub fn decode_frame_traced(frame: &[u8]) -> Result<(Message, TraceContext), WireError> {
     let mut r = Reader { buf: frame, pos: 0 };
     let declared = r.u32()? as usize;
@@ -502,33 +491,24 @@ pub fn decode_frame_traced(frame: &[u8]) -> Result<(Message, TraceContext), Wire
         });
     }
     let version = r.u8()?;
-    if !(LEGACY_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(WireError::BadVersion(version));
     }
     let tag = r.u8()?;
-    // Tags introduced after a version must not appear in older frames.
-    if tag >= 7 && version < 2 {
-        return Err(WireError::BadTag(tag));
-    }
-    // The trace block exists only from v3 on.
-    let ctx = if version >= 3 {
-        match r.u8()? {
-            0 => TraceContext::NONE,
-            1 => {
-                let bytes: [u8; TraceContext::WIRE_BYTES] =
-                    r.take(TraceContext::WIRE_BYTES)?.try_into().expect("24");
-                let ctx = TraceContext::from_bytes(&bytes);
-                if !ctx.is_set() {
-                    // Span ids are never 0 — a flagged-but-empty context
-                    // is corruption, not an encoding choice.
-                    return Err(WireError::BadValue("flagged trace context is empty"));
-                }
-                ctx
+    let ctx = match r.u8()? {
+        0 => TraceContext::NONE,
+        1 => {
+            let bytes: [u8; TraceContext::WIRE_BYTES] =
+                r.take(TraceContext::WIRE_BYTES)?.try_into().expect("24");
+            let ctx = TraceContext::from_bytes(&bytes);
+            if !ctx.is_set() {
+                // Span ids are never 0 — a flagged-but-empty context is
+                // corruption, not an encoding choice.
+                return Err(WireError::BadValue("flagged trace context is empty"));
             }
-            _ => return Err(WireError::BadValue("trace flag must be 0 or 1")),
+            ctx
         }
-    } else {
-        TraceContext::NONE
+        _ => return Err(WireError::BadValue("trace flag must be 0 or 1")),
     };
     let msg = match tag {
         0 => Message::EncryptedPush {
@@ -652,20 +632,6 @@ mod tests {
                 slots: vec![c(123_456_789), c(1)],
             },
         ]
-    }
-
-    /// Rewrites a current-encoder frame into the v1/v2 layout: those
-    /// versions have no trace-flag byte, so the downgrade strips it (it
-    /// must be 0 — untraced), shortens the length prefix, and patches the
-    /// version byte.
-    fn downgrade_frame(mut frame: Vec<u8>, version: u8) -> Vec<u8> {
-        assert!(version < 3);
-        assert_eq!(frame[6], 0, "cannot downgrade a traced frame");
-        frame.remove(6);
-        let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) - 1;
-        frame[..4].copy_from_slice(&len.to_le_bytes());
-        frame[4] = version;
-        frame
     }
 
     #[test]
@@ -807,31 +773,6 @@ mod tests {
         let mut frame = encode_frame(&Message::Leave { node: 1 });
         frame[5] = 99;
         assert_eq!(decode_frame(&frame), Err(WireError::BadTag(99)));
-    }
-
-    #[test]
-    fn legacy_version_still_decodes_legacy_tags() {
-        for msg in sample_messages() {
-            let frame = downgrade_frame(encode_frame(&msg), LEGACY_WIRE_VERSION);
-            let packed = matches!(msg, Message::PackedPush { .. });
-            if packed {
-                // The packed payload did not exist in v1 — a v1 frame
-                // claiming tag 7 is corrupt, not forward-compatible.
-                assert_eq!(decode_frame(&frame), Err(WireError::BadTag(7)));
-            } else {
-                assert_eq!(decode_frame(&frame).unwrap(), msg);
-            }
-        }
-    }
-
-    #[test]
-    fn traceless_v2_frames_still_decode() {
-        for msg in sample_messages() {
-            let frame = downgrade_frame(encode_frame(&msg), TRACELESS_WIRE_VERSION);
-            let (back, ctx) = decode_frame_traced(&frame).unwrap();
-            assert_eq!(back, msg, "{msg:?}");
-            assert_eq!(ctx, TraceContext::NONE);
-        }
     }
 
     #[test]

@@ -3,20 +3,21 @@
 //! and that the estimate it combines does not depend on which `threshold`
 //! members answered or in which order. The timer-driven half of the hedge
 //! is tested on the virtual-time executor (`executor::tests`), where a
-//! retry interval is an exact number.
+//! retry interval is an exact number. Also here, because it needs the same
+//! bare nodes: what a node refuses — a decryption request of the wrong
+//! width, a push in another dialect than its own.
 
 use chiaroscuro::config::ChiaroscuroConfig;
 use chiaroscuro::noise::SlotLayout;
-use chiaroscuro::rounds::{CryptoContext, PerturbedAggregates};
-use cs_crypto::threshold::delta_for;
-use cs_crypto::ThresholdParams;
+use chiaroscuro::rounds::{CryptoContext, PerturbedAggregates, StepCipher};
+use cs_crypto::{FastEncryptor, ThresholdParams};
 use cs_net::node::{NodeCrypto, NodeParams, Outbound, ProtocolNode};
 use cs_net::transport::NodeId;
 use cs_net::wire::{Message, TraceContext};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 const LAYOUT: SlotLayout = SlotLayout {
     k: 2,
@@ -24,10 +25,13 @@ const LAYOUT: SlotLayout = SlotLayout {
 };
 const ITERATION: u64 = 7;
 
+/// A run's configuration with the dealer's output for it.
+type Fixture = (ChiaroscuroConfig, CryptoContext);
+
 /// One dealer run per committee shape, shared by every case.
-fn context(params: ThresholdParams) -> &'static CryptoContext {
-    static TWO_OF_THREE: OnceLock<CryptoContext> = OnceLock::new();
-    static THREE_OF_FIVE: OnceLock<CryptoContext> = OnceLock::new();
+fn context(params: ThresholdParams) -> &'static Fixture {
+    static TWO_OF_THREE: OnceLock<Fixture> = OnceLock::new();
+    static THREE_OF_FIVE: OnceLock<Fixture> = OnceLock::new();
     let cell = match (params.threshold, params.parties) {
         (2, 3) => &TWO_OF_THREE,
         (3, 5) => &THREE_OF_FIVE,
@@ -36,48 +40,69 @@ fn context(params: ThresholdParams) -> &'static CryptoContext {
     cell.get_or_init(|| {
         let config = ChiaroscuroConfig {
             threshold: params,
+            rerandomize: false,
             ..ChiaroscuroConfig::test_real()
         };
-        CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(5)).unwrap()
+        let crypto = CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(5)).unwrap();
+        (config, crypto)
     })
 }
 
-/// A node that skips gossip (`pushes: 0`): its first tick snapshots its own
-/// contribution and starts the decryption round. The committee is nodes
+/// What a node gossips: cleartext slots, one ciphertext per slot, or lane
+/// vectors.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Dialect {
+    Plain,
+    PerSlot,
+    Packed,
+}
+
+/// A node with a push quota of `pushes`. The committee is nodes
 /// `0..parties`; the population has two more.
-fn node(ctx: &CryptoContext, id: NodeId, contribution: &[f64], seed: u64) -> ProtocolNode {
-    let CryptoContext::Real {
-        tkp,
-        pk,
-        codec,
-        plans,
-        ..
-    } = ctx
-    else {
+fn build(
+    ctx: &Fixture,
+    dialect: Dialect,
+    id: NodeId,
+    pushes: usize,
+    contribution: &[f64],
+    seed: u64,
+) -> ProtocolNode {
+    let (config, crypto) = ctx;
+    let CryptoContext::Real { tkp, pk, plans, .. } = crypto else {
         unreachable!("fixtures are real-crypto contexts");
     };
     let parties = tkp.params().parties;
+    let population = parties + 2;
     let params = NodeParams {
         id,
-        population: parties + 2,
+        population,
         iteration: ITERATION,
-        pushes: 0,
+        pushes,
         committee: (0..parties).collect(),
         seed,
         votes: false,
         corrupt_partials: false,
     };
-    let crypto = NodeCrypto::Real {
-        pk: pk.clone(),
-        codec: *codec,
-        share: (id < parties).then(|| tkp.shares()[id].clone()),
-        params: tkp.params(),
-        delta: delta_for(parties),
-        plans: plans.clone(),
-        rerandomize: false,
-        packed: None,
+    let fast = (dialect == Dialect::Packed).then(|| {
+        Arc::new(FastEncryptor::new(
+            pk.clone(),
+            &mut StdRng::seed_from_u64(9),
+        ))
+    });
+    let crypto = if dialect == Dialect::Plain {
+        NodeCrypto::Plain
+    } else {
+        let cipher = StepCipher::plan(config, pk, fast.as_ref(), &LAYOUT, population).unwrap();
+        let share = (id < parties).then(|| tkp.shares()[id].clone());
+        NodeCrypto::real(&cipher, share, tkp.params(), plans, None)
     };
     ProtocolNode::new(params, LAYOUT, crypto, Some(contribution))
+}
+
+/// A per-slot node that skips gossip (`pushes: 0`): its first tick
+/// snapshots its own contribution and starts the decryption round.
+fn node(ctx: &Fixture, id: NodeId, contribution: &[f64], seed: u64) -> ProtocolNode {
+    build(ctx, Dialect::PerSlot, id, 0, contribution, seed)
 }
 
 /// Destinations of the `DecryptRequest`s in `out`, in emission order.
@@ -204,6 +229,88 @@ fn decrypt_round_retry_reaches_the_members_held_back() {
     out.clear();
     requester.retry_decrypt(&mut out);
     assert_eq!(requested(&out), [2, 0]);
+}
+
+/// A member computes partial decryptions — the step's most expensive
+/// operation — only for a request of exactly the step's ciphertext count:
+/// whatever else a socket hands it costs nothing and leaves nothing behind.
+#[test]
+fn decrypt_round_refuses_a_request_of_the_wrong_width() {
+    let ctx = context(ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    });
+    let values = contribution(&[0.5]);
+    let mut out = Vec::new();
+    node(ctx, 3, &values, 31).tick(&mut out);
+    let request = out[0].1.clone();
+    let Message::DecryptRequest { iteration, slots } = &request else {
+        panic!("the round opens with a request");
+    };
+    let resized = |slots: Vec<_>| Message::DecryptRequest {
+        iteration: *iteration,
+        slots,
+    };
+
+    let mut member = node(ctx, 0, &values, 32);
+    let mut reply = Vec::new();
+    for bad in [
+        resized(Vec::new()),
+        resized(slots[1..].to_vec()),
+        resized(slots.iter().chain(slots).cloned().collect()),
+    ] {
+        member.handle(3, bad, TraceContext::NONE, &mut reply);
+        assert!(reply.is_empty(), "a malformed request gets no reply");
+    }
+    // Nothing was cached for the requester: its honest request is served
+    // from scratch.
+    member.handle(3, request, TraceContext::NONE, &mut reply);
+    let [(3, Message::DecryptShare { partials, .. }, _)] = &reply[..] else {
+        panic!("one share vector back to the requester, got {reply:?}");
+    };
+    assert_eq!(partials.len(), LAYOUT.total());
+    let report = member.into_report();
+    assert_eq!(report.bad_frames, 3);
+    assert_eq!(
+        report.decrypt_ops.partial_decryptions,
+        LAYOUT.total() as u64,
+        "only the honest request was worked on"
+    );
+}
+
+/// Every (node, push) pairing: a push in the node's own dialect is absorbed,
+/// one in either other dialect is one bad frame — counted, not vanished.
+#[test]
+fn a_push_in_another_dialect_is_one_counted_bad_frame() {
+    let ctx = context(ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    });
+    let values = contribution(&[1.0, -0.5]);
+    let dialects = [Dialect::Plain, Dialect::PerSlot, Dialect::Packed];
+    for sender in dialects {
+        let mut out = Vec::new();
+        build(ctx, sender, 3, 1, &values, 41).tick(&mut out);
+        let push = out.remove(0).1;
+        match (sender, &push) {
+            (Dialect::Plain, Message::PlainPush { .. })
+            | (Dialect::PerSlot, Message::EncryptedPush { .. })
+            | (Dialect::Packed, Message::PackedPush { .. }) => {}
+            other => panic!("unexpected first message {other:?}"),
+        }
+        for receiver in dialects {
+            let mut node = build(ctx, receiver, 4, 1, &values, 42);
+            node.handle(3, push.clone(), TraceContext::NONE, &mut Vec::new());
+            let report = node.into_report();
+            assert_eq!(
+                report.bad_frames,
+                u64::from(sender != receiver),
+                "{sender:?} push into a {receiver:?} node"
+            );
+            let absorbed = sender == receiver && sender != Dialect::Plain;
+            assert_eq!(report.ops.additions > 0, absorbed);
+        }
+    }
 }
 
 proptest! {

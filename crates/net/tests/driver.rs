@@ -6,7 +6,6 @@
 use chiaroscuro::config::ChiaroscuroConfig;
 use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::CryptoContext;
-use cs_crypto::threshold::delta_for;
 use cs_net::driver::{decrypt_retry_interval, Armed, NodeDriver, Timer, Timing};
 use cs_net::node::{NodeCrypto, NodeParams, Outbound, ProtocolNode};
 use cs_net::transport::NodeId;
@@ -45,12 +44,18 @@ fn retry() -> u64 {
     decrypt_retry_interval(Duration::from_nanos(PUSH)).as_nanos() as u64
 }
 
+fn config() -> ChiaroscuroConfig {
+    ChiaroscuroConfig {
+        rerandomize: false,
+        ..ChiaroscuroConfig::test_real()
+    }
+}
+
 /// One dealer run, shared by every case.
 fn context() -> &'static CryptoContext {
     static CONTEXT: OnceLock<CryptoContext> = OnceLock::new();
     CONTEXT.get_or_init(|| {
-        let config = ChiaroscuroConfig::test_real();
-        CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(5)).unwrap()
+        CryptoContext::from_config(&config(), &mut StdRng::seed_from_u64(5)).unwrap()
     })
 }
 
@@ -62,14 +67,7 @@ fn contribution() -> Vec<f64> {
 /// `real` crypto the node ends its gossip in the decryption round; plain,
 /// the tick that exhausts the quota finishes the step.
 fn node(id: NodeId, pushes: usize, real: bool) -> ProtocolNode {
-    let CryptoContext::Real {
-        tkp,
-        pk,
-        codec,
-        plans,
-        ..
-    } = context()
-    else {
+    let CryptoContext::Real { tkp, plans, .. } = context() else {
         unreachable!("the fixture is a real-crypto context");
     };
     let parties = tkp.params().parties;
@@ -80,16 +78,12 @@ fn node(id: NodeId, pushes: usize, real: bool) -> ProtocolNode {
     };
     let params = NodeParams::for_step(id, POPULATION, STEP_SEED, pushes, committee, true, None);
     let crypto = if real {
-        NodeCrypto::Real {
-            pk: pk.clone(),
-            codec: *codec,
-            share: (id < parties).then(|| tkp.shares()[id].clone()),
-            params: tkp.params(),
-            delta: delta_for(parties),
-            plans: plans.clone(),
-            rerandomize: false,
-            packed: None,
-        }
+        let cipher = context()
+            .step_cipher(&config(), &LAYOUT, POPULATION)
+            .unwrap()
+            .expect("real crypto has a cipher");
+        let share = (id < parties).then(|| tkp.shares()[id].clone());
+        NodeCrypto::real(&cipher, share, tkp.params(), plans, None)
     } else {
         NodeCrypto::Plain
     };

@@ -1,19 +1,21 @@
-//! Wire-format compatibility: v1 frames (pre-packed-payload) and v2 frames
+//! One wire layout: v1 frames (pre-packed-payload) and v2 frames
 //! (pre-trace-context), captured as fixture bytes from the encoders of
-//! their day, must still decode — byte for byte — on the current decoder;
-//! v3 frames carrying a trace context must round-trip it; and corrupt
-//! packed or trace-context bytes must be rejected.
+//! their day, are rejected as foreign versions; the current frame is still
+//! exactly those bytes behind a v3 header; v3 frames carrying a trace
+//! context must round-trip it; and corrupt packed or trace-context bytes
+//! must be rejected.
 //!
 //! The hex strings below are real frames emitted by the v1 codec (PR 2)
 //! and the v2 codec (PR 3); they are deliberately hardcoded rather than
-//! re-encoded, so any accidental change to the legacy layouts breaks this
-//! test even if encoder and decoder drift together.
+//! re-encoded, so they pin the decoder's version check to bytes a real
+//! old peer would send, and the current body layout to bytes no encoder
+//! in this tree produced.
 
 use cs_bigint::BigUint;
 use cs_crypto::{Ciphertext, PartialDecryption};
 use cs_net::wire::{
     decode_frame, decode_frame_traced, encode_frame, encode_frame_traced, Message, TraceContext,
-    WireError, LEGACY_WIRE_VERSION, TRACELESS_WIRE_VERSION, WIRE_VERSION,
+    WireError, WIRE_VERSION,
 };
 
 fn unhex(s: &str) -> Vec<u8> {
@@ -26,19 +28,6 @@ fn unhex(s: &str) -> Vec<u8> {
 
 fn c(v: u64) -> Ciphertext {
     Ciphertext::from_biguint(BigUint::from(v))
-}
-
-/// Rewrites a current-encoder (v3) frame into the v1/v2 layout: those
-/// versions have no trace-flag byte, so the downgrade strips it (it must
-/// be 0 — untraced), shortens the length prefix, and patches the version.
-fn downgrade_frame(mut frame: Vec<u8>, version: u8) -> Vec<u8> {
-    assert!(version < 3);
-    assert_eq!(frame[6], 0, "cannot downgrade a traced frame");
-    frame.remove(6);
-    let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) - 1;
-    frame[..4].copy_from_slice(&len.to_le_bytes());
-    frame[4] = version;
-    frame
 }
 
 /// Every v1 frame fixture with the message it encoded at capture time.
@@ -119,36 +108,30 @@ fn v2_packed_fixture() -> (&'static str, Message) {
 }
 
 #[test]
-fn every_v1_fixture_still_decodes_after_the_version_bumps() {
-    for (hex, expect) in v1_fixtures() {
+fn every_v1_fixture_is_rejected_as_a_bad_version() {
+    for (hex, _) in v1_fixtures() {
         let frame = unhex(hex);
-        assert_eq!(frame[4], LEGACY_WIRE_VERSION, "fixture is a v1 frame");
-        let decoded = decode_frame(&frame)
-            .unwrap_or_else(|e| panic!("v1 fixture no longer decodes: {e} ({hex})"));
-        assert_eq!(decoded, expect, "fixture {hex}");
+        assert_eq!(frame[4], 1, "fixture is a v1 frame");
+        assert_eq!(decode_frame(&frame), Err(WireError::BadVersion(1)), "{hex}");
     }
 }
 
 #[test]
-fn every_v2_fixture_still_decodes_with_no_trace_context() {
-    // For legacy tags a v2 frame is a v1 frame with the version byte
+fn every_v2_fixture_is_rejected_as_a_bad_version() {
+    // For the tags v1 had, a v2 frame is a v1 frame with the version byte
     // bumped — the body layout never changed between the two.
-    let mut fixtures: Vec<(Vec<u8>, Message)> = v1_fixtures()
+    let mut fixtures: Vec<Vec<u8>> = v1_fixtures()
         .into_iter()
-        .map(|(hex, msg)| {
+        .map(|(hex, _)| {
             let mut frame = unhex(hex);
-            frame[4] = TRACELESS_WIRE_VERSION;
-            (frame, msg)
+            frame[4] = 2;
+            frame
         })
         .collect();
-    let (hex, msg) = v2_packed_fixture();
-    fixtures.push((unhex(hex), msg));
-    for (frame, expect) in fixtures {
-        assert_eq!(frame[4], TRACELESS_WIRE_VERSION, "fixture is a v2 frame");
-        let (decoded, ctx) = decode_frame_traced(&frame)
-            .unwrap_or_else(|e| panic!("v2 fixture no longer decodes: {e}"));
-        assert_eq!(decoded, expect);
-        assert_eq!(ctx, TraceContext::NONE, "v2 frames carry no context");
+    fixtures.push(unhex(v2_packed_fixture().0));
+    for frame in fixtures {
+        assert_eq!(frame[4], 2, "fixture is a v2 frame");
+        assert_eq!(decode_frame_traced(&frame), Err(WireError::BadVersion(2)));
     }
 }
 
@@ -163,14 +146,18 @@ fn current_encoder_emits_the_bumped_version() {
 
 #[test]
 fn downgraded_v3_frames_match_the_v1_fixtures_byte_for_byte() {
-    // The body layout of legacy tags is unchanged across all three
-    // versions — the compatibility guarantee is structural, not
-    // coincidental. Stripping the trace block from an untraced v3 frame
-    // must reproduce the captured v1 bytes exactly.
-    for (hex, msg) in v1_fixtures() {
-        let v1 = unhex(hex);
-        let down = downgrade_frame(encode_frame(&msg), LEGACY_WIRE_VERSION);
-        assert_eq!(v1, down, "layout drifted for {msg:?}");
+    // What v3 changed is the header and nothing else: an untraced v3 frame
+    // is the captured frame with the version bumped and one cleared
+    // trace-flag byte after the tag. The bodies — and with them every byte
+    // count the benches record — are the captured bytes exactly.
+    let mut fixtures = v1_fixtures();
+    fixtures.push(v2_packed_fixture());
+    for (hex, msg) in fixtures {
+        let old = unhex(hex);
+        let v3 = encode_frame(&msg);
+        assert_eq!(v3[..4], (old.len() as u32 - 4 + 1).to_le_bytes());
+        assert_eq!(v3[4..7], [WIRE_VERSION, old[5], 0]);
+        assert_eq!(v3[7..], old[6..], "layout drifted for {msg:?}");
     }
 }
 
@@ -237,13 +224,16 @@ fn sample_packed() -> Message {
 }
 
 #[test]
-fn packed_frames_roundtrip_on_v2_and_later_only() {
+fn packed_frames_roundtrip_on_the_current_version_only() {
     let frame = encode_frame(&sample_packed());
     assert_eq!(decode_frame(&frame).unwrap(), sample_packed());
-    // A v1 frame claiming the packed tag is corrupt, not forward-compatible.
-    let mut v1 = frame.clone();
-    v1[4] = LEGACY_WIRE_VERSION;
-    assert_eq!(decode_frame(&v1), Err(WireError::BadTag(7)));
+    // The version is checked before the tag: the same bytes stamped with
+    // an older version are a foreign frame, whatever they claim to carry.
+    for version in [1, 2] {
+        let mut old = frame.clone();
+        old[4] = version;
+        assert_eq!(decode_frame(&old), Err(WireError::BadVersion(version)));
+    }
 }
 
 #[test]

@@ -250,6 +250,35 @@ impl Cluster {
             }
         }
     }
+
+    /// The one way the coordinator waits on its daemons: receives control
+    /// messages until every living daemon has `answered` or `deadline`
+    /// passes. `on_msg` sees each message with its sender and says whether
+    /// it was that daemon's answer; a dead connection excuses its daemon —
+    /// that is the fail-stop signal. An error means every control channel
+    /// is gone: fatal to a step, while a scrape just keeps what it has.
+    fn gather(
+        &mut self,
+        deadline: Instant,
+        answered: &mut [bool],
+        mut on_msg: impl FnMut(usize, ControlMsg) -> bool,
+    ) -> Result<(), ChiaroscuroError> {
+        loop {
+            let outstanding = (0..self.len()).any(|i| self.alive[i] && !answered[i]);
+            let now = Instant::now();
+            if !outstanding || now >= deadline {
+                return Ok(());
+            }
+            match self.events.recv_timeout(deadline - now) {
+                Ok((i, Event::Msg(msg))) => answered[i] |= on_msg(i, msg),
+                Ok((i, Event::Gone)) => self.mark_dead(i),
+                Err(RecvTimeoutError::Timeout) => return Ok(()),
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(transport_err("all control channels died"));
+                }
+            }
+        }
+    }
 }
 
 /// A [`ComputationBackend`] that executes every computation step across the
@@ -343,37 +372,37 @@ impl ClusterBackend {
         &self.metrics_total
     }
 
+    /// Sends `request` to every daemon and collects what `pick` extracts
+    /// from each one's reply. Slots that died or missed the deadline stay
+    /// `None`.
+    fn scrape<T>(
+        &mut self,
+        request: &ControlMsg,
+        timeout: Duration,
+        mut pick: impl FnMut(ControlMsg) -> Option<T>,
+    ) -> Vec<Option<T>> {
+        let n = self.cluster.len();
+        for i in 0..n {
+            self.cluster.send(i, request);
+        }
+        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let _ = self
+            .cluster
+            .gather(Instant::now() + timeout, &mut vec![false; n], |i, msg| {
+                pick(msg).map(|reply| out[i] = Some(reply)).is_some()
+            });
+        out
+    }
+
     /// Live scrape: sends [`ControlMsg::Metrics`] to every daemon and
     /// collects the cumulative per-daemon snapshots. Only valid *between*
     /// steps — a scrape racing a step would interleave with the step's
     /// control traffic. Slots that died or missed the deadline stay `None`.
     pub fn scrape_metrics(&mut self, timeout: Duration) -> Vec<Option<MetricsSnapshot>> {
-        let n = self.cluster.len();
-        for i in 0..n {
-            self.cluster.send(i, &ControlMsg::Metrics);
-        }
-        let mut out: Vec<Option<MetricsSnapshot>> = vec![None; n];
-        let deadline = Instant::now() + timeout;
-        loop {
-            let outstanding = (0..n).any(|i| self.cluster.alive[i] && out[i].is_none());
-            if !outstanding {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match self.cluster.events.recv_timeout(deadline - now) {
-                Ok((i, Event::Msg(ControlMsg::MetricsReport { metrics, .. }))) => {
-                    out[i] = Some(metrics);
-                }
-                Ok((i, Event::Gone)) => self.cluster.mark_dead(i),
-                Ok(_) => {}
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        out
+        self.scrape(&ControlMsg::Metrics, timeout, |msg| match msg {
+            ControlMsg::MetricsReport { metrics, .. } => Some(metrics),
+            _ => None,
+        })
     }
 
     /// Live flight-recorder scrape: sends [`ControlMsg::Trace`] to every
@@ -381,32 +410,10 @@ impl ClusterBackend {
     /// [`ClusterBackend::scrape_metrics`] — only valid *between* steps;
     /// slots that died or missed the deadline stay `None`.
     pub fn scrape_traces(&mut self, timeout: Duration) -> Vec<Option<NodeTrace>> {
-        let n = self.cluster.len();
-        for i in 0..n {
-            self.cluster.send(i, &ControlMsg::Trace);
-        }
-        let mut out: Vec<Option<NodeTrace>> = vec![None; n];
-        let deadline = Instant::now() + timeout;
-        loop {
-            let outstanding = (0..n).any(|i| self.cluster.alive[i] && out[i].is_none());
-            if !outstanding {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match self.cluster.events.recv_timeout(deadline - now) {
-                Ok((i, Event::Msg(ControlMsg::TraceReport { trace, .. }))) => {
-                    out[i] = Some(trace);
-                }
-                Ok((i, Event::Gone)) => self.cluster.mark_dead(i),
-                Ok(_) => {}
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        out
+        self.scrape(&ControlMsg::Trace, timeout, |msg| match msg {
+            ControlMsg::TraceReport { trace, .. } => Some(trace),
+            _ => None,
+        })
     }
 
     /// Scrapes every daemon's flight recorder and merges the captures —
@@ -430,39 +437,14 @@ impl ClusterBackend {
     /// [`ClusterBackend::scrape_metrics`] — only valid *between* steps;
     /// slots that died or missed the deadline stay `None`.
     pub fn scrape_health(&mut self, timeout: Duration) -> Vec<Option<(cs_obs::HealthReport, u64)>> {
-        let n = self.cluster.len();
-        for i in 0..n {
-            self.cluster.send(i, &ControlMsg::Health);
-        }
-        let mut out: Vec<Option<(cs_obs::HealthReport, u64)>> = vec![None; n];
-        let deadline = Instant::now() + timeout;
-        loop {
-            let outstanding = (0..n).any(|i| self.cluster.alive[i] && out[i].is_none());
-            if !outstanding {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match self.cluster.events.recv_timeout(deadline - now) {
-                Ok((
-                    i,
-                    Event::Msg(ControlMsg::HealthReport {
-                        report,
-                        uptime_seconds,
-                        ..
-                    }),
-                )) => {
-                    out[i] = Some((report, uptime_seconds));
-                }
-                Ok((i, Event::Gone)) => self.cluster.mark_dead(i),
-                Ok(_) => {}
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        out
+        self.scrape(&ControlMsg::Health, timeout, |msg| match msg {
+            ControlMsg::HealthReport {
+                report,
+                uptime_seconds,
+                ..
+            } => Some((report, uptime_seconds)),
+            _ => None,
+        })
     }
 
     /// Scrapes every daemon's health verdict and folds them — together
@@ -520,28 +502,21 @@ impl ClusterBackend {
             .iter()
             .map(|m| m.data_addr.clone())
             .collect();
-        // Committee assignment mirrors `cs_net::runtime::StepCrypto`: the
-        // first `parties` nodes, in share order.
-        let (committee, pk) = match crypto {
-            CryptoContext::Real { tkp, pk, .. } => (
-                (0..tkp.params().parties.min(n)).collect::<Vec<_>>(),
-                Some(pk.as_ref().clone()),
-            ),
-            CryptoContext::Simulated { .. } => (Vec::new(), None),
-        };
+        let committee = crypto.committee(n);
         for i in 0..n {
-            let share = match crypto {
-                CryptoContext::Real { tkp, .. } if committee.contains(&i) => {
-                    Some(tkp.shares()[i].clone())
-                }
-                _ => None,
+            let (pk, share) = match crypto {
+                CryptoContext::Real { tkp, pk, .. } => (
+                    Some(pk.as_ref().clone()),
+                    committee.contains(&i).then(|| tkp.shares()[i].clone()),
+                ),
+                CryptoContext::Simulated { .. } => (None, None),
             };
             let msg = ControlMsg::Bootstrap {
                 config: config.clone(),
                 layout: *layout,
                 population: manifest.clone(),
                 committee: committee.clone(),
-                pk: pk.clone(),
+                pk,
                 share,
                 link: self.cfg.link,
                 timing: self.cfg.timing,
@@ -599,39 +574,43 @@ impl ComputationBackend for ClusterBackend {
             + Duration::from_secs(5);
         let mut ready = vec![false; n];
         let mut done = vec![false; n];
+        let mut reported = vec![false; n];
         let mut reports: Vec<Option<NodeReport>> = (0..n).map(|_| None).collect();
         let mut snapshots: Vec<TrafficSnapshot> = vec![TrafficSnapshot::default(); n];
         let mut metric_deltas: Vec<MetricsSnapshot> = vec![MetricsSnapshot::default(); n];
+        // Every message below is step-tagged, so a straggler announcement
+        // or report from a previous step can never satisfy (or poison)
+        // this one.
+        let mut keep_report = |i: usize, msg: ControlMsg| match msg {
+            ControlMsg::Report {
+                step: s,
+                report,
+                snapshot,
+                metrics,
+            } if s == step => {
+                snapshots[i] = snapshot;
+                metric_deltas[i] = metrics;
+                reports[i] = Some(report);
+                true
+            }
+            _ => false,
+        };
 
         // Phase 0 — the start barrier: every living daemon constructs its
         // node (contribution encryption included) and acknowledges Ready
         // before anyone gossips, mirroring the threaded runtime's start
         // gate. Dark slots Ready-then-Done immediately, so their Done must
-        // be buffered here too.
-        loop {
-            let outstanding = (0..n).any(|i| self.cluster.alive[i] && !ready[i]);
-            if !outstanding {
-                break;
-            }
-            let now = Instant::now();
-            if now >= step_deadline {
-                break; // release whoever is ready rather than deadlock
-            }
-            match self.cluster.events.recv_timeout(step_deadline - now) {
-                Ok((i, Event::Msg(ControlMsg::Ready { step: s, .. }))) if s == step => {
-                    ready[i] = true;
-                }
-                Ok((i, Event::Msg(ControlMsg::Done { step: s, .. }))) if s == step => {
+        // be buffered here too. On the deadline, release whoever is ready
+        // rather than deadlock.
+        self.cluster
+            .gather(step_deadline, &mut ready, |i, msg| match msg {
+                ControlMsg::Ready { step: s, .. } if s == step => true,
+                ControlMsg::Done { step: s, .. } if s == step => {
                     done[i] = true;
+                    false
                 }
-                Ok((i, Event::Gone)) => self.cluster.mark_dead(i),
-                Ok(_) => {}
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(transport_err("all control channels died"));
-                }
-            }
-        }
+                _ => false,
+            })?;
         for i in 0..n {
             self.cluster.send(i, &ControlMsg::Go { step });
         }
@@ -673,79 +652,22 @@ impl ComputationBackend for ClusterBackend {
         // Phase 1: every living daemon announces Done (its own part of the
         // step finished; committee service continues until StepEnd). A
         // dead connection excuses its daemon — that is the fail-stop.
-        loop {
-            let outstanding = (0..n).any(|i| self.cluster.alive[i] && !done[i]);
-            if !outstanding {
-                break;
-            }
-            let now = Instant::now();
-            if now >= step_deadline {
-                break;
-            }
-            match self.cluster.events.recv_timeout(step_deadline - now) {
-                // Step-tagged so a straggler announcement or report from a
-                // previous step can never satisfy (or poison) this one.
-                Ok((i, Event::Msg(ControlMsg::Done { step: s, .. }))) if s == step => {
-                    done[i] = true;
+        self.cluster
+            .gather(step_deadline, &mut done, |i, msg| match msg {
+                ControlMsg::Done { step: s, .. } if s == step => true,
+                early_report => {
+                    reported[i] |= keep_report(i, early_report);
+                    false
                 }
-                Ok((
-                    i,
-                    Event::Msg(ControlMsg::Report {
-                        step: s,
-                        report,
-                        snapshot,
-                        metrics,
-                    }),
-                )) if s == step => {
-                    snapshots[i] = snapshot;
-                    metric_deltas[i] = metrics;
-                    reports[i] = Some(report);
-                }
-                Ok((i, Event::Gone)) => self.cluster.mark_dead(i),
-                Ok(_) => {}
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(transport_err("all control channels died"));
-                }
-            }
-        }
+            })?;
 
         // Phase 2: stop the population and collect reports.
         for i in 0..n {
             self.cluster.send(i, &ControlMsg::StepEnd);
         }
         let report_deadline = Instant::now() + self.cfg.report_timeout;
-        loop {
-            let outstanding = (0..n).any(|i| self.cluster.alive[i] && reports[i].is_none());
-            if !outstanding {
-                break;
-            }
-            let now = Instant::now();
-            if now >= report_deadline {
-                break;
-            }
-            match self.cluster.events.recv_timeout(report_deadline - now) {
-                Ok((
-                    i,
-                    Event::Msg(ControlMsg::Report {
-                        step: s,
-                        report,
-                        snapshot,
-                        metrics,
-                    }),
-                )) if s == step => {
-                    snapshots[i] = snapshot;
-                    metric_deltas[i] = metrics;
-                    reports[i] = Some(report);
-                }
-                Ok((i, Event::Gone)) => self.cluster.mark_dead(i),
-                Ok(_) => {}
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(transport_err("all control channels died"));
-                }
-            }
-        }
+        self.cluster
+            .gather(report_deadline, &mut reported, &mut keep_report)?;
 
         // Fold. A daemon that never reported (killed, or hopelessly late)
         // contributes a dead report; cluster traffic is the sum of the

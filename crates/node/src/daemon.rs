@@ -39,13 +39,13 @@
 use crate::proto::{read_msg, write_msg, ControlMsg, TimingSpec, PROTO_VERSION};
 use chiaroscuro::config::CryptoMode;
 use chiaroscuro::noise::SlotLayout;
-use chiaroscuro::rounds::plan_packed_codec;
+use chiaroscuro::rounds::StepCipher;
 use chiaroscuro::ChiaroscuroConfig;
-use cs_crypto::threshold::{delta_for, CombinePlanCache};
-use cs_crypto::{FastEncryptor, FixedPointCodec, KeyShare, PublicKey, RandomizerPool};
+use cs_crypto::threshold::CombinePlanCache;
+use cs_crypto::{FastEncryptor, KeyShare, RandomizerPool};
 use cs_net::driver::{NodeDriver, Timing};
-use cs_net::node::{NodeCrypto, NodeParams, PackedCrypto, ProtocolNode};
-use cs_net::runtime::{pool_target_for, pump};
+use cs_net::node::{NodeCrypto, NodeParams, ProtocolNode};
+use cs_net::runtime::pump;
 use cs_net::tcp::{PeerDirectory, TcpEndpoint, TcpTransport};
 use cs_net::transport::{NodeId, TrafficSnapshot, Transport};
 use cs_net::wire::WIRE_VERSION;
@@ -156,13 +156,14 @@ struct RunContext {
     config: ChiaroscuroConfig,
     layout: SlotLayout,
     committee: Vec<usize>,
-    pk: Option<Arc<PublicKey>>,
+    /// The run's ciphertext layout, `None` in simulated-crypto mode. Planned
+    /// once, at bootstrap, from public inputs only — so every daemon agrees
+    /// on it without coordination — around a fixed-base encryptor whose
+    /// window tables are likewise built once per run, not per step.
+    cipher: Option<StepCipher>,
     share: Option<KeyShare>,
     timing: TimingSpec,
     transport: Arc<TcpTransport>,
-    /// Packed-mode crypto (lane plan + fixed-base encryptor), built once
-    /// per run by [`RunContext::prepare_packed`].
-    packed: Option<PackedCrypto>,
     /// Per-committee-subset combine plans, cached across every step this
     /// daemon serves (the subset only changes when the responder set does).
     plans: Arc<CombinePlanCache>,
@@ -170,13 +171,14 @@ struct RunContext {
     /// step ([`ProtocolNode::take_randomizer_pool`]) and restocked *after*
     /// the step's `Report` ships — i.e. while the daemon idles waiting for
     /// the next `Step` — so the gossip hot path pops precomputed
-    /// randomizers. Unlike the in-process substrates' seed-keyed
-    /// [`cs_crypto::PoolBank`], this pool draws from a private RNG that
-    /// advances across steps: daemons learn the step seed only when the
-    /// `Step` command arrives, and no bitwise-replay harness spans
-    /// processes, so consumption-dependent contents are fine here.
+    /// randomizers. The in-process substrates have no idle time to refill
+    /// in and rebuild each node's pool from the step seed; this one draws
+    /// from a private RNG that advances across steps: daemons learn the
+    /// step seed only when the `Step` command arrives, and no
+    /// bitwise-replay harness spans processes, so consumption-dependent
+    /// contents are fine here.
     pool: Mutex<Option<RandomizerPool>>,
-    /// Private randomness feeding [`RunContext::refill_pool`].
+    /// Private randomness feeding [`RunContext::take_pool`].
     pool_rng: Mutex<StdRng>,
     /// The Bootstrap's fault spec. When it names *this* daemon, every
     /// partial decryption it emits gets its value bytes corrupted — a
@@ -185,114 +187,19 @@ struct RunContext {
 }
 
 impl RunContext {
-    /// Builds the per-run packed crypto, once: the lane plan is derived
-    /// locally from public inputs only (so every daemon agrees on it
-    /// without coordination), and the fixed-base encryptor's window tables
-    /// are precomputed here rather than per step — the in-process
-    /// substrates likewise build their `FastEncryptor` once per run.
-    fn prepare_packed(&self, id: usize) -> io::Result<Option<PackedCrypto>> {
-        let Some(pk) = &self.pk else {
-            return Ok(None);
-        };
-        if !self.config.packing {
-            return Ok(None);
-        }
-        let codec = FixedPointCodec::new(self.config.codec_scale_bits);
-        let plan = plan_packed_codec(
-            &self.config,
-            pk,
-            &codec,
-            &self.layout,
-            self.transport.node_count(),
-        )
-        .map_err(|e| bad_data(format!("packed lane plan: {e}")))?;
-        // Encryption randomness is private per daemon — only the lane
-        // plan must match across the cluster, and it does (public inputs
-        // only).
-        let mut enc_rng = StdRng::seed_from_u64(self.config.seed ^ 0x5EED_DAE0 ^ (id as u64) << 32);
-        Ok(Some(PackedCrypto {
-            codec: plan,
-            enc: Arc::new(FastEncryptor::new(pk.clone(), &mut enc_rng)),
-            pool: None,
-        }))
-    }
-
-    /// Randomizers the persistent pool targets — the in-process
-    /// substrates' [`pool_target_for`]. Zero when the run doesn't
-    /// re-randomize packed ciphertexts.
-    fn pool_target(&self) -> usize {
-        match &self.packed {
-            Some(p) if self.config.rerandomize => {
-                pool_target_for(&self.config, p.codec.ciphertexts_for(self.layout.total()))
-            }
-            _ => 0,
-        }
-    }
-
-    /// Hands the persistent pool to a step's node, building it on first use.
+    /// Takes the persistent pool, topped up to a step's expected demand —
+    /// built here on the first step of the run, when nothing has been
+    /// restocked yet. `None` when the run pools no randomizers.
     fn take_pool(&self) -> Option<RandomizerPool> {
-        let target = self.pool_target();
-        if target == 0 {
-            return None;
-        }
-        if let Some(pool) = self.pool.lock().expect("pool lock").take() {
-            return Some(pool);
-        }
-        // First step of the run: nothing restocked yet, pay the build here.
-        let enc = self.packed.as_ref().expect("target > 0 implies packed");
-        let mut pool = RandomizerPool::new(enc.enc.clone());
+        let stashed = self.pool.lock().expect("pool lock").take();
         let mut rng = self.pool_rng.lock().expect("pool rng lock");
-        pool.refill(target, &mut *rng);
-        Some(pool)
+        self.cipher.as_ref()?.fill_pool(stashed, &mut *rng)
     }
 
-    /// Returns the (possibly drained) pool recovered from a finished step
-    /// (`None` when the run keeps none — the slot was empty already).
+    /// Puts back the (possibly drained) pool recovered from a finished
+    /// step (`None` when the run keeps none — the slot was empty already).
     fn stash_pool(&self, pool: Option<RandomizerPool>) {
         *self.pool.lock().expect("pool lock") = pool;
-    }
-
-    /// Tops the stashed pool back up to target. Called after the step's
-    /// `Report` has shipped — daemon idle time, off every critical path.
-    fn refill_pool(&self) {
-        let target = self.pool_target();
-        if target == 0 {
-            return;
-        }
-        let mut slot = self.pool.lock().expect("pool lock");
-        if let Some(pool) = slot.as_mut() {
-            let need = target.saturating_sub(pool.len());
-            if need > 0 {
-                let mut rng = self.pool_rng.lock().expect("pool rng lock");
-                pool.refill(need, &mut *rng);
-            }
-        }
-    }
-
-    /// The crypto substrate this daemon's node runs with — mirrors
-    /// `cs_net::runtime::StepCrypto::node_crypto`, rebuilt from shipped
-    /// key material instead of the in-process dealer.
-    fn node_crypto(&self) -> io::Result<NodeCrypto> {
-        let Some(pk) = &self.pk else {
-            return Ok(NodeCrypto::Plain);
-        };
-        if !matches!(self.config.crypto, CryptoMode::Real { .. }) {
-            return Err(bad_data("public key shipped for a simulated-crypto run"));
-        }
-        let mut packed = self.packed.clone();
-        if let Some(p) = &mut packed {
-            p.pool = self.take_pool();
-        }
-        Ok(NodeCrypto::Real {
-            pk: pk.clone(),
-            codec: FixedPointCodec::new(self.config.codec_scale_bits),
-            share: self.share.clone(),
-            params: self.config.threshold,
-            delta: delta_for(self.config.threshold.parties),
-            plans: self.plans.clone(),
-            rerandomize: self.config.rerandomize,
-            packed,
-        })
     }
 }
 
@@ -439,22 +346,39 @@ pub fn run(opts: &DaemonOpts) -> io::Result<()> {
         transport_seed ^ (opts.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         &registry,
     ));
+    let cipher = match pk {
+        Some(_) if !matches!(config.crypto, CryptoMode::Real { .. }) => {
+            return Err(bad_data("public key shipped for a simulated-crypto run"));
+        }
+        Some(pk) => {
+            let pk = Arc::new(pk);
+            // Encryption randomness is private per daemon — only the layout
+            // must match across the cluster.
+            let fast = config.packing.then(|| {
+                let mut enc_rng =
+                    StdRng::seed_from_u64(config.seed ^ 0x5EED_DAE0 ^ (opts.id as u64) << 32);
+                Arc::new(FastEncryptor::new(pk.clone(), &mut enc_rng))
+            });
+            let cipher = StepCipher::plan(&config, &pk, fast.as_ref(), &layout, population.len())
+                .map_err(|e| bad_data(format!("step cipher: {e}")))?;
+            Some(cipher)
+        }
+        None => None,
+    };
     let pool_rng_seed = config.seed ^ 0x5EED_B007_u64 ^ ((opts.id as u64) << 32);
-    let mut ctx = RunContext {
+    let ctx = RunContext {
         config,
         layout,
         committee,
-        pk: pk.map(Arc::new),
+        cipher,
         share,
         timing,
         transport,
-        packed: None,
         plans: Arc::new(CombinePlanCache::new()),
         pool: Mutex::new(None),
         pool_rng: Mutex::new(StdRng::seed_from_u64(pool_rng_seed)),
         fault,
     };
-    ctx.packed = ctx.prepare_packed(opts.id)?;
 
     // Control reader thread: turns the blocking stream into a channel the
     // step loop can poll without stalling the protocol. EOF becomes a
@@ -607,7 +531,7 @@ fn serve_steps(
                 // randomizer pool now, while waiting for the next Step —
                 // the fixed-base exponentiations land in idle time instead
                 // of the next step's gossip hot path.
-                ctx.refill_pool();
+                ctx.stash_pool(ctx.take_pool());
             }
             // Live scrape: cumulative since daemon start, not delta'd.
             Ok(ControlMsg::Metrics) => {
@@ -748,7 +672,16 @@ fn run_step(
         true,
         ctx.fault,
     );
-    let node_crypto = ctx.node_crypto()?;
+    let node_crypto = match &ctx.cipher {
+        Some(cipher) => NodeCrypto::real(
+            cipher,
+            ctx.share.clone(),
+            ctx.config.threshold,
+            &ctx.plans,
+            ctx.take_pool(),
+        ),
+        None => NodeCrypto::Plain,
+    };
     let node = ProtocolNode::new(params, ctx.layout, node_crypto, Some(&contribution));
     let mut driver = NodeDriver::new(node, &timing, true);
     // However the step ends, the (possibly drained) randomizer pool
