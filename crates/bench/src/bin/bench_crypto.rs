@@ -391,8 +391,8 @@ fn wide_entry(name: &str, bits: usize, units: usize, samples: &mut [f64]) -> Cry
 
 /// Per-operation cost at a `bits`-bit key (plain primes, as csbench's
 /// `sharded_packed_2048b` generates them): the Montgomery kernels and a
-/// full exponentiation at `n²`, one pooled randomizer from the 8-bit-window
-/// fixed-base table, one CRT partial decryption.
+/// full exponentiation at `n²`, one pooled randomizer from the 8-tooth
+/// fixed-base comb table, one CRT partial decryption.
 fn bench_wide_key(bits: usize, reps: usize, rng: &mut StdRng) -> Vec<CryptoBenchEntry> {
     let tkp = ThresholdKeyPair::generate(
         &KeyGenOptions {

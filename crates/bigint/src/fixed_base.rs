@@ -1,17 +1,33 @@
-//! Fixed-base windowed modular exponentiation.
+//! Fixed-base comb modular exponentiation.
 //!
 //! The generic [`MontgomeryCtx::pow_mod`] spends one squaring per exponent
 //! bit plus one multiplication per window of a few bits. When the *base* is
 //! known ahead of time and many exponents will be raised to it — the
 //! Damgård-Jurik randomizer base `h^(n^s)` on the encryption hot path, the
-//! generator `(1+n)` when the binomial shortcut does not apply — all the
-//! squarings can be paid once, at table-build time: precompute
-//! `base^(d · 2^(w·i))` for every window position `i` and digit `d`, and an
-//! exponentiation collapses to one Montgomery multiplication per non-zero
-//! window. For a `B`-bit exponent that is ≤ `B/w` multiplications instead
-//! of `B` squarings + `B/w` multiplications — a ~4–5× reduction at `w = 4`,
-//! ~9× at `w = 8` (at `2^w` times the table size and build cost, so wide
-//! windows only pay off for tables that serve very many exponentiations).
+//! generator `(1+n)` when the binomial shortcut does not apply — the
+//! squarings can be paid once, at table-build time. [`FixedBaseExp`] is the
+//! comb of Lim and Lee (*More flexible exponentiation with precomputation*,
+//! CRYPTO '94): lay the exponent's bits out as
+//!
+//! ```text
+//! bit (c·w + t)·rows + j        column c, tooth t < w, row j < rows
+//! ```
+//!
+//! and keep, per column, the `2^w − 1` products of its teeth's generators
+//! `base^(2^((c·w + t)·rows))`. Row `j` of the exponent is then one table
+//! entry per column, and the rows combine Horner-style: square, multiply
+//! in the next row down. A `B`-bit exponent costs at most `⌈B/w⌉`
+//! multiplications and `rows − 1` squarings, out of a table of
+//! `⌈B/(w·rows)⌉ · (2^w − 1)` entries.
+//!
+//! At `rows = 1` the teeth of a column are `w` consecutive bits and this is
+//! the plain fixed-window table: no squarings, one entry per exponent
+//! window. More rows trade a few squarings for a table `rows` times
+//! smaller — and once the one-row table outgrows the cache the smaller one
+//! is also the faster, since each multiplication of an exponentiation reads
+//! an entry no other one touches. [`FixedBaseExp::with_window`] therefore
+//! derives the row count from the table's size and nothing else: the
+//! one-row size over [`TABLE_TARGET_BYTES`], rounded up.
 
 use crate::{BigUint, MontgomeryCtx};
 
@@ -21,6 +37,11 @@ use crate::{BigUint, MontgomeryCtx};
 /// exponentiations (the gossip re-randomization path) should pick a wider
 /// window via [`FixedBaseExp::with_window`].
 const DEFAULT_WINDOW_BITS: usize = 4;
+
+/// What a table is folded down to. The 8-bit one-row table of a 2048-bit
+/// key's randomizers is 16 MiB — every entry read is a cache miss, and a
+/// personal device keeps all of it resident; at 2 MiB it is neither.
+const TABLE_TARGET_BYTES: usize = 2 << 20;
 
 /// Precomputed fixed-base exponentiation table for one `(base, modulus)`
 /// pair, valid for exponents up to a declared bit length (larger exponents
@@ -41,31 +62,30 @@ pub struct FixedBaseExp {
     ctx: MontgomeryCtx,
     /// The base reduced mod n (kept for the oversized-exponent fallback).
     base: BigUint,
-    /// `base^(d · 2^(window_bits·i))` in Montgomery form for window `i` and
-    /// digit `d ≥ 1`, as one flat run of `k`-limb entries (see
-    /// [`Self::entry`]): the 1024-bit-exponent, 8-bit-window table of a
-    /// 2048-bit key's randomizers is 128 × 255 = 32 640 entries of 64
-    /// limbs, ~16 MiB, in a single allocation. Empty for a zero base.
+    /// `Π_{t ∈ digit} base^(2^((column·w + t)·rows))` in Montgomery form for
+    /// every column and digit `≥ 1`, as one flat run of `k`-limb entries
+    /// (see [`Self::entry`]): the 1024-bit-exponent, 8-tooth, 8-row table
+    /// of a 2048-bit key's randomizers is 16 × 255 = 4 080 entries of 64
+    /// limbs, ~2 MiB, in a single allocation. Empty for a zero base.
     table: Vec<u64>,
     window_bits: usize,
+    rows: usize,
     max_exp_bits: usize,
 }
 
 impl FixedBaseExp {
-    /// Builds the window tables for exponents of up to `max_exp_bits` bits
-    /// at the default 4-bit window.
-    ///
-    /// Table cost: `⌈max_exp_bits/4⌉ · 15` modulus-sized entries, built with
-    /// one Montgomery multiplication each — amortized after a handful of
-    /// exponentiations.
+    /// Builds the table for exponents of up to `max_exp_bits` bits at the
+    /// default 4-bit window.
     pub fn new(ctx: &MontgomeryCtx, base: &BigUint, max_exp_bits: usize) -> Self {
         Self::with_window(ctx, base, max_exp_bits, DEFAULT_WINDOW_BITS)
     }
 
-    /// Builds the window tables with an explicit window width (1..=12
-    /// bits). Wider windows trade `(2^w − 1) · ⌈bits/w⌉` table entries —
-    /// built once, one Montgomery multiplication each — for `⌈bits/w⌉`
-    /// multiplications per exponentiation.
+    /// Builds the table with an explicit window width (1..=12 bits), the
+    /// comb's tooth count. Wider windows trade `2^w − 1` entries per column
+    /// for `⌈bits/w⌉` multiplications per exponentiation; the row count
+    /// follows from the resulting size (module docs). Building costs one
+    /// squaring per covered exponent bit and one multiplication per entry
+    /// that is not a generator itself.
     ///
     /// Panics if `window_bits` is outside `1..=12` (a 13-bit window table
     /// would already be megabytes per position — a misuse, not a tuning).
@@ -79,27 +99,50 @@ impl FixedBaseExp {
             (1..=12).contains(&window_bits),
             "window_bits must be in 1..=12"
         );
-        let digits = (1usize << window_bits) - 1; // non-zero digits per window
-        let base = base % ctx.modulus();
         let windows = max_exp_bits.max(1).div_ceil(window_bits);
+        let one_row_bytes = windows * ((1usize << window_bits) - 1) * ctx.limbs() * 8;
+        let rows = one_row_bytes.div_ceil(TABLE_TARGET_BYTES).clamp(1, windows);
+        Self::with_rows(ctx, base, max_exp_bits, window_bits, rows)
+    }
+
+    fn with_rows(
+        ctx: &MontgomeryCtx,
+        base: &BigUint,
+        max_exp_bits: usize,
+        window_bits: usize,
+        rows: usize,
+    ) -> Self {
+        let digits = (1usize << window_bits) - 1; // non-zero digits per column
+        let base = base % ctx.modulus();
+        let columns = max_exp_bits.max(1).div_ceil(window_bits * rows);
         let mut table = Vec::new();
         if !base.is_zero() {
             let k = ctx.limbs();
-            table = vec![0u64; windows * digits * k];
-            let mut scratch = vec![0u64; ctx.scratch_len()];
-            // Each entry is the one before it times the window's first entry
-            // `base^(2^(window_bits·i))`; the entry after a window's last
-            // digit, `base^(2^w · 2^(wi))`, is the next window's first.
-            ctx.to_mont_into(&mut table[..k], &base, &mut scratch);
-            for e in 1..windows * digits {
+            table = vec![0u64; columns * digits * k];
+            let mut buf = vec![0u64; 2 * k + ctx.scratch_len()];
+            let (mut generator, rest) = buf.split_at_mut(k);
+            let (mut tmp, scratch) = rest.split_at_mut(k);
+            ctx.to_mont_into(generator, &base, scratch);
+            for e in 0..columns * digits {
+                let (column, digit) = (e / digits, e % digits + 1);
                 let (done, rest) = table.split_at_mut(e * k);
-                let first = (e - 1) / digits * digits * k;
-                ctx.mont_mul_into(
-                    &mut rest[..k],
-                    &done[(e - 1) * k..],
-                    &done[first..first + k],
-                    &mut scratch,
-                );
+                if digit.is_power_of_two() {
+                    // A tooth's generator: the previous one raised to
+                    // `2^rows`, one squaring chain through the whole table.
+                    if e > 0 {
+                        for _ in 0..rows {
+                            ctx.mont_sqr_into(tmp, generator, scratch);
+                            std::mem::swap(&mut generator, &mut tmp);
+                        }
+                    }
+                    rest[..k].copy_from_slice(generator);
+                } else {
+                    // Any other digit: its lowest tooth times the rest of
+                    // it, both earlier entries of this column.
+                    let low = digit & digit.wrapping_neg();
+                    let at = |d: usize| &done[(column * digits + d - 1) * k..][..k];
+                    ctx.mont_mul_into(&mut rest[..k], at(low), at(digit ^ low), scratch);
+                }
             }
         }
         FixedBaseExp {
@@ -107,18 +150,24 @@ impl FixedBaseExp {
             base,
             table,
             window_bits,
-            max_exp_bits: windows * window_bits,
+            rows,
+            max_exp_bits: columns * window_bits * rows,
         }
     }
 
-    /// The largest exponent bit length the tables cover.
+    /// The largest exponent bit length the table covers.
     pub fn max_exp_bits(&self) -> usize {
         self.max_exp_bits
     }
 
-    /// The window width the tables were built with.
+    /// The window width (tooth count) the table was built with.
     pub fn window_bits(&self) -> usize {
         self.window_bits
+    }
+
+    /// The comb's row count: an exponentiation squares `rows() − 1` times.
+    pub fn rows(&self) -> usize {
+        self.rows
     }
 
     /// The modulus the table was built for.
@@ -131,16 +180,24 @@ impl FixedBaseExp {
         std::mem::size_of_val(self.table.as_slice())
     }
 
-    /// `base^(digit · 2^(window_bits·window))` for `digit ≥ 1`.
-    fn entry(&self, window: usize, digit: usize) -> &[u64] {
+    /// The product of `column`'s generators selected by `digit ≥ 1`.
+    fn entry(&self, column: usize, digit: usize) -> &[u64] {
         let k = self.ctx.limbs();
         let digits = (1usize << self.window_bits) - 1;
-        &self.table[(window * digits + digit - 1) * k..][..k]
+        &self.table[(column * digits + digit - 1) * k..][..k]
     }
 
-    /// `base^exp mod n` using the precomputed tables: one Montgomery
-    /// multiplication per non-zero window, zero squarings, and no allocation
-    /// between the first multiplication and the last.
+    /// Row `row` of `column` in `exp`: one bit from each tooth.
+    fn digit(&self, exp: &BigUint, column: usize, row: usize) -> usize {
+        (0..self.window_bits).fold(0, |digit, tooth| {
+            let bit = exp.bit((column * self.window_bits + tooth) * self.rows + row);
+            digit | usize::from(bit) << tooth
+        })
+    }
+
+    /// `base^exp mod n` using the precomputed table: one Montgomery
+    /// multiplication per non-zero digit, `rows − 1` squarings, and no
+    /// allocation between the first multiplication and the last.
     ///
     /// Exponents longer than [`Self::max_exp_bits`] fall back to the generic
     /// [`MontgomeryCtx::pow_mod`] (correct, just not accelerated).
@@ -155,27 +212,33 @@ impl FixedBaseExp {
         if bits > self.max_exp_bits {
             return self.ctx.pow_mod(&self.base, exp);
         }
-        let w = self.window_bits;
         let k = self.ctx.limbs();
         let mut buf = vec![0u64; 2 * k + self.ctx.scratch_len()];
         let (mut acc, rest) = buf.split_at_mut(k);
         let (mut tmp, scratch) = rest.split_at_mut(k);
         let mut started = false;
-        for i in 0..bits.div_ceil(w) {
-            let digit = exp.bits_at(i * w, w);
-            if digit == 0 {
-                continue;
-            }
+        let columns = bits.div_ceil(self.window_bits * self.rows);
+        for row in (0..self.rows).rev() {
             if started {
-                self.ctx
-                    .mont_mul_into(tmp, acc, self.entry(i, digit), scratch);
+                self.ctx.mont_sqr_into(tmp, acc, scratch);
                 std::mem::swap(&mut acc, &mut tmp);
-            } else {
-                acc.copy_from_slice(self.entry(i, digit));
-                started = true;
+            }
+            for column in 0..columns {
+                let digit = self.digit(exp, column, row);
+                if digit == 0 {
+                    continue;
+                }
+                if started {
+                    self.ctx
+                        .mont_mul_into(tmp, acc, self.entry(column, digit), scratch);
+                    std::mem::swap(&mut acc, &mut tmp);
+                } else {
+                    acc.copy_from_slice(self.entry(column, digit));
+                    started = true;
+                }
             }
         }
-        // A non-zero exponent has a non-zero window, so `acc` is set.
+        // A non-zero exponent has a non-zero digit, so `acc` is set.
         debug_assert!(started);
         self.ctx.from_mont(acc)
     }
@@ -184,6 +247,7 @@ impl FixedBaseExp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn matches_generic_pow_mod() {
@@ -208,9 +272,30 @@ mod tests {
             let fixed = FixedBaseExp::with_window(&ctx, &base, 192, w);
             assert_eq!(fixed.pow_mod(&e), expect, "window={w}");
             assert_eq!(fixed.window_bits(), w);
-            // 3-limb entries, 2^w − 1 digits per window.
+            // A table this small keeps one row: 3-limb entries, 2^w − 1
+            // digits per window.
+            assert_eq!(fixed.rows(), 1);
             let entries = 192usize.div_ceil(w) * ((1 << w) - 1);
             assert_eq!(fixed.table_bytes(), entries * 3 * 8, "window={w}");
+        }
+    }
+
+    #[test]
+    fn rows_follow_from_the_one_row_table_size() {
+        // 40-limb modulus, 8-bit window: a one-row table is 81 600 B per
+        // exponent byte, so 25 bytes of exponent fit 2 MiB and 26 do not.
+        let m = (BigUint::one() << 2559) + &BigUint::from(1u64);
+        let ctx = MontgomeryCtx::new(&m);
+        let base = BigUint::from(3u64);
+        for (exp_bits, rows) in [(200usize, 1usize), (208, 2), (408, 2), (416, 3)] {
+            let fixed = FixedBaseExp::with_window(&ctx, &base, exp_bits, 8);
+            assert_eq!(fixed.rows(), rows, "{exp_bits}-bit exponents");
+            // On target to within the one column a ragged last row adds.
+            assert!(fixed.table_bytes() < TABLE_TARGET_BYTES + 255 * 40 * 8);
+            assert!(fixed.max_exp_bits() >= exp_bits);
+            assert!(fixed.max_exp_bits() < exp_bits + 8 * rows);
+            let e = (BigUint::one() << exp_bits) - &BigUint::one();
+            assert_eq!(fixed.pow_mod(&e), ctx.pow_mod(&base, &e));
         }
     }
 
@@ -247,5 +332,50 @@ mod tests {
         let fixed = FixedBaseExp::new(&ctx, &base, 256);
         let e = BigUint::from_limbs(vec![0x0123_4567_89ab_cdef, 0xfedc_ba98]);
         assert_eq!(fixed.pow_mod(&e), ctx.pow_mod(&base, &e));
+    }
+
+    proptest! {
+        /// Every comb shape agrees with the generic path: windows 1–8, rows
+        /// 1–9 (including shapes whose last column is partly beyond the
+        /// declared length), fixed- and wide-kernel moduli, and exponents
+        /// with whole columns and whole rows zeroed, the top covered bit
+        /// alone, and one bit past it (the fallback).
+        #[test]
+        fn comb_matches_montgomery_pow_mod(
+            limbs in proptest::collection::vec(any::<u64>(), 1..12),
+            base in proptest::collection::vec(any::<u64>(), 1..12),
+            exp in proptest::collection::vec(any::<u64>(), 3),
+            window in 1usize..=8,
+            rows in 1usize..=9,
+            exp_bits in 1usize..160,
+            zero_column in 0usize..8,
+            zero_row in 0usize..9,
+        ) {
+            let mut m = BigUint::from_limbs(limbs);
+            m.set_bit(0, true);
+            let m = m.add_u64(2);
+            let ctx = MontgomeryCtx::new(&m);
+            let base = BigUint::from_limbs(base);
+            let fixed = FixedBaseExp::with_rows(&ctx, &base, exp_bits, window, rows);
+            let covered = fixed.max_exp_bits();
+            prop_assert!(covered >= exp_bits && covered < exp_bits + window * rows);
+
+            let full = &BigUint::from_limbs(exp) % &(BigUint::one() << covered);
+            let mut sparse = full.clone();
+            for tooth in 0..window {
+                for row in 0..rows {
+                    let column = zero_column % (covered / (window * rows));
+                    sparse.set_bit((column * window + tooth) * rows + row, false);
+                }
+                for column in 0..covered / (window * rows) {
+                    sparse.set_bit((column * window + tooth) * rows + zero_row % rows, false);
+                }
+            }
+            let top = BigUint::one() << (covered - 1);
+            let past = BigUint::one() << covered;
+            for e in [full, sparse, top, past, BigUint::zero(), BigUint::one()] {
+                prop_assert_eq!(fixed.pow_mod(&e), ctx.pow_mod(&base, &e));
+            }
+        }
     }
 }

@@ -146,23 +146,24 @@ pub fn synthesize_ops(
     }
 }
 
-/// Decryption ops for one iteration: each of `decryptors` participants has
-/// `slots` combined ciphertexts threshold-decrypted with `t` partials each.
+/// Decryption ops for one iteration: requester `i` has the `widths[i]`
+/// ciphertexts its snapshot folds to
+/// ([`crate::rounds::StepCipher::width`]; per-slot, all of them)
+/// threshold-decrypted with `t` partials each.
 pub fn synthesize_decrypt_ops(
-    decryptors: usize,
-    slots: usize,
+    widths: &[usize],
     threshold: usize,
     ciphertext_bytes: usize,
 ) -> DecryptionOps {
-    let d = decryptors as u64;
-    let s = slots as u64;
+    let d = widths.len() as u64;
+    let s = widths.iter().sum::<usize>() as u64;
     let t = threshold as u64;
     DecryptionOps {
-        partial_decryptions: d * s * t,
-        combinations: d * s,
+        partial_decryptions: s * t,
+        combinations: s,
         // One request to each of t committee members + t responses.
         messages: d * 2 * t,
-        bytes: d * 2 * t * s * ciphertext_bytes as u64,
+        bytes: 2 * t * s * ciphertext_bytes as u64,
     }
 }
 
@@ -233,10 +234,16 @@ mod tests {
 
     #[test]
     fn synthesized_decrypt_ops_formulas() {
-        let d = synthesize_decrypt_ops(10, 8, 3, 512);
+        let d = synthesize_decrypt_ops(&[8; 10], 3, 512);
         assert_eq!(d.partial_decryptions, 240);
         assert_eq!(d.combinations, 80);
         assert_eq!(d.messages, 60);
         assert_eq!(d.bytes, 10 * 2 * 3 * 8 * 512);
+        // Folded requesters are charged for what they ask: Σ wᵢ·t.
+        let d = synthesize_decrypt_ops(&[8, 4, 3], 3, 512);
+        assert_eq!(d.partial_decryptions, 45);
+        assert_eq!(d.combinations, 15);
+        assert_eq!(d.messages, 18);
+        assert_eq!(d.bytes, 2 * 3 * 15 * 512);
     }
 }

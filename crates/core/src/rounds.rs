@@ -323,10 +323,74 @@ impl StepCipher {
         Ok((node, encryptions))
     }
 
-    /// Decodes a node's combined plaintexts — one per ciphertext, at push-sum
-    /// state `(denom_exp, weight)` — into its perturbed aggregates. A packed
-    /// aggregate that outran its planned headroom is a typed error, never
-    /// silently-wrapped values.
+    /// What a node at push-sum state `(denom_exp, weight)` has decrypted in
+    /// place of its `snapshot`: packed, each run of
+    /// [`cs_crypto::LaneFold::group`] ciphertexts stacked into the lanes'
+    /// unused headroom of one, `C' = Π_m C_m^(2^(m·unit_bits))` — the
+    /// decryption round costs per ciphertext, and most of what it would
+    /// decrypt is planned-for-but-empty carry space. Per-slot, the snapshot
+    /// itself. The group size is a function of metadata every push carries
+    /// in clear, so the request's width reveals nothing new. Each scaling is
+    /// counted in `ops.pow2_scalings` (`unit_bits` squarings; the product
+    /// that joins it to the next ciphertext is one multiplication, not
+    /// counted).
+    pub fn fold(
+        &self,
+        snapshot: &[Ciphertext],
+        denom_exp: u32,
+        weight: f64,
+        ops: &mut HomomorphicOpCounts,
+    ) -> Vec<Ciphertext> {
+        let Lanes::Packed(codec, _) = &self.lanes else {
+            return snapshot.to_vec();
+        };
+        let fold = codec.fold(denom_exp, weight);
+        let folded: Vec<Ciphertext> = snapshot
+            .chunks(fold.group)
+            .map(|run| {
+                // Horner from the top of the lane down: every ciphertext
+                // but the first is raised `m·unit_bits` in total.
+                let (last, below) = run.split_last().expect("chunks are non-empty");
+                below.iter().rev().fold(last.clone(), |acc, c| {
+                    self.pk
+                        .add(&self.pk.scalar_mul_pow2(&acc, fold.unit_bits), c)
+                })
+            })
+            .collect();
+        ops.pow2_scalings += (snapshot.len() - folded.len()) as u64;
+        folded
+    }
+
+    /// Ciphertexts [`Self::fold`] leaves of a snapshot at push-sum state
+    /// `(denom_exp, weight)` — the width of that node's decryption request
+    /// and of every answer to it.
+    pub fn width(&self, denom_exp: u32, weight: f64) -> usize {
+        match &self.lanes {
+            Lanes::PerSlot(_) => self.ciphertexts(),
+            Lanes::Packed(codec, _) => self
+                .ciphertexts()
+                .div_ceil(codec.fold(denom_exp, weight).group),
+        }
+    }
+
+    /// Whether a committee member serves a decryption request of `width`
+    /// ciphertexts: per-slot exactly [`Self::ciphertexts`]; packed, any
+    /// width a fold can produce — `⌈ciphertexts / g⌉` for an integer
+    /// `g ≥ 1`. Which `g` is the requester's to know (it follows from its
+    /// push-sum state); a width off that grid is nobody's.
+    pub fn serves_width(&self, width: usize) -> bool {
+        let full = self.ciphertexts();
+        match &self.lanes {
+            Lanes::PerSlot(_) => width == full,
+            Lanes::Packed(..) => (1..=full).any(|g| full.div_ceil(g) == width),
+        }
+    }
+
+    /// Decodes a node's combined plaintexts — one per ciphertext of
+    /// [`Self::fold`] at the same push-sum state `(denom_exp, weight)` —
+    /// into its perturbed aggregates. A packed vector of any other width,
+    /// or a packed aggregate that outran its planned headroom, is a typed
+    /// error, never silently-wrapped values.
     pub fn decode(
         &self,
         raws: &[BigUint],
@@ -339,7 +403,7 @@ impl StepCipher {
             }),
             Lanes::Packed(codec, _) => {
                 let values =
-                    codec.unpack_aggregate(raws, self.layout.total(), denom_exp, weight, 1)?;
+                    codec.unfold_aggregate(raws, self.layout.total(), denom_exp, weight)?;
                 assemble_aggregates(&self.layout, |slot| values[slot])
             }
         })
@@ -526,9 +590,9 @@ fn run_real(
         ops.merge(&n.op_counts());
     }
 
-    // Step 2d per participant: threshold-decrypt its ciphertext vector.
-    let data_cts = cipher.ciphertexts();
-    let mut decrypt_ops = DecryptionOps::default();
+    // Step 2d per participant: threshold-decrypt its ciphertext vector,
+    // folded to what the aggregate occupies.
+    let mut widths = Vec::with_capacity(nodes.len());
     let mut estimates = Vec::with_capacity(nodes.len());
     let t = config.threshold.threshold;
     let share_pool: Vec<usize> = (0..tkp.shares().len()).collect();
@@ -537,18 +601,25 @@ fn run_real(
             estimates.push(None);
             continue;
         }
+        let (denom_exp, weight) = (node.denominator_exp(), node.weight());
+        let fold_started = Instant::now();
+        let snapshot = cipher.fold(node.ciphertexts(), denom_exp, weight, &mut ops);
+        phases.add(
+            cipher.decode_phase(),
+            fold_started.elapsed().as_nanos() as u64,
+        );
+        widths.push(snapshot.len());
         // Random committee subset for this participant's decryption.
         let mut committee = share_pool.clone();
         committee.shuffle(rng);
         let committee = &committee[..t];
 
         let share_started = Instant::now();
-        let groups = committee_partials(tkp, committee, node.ciphertexts());
+        let groups = committee_partials(tkp, committee, &snapshot);
         phases.add(
             StepPhase::DecryptShare,
             share_started.elapsed().as_nanos() as u64,
         );
-        decrypt_ops.partial_decryptions += (t * data_cts) as u64;
         // One cached plan for the committee, one batched inversion for the
         // node's whole ciphertext vector.
         let combine_started = Instant::now();
@@ -557,17 +628,15 @@ fn run_real(
             StepPhase::Combine,
             combine_started.elapsed().as_nanos() as u64,
         );
-        decrypt_ops.combinations += data_cts as u64;
         let decode_started = Instant::now();
-        let estimate = cipher.decode(&raws, node.denominator_exp(), node.weight())?;
+        let estimate = cipher.decode(&raws, denom_exp, weight)?;
         phases.add(
             cipher.decode_phase(),
             decode_started.elapsed().as_nanos() as u64,
         );
-        decrypt_ops.messages += 2 * t as u64;
-        decrypt_ops.bytes += 2 * (t * data_cts * pk.ciphertext_bytes()) as u64;
         estimates.push(Some(estimate));
     }
+    let decrypt_ops = synthesize_decrypt_ops(&widths, t, pk.ciphertext_bytes());
 
     Ok(ComputationOutcome {
         estimates,
@@ -645,9 +714,9 @@ fn run_simulated(
         traffic.messages,
         config.rerandomize,
     );
+    // The simulated run models the per-slot layout, which folds to itself.
     let decrypt_ops = synthesize_decrypt_ops(
-        decryptors,
-        layout.total(),
+        &vec![layout.total(); decryptors],
         config.threshold.threshold,
         ciphertext_bytes,
     );
@@ -902,6 +971,85 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The decrypt-time fold through a real threshold decryption: a node's
+    /// snapshot decrypted ciphertext by ciphertext and unpacked the old way,
+    /// and the same snapshot folded, decrypted and decoded, are the same
+    /// `PerturbedAggregates` bit for bit — at every depth of a gossip that
+    /// leaves the three nodes at different denominators and weights — from
+    /// fewer ciphertexts, refused at any other width.
+    #[test]
+    fn folded_threshold_decryption_recovers_the_unfolded_aggregates() {
+        let mut rng = StdRng::seed_from_u64(51);
+        let config = ChiaroscuroConfig {
+            k: 2,
+            packing: true,
+            ..ChiaroscuroConfig::test_real()
+        };
+        let layout = SlotLayout {
+            k: 2,
+            series_len: 24,
+        };
+        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
+        let CryptoContext::Real { tkp, plans, .. } = &crypto else {
+            panic!("real mode");
+        };
+        let cipher = crypto.step_cipher(&config, &layout, 3).unwrap().unwrap();
+        let Lanes::Packed(codec, _) = &cipher.lanes else {
+            panic!("packing is on");
+        };
+        let decrypt = |cts: &[Ciphertext]| {
+            let groups = committee_partials(tkp, &[2, 0], cts);
+            plans
+                .combine_batch(cipher.public_key(), config.threshold, tkp.delta(), &groups)
+                .unwrap()
+        };
+        let mut nodes: Vec<HePushSumNode> = (0..3)
+            .map(|i| {
+                let values: Vec<f64> = (0..layout.total())
+                    .map(|s| ((s * 7 + i * 3) % 17) as f64 * 0.37 - 3.0)
+                    .collect();
+                cipher.node(Some(&values), None, &mut rng).unwrap().0
+            })
+            .collect();
+        let bits = |a: &PerturbedAggregates| -> Vec<u64> {
+            let values = a.sums.iter().flatten().chain(&a.counts);
+            values.map(|v| v.to_bits()).collect()
+        };
+        let mut folded_any = false;
+        for (from, to) in [(0, 1), (0, 1), (0, 2), (1, 2), (2, 0), (1, 0), (1, 0)] {
+            let push = nodes[from].split_push(&mut rng);
+            nodes[to].absorb(&push);
+            for node in &nodes {
+                let (denom, weight) = (node.denominator_exp(), node.weight());
+                let unfolded = decrypt(node.ciphertexts());
+                let values = codec
+                    .unpack_aggregate(&unfolded, layout.total(), denom, weight, 1)
+                    .unwrap();
+                let want = assemble_aggregates(&layout, |slot| values[slot]);
+
+                let mut ops = HomomorphicOpCounts::default();
+                let snapshot = cipher.fold(node.ciphertexts(), denom, weight, &mut ops);
+                assert_eq!(snapshot.len(), cipher.width(denom, weight));
+                assert!(cipher.serves_width(snapshot.len()));
+                assert_eq!(
+                    ops.pow2_scalings as usize,
+                    cipher.ciphertexts() - snapshot.len()
+                );
+                folded_any |= snapshot.len() < cipher.ciphertexts();
+                let got = cipher.decode(&decrypt(&snapshot), denom, weight).unwrap();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "denominator {denom}, weight {weight}"
+                );
+                if snapshot.len() < cipher.ciphertexts() {
+                    assert!(cipher.decode(&unfolded, denom, weight).is_err());
+                }
+            }
+        }
+        assert!(folded_any, "a fresh snapshot leaves headroom to fold into");
     }
 
     #[test]

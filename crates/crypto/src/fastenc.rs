@@ -12,15 +12,20 @@
 //!
 //! 1. pick one random unit `x ∈ Z*_n` at setup, set `h = −x² mod n`, and
 //!    pay a single generic exponentiation for `H = h^(n^s) mod n^(s+1)`;
-//! 2. build a [`FixedBaseExp`] table for `H` at 8-bit windows;
+//! 2. build a [`FixedBaseExp`] comb table for `H` with 8 teeth;
 //! 3. a fresh randomizer is `H^t` for `t` uniform in `[0, 2^⌈|n|/2⌉)` —
 //!    with the table that is one Montgomery multiplication per non-zero
-//!    8-bit window of `t` (at most `⌈|n|/16⌉`), no squarings, and it
-//!    equals `r^(n^s)` for `r = h^t`.
+//!    8-bit digit of `t` (at most `⌈|n|/16⌉`) plus `rows − 1` squarings,
+//!    and it equals `r^(n^s)` for `r = h^t`.
 //!
 //! The exponent length is derived from the key and nothing else: half the
 //! bits of `n`, so half the products and half the table of a full-length
-//! exponent.
+//! exponent. The comb's row count follows from the table's size in turn
+//! (one row — the plain window table, no squarings — at a 256-bit key, 8 at
+//! 2048 bits): a device keeps at most ≈ 2 MiB resident, where the one-row
+//! table of a 2048-bit key is 16 MiB, and the hot loop multiplies out of a
+//! table the cache holds (135 operations at 2048 bits against the one-row
+//! table's 128, and still the shorter exponentiation).
 //!
 //! [`RandomizerPool`] adds batch amortization on top: refill during idle
 //! time, pop on the hot path.
@@ -56,8 +61,8 @@ pub struct FastEncryptor {
 }
 
 impl FastEncryptor {
-    /// Builds the fixed-base tables for `pk` (one generic exponentiation +
-    /// the window-table fill; amortized after a handful of encryptions).
+    /// Builds the fixed-base table for `pk` (one generic exponentiation +
+    /// the comb-table fill; amortized after a handful of encryptions).
     pub fn new<R: Rng + ?Sized>(pk: Arc<PublicKey>, rng: &mut R) -> Self {
         let n = pk.n();
         let x = random_unit(rng, n);
@@ -65,11 +70,10 @@ impl FastEncryptor {
         let h = n - &(&x.square() % n);
         let h_ns_val = pk.mont().pow_mod(&h, pk.n_s());
         let exp_bits = n.bit_len().div_ceil(2);
-        // 8-bit windows: the table serves every encryption and
-        // re-randomization of a run (thousands per gossip step), so the
-        // 16× build cost over the default 4-bit table amortizes immediately
-        // and each randomizer drops to ⌈bits/8⌉ multiplications — half the
-        // 4-bit count.
+        // 8 teeth: the table serves every encryption and re-randomization
+        // of a run (thousands per gossip step), so the build cost over the
+        // default 4-bit table amortizes immediately and each randomizer
+        // drops to ⌈bits/8⌉ multiplications — half the 4-bit count.
         let h_ns = FixedBaseExp::with_window(pk.mont(), &h_ns_val, exp_bits, 8);
         FastEncryptor { pk, h_ns, exp_bits }
     }

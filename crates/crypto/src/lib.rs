@@ -64,5 +64,5 @@ pub use encoding::FixedPointCodec;
 pub use error::CryptoError;
 pub use fastenc::{FastEncryptor, RandomizerPool};
 pub use keys::{KeyGenOptions, KeyPair, PrivateKey, PublicKey};
-pub use packing::PackedCodec;
+pub use packing::{LaneFold, PackedCodec};
 pub use threshold::{KeyShare, PartialDecryption, ThresholdKeyPair, ThresholdParams};

@@ -47,6 +47,32 @@
 //! packing a value that does not fit returns [`CryptoError::LaneOverflow`],
 //! and unpacking an aggregate whose carry multiplier exceeds the planned
 //! headroom returns [`CryptoError::LaneHeadroomExceeded`].
+//!
+//! ## Decrypt-time fold
+//!
+//! The headroom is planned for the worst cascade a schedule could produce;
+//! the aggregate a node actually ends with is far below it, and by how much
+//! is public: every lane sum is `< 2^value_bits · weight · 2^denom_exp`, a
+//! product of the plan and of push-sum metadata every push carries in
+//! clear. So before the threshold decryption — whose cost is per
+//! ciphertext, whatever the plaintext holds — a requester can stack `g`
+//! ciphertexts into the unused headroom of one:
+//!
+//! ```text
+//! u = value_bits + bits(weight · 2^denom_exp) + 1     every lane sum < 2^u
+//! g = lane_bits / u                                   (1 = fold nothing)
+//! C' = Π_m C_m^(2^(m·u))        m-th ciphertext of each run of g
+//!
+//!   │        lane_j of C'  (lane_bits)           │
+//!   │ … │ lane_j of C_2 │ lane_j of C_1 │ lane_j of C_0 │
+//!   │   │    u bits     │    u bits     │    u bits     │
+//! ```
+//!
+//! [`PackedCodec::fold`] is that rule and [`PackedCodec::unfold_aggregate`]
+//! reads the stacked lanes back. The fold never asks more of a lane than
+//! the plan gave it (`g·u ≤ lane_bits`), so headroom planning is untouched,
+//! and an aggregate that outran its headroom folds to itself and meets the
+//! same typed error as before.
 
 use crate::{CryptoError, FixedPointCodec};
 use cs_bigint::BigUint;
@@ -59,6 +85,17 @@ pub struct PackedCodec {
     value_bits: u32,
     headroom_bits: u32,
     lanes: usize,
+}
+
+/// How an aggregate's ciphertexts stack for decryption — the value of
+/// [`PackedCodec::fold`], a function of cleartext push-sum metadata.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LaneFold {
+    /// Consecutive ciphertexts folded into one (`g ≥ 1`; 1 folds nothing).
+    pub group: usize,
+    /// Bits each stacked lane sum occupies (`u`): ciphertext `m` of a group
+    /// is scaled by `2^(m·unit_bits)`.
+    pub unit_bits: u32,
 }
 
 /// Number of bits needed to represent `v` (0 for 0).
@@ -247,6 +284,31 @@ impl PackedCodec {
         Ok(mult_f.round() as u128)
     }
 
+    /// How the ciphertexts of an aggregate at push-sum state
+    /// `(denom_exp, weight)` fold for decryption (module docs, "Decrypt-time
+    /// fold"). The identity — `group` 1 — when nothing fits beside a lane
+    /// sum, and when the carry multiplier is unusable or beyond the planned
+    /// headroom: decoding then fails exactly as it does without a fold.
+    pub fn fold(&self, denom_exp: u32, weight: f64) -> LaneFold {
+        let Ok(mult) = self.carry_multiplier(denom_exp, weight) else {
+            return self.no_fold();
+        };
+        let unit_bits = self.value_bits + bits_for(mult) + 1;
+        match (self.lane_bits() / unit_bits) as usize {
+            0 | 1 => self.no_fold(),
+            group => LaneFold { group, unit_bits },
+        }
+    }
+
+    /// The identity fold: every ciphertext its own group, the whole lane
+    /// its unit.
+    fn no_fold(&self) -> LaneFold {
+        LaneFold {
+            group: 1,
+            unit_bits: self.lane_bits(),
+        }
+    }
+
     /// Recovers the exact per-bucket aggregate integers
     /// `Σ_i c_i · x_i` (on the fixed-point grid) from decrypted aggregate
     /// plaintexts.
@@ -269,7 +331,36 @@ impl PackedCodec {
         weight: f64,
         bias_count: u32,
     ) -> Result<Vec<i128>, CryptoError> {
-        if plaintexts.len() != self.ciphertexts_for(slots) {
+        let unfolded = self.no_fold();
+        self.lane_integers(plaintexts, slots, denom_exp, weight, bias_count, unfolded)
+    }
+
+    /// [`Self::unpack_integers`] of a vector folded by [`Self::fold`] at the
+    /// same `(denom_exp, weight)`: `⌈ciphertexts_for(slots) / group⌉`
+    /// plaintexts, one biased vector in each lane sum.
+    pub fn unfold_integers(
+        &self,
+        plaintexts: &[BigUint],
+        slots: usize,
+        denom_exp: u32,
+        weight: f64,
+    ) -> Result<Vec<i128>, CryptoError> {
+        let fold = self.fold(denom_exp, weight);
+        self.lane_integers(plaintexts, slots, denom_exp, weight, 1, fold)
+    }
+
+    /// Reads bucket `s` at bit `lane·lane_bits + m·unit_bits` of plaintext
+    /// `c / group`, for `c = s / lanes`, `lane = s % lanes`, `m = c % group`.
+    fn lane_integers(
+        &self,
+        plaintexts: &[BigUint],
+        slots: usize,
+        denom_exp: u32,
+        weight: f64,
+        bias_count: u32,
+        fold: LaneFold,
+    ) -> Result<Vec<i128>, CryptoError> {
+        if plaintexts.len() != self.ciphertexts_for(slots).div_ceil(fold.group) {
             return Err(CryptoError::InvalidParameters(
                 "packed plaintext count does not match the bucket count",
             ));
@@ -279,13 +370,15 @@ impl PackedCodec {
             return Err(CryptoError::LaneHeadroomExceeded);
         }
         let lane_bits = self.lane_bits() as usize;
-        let lane_modulus = BigUint::one() << lane_bits;
+        let unit_bits = fold.unit_bits as usize;
+        let unit_modulus = BigUint::one() << unit_bits;
         let bias_mass = mult as i128 * bias_count as i128 * self.bias();
         let mut out = Vec::with_capacity(slots);
         for slot in 0..slots {
-            let pt = &plaintexts[slot / self.lanes];
-            let lane = slot % self.lanes;
-            let raw = &(pt >> (lane * lane_bits)) % &lane_modulus;
+            let (ciphertext, lane) = (slot / self.lanes, slot % self.lanes);
+            let pt = &plaintexts[ciphertext / fold.group];
+            let at = lane * lane_bits + ciphertext % fold.group * unit_bits;
+            let raw = &(pt >> at) % &unit_modulus;
             let raw = raw.to_u128().expect("lane fits 126 bits by construction") as i128;
             out.push(raw - bias_mass);
         }
@@ -305,6 +398,29 @@ impl PackedCodec {
         bias_count: u32,
     ) -> Result<Vec<f64>, CryptoError> {
         let ints = self.unpack_integers(plaintexts, slots, denom_exp, weight, bias_count)?;
+        self.normalize(ints, denom_exp, weight)
+    }
+
+    /// [`Self::unpack_aggregate`] of a vector folded by [`Self::fold`] at
+    /// the same `(denom_exp, weight)` — what a requester decodes after the
+    /// decryption round.
+    pub fn unfold_aggregate(
+        &self,
+        plaintexts: &[BigUint],
+        slots: usize,
+        denom_exp: u32,
+        weight: f64,
+    ) -> Result<Vec<f64>, CryptoError> {
+        let ints = self.unfold_integers(plaintexts, slots, denom_exp, weight)?;
+        self.normalize(ints, denom_exp, weight)
+    }
+
+    fn normalize(
+        &self,
+        ints: Vec<i128>,
+        denom_exp: u32,
+        weight: f64,
+    ) -> Result<Vec<f64>, CryptoError> {
         let mult = self.carry_multiplier(denom_exp, weight)? as f64;
         let denom = self.fp.scale() * mult;
         Ok(ints.into_iter().map(|i| i as f64 / denom).collect())

@@ -5,10 +5,10 @@
 //! randomizers"). Every parameter is a function of the key alone, and this
 //! suite pins each one at the key sizes the repository runs — 256 bits
 //! (tests, most csbench workloads), 1024 and 2048 (the wide-key rows,
-//! `sharded_packed_2048b`): the exponent length, that the window table
-//! covers it, the table's base `H = (−x²)^(n^s)` for a unit `x`, and that
-//! what comes out is a randomizer — an encryption of zero, different every
-//! time.
+//! `sharded_packed_2048b`): the exponent length, that the comb table
+//! covers it, how many rows the comb folds the table into, the table's base
+//! `H = (−x²)^(n^s)` for a unit `x`, and that what comes out is a
+//! randomizer — an encryption of zero, different every time.
 
 use cs_bigint::prime::gen_prime;
 use cs_bigint::rng::random_unit;
@@ -30,13 +30,19 @@ fn derive_and_check(pk: &PublicKey, rng: &mut StdRng) -> FastEncryptor {
     assert_eq!(enc.exp_bits(), n.bit_len().div_ceil(2));
     let table = enc.table();
     assert_eq!(table.window_bits(), 8);
-    // Covered, and by no more than the one partly used window: an exponent
+    // The comb's rows follow from the size of the one-row table — one
+    // 255-entry window per exponent byte — and nothing else: that size over
+    // 2 MiB, rounded up.
+    let entry_bytes = pk.n_s1().limb_len() * 8;
+    let one_row_bytes = enc.exp_bits().div_ceil(8) * 255 * entry_bytes;
+    assert_eq!(table.rows(), one_row_bytes.div_ceil(2 << 20));
+    // Covered, and by no more than the one partly used column: an exponent
     // never takes `FixedBaseExp::pow_mod`'s generic fallback, and the table
     // holds nothing a half-length exponent cannot reach.
     assert!(table.max_exp_bits() >= enc.exp_bits());
-    assert!(table.max_exp_bits() < enc.exp_bits() + 8);
-    let entries = enc.exp_bits().div_ceil(8) * 255;
-    assert_eq!(table.table_bytes(), entries * pk.n_s1().limb_len() * 8);
+    assert!(table.max_exp_bits() < enc.exp_bits() + 8 * table.rows());
+    let entries = enc.exp_bits().div_ceil(8 * table.rows()) * 255;
+    assert_eq!(table.table_bytes(), entries * entry_bytes);
 
     let x = random_unit(&mut replay, n);
     assert!(x.gcd(n).is_one());
@@ -69,11 +75,20 @@ fn randomizers_decrypt_to_zero(kp: &KeyPair, enc: &FastEncryptor, count: usize, 
 #[test]
 fn parameters_follow_from_the_key_at_256_1024_and_2048_bits() {
     let mut rng = StdRng::seed_from_u64(0xD1_5EED);
-    for (bits, draws) in [(256usize, 64usize), (1024, 8), (2048, 4)] {
+    // What the derivation comes to: one row at 256 bits (the plain window
+    // table, 255 KiB), two at 1024, eight at 2048 — 2 088 960 B resident
+    // where the one-row table was 16 711 680.
+    for (bits, rows, table_bytes, draws) in [
+        (256usize, 1usize, 261_120usize, 64usize),
+        (1024, 2, 2_088_960, 8),
+        (2048, 8, 2_088_960, 4),
+    ] {
         let kp = key(bits, 1, &mut rng);
         assert_eq!(kp.public().n().bit_len(), bits);
         let enc = derive_and_check(kp.public(), &mut rng);
         assert_eq!(enc.exp_bits(), bits / 2);
+        assert_eq!(enc.table().rows(), rows);
+        assert_eq!(enc.table().table_bytes(), table_bytes);
         randomizers_decrypt_to_zero(&kp, &enc, draws, &mut rng);
     }
 }

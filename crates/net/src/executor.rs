@@ -1547,9 +1547,11 @@ mod tests {
             "the loss must hit the decryption round for this test to mean anything"
         );
         let ops = &run.outcome.decrypt_ops;
-        let ciphertexts = ops.combinations / n as u64;
+        // Requests are as wide as each snapshot folds to, never wider than
+        // the vector a node encrypted.
+        let ciphertexts = run.reports[0].ops.encryptions;
         let params = config.threshold;
-        let asked = params.threshold as u64 * ciphertexts * n as u64;
+        let asked = params.threshold as u64 * ops.combinations;
         let retry = decrypt_retry_interval(cfg.push_interval);
         let hedgers = run
             .traces
@@ -1593,28 +1595,26 @@ mod tests {
         .unwrap();
         assert!(run.outcome.estimates.iter().all(|e| e.is_some()));
         let ops = &run.outcome.decrypt_ops;
-        let ciphertexts = ops.combinations / n;
         let (t, parties) = (
             config.threshold.threshold as u64,
             config.threshold.parties as u64,
         );
-        let model = chiaroscuro::cost::synthesize_decrypt_ops(
-            n as usize,
-            ciphertexts as usize,
-            t as usize,
-            0,
-        );
-        assert_eq!(ops.partial_decryptions, t * ciphertexts * n);
+        // A requester combines what it asked for: its folded width.
+        let widths: Vec<usize> = (run.reports.iter())
+            .map(|r| r.decrypt_ops.combinations as usize)
+            .collect();
+        let model = chiaroscuro::cost::synthesize_decrypt_ops(&widths, t as usize, 0);
         assert_eq!(ops.partial_decryptions, model.partial_decryptions);
+        let widest = *widths.iter().max().unwrap() as u64;
         // One request and one reply per vector that crossed the network:
         // everything but the committee members' own.
         assert_eq!(ops.messages, 2 * (t * n - parties));
         let ceiling = (n * t).div_ceil(parties) + 1;
         for member in 0..parties as usize {
-            let served = run.reports[member].decrypt_ops.partial_decryptions / ciphertexts;
+            let served = run.reports[member].decrypt_ops.partial_decryptions;
             assert!(
-                served <= ceiling,
-                "member {member} served {served} of {n} requesters, ceiling {ceiling}"
+                served <= ceiling * widest,
+                "member {member} computed {served} partials, ceiling {ceiling} × {widest}"
             );
         }
     }

@@ -20,10 +20,10 @@
 //!    incoming pushes are absorbed in any phase (they keep mixing mass even
 //!    after this node snapshots its own estimate — the ratio estimate is
 //!    unaffected because value and weight travel together).
-//! 2. **AwaitShares** (real crypto) — snapshot the gossip ciphertexts as
-//!    they are and ask the key committee for exactly the `threshold`
-//!    partial decryption vectors the combine will read (see below);
-//!    combine the first `threshold` replies.
+//! 2. **AwaitShares** (real crypto) — snapshot the gossip ciphertexts,
+//!    folded to what the aggregate occupies (`StepCipher::fold`), and ask
+//!    the key committee for exactly the `threshold` partial decryption
+//!    vectors the combine will read (see below); combine the first replies.
 //! 3. **Done** — broadcast a termination vote and keep serving committee
 //!    duties (partial decryptions for slower peers) until the runtime shuts
 //!    the population down.
@@ -64,7 +64,7 @@ use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::{assemble_aggregates, PerturbedAggregates, StepCipher};
 use cs_bigint::BigUint;
 use cs_crypto::threshold::{delta_for, CombinePlanCache};
-use cs_crypto::{KeyShare, PartialDecryption, RandomizerPool, ThresholdParams};
+use cs_crypto::{Ciphertext, KeyShare, PartialDecryption, RandomizerPool, ThresholdParams};
 use cs_gossip::homomorphic_pushsum::{HePush, HePushSumNode, HomomorphicOpCounts};
 use cs_gossip::pushsum::{PlainPush, PushSumNode};
 use cs_obs::health::DecryptAudit;
@@ -329,8 +329,8 @@ pub struct ProtocolNode {
     // between 4k and 16k+ virtual nodes fitting in memory — while keeping
     // the combine order (ascending sender id) identical to the old
     // population-indexed vector.
-    snapshot_weight: f64,
-    snapshot_denom: u32,
+    /// Push-sum state `(denominator exponent, weight)` of the snapshot.
+    snapshot: (u32, f64),
     shares_by_sender: BTreeMap<NodeId, Vec<PartialDecryption>>,
     pending_request: Option<PendingRequest>,
     served_replies: HashMap<NodeId, Message>,
@@ -406,8 +406,7 @@ impl ProtocolNode {
             dead_view: BTreeSet::new(),
             phase: Phase::Gossip,
             pushes_sent: 0,
-            snapshot_weight: 0.0,
-            snapshot_denom: 0,
+            snapshot: (0, 0.0),
             shares_by_sender: BTreeMap::new(),
             pending_request: None,
             served_replies: HashMap::new(),
@@ -627,15 +626,15 @@ impl ProtocolNode {
                 }
                 if let NodeCrypto::Real {
                     cipher,
-                    share: Some(share),
+                    share: Some(_),
                     ..
                 } = &self.crypto
                 {
                     // A partial decryption is the step's most expensive
-                    // operation, and an honest request asks for exactly one
-                    // per ciphertext of the step's layout: anything else is
-                    // refused before a single one is computed.
-                    if slots.len() != cipher.ciphertexts() {
+                    // operation, and an honest request asks for one per
+                    // ciphertext of the step's layout, folded or not:
+                    // anything else is refused before one is computed.
+                    if !cipher.serves_width(slots.len()) {
                         self.bad_frames += 1;
                         return;
                     }
@@ -645,23 +644,14 @@ impl ProtocolNode {
                     if let Some(reply) = self.served_replies.get(&from) {
                         let reply = reply.clone();
                         self.emit(from, reply, out);
-                        return;
+                    } else if let Some(partials) = self.partials_of(&slots) {
+                        let reply = Message::DecryptShare {
+                            iteration,
+                            partials,
+                        };
+                        self.served_replies.insert(from, reply.clone());
+                        self.emit(from, reply, out);
                     }
-                    let serve_started = Instant::now();
-                    let partials: Vec<PartialDecryption> =
-                        slots.iter().map(|c| share.partial_decrypt(c)).collect();
-                    self.profile.add(
-                        StepPhase::DecryptShare,
-                        serve_started.elapsed().as_nanos() as u64,
-                    );
-                    self.decrypt_ops.partial_decryptions += partials.len() as u64;
-                    let partials = self.maybe_corrupt(partials);
-                    let reply = Message::DecryptShare {
-                        iteration,
-                        partials,
-                    };
-                    self.served_replies.insert(from, reply.clone());
-                    self.emit(from, reply, out);
                 }
             }
             Message::DecryptShare {
@@ -784,6 +774,23 @@ impl ProtocolNode {
             .collect()
     }
 
+    /// This node's partial decryptions of `slots`, `None` off the committee:
+    /// timed, counted, and corrupted when the fault is armed.
+    fn partials_of(&mut self, slots: &[Ciphertext]) -> Option<Vec<PartialDecryption>> {
+        let NodeCrypto::Real {
+            share: Some(share), ..
+        } = &self.crypto
+        else {
+            return None;
+        };
+        let started = Instant::now();
+        let partials: Vec<_> = slots.iter().map(|c| share.partial_decrypt(c)).collect();
+        let elapsed = started.elapsed().as_nanos() as u64;
+        self.profile.add(StepPhase::DecryptShare, elapsed);
+        self.decrypt_ops.partial_decryptions += partials.len() as u64;
+        Some(self.maybe_corrupt(partials))
+    }
+
     /// Whether this node currently believes `i` is alive.
     fn peer_alive(&self, i: NodeId) -> bool {
         !self.dead_view.contains(&i)
@@ -832,23 +839,27 @@ impl ProtocolNode {
         if let Some(t) = &mut self.tracer {
             t.mark("gossip.end", &[("pushes", self.pushes_sent as u64)]);
         }
-        let snapshot = match &self.agg {
-            Aggregator::Plain(ps) => {
+        let snapshot = match (&self.agg, &self.crypto) {
+            (Aggregator::Plain(ps), _) => {
                 let est = ps
                     .estimate()
                     .map(|est| assemble_aggregates(&self.layout, |slot| est[slot]));
                 return self.finish(est, out);
             }
-            Aggregator::Encrypted(he) if he.weight() <= f64::MIN_POSITIVE => {
-                return self.finish(None, out);
-            }
             // Snapshot — later absorbs keep mixing the gossip state but no
-            // longer affect this estimate.
-            Aggregator::Encrypted(he) => {
-                self.snapshot_weight = he.weight();
-                self.snapshot_denom = he.denominator_exp();
-                he.ciphertexts().to_vec()
+            // longer affect this estimate — folded to what it occupies.
+            (Aggregator::Encrypted(he), NodeCrypto::Real { cipher, .. })
+                if he.weight() > f64::MIN_POSITIVE =>
+            {
+                let (denom, weight) = (he.denominator_exp(), he.weight());
+                self.snapshot = (denom, weight);
+                let fold_started = Instant::now();
+                let folded = cipher.fold(he.ciphertexts(), denom, weight, &mut self.ops);
+                let fold_ns = fold_started.elapsed().as_nanos() as u64;
+                self.profile.add(cipher.decode_phase(), fold_ns);
+                folded
             }
+            _ => return self.finish(None, out),
         };
 
         let mut recipients: Vec<NodeId> = self
@@ -860,26 +871,7 @@ impl ProtocolNode {
             .collect();
         // Committee members contribute their own partials without a
         // network hop.
-        let own_started = Instant::now();
-        let own_partials = match &self.crypto {
-            NodeCrypto::Real {
-                share: Some(share), ..
-            } => Some(
-                self.maybe_corrupt(
-                    snapshot
-                        .iter()
-                        .map(|c| share.partial_decrypt(c))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-            _ => None,
-        };
-        if own_partials.is_some() {
-            self.profile.add(
-                StepPhase::DecryptShare,
-                own_started.elapsed().as_nanos() as u64,
-            );
-        }
+        let own_partials = self.partials_of(&snapshot);
         if recipients.len() + usize::from(own_partials.is_some()) < self.threshold() {
             // Not enough live committee members: no estimate.
             self.finish(None, out);
@@ -901,7 +893,6 @@ impl ProtocolNode {
             },
         });
         if let Some(partials) = own_partials {
-            self.decrypt_ops.partial_decryptions += partials.len() as u64;
             self.accept_share(self.params.id, partials, out);
         }
         self.ask_committee(out);
@@ -1009,7 +1000,15 @@ impl ProtocolNode {
         else {
             return;
         };
-        if partials.len() != cipher.ciphertexts() || self.shares_by_sender.contains_key(&from) {
+        // One partial per ciphertext of the folded snapshot, or the frame
+        // is not an answer to this node's request.
+        let (denom, weight) = self.snapshot;
+        let width = cipher.width(denom, weight);
+        if partials.len() != width {
+            self.bad_frames += 1;
+            return;
+        }
+        if self.shares_by_sender.contains_key(&from) {
             return;
         }
         self.shares_by_sender.insert(from, partials);
@@ -1032,10 +1031,8 @@ impl ProtocolNode {
         if contributors.len() < params.threshold {
             self.audit.undersized_combines += 1;
         }
-        let weight = self.snapshot_weight;
-        let denom = self.snapshot_denom;
         let combine_started = Instant::now();
-        let groups: Vec<Vec<PartialDecryption>> = (0..cipher.ciphertexts())
+        let groups: Vec<Vec<PartialDecryption>> = (0..width)
             .map(|j| contributors.iter().map(|c| c[j].clone()).collect())
             .collect();
         let raws = plans

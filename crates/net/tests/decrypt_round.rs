@@ -67,8 +67,7 @@ fn build(
     contribution: &[f64],
     seed: u64,
 ) -> ProtocolNode {
-    let (config, crypto) = ctx;
-    let CryptoContext::Real { tkp, pk, plans, .. } = crypto else {
+    let CryptoContext::Real { tkp, plans, .. } = &ctx.1 else {
         unreachable!("fixtures are real-crypto contexts");
     };
     let parties = tkp.params().parties;
@@ -83,20 +82,29 @@ fn build(
         votes: false,
         corrupt_partials: false,
     };
+    let crypto = if dialect == Dialect::Plain {
+        NodeCrypto::Plain
+    } else {
+        let share = (id < parties).then(|| tkp.shares()[id].clone());
+        NodeCrypto::real(&cipher(ctx, dialect), share, tkp.params(), plans, None)
+    };
+    ProtocolNode::new(params, LAYOUT, crypto, Some(contribution))
+}
+
+/// The step's ciphertext layout in a real-crypto `dialect`.
+fn cipher(ctx: &Fixture, dialect: Dialect) -> StepCipher {
+    let (config, crypto) = ctx;
+    let CryptoContext::Real { tkp, pk, .. } = crypto else {
+        unreachable!("fixtures are real-crypto contexts");
+    };
     let fast = (dialect == Dialect::Packed).then(|| {
         Arc::new(FastEncryptor::new(
             pk.clone(),
             &mut StdRng::seed_from_u64(9),
         ))
     });
-    let crypto = if dialect == Dialect::Plain {
-        NodeCrypto::Plain
-    } else {
-        let cipher = StepCipher::plan(config, pk, fast.as_ref(), &LAYOUT, population).unwrap();
-        let share = (id < parties).then(|| tkp.shares()[id].clone());
-        NodeCrypto::real(&cipher, share, tkp.params(), plans, None)
-    };
-    ProtocolNode::new(params, LAYOUT, crypto, Some(contribution))
+    let population = tkp.params().parties + 2;
+    StepCipher::plan(config, pk, fast.as_ref(), &LAYOUT, population).unwrap()
 }
 
 /// A per-slot node that skips gossip (`pushes: 0`): its first tick
@@ -232,50 +240,139 @@ fn decrypt_round_retry_reaches_the_members_held_back() {
 }
 
 /// A member computes partial decryptions — the step's most expensive
-/// operation — only for a request of exactly the step's ciphertext count:
-/// whatever else a socket hands it costs nothing and leaves nothing behind.
-#[test]
-fn decrypt_round_refuses_a_request_of_the_wrong_width() {
+/// operation — only for a request as wide as a snapshot of the step's layout
+/// can be: whatever else a socket hands it costs nothing and leaves nothing
+/// behind. `off_grid` is a width no snapshot has.
+fn refuses_wrong_widths(dialect: Dialect, off_grid: usize) {
     let ctx = context(ThresholdParams {
         threshold: 2,
         parties: 3,
     });
     let values = contribution(&[0.5]);
     let mut out = Vec::new();
-    node(ctx, 3, &values, 31).tick(&mut out);
+    build(ctx, dialect, 3, 0, &values, 31).tick(&mut out);
     let request = out[0].1.clone();
     let Message::DecryptRequest { iteration, slots } = &request else {
         panic!("the round opens with a request");
     };
-    let resized = |slots: Vec<_>| Message::DecryptRequest {
+    let resized = |width: usize| Message::DecryptRequest {
         iteration: *iteration,
-        slots,
+        slots: slots.iter().cycle().take(width).cloned().collect(),
     };
+    let full = cipher(ctx, dialect).ciphertexts();
 
-    let mut member = node(ctx, 0, &values, 32);
+    let mut member = build(ctx, dialect, 0, 0, &values, 32);
     let mut reply = Vec::new();
-    for bad in [
-        resized(Vec::new()),
-        resized(slots[1..].to_vec()),
-        resized(slots.iter().chain(slots).cloned().collect()),
-    ] {
+    for bad in [resized(0), resized(off_grid), resized(2 * full)] {
         member.handle(3, bad, TraceContext::NONE, &mut reply);
         assert!(reply.is_empty(), "a malformed request gets no reply");
     }
     // Nothing was cached for the requester: its honest request is served
     // from scratch.
-    member.handle(3, request, TraceContext::NONE, &mut reply);
+    member.handle(3, request.clone(), TraceContext::NONE, &mut reply);
     let [(3, Message::DecryptShare { partials, .. }, _)] = &reply[..] else {
         panic!("one share vector back to the requester, got {reply:?}");
     };
-    assert_eq!(partials.len(), LAYOUT.total());
+    assert_eq!(partials.len(), slots.len());
     let report = member.into_report();
     assert_eq!(report.bad_frames, 3);
     assert_eq!(
         report.decrypt_ops.partial_decryptions,
-        LAYOUT.total() as u64,
+        slots.len() as u64,
         "only the honest request was worked on"
     );
+}
+
+/// Per-slot, a snapshot is exactly the step's ciphertexts: empty, one
+/// short and doubled are all refused.
+#[test]
+fn decrypt_round_refuses_a_request_of_the_wrong_width() {
+    refuses_wrong_widths(Dialect::PerSlot, LAYOUT.total() - 1);
+}
+
+/// Packed, a snapshot folds to `⌈ciphertexts / g⌉` for the `g` its push-sum
+/// state allows — the member cannot know which, and serves any of them,
+/// the unfolded width included — so what it refuses is a width off that
+/// grid, and more than the step's ciphertexts.
+#[test]
+fn decrypt_round_refuses_a_packed_request_off_the_fold_grid() {
+    let ctx = context(ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    });
+    let cipher = cipher(ctx, Dialect::Packed);
+    let full = cipher.ciphertexts();
+    let on_grid = |w: usize| (1..=full).any(|g| full.div_ceil(g) == w);
+    let off_grid = (1..full)
+        .find(|&w| !on_grid(w))
+        .expect("the fixture's layout has a width no fold produces");
+    for width in 0..=2 * full {
+        assert_eq!(
+            cipher.serves_width(width),
+            width >= 1 && on_grid(width),
+            "{width}"
+        );
+    }
+    assert!(
+        cipher.width(0, 1.0) < full,
+        "a fresh contribution's snapshot folds"
+    );
+    refuses_wrong_widths(Dialect::Packed, off_grid);
+}
+
+/// A share vector of any width but the requester's own folded one — the
+/// unfolded width included — is one bad frame each, counted, and costs the
+/// round nothing: the honest shares still complete it.
+#[test]
+fn decrypt_round_share_of_another_width_is_one_counted_bad_frame() {
+    let ctx = context(ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    });
+    let values = contribution(&[0.75, -1.5]);
+    let mut requester = build(ctx, Dialect::Packed, 3, 0, &values, 51);
+    let mut out = Vec::new();
+    requester.tick(&mut out);
+    assert_eq!(requested(&out), [0, 1]);
+    let request = out[0].1.clone();
+    let shares: Vec<Message> = [0, 1]
+        .iter()
+        .map(|&m| {
+            let mut reply = Vec::new();
+            build(ctx, Dialect::Packed, m, 0, &values, 52).handle(
+                3,
+                request.clone(),
+                TraceContext::NONE,
+                &mut reply,
+            );
+            reply.pop().expect("a member serves the request").1
+        })
+        .collect();
+    let Message::DecryptShare {
+        iteration,
+        partials,
+    } = &shares[0]
+    else {
+        panic!("a member answers with a share vector");
+    };
+    let full = cipher(ctx, Dialect::Packed).ciphertexts();
+    assert!(partials.len() < full, "the request was folded");
+    for width in [0, partials.len() - 1, full] {
+        let resized = Message::DecryptShare {
+            iteration: *iteration,
+            partials: partials.iter().cycle().take(width).cloned().collect(),
+        };
+        requester.handle(0, resized, TraceContext::NONE, &mut out);
+        assert!(requester.awaiting_shares());
+    }
+    for (m, share) in shares.iter().enumerate() {
+        requester.handle(m, share.clone(), TraceContext::NONE, &mut out);
+    }
+    assert!(requester.step_done());
+    let report = requester.into_report();
+    assert_eq!(report.bad_frames, 3);
+    assert!(report.estimate.is_some());
+    assert_eq!(report.decrypt_ops.combinations, partials.len() as u64);
 }
 
 /// Every (node, push) pairing: a push in the node's own dialect is absorbed,

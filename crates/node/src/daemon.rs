@@ -159,7 +159,7 @@ struct RunContext {
     /// The run's ciphertext layout, `None` in simulated-crypto mode. Planned
     /// once, at bootstrap, from public inputs only — so every daemon agrees
     /// on it without coordination — around a fixed-base encryptor whose
-    /// window tables are likewise built once per run, not per step.
+    /// comb table is likewise built once per run, not per step.
     cipher: Option<StepCipher>,
     share: Option<KeyShare>,
     timing: TimingSpec,

@@ -252,8 +252,9 @@ fn real_crypto_cluster_distributes_shares_and_decrypts() {
     );
     assert_eq!(
         partials,
-        chiaroscuro::cost::synthesize_decrypt_ops(n, slots, threshold, 0).partial_decryptions,
-        "the cost model's d·s·t"
+        chiaroscuro::cost::synthesize_decrypt_ops(&vec![slots; n], threshold, 0)
+            .partial_decryptions,
+        "the cost model's Σ wᵢ·t — a per-slot snapshot folds to itself, wᵢ = s"
     );
     // The gossip side of the same parity: a daemon encrypts, and on every
     // push re-randomizes, exactly the one block it later has decrypted.

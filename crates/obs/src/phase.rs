@@ -7,7 +7,8 @@
 //! push-sum split/absorb homomorphic work), the committee's
 //! **decrypt-share** service (one partial decryption per requested
 //! ciphertext), **combine** (Lagrange recombination of partial
-//! decryptions), and **unpack** (lane extraction in packed mode). A
+//! decryptions), and **unpack** (the requester's lane work in packed mode:
+//! stacking a snapshot's lanes before the round, extracting them after). A
 //! [`PhaseProfile`] holds per-phase nanosecond totals;
 //! the sans-IO protocol node accumulates one, every substrate ships it
 //! home in its report, and the per-node profiles sum ([`PhaseProfile::plus`])
@@ -31,7 +32,8 @@ pub enum StepPhase {
     DecryptShare,
     /// The Lagrange combine of partials.
     Combine,
-    /// Lane extraction of a packed aggregate.
+    /// Lane stacking (before the decryption round) and extraction (after
+    /// it) of a packed aggregate.
     Unpack,
 }
 
@@ -69,7 +71,7 @@ pub struct PhaseProfile {
     pub decrypt_share_ns: u64,
     /// Noise fold + Lagrange combine.
     pub combine_ns: u64,
-    /// Packed-lane aggregate extraction.
+    /// Packed-lane aggregate stacking and extraction.
     pub unpack_ns: u64,
 }
 

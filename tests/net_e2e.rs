@@ -162,8 +162,9 @@ fn decrypt_round_count_parity_threaded_vs_simulator() {
     );
     assert_eq!(
         ops.partial_decryptions,
-        chiaroscuro::cost::synthesize_decrypt_ops(n, slots, threshold, 0).partial_decryptions,
-        "the cost model's d·s·t"
+        chiaroscuro::cost::synthesize_decrypt_ops(&vec![slots; n], threshold, 0)
+            .partial_decryptions,
+        "the cost model's Σ wᵢ·t — a per-slot snapshot folds to itself, wᵢ = s"
     );
     // The gossip side of the same parity: a node encrypts, and on every
     // push re-randomizes, exactly the one block it later has decrypted.

@@ -364,9 +364,10 @@ fn sharded_packed_crypto_churn_matches_simulator() {
 }
 
 /// Fault-free on an ideal link, the sharded executor's committee computes
-/// exactly `threshold` partial-decryption vectors per requester: the count
-/// the in-process simulator performs and the analytical cost model charges
-/// for the same packed configuration.
+/// exactly `threshold` partial-decryption vectors per requester, each as
+/// wide as that requester's snapshot folds to: the count the in-process
+/// simulator performs on its own snapshots and the analytical cost model
+/// charges for the same packed configuration.
 #[test]
 fn decrypt_round_count_parity_sharded_vs_simulator() {
     let n = 12;
@@ -390,21 +391,37 @@ fn decrypt_round_count_parity_sharded_vs_simulator() {
 
     let step = backend.last_step().expect("one step ran");
     assert!(step.outcome.estimates.iter().all(|e| e.is_some()));
+    // A requester combines one plaintext per ciphertext it had decrypted:
+    // its folded width, somewhere on the grid ⌈ciphertexts/g⌉.
+    let ciphertexts = step.reports[0].ops.encryptions as usize;
+    let widths: Vec<usize> = step
+        .reports
+        .iter()
+        .map(|r| r.decrypt_ops.combinations as usize)
+        .collect();
+    for (id, &w) in widths.iter().enumerate() {
+        assert!(
+            (1..=ciphertexts).any(|g| ciphertexts.div_ceil(g) == w),
+            "node {id} asked for {w} of {ciphertexts} ciphertexts"
+        );
+    }
+    assert!(
+        widths.iter().sum::<usize>() < n * ciphertexts,
+        "8 pushes leave headroom to fold into: {widths:?}"
+    );
     let ops = &step.outcome.decrypt_ops;
-    let ciphertexts = ops.combinations as usize / n;
     assert_eq!(
         ops.partial_decryptions,
-        (threshold * ciphertexts * n) as u64
+        chiaroscuro::cost::synthesize_decrypt_ops(&widths, threshold, 0).partial_decryptions,
+        "the cost model's Σ wᵢ·t"
     );
+    let sim_ops = &sim.log.records[0].cost.decrypt_ops;
     assert_eq!(
-        ops.partial_decryptions, sim.log.records[0].cost.decrypt_ops.partial_decryptions,
-        "the simulator's committee[..t]"
+        sim_ops.partial_decryptions,
+        threshold as u64 * sim_ops.combinations,
+        "the simulator's committee[..t], over its own folded snapshots"
     );
-    assert_eq!(
-        ops.partial_decryptions,
-        chiaroscuro::cost::synthesize_decrypt_ops(n, ciphertexts, threshold, 0).partial_decryptions,
-        "the cost model's d·s·t"
-    );
+    assert!(sim_ops.combinations < (n * ciphertexts) as u64);
     // The gossip side of the same parity: a node encrypts, and on every
     // push re-randomizes, exactly the ciphertexts it later has decrypted —
     // and every `PackedPush` carries that many: each delivered push is
@@ -533,6 +550,22 @@ fn timeline_of(step: &cs_net::StepRun) -> Timeline {
 /// result puts the split back at 95/366 with every count as recorded, and
 /// leaves only ciphertext-derived fields different (gossip `bytes` 73 315,
 /// `decrypt` 28 500, the two hashes), which is how the cause was confirmed.
+///
+/// The packed half's `decrypt` bytes, `epochs` and `traces` were re-recorded
+/// when a requester started folding its snapshot into the lanes' unused
+/// headroom before the decryption round (`StepCipher::fold`): the same 60
+/// decrypt-class frames + 1 dropped carry 15 250 B where they carried
+/// 28 498 — a request and each answer to it are as wide as the snapshot
+/// folds to, not the 6 ciphertexts of a push. Shorter frames spend less
+/// time on the 20 MB/s link (≈ 11 µs less a frame on average), so decrypt
+/// deliveries land earlier in virtual time: one more epoch window holds an
+/// event (30 → 31) and the `traces` hash, which covers event times, follows. With the link's bandwidth term off, parent and
+/// change produce the same `epochs` (30) and the same `traces` hash, and
+/// differ in the `decrypt` bytes alone — which is how the cause was
+/// confirmed. Frame counts, `gossip`, `control`, the in/cross-shard split
+/// and the `estimates` hash are the values recorded before (the folded
+/// decryption recovers every estimate bit), and the plain half has no
+/// ciphertext to fold.
 #[test]
 fn sharded_timeline_matches_the_recorded_golden_values() {
     let link = cs_net::LinkConfig {
@@ -598,13 +631,13 @@ fn sharded_timeline_matches_the_recorded_golden_values() {
     };
     let packed = Timeline {
         gossip: [157, 73_310, 3],
-        decrypt: [60, 28_498, 1],
+        decrypt: [60, 15_250, 1],
         control: [237, 9480, 3],
         in_shard: 91,
         cross_shard: 370,
-        epochs: 30,
+        epochs: 31,
         estimates: 17_351_782_896_621_205_483,
-        traces: 13_984_838_906_201_862_816,
+        traces: 7_837_667_711_695_725_664,
     };
     for got in run(&cfg, &series, &sharded) {
         assert_eq!(got, packed, "packed 16-node timeline moved");
