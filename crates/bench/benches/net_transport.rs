@@ -1,5 +1,6 @@
 //! `cs_net` layer throughput: wire-codec encode/decode and one full
-//! threaded computation step (plaintext mode) per population size.
+//! thread-per-node computation step over TCP loopback (plaintext mode) per
+//! population size.
 
 use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::CryptoContext;
@@ -8,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use cs_bench::datasets::synthetic_contributions;
 use cs_bigint::BigUint;
 use cs_crypto::Ciphertext;
-use cs_net::runtime::{run_step_over_transport, Carrier, NetConfig};
+use cs_net::runtime::{run_step_over_tcp, NetConfig};
 use cs_net::wire::{decode_frame, decode_frame_traced, encode_frame, encode_frame_traced, Message};
 use cs_obs::{CausalTracer, TraceContext, Tracer, VirtualClock};
 use rand::rngs::StdRng;
@@ -51,8 +52,8 @@ fn bench_wire_codec(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_threaded_step(c: &mut Criterion) {
-    let mut group = c.benchmark_group("net/step_plain");
+fn bench_tcp_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("net/step_plain_tcp");
     for n in [8usize, 16] {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, &n| {
@@ -74,17 +75,7 @@ fn bench_threaded_step(c: &mut Criterion) {
                 ..NetConfig::default()
             };
             bench.iter(|| {
-                run_step_over_transport(
-                    &config,
-                    &layout,
-                    &contributions,
-                    &crypto,
-                    42,
-                    &net,
-                    &[],
-                    Carrier::Channel,
-                )
-                .unwrap()
+                run_step_over_tcp(&config, &layout, &contributions, &crypto, 42, &net, &[]).unwrap()
             });
         });
     }
@@ -131,7 +122,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_wire_codec,
-    bench_threaded_step,
+    bench_tcp_step,
     bench_trace_overhead
 );
 criterion_main!(benches);

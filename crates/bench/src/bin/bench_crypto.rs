@@ -2,8 +2,8 @@
 //!
 //! Measures the per-bucket cost of the Damgård-Jurik pipeline — encrypt,
 //! homomorphic add, threshold decrypt — **packed vs unpacked**, plus one
-//! full `net_step_real_crypto` computation step over the threaded
-//! transport in both modes, and writes `BENCH_CRYPTO.json` so the
+//! full `net_step_real_crypto` computation step on the sharded executor
+//! in both modes, and writes `BENCH_CRYPTO.json` so the
 //! repository keeps a comparable record of the fast path across PRs.
 //!
 //! ```sh
@@ -40,14 +40,14 @@ use cs_crypto::{
     Ciphertext, FastEncryptor, FixedPointCodec, KeyGenOptions, PackedCodec, ThresholdKeyPair,
     ThresholdParams,
 };
-use cs_net::runtime::{run_step_over_transport, Carrier, NetConfig};
+use cs_net::executor::{run_step_sharded, ShardedConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Buckets per measured vector. The per-op rows report per-bucket cost,
 /// so the width is arbitrary; 24 is what `BENCH_CRYPTO.json`'s rows were
@@ -673,8 +673,10 @@ fn bench_multi_exp(ctx: &Ctx, reps: usize, rng: &mut StdRng) -> Vec<CryptoBenchE
     ]
 }
 
-/// One full threaded computation step with the real Damgård-Jurik pipeline
+/// One full computation step with the real Damgård-Jurik pipeline
 /// (test-size keys), packed vs unpacked — the `net_step_real_crypto` line.
+/// On the sharded executor, whose virtual clock costs no wall time: a
+/// crypto row should not carry a pacing floor.
 fn bench_net_step(n: usize, packing: bool) -> CryptoBenchEntry {
     let config = ChiaroscuroConfig {
         k: 2,
@@ -689,21 +691,15 @@ fn bench_net_step(n: usize, packing: bool) -> CryptoBenchEntry {
     let mut rng = StdRng::seed_from_u64(4);
     let crypto = CryptoContext::from_config(&config, &mut rng).expect("context");
     let contributions = cs_bench::datasets::synthetic_contributions(n, &layout, 5);
-    let net = NetConfig {
-        push_interval: Duration::from_micros(150),
-        quiesce: Duration::from_millis(100),
-        ..NetConfig::default()
-    };
     let t = Instant::now();
-    let run = run_step_over_transport(
+    let run = run_step_sharded(
         &config,
         &layout,
         &contributions,
         &crypto,
         43,
-        &net,
+        &ShardedConfig::default(),
         &[],
-        Carrier::Channel,
     )
     .expect("step");
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;

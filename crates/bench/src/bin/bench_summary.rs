@@ -1,16 +1,17 @@
 //! `bench_summary` — machine-readable benchmark trajectory seed.
 //!
 //! Runs the core measurements of the `cs_net` bench surface (wire-codec
-//! throughput, threaded-transport computation steps across population
-//! sizes, a real-crypto step, and the sharded executor's scaling sweep up
-//! to 16384 plain / 1024 real-crypto-packed nodes) and writes them as
+//! throughput, TCP-loopback computation steps across population sizes, a
+//! packed real-crypto step over the same sockets, and the sharded
+//! executor's scaling sweep up to 16384 plain / 1024 real-crypto-packed
+//! nodes) and writes them as
 //! `BENCH_net.json`, so the repository accumulates a comparable performance
 //! record across PRs.
 //!
 //! ```sh
 //! cargo run --release -p cs_bench --bin bench_summary            # full
 //! cargo run --release -p cs_bench --bin bench_summary -- --quick # smoke
-//! cargo run ... -- --quick --check  # CI gate: sharded must beat threaded
+//! cargo run ... -- --quick --check  # CI gate: scaling, step budget, messages
 //! cargo run ... -- --out target/BENCH_net.json                   # custom path
 //! cargo run ... -- --profile   # per-phase step breakdown in the entries
 //! ```
@@ -23,7 +24,7 @@ use cs_bench::{f, Table};
 use cs_bigint::BigUint;
 use cs_crypto::Ciphertext;
 use cs_net::executor::{run_step_sharded, ShardedConfig};
-use cs_net::runtime::{run_step_over_transport, Carrier, NetConfig};
+use cs_net::runtime::{run_step_over_tcp, NetConfig, StepRun};
 use cs_net::wire::{decode_frame, encode_frame, Message};
 use cs_obs::{PhaseProfile, StepPhase};
 use rand::rngs::StdRng;
@@ -111,40 +112,30 @@ fn main() {
 
     let mut entries = Vec::new();
     entries.push(bench_wire_codec(quick));
-    // Threaded runtime: population 64 is the overlap point the sharded
-    // executor is gated against, so it is measured in both modes.
-    let populations: &[usize] = if quick { &[16, 64] } else { &[16, 32, 64] };
-    for &n in populations {
-        entries.push(bench_plain_step(n, quick));
-    }
-    if !quick {
-        entries.push(bench_real_step(8));
-    }
-    // TCP loopback: the same step, but every frame crosses a real kernel
-    // socket through the reactor pool — measured at the threaded overlap
-    // populations so the socket tax is directly readable, plus a
-    // past-the-overlap row (128) in full mode where O(pool) threading is
-    // what keeps the row affordable, plus a packed real-crypto row (the
-    // wire configuration a deployed cluster would actually run).
+    // TCP loopback: one thread per node, every frame through a kernel
+    // socket and the reactor pool. Population 64 overlaps the sharded
+    // sweep; the 128 row (full mode) is where O(pool) threading is what
+    // keeps the row affordable; the packed real-crypto row is the wire
+    // configuration a deployed cluster would actually run.
     let tcp_populations: &[usize] = if quick { &[16, 64] } else { &[16, 32, 64, 128] };
     for &n in tcp_populations {
-        entries.push(bench_plain_step_tcp(n, quick));
+        entries.push(StepWorkload::plain("net_step_plain_tcp", quick).measure_tcp(n));
     }
-    entries.push(bench_packed_step_tcp(8));
+    entries.push(StepWorkload::real("net_step_real_packed_tcp").measure_tcp(8));
     // Sharded executor: the scaling sweep. Same protocol configuration as
-    // the threaded rows at the overlap population; virtual nodes carry it
-    // three orders of magnitude further.
+    // the TCP rows at the overlap population; virtual nodes carry it three
+    // orders of magnitude further.
     let sharded_populations: &[usize] = if quick {
         &[64, 256]
     } else {
         &[64, 1024, 4096, 16384]
     };
     for &n in sharded_populations {
-        entries.push(bench_plain_step_sharded(n, quick));
+        entries.push(StepWorkload::plain("net_step_plain_sharded", quick).measure_sharded(n));
     }
     let packed_populations: &[usize] = if quick { &[32] } else { &[256, 512, 1024] };
     for &n in packed_populations {
-        entries.push(bench_packed_step_sharded(n));
+        entries.push(StepWorkload::real("net_step_real_packed_sharded").measure_sharded(n));
     }
 
     // The phase clocks are always captured (they cost nothing); --profile
@@ -220,9 +211,11 @@ fn main() {
     }
 }
 
-/// The CI gate: the sharded executor must not be slower than the threaded
-/// runtime at the overlap population, and the scaling rows must actually
-/// have gossiped. Mirrors `bench_crypto --check`.
+/// The CI gate: the scaling rows stay near-linear, the deployed wire
+/// configuration fits its step budget, and every row actually gossiped.
+/// Mirrors `bench_crypto --check`. No gate compares two wall-clock
+/// substrates: the reactor-stall guard is csbench's `tcp_plain_64`
+/// `compare` plus `crates/net/tests/tcp_reactor.rs`.
 fn run_check(summary: &BenchSummary) {
     let wall = |name: &str, population: usize| {
         summary
@@ -232,35 +225,6 @@ fn run_check(summary: &BenchSummary) {
             .map(|e| e.wall_ms)
     };
     let mut failures = Vec::new();
-    match (
-        wall("net_step_plain", 64),
-        wall("net_step_plain_sharded", 64),
-    ) {
-        // 1.25x headroom absorbs CI scheduling noise; the expected margin
-        // is several-fold.
-        (Some(threaded), Some(sharded)) if sharded <= threaded * 1.25 => {}
-        (Some(threaded), Some(sharded)) => failures.push(format!(
-            "population 64: sharded {sharded:.2} ms exceeds threaded {threaded:.2} ms"
-        )),
-        _ => failures.push("population-64 overlap measurements missing".to_string()),
-    }
-    // TCP loopback pays kernel-socket tax over the in-memory channel, but
-    // with the reactor pool (inline fast-path sends, no per-peer threads)
-    // it must stay within 3x of the threaded runtime at the overlap
-    // population — a blowout means the reactor is stalling (lost wakeups,
-    // missed writability, lock contention), not just syscall overhead.
-    // The quick workload halves the gossip phase, so the fixed socket
-    // setup/teardown cost is a bigger fraction of the tcp row and the
-    // ratio routinely lands at 2.7-3.6x on a single core; 5x still
-    // catches the ~15x pre-reactor blowout this gate exists for.
-    let tcp_tax = if summary.quick { 5.0 } else { 3.0 };
-    match (wall("net_step_plain", 64), wall("net_step_plain_tcp", 64)) {
-        (Some(threaded), Some(tcp)) if tcp <= threaded.max(1.0) * tcp_tax => {}
-        (Some(threaded), Some(tcp)) => failures.push(format!(
-            "population 64: tcp loopback {tcp:.2} ms exceeds {tcp_tax}x threaded {threaded:.2} ms"
-        )),
-        _ => failures.push("population-64 tcp overlap measurements missing".to_string()),
-    }
     // Scaling gates (full-mode rows only): the sharded executor must stay
     // near-linear in population — a super-linear blowup means per-node
     // state is leaking into a hot loop (quadratic vote fan-out, rebuilt
@@ -301,10 +265,7 @@ fn run_check(summary: &BenchSummary) {
         }
     }
     if failures.is_empty() {
-        println!(
-            "[check] all gates passed: sharded budget, tcp loopback tax, \
-             scaling, step budget, message movement"
-        );
+        println!("[check] all gates passed: scaling, step budget, message movement");
     } else {
         for f in &failures {
             eprintln!("[check] REGRESSION: {f}");
@@ -354,7 +315,8 @@ fn bench_wire_codec(quick: bool) -> BenchEntry {
 }
 
 /// Full step runs per thread-per-node measurement; the reported wall is
-/// the median, so a single outlier run cannot trip the ratio gates.
+/// the median, so one outlier run (scheduler hiccup, page cache miss) does
+/// not become the recorded number.
 const STEP_REPS: usize = 3;
 
 fn net_config() -> NetConfig {
@@ -365,7 +327,20 @@ fn net_config() -> NetConfig {
     }
 }
 
-/// One protocol configuration measured as a full computation step.
+/// Sharded-executor settings for the sweep: votes stay on at the overlap
+/// population (so the row next to the TCP one runs the identical protocol)
+/// and are quiescence-replaced on the scaling rows — the `O(n²)` broadcast
+/// would dominate the message counts without informing them.
+fn sharded_config(n: usize) -> ShardedConfig {
+    ShardedConfig {
+        termination_votes: n <= 64,
+        ..ShardedConfig::default()
+    }
+}
+
+/// One protocol configuration measured as a full computation step. One
+/// workload feeds both substrates, so the tcp and sharded rows stay
+/// comparable by construction.
 struct StepWorkload {
     name: &'static str,
     config: ChiaroscuroConfig,
@@ -398,14 +373,17 @@ impl StepWorkload {
         }
     }
 
-    /// Real Damgård-Jurik pipeline (test-size keys), optionally packed.
-    fn real(name: &'static str, packing: bool) -> Self {
+    /// Real Damgård-Jurik pipeline (test-size keys) *and* the crypto fast
+    /// path (ciphertext packing + fixed-base exponentiation) — the wire
+    /// configuration of a deployed `csnoded` cluster, and what makes real
+    /// crypto at populations ≥512 tractable on one machine.
+    fn real(name: &'static str) -> Self {
         StepWorkload {
             name,
             config: ChiaroscuroConfig {
                 k: 2,
                 gossip_cycles: 10,
-                packing,
+                packing: true,
                 ..ChiaroscuroConfig::test_real()
             },
             layout: SlotLayout {
@@ -418,37 +396,16 @@ impl StepWorkload {
         }
     }
 
-    /// Runs the workload at population `n` on the thread-per-node substrate
-    /// over `carrier` and measures it. The protocol configuration is shared
-    /// (one [`StepWorkload`] feeds both carriers), so the threaded-vs-tcp
-    /// rows stay comparable by construction.
-    /// The wall-clock substrates are nondeterministic and the gated rows
-    /// are compared as a *ratio*, so each measurement is the median of
-    /// [`STEP_REPS`] full runs — one outlier run (scheduler hiccup, page
-    /// cache miss) must not trip a CI gate.
-    fn measure(&self, n: usize, carrier: Carrier) -> BenchEntry {
+    fn inputs(&self, n: usize) -> (CryptoContext, Vec<Option<Vec<f64>>>) {
         let mut rng = StdRng::seed_from_u64(self.rng_seed);
         let crypto = CryptoContext::from_config(&self.config, &mut rng).expect("context");
-        let contributions = synthetic_contributions(n, &self.layout, self.values_seed);
-        let mut runs: Vec<(f64, _)> = (0..STEP_REPS)
-            .map(|_| {
-                let t = Instant::now();
-                let run = run_step_over_transport(
-                    &self.config,
-                    &self.layout,
-                    &contributions,
-                    &crypto,
-                    self.step_seed,
-                    &net_config(),
-                    &[],
-                    carrier,
-                )
-                .expect("step");
-                (t.elapsed().as_secs_f64() * 1e3, run)
-            })
-            .collect();
-        runs.sort_by(|a, b| f64::total_cmp(&a.0, &b.0));
-        let (wall_ms, run) = runs.swap_remove(runs.len() / 2);
+        (
+            crypto,
+            synthetic_contributions(n, &self.layout, self.values_seed),
+        )
+    }
+
+    fn entry(&self, n: usize, wall_ms: f64, run: &StepRun) -> BenchEntry {
         let messages = run.snapshot.messages();
         let bytes = run.snapshot.bytes();
         BenchEntry {
@@ -465,132 +422,48 @@ impl StepWorkload {
             phases: Some(PhaseBreakdown::from_profile(&run.outcome.phases)),
         }
     }
-}
 
-/// One full threaded computation step in simulated-crypto (plaintext) mode.
-fn bench_plain_step(n: usize, quick: bool) -> BenchEntry {
-    StepWorkload::plain("net_step_plain", quick).measure(n, Carrier::Channel)
-}
-
-/// The same plaintext step over the TCP loopback substrate — identical
-/// protocol configuration, but every frame crosses a real kernel socket.
-fn bench_plain_step_tcp(n: usize, quick: bool) -> BenchEntry {
-    StepWorkload::plain("net_step_plain_tcp", quick).measure(n, Carrier::Tcp)
-}
-
-/// One full computation step over TCP loopback with the real Damgård-Jurik
-/// pipeline *and* the crypto fast path — the wire configuration of a
-/// deployed `csnoded` cluster, measured in-process.
-fn bench_packed_step_tcp(n: usize) -> BenchEntry {
-    StepWorkload::real("net_step_real_packed_tcp", true).measure(n, Carrier::Tcp)
-}
-
-/// Sharded-executor settings for the sweep: votes stay on at the overlap
-/// population (so the head-to-head against the threaded runtime compares
-/// identical protocols) and are quiescence-replaced on the scaling rows —
-/// the `O(n²)` broadcast would dominate the message counts without
-/// informing them.
-fn sharded_config(n: usize) -> ShardedConfig {
-    ShardedConfig {
-        termination_votes: n <= 64,
-        ..ShardedConfig::default()
+    /// One full computation step at population `n` over the TCP loopback:
+    /// the median of [`STEP_REPS`] runs, the substrate being
+    /// nondeterministic.
+    fn measure_tcp(&self, n: usize) -> BenchEntry {
+        let (crypto, contributions) = self.inputs(n);
+        let mut runs: Vec<(f64, _)> = (0..STEP_REPS)
+            .map(|_| {
+                let t = Instant::now();
+                let run = run_step_over_tcp(
+                    &self.config,
+                    &self.layout,
+                    &contributions,
+                    &crypto,
+                    self.step_seed,
+                    &net_config(),
+                    &[],
+                )
+                .expect("step");
+                (t.elapsed().as_secs_f64() * 1e3, run)
+            })
+            .collect();
+        runs.sort_by(|a, b| f64::total_cmp(&a.0, &b.0));
+        let (wall_ms, run) = runs.swap_remove(runs.len() / 2);
+        self.entry(n, wall_ms, &run)
     }
-}
 
-/// One full computation step on the sharded event-loop executor,
-/// simulated-crypto (plaintext) mode — the same protocol configuration as
-/// [`bench_plain_step`], three orders of magnitude further out.
-fn bench_plain_step_sharded(n: usize, quick: bool) -> BenchEntry {
-    let config = ChiaroscuroConfig {
-        k: 2,
-        gossip_cycles: if quick { 15 } else { 30 },
-        ..ChiaroscuroConfig::demo_simulated()
-    };
-    let layout = SlotLayout {
-        k: 2,
-        series_len: 8,
-    };
-    let mut rng = StdRng::seed_from_u64(2);
-    let crypto = CryptoContext::from_config(&config, &mut rng).expect("context");
-    let contributions = synthetic_contributions(n, &layout, 3);
-    let t = Instant::now();
-    let run = run_step_sharded(
-        &config,
-        &layout,
-        &contributions,
-        &crypto,
-        42,
-        &sharded_config(n),
-        &[],
-    )
-    .expect("step");
-    let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    let messages = run.snapshot.messages();
-    let bytes = run.snapshot.bytes();
-    BenchEntry {
-        name: "net_step_plain_sharded".to_string(),
-        population: n,
-        wall_ms,
-        messages,
-        bytes,
-        bytes_per_message: if messages == 0 {
-            0.0
-        } else {
-            bytes as f64 / messages as f64
-        },
-        phases: Some(PhaseBreakdown::from_profile(&run.outcome.phases)),
+    /// One full computation step at population `n` on the sharded
+    /// event-loop executor (deterministic: one run).
+    fn measure_sharded(&self, n: usize) -> BenchEntry {
+        let (crypto, contributions) = self.inputs(n);
+        let t = Instant::now();
+        let run = run_step_sharded(
+            &self.config,
+            &self.layout,
+            &contributions,
+            &crypto,
+            self.step_seed,
+            &sharded_config(n),
+            &[],
+        )
+        .expect("step");
+        self.entry(n, t.elapsed().as_secs_f64() * 1e3, &run)
     }
-}
-
-/// One full computation step on the sharded executor with the real
-/// Damgård-Jurik pipeline *and* the crypto fast path (ciphertext packing +
-/// fixed-base exponentiation) — the configuration that makes real crypto
-/// at populations ≥512 tractable on one machine.
-fn bench_packed_step_sharded(n: usize) -> BenchEntry {
-    let config = ChiaroscuroConfig {
-        k: 2,
-        gossip_cycles: 10,
-        packing: true,
-        ..ChiaroscuroConfig::test_real()
-    };
-    let layout = SlotLayout {
-        k: 2,
-        series_len: 5,
-    };
-    let mut rng = StdRng::seed_from_u64(4);
-    let crypto = CryptoContext::from_config(&config, &mut rng).expect("context");
-    let contributions = synthetic_contributions(n, &layout, 5);
-    let t = Instant::now();
-    let run = run_step_sharded(
-        &config,
-        &layout,
-        &contributions,
-        &crypto,
-        43,
-        &sharded_config(n),
-        &[],
-    )
-    .expect("step");
-    let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    let messages = run.snapshot.messages();
-    let bytes = run.snapshot.bytes();
-    BenchEntry {
-        name: "net_step_real_packed_sharded".to_string(),
-        population: n,
-        wall_ms,
-        messages,
-        bytes,
-        bytes_per_message: if messages == 0 {
-            0.0
-        } else {
-            bytes as f64 / messages as f64
-        },
-        phases: Some(PhaseBreakdown::from_profile(&run.outcome.phases)),
-    }
-}
-
-/// One full threaded computation step with the real Damgård-Jurik pipeline
-/// (test-size keys).
-fn bench_real_step(n: usize) -> BenchEntry {
-    StepWorkload::real("net_step_real_crypto", false).measure(n, Carrier::Channel)
 }

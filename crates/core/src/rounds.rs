@@ -276,6 +276,26 @@ impl StepCipher {
         }
     }
 
+    /// Whether [`Self::node`] can encrypt `contribution`: every value
+    /// finite and inside the codec's envelope (the planned lane range when
+    /// packed, the signed plaintext range per slot). What a host asks about
+    /// a contribution it did not build itself, so one out-of-range value is
+    /// a failed step instead of a panic on whichever thread constructs the
+    /// node.
+    pub fn admits(&self, contribution: &[f64]) -> Result<(), ChiaroscuroError> {
+        match &self.lanes {
+            Lanes::PerSlot(codec) => {
+                for &v in contribution {
+                    codec.encode(v, self.pk.n_s())?;
+                }
+            }
+            Lanes::Packed(codec, _) => {
+                codec.pack(contribution)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Builds one participant's push-sum node: encrypts `contribution` at
     /// weight 1, or — for a participant down at step start — holds zero
     /// weight over *unbiased* trivial zeros (the lane bias must travel
@@ -297,13 +317,13 @@ impl StepCipher {
             (Some(values), Lanes::PerSlot(codec)) => {
                 let encrypt = |&v: &f64| {
                     if v == 0.0 {
-                        return pk.trivial_zero();
+                        return Ok(pk.trivial_zero());
                     }
                     encryptions += 1;
-                    let m = codec.encode(v, pk.n_s()).expect("clamped value fits");
-                    pk.encrypt(&m, rng)
+                    Ok(pk.encrypt(&codec.encode(v, pk.n_s())?, rng))
                 };
-                (values.iter().map(encrypt).collect(), 1.0)
+                let cipher: Result<_, ChiaroscuroError> = values.iter().map(encrypt).collect();
+                (cipher?, 1.0)
             }
             (Some(values), Lanes::Packed(codec, enc)) => {
                 let plaintexts = codec.pack(values)?;
@@ -1077,6 +1097,34 @@ mod tests {
                 "headroom {} cannot cover the node's own splits",
                 plan.headroom_bits()
             );
+        }
+    }
+
+    #[test]
+    fn out_of_envelope_contributions_are_typed_errors_on_both_layouts() {
+        // 1e30 overflows a planned lane but not a 256-bit plaintext; 1e300
+        // overflows both. Neither may reach a panic.
+        for (packing, value, admitted) in [
+            (true, 1e30, false),
+            (false, 1e30, true),
+            (false, 1e300, false),
+        ] {
+            let mut rng = StdRng::seed_from_u64(41);
+            let config = ChiaroscuroConfig {
+                k: 2,
+                gossip_cycles: 4,
+                packing,
+                ..ChiaroscuroConfig::test_real()
+            };
+            let mut contributions = tiny_contributions(4, &mut rng);
+            contributions[1].as_mut().unwrap()[5] = value;
+            let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
+            let cipher = crypto.step_cipher(&config, &layout(), 4).unwrap().unwrap();
+            let verdict = cipher.admits(contributions[1].as_ref().unwrap());
+            assert_eq!(verdict.is_ok(), admitted, "packing {packing}, {value:e}");
+            let step =
+                run_computation_step(&config, &layout(), &contributions, &crypto, 9, &mut rng);
+            assert_eq!(step.is_ok(), admitted, "packing {packing}, {value:e}");
         }
     }
 

@@ -25,7 +25,7 @@
 //!   results, iteration synchronization for late participants).
 //!
 //! Execution without global rounds is not simulated here: the `cs_net`
-//! substrates (sharded executor, threaded runtime, TCP, `cs_node` cluster)
+//! substrates (sharded executor, TCP loopback, `cs_node` cluster)
 //! run the same push-sum code with every node on its own clock.
 
 //! ## Example: averaging 32 values with push-sum

@@ -7,9 +7,9 @@
 //! experiments can place failures at protocol-critical moments
 //! (mid-gossip, during decryption). [`ChurnSchedule`] is that script.
 //!
-//! The two runtimes interpret an event's offset differently:
+//! The two in-process hosts interpret an event's offset differently:
 //!
-//! * **Threaded runtime** — the offset is *wall-clock*: the driver applies
+//! * **TCP host** — the offset is *wall-clock*: the driver thread applies
 //!   due events through the population's [`Controls`], so where an event
 //!   lands relative to the protocol depends on the OS scheduler.
 //! * **Sharded executor** — the offset is *virtual time*: the event is

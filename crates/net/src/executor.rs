@@ -25,8 +25,8 @@
 //!   and is accounted at the length its frame *would* have
 //!   ([`traced_len`](crate::wire::Message::traced_len) — proptested equal
 //!   to the encoder's output, and asserted against it on every cross-shard
-//!   send in debug builds). The codec is exercised by the threaded, TCP
-//!   and multi-process substrates, whose transport format it is.
+//!   send in debug builds). The codec is exercised by the TCP and
+//!   multi-process substrates, whose transport format it is.
 //! * **In-shard delivery** is a direct queue push — no loss, no delay:
 //!   same-shard pairs ride a perfect in-memory edge. **Cross-shard
 //!   delivery** applies the link model (latency, jitter, loss, bandwidth)
@@ -38,8 +38,8 @@
 //! * **Churn is executor-scheduled**: a [`crate::churn::ChurnEvent`]'s
 //!   offset is a *virtual* timestamp here, so "node 7 crashes 3 ms into the
 //!   step" happens at exactly the same protocol moment in every same-seed
-//!   run — unlike the threaded runtime, where the offset is wall-clock and
-//!   at the mercy of the OS scheduler.
+//!   run — unlike the TCP host, where the offset is wall-clock and at the
+//!   mercy of the OS scheduler.
 //!
 //! ## Determinism
 //!
@@ -96,7 +96,7 @@ pub struct ShardedConfig {
     /// seeded `1/shards` fraction of all traffic) exchange over a perfect
     /// in-memory edge — raise `shards` to shrink that fraction when a
     /// degraded-link experiment must touch (nearly) every pair, or use the
-    /// threaded runtime, which applies the model to every link.
+    /// TCP loopback host, which applies the model to every link.
     pub link: LinkConfig,
     /// Virtual pacing between a node's gossip pushes.
     pub push_interval: Duration,
@@ -690,11 +690,11 @@ impl<'a> Exec<'a> {
 
 /// Runs one computation step on the sharded event-loop executor.
 ///
-/// Mirrors [`crate::runtime::run_step_over_transport`]: `contributions[i]`
+/// Mirrors [`crate::runtime::run_step_over_tcp`]: `contributions[i]`
 /// is `Some(vector)` for participants alive at step start, `None` for
 /// crashed ones (zero weight, revivable by churn); `step_churn` lists this
 /// step's scripted events at *virtual* offsets. The returned [`StepRun`] is
-/// structurally identical to the threaded runtime's, so everything
+/// structurally identical to the TCP host's, so everything
 /// downstream (engine, benches, experiments) is substrate-agnostic.
 pub fn run_step_sharded(
     config: &ChiaroscuroConfig,
@@ -714,7 +714,7 @@ pub fn run_step_sharded(
     sharded.validate()?;
     let started = Instant::now();
 
-    let step = StepCrypto::prepare(config, layout, n, crypto, step_seed)?;
+    let step = StepCrypto::prepare(config, layout, contributions, crypto, step_seed)?;
     let shard_count = sharded.shards.min(n);
     let workers = if sharded.workers == 0 {
         thread::available_parallelism()
@@ -911,8 +911,10 @@ pub fn run_step_sharded(
 mod tests {
     use super::*;
     use crate::driver::decrypt_retry_interval;
-    use crate::fixtures::{check_estimates, layout, tiny_contributions};
+    use crate::fixtures::{check_estimates, layout, Crypto, Host, Step};
     use crate::wire::Message;
+
+    crate::fixtures::scenario_tests!(Host::Sharded);
 
     fn small_sharded() -> ShardedConfig {
         ShardedConfig {
@@ -921,26 +923,17 @@ mod tests {
         }
     }
 
+    fn four_shards() -> ShardedConfig {
+        ShardedConfig {
+            shards: 4,
+            ..ShardedConfig::default()
+        }
+    }
+
     #[test]
     fn plain_step_recovers_means_on_the_executor() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 30,
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(1);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(64, 2);
-        let run = run_step_sharded(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            7,
-            &small_sharded(),
-            &[],
-        )
-        .unwrap();
+        let step = Step::new(Crypto::Simulated, 30, 64, [1, 2, 7]);
+        let run = step.on_shards(&small_sharded(), &[]).unwrap();
         check_estimates(&run.outcome, 64, 0.35);
         assert!(run.outcome.traffic.messages > 0);
         assert!(run.snapshot.gossip.bytes > 0, "bytes-on-wire recorded");
@@ -952,14 +945,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_step_bitwise() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 25,
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(3);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(48, 4);
+        let step = Step::new(Crypto::Simulated, 25, 48, [3, 4, 11]);
         let sharded = ShardedConfig {
             shards: 8,
             link: LinkConfig {
@@ -975,7 +961,7 @@ mod tests {
                 workers,
                 ..sharded.clone()
             };
-            run_step_sharded(&config, &layout(), &contributions, &crypto, 11, &cfg, &[]).unwrap()
+            step.on_shards(&cfg, &[]).unwrap()
         };
         let a = run(0);
         let b = run(0);
@@ -1009,21 +995,13 @@ mod tests {
     /// scheduling. Only `exec.epoch.wait_ns` (driver wall-clock) may vary.
     #[test]
     fn metrics_are_deterministic_across_worker_counts() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 25,
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(3);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(48, 4);
+        let step = Step::new(Crypto::Simulated, 25, 48, [3, 4, 11]);
         let run = |workers: usize| {
             let cfg = ShardedConfig {
                 workers,
-                shards: 8,
-                ..ShardedConfig::default()
+                ..small_sharded()
             };
-            run_step_sharded(&config, &layout(), &contributions, &crypto, 11, &cfg, &[]).unwrap()
+            step.on_shards(&cfg, &[]).unwrap()
         };
         let a = run(1);
         let b = run(4);
@@ -1167,8 +1145,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_sends_are_accounted_like_the_channel_transport() {
-        use crate::transport::{ChannelTransport, Transport};
+    fn cross_shard_sends_are_accounted_like_encoded_frames() {
         use crate::wire::encode_frame_traced;
 
         let (snapshot, received, bad_frames) = cross_shard_sends(true);
@@ -1177,18 +1154,17 @@ mod tests {
         // frame is the packed push, foreign to a plaintext node.
         assert_eq!(bad_frames, 1);
 
-        // The same two messages, serialized and sent over the threaded
-        // substrate's transport.
+        // What a substrate that serializes would have put on the wire: one
+        // frame per class, each at its encoded length.
         let (messages, ctx) = traced_crypto_messages();
-        let channel = ChannelTransport::new(2, LinkConfig::ideal(), 1);
-        for msg in &messages {
-            channel
-                .send(0, 1, encode_frame_traced(msg, ctx), msg.class())
-                .unwrap();
-        }
-        assert_eq!(snapshot, channel.snapshot());
-        assert_eq!(snapshot.gossip.messages, 1);
-        assert_eq!(snapshot.decrypt.messages, 1);
+        let [push, share] = messages.map(|msg| encode_frame_traced(&msg, ctx).len() as u64);
+        assert_eq!((snapshot.gossip.messages, snapshot.gossip.bytes), (1, push));
+        assert_eq!(
+            (snapshot.decrypt.messages, snapshot.decrypt.bytes),
+            (1, share)
+        );
+        assert_eq!(snapshot.control, Default::default());
+        assert_eq!(snapshot.dropped(), 0);
     }
 
     #[test]
@@ -1205,27 +1181,8 @@ mod tests {
 
     #[test]
     fn real_step_recovers_means_on_the_executor() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 12,
-            ..ChiaroscuroConfig::test_real()
-        };
-        let mut rng = StdRng::seed_from_u64(3);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(8, 4);
-        let run = run_step_sharded(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            11,
-            &ShardedConfig {
-                shards: 4,
-                ..ShardedConfig::default()
-            },
-            &[],
-        )
-        .unwrap();
+        let step = Step::new(Crypto::PerSlot, 12, 8, [3, 4, 11]);
+        let run = step.on_shards(&four_shards(), &[]).unwrap();
         check_estimates(&run.outcome, 8, 0.5);
         assert!(run.outcome.decrypt_ops.partial_decryptions > 0);
         assert!(run.outcome.ops.additions > 0);
@@ -1235,28 +1192,8 @@ mod tests {
 
     #[test]
     fn packed_real_step_recovers_means_on_the_executor() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 12,
-            packing: true,
-            ..ChiaroscuroConfig::test_real()
-        };
-        let mut rng = StdRng::seed_from_u64(61);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(8, 62);
-        let run = run_step_sharded(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            63,
-            &ShardedConfig {
-                shards: 4,
-                ..ShardedConfig::default()
-            },
-            &[],
-        )
-        .unwrap();
+        let step = Step::new(Crypto::Packed, 12, 8, [61, 62, 63]);
+        let run = step.on_shards(&four_shards(), &[]).unwrap();
         check_estimates(&run.outcome, 8, 0.5);
         assert!(run.outcome.decrypt_ops.partial_decryptions > 0);
         let per_push = run.snapshot.gossip.bytes as f64 / run.snapshot.gossip.messages as f64;
@@ -1269,14 +1206,6 @@ mod tests {
 
     #[test]
     fn scripted_churn_fires_at_exact_virtual_offsets() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 30,
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(5);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(32, 6);
         // Crash node 5 exactly 4 pushes into its schedule (virtual 4 ms at
         // the default 1 ms pacing), leave node 9 at 10 ms, rejoin node 5 at
         // 20 ms.
@@ -1300,19 +1229,9 @@ mod tests {
                 kind: ChurnKind::Rejoin,
             },
         ];
-        let run = |seed| {
-            run_step_sharded(
-                &config,
-                &layout(),
-                &contributions,
-                &crypto,
-                seed,
-                &small_sharded(),
-                &events,
-            )
-            .unwrap()
-        };
-        let a = run(13);
+        let step = Step::new(Crypto::Simulated, 30, 32, [5, 6, 13]);
+        let run = || step.on_shards(&small_sharded(), &events).unwrap();
+        let a = run();
         assert!(a.outcome.alive_after[5], "node 5 rejoined");
         assert!(!a.outcome.alive_after[9], "node 9 left for good");
         assert!(a.outcome.estimates[9].is_none());
@@ -1322,7 +1241,7 @@ mod tests {
         );
         // The crash window costs node 5 a deterministic number of pushes:
         // same-seed runs replay the exact same churn placement.
-        let b = run(13);
+        let b = run();
         assert_eq!(
             a.reports[5].pushes_sent, b.reports[5].pushes_sent,
             "same-seed churn must replay identically"
@@ -1336,103 +1255,16 @@ mod tests {
 
     #[test]
     fn votes_off_still_completes_by_quiescence() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 20,
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(7);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(32, 8);
+        let step = Step::new(Crypto::Simulated, 20, 32, [7, 8, 17]);
         let cfg = ShardedConfig {
             shards: 8,
             ..ShardedConfig::large_population()
         };
-        let run =
-            run_step_sharded(&config, &layout(), &contributions, &crypto, 17, &cfg, &[]).unwrap();
+        let run = step.on_shards(&cfg, &[]).unwrap();
         check_estimates(&run.outcome, 32, 0.45);
         // No termination votes were broadcast; membership churn is the only
         // control traffic and none was scripted.
         assert_eq!(run.snapshot.control.messages, 0);
-    }
-
-    #[test]
-    fn dead_at_start_nodes_hold_zero_weight() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 30,
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(11);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let mut contributions = tiny_contributions(24, 12);
-        contributions[3] = None;
-        contributions[7] = None;
-        let run = run_step_sharded(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            23,
-            &small_sharded(),
-            &[],
-        )
-        .unwrap();
-        assert!(run.outcome.estimates[3].is_none());
-        assert!(run.outcome.estimates[7].is_none());
-        let est = run.outcome.estimates[0].as_ref().unwrap();
-        let total: f64 = est.counts.iter().sum();
-        assert!((total - 1.0).abs() < 0.15, "normalized count sum {total}");
-    }
-
-    #[test]
-    fn dead_committee_is_bounded_by_the_decrypt_deadline() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 8,
-            ..ChiaroscuroConfig::test_real()
-        };
-        let mut rng = StdRng::seed_from_u64(51);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(5, 52);
-        let events = [
-            ChurnEvent {
-                step: 0,
-                after: Duration::from_millis(1),
-                node: 0,
-                kind: ChurnKind::Crash,
-            },
-            ChurnEvent {
-                step: 0,
-                after: Duration::from_millis(1),
-                node: 1,
-                kind: ChurnKind::Crash,
-            },
-        ];
-        let cfg = ShardedConfig {
-            shards: 2,
-            decrypt_deadline: Duration::from_millis(600),
-            ..ShardedConfig::default()
-        };
-        let run = run_step_sharded(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            53,
-            &cfg,
-            &events,
-        )
-        .unwrap();
-        // 2-of-3 committee with nodes 0 and 1 crashed: requesters other than
-        // committee member 2 give up at the (virtual) decrypt deadline.
-        assert!(run.outcome.estimates[3].is_none(), "below threshold");
-        assert!(run.outcome.estimates[4].is_none(), "below threshold");
-        assert!(
-            run.elapsed < Duration::from_secs(15),
-            "virtual deadline must not cost wall-clock: {:?}",
-            run.elapsed
-        );
     }
 
     /// Virtual time a traced node spent in the decryption round.
@@ -1444,15 +1276,6 @@ mod tests {
         Duration::from_nanos(at("step.done").ts_ns - at("gossip.end").ts_ns)
     }
 
-    fn packed_real_config(gossip_cycles: usize) -> ChiaroscuroConfig {
-        ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles,
-            packing: true,
-            ..ChiaroscuroConfig::test_real()
-        }
-    }
-
     /// Committee member 1 dies silently 1 ms into the gossip phase: nobody
     /// learns of it, so the requesters whose rotation reaches it — members
     /// 0 (asks 1) and non-members with `id % 3` of 0 (ask 0, 1) or 1 (ask
@@ -1461,10 +1284,7 @@ mod tests {
     /// there: not at the decrypt deadline, and with a full-size combine.
     #[test]
     fn decrypt_round_hedges_past_a_silently_dead_asked_member() {
-        let config = packed_real_config(8);
-        let mut rng = StdRng::seed_from_u64(81);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(8, 82);
+        let step = Step::new(Crypto::Packed, 8, 8, [81, 82, 83]);
         let events = [ChurnEvent {
             step: 0,
             after: Duration::from_millis(1),
@@ -1472,20 +1292,10 @@ mod tests {
             kind: ChurnKind::Crash,
         }];
         let cfg = ShardedConfig {
-            shards: 4,
             trace: true,
-            ..ShardedConfig::default()
+            ..four_shards()
         };
-        let run = run_step_sharded(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            83,
-            &cfg,
-            &events,
-        )
-        .unwrap();
+        let run = step.on_shards(&cfg, &events).unwrap();
         let retry = decrypt_retry_interval(cfg.push_interval);
         assert!(retry * 2 < cfg.decrypt_deadline);
         for (report, trace) in run.reports.iter().zip(&run.traces) {
@@ -1522,11 +1332,7 @@ mod tests {
     /// `parties − t` members it had held back, nobody else did.
     #[test]
     fn decrypt_round_on_a_lossy_link_pays_only_for_the_hedges_that_fired() {
-        let config = packed_real_config(8);
-        let mut rng = StdRng::seed_from_u64(91);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let n = 16;
-        let contributions = tiny_contributions(n, 92);
+        let step = Step::new(Crypto::Packed, 8, 16, [91, 92, 93]);
         let cfg = ShardedConfig {
             shards: 8,
             trace: true,
@@ -1536,8 +1342,7 @@ mod tests {
             },
             ..ShardedConfig::default()
         };
-        let run =
-            run_step_sharded(&config, &layout(), &contributions, &crypto, 93, &cfg, &[]).unwrap();
+        let run = step.on_shards(&cfg, &[]).unwrap();
         assert!(
             run.outcome.estimates.iter().all(|e| e.is_some()),
             "every node recovers from the lost frames"
@@ -1550,7 +1355,7 @@ mod tests {
         // Requests are as wide as each snapshot folds to, never wider than
         // the vector a node encrypted.
         let ciphertexts = run.reports[0].ops.encryptions;
-        let params = config.threshold;
+        let params = step.config.threshold;
         let asked = params.threshold as u64 * ops.combinations;
         let retry = decrypt_retry_interval(cfg.push_interval);
         let hedgers = run
@@ -1578,26 +1383,14 @@ mod tests {
     /// (its own round included), where asking everyone made each serve N.
     #[test]
     fn decrypt_round_asks_exactly_threshold_and_spreads_the_load() {
-        let config = packed_real_config(8);
-        let mut rng = StdRng::seed_from_u64(101);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
         let n = 16u64;
-        let contributions = tiny_contributions(n as usize, 102);
-        let run = run_step_sharded(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            103,
-            &small_sharded(),
-            &[],
-        )
-        .unwrap();
+        let step = Step::new(Crypto::Packed, 8, n as usize, [101, 102, 103]);
+        let run = step.on_shards(&small_sharded(), &[]).unwrap();
         assert!(run.outcome.estimates.iter().all(|e| e.is_some()));
         let ops = &run.outcome.decrypt_ops;
         let (t, parties) = (
-            config.threshold.threshold as u64,
-            config.threshold.parties as u64,
+            step.config.threshold.threshold as u64,
+            step.config.threshold.parties as u64,
         );
         // A requester combines what it asked for: its folded width.
         let widths: Vec<usize> = (run.reports.iter())
@@ -1628,14 +1421,8 @@ mod tests {
     /// 3/4/…/8 ms and overshoot.
     #[test]
     fn rejoin_does_not_resurrect_pre_crash_timers() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 30, // far above what the node can send before leaving
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(71);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(16, 72);
+        // 30 cycles: far above what the node can send before leaving.
+        let step = Step::new(Crypto::Simulated, 30, 16, [71, 72, 73]);
         let events = [
             ChurnEvent {
                 step: 0,
@@ -1656,16 +1443,7 @@ mod tests {
                 kind: ChurnKind::Leave,
             },
         ];
-        let run = run_step_sharded(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            73,
-            &small_sharded(),
-            &events,
-        )
-        .unwrap();
+        let run = step.on_shards(&small_sharded(), &events).unwrap();
         assert_eq!(
             run.reports[2].pushes_sent, 8,
             "exactly one pacing chain must survive the crash/rejoin window"
@@ -1680,24 +1458,10 @@ mod tests {
     #[test]
     #[ignore = "manual scale check: 16k virtual nodes, release mode"]
     fn scale_16k_virtual_nodes_plain() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 20,
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(91);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(16_384, 92);
-        let run = run_step_sharded(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            93,
-            &ShardedConfig::large_population(),
-            &[],
-        )
-        .unwrap();
+        let step = Step::new(Crypto::Simulated, 20, 16_384, [91, 92, 93]);
+        let run = step
+            .on_shards(&ShardedConfig::large_population(), &[])
+            .unwrap();
         check_estimates(&run.outcome, 16_384, 0.35);
         assert_eq!(
             run.outcome.estimates.iter().flatten().count(),
@@ -1713,36 +1477,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "contribution length")]
     fn worker_panic_surfaces_instead_of_hanging_the_step() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(1);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let mut contributions = tiny_contributions(16, 2);
-        contributions[5].as_mut().unwrap().pop();
+        let mut step = Step::new(Crypto::Simulated, 30, 16, [1, 2, 7]);
+        step.contributions[5].as_mut().unwrap().pop();
         let cfg = ShardedConfig {
             workers: 2,
             ..small_sharded()
         };
-        let _ = run_step_sharded(&config, &layout(), &contributions, &crypto, 7, &cfg, &[]);
+        let _ = step.on_shards(&cfg, &[]);
     }
 
     #[test]
     fn population_must_be_at_least_two() {
-        let config = ChiaroscuroConfig::demo_simulated();
-        let mut rng = StdRng::seed_from_u64(1);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(1, 2);
-        assert!(run_step_sharded(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            7,
-            &ShardedConfig::default(),
-            &[],
-        )
-        .is_err());
+        let step = Step::new(Crypto::Simulated, 30, 1, [1, 2, 7]);
+        assert!(step.on_shards(&ShardedConfig::default(), &[]).is_err());
     }
 }

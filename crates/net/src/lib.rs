@@ -13,10 +13,10 @@
 //!   collaborative-decryption requests and partial-decryption shares,
 //!   termination votes, and membership join/leave. Decoding is strict;
 //!   corrupt frames are rejected, never tolerated.
-//! * [`transport`] — a [`transport::Transport`] trait over opaque frames
-//!   plus [`transport::ChannelTransport`], an in-memory threaded
-//!   implementation with configurable per-link latency, jitter, loss, and
-//!   bandwidth, and per-traffic-class **bytes-on-wire accounting**.
+//! * [`transport`] — what every way of moving frames shares: the link model
+//!   ([`transport::LinkConfig`] — per-link latency, jitter, loss, and
+//!   bandwidth) and per-traffic-class **bytes-on-wire accounting**
+//!   ([`transport::TrafficSnapshot`]).
 //! * [`node`] — the sans-IO per-node state machine. The gossip arithmetic
 //!   is the *same code* the simulators run
 //!   (`cs_gossip::homomorphic_pushsum::HePushSumNode::split_push`/`absorb`
@@ -27,20 +27,21 @@
 //!   rejoin and leave do to them. Time goes in as a number, timers come out
 //!   as values; every substrate below is a way of feeding it.
 //! * [`churn`] — scripted crash / rejoin / leave injection with
-//!   millisecond placement ("node 7 crashes mid-gossip"). On the threaded
-//!   runtime the offsets are wall-clock; on the sharded executor they are
+//!   millisecond placement ("node 7 crashes mid-gossip"). On the TCP host
+//!   the offsets are wall-clock; on the sharded executor they are
 //!   **virtual time**, making churn placement deterministic under a seed.
-//! * [`runtime`] — the **thread-per-node actor runtime**: each participant
-//!   runs [`runtime::pump`] — the one wall-clock event loop, shared with the
-//!   `cs_node` daemon — over its inbox; [`runtime::NetBackend`] plugs either
-//!   runtime into `chiaroscuro::Engine::run_with_backend`, so a full
-//!   protocol run executes end-to-end over real messages.
+//! * [`runtime`] — the **thread-per-node TCP host**: each participant runs
+//!   [`runtime::pump`] — the one wall-clock event loop, shared with the
+//!   `cs_node` daemon — over loopback sockets; [`runtime::NetBackend`] plugs
+//!   it, or the sharded executor, into
+//!   `chiaroscuro::Engine::run_with_backend`, so a full protocol run
+//!   executes end-to-end over real messages.
 //! * [`executor`] — the **sharded event-loop executor**: thousands of
 //!   virtual nodes dealt into per-shard event queues and driven by a fixed
 //!   worker pool in virtual time — no per-node threads, no sleep-polling,
 //!   fully deterministic under a seed. The scaling substrate
-//!   (`NetBackend::sharded`); the threaded runtime stays as the
-//!   differential oracle.
+//!   (`NetBackend::sharded`); the TCP host is the
+//!   nondeterministic-interleaving side of its differential tests.
 //! * [`audit`] — the end-of-step **invariant audit**: distills per-node
 //!   reports and transport accounting into `cs_obs::health` evidence
 //!   (push-sum mass, frame conservation, share discipline, lane headroom)
@@ -50,8 +51,8 @@
 //!   [`executor::ShardedConfig`] injects the corruption the drills detect.
 //! * [`tcp`] — the **TCP socket transport**: the same wire frames over
 //!   `std::net` streams, with a peer directory, stream reassembly at
-//!   arbitrary read boundaries, and the channel transport's loss/latency
-//!   shims, all driven by a **readiness reactor** — a small fixed thread
+//!   arbitrary read boundaries, and the link model's loss/latency shims,
+//!   all driven by a **readiness reactor** — a small fixed thread
 //!   pool multiplexing every peer socket through nonblocking I/O, with
 //!   per-peer bounded outbound queues, partial-write resumption, and
 //!   timer-driven reconnect/backoff — serving both as the in-process
@@ -59,7 +60,7 @@
 //!   substrate under the `cs_node` crate's `csnoded` daemons, where the
 //!   protocol finally runs across real OS processes.
 //!
-//! ## Example: one engine run over the threaded runtime
+//! ## Example: one engine run over the TCP loopback
 //!
 //! ```
 //! use chiaroscuro::{ChiaroscuroConfig, Engine};
@@ -77,7 +78,7 @@
 //! config.max_iterations = 1;
 //! config.gossip_cycles = 20;
 //! let engine = Engine::new(config).unwrap();
-//! let mut backend = NetBackend::threaded(NetConfig::default());
+//! let mut backend = NetBackend::tcp(NetConfig::default());
 //! let output = engine.run_with_backend(&data.series, &mut backend).unwrap();
 //! assert_eq!(output.centroids.len(), 2);
 //! assert_eq!(backend.steps_run(), 1);
@@ -106,7 +107,7 @@ pub use audit::{audit_step, StepEvidence};
 pub use churn::{ChurnEvent, ChurnKind, ChurnSchedule};
 pub use executor::{run_step_sharded, ShardedConfig};
 pub use node::FaultSpec;
-pub use runtime::{run_step_over_transport, Carrier, NetBackend, NetConfig, StepRun};
+pub use runtime::{run_step_over_tcp, NetBackend, NetConfig, StepRun};
 pub use tcp::{FrameReassembler, PeerDirectory, TcpEndpoint, TcpRecord, TcpTransport, TcpTuning};
-pub use transport::{ChannelTransport, Envelope, LinkConfig, NetError, Transport};
+pub use transport::{Envelope, LinkConfig, NetError};
 pub use wire::{decode_frame, encode_frame, FrameClass, Message, WireError, WIRE_VERSION};

@@ -3,9 +3,9 @@
 //! [`ProtocolNode`] is *sans-IO*: it consumes decoded [`Message`]s and
 //! pacing ticks, and emits [`Outbound`] triples — destination, message,
 //! and the [`TraceContext`] that causally links the send to whatever
-//! triggered it — the threaded runtime wires it to a
-//! [`crate::transport::Transport`], and tests can drive it entirely
-//! in-process. The gossip arithmetic itself lives in
+//! triggered it — [`crate::runtime::pump`] wires it to a
+//! [`crate::tcp::TcpTransport`], the sharded executor to its event queues,
+//! and tests can drive it entirely in-process. The gossip arithmetic itself lives in
 //! `cs_gossip` (`HePushSumNode::split_push`/`absorb` and the plaintext
 //! twins), so the simulators and this runtime execute the *same* protocol
 //! code; how a contribution becomes ciphertexts and an aggregate becomes
@@ -49,7 +49,7 @@
 //!   already asked (their request or reply may have been lost; they answer
 //!   from their reply cache) and the ones not asked yet. A member that
 //!   died silently, or a lost frame, therefore costs one retry interval —
-//!   ≥ 150 ms of wall-clock on the threaded, TCP and `cs_node` substrates,
+//!   ≥ 150 ms of wall-clock on the TCP and `cs_node` substrates,
 //!   virtual time on the sharded executor — not the decrypt deadline;
 //! * a `Leave` for a member that was asked and has not answered arrives
 //!   during the round: the next member in the rotation is asked at once.
@@ -148,7 +148,7 @@ pub struct NodeParams {
     pub committee: Vec<NodeId>,
     /// Per-node RNG seed (peer sampling, encryption randomness).
     pub seed: u64,
-    /// Broadcast a termination vote on completion. The threaded runtime
+    /// Broadcast a termination vote on completion. A wall-clock host
     /// needs the votes to detect completion early; the sharded executor
     /// observes event-queue quiescence directly and can disable the
     /// `O(n²)` control-plane broadcast at very large populations.
@@ -275,7 +275,7 @@ pub struct NodeReport {
     pub peer_failures: u64,
     /// Frames that failed to decode (corrupt or mis-versioned) or whose
     /// payload did not fit this node's slot layout. Decode failures are
-    /// raised by the substrates that put bytes on a wire (threaded, TCP,
+    /// raised by the substrates that put bytes on a wire (TCP loopback,
     /// cluster); the sharded executor moves messages and has none.
     pub bad_frames: u64,
     /// Wall-clock spent inside each step phase's crypto/arithmetic on this
@@ -355,9 +355,9 @@ impl ProtocolNode {
     /// Creates the node for one computation step.
     ///
     /// `contribution` is this node's cleartext contribution vector (one
-    /// block of [`SlotLayout::total`] finite values, noise shares folded
-    /// in — callers taking it from outside the process check that before
-    /// they get here), or `None` for a node that is down at step start —
+    /// block of [`SlotLayout::total`] values the step's cipher
+    /// [admits](StepCipher::admits), noise shares folded in — every host
+    /// checks that before it gets here), or `None` for a node that is down at step start —
     /// it holds zero weight and contributes nothing, but still occupies a
     /// slot so it can recover mid-step, exactly like the cycle simulator's
     /// crashed nodes.
@@ -383,7 +383,7 @@ impl ProtocolNode {
             NodeCrypto::Real { cipher, pool, .. } => {
                 let (he, encryptions) = cipher
                     .node(contribution, pool.take(), &mut rng)
-                    .expect("planned lanes fit the contribution envelope");
+                    .expect("the host checked that the cipher admits the contribution");
                 ops.encryptions += encryptions;
                 Aggregator::Encrypted(he)
             }

@@ -1,11 +1,12 @@
-//! The thread-per-node runtime and the engine backend built on it.
+//! The thread-per-node TCP host and the engine backend over `cs_net`'s
+//! in-process substrates.
 //!
-//! [`run_step_over_transport`] executes one Chiaroscuro computation step
-//! (paper steps 2a–2d) as real concurrency: every participant runs its own
-//! event loop — [`pump`], the one wall-clock way of feeding a
-//! [`NodeDriver`] — on its own OS thread, exchanging wire-encoded frames
-//! over a [`Transport`]: no global synchronization, no shared protocol
-//! state. [`NetBackend`] plugs that into
+//! [`run_step_over_tcp`] executes one Chiaroscuro computation step (paper
+//! steps 2a–2d) as real concurrency: every participant runs its own event
+//! loop — [`pump`], the one wall-clock way of feeding a [`NodeDriver`] — on
+//! its own OS thread, exchanging wire-encoded frames over loopback sockets
+//! ([`TcpTransport::loopback`]): no global synchronization, no shared
+//! protocol state. [`NetBackend`] plugs that, or the sharded executor, into
 //! `chiaroscuro::Engine::run_with_backend`, so the full iteration sequence
 //! (assignment → computation → convergence) runs end-to-end over real
 //! messages.
@@ -14,7 +15,8 @@ use crate::churn::{ChurnKind, ChurnSchedule, Controls, Liveness};
 use crate::driver::{NodeDriver, Timing};
 use crate::executor::ShardedConfig;
 use crate::node::{FaultSpec, NodeCrypto, NodeParams, NodeReport, Outbound, ProtocolNode};
-use crate::transport::{ChannelTransport, LinkConfig, NodeId, TrafficSnapshot, Transport};
+use crate::tcp::{TcpTransport, TcpTuning};
+use crate::transport::{LinkConfig, NodeId, TrafficSnapshot};
 use crate::wire::{decode_frame_traced, encode_frame_traced, TraceContext};
 use chiaroscuro::backend::ComputationBackend;
 use chiaroscuro::config::ChiaroscuroConfig;
@@ -52,18 +54,27 @@ pub(crate) struct StepCrypto<'a> {
 impl<'a> StepCrypto<'a> {
     /// Derives the shared step state from the crypto context. The layout
     /// is planned from public inputs only (the same ones the in-process
-    /// simulator uses), so every node independently agrees on it.
+    /// simulator uses), so every node independently agrees on it. A
+    /// contribution the layout cannot encrypt fails the step here, before
+    /// any worker or node thread exists to unwind.
     pub fn prepare(
         config: &ChiaroscuroConfig,
         layout: &SlotLayout,
-        population: usize,
+        contributions: &[Option<Vec<f64>>],
         crypto: &'a CryptoContext,
         step_seed: u64,
     ) -> Result<Self, ChiaroscuroError> {
+        let population = contributions.len();
+        let cipher = crypto.step_cipher(config, layout, population)?;
+        if let Some(cipher) = &cipher {
+            for contribution in contributions.iter().flatten() {
+                cipher.admits(contribution)?;
+            }
+        }
         Ok(StepCrypto {
             committee: crypto.committee(population),
             crypto,
-            cipher: crypto.step_cipher(config, layout, population)?,
+            cipher,
             step_seed,
         })
     }
@@ -90,7 +101,7 @@ impl<'a> StepCrypto<'a> {
 /// engine-facing [`ComputationOutcome`] — gossip + control frames feed the
 /// gossip traffic bucket, decryption frames the decryption bucket, the same
 /// split the simulator's synthesized accounting uses. Shared by every
-/// substrate (threaded, sharded, TCP, and the `cs_node` multi-process
+/// substrate (sharded, TCP loopback, and the `cs_node` multi-process
 /// coordinator) so their outcomes are structurally identical.
 pub fn assemble_outcome(
     reports: &[NodeReport],
@@ -129,10 +140,11 @@ pub fn assemble_outcome(
     }
 }
 
-/// Tuning knobs of the threaded runtime.
+/// Tuning knobs of the thread-per-node TCP host.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Link characteristics of the in-memory transport.
+    /// Link shims (loss, latency, jitter, bandwidth) applied on top of the
+    /// loopback sockets.
     pub link: LinkConfig,
     /// Pacing between a node's gossip pushes.
     pub push_interval: Duration,
@@ -245,27 +257,16 @@ impl StepRun {
     }
 }
 
-/// What carries the thread-per-node substrate's frames.
-#[derive(Clone, Copy, Debug)]
-pub enum Carrier {
-    /// The in-memory [`ChannelTransport`].
-    Channel,
-    /// Real kernel sockets on `127.0.0.1` (see
-    /// [`crate::tcp::TcpTransport::loopback`]).
-    Tcp,
-}
-
 /// Runs one computation step on the thread-per-node substrate, over a
-/// freshly built transport of the kind `carrier` names: spawns one thread
-/// per node against it, applies the scripted churn, and folds reports +
-/// traffic into a [`StepRun`].
+/// freshly bound [`TcpTransport::loopback`]: spawns one thread per node
+/// against it, applies the scripted churn, and folds reports + traffic into
+/// a [`StepRun`].
 ///
 /// `contributions[i]` is `Some(vector)` for participants alive at step
 /// start and `None` for crashed ones (they spawn fail-stopped and can be
 /// revived by the churn schedule). `step_churn` lists this step's scripted
 /// events.
-#[allow(clippy::too_many_arguments)]
-pub fn run_step_over_transport(
+pub fn run_step_over_tcp(
     config: &ChiaroscuroConfig,
     layout: &SlotLayout,
     contributions: &[Option<Vec<f64>>],
@@ -273,7 +274,6 @@ pub fn run_step_over_transport(
     step_seed: u64,
     net: &NetConfig,
     step_churn: &[crate::churn::ChurnEvent],
-    carrier: Carrier,
 ) -> Result<StepRun, ChiaroscuroError> {
     let n = contributions.len();
     if n < 2 {
@@ -283,23 +283,19 @@ pub fn run_step_over_transport(
     }
     net.link.validate();
     let registry = cs_obs::Registry::new();
-    let transport: Arc<dyn Transport> = match carrier {
-        Carrier::Channel => {
-            Arc::new(ChannelTransport::new(n, net.link.clone(), step_seed).with_metrics(&registry))
-        }
-        Carrier::Tcp => Arc::new(
-            crate::tcp::TcpTransport::loopback_with_metrics(
-                n,
-                net.link.clone(),
-                step_seed,
-                &registry,
-            )
-            .map_err(|e| ChiaroscuroError::Transport(format!("tcp loopback bind: {e}")))?,
-        ),
-    };
+    let transport = Arc::new(
+        TcpTransport::loopback(
+            n,
+            net.link.clone(),
+            step_seed,
+            TcpTuning::default(),
+            Some(&registry),
+        )
+        .map_err(|e| ChiaroscuroError::Transport(format!("tcp loopback bind: {e}")))?,
+    );
     let started = Instant::now();
 
-    let step = StepCrypto::prepare(config, layout, n, crypto, step_seed)?;
+    let step = StepCrypto::prepare(config, layout, contributions, crypto, step_seed)?;
     let controls = Arc::new(Controls::new(n));
     let shutdown = Arc::new(AtomicBool::new(false));
     // Each node announces the end of its part of the step here, which also
@@ -396,8 +392,7 @@ pub fn run_step_over_transport(
                         let _ = announce_tx.send(i);
                         Ok(())
                     };
-                    let Ok(()) =
-                        pump::<Infallible>(&mut driver, transport.as_ref(), turn, announce);
+                    let Ok(()) = pump::<Infallible>(&mut driver, &transport, turn, announce);
                     driver.finish().0
                 })
                 .expect("spawn node thread"),
@@ -460,12 +455,12 @@ pub fn run_step_over_transport(
 }
 
 /// The wall-clock pump: one node's event loop on every substrate that runs
-/// on real time — a thread of the threaded and TCP-loopback runtimes, a
-/// `csnoded` process. Each turn: ask the host how to go on, wait briefly
-/// for frames and decode them into the driver, let the driver fire what is
-/// due, flush what it emitted, and announce completion once. All protocol
-/// timing is the [`NodeDriver`]'s; the pump only supplies the clock
-/// (nanoseconds since it was entered, i.e. since the gossip start).
+/// on real time — a node thread of [`run_step_over_tcp`], a `csnoded`
+/// process. Each turn: ask the host how to go on, wait briefly for frames
+/// and decode them into the driver, let the driver fire what is due, flush
+/// what it emitted, and announce completion once. All protocol timing is
+/// the [`NodeDriver`]'s; the pump only supplies the clock (nanoseconds
+/// since it was entered, i.e. since the gossip start).
 ///
 /// The hosts differ in two closures. `turn` runs at the top of every turn:
 /// `Break` ends the loop (shutdown flag, `StepEnd`), `Continue` carries the
@@ -474,7 +469,7 @@ pub fn run_step_over_transport(
 /// error ends the pump.
 pub fn pump<E>(
     driver: &mut NodeDriver,
-    transport: &dyn Transport,
+    transport: &TcpTransport,
     mut turn: impl FnMut() -> Result<ControlFlow<(), Liveness>, E>,
     mut announce: impl FnMut() -> Result<(), E>,
 ) -> Result<(), E> {
@@ -527,7 +522,7 @@ pub fn pump<E>(
     }
 }
 
-fn flush(id: NodeId, out: &mut Vec<Outbound>, transport: &dyn Transport) {
+fn flush(id: NodeId, out: &mut Vec<Outbound>, transport: &TcpTransport) {
     for (to, msg, ctx) in out.drain(..) {
         let class = msg.class();
         let frame = encode_frame_traced(&msg, ctx);
@@ -538,9 +533,8 @@ fn flush(id: NodeId, out: &mut Vec<Outbound>, transport: &dyn Transport) {
 
 /// The execution substrate a [`NetBackend`] drives each computation step on.
 enum Flavor {
-    /// Thread-per-node, over the in-memory channel transport or localhost
-    /// TCP sockets (see [`crate::tcp`]).
-    Threaded(NetConfig, Carrier),
+    /// Thread-per-node over localhost TCP sockets ([`run_step_over_tcp`]).
+    Tcp(NetConfig),
     /// Sharded virtual-time event-loop executor (see [`crate::executor`]).
     Sharded(ShardedConfig),
 }
@@ -549,9 +543,10 @@ enum Flavor {
 /// `cs_net` runtime — `Engine::run_with_backend` drives a full Chiaroscuro
 /// run end-to-end over real wire messages. Two substrates are available:
 ///
-/// * [`NetBackend::threaded`] — one OS thread per participant, wall-clock
-///   pacing, real concurrency. The differential oracle: it exercises the
-///   protocol under genuine nondeterministic interleaving.
+/// * [`NetBackend::tcp`] — one OS thread per participant, wall-clock
+///   pacing, every frame through a kernel socket on `127.0.0.1`: the
+///   protocol under genuine nondeterministic interleaving, and the
+///   in-process twin of the `cs_node` multi-process cluster.
 /// * [`NetBackend::sharded`] — the virtual-time sharded event-loop
 ///   executor: thousands of virtual nodes on a fixed worker pool, fully
 ///   deterministic under a seed.
@@ -570,18 +565,10 @@ impl NetBackend {
         }
     }
 
-    /// Creates the backend on the thread-per-node runtime.
-    pub fn threaded(net: NetConfig) -> Self {
-        NetBackend::on(Flavor::Threaded(net, Carrier::Channel))
-    }
-
-    /// Creates the backend on the TCP loopback substrate: the same
-    /// thread-per-node event loops as [`NetBackend::threaded`], but every
-    /// frame crosses a real kernel socket on `127.0.0.1` — the in-process
-    /// twin of the `cs_node` multi-process cluster, and the substrate the
+    /// Creates the backend on the TCP loopback substrate — the one the
     /// `net_step_*_tcp` bench rows measure.
     pub fn tcp(net: NetConfig) -> Self {
-        NetBackend::on(Flavor::Threaded(net, Carrier::Tcp))
+        NetBackend::on(Flavor::Tcp(net))
     }
 
     /// Creates the backend on the sharded event-loop executor.
@@ -604,8 +591,7 @@ impl NetBackend {
 impl ComputationBackend for NetBackend {
     fn label(&self) -> &'static str {
         match self.flavor {
-            Flavor::Threaded(_, Carrier::Channel) => "threaded-transport",
-            Flavor::Threaded(_, Carrier::Tcp) => "tcp-loopback",
+            Flavor::Tcp(_) => "tcp-loopback",
             Flavor::Sharded(_) => "sharded-executor",
         }
     }
@@ -620,7 +606,7 @@ impl ComputationBackend for NetBackend {
         _rng: &mut rand::rngs::StdRng,
     ) -> Result<ComputationOutcome, ChiaroscuroError> {
         let run = match &self.flavor {
-            Flavor::Threaded(net, carrier) => run_step_over_transport(
+            Flavor::Tcp(net) => run_step_over_tcp(
                 config,
                 layout,
                 contributions,
@@ -628,7 +614,6 @@ impl ComputationBackend for NetBackend {
                 step_seed,
                 net,
                 &net.churn.for_step(self.steps_run),
-                *carrier,
             )?,
             Flavor::Sharded(cfg) => crate::executor::run_step_sharded(
                 config,
@@ -650,71 +635,18 @@ impl ComputationBackend for NetBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{check_estimates, layout, tiny_contributions};
+    use crate::fixtures::{check_estimates, fast_net, layout, Crypto, Host, Step};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn fast_net() -> NetConfig {
-        NetConfig {
-            push_interval: Duration::from_micros(150),
-            quiesce: Duration::from_millis(120),
-            step_timeout: Duration::from_secs(30),
-            ..NetConfig::default()
-        }
-    }
-
-    #[test]
-    fn plain_step_recovers_means_over_threads() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 30,
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(1);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(16, 2);
-        let run = run_step_over_transport(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            7,
-            &fast_net(),
-            &[],
-            Carrier::Channel,
-        )
-        .unwrap();
-        check_estimates(&run.outcome, 16, 0.35);
-        assert!(run.outcome.traffic.messages > 0);
-        assert!(run.snapshot.gossip.bytes > 0, "bytes-on-wire recorded");
-        assert!(
-            run.reports.iter().all(|r| r.bad_frames == 0),
-            "no decode failures on a clean link"
-        );
-    }
+    crate::fixtures::scenario_tests!(Host::Tcp);
 
     #[test]
     fn plain_step_recovers_means_over_tcp_loopback() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 30,
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(71);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(12, 72);
-        let run = run_step_over_transport(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            73,
-            &fast_net(),
-            &[],
-            Carrier::Tcp,
-        )
-        .unwrap();
+        let step = Step::new(Crypto::Simulated, 30, 12, [71, 72, 73]);
+        let run = step.on_tcp(&fast_net(), &[]).unwrap();
         check_estimates(&run.outcome, 12, 0.35);
+        assert!(run.outcome.traffic.messages > 0);
         assert!(run.snapshot.gossip.bytes > 0, "bytes crossed real sockets");
         assert!(
             run.reports.iter().all(|r| r.bad_frames == 0),
@@ -724,30 +656,37 @@ mod tests {
 
     #[test]
     fn real_step_recovers_means_over_tcp_loopback() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 10,
-            ..ChiaroscuroConfig::test_real()
-        };
-        let mut rng = StdRng::seed_from_u64(81);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(6, 82);
-        let run = run_step_over_transport(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            83,
-            &fast_net(),
-            &[],
-            Carrier::Tcp,
-        )
-        .unwrap();
+        let step = Step::new(Crypto::PerSlot, 10, 6, [81, 82, 83]);
+        let run = step.on_tcp(&fast_net(), &[]).unwrap();
         check_estimates(&run.outcome, 6, 0.5);
         assert!(run.outcome.decrypt_ops.partial_decryptions > 0);
+        assert!(run.outcome.decrypt_ops.messages > 0, "decrypt frames flew");
+        assert!(run.outcome.ops.additions > 0);
+        assert!(run.outcome.ops.encryptions > 0);
         assert!(
             run.snapshot.decrypt.bytes > 0,
             "decrypt frames flew via TCP"
+        );
+    }
+
+    #[test]
+    fn packed_real_step_recovers_means_over_threads() {
+        let step = Step::new(Crypto::Packed, 12, 8, [61, 62, 63]);
+        let run = step.on_tcp(&fast_net(), &[]).unwrap();
+        check_estimates(&run.outcome, 8, 0.5);
+        assert!(run.outcome.decrypt_ops.partial_decryptions > 0);
+        assert!(run.outcome.ops.encryptions > 0);
+        // The packed payload must be materially smaller than the unpacked
+        // one (layout.total() ciphertexts per push at ~64 B each).
+        let per_push = run.snapshot.gossip.bytes as f64 / run.snapshot.gossip.messages as f64;
+        let unpacked_floor = (layout().total() * 64) as f64;
+        assert!(
+            per_push < unpacked_floor * 0.6,
+            "packed push of {per_push} B is not smaller than unpacked {unpacked_floor} B"
+        );
+        assert!(
+            run.reports.iter().all(|r| r.bad_frames == 0),
+            "packed frames decode cleanly"
         );
     }
 
@@ -776,374 +715,6 @@ mod tests {
             ..NetConfig::default()
         });
         assert_eq!(backend.label(), "tcp-loopback");
-        let out = engine.run_with_backend(&data.series, &mut backend).unwrap();
-        assert_eq!(out.iterations, 2);
-        assert_eq!(backend.steps_run(), 2);
-        assert!(out.log.records.iter().all(|r| r.cost.gossip_messages > 0));
-    }
-
-    #[test]
-    fn real_step_recovers_means_over_threads() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 12,
-            ..ChiaroscuroConfig::test_real()
-        };
-        let mut rng = StdRng::seed_from_u64(3);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(8, 4);
-        let run = run_step_over_transport(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            11,
-            &fast_net(),
-            &[],
-            Carrier::Channel,
-        )
-        .unwrap();
-        check_estimates(&run.outcome, 8, 0.5);
-        assert!(run.outcome.decrypt_ops.partial_decryptions > 0);
-        assert!(run.outcome.decrypt_ops.messages > 0, "decrypt frames flew");
-        assert!(run.outcome.ops.additions > 0);
-        assert!(run.outcome.ops.encryptions > 0);
-        assert!(run.snapshot.decrypt.bytes > 0);
-    }
-
-    #[test]
-    fn packed_real_step_recovers_means_over_threads() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 12,
-            packing: true,
-            ..ChiaroscuroConfig::test_real()
-        };
-        let mut rng = StdRng::seed_from_u64(61);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(8, 62);
-        let run = run_step_over_transport(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            63,
-            &fast_net(),
-            &[],
-            Carrier::Channel,
-        )
-        .unwrap();
-        check_estimates(&run.outcome, 8, 0.5);
-        assert!(run.outcome.decrypt_ops.partial_decryptions > 0);
-        assert!(run.outcome.ops.encryptions > 0);
-        // The packed payload must be materially smaller than the unpacked
-        // one (layout.total() ciphertexts per push at ~64 B each).
-        let per_push = run.snapshot.gossip.bytes as f64 / run.snapshot.gossip.messages as f64;
-        let unpacked_floor = (layout().total() * 64) as f64;
-        assert!(
-            per_push < unpacked_floor * 0.6,
-            "packed push of {per_push} B is not smaller than unpacked {unpacked_floor} B"
-        );
-        assert!(
-            run.reports.iter().all(|r| r.bad_frames == 0),
-            "packed frames decode cleanly"
-        );
-    }
-
-    #[test]
-    fn silent_crash_mid_gossip_is_survived() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 30,
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(5);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(12, 6);
-        let events = [crate::churn::ChurnEvent {
-            step: 0,
-            after: Duration::from_millis(2),
-            node: 5,
-            kind: ChurnKind::Crash,
-        }];
-        let run = run_step_over_transport(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            13,
-            &fast_net(),
-            &events,
-            Carrier::Channel,
-        )
-        .unwrap();
-        assert!(!run.outcome.alive_after[5], "node 5 stays down");
-        assert!(run.outcome.estimates[5].is_none());
-        check_estimates(&run.outcome, 12, 0.6);
-    }
-
-    #[test]
-    fn crash_then_rejoin_recovers_the_node() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 40,
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(7);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(10, 8);
-        let events = [
-            crate::churn::ChurnEvent {
-                step: 0,
-                after: Duration::from_millis(1),
-                node: 3,
-                kind: ChurnKind::Crash,
-            },
-            crate::churn::ChurnEvent {
-                step: 0,
-                after: Duration::from_millis(4),
-                node: 3,
-                kind: ChurnKind::Rejoin,
-            },
-        ];
-        let run = run_step_over_transport(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            17,
-            &fast_net(),
-            &events,
-            Carrier::Channel,
-        )
-        .unwrap();
-        assert!(run.outcome.alive_after[3], "node 3 is back");
-        assert!(
-            run.outcome.estimates[3].is_some(),
-            "a rejoined node finishes the step"
-        );
-    }
-
-    #[test]
-    fn graceful_leave_is_announced() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 25,
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(9);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(8, 10);
-        let events = [crate::churn::ChurnEvent {
-            step: 0,
-            after: Duration::from_millis(1),
-            node: 2,
-            kind: ChurnKind::Leave,
-        }];
-        let run = run_step_over_transport(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            19,
-            &fast_net(),
-            &events,
-            Carrier::Channel,
-        )
-        .unwrap();
-        assert!(!run.outcome.alive_after[2]);
-        assert!(
-            run.snapshot.control.messages > 0,
-            "the Leave announcement is control traffic"
-        );
-    }
-
-    #[test]
-    fn dead_at_start_nodes_hold_zero_weight() {
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 30,
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(11);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let mut contributions = tiny_contributions(12, 12);
-        contributions[3] = None;
-        contributions[7] = None;
-        let run = run_step_over_transport(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            23,
-            &fast_net(),
-            &[],
-            Carrier::Channel,
-        )
-        .unwrap();
-        assert!(run.outcome.estimates[3].is_none());
-        assert!(run.outcome.estimates[7].is_none());
-        // Counts must reflect 10 contributors, not 12 (weights normalize).
-        let est = run.outcome.estimates[0].as_ref().unwrap();
-        let total: f64 = est.counts.iter().sum();
-        assert!((total - 1.0).abs() < 0.15, "normalized count sum {total}");
-    }
-
-    #[test]
-    fn lone_survivor_finishes_instead_of_stalling() {
-        // Population of 2; the only peer leaves 1 ms in. The survivor's
-        // remaining push quota is unmeetable — it must finish with its own
-        // mass promptly, not sit out the 60 s step deadline.
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 40,
-            ..ChiaroscuroConfig::demo_simulated()
-        };
-        let mut rng = StdRng::seed_from_u64(31);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(2, 32);
-        let events = [crate::churn::ChurnEvent {
-            step: 0,
-            after: Duration::from_millis(1),
-            node: 1,
-            kind: ChurnKind::Leave,
-        }];
-        let run = run_step_over_transport(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            29,
-            &fast_net(),
-            &events,
-            Carrier::Channel,
-        )
-        .unwrap();
-        assert!(
-            run.elapsed < Duration::from_secs(10),
-            "survivor stalled: {:?}",
-            run.elapsed
-        );
-        assert!(!run.outcome.alive_after[1]);
-        assert!(run.outcome.estimates[0].is_some());
-    }
-
-    #[test]
-    fn lossy_link_decrypt_round_recovers_via_retry() {
-        // 25% frame loss hits DecryptRequest/DecryptShare traffic too; the
-        // periodic re-request must still carry every requester over the
-        // threshold well before the step deadline.
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 14,
-            ..ChiaroscuroConfig::test_real()
-        };
-        let mut rng = StdRng::seed_from_u64(41);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(6, 42);
-        let net = NetConfig {
-            link: crate::transport::LinkConfig {
-                loss: 0.25,
-                ..crate::transport::LinkConfig::ideal()
-            },
-            ..fast_net()
-        };
-        let run = run_step_over_transport(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            43,
-            &net,
-            &[],
-            Carrier::Channel,
-        )
-        .unwrap();
-        assert!(
-            run.elapsed < Duration::from_secs(20),
-            "decrypt round stalled: {:?}",
-            run.elapsed
-        );
-        let produced = run.outcome.estimates.iter().flatten().count();
-        assert!(produced >= 4, "only {produced}/6 estimates under loss");
-    }
-
-    #[test]
-    fn dead_committee_is_bounded_by_the_decrypt_deadline() {
-        // 2-of-3 committee on nodes 0–2; nodes 0 and 1 silently crash
-        // before the decryption round. Requesters other than node 2 can
-        // never reach the threshold — they must give up (no estimate) at
-        // the decrypt deadline, not pin the step to its 60 s hard timeout.
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 8,
-            ..ChiaroscuroConfig::test_real()
-        };
-        let mut rng = StdRng::seed_from_u64(51);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-        let contributions = tiny_contributions(5, 52);
-        let events = [
-            crate::churn::ChurnEvent {
-                step: 0,
-                after: Duration::from_millis(1),
-                node: 0,
-                kind: ChurnKind::Crash,
-            },
-            crate::churn::ChurnEvent {
-                step: 0,
-                after: Duration::from_millis(1),
-                node: 1,
-                kind: ChurnKind::Crash,
-            },
-        ];
-        let net = NetConfig {
-            decrypt_deadline: Duration::from_millis(600),
-            ..fast_net()
-        };
-        let run = run_step_over_transport(
-            &config,
-            &layout(),
-            &contributions,
-            &crypto,
-            53,
-            &net,
-            &events,
-            Carrier::Channel,
-        )
-        .unwrap();
-        assert!(
-            run.elapsed < Duration::from_secs(15),
-            "dead committee pinned the step: {:?}",
-            run.elapsed
-        );
-        assert!(run.outcome.estimates[3].is_none(), "below threshold");
-        assert!(run.outcome.estimates[4].is_none(), "below threshold");
-    }
-
-    #[test]
-    fn engine_runs_end_to_end_over_the_net_backend() {
-        use cs_timeseries::datasets::blobs::{generate, BlobsConfig};
-        let data = generate(
-            &BlobsConfig {
-                count: 14,
-                clusters: 2,
-                len: 4,
-                noise: 0.2,
-                ..Default::default()
-            },
-            &mut StdRng::seed_from_u64(21),
-        );
-        let mut config = ChiaroscuroConfig::demo_simulated();
-        config.k = 2;
-        config.max_iterations = 2;
-        config.gossip_cycles = 25;
-        config.epsilon = 1000.0;
-        let engine = chiaroscuro::Engine::new(config).unwrap();
-        let mut backend = NetBackend::threaded(NetConfig {
-            push_interval: Duration::from_micros(150),
-            quiesce: Duration::from_millis(120),
-            ..NetConfig::default()
-        });
         let out = engine.run_with_backend(&data.series, &mut backend).unwrap();
         assert_eq!(out.iterations, 2);
         assert_eq!(backend.steps_run(), 2);

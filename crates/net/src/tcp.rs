@@ -1,13 +1,12 @@
 //! The TCP socket transport: the protocol over real OS sockets.
 //!
-//! Everything above this module is socket-agnostic — the [`Transport`]
-//! trait deals in opaque wire frames — so this is the piece that takes
-//! Chiaroscuro out of one process: a [`TcpTransport`] carries the same
-//! length-prefixed frames the in-memory [`crate::transport::ChannelTransport`]
-//! carries, but over `std::net` streams between real processes (the
-//! `cs_node` crate's `csnoded` daemons), or between the threads of one
-//! process through the localhost loopback (`NetBackend::tcp`, the
-//! kernel-socket analogue of the threaded runtime).
+//! Everything above this module is socket-agnostic — a node's event loop
+//! deals in opaque wire frames — so this is the piece that takes
+//! Chiaroscuro out of one process: a [`TcpTransport`] carries the
+//! length-prefixed [`crate::wire`] frames over `std::net` streams between
+//! real processes (the `cs_node` crate's `csnoded` daemons), or between the
+//! threads of one process through the localhost loopback
+//! (`NetBackend::tcp`).
 //!
 //! ## Stream format
 //!
@@ -80,22 +79,22 @@
 //!
 //! ## Accounting and shims
 //!
-//! `send` counts per-class messages/bytes exactly like the channel
-//! transport — the byte count is the wire frame's length (matching
+//! `send` counts per-class messages and bytes, and the byte count is the
+//! wire frame's length (matching
 //! [`Message::encoded_len`](crate::wire::Message::encoded_len)), not the
-//! record framing — so the bytes-on-wire numbers stay comparable across
-//! substrates (asserted by a parity test). The loss shim draws at the
+//! record framing — so the bytes-on-wire numbers stay comparable with the
+//! sharded executor's, which computes the same length without serializing
+//! (asserted by a parity test on each side). The loss shim draws at the
 //! sender from the transport seed; latency/jitter/bandwidth shims delay
 //! delivery at the receiving inbox. A frame the socket path loses for
 //! real (queue overflow, dead peer past the retry budget) is
 //! *reclassified* from delivered to dropped, so every frame lands in
-//! exactly one accounting bucket — the same invariant the channel
-//! transport keeps.
+//! exactly one accounting bucket.
 
 use crate::poll::{self, PollFd, Waker, POLL_IN, POLL_OUT};
 use crate::transport::{
     mix, unit_f64, ClassCounts, Envelope, Inbox, LinkConfig, NetError, NodeId, TrafficSnapshot,
-    Transport, TransportMetrics,
+    TransportMetrics,
 };
 use crate::wire::{FrameClass, WireError, MAX_FRAME_BYTES, WIRE_VERSION};
 use cs_obs::{Counter, Registry};
@@ -333,79 +332,21 @@ impl TcpEndpoint {
     }
 
     /// Wires the endpoint into a transport hosting `local` nodes out of the
-    /// population described by `directory`.
+    /// population described by `directory`. With a `registry`, the
+    /// transport's accounting is mirrored into it (the `net.*` and `tcp.*`
+    /// metric families); the registry outlives the transport, so a daemon
+    /// can keep cumulative counters across per-step transports.
     pub fn into_transport(
         self,
         local: &[NodeId],
         directory: PeerDirectory,
         cfg: LinkConfig,
         seed: u64,
-    ) -> TcpTransport {
-        TcpTransport::start(
-            self.listener,
-            local,
-            directory,
-            cfg,
-            seed,
-            TcpTuning::default(),
-            None,
-        )
-    }
-
-    /// [`TcpEndpoint::into_transport`] with explicit reactor tuning.
-    pub fn into_transport_tuned(
-        self,
-        local: &[NodeId],
-        directory: PeerDirectory,
-        cfg: LinkConfig,
-        seed: u64,
         tuning: TcpTuning,
+        registry: Option<&Registry>,
     ) -> TcpTransport {
-        TcpTransport::start(self.listener, local, directory, cfg, seed, tuning, None)
-    }
-
-    /// Like [`TcpEndpoint::into_transport`], additionally mirroring the
-    /// transport's accounting into `registry` (the `net.*` and `tcp.*`
-    /// metric families). The registry outlives the transport, so a daemon
-    /// can keep cumulative counters across per-step transports.
-    pub fn into_transport_with_metrics(
-        self,
-        local: &[NodeId],
-        directory: PeerDirectory,
-        cfg: LinkConfig,
-        seed: u64,
-        registry: &Registry,
-    ) -> TcpTransport {
-        TcpTransport::start(
-            self.listener,
-            local,
-            directory,
-            cfg,
-            seed,
-            TcpTuning::default(),
-            Some(TcpMetrics::new(registry)),
-        )
-    }
-
-    /// [`TcpEndpoint::into_transport_with_metrics`] with explicit tuning.
-    pub fn into_transport_with_metrics_tuned(
-        self,
-        local: &[NodeId],
-        directory: PeerDirectory,
-        cfg: LinkConfig,
-        seed: u64,
-        tuning: TcpTuning,
-        registry: &Registry,
-    ) -> TcpTransport {
-        TcpTransport::start(
-            self.listener,
-            local,
-            directory,
-            cfg,
-            seed,
-            tuning,
-            Some(TcpMetrics::new(registry)),
-        )
+        let metrics = registry.map(TcpMetrics::new);
+        TcpTransport::start(self.listener, local, directory, cfg, seed, tuning, metrics)
     }
 }
 
@@ -587,9 +528,9 @@ impl TcpInner {
     /// Reclassifies a frame that `send` counted as delivered but the
     /// socket path then lost (queue overflow, retry budget exhausted
     /// against a dead peer): each frame must land in exactly **one**
-    /// accounting bucket, like the channel transport. `dropped` is bumped
-    /// before the delivered counts are reversed, so a concurrent snapshot
-    /// can transiently double-see the frame but never lose it.
+    /// accounting bucket. `dropped` is bumped before the delivered counts
+    /// are reversed, so a concurrent snapshot can transiently double-see
+    /// the frame but never lose it.
     fn reclassify_lost(&self, class: FrameClass, frame_len: usize) {
         let ci = Self::class_index(class);
         self.counters[ci][2].fetch_add(1, Ordering::Relaxed);
@@ -761,8 +702,7 @@ impl TcpInner {
         if st.failures >= WRITE_ATTEMPTS {
             st.failures = 0;
             // The peer has outlived the retry budget: everything queued
-            // toward it is lost (and counted), exactly like the channel
-            // transport's loss model — never a wedged sender.
+            // toward it is lost (and counted) — never a wedged sender.
             while let Some((class, rec)) = st.queue.pop_front() {
                 self.reclassify_lost(class, rec.len() - RECORD_HEADER_BYTES);
             }
@@ -983,59 +923,20 @@ impl TcpTransport {
     /// One-call constructor for the in-process loopback substrate: binds an
     /// ephemeral localhost listener and hosts the *entire* population of
     /// `n` nodes behind it, so every exchange crosses a real kernel socket
-    /// while the node threads stay in one process.
-    pub fn loopback(n: usize, cfg: LinkConfig, seed: u64) -> io::Result<TcpTransport> {
-        Self::loopback_tuned(n, cfg, seed, TcpTuning::default())
-    }
-
-    /// [`TcpTransport::loopback`] with explicit reactor tuning.
-    pub fn loopback_tuned(
+    /// while the node threads stay in one process. `tuning` and `registry`
+    /// as in [`TcpEndpoint::into_transport`].
+    pub fn loopback(
         n: usize,
         cfg: LinkConfig,
         seed: u64,
         tuning: TcpTuning,
+        registry: Option<&Registry>,
     ) -> io::Result<TcpTransport> {
         let endpoint = TcpEndpoint::bind("127.0.0.1:0")?;
         let addr = endpoint.local_addr()?;
         let local: Vec<NodeId> = (0..n).collect();
-        Ok(endpoint.into_transport_tuned(
-            &local,
-            PeerDirectory::new(vec![addr; n]),
-            cfg,
-            seed,
-            tuning,
-        ))
-    }
-
-    /// [`TcpTransport::loopback`] with accounting mirrored into `registry`.
-    pub fn loopback_with_metrics(
-        n: usize,
-        cfg: LinkConfig,
-        seed: u64,
-        registry: &Registry,
-    ) -> io::Result<TcpTransport> {
-        Self::loopback_with_metrics_tuned(n, cfg, seed, TcpTuning::default(), registry)
-    }
-
-    /// [`TcpTransport::loopback_with_metrics`] with explicit tuning.
-    pub fn loopback_with_metrics_tuned(
-        n: usize,
-        cfg: LinkConfig,
-        seed: u64,
-        tuning: TcpTuning,
-        registry: &Registry,
-    ) -> io::Result<TcpTransport> {
-        let endpoint = TcpEndpoint::bind("127.0.0.1:0")?;
-        let addr = endpoint.local_addr()?;
-        let local: Vec<NodeId> = (0..n).collect();
-        Ok(endpoint.into_transport_with_metrics_tuned(
-            &local,
-            PeerDirectory::new(vec![addr; n]),
-            cfg,
-            seed,
-            tuning,
-            registry,
-        ))
+        let directory = PeerDirectory::new(vec![addr; n]);
+        Ok(endpoint.into_transport(&local, directory, cfg, seed, tuning, registry))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1134,14 +1035,16 @@ impl TcpTransport {
     pub fn local_addr(&self) -> SocketAddr {
         self.inner.listen_addr
     }
-}
 
-impl Transport for TcpTransport {
-    fn node_count(&self) -> usize {
+    /// Population size.
+    pub fn node_count(&self) -> usize {
         self.inner.directory.len()
     }
 
-    fn send(
+    /// Queues `frame` from `from` toward `to`'s inbox. Returns the number
+    /// of bytes put on the wire. Sends are fire-and-forget: loss is applied
+    /// inside, and the sender cannot observe it.
+    pub fn send(
         &self,
         from: NodeId,
         to: NodeId,
@@ -1191,11 +1094,13 @@ impl Transport for TcpTransport {
         Ok(len)
     }
 
-    fn try_recv(&self, at: NodeId) -> Option<Envelope> {
+    /// Non-blocking receive at node `at`.
+    pub fn try_recv(&self, at: NodeId) -> Option<Envelope> {
         self.inner.inboxes[at].as_ref()?.try_pop()
     }
 
-    fn recv_timeout(&self, at: NodeId, timeout: Duration) -> Option<Envelope> {
+    /// Blocking receive at node `at`, up to `timeout`.
+    pub fn recv_timeout(&self, at: NodeId, timeout: Duration) -> Option<Envelope> {
         match self.inner.inboxes[at].as_ref() {
             Some(inbox) => inbox.pop_timeout(timeout),
             None => {
@@ -1224,7 +1129,8 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn snapshot(&self) -> TrafficSnapshot {
+    /// Current traffic counters.
+    pub fn snapshot(&self) -> TrafficSnapshot {
         let read = |ci: usize| ClassCounts {
             messages: self.inner.counters[ci][0].load(Ordering::Relaxed),
             bytes: self.inner.counters[ci][1].load(Ordering::Relaxed),
@@ -1549,6 +1455,23 @@ mod tests {
         encode_frame(&Message::Leave { node })
     }
 
+    fn loopback(n: usize, cfg: LinkConfig, seed: u64) -> TcpTransport {
+        TcpTransport::loopback(n, cfg, seed, TcpTuning::default(), None).unwrap()
+    }
+
+    /// A 2-node population split over two transports, node `i` behind the
+    /// `i`-th.
+    fn pair(seed: u64) -> (TcpTransport, TcpTransport) {
+        let ends = [(); 2].map(|()| TcpEndpoint::bind("127.0.0.1:0").unwrap());
+        let dir = PeerDirectory::new(ends.iter().map(|e| e.local_addr().unwrap()).collect());
+        let [a, b] = ends;
+        let wire = |end: TcpEndpoint, id| {
+            let cfg = LinkConfig::ideal();
+            end.into_transport(&[id], dir.clone(), cfg, seed, TcpTuning::default(), None)
+        };
+        (wire(a, 0), wire(b, 1))
+    }
+
     #[test]
     fn records_roundtrip_through_the_reassembler_whole() {
         let mut r = FrameReassembler::new();
@@ -1622,7 +1545,7 @@ mod tests {
 
     #[test]
     fn loopback_delivers_frames_with_sender_identity() {
-        let t = TcpTransport::loopback(3, LinkConfig::ideal(), 1).unwrap();
+        let t = loopback(3, LinkConfig::ideal(), 1);
         t.send(0, 2, frame(7), FrameClass::Control).unwrap();
         let env = t.recv_timeout(2, Duration::from_secs(5)).unwrap();
         assert_eq!(env.from, 0);
@@ -1635,7 +1558,7 @@ mod tests {
 
     #[test]
     fn loopback_orders_many_frames_per_pair() {
-        let t = Arc::new(TcpTransport::loopback(2, LinkConfig::ideal(), 2).unwrap());
+        let t = Arc::new(loopback(2, LinkConfig::ideal(), 2));
         for i in 0..200 {
             t.send(0, 1, frame(i), FrameClass::Gossip).unwrap();
         }
@@ -1658,7 +1581,7 @@ mod tests {
             loss: 1.0,
             ..LinkConfig::ideal()
         };
-        let t = TcpTransport::loopback(2, cfg, 3).unwrap();
+        let t = loopback(2, cfg, 3);
         for _ in 0..10 {
             t.send(0, 1, frame(1), FrameClass::Gossip).unwrap();
         }
@@ -1674,7 +1597,7 @@ mod tests {
             latency: Duration::from_millis(50),
             ..LinkConfig::ideal()
         };
-        let t = TcpTransport::loopback(2, cfg, 4).unwrap();
+        let t = loopback(2, cfg, 4);
         let sent_at = Instant::now();
         t.send(0, 1, frame(1), FrameClass::Control).unwrap();
         let env = t.recv_timeout(1, Duration::from_secs(5)).unwrap();
@@ -1684,9 +1607,13 @@ mod tests {
 
     #[test]
     fn unknown_peer_and_oversized_frames_rejected() {
-        let t = TcpTransport::loopback(2, LinkConfig::ideal(), 5).unwrap();
+        let t = loopback(2, LinkConfig::ideal(), 5);
         assert!(matches!(
             t.send(0, 9, frame(1), FrameClass::Control),
+            Err(NetError::UnknownPeer { node: 9, .. })
+        ));
+        assert!(matches!(
+            t.send(9, 0, frame(1), FrameClass::Control),
             Err(NetError::UnknownPeer { node: 9, .. })
         ));
         let huge = vec![0u8; MAX_FRAME_BYTES + 1];
@@ -1702,11 +1629,7 @@ mod tests {
         // dropped (its listener closes), then node 0 keeps sending. The
         // reactor must burn its retry budget and count drops — and the
         // sender must never block.
-        let a = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let b = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let dir = PeerDirectory::new(vec![a.local_addr().unwrap(), b.local_addr().unwrap()]);
-        let ta = a.into_transport(&[0], dir.clone(), LinkConfig::ideal(), 6);
-        let tb = b.into_transport(&[1], dir, LinkConfig::ideal(), 6);
+        let (ta, tb) = pair(6);
 
         ta.send(0, 1, frame(1), FrameClass::Gossip).unwrap();
         assert!(tb.recv_timeout(1, Duration::from_secs(5)).is_some());
@@ -1737,11 +1660,7 @@ mod tests {
 
     #[test]
     fn two_processes_worth_of_endpoints_exchange_both_ways() {
-        let a = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let b = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let dir = PeerDirectory::new(vec![a.local_addr().unwrap(), b.local_addr().unwrap()]);
-        let ta = a.into_transport(&[0], dir.clone(), LinkConfig::ideal(), 7);
-        let tb = b.into_transport(&[1], dir, LinkConfig::ideal(), 7);
+        let (ta, tb) = pair(7);
         for i in 0..20 {
             ta.send(0, 1, frame(i), FrameClass::Gossip).unwrap();
             tb.send(1, 0, frame(100 + i), FrameClass::Decrypt).unwrap();

@@ -184,7 +184,7 @@ impl Message {
     ///
     /// The sharded executor delivers messages by move — no frame is ever
     /// materialized — but its bytes-on-wire accounting and its link model
-    /// must stay comparable with the threaded transport's, so this mirrors
+    /// must stay comparable with the TCP transport's, so this mirrors
     /// the codec's layout arithmetic exactly (asserted by a round-trip
     /// proptest).
     pub fn encoded_len(&self) -> usize {

@@ -284,7 +284,7 @@ fn completion_is_done_and_voted_or_quiesced_or_timed_out() {
 /// and comes back after more than `decrypt_deadline` is not abandoned on
 /// its pre-crash clock, and its next retry is one interval after the
 /// rejoin — the sharded executor's semantics, now everyone's. (At the
-/// parent commit the threaded and TCP loops kept the pre-crash clocks:
+/// commit before it the wall-clock loops kept the pre-crash clocks:
 /// the node gave up the instant it was back.)
 #[test]
 fn rejoin_restarts_the_decrypt_clocks_from_the_rejoin_instant() {

@@ -5,7 +5,7 @@
 
 use cs_net::tcp::{FrameReassembler, PeerDirectory, TcpEndpoint, TcpTransport, TcpTuning};
 use cs_net::wire::FrameClass;
-use cs_net::{LinkConfig, Transport};
+use cs_net::LinkConfig;
 use cs_obs::Registry;
 use std::io::Read;
 use std::net::TcpListener;
@@ -36,7 +36,9 @@ fn two_node_dir(endpoint: &TcpEndpoint, peer: std::net::SocketAddr) -> PeerDirec
 /// frame arrives, not burn the whole timeout.
 #[test]
 fn recv_timeout_wakes_well_before_the_deadline_on_arrival() {
-    let t = Arc::new(TcpTransport::loopback(2, LinkConfig::ideal(), 11).unwrap());
+    let t = Arc::new(
+        TcpTransport::loopback(2, LinkConfig::ideal(), 11, TcpTuning::default(), None).unwrap(),
+    );
     let sender = t.clone();
     let h = thread::spawn(move || {
         thread::sleep(Duration::from_millis(100));
@@ -62,7 +64,14 @@ fn recv_timeout_for_an_unhosted_node_is_deadline_bounded() {
     let a = TcpEndpoint::bind("127.0.0.1:0").unwrap();
     let addr = a.local_addr().unwrap();
     let dir = PeerDirectory::new(vec![addr, addr]);
-    let t = a.into_transport(&[0], dir, LinkConfig::ideal(), 12);
+    let t = a.into_transport(
+        &[0],
+        dir,
+        LinkConfig::ideal(),
+        12,
+        TcpTuning::default(),
+        None,
+    );
     let start = Instant::now();
     assert!(t.recv_timeout(1, Duration::from_millis(200)).is_none());
     let waited = start.elapsed();
@@ -90,7 +99,14 @@ fn partial_writes_resume_without_corruption_against_a_slow_reader() {
     let endpoint = TcpEndpoint::bind("127.0.0.1:0").unwrap();
     let dir = two_node_dir(&endpoint, peer_addr);
     let registry = Registry::new();
-    let t = endpoint.into_transport_with_metrics(&[0], dir, LinkConfig::ideal(), 13, &registry);
+    let t = endpoint.into_transport(
+        &[0],
+        dir,
+        LinkConfig::ideal(),
+        13,
+        TcpTuning::default(),
+        Some(&registry),
+    );
 
     let frames: Vec<Vec<u8>> = (0..RECORDS)
         .map(|i| pseudo_frame(FRAME_BYTES, i as u8))
@@ -157,8 +173,8 @@ fn partial_writes_resume_without_corruption_against_a_slow_reader() {
 
 /// Backpressure: with a tiny outbound queue and a peer that never reads,
 /// overflow drops are surfaced on `tcp.writer.overflow` and every frame
-/// still lands in exactly one accounting bucket — the same attempt
-/// semantics the channel transport keeps (`sent == delivered + dropped`).
+/// still lands in exactly one accounting bucket — attempt semantics,
+/// `sent == delivered + dropped`.
 #[test]
 fn backpressure_overflow_keeps_accounting_parity() {
     const SENDS: usize = 200;
@@ -173,14 +189,7 @@ fn backpressure_overflow_keeps_accounting_parity() {
         writer_queue_cap: 4,
         ..TcpTuning::default()
     };
-    let t = endpoint.into_transport_with_metrics_tuned(
-        &[0],
-        dir,
-        LinkConfig::ideal(),
-        14,
-        tuning,
-        &registry,
-    );
+    let t = endpoint.into_transport(&[0], dir, LinkConfig::ideal(), 14, tuning, Some(&registry));
 
     // Accept so the connection establishes, then hold it open without ever
     // reading a byte (released when `hold_tx` drops at the end).
@@ -239,7 +248,14 @@ fn reconnect_backoff_loss_counters_are_deterministic() {
     let endpoint = TcpEndpoint::bind("127.0.0.1:0").unwrap();
     let dir = two_node_dir(&endpoint, dead_addr);
     let registry = Registry::new();
-    let t = endpoint.into_transport_with_metrics(&[0], dir, LinkConfig::ideal(), 15, &registry);
+    let t = endpoint.into_transport(
+        &[0],
+        dir,
+        LinkConfig::ideal(),
+        15,
+        TcpTuning::default(),
+        Some(&registry),
+    );
 
     for i in 0..SENDS {
         t.send(0, 1, pseudo_frame(64, i as u8), FrameClass::Decrypt)
@@ -289,7 +305,8 @@ fn resident_threads_stay_o_pool_at_population_64() {
             .count()
     }
 
-    let t = TcpTransport::loopback(64, LinkConfig::ideal(), 16).unwrap();
+    let t =
+        TcpTransport::loopback(64, LinkConfig::ideal(), 16, TcpTuning::default(), None).unwrap();
     // Fan out to every destination so every outbound connection (and its
     // accepted twin) exists, then drain to prove they all work.
     for p in 1..64 {

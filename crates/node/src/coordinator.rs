@@ -10,8 +10,8 @@
 //! ever learns back are the *DP-perturbed* aggregate estimates the
 //! protocol discloses anyway.
 //!
-//! Orchestration per step mirrors the threaded runtime's driver: hand every
-//! live daemon its `Step`, wait until each announces `Done` (or its process
+//! Orchestration per step mirrors the in-process TCP host's driver: hand
+//! every live daemon its `Step`, wait until each announces `Done` (or its process
 //! dies — a connection EOF is the fail-stop signal), broadcast `StepEnd`,
 //! collect `Report`s, and fold them with `cs_net::runtime::assemble_outcome`
 //! so the engine sees exactly the same outcome shape as on every other
@@ -598,7 +598,7 @@ impl ComputationBackend for ClusterBackend {
 
         // Phase 0 — the start barrier: every living daemon constructs its
         // node (contribution encryption included) and acknowledges Ready
-        // before anyone gossips, mirroring the threaded runtime's start
+        // before anyone gossips, mirroring the in-process TCP host's start
         // gate. Dark slots Ready-then-Done immediately, so their Done must
         // be buffered here too. On the deadline, release whoever is ready
         // rather than deadlock.

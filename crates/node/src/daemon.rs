@@ -7,7 +7,7 @@
 //! then serve `Step` commands until `Shutdown`: each step drives one
 //! [`ProtocolNode`] — the *same* sans-IO state machine every other
 //! substrate runs, under the same [`NodeDriver`] and the same wall-clock
-//! [`pump`] as the threaded runtime — over a [`TcpTransport`] whose peers
+//! [`pump`] as the in-process TCP host — over a [`TcpTransport`] whose peers
 //! are other processes, announces `Done` when its own part completes,
 //! keeps serving committee duties until `StepEnd`, and ships its
 //! [`cs_net::node::NodeReport`] plus the step's traffic delta back up the
@@ -46,8 +46,8 @@ use cs_crypto::{FastEncryptor, KeyShare, RandomizerPool};
 use cs_net::driver::{NodeDriver, Timing};
 use cs_net::node::{NodeCrypto, NodeParams, ProtocolNode};
 use cs_net::runtime::pump;
-use cs_net::tcp::{PeerDirectory, TcpEndpoint, TcpTransport};
-use cs_net::transport::{NodeId, TrafficSnapshot, Transport};
+use cs_net::tcp::{PeerDirectory, TcpEndpoint, TcpTransport, TcpTuning};
+use cs_net::transport::{NodeId, TrafficSnapshot};
 use cs_net::wire::WIRE_VERSION;
 use cs_obs::http::{ObsProviders, ObsServer};
 use cs_obs::{
@@ -339,12 +339,13 @@ pub fn run(opts: &DaemonOpts) -> io::Result<()> {
                 .map_err(|e| bad_data(format!("bad address {a:?}: {e}")))
         })
         .collect::<io::Result<_>>()?;
-    let transport = Arc::new(endpoint.into_transport_with_metrics(
+    let transport = Arc::new(endpoint.into_transport(
         &[opts.id],
         PeerDirectory::new(directory),
         link.to_link_config(),
         transport_seed ^ (opts.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        &registry,
+        TcpTuning::default(),
+        Some(&registry),
     ));
     let cipher = match pk {
         Some(_) if !matches!(config.crypto, CryptoMode::Real { .. }) => {
@@ -599,10 +600,15 @@ fn poll_control(rx: &mpsc::Receiver<ControlMsg>) -> io::Result<ControlFlow<()>> 
 }
 
 /// A `Step`'s contribution comes off the control socket. One of the wrong
-/// length (a coordinator on another contribution layout) or with a
-/// non-finite value would trip [`ProtocolNode::new`]'s assertions and
-/// panic the daemon; this fails the step with an error instead.
-fn check_contribution(layout: &SlotLayout, contribution: &[f64]) -> io::Result<()> {
+/// length (a coordinator on another contribution layout), with a
+/// non-finite value, or with a finite one outside what the run's cipher
+/// can encrypt would trip an assertion in [`ProtocolNode::new`] and panic
+/// the daemon; this fails the step with an error instead.
+fn check_contribution(
+    layout: &SlotLayout,
+    cipher: Option<&StepCipher>,
+    contribution: &[f64],
+) -> io::Result<()> {
     if contribution.len() != layout.total() {
         return Err(bad_data(format!(
             "step contribution has {} values, this run's layout has {} slots",
@@ -610,14 +616,19 @@ fn check_contribution(layout: &SlotLayout, contribution: &[f64]) -> io::Result<(
             layout.total(),
         )));
     }
-    match contribution.iter().position(|v| !v.is_finite()) {
-        Some(slot) => Err(bad_data(format!("contribution slot {slot} is not finite"))),
-        None => Ok(()),
+    if let Some(slot) = contribution.iter().position(|v| !v.is_finite()) {
+        return Err(bad_data(format!("contribution slot {slot} is not finite")));
     }
+    if let Some(cipher) = cipher {
+        cipher
+            .admits(contribution)
+            .map_err(|e| bad_data(format!("contribution outside the envelope: {e}")))?;
+    }
+    Ok(())
 }
 
 /// Drives one computation step: the node's event loop is the same
-/// [`pump`] the threaded runtime's node threads run, hosted differently —
+/// [`pump`] the in-process TCP host's node threads run, hosted differently —
 /// completion is *announced* to the coordinator instead of ringing a shared
 /// bell, and the loop ends on `StepEnd` instead of a shutdown flag. A
 /// `None` contribution runs the step dark — drain and discard, exactly the
@@ -662,7 +673,7 @@ fn run_step(
         }
     };
 
-    check_contribution(&ctx.layout, &contribution)?;
+    check_contribution(&ctx.layout, ctx.cipher.as_ref(), &contribution)?;
     let params = NodeParams::for_step(
         id,
         transport.node_count(),
@@ -693,7 +704,7 @@ fn run_step(
         report
     };
 
-    // Start barrier, mirroring the threaded runtime's start gate: node
+    // Start barrier, mirroring the in-process host's start gate: node
     // construction (contribution encryption — the expensive part in
     // real-crypto mode) happens on every daemon before anyone gossips, so
     // the coordinator's scripted kill offsets mean "into the gossip
@@ -719,8 +730,8 @@ fn run_step(
         }
     }
 
-    // The tracer attaches after the Go barrier (like the threaded
-    // runtime's post-gate attach) so the `step.start` span marks the start
+    // The tracer attaches after the Go barrier (like the in-process
+    // host's post-gate attach) so the `step.start` span marks the start
     // of *gossip*, not of the encryption stampede before the barrier. Its
     // causal parent is the coordinator's `Step` send.
     driver = driver.with_tracer(CausalTracer::new(
@@ -748,9 +759,9 @@ mod tests {
             k: 2,
             series_len: 3,
         };
-        assert!(check_contribution(&layout, &[0.5; 8]).is_ok());
+        assert!(check_contribution(&layout, None, &[0.5; 8]).is_ok());
         // What a coordinator on the old two-block layout would send.
-        let err = check_contribution(&layout, &[0.5; 16]).unwrap_err();
+        let err = check_contribution(&layout, None, &[0.5; 16]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let msg = err.to_string();
         assert!(
@@ -760,9 +771,59 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY] {
             let mut values = [0.5; 8];
             values[5] = bad;
-            let err = check_contribution(&layout, &values).unwrap_err();
+            let err = check_contribution(&layout, None, &values).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("slot 5"), "{err}");
+        }
+
+        // A finite value no lane can hold. Nothing but a cipher can tell:
+        // a plaintext run gossips it like any other number.
+        let mut values = [0.5; 8];
+        values[5] = 1e30;
+        assert!(check_contribution(&layout, None, &values).is_ok());
+        let config = ChiaroscuroConfig {
+            k: 2,
+            packing: true,
+            ..ChiaroscuroConfig::test_real()
+        };
+        let crypto =
+            chiaroscuro::rounds::CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(7))
+                .unwrap();
+        let cipher = crypto.step_cipher(&config, &layout, 4).unwrap().unwrap();
+        assert!(check_contribution(&layout, Some(&cipher), &[0.5; 8]).is_ok());
+        let err = check_contribution(&layout, Some(&cipher), &values).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bucket 5"), "{err}");
+
+        // The same vector handed to the in-process hosts fails the step
+        // with the same typed error — before a worker or node thread exists
+        // to unwind.
+        let mut contributions = vec![Some(vec![0.5; 8]); 4];
+        contributions[2] = Some(values.to_vec());
+        let sharded = cs_net::run_step_sharded(
+            &config,
+            &layout,
+            &contributions,
+            &crypto,
+            9,
+            &cs_net::ShardedConfig::default(),
+            &[],
+        );
+        let tcp = cs_net::run_step_over_tcp(
+            &config,
+            &layout,
+            &contributions,
+            &crypto,
+            9,
+            &cs_net::NetConfig::default(),
+            &[],
+        );
+        for run in [sharded, tcp] {
+            let lane = cs_crypto::CryptoError::LaneOverflow { slot: 5 };
+            match run {
+                Err(chiaroscuro::ChiaroscuroError::Crypto(e)) => assert_eq!(e, lane),
+                other => panic!("expected a typed lane overflow, got {other:?}"),
+            }
         }
     }
 }

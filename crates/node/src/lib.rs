@@ -1,10 +1,9 @@
 //! # cs-node — Chiaroscuro out of one process
 //!
 //! Every other execution substrate in this workspace — the cycle
-//! simulator, the threaded runtime, the sharded executor, even the TCP
-//! loopback — still lives inside a single OS process. This
-//! crate is the deployment layer that doesn't: one **`csnoded` daemon per
-//! participant**, gossiping wire frames over real sockets
+//! simulator, the sharded executor, even the TCP loopback — still lives
+//! inside a single OS process. This crate is the deployment layer that
+//! doesn't: one **`csnoded` daemon per participant**, gossiping wire frames over real sockets
 //! ([`cs_net::tcp::TcpTransport`]), with a thin coordinator for bootstrap
 //! and step pacing, and a supervisor that spawns/kills/reaps local
 //! clusters for tests and examples.

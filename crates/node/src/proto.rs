@@ -189,8 +189,8 @@ pub enum ControlMsg {
     /// Daemon → coordinator: step context received and the protocol node
     /// constructed (contribution encrypted) — ready to gossip. The
     /// coordinator's `Go` barrier makes churn offsets mean "into the
-    /// *gossip* phase" on every machine, exactly like the threaded
-    /// runtime's start gate.
+    /// *gossip* phase" on every machine, exactly like the in-process TCP
+    /// host's start gate.
     Ready {
         /// The step being acknowledged.
         step: usize,

@@ -1,8 +1,8 @@
 //! The structured span/event tracing facade, and the causal layer on top.
 //!
 //! A [`Tracer`] records bounded, timestamped [`TraceEvent`]s through a
-//! pluggable [`Clock`]. The clock choice is the whole point: the threaded
-//! and TCP substrates trace in wall time ([`WallClock`]), while the
+//! pluggable [`Clock`]. The clock choice is the whole point: the TCP and
+//! multi-process substrates trace in wall time ([`WallClock`]), while the
 //! sharded executor traces in **virtual time** ([`VirtualClock`], advanced
 //! explicitly at epoch boundaries) — so a same-seed sharded run emits a
 //! byte-identical trace no matter how many worker threads drive it, and

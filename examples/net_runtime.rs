@@ -1,9 +1,10 @@
 //! A full Chiaroscuro run over the `cs_net` message-passing runtime: every
 //! participant on its own thread, every exchange a length-prefixed wire
-//! frame over a lossy, latent link — and one participant crashing
-//! mid-gossip, then rejoining for the next iteration. Then the same
-//! protocol again at 1024 participants on the sharded event-loop executor,
-//! where nodes are virtual and the timeline is deterministic. Act three
+//! frame through a loopback socket with loss and latency shimmed on — and
+//! one participant crashing mid-gossip, then rejoining for the next
+//! iteration. Then the same protocol again at 1024 participants on the
+//! sharded event-loop executor, where nodes are virtual and the timeline
+//! is deterministic. Act three
 //! leaves the process entirely: a supervised cluster of `csnoded` daemons
 //! runs the engine across real OS processes over localhost TCP.
 //!
@@ -54,7 +55,7 @@ fn main() {
             .rejoin(0, Duration::from_millis(8), 5),
         ..NetConfig::default()
     };
-    let mut backend = NetBackend::threaded(net);
+    let mut backend = NetBackend::tcp(net);
 
     let output = engine
         .run_with_backend(&data.series, &mut backend)

@@ -12,8 +12,8 @@
 //!   (plaintext and homomorphic);
 //! * [`cs_timeseries`] — series types, distances, PAA, synthetic datasets;
 //! * [`cs_kmeans`] — the centralized baseline and quality metrics;
-//! * [`cs_net`] — the message-passing node runtime: wire codec, threaded
-//!   transport, TCP socket transport, churn injection;
+//! * [`cs_net`] — the message-passing node runtime: wire codec, node
+//!   driver, TCP socket transport, sharded executor, churn injection;
 //! * [`cs_node`] — the multi-process deployment: `csnoded` daemon,
 //!   cluster coordinator, local-cluster supervisor.
 #![doc = include_str!("../docs/quickstart.md")]

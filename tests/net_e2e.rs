@@ -1,6 +1,6 @@
-//! End-to-end runs over the `cs_net` threaded message-passing runtime: the
-//! same engine, the same protocol state machines, but every exchange
-//! crosses a wire as a length-prefixed frame between concurrently running
+//! End-to-end runs over the `cs_net` thread-per-node TCP host: the same
+//! engine, the same protocol state machines, but every exchange crosses a
+//! loopback socket as a length-prefixed frame between concurrently running
 //! node threads — including one node crashing mid-gossip.
 //!
 //! The decisive check: the runtime's decrypted perturbed centroids must
@@ -53,8 +53,8 @@ fn fast_net() -> NetConfig {
 }
 
 /// The acceptance scenario: 16 participants, real Damgård-Jurik crypto, a
-/// full Chiaroscuro iteration end-to-end over the threaded transport with
-/// one node crashing mid-gossip — and the result still matches the
+/// full Chiaroscuro iteration end-to-end over the TCP loopback with one
+/// node crashing mid-gossip — and the result still matches the
 /// simulated run.
 #[test]
 fn real_crypto_net_run_with_crash_matches_simulator() {
@@ -80,7 +80,7 @@ fn real_crypto_net_run_with_crash_matches_simulator() {
     // verifiably dies before finishing its quota.
     let push_ms: u64 = if cfg!(debug_assertions) { 250 } else { 30 };
     let churn = ChurnSchedule::none().crash(0, Duration::from_millis(push_ms * 14 * 3 / 4), 7);
-    let mut backend = NetBackend::threaded(NetConfig {
+    let mut backend = NetBackend::tcp(NetConfig {
         churn,
         push_interval: Duration::from_millis(push_ms),
         ..fast_net()
@@ -145,7 +145,7 @@ fn decrypt_round_count_parity_threaded_vs_simulator() {
     // service time: a retry that fired on a merely slow member would widen
     // the ask and show up here as extra partial decryptions.
     let push_ms: u64 = if cfg!(debug_assertions) { 20 } else { 4 };
-    let mut backend = NetBackend::threaded(NetConfig {
+    let mut backend = NetBackend::tcp(NetConfig {
         push_interval: Duration::from_millis(push_ms),
         ..fast_net()
     });
@@ -194,7 +194,7 @@ fn plain_net_run_matches_simulator_over_two_iterations() {
     let engine = Engine::new(cfg).unwrap();
 
     let sim = engine.run(&series).unwrap();
-    let mut backend = NetBackend::threaded(fast_net());
+    let mut backend = NetBackend::tcp(fast_net());
     let net = engine.run_with_backend(&series, &mut backend).unwrap();
 
     assert_eq!(backend.steps_run(), 2);

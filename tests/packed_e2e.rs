@@ -1,6 +1,6 @@
 //! End-to-end run of the crypto fast path: a full engine iteration with
-//! real Damgård-Jurik crypto and **packed** payloads over the threaded
-//! `cs_net` transport — including one node crashing mid-gossip — must match
+//! real Damgård-Jurik crypto and **packed** payloads over the `cs_net`
+//! TCP loopback — including one node crashing mid-gossip — must match
 //! the *unpacked* in-process simulator's centroids within tolerance
 //! (mirrors `tests/net_e2e.rs`, which pins the unpacked runtime the same
 //! way).
@@ -46,7 +46,7 @@ fn max_centroid_gap(a: &[TimeSeries], b: &[TimeSeries]) -> f64 {
 }
 
 /// 16 participants, real crypto, one full iteration end-to-end over the
-/// threaded transport with packed payloads and a mid-gossip crash — the
+/// TCP loopback with packed payloads and a mid-gossip crash — the
 /// decrypted perturbed centroids still match the unpacked simulator run.
 #[test]
 fn packed_net_run_with_crash_matches_unpacked_simulator() {
@@ -63,7 +63,7 @@ fn packed_net_run_with_crash_matches_unpacked_simulator() {
     // cycle simulator.
     let sim = Engine::new(cfg.clone()).unwrap().run(&series).unwrap();
 
-    // The run under test: packing on, over the threaded runtime, with node
+    // The run under test: packing on, over the TCP loopback, with node
     // 7 silently crashing mid-gossip (~75% through its push quota). The
     // packed push is cheap enough that a modest pacing suffices even in
     // debug builds.
@@ -71,7 +71,7 @@ fn packed_net_run_with_crash_matches_unpacked_simulator() {
     let engine = Engine::new(cfg).unwrap();
     let push_ms: u64 = if cfg!(debug_assertions) { 60 } else { 15 };
     let churn = ChurnSchedule::none().crash(0, Duration::from_millis(push_ms * 14 * 3 / 4), 7);
-    let mut backend = NetBackend::threaded(NetConfig {
+    let mut backend = NetBackend::tcp(NetConfig {
         churn,
         push_interval: Duration::from_millis(push_ms),
         quiesce: Duration::from_millis(150),

@@ -1,18 +1,17 @@
 //! End-to-end runs over the `cs_net` sharded event-loop executor: the same
-//! engine and protocol state machines as the threaded runtime, but driven
-//! as virtual nodes in deterministic virtual time — which is what makes
-//! 1k+ populations tractable in a test suite.
+//! engine and protocol state machines as the thread-per-node TCP host, but
+//! driven as virtual nodes in deterministic virtual time — which is what
+//! makes 1k+ populations tractable in a test suite.
 //!
 //! Three claims are locked in here:
 //!
 //! 1. **Determinism** — two same-seed sharded runs produce *identical*
 //!    `ExecutionLog`s (byte-for-byte JSON) and bitwise-equal centroids.
-//! 2. **Differential vs the threaded oracle** — at an overlapping
-//!    population the sharded executor and the thread-per-node runtime
-//!    recover the same centroids from the same seed within gossip
-//!    truncation tolerance (the threaded runtime's interleaving is OS
-//!    scheduled, so exact equality is only defined *within* the
-//!    deterministic substrate — asserted in 1).
+//! 2. **Differential vs real threads** — at an overlapping population the
+//!    sharded executor and the thread-per-node TCP host recover the same
+//!    centroids from the same seed within gossip truncation tolerance (the
+//!    TCP host's interleaving is OS scheduled, so exact equality is only
+//!    defined *within* the deterministic substrate — asserted in 1).
 //! 3. **Scale with churn** — crash/rejoin/leave injected mid-gossip at
 //!    population ≥1k (release; debug runs a smaller smoke), packed and
 //!    unpacked, still matching the cycle simulator's centroids.
@@ -105,8 +104,8 @@ fn sharded_run_is_deterministic_end_to_end() {
     assert_eq!(a.assignment, b.assignment);
 }
 
-/// The differential test against the threaded oracle at an overlapping
-/// population: same engine seed, both substrates, centroids agree with
+/// The differential test against the thread-per-node TCP host (the
+/// nondeterministic-interleaving side) at an overlapping population: same engine seed, both substrates, centroids agree with
 /// each other (and with the in-process cycle simulator) within gossip
 /// truncation tolerance — and the sharded substrate's centroids are
 /// *identical* across same-seed repetitions.
@@ -124,8 +123,13 @@ fn sharded_vs_threaded_differential_at_population_64() {
 
     let sim = engine.run(&series).unwrap();
 
-    let mut threaded = NetBackend::threaded(NetConfig {
-        push_interval: Duration::from_micros(250),
+    // Paced so 64 node threads on a couple of cores all get their turn
+    // within a push interval: push-sum's truncation error assumes nodes
+    // gossip at comparable rates, and a thread that is descheduled for a
+    // whole interval or more while its peers run out their quota leaves its
+    // mass unmixed.
+    let mut threaded = NetBackend::tcp(NetConfig {
+        push_interval: Duration::from_millis(2),
         quiesce: Duration::from_millis(150),
         ..NetConfig::default()
     });
