@@ -4,7 +4,8 @@
 //! throughput, TCP-loopback computation steps across population sizes, a
 //! packed real-crypto step over the same sockets, and the sharded
 //! executor's scaling sweep up to 16384 plain / 1024 real-crypto-packed
-//! nodes) and writes them as
+//! nodes), then whole clustering jobs on the cycle simulator split into
+//! the engine's local half and the computation step, and writes them as
 //! `BENCH_net.json`, so the repository accumulates a comparable performance
 //! record across PRs.
 //!
@@ -17,9 +18,11 @@
 //! ```
 
 use chiaroscuro::noise::SlotLayout;
-use chiaroscuro::rounds::CryptoContext;
-use chiaroscuro::ChiaroscuroConfig;
-use cs_bench::datasets::synthetic_contributions;
+use chiaroscuro::rounds::{ComputationOutcome, CryptoContext};
+use chiaroscuro::{
+    ChiaroscuroConfig, ChiaroscuroError, ComputationBackend, Engine, SimulatorBackend,
+};
+use cs_bench::datasets::{rescale_epsilon, synthetic_contributions, UseCase};
 use cs_bench::{f, Table};
 use cs_bigint::BigUint;
 use cs_crypto::Ciphertext;
@@ -77,6 +80,18 @@ struct BenchEntry {
     /// Per-phase breakdown; populated by `--profile`, `null` otherwise
     /// (and in documents written before the field existed).
     phases: Option<PhaseBreakdown>,
+    /// Local/step split of a whole job; `null` on the single-step rows.
+    job: Option<JobBreakdown>,
+}
+
+/// Where a whole `Engine::run` spent its wall-clock, per iteration: inside
+/// `ComputationBackend::run_step`, and everywhere else (assignment, noise
+/// shares, means → centroids, convergence, canonical view, log).
+#[derive(Clone, Debug, Serialize, Deserialize)]
+struct JobBreakdown {
+    iterations: usize,
+    local_ms_per_iter: f64,
+    step_ms_per_iter: f64,
 }
 
 /// The whole document.
@@ -138,6 +153,15 @@ fn main() {
         entries.push(StepWorkload::real("net_step_real_packed_sharded").measure_sharded(n));
     }
 
+    // Whole jobs on the cycle simulator, the paper's demo shape. No gate
+    // reads these rows: time is not gateable on a shared box, and the
+    // sampler's word count (`crates/dp/tests/sampler_shapes.rs`) is what
+    // holds the local half's fast path.
+    let job_populations: &[usize] = if quick { &[1000] } else { &[1000, 4000] };
+    for &n in job_populations {
+        entries.push(measure_job(n, quick));
+    }
+
     // The phase clocks are always captured (they cost nothing); --profile
     // decides whether they make it into the document and the report.
     if !profile {
@@ -168,6 +192,23 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
+
+    let mut job_table = Table::new(
+        "job breakdown (ms per iteration)",
+        &["name", "population", "iterations", "local", "step"],
+    );
+    for e in &entries {
+        if let Some(j) = &e.job {
+            job_table.row(vec![
+                e.name.clone(),
+                e.population.to_string(),
+                j.iterations.to_string(),
+                f(j.local_ms_per_iter, 3),
+                f(j.step_ms_per_iter, 3),
+            ]);
+        }
+    }
+    println!("{}", job_table.render());
 
     if profile {
         let mut phase_table = Table::new(
@@ -311,7 +352,88 @@ fn bench_wire_codec(quick: bool) -> BenchEntry {
         bytes,
         bytes_per_message: bytes as f64,
         phases: None,
+        job: None,
     }
+}
+
+/// The cycle simulator with a clock around each computation step.
+#[derive(Default)]
+struct TimedSimulator {
+    step: Duration,
+    phases: PhaseProfile,
+}
+
+impl ComputationBackend for TimedSimulator {
+    fn label(&self) -> &'static str {
+        SimulatorBackend.label()
+    }
+
+    fn run_step(
+        &mut self,
+        config: &ChiaroscuroConfig,
+        layout: &SlotLayout,
+        contributions: &[Option<Vec<f64>>],
+        crypto: &CryptoContext,
+        step_seed: u64,
+        rng: &mut StdRng,
+    ) -> Result<ComputationOutcome, ChiaroscuroError> {
+        let t = Instant::now();
+        let outcome =
+            SimulatorBackend.run_step(config, layout, contributions, crypto, step_seed, rng);
+        self.step += t.elapsed();
+        if let Ok(outcome) = &outcome {
+            self.phases = self.phases.plus(&outcome.phases);
+        }
+        outcome
+    }
+}
+
+/// One whole clustering job (`job_plain_sim`) at population `n`: CER-like
+/// daily profiles, the demo's heuristics and ε-rescaling rule, simulated
+/// crypto, ten iterations — the shape of csbench's `sim_cer_4k`. The median
+/// job of [`STEP_REPS`] by wall-clock.
+fn measure_job(n: usize, quick: bool) -> BenchEntry {
+    let use_case = UseCase::Electricity;
+    let series = use_case.build(n, 7).series;
+    let engine = Engine::new(ChiaroscuroConfig {
+        k: use_case.default_k(),
+        epsilon: rescale_epsilon(0.1, n),
+        value_bound: use_case.value_bound(),
+        max_iterations: if quick { 3 } else { 10 },
+        // Under DP noise the movement threshold never fires; keep it from
+        // deciding the row's length.
+        convergence_threshold: 0.0,
+        ..ChiaroscuroConfig::demo_simulated()
+    })
+    .expect("config");
+    let mut jobs: Vec<BenchEntry> = (0..STEP_REPS)
+        .map(|_| {
+            let mut backend = TimedSimulator::default();
+            let t = Instant::now();
+            let out = engine.run_with_backend(&series, &mut backend).expect("job");
+            let wall_ms = t.elapsed().as_secs_f64() * 1e3;
+            let step_ms = backend.step.as_secs_f64() * 1e3;
+            let costs = out.log.records.iter().map(|r| &r.cost);
+            let messages: u64 = costs.clone().map(|c| c.gossip_messages).sum();
+            let bytes: u64 = costs.map(|c| c.gossip_bytes).sum();
+            BenchEntry {
+                name: "job_plain_sim".to_string(),
+                population: n,
+                wall_ms,
+                messages,
+                bytes,
+                bytes_per_message: bytes as f64 / messages.max(1) as f64,
+                phases: Some(PhaseBreakdown::from_profile(&backend.phases)),
+                job: Some(JobBreakdown {
+                    iterations: out.iterations,
+                    local_ms_per_iter: (wall_ms - step_ms) / out.iterations as f64,
+                    step_ms_per_iter: step_ms / out.iterations as f64,
+                }),
+            }
+        })
+        .collect();
+    jobs.sort_by(|a, b| f64::total_cmp(&a.wall_ms, &b.wall_ms));
+    jobs.swap_remove(jobs.len() / 2)
 }
 
 /// Full step runs per thread-per-node measurement; the reported wall is
@@ -420,6 +542,7 @@ impl StepWorkload {
                 bytes as f64 / messages as f64
             },
             phases: Some(PhaseBreakdown::from_profile(&run.outcome.phases)),
+            job: None,
         }
     }
 

@@ -14,7 +14,7 @@ use crate::cost::{CostModel, IterationCost};
 use crate::diptych::Diptych;
 use crate::error::ChiaroscuroError;
 use crate::log::{ExecutionLog, IterationRecord};
-use crate::noise::{contribution_vector, SlotLayout};
+use crate::noise::SlotLayout;
 use crate::participant::Participant;
 use crate::rounds::{CryptoContext, PerturbedAggregates};
 use crate::termination::TerminationMonitor;
@@ -98,6 +98,17 @@ impl Engine {
         series: &[TimeSeries],
         backend: &mut dyn ComputationBackend,
     ) -> Result<RunOutput, ChiaroscuroError> {
+        self.run_chunked(series, backend, local_chunks(series.len()))
+    }
+
+    /// [`Self::run_with_backend`] with the local passes split into `chunks`
+    /// contiguous ranges of participants (the output does not depend on it).
+    pub(crate) fn run_chunked(
+        &self,
+        series: &[TimeSeries],
+        backend: &mut dyn ComputationBackend,
+        chunks: usize,
+    ) -> Result<RunOutput, ChiaroscuroError> {
         let cfg = &self.config;
         let n = series.len();
         if n < cfg.k.max(2) {
@@ -154,27 +165,20 @@ impl Engine {
             // live peer's newer Diptych during their first exchange.
             sync_laggards(&mut participants, &alive, &mut rng);
 
-            // Step 1 (local): assignment.
+            // Step 1 (local): assignment. One master word seeds every
+            // participant's own stream for this iteration.
             let alive_count = alive.iter().filter(|&&a| a).count().max(1);
             let noise_scale = sensitivity / eps_t;
             let shares = NoiseShareGenerator::new(alive_count, noise_scale);
-            let contributions: Vec<Option<Vec<f64>>> = participants
-                .iter_mut()
-                .enumerate()
-                .map(|(i, p)| {
-                    if !alive[i] {
-                        return None;
-                    }
-                    let cluster = p.assignment_step(cfg.distance);
-                    Some(contribution_vector(
-                        &layout,
-                        p.series().values(),
-                        cluster,
-                        &shares,
-                        &mut rng,
-                    ))
-                })
-                .collect();
+            let contributions = local_contributions(
+                &mut participants,
+                &alive,
+                rng.gen::<u64>(),
+                &layout,
+                &shares,
+                cfg.distance,
+                chunks,
+            );
 
             // Step 2 (distributed): gossip aggregation + noise + decryption,
             // on whatever substrate the backend provides.
@@ -189,26 +193,21 @@ impl Engine {
                 observer_clean_means(&participants, &contributions, &layout, cfg.k);
 
             // Step 3 (local): means → centroids, convergence, advance.
-            let mut movements = Vec::new();
-            let mut converged_count = 0usize;
-            for (i, p) in participants.iter_mut().enumerate() {
-                let Some(est) = &outcome.estimates[i] else {
-                    continue;
-                };
-                let new_centroids = perturbed_means_to_centroids(
-                    est,
-                    p.diptych().centroids.as_slice(),
-                    cfg,
-                    alive_count,
-                    &mut rng,
-                );
-                let movement = p.convergence_step(&new_centroids, cfg.convergence_threshold);
-                movements.push(movement);
-                if p.converged {
-                    converged_count += 1;
-                }
-                p.diptych_mut().advance(new_centroids);
-            }
+            let movements: Vec<f64> = local_convergence(
+                &mut participants,
+                &outcome.estimates,
+                cfg,
+                alive_count,
+                chunks,
+            )
+            .into_iter()
+            .flatten()
+            .collect();
+            let converged_count = participants
+                .iter()
+                .zip(&outcome.estimates)
+                .filter(|(p, est)| est.is_some() && p.converged)
+                .count();
 
             let mean_movement = if movements.is_empty() {
                 f64::INFINITY
@@ -275,6 +274,95 @@ impl Engine {
     }
 }
 
+/// Participants one worker should have before a local pass is worth a
+/// thread: below it a spawn costs more than the chunk's work.
+const MIN_CHUNK: usize = 512;
+
+/// How many chunks the local passes of an `n`-participant job run in: one
+/// per core, as long as each holds at least [`MIN_CHUNK`] participants.
+fn local_chunks(n: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    cores.min(n / MIN_CHUNK).max(1)
+}
+
+/// `f(id, participant)` for every participant, results in id order: inline
+/// when `chunks` is 1, else over that many contiguous ranges on scoped
+/// threads. Every participant draws from its own stream, so the results do
+/// not depend on `chunks`.
+fn map_participants<U: Send>(
+    participants: &mut [Participant],
+    chunks: usize,
+    f: impl Fn(usize, &mut Participant) -> U + Sync,
+) -> Vec<U> {
+    let run = |offset: usize, chunk: &mut [Participant]| -> Vec<U> {
+        chunk
+            .iter_mut()
+            .enumerate()
+            .map(|(i, p)| f(offset + i, p))
+            .collect()
+    };
+    if chunks <= 1 {
+        return run(0, participants);
+    }
+    let size = participants.len().div_ceil(chunks).max(1);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = participants
+            .chunks_mut(size)
+            .enumerate()
+            .map(|(c, chunk)| {
+                let run = &run;
+                scope.spawn(move || run(c * size, chunk))
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a local pass does not panic"))
+            .collect()
+    })
+}
+
+/// Paper step 1 for the whole population: every live participant assigns
+/// its series to its nearest centroid and builds its contribution (series,
+/// membership indicator, one noise share per slot). `iteration_word` seeds
+/// each participant's own stream, dead ones included — one that resurfaces
+/// during the step draws its jitter from it.
+fn local_contributions(
+    participants: &mut [Participant],
+    alive: &[bool],
+    iteration_word: u64,
+    layout: &SlotLayout,
+    shares: &NoiseShareGenerator,
+    distance: cs_timeseries::Distance,
+    chunks: usize,
+) -> Vec<Option<Vec<f64>>> {
+    map_participants(participants, chunks, |id, p| {
+        p.begin_iteration(iteration_word, id);
+        if !alive[id] {
+            return None;
+        }
+        Some(p.contribute(layout, shares, distance))
+    })
+}
+
+/// Paper step 3 for the whole population: every participant holding an
+/// estimate turns it into its next centroids, runs its convergence test and
+/// advances its Diptych. Returns each such participant's movement.
+fn local_convergence(
+    participants: &mut [Participant],
+    estimates: &[Option<PerturbedAggregates>],
+    cfg: &ChiaroscuroConfig,
+    alive_count: usize,
+    chunks: usize,
+) -> Vec<Option<f64>> {
+    map_participants(participants, chunks, |id, p| {
+        let est = estimates[id].as_ref()?;
+        let new_centroids = perturbed_means_to_centroids(est, cfg, alive_count, p.stream());
+        let movement = p.convergence_step(&new_centroids, cfg.convergence_threshold);
+        p.diptych_mut().advance(new_centroids);
+        Some(movement)
+    })
+}
+
 /// Public random initial centroids: smooth low-frequency curves inside the
 /// (public) value bound. No private data involved.
 fn initial_centroids(
@@ -303,7 +391,6 @@ fn initial_centroids(
 /// clamping, smoothing (all DP post-processing).
 fn perturbed_means_to_centroids(
     est: &PerturbedAggregates,
-    previous: &[TimeSeries],
     cfg: &ChiaroscuroConfig,
     alive_count: usize,
     rng: &mut StdRng,
@@ -340,7 +427,6 @@ fn perturbed_means_to_centroids(
                     (est.sums[j][d] / est.counts[j]).clamp(-cfg.value_bound, cfg.value_bound)
                 })
             };
-            let _ = &previous[j]; // previous centroids kept for API clarity
             cfg.smoothing.apply(&centroid)
         })
         .collect()
@@ -380,22 +466,23 @@ fn observer_clean_means(
     layout: &SlotLayout,
     k: usize,
 ) -> (Vec<TimeSeries>, Vec<usize>) {
-    let members: Vec<TimeSeries> = participants
-        .iter()
-        .zip(contributions)
-        .filter(|(_, c)| c.is_some())
-        .map(|(p, _)| p.series().clone())
-        .collect();
-    let assignment: Vec<usize> = participants
-        .iter()
-        .zip(contributions)
-        .filter(|(_, c)| c.is_some())
-        .map(|(p, _)| p.cluster)
-        .collect();
-    if members.is_empty() {
+    let members = || {
+        participants
+            .iter()
+            .zip(contributions)
+            .filter(|(_, c)| c.is_some())
+            .map(|(p, _)| p)
+    };
+    let assignment: Vec<usize> = members().map(|p| p.cluster).collect();
+    if assignment.is_empty() {
         return (vec![TimeSeries::zeros(layout.series_len); k], vec![0; k]);
     }
-    let (sums, counts) = cluster_sums(&members, &assignment, k, layout.series_len);
+    let (sums, counts) = cluster_sums(
+        members().map(Participant::series),
+        &assignment,
+        k,
+        layout.series_len,
+    );
     (cluster_means(&sums, &counts), counts)
 }
 
@@ -523,6 +610,124 @@ mod tests {
         for (a, b) in out1.centroids.iter().zip(&out2.centroids) {
             assert_eq!(a.values(), b.values());
         }
+    }
+
+    #[test]
+    fn a_dead_participant_moves_no_one_elses_contribution() {
+        // Same iteration word, same calibration: whether participant 7 is
+        // alive changes nothing any other participant draws.
+        let series = blob_series(40, 2, 0.3, 8);
+        let layout = SlotLayout {
+            k: 2,
+            series_len: 8,
+        };
+        let initial = initial_centroids(2, 8, 4.0, &mut StdRng::seed_from_u64(9));
+        let shares = NoiseShareGenerator::new(40, 0.5);
+        let contributions = |alive: &[bool], chunks: usize| {
+            let mut participants: Vec<Participant> = series
+                .iter()
+                .map(|s| Participant::new(s, 4.0, Diptych::initial(initial.clone())))
+                .collect();
+            local_contributions(
+                &mut participants,
+                alive,
+                0xC0FFEE,
+                &layout,
+                &shares,
+                cs_timeseries::Distance::SquaredEuclidean,
+                chunks,
+            )
+        };
+        let all = contributions(&[true; 40], 1);
+        let mut alive = [true; 40];
+        alive[7] = false;
+        let without = contributions(&alive, 3);
+        assert!(without[7].is_none());
+        let bits = |v: &Option<Vec<f64>>| -> Vec<u64> {
+            v.as_ref().unwrap().iter().map(|x| x.to_bits()).collect()
+        };
+        for id in (0..40).filter(|&id| id != 7) {
+            assert_eq!(bits(&all[id]), bits(&without[id]), "participant {id}");
+        }
+        assert_ne!(bits(&all[6]), bits(&all[8]), "streams are per participant");
+    }
+
+    #[test]
+    fn per_participant_streams_still_sum_to_the_calibrated_laplace() {
+        // The privacy side of the stream derivation: shares drawn from the
+        // streams of neighbouring ids under one iteration word (taken, as
+        // the engine takes it, from a master stream) are independent enough
+        // to sum to Laplace(b).
+        let (population, b, trials) = (50usize, 1.5, 4000usize);
+        let mut master = StdRng::seed_from_u64(31);
+        let shares = NoiseShareGenerator::new(population, b);
+        let mut p = Participant::new(
+            &TimeSeries::zeros(1),
+            1.0,
+            Diptych::initial(vec![TimeSeries::zeros(1)]),
+        );
+        let totals: Vec<f64> = (0..trials)
+            .map(|_| {
+                let word = master.gen::<u64>();
+                (0..population)
+                    .map(|id| {
+                        p.begin_iteration(word, id);
+                        shares.sample_share(p.stream())
+                    })
+                    .sum()
+            })
+            .collect();
+        let mean = totals.iter().sum::<f64>() / trials as f64;
+        let var = totals.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / trials as f64;
+        let tail = totals.iter().filter(|t| t.abs() > b).count() as f64 / trials as f64;
+        assert!(mean.abs() < 0.1 * b, "mean {mean}");
+        assert!((var / (2.0 * b * b) - 1.0).abs() < 0.15, "variance {var}");
+        assert!((tail - (-1.0f64).exp()).abs() < 0.03, "tail {tail}");
+    }
+
+    #[test]
+    fn run_output_is_bit_identical_for_every_chunk_count() {
+        // Churn, so resurfacing participants and laggard sync are on the
+        // path; few members per cluster at k = 4, so the empty-cluster
+        // jitter is too.
+        let series = blob_series(90, 3, 0.4, 12);
+        let mut cfg = ChiaroscuroConfig::demo_simulated();
+        cfg.k = 4;
+        cfg.epsilon = 4.0;
+        cfg.max_iterations = 4;
+        cfg.failure = cs_gossip::FailureModel {
+            crash_prob: 0.02,
+            recovery_prob: 0.3,
+            drop_prob: 0.05,
+        };
+        let engine = Engine::new(cfg).unwrap();
+        let run = |chunks: usize| {
+            let out = engine
+                .run_chunked(&series, &mut SimulatorBackend, chunks)
+                .unwrap();
+            let centroids: Vec<Vec<u64>> = out
+                .centroids
+                .iter()
+                .chain(out.per_participant_centroids.iter().flatten())
+                .map(|c| c.values().iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (centroids, out.assignment, out.log)
+        };
+        let one = run(1);
+        assert_eq!(one, run(2), "2 chunks");
+        assert_eq!(one, run(7), "7 chunks");
+        assert_eq!(one, run(1), "and across runs");
+    }
+
+    #[test]
+    fn small_populations_run_their_local_passes_inline() {
+        // One chunk is the calling thread: nothing is spawned until every
+        // extra worker would get MIN_CHUNK participants of its own.
+        for n in [2, 8, 64, MIN_CHUNK - 1, 2 * MIN_CHUNK - 1] {
+            assert_eq!(local_chunks(n), 1, "population {n}");
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        assert_eq!(local_chunks(4000), cores.min(7));
     }
 
     #[test]

@@ -1,19 +1,24 @@
 //! Per-participant state.
 
 use crate::diptych::Diptych;
+use crate::noise::{contribution_vector, SlotLayout};
+use cs_dp::NoiseShareGenerator;
 use cs_kmeans::assign::nearest_centroid;
 use cs_timeseries::{Distance, TimeSeries};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// One personal device participating in the protocol.
 ///
 /// Holds the private series (clamped to the public value bound), the
 /// participant's own Diptych (its approximation of the shared state — every
-/// participant "holds its own approximation of the global aggregate"), and
-/// its current assignment.
+/// participant "holds its own approximation of the global aggregate"), its
+/// current assignment, and its own random stream.
 #[derive(Clone, Debug)]
 pub struct Participant {
     series: TimeSeries,
     diptych: Diptych,
+    stream: StdRng,
     /// Cluster chosen in the current iteration's assignment step.
     pub cluster: usize,
     /// Set when this participant's convergence step fired.
@@ -31,9 +36,25 @@ impl Participant {
         Participant {
             series: clamped,
             diptych: initial,
+            stream: StdRng::seed_from_u64(0),
             cluster: 0,
             converged: false,
         }
+    }
+
+    /// Starts an iteration: everything participant `id` draws in it (noise
+    /// shares, empty-cluster jitter) comes from a stream that is a function
+    /// of `iteration_word` and `id` alone — not of who else is alive, nor of
+    /// how many words another participant's sampler consumed.
+    pub fn begin_iteration(&mut self, iteration_word: u64, id: usize) {
+        // `seed_from_u64` hashes its argument into the generator's state, so
+        // seeds that differ in a few low bits give unrelated streams.
+        self.stream = StdRng::seed_from_u64(iteration_word ^ id as u64);
+    }
+
+    /// This iteration's stream (see [`Self::begin_iteration`]).
+    pub fn stream(&mut self) -> &mut StdRng {
+        &mut self.stream
     }
 
     /// The participant's (clamped) private series.
@@ -57,6 +78,26 @@ impl Participant {
         let (cluster, _) = nearest_centroid(&self.series, &self.diptych.centroids, distance);
         self.cluster = cluster;
         cluster
+    }
+
+    /// Paper steps 1–2 (local): the assignment step, then this participant's
+    /// contribution to the computation step — its series and membership
+    /// indicator in the chosen cluster's slots plus one noise share per
+    /// slot, drawn from its own stream.
+    pub fn contribute(
+        &mut self,
+        layout: &SlotLayout,
+        shares: &NoiseShareGenerator,
+        distance: Distance,
+    ) -> Vec<f64> {
+        let cluster = self.assignment_step(distance);
+        contribution_vector(
+            layout,
+            self.series.values(),
+            cluster,
+            shares,
+            &mut self.stream,
+        )
     }
 
     /// Paper step 3 (local): compare the perturbed means against the current

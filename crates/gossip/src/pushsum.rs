@@ -28,7 +28,12 @@ pub struct PlainPush {
 impl PlainPush {
     /// Serialized payload size: the vector plus the weight, 8 bytes per f64.
     pub fn message_bytes(&self) -> usize {
-        8 * (self.values.len() + 1)
+        Self::bytes_for(self.values.len())
+    }
+
+    /// [`Self::message_bytes`] of a push over `dim` slots.
+    pub fn bytes_for(dim: usize) -> usize {
+        8 * (dim + 1)
     }
 }
 
@@ -94,10 +99,15 @@ impl CycleProtocol for PushSumNode {
     fn exchange(&mut self, peer: &mut Self, ctx: &mut ExchangeCtx<'_>) {
         debug_assert_eq!(self.value.len(), peer.value.len(), "dimension mismatch");
         // The shared-memory exchange is the message-passing one with a
-        // perfect link: split, deliver, absorb.
-        let push = self.split_push();
-        peer.absorb(&push);
-        ctx.record_message(push.message_bytes());
+        // perfect link — `split_push` then `absorb`, the same operations in
+        // the same order on every slot — without materializing the push.
+        for (v, p) in self.value.iter_mut().zip(&mut peer.value) {
+            *v *= 0.5;
+            *p += *v;
+        }
+        self.weight *= 0.5;
+        peer.weight += self.weight;
+        ctx.record_message(PlainPush::bytes_for(self.value.len()));
     }
 }
 
@@ -236,6 +246,52 @@ mod tests {
         assert_eq!(a.mass().1, 0.5);
         assert_eq!(b.mass().0, &[4.0, 6.0]);
         assert_eq!(b.mass().1, 1.5);
+    }
+
+    proptest::proptest! {
+        /// The simulator's fused exchange is the message-passing one: the
+        /// same value and weight bits on both sides, the same bytes
+        /// recorded, over chains of exchanges in both directions.
+        #[test]
+        fn exchange_equals_split_push_then_absorb(
+            a in proptest::collection::vec(-1e6f64..1e6, 1..40),
+            scale in -3.0f64..3.0,
+            weights in (0.0f64..4.0, 0.0f64..4.0),
+            directions in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..12),
+        ) {
+            let b: Vec<f64> = a.iter().map(|v| v * scale + 0.1).collect();
+            let mut fused = [PushSumNode::new(a, weights.0), PushSumNode::new(b, weights.1)];
+            let mut split = fused.clone();
+            let mut rng = rand::SeedableRng::seed_from_u64(0);
+            let mut traffic = crate::TrafficStats::new();
+            let mut bytes = 0;
+            for (cycle, &forward) in directions.iter().enumerate() {
+                let (from, to) = if forward { (0, 1) } else { (1, 0) };
+                let [x, y] = &mut fused;
+                let (initiator, peer) = if forward { (x, y) } else { (y, x) };
+                initiator.exchange(
+                    peer,
+                    &mut ExchangeCtx {
+                        cycle: cycle as u64,
+                        initiator: from,
+                        target: to,
+                        rng: &mut rng,
+                        traffic: &mut traffic,
+                    },
+                );
+                let push = split[from].split_push();
+                split[to].absorb(&push);
+                bytes += push.message_bytes() as u64;
+            }
+            for (f, s) in fused.iter().zip(&split) {
+                let bits = |n: &PushSumNode| -> Vec<u64> {
+                    n.value.iter().chain([&n.weight]).map(|v| v.to_bits()).collect()
+                };
+                proptest::prop_assert_eq!(bits(f), bits(s));
+            }
+            proptest::prop_assert_eq!(traffic.messages, directions.len() as u64);
+            proptest::prop_assert_eq!(traffic.bytes, bytes);
+        }
     }
 
     #[test]

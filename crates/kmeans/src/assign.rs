@@ -35,17 +35,20 @@ pub fn assign_all(
 
 /// Per-cluster sums and counts from an assignment — the cleartext analogue
 /// of what Chiaroscuro aggregates under encryption.
-pub fn cluster_sums(
-    series: &[TimeSeries],
+pub fn cluster_sums<'a>(
+    series: impl IntoIterator<Item = &'a TimeSeries>,
     assignment: &[usize],
     k: usize,
     len: usize,
 ) -> (Vec<TimeSeries>, Vec<usize>) {
     let mut sums = vec![TimeSeries::zeros(len); k];
     let mut counts = vec![0usize; k];
-    for (s, &a) in series.iter().zip(assignment) {
+    for (s, &a) in series.into_iter().zip(assignment) {
         debug_assert!(a < k, "assignment out of range");
-        sums[a] = sums[a].add(s);
+        assert_eq!(s.len(), len, "length mismatch");
+        for (acc, v) in sums[a].values_mut().iter_mut().zip(s.values()) {
+            *acc += v;
+        }
         counts[a] += 1;
     }
     (sums, counts)

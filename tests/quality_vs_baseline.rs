@@ -59,24 +59,27 @@ fn quality_improves_with_epsilon() {
 
 #[test]
 fn smoothing_helps_when_noise_dominates() {
-    // Average over seeds: individual runs are noisy by construction.
-    let mut wins = 0;
-    for seed in 0..5 {
-        let series = blob_series(250, 10 + seed);
-        let plain = run_ratio(&series, 15.0, Smoothing::None, BudgetStrategy::Uniform);
-        let smoothed = run_ratio(
-            &series,
-            15.0,
-            Smoothing::MovingAverage { window: 3 },
-            BudgetStrategy::Uniform,
-        );
-        if smoothed < plain {
-            wins += 1;
-        }
-    }
+    // Individual runs are noisy by construction — smoothing wins about
+    // three datasets in four here — so the claim is a majority over enough
+    // of them that a change to the random streams does not decide it (3 of
+    // 5, the old form, fails one stream in ten at that rate).
+    let datasets = 40;
+    let wins = (0..datasets)
+        .filter(|seed| {
+            let series = blob_series(250, 10 + seed);
+            let plain = run_ratio(&series, 15.0, Smoothing::None, BudgetStrategy::Uniform);
+            let smoothed = run_ratio(
+                &series,
+                15.0,
+                Smoothing::MovingAverage { window: 3 },
+                BudgetStrategy::Uniform,
+            );
+            smoothed < plain
+        })
+        .count();
     assert!(
-        wins >= 3,
-        "smoothing should usually help in the noisy regime: {wins}/5 wins"
+        2 * wins > datasets as usize,
+        "smoothing should usually help in the noisy regime: {wins}/{datasets} wins"
     );
 }
 
