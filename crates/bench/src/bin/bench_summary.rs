@@ -146,11 +146,16 @@ fn main() {
         &[64, 1024, 4096, 16384]
     };
     for &n in sharded_populations {
-        entries.push(StepWorkload::plain("net_step_plain_sharded", quick).measure_sharded(n));
+        entries.push(StepWorkload::plain("net_step_plain_sharded", quick).measure_sharded(n, 0));
     }
+    // The one-worker twin of a mid-sweep row: what the pool's other
+    // workers buy is a committed pair. No gate reads it — time is not
+    // gateable here, and the counts are the twin's by construction.
+    let twin = if quick { 256 } else { 4096 };
+    entries.push(StepWorkload::plain("net_step_plain_sharded_w1", quick).measure_sharded(twin, 1));
     let packed_populations: &[usize] = if quick { &[32] } else { &[256, 512, 1024] };
     for &n in packed_populations {
-        entries.push(StepWorkload::real("net_step_real_packed_sharded").measure_sharded(n));
+        entries.push(StepWorkload::real("net_step_real_packed_sharded").measure_sharded(n, 0));
     }
 
     // Whole jobs on the cycle simulator, the paper's demo shape. No gate
@@ -453,8 +458,9 @@ fn net_config() -> NetConfig {
 /// population (so the row next to the TCP one runs the identical protocol)
 /// and are quiescence-replaced on the scaling rows — the `O(n²)` broadcast
 /// would dominate the message counts without informing them.
-fn sharded_config(n: usize) -> ShardedConfig {
+fn sharded_config(n: usize, workers: usize) -> ShardedConfig {
     ShardedConfig {
+        workers,
         termination_votes: n <= 64,
         ..ShardedConfig::default()
     }
@@ -573,8 +579,9 @@ impl StepWorkload {
     }
 
     /// One full computation step at population `n` on the sharded
-    /// event-loop executor (deterministic: one run).
-    fn measure_sharded(&self, n: usize) -> BenchEntry {
+    /// event-loop executor (deterministic: one run), on `workers` pool
+    /// threads — 0 sizes the pool to the machine.
+    fn measure_sharded(&self, n: usize, workers: usize) -> BenchEntry {
         let (crypto, contributions) = self.inputs(n);
         let t = Instant::now();
         let run = run_step_sharded(
@@ -583,7 +590,7 @@ impl StepWorkload {
             &contributions,
             &crypto,
             self.step_seed,
-            &sharded_config(n),
+            &sharded_config(n, workers),
             &[],
         )
         .expect("step");

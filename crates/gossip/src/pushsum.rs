@@ -74,12 +74,22 @@ impl PushSumNode {
     /// the shed half as a wire-ready message. The caller must deliver it to
     /// exactly one peer (or accept the mass loss, as a crashed link would).
     pub fn split_push(&mut self) -> PlainPush {
+        self.split_push_into(Vec::new())
+    }
+
+    /// [`Self::split_push`] into a buffer the caller hands over — typically
+    /// the `values` of a push it absorbed earlier — so a node that receives
+    /// about as often as it sends allocates nothing per push. Whatever
+    /// `buf` held is discarded.
+    pub fn split_push_into(&mut self, mut buf: Vec<f64>) -> PlainPush {
         for v in &mut self.value {
             *v *= 0.5;
         }
         self.weight *= 0.5;
+        buf.clear();
+        buf.extend_from_slice(&self.value);
         PlainPush {
-            values: self.value.clone(),
+            values: buf,
             weight: self.weight,
         }
     }
@@ -246,6 +256,16 @@ mod tests {
         assert_eq!(a.mass().1, 0.5);
         assert_eq!(b.mass().0, &[4.0, 6.0]);
         assert_eq!(b.mass().1, 1.5);
+        // A recycled buffer carries the same push, whatever it held, and is
+        // reused in place when it is large enough.
+        let stale = vec![9.0; 7];
+        let at = stale.as_ptr();
+        let push = a.split_push_into(stale);
+        assert_eq!(
+            (push.values.as_slice(), push.weight),
+            (&[1.0, 2.0][..], 0.25)
+        );
+        assert_eq!(push.values.as_ptr(), at);
     }
 
     proptest::proptest! {

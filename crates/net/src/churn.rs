@@ -67,37 +67,30 @@ impl ChurnSchedule {
         self
     }
 
-    /// Convenience: crash `node` `after` into step `step`.
-    pub fn crash(mut self, step: usize, after: Duration, node: NodeId) -> Self {
-        self.events.push(ChurnEvent {
+    fn with(mut self, step: usize, after: Duration, node: NodeId, kind: ChurnKind) -> Self {
+        let event = ChurnEvent {
             step,
             after,
             node,
-            kind: ChurnKind::Crash,
-        });
+            kind,
+        };
+        self.events.push(event);
         self
+    }
+
+    /// Convenience: crash `node` `after` into step `step`.
+    pub fn crash(self, step: usize, after: Duration, node: NodeId) -> Self {
+        self.with(step, after, node, ChurnKind::Crash)
     }
 
     /// Convenience: rejoin `node` `after` into step `step`.
-    pub fn rejoin(mut self, step: usize, after: Duration, node: NodeId) -> Self {
-        self.events.push(ChurnEvent {
-            step,
-            after,
-            node,
-            kind: ChurnKind::Rejoin,
-        });
-        self
+    pub fn rejoin(self, step: usize, after: Duration, node: NodeId) -> Self {
+        self.with(step, after, node, ChurnKind::Rejoin)
     }
 
     /// Convenience: gracefully leave at `after` into step `step`.
-    pub fn leave(mut self, step: usize, after: Duration, node: NodeId) -> Self {
-        self.events.push(ChurnEvent {
-            step,
-            after,
-            node,
-            kind: ChurnKind::Leave,
-        });
-        self
+    pub fn leave(self, step: usize, after: Duration, node: NodeId) -> Self {
+        self.with(step, after, node, ChurnKind::Leave)
     }
 
     /// The events of one step, sorted by offset.
@@ -160,14 +153,14 @@ impl Controls {
         self.liveness(node) == Liveness::Crashed
     }
 
-    /// Applies one scripted event.
-    pub fn apply(&self, event: &ChurnEvent) {
-        let v = match event.kind {
+    /// Applies one scripted event's `kind` to `node`.
+    pub fn apply(&self, node: NodeId, kind: ChurnKind) {
+        let v = match kind {
             ChurnKind::Crash => 1,
             ChurnKind::Rejoin => 0,
             ChurnKind::Leave => 2,
         };
-        self.state[event.node].store(v, Ordering::Release);
+        self.state[node].store(v, Ordering::Release);
     }
 
     /// Node-side acknowledgement of a leave request: the departure is
@@ -208,27 +201,12 @@ mod tests {
     fn controls_walk_the_liveness_lattice() {
         let c = Controls::new(3);
         assert_eq!(c.alive_count(), 3);
-        c.apply(&ChurnEvent {
-            step: 0,
-            after: Duration::ZERO,
-            node: 1,
-            kind: ChurnKind::Crash,
-        });
+        c.apply(1, ChurnKind::Crash);
         assert!(c.is_crashed(1));
         assert_eq!(c.alive_count(), 2);
-        c.apply(&ChurnEvent {
-            step: 0,
-            after: Duration::ZERO,
-            node: 1,
-            kind: ChurnKind::Rejoin,
-        });
+        c.apply(1, ChurnKind::Rejoin);
         assert_eq!(c.liveness(1), Liveness::Alive);
-        c.apply(&ChurnEvent {
-            step: 0,
-            after: Duration::ZERO,
-            node: 2,
-            kind: ChurnKind::Leave,
-        });
+        c.apply(2, ChurnKind::Leave);
         assert_eq!(c.liveness(2), Liveness::Leaving);
         assert!(!c.is_crashed(2), "leaving nodes still run");
         c.confirm_left(2);

@@ -157,6 +157,11 @@ impl NodeDriver {
         &self.node
     }
 
+    /// The node's spare push buffer (see [`ProtocolNode::spare_buffer`]).
+    pub fn spare_buffer(&mut self) -> &mut Option<Vec<f64>> {
+        self.node.spare_buffer()
+    }
+
     /// `false` while the node is crashed or has left.
     pub fn is_alive(&self) -> bool {
         self.alive

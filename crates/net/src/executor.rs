@@ -17,9 +17,19 @@
 //!   scheduled events: message deliveries, pacing ticks, decryption
 //!   retry/deadline timers, and scripted churn.
 //! * A pool of **workers** (≈ the machine's cores) drives the shards in
-//!   epochs of virtual time: each epoch, parked workers are woken through a
-//!   condvar and claim shards from an atomic injector; a barrier closes the
-//!   epoch. No per-node threads, no sleep-polling anywhere.
+//!   epochs of virtual time: each epoch the workers claim shards from an
+//!   atomic injector, and the pool closes its own barrier — the last worker
+//!   to check in finds every shard and mailbox at rest, jumps virtual time
+//!   to the next pending event and publishes the next window (or ends the
+//!   step); the others watch for it briefly, then park on a condvar. The
+//!   thread that started the step only joins the pool. No per-node
+//!   threads, no sleep-polling anywhere.
+//! * **A push buffer is allocated at most once per node and freed by no
+//!   one until the step ends** (plaintext pipeline): a node keeps the
+//!   `Vec` of the push it absorbed last for its next split, and its shard
+//!   banks the surplus — at most one more per node — for nodes that have
+//!   none. Past the first cycles the message path does not touch the
+//!   allocator, and no thread frees what another allocated.
 //! * **Messages move, bytes do not.** No frame is serialized in here:
 //!   every delivery carries the message and its [`TraceContext`] by move
 //!   and is accounted at the length its frame *would* have
@@ -61,8 +71,8 @@ use crate::churn::{ChurnEvent, ChurnKind};
 use crate::driver::{Armed, NodeDriver, Timer, Timing};
 use crate::node::{FaultSpec, NodeParams, Outbound, ProtocolNode};
 use crate::runtime::{StepCrypto, StepRun};
-use crate::transport::{mix, unit_f64, ClassCounts, LinkConfig, NodeId, TrafficSnapshot};
-use crate::wire::{FrameClass, TraceContext};
+use crate::transport::{mix, unit_f64, Keyed, LinkConfig, NodeId, TrafficSnapshot};
+use crate::wire::{Message, TraceContext};
 use chiaroscuro::config::ChiaroscuroConfig;
 use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::CryptoContext;
@@ -71,8 +81,9 @@ use cs_obs::{CausalTracer, Counter, Histogram, NodeTrace, Registry, Tracer, Virt
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -173,8 +184,11 @@ impl ShardedConfig {
         }
     }
 
-    fn validate(&self) -> Result<(), ChiaroscuroError> {
+    fn validate(&self, population: usize) -> Result<(), ChiaroscuroError> {
         let fail = |msg: &str| Err(ChiaroscuroError::InvalidConfig(msg.to_string()));
+        if population < 2 {
+            return fail("the executor needs at least two nodes");
+        }
         if self.shards == 0 {
             return fail("sharded executor needs at least one shard");
         }
@@ -184,8 +198,7 @@ impl ShardedConfig {
         if self.push_interval.is_zero() {
             return fail("push_interval must be positive");
         }
-        self.link.validate();
-        Ok(())
+        self.link.validate()
     }
 }
 
@@ -209,45 +222,17 @@ enum EventKind {
     Deliver(Outbound),
 }
 
-/// One scheduled event. The key `(at, class, actor, seq)` is unique and
-/// deterministic: `actor` is the sender (deliveries) or the target node
-/// (timers, churn); `seq` is a per-actor monotone counter (send sequence,
-/// timer sequence, or churn-script index). Heap ordering therefore never
-/// depends on insertion order — which is the whole determinism story, since
-/// mailbox insertion order *does* vary across runs.
-struct Event {
-    at: u64,
-    class: u8,
-    actor: u32,
-    seq: u64,
-    kind: EventKind,
-}
+/// One scheduled event under its key `(at, class, actor, seq)`, earliest
+/// first. The key is unique and deterministic: `actor` is the sender
+/// (deliveries) or the target node (timers, churn); `seq` is a per-actor
+/// monotone counter (send sequence, timer sequence, or churn-script
+/// index). Heap ordering therefore never depends on insertion order —
+/// which is the whole determinism story, since mailbox insertion order
+/// *does* vary across runs.
+type Event = Keyed<(u64, u8, u32, u64), EventKind>;
 
-impl Event {
-    fn key(&self) -> (u64, u8, u32, u64) {
-        (self.at, self.class, self.actor, self.seq)
-    }
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest key wins.
-        other.key().cmp(&self.key())
-    }
+fn event(at: u64, class: u8, actor: NodeId, seq: u64, kind: EventKind) -> Event {
+    Keyed(Reverse((at, class, actor as u32, seq)), kind)
 }
 
 /// One virtual node: the driven protocol state machine plus the executor's
@@ -265,85 +250,92 @@ struct Slot {
     trace: Option<(Arc<VirtualClock>, Arc<Tracer>)>,
 }
 
+impl Slot {
+    fn new(driver: NodeDriver, trace: Option<(Arc<VirtualClock>, Arc<Tracer>)>) -> Self {
+        Slot {
+            driver,
+            send_seq: 0,
+            timer_seq: 0,
+            trace,
+        }
+    }
+}
+
 /// Schedules an event for every timer `slot`'s driver has armed since
 /// `before`, its armed set ahead of the input just handled.
 fn schedule_armed(heap: &mut BinaryHeap<Event>, slot: &mut Slot, before: Armed) {
     for (timer, at) in slot.driver.armed().iter() {
         if before.at(timer) != Some(at) {
             slot.timer_seq += 1;
-            heap.push(Event {
-                at,
-                class: CLASS_TIMER,
-                actor: slot.driver.id() as u32,
-                seq: slot.timer_seq,
-                kind: EventKind::Timer(timer),
-            });
+            let (id, seq) = (slot.driver.id(), slot.timer_seq);
+            heap.push(event(at, CLASS_TIMER, id, seq, EventKind::Timer(timer)));
         }
     }
 }
 
 /// A shard: the nodes it owns, their event queue, and local (unsynchronized)
 /// traffic counters merged after the step.
+#[derive(Default)]
 struct Shard {
     heap: BinaryHeap<Event>,
     slots: Vec<Slot>,
     // [gossip, decrypt, control] × [messages, bytes, dropped]
     counters: [[u64; 3]; 3],
-    /// Same-shard and cross-shard deliveries routed in the window being
-    /// processed; added to the `exec.deliveries.*` counters once per window
-    /// instead of one contended atomic per frame.
+    /// Deliveries routed on the same-shard edge, which skips the link
+    /// model, and through link model + epoch barrier: the
+    /// `exec.deliveries.{in_shard, cross_shard}` counters, merged like
+    /// `counters` after the step.
     in_shard: u64,
     cross_shard: u64,
     /// Cross-shard events produced in the window being processed, one
     /// outbox per destination shard, handed to the mailboxes when the
-    /// window's events are drained.
+    /// window's events are drained; and the earliest of them.
     outboxes: Vec<Vec<Event>>,
+    earliest_out: u64,
+    /// What the mailbox held when the window opened.
+    inbox: Vec<Event>,
+    /// Spare plaintext push buffers, at most one per node of the shard:
+    /// collected from whatever an absorb left behind, lent to the next
+    /// node about to split. The shard's event order does not depend on
+    /// which worker runs it, so neither does what is in here.
+    pool: Vec<Vec<f64>>,
+    /// Cleartext splits that had to allocate their push buffer — the node
+    /// held no spare and the pool was empty (`exec.buffers.allocated`).
+    buffers_allocated: u64,
+    /// Wall-clock spent in [`Exec::process_shard`] on this shard, two clock
+    /// reads per window (`exec.worker.busy_ns`).
+    busy_ns: u64,
     /// Reusable output buffer for node activations.
     scratch: Vec<Outbound>,
 }
 
-/// Cross-shard delivery queue. Items become visible to the owning shard at
-/// the next epoch boundary; `earliest` feeds the global next-event-time
-/// computation between epochs.
-struct Mailbox {
-    inner: Mutex<MailboxInner>,
-}
-
-struct MailboxInner {
-    queue: Vec<Event>,
-    earliest: u64,
-}
-
-impl Mailbox {
-    fn new() -> Self {
-        Mailbox {
-            inner: Mutex::new(MailboxInner {
-                queue: Vec::new(),
-                earliest: u64::MAX,
-            }),
+impl Shard {
+    fn new(shard_count: usize) -> Self {
+        Shard {
+            outboxes: (0..shard_count).map(|_| Vec::new()).collect(),
+            earliest_out: u64::MAX,
+            ..Shard::default()
         }
     }
-
-    /// Takes everything in `outbox` under one lock.
-    fn deliver(&self, outbox: &mut Vec<Event>) {
-        let Some(earliest) = outbox.iter().map(|e| e.at).min() else {
-            return;
-        };
-        let mut inner = self.inner.lock().expect("mailbox poisoned");
-        inner.earliest = inner.earliest.min(earliest);
-        inner.queue.append(outbox);
-    }
 }
 
-/// Epoch coordination: the main loop publishes a window, parked workers
-/// wake through `start`, claim shards from the injector, and the last one
-/// out rings `done`. Node construction is the pool's first round: the
-/// state starts with every worker still to check in, so one thread scope
-/// serves the whole step.
+/// Cross-shard delivery queue. Items become visible to the owning shard at
+/// the next epoch boundary.
+type Mailbox = Mutex<Vec<Event>>;
+
+/// Epoch coordination. Workers claim shards from the injector and check in
+/// when it runs dry; the one whose check-in brings `remaining` to zero
+/// closes the window and publishes the next one, the others wait on
+/// `start`. Node construction is the pool's first round: the state starts
+/// with every worker still to check in.
 struct Coord {
     state: Mutex<CoordState>,
     start: Condvar,
-    done: Condvar,
+    /// Mirror of `state.epoch` (`u64::MAX` once shut down) that a waiting
+    /// worker may watch without the lock. Only a hint that `state` is worth
+    /// looking at: written under the lock, and every decision is taken
+    /// under the lock.
+    epoch_hint: AtomicU64,
 }
 
 struct CoordState {
@@ -351,81 +343,39 @@ struct CoordState {
     window_end: u64,
     remaining: usize,
     shutdown: bool,
+    /// When the window being processed was published.
+    published: Instant,
 }
 
-/// A worker's check-in at the barrier. It runs on drop so that a worker
-/// whose shard work panicked still checks in — flagging shutdown — and the
-/// driver wakes, stops, and re-raises the panic when it joins the pool
-/// instead of waiting on a barrier that can no longer fill.
+/// How many times a worker that checked in early looks at
+/// [`Coord::epoch_hint`] before it parks: tens of microseconds, about what
+/// the rest of a window takes mid-step — a futex sleep and wake-up costs
+/// several times that — and short enough that a pool wider than the
+/// machine gives its cores back.
+const BARRIER_SPINS: u32 = 4_000;
+
+/// Held by a worker for as long as it runs: one that unwinds flags
+/// shutdown on its way out, so the others stop instead of waiting on a
+/// barrier that can no longer fill, and the panic is re-raised where the
+/// pool is joined.
 struct CheckIn<'a>(&'a Coord);
 
 impl Drop for CheckIn<'_> {
     fn drop(&mut self) {
-        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.remaining -= 1;
-        state.shutdown |= thread::panicking();
-        if state.remaining == 0 || state.shutdown {
-            self.0.done.notify_all();
+        if thread::panicking() {
+            let state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+            self.0.shut_down(state);
         }
     }
 }
 
-/// A `[class][messages, bytes, dropped]` counter block as a snapshot.
-fn snapshot_of(counters: &[[u64; 3]; 3]) -> TrafficSnapshot {
-    let read = |ci: usize| ClassCounts {
-        messages: counters[ci][0],
-        bytes: counters[ci][1],
-        dropped: counters[ci][2],
-    };
-    TrafficSnapshot {
-        gossip: read(0),
-        decrypt: read(1),
-        control: read(2),
-    }
-}
-
-fn class_index(class: FrameClass) -> usize {
-    match class {
-        FrameClass::Gossip => 0,
-        FrameClass::Decrypt => 1,
-        FrameClass::Control => 2,
-    }
-}
-
-/// Resolved handles for the executor's metric names (`exec.*`). Everything
-/// here except `exec.epoch.wait_ns` is **deterministic**: the values are
-/// sums of per-shard quantities whose event sequences do not depend on the
-/// worker count or scheduling, and counter/histogram increments commute —
-/// locked in by the `metrics_are_deterministic_across_worker_counts` test.
-struct ExecMetrics {
-    /// Same-shard deliveries, which skip the link model
-    /// (`exec.deliveries.in_shard`).
-    in_shard: Arc<Counter>,
-    /// Cross-shard deliveries through link model + epoch barrier
-    /// (`exec.deliveries.cross_shard`).
-    cross_shard: Arc<Counter>,
-    /// Due-event backlog one shard drained in one epoch window
-    /// (`exec.queue.depth`). Measured per (shard, window) — not per pop —
-    /// because *when* a cross-shard event migrates from mailbox to heap
-    /// depends on worker interleaving, but the set of events due in a
-    /// window never does.
-    queue_depth: Arc<Histogram>,
-    /// Epoch windows driven to completion (`exec.epochs`).
-    epochs: Arc<Counter>,
-    /// Wall-clock the driver spent waiting on the epoch barrier — the one
-    /// **non-deterministic** metric in the family (`exec.epoch.wait_ns`).
-    epoch_wait: Arc<Histogram>,
-}
-
-impl ExecMetrics {
-    fn new(registry: &Registry) -> Self {
-        ExecMetrics {
-            in_shard: registry.counter("exec.deliveries.in_shard"),
-            cross_shard: registry.counter("exec.deliveries.cross_shard"),
-            queue_depth: registry.histogram("exec.queue.depth"),
-            epochs: registry.counter("exec.epochs"),
-            epoch_wait: registry.histogram("exec.epoch.wait_ns"),
-        }
+impl Coord {
+    /// Ends the step: everyone waiting wakes up and leaves.
+    fn shut_down(&self, mut state: std::sync::MutexGuard<'_, CoordState>) {
+        state.shutdown = true;
+        self.epoch_hint.store(u64::MAX, Ordering::Release);
+        drop(state);
+        self.start.notify_all();
     }
 }
 
@@ -434,9 +384,29 @@ struct Exec<'a> {
     home: &'a [(u32, u32)],
     shards: &'a [Mutex<Shard>],
     mailboxes: &'a [Mailbox],
+    /// Earliest event handed to any mailbox since the last barrier: what
+    /// is pending outside the shards' heaps when a window closes.
+    mail_earliest: AtomicU64,
     injector: AtomicUsize,
     coord: Coord,
-    metrics: ExecMetrics,
+    workers: usize,
+    /// Virtual epoch quantum and step deadline, nanoseconds.
+    quantum: u64,
+    timeout: u64,
+    /// `exec.epochs`: epoch windows driven to completion. Like the
+    /// counters the shards carry and `exec.queue.depth`, **deterministic**:
+    /// sums of per-shard quantities whose event sequences do not depend on
+    /// the worker count or scheduling, in increments that commute — locked
+    /// in by the `metrics_are_deterministic_across_worker_counts` test.
+    epochs: Arc<Counter>,
+    /// `exec.queue.depth`: the due-event backlog one shard drained in one
+    /// window. Per (shard, window), not per pop: *when* a cross-shard event
+    /// migrates from mailbox to heap depends on worker interleaving, the
+    /// set of events due in a window never does.
+    queue_depth: Arc<Histogram>,
+    /// `exec.epoch.wait_ns`: wall-clock from a window's publication to its
+    /// last check-in. **Non-deterministic**, like `exec.worker.busy_ns`.
+    epoch_wait: Arc<Histogram>,
     step_seed: u64,
     loss: f64,
     latency: u64,
@@ -460,18 +430,25 @@ impl<'a> Exec<'a> {
             home,
             shards,
             mailboxes,
+            mail_earliest: AtomicU64::new(u64::MAX),
             injector: AtomicUsize::new(0),
-            metrics: ExecMetrics::new(registry),
+            epochs: registry.counter("exec.epochs"),
+            queue_depth: registry.histogram("exec.queue.depth"),
+            epoch_wait: registry.histogram("exec.epoch.wait_ns"),
             coord: Coord {
                 state: Mutex::new(CoordState {
                     epoch: 0,
                     window_end: 0,
                     remaining: workers,
                     shutdown: false,
+                    published: Instant::now(),
                 }),
                 start: Condvar::new(),
-                done: Condvar::new(),
+                epoch_hint: AtomicU64::new(0),
             },
+            workers,
+            quantum: sharded.epoch.as_nanos() as u64,
+            timeout: sharded.step_timeout.as_nanos() as u64,
             step_seed,
             loss: sharded.link.loss,
             latency: sharded.link.latency.as_nanos() as u64,
@@ -494,8 +471,7 @@ impl<'a> Exec<'a> {
         let from_local = self.home[from].1 as usize;
         for outbound in out.drain(..) {
             let (to, msg, ctx) = &outbound;
-            let class = msg.class();
-            let ci = class_index(class);
+            let ci = msg.class() as usize;
             let seq = {
                 let slot = &mut shard.slots[from_local];
                 slot.send_seq += 1;
@@ -512,13 +488,10 @@ impl<'a> Exec<'a> {
                 shard.in_shard += 1;
                 shard.counters[ci][0] += 1;
                 shard.counters[ci][1] += len as u64;
-                shard.heap.push(Event {
-                    at: now,
-                    class: CLASS_DELIVER,
-                    actor: from as u32,
-                    seq,
-                    kind: EventKind::Deliver(outbound),
-                });
+                let deliver = EventKind::Deliver(outbound);
+                shard
+                    .heap
+                    .push(event(now, CLASS_DELIVER, from, seq, deliver));
                 continue;
             }
             // Cross-shard: through the link model. The draw is keyed by
@@ -550,34 +523,43 @@ impl<'a> Exec<'a> {
             // Visible no earlier than the next epoch boundary — the barrier
             // that makes cross-shard interleaving schedule-independent.
             let at = (now + delay).max(window_end);
-            shard.outboxes[target_shard].push(Event {
-                at,
-                class: CLASS_DELIVER,
-                actor: from as u32,
-                seq,
-                kind: EventKind::Deliver(outbound),
-            });
+            shard.earliest_out = shard.earliest_out.min(at);
+            let deliver = EventKind::Deliver(outbound);
+            shard.outboxes[target_shard].push(event(at, CLASS_DELIVER, from, seq, deliver));
         }
     }
 
     /// One event: feed it to the target node's driver, schedule whatever
     /// timers that armed, route whatever it emitted.
     fn handle_event(&self, shard: &mut Shard, shard_idx: usize, event: Event, window_end: u64) {
-        let now = event.at;
+        let Keyed(Reverse((now, _, actor, _)), kind) = event;
         let mut out = std::mem::take(&mut shard.scratch);
         // `actor` is the sender of a delivery, the target of anything else.
-        let node = match &event.kind {
+        let node = match &kind {
             EventKind::Deliver((to, _, _)) => *to,
-            _ => event.actor as usize,
+            _ => actor as usize,
         };
+        let pool_cap = shard.slots.len();
         let slot = &mut shard.slots[self.home[node].1 as usize];
         if let Some((clock, _)) = &slot.trace {
             // Every trace timestamp a node records is the virtual time of
             // the event that activated it.
             clock.set_ns(now);
         }
+        // A node about to tick with no spare borrows one from the shard's
+        // pool — only when that is empty will a cleartext split allocate —
+        // and a node about to receive banks the spare it holds, room
+        // permitting, so that the buffer a push arrives in becomes its
+        // spare instead of pushing the old one out to be freed.
+        let spare = slot.driver.spare_buffer();
+        match &kind {
+            EventKind::Timer(Timer::Tick) if spare.is_none() => *spare = shard.pool.pop(),
+            EventKind::Deliver(_) if shard.pool.len() < pool_cap => shard.pool.extend(spare.take()),
+            _ => {}
+        }
+        let starved = spare.is_none();
         let before = slot.driver.armed();
-        match event.kind {
+        match kind {
             EventKind::Churn(ChurnKind::Crash) => slot.driver.crash(),
             EventKind::Churn(ChurnKind::Rejoin) => slot.driver.rejoin(now, &mut out),
             EventKind::Churn(ChurnKind::Leave) => slot.driver.leave(&mut out),
@@ -585,9 +567,12 @@ impl<'a> Exec<'a> {
                 slot.driver.fire(timer, now, &mut out);
             }
             EventKind::Deliver((_, msg, ctx)) => {
-                let from = event.actor as usize;
-                slot.driver.deliver(from, msg, ctx, now, &mut out);
+                slot.driver.deliver(actor as usize, msg, ctx, now, &mut out);
             }
+        }
+        // A push is the first thing a tick emits; no other input makes one.
+        if starved && matches!(out.first(), Some((_, Message::PlainPush { .. }, _))) {
+            shard.buffers_allocated += 1;
         }
         schedule_armed(&mut shard.heap, slot, before);
         self.route(shard, shard_idx, node, now, window_end, &mut out);
@@ -599,52 +584,47 @@ impl<'a> Exec<'a> {
     /// mailbox, pop events in key order until none are due, then hand the
     /// window's cross-shard output to the destination mailboxes.
     fn process_shard(&self, shard_idx: usize, window_end: u64) {
+        let started = Instant::now();
         let mut guard = self.shards[shard_idx].lock().expect("shard poisoned");
         let shard = &mut *guard;
-        let mail = {
-            let mut mail = self.mailboxes[shard_idx]
-                .inner
-                .lock()
-                .expect("mailbox poisoned");
-            mail.earliest = u64::MAX;
-            std::mem::take(&mut mail.queue)
-        };
-        shard.heap.extend(mail);
+        // Swapped, not taken: both queues keep their capacity.
+        let mut mail = self.mailboxes[shard_idx].lock().expect("mailbox poisoned");
+        std::mem::swap(&mut *mail, &mut shard.inbox);
+        drop(mail);
+        shard.heap.extend(shard.inbox.drain(..));
         let mut drained = 0u64;
-        while shard.heap.peek().is_some_and(|e| e.at < window_end) {
+        while shard.heap.peek().is_some_and(|e| e.key().0 < window_end) {
             let event = shard.heap.pop().unwrap();
             drained += 1;
             self.handle_event(shard, shard_idx, event, window_end);
         }
+        let earliest_out = std::mem::replace(&mut shard.earliest_out, u64::MAX);
+        self.mail_earliest.fetch_min(earliest_out, Ordering::SeqCst);
         for (mailbox, outbox) in self.mailboxes.iter().zip(&mut shard.outboxes) {
-            mailbox.deliver(outbox);
+            if !outbox.is_empty() {
+                mailbox.lock().expect("mailbox poisoned").append(outbox);
+            }
         }
-        self.metrics.queue_depth.record(drained);
-        self.metrics
-            .in_shard
-            .add(std::mem::take(&mut shard.in_shard));
-        self.metrics
-            .cross_shard
-            .add(std::mem::take(&mut shard.cross_shard));
+        self.queue_depth.record(drained);
+        shard.busy_ns += started.elapsed().as_nanos() as u64;
     }
 
     /// Earliest pending event across all shards and mailboxes, or `None`
-    /// when the system is fully quiescent (the step is over).
+    /// when the system is fully quiescent (the step is over). Called with
+    /// every shard at rest, between windows: the next one moves whatever
+    /// the mailboxes hold into the heaps, so their watermark starts over.
     fn next_event_time(&self) -> Option<u64> {
-        let mut min = u64::MAX;
-        for (shard, mailbox) in self.shards.iter().zip(self.mailboxes) {
+        let mut min = self.mail_earliest.swap(u64::MAX, Ordering::SeqCst);
+        for shard in self.shards {
             if let Some(top) = shard.lock().expect("shard poisoned").heap.peek() {
-                min = min.min(top.at);
+                min = min.min(top.key().0);
             }
-            min = min.min(mailbox.inner.lock().expect("mailbox poisoned").earliest);
         }
         (min < u64::MAX).then_some(min)
     }
 
-    /// Claims shards from the injector until none are left, then checks in
-    /// at the barrier.
+    /// Claims shards from the injector until none are left.
     fn claim_shards(&self, work: impl Fn(usize)) {
-        let _check_in = CheckIn(&self.coord);
         loop {
             let shard_idx = self.injector.fetch_add(1, Ordering::SeqCst);
             if shard_idx >= self.shards.len() {
@@ -654,35 +634,62 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// Waits until every worker has checked in; `false` when a worker
-    /// panicked instead and the step must stop.
-    fn await_workers(&self) -> bool {
-        let mut state = self.coord.state.lock().expect("coord poisoned");
-        while state.remaining > 0 && !state.shutdown {
-            state = self.coord.done.wait(state).expect("coord poisoned");
+    /// A worker's check-in at the barrier once the injector of window
+    /// `seen_epoch` ran dry: returns the next window's end, or `None` when
+    /// the step is over. The last worker in closes the window itself — at
+    /// that instant every shard and mailbox is at rest — by jumping
+    /// virtual time to the next pending event and publishing the window
+    /// around it, or ending the step at global quiescence (every node
+    /// done, every message delivered) or the virtual deadline. Everyone
+    /// else waits for that: a bounded spin on the epoch mirror, then the
+    /// condvar.
+    fn check_in(&self, seen_epoch: u64) -> Option<u64> {
+        let coord = &self.coord;
+        let mut state = coord.state.lock().expect("coord poisoned");
+        state.remaining -= 1;
+        if state.remaining == 0 && !state.shutdown {
+            if state.epoch > 0 {
+                self.epochs.inc();
+                let waited = state.published.elapsed().as_nanos() as u64;
+                self.epoch_wait.record(waited);
+            }
+            let Some(next) = self.next_event_time().filter(|&t| t < self.timeout) else {
+                coord.shut_down(state);
+                return None;
+            };
+            let window_end = next - next % self.quantum + self.quantum;
+            self.injector.store(0, Ordering::SeqCst);
+            state.epoch += 1;
+            state.window_end = window_end;
+            state.remaining = self.workers;
+            state.published = Instant::now();
+            coord.epoch_hint.store(state.epoch, Ordering::Release);
+            drop(state);
+            coord.start.notify_all();
+            return Some(window_end);
         }
-        !state.shutdown
+        drop(state);
+        for _ in 0..BARRIER_SPINS {
+            if coord.epoch_hint.load(Ordering::Acquire) != seen_epoch {
+                break;
+            }
+            std::hint::spin_loop();
+        }
+        let mut state = coord.state.lock().expect("coord poisoned");
+        while !state.shutdown && state.epoch == seen_epoch {
+            state = coord.start.wait(state).expect("coord poisoned");
+        }
+        (!state.shutdown).then_some(state.window_end)
     }
 
     /// One pool worker: builds shards in the construction round, then
-    /// drives shards through every window the main loop publishes.
+    /// drives shards through every window the pool publishes.
     fn worker_loop(&self, build_shard: impl Fn(usize)) {
+        let _flag_a_panic = CheckIn(&self.coord);
         self.claim_shards(build_shard);
-        let mut seen_epoch = 0u64;
-        loop {
-            let window_end = {
-                let mut state = self.coord.state.lock().expect("coord poisoned");
-                loop {
-                    if state.shutdown {
-                        return;
-                    }
-                    if state.epoch != seen_epoch {
-                        seen_epoch = state.epoch;
-                        break state.window_end;
-                    }
-                    state = self.coord.start.wait(state).expect("coord poisoned");
-                }
-            };
+        let mut epoch = 0u64;
+        while let Some(window_end) = self.check_in(epoch) {
+            epoch += 1;
             self.claim_shards(|shard_idx| self.process_shard(shard_idx, window_end));
         }
     }
@@ -706,24 +713,16 @@ pub fn run_step_sharded(
     step_churn: &[ChurnEvent],
 ) -> Result<StepRun, ChiaroscuroError> {
     let n = contributions.len();
-    if n < 2 {
-        return Err(ChiaroscuroError::InvalidConfig(
-            "the executor needs at least two nodes".into(),
-        ));
-    }
-    sharded.validate()?;
+    sharded.validate(n)?;
     let started = Instant::now();
 
     let step = StepCrypto::prepare(config, layout, contributions, crypto, step_seed)?;
     let shard_count = sharded.shards.min(n);
-    let workers = if sharded.workers == 0 {
-        thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(4)
-            .min(shard_count)
-    } else {
-        sharded.workers.min(shard_count)
-    };
+    let workers = match sharded.workers {
+        0 => thread::available_parallelism().map_or(4, |v| v.get()),
+        set => set,
+    }
+    .min(shard_count);
 
     // Shard assignment: a seeded shuffle dealt round-robin. Derived from the
     // step seed (drawn from the engine's master RNG), so it is part of the
@@ -740,19 +739,9 @@ pub fn run_step_sharded(
     }
 
     let shards: Vec<Mutex<Shard>> = (0..shard_count)
-        .map(|_| {
-            Mutex::new(Shard {
-                heap: BinaryHeap::new(),
-                slots: Vec::new(),
-                counters: [[0; 3]; 3],
-                in_shard: 0,
-                cross_shard: 0,
-                outboxes: (0..shard_count).map(|_| Vec::new()).collect(),
-                scratch: Vec::new(),
-            })
-        })
+        .map(|_| Mutex::new(Shard::new(shard_count)))
         .collect();
-    let mailboxes: Vec<Mailbox> = (0..shard_count).map(|_| Mailbox::new()).collect();
+    let mailboxes: Vec<Mailbox> = (0..shard_count).map(|_| Mailbox::default()).collect();
 
     // Construction, one shard at a time per worker: contribution encryption
     // (the expensive part in real-crypto mode) runs on all workers
@@ -791,12 +780,8 @@ pub fn run_step_sharded(
                     TraceContext::NONE,
                 ));
             }
-            let mut slot = Slot {
-                driver: NodeDriver::new(node, &timing, contribution.is_some()),
-                send_seq: 0,
-                timer_seq: 0,
-                trace,
-            };
+            let driver = NodeDriver::new(node, &timing, contribution.is_some());
+            let mut slot = Slot::new(driver, trace);
             // A node alive at step start has its first tick armed at 0.
             schedule_armed(&mut shard.heap, &mut slot, Armed::default());
             shard.slots.push(slot);
@@ -804,63 +789,27 @@ pub fn run_step_sharded(
     };
 
     // Scripted churn, scheduled into the owning shards at virtual offsets.
-    for (index, event) in step_churn.iter().enumerate() {
-        let shard_idx = home[event.node].0 as usize;
-        shards[shard_idx]
+    for (index, churn) in step_churn.iter().enumerate() {
+        let at = churn.after.as_nanos() as u64;
+        let kind = EventKind::Churn(churn.kind);
+        let mut shard = shards[home[churn.node].0 as usize]
             .lock()
-            .expect("shard poisoned")
-            .heap
-            .push(Event {
-                at: event.after.as_nanos() as u64,
-                class: CLASS_CHURN,
-                actor: event.node as u32,
-                seq: index as u64,
-                kind: EventKind::Churn(event.kind),
-            });
+            .expect("shard poisoned");
+        let scripted = event(at, CLASS_CHURN, churn.node, index as u64, kind);
+        shard.heap.push(scripted);
     }
 
     let registry = Registry::new();
     let exec = Exec::new(
         &home, &shards, &mailboxes, workers, step_seed, sharded, &registry,
     );
-    let quantum = sharded.epoch.as_nanos() as u64;
-    let timeout = sharded.step_timeout.as_nanos() as u64;
 
+    // The pool builds the shards, then runs the epochs and ends the step
+    // by itself (see `Exec::check_in`); this thread only joins it.
     thread::scope(|scope| {
         let pool: Vec<_> = (0..workers)
             .map(|_| scope.spawn(|| exec.worker_loop(build_shard)))
             .collect();
-        // The epoch loop: once the pool has built the shards, jump virtual
-        // time to the next pending event, publish the window, let the pool
-        // drain it, repeat until global quiescence (every node done, every
-        // message delivered) or the virtual deadline.
-        if exec.await_workers() {
-            while let Some(next) = exec.next_event_time() {
-                if next >= timeout {
-                    break;
-                }
-                let window_start = next - next % quantum;
-                let window_end = window_start + quantum;
-                {
-                    let mut state = exec.coord.state.lock().expect("coord poisoned");
-                    exec.injector.store(0, Ordering::SeqCst);
-                    state.epoch += 1;
-                    state.window_end = window_end;
-                    state.remaining = workers;
-                }
-                exec.coord.start.notify_all();
-                let wait_started = Instant::now();
-                if !exec.await_workers() {
-                    break;
-                }
-                exec.metrics.epochs.inc();
-                exec.metrics
-                    .epoch_wait
-                    .record(wait_started.elapsed().as_nanos() as u64);
-            }
-        }
-        exec.coord.state.lock().expect("coord poisoned").shutdown = true;
-        exec.coord.start.notify_all();
         // Joined by handle, not left to the scope: the scope only waits for
         // the workers' closures to return, a join waits for the OS threads
         // to be gone. A worker still exiting when the next step spawns its
@@ -887,6 +836,14 @@ pub fn run_step_sharded(
                 *cell += shard.counters[ci][mi];
             }
         }
+        for (name, count) in [
+            ("exec.deliveries.in_shard", shard.in_shard),
+            ("exec.deliveries.cross_shard", shard.cross_shard),
+            ("exec.buffers.allocated", shard.buffers_allocated),
+            ("exec.worker.busy_ns", shard.busy_ns),
+        ] {
+            registry.counter(name).add(count);
+        }
         for slot in shard.slots {
             let id = slot.driver.id() as u64;
             let trace = slot
@@ -896,7 +853,7 @@ pub fn run_step_sharded(
             nodes.push((slot.driver.finish().0, alive, trace));
         }
     }
-    let snapshot = snapshot_of(&counters);
+    let snapshot = TrafficSnapshot::read(|ci, cell| counters[ci][cell]);
     Ok(StepRun::conclude(
         step_seed,
         &sharded.audit,
@@ -910,9 +867,9 @@ pub fn run_step_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::churn::ChurnSchedule;
     use crate::driver::decrypt_retry_interval;
     use crate::fixtures::{check_estimates, layout, Crypto, Host, Step};
-    use crate::wire::Message;
 
     crate::fixtures::scenario_tests!(Host::Sharded);
 
@@ -964,28 +921,78 @@ mod tests {
             step.on_shards(&cfg, &[]).unwrap()
         };
         let a = run(0);
-        let b = run(0);
-        // Bitwise-identical estimates and identical accounting…
-        for (x, y) in a.outcome.estimates.iter().zip(&b.outcome.estimates) {
-            match (x, y) {
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.sums, y.sums);
-                    assert_eq!(x.counts, y.counts);
-                }
-                (None, None) => {}
-                _ => panic!("estimate presence diverged"),
+        // The same estimates to the bit, the same accounting and the same
+        // deterministic `exec.*` counters, run after run and whatever the
+        // worker count: parallelism never changes results, only wall-clock.
+        // Eight workers is more than this box has cores — a waiting
+        // worker's spin must not starve the one that is working.
+        for workers in [0, 1, 2, 3, 8] {
+            let b = run(workers);
+            assert_eq!(a.outcome.estimates, b.outcome.estimates, "{workers}");
+            assert_eq!(a.snapshot, b.snapshot, "{workers} workers");
+            for name in [
+                "exec.deliveries.cross_shard",
+                "exec.epochs",
+                "exec.buffers.allocated",
+            ] {
+                let count = a.metrics.counter(name);
+                assert!(count > 0, "{name} must be populated");
+                assert_eq!(
+                    count,
+                    b.metrics.counter(name),
+                    "{name} at {workers} workers"
+                );
+            }
+            assert!(b.metrics.counter("exec.worker.busy_ns") > 0);
+        }
+    }
+
+    /// A shard's pool never holds more buffers than the shard has nodes,
+    /// whatever arrives, and a node never more than one; what they hold is
+    /// lent out again before anything is allocated.
+    #[test]
+    fn buffer_pool_is_capped_at_the_shard_node_count() {
+        let sharded = ShardedConfig::default();
+        let mut shard = Shard::new(1);
+        let values = vec![1.0; layout().total()];
+        for id in 0..3 {
+            let params = NodeParams::for_step(id, 3, 9, 4, Vec::new(), false, None);
+            let crypto = crate::node::NodeCrypto::Plain;
+            let node = ProtocolNode::new(params, layout(), crypto, Some(&values));
+            let driver = NodeDriver::new(node, &sharded.timing(), true);
+            shard.slots.push(Slot::new(driver, None));
+        }
+        // Ten pushes land on node 1; nobody's tick is scheduled yet.
+        for seq in 1..=10 {
+            let msg = Message::PlainPush {
+                iteration: 9,
+                weight: 0.0,
+                slots: values.clone(),
+            };
+            let deliver = EventKind::Deliver((1, msg, TraceContext::NONE));
+            shard.heap.push(event(0, CLASS_DELIVER, 0, seq, deliver));
+        }
+        let (shards, mailboxes) = ([Mutex::new(shard)], [Mailbox::default()]);
+        let home = [(0, 0), (0, 1), (0, 2)];
+        let registry = Registry::new();
+        let exec = Exec::new(&home, &shards, &mailboxes, 0, 1, &sharded, &registry);
+        exec.process_shard(0, 1);
+        {
+            // Node 1 kept one buffer, the pool its cap; the other six went.
+            let shard = &mut *shards[0].lock().unwrap();
+            assert_eq!(shard.pool.len(), 3);
+            assert!(shard.slots[1].driver.spare_buffer().is_some());
+            for slot in &mut shard.slots {
+                schedule_armed(&mut shard.heap, slot, Armed::default());
             }
         }
-        assert_eq!(a.snapshot, b.snapshot);
-        // …including with a different worker count: parallelism never
-        // changes results, only wall-clock.
-        let c = run(1);
-        assert_eq!(a.snapshot, c.snapshot);
-        for (x, y) in a.outcome.estimates.iter().zip(&c.outcome.estimates) {
-            if let (Some(x), Some(y)) = (x, y) {
-                assert_eq!(x.sums, y.sums);
-            }
-        }
+        // Node 1 splits from its spare, nodes 0 and 2 from the pool, every
+        // later split from what the in-shard pushes bring back.
+        exec.process_shard(0, u64::MAX);
+        let shard = shards[0].lock().unwrap();
+        assert_eq!(shard.buffers_allocated, 0);
+        assert!(shard.pool.len() <= 3, "{} pooled", shard.pool.len());
+        assert!(shard.slots.iter().all(|s| s.driver.node().step_done()));
     }
 
     /// The deterministic slice of the `exec.*` metric family must be
@@ -1073,16 +1080,7 @@ mod tests {
         let timing = sharded.timing();
         let shards: Vec<Mutex<Shard>> = (0..2)
             .map(|id| {
-                let params = NodeParams {
-                    id,
-                    population: 2,
-                    iteration: 9,
-                    pushes: 1,
-                    committee: Vec::new(),
-                    seed: id as u64,
-                    votes: false,
-                    corrupt_partials: false,
-                };
+                let params = NodeParams::for_step(id, 2, 9, 1, Vec::new(), false, None);
                 let mut node = ProtocolNode::new(params, layout(), NodeCrypto::Plain, None);
                 let mut trace = None;
                 if id == 1 {
@@ -1094,23 +1092,13 @@ mod tests {
                     ));
                     trace = Some((clock.clone(), tracer.clone()));
                 }
-                Mutex::new(Shard {
-                    heap: BinaryHeap::new(),
-                    slots: vec![Slot {
-                        driver: NodeDriver::new(node, &timing, id == 0 || destination_alive),
-                        send_seq: 0,
-                        timer_seq: 0,
-                        trace,
-                    }],
-                    counters: [[0; 3]; 3],
-                    in_shard: 0,
-                    cross_shard: 0,
-                    outboxes: vec![Vec::new(), Vec::new()],
-                    scratch: Vec::new(),
-                })
+                let mut shard = Shard::new(2);
+                let driver = NodeDriver::new(node, &timing, id == 0 || destination_alive);
+                shard.slots.push(Slot::new(driver, trace));
+                Mutex::new(shard)
             })
             .collect();
-        let mailboxes = [Mailbox::new(), Mailbox::new()];
+        let mailboxes = [Mailbox::default(), Mailbox::default()];
         let home = [(0, 0), (1, 0)];
         let registry = Registry::new();
         let exec = Exec::new(&home, &shards, &mailboxes, 0, 1, &sharded, &registry);
@@ -1119,18 +1107,15 @@ mod tests {
         let snapshot = {
             let mut shard = shards[0].lock().unwrap();
             exec.route(&mut shard, 0, 0, 0, 1_000, &mut out);
-            snapshot_of(&shard.counters)
+            TrafficSnapshot::read(|ci, cell| shard.counters[ci][cell])
         };
 
         // Window one hands the outbox over; window two delivers it.
         exec.process_shard(0, 1_000);
-        assert_eq!(mailboxes[1].inner.lock().unwrap().queue.len(), 2);
+        assert_eq!(mailboxes[1].lock().unwrap().len(), 2);
         exec.process_shard(1, u64::MAX);
-        assert!(mailboxes[1].inner.lock().unwrap().queue.is_empty());
-        assert_eq!(
-            registry.snapshot().counter("exec.deliveries.cross_shard"),
-            2
-        );
+        assert!(mailboxes[1].lock().unwrap().is_empty());
+        assert_eq!(shards[0].lock().unwrap().cross_shard, 2);
         drop(exec);
 
         let shard = shards.into_iter().nth(1).unwrap().into_inner().unwrap();
@@ -1209,26 +1194,11 @@ mod tests {
         // Crash node 5 exactly 4 pushes into its schedule (virtual 4 ms at
         // the default 1 ms pacing), leave node 9 at 10 ms, rejoin node 5 at
         // 20 ms.
-        let events = [
-            ChurnEvent {
-                step: 0,
-                after: Duration::from_micros(4100),
-                node: 5,
-                kind: ChurnKind::Crash,
-            },
-            ChurnEvent {
-                step: 0,
-                after: Duration::from_millis(10),
-                node: 9,
-                kind: ChurnKind::Leave,
-            },
-            ChurnEvent {
-                step: 0,
-                after: Duration::from_millis(20),
-                node: 5,
-                kind: ChurnKind::Rejoin,
-            },
-        ];
+        let events = ChurnSchedule::none()
+            .crash(0, Duration::from_micros(4100), 5)
+            .leave(0, Duration::from_millis(10), 9)
+            .rejoin(0, Duration::from_millis(20), 5)
+            .for_step(0);
         let step = Step::new(Crypto::Simulated, 30, 32, [5, 6, 13]);
         let run = || step.on_shards(&small_sharded(), &events).unwrap();
         let a = run();
@@ -1285,12 +1255,9 @@ mod tests {
     #[test]
     fn decrypt_round_hedges_past_a_silently_dead_asked_member() {
         let step = Step::new(Crypto::Packed, 8, 8, [81, 82, 83]);
-        let events = [ChurnEvent {
-            step: 0,
-            after: Duration::from_millis(1),
-            node: 1,
-            kind: ChurnKind::Crash,
-        }];
+        let events = ChurnSchedule::none()
+            .crash(0, Duration::from_millis(1), 1)
+            .for_step(0);
         let cfg = ShardedConfig {
             trace: true,
             ..four_shards()
@@ -1423,26 +1390,11 @@ mod tests {
     fn rejoin_does_not_resurrect_pre_crash_timers() {
         // 30 cycles: far above what the node can send before leaving.
         let step = Step::new(Crypto::Simulated, 30, 16, [71, 72, 73]);
-        let events = [
-            ChurnEvent {
-                step: 0,
-                after: Duration::from_micros(2_200),
-                node: 2,
-                kind: ChurnKind::Crash,
-            },
-            ChurnEvent {
-                step: 0,
-                after: Duration::from_micros(2_400),
-                node: 2,
-                kind: ChurnKind::Rejoin,
-            },
-            ChurnEvent {
-                step: 0,
-                after: Duration::from_micros(8_300),
-                node: 2,
-                kind: ChurnKind::Leave,
-            },
-        ];
+        let events = ChurnSchedule::none()
+            .crash(0, Duration::from_micros(2_200), 2)
+            .rejoin(0, Duration::from_micros(2_400), 2)
+            .leave(0, Duration::from_micros(8_300), 2)
+            .for_step(0);
         let run = step.on_shards(&small_sharded(), &events).unwrap();
         assert_eq!(
             run.reports[2].pushes_sent, 8,
@@ -1473,17 +1425,31 @@ mod tests {
     /// A worker that panics (here: a malformed contribution trips a
     /// `ProtocolNode::new` assertion during construction) must surface as a
     /// panic of the step — the worker's own, re-raised where the pool is
-    /// joined — not park the driver on a barrier that can no longer fill.
+    /// joined — not park the pool on a barrier that can no longer fill.
+    /// With one worker and with two, and with the bad node in each of the
+    /// 16 positions in turn — so in every shard, the one the worker that
+    /// would have closed the round claims included.
     #[test]
     #[should_panic(expected = "contribution length")]
     fn worker_panic_surfaces_instead_of_hanging_the_step() {
-        let mut step = Step::new(Crypto::Simulated, 30, 16, [1, 2, 7]);
-        step.contributions[5].as_mut().unwrap().pop();
-        let cfg = ShardedConfig {
-            workers: 2,
-            ..small_sharded()
-        };
-        let _ = step.on_shards(&cfg, &[]);
+        let mut last = None;
+        for workers in [1, 2] {
+            for bad in 0..16 {
+                let mut step = Step::new(Crypto::Simulated, 30, 16, [1, 2, 7]);
+                step.contributions[bad].as_mut().unwrap().pop();
+                let cfg = ShardedConfig {
+                    workers,
+                    ..small_sharded()
+                };
+                let step = std::panic::AssertUnwindSafe(step);
+                let panic = std::panic::catch_unwind(|| step.on_shards(&cfg, &[]).map(|_| ()))
+                    .expect_err("the worker's panic must reach the caller");
+                let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+                assert!(message.contains("contribution length"), "{message:?}");
+                last = Some(panic);
+            }
+        }
+        std::panic::resume_unwind(last.expect("32 panics"));
     }
 
     #[test]

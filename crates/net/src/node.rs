@@ -314,6 +314,10 @@ pub struct ProtocolNode {
     layout: SlotLayout,
     crypto: NodeCrypto,
     agg: Aggregator,
+    /// The plaintext pipeline's one spare push buffer: the `Vec` the last
+    /// absorbed push arrived in, which the next split fills instead of
+    /// allocating. Never read by the protocol.
+    spare: Option<Vec<f64>>,
     rng: StdRng,
     /// Population view as its sparse complement: ids currently believed
     /// dead. The dense `Vec<bool>` this replaces cost O(population) *per
@@ -402,6 +406,7 @@ impl ProtocolNode {
             layout,
             crypto,
             agg,
+            spare: None,
             rng,
             dead_view: BTreeSet::new(),
             phase: Phase::Gossip,
@@ -459,6 +464,12 @@ impl ProtocolNode {
         self.bad_frames += 1;
     }
 
+    /// The spare push buffer, for a host that runs many nodes to even the
+    /// spares out between them: an absorb leaves one here, a split takes it.
+    pub fn spare_buffer(&mut self) -> &mut Option<Vec<f64>> {
+        &mut self.spare
+    }
+
     /// One pacing tick: push during the gossip phase, transition to
     /// decryption when the quota is exhausted.
     pub fn tick(&mut self, out: &mut Vec<Outbound>) {
@@ -498,7 +509,8 @@ impl ProtocolNode {
                             }
                         }
                         Aggregator::Plain(ps) => {
-                            let PlainPush { values, weight } = ps.split_push();
+                            let buf = self.spare.take().unwrap_or_default();
+                            let PlainPush { values, weight } = ps.split_push_into(buf);
                             Message::PlainPush {
                                 iteration: self.params.iteration,
                                 weight,
@@ -954,14 +966,15 @@ impl ProtocolNode {
         }
         let buckets_here = self.packed_buckets();
         let absorb_started = Instant::now();
-        match (&mut self.agg, &inbound) {
+        match (&mut self.agg, inbound) {
             (Aggregator::Encrypted(he), Inbound::Ciphertexts(buckets, push))
-                if *buckets == buckets_here && push.slots.len() == he.dim() =>
+                if buckets == buckets_here && push.slots.len() == he.dim() =>
             {
-                he.absorb(push);
+                he.absorb(&push);
             }
             (Aggregator::Plain(ps), Inbound::Cleartext(push)) if push.values.len() == ps.dim() => {
-                ps.absorb(push);
+                ps.absorb(&push);
+                self.spare = Some(push.values);
             }
             _ => {
                 self.bad_frames += 1;

@@ -281,7 +281,7 @@ pub fn run_step_over_tcp(
             "the runtime needs at least two nodes".into(),
         ));
     }
-    net.link.validate();
+    net.link.validate()?;
     let registry = cs_obs::Registry::new();
     let transport = Arc::new(
         TcpTransport::loopback(
@@ -327,12 +327,7 @@ pub fn run_step_over_tcp(
     for (i, contribution) in contributions.iter().enumerate() {
         if contribution.is_none() {
             // Down at step start, exactly like the simulator's crashed nodes.
-            controls.apply(&crate::churn::ChurnEvent {
-                step: 0,
-                after: Duration::ZERO,
-                node: i,
-                kind: ChurnKind::Crash,
-            });
+            controls.apply(i, ChurnKind::Crash);
         }
         let params = NodeParams::for_step(
             i,
@@ -413,7 +408,7 @@ pub fn run_step_over_tcp(
         let now = churn_clock.elapsed();
         while pending.front().is_some_and(|e| e.after <= now) {
             let event = pending.pop_front().unwrap();
-            controls.apply(&event);
+            controls.apply(event.node, event.kind);
         }
         let all_done = pending.is_empty() && (0..n).all(|i| controls.is_crashed(i) || completed[i]);
         if all_done || started.elapsed() >= net.step_timeout {

@@ -93,8 +93,7 @@
 
 use crate::poll::{self, PollFd, Waker, POLL_IN, POLL_OUT};
 use crate::transport::{
-    mix, unit_f64, ClassCounts, Envelope, Inbox, LinkConfig, NetError, NodeId, TrafficSnapshot,
-    TransportMetrics,
+    mix, unit_f64, Envelope, Inbox, LinkConfig, NetError, NodeId, TrafficSnapshot, TransportMetrics,
 };
 use crate::wire::{FrameClass, WireError, MAX_FRAME_BYTES, WIRE_VERSION};
 use cs_obs::{Counter, Registry};
@@ -517,14 +516,6 @@ struct TcpInner {
 }
 
 impl TcpInner {
-    fn class_index(class: FrameClass) -> usize {
-        match class {
-            FrameClass::Gossip => 0,
-            FrameClass::Decrypt => 1,
-            FrameClass::Control => 2,
-        }
-    }
-
     /// Reclassifies a frame that `send` counted as delivered but the
     /// socket path then lost (queue overflow, retry budget exhausted
     /// against a dead peer): each frame must land in exactly **one**
@@ -532,7 +523,7 @@ impl TcpInner {
     /// are reversed, so a concurrent snapshot can transiently double-see
     /// the frame but never lose it.
     fn reclassify_lost(&self, class: FrameClass, frame_len: usize) {
-        let ci = Self::class_index(class);
+        let ci = class as usize;
         self.counters[ci][2].fetch_add(1, Ordering::Relaxed);
         self.counters[ci][0].fetch_sub(1, Ordering::Relaxed);
         self.counters[ci][1].fetch_sub(frame_len as u64, Ordering::Relaxed);
@@ -950,8 +941,9 @@ impl TcpTransport {
         metrics: Option<TcpMetrics>,
     ) -> TcpTransport {
         let n = directory.len();
+        // Outside input to a daemon, which checks both where they arrive.
         assert!(n >= 2, "need at least two nodes");
-        cfg.validate();
+        assert!(cfg.validate().is_ok(), "unvalidated link: {cfg:?}");
         let mut inboxes: Vec<Option<Inbox>> = (0..n).map(|_| None).collect();
         for &id in local {
             assert!(id < n, "local node outside the directory");
@@ -1068,7 +1060,7 @@ impl TcpTransport {
             return Err(NetError::FrameTooLarge(frame.len()));
         }
         let len = frame.len();
-        let ci = TcpInner::class_index(class);
+        let ci = class as usize;
         let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
         let draw = mix(self.inner.seed ^ seq.wrapping_mul(0xA076_1D64_78BD_642F));
         if let Some(m) = &self.inner.metrics {
@@ -1096,7 +1088,7 @@ impl TcpTransport {
 
     /// Non-blocking receive at node `at`.
     pub fn try_recv(&self, at: NodeId) -> Option<Envelope> {
-        self.inner.inboxes[at].as_ref()?.try_pop()
+        self.inner.inboxes[at].as_ref()?.pop_timeout(Duration::ZERO)
     }
 
     /// Blocking receive at node `at`, up to `timeout`.
@@ -1131,16 +1123,7 @@ impl TcpTransport {
 
     /// Current traffic counters.
     pub fn snapshot(&self) -> TrafficSnapshot {
-        let read = |ci: usize| ClassCounts {
-            messages: self.inner.counters[ci][0].load(Ordering::Relaxed),
-            bytes: self.inner.counters[ci][1].load(Ordering::Relaxed),
-            dropped: self.inner.counters[ci][2].load(Ordering::Relaxed),
-        };
-        TrafficSnapshot {
-            gossip: read(0),
-            decrypt: read(1),
-            control: read(2),
-        }
+        TrafficSnapshot::read(|ci, cell| self.inner.counters[ci][cell].load(Ordering::Relaxed))
     }
 }
 

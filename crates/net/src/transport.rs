@@ -5,8 +5,10 @@
 //! [`crate::tcp::TcpTransport`]; the sharded executor moves messages without
 //! one and keeps the same accounting.
 
+use chiaroscuro::ChiaroscuroError;
 use cs_obs::{Counter, Histogram, Registry};
 use serde::{Deserialize, Serialize};
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
@@ -67,17 +69,17 @@ impl LinkConfig {
         }
     }
 
-    /// Validates probabilities and bandwidth.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.loss),
-            "loss out of [0,1]: {}",
-            self.loss
-        );
-        assert!(
-            self.bandwidth_bytes_per_sec != Some(0),
-            "bandwidth must be positive"
-        );
+    /// Validates probabilities and bandwidth. The values reach a daemon
+    /// in a control message, so a bad one is an error, never a panic.
+    pub fn validate(&self) -> Result<(), ChiaroscuroError> {
+        let fail = |msg: String| Err(ChiaroscuroError::InvalidConfig(msg));
+        if !(0.0..=1.0).contains(&self.loss) {
+            return fail(format!("link loss out of [0,1]: {}", self.loss));
+        }
+        if self.bandwidth_bytes_per_sec == Some(0) {
+            return fail("link bandwidth must be positive".into());
+        }
+        Ok(())
     }
 }
 
@@ -130,6 +132,21 @@ pub struct TrafficSnapshot {
 }
 
 impl TrafficSnapshot {
+    /// A snapshot of a `[class][messages, bytes, dropped]` counter block,
+    /// read cell by cell.
+    pub(crate) fn read(cell: impl Fn(usize, usize) -> u64) -> TrafficSnapshot {
+        let class = |ci: usize| ClassCounts {
+            messages: cell(ci, 0),
+            bytes: cell(ci, 1),
+            dropped: cell(ci, 2),
+        };
+        TrafficSnapshot {
+            gossip: class(0),
+            decrypt: class(1),
+            control: class(2),
+        }
+    }
+
     /// Total delivered frames across all classes.
     pub fn messages(&self) -> u64 {
         self.gossip.messages + self.decrypt.messages + self.control.messages
@@ -222,35 +239,34 @@ pub struct Envelope {
     pub frame: Vec<u8>,
 }
 
-/// A frame sitting in an inbox, ordered by delivery time.
-pub(crate) struct Scheduled {
-    deliver_at: Instant,
-    seq: u64,
-    from: NodeId,
-    frame: Vec<u8>,
-}
+/// A [`BinaryHeap`] entry ordered by its key alone, smallest key on top
+/// (the heap is a max-heap, hence the [`Reverse`]). Keys must be unique
+/// within a heap for the order to be total.
+pub(crate) struct Keyed<K, T>(pub Reverse<K>, pub T);
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
+impl<K, T> Keyed<K, T> {
+    pub(crate) fn key(&self) -> &K {
+        &self.0 .0
     }
 }
 
-impl Eq for Scheduled {}
+impl<K: Ord, T> PartialEq for Keyed<K, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
 
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl<K: Ord, T> Eq for Keyed<K, T> {}
+
+impl<K: Ord, T> PartialOrd for Keyed<K, T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest delivery wins.
-        other
-            .deliver_at
-            .cmp(&self.deliver_at)
-            .then(other.seq.cmp(&self.seq))
+impl<K: Ord, T> Ord for Keyed<K, T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
     }
 }
 
@@ -258,7 +274,8 @@ impl Ord for Scheduled {
 /// timestamp, a condvar wakes blocked receivers. The TCP transport
 /// schedules into it as records come off the sockets.
 pub(crate) struct Inbox {
-    heap: Mutex<BinaryHeap<Scheduled>>,
+    /// Frames in flight, by `(delivery time, sequence)`.
+    heap: Mutex<BinaryHeap<Keyed<(Instant, u64), Envelope>>>,
     bell: Condvar,
 }
 
@@ -280,49 +297,24 @@ impl Inbox {
         frame: Vec<u8>,
     ) -> usize {
         let mut heap = self.heap.lock().expect("inbox poisoned");
-        heap.push(Scheduled {
-            deliver_at,
-            seq,
-            from,
-            frame,
-        });
+        heap.push(Keyed(Reverse((deliver_at, seq)), Envelope { from, frame }));
         let depth = heap.len();
         drop(heap);
         self.bell.notify_one();
         depth
     }
 
-    /// Pops the earliest frame whose delivery time has passed.
-    pub(crate) fn try_pop(&self) -> Option<Envelope> {
-        let mut heap = self.heap.lock().expect("inbox poisoned");
-        if let Some(top) = heap.peek() {
-            if top.deliver_at <= Instant::now() {
-                let s = heap.pop().unwrap();
-                return Some(Envelope {
-                    from: s.from,
-                    frame: s.frame,
-                });
-            }
-        }
-        None
-    }
-
-    /// Blocking pop, up to `timeout`: parks on the condvar until a frame is
-    /// deliverable, a new frame arrives, or the deadline passes.
+    /// Pops the earliest frame whose delivery time has passed, blocking up
+    /// to `timeout` (zero: not at all): parks on the condvar until a frame
+    /// is deliverable, a new frame arrives, or the deadline passes.
     pub(crate) fn pop_timeout(&self, timeout: Duration) -> Option<Envelope> {
         let deadline = Instant::now() + timeout;
         let mut heap = self.heap.lock().expect("inbox poisoned");
         loop {
             let now = Instant::now();
-            let next_wake = match heap.peek() {
-                Some(top) if top.deliver_at <= now => {
-                    let s = heap.pop().unwrap();
-                    return Some(Envelope {
-                        from: s.from,
-                        frame: s.frame,
-                    });
-                }
-                Some(top) => top.deliver_at.min(deadline),
+            let next_wake = match heap.peek().map(|top| top.key().0) {
+                Some(at) if at <= now => return heap.pop().map(|s| s.1),
+                Some(at) => at.min(deadline),
                 None => deadline,
             };
             if now >= deadline {

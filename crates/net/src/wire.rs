@@ -52,7 +52,8 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 /// allocation against corrupt counts.
 const MAX_ELEMENTS: usize = 1 << 20;
 
-/// Traffic class of a frame, for bytes-on-wire accounting.
+/// Traffic class of a frame, for bytes-on-wire accounting. `class as usize`
+/// indexes every `[gossip, decrypt, control]` counter block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameClass {
     /// Push-sum gossip payloads (steps 2a/2b).
@@ -160,7 +161,9 @@ impl Message {
         }
     }
 
-    fn tag(&self) -> u8 {
+    /// The wire tag of this message — the stable `kind` discriminant trace
+    /// events record (`cstrace` maps it back to the variant name).
+    pub fn wire_tag(&self) -> u8 {
         match self {
             Message::EncryptedPush { .. } => 0,
             Message::PlainPush { .. } => 1,
@@ -171,12 +174,6 @@ impl Message {
             Message::Leave { .. } => 6,
             Message::PackedPush { .. } => 7,
         }
-    }
-
-    /// The wire tag of this message — the stable `kind` discriminant trace
-    /// events record (`cstrace` maps it back to the variant name).
-    pub fn wire_tag(&self) -> u8 {
-        self.tag()
     }
 
     /// Exact length in bytes of [`encode_frame`]'s output for this message,
@@ -325,7 +322,7 @@ pub fn encode_frame_traced(msg: &Message, ctx: TraceContext) -> Vec<u8> {
     let mut frame = Vec::with_capacity(msg.traced_len(ctx));
     put_u32(&mut frame, 0);
     frame.push(WIRE_VERSION);
-    frame.push(msg.tag());
+    frame.push(msg.wire_tag());
     if ctx.is_set() {
         frame.push(1);
         frame.extend_from_slice(&ctx.to_bytes());

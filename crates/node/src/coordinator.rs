@@ -17,7 +17,9 @@
 //! so the engine sees exactly the same outcome shape as on every other
 //! substrate.
 
-use crate::proto::{read_msg, write_msg, ControlMsg, LinkSpec, TimingSpec, PROTO_VERSION};
+use crate::proto::{
+    bad_data, read_msg, write_msg, ControlMsg, LinkSpec, TimingSpec, PROTO_VERSION,
+};
 use crate::supervisor::Supervisor;
 use chiaroscuro::backend::ComputationBackend;
 use chiaroscuro::config::ChiaroscuroConfig;
@@ -202,10 +204,6 @@ impl Coordinator {
             alive: vec![true; n],
         })
     }
-}
-
-fn bad_data(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 /// An accepted, not-yet-bootstrapped cluster of daemon control channels.
@@ -459,11 +457,6 @@ impl ClusterBackend {
             folded = folded.plus(&report);
         }
         folded
-    }
-
-    /// The coordinator's own cluster-level audit verdict (no scrape).
-    pub fn health_report(&self) -> cs_obs::HealthReport {
-        self.health.report()
     }
 
     /// Per-daemon observability HTTP addresses, in node-id order.

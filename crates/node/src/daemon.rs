@@ -36,7 +36,7 @@
 //! (`/series`), with `/healthz` answering liveness facts uncondition-
 //! ally. The `cswatch` binary polls exactly these routes.
 
-use crate::proto::{read_msg, write_msg, ControlMsg, TimingSpec, PROTO_VERSION};
+use crate::proto::{bad_data, read_msg, write_msg, ControlMsg, TimingSpec, PROTO_VERSION};
 use chiaroscuro::config::CryptoMode;
 use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::StepCipher;
@@ -97,10 +97,6 @@ impl DaemonOpts {
             obs_addr: None,
         }
     }
-}
-
-fn bad_data(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 /// Flight-recorder capacity, in events. A 16-node step produces a few
@@ -187,6 +183,89 @@ struct RunContext {
 }
 
 impl RunContext {
+    /// Builds the context from the coordinator's answer to the `Hello`:
+    /// the population manifest wires `endpoint` into the data-plane
+    /// transport; key material and config arrive alongside. Everything in
+    /// it is outside input — a malformed one is an error, never a panic.
+    fn bootstrap(
+        id: NodeId,
+        endpoint: TcpEndpoint,
+        registry: &Registry,
+        boot: ControlMsg,
+    ) -> io::Result<RunContext> {
+        let ControlMsg::Bootstrap {
+            config,
+            layout,
+            population,
+            committee,
+            pk,
+            share,
+            link,
+            timing,
+            transport_seed,
+            fault,
+        } = boot
+        else {
+            return Err(bad_data("expected Bootstrap after Hello"));
+        };
+        let n = population.len();
+        if id >= n || n < 2 {
+            let msg = format!("node id {id} in a population of {n} — need at least two nodes");
+            return Err(bad_data(msg));
+        }
+        let link = link.to_link_config();
+        link.validate().map_err(|e| bad_data(e.to_string()))?;
+        let directory: Vec<SocketAddr> = population
+            .iter()
+            .map(|a| {
+                a.parse()
+                    .map_err(|e| bad_data(format!("bad address {a:?}: {e}")))
+            })
+            .collect::<io::Result<_>>()?;
+        let transport = Arc::new(endpoint.into_transport(
+            &[id],
+            PeerDirectory::new(directory),
+            link,
+            transport_seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            TcpTuning::default(),
+            Some(registry),
+        ));
+        let cipher = match pk {
+            Some(_) if !matches!(config.crypto, CryptoMode::Real { .. }) => {
+                return Err(bad_data("public key shipped for a simulated-crypto run"));
+            }
+            Some(pk) => {
+                let pk = Arc::new(pk);
+                // Encryption randomness is private per daemon — only the layout
+                // must match across the cluster.
+                let fast = config.packing.then(|| {
+                    let mut enc_rng =
+                        StdRng::seed_from_u64(config.seed ^ 0x5EED_DAE0 ^ (id as u64) << 32);
+                    Arc::new(FastEncryptor::new(pk.clone(), &mut enc_rng))
+                });
+                let cipher =
+                    StepCipher::plan(&config, &pk, fast.as_ref(), &layout, population.len())
+                        .map_err(|e| bad_data(format!("step cipher: {e}")))?;
+                Some(cipher)
+            }
+            None => None,
+        };
+        let pool_rng_seed = config.seed ^ 0x5EED_B007_u64 ^ ((id as u64) << 32);
+        Ok(RunContext {
+            config,
+            layout,
+            committee,
+            cipher,
+            share,
+            timing,
+            transport,
+            plans: Arc::new(CombinePlanCache::new()),
+            pool: Mutex::new(None),
+            pool_rng: Mutex::new(StdRng::seed_from_u64(pool_rng_seed)),
+            fault,
+        })
+    }
+
     /// Takes the persistent pool, topped up to a step's expected demand —
     /// built here on the first step of the run, when nothing has been
     /// restocked yet. `None` when the run pools no randomizers.
@@ -307,79 +386,7 @@ pub fn run(opts: &DaemonOpts) -> io::Result<()> {
         },
     )?;
 
-    // Bootstrap: the population manifest wires the endpoint into the
-    // data-plane transport; key material and config arrive alongside.
-    let boot = read_msg(&mut control)?;
-    let ControlMsg::Bootstrap {
-        config,
-        layout,
-        population,
-        committee,
-        pk,
-        share,
-        link,
-        timing,
-        transport_seed,
-        fault,
-    } = boot
-    else {
-        return Err(bad_data("expected Bootstrap after Hello"));
-    };
-    if opts.id >= population.len() {
-        return Err(bad_data(format!(
-            "node id {} outside population of {}",
-            opts.id,
-            population.len()
-        )));
-    }
-    let directory: Vec<SocketAddr> = population
-        .iter()
-        .map(|a| {
-            a.parse()
-                .map_err(|e| bad_data(format!("bad address {a:?}: {e}")))
-        })
-        .collect::<io::Result<_>>()?;
-    let transport = Arc::new(endpoint.into_transport(
-        &[opts.id],
-        PeerDirectory::new(directory),
-        link.to_link_config(),
-        transport_seed ^ (opts.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        TcpTuning::default(),
-        Some(&registry),
-    ));
-    let cipher = match pk {
-        Some(_) if !matches!(config.crypto, CryptoMode::Real { .. }) => {
-            return Err(bad_data("public key shipped for a simulated-crypto run"));
-        }
-        Some(pk) => {
-            let pk = Arc::new(pk);
-            // Encryption randomness is private per daemon — only the layout
-            // must match across the cluster.
-            let fast = config.packing.then(|| {
-                let mut enc_rng =
-                    StdRng::seed_from_u64(config.seed ^ 0x5EED_DAE0 ^ (opts.id as u64) << 32);
-                Arc::new(FastEncryptor::new(pk.clone(), &mut enc_rng))
-            });
-            let cipher = StepCipher::plan(&config, &pk, fast.as_ref(), &layout, population.len())
-                .map_err(|e| bad_data(format!("step cipher: {e}")))?;
-            Some(cipher)
-        }
-        None => None,
-    };
-    let pool_rng_seed = config.seed ^ 0x5EED_B007_u64 ^ ((opts.id as u64) << 32);
-    let ctx = RunContext {
-        config,
-        layout,
-        committee,
-        cipher,
-        share,
-        timing,
-        transport,
-        plans: Arc::new(CombinePlanCache::new()),
-        pool: Mutex::new(None),
-        pool_rng: Mutex::new(StdRng::seed_from_u64(pool_rng_seed)),
-        fault,
-    };
+    let ctx = RunContext::bootstrap(opts.id, endpoint, &registry, read_msg(&mut control)?)?;
 
     // Control reader thread: turns the blocking stream into a channel the
     // step loop can poll without stalling the protocol. EOF becomes a
@@ -753,12 +760,39 @@ fn run_step(
 mod tests {
     use super::*;
 
+    const LAYOUT: SlotLayout = SlotLayout {
+        k: 2,
+        series_len: 3,
+    };
+
+    /// One step on each in-process host, over `link`s: four nodes, node 2
+    /// contributing `values`.
+    fn on_both_hosts(
+        config: &ChiaroscuroConfig,
+        crypto: &chiaroscuro::rounds::CryptoContext,
+        values: &[f64],
+        link: cs_net::LinkConfig,
+    ) -> [Result<cs_net::StepRun, chiaroscuro::ChiaroscuroError>; 2] {
+        let mut contributions = vec![Some(vec![0.5; 8]); 4];
+        contributions[2] = Some(values.to_vec());
+        let sharded = cs_net::ShardedConfig {
+            link: link.clone(),
+            ..Default::default()
+        };
+        let net = cs_net::NetConfig {
+            link,
+            ..Default::default()
+        };
+        let values = &contributions[..];
+        [
+            cs_net::run_step_sharded(config, &LAYOUT, values, crypto, 9, &sharded, &[]),
+            cs_net::run_step_over_tcp(config, &LAYOUT, values, crypto, 9, &net, &[]),
+        ]
+    }
+
     #[test]
     fn malformed_step_contributions_are_typed_errors() {
-        let layout = SlotLayout {
-            k: 2,
-            series_len: 3,
-        };
+        let layout = LAYOUT;
         assert!(check_contribution(&layout, None, &[0.5; 8]).is_ok());
         // What a coordinator on the old two-block layout would send.
         let err = check_contribution(&layout, None, &[0.5; 16]).unwrap_err();
@@ -798,31 +832,71 @@ mod tests {
         // The same vector handed to the in-process hosts fails the step
         // with the same typed error — before a worker or node thread exists
         // to unwind.
-        let mut contributions = vec![Some(vec![0.5; 8]); 4];
-        contributions[2] = Some(values.to_vec());
-        let sharded = cs_net::run_step_sharded(
-            &config,
-            &layout,
-            &contributions,
-            &crypto,
-            9,
-            &cs_net::ShardedConfig::default(),
-            &[],
-        );
-        let tcp = cs_net::run_step_over_tcp(
-            &config,
-            &layout,
-            &contributions,
-            &crypto,
-            9,
-            &cs_net::NetConfig::default(),
-            &[],
-        );
-        for run in [sharded, tcp] {
+        let ideal = cs_net::LinkConfig::ideal();
+        for run in on_both_hosts(&config, &crypto, &values, ideal) {
             let lane = cs_crypto::CryptoError::LaneOverflow { slot: 5 };
             match run {
                 Err(chiaroscuro::ChiaroscuroError::Crypto(e)) => assert_eq!(e, lane),
                 other => panic!("expected a typed lane overflow, got {other:?}"),
+            }
+        }
+    }
+
+    /// How the daemon takes a `Bootstrap` carrying `link` for a population
+    /// of `population` addresses.
+    fn bootstrapped_with(link: crate::proto::LinkSpec, population: usize) -> io::Result<()> {
+        let boot = ControlMsg::Bootstrap {
+            config: ChiaroscuroConfig::demo_simulated(),
+            layout: LAYOUT,
+            population: (1..=population).map(|i| format!("127.0.0.1:{i}")).collect(),
+            committee: Vec::new(),
+            pk: None,
+            share: None,
+            link,
+            timing: TimingSpec::default(),
+            transport_seed: 1,
+            fault: None,
+        };
+        let endpoint = TcpEndpoint::bind("127.0.0.1:0")?;
+        RunContext::bootstrap(0, endpoint, &Registry::new(), boot).map(|_| ())
+    }
+
+    #[test]
+    fn malformed_bootstraps_are_typed_errors() {
+        use crate::proto::LinkSpec;
+        let ideal = LinkSpec::ideal();
+        let starved = LinkSpec {
+            bandwidth_bytes_per_sec: Some(0),
+            ..ideal
+        };
+        let lossy = |loss: f64| LinkSpec { loss, ..ideal };
+        let nan = lossy(f64::NAN);
+        let cases = [
+            (lossy(1.5), 2, "loss"),
+            (nan, 2, "loss"),
+            (starved, 2, "bandwidth"),
+            (ideal, 1, "at least two nodes"),
+        ];
+        for (link, population, what) in cases {
+            let err = bootstrapped_with(link, population).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(what), "{err}");
+        }
+        assert!(bootstrapped_with(ideal, 2).is_ok());
+
+        // The same link values fail a step on both in-process hosts, with
+        // a typed error too.
+        let config = ChiaroscuroConfig {
+            k: 2,
+            ..ChiaroscuroConfig::demo_simulated()
+        };
+        let crypto =
+            chiaroscuro::rounds::CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(7))
+                .unwrap();
+        for link in [lossy(1.5), nan, starved].map(LinkSpec::to_link_config) {
+            for run in on_both_hosts(&config, &crypto, &[0.5; 8], link) {
+                let typed = matches!(run, Err(chiaroscuro::ChiaroscuroError::InvalidConfig(_)));
+                assert!(typed, "{run:?}");
             }
         }
     }

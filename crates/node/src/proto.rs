@@ -283,8 +283,7 @@ pub type Estimate = PerturbedAggregates;
 
 /// Writes one length-prefixed control message.
 pub fn write_msg<W: Write>(w: &mut W, msg: &ControlMsg) -> io::Result<()> {
-    let json = serde_json::to_string(msg)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let json = serde_json::to_string(msg).map_err(|e| bad_data(e.to_string()))?;
     let bytes = json.as_bytes();
     w.write_all(&(bytes.len() as u32).to_le_bytes())?;
     w.write_all(bytes)?;
@@ -297,17 +296,18 @@ pub fn read_msg<R: Read>(r: &mut R) -> io::Result<ControlMsg> {
     r.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len) as usize;
     if len > MAX_CONTROL_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("control message of {len} bytes exceeds the cap"),
-        ));
+        let msg = format!("control message of {len} bytes exceeds the cap");
+        return Err(bad_data(msg));
     }
     let mut buf = vec![0u8; len];
     r.read_exact(&mut buf)?;
-    let json = std::str::from_utf8(&buf)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    serde_json::from_str(json)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    let json = std::str::from_utf8(&buf).map_err(|e| bad_data(e.to_string()))?;
+    serde_json::from_str(json).map_err(|e| bad_data(e.to_string()))
+}
+
+/// The error of anything malformed on a control channel.
+pub(crate) fn bad_data(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 #[cfg(test)]
