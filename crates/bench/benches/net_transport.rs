@@ -71,7 +71,6 @@ fn bench_tcp_step(c: &mut Criterion) {
             let contributions = synthetic_contributions(n, &layout, 3);
             let net = NetConfig {
                 push_interval: Duration::from_micros(100),
-                quiesce: Duration::from_millis(50),
                 ..NetConfig::default()
             };
             bench.iter(|| {

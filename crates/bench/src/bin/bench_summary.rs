@@ -12,7 +12,7 @@
 //! ```sh
 //! cargo run --release -p cs_bench --bin bench_summary            # full
 //! cargo run --release -p cs_bench --bin bench_summary -- --quick # smoke
-//! cargo run ... -- --quick --check  # CI gate: scaling, step budget, messages
+//! cargo run ... -- --quick --check  # CI gate: scaling, step budget, frame counts
 //! cargo run ... -- --out target/BENCH_net.json                   # custom path
 //! cargo run ... -- --profile   # per-phase step breakdown in the entries
 //! ```
@@ -258,10 +258,12 @@ fn main() {
 }
 
 /// The CI gate: the scaling rows stay near-linear, the deployed wire
-/// configuration fits its step budget, and every row actually gossiped.
-/// Mirrors `bench_crypto --check`. No gate compares two wall-clock
+/// configuration fits its step budget, every row actually gossiped, and
+/// every plain row put exactly one frame per node and cycle on its ideal
+/// link. Mirrors `bench_crypto --check`. No gate compares two wall-clock
 /// substrates: the reactor-stall guard is csbench's `tcp_plain_64`
-/// `compare` plus `crates/net/tests/tcp_reactor.rs`.
+/// `compare` plus `crates/net/tests/tcp_reactor.rs`. Time on the wall-clock
+/// substrate is not gateable; its frame counts are.
 fn run_check(summary: &BenchSummary) {
     let wall = |name: &str, population: usize| {
         summary
@@ -273,7 +275,7 @@ fn run_check(summary: &BenchSummary) {
     let mut failures = Vec::new();
     // Scaling gates (full-mode rows only): the sharded executor must stay
     // near-linear in population — a super-linear blowup means per-node
-    // state is leaking into a hot loop (quadratic vote fan-out, rebuilt
+    // state is leaking into a hot loop (a quadratic broadcast, rebuilt
     // combine plans, cold randomizer pools).
     let scaling_pairs: &[(&str, usize, usize)] = &[
         ("net_step_plain_sharded", 1024, 16384),
@@ -305,13 +307,24 @@ fn run_check(summary: &BenchSummary) {
             ));
         }
     }
+    // An honest plain step is its pushes and nothing else: no decryption
+    // round, nothing lost on an ideal link, and nobody announcing anything
+    // — one push per node per cycle, on the TCP host as on the executor.
+    let cycles = StepWorkload::plain("", summary.quick).config.gossip_cycles as u64;
     for e in &summary.entries {
         if e.name != "wire_codec_encrypted_push_roundtrip" && e.messages == 0 {
             failures.push(format!("{} @ {} moved no messages", e.name, e.population));
         }
+        let want = e.population as u64 * cycles;
+        if e.name.starts_with("net_step_plain_") && e.messages != want {
+            failures.push(format!(
+                "{} @ {}: {} frames where {} nodes × {cycles} cycles push {want}",
+                e.name, e.population, e.messages, e.population
+            ));
+        }
     }
     if failures.is_empty() {
-        println!("[check] all gates passed: scaling, step budget, message movement");
+        println!("[check] all gates passed: scaling, step budget, message movement, frame counts");
     } else {
         for f in &failures {
             eprintln!("[check] REGRESSION: {f}");
@@ -449,19 +462,15 @@ const STEP_REPS: usize = 3;
 fn net_config() -> NetConfig {
     NetConfig {
         push_interval: Duration::from_micros(150),
-        quiesce: Duration::from_millis(100),
         ..NetConfig::default()
     }
 }
 
-/// Sharded-executor settings for the sweep: votes stay on at the overlap
-/// population (so the row next to the TCP one runs the identical protocol)
-/// and are quiescence-replaced on the scaling rows — the `O(n²)` broadcast
-/// would dominate the message counts without informing them.
-fn sharded_config(n: usize, workers: usize) -> ShardedConfig {
+/// Sharded-executor settings for the sweep: the defaults on `workers`
+/// pool threads.
+fn sharded_config(workers: usize) -> ShardedConfig {
     ShardedConfig {
         workers,
-        termination_votes: n <= 64,
         ..ShardedConfig::default()
     }
 }
@@ -590,7 +599,7 @@ impl StepWorkload {
             &contributions,
             &crypto,
             self.step_seed,
-            &sharded_config(n, workers),
+            &sharded_config(workers),
             &[],
         )
         .expect("step");

@@ -2,10 +2,10 @@
 //!
 //! The paper's protocol "proceeds without any global synchronization", so
 //! a participant's only clocks are its own: the gossip pacing tick, the
-//! decryption round's retry (= hedge) and give-up timers, and the
-//! vote/quiescence rule that ends its part of the step. [`NodeDriver`]
-//! wraps one [`ProtocolNode`] and owns all of that step-local timing state,
-//! including what a crash, a rejoin and a leave do to it. Like the node it
+//! decryption round's retry (= hedge) and give-up timers, and the step's
+//! hard deadline. [`NodeDriver`] wraps one [`ProtocolNode`] and owns all of
+//! that step-local timing state, including what a crash, a rejoin and a
+//! leave do to it. Like the node it
 //! is *sans-IO*: time comes in as a number (nanoseconds since the step's
 //! gossip start), messages come in decoded, and what goes out is
 //! [`Outbound`]s plus the armed timers as plain values. Every substrate is
@@ -37,10 +37,6 @@ use std::time::Duration;
 pub struct Timing {
     /// Pacing between a node's gossip pushes.
     pub push_interval: Duration,
-    /// How long a finished node keeps waiting for peers' termination votes
-    /// before its part of the step counts as complete (absorbs silent
-    /// crashes).
-    pub quiesce: Duration,
     /// How long a node keeps waiting (and re-requesting) in the decryption
     /// round before giving up with no estimate.
     pub decrypt_deadline: Duration,
@@ -110,12 +106,9 @@ pub struct NodeDriver {
     /// and awaiting shares — they start with the round and end with it.
     retry: Option<u64>,
     deadline: Option<u64>,
-    /// When the node's own part of the step finished.
-    done_since: Option<u64>,
     push_interval: u64,
     retry_interval: u64,
     decrypt_deadline: u64,
-    quiesce: u64,
     step_timeout: u64,
 }
 
@@ -131,11 +124,9 @@ impl NodeDriver {
             tick: alive.then_some(0),
             retry: None,
             deadline: None,
-            done_since: None,
             push_interval: ns(timing.push_interval),
             retry_interval: ns(decrypt_retry_interval(timing.push_interval)),
             decrypt_deadline: ns(timing.decrypt_deadline),
-            quiesce: ns(timing.quiesce),
             step_timeout: ns(timing.step_timeout),
         }
     }
@@ -191,7 +182,7 @@ impl NodeDriver {
                 self.node.tick(out);
                 self.tick = self.gossiping().then_some(now + self.push_interval);
             }
-            Timer::Deadline => self.node.abandon_decrypt(out),
+            Timer::Deadline => self.node.abandon_decrypt(),
             Timer::Retry => {
                 self.node.retry_decrypt(out);
                 self.retry = Some(now + self.retry_interval);
@@ -259,17 +250,15 @@ impl NodeDriver {
         }
     }
 
-    /// `true` once the node's part of the step is over as far as a
-    /// wall-clock substrate can tell: it is done and either every peer it
-    /// believes alive has voted or it has waited out `quiesce`; or the
-    /// step timed out. (The sharded executor observes global quiescence
-    /// instead and never asks.)
+    /// `true` once the node's own part of the step is over — it is done
+    /// (estimate obtained or given up), or the step timed out. Whether the
+    /// *step* is over is the host's to observe, not the node's: the TCP
+    /// host and the coordinator collect one announcement per live node,
+    /// and the sharded executor sees its queues drain and never asks. A
+    /// done node keeps serving committee duties until the host ends the
+    /// step.
     pub fn complete(&self, now: u64) -> bool {
-        let quiesced = self
-            .done_since
-            .is_some_and(|since| now.saturating_sub(since) >= self.quiesce);
-        (self.node.step_done() && (quiesced || self.node.all_votes_in()))
-            || now >= self.step_timeout
+        self.node.step_done() || now >= self.step_timeout
     }
 
     /// Consumes the driver into the node's report and its (possibly
@@ -284,19 +273,14 @@ impl NodeDriver {
         !self.node.awaiting_shares() && !self.node.step_done()
     }
 
-    /// Brings the decryption-round clocks and the done instant in line
-    /// with the node's phase after an input.
+    /// Brings the decryption-round clocks in line with the node's phase
+    /// after an input.
     fn settle(&mut self, now: u64) {
-        if self.node.awaiting_shares() {
-            if self.retry.is_none() {
-                self.retry = Some(now + self.retry_interval);
-                self.deadline = Some(now + self.decrypt_deadline);
-            }
-        } else {
+        if !self.node.awaiting_shares() {
             (self.retry, self.deadline) = (None, None);
-            if self.done_since.is_none() && self.node.step_done() {
-                self.done_since = Some(now);
-            }
+        } else if self.retry.is_none() {
+            self.retry = Some(now + self.retry_interval);
+            self.deadline = Some(now + self.decrypt_deadline);
         }
     }
 }

@@ -62,10 +62,9 @@
 //! scheduling: two same-seed runs produce identical `ExecutionLog`s,
 //! byte for byte (asserted by `tests/sharded_e2e.rs`).
 //!
-//! Completion needs no termination votes: the executor observes global
-//! quiescence (all event queues drained) directly, so
-//! [`ShardedConfig::termination_votes`] may disable the `O(n²)`
-//! control-plane broadcast at very large populations.
+//! Completion is observed, not announced: the step ends at global
+//! quiescence (every event queue and mailbox drained) or the virtual
+//! deadline, and no node tells anyone it is done.
 
 use crate::churn::{ChurnEvent, ChurnKind};
 use crate::driver::{Armed, NodeDriver, Timer, Timing};
@@ -120,11 +119,6 @@ pub struct ShardedConfig {
     pub decrypt_deadline: Duration,
     /// Hard virtual-time deadline for one step.
     pub step_timeout: Duration,
-    /// Whether nodes broadcast termination votes on completion. The
-    /// executor detects completion by event-queue quiescence, so the
-    /// `O(n²)` vote broadcast is optional realism — turn it off at very
-    /// large populations.
-    pub termination_votes: bool,
     /// Scripted churn, scheduled at virtual offsets.
     pub churn: crate::churn::ChurnSchedule,
     /// Causal tracing: every node records its sends, receives, and phase
@@ -154,7 +148,6 @@ impl Default for ShardedConfig {
             epoch: Duration::from_micros(250),
             decrypt_deadline: Duration::from_secs(5),
             step_timeout: Duration::from_secs(60),
-            termination_votes: true,
             churn: crate::churn::ChurnSchedule::none(),
             trace: false,
             fault: None,
@@ -164,21 +157,18 @@ impl Default for ShardedConfig {
 }
 
 impl ShardedConfig {
-    /// A preset for XL populations: vote broadcast off (completion is
-    /// quiescence-detected), everything else default.
+    /// Equal to [`ShardedConfig::default`]. It was the preset that turned
+    /// the `O(n²)` termination-vote broadcast off; the votes are gone at
+    /// every population. Kept only because csbench's frozen sources name
+    /// it.
     pub fn large_population() -> Self {
-        ShardedConfig {
-            termination_votes: false,
-            ..ShardedConfig::default()
-        }
+        ShardedConfig::default()
     }
 
-    /// The node drivers' clocks, on virtual time. Completion is observed
-    /// as event-queue quiescence, so `quiesce` is never consulted.
+    /// The node drivers' clocks, on virtual time.
     fn timing(&self) -> Timing {
         Timing {
             push_interval: self.push_interval,
-            quiesce: Duration::ZERO,
             decrypt_deadline: self.decrypt_deadline,
             step_timeout: self.step_timeout,
         }
@@ -758,7 +748,6 @@ pub fn run_step_sharded(
                 step_seed,
                 config.gossip_cycles,
                 step.committee.clone(),
-                sharded.termination_votes,
                 sharded.fault,
             );
             let node_crypto = step.node_crypto(id);
@@ -956,7 +945,7 @@ mod tests {
         let mut shard = Shard::new(1);
         let values = vec![1.0; layout().total()];
         for id in 0..3 {
-            let params = NodeParams::for_step(id, 3, 9, 4, Vec::new(), false, None);
+            let params = NodeParams::for_step(id, 3, 9, 4, Vec::new(), None);
             let crypto = crate::node::NodeCrypto::Plain;
             let node = ProtocolNode::new(params, layout(), crypto, Some(&values));
             let driver = NodeDriver::new(node, &sharded.timing(), true);
@@ -1080,7 +1069,7 @@ mod tests {
         let timing = sharded.timing();
         let shards: Vec<Mutex<Shard>> = (0..2)
             .map(|id| {
-                let params = NodeParams::for_step(id, 2, 9, 1, Vec::new(), false, None);
+                let params = NodeParams::for_step(id, 2, 9, 1, Vec::new(), None);
                 let mut node = ProtocolNode::new(params, layout(), NodeCrypto::Plain, None);
                 let mut trace = None;
                 if id == 1 {
@@ -1221,20 +1210,6 @@ mod tests {
             "Leave/Join announcements are control traffic"
         );
         check_estimates(&a.outcome, 32, 0.6);
-    }
-
-    #[test]
-    fn votes_off_still_completes_by_quiescence() {
-        let step = Step::new(Crypto::Simulated, 20, 32, [7, 8, 17]);
-        let cfg = ShardedConfig {
-            shards: 8,
-            ..ShardedConfig::large_population()
-        };
-        let run = step.on_shards(&cfg, &[]).unwrap();
-        check_estimates(&run.outcome, 32, 0.45);
-        // No termination votes were broadcast; membership churn is the only
-        // control traffic and none was scripted.
-        assert_eq!(run.snapshot.control.messages, 0);
     }
 
     /// Virtual time a traced node spent in the decryption round.
@@ -1411,9 +1386,7 @@ mod tests {
     #[ignore = "manual scale check: 16k virtual nodes, release mode"]
     fn scale_16k_virtual_nodes_plain() {
         let step = Step::new(Crypto::Simulated, 20, 16_384, [91, 92, 93]);
-        let run = step
-            .on_shards(&ShardedConfig::large_population(), &[])
-            .unwrap();
+        let run = step.on_shards(&ShardedConfig::default(), &[]).unwrap();
         check_estimates(&run.outcome, 16_384, 0.35);
         assert_eq!(
             run.outcome.estimates.iter().flatten().count(),

@@ -67,11 +67,10 @@ pub(crate) fn check_estimates(outcome: &ComputationOutcome, n: usize, tol: f64) 
     }
 }
 
-/// The TCP host's clocks in the unit tests: fast pacing, a short quiesce.
+/// The TCP host's clocks in the unit tests: fast pacing.
 pub(crate) fn fast_net() -> NetConfig {
     NetConfig {
         push_interval: Duration::from_micros(150),
-        quiesce: Duration::from_millis(120),
         step_timeout: Duration::from_secs(30),
         ..NetConfig::default()
     }
@@ -206,6 +205,27 @@ pub(crate) fn scenarios() -> Vec<Scenario> {
                 assert!(!run.outcome.alive_after[5], "node 5 stays down");
                 assert!(run.outcome.estimates[5].is_none());
                 check_estimates(&run.outcome, 12, 0.6);
+            },
+            ..plain()
+        },
+        // The same crash, timed: no survivor waits for the dead node to
+        // say anything. The TCP host runs every row with a 5 s `quiesce`,
+        // which it ignores; at the commit before the termination votes
+        // were deleted, this step waited that out.
+        Scenario {
+            name: "silent_crash_holds_no_survivor_back",
+            population: 8,
+            cycles: 20,
+            seeds: [15, 16, 27],
+            churn: &[(5, 6, ChurnKind::Crash)],
+            expect: |run| {
+                assert!(
+                    run.elapsed < Duration::from_secs(1),
+                    "the survivors waited for a dead node: {:?}",
+                    run.elapsed
+                );
+                assert!(run.outcome.estimates[6].is_none());
+                check_estimates(&run.outcome, 8, 0.6);
             },
             ..plain()
         },
@@ -349,6 +369,7 @@ impl Scenario {
                 let net = NetConfig {
                     link: self.link.clone(),
                     decrypt_deadline: self.decrypt_deadline,
+                    quiesce: Duration::from_secs(5),
                     ..fast_net()
                 };
                 step.on_tcp(&net, &events(net.push_interval))
@@ -377,6 +398,7 @@ macro_rules! scenario_tests {
         $crate::fixtures::scenario_tests!(
             $host;
             silent_crash_mid_gossip_is_survived
+            silent_crash_holds_no_survivor_back
             crash_then_rejoin_recovers_the_node
             graceful_leave_is_announced
             dead_at_start_nodes_hold_zero_weight

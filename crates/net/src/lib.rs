@@ -10,9 +10,9 @@
 //! * [`wire`] — a **versioned, length-prefixed binary codec** for every
 //!   protocol message: push-sum exchange payloads of Damgård-Jurik
 //!   ciphertexts (and their plaintext twins for simulated-crypto mode),
-//!   collaborative-decryption requests and partial-decryption shares,
-//!   termination votes, and membership join/leave. Decoding is strict;
-//!   corrupt frames are rejected, never tolerated.
+//!   collaborative-decryption requests and partial-decryption shares, and
+//!   membership join/leave. Decoding is strict; corrupt frames are
+//!   rejected, never tolerated.
 //! * [`transport`] — what every way of moving frames shares: the link model
 //!   ([`transport::LinkConfig`] — per-link latency, jitter, loss, and
 //!   bandwidth) and per-traffic-class **bytes-on-wire accounting**
@@ -23,8 +23,8 @@
 //!   and the plaintext twins); this crate only adds the messaging shell.
 //! * [`driver`] — the sans-IO **node driver**: owns one node's state
 //!   machine and all of its step-local clocks — pacing tick, decryption
-//!   retry/hedge and deadline, vote/quiescence completion, and what crash,
-//!   rejoin and leave do to them. Time goes in as a number, timers come out
+//!   retry/hedge and deadline, when its own part is complete, and what
+//!   crash, rejoin and leave do to them. Time goes in as a number, timers come out
 //!   as values; every substrate below is a way of feeding it.
 //! * [`churn`] — scripted crash / rejoin / leave injection with
 //!   millisecond placement ("node 7 crashes mid-gossip"). On the TCP host

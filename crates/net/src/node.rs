@@ -24,9 +24,9 @@
 //!    folded to what the aggregate occupies (`StepCipher::fold`), and ask
 //!    the key committee for exactly the `threshold` partial decryption
 //!    vectors the combine will read (see below); combine the first replies.
-//! 3. **Done** — broadcast a termination vote and keep serving committee
-//!    duties (partial decryptions for slower peers) until the runtime shuts
-//!    the population down.
+//! 3. **Done** — keep serving committee duties (partial decryptions for
+//!    slower peers) until the host ends the step. Nothing is announced to
+//!    peers: when the step is over is the host's to observe, not theirs.
 //!
 //! ## The decryption round: ask *t*, hedge the rest
 //!
@@ -148,11 +148,6 @@ pub struct NodeParams {
     pub committee: Vec<NodeId>,
     /// Per-node RNG seed (peer sampling, encryption randomness).
     pub seed: u64,
-    /// Broadcast a termination vote on completion. A wall-clock host
-    /// needs the votes to detect completion early; the sharded executor
-    /// observes event-queue quiescence directly and can disable the
-    /// `O(n²)` control-plane broadcast at very large populations.
-    pub votes: bool,
     /// Fault injection (tests and chaos drills only): corrupt every
     /// partial decryption this node produces — both the shares it serves
     /// to requesters and the ones it contributes to its own combine. A
@@ -173,7 +168,6 @@ impl NodeParams {
         step_seed: u64,
         pushes: usize,
         committee: Vec<NodeId>,
-        votes: bool,
         fault: Option<FaultSpec>,
     ) -> Self {
         NodeParams {
@@ -183,7 +177,6 @@ impl NodeParams {
             pushes,
             committee,
             seed: step_seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            votes,
             corrupt_partials: fault.is_some_and(|f| f.corrupts_partials(id)),
         }
     }
@@ -271,7 +264,12 @@ pub struct NodeReport {
     /// `true` if the gossip phase ended early because no live peer was
     /// reachable (the push quota went unmet).
     pub gossip_cut_short: bool,
-    /// Peers whose termination vote reported no usable estimate.
+    /// Connection failures toward peers this node saw during the step — a
+    /// connect or write that failed, or a peer's connection that closed:
+    /// the transport's own evidence of a peer that died, since a SIGKILLed
+    /// process says nothing. Filled by `csnoded` from its transport's
+    /// counters; 0 on the in-process hosts, whose churn the host scripts
+    /// and therefore knows.
     pub peer_failures: u64,
     /// Frames that failed to decode (corrupt or mis-versioned) or whose
     /// payload did not fit this node's slot layout. Decode failures are
@@ -339,13 +337,7 @@ pub struct ProtocolNode {
     pending_request: Option<PendingRequest>,
     served_replies: HashMap<NodeId, Message>,
     gossip_cut_short: bool,
-    peer_failures: u64,
     estimate: Option<PerturbedAggregates>,
-    /// Ids whose termination vote arrived — sparse for the same reason as
-    /// [`Self::dead_view`]: with votes disabled (large populations) this
-    /// never holds anything, and with them enabled it holds at most the
-    /// population of a small cluster.
-    votes: BTreeSet<NodeId>,
     ops: HomomorphicOpCounts,
     decrypt_ops: DecryptionOps,
     bad_frames: u64,
@@ -416,9 +408,7 @@ impl ProtocolNode {
             pending_request: None,
             served_replies: HashMap::new(),
             gossip_cut_short: false,
-            peer_failures: 0,
             estimate: None,
-            votes: BTreeSet::new(),
             audit: DecryptAudit {
                 node: node_id,
                 ..DecryptAudit::default()
@@ -450,13 +440,6 @@ impl ProtocolNode {
     /// or given up) — it may still serve committee duties.
     pub fn step_done(&self) -> bool {
         matches!(self.phase, Phase::Done)
-    }
-
-    /// `true` when every peer this node believes alive has voted.
-    pub fn all_votes_in(&self) -> bool {
-        self.step_done()
-            && (0..self.params.population)
-                .all(|i| self.dead_view.contains(&i) || self.votes.contains(&i))
     }
 
     /// Records a frame that failed to decode.
@@ -540,9 +523,9 @@ impl ProtocolNode {
 
     /// Gives up on the decryption round (the runtime's bounded-wait escape
     /// hatch for a committee that silently died): finishes with no estimate.
-    pub fn abandon_decrypt(&mut self, out: &mut Vec<Outbound>) {
+    pub fn abandon_decrypt(&mut self) {
         if matches!(self.phase, Phase::AwaitShares) {
-            self.finish(None, out);
+            self.finish(None);
         }
     }
 
@@ -673,18 +656,7 @@ impl ProtocolNode {
                 if iteration != self.params.iteration {
                     return;
                 }
-                self.accept_share(from, partials, out);
-            }
-            Message::TerminationVote {
-                iteration,
-                completed,
-            } => {
-                if iteration == self.params.iteration && self.votes.insert(from) && !completed {
-                    // The peer finished without a usable estimate — surfaced
-                    // in the report so drivers and experiments can count
-                    // partial-failure rounds.
-                    self.peer_failures += 1;
-                }
+                self.accept_share(from, partials);
             }
             Message::Join { node, .. } => {
                 if (node as usize) < self.params.population {
@@ -756,7 +728,7 @@ impl ProtocolNode {
             decrypt_ops: self.decrypt_ops,
             pushes_sent: self.pushes_sent,
             gossip_cut_short: self.gossip_cut_short,
-            peer_failures: self.peer_failures,
+            peer_failures: 0,
             bad_frames: self.bad_frames,
             profile: self.profile,
         }
@@ -856,7 +828,7 @@ impl ProtocolNode {
                 let est = ps
                     .estimate()
                     .map(|est| assemble_aggregates(&self.layout, |slot| est[slot]));
-                return self.finish(est, out);
+                return self.finish(est);
             }
             // Snapshot — later absorbs keep mixing the gossip state but no
             // longer affect this estimate — folded to what it occupies.
@@ -871,7 +843,7 @@ impl ProtocolNode {
                 self.profile.add(cipher.decode_phase(), fold_ns);
                 folded
             }
-            _ => return self.finish(None, out),
+            _ => return self.finish(None),
         };
 
         let mut recipients: Vec<NodeId> = self
@@ -886,7 +858,7 @@ impl ProtocolNode {
         let own_partials = self.partials_of(&snapshot);
         if recipients.len() + usize::from(own_partials.is_some()) < self.threshold() {
             // Not enough live committee members: no estimate.
-            self.finish(None, out);
+            self.finish(None);
             return;
         }
         // Rotated by the requester's id — no RNG draw — so the
@@ -905,7 +877,7 @@ impl ProtocolNode {
             },
         });
         if let Some(partials) = own_partials {
-            self.accept_share(self.params.id, partials, out);
+            self.accept_share(self.params.id, partials);
         }
         self.ask_committee(out);
     }
@@ -987,12 +959,7 @@ impl ProtocolNode {
         );
     }
 
-    fn accept_share(
-        &mut self,
-        from: NodeId,
-        partials: Vec<PartialDecryption>,
-        out: &mut Vec<Outbound>,
-    ) {
+    fn accept_share(&mut self, from: NodeId, partials: Vec<PartialDecryption>) {
         // Audit evidence first: a share from outside the committee is an
         // invariant violation whenever it arrives, even if the phase or
         // dedup checks would discard it below. Detection only — behavior
@@ -1062,24 +1029,15 @@ impl ProtocolNode {
         self.profile
             .add(decode_phase, decode_started.elapsed().as_nanos() as u64);
         self.decrypt_ops.combinations += combinations;
-        self.finish(est, out);
+        self.finish(est);
     }
 
-    fn finish(&mut self, estimate: Option<PerturbedAggregates>, out: &mut Vec<Outbound>) {
-        let completed = estimate.is_some();
+    fn finish(&mut self, estimate: Option<PerturbedAggregates>) {
+        if let Some(t) = &mut self.tracer {
+            t.mark("step.done", &[("completed", u64::from(estimate.is_some()))]);
+        }
         self.estimate = estimate;
         self.phase = Phase::Done;
         self.pending_request = None;
-        self.votes.insert(self.params.id);
-        if let Some(t) = &mut self.tracer {
-            t.mark("step.done", &[("completed", u64::from(completed))]);
-        }
-        if self.params.votes {
-            let vote = Message::TerminationVote {
-                iteration: self.params.iteration,
-                completed,
-            };
-            self.broadcast(vote, out);
-        }
     }
 }

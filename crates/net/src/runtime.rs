@@ -148,8 +148,12 @@ pub struct NetConfig {
     pub link: LinkConfig,
     /// Pacing between a node's gossip pushes.
     pub push_interval: Duration,
-    /// How long a node keeps waiting for peers' termination votes after its
-    /// own part of the step completed (absorbs silent crashes).
+    /// Ignored. It was how long a finished node waited for its peers'
+    /// termination votes; the votes are gone and the host observes the
+    /// step's end itself (a node announces once its own part is done). Kept
+    /// only because csbench's frozen sources set it — ROADMAP item 5
+    /// records that the next `[benchmark]` PR drops that use, then the
+    /// field.
     pub quiesce: Duration,
     /// How long a node keeps waiting (and re-requesting) in the decryption
     /// round before giving up with no estimate — bounds the damage of a
@@ -318,7 +322,6 @@ pub fn run_step_over_tcp(
         .collect();
     let timing = Timing {
         push_interval: net.push_interval,
-        quiesce: net.quiesce,
         decrypt_deadline: net.decrypt_deadline,
         step_timeout: net.step_timeout,
     };
@@ -335,7 +338,6 @@ pub fn run_step_over_tcp(
             step_seed,
             config.gossip_cycles,
             step.committee.clone(),
-            true,
             net.fault,
         );
         let node_crypto = step.node_crypto(i);
@@ -649,6 +651,22 @@ mod tests {
         );
     }
 
+    /// No node announces anything to its peers: an honest step on either
+    /// in-process host — the sharded executor at its default config, the
+    /// TCP host — puts one push per node per cycle on the wire and no
+    /// control frame at all.
+    #[test]
+    fn an_honest_step_sends_no_control_frames() {
+        let step = Step::new(Crypto::Simulated, 20, 32, [7, 8, 17]);
+        let sharded = step.on_shards(&ShardedConfig::default(), &[]);
+        for run in [sharded, step.on_tcp(&fast_net(), &[])] {
+            let run = run.unwrap();
+            assert!(run.outcome.estimates.iter().all(Option::is_some));
+            assert_eq!(run.snapshot.control, Default::default());
+            assert_eq!(run.snapshot.gossip.messages, 32 * 20);
+        }
+    }
+
     #[test]
     fn real_step_recovers_means_over_tcp_loopback() {
         let step = Step::new(Crypto::PerSlot, 10, 6, [81, 82, 83]);
@@ -706,7 +724,6 @@ mod tests {
         let engine = chiaroscuro::Engine::new(config).unwrap();
         let mut backend = NetBackend::tcp(NetConfig {
             push_interval: Duration::from_micros(150),
-            quiesce: Duration::from_millis(120),
             ..NetConfig::default()
         });
         assert_eq!(backend.label(), "tcp-loopback");

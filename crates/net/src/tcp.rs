@@ -360,6 +360,10 @@ struct TcpMetrics {
     connect_retries: Arc<Counter>,
     /// Mid-stream write failures forcing a reconnect (`tcp.write.retries`).
     write_retries: Arc<Counter>,
+    /// Inbound connections that ended — EOF, reset or a corrupt stream
+    /// (`tcp.inbound.closed`): how a peer that died without a word shows
+    /// up at the nodes it had been sending to.
+    inbound_closed: Arc<Counter>,
     /// Backoff timers armed after a failure (`tcp.backoff.sleeps` — the
     /// historical name; no thread sleeps on it, the reactor's poll horizon
     /// absorbs the wait).
@@ -379,6 +383,7 @@ impl TcpMetrics {
             connects: registry.counter("tcp.connects"),
             connect_retries: registry.counter("tcp.connect.retries"),
             write_retries: registry.counter("tcp.write.retries"),
+            inbound_closed: registry.counter("tcp.inbound.closed"),
             backoff_sleeps: registry.counter("tcp.backoff.sleeps"),
             write_partials: registry.counter("tcp.write.partials"),
             writer_overflow: registry.counter("tcp.writer.overflow"),
@@ -603,8 +608,10 @@ impl TcpInner {
             return; // someone is reading; the poll backstop covers the rest
         }
         let mut io = plock(&inb.io);
-        if !service_inbound(self, &mut io, buf, budget) {
-            inb.dead.store(true, Ordering::Release);
+        if !service_inbound(self, &mut io, buf, budget) && !inb.dead.swap(true, Ordering::AcqRel) {
+            if let Some(m) = &self.metrics {
+                m.inbound_closed.inc();
+            }
         }
         drop(io);
         inb.duty.store(0, Ordering::Release);

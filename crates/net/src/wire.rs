@@ -27,8 +27,10 @@
 //!
 //! There is one layout, [`WIRE_VERSION`]. No peer of another version is
 //! deployed anywhere and the `cs_node` handshake demands an exact match, so
-//! frames of the earlier layouts (v1: no packed push; v2: no trace block)
-//! are rejected as [`WireError::BadVersion`] like any other foreign byte.
+//! frames of the earlier layouts (v1: no packed push; v2: no trace block;
+//! v3: a termination vote under tag 4, retired with the vote) are rejected
+//! as [`WireError::BadVersion`] like any other foreign byte, and tag 4 in a
+//! current frame is a [`WireError::BadTag`].
 //!
 //! The [`Message`] type also derives serde, so every variant has a JSON
 //! form for logs and debugging; the binary frame codec is the transport
@@ -42,7 +44,7 @@ use std::fmt;
 
 /// The wire format version — the only one [`decode_frame`] accepts and
 /// [`encode_frame`] emits. Bump on any layout change.
-pub const WIRE_VERSION: u8 = 3;
+pub const WIRE_VERSION: u8 = 4;
 
 /// Hard upper bound on one frame's body, guarding decode against hostile
 /// length prefixes (64 MiB comfortably fits any realistic slot vector).
@@ -60,7 +62,7 @@ pub enum FrameClass {
     Gossip,
     /// Collaborative-decryption traffic (step 2d).
     Decrypt,
-    /// Membership and termination control traffic.
+    /// Membership traffic: `Join` and `Leave` announcements.
     Control,
 }
 
@@ -125,13 +127,6 @@ pub enum Message {
         /// One partial decryption per requested slot, in request order.
         partials: Vec<PartialDecryption>,
     },
-    /// A participant's termination vote for the current computation step.
-    TerminationVote {
-        /// Protocol iteration being voted on.
-        iteration: u64,
-        /// Whether the voter completed the step with a usable estimate.
-        completed: bool,
-    },
     /// Membership: a (re)joining node announcing itself.
     Join {
         /// The joining node's identifier.
@@ -155,9 +150,7 @@ impl Message {
             | Message::PackedPush { .. }
             | Message::PlainPush { .. } => FrameClass::Gossip,
             Message::DecryptRequest { .. } | Message::DecryptShare { .. } => FrameClass::Decrypt,
-            Message::TerminationVote { .. } | Message::Join { .. } | Message::Leave { .. } => {
-                FrameClass::Control
-            }
+            Message::Join { .. } | Message::Leave { .. } => FrameClass::Control,
         }
     }
 
@@ -169,7 +162,6 @@ impl Message {
             Message::PlainPush { .. } => 1,
             Message::DecryptRequest { .. } => 2,
             Message::DecryptShare { .. } => 3,
-            Message::TerminationVote { .. } => 4,
             Message::Join { .. } => 5,
             Message::Leave { .. } => 6,
             Message::PackedPush { .. } => 7,
@@ -209,7 +201,6 @@ impl Message {
                             .map(|p| 8 + 4 + p.value().byte_len())
                             .sum::<usize>()
                 }
-                Message::TerminationVote { .. } => 8 + 1,
                 Message::Join { .. } => 8 + 8,
                 Message::Leave { .. } => 8,
             }
@@ -369,13 +360,6 @@ pub fn encode_frame_traced(msg: &Message, ctx: TraceContext) -> Vec<u8> {
                 put_u64(&mut frame, p.index());
                 put_biguint(&mut frame, p.value());
             }
-        }
-        Message::TerminationVote {
-            iteration,
-            completed,
-        } => {
-            put_u64(&mut frame, *iteration);
-            frame.push(u8::from(*completed));
         }
         Message::Join { node, iteration } => {
             put_u64(&mut frame, *node);
@@ -551,18 +535,6 @@ pub fn decode_frame_traced(frame: &[u8]) -> Result<(Message, TraceContext), Wire
                 partials,
             }
         }
-        4 => {
-            let iteration = r.u64()?;
-            let completed = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::BadValue("vote flag must be 0 or 1")),
-            };
-            Message::TerminationVote {
-                iteration,
-                completed,
-            }
-        }
         5 => Message::Join {
             node: r.u64()?,
             iteration: r.u64()?,
@@ -611,10 +583,6 @@ mod tests {
                     PartialDecryption::from_parts(1, BigUint::from(77u64)),
                     PartialDecryption::from_parts(3, BigUint::from(0u64)),
                 ],
-            },
-            Message::TerminationVote {
-                iteration: 5,
-                completed: true,
             },
             Message::Join {
                 node: 11,
@@ -726,7 +694,6 @@ mod tests {
                 FrameClass::Decrypt,
                 FrameClass::Control,
                 FrameClass::Control,
-                FrameClass::Control,
                 FrameClass::Gossip,
             ]
         );
@@ -770,6 +737,9 @@ mod tests {
         let mut frame = encode_frame(&Message::Leave { node: 1 });
         frame[5] = 99;
         assert_eq!(decode_frame(&frame), Err(WireError::BadTag(99)));
+        // The termination vote's tag is retired, not reassigned.
+        frame[5] = 4;
+        assert_eq!(decode_frame(&frame), Err(WireError::BadTag(4)));
     }
 
     #[test]

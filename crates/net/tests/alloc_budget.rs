@@ -2,7 +2,7 @@
 //!
 //! Time on a shared box is not gateable; counts are. A counting global
 //! allocator brackets one plaintext step — 512 nodes × 20 cycles, 8 shards,
-//! one worker, votes off: 10 240 pushes of 125 slots — and the same step
+//! one worker: 10 240 pushes of 125 slots — and the same step
 //! with a push quota of zero, which builds the same nodes and concludes the
 //! same way but gossips nothing. The difference is what the message path
 //! allocated: the first buffer of each node, the few splits that found
@@ -89,7 +89,7 @@ fn counted_step(cycles: usize, shards: usize, nodes: usize) -> (StepRun, u64) {
     let sharded = ShardedConfig {
         shards,
         workers: 1,
-        ..ShardedConfig::large_population()
+        ..ShardedConfig::default()
     };
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     COUNTING.store(true, Ordering::Relaxed);

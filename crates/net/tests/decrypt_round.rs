@@ -79,7 +79,6 @@ fn build(
         pushes,
         committee: (0..parties).collect(),
         seed,
-        votes: false,
         corrupt_partials: false,
     };
     let crypto = if dialect == Dialect::Plain {

@@ -27,14 +27,12 @@ const POPULATION: usize = 5;
 
 const MS: u64 = 1_000_000;
 const PUSH: u64 = MS;
-const QUIESCE: u64 = 40 * MS;
 const DEADLINE: u64 = 1_000 * MS;
 const TIMEOUT: u64 = 60_000 * MS;
 
 fn timing() -> Timing {
     Timing {
         push_interval: Duration::from_nanos(PUSH),
-        quiesce: Duration::from_nanos(QUIESCE),
         decrypt_deadline: Duration::from_nanos(DEADLINE),
         step_timeout: Duration::from_nanos(TIMEOUT),
     }
@@ -63,7 +61,7 @@ fn contribution() -> Vec<f64> {
     (0..LAYOUT.total()).map(|i| i as f64 * 0.25 - 1.0).collect()
 }
 
-/// Node `id` with a push quota of `pushes`, voting on completion. With
+/// Node `id` with a push quota of `pushes`. With
 /// `real` crypto the node ends its gossip in the decryption round; plain,
 /// the tick that exhausts the quota finishes the step.
 fn node(id: NodeId, pushes: usize, real: bool) -> ProtocolNode {
@@ -76,7 +74,7 @@ fn node(id: NodeId, pushes: usize, real: bool) -> ProtocolNode {
     } else {
         Vec::new()
     };
-    let params = NodeParams::for_step(id, POPULATION, STEP_SEED, pushes, committee, true, None);
+    let params = NodeParams::for_step(id, POPULATION, STEP_SEED, pushes, committee, None);
     let crypto = if real {
         let cipher = context()
             .step_cipher(&config(), &LAYOUT, POPULATION)
@@ -107,10 +105,6 @@ fn is_push(msg: &Message) -> bool {
 
 fn is_request(msg: &Message) -> bool {
     matches!(msg, Message::DecryptRequest { .. })
-}
-
-fn is_vote(msg: &Message) -> bool {
-    matches!(msg, Message::TerminationVote { .. })
 }
 
 /// The reply committee member `member` serves to `request`.
@@ -213,8 +207,7 @@ fn deadline_abandons_once_and_only_while_awaiting() {
     out.clear();
     stranded.poll(DEADLINE, &mut out);
     assert!(stranded.node().step_done());
-    assert_eq!(count(&out, is_request), 0);
-    assert_eq!(count(&out, is_vote), POPULATION - 1, "voted: no estimate");
+    assert!(out.is_empty(), "given up without a word: no request burst");
     assert_eq!(stranded.armed(), Armed::default());
     out.clear();
     stranded.poll(3 * DEADLINE, &mut out);
@@ -239,38 +232,25 @@ fn deadline_abandons_once_and_only_while_awaiting() {
     assert!(served.finish().0.estimate.is_some());
 }
 
-/// Complete = done ∧ (all votes ∨ quiesced) ∨ timed out.
+/// Complete = done ∨ timed out. A node's own part of the step is over the
+/// instant it is done: there is nothing it waits to hear from its peers.
 #[test]
-fn completion_is_done_and_voted_or_quiesced_or_timed_out() {
-    let vote = |from: NodeId, at: u64, node: &mut NodeDriver| {
-        let vote = Message::TerminationVote {
-            iteration: STEP_SEED,
-            completed: true,
-        };
-        node.deliver(from, vote, TraceContext::NONE, at, &mut Vec::new());
-    };
-
+fn completion_is_done_or_timed_out() {
     // Done at 1 ms (plain: the second tick finishes the step).
-    let mut voted = driver(3, 2, false);
+    let mut plain = driver(3, 2, false);
     let mut out = Vec::new();
-    voted.poll(0, &mut out);
-    assert!(!voted.complete(0), "still gossiping");
-    voted.poll(PUSH, &mut out);
-    assert!(voted.node().step_done());
-    assert!(!voted.complete(PUSH), "done, but nobody has voted");
-    for peer in [0, 1, 2] {
-        vote(peer, 2 * MS, &mut voted);
-    }
-    assert!(!voted.complete(2 * MS), "node 4 has not voted");
-    vote(4, 3 * MS, &mut voted);
-    assert!(voted.complete(3 * MS), "done and every live peer voted");
+    plain.poll(0, &mut out);
+    assert!(!plain.complete(0), "still gossiping");
+    plain.poll(PUSH, &mut out);
+    assert!(plain.node().step_done());
+    assert!(plain.complete(PUSH), "complete the instant it is done");
 
-    // No votes at all: quiescence is counted from the done instant.
-    let mut quiet = driver(3, 2, false);
-    quiet.poll(0, &mut out);
-    quiet.poll(PUSH, &mut out);
-    assert!(!quiet.complete(PUSH + QUIESCE - 1));
-    assert!(quiet.complete(PUSH + QUIESCE));
+    // Done by giving up: the deadline abandons the round.
+    let mut stranded = driver(3, 0, true);
+    stranded.poll(0, &mut out);
+    assert!(!stranded.complete(DEADLINE - 1));
+    stranded.poll(DEADLINE, &mut out);
+    assert!(stranded.complete(DEADLINE));
 
     // Never done: only the step timeout completes it.
     let mut stuck = driver(3, 0, true);
@@ -351,8 +331,8 @@ enum Op {
     Crash,
     Rejoin,
     Leave,
-    /// A peer's termination vote.
-    Vote(NodeId),
+    /// A gossip push from `NodeId`, replayed from another step.
+    StalePush(NodeId),
     PeerLeaves(NodeId),
     PeerJoins(NodeId),
     /// The committee member's reply to the pending request, if one is out.
@@ -375,7 +355,7 @@ fn op() -> impl Strategy<Value = Op> {
             5 => Op::Crash,
             6 | 7 => Op::Rejoin,
             8 => Op::Leave,
-            9 => Op::Vote(peer),
+            9 => Op::StalePush(peer),
             10 => Op::PeerLeaves(peer),
             11 => Op::PeerJoins(peer),
             12 | 13 => Op::Share(member),
@@ -449,12 +429,23 @@ fn run(ops: &[Op], pushes: usize, clocking: Clocking) -> (Vec<(u64, Outbound)>, 
             Op::Crash => driver.crash(),
             Op::Rejoin => driver.rejoin(now, &mut out),
             Op::Leave => driver.leave(&mut out),
-            Op::Vote(from) => {
-                let vote = Message::TerminationVote {
-                    iteration: STEP_SEED,
-                    completed: true,
+            Op::StalePush(from) => {
+                let Message::EncryptedPush {
+                    denom_exp,
+                    weight,
+                    slots,
+                    ..
+                } = push_from(*from)
+                else {
+                    unreachable!("the real-crypto fixture pushes per-slot ciphertexts");
                 };
-                driver.deliver(*from, vote, TraceContext::NONE, now, &mut out);
+                let stale = Message::EncryptedPush {
+                    iteration: STEP_SEED + 1,
+                    denom_exp,
+                    weight,
+                    slots,
+                };
+                driver.deliver(*from, stale, TraceContext::NONE, now, &mut out);
             }
             Op::PeerLeaves(peer) => {
                 let leave = Message::Leave { node: *peer as u64 };

@@ -17,10 +17,9 @@ fn build_message(
     weight: f64,
     raw_slots: &[Vec<u8>],
     floats: &[f64],
-    flag: bool,
 ) -> Message {
     let cipher = |bytes: &Vec<u8>| Ciphertext::from_biguint(BigUint::from_bytes_le(bytes));
-    match variant % 8 {
+    match variant % 7 {
         0 => Message::EncryptedPush {
             iteration,
             denom_exp,
@@ -46,15 +45,11 @@ fn build_message(
                 })
                 .collect(),
         },
-        4 => Message::TerminationVote {
-            iteration,
-            completed: flag,
-        },
-        5 => Message::Join {
+        4 => Message::Join {
             node: denom_exp as u64,
             iteration,
         },
-        6 => Message::Leave {
+        5 => Message::Leave {
             node: denom_exp as u64,
         },
         _ => Message::PackedPush {
@@ -72,15 +67,14 @@ proptest! {
 
     #[test]
     fn every_variant_roundtrips_binary_and_json(
-        variant in 0u8..8,
+        variant in 0u8..7,
         iteration in any::<u64>(),
         denom_exp in any::<u32>(),
         weight in -1e12f64..1e12,
         raw_slots in vec(vec(any::<u8>(), 0..24), 0..6),
         floats in vec(-1e12f64..1e12, 0..12),
-        flag in any::<bool>(),
     ) {
-        let msg = build_message(variant, iteration, denom_exp, weight, &raw_slots, &floats, flag);
+        let msg = build_message(variant, iteration, denom_exp, weight, &raw_slots, &floats);
 
         let frame = encode_frame(&msg);
         prop_assert_eq!(&decode_frame(&frame).unwrap(), &msg);
@@ -92,29 +86,28 @@ proptest! {
 
     #[test]
     fn encoded_len_agrees_with_the_codec_on_every_variant(
-        variant in 0u8..8,
+        variant in 0u8..7,
         iteration in any::<u64>(),
         denom_exp in any::<u32>(),
         weight in -1e12f64..1e12,
         raw_slots in vec(vec(any::<u8>(), 0..24), 0..6),
         floats in vec(-1e12f64..1e12, 0..12),
-        flag in any::<bool>(),
     ) {
         // The sharded executor accounts bytes-on-wire (and feeds its link
         // model) through `encoded_len` without ever serializing — it must
         // agree with the real codec on every reachable message.
-        let msg = build_message(variant, iteration, denom_exp, weight, &raw_slots, &floats, flag);
+        let msg = build_message(variant, iteration, denom_exp, weight, &raw_slots, &floats);
         prop_assert_eq!(msg.encoded_len(), encode_frame(&msg).len());
     }
 
     #[test]
     fn any_truncation_is_rejected(
-        variant in 0u8..8,
+        variant in 0u8..7,
         iteration in any::<u64>(),
         raw_slots in vec(vec(any::<u8>(), 0..16), 0..4),
         cut_frac in 0.0f64..1.0,
     ) {
-        let msg = build_message(variant, iteration, 3, 0.5, &raw_slots, &[1.0, 2.0], true);
+        let msg = build_message(variant, iteration, 3, 0.5, &raw_slots, &[1.0, 2.0]);
         let frame = encode_frame(&msg);
         let cut = ((frame.len() as f64) * cut_frac) as usize;
         prop_assert!(cut < frame.len());
@@ -123,12 +116,12 @@ proptest! {
 
     #[test]
     fn single_byte_corruption_never_yields_the_original(
-        variant in 0u8..8,
+        variant in 0u8..7,
         iteration in any::<u64>(),
         raw_slots in vec(vec(any::<u8>(), 1..16), 1..4),
         pos_frac in 0.0f64..1.0,
     ) {
-        let msg = build_message(variant, iteration, 9, 0.25, &raw_slots, &[3.0], false);
+        let msg = build_message(variant, iteration, 9, 0.25, &raw_slots, &[3.0]);
         let mut frame = encode_frame(&msg);
         let pos = ((frame.len() as f64) * pos_frac) as usize % frame.len();
         frame[pos] ^= 0xFF;
@@ -142,11 +135,11 @@ proptest! {
 
     #[test]
     fn version_is_enforced_on_every_variant(
-        variant in 0u8..8,
+        variant in 0u8..7,
         wrong in any::<u8>(),
     ) {
         prop_assume!(wrong != WIRE_VERSION);
-        let msg = build_message(variant, 1, 2, 0.5, &[vec![9u8]], &[1.0], true);
+        let msg = build_message(variant, 1, 2, 0.5, &[vec![9u8]], &[1.0]);
         let mut frame = encode_frame(&msg);
         frame[4] = wrong;
         prop_assert!(decode_frame(&frame).is_err());

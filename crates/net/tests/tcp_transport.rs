@@ -17,7 +17,7 @@ use std::time::Duration;
 /// every traffic class.
 fn build_message(variant: u8, iteration: u64, raw_slots: &[Vec<u8>], floats: &[f64]) -> Message {
     let cipher = |bytes: &Vec<u8>| Ciphertext::from_biguint(BigUint::from_bytes_le(bytes));
-    match variant % 5 {
+    match variant % 4 {
         0 => Message::EncryptedPush {
             iteration,
             denom_exp: 3,
@@ -39,10 +39,6 @@ fn build_message(variant: u8, iteration: u64, raw_slots: &[Vec<u8>], floats: &[f
                 })
                 .collect(),
         },
-        3 => Message::TerminationVote {
-            iteration,
-            completed: true,
-        },
         _ => Message::Leave { node: iteration },
     }
 }
@@ -56,7 +52,7 @@ proptest! {
     /// decodes identically to its whole-frame decode.
     #[test]
     fn records_split_at_arbitrary_boundaries_decode_identically(
-        specs in vec((0u8..5, any::<u64>(), vec(vec(any::<u8>(), 0..24), 0..5), vec(-1e9f64..1e9, 0..8)), 1..6),
+        specs in vec((0u8..4, any::<u64>(), vec(vec(any::<u8>(), 0..24), 0..5), vec(-1e9f64..1e9, 0..8)), 1..6),
         cuts in vec(1usize..64, 0..24),
     ) {
         // Build the ground truth and the concatenated byte stream.
@@ -192,14 +188,6 @@ fn tcp_send_accounting_matches_the_encoded_frames() {
             Message::DecryptShare {
                 iteration: 1,
                 partials: vec![PartialDecryption::from_parts(1, BigUint::from(7u64))],
-            },
-        ),
-        (
-            0,
-            2,
-            Message::TerminationVote {
-                iteration: 1,
-                completed: true,
             },
         ),
         (

@@ -1,15 +1,17 @@
-//! One wire layout: v1 frames (pre-packed-payload) and v2 frames
-//! (pre-trace-context), captured as fixture bytes from the encoders of
-//! their day, are rejected as foreign versions; the current frame is still
-//! exactly those bytes behind a v3 header; v3 frames carrying a trace
-//! context must round-trip it; and corrupt packed or trace-context bytes
-//! must be rejected.
+//! One wire layout: v1 frames (pre-packed-payload), v2 frames
+//! (pre-trace-context) and v3 termination votes, captured as fixture bytes
+//! from the encoders of their day, are rejected as foreign versions or a
+//! retired tag; every surviving message is still exactly those bytes behind
+//! the current header (v3 added the trace flag, v4 only retired the vote's
+//! tag); traced frames must round-trip their context; and corrupt packed or
+//! trace-context bytes must be rejected.
 //!
 //! The hex strings below are real frames emitted by the v1 codec (PR 2)
-//! and the v2 codec (PR 3); they are deliberately hardcoded rather than
-//! re-encoded, so they pin the decoder's version check to bytes a real
-//! old peer would send, and the current body layout to bytes no encoder
-//! in this tree produced.
+//! and the v2 codec (PR 3), and the vote as the v3 codec laid it out
+//! (its v1 bytes under a v3 header); they are deliberately
+//! hardcoded rather than re-encoded, so they pin the decoder's version and
+//! tag checks to bytes a real old peer would send, and the current body
+//! layout to bytes no encoder in this tree produced.
 
 use cs_bigint::BigUint;
 use cs_crypto::{Ciphertext, PartialDecryption};
@@ -73,14 +75,6 @@ fn v1_fixtures() -> Vec<(&'static str, Message)> {
             },
         ),
         (
-            // TerminationVote { iteration: 5, completed: true }
-            "0b0000000104050000000000000001",
-            Message::TerminationVote {
-                iteration: 5,
-                completed: true,
-            },
-        ),
-        (
             // Join { node: 11, iteration: 4 }
             "1200000001050b000000000000000400000000000000",
             Message::Join {
@@ -96,6 +90,12 @@ fn v1_fixtures() -> Vec<(&'static str, Message)> {
     ]
 }
 
+/// The termination vote `{ iteration: 5, completed: true }` — tag 4, retired in
+/// v4 with the vote — as the v1 codec emitted it and as the v3 codec laid
+/// it out.
+const V1_VOTE: &str = "0b0000000104050000000000000001";
+const V3_VOTE: &str = "0c000000030400050000000000000001";
+
 /// The one frame shape v2 added over v1: the packed push (tag 7), captured
 /// from the v2 encoder before the trace-context bump.
 fn v2_packed_fixture() -> (&'static str, Message) {
@@ -109,7 +109,8 @@ fn v2_packed_fixture() -> (&'static str, Message) {
 
 #[test]
 fn every_v1_fixture_is_rejected_as_a_bad_version() {
-    for (hex, _) in v1_fixtures() {
+    let votes = [V1_VOTE];
+    for hex in v1_fixtures().into_iter().map(|(hex, _)| hex).chain(votes) {
         let frame = unhex(hex);
         assert_eq!(frame[4], 1, "fixture is a v1 frame");
         assert_eq!(decode_frame(&frame), Err(WireError::BadVersion(1)), "{hex}");
@@ -122,7 +123,9 @@ fn every_v2_fixture_is_rejected_as_a_bad_version() {
     // bumped — the body layout never changed between the two.
     let mut fixtures: Vec<Vec<u8>> = v1_fixtures()
         .into_iter()
-        .map(|(hex, _)| {
+        .map(|(hex, _)| hex)
+        .chain([V1_VOTE])
+        .map(|hex| {
             let mut frame = unhex(hex);
             frame[4] = 2;
             frame
@@ -135,21 +138,39 @@ fn every_v2_fixture_is_rejected_as_a_bad_version() {
     }
 }
 
+/// The vote's last layout is as foreign as the first: a v3 peer's vote is
+/// a typed decode error — counted in `bad_frames` wherever a pump meets
+/// one — and the same bytes under the current version are an unknown tag,
+/// so tag 4 can never be mistaken for a message this codec emits.
+#[test]
+fn a_v3_termination_vote_is_a_typed_rejection() {
+    let mut frame = unhex(V3_VOTE);
+    assert_eq!(
+        frame[4..7],
+        [3, 4, 0],
+        "a v3 header: version, tag, trace flag"
+    );
+    assert_eq!(decode_frame_traced(&frame), Err(WireError::BadVersion(3)));
+    frame[4] = WIRE_VERSION;
+    assert_eq!(decode_frame_traced(&frame), Err(WireError::BadTag(4)));
+}
+
 #[test]
 fn current_encoder_emits_the_bumped_version() {
     for (_, msg) in v1_fixtures() {
         let frame = encode_frame(&msg);
         assert_eq!(frame[4], WIRE_VERSION);
-        assert_eq!(decode_frame(&frame).unwrap(), msg, "v3 self-roundtrip");
+        assert_eq!(decode_frame(&frame).unwrap(), msg, "self-roundtrip");
     }
 }
 
 #[test]
 fn downgraded_v3_frames_match_the_v1_fixtures_byte_for_byte() {
-    // What v3 changed is the header and nothing else: an untraced v3 frame
-    // is the captured frame with the version bumped and one cleared
-    // trace-flag byte after the tag. The bodies — and with them every byte
-    // count the benches record — are the captured bytes exactly.
+    // What v3 changed is the header and nothing else, and v4 only retired
+    // the vote's tag: an untraced current frame is the captured frame with
+    // the version bumped and one cleared trace-flag byte after the tag. The
+    // bodies — and with them every byte count the benches record — are the
+    // captured bytes exactly.
     let mut fixtures = v1_fixtures();
     fixtures.push(v2_packed_fixture());
     for (hex, msg) in fixtures {
@@ -229,7 +250,7 @@ fn packed_frames_roundtrip_on_the_current_version_only() {
     assert_eq!(decode_frame(&frame).unwrap(), sample_packed());
     // The version is checked before the tag: the same bytes stamped with
     // an older version are a foreign frame, whatever they claim to carry.
-    for version in [1, 2] {
+    for version in [1, 2, 3] {
         let mut old = frame.clone();
         old[4] = version;
         assert_eq!(decode_frame(&old), Err(WireError::BadVersion(version)));

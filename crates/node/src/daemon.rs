@@ -455,7 +455,7 @@ fn serve_steps(
                 contribution,
                 ctx: step_ctx,
             }) => {
-                let report = run_step(
+                let mut report = run_step(
                     ctx,
                     opts.id,
                     step,
@@ -466,12 +466,6 @@ fn serve_steps(
                     rx,
                     control,
                 )?;
-                // A peer that SIGKILLed mid-gossip shows up as a vote
-                // failure; dump the forensic window around its death while
-                // the ring still holds it.
-                if report.peer_failures > 0 {
-                    dump_flight(opts.id as u64, flight, "peer death detected");
-                }
                 // Fold the step's phase profile into the registry *before*
                 // snapshotting, so `phase.<name>.ns` counters ride the same
                 // delta discipline as the transport counters.
@@ -492,6 +486,22 @@ fn serve_steps(
                 // delta. Violations land in the flight recorder and flip
                 // the cumulative health verdict behind `/health`.
                 let pre_audit = registry.snapshot().since(&last_metrics);
+                // A SIGKILLed peer says nothing. What shows its death is
+                // this step's own transport evidence — a connect or write
+                // toward a peer that failed, a peer's connection that
+                // closed — read *after* the traffic snapshot, so a loss
+                // reclassified between the two reads is always covered.
+                let failed = [
+                    "tcp.connect.retries",
+                    "tcp.write.retries",
+                    "tcp.inbound.closed",
+                ];
+                report.peer_failures = failed.iter().map(|name| pre_audit.counter(name)).sum();
+                if report.peer_failures > 0 {
+                    // The forensic window around the death, while the ring
+                    // still holds it.
+                    dump_flight(opts.id as u64, flight, "peer death detected");
+                }
                 let mut evidence = cs_net::StepEvidence::distill(
                     step as u64,
                     std::slice::from_ref(&report),
@@ -655,7 +665,6 @@ fn run_step(
     let transport = ctx.transport.as_ref();
     let timing = Timing {
         push_interval: Duration::from_micros(ctx.timing.push_interval_us.max(1)),
-        quiesce: Duration::from_millis(ctx.timing.quiesce_ms),
         decrypt_deadline: Duration::from_millis(ctx.timing.decrypt_deadline_ms),
         step_timeout: Duration::from_millis(ctx.timing.step_timeout_ms),
     };
@@ -687,7 +696,6 @@ fn run_step(
         step_seed,
         ctx.config.gossip_cycles,
         ctx.committee.clone(),
-        true,
         ctx.fault,
     );
     let node_crypto = match &ctx.cipher {

@@ -1,7 +1,7 @@
 //! The control-plane protocol between a coordinator and its `csnoded`
 //! daemons.
 //!
-//! The *data plane* — gossip pushes, decryption traffic, votes — runs
+//! The *data plane* — gossip pushes, decryption traffic — runs
 //! peer-to-peer over [`cs_net::tcp::TcpTransport`] and never touches the
 //! coordinator. The control plane is the thin bootstrap-and-orchestration
 //! layer around it:
@@ -51,8 +51,10 @@ use std::time::Duration;
 /// `TraceReport` flight-recorder scrape pair and the trace context
 /// carried by `Step`; v4 added the `Health` / `HealthReport` scrape
 /// pair, the observability address carried by `Hello`, and the fault
-/// spec carried by `Bootstrap`.
-pub const PROTO_VERSION: u8 = 4;
+/// spec carried by `Bootstrap`; v5 dropped the post-completion wait from
+/// the `Bootstrap`'s [`TimingSpec`] along with the termination votes it
+/// waited for.
+pub const PROTO_VERSION: u8 = 5;
 
 /// Upper bound on one control message (guards the length-prefix read).
 pub const MAX_CONTROL_BYTES: usize = 64 << 20;
@@ -100,8 +102,6 @@ impl LinkSpec {
 pub struct TimingSpec {
     /// Pacing between a node's gossip pushes, microseconds.
     pub push_interval_us: u64,
-    /// Post-completion vote wait, milliseconds.
-    pub quiesce_ms: u64,
     /// Decryption-round give-up deadline, milliseconds.
     pub decrypt_deadline_ms: u64,
     /// Hard per-step deadline, milliseconds.
@@ -112,7 +112,6 @@ impl Default for TimingSpec {
     fn default() -> Self {
         TimingSpec {
             push_interval_us: 300,
-            quiesce_ms: 400,
             decrypt_deadline_ms: 10_000,
             step_timeout_ms: 60_000,
         }

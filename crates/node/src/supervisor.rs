@@ -26,7 +26,19 @@ impl Supervisor {
     /// Children inherit stderr (daemon failures stay visible in test
     /// output) and get a null stdin/stdout.
     pub fn spawn(binary: &Path, coordinator: &str, n: usize) -> io::Result<Supervisor> {
-        Supervisor::spawn_opts(binary, coordinator, n, false)
+        Supervisor::spawn_opts(binary, coordinator, n, false, None)
+    }
+
+    /// Like [`Supervisor::spawn`], but daemon `i`'s stderr — its flight-
+    /// recorder dumps included — goes to `logs/csnoded-<i>.log`, for a
+    /// test that asserts on what a daemon said.
+    pub fn spawn_logged(
+        binary: &Path,
+        coordinator: &str,
+        n: usize,
+        logs: &Path,
+    ) -> io::Result<Supervisor> {
+        Supervisor::spawn_opts(binary, coordinator, n, false, Some(logs))
     }
 
     /// Like [`Supervisor::spawn`], but every daemon also serves its
@@ -34,10 +46,16 @@ impl Supervisor {
     /// (`--obs-addr 127.0.0.1:0`). The bound addresses travel back through
     /// each daemon's `Hello`, so the coordinator's `obs_addrs()` has them.
     pub fn spawn_with_obs(binary: &Path, coordinator: &str, n: usize) -> io::Result<Supervisor> {
-        Supervisor::spawn_opts(binary, coordinator, n, true)
+        Supervisor::spawn_opts(binary, coordinator, n, true, None)
     }
 
-    fn spawn_opts(binary: &Path, coordinator: &str, n: usize, obs: bool) -> io::Result<Supervisor> {
+    fn spawn_opts(
+        binary: &Path,
+        coordinator: &str,
+        n: usize,
+        obs: bool,
+        logs: Option<&Path>,
+    ) -> io::Result<Supervisor> {
         let mut children = Vec::with_capacity(n);
         for id in 0..n {
             let mut cmd = Command::new(binary);
@@ -48,10 +66,14 @@ impl Supervisor {
             if obs {
                 cmd.arg("--obs-addr").arg("127.0.0.1:0");
             }
+            let stderr = match logs {
+                Some(dir) => std::fs::File::create(dir.join(format!("csnoded-{id}.log")))?.into(),
+                None => Stdio::inherit(),
+            };
             let child = cmd
                 .stdin(Stdio::null())
                 .stdout(Stdio::null())
-                .stderr(Stdio::inherit())
+                .stderr(stderr)
                 .spawn()?;
             children.push(Some(child));
         }

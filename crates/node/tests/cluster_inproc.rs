@@ -31,7 +31,6 @@ fn spawn_daemon_threads(n: usize, coordinator: String) -> Vec<thread::JoinHandle
 fn fast_timing() -> TimingSpec {
     TimingSpec {
         push_interval_us: 200,
-        quiesce_ms: 150,
         decrypt_deadline_ms: 10_000,
         step_timeout_ms: 30_000,
     }
@@ -78,19 +77,52 @@ fn plain_cluster_runs_an_engine_end_to_end() {
     assert!(out.log.records.iter().all(|r| r.cost.gossip_messages > 0));
     let snap = backend.last_snapshot().unwrap();
     assert!(snap.gossip.bytes > 0, "gossip bytes crossed the sockets");
+    // Completion is the coordinator's to see (one `Done` per daemon on the
+    // control channel): the data plane carries pushes and nothing else.
+    assert_eq!(snap.control, Default::default(), "no control frames");
+    assert_eq!(snap.gossip.messages, (n * 20) as u64, "one push per cycle");
+    let reports = backend.last_reports().unwrap();
     assert!(
-        backend
-            .last_reports()
-            .unwrap()
-            .iter()
-            .all(|r| r.bad_frames == 0),
+        reports.iter().all(|r| r.bad_frames == 0),
         "clean decode across the cluster"
+    );
+    assert!(
+        reports.iter().all(|r| r.peer_failures == 0),
+        "no connection toward a peer failed"
     );
 
     backend.shutdown();
     for d in daemons {
         d.join().expect("daemon thread exits cleanly");
     }
+}
+
+/// The handshake refuses a daemon of the previous control protocol — v4
+/// still timed the termination votes' wait — with a typed error naming
+/// both versions, before any `Bootstrap` is sent.
+#[test]
+fn a_v4_proto_daemon_is_refused_at_the_handshake() {
+    use cs_node::proto::write_msg;
+    use cs_node::{ControlMsg, PROTO_VERSION};
+
+    assert_eq!(PROTO_VERSION, 5);
+    let coordinator = Coordinator::bind().unwrap();
+    let mut daemon = std::net::TcpStream::connect(coordinator.addr().unwrap()).unwrap();
+    let hello = ControlMsg::Hello {
+        node: 0,
+        wire_version: cs_net::wire::WIRE_VERSION,
+        proto_version: 4,
+        data_addr: "127.0.0.1:1".into(),
+        obs_addr: None,
+    };
+    write_msg(&mut daemon, &hello).unwrap();
+    let err = match coordinator.accept_cluster(1, Duration::from_secs(10)) {
+        Ok(_) => panic!("a v4 daemon joined a v5 cluster"),
+        Err(err) => err,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("proto 4 (want 5)"), "{msg}");
 }
 
 #[test]

@@ -105,14 +105,14 @@ fn main() {
     config.gossip_cycles = 25;
     config.epsilon = 50.0;
     let engine = Engine::new(config).expect("valid config");
-    // `large_population()` replaces the O(n²) termination-vote broadcast
-    // with the executor's quiescence detection — at 1024 nodes the votes
-    // would be ~1M control frames per step that inform nothing.
+    // The executor ends a step when its event queues drain; no node tells
+    // anyone it is done. Control frames are membership only — node 5's
+    // `Join`s in the first step — so the last step below carries none.
     let mut sharded = NetBackend::sharded(ShardedConfig {
         churn: ChurnSchedule::none()
             .crash(0, Duration::from_millis(2), 5)
             .rejoin(0, Duration::from_millis(8), 5),
-        ..ShardedConfig::large_population()
+        ..ShardedConfig::default()
     });
     let wall = std::time::Instant::now();
     let output = engine

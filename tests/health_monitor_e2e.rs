@@ -118,7 +118,6 @@ fn honest_runs_stay_byte_identical_and_alert_free_with_monitoring_on() {
     let engine = Engine::new(cfg).unwrap();
     let mut backend = NetBackend::tcp(NetConfig {
         push_interval: Duration::from_micros(300),
-        quiesce: Duration::from_millis(150),
         ..NetConfig::default()
     });
     engine.run_with_backend(&series, &mut backend).unwrap();
@@ -184,7 +183,6 @@ fn corrupted_partials_trip_the_mass_audit_over_the_tcp_loopback() {
     };
     let mut backend = NetBackend::tcp(NetConfig {
         push_interval: Duration::from_micros(push_us),
-        quiesce: Duration::from_millis(400),
         fault: Some(FaultSpec::CorruptPartials { node: 1 }),
         ..NetConfig::default()
     });
@@ -224,7 +222,6 @@ fn launch_cluster(
         cs_node::ClusterConfig {
             timing: cs_node::TimingSpec {
                 push_interval_us: push_ms * 1000,
-                quiesce_ms: 400,
                 decrypt_deadline_ms: 20_000,
                 step_timeout_ms: 120_000,
             },

@@ -47,7 +47,6 @@ fn max_centroid_gap(a: &[TimeSeries], b: &[TimeSeries]) -> f64 {
 fn fast_net() -> NetConfig {
     NetConfig {
         push_interval: Duration::from_micros(250),
-        quiesce: Duration::from_millis(150),
         ..NetConfig::default()
     }
 }

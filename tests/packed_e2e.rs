@@ -74,7 +74,6 @@ fn packed_net_run_with_crash_matches_unpacked_simulator() {
     let mut backend = NetBackend::tcp(NetConfig {
         churn,
         push_interval: Duration::from_millis(push_ms),
-        quiesce: Duration::from_millis(150),
         ..NetConfig::default()
     });
     let net = engine.run_with_backend(&series, &mut backend).unwrap();

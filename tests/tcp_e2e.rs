@@ -2,9 +2,8 @@
 //!
 //! A supervisor spawns one `csnoded` per participant; the coordinator
 //! bootstraps them (population manifest + key shares) and the engine runs
-//! through [`cs_node::ClusterBackend`] — every gossip push, decryption
-//! request, and termination vote crosses a real localhost TCP socket
-//! between processes. The acceptance scenario kills one process with
+//! through [`cs_node::ClusterBackend`] — every gossip push and decryption
+//! frame crosses a real localhost TCP socket between processes. The acceptance scenario kills one process with
 //! SIGKILL mid-gossip and checks the surviving centroids against the
 //! same-seed in-process sharded run.
 //!
@@ -20,7 +19,7 @@ use cs_timeseries::datasets::blobs::{generate_with_centers, BlobsConfig};
 use cs_timeseries::TimeSeries;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -58,12 +57,16 @@ fn max_centroid_gap(a: &[TimeSeries], b: &[TimeSeries]) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// Spawns a supervised cluster and returns (supervisor, backend).
-fn launch(n: usize, timing: TimingSpec) -> (Arc<Supervisor>, ClusterBackend) {
+/// Spawns a supervised cluster and returns (supervisor, backend). With
+/// `logs`, each daemon's stderr goes to a file there.
+fn launch(n: usize, timing: TimingSpec, logs: Option<&Path>) -> (Arc<Supervisor>, ClusterBackend) {
     let coordinator = Coordinator::bind().expect("bind coordinator");
     let addr = coordinator.addr().expect("coordinator addr").to_string();
-    let supervisor =
-        Arc::new(Supervisor::spawn(&csnoded(), &addr, n).expect("spawn csnoded cluster"));
+    let supervisor = match logs {
+        Some(dir) => Supervisor::spawn_logged(&csnoded(), &addr, n, dir),
+        None => Supervisor::spawn(&csnoded(), &addr, n),
+    };
+    let supervisor = Arc::new(supervisor.expect("spawn csnoded cluster"));
     let cluster = coordinator
         .accept_cluster(n, Duration::from_secs(60))
         .expect("all daemons connect");
@@ -120,11 +123,12 @@ fn sixteen_process_real_crypto_cluster_survives_a_kill_and_matches_sharded() {
     let push_ms: u64 = if cfg!(debug_assertions) { 250 } else { 20 };
     let timing = TimingSpec {
         push_interval_us: push_ms * 1000,
-        quiesce_ms: 400,
         decrypt_deadline_ms: 20_000,
         step_timeout_ms: 120_000,
     };
-    let (supervisor, backend) = launch(n, timing);
+    let logs = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("tcp_e2e_kill_logs");
+    std::fs::create_dir_all(&logs).expect("daemon log directory");
+    let (supervisor, backend) = launch(n, timing, Some(&logs));
     let mut backend = backend.with_kills(
         supervisor.clone(),
         vec![(0, Duration::from_millis(push_ms * 20 * 3 / 4), 7)],
@@ -211,6 +215,16 @@ fn sixteen_process_real_crypto_cluster_survives_a_kill_and_matches_sharded() {
     std::fs::write(&dump, serde_json::to_string(&cluster_trace).unwrap())
         .expect("write trace dump");
 
+    // The death is a fail-stop, not a breach: no survivor's frame audit
+    // fires over the frames it lost to the dead peer.
+    let scraped = backend.scrape_metrics(Duration::from_secs(10));
+    for (id, metrics) in scraped.iter().enumerate() {
+        if let Some(metrics) = metrics {
+            let alerts = metrics.counter("obs.alert.traffic_accounting");
+            assert_eq!(alerts, 0, "survivor {id} raised a traffic-accounting alert");
+        }
+    }
+
     backend.shutdown();
     let clean = supervisor.wait_all(Duration::from_secs(20));
     assert!(
@@ -218,6 +232,17 @@ fn sixteen_process_real_crypto_cluster_survives_a_kill_and_matches_sharded() {
         "surviving daemons exit cleanly on Shutdown: {clean}/{}",
         n - 1
     );
+    // A SIGKILLed process says nothing, so the survivors have to notice on
+    // their own: at least one saw a connection toward node 7 fail or close
+    // during the step and left its flight recorder behind.
+    let noticed: Vec<usize> = (0..n)
+        .filter(|&id| id != 7)
+        .filter(|id| {
+            let log = std::fs::read_to_string(logs.join(format!("csnoded-{id}.log")));
+            log.is_ok_and(|log| log.contains("flight-recorder (peer death detected)"))
+        })
+        .collect();
+    assert!(!noticed.is_empty(), "no survivor detected node 7's death");
 }
 
 /// Simulated-crypto mode across 8 processes, two full iterations — the
@@ -240,11 +265,10 @@ fn eight_process_plain_cluster_matches_simulator_over_two_iterations() {
 
     let timing = TimingSpec {
         push_interval_us: 500,
-        quiesce_ms: 200,
         decrypt_deadline_ms: 10_000,
         step_timeout_ms: 60_000,
     };
-    let (supervisor, mut backend) = launch(n, timing);
+    let (supervisor, mut backend) = launch(n, timing, None);
     let out = engine.run_with_backend(&series, &mut backend).unwrap();
 
     assert_eq!(backend.steps_run(), 2);
@@ -280,11 +304,10 @@ fn packed_real_crypto_cluster_runs_across_processes() {
         } else {
             2_000
         },
-        quiesce_ms: 300,
         decrypt_deadline_ms: 20_000,
         step_timeout_ms: 60_000,
     };
-    let (supervisor, mut backend) = launch(n, timing);
+    let (supervisor, mut backend) = launch(n, timing, None);
     let out = engine.run_with_backend(&series, &mut backend).unwrap();
 
     assert_eq!(out.centroids.len(), 2);
