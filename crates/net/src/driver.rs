@@ -11,12 +11,13 @@
 //! [`Outbound`]s plus the armed timers as plain values. Every substrate is
 //! a way of feeding it:
 //!
-//! * the sharded executor keeps each armed timer as a heap event and calls
-//!   [`NodeDriver::fire`] when it pops — a timer disarmed in the meantime
-//!   (crash, leave, round over) simply does not fire;
-//! * the wall-clock substrates (threads, TCP loopback, `csnoded`) run
-//!   [`crate::runtime::pump`], which calls [`NodeDriver::poll`] once a turn
-//!   — a loop over [`NodeDriver::fire`], not a second implementation.
+//! * the sharded executor keeps each armed timer as a queued event and
+//!   calls [`NodeDriver::fire`] when it pops — a timer disarmed in the
+//!   meantime (crash, leave, round over) simply does not fire;
+//! * the wall-clock substrates (the TCP loopback host's node threads,
+//!   `csnoded`) run [`crate::runtime::pump`], which calls
+//!   [`NodeDriver::poll`] once a turn — a loop over [`NodeDriver::fire`],
+//!   not a second implementation.
 //!
 //! What arms, fires and clears each [`Timer`] is stated on the methods
 //! below and, as one table, under "One driver, three clocks" in
@@ -28,7 +29,7 @@ use crate::node::{NodeReport, Outbound, ProtocolNode};
 use crate::transport::NodeId;
 use crate::wire::{Message, TraceContext};
 use cs_crypto::RandomizerPool;
-use cs_obs::CausalTracer;
+use cs_obs::{CausalTracer, PhaseProfile};
 use std::time::Duration;
 
 /// The step's clocks, as a substrate configures them: virtual durations on
@@ -151,6 +152,11 @@ impl NodeDriver {
     /// The node's spare push buffer (see [`ProtocolNode::spare_buffer`]).
     pub fn spare_buffer(&mut self) -> &mut Option<Vec<f64>> {
         self.node.spare_buffer()
+    }
+
+    /// The node's phase clocks (see [`ProtocolNode::profile_mut`]).
+    pub(crate) fn profile_mut(&mut self) -> &mut PhaseProfile {
+        self.node.profile_mut()
     }
 
     /// `false` while the node is crashed or has left.

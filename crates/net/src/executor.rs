@@ -13,9 +13,11 @@
 //!
 //! * The population is dealt into a fixed number of **shards** (seeded
 //!   shuffle — machine-independent, part of the deterministic
-//!   configuration). Each shard owns its nodes and a binary heap of
-//!   scheduled events: message deliveries, pacing ticks, decryption
-//!   retry/deadline timers, and scripted churn.
+//!   configuration). Each shard owns its nodes and a calendar queue of
+//!   scheduled events — message deliveries, pacing ticks, decryption
+//!   retry/deadline timers, and scripted churn: 32-byte entries in one
+//!   bucket per epoch, each bucket sorted once when its window opens, the
+//!   payloads waiting in a per-shard slab.
 //! * A pool of **workers** (≈ the machine's cores) drives the shards in
 //!   epochs of virtual time: each epoch the workers claim shards from an
 //!   atomic injector, and the pool closes its own barrier — the last worker
@@ -65,23 +67,29 @@
 //! Completion is observed, not announced: the step ends at global
 //! quiescence (every event queue and mailbox drained) or the virtual
 //! deadline, and no node tells anyone it is done.
+//!
+//! No clock is read per event: a worker reads it twice per (shard, window)
+//! (`exec.worker.busy_ns`), and what the nodes' own crypto timers did not
+//! book of that is the step's [`StepPhase::Gossip`]. Time closes per shard,
+//! not per node — that would take the per-event read.
 
+use crate::calendar::{Calendar, Key};
 use crate::churn::{ChurnEvent, ChurnKind};
 use crate::driver::{Armed, NodeDriver, Timer, Timing};
 use crate::node::{FaultSpec, NodeParams, Outbound, ProtocolNode};
 use crate::runtime::{StepCrypto, StepRun};
-use crate::transport::{mix, unit_f64, Keyed, LinkConfig, NodeId, TrafficSnapshot};
+use crate::transport::{mix, unit_f64, LinkConfig, NodeId, TrafficSnapshot};
 use crate::wire::{Message, TraceContext};
 use chiaroscuro::config::ChiaroscuroConfig;
 use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::CryptoContext;
 use chiaroscuro::ChiaroscuroError;
-use cs_obs::{CausalTracer, Counter, Histogram, NodeTrace, Registry, Tracer, VirtualClock};
+use cs_obs::{
+    CausalTracer, Counter, Histogram, NodeTrace, Registry, StepPhase, Tracer, VirtualClock,
+};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
@@ -212,18 +220,17 @@ enum EventKind {
     Deliver(Outbound),
 }
 
-/// One scheduled event under its key `(at, class, actor, seq)`, earliest
+/// A shard's events under their keys `(at, class, actor, seq)`, earliest
 /// first. The key is unique and deterministic: `actor` is the sender
 /// (deliveries) or the target node (timers, churn); `seq` is a per-actor
 /// monotone counter (send sequence, timer sequence, or churn-script
-/// index). Heap ordering therefore never depends on insertion order —
-/// which is the whole determinism story, since mailbox insertion order
-/// *does* vary across runs.
-type Event = Keyed<(u64, u8, u32, u64), EventKind>;
+/// index). The order therefore never depends on insertion order — which is
+/// the whole determinism story, since mailbox insertion order *does* vary
+/// across runs.
+type Queue = Calendar<EventKind>;
 
-fn event(at: u64, class: u8, actor: NodeId, seq: u64, kind: EventKind) -> Event {
-    Keyed(Reverse((at, class, actor as u32, seq)), kind)
-}
+/// An event in transit between shards: its key and its payload.
+type Mail = (Key, EventKind);
 
 /// One virtual node: the driven protocol state machine plus the executor's
 /// event-key bookkeeping.
@@ -253,21 +260,20 @@ impl Slot {
 
 /// Schedules an event for every timer `slot`'s driver has armed since
 /// `before`, its armed set ahead of the input just handled.
-fn schedule_armed(heap: &mut BinaryHeap<Event>, slot: &mut Slot, before: Armed) {
+fn schedule_armed(queue: &mut Queue, slot: &mut Slot, before: Armed) {
     for (timer, at) in slot.driver.armed().iter() {
         if before.at(timer) != Some(at) {
             slot.timer_seq += 1;
-            let (id, seq) = (slot.driver.id(), slot.timer_seq);
-            heap.push(event(at, CLASS_TIMER, id, seq, EventKind::Timer(timer)));
+            let key = (at, CLASS_TIMER, slot.driver.id() as u32, slot.timer_seq);
+            queue.push(key, EventKind::Timer(timer));
         }
     }
 }
 
 /// A shard: the nodes it owns, their event queue, and local (unsynchronized)
 /// traffic counters merged after the step.
-#[derive(Default)]
 struct Shard {
-    heap: BinaryHeap<Event>,
+    queue: Queue,
     slots: Vec<Slot>,
     // [gossip, decrypt, control] × [messages, bytes, dropped]
     counters: [[u64; 3]; 3],
@@ -280,10 +286,10 @@ struct Shard {
     /// Cross-shard events produced in the window being processed, one
     /// outbox per destination shard, handed to the mailboxes when the
     /// window's events are drained; and the earliest of them.
-    outboxes: Vec<Vec<Event>>,
+    outboxes: Vec<Vec<Mail>>,
     earliest_out: u64,
     /// What the mailbox held when the window opened.
-    inbox: Vec<Event>,
+    inbox: Vec<Mail>,
     /// Spare plaintext push buffers, at most one per node of the shard:
     /// collected from whatever an absorb left behind, lent to the next
     /// node about to split. The shard's event order does not depend on
@@ -300,18 +306,29 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(shard_count: usize) -> Self {
+    /// A shard with no nodes yet, its calendar bucketed by the epoch
+    /// quantum (nanoseconds), so that a window is exactly one bucket.
+    fn new(shard_count: usize, quantum: u64) -> Self {
         Shard {
+            queue: Calendar::new(quantum),
+            slots: Vec::new(),
+            counters: [[0; 3]; 3],
+            in_shard: 0,
+            cross_shard: 0,
             outboxes: (0..shard_count).map(|_| Vec::new()).collect(),
             earliest_out: u64::MAX,
-            ..Shard::default()
+            inbox: Vec::new(),
+            pool: Vec::new(),
+            buffers_allocated: 0,
+            busy_ns: 0,
+            scratch: Vec::new(),
         }
     }
 }
 
 /// Cross-shard delivery queue. Items become visible to the owning shard at
-/// the next epoch boundary.
-type Mailbox = Mutex<Vec<Event>>;
+/// the next epoch boundary, when they move into its calendar.
+type Mailbox = Mutex<Vec<Mail>>;
 
 /// Epoch coordination. Workers claim shards from the injector and check in
 /// when it runs dry; the one whose check-in brings `remaining` to zero
@@ -375,7 +392,7 @@ struct Exec<'a> {
     shards: &'a [Mutex<Shard>],
     mailboxes: &'a [Mailbox],
     /// Earliest event handed to any mailbox since the last barrier: what
-    /// is pending outside the shards' heaps when a window closes.
+    /// is pending outside the shards' calendars when a window closes.
     mail_earliest: AtomicU64,
     injector: AtomicUsize,
     coord: Coord,
@@ -478,10 +495,8 @@ impl<'a> Exec<'a> {
                 shard.in_shard += 1;
                 shard.counters[ci][0] += 1;
                 shard.counters[ci][1] += len as u64;
-                let deliver = EventKind::Deliver(outbound);
-                shard
-                    .heap
-                    .push(event(now, CLASS_DELIVER, from, seq, deliver));
+                let key = (now, CLASS_DELIVER, from as u32, seq);
+                shard.queue.push(key, EventKind::Deliver(outbound));
                 continue;
             }
             // Cross-shard: through the link model. The draw is keyed by
@@ -514,15 +529,15 @@ impl<'a> Exec<'a> {
             // that makes cross-shard interleaving schedule-independent.
             let at = (now + delay).max(window_end);
             shard.earliest_out = shard.earliest_out.min(at);
-            let deliver = EventKind::Deliver(outbound);
-            shard.outboxes[target_shard].push(event(at, CLASS_DELIVER, from, seq, deliver));
+            let key = (at, CLASS_DELIVER, from as u32, seq);
+            shard.outboxes[target_shard].push((key, EventKind::Deliver(outbound)));
         }
     }
 
     /// One event: feed it to the target node's driver, schedule whatever
     /// timers that armed, route whatever it emitted.
-    fn handle_event(&self, shard: &mut Shard, shard_idx: usize, event: Event, window_end: u64) {
-        let Keyed(Reverse((now, _, actor, _)), kind) = event;
+    fn handle_event(&self, shard: &mut Shard, shard_idx: usize, event: Mail, window_end: u64) {
+        let ((now, _, actor, _), kind) = event;
         let mut out = std::mem::take(&mut shard.scratch);
         // `actor` is the sender of a delivery, the target of anything else.
         let node = match &kind {
@@ -564,15 +579,16 @@ impl<'a> Exec<'a> {
         if starved && matches!(out.first(), Some((_, Message::PlainPush { .. }, _))) {
             shard.buffers_allocated += 1;
         }
-        schedule_armed(&mut shard.heap, slot, before);
+        schedule_armed(&mut shard.queue, slot, before);
         self.route(shard, shard_idx, node, now, window_end, &mut out);
         out.clear();
         shard.scratch = out;
     }
 
-    /// Drives one shard through the window `[·, window_end)`: drain the
-    /// mailbox, pop events in key order until none are due, then hand the
-    /// window's cross-shard output to the destination mailboxes.
+    /// Drives one shard through the window `[·, window_end)`: move the
+    /// mailbox into the calendar, pop events in key order until none are
+    /// due, then hand the window's cross-shard output to the destination
+    /// mailboxes. The window's two clock reads are the shard's only ones.
     fn process_shard(&self, shard_idx: usize, window_end: u64) {
         let started = Instant::now();
         let mut guard = self.shards[shard_idx].lock().expect("shard poisoned");
@@ -581,10 +597,11 @@ impl<'a> Exec<'a> {
         let mut mail = self.mailboxes[shard_idx].lock().expect("mailbox poisoned");
         std::mem::swap(&mut *mail, &mut shard.inbox);
         drop(mail);
-        shard.heap.extend(shard.inbox.drain(..));
+        for (key, kind) in shard.inbox.drain(..) {
+            shard.queue.push(key, kind);
+        }
         let mut drained = 0u64;
-        while shard.heap.peek().is_some_and(|e| e.key().0 < window_end) {
-            let event = shard.heap.pop().unwrap();
+        while let Some(event) = shard.queue.pop_before(window_end) {
             drained += 1;
             self.handle_event(shard, shard_idx, event, window_end);
         }
@@ -602,12 +619,13 @@ impl<'a> Exec<'a> {
     /// Earliest pending event across all shards and mailboxes, or `None`
     /// when the system is fully quiescent (the step is over). Called with
     /// every shard at rest, between windows: the next one moves whatever
-    /// the mailboxes hold into the heaps, so their watermark starts over.
+    /// the mailboxes hold into the calendars, so their watermark starts
+    /// over.
     fn next_event_time(&self) -> Option<u64> {
         let mut min = self.mail_earliest.swap(u64::MAX, Ordering::SeqCst);
         for shard in self.shards {
-            if let Some(top) = shard.lock().expect("shard poisoned").heap.peek() {
-                min = min.min(top.key().0);
+            if let Some(at) = shard.lock().expect("shard poisoned").queue.next_at() {
+                min = min.min(at);
             }
         }
         (min < u64::MAX).then_some(min)
@@ -728,8 +746,9 @@ pub fn run_step_sharded(
         members[shard].push(node);
     }
 
+    let quantum = sharded.epoch.as_nanos() as u64;
     let shards: Vec<Mutex<Shard>> = (0..shard_count)
-        .map(|_| Mutex::new(Shard::new(shard_count)))
+        .map(|_| Mutex::new(Shard::new(shard_count, quantum)))
         .collect();
     let mailboxes: Vec<Mailbox> = (0..shard_count).map(|_| Mailbox::default()).collect();
 
@@ -772,7 +791,7 @@ pub fn run_step_sharded(
             let driver = NodeDriver::new(node, &timing, contribution.is_some());
             let mut slot = Slot::new(driver, trace);
             // A node alive at step start has its first tick armed at 0.
-            schedule_armed(&mut shard.heap, &mut slot, Armed::default());
+            schedule_armed(&mut shard.queue, &mut slot, Armed::default());
             shard.slots.push(slot);
         }
     };
@@ -780,12 +799,11 @@ pub fn run_step_sharded(
     // Scripted churn, scheduled into the owning shards at virtual offsets.
     for (index, churn) in step_churn.iter().enumerate() {
         let at = churn.after.as_nanos() as u64;
-        let kind = EventKind::Churn(churn.kind);
+        let key = (at, CLASS_CHURN, churn.node as u32, index as u64);
         let mut shard = shards[home[churn.node].0 as usize]
             .lock()
             .expect("shard poisoned");
-        let scripted = event(at, CLASS_CHURN, churn.node, index as u64, kind);
-        shard.heap.push(scripted);
+        shard.queue.push(key, EventKind::Churn(churn.kind));
     }
 
     let registry = Registry::new();
@@ -818,6 +836,7 @@ pub fn run_step_sharded(
     // a pure function of the virtual timeline.
     let mut nodes = Vec::with_capacity(n);
     let mut counters = [[0u64; 3]; 3];
+    let mut gossip_ns = 0;
     for shard in shards {
         let shard = shard.into_inner().expect("shard poisoned");
         for (ci, row) in counters.iter_mut().enumerate() {
@@ -833,24 +852,33 @@ pub fn run_step_sharded(
         ] {
             registry.counter(name).add(count);
         }
+        // Every phase a node times itself but encryption (done at
+        // construction) ran inside this shard's windows; the rest of the
+        // windows' busy time was the executor handling the shard's events.
+        let mut timed = 0;
         for slot in shard.slots {
             let id = slot.driver.id() as u64;
             let trace = slot
                 .trace
                 .map(|(_, tracer)| NodeTrace::capture(id, &tracer));
             let alive = slot.driver.is_alive();
-            nodes.push((slot.driver.finish().0, alive, trace));
+            let report = slot.driver.finish().0;
+            timed += report.profile.total_ns() - report.profile.encrypt_ns;
+            nodes.push((report, alive, trace));
         }
+        gossip_ns += shard.busy_ns.saturating_sub(timed);
     }
     let snapshot = TrafficSnapshot::read(|ci, cell| counters[ci][cell]);
-    Ok(StepRun::conclude(
+    let mut run = StepRun::conclude(
         step_seed,
         &sharded.audit,
         &registry,
         started,
         nodes,
         snapshot,
-    ))
+    );
+    run.outcome.phases.add(StepPhase::Gossip, gossip_ns);
+    Ok(run)
 }
 
 #[cfg(test)]
@@ -942,7 +970,7 @@ mod tests {
     #[test]
     fn buffer_pool_is_capped_at_the_shard_node_count() {
         let sharded = ShardedConfig::default();
-        let mut shard = Shard::new(1);
+        let mut shard = Shard::new(1, sharded.epoch.as_nanos() as u64);
         let values = vec![1.0; layout().total()];
         for id in 0..3 {
             let params = NodeParams::for_step(id, 3, 9, 4, Vec::new(), None);
@@ -959,7 +987,7 @@ mod tests {
                 slots: values.clone(),
             };
             let deliver = EventKind::Deliver((1, msg, TraceContext::NONE));
-            shard.heap.push(event(0, CLASS_DELIVER, 0, seq, deliver));
+            shard.queue.push((0, CLASS_DELIVER, 0, seq), deliver);
         }
         let (shards, mailboxes) = ([Mutex::new(shard)], [Mailbox::default()]);
         let home = [(0, 0), (0, 1), (0, 2)];
@@ -972,7 +1000,7 @@ mod tests {
             assert_eq!(shard.pool.len(), 3);
             assert!(shard.slots[1].driver.spare_buffer().is_some());
             for slot in &mut shard.slots {
-                schedule_armed(&mut shard.heap, slot, Armed::default());
+                schedule_armed(&mut shard.queue, slot, Armed::default());
             }
         }
         // Node 1 splits from its spare, nodes 0 and 2 from the pool, every
@@ -1016,6 +1044,27 @@ mod tests {
         );
         // The wall-clock metric exists but is allowed to differ.
         assert!(a.metrics.histogram("exec.epoch.wait_ns").is_some());
+    }
+
+    /// Time closes per shard: the crypto the nodes time themselves inside
+    /// the windows — everything but encryption, done at construction —
+    /// never exceeds the workers' busy time around it, and `Gossip` is the
+    /// rest. On a packed step those timers book real work; on a plain one
+    /// nothing but the executor's own is left.
+    #[test]
+    fn step_phases_close_on_the_workers_busy_time() {
+        for crypto in [Crypto::Packed, Crypto::Simulated] {
+            let step = Step::new(crypto, 8, 16, [61, 62, 63]);
+            let run = step.on_shards(&four_shards(), &[]).unwrap();
+            let busy = run.metrics.counter("exec.worker.busy_ns");
+            let profiles = run.reports.iter().map(|r| r.profile);
+            let timed: u64 = profiles.map(|p| p.total_ns() - p.encrypt_ns).sum();
+            assert!(timed <= busy, "{timed} ns timed inside {busy} ns busy");
+            let phases = run.outcome.phases;
+            assert_eq!(phases.total_ns() - phases.encrypt_ns, busy);
+            assert!(phases.gossip_ns > 0);
+            assert!(run.reports.iter().all(|r| r.profile.gossip_ns == 0));
+        }
     }
 
     /// A traced `PackedPush` and a traced `DecryptShare`.
@@ -1081,7 +1130,7 @@ mod tests {
                     ));
                     trace = Some((clock.clone(), tracer.clone()));
                 }
-                let mut shard = Shard::new(2);
+                let mut shard = Shard::new(2, sharded.epoch.as_nanos() as u64);
                 let driver = NodeDriver::new(node, &timing, id == 0 || destination_alive);
                 shard.slots.push(Slot::new(driver, trace));
                 Mutex::new(shard)
@@ -1108,7 +1157,10 @@ mod tests {
         drop(exec);
 
         let shard = shards.into_iter().nth(1).unwrap().into_inner().unwrap();
-        assert!(shard.heap.is_empty(), "both deliveries were consumed");
+        assert!(
+            shard.queue.next_at().is_none(),
+            "both deliveries were consumed"
+        );
         let received = tracer
             .snapshot_events()
             .iter()

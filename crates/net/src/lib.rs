@@ -91,6 +91,7 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+mod calendar;
 pub mod churn;
 pub mod driver;
 pub mod executor;

@@ -276,10 +276,15 @@ pub struct NodeReport {
     /// raised by the substrates that put bytes on a wire (TCP loopback,
     /// cluster); the sharded executor moves messages and has none.
     pub bad_frames: u64,
-    /// Wall-clock spent inside each step phase's crypto/arithmetic on this
-    /// node. A pure side channel — nothing protocol-visible reads it, so
-    /// it exists on every substrate (including the deterministic sharded
-    /// executor) without perturbing behavior.
+    /// Wall-clock this node spent in each step phase. The node times its
+    /// crypto itself — encrypt, partial decryptions, fold, combine, decode —
+    /// and never reads a clock per message: `Gossip`, the message work, is
+    /// booked by the host. [`crate::runtime::pump`] books it here once per
+    /// turn; the sharded executor books it per shard into the step's
+    /// outcome, so on that substrate a node's `Gossip` is 0. A pure side
+    /// channel — nothing protocol-visible reads it, so it exists on every
+    /// substrate (including the deterministic sharded executor) without
+    /// perturbing behavior.
     pub profile: PhaseProfile,
 }
 
@@ -453,6 +458,13 @@ impl ProtocolNode {
         &mut self.spare
     }
 
+    /// The node's phase clocks. The node times its crypto itself; the
+    /// message work — splits, absorbs, decoding — is the host's to time and
+    /// book as [`StepPhase::Gossip`] (see [`NodeReport::profile`]).
+    pub(crate) fn profile_mut(&mut self) -> &mut PhaseProfile {
+        &mut self.profile
+    }
+
     /// One pacing tick: push during the gossip phase, transition to
     /// decryption when the quota is exhausted.
     pub fn tick(&mut self, out: &mut Vec<Outbound>) {
@@ -467,7 +479,6 @@ impl ProtocolNode {
             match self.sample_peer() {
                 Some(peer) => {
                     let buckets = self.packed_buckets();
-                    let split_started = Instant::now();
                     let msg = match &mut self.agg {
                         Aggregator::Encrypted(he) => {
                             let HePush {
@@ -501,8 +512,6 @@ impl ProtocolNode {
                             }
                         }
                     };
-                    self.profile
-                        .add(StepPhase::Gossip, split_started.elapsed().as_nanos() as u64);
                     self.emit(peer, msg, out);
                     self.pushes_sent += 1;
                 }
@@ -937,7 +946,6 @@ impl ProtocolNode {
             return;
         }
         let buckets_here = self.packed_buckets();
-        let absorb_started = Instant::now();
         match (&mut self.agg, inbound) {
             (Aggregator::Encrypted(he), Inbound::Ciphertexts(buckets, push))
                 if buckets == buckets_here && push.slots.len() == he.dim() =>
@@ -948,15 +956,8 @@ impl ProtocolNode {
                 ps.absorb(&push);
                 self.spare = Some(push.values);
             }
-            _ => {
-                self.bad_frames += 1;
-                return;
-            }
+            _ => self.bad_frames += 1,
         }
-        self.profile.add(
-            StepPhase::Gossip,
-            absorb_started.elapsed().as_nanos() as u64,
-        );
     }
 
     fn accept_share(&mut self, from: NodeId, partials: Vec<PartialDecryption>) {

@@ -27,7 +27,7 @@ use chiaroscuro::ChiaroscuroError;
 use cs_gossip::homomorphic_pushsum::HomomorphicOpCounts;
 use cs_gossip::TrafficStats;
 use cs_obs::health::Alert;
-use cs_obs::{AuditConfig, CausalTracer, NodeTrace, Tracer, WallClock};
+use cs_obs::{AuditConfig, CausalTracer, NodeTrace, StepPhase, Tracer, WallClock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::convert::Infallible;
@@ -457,7 +457,8 @@ pub fn run_step_over_tcp(
 /// and decode them into the driver, let the driver fire what is due, flush
 /// what it emitted, and announce completion once. All protocol timing is
 /// the [`NodeDriver`]'s; the pump only supplies the clock (nanoseconds
-/// since it was entered, i.e. since the gossip start).
+/// since it was entered, i.e. since the gossip start), three reads a turn,
+/// and books the turn's message work as the node's [`StepPhase::Gossip`].
 ///
 /// The hosts differ in two closures. `turn` runs at the top of every turn:
 /// `Break` ends the loop (shutdown flag, `StepEnd`), `Continue` carries the
@@ -501,6 +502,7 @@ pub fn pump<E>(
 
         let mut next = transport.recv_timeout(id, wait);
         let arrived = now();
+        let timed = driver.profile_mut().total_ns();
         while let Some(env) = next {
             // Corrupt frames are counted, never fatal.
             match decode_frame_traced(&env.frame) {
@@ -510,9 +512,16 @@ pub fn pump<E>(
             next = transport.try_recv(id);
         }
         driver.poll(now(), &mut out);
+        // The turn's message work — decoding, absorbing, splitting — from
+        // the frames' arrival to the end of the poll, net of the crypto the
+        // node timed itself meanwhile: no clock is read per message.
+        let polled = now();
+        let profile = driver.profile_mut();
+        let work = (polled - arrived).saturating_sub(profile.total_ns() - timed);
+        profile.add(StepPhase::Gossip, work);
         flush(id, &mut out, transport);
 
-        if !announced && driver.complete(now()) {
+        if !announced && driver.complete(polled) {
             announce()?;
             announced = true;
         }
@@ -649,6 +658,8 @@ mod tests {
             run.reports.iter().all(|r| r.bad_frames == 0),
             "no decode failures over loopback TCP"
         );
+        // No node timer runs on a plain step: the pump booked the gossip.
+        assert!(run.reports.iter().all(|r| r.profile.gossip_ns > 0));
     }
 
     /// No node announces anything to its peers: an honest step on either

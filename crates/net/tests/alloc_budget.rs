@@ -6,17 +6,26 @@
 //! with a push quota of zero, which builds the same nodes and concludes the
 //! same way but gossips nothing. The difference is what the message path
 //! allocated: the first buffer of each node, the few splits that found
-//! their shard's pool empty, and the growth of the shards' heaps, pools and
-//! mailboxes to their working size.
+//! their shard's pool empty, and the growth of the shards' event queues,
+//! pools and mailboxes to their working size.
 //!
-//! Recorded figures (they repeat to the digit, run after run):
+//! Recorded figures (they repeat to the digit, run after run — since a
+//! metrics snapshot sizes its bucket vectors before filling them; growing
+//! them by how many buckets the wall-clock `exec.epoch.wait_ns` touched
+//! made one run in six or seven count 2 more or fewer):
 //!
 //! * before the push buffers were recycled: **11 281** allocations for the
 //!   10 240 messages, 1.10 per message — a buffer per push, plus a mailbox
 //!   queue regrown from empty per (shard, epoch);
-//! * now: **932**, one per 11 messages, 649 of them push buffers
-//!   (`exec.buffers.allocated`: 512 first splits and 137 that found neither
-//!   a spare nor a pooled buffer).
+//! * recycled push buffers on a binary heap of events: **932**, one per 11
+//!   messages, 649 of them push buffers (`exec.buffers.allocated`: 512
+//!   first splits and 137 that found neither a spare nor a pooled buffer);
+//! * now, on the calendar queue: **1 066** — the same 649 buffers, and the
+//!   calendar's bucket vectors, payload slab and side heap growing to
+//!   their working size once per shard. Past that the windows allocate
+//!   next to nothing: besides push buffers, 40 cycles count 9 more than
+//!   20 and 80 cycles 6 more than 40 (recycled bucket vectors still
+//!   growing to the largest bucket), where the heap counted 3 and 3.
 //!
 //! One test only: the counter is process-wide, and a second test running
 //! beside this one would be counted too.

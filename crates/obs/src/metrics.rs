@@ -524,15 +524,19 @@ impl Registry {
                 .histograms
                 .iter()
                 .map(|(name, h)| {
-                    let buckets: Vec<BucketCount> = (0..HISTOGRAM_BUCKETS)
-                        .filter_map(|i| {
-                            let count = h.buckets[i].load(Ordering::Relaxed);
-                            (count != 0).then_some(BucketCount {
-                                bucket: i as u8,
-                                count,
-                            })
-                        })
-                        .collect();
+                    // Sized before it is filled: how often a snapshot
+                    // allocates must not depend on how many buckets a
+                    // wall-clock histogram happens to touch (the executor's
+                    // allocation budget counts to the digit).
+                    let counts: [u64; HISTOGRAM_BUCKETS] =
+                        std::array::from_fn(|i| h.buckets[i].load(Ordering::Relaxed));
+                    let mut buckets =
+                        Vec::with_capacity(counts.iter().filter(|&&c| c != 0).count());
+                    let touched = counts.iter().enumerate().filter(|(_, &c)| c != 0);
+                    buckets.extend(touched.map(|(i, &count)| BucketCount {
+                        bucket: i as u8,
+                        count,
+                    }));
                     HistogramValue {
                         name: name.clone(),
                         count: h.count(),

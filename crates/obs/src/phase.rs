@@ -3,21 +3,30 @@
 //!
 //! The paper's computation step decomposes into five phases with very
 //! different cost profiles — contribution **encrypt**ion (fixed-base
-//! exponentiations, once per node per step), **gossip** crypto (the
-//! push-sum split/absorb homomorphic work), the committee's
-//! **decrypt-share** service (one partial decryption per requested
-//! ciphertext), **combine** (Lagrange recombination of partial
+//! exponentiations, once per node per step), **gossip** (the message work:
+//! push-sum splits and absorbs — homomorphic in real-crypto mode — and
+//! whatever the host spends moving and handling the messages), the
+//! committee's **decrypt-share** service (one partial decryption per
+//! requested ciphertext), **combine** (Lagrange recombination of partial
 //! decryptions), and **unpack** (the requester's lane work in packed mode:
 //! stacking a snapshot's lanes before the round, extracting them after). A
-//! [`PhaseProfile`] holds per-phase nanosecond totals;
-//! the sans-IO protocol node accumulates one, every substrate ships it
-//! home in its report, and the per-node profiles sum ([`PhaseProfile::plus`])
-//! into the step outcome that `bench_summary --profile` emits.
+//! [`PhaseProfile`] holds per-phase nanosecond totals; the sans-IO protocol
+//! node accumulates one, every substrate ships it home in its report, and
+//! the per-node profiles sum ([`PhaseProfile::plus`]) into the step outcome
+//! that `bench_summary --profile` emits.
 //!
-//! Profiles measure *wall-clock spent inside the phase's code*, which is a
-//! side channel: nothing protocol-visible reads them, so enabling
-//! profiling cannot perturb the sharded executor's byte-identical
-//! determinism (locked by `sharded_e2e`).
+//! The node times its crypto phases itself, a few clock reads per
+//! operation that costs micro- to milliseconds. Nothing reads a clock per
+//! message: **gossip is booked by the host** — by the wall-clock pump once
+//! per turn, from the frames' arrival to the end of the node's poll, net of
+//! what the node's own timers booked meanwhile; by the sharded executor
+//! once per shard, as the workers' busy time in that shard's windows less
+//! the node-timed phases inside them.
+//!
+//! Profiles measure *wall-clock*, which is a side channel: nothing
+//! protocol-visible reads them, so enabling profiling cannot perturb the
+//! sharded executor's byte-identical determinism (locked by
+//! `sharded_e2e`).
 
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +35,10 @@ use serde::{Deserialize, Serialize};
 pub enum StepPhase {
     /// Contribution encryption at node construction.
     Encrypt,
-    /// Gossip split/absorb arithmetic (homomorphic in real-crypto mode).
+    /// The message work — push-sum splits and absorbs (homomorphic in
+    /// real-crypto mode), decoding, routing — booked by the host, not the
+    /// node: per turn by the wall-clock pump, per shard by the executor,
+    /// around the whole cycle loop by the cycle simulator.
     Gossip,
     /// Serving partial decryptions as a committee member.
     DecryptShare,
@@ -65,7 +77,7 @@ impl StepPhase {
 pub struct PhaseProfile {
     /// Contribution encryption.
     pub encrypt_ns: u64,
-    /// Gossip split/absorb arithmetic.
+    /// Host-booked message work (see [`StepPhase::Gossip`]).
     pub gossip_ns: u64,
     /// Committee partial-decryption service.
     pub decrypt_share_ns: u64,
