@@ -19,10 +19,11 @@ use std::time::Duration;
 
 fn encrypted_push(slots: usize, slot_bytes: usize) -> Message {
     let mut rng = StdRng::seed_from_u64(1);
-    Message::EncryptedPush {
+    Message::PackedPush {
         iteration: 7,
         denom_exp: 12,
         weight: 0.125,
+        buckets: slots as u32,
         slots: (0..slots)
             .map(|_| {
                 let bytes: Vec<u8> = (0..slot_bytes).map(|_| rng.gen::<u8>()).collect();

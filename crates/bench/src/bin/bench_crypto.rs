@@ -2,8 +2,8 @@
 //!
 //! Measures the per-bucket cost of the Damgård-Jurik pipeline — encrypt,
 //! homomorphic add, threshold decrypt — **packed vs unpacked**, plus one
-//! full `net_step_real_crypto` computation step on the sharded executor
-//! in both modes, and writes `BENCH_CRYPTO.json` so the
+//! full `net_step_real_crypto` computation step on the sharded executor,
+//! and writes `BENCH_CRYPTO.json` so the
 //! repository keeps a comparable record of the fast path across PRs.
 //!
 //! ```sh
@@ -154,9 +154,7 @@ fn main() {
         entries.extend(bench_wide_key(bits, reps, &mut rng));
     }
     if !quick {
-        for packing in [false, true] {
-            entries.push(bench_net_step(8, packing));
-        }
+        entries.push(bench_net_step(8));
     }
 
     let mut table = Table::new(
@@ -674,14 +672,14 @@ fn bench_multi_exp(ctx: &Ctx, reps: usize, rng: &mut StdRng) -> Vec<CryptoBenchE
 }
 
 /// One full computation step with the real Damgård-Jurik pipeline
-/// (test-size keys), packed vs unpacked — the `net_step_real_crypto` line.
-/// On the sharded executor, whose virtual clock costs no wall time: a
-/// crypto row should not carry a pacing floor.
-fn bench_net_step(n: usize, packing: bool) -> CryptoBenchEntry {
+/// (test-size keys) — the `net_step_real_crypto` line. Packed: a step has
+/// no other layout, so the row has no unpacked twin. On the sharded
+/// executor, whose virtual clock costs no wall time: a crypto row should
+/// not carry a pacing floor.
+fn bench_net_step(n: usize) -> CryptoBenchEntry {
     let config = ChiaroscuroConfig {
         k: 2,
         gossip_cycles: 10,
-        packing,
         ..ChiaroscuroConfig::test_real()
     };
     let layout = SlotLayout {
@@ -707,7 +705,7 @@ fn bench_net_step(n: usize, packing: bool) -> CryptoBenchEntry {
     let bytes = run.snapshot.bytes();
     CryptoBenchEntry {
         name: "net_step_real_crypto".into(),
-        mode: if packing { "packed" } else { "unpacked" }.into(),
+        mode: "packed".into(),
         buckets: 0,
         total_ms: wall_ms,
         per_bucket_us: 0.0,

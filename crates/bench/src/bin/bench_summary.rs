@@ -338,8 +338,8 @@ fn run_check(summary: &BenchSummary) {
 }
 
 /// Median wall-clock of encode+decode for a realistic encrypted push frame
-/// (24 slots of 256-byte ciphertexts ≈ a k=4, len=5 aggregate at 2048-bit
-/// keys).
+/// (24 ciphertexts of 256 bytes, the width of a k=4, len=5 aggregate at one
+/// ciphertext per bucket and 2048-bit keys).
 fn bench_wire_codec(quick: bool) -> BenchEntry {
     let mut rng = StdRng::seed_from_u64(1);
     let slots: Vec<Ciphertext> = (0..24)
@@ -348,10 +348,11 @@ fn bench_wire_codec(quick: bool) -> BenchEntry {
             Ciphertext::from_biguint(BigUint::from_bytes_le(&bytes))
         })
         .collect();
-    let msg = Message::EncryptedPush {
+    let msg = Message::PackedPush {
         iteration: 7,
         denom_exp: 12,
         weight: 0.125,
+        buckets: 24,
         slots,
     };
     let reps = if quick { 200 } else { 2000 };
@@ -362,7 +363,7 @@ fn bench_wire_codec(quick: bool) -> BenchEntry {
         let frame = encode_frame(&msg);
         let back = decode_frame(&frame).expect("roundtrip");
         samples.push(t.elapsed().as_secs_f64() * 1e3);
-        assert!(matches!(back, Message::EncryptedPush { .. }));
+        assert!(matches!(back, Message::PackedPush { .. }));
         bytes = frame.len() as u64;
     }
     samples.sort_by(f64::total_cmp);
@@ -514,17 +515,16 @@ impl StepWorkload {
         }
     }
 
-    /// Real Damgård-Jurik pipeline (test-size keys) *and* the crypto fast
-    /// path (ciphertext packing + fixed-base exponentiation) — the wire
-    /// configuration of a deployed `csnoded` cluster, and what makes real
-    /// crypto at populations ≥512 tractable on one machine.
+    /// Real Damgård-Jurik pipeline (test-size keys): ciphertext packing +
+    /// fixed-base exponentiation, the wire configuration of a deployed
+    /// `csnoded` cluster, and what makes real crypto at populations ≥512
+    /// tractable on one machine.
     fn real(name: &'static str) -> Self {
         StepWorkload {
             name,
             config: ChiaroscuroConfig {
                 k: 2,
                 gossip_cycles: 10,
-                packing: true,
                 ..ChiaroscuroConfig::test_real()
             },
             layout: SlotLayout {

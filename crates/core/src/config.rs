@@ -75,14 +75,14 @@ pub struct ChiaroscuroConfig {
     pub threshold: ThresholdParams,
     /// Fixed-point fractional bits for plaintext encoding.
     pub codec_scale_bits: u32,
-    /// Re-randomize ciphertexts before each forward (hides which slots are
-    /// trivial zero encryptions). Ignored in simulated mode except for cost.
+    /// Re-randomize ciphertexts before each forward (hides which ciphertexts
+    /// are trivial zero encryptions). Ignored in simulated mode except for
+    /// cost.
     pub rerandomize: bool,
-    /// Pack many buckets per ciphertext (disjoint fixed-point lanes of
-    /// `Z_{n^s}`, see `cs_crypto::packing`) and use fixed-base
-    /// exponentiation for encryption — the crypto fast path. Only affects
-    /// [`CryptoMode::Real`]; the simulated (plaintext) pipeline has nothing
-    /// to pack. Off by default so existing runs stay byte-identical.
+    /// Ignored. Every [`CryptoMode::Real`] run packs its buckets into
+    /// disjoint fixed-point lanes of `Z_{n^s}` (`cs_crypto::packing`) under
+    /// fixed-base encryption; there is no other ciphertext layout. Kept
+    /// only because csbench's frozen sources set it.
     pub packing: bool,
 
     // ---- gossip ----

@@ -148,7 +148,7 @@ pub fn synthesize_ops(
 
 /// Decryption ops for one iteration: requester `i` has the `widths[i]`
 /// ciphertexts its snapshot folds to
-/// ([`crate::rounds::StepCipher::width`]; per-slot, all of them)
+/// ([`crate::rounds::StepCipher::width`]; unfolded, all of them)
 /// threshold-decrypted with `t` partials each.
 pub fn synthesize_decrypt_ops(
     widths: &[usize],

@@ -32,7 +32,7 @@ use cs_gossip::{Network, TrafficStats};
 use cs_obs::phase::{PhaseProfile, StepPhase};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,9 +46,11 @@ pub enum CryptoContext {
         pk: Arc<PublicKey>,
         /// Fixed-point codec.
         codec: FixedPointCodec,
-        /// Fixed-base fast encryptor — `Some` when ciphertext packing is
-        /// enabled ([`ChiaroscuroConfig::packing`]); the per-step layout is
-        /// a [`StepCipher`].
+        /// Fixed-base fast encryptor every step's [`StepCipher`] encrypts
+        /// and re-randomizes with. Always `Some` from
+        /// [`CryptoContext::from_config`]; an `Option` only because csbench
+        /// destructures it as one. A context built by hand without it
+        /// plans no step.
         fast: Option<Arc<FastEncryptor>>,
         /// Per-committee-subset combine plans (Lagrange exponents and the
         /// `(4Δ²)^{-1}` constant), shared across every step of the run.
@@ -72,20 +74,17 @@ impl CryptoContext {
             CryptoMode::Real { keygen } => {
                 let tkp = ThresholdKeyPair::generate(keygen, config.threshold, rng)?;
                 let pk = Arc::new(tkp.public().clone());
-                // The encryptor's generator draws from a *forked* stream:
-                // toggling `packing` must not shift the master RNG, so a
-                // packed run stays comparable (same initial centroids, same
-                // noise) to the unpacked run it is diffed against.
-                let fast = config.packing.then(|| {
-                    use rand::SeedableRng as _;
-                    let mut enc_rng = StdRng::seed_from_u64(config.seed ^ 0xFA57_E6C5_97B1_D003);
-                    Arc::new(FastEncryptor::new(pk.clone(), &mut enc_rng))
-                });
+                // The encryptor's generator draws from a *forked* stream,
+                // so building it takes no word from the master RNG: the
+                // initial centroids and the noise are what they would be
+                // without it.
+                let mut enc_rng = StdRng::seed_from_u64(config.seed ^ 0xFA57_E6C5_97B1_D003);
+                let fast = Arc::new(FastEncryptor::new(pk.clone(), &mut enc_rng));
                 Ok(CryptoContext::Real {
                     tkp: Box::new(tkp),
                     pk,
                     codec: FixedPointCodec::new(config.codec_scale_bits),
-                    fast,
+                    fast: Some(fast),
                     plans: Arc::new(CombinePlanCache::new()),
                 })
             }
@@ -115,7 +114,10 @@ impl CryptoContext {
     ) -> Result<Option<StepCipher>, ChiaroscuroError> {
         match self {
             CryptoContext::Real { pk, fast, .. } => {
-                StepCipher::plan(config, pk, fast.as_ref(), layout, population).map(Some)
+                let enc = fast.as_ref().ok_or_else(|| {
+                    ChiaroscuroError::InvalidConfig("real crypto without its fast encryptor".into())
+                })?;
+                StepCipher::plan(config, pk, enc, layout, population).map(Some)
             }
             CryptoContext::Simulated { .. } => Ok(None),
         }
@@ -143,7 +145,9 @@ impl CryptoContext {
 /// (roughly double
 /// the observed cascade) and, when the plaintext space cannot afford that
 /// much headroom, clamps down — never below the per-node split count plus
-/// margin, below which the run would certainly fail. A schedule that
+/// margin, below which the run would certainly fail. Where even that floor
+/// overflows a 126-bit lane — `cycles > 117 − value_bits − bits(P+1)` — the
+/// plan is refused with the codec's typed error. A schedule that
 /// outruns the reserved headroom hits the typed
 /// [`cs_crypto::CryptoError::LaneHeadroomExceeded`] at unpack instead of
 /// silent lane wrap-around.
@@ -174,15 +178,13 @@ pub fn plan_packed_codec(
 
 /// How one computation step's contributions become ciphertexts and its
 /// decrypted aggregates become values — the one place that data format is
-/// decided. [`ChiaroscuroConfig::packing`] selects between two layouts:
-/// *per-slot*, one [`FixedPointCodec`] plaintext per ciphertext under the
-/// generic encryption, and *packed*, one [`PackedCodec`] lane vector per
-/// ciphertext under the [`FastEncryptor`]'s fixed-base encryption and
-/// re-randomization. Every substrate — the cycle simulator below, the
-/// `cs_net` runtimes, a `csnoded` process — plans one from public inputs
-/// alone (see [`plan_packed_codec`]), so the whole population agrees on it
-/// without coordination, and asks it for everything the two layouts do
-/// differently.
+/// decided: one [`PackedCodec`] lane vector per ciphertext, under the
+/// [`FastEncryptor`]'s fixed-base encryption and re-randomization. Every
+/// substrate — the cycle simulator below, the `cs_net` runtimes, a
+/// `csnoded` process — plans one from public inputs alone (see
+/// [`plan_packed_codec`]), so the whole population agrees on it without
+/// coordination. A schedule the lane plan cannot hold is refused here, as a
+/// typed error, before any node exists.
 #[derive(Clone)]
 pub struct StepCipher {
     pk: Arc<PublicKey>,
@@ -190,50 +192,39 @@ pub struct StepCipher {
     rerandomize: bool,
     /// Randomizers a node's gossip is expected to draw (0 = no pooling).
     pool_target: usize,
-    lanes: Lanes,
-}
-
-#[derive(Clone)]
-enum Lanes {
-    PerSlot(FixedPointCodec),
-    Packed(PackedCodec, Arc<FastEncryptor>),
+    codec: PackedCodec,
+    enc: Arc<FastEncryptor>,
 }
 
 impl StepCipher {
-    /// Plans the step's layout: packed when the run has a fast encryptor,
-    /// per-slot otherwise.
+    /// Plans the step's lane layout around the run's fast encryptor.
     pub fn plan(
         config: &ChiaroscuroConfig,
         pk: &Arc<PublicKey>,
-        fast: Option<&Arc<FastEncryptor>>,
+        enc: &Arc<FastEncryptor>,
         layout: &SlotLayout,
         population: usize,
     ) -> Result<Self, ChiaroscuroError> {
-        let codec = FixedPointCodec::new(config.codec_scale_bits);
-        let (lanes, pool_target) = match fast {
-            Some(enc) => {
-                let packed = plan_packed_codec(config, pk, &codec, layout, population)?;
-                // The expected demand of a full gossip run — each push
-                // re-randomizes the node's whole ciphertext vector — capped
-                // so huge lane counts don't make the refill the bottleneck.
-                // A node that forwards more falls back to on-the-fly
-                // randomizers; one that terminates early wastes the tail.
-                let demand = config.gossip_cycles * packed.ciphertexts_for(layout.total());
-                let target = if config.rerandomize {
-                    demand.min(512)
-                } else {
-                    0
-                };
-                (Lanes::Packed(packed, enc.clone()), target)
-            }
-            None => (Lanes::PerSlot(codec), 0),
+        let fp = FixedPointCodec::new(config.codec_scale_bits);
+        let codec = plan_packed_codec(config, pk, &fp, layout, population)?;
+        // The expected demand of a full gossip run — each push re-randomizes
+        // the node's whole ciphertext vector — capped so huge lane counts
+        // don't make the refill the bottleneck. A node that forwards more
+        // falls back to on-the-fly randomizers; one that terminates early
+        // wastes the tail.
+        let demand = config.gossip_cycles * codec.ciphertexts_for(layout.total());
+        let pool_target = if config.rerandomize {
+            demand.min(512)
+        } else {
+            0
         };
         Ok(StepCipher {
             pk: pk.clone(),
             layout: *layout,
             rerandomize: config.rerandomize,
             pool_target,
-            lanes,
+            codec,
+            enc: enc.clone(),
         })
     }
 
@@ -243,100 +234,54 @@ impl StepCipher {
     }
 
     /// Ciphertexts a node gossips and snapshots for decryption: one per
-    /// slot, or one per lane group.
+    /// lane group.
     pub fn ciphertexts(&self) -> usize {
-        match &self.lanes {
-            Lanes::PerSlot(_) => self.layout.total(),
-            Lanes::Packed(codec, _) => codec.ciphertexts_for(self.layout.total()),
-        }
-    }
-
-    /// The logical bucket count a push declares on the wire when its
-    /// ciphertexts carry lane vectors, so the receiver can cross-check the
-    /// sender's layout; `None` when every ciphertext is one slot.
-    pub fn packed_buckets(&self) -> Option<u32> {
-        matches!(self.lanes, Lanes::Packed(..)).then_some(self.layout.total() as u32)
+        self.codec.ciphertexts_for(self.layout.total())
     }
 
     /// The lane plan's carry headroom in bits — the watermark the
-    /// lane-headroom audit checks; `None` without lanes.
-    pub fn lane_headroom_bits(&self) -> Option<u64> {
-        match &self.lanes {
-            Lanes::PerSlot(_) => None,
-            Lanes::Packed(codec, _) => Some(codec.headroom_bits() as u64),
-        }
-    }
-
-    /// The phase [`Self::decode`] is booked under: lane extraction is a
-    /// phase of its own, a per-slot decode counts as part of the combine.
-    pub fn decode_phase(&self) -> StepPhase {
-        match &self.lanes {
-            Lanes::PerSlot(_) => StepPhase::Combine,
-            Lanes::Packed(..) => StepPhase::Unpack,
-        }
+    /// lane-headroom audit checks.
+    pub fn lane_headroom_bits(&self) -> u64 {
+        self.codec.headroom_bits() as u64
     }
 
     /// Whether [`Self::node`] can encrypt `contribution`: every value
-    /// finite and inside the codec's envelope (the planned lane range when
-    /// packed, the signed plaintext range per slot). What a host asks about
-    /// a contribution it did not build itself, so one out-of-range value is
-    /// a failed step instead of a panic on whichever thread constructs the
+    /// finite and inside the planned lane range. What a host asks about a
+    /// contribution it did not build itself, so one out-of-range value is a
+    /// failed step instead of a panic on whichever thread constructs the
     /// node.
     pub fn admits(&self, contribution: &[f64]) -> Result<(), ChiaroscuroError> {
-        match &self.lanes {
-            Lanes::PerSlot(codec) => {
-                for &v in contribution {
-                    codec.encode(v, self.pk.n_s())?;
-                }
-            }
-            Lanes::Packed(codec, _) => {
-                codec.pack(contribution)?;
-            }
-        }
+        self.codec.pack(contribution)?;
         Ok(())
     }
 
     /// Builds one participant's push-sum node: encrypts `contribution` at
     /// weight 1, or — for a participant down at step start — holds zero
     /// weight over *unbiased* trivial zeros (the lane bias must travel
-    /// exactly with the weight mass). Per-slot, an exactly-zero slot (every
-    /// slot carries a noise share, so there is almost never one) ships as a
-    /// free trivial encryption; re-randomization on the first forward
-    /// blinds it. `pool` serves the forward re-randomizations when given.
-    /// Returns the node and the number of real encryptions performed.
+    /// exactly with the weight mass). `pool` serves the forward
+    /// re-randomizations when given. Returns the node and the number of
+    /// real encryptions performed.
     pub fn node<R: Rng + ?Sized>(
         &self,
         contribution: Option<&[f64]>,
         pool: Option<RandomizerPool>,
         rng: &mut R,
     ) -> Result<(HePushSumNode, u64), ChiaroscuroError> {
-        let pk = &self.pk;
-        let mut encryptions = 0u64;
-        let (cipher, weight): (Vec<Ciphertext>, f64) = match (contribution, &self.lanes) {
-            (None, _) => (vec![pk.trivial_zero(); self.ciphertexts()], 0.0),
-            (Some(values), Lanes::PerSlot(codec)) => {
-                let encrypt = |&v: &f64| {
-                    if v == 0.0 {
-                        return Ok(pk.trivial_zero());
-                    }
-                    encryptions += 1;
-                    Ok(pk.encrypt(&codec.encode(v, pk.n_s())?, rng))
-                };
-                let cipher: Result<_, ChiaroscuroError> = values.iter().map(encrypt).collect();
-                (cipher?, 1.0)
-            }
-            (Some(values), Lanes::Packed(codec, enc)) => {
-                let plaintexts = codec.pack(values)?;
-                encryptions = plaintexts.len() as u64;
-                let cipher = plaintexts.iter().map(|m| enc.encrypt(m, rng)).collect();
-                (cipher, 1.0)
+        let (cipher, weight, encryptions) = match contribution {
+            None => (vec![self.pk.trivial_zero(); self.ciphertexts()], 0.0, 0),
+            Some(values) => {
+                let plaintexts = self.codec.pack(values)?;
+                let cipher: Vec<Ciphertext> = plaintexts
+                    .iter()
+                    .map(|m| self.enc.encrypt(m, rng))
+                    .collect();
+                let encryptions = cipher.len() as u64;
+                (cipher, 1.0, encryptions)
             }
         };
         let mut node =
-            HePushSumNode::from_ciphertexts(pk.clone(), cipher, weight, self.rerandomize);
-        if let Lanes::Packed(_, enc) = &self.lanes {
-            node = node.with_encryptor(enc.clone());
-        }
+            HePushSumNode::from_ciphertexts(self.pk.clone(), cipher, weight, self.rerandomize)
+                .with_encryptor(self.enc.clone());
         if let Some(pool) = pool {
             node = node.with_pool(pool);
         }
@@ -344,16 +289,15 @@ impl StepCipher {
     }
 
     /// What a node at push-sum state `(denom_exp, weight)` has decrypted in
-    /// place of its `snapshot`: packed, each run of
-    /// [`cs_crypto::LaneFold::group`] ciphertexts stacked into the lanes'
-    /// unused headroom of one, `C' = Π_m C_m^(2^(m·unit_bits))` — the
-    /// decryption round costs per ciphertext, and most of what it would
-    /// decrypt is planned-for-but-empty carry space. Per-slot, the snapshot
-    /// itself. The group size is a function of metadata every push carries
-    /// in clear, so the request's width reveals nothing new. Each scaling is
-    /// counted in `ops.pow2_scalings` (`unit_bits` squarings; the product
-    /// that joins it to the next ciphertext is one multiplication, not
-    /// counted).
+    /// place of its `snapshot`: each run of [`cs_crypto::LaneFold::group`]
+    /// ciphertexts stacked into the lanes' unused headroom of one,
+    /// `C' = Π_m C_m^(2^(m·unit_bits))` — the decryption round costs per
+    /// ciphertext, and most of what it would decrypt is
+    /// planned-for-but-empty carry space. The group size is a function of
+    /// metadata every push carries in clear, so the request's width reveals
+    /// nothing new. Each scaling is counted in `ops.pow2_scalings`
+    /// (`unit_bits` squarings; the product that joins it to the next
+    /// ciphertext is one multiplication, not counted).
     pub fn fold(
         &self,
         snapshot: &[Ciphertext],
@@ -361,10 +305,7 @@ impl StepCipher {
         weight: f64,
         ops: &mut HomomorphicOpCounts,
     ) -> Vec<Ciphertext> {
-        let Lanes::Packed(codec, _) = &self.lanes else {
-            return snapshot.to_vec();
-        };
-        let fold = codec.fold(denom_exp, weight);
+        let fold = self.codec.fold(denom_exp, weight);
         let folded: Vec<Ciphertext> = snapshot
             .chunks(fold.group)
             .map(|run| {
@@ -385,66 +326,49 @@ impl StepCipher {
     /// `(denom_exp, weight)` — the width of that node's decryption request
     /// and of every answer to it.
     pub fn width(&self, denom_exp: u32, weight: f64) -> usize {
-        match &self.lanes {
-            Lanes::PerSlot(_) => self.ciphertexts(),
-            Lanes::Packed(codec, _) => self
-                .ciphertexts()
-                .div_ceil(codec.fold(denom_exp, weight).group),
-        }
+        let group = self.codec.fold(denom_exp, weight).group;
+        self.ciphertexts().div_ceil(group)
     }
 
     /// Whether a committee member serves a decryption request of `width`
-    /// ciphertexts: per-slot exactly [`Self::ciphertexts`]; packed, any
-    /// width a fold can produce — `⌈ciphertexts / g⌉` for an integer
-    /// `g ≥ 1`. Which `g` is the requester's to know (it follows from its
-    /// push-sum state); a width off that grid is nobody's.
+    /// ciphertexts: any width a fold can produce — `⌈ciphertexts / g⌉` for
+    /// an integer `g ≥ 1`. Which `g` is the requester's to know (it follows
+    /// from its push-sum state); a width off that grid is nobody's.
     pub fn serves_width(&self, width: usize) -> bool {
         let full = self.ciphertexts();
-        match &self.lanes {
-            Lanes::PerSlot(_) => width == full,
-            Lanes::Packed(..) => (1..=full).any(|g| full.div_ceil(g) == width),
-        }
+        (1..=full).any(|g| full.div_ceil(g) == width)
     }
 
     /// Decodes a node's combined plaintexts — one per ciphertext of
     /// [`Self::fold`] at the same push-sum state `(denom_exp, weight)` —
-    /// into its perturbed aggregates. A packed vector of any other width,
-    /// or a packed aggregate that outran its planned headroom, is a typed
-    /// error, never silently-wrapped values.
+    /// into its perturbed aggregates. A vector of any other width, or an
+    /// aggregate that outran its planned headroom, is a typed error, never
+    /// silently-wrapped values.
     pub fn decode(
         &self,
         raws: &[BigUint],
         denom_exp: u32,
         weight: f64,
     ) -> Result<PerturbedAggregates, ChiaroscuroError> {
-        Ok(match &self.lanes {
-            Lanes::PerSlot(codec) => assemble_aggregates(&self.layout, |slot| {
-                codec.decode(&raws[slot], self.pk.n_s(), denom_exp) / weight
-            }),
-            Lanes::Packed(codec, _) => {
-                let values =
-                    codec.unfold_aggregate(raws, self.layout.total(), denom_exp, weight)?;
-                assemble_aggregates(&self.layout, |slot| values[slot])
-            }
-        })
+        let values = self
+            .codec
+            .unfold_aggregate(raws, self.layout.total(), denom_exp, weight)?;
+        Ok(assemble_aggregates(&self.layout, |slot| values[slot]))
     }
 
     /// Tops `pool` up — or builds one — to the randomizers a node's gossip
     /// is expected to draw, so forwards pop precomputed randomizers instead
     /// of paying a fixed-base exponentiation each. `None` when the step
-    /// pools nothing (per-slot layout, or re-randomization off).
+    /// pools nothing (re-randomization off).
     pub fn fill_pool<R: Rng + ?Sized>(
         &self,
         pool: Option<RandomizerPool>,
         rng: &mut R,
     ) -> Option<RandomizerPool> {
-        let Lanes::Packed(_, enc) = &self.lanes else {
-            return None;
-        };
         if self.pool_target == 0 {
             return None;
         }
-        let mut pool = pool.unwrap_or_else(|| RandomizerPool::new(enc.clone()));
+        let mut pool = pool.unwrap_or_else(|| RandomizerPool::new(self.enc.clone()));
         pool.refill(self.pool_target.saturating_sub(pool.len()), rng);
         Some(pool)
     }
@@ -539,18 +463,13 @@ pub fn run_computation_step(
     step_seed: u64,
     rng: &mut StdRng,
 ) -> Result<ComputationOutcome, ChiaroscuroError> {
-    match crypto {
-        CryptoContext::Real {
-            tkp,
-            pk,
-            fast,
-            plans,
-            ..
-        } => {
-            let cipher = StepCipher::plan(config, pk, fast.as_ref(), layout, contributions.len())?;
+    let cipher = crypto.step_cipher(config, layout, contributions.len())?;
+    match (crypto, cipher) {
+        (CryptoContext::Real { tkp, plans, .. }, Some(cipher)) => {
             run_real(config, contributions, tkp, &cipher, plans, step_seed, rng)
         }
-        CryptoContext::Simulated { ciphertext_bytes } => Ok(run_simulated(
+        (CryptoContext::Real { .. }, None) => unreachable!("a real-crypto context plans a cipher"),
+        (CryptoContext::Simulated { ciphertext_bytes }, _) => Ok(run_simulated(
             config,
             layout,
             contributions,
@@ -624,10 +543,7 @@ fn run_real(
         let (denom_exp, weight) = (node.denominator_exp(), node.weight());
         let fold_started = Instant::now();
         let snapshot = cipher.fold(node.ciphertexts(), denom_exp, weight, &mut ops);
-        phases.add(
-            cipher.decode_phase(),
-            fold_started.elapsed().as_nanos() as u64,
-        );
+        phases.add(StepPhase::Unpack, fold_started.elapsed().as_nanos() as u64);
         widths.push(snapshot.len());
         // Random committee subset for this participant's decryption.
         let mut committee = share_pool.clone();
@@ -651,7 +567,7 @@ fn run_real(
         let decode_started = Instant::now();
         let estimate = cipher.decode(&raws, denom_exp, weight)?;
         phases.add(
-            cipher.decode_phase(),
+            StepPhase::Unpack,
             decode_started.elapsed().as_nanos() as u64,
         );
         estimates.push(Some(estimate));
@@ -734,7 +650,7 @@ fn run_simulated(
         traffic.messages,
         config.rerandomize,
     );
-    // The simulated run models the per-slot layout, which folds to itself.
+    // The simulated run prices one ciphertext per slot, none of them folded.
     let decrypt_ops = synthesize_decrypt_ops(
         &vec![layout.total(); decryptors],
         config.threshold.threshold,
@@ -837,10 +753,14 @@ mod tests {
 
     #[test]
     fn cost_model_matches_a_real_step() {
-        // The homomorphic half of the cost model against the run it models:
-        // failure-free, every delivered message is one split (`slots`
-        // re-randomizations) and one absorb (`slots` additions, at most as
-        // many rescalings), and nothing else adds.
+        // The homomorphic half of the cost model against the run it models.
+        // The model charges one ciphertext per slot; a real step packs the
+        // slots into fewer ciphertexts and does per ciphertext what the model
+        // charges per slot: failure-free, every participant encrypts its
+        // whole contribution, every delivered message is one split
+        // (re-randomizations) and one absorb (additions, at most as many
+        // rescalings), and nothing else adds but the decrypt-time fold (at
+        // most one rescaling per ciphertext a node holds).
         let mut rng = StdRng::seed_from_u64(41);
         let config = ChiaroscuroConfig {
             k: 2,
@@ -852,13 +772,18 @@ mod tests {
         let outcome =
             run_computation_step(&config, &layout(), &contributions, &crypto, 9, &mut rng).unwrap();
         assert!(outcome.traffic.messages > 0 && outcome.traffic.dropped == 0);
+        let cipher = crypto.step_cipher(&config, &layout(), 6).unwrap().unwrap();
+        let (slots, ciphertexts) = (layout().total() as u64, cipher.ciphertexts() as u64);
+        assert!(ciphertexts < slots, "the slots pack");
+        let per_ciphertext = |per_slot: u64| per_slot / slots * ciphertexts;
         let model = synthesize_ops(2, 3, 6, outcome.traffic.messages, config.rerandomize);
-        assert_eq!(outcome.ops.rerandomizations, model.rerandomizations);
-        assert_eq!(outcome.ops.additions, model.additions);
-        assert!(outcome.ops.pow2_scalings <= model.pow2_scalings);
-        // An exactly-zero slot would ship as a free trivial encryption.
-        assert!(outcome.ops.encryptions <= model.encryptions);
-        assert!(outcome.ops.encryptions > 0);
+        assert_eq!(outcome.ops.encryptions, per_ciphertext(model.encryptions));
+        assert_eq!(
+            outcome.ops.rerandomizations,
+            per_ciphertext(model.rerandomizations)
+        );
+        assert_eq!(outcome.ops.additions, per_ciphertext(model.additions));
+        assert!(outcome.ops.pow2_scalings <= per_ciphertext(model.pow2_scalings) + 6 * ciphertexts);
     }
 
     #[test]
@@ -924,7 +849,6 @@ mod tests {
         let config = ChiaroscuroConfig {
             k: 2,
             gossip_cycles: 15,
-            packing: true,
             ..ChiaroscuroConfig::test_real()
         };
         let contributions = tiny_contributions(8, &mut rng);
@@ -934,63 +858,13 @@ mod tests {
             run_computation_step(&config, &layout(), &contributions, &crypto, 8, &mut rng).unwrap();
         check_estimates(&outcome, 8);
         assert!(outcome.decrypt_ops.partial_decryptions > 0);
-        // 8 data slots pack into far fewer ciphertexts than 8 per node.
-        let unpacked_min = 8 * 8; // nodes × data slots, if unpacked
+        // 8 data slots pack into far fewer ciphertexts than one per slot.
+        let one_per_slot = 8 * 8; // nodes × data slots
         assert!(
-            outcome.decrypt_ops.combinations < unpacked_min as u64,
+            outcome.decrypt_ops.combinations < one_per_slot as u64,
             "combinations {} should shrink under packing",
             outcome.decrypt_ops.combinations
         );
-    }
-
-    #[test]
-    fn packed_and_unpacked_real_steps_agree() {
-        // Same contributions, same topology seed: packed and unpacked real
-        // pipelines must produce near-identical estimates. Re-randomization
-        // off so both consume the shared RNG identically.
-        let mut rng = StdRng::seed_from_u64(23);
-        let contributions = tiny_contributions(8, &mut rng);
-
-        let mut cfg = ChiaroscuroConfig::test_real();
-        cfg.k = 2;
-        cfg.gossip_cycles = 10;
-        cfg.rerandomize = false;
-
-        let mut cfg_packed = cfg.clone();
-        cfg_packed.packing = true;
-
-        let mut rng_a = StdRng::seed_from_u64(24);
-        let crypto_a = CryptoContext::from_config(&cfg, &mut rng_a).unwrap();
-        let plain =
-            run_computation_step(&cfg, &layout(), &contributions, &crypto_a, 99, &mut rng_a)
-                .unwrap();
-
-        let mut rng_b = StdRng::seed_from_u64(24);
-        let crypto_b = CryptoContext::from_config(&cfg_packed, &mut rng_b).unwrap();
-        let packed = run_computation_step(
-            &cfg_packed,
-            &layout(),
-            &contributions,
-            &crypto_b,
-            99,
-            &mut rng_b,
-        )
-        .unwrap();
-
-        for (p, u) in packed.estimates.iter().zip(&plain.estimates) {
-            let (Some(p), Some(u)) = (p, u) else { continue };
-            for j in 0..2 {
-                assert!((p.counts[j] - u.counts[j]).abs() < 1e-3);
-                for d in 0..3 {
-                    assert!(
-                        (p.sums[j][d] - u.sums[j][d]).abs() < 1e-3,
-                        "cluster {j} dim {d}: {} vs {}",
-                        p.sums[j][d],
-                        u.sums[j][d]
-                    );
-                }
-            }
-        }
     }
 
     /// The decrypt-time fold through a real threshold decryption: a node's
@@ -1004,7 +878,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(51);
         let config = ChiaroscuroConfig {
             k: 2,
-            packing: true,
             ..ChiaroscuroConfig::test_real()
         };
         let layout = SlotLayout {
@@ -1016,9 +889,7 @@ mod tests {
             panic!("real mode");
         };
         let cipher = crypto.step_cipher(&config, &layout, 3).unwrap().unwrap();
-        let Lanes::Packed(codec, _) = &cipher.lanes else {
-            panic!("packing is on");
-        };
+        let codec = &cipher.codec;
         let decrypt = |cts: &[Ciphertext]| {
             let groups = committee_partials(tkp, &[2, 0], cts);
             plans
@@ -1079,7 +950,6 @@ mod tests {
         // clamp the reserved headroom, not refuse the run.
         let mut rng = StdRng::seed_from_u64(31);
         let config = ChiaroscuroConfig {
-            packing: true,
             gossip_cycles: 30, // demo-scale exchange budget on test-size keys
             ..ChiaroscuroConfig::test_real()
         };
@@ -1098,22 +968,40 @@ mod tests {
                 plan.headroom_bits()
             );
         }
+
+        // Where the plan stops. A lane holds at most 126 bits and the
+        // clamped headroom is `bits(P+1) + cycles + 9` of them, so a
+        // schedule plans while `cycles ≤ 117 − value_bits − bits(P+1)`: at
+        // the demo's 24-point series and P = 8, 77 cycles. The 78th is a
+        // typed refusal, never a lane that could wrap.
+        let demo_series = SlotLayout {
+            k: 2,
+            series_len: 24,
+        };
+        for (cycles, plans) in [(77, true), (78, false)] {
+            let config = ChiaroscuroConfig {
+                gossip_cycles: cycles,
+                ..config.clone()
+            };
+            match plan_packed_codec(&config, pk, codec, &demo_series, 8) {
+                Ok(_) => assert!(plans, "{cycles} cycles planned"),
+                Err(ChiaroscuroError::Crypto(cs_crypto::CryptoError::InvalidParameters(_))) => {
+                    assert!(!plans, "{cycles} cycles refused")
+                }
+                Err(e) => panic!("{cycles} cycles: untyped refusal {e}"),
+            }
+        }
     }
 
     #[test]
-    fn out_of_envelope_contributions_are_typed_errors_on_both_layouts() {
+    fn out_of_envelope_contributions_are_typed_errors() {
         // 1e30 overflows a planned lane but not a 256-bit plaintext; 1e300
         // overflows both. Neither may reach a panic.
-        for (packing, value, admitted) in [
-            (true, 1e30, false),
-            (false, 1e30, true),
-            (false, 1e300, false),
-        ] {
+        for value in [1e30, 1e300] {
             let mut rng = StdRng::seed_from_u64(41);
             let config = ChiaroscuroConfig {
                 k: 2,
                 gossip_cycles: 4,
-                packing,
                 ..ChiaroscuroConfig::test_real()
             };
             let mut contributions = tiny_contributions(4, &mut rng);
@@ -1121,10 +1009,10 @@ mod tests {
             let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
             let cipher = crypto.step_cipher(&config, &layout(), 4).unwrap().unwrap();
             let verdict = cipher.admits(contributions[1].as_ref().unwrap());
-            assert_eq!(verdict.is_ok(), admitted, "packing {packing}, {value:e}");
+            assert!(verdict.is_err(), "{value:e}");
             let step =
                 run_computation_step(&config, &layout(), &contributions, &crypto, 9, &mut rng);
-            assert_eq!(step.is_ok(), admitted, "packing {packing}, {value:e}");
+            assert!(step.is_err(), "{value:e}");
         }
     }
 

@@ -33,7 +33,7 @@ pub struct StepEvidence {
     pub traffic: Vec<TrafficAudit>,
     /// Decryption-round share discipline per node, in node-id order.
     pub decrypts: Vec<DecryptAudit>,
-    /// Packed-lane headroom per node (empty when packing is off).
+    /// Lane headroom per real-crypto node (empty on a plaintext step).
     pub lanes: Vec<LaneAudit>,
 }
 
@@ -172,7 +172,7 @@ mod tests {
         assert_eq!(evidence.traffic[0].sent, 10);
         assert_eq!(evidence.traffic[0].delivered, 7);
         assert_eq!(evidence.decrypts.len(), 3);
-        assert!(evidence.lanes.is_empty(), "no packed crypto, no lanes");
+        assert!(evidence.lanes.is_empty(), "no real crypto, no lanes");
 
         let alerts = audit_step(&AuditConfig::default(), &evidence, &registry, None, None);
         assert!(alerts.is_empty(), "{alerts:?}");

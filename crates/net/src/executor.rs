@@ -1207,7 +1207,7 @@ mod tests {
 
     #[test]
     fn real_step_recovers_means_on_the_executor() {
-        let step = Step::new(Crypto::PerSlot, 12, 8, [3, 4, 11]);
+        let step = Step::new(Crypto::Packed, 12, 8, [3, 4, 11]);
         let run = step.on_shards(&four_shards(), &[]).unwrap();
         check_estimates(&run.outcome, 8, 0.5);
         assert!(run.outcome.decrypt_ops.partial_decryptions > 0);
@@ -1223,10 +1223,10 @@ mod tests {
         check_estimates(&run.outcome, 8, 0.5);
         assert!(run.outcome.decrypt_ops.partial_decryptions > 0);
         let per_push = run.snapshot.gossip.bytes as f64 / run.snapshot.gossip.messages as f64;
-        let unpacked_floor = (layout().total() * 64) as f64;
+        let one_per_slot = (layout().total() * 64) as f64;
         assert!(
-            per_push < unpacked_floor * 0.6,
-            "packed push of {per_push} B is not smaller than unpacked {unpacked_floor} B"
+            per_push < one_per_slot * 0.6,
+            "packed push of {per_push} B is not smaller than {one_per_slot} B"
         );
     }
 

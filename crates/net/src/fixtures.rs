@@ -80,7 +80,6 @@ pub(crate) fn fast_net() -> NetConfig {
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Crypto {
     Simulated,
-    PerSlot,
     Packed,
 }
 
@@ -98,12 +97,11 @@ impl Step {
     pub(crate) fn new(crypto: Crypto, cycles: usize, n: usize, seeds: [u64; 3]) -> Self {
         let base = match crypto {
             Crypto::Simulated => ChiaroscuroConfig::demo_simulated(),
-            Crypto::PerSlot | Crypto::Packed => ChiaroscuroConfig::test_real(),
+            Crypto::Packed => ChiaroscuroConfig::test_real(),
         };
         let config = ChiaroscuroConfig {
             k: 2,
             gossip_cycles: cycles,
-            packing: matches!(crypto, Crypto::Packed),
             ..base
         };
         let [key_seed, data_seed, seed] = seeds;
@@ -303,7 +301,7 @@ pub(crate) fn scenarios() -> Vec<Scenario> {
             name: "lossy_link_decrypt_round_recovers_via_retry",
             population: 6,
             cycles: 14,
-            crypto: Crypto::PerSlot,
+            crypto: Crypto::Packed,
             seeds: [41, 42, 43],
             link: LinkConfig {
                 loss: 0.25,
@@ -329,7 +327,7 @@ pub(crate) fn scenarios() -> Vec<Scenario> {
             name: "dead_committee_is_bounded_by_the_decrypt_deadline",
             population: 5,
             cycles: 8,
-            crypto: Crypto::PerSlot,
+            crypto: Crypto::Packed,
             seeds: [51, 52, 53],
             churn: &[(7, 0, ChurnKind::Crash), (7, 1, ChurnKind::Crash)],
             decrypt_deadline: Duration::from_millis(600),

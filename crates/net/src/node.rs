@@ -214,8 +214,8 @@ enum Aggregator {
 
 /// An incoming push, whichever wire variant carried it.
 enum Inbound {
-    /// Ciphertexts, with the bucket count a packed push declares.
-    Ciphertexts(Option<u32>, HePush),
+    /// Ciphertexts, with the bucket count the push declares.
+    Ciphertexts(u32, HePush),
     Cleartext(PlainPush),
 }
 
@@ -251,8 +251,8 @@ pub struct NodeReport {
     /// provenance and committee-cardinality discipline (see
     /// [`cs_obs::health::ShareCount`]).
     pub decrypt_audit: DecryptAudit,
-    /// The packed-lane plan's carry headroom in bits, when packing is on —
-    /// the watermark [`cs_obs::health::LaneHeadroom`] audits.
+    /// The lane plan's carry headroom in bits on a real-crypto node — the
+    /// watermark [`cs_obs::health::LaneHeadroom`] audits.
     pub lane_headroom_bits: Option<u64>,
     /// Homomorphic work this node performed.
     pub ops: HomomorphicOpCounts,
@@ -478,7 +478,6 @@ impl ProtocolNode {
         if self.pushes_sent < self.params.pushes {
             match self.sample_peer() {
                 Some(peer) => {
-                    let buckets = self.packed_buckets();
                     let msg = match &mut self.agg {
                         Aggregator::Encrypted(he) => {
                             let HePush {
@@ -486,20 +485,12 @@ impl ProtocolNode {
                                 denom_exp,
                                 weight,
                             } = he.split_push(&mut self.rng);
-                            match buckets {
-                                Some(buckets) => Message::PackedPush {
-                                    iteration: self.params.iteration,
-                                    denom_exp,
-                                    weight,
-                                    buckets,
-                                    slots,
-                                },
-                                None => Message::EncryptedPush {
-                                    iteration: self.params.iteration,
-                                    denom_exp,
-                                    weight,
-                                    slots,
-                                },
+                            Message::PackedPush {
+                                iteration: self.params.iteration,
+                                denom_exp,
+                                weight,
+                                buckets: self.layout.total() as u32,
+                                slots,
                             }
                         }
                         Aggregator::Plain(ps) => {
@@ -586,19 +577,6 @@ impl ProtocolNode {
             t.on_recv(from as u64, ctx, msg.wire_tag() as u64);
         }
         match msg {
-            Message::EncryptedPush {
-                iteration,
-                denom_exp,
-                weight,
-                slots,
-            } => {
-                let push = HePush {
-                    slots,
-                    denom_exp,
-                    weight,
-                };
-                self.absorb(iteration, Inbound::Ciphertexts(None, push));
-            }
             Message::PackedPush {
                 iteration,
                 denom_exp,
@@ -611,7 +589,7 @@ impl ProtocolNode {
                     denom_exp,
                     weight,
                 };
-                self.absorb(iteration, Inbound::Ciphertexts(Some(buckets), push));
+                self.absorb(iteration, Inbound::Ciphertexts(buckets, push));
             }
             Message::PlainPush {
                 iteration,
@@ -725,7 +703,7 @@ impl ProtocolNode {
             Aggregator::Plain(_) => self.ops,
         };
         let lane_headroom_bits = match &self.crypto {
-            NodeCrypto::Real { cipher, .. } => cipher.lane_headroom_bits(),
+            NodeCrypto::Real { cipher, .. } => Some(cipher.lane_headroom_bits()),
             NodeCrypto::Plain => None,
         };
         NodeReport {
@@ -849,7 +827,7 @@ impl ProtocolNode {
                 let fold_started = Instant::now();
                 let folded = cipher.fold(he.ciphertexts(), denom, weight, &mut self.ops);
                 let fold_ns = fold_started.elapsed().as_nanos() as u64;
-                self.profile.add(cipher.decode_phase(), fold_ns);
+                self.profile.add(StepPhase::Unpack, fold_ns);
                 folded
             }
             _ => return self.finish(None),
@@ -925,27 +903,17 @@ impl ProtocolNode {
         self.pending_request = Some(pending);
     }
 
-    /// What this node's pushes declare beside their ciphertexts — see
-    /// [`StepCipher::packed_buckets`].
-    fn packed_buckets(&self) -> Option<u32> {
-        match &self.crypto {
-            NodeCrypto::Real { cipher, .. } => cipher.packed_buckets(),
-            NodeCrypto::Plain => None,
-        }
-    }
-
     /// Folds an incoming push into the local mass — in any phase: pushes
     /// keep mixing after this node snapshots its own estimate. The one
     /// check every push variant goes through: a push in another dialect
-    /// than this node's (cleartext into ciphertexts or the reverse, lane
-    /// vectors into per-slot ciphertexts or the reverse — the lane bias
-    /// accounting would not survive it), or of another width, is a bad
-    /// frame, counted once and dropped.
+    /// than this node's (cleartext into ciphertexts or the reverse), or
+    /// of another width or bucket count (the lane bias accounting would not
+    /// survive it), is a bad frame, counted once and dropped.
     fn absorb(&mut self, iteration: u64, inbound: Inbound) {
         if iteration != self.params.iteration {
             return;
         }
-        let buckets_here = self.packed_buckets();
+        let buckets_here = self.layout.total() as u32;
         match (&mut self.agg, inbound) {
             (Aggregator::Encrypted(he), Inbound::Ciphertexts(buckets, push))
                 if buckets == buckets_here && push.slots.len() == he.dim() =>
@@ -1025,10 +993,11 @@ impl ProtocolNode {
         // A headroom violation surfaces as a failed step, not
         // silently-wrapped values.
         let est = raws.and_then(|raws| cipher.decode(&raws, denom, weight).ok());
-        let decode_phase = cipher.decode_phase();
         self.profile.add(StepPhase::Combine, combine_ns);
-        self.profile
-            .add(decode_phase, decode_started.elapsed().as_nanos() as u64);
+        self.profile.add(
+            StepPhase::Unpack,
+            decode_started.elapsed().as_nanos() as u64,
+        );
         self.decrypt_ops.combinations += combinations;
         self.finish(est);
     }

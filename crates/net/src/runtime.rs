@@ -55,8 +55,9 @@ impl<'a> StepCrypto<'a> {
     /// Derives the shared step state from the crypto context. The layout
     /// is planned from public inputs only (the same ones the in-process
     /// simulator uses), so every node independently agrees on it. A
-    /// contribution the layout cannot encrypt fails the step here, before
-    /// any worker or node thread exists to unwind.
+    /// schedule the lane plan cannot hold, or a contribution the layout
+    /// cannot encrypt, fails the step here, before any worker or node
+    /// thread exists to unwind.
     pub fn prepare(
         config: &ChiaroscuroConfig,
         layout: &SlotLayout,
@@ -286,6 +287,9 @@ pub fn run_step_over_tcp(
         ));
     }
     net.link.validate()?;
+    // A contribution or a schedule the step's cipher refuses fails the step
+    // here, before a socket is bound or a node thread exists.
+    let step = StepCrypto::prepare(config, layout, contributions, crypto, step_seed)?;
     let registry = cs_obs::Registry::new();
     let transport = Arc::new(
         TcpTransport::loopback(
@@ -299,7 +303,6 @@ pub fn run_step_over_tcp(
     );
     let started = Instant::now();
 
-    let step = StepCrypto::prepare(config, layout, contributions, crypto, step_seed)?;
     let controls = Arc::new(Controls::new(n));
     let shutdown = Arc::new(AtomicBool::new(false));
     // Each node announces the end of its part of the step here, which also
@@ -680,7 +683,7 @@ mod tests {
 
     #[test]
     fn real_step_recovers_means_over_tcp_loopback() {
-        let step = Step::new(Crypto::PerSlot, 10, 6, [81, 82, 83]);
+        let step = Step::new(Crypto::Packed, 10, 6, [81, 82, 83]);
         let run = step.on_tcp(&fast_net(), &[]).unwrap();
         check_estimates(&run.outcome, 6, 0.5);
         assert!(run.outcome.decrypt_ops.partial_decryptions > 0);
@@ -700,13 +703,13 @@ mod tests {
         check_estimates(&run.outcome, 8, 0.5);
         assert!(run.outcome.decrypt_ops.partial_decryptions > 0);
         assert!(run.outcome.ops.encryptions > 0);
-        // The packed payload must be materially smaller than the unpacked
-        // one (layout.total() ciphertexts per push at ~64 B each).
+        // The packed payload must be materially smaller than one ciphertext
+        // per slot (layout.total() of them at ~64 B each).
         let per_push = run.snapshot.gossip.bytes as f64 / run.snapshot.gossip.messages as f64;
-        let unpacked_floor = (layout().total() * 64) as f64;
+        let one_per_slot = (layout().total() * 64) as f64;
         assert!(
-            per_push < unpacked_floor * 0.6,
-            "packed push of {per_push} B is not smaller than unpacked {unpacked_floor} B"
+            per_push < one_per_slot * 0.6,
+            "packed push of {per_push} B is not smaller than {one_per_slot} B"
         );
         assert!(
             run.reports.iter().all(|r| r.bad_frames == 0),

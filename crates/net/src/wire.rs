@@ -28,9 +28,10 @@
 //! There is one layout, [`WIRE_VERSION`]. No peer of another version is
 //! deployed anywhere and the `cs_node` handshake demands an exact match, so
 //! frames of the earlier layouts (v1: no packed push; v2: no trace block;
-//! v3: a termination vote under tag 4, retired with the vote) are rejected
-//! as [`WireError::BadVersion`] like any other foreign byte, and tag 4 in a
-//! current frame is a [`WireError::BadTag`].
+//! v3: a termination vote under tag 4, retired with the vote; v4: a push of
+//! one ciphertext per slot under tag 0, retired with that layout) are
+//! rejected as [`WireError::BadVersion`] like any other foreign byte, and
+//! tags 0 and 4 in a current frame are a [`WireError::BadTag`].
 //!
 //! The [`Message`] type also derives serde, so every variant has a JSON
 //! form for logs and debugging; the binary frame codec is the transport
@@ -44,7 +45,7 @@ use std::fmt;
 
 /// The wire format version — the only one [`decode_frame`] accepts and
 /// [`encode_frame`] emits. Bump on any layout change.
-pub const WIRE_VERSION: u8 = 4;
+pub const WIRE_VERSION: u8 = 5;
 
 /// Hard upper bound on one frame's body, guarding decode against hostile
 /// length prefixes (64 MiB comfortably fits any realistic slot vector).
@@ -69,27 +70,13 @@ pub enum FrameClass {
 /// Everything a Chiaroscuro participant ever puts on the wire.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Message {
-    /// One encrypted push-sum half-exchange: Damgård-Jurik ciphertext
-    /// slots — one per slot of the sender's one-block contribution layout,
-    /// noise shares folded in before encryption — with their denominator
-    /// exponent and the halved push-sum weight (steps 2a–2c as one
-    /// aggregate).
-    EncryptedPush {
-        /// Protocol iteration this push belongs to.
-        iteration: u64,
-        /// Sender's denominator exponent after halving.
-        denom_exp: u32,
-        /// The halved push-sum weight.
-        weight: f64,
-        /// The pushed ciphertext slots.
-        slots: Vec<Ciphertext>,
-    },
-    /// The packed counterpart of [`Message::EncryptedPush`]: each
-    /// ciphertext carries a whole lane vector (`cs_crypto::packing`), so a
-    /// push ships `⌈buckets/lanes⌉` ciphertexts instead of one per bucket.
-    /// `buckets` is the logical bucket count (`SlotLayout::total()`),
-    /// letting the receiver cross-check the sender's layout before
-    /// absorbing.
+    /// One encrypted push-sum half-exchange (steps 2a–2c as one aggregate):
+    /// the sender's one-block contribution — noise shares folded in before
+    /// encryption — as Damgård-Jurik ciphertexts that each carry a whole
+    /// lane vector (`cs_crypto::packing`), `⌈buckets/lanes⌉` of them, with
+    /// their denominator exponent and the halved push-sum weight. `buckets`
+    /// is the logical bucket count (`SlotLayout::total()`), letting the
+    /// receiver cross-check the sender's layout before absorbing.
     PackedPush {
         /// Protocol iteration this push belongs to.
         iteration: u64,
@@ -99,7 +86,7 @@ pub enum Message {
         weight: f64,
         /// Logical bucket count packed into `slots`.
         buckets: u32,
-        /// The pushed packed ciphertexts.
+        /// The pushed ciphertexts.
         slots: Vec<Ciphertext>,
     },
     /// The plaintext counterpart used in simulated-crypto mode: same
@@ -146,9 +133,7 @@ impl Message {
     /// The traffic class of this message.
     pub fn class(&self) -> FrameClass {
         match self {
-            Message::EncryptedPush { .. }
-            | Message::PackedPush { .. }
-            | Message::PlainPush { .. } => FrameClass::Gossip,
+            Message::PackedPush { .. } | Message::PlainPush { .. } => FrameClass::Gossip,
             Message::DecryptRequest { .. } | Message::DecryptShare { .. } => FrameClass::Decrypt,
             Message::Join { .. } | Message::Leave { .. } => FrameClass::Control,
         }
@@ -158,7 +143,6 @@ impl Message {
     /// events record (`cstrace` maps it back to the variant name).
     pub fn wire_tag(&self) -> u8 {
         match self {
-            Message::EncryptedPush { .. } => 0,
             Message::PlainPush { .. } => 1,
             Message::DecryptRequest { .. } => 2,
             Message::DecryptShare { .. } => 3,
@@ -190,7 +174,6 @@ impl Message {
             + 1
             + 1
             + match self {
-                Message::EncryptedPush { slots, .. } => 8 + 4 + 8 + ciphertexts(slots),
                 Message::PackedPush { slots, .. } => 8 + 4 + 8 + 4 + ciphertexts(slots),
                 Message::PlainPush { slots, .. } => 8 + 8 + 4 + 8 * slots.len(),
                 Message::DecryptRequest { slots, .. } => 8 + ciphertexts(slots),
@@ -321,17 +304,6 @@ pub fn encode_frame_traced(msg: &Message, ctx: TraceContext) -> Vec<u8> {
         frame.push(0);
     }
     match msg {
-        Message::EncryptedPush {
-            iteration,
-            denom_exp,
-            weight,
-            slots,
-        } => {
-            put_u64(&mut frame, *iteration);
-            put_u32(&mut frame, *denom_exp);
-            put_f64(&mut frame, *weight);
-            put_ciphertexts(&mut frame, slots);
-        }
         Message::PlainPush {
             iteration,
             weight,
@@ -492,12 +464,6 @@ pub fn decode_frame_traced(frame: &[u8]) -> Result<(Message, TraceContext), Wire
         _ => return Err(WireError::BadValue("trace flag must be 0 or 1")),
     };
     let msg = match tag {
-        0 => Message::EncryptedPush {
-            iteration: r.u64()?,
-            denom_exp: r.u32()?,
-            weight: r.f64()?,
-            slots: r.ciphertexts()?,
-        },
         1 => {
             let iteration = r.u64()?;
             let weight = r.f64()?;
@@ -562,12 +528,6 @@ mod tests {
     fn sample_messages() -> Vec<Message> {
         let c = |v: u64| Ciphertext::from_biguint(BigUint::from(v));
         vec![
-            Message::EncryptedPush {
-                iteration: 3,
-                denom_exp: 7,
-                weight: 0.125,
-                slots: vec![c(42), c(0), c(u64::MAX)],
-            },
             Message::PlainPush {
                 iteration: 1,
                 weight: 1.0,
@@ -673,10 +633,11 @@ mod tests {
         }
         // Zero-valued big integers encode as empty byte strings — the
         // arithmetic must agree with the codec there too.
-        let zeroes = Message::EncryptedPush {
+        let zeroes = Message::PackedPush {
             iteration: 0,
             denom_exp: 0,
             weight: 0.0,
+            buckets: 0,
             slots: vec![Ciphertext::from_biguint(BigUint::from(0u64)); 3],
         };
         assert_eq!(zeroes.encoded_len(), encode_frame(&zeroes).len());
@@ -689,7 +650,6 @@ mod tests {
             classes,
             vec![
                 FrameClass::Gossip,
-                FrameClass::Gossip,
                 FrameClass::Decrypt,
                 FrameClass::Decrypt,
                 FrameClass::Control,
@@ -701,7 +661,7 @@ mod tests {
 
     #[test]
     fn truncation_is_rejected_at_every_length() {
-        let frame = encode_frame(&sample_messages()[0]);
+        let frame = encode_frame(sample_messages().last().expect("a packed push"));
         for cut in 0..frame.len() {
             assert!(decode_frame(&frame[..cut]).is_err(), "cut at {cut}");
         }
@@ -737,9 +697,12 @@ mod tests {
         let mut frame = encode_frame(&Message::Leave { node: 1 });
         frame[5] = 99;
         assert_eq!(decode_frame(&frame), Err(WireError::BadTag(99)));
-        // The termination vote's tag is retired, not reassigned.
-        frame[5] = 4;
-        assert_eq!(decode_frame(&frame), Err(WireError::BadTag(4)));
+        // The retired tags — the per-slot push's and the termination
+        // vote's — are not reassigned.
+        for retired in [0, 4] {
+            frame[5] = retired;
+            assert_eq!(decode_frame(&frame), Err(WireError::BadTag(retired)));
+        }
     }
 
     #[test]

@@ -10,14 +10,14 @@
 use chiaroscuro::config::ChiaroscuroConfig;
 use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::{CryptoContext, PerturbedAggregates, StepCipher};
-use cs_crypto::{FastEncryptor, ThresholdParams};
+use cs_crypto::ThresholdParams;
 use cs_net::node::{NodeCrypto, NodeParams, Outbound, ProtocolNode};
 use cs_net::transport::NodeId;
 use cs_net::wire::{Message, TraceContext};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 const LAYOUT: SlotLayout = SlotLayout {
     k: 2,
@@ -48,13 +48,11 @@ fn context(params: ThresholdParams) -> &'static Fixture {
     })
 }
 
-/// What a node gossips: cleartext slots, one ciphertext per slot, or lane
-/// vectors.
+/// What a node gossips: cleartext slots, or ciphertexts of lane vectors.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Dialect {
     Plain,
-    PerSlot,
-    Packed,
+    Encrypted,
 }
 
 /// A node with a push quota of `pushes`. The committee is nodes
@@ -85,31 +83,26 @@ fn build(
         NodeCrypto::Plain
     } else {
         let share = (id < parties).then(|| tkp.shares()[id].clone());
-        NodeCrypto::real(&cipher(ctx, dialect), share, tkp.params(), plans, None)
+        NodeCrypto::real(&cipher(ctx), share, tkp.params(), plans, None)
     };
     ProtocolNode::new(params, LAYOUT, crypto, Some(contribution))
 }
 
-/// The step's ciphertext layout in a real-crypto `dialect`.
-fn cipher(ctx: &Fixture, dialect: Dialect) -> StepCipher {
+/// The step's ciphertext layout.
+fn cipher(ctx: &Fixture) -> StepCipher {
     let (config, crypto) = ctx;
-    let CryptoContext::Real { tkp, pk, .. } = crypto else {
+    let CryptoContext::Real { tkp, .. } = crypto else {
         unreachable!("fixtures are real-crypto contexts");
     };
-    let fast = (dialect == Dialect::Packed).then(|| {
-        Arc::new(FastEncryptor::new(
-            pk.clone(),
-            &mut StdRng::seed_from_u64(9),
-        ))
-    });
     let population = tkp.params().parties + 2;
-    StepCipher::plan(config, pk, fast.as_ref(), &LAYOUT, population).unwrap()
+    let cipher = crypto.step_cipher(config, &LAYOUT, population).unwrap();
+    cipher.expect("a real-crypto context plans a cipher")
 }
 
-/// A per-slot node that skips gossip (`pushes: 0`): its first tick
+/// An encrypting node that skips gossip (`pushes: 0`): its first tick
 /// snapshots its own contribution and starts the decryption round.
 fn node(ctx: &Fixture, id: NodeId, contribution: &[f64], seed: u64) -> ProtocolNode {
-    build(ctx, Dialect::PerSlot, id, 0, contribution, seed)
+    build(ctx, Dialect::Encrypted, id, 0, contribution, seed)
 }
 
 /// Destinations of the `DecryptRequest`s in `out`, in emission order.
@@ -238,18 +231,27 @@ fn decrypt_round_retry_reaches_the_members_held_back() {
     assert_eq!(requested(&out), [2, 0]);
 }
 
+/// A snapshot folds to `⌈ciphertexts / g⌉` for the `g` its push-sum state
+/// allows: `width` is on that grid when some `g ≥ 1` produces it. The
+/// member cannot know which `g` is the requester's, so it serves any width
+/// on the grid, the unfolded one included.
+fn on_the_fold_grid(ciphertexts: usize, width: usize) -> bool {
+    (1..=ciphertexts).any(|g| ciphertexts.div_ceil(g) == width)
+}
+
 /// A member computes partial decryptions — the step's most expensive
 /// operation — only for a request as wide as a snapshot of the step's layout
-/// can be: whatever else a socket hands it costs nothing and leaves nothing
-/// behind. `off_grid` is a width no snapshot has.
-fn refuses_wrong_widths(dialect: Dialect, off_grid: usize) {
+/// can be: an empty request, one off the fold grid and one wider than the
+/// step's ciphertexts cost nothing and leave nothing behind.
+#[test]
+fn decrypt_round_refuses_a_request_of_the_wrong_width() {
     let ctx = context(ThresholdParams {
         threshold: 2,
         parties: 3,
     });
     let values = contribution(&[0.5]);
     let mut out = Vec::new();
-    build(ctx, dialect, 3, 0, &values, 31).tick(&mut out);
+    node(ctx, 3, &values, 31).tick(&mut out);
     let request = out[0].1.clone();
     let Message::DecryptRequest { iteration, slots } = &request else {
         panic!("the round opens with a request");
@@ -258,9 +260,12 @@ fn refuses_wrong_widths(dialect: Dialect, off_grid: usize) {
         iteration: *iteration,
         slots: slots.iter().cycle().take(width).cloned().collect(),
     };
-    let full = cipher(ctx, dialect).ciphertexts();
+    let full = cipher(ctx).ciphertexts();
+    let off_grid = (1..full)
+        .find(|&w| !on_the_fold_grid(full, w))
+        .expect("the fixture's layout has a width no fold produces");
 
-    let mut member = build(ctx, dialect, 0, 0, &values, 32);
+    let mut member = node(ctx, 0, &values, 32);
     let mut reply = Vec::new();
     for bad in [resized(0), resized(off_grid), resized(2 * full)] {
         member.handle(3, bad, TraceContext::NONE, &mut reply);
@@ -282,33 +287,20 @@ fn refuses_wrong_widths(dialect: Dialect, off_grid: usize) {
     );
 }
 
-/// Per-slot, a snapshot is exactly the step's ciphertexts: empty, one
-/// short and doubled are all refused.
-#[test]
-fn decrypt_round_refuses_a_request_of_the_wrong_width() {
-    refuses_wrong_widths(Dialect::PerSlot, LAYOUT.total() - 1);
-}
-
-/// Packed, a snapshot folds to `⌈ciphertexts / g⌉` for the `g` its push-sum
-/// state allows — the member cannot know which, and serves any of them,
-/// the unfolded width included — so what it refuses is a width off that
-/// grid, and more than the step's ciphertexts.
+/// The grid itself: a member serves exactly the widths a fold can produce,
+/// and a fresh contribution's snapshot folds.
 #[test]
 fn decrypt_round_refuses_a_packed_request_off_the_fold_grid() {
     let ctx = context(ThresholdParams {
         threshold: 2,
         parties: 3,
     });
-    let cipher = cipher(ctx, Dialect::Packed);
+    let cipher = cipher(ctx);
     let full = cipher.ciphertexts();
-    let on_grid = |w: usize| (1..=full).any(|g| full.div_ceil(g) == w);
-    let off_grid = (1..full)
-        .find(|&w| !on_grid(w))
-        .expect("the fixture's layout has a width no fold produces");
     for width in 0..=2 * full {
         assert_eq!(
             cipher.serves_width(width),
-            width >= 1 && on_grid(width),
+            width >= 1 && on_the_fold_grid(full, width),
             "{width}"
         );
     }
@@ -316,7 +308,6 @@ fn decrypt_round_refuses_a_packed_request_off_the_fold_grid() {
         cipher.width(0, 1.0) < full,
         "a fresh contribution's snapshot folds"
     );
-    refuses_wrong_widths(Dialect::Packed, off_grid);
 }
 
 /// A share vector of any width but the requester's own folded one — the
@@ -329,7 +320,7 @@ fn decrypt_round_share_of_another_width_is_one_counted_bad_frame() {
         parties: 3,
     });
     let values = contribution(&[0.75, -1.5]);
-    let mut requester = build(ctx, Dialect::Packed, 3, 0, &values, 51);
+    let mut requester = node(ctx, 3, &values, 51);
     let mut out = Vec::new();
     requester.tick(&mut out);
     assert_eq!(requested(&out), [0, 1]);
@@ -338,12 +329,7 @@ fn decrypt_round_share_of_another_width_is_one_counted_bad_frame() {
         .iter()
         .map(|&m| {
             let mut reply = Vec::new();
-            build(ctx, Dialect::Packed, m, 0, &values, 52).handle(
-                3,
-                request.clone(),
-                TraceContext::NONE,
-                &mut reply,
-            );
+            node(ctx, m, &values, 52).handle(3, request.clone(), TraceContext::NONE, &mut reply);
             reply.pop().expect("a member serves the request").1
         })
         .collect();
@@ -354,7 +340,7 @@ fn decrypt_round_share_of_another_width_is_one_counted_bad_frame() {
     else {
         panic!("a member answers with a share vector");
     };
-    let full = cipher(ctx, Dialect::Packed).ciphertexts();
+    let full = cipher(ctx).ciphertexts();
     assert!(partials.len() < full, "the request was folded");
     for width in [0, partials.len() - 1, full] {
         let resized = Message::DecryptShare {
@@ -375,7 +361,7 @@ fn decrypt_round_share_of_another_width_is_one_counted_bad_frame() {
 }
 
 /// Every (node, push) pairing: a push in the node's own dialect is absorbed,
-/// one in either other dialect is one bad frame — counted, not vanished.
+/// one in the other dialect is one bad frame — counted, not vanished.
 #[test]
 fn a_push_in_another_dialect_is_one_counted_bad_frame() {
     let ctx = context(ThresholdParams {
@@ -383,15 +369,14 @@ fn a_push_in_another_dialect_is_one_counted_bad_frame() {
         parties: 3,
     });
     let values = contribution(&[1.0, -0.5]);
-    let dialects = [Dialect::Plain, Dialect::PerSlot, Dialect::Packed];
+    let dialects = [Dialect::Plain, Dialect::Encrypted];
     for sender in dialects {
         let mut out = Vec::new();
         build(ctx, sender, 3, 1, &values, 41).tick(&mut out);
         let push = out.remove(0).1;
         match (sender, &push) {
             (Dialect::Plain, Message::PlainPush { .. })
-            | (Dialect::PerSlot, Message::EncryptedPush { .. })
-            | (Dialect::Packed, Message::PackedPush { .. }) => {}
+            | (Dialect::Encrypted, Message::PackedPush { .. }) => {}
             other => panic!("unexpected first message {other:?}"),
         }
         for receiver in dialects {

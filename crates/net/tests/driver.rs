@@ -97,10 +97,7 @@ fn count(out: &[Outbound], wanted: fn(&Message) -> bool) -> usize {
 }
 
 fn is_push(msg: &Message) -> bool {
-    matches!(
-        msg,
-        Message::EncryptedPush { .. } | Message::PlainPush { .. }
-    )
+    matches!(msg, Message::PackedPush { .. } | Message::PlainPush { .. })
 }
 
 fn is_request(msg: &Message) -> bool {
@@ -430,19 +427,21 @@ fn run(ops: &[Op], pushes: usize, clocking: Clocking) -> (Vec<(u64, Outbound)>, 
             Op::Rejoin => driver.rejoin(now, &mut out),
             Op::Leave => driver.leave(&mut out),
             Op::StalePush(from) => {
-                let Message::EncryptedPush {
+                let Message::PackedPush {
                     denom_exp,
                     weight,
+                    buckets,
                     slots,
                     ..
                 } = push_from(*from)
                 else {
-                    unreachable!("the real-crypto fixture pushes per-slot ciphertexts");
+                    unreachable!("the real-crypto fixture pushes ciphertexts");
                 };
-                let stale = Message::EncryptedPush {
+                let stale = Message::PackedPush {
                     iteration: STEP_SEED + 1,
                     denom_exp,
                     weight,
+                    buckets,
                     slots,
                 };
                 driver.deliver(*from, stale, TraceContext::NONE, now, &mut out);

@@ -19,23 +19,17 @@ fn build_message(
     floats: &[f64],
 ) -> Message {
     let cipher = |bytes: &Vec<u8>| Ciphertext::from_biguint(BigUint::from_bytes_le(bytes));
-    match variant % 7 {
-        0 => Message::EncryptedPush {
-            iteration,
-            denom_exp,
-            weight,
-            slots: raw_slots.iter().map(cipher).collect(),
-        },
-        1 => Message::PlainPush {
+    match variant % 6 {
+        0 => Message::PlainPush {
             iteration,
             weight,
             slots: floats.to_vec(),
         },
-        2 => Message::DecryptRequest {
+        1 => Message::DecryptRequest {
             iteration,
             slots: raw_slots.iter().map(cipher).collect(),
         },
-        3 => Message::DecryptShare {
+        2 => Message::DecryptShare {
             iteration,
             partials: raw_slots
                 .iter()
@@ -45,11 +39,11 @@ fn build_message(
                 })
                 .collect(),
         },
-        4 => Message::Join {
+        3 => Message::Join {
             node: denom_exp as u64,
             iteration,
         },
-        5 => Message::Leave {
+        4 => Message::Leave {
             node: denom_exp as u64,
         },
         _ => Message::PackedPush {
@@ -67,7 +61,7 @@ proptest! {
 
     #[test]
     fn every_variant_roundtrips_binary_and_json(
-        variant in 0u8..7,
+        variant in 0u8..6,
         iteration in any::<u64>(),
         denom_exp in any::<u32>(),
         weight in -1e12f64..1e12,
@@ -86,7 +80,7 @@ proptest! {
 
     #[test]
     fn encoded_len_agrees_with_the_codec_on_every_variant(
-        variant in 0u8..7,
+        variant in 0u8..6,
         iteration in any::<u64>(),
         denom_exp in any::<u32>(),
         weight in -1e12f64..1e12,
@@ -102,7 +96,7 @@ proptest! {
 
     #[test]
     fn any_truncation_is_rejected(
-        variant in 0u8..7,
+        variant in 0u8..6,
         iteration in any::<u64>(),
         raw_slots in vec(vec(any::<u8>(), 0..16), 0..4),
         cut_frac in 0.0f64..1.0,
@@ -116,7 +110,7 @@ proptest! {
 
     #[test]
     fn single_byte_corruption_never_yields_the_original(
-        variant in 0u8..7,
+        variant in 0u8..6,
         iteration in any::<u64>(),
         raw_slots in vec(vec(any::<u8>(), 1..16), 1..4),
         pos_frac in 0.0f64..1.0,
@@ -135,7 +129,7 @@ proptest! {
 
     #[test]
     fn version_is_enforced_on_every_variant(
-        variant in 0u8..7,
+        variant in 0u8..6,
         wrong in any::<u8>(),
     ) {
         prop_assume!(wrong != WIRE_VERSION);

@@ -18,10 +18,11 @@ use std::time::Duration;
 fn build_message(variant: u8, iteration: u64, raw_slots: &[Vec<u8>], floats: &[f64]) -> Message {
     let cipher = |bytes: &Vec<u8>| Ciphertext::from_biguint(BigUint::from_bytes_le(bytes));
     match variant % 4 {
-        0 => Message::EncryptedPush {
+        0 => Message::PackedPush {
             iteration,
             denom_exp: 3,
             weight: 0.25,
+            buckets: 24,
             slots: raw_slots.iter().map(cipher).collect(),
         },
         1 => Message::PlainPush {
@@ -167,10 +168,11 @@ fn tcp_send_accounting_matches_the_encoded_frames() {
         (
             1,
             2,
-            Message::EncryptedPush {
+            Message::PackedPush {
                 iteration: 1,
                 denom_exp: 2,
                 weight: 0.25,
+                buckets: 24,
                 slots: vec![Ciphertext::from_biguint(BigUint::from(123456789u64))],
             },
         ),

@@ -1,24 +1,35 @@
 //! One wire layout: v1 frames (pre-packed-payload), v2 frames
-//! (pre-trace-context) and v3 termination votes, captured as fixture bytes
-//! from the encoders of their day, are rejected as foreign versions or a
-//! retired tag; every surviving message is still exactly those bytes behind
-//! the current header (v3 added the trace flag, v4 only retired the vote's
-//! tag); traced frames must round-trip their context; and corrupt packed or
-//! trace-context bytes must be rejected.
+//! (pre-trace-context), v3 termination votes and v4 pushes of one
+//! ciphertext per slot, captured as fixture bytes from the encoders of
+//! their day, are rejected as foreign versions or a retired tag — and a
+//! pump that meets one counts it as a bad frame; every surviving message is
+//! still exactly those bytes behind the current header (v3 added the trace
+//! flag, v4 and v5 only retired tags); traced frames must round-trip their
+//! context; and corrupt packed or trace-context bytes must be rejected.
 //!
 //! The hex strings below are real frames emitted by the v1 codec (PR 2)
-//! and the v2 codec (PR 3), and the vote as the v3 codec laid it out
-//! (its v1 bytes under a v3 header); they are deliberately
-//! hardcoded rather than re-encoded, so they pin the decoder's version and
-//! tag checks to bytes a real old peer would send, and the current body
-//! layout to bytes no encoder in this tree produced.
+//! and the v2 codec (PR 3), and the vote and the per-slot push as the v3
+//! and v4 codecs laid them out (their v1 bytes under the later header);
+//! they are deliberately hardcoded rather than re-encoded, so they pin the
+//! decoder's version and tag checks to bytes a real old peer would send,
+//! and the current body layout to bytes no encoder in this tree produced.
 
+use chiaroscuro::noise::SlotLayout;
 use cs_bigint::BigUint;
 use cs_crypto::{Ciphertext, PartialDecryption};
+use cs_net::churn::Liveness;
+use cs_net::driver::{NodeDriver, Timing};
+use cs_net::node::{NodeCrypto, NodeParams, ProtocolNode};
+use cs_net::runtime::pump;
 use cs_net::wire::{
-    decode_frame, decode_frame_traced, encode_frame, encode_frame_traced, Message, TraceContext,
-    WireError, WIRE_VERSION,
+    decode_frame, decode_frame_traced, encode_frame, encode_frame_traced, FrameClass, Message,
+    TraceContext, WireError, WIRE_VERSION,
 };
+use cs_net::{LinkConfig, TcpTransport, TcpTuning};
+use cs_obs::Registry;
+use std::convert::Infallible;
+use std::ops::ControlFlow;
+use std::time::{Duration, Instant};
 
 fn unhex(s: &str) -> Vec<u8> {
     assert!(s.len().is_multiple_of(2));
@@ -32,20 +43,10 @@ fn c(v: u64) -> Ciphertext {
     Ciphertext::from_biguint(BigUint::from(v))
 }
 
-/// Every v1 frame fixture with the message it encoded at capture time.
+/// Every v1 frame fixture of a surviving message, with the message it
+/// encoded at capture time.
 fn v1_fixtures() -> Vec<(&'static str, Message)> {
     vec![
-        (
-            // EncryptedPush { iteration: 3, denom_exp: 7, weight: 0.125,
-            //                 slots: [0xDEADBEEF, 0, u64::MAX] }
-            "320000000100030000000000000007000000000000000000c03f0300000004000000efbeadde0000000008000000ffffffffffffffff",
-            Message::EncryptedPush {
-                iteration: 3,
-                denom_exp: 7,
-                weight: 0.125,
-                slots: vec![c(0xDEAD_BEEF), c(0), c(u64::MAX)],
-            },
-        ),
         (
             // PlainPush { iteration: 1, weight: 1.0, slots: [0.0, -3.5, 1e300] }
             "2e00000001010100000000000000000000000000f03f0300000000000000000000000000000000000cc09c7500883ce4377e",
@@ -96,6 +97,13 @@ fn v1_fixtures() -> Vec<(&'static str, Message)> {
 const V1_VOTE: &str = "0b0000000104050000000000000001";
 const V3_VOTE: &str = "0c000000030400050000000000000001";
 
+/// The push of one ciphertext per slot, `EncryptedPush { iteration: 3,
+/// denom_exp: 7, weight: 0.125, slots: [0xDEADBEEF, 0, u64::MAX] }` — tag
+/// 0, retired in v5 with the per-slot layout — as the v1 codec emitted it
+/// and as the v4 codec laid it out.
+const V1_PER_SLOT_PUSH: &str = "320000000100030000000000000007000000000000000000c03f0300000004000000efbeadde0000000008000000ffffffffffffffff";
+const V4_PER_SLOT_PUSH: &str = "33000000040000030000000000000007000000000000000000c03f0300000004000000efbeadde0000000008000000ffffffffffffffff";
+
 /// The one frame shape v2 added over v1: the packed push (tag 7), captured
 /// from the v2 encoder before the trace-context bump.
 fn v2_packed_fixture() -> (&'static str, Message) {
@@ -109,8 +117,8 @@ fn v2_packed_fixture() -> (&'static str, Message) {
 
 #[test]
 fn every_v1_fixture_is_rejected_as_a_bad_version() {
-    let votes = [V1_VOTE];
-    for hex in v1_fixtures().into_iter().map(|(hex, _)| hex).chain(votes) {
+    let retired = [V1_VOTE, V1_PER_SLOT_PUSH];
+    for hex in v1_fixtures().into_iter().map(|(hex, _)| hex).chain(retired) {
         let frame = unhex(hex);
         assert_eq!(frame[4], 1, "fixture is a v1 frame");
         assert_eq!(decode_frame(&frame), Err(WireError::BadVersion(1)), "{hex}");
@@ -124,7 +132,7 @@ fn every_v2_fixture_is_rejected_as_a_bad_version() {
     let mut fixtures: Vec<Vec<u8>> = v1_fixtures()
         .into_iter()
         .map(|(hex, _)| hex)
-        .chain([V1_VOTE])
+        .chain([V1_VOTE, V1_PER_SLOT_PUSH])
         .map(|hex| {
             let mut frame = unhex(hex);
             frame[4] = 2;
@@ -155,6 +163,75 @@ fn a_v3_termination_vote_is_a_typed_rejection() {
     assert_eq!(decode_frame_traced(&frame), Err(WireError::BadTag(4)));
 }
 
+/// The per-slot layout is retired the same way: a v4 peer's push is a
+/// foreign version, and its bytes under the current version an unknown
+/// tag — tag 0 is no message this codec emits. A v4 frame of a message
+/// that survived is as foreign.
+#[test]
+fn a_v4_per_slot_push_is_a_typed_rejection() {
+    let mut frame = unhex(V4_PER_SLOT_PUSH);
+    assert_eq!(
+        frame[4..7],
+        [4, 0, 0],
+        "a v4 header: version, tag, trace flag"
+    );
+    // v4 laid the v1 body out unchanged behind its header.
+    assert_eq!(frame[7..], unhex(V1_PER_SLOT_PUSH)[6..]);
+    assert_eq!(decode_frame_traced(&frame), Err(WireError::BadVersion(4)));
+    frame[4] = WIRE_VERSION;
+    assert_eq!(decode_frame_traced(&frame), Err(WireError::BadTag(0)));
+    let mut survivor = encode_frame(&sample_packed());
+    survivor[4] = 4;
+    assert_eq!(decode_frame(&survivor), Err(WireError::BadVersion(4)));
+}
+
+/// Wherever a pump meets a retired frame — a v4 peer's push, the same
+/// bytes under the current version, a v3 vote — it is one counted bad
+/// frame, and the node runs on.
+#[test]
+fn the_pump_counts_retired_frames_as_bad_frames() {
+    let registry = Registry::new();
+    let tuning = TcpTuning::default();
+    let transport =
+        TcpTransport::loopback(2, LinkConfig::ideal(), 1, tuning, Some(&registry)).unwrap();
+    let mut current_tag_0 = unhex(V4_PER_SLOT_PUSH);
+    current_tag_0[4] = WIRE_VERSION;
+    for frame in [unhex(V4_PER_SLOT_PUSH), current_tag_0, unhex(V3_VOTE)] {
+        transport.send(0, 1, frame, FrameClass::Gossip).unwrap();
+    }
+    let layout = SlotLayout {
+        k: 2,
+        series_len: 3,
+    };
+    let params = NodeParams::for_step(1, 2, 5, 0, Vec::new(), None);
+    let node = ProtocolNode::new(params, layout, NodeCrypto::Plain, Some(&[0.5; 8]));
+    let timing = Timing {
+        push_interval: Duration::from_millis(1),
+        decrypt_deadline: Duration::from_secs(1),
+        step_timeout: Duration::from_secs(5),
+    };
+    let mut driver = NodeDriver::new(node, &timing, true);
+    // The transport records every frame it schedules into an inbox; on an
+    // ideal link all three are due at once, so the turn after the third
+    // lands drains them, and the one after that ends the pump. The
+    // deadline only keeps a lost frame from hanging the test.
+    let scheduled = || {
+        let snapshot = registry.snapshot();
+        snapshot.histogram("net.inbox.depth").map_or(0, |h| h.count)
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut drained = false;
+    let turn = || {
+        if drained || Instant::now() >= deadline {
+            return Ok(ControlFlow::Break(()));
+        }
+        drained = scheduled() == 3;
+        Ok(ControlFlow::Continue(Liveness::Alive))
+    };
+    let Ok(()) = pump::<Infallible>(&mut driver, &transport, turn, || Ok(()));
+    assert_eq!(driver.finish().0.bad_frames, 3);
+}
+
 #[test]
 fn current_encoder_emits_the_bumped_version() {
     for (_, msg) in v1_fixtures() {
@@ -166,8 +243,8 @@ fn current_encoder_emits_the_bumped_version() {
 
 #[test]
 fn downgraded_v3_frames_match_the_v1_fixtures_byte_for_byte() {
-    // What v3 changed is the header and nothing else, and v4 only retired
-    // the vote's tag: an untraced current frame is the captured frame with
+    // What v3 changed is the header and nothing else, and v4 and v5 only
+    // retired tags: an untraced current frame is the captured frame with
     // the version bumped and one cleared trace-flag byte after the tag. The
     // bodies — and with them every byte count the benches record — are the
     // captured bytes exactly.
@@ -250,7 +327,7 @@ fn packed_frames_roundtrip_on_the_current_version_only() {
     assert_eq!(decode_frame(&frame).unwrap(), sample_packed());
     // The version is checked before the tag: the same bytes stamped with
     // an older version are a foreign frame, whatever they claim to carry.
-    for version in [1, 2, 3] {
+    for version in [1, 2, 3, 4] {
         let mut old = frame.clone();
         old[4] = version;
         assert_eq!(decode_frame(&old), Err(WireError::BadVersion(version)));

@@ -215,6 +215,23 @@ impl RunContext {
         }
         let link = link.to_link_config();
         link.validate().map_err(|e| bad_data(e.to_string()))?;
+        let cipher = match pk {
+            Some(_) if !matches!(config.crypto, CryptoMode::Real { .. }) => {
+                return Err(bad_data("public key shipped for a simulated-crypto run"));
+            }
+            Some(pk) => {
+                let pk = Arc::new(pk);
+                // Encryption randomness is private per daemon — only the
+                // layout must match across the cluster.
+                let mut enc_rng =
+                    StdRng::seed_from_u64(config.seed ^ 0x5EED_DAE0 ^ (id as u64) << 32);
+                let enc = Arc::new(FastEncryptor::new(pk.clone(), &mut enc_rng));
+                let cipher = StepCipher::plan(&config, &pk, &enc, &layout, n)
+                    .map_err(|e| bad_data(format!("step cipher: {e}")))?;
+                Some(cipher)
+            }
+            None => None,
+        };
         let directory: Vec<SocketAddr> = population
             .iter()
             .map(|a| {
@@ -230,26 +247,6 @@ impl RunContext {
             TcpTuning::default(),
             Some(registry),
         ));
-        let cipher = match pk {
-            Some(_) if !matches!(config.crypto, CryptoMode::Real { .. }) => {
-                return Err(bad_data("public key shipped for a simulated-crypto run"));
-            }
-            Some(pk) => {
-                let pk = Arc::new(pk);
-                // Encryption randomness is private per daemon — only the layout
-                // must match across the cluster.
-                let fast = config.packing.then(|| {
-                    let mut enc_rng =
-                        StdRng::seed_from_u64(config.seed ^ 0x5EED_DAE0 ^ (id as u64) << 32);
-                    Arc::new(FastEncryptor::new(pk.clone(), &mut enc_rng))
-                });
-                let cipher =
-                    StepCipher::plan(&config, &pk, fast.as_ref(), &layout, population.len())
-                        .map_err(|e| bad_data(format!("step cipher: {e}")))?;
-                Some(cipher)
-            }
-            None => None,
-        };
         let pool_rng_seed = config.seed ^ 0x5EED_B007_u64 ^ ((id as u64) << 32);
         Ok(RunContext {
             config,
@@ -773,16 +770,22 @@ mod tests {
         series_len: 3,
     };
 
-    /// One step on each in-process host, over `link`s: four nodes, node 2
+    /// Four nodes of [`LAYOUT`] contributing 0.5 everywhere, but node 2
     /// contributing `values`.
+    fn four_nodes(values: &[f64]) -> Vec<Option<Vec<f64>>> {
+        let mut contributions = vec![Some(vec![0.5; 8]); 4];
+        contributions[2] = Some(values.to_vec());
+        contributions
+    }
+
+    /// One step of `contributions` on each in-process host, over `link`s.
     fn on_both_hosts(
         config: &ChiaroscuroConfig,
         crypto: &chiaroscuro::rounds::CryptoContext,
-        values: &[f64],
+        layout: &SlotLayout,
+        contributions: &[Option<Vec<f64>>],
         link: cs_net::LinkConfig,
     ) -> [Result<cs_net::StepRun, chiaroscuro::ChiaroscuroError>; 2] {
-        let mut contributions = vec![Some(vec![0.5; 8]); 4];
-        contributions[2] = Some(values.to_vec());
         let sharded = cs_net::ShardedConfig {
             link: link.clone(),
             ..Default::default()
@@ -791,10 +794,9 @@ mod tests {
             link,
             ..Default::default()
         };
-        let values = &contributions[..];
         [
-            cs_net::run_step_sharded(config, &LAYOUT, values, crypto, 9, &sharded, &[]),
-            cs_net::run_step_over_tcp(config, &LAYOUT, values, crypto, 9, &net, &[]),
+            cs_net::run_step_sharded(config, layout, contributions, crypto, 9, &sharded, &[]),
+            cs_net::run_step_over_tcp(config, layout, contributions, crypto, 9, &net, &[]),
         ]
     }
 
@@ -825,7 +827,6 @@ mod tests {
         assert!(check_contribution(&layout, None, &values).is_ok());
         let config = ChiaroscuroConfig {
             k: 2,
-            packing: true,
             ..ChiaroscuroConfig::test_real()
         };
         let crypto =
@@ -841,7 +842,7 @@ mod tests {
         // with the same typed error — before a worker or node thread exists
         // to unwind.
         let ideal = cs_net::LinkConfig::ideal();
-        for run in on_both_hosts(&config, &crypto, &values, ideal) {
+        for run in on_both_hosts(&config, &crypto, &layout, &four_nodes(&values), ideal) {
             let lane = cs_crypto::CryptoError::LaneOverflow { slot: 5 };
             match run {
                 Err(chiaroscuro::ChiaroscuroError::Crypto(e)) => assert_eq!(e, lane),
@@ -902,10 +903,70 @@ mod tests {
             chiaroscuro::rounds::CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(7))
                 .unwrap();
         for link in [lossy(1.5), nan, starved].map(LinkSpec::to_link_config) {
-            for run in on_both_hosts(&config, &crypto, &[0.5; 8], link) {
+            for run in on_both_hosts(&config, &crypto, &LAYOUT, &four_nodes(&[0.5; 8]), link) {
                 let typed = matches!(run, Err(chiaroscuro::ChiaroscuroError::InvalidConfig(_)));
                 assert!(typed, "{run:?}");
             }
         }
+    }
+
+    /// The lane plan's limit, on every host. Nothing but a longer schedule
+    /// than a packed lane can carry separates these runs from a good one:
+    /// 78 gossip cycles of the demo's 24-point series at `test_real`, eight
+    /// nodes, one past where the plan stops
+    /// (`lane_plan_is_feasible_on_the_default_real_config`). Each host
+    /// refuses it with the typed error from the plan — before a worker or
+    /// node thread exists to unwind — and the daemon refuses a `Bootstrap`
+    /// carrying it.
+    #[test]
+    fn an_over_long_schedule_is_a_typed_error_on_every_host() {
+        use chiaroscuro::rounds::{run_computation_step, CryptoContext};
+        use chiaroscuro::ChiaroscuroError;
+        let config = ChiaroscuroConfig {
+            k: 2,
+            gossip_cycles: 78,
+            ..ChiaroscuroConfig::test_real()
+        };
+        let layout = SlotLayout {
+            k: 2,
+            series_len: 24,
+        };
+        let mut rng = StdRng::seed_from_u64(7);
+        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
+        let contributions = vec![Some(vec![0.5; layout.total()]); 8];
+        let refused = |run: Result<(), ChiaroscuroError>, host: &str| match run {
+            Err(ChiaroscuroError::Crypto(cs_crypto::CryptoError::InvalidParameters(_))) => {}
+            other => panic!("{host}: expected the lane plan's refusal, got {other:?}"),
+        };
+        let simulated =
+            run_computation_step(&config, &layout, &contributions, &crypto, 9, &mut rng);
+        refused(simulated.map(drop), "cycle simulator");
+        let ideal = cs_net::LinkConfig::ideal();
+        let hosts = on_both_hosts(&config, &crypto, &layout, &contributions, ideal);
+        for (run, host) in hosts.into_iter().zip(["sharded executor", "tcp host"]) {
+            refused(run.map(drop), host);
+        }
+
+        let CryptoContext::Real { pk, .. } = &crypto else {
+            unreachable!("test_real is real crypto");
+        };
+        let boot = ControlMsg::Bootstrap {
+            config,
+            layout,
+            population: (1..=8).map(|i| format!("127.0.0.1:{i}")).collect(),
+            committee: vec![0, 1, 2],
+            pk: Some(pk.as_ref().clone()),
+            share: None,
+            link: crate::proto::LinkSpec::ideal(),
+            timing: TimingSpec::default(),
+            transport_seed: 1,
+            fault: None,
+        };
+        let endpoint = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let err = RunContext::bootstrap(0, endpoint, &Registry::new(), boot)
+            .err()
+            .expect("the daemon refuses the schedule");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().starts_with("step cipher: "), "{err}");
     }
 }

@@ -267,34 +267,46 @@ fn real_crypto_cluster_distributes_shares_and_decrypts() {
         "most daemons decrypt an estimate, got {with_estimates}/{n}"
     );
     // Fault-free: every daemon decrypts, and the committee daemons compute
-    // exactly the `threshold` vectors per requester the combines read — the
-    // in-process simulator's count and the cost model's d·s·t. (The debug
-    // pacing above also keeps the retry interval, 50 pushes, far above the
-    // committee's service time: a hedge that fired would show up here.)
+    // exactly the `threshold` vectors per requester the combines read, each
+    // as wide as the requester's snapshot folds to — the cost model's
+    // Σ wᵢ·t, and what the in-process simulator does over its own folded
+    // snapshots. (The debug pacing above also keeps the retry interval, 50
+    // pushes, far above the committee's service time: a hedge that fired
+    // would show up here.)
     assert_eq!(with_estimates, n);
-    let slots = 2 * (3 + 1); // k · (series_len + 1) ciphertexts
+    let ciphertexts = reports[0].ops.encryptions as usize;
+    let widths: Vec<usize> = reports
+        .iter()
+        .map(|r| r.decrypt_ops.combinations as usize)
+        .collect();
+    assert!(
+        widths
+            .iter()
+            .all(|&w| (1..=ciphertexts).any(|g| ciphertexts.div_ceil(g) == w)),
+        "every width is a fold of {ciphertexts} ciphertexts: {widths:?}"
+    );
     let partials: u64 = reports
         .iter()
         .map(|r| r.decrypt_ops.partial_decryptions)
         .sum();
-    assert_eq!(partials, (threshold * slots * n) as u64);
-    assert_eq!(
-        partials, sim.log.records[0].cost.decrypt_ops.partial_decryptions,
-        "the simulator's committee[..t]"
-    );
     assert_eq!(
         partials,
-        chiaroscuro::cost::synthesize_decrypt_ops(&vec![slots; n], threshold, 0)
-            .partial_decryptions,
-        "the cost model's Σ wᵢ·t — a per-slot snapshot folds to itself, wᵢ = s"
+        chiaroscuro::cost::synthesize_decrypt_ops(&widths, threshold, 0).partial_decryptions,
+        "the cost model's Σ wᵢ·t"
+    );
+    let sim_ops = &sim.log.records[0].cost.decrypt_ops;
+    assert_eq!(
+        sim_ops.partial_decryptions,
+        threshold as u64 * sim_ops.combinations,
+        "the simulator's committee[..t], over its own folded snapshots"
     );
     // The gossip side of the same parity: a daemon encrypts, and on every
-    // push re-randomizes, exactly the one block it later has decrypted.
+    // push re-randomizes, exactly the ciphertexts it later has decrypted.
     for r in reports {
-        assert_eq!(r.ops.encryptions, slots as u64, "node {}", r.id);
+        assert_eq!(r.ops.encryptions, ciphertexts as u64, "node {}", r.id);
         assert_eq!(
             r.ops.rerandomizations,
-            (r.pushes_sent * slots) as u64,
+            (r.pushes_sent * ciphertexts) as u64,
             "node {}",
             r.id
         );

@@ -335,7 +335,7 @@ pub struct AuditScope<'a> {
     pub traffic: &'a [TrafficAudit],
     /// Decryption-round evidence per node.
     pub decrypts: &'a [DecryptAudit],
-    /// Packed-lane evidence per node (absent when packing is off).
+    /// Lane evidence per real-crypto node (absent on a plaintext step).
     pub lanes: &'a [LaneAudit],
 }
 

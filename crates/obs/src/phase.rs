@@ -8,8 +8,8 @@
 //! whatever the host spends moving and handling the messages), the
 //! committee's **decrypt-share** service (one partial decryption per
 //! requested ciphertext), **combine** (Lagrange recombination of partial
-//! decryptions), and **unpack** (the requester's lane work in packed mode:
-//! stacking a snapshot's lanes before the round, extracting them after). A
+//! decryptions), and **unpack** (the requester's lane work: stacking a
+//! snapshot's lanes before the round, extracting them after). A
 //! [`PhaseProfile`] holds per-phase nanosecond totals; the sans-IO protocol
 //! node accumulates one, every substrate ships it home in its report, and
 //! the per-node profiles sum ([`PhaseProfile::plus`]) into the step outcome

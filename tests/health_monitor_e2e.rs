@@ -17,10 +17,10 @@
 //! 3. **Churn is not a violation** — a SIGKILLed daemon makes `cswatch`
 //!    flag the node UNREACHABLE without failing the check.
 //!
-//! The real-crypto drills run *unpacked* ([`ChiaroscuroConfig::test_real`])
-//! on purpose: packed ciphertext corruption fails lane unpacking, which
-//! yields *no* estimate — invisible to a mass audit. Unpacked corruption
-//! decodes to garbage mass, the silent shape the auditor exists for.
+//! The real-crypto drills run packed, the one ciphertext layout there is:
+//! a corrupted partial decryption combines into a random plaintext, and the
+//! lane decode — whose only checks are on the cleartext push-sum metadata —
+//! reads garbage mass out of it, the silent shape the auditor exists for.
 
 use chiaroscuro::{ChiaroscuroConfig, Engine};
 use cs_net::{FaultSpec, NetBackend, NetConfig, ShardedConfig};
@@ -46,8 +46,8 @@ fn dataset(count: usize, seed: u64) -> Vec<TimeSeries> {
     ds.series
 }
 
-/// A real-crypto engine tuned for the drills: unpacked (see module doc),
-/// negligible noise, one iteration.
+/// A real-crypto engine tuned for the drills: negligible noise, one
+/// iteration.
 fn drill_engine(gossip_cycles: usize) -> Engine {
     let mut cfg = ChiaroscuroConfig::test_real();
     cfg.k = 2;

@@ -98,8 +98,19 @@ fn real_crypto_net_run_with_crash_matches_simulator() {
         step.snapshot.gossip.bytes > 0 && step.snapshot.decrypt.bytes > 0,
         "both gossip and decryption traffic crossed the wire"
     );
+    assert!(
+        step.reports.iter().all(|r| r.bad_frames == 0),
+        "packed frames decode cleanly"
+    );
+    // Packing shrinks the gossip payload: one ciphertext per slot would be
+    // layout.total() = 12 of them (~64 B each at test keys).
+    let per_push = step.snapshot.gossip.bytes as f64 / step.snapshot.gossip.messages as f64;
+    assert!(
+        per_push < 12.0 * 64.0 * 0.6,
+        "packed push of {per_push} B is not materially smaller"
+    );
 
-    // Decrypted perturbed centroids agree with the simulated-mode run.
+    // Decrypted perturbed centroids agree with the simulator's run.
     let gap = max_centroid_gap(&sim.centroids, &net.centroids);
     assert!(
         gap < 0.35,
@@ -121,9 +132,10 @@ fn real_crypto_net_run_with_crash_matches_simulator() {
 }
 
 /// Fault-free and loss-free, the committee computes exactly the partial
-/// decryptions the combines read — `threshold` vectors per requester — which
-/// is what the in-process simulator performs and the analytical cost model
-/// charges for the same configuration.
+/// decryptions the combines read — `threshold` vectors per requester, each
+/// as wide as that requester's snapshot folds to — which is what the
+/// in-process simulator performs on its own snapshots and the analytical
+/// cost model charges for the same configuration.
 #[test]
 fn decrypt_round_count_parity_threaded_vs_simulator() {
     let n = 8;
@@ -135,7 +147,6 @@ fn decrypt_round_count_parity_threaded_vs_simulator() {
     cfg.epsilon = 1e5;
     cfg.value_bound = 8.0;
     let threshold = cfg.threshold.threshold;
-    let slots = cfg.k * (series[0].len() + 1);
     let engine = Engine::new(cfg).unwrap();
 
     let sim = engine.run(&series).unwrap();
@@ -152,26 +163,39 @@ fn decrypt_round_count_parity_threaded_vs_simulator() {
 
     let step = backend.last_step().expect("one step ran");
     assert!(step.outcome.estimates.iter().all(|e| e.is_some()));
+    // A requester combines one plaintext per ciphertext it had decrypted:
+    // its folded width wᵢ, somewhere on the grid ⌈ciphertexts/g⌉.
+    let ciphertexts = step.reports[0].ops.encryptions as usize;
+    let widths: Vec<usize> = step
+        .reports
+        .iter()
+        .map(|r| r.decrypt_ops.combinations as usize)
+        .collect();
+    for (id, &w) in widths.iter().enumerate() {
+        assert!(
+            (1..=ciphertexts).any(|g| ciphertexts.div_ceil(g) == w),
+            "node {id} asked for {w} of {ciphertexts} ciphertexts"
+        );
+    }
     let ops = &step.outcome.decrypt_ops;
-    assert_eq!(ops.combinations, (n * slots) as u64);
-    assert_eq!(ops.partial_decryptions, (threshold * slots * n) as u64);
-    assert_eq!(
-        ops.partial_decryptions, sim.log.records[0].cost.decrypt_ops.partial_decryptions,
-        "the simulator's committee[..t]"
-    );
     assert_eq!(
         ops.partial_decryptions,
-        chiaroscuro::cost::synthesize_decrypt_ops(&vec![slots; n], threshold, 0)
-            .partial_decryptions,
-        "the cost model's Σ wᵢ·t — a per-slot snapshot folds to itself, wᵢ = s"
+        chiaroscuro::cost::synthesize_decrypt_ops(&widths, threshold, 0).partial_decryptions,
+        "the cost model's Σ wᵢ·t"
+    );
+    let sim_ops = &sim.log.records[0].cost.decrypt_ops;
+    assert_eq!(
+        sim_ops.partial_decryptions,
+        threshold as u64 * sim_ops.combinations,
+        "the simulator's committee[..t], over its own folded snapshots"
     );
     // The gossip side of the same parity: a node encrypts, and on every
-    // push re-randomizes, exactly the one block it later has decrypted.
+    // push re-randomizes, exactly the ciphertexts it later has decrypted.
     for r in &step.reports {
-        assert_eq!(r.ops.encryptions, slots as u64, "node {}", r.id);
+        assert_eq!(r.ops.encryptions, ciphertexts as u64, "node {}", r.id);
         assert_eq!(
             r.ops.rerandomizations,
-            (r.pushes_sent * slots) as u64,
+            (r.pushes_sent * ciphertexts) as u64,
             "node {}",
             r.id
         );

@@ -1,16 +1,19 @@
 //! End-to-end run of the crypto fast path: a full engine iteration with
 //! real Damgård-Jurik crypto and **packed** payloads over the `cs_net`
 //! TCP loopback — including one node crashing mid-gossip — must match
-//! the *unpacked* in-process simulator's centroids within tolerance
-//! (mirrors `tests/net_e2e.rs`, which pins the unpacked runtime the same
-//! way).
+//! the *unpacked* in-process simulator's centroids within tolerance. The
+//! unpacked reference is the simulated-crypto engine, which carries one
+//! plaintext value per slot and never touches a lane.
 //!
 //! This is the whole-stack differential: packing touches the bigint
 //! exponentiation, the crypto codec, the gossip payloads, the wire format,
 //! and the decryption round; if any lane leaks into a neighbour or a bias
 //! term goes unaccounted, the centroids drift and this test fails.
+//! (`tests/net_e2e.rs` pins the same runtime against the real-crypto cycle
+//! simulator, which packs too.)
 
-use chiaroscuro::{ChiaroscuroConfig, Engine};
+use chiaroscuro::{ChiaroscuroConfig, CryptoMode, Engine};
+use cs_crypto::CryptoCostProfile;
 use cs_net::{ChurnSchedule, NetBackend, NetConfig};
 use cs_timeseries::datasets::blobs::{generate_with_centers, BlobsConfig};
 use cs_timeseries::TimeSeries;
@@ -60,14 +63,17 @@ fn packed_net_run_with_crash_matches_unpacked_simulator() {
     cfg.value_bound = 8.0;
 
     // Reference: the same configuration, *unpacked*, on the in-process
-    // cycle simulator.
-    let sim = Engine::new(cfg.clone()).unwrap().run(&series).unwrap();
+    // cycle simulator with plaintext slots.
+    let mut unpacked = cfg.clone();
+    unpacked.crypto = CryptoMode::Simulated {
+        cost_profile: CryptoCostProfile::nominal_2048(),
+    };
+    let sim = Engine::new(unpacked).unwrap().run(&series).unwrap();
 
-    // The run under test: packing on, over the TCP loopback, with node
-    // 7 silently crashing mid-gossip (~75% through its push quota). The
-    // packed push is cheap enough that a modest pacing suffices even in
-    // debug builds.
-    cfg.packing = true;
+    // The run under test: packed real crypto over the TCP loopback, with
+    // node 7 silently crashing mid-gossip (~75% through its push quota).
+    // The packed push is cheap enough that a modest pacing suffices even
+    // in debug builds.
     let engine = Engine::new(cfg).unwrap();
     let push_ms: u64 = if cfg!(debug_assertions) { 60 } else { 15 };
     let churn = ChurnSchedule::none().crash(0, Duration::from_millis(push_ms * 14 * 3 / 4), 7);
@@ -95,8 +101,8 @@ fn packed_net_run_with_crash_matches_unpacked_simulator() {
         "packed frames decode cleanly"
     );
 
-    // Packing must shrink the gossip payload: an unpacked push carries
-    // layout.total() = 12 ciphertexts (~64 B each at test keys).
+    // Packing must shrink the gossip payload: one ciphertext per slot
+    // would be layout.total() = 12 of them (~64 B each at test keys).
     let per_push = step.snapshot.gossip.bytes as f64 / step.snapshot.gossip.messages as f64;
     assert!(
         per_push < 12.0 * 64.0 * 0.6,
@@ -122,24 +128,4 @@ fn packed_net_run_with_crash_matches_unpacked_simulator() {
     // And the clustering itself is faithful to the ground truth.
     let ari = cs_kmeans::adjusted_rand_index(&net.assignment, &labels);
     assert!(ari > 0.6, "packed net-run clustering degraded: ARI {ari}");
-}
-
-/// The packed engine over the in-process simulator must also match the
-/// unpacked engine — same protocol, different ciphertext carriage.
-#[test]
-fn packed_simulator_matches_unpacked_simulator() {
-    let (series, _) = dataset(12, 41);
-    let mut cfg = ChiaroscuroConfig::test_real();
-    cfg.k = 2;
-    cfg.max_iterations = 1;
-    cfg.gossip_cycles = 12;
-    cfg.epsilon = 1e5;
-    cfg.value_bound = 8.0;
-
-    let unpacked = Engine::new(cfg.clone()).unwrap().run(&series).unwrap();
-    cfg.packing = true;
-    let packed = Engine::new(cfg).unwrap().run(&series).unwrap();
-
-    let gap = max_centroid_gap(&unpacked.centroids, &packed.centroids);
-    assert!(gap < 0.35, "packed-sim vs unpacked-sim gap {gap}");
 }

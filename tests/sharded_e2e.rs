@@ -13,8 +13,8 @@
 //!    TCP host's interleaving is OS scheduled, so exact equality is only
 //!    defined *within* the deterministic substrate — asserted in 1).
 //! 3. **Scale with churn** — crash/rejoin/leave injected mid-gossip at
-//!    population ≥1k (release; debug runs a smaller smoke), packed and
-//!    unpacked, still matching the cycle simulator's centroids.
+//!    population ≥1k (release; debug runs a smaller smoke), plaintext and
+//!    real crypto, still matching the cycle simulator's centroids.
 
 use chiaroscuro::{ChiaroscuroConfig, Engine};
 use cs_net::{ChurnSchedule, NetBackend, NetConfig, ShardedConfig};
@@ -333,14 +333,11 @@ fn sharded_packed_crypto_churn_matches_simulator() {
     cfg.k = 2;
     cfg.max_iterations = 1;
     cfg.gossip_cycles = 12;
-    cfg.packing = true;
     cfg.epsilon = 1e5;
     cfg.value_bound = 8.0;
     let engine = Engine::new(cfg).unwrap();
 
-    // Reference: the identical packed configuration on the in-process
-    // simulator (whose packed-vs-unpacked equivalence is locked in by
-    // tests/packed_e2e.rs).
+    // Reference: the identical configuration on the in-process simulator.
     let sim = engine.run(&series).unwrap();
 
     let churn = ChurnSchedule::none().crash(0, Duration::from_micros(7_300), 5);
@@ -381,7 +378,6 @@ fn decrypt_round_count_parity_sharded_vs_simulator() {
     cfg.k = 2;
     cfg.max_iterations = 1;
     cfg.gossip_cycles = 8;
-    cfg.packing = true;
     cfg.epsilon = 1e5;
     cfg.value_bound = 8.0;
     let threshold = cfg.threshold.threshold;
@@ -688,7 +684,6 @@ fn sharded_timeline_matches_the_recorded_golden_values() {
     cfg.k = 2;
     cfg.max_iterations = 1;
     cfg.gossip_cycles = 10;
-    cfg.packing = true;
     cfg.epsilon = 1e5;
     cfg.value_bound = 8.0;
     let sharded = ShardedConfig {

@@ -293,7 +293,6 @@ fn packed_real_crypto_cluster_runs_across_processes() {
     cfg.k = 2;
     cfg.max_iterations = 1;
     cfg.gossip_cycles = 8;
-    cfg.packing = true;
     cfg.epsilon = 1e5;
     cfg.value_bound = 8.0;
     let engine = Engine::new(cfg).unwrap();
@@ -321,14 +320,14 @@ fn packed_real_crypto_cluster_runs_across_processes() {
         "identical lane plans: packed frames decode everywhere"
     );
     // Packed pushes ship ⌈buckets/lanes⌉ ciphertexts instead of one per
-    // bucket: the per-push payload must be materially below the unpacked
-    // floor (k·(series_len+1) = 12 buckets × ~64 B ciphertexts at test keys).
+    // bucket: the per-push payload must be materially below one ciphertext
+    // per bucket (k·(series_len+1) = 12 buckets × ~64 B at test keys).
     let snap = backend.last_snapshot().unwrap();
     let per_push = snap.gossip.bytes as f64 / snap.gossip.messages.max(1) as f64;
-    let unpacked_floor = (2 * (5 + 1) * 64) as f64;
+    let one_per_bucket = (2 * (5 + 1) * 64) as f64;
     assert!(
-        per_push < unpacked_floor * 0.6,
-        "packed push of {per_push} B is not smaller than unpacked {unpacked_floor} B"
+        per_push < one_per_bucket * 0.6,
+        "packed push of {per_push} B is not smaller than {one_per_bucket} B"
     );
 
     backend.shutdown();
