@@ -1,26 +1,17 @@
-//! Minimal readiness shim over `poll(2)`/`epoll(7)` — the reactor's only
-//! window onto the kernel's readiness state, and the only module in the
-//! crate allowed to contain unsafe code (a handful of FFI declarations and
-//! a `from_raw_fd`; no pointer arithmetic, no transmutes, zero new
+//! Minimal readiness shim over `poll(2)` — the reactor's only window onto
+//! the kernel's readiness state, and the only module in the crate allowed
+//! to contain unsafe code (a handful of FFI declarations and a
+//! `from_raw_fd`; no pointer arithmetic, no transmutes, zero new
 //! dependencies).
 //!
-//! Four primitives, exactly what `crate::tcp`'s reactor needs:
+//! Three primitives, exactly what `crate::tcp`'s reactor needs:
 //!
-//! * [`Selector`] — the reactor's main readiness primitive: a persistent
-//!   kernel-side interest set (`epoll` on Linux) diffed incrementally
-//!   against the interest list each reactor pass hands in, so a wakeup
-//!   costs O(changes + ready descriptors), not a kernel re-scan of the
-//!   whole set the way `poll(2)` does. Off Linux it degrades to
-//!   [`poll_fds`] with identical semantics. **Descriptor-reuse contract:**
-//!   the kernel drops closed fds from an epoll set silently, so a caller
-//!   that closes a descriptor the selector has seen must call
-//!   [`Selector::forget`] *before* the close — otherwise a recycled fd
-//!   number could be mistaken for its dead predecessor and never
-//!   registered (a silently starved connection).
-//! * [`poll_fds`] — one-shot level-triggered readiness over a set of
-//!   descriptors with a timeout (the reactor's timer horizon). On Unix
-//!   this is a real `poll(2)`; elsewhere it degrades to a bounded sleep
-//!   that reports every descriptor ready (spurious readiness is harmless
+//! * [`poll_fds`] — one-shot level-triggered readiness over the interest
+//!   list a reactor pass hands in, with a timeout (the reactor's timer
+//!   horizon). On Unix this is a real `poll(2)`: the kernel keeps no
+//!   interest set between calls, so closing a descriptor needs no
+//!   bookkeeping here. Elsewhere it degrades to a bounded sleep that
+//!   reports every descriptor ready (spurious readiness is harmless
 //!   against nonblocking sockets — the subsequent I/O call returns
 //!   `WouldBlock`).
 //! * [`Waker`] — a self-pipe (a nonblocking `UnixStream` pair) that lets
@@ -120,35 +111,18 @@ mod sys {
         pub(super) fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         pub(super) fn connect(fd: i32, addr: *const u8, len: u32) -> i32;
         pub(super) fn close(fd: i32) -> i32;
-        pub(super) fn epoll_create1(flags: i32) -> i32;
-        pub(super) fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        pub(super) fn epoll_wait(
-            epfd: i32,
-            events: *mut EpollEvent,
-            maxevents: i32,
-            timeout: i32,
-        ) -> i32;
-    }
-
-    /// `struct epoll_event`: packed on x86-64 (a kernel ABI quirk),
-    /// naturally aligned everywhere else.
-    #[cfg(target_os = "linux")]
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    pub(super) struct EpollEvent {
-        pub(super) events: u32,
-        pub(super) data: u64,
     }
 }
 
 /// Blocks until a descriptor in `fds` is ready or `timeout` elapses,
 /// filling in `revents`. Interruptions and poll errors report as "nothing
 /// ready" — the reactor's loop re-evaluates its timers and retries, so the
-/// worst case is one spurious iteration.
+/// worst case is one spurious iteration. The timeout rounds *up* to whole
+/// milliseconds: truncation would turn a sub-millisecond timer remainder
+/// into a hot zero-timeout spin.
 #[cfg(unix)]
 pub(crate) fn poll_fds(fds: &mut [PollFd], timeout: Duration) {
-    let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+    let ms = timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32;
     let rc = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as sys::NFds, ms) };
     if rc < 0 {
         for f in fds.iter_mut() {
@@ -166,135 +140,6 @@ pub(crate) fn poll_fds(fds: &mut [PollFd], timeout: Duration) {
     std::thread::sleep(timeout.min(Duration::from_millis(1)));
     for f in fds.iter_mut() {
         f.revents = f.events;
-    }
-}
-
-/// A persistent readiness selector: `epoll` on Linux, [`poll_fds`]
-/// elsewhere. [`Selector::wait`] takes the caller's *current* interest
-/// list (the same `&mut [PollFd]` shape `poll(2)` takes, `revents` filled
-/// on return) and reconciles the kernel-side set incrementally, so a
-/// steady reactor pays two syscalls per wakeup (`epoll_wait` + one read)
-/// instead of re-submitting every descriptor.
-///
-/// See the module docs for the descriptor-reuse contract around
-/// [`Selector::forget`].
-pub(crate) struct Selector {
-    #[cfg(target_os = "linux")]
-    epfd: i32,
-    /// fd → events the kernel set currently holds (Linux only; the
-    /// fallback re-submits the whole list every call).
-    #[cfg(target_os = "linux")]
-    registered: std::collections::HashMap<i32, i16>,
-}
-
-#[cfg(target_os = "linux")]
-impl Selector {
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
-
-    /// A fresh selector; falls back to [`poll_fds`] per call if the epoll
-    /// instance cannot be created (fd exhaustion).
-    pub(crate) fn new() -> Selector {
-        Selector {
-            epfd: unsafe { sys::epoll_create1(Self::EPOLL_CLOEXEC) },
-            registered: std::collections::HashMap::new(),
-        }
-    }
-
-    fn ctl(&self, op: i32, fd: i32, events: i16) -> i32 {
-        let mut ev = sys::EpollEvent {
-            // POLL_* bit values coincide with EPOLL* on every Linux arch.
-            events: events as u32,
-            data: fd as u64,
-        };
-        unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut ev) }
-    }
-
-    /// Drops `fd` from the kernel set and the shadow map. MUST be called
-    /// before closing any descriptor this selector has seen (see the
-    /// module docs); harmless for unknown descriptors.
-    pub(crate) fn forget(&mut self, fd: i32) {
-        if self.registered.remove(&fd).is_some() {
-            let _ = self.ctl(Self::EPOLL_CTL_DEL, fd, 0);
-        }
-    }
-
-    /// Blocks until a descriptor in `fds` is ready or `timeout` elapses,
-    /// filling in `revents` exactly like [`poll_fds`].
-    pub(crate) fn wait(&mut self, fds: &mut [PollFd], timeout: Duration) {
-        if self.epfd < 0 {
-            poll_fds(fds, timeout);
-            return;
-        }
-        // Reconcile interest: add the new, retune the changed, evict the
-        // gone. Steady state diffs to zero `epoll_ctl` calls. An ADD that
-        // hits EEXIST (or a MOD that hits ENOENT) means the shadow map
-        // drifted from the kernel — retry with the other op.
-        let mut next = std::collections::HashMap::with_capacity(fds.len());
-        let mut index = std::collections::HashMap::with_capacity(fds.len());
-        for (i, f) in fds.iter_mut().enumerate() {
-            f.revents = 0;
-            if f.fd < 0 {
-                continue;
-            }
-            index.insert(f.fd, i);
-            match self.registered.remove(&f.fd) {
-                Some(old) if old == f.events => {}
-                Some(_) => {
-                    if self.ctl(Self::EPOLL_CTL_MOD, f.fd, f.events) != 0 {
-                        let _ = self.ctl(Self::EPOLL_CTL_ADD, f.fd, f.events);
-                    }
-                }
-                None => {
-                    if self.ctl(Self::EPOLL_CTL_ADD, f.fd, f.events) != 0 {
-                        let _ = self.ctl(Self::EPOLL_CTL_MOD, f.fd, f.events);
-                    }
-                }
-            }
-            next.insert(f.fd, f.events);
-        }
-        for (&fd, _) in self.registered.iter() {
-            let _ = self.ctl(Self::EPOLL_CTL_DEL, fd, 0);
-        }
-        self.registered = next;
-
-        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 64];
-        // Round the timeout *up*: truncation would turn a sub-millisecond
-        // timer remainder into a hot zero-timeout spin.
-        let ms = timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32;
-        let rc =
-            unsafe { sys::epoll_wait(self.epfd, events.as_mut_ptr(), events.len() as i32, ms) };
-        for ev in events.iter().take(rc.max(0) as usize) {
-            let (bits, fd) = (ev.events, ev.data as i32);
-            if let Some(&i) = index.get(&fd) {
-                fds[i].revents = (bits & 0x1F) as i16;
-            }
-        }
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for Selector {
-    fn drop(&mut self) {
-        if self.epfd >= 0 {
-            unsafe { sys::close(self.epfd) };
-        }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-impl Selector {
-    pub(crate) fn new() -> Selector {
-        Selector {}
-    }
-
-    /// No kernel-side state to evict off Linux.
-    pub(crate) fn forget(&mut self, _fd: i32) {}
-
-    pub(crate) fn wait(&mut self, fds: &mut [PollFd], timeout: Duration) {
-        poll_fds(fds, timeout);
     }
 }
 
@@ -452,6 +297,15 @@ mod tests {
         );
         w.drain();
         h.join().unwrap();
+    }
+
+    #[test]
+    fn a_sub_millisecond_timeout_is_waited_out_not_spun() {
+        let timeout = Duration::from_micros(300);
+        let started = std::time::Instant::now();
+        poll_fds(&mut [], timeout);
+        let waited = started.elapsed();
+        assert!(waited >= timeout, "returned after {waited:?}");
     }
 
     #[test]

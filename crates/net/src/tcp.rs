@@ -31,10 +31,10 @@
 //!
 //! ## The reactor
 //!
-//! All socket I/O is driven by a small fixed pool of **reactor threads**
-//! ([`TcpTuning::reactor_threads`], default 2) multiplexing every peer
-//! socket through nonblocking I/O and a `poll(2)` shim (`crate::poll` —
-//! zero dependencies). Resident threads are O(pool), not O(peers):
+//! All socket I/O is driven by a fixed pool of two **reactor threads**
+//! (`REACTOR_THREADS`) multiplexing every peer socket through nonblocking
+//! I/O and a `poll(2)` shim (`crate::poll` — zero dependencies). Resident
+//! threads are O(pool), not O(peers):
 //!
 //! * **Outbound.** Destination `p` is owned by reactor `p % pool`. Each
 //!   destination has one bounded outbound queue of encoded records plus a
@@ -63,14 +63,17 @@
 //!   connection and one accepted inbound connection are two ends of the
 //!   same kernel pipe. Once the sender matches its connection's local
 //!   address in the accept registry it *drains the paired inbound socket
-//!   inline* right after each fast-path write — the hot loopback path
-//!   delivers on the sender's thread, with no reactor handoff in the
-//!   latency chain. The paired socket stays registered with its owning
-//!   reactor regardless: a loopback `write` is not synchronously readable
-//!   on the accept side (in-flight segments surface after ACK/cwnd
-//!   round-trips), so level-triggered poll readiness is the backstop that
-//!   picks up whatever an inline drain misses. A per-connection duty word
-//!   keeps concurrent drainers exclusive (see
+//!   inline* right after each fast-path write, delivering on the sender's
+//!   thread. That costs CPU, it does not save it: with every drain stopped,
+//!   `tcp_plain_64` ran ≈ 21 % less CPU per node-iteration and ≈ 23 % less
+//!   wall, but peaked at 24 MB instead of 8.5 and raised ≈ 1.2
+//!   mass-conservation alerts per job instead of ≈ 0.02 (8 pairs). The
+//!   read-back buys memory and even mixing. The paired socket stays in its
+//!   owning reactor's poll list regardless: a loopback `write` is not
+//!   synchronously readable on the accept side (in-flight segments surface
+//!   after ACK/cwnd round-trips), so level-triggered readiness is the
+//!   backstop for whatever an inline drain misses. A per-connection duty
+//!   word keeps concurrent drainers exclusive (see
 //!   [`TcpInner::drain_inbound`]).
 //! * **Backpressure.** The outbound queue is bounded
 //!   ([`TcpTuning::writer_queue_cap`]); beyond it the link counts as
@@ -123,10 +126,10 @@ pub const MAX_RECORD_LEN: usize = RECORD_HEADER_BYTES + 4 + MAX_FRAME_BYTES;
 /// link is treated as congested-to-death and frames are dropped (counted).
 const WRITER_QUEUE_CAP: usize = 8192;
 
-/// Default reactor pool size: one thread to own the listener plus one more
-/// so inbound service and outbound flushing overlap. O(pool) threads serve
-/// any population size.
-const DEFAULT_REACTOR_THREADS: usize = 2;
+/// Reactor pool size: one thread to own the listener plus one more so
+/// inbound service and outbound flushing overlap. O(pool) threads serve any
+/// population size.
+const REACTOR_THREADS: usize = 2;
 
 /// Consecutive connect/write failures before everything queued toward the
 /// peer is declared lost.
@@ -284,14 +287,11 @@ impl PeerDirectory {
     }
 }
 
-/// Tuning knobs for the TCP reactor. The defaults serve every test and
-/// benchmark in the workspace; tests shrink the queue to force
-/// backpressure deterministically.
+/// Tuning knob for the TCP reactor. The default serves every benchmark in
+/// the workspace; tests shrink the queue to force backpressure
+/// deterministically.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpTuning {
-    /// Reactor threads multiplexing every peer socket (clamped to ≥ 1).
-    /// Thread 0 additionally owns the listener.
-    pub reactor_threads: usize,
     /// Outbound queue capacity per destination, in records. Beyond it the
     /// link counts as congested-to-death: the frame is dropped at enqueue
     /// (`tcp.writer.overflow`) and reclassified as lost.
@@ -301,7 +301,6 @@ pub struct TcpTuning {
 impl Default for TcpTuning {
     fn default() -> Self {
         TcpTuning {
-            reactor_threads: DEFAULT_REACTOR_THREADS,
             writer_queue_cap: WRITER_QUEUE_CAP,
         }
     }
@@ -428,11 +427,6 @@ struct PeerOut {
     /// Next backoff duration (doubles to [`BACKOFF_CAP`], resets on
     /// connect success).
     backoff: Duration,
-    /// Dead streams awaiting descriptor burial. A teardown parks the
-    /// stream here (fd still open, so its number cannot be recycled) and
-    /// the owning reactor closes it only after `Selector::forget` — the
-    /// selector's descriptor-reuse contract (see `crate::poll`).
-    carcass: Vec<TcpStream>,
     /// Loopback read-back pairing for this destination (see the module
     /// docs): which accepted inbound connection is the other end of our
     /// outbound pipe, so fast-path senders can drain it inline.
@@ -460,7 +454,6 @@ impl PeerOut {
             preamble_left: 0,
             failures: 0,
             backoff: BACKOFF_START,
-            carcass: Vec::new(),
             read_back: ReadBack::Off,
         }
     }
@@ -763,15 +756,9 @@ impl TcpInner {
                     if now < deadline {
                         return Some(deadline);
                     }
-                    // Connect deadline blown: retire the stalled stream
-                    // (via the carcass, keeping its fd number unrecyclable
-                    // until the selector forgets it) and loop to report
-                    // the backoff deadline.
-                    if let ConnState::Connecting { stream, .. } =
-                        std::mem::replace(&mut st.state, ConnState::Idle)
-                    {
-                        st.carcass.push(stream);
-                    }
+                    // Connect deadline blown: close the stalled stream and
+                    // loop to report the backoff deadline.
+                    st.state = ConnState::Idle;
                     self.conn_failure(st, now, FailKind::Connect);
                 }
                 ConnState::Connected { .. } => return None,
@@ -810,7 +797,6 @@ impl TcpInner {
                     }
                 }
                 Ok(Some(_)) | Err(_) => {
-                    st.carcass.push(stream);
                     self.conn_failure(st, now, FailKind::Connect);
                     return;
                 }
@@ -834,11 +820,7 @@ impl TcpInner {
         };
         let alive = self.drive_writes(stream, queue, cursor, preamble_left);
         if !alive {
-            if let ConnState::Connected { stream } =
-                std::mem::replace(&mut st.state, ConnState::Idle)
-            {
-                st.carcass.push(stream);
-            }
+            st.state = ConnState::Idle;
             self.conn_failure(st, now, FailKind::Write);
         }
     }
@@ -961,8 +943,7 @@ impl TcpTransport {
         listener
             .set_nonblocking(true)
             .expect("nonblocking listener");
-        let pool = tuning.reactor_threads.max(1);
-        let reactors: Vec<Arc<ReactorShared>> = (0..pool)
+        let reactors: Vec<Arc<ReactorShared>> = (0..REACTOR_THREADS)
             .map(|_| {
                 Arc::new(ReactorShared {
                     waker: Waker::new().expect("reactor waker"),
@@ -1014,7 +995,7 @@ impl TcpTransport {
             }
         }
         let mut listener = Some(listener);
-        let threads = (0..pool)
+        let threads = (0..REACTOR_THREADS)
             .map(|r| {
                 let inner = inner.clone();
                 let l = if r == 0 { listener.take() } else { None };
@@ -1174,7 +1155,7 @@ struct Inbound {
     /// *connector's* local address — the key a sender pairs itself by.
     peer: SocketAddr,
     /// The stream hit EOF / error / corruption; the owning reactor retires
-    /// it (deregisters, unmaps, closes) on its next pass.
+    /// it (unmaps, closes) on its next pass.
     dead: AtomicBool,
     /// Drain-duty word — 0 idle, 1 draining. See
     /// [`TcpInner::drain_inbound`].
@@ -1214,6 +1195,13 @@ enum Tag {
 /// waker, the listener (thread 0), every inbound socket, and every
 /// outbound socket with pending work — and services whatever comes back
 /// ready. All per-peer state transitions happen here, under the peer lock.
+///
+/// A stream is closed where it is retired: `poll(2)` keeps no interest set
+/// between calls, and every descriptor in one pass's list belongs to an
+/// object this reactor holds until the pass ends (an entry of `inbound`,
+/// or the state of a peer only this reactor tears down). So none is closed
+/// — and its number reused — while the `poll` watching it runs, and
+/// readiness maps back by slot (`tags`), never by number.
 fn reactor_loop(inner: Arc<TcpInner>, r: usize, listener: Option<TcpListener>) {
     let pool = inner.reactors.len();
     let shared = inner.reactors[r].clone();
@@ -1232,15 +1220,12 @@ fn reactor_loop(inner: Arc<TcpInner>, r: usize, listener: Option<TcpListener>) {
     // cost is O(active), not O(owned). Everything starts active for the
     // first pass.
     let mut active = vec![true; owned.len()];
-    let mut selector = poll::Selector::new();
     while !inner.shutdown.load(Ordering::Acquire) {
         inbound.append(&mut plock(&shared.handoff));
-        // Retire dead connections before building poll interest: forget
-        // the descriptor first (selector reuse contract), unmap it from
-        // the pairing registry, and only then let the last Arc close it.
+        // Retire dead connections before building poll interest: unmap
+        // each from the pairing registry and let the last Arc close it.
         inbound.retain(|c| {
             if c.dead.load(Ordering::Acquire) {
-                selector.forget(c.fd);
                 plock(&inner.in_by_peer).remove(&c.peer);
                 false
             } else {
@@ -1260,14 +1245,10 @@ fn reactor_loop(inner: Arc<TcpInner>, r: usize, listener: Option<TcpListener>) {
             tags.push(Tag::Listener);
         }
         for (i, c) in inbound.iter().enumerate() {
-            // Paired connections stay registered too: a loopback write is
-            // *not* synchronously readable on the accept side (in-flight
-            // segments surface after ACK/cwnd round-trips), so the sender's
-            // inline drain can honestly hit dry and miss bytes that arrive
-            // a moment later. Level-triggered readiness makes the reactor
-            // the backstop for exactly those — and when the sender's drain
-            // got everything first, the wakeup finds nothing and costs one
-            // vacuous pass per burst, not per record.
+            // Paired connections stay in the list too: the backstop for
+            // bytes a sender's inline drain missed (see the module docs).
+            // When the drain got everything first, the wakeup finds
+            // nothing and costs one vacuous pass per burst, not per record.
             fds.push(PollFd::new(c.fd, POLL_IN));
             tags.push(Tag::In(i));
         }
@@ -1277,9 +1258,6 @@ fn reactor_loop(inner: Arc<TcpInner>, r: usize, listener: Option<TcpListener>) {
             }
             let mut st = plock(&inner.peers[p]);
             let deadline = inner.tick(p, &mut st, now);
-            for s in st.carcass.drain(..) {
-                selector.forget(poll::fd_of(&s));
-            }
             if let Some(d) = deadline {
                 horizon = horizon.min(d);
             }
@@ -1297,7 +1275,7 @@ fn reactor_loop(inner: Arc<TcpInner>, r: usize, listener: Option<TcpListener>) {
             }
         }
         let timeout = horizon.saturating_duration_since(Instant::now());
-        selector.wait(&mut fds, timeout);
+        poll::poll_fds(&mut fds, timeout);
         if inner.shutdown.load(Ordering::Acquire) {
             return;
         }
@@ -1326,9 +1304,6 @@ fn reactor_loop(inner: Arc<TcpInner>, r: usize, listener: Option<TcpListener>) {
                     if fd.writable() {
                         let mut st = plock(&inner.peers[*p]);
                         inner.on_writable(*p, &mut st, Instant::now());
-                        for s in st.carcass.drain(..) {
-                            selector.forget(poll::fd_of(&s));
-                        }
                         // Queue-path writes land bytes on the paired
                         // inbound connection just like fast-path ones;
                         // drain it now rather than waiting a poll cycle

@@ -12,7 +12,10 @@
 //! Recorded figures (they repeat to the digit, run after run — since a
 //! metrics snapshot sizes its bucket vectors before filling them; growing
 //! them by how many buckets the wall-clock `exec.epoch.wait_ns` touched
-//! made one run in six or seven count 2 more or fewer):
+//! made one run in six or seven count 2 more or fewer — and since only the
+//! step's own threads are counted: the harness's main thread books the test
+//! it has just spawned with 4 allocations of its own, and about one run in
+//! fifteen they landed inside the first bracket):
 //!
 //! * before the push buffers were recycled: **11 281** allocations for the
 //!   10 240 messages, 1.10 per message — a buffer per push, plus a mailbox
@@ -27,8 +30,8 @@
 //!   20 and 80 cycles 6 more than 40 (recycled bucket vectors still
 //!   growing to the largest bucket), where the heap counted 3 and 3.
 //!
-//! One test only: the counter is process-wide, and a second test running
-//! beside this one would be counted too.
+//! One test only: a thread born while the counter is on counts, so the
+//! threads of a second test running beside this one could be counted too.
 
 use chiaroscuro::config::ChiaroscuroConfig;
 use chiaroscuro::noise::SlotLayout;
@@ -37,18 +40,41 @@ use cs_net::{run_step_sharded, ShardedConfig, StepRun};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// The system allocator, counting calls while [`COUNTING`] is set.
+/// The system allocator, counting calls while [`COUNTING`] is set — on the
+/// step's threads only.
 struct Counted;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// Whose allocations count. The test's thread enrols itself; a pool worker
+/// is born and joined while the counter is on, so it counts from its first
+/// allocation. A thread that allocates while the counter is off — the
+/// harness's main thread, whose bookkeeping lands wherever the scheduler
+/// puts it — never counts again.
+#[derive(Clone, Copy)]
+enum Role {
+    Unseen,
+    Enrolled,
+    Outsider,
+}
+
+thread_local! {
+    static ROLE: Cell<Role> = const { Cell::new(Role::Unseen) };
+}
+
 fn count() {
-    if COUNTING.load(Ordering::Relaxed) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    }
+    let counting = COUNTING.load(Ordering::Relaxed);
+    ROLE.with(|role| match (role.get(), counting) {
+        (Role::Unseen | Role::Enrolled, true) => {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        (Role::Unseen, false) => role.set(Role::Outsider),
+        _ => {}
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
@@ -100,6 +126,7 @@ fn counted_step(cycles: usize, shards: usize, nodes: usize) -> (StepRun, u64) {
         workers: 1,
         ..ShardedConfig::default()
     };
+    ROLE.with(|role| role.set(Role::Enrolled));
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     COUNTING.store(true, Ordering::Relaxed);
     let run = run_step_sharded(&config, &LAYOUT, &contributions, &crypto, 42, &sharded, &[]);

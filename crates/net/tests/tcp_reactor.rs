@@ -1,7 +1,12 @@
 //! Reactor-specific integration tests for the TCP transport: partial-write
 //! resumption against a slow-reading peer, backpressure overflow accounting,
-//! reconnect-under-backoff determinism of the loss counters, sub-timeout
-//! `recv_timeout` wakeups, and the O(pool) resident-thread bound.
+//! reconnect-under-backoff determinism of the loss counters, reconnection to
+//! a restarted peer, sub-timeout `recv_timeout` wakeups, and the O(pool)
+//! resident-thread bound.
+
+// `TcpTuning` has a single field; the backpressure test still spells the
+// struct-update form, so adding a knob back would not touch it.
+#![allow(clippy::needless_update)]
 
 use cs_net::tcp::{FrameReassembler, PeerDirectory, TcpEndpoint, TcpTransport, TcpTuning};
 use cs_net::wire::FrameClass;
@@ -9,6 +14,7 @@ use cs_net::LinkConfig;
 use cs_obs::Registry;
 use std::io::Read;
 use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -284,6 +290,62 @@ fn reconnect_backoff_loss_counters_are_deterministic() {
     assert_eq!(m.counter("tcp.connects"), 0);
     assert_eq!(m.counter("tcp.write.retries"), 0);
     assert_eq!(m.counter("net.decrypt.dropped"), SENDS);
+}
+
+/// A peer that dies mid-stream and comes back on the same port is
+/// reconnected: the dead connection is retired and closed, a fresh one is
+/// opened to the same address, and frames reach the new transport.
+#[test]
+fn a_restarted_peer_is_reconnected() {
+    let a = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+    let b = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+    let b_addr = b.local_addr().unwrap();
+    let dir = PeerDirectory::new(vec![a.local_addr().unwrap(), b_addr]);
+    let registry = Registry::new();
+    let wire = |end: TcpEndpoint, id, registry| {
+        end.into_transport(
+            &[id],
+            dir.clone(),
+            LinkConfig::ideal(),
+            17,
+            TcpTuning::default(),
+            registry,
+        )
+    };
+    let ta = Arc::new(wire(a, 0, Some(&registry)));
+    let tb = wire(b, 1, None);
+
+    // Node 0 sends without pause for the whole test.
+    let stop = Arc::new(AtomicBool::new(false));
+    let sender = {
+        let (ta, stop) = (ta.clone(), stop.clone());
+        thread::spawn(move || {
+            let mut i = 0u8;
+            while !stop.load(Ordering::Relaxed) {
+                ta.send(0, 1, pseudo_frame(64, i), FrameClass::Gossip)
+                    .unwrap();
+                i = i.wrapping_add(1);
+                thread::sleep(Duration::from_millis(2));
+            }
+        })
+    };
+    assert!(
+        tb.recv_timeout(1, Duration::from_secs(5)).is_some(),
+        "the first incarnation must hear node 0"
+    );
+    drop(tb);
+
+    // Dropping a transport closes its listener before returning, so node 1
+    // can be rebound on the same port at once.
+    let b2 = TcpEndpoint::bind(&b_addr.to_string()).expect("rebind the dead peer's port");
+    let tb2 = wire(b2, 1, None);
+    let got = tb2.recv_timeout(1, Duration::from_secs(5));
+    stop.store(true, Ordering::Relaxed);
+    sender.join().unwrap();
+    let env = got.expect("frames must reach the restarted peer");
+    assert_eq!(env.from, 0);
+    let connects = registry.snapshot().counter("tcp.connects");
+    assert!(connects >= 2, "one connect per incarnation, got {connects}");
 }
 
 /// The acceptance bound: resident thread count at population 64 is O(pool),
