@@ -124,6 +124,30 @@ impl CryptoContext {
     }
 }
 
+/// The smallest denominator cap a lane plan may enforce on a schedule of
+/// `cycles` pushes per node over `population` nodes:
+/// `2·cycles + bits(P)`.
+///
+/// A node's own splits raise its denominator exponent by one per push,
+/// and an absorb inherits the larger exponent, so a chain of pushes
+/// cascades it further wherever pushes are not in lock-step. Measured
+/// uncapped (docs/benchmarks.md, "What the lanes carry"): the sharded
+/// executor reaches exactly `cycles`, an 8-daemon cluster ≈ 1.8·`cycles`
+/// at the median and up to 2.7× at the 99th percentile, the cycle
+/// simulator and the TCP loopback host 2–3× at the median. The floor
+/// covers the median of the asynchronous hosts with `bits(P)` to spare,
+/// and the widening in [`plan_packed_codec`] covers the tail: at the
+/// benchmark's and the tests' shapes at most ≈ 1 % of pushes meet the cap
+/// on any host.
+///
+/// One public rule of the two numbers every host knows before a step, so
+/// the cycle simulator, the sharded executor, the TCP host and every
+/// `csnoded` of a cluster plan the same lanes.
+pub fn denominator_floor(cycles: usize, population: usize) -> u32 {
+    let pop_bits = usize::BITS - population.leading_zeros();
+    (cycles as u32).saturating_mul(2).saturating_add(pop_bits)
+}
+
 /// Plans the packed lane layout for one computation step.
 ///
 /// The envelope is **public** protocol metadata only — the population
@@ -137,20 +161,23 @@ impl CryptoContext {
 /// substrate — the in-process simulator and the `cs_net` runtime —
 /// derives the identical layout from configuration alone.
 ///
-/// The denominator-exponent budget deserves a note: a node's exponent
-/// grows by one per *own* split, but `absorb` inherits the peer's
-/// exponent, so a split-absorb chain within one exchange round cascades —
-/// empirically the population maximum grows by `O(log n)` per round
-/// rather than by one. The plan asks for `⌈log₂(n+1)⌉ + 1` per exchange
-/// (roughly double
-/// the observed cascade) and, when the plaintext space cannot afford that
-/// much headroom, clamps down — never below the per-node split count plus
-/// margin, below which the run would certainly fail. Where even that floor
-/// overflows a 126-bit lane — `cycles > 117 − value_bits − bits(P+1)` — the
-/// plan is refused with the codec's typed error. A schedule that
-/// outruns the reserved headroom hits the typed
-/// [`cs_crypto::CryptoError::LaneHeadroomExceeded`] at unpack instead of
-/// silent lane wrap-around.
+/// The headroom holds a denominator exponent the protocol *enforces*: a
+/// split-absorb chain would otherwise cascade a node's exponent past its
+/// own split count with nothing to bound it, so a node at the cap keeps
+/// its mass instead of pushing ([`HePushSumNode::try_split_push`]). Two
+/// steps pick the lanes:
+///
+/// 1. **the fewest ciphertexts** — lanes as narrow as
+///    [`denominator_floor`]`(cycles, P)` allows, and so as many per
+///    ciphertext as fit;
+/// 2. **the widest lane that keeps that count** ([`PackedCodec::widened`])
+///    — every bit a ciphertext has to spare goes to the headroom, which
+///    raises the cap ([`PackedCodec::denominator_cap`]) the step enforces
+///    and leaves the decrypt-time fold more to stack into.
+///
+/// Where the floor's lane overflows 126 bits — `2·cycles + bits(P) +
+/// bits(P+1) + value_bits > 126` — the plan is refused with the codec's
+/// typed error.
 pub fn plan_packed_codec(
     config: &ChiaroscuroConfig,
     pk: &PublicKey,
@@ -163,17 +190,9 @@ pub fn plan_packed_codec(
     let noise_scale =
         config.sensitivity(layout.series_len) * config.max_iterations as f64 / config.epsilon;
     let max_abs = config.value_bound.max(1.0) + 64.0 * noise_scale;
-    let pop_bits = (usize::BITS - population.leading_zeros()).max(1);
-    let ideal = config.gossip_cycles as u32 * (pop_bits + 1) + 8;
-    let floor = config.gossip_cycles as u32 + 8;
-    let mut k = ideal;
-    loop {
-        match PackedCodec::plan(*codec, max_abs, population, k, pk.n_s()) {
-            Ok(plan) => return Ok(plan),
-            Err(e) if k <= floor => return Err(e.into()),
-            Err(_) => k -= 1,
-        }
-    }
+    let floor = denominator_floor(config.gossip_cycles, population);
+    let narrowest = PackedCodec::plan(*codec, max_abs, population, floor, pk.n_s())?;
+    Ok(narrowest.widened(layout.total(), pk.n_s()))
 }
 
 /// How one computation step's contributions become ciphertexts and its
@@ -184,7 +203,8 @@ pub fn plan_packed_codec(
 /// `csnoded` process — plans one from public inputs alone (see
 /// [`plan_packed_codec`]), so the whole population agrees on it without
 /// coordination. A schedule the lane plan cannot hold is refused here, as a
-/// typed error, before any node exists.
+/// typed error, before any node exists. The plan's denominator cap travels
+/// with it: every node built here enforces it.
 #[derive(Clone)]
 pub struct StepCipher {
     pk: Arc<PublicKey>,
@@ -193,6 +213,8 @@ pub struct StepCipher {
     /// Randomizers a node's gossip is expected to draw (0 = no pooling).
     pool_target: usize,
     codec: PackedCodec,
+    /// The denominator exponent no node of the step splits past.
+    denom_cap: u32,
     enc: Arc<FastEncryptor>,
 }
 
@@ -224,6 +246,7 @@ impl StepCipher {
             rerandomize: config.rerandomize,
             pool_target,
             codec,
+            denom_cap: codec.denominator_cap(population),
             enc: enc.clone(),
         })
     }
@@ -245,6 +268,12 @@ impl StepCipher {
         self.codec.headroom_bits() as u64
     }
 
+    /// The denominator exponent every node of the step is capped at — the
+    /// largest its lanes' headroom holds.
+    pub fn denominator_cap(&self) -> u32 {
+        self.denom_cap
+    }
+
     /// Whether [`Self::node`] can encrypt `contribution`: every value
     /// finite and inside the planned lane range. What a host asks about a
     /// contribution it did not build itself, so one out-of-range value is a
@@ -258,7 +287,8 @@ impl StepCipher {
     /// Builds one participant's push-sum node: encrypts `contribution` at
     /// weight 1, or — for a participant down at step start — holds zero
     /// weight over *unbiased* trivial zeros (the lane bias must travel
-    /// exactly with the weight mass). `pool` serves the forward
+    /// exactly with the weight mass). The node is capped at
+    /// [`Self::denominator_cap`]; `pool` serves the forward
     /// re-randomizations when given. Returns the node and the number of
     /// real encryptions performed.
     pub fn node<R: Rng + ?Sized>(
@@ -281,7 +311,8 @@ impl StepCipher {
         };
         let mut node =
             HePushSumNode::from_ciphertexts(self.pk.clone(), cipher, weight, self.rerandomize)
-                .with_encryptor(self.enc.clone());
+                .with_encryptor(self.enc.clone())
+                .with_denominator_cap(self.denom_cap);
         if let Some(pool) = pool {
             node = node.with_pool(pool);
         }
@@ -440,6 +471,10 @@ pub struct ComputationOutcome {
     pub decrypt_ops: DecryptionOps,
     /// Gossip traffic of this step.
     pub traffic: TrafficStats,
+    /// Pushes skipped because the pushing node sat at the step's
+    /// denominator cap (`gossip.pushes_capped`): it kept its mass for that
+    /// tick. 0 in simulated mode, which has no lanes.
+    pub pushes_capped: u64,
     /// Live participants when the step ended.
     pub alive_after: Vec<bool>,
     /// Population-summed per-phase time (encrypt / gossip / decrypt-share /
@@ -528,6 +563,7 @@ fn run_real(
     for n in &nodes {
         ops.merge(&n.op_counts());
     }
+    let pushes_capped = nodes.iter().map(HePushSumNode::pushes_capped).sum();
 
     // Step 2d per participant: threshold-decrypt its ciphertext vector,
     // folded to what the aggregate occupies.
@@ -579,6 +615,7 @@ fn run_real(
         ops,
         decrypt_ops,
         traffic,
+        pushes_capped,
         alive_after,
         phases,
     })
@@ -662,6 +699,7 @@ fn run_simulated(
         ops,
         decrypt_ops,
         traffic,
+        pushes_capped: 0,
         alive_after,
         phases,
     }
@@ -945,9 +983,8 @@ mod tests {
 
     #[test]
     fn lane_plan_is_feasible_on_the_default_real_config() {
-        // Regression: the ideal cascade budget exceeds the 256-bit test
-        // plaintext space at the default 30 gossip cycles — the plan must
-        // clamp the reserved headroom, not refuse the run.
+        // The demo-scale exchange budget on test-size keys plans at every
+        // population, and every plan's cap holds the floor.
         let mut rng = StdRng::seed_from_u64(31);
         let config = ChiaroscuroConfig {
             gossip_cycles: 30, // demo-scale exchange budget on test-size keys
@@ -961,30 +998,34 @@ mod tests {
             let plan = plan_packed_codec(&config, pk, codec, &layout(), population)
                 .unwrap_or_else(|e| panic!("population {population}: {e}"));
             assert!(plan.lanes() >= 1);
-            // Never below the per-node split count plus margin.
+            let floor = denominator_floor(config.gossip_cycles, population);
             assert!(
-                plan.headroom_bits() as usize > config.gossip_cycles,
-                "headroom {} cannot cover the node's own splits",
-                plan.headroom_bits()
+                plan.denominator_cap(population) >= floor,
+                "population {population}: cap {} under the floor {floor}",
+                plan.denominator_cap(population)
             );
         }
 
         // Where the plan stops. A lane holds at most 126 bits and the
-        // clamped headroom is `bits(P+1) + cycles + 9` of them, so a
-        // schedule plans while `cycles ≤ 117 − value_bits − bits(P+1)`: at
-        // the demo's 24-point series and P = 8, 77 cycles. The 78th is a
-        // typed refusal, never a lane that could wrap.
+        // floor's lane is `value_bits + bits(P+1) + 2·cycles + bits(P)` of
+        // them, so a schedule plans while `cycles ≤ (126 − value_bits −
+        // bits(P+1) − bits(P)) / 2`: at the demo's 24-point series (36
+        // value bits) and P = 8, 41 cycles. The 42nd is a typed refusal,
+        // never a lane that could wrap.
         let demo_series = SlotLayout {
             k: 2,
             series_len: 24,
         };
-        for (cycles, plans) in [(77, true), (78, false)] {
+        for (cycles, plans) in [(41, true), (42, false)] {
             let config = ChiaroscuroConfig {
                 gossip_cycles: cycles,
                 ..config.clone()
             };
             match plan_packed_codec(&config, pk, codec, &demo_series, 8) {
-                Ok(_) => assert!(plans, "{cycles} cycles planned"),
+                Ok(plan) => {
+                    assert!(plans, "{cycles} cycles planned");
+                    assert_eq!(plan.value_bits(), 36);
+                }
                 Err(ChiaroscuroError::Crypto(cs_crypto::CryptoError::InvalidParameters(_))) => {
                     assert!(!plans, "{cycles} cycles refused")
                 }

@@ -31,7 +31,10 @@ pub enum CryptoError {
     },
     /// The aggregate carry multiplier exceeds the packed lanes' headroom:
     /// lane sums could have wrapped into their neighbours, so the unpacked
-    /// values cannot be trusted.
+    /// values cannot be trusted. Unreachable on an honest run of the
+    /// protocol, whose nodes never split past the plan's
+    /// [`crate::PackedCodec::denominator_cap`]: what raises it is a plan,
+    /// an aggregate or a denominator that did not come from the protocol.
     LaneHeadroomExceeded,
     /// Key generation parameters are invalid (e.g. threshold > parties).
     InvalidParameters(&'static str),

@@ -34,24 +34,31 @@
 //!
 //! A lane must absorb the largest possible aggregate without carrying into
 //! its neighbour. With population `≤ P`, denominator exponents `≤ K`, and
-//! at most `bias_count ≤ 2` biased vectors folded together (the protocol
-//! always passes 1 — a contribution is one vector, its noise share folded
-//! in before packing — but the codec stays general):
+//! one biased vector per contribution (a contribution is one vector, its
+//! noise share folded in before packing), an aggregate's lane sum is a
+//! combination `Σ_i c_i·(x_i + bias)` whose coefficients sum to the carry
+//! multiplier `weight · 2^denom_exp ≤ P · 2^K`:
 //!
 //! ```text
-//! lane_sum < bias_count · P · 2^K · 2^value_bits ≤ 2^(1 + ⌈log₂(P+1)⌉ + K + value_bits)
+//! lane_sum < P · 2^K · 2^value_bits < 2^(⌈log₂(P+1)⌉ + K + value_bits)
 //! ```
 //!
-//! so `headroom_bits = ⌈log₂(P+1)⌉ + K + 1` suffices, and
-//! [`PackedCodec::plan`] sizes lanes that way. Saturation is never silent:
-//! packing a value that does not fit returns [`CryptoError::LaneOverflow`],
-//! and unpacking an aggregate whose carry multiplier exceeds the planned
+//! so `headroom_bits = ⌈log₂(P+1)⌉ + K` suffices, and
+//! [`PackedCodec::plan`] sizes lanes that way. `K` is a rule the protocol
+//! enforces, not a forecast: a push-sum node whose denominator exponent
+//! has reached the cap keeps its mass instead of splitting it, so no
+//! aggregate ever carries more than [`PackedCodec::denominator_cap`] — the
+//! `K` a plan's headroom affords. [`PackedCodec::widened`] spends what a
+//! ciphertext has left over on that cap: the same ciphertext count, fewer
+//! and wider lanes. Saturation is never silent all the same: packing a
+//! value that does not fit returns [`CryptoError::LaneOverflow`], and
+//! unpacking an aggregate whose carry multiplier exceeds the planned
 //! headroom returns [`CryptoError::LaneHeadroomExceeded`].
 //!
 //! ## Decrypt-time fold
 //!
-//! The headroom is planned for the worst cascade a schedule could produce;
-//! the aggregate a node actually ends with is far below it, and by how much
+//! The headroom is sized for the cap; the aggregate a node actually ends
+//! with is usually below it, and by how much
 //! is public: every lane sum is `< 2^value_bits · weight · 2^denom_exp`, a
 //! product of the plan and of push-sum metadata every push carries in
 //! clear. So before the threshold decryption — whose cost is per
@@ -109,12 +116,12 @@ impl PackedCodec {
     /// * `fp` — the per-bucket fixed-point resolution;
     /// * `max_abs_value` — public bound on any single bucket's magnitude;
     /// * `max_population` — upper bound on the aggregating population `P`;
-    /// * `max_denom_exp` — upper bound on the push-sum denominator
-    ///   exponent `K` (≥ the per-participant exchange budget);
+    /// * `max_denom_exp` — the push-sum denominator exponent `K` the
+    ///   protocol caps aggregates at;
     /// * `n_s` — the plaintext modulus the lanes must fit below.
     ///
     /// Errors with [`CryptoError::InvalidParameters`] when even a single
-    /// lane does not fit `n_s` (packing should then stay disabled).
+    /// lane does not fit `n_s`, or a lane would exceed 126 bits.
     pub fn plan(
         fp: FixedPointCodec,
         max_abs_value: f64,
@@ -136,7 +143,7 @@ impl PackedCodec {
         // bias = 2^(value_bits-1) must strictly exceed the largest encoded
         // magnitude (+1 rounding slack).
         let value_bits = bits_for(max_fixed as u128 + 1) + 2;
-        let headroom_bits = bits_for(max_population as u128 + 1) + max_denom_exp + 1;
+        let headroom_bits = bits_for(max_population as u128 + 1) + max_denom_exp;
         let lane_bits = (value_bits + headroom_bits) as usize;
         if value_bits + headroom_bits > 126 {
             return Err(CryptoError::InvalidParameters(
@@ -219,6 +226,35 @@ impl PackedCodec {
     /// Ciphertexts needed to carry `slots` buckets.
     pub fn ciphertexts_for(&self, slots: usize) -> usize {
         slots.div_ceil(self.lanes)
+    }
+
+    /// This plan at the widest lane that still carries `slots` buckets in
+    /// [`Self::ciphertexts_for`]`(slots)` ciphertexts of `n_s`: as few
+    /// lanes per ciphertext as that count needs, each as wide as the
+    /// plaintext space (and the 126-bit lane arithmetic) allows. Every bit
+    /// gained goes to the headroom, so the value range is unchanged and the
+    /// [`Self::denominator_cap`] only grows.
+    pub fn widened(&self, slots: usize, n_s: &BigUint) -> PackedCodec {
+        let ciphertexts = self.ciphertexts_for(slots);
+        if ciphertexts == 0 {
+            return *self;
+        }
+        let lanes = slots.div_ceil(ciphertexts);
+        let lane_bits = (n_s.bit_len().saturating_sub(1) / lanes).min(126) as u32;
+        PackedCodec {
+            headroom_bits: lane_bits.max(self.lane_bits()) - self.value_bits,
+            lanes,
+            ..*self
+        }
+    }
+
+    /// The largest denominator exponent an aggregate of at most
+    /// `max_population` contributions may carry under this plan: the `K`
+    /// of the headroom rule (module docs), `headroom − ⌈log₂(P+1)⌉`. What a
+    /// push-sum node must not split past.
+    pub fn denominator_cap(&self, max_population: usize) -> u32 {
+        self.headroom_bits
+            .saturating_sub(bits_for(max_population as u128 + 1))
     }
 
     /// Packs a bucket vector into plaintexts, `lanes()` buckets each (the
@@ -316,9 +352,10 @@ impl PackedCodec {
     /// * `slots` — number of real buckets (trailing padding lanes are
     ///   dropped);
     /// * `denom_exp`, `weight` — the aggregate's push-sum metadata;
-    /// * `bias_count` — how many biased vectors were folded into each lane
-    ///   (1 for a plain aggregate, which is all the protocol produces; 2
-    ///   after adding two packed aggregates lane-wise).
+    /// * `bias_count` — how many biased vectors were folded into each lane:
+    ///   1, which is all the protocol produces. The headroom rule budgets
+    ///   for one; an aggregate of two packed vectors added lane-wise
+    ///   decodes only while twice its carry multiplier still fits.
     ///
     /// Errors with [`CryptoError::LaneHeadroomExceeded`] when the carry
     /// multiplier exceeds the planned headroom — lane sums could have
@@ -445,10 +482,32 @@ mod tests {
         let c = codec();
         // |x| ≤ 16 on a 2^12 grid → 17 bits + bias + slack.
         assert!(c.value_bits() >= 18, "value bits {}", c.value_bits());
-        // population 64, denom ≤ 10, one carry bit for a two-vector fold.
-        assert!(c.headroom_bits() >= 18, "headroom {}", c.headroom_bits());
+        // population 64 (⌈log₂ 65⌉ = 7 bits) at denominators ≤ 10.
+        assert_eq!(c.headroom_bits(), 17);
+        assert_eq!(c.denominator_cap(64), 10);
         assert!(c.lanes() >= 4, "lanes {}", c.lanes());
         assert!(c.lanes() * c.lane_bits() as usize <= 255);
+    }
+
+    #[test]
+    fn widening_keeps_the_ciphertext_count_and_grows_the_cap() {
+        let c = codec();
+        for slots in [1usize, 7, 12, 13, 50] {
+            let w = c.widened(slots, &modulus_256());
+            assert_eq!(
+                w.ciphertexts_for(slots),
+                c.ciphertexts_for(slots),
+                "{slots}"
+            );
+            assert_eq!(w.value_bits(), c.value_bits());
+            assert!(w.lanes() <= c.lanes() && w.lanes() <= slots.max(1));
+            assert!(w.lanes() * w.lane_bits() as usize <= 255);
+            assert!(w.lane_bits() <= 126);
+            assert!(w.denominator_cap(64) >= c.denominator_cap(64));
+        }
+        // One bucket has the plaintext to itself, up to the 126-bit lane.
+        let one = c.widened(1, &modulus_256());
+        assert_eq!((one.lanes(), one.lane_bits()), (1, 126));
     }
 
     #[test]
@@ -513,7 +572,7 @@ mod tests {
         // Carry multiplier far beyond the planned population × 2^denom.
         let budget = 1u32 << 20;
         let err = c
-            .unpack_aggregate(&pts, 1, budget.trailing_zeros() + 20, 1e6, 2)
+            .unpack_aggregate(&pts, 1, budget.trailing_zeros() + 20, 1e6, 1)
             .unwrap_err();
         assert_eq!(err, CryptoError::LaneHeadroomExceeded);
     }
@@ -526,7 +585,7 @@ mod tests {
         let c = codec();
         let pts = c.pack(&[1.0]).unwrap();
         for denom in [130u32, 500, 1023, u32::MAX] {
-            let err = c.unpack_integers(&pts, 1, denom, 1.0, 2).unwrap_err();
+            let err = c.unpack_integers(&pts, 1, denom, 1.0, 1).unwrap_err();
             assert!(
                 matches!(
                     err,

@@ -6,10 +6,11 @@
 //! aggregation — for random bucket counts, populations, denominator
 //! schedules, and signed values. Both pipelines compute the same integer
 //! `Σ_i c_i · (x_i + y_i)` per bucket (`c_i = 2^(K − k_i)` the push-sum
-//! alignment coefficients, `y_i` a second vector packed on its own and
-//! folded in under encryption — `bias_count = 2`, the codec's general case;
-//! the protocol folds its noise shares in cleartext and only ever unpacks
-//! with 1), so the comparison is `assert_eq!` on `i128`, not an epsilon.
+//! alignment coefficients, `y_i` a noise share folded onto the data in
+//! cleartext before packing, as the protocol does), so every lane holds one
+//! biased vector per contribution — `bias_count = 1`, the only count the
+//! headroom rule budgets for — and the comparison is `assert_eq!` on
+//! `i128`, not an epsilon.
 //!
 //! Lane-carry saturation is a *typed* failure: boundary tests pin down that
 //! packing a too-large value returns [`CryptoError::LaneOverflow`] and that
@@ -87,10 +88,15 @@ impl Schedule {
     }
 }
 
-/// Runs the packed pipeline: pack data+noise per participant, encrypt with
-/// the fixed-base encryptor, align + sum homomorphically, fold noise onto
-/// data under encryption, threshold-decrypt, unpack. Returns per-bucket
-/// integers.
+/// One participant's contribution: its data with its noise share folded
+/// in, bucket by bucket.
+fn contribution(data: &[f64], noise: &[f64]) -> Vec<f64> {
+    data.iter().zip(noise).map(|(d, n)| d + n).collect()
+}
+
+/// Runs the packed pipeline: pack each participant's contribution, encrypt
+/// with the fixed-base encryptor, align + sum homomorphically,
+/// threshold-decrypt, unpack. Returns per-bucket integers.
 fn packed_pipeline(
     codec: &PackedCodec,
     data: &[Vec<f64>],
@@ -101,25 +107,16 @@ fn packed_pipeline(
     let pk = tkp().public();
     let enc = fast_enc();
     let buckets = data[0].len();
-    let cts = codec.ciphertexts_for(buckets);
-    let mut acc_data = vec![pk.trivial_zero(); cts];
-    let mut acc_noise = vec![pk.trivial_zero(); cts];
+    let mut acc = vec![pk.trivial_zero(); codec.ciphertexts_for(buckets)];
     for (i, (d, n)) in data.iter().zip(noise).enumerate() {
         let shift = sched.max_k - sched.ks[i];
-        for (acc, values) in [(&mut acc_data, d), (&mut acc_noise, n)] {
-            for (j, pt) in codec.pack(values)?.iter().enumerate() {
-                let mut c = enc.encrypt(pt, rng);
-                c = pk.scalar_mul_pow2(&c, shift);
-                acc[j] = pk.add(&acc[j], &c);
-            }
+        for (j, pt) in codec.pack(&contribution(d, n))?.iter().enumerate() {
+            let c = pk.scalar_mul_pow2(&enc.encrypt(pt, rng), shift);
+            acc[j] = pk.add(&acc[j], &c);
         }
     }
-    let raws: Vec<BigUint> = acc_data
-        .iter()
-        .zip(&acc_noise)
-        .map(|(d, n)| threshold_decrypt(&pk.add(d, n)))
-        .collect();
-    codec.unpack_integers(&raws, buckets, sched.max_k, sched.weight(), 2)
+    let raws: Vec<BigUint> = acc.iter().map(threshold_decrypt).collect();
+    codec.unpack_integers(&raws, buckets, sched.max_k, sched.weight(), 1)
 }
 
 /// Runs the reference unpacked pipeline bucket by bucket with the plain
@@ -139,12 +136,10 @@ fn unpacked_pipeline(
         let mut acc = pk.trivial_zero();
         for (i, (d, n)) in data.iter().zip(noise).enumerate() {
             let shift = sched.max_k - sched.ks[i];
-            for v in [d[b], n[b]] {
-                let m = fp.encode(v, n_s).expect("value fits the residue space");
-                let mut c = pk.encrypt(&m, rng);
-                c = pk.scalar_mul_pow2(&c, shift);
-                acc = pk.add(&acc, &c);
-            }
+            let v = contribution(d, n)[b];
+            let m = fp.encode(v, n_s).expect("value fits the residue space");
+            let c = pk.scalar_mul_pow2(&pk.encrypt(&m, rng), shift);
+            acc = pk.add(&acc, &c);
         }
         let raw = threshold_decrypt(&acc);
         out.push(
@@ -271,11 +266,6 @@ fn aggregate_beyond_headroom_is_typed_not_wrapped() {
     );
     assert_eq!(
         c.unpack_integers(&pts, 1, 4, 1.0, 1).unwrap_err(),
-        CryptoError::LaneHeadroomExceeded
-    );
-    // A two-vector fold doubles the bias mass: budget halves.
-    assert_eq!(
-        c.unpack_integers(&pts, 1, 3, 1.0, 2).unwrap_err(),
         CryptoError::LaneHeadroomExceeded
     );
 }

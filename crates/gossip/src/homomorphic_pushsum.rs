@@ -16,10 +16,17 @@
 //! * the cleartext weight is protocol metadata, not private data — exactly
 //!   the weight any push-sum implementation must reveal to its peer.
 //!
-//! Plaintext magnitudes grow by at most `2^cycles`, absorbed by the huge
-//! plaintext space `Z_{n^s}`. Estimates converge to the same ratio as
-//! plaintext push-sum, but nobody can read them until the collaborative
-//! threshold decryption at the end of the computation step.
+//! Plaintext magnitudes grow by `2^k`, and an absorb inherits the larger
+//! `k`, so a chain of splits and absorbs cascades it past any one node's
+//! own split count. A node may therefore carry a **denominator cap**
+//! ([`HePushSumNode::with_denominator_cap`]): at the cap it keeps its mass
+//! instead of splitting it ([`HePushSumNode::try_split_push`] returns
+//! `None` and counts the skipped push), so no node — and no push — ever
+//! carries a `k` above the cap, and mass is conserved by construction. The
+//! packed lane plan sizes its headroom for exactly that cap. Estimates
+//! converge to the same ratio as plaintext push-sum, but nobody can read
+//! them until the collaborative threshold decryption at the end of the
+//! computation step.
 
 use crate::network::{CycleProtocol, ExchangeCtx};
 use cs_crypto::{
@@ -89,6 +96,10 @@ pub struct HePushSumNode {
     pool: Option<RandomizerPool>,
     cipher: Vec<Ciphertext>,
     denom_exp: u32,
+    /// The denominator exponent this node never splits past.
+    denom_cap: u32,
+    /// Pushes skipped because the node sat at its cap.
+    pushes_capped: u64,
     weight: f64,
     rerandomize: bool,
     ops: HomomorphicOpCounts,
@@ -121,6 +132,8 @@ impl HePushSumNode {
             pool: None,
             cipher,
             denom_exp: 0,
+            denom_cap: u32::MAX,
+            pushes_capped: 0,
             weight,
             rerandomize,
             ops,
@@ -142,6 +155,8 @@ impl HePushSumNode {
             pool: None,
             cipher,
             denom_exp: 0,
+            denom_cap: u32::MAX,
+            pushes_capped: 0,
             weight,
             rerandomize,
             ops: HomomorphicOpCounts::default(),
@@ -152,6 +167,14 @@ impl HePushSumNode {
     /// take the precomputed-window path instead of a full exponentiation.
     pub fn with_encryptor(mut self, enc: Arc<FastEncryptor>) -> Self {
         self.enc = Some(enc);
+        self
+    }
+
+    /// Caps the denominator exponent: once it reaches `cap`, the node keeps
+    /// its mass ([`Self::try_split_push`]). Without a cap (the default) a
+    /// node splits forever.
+    pub fn with_denominator_cap(mut self, cap: u32) -> Self {
+        self.denom_cap = cap;
         self
     }
 
@@ -184,6 +207,17 @@ impl HePushSumNode {
     /// The push-sum weight.
     pub fn weight(&self) -> f64 {
         self.weight
+    }
+
+    /// The denominator exponent this node never splits past.
+    pub fn denominator_cap(&self) -> u32 {
+        self.denom_cap
+    }
+
+    /// Pushes [`Self::try_split_push`] skipped because the node sat at its
+    /// cap.
+    pub fn pushes_capped(&self) -> u64 {
+        self.pushes_capped
     }
 
     /// Homomorphic operation counters accumulated by this node.
@@ -229,10 +263,24 @@ impl HePushSumNode {
         self.cipher.len() * self.pk.ciphertext_bytes() + 4 + 8
     }
 
-    /// First half of one push exchange: halves the local mass (increment the
-    /// denominator exponent, halve the weight — ciphertexts untouched) and
-    /// returns the shed half as a wire-ready payload, re-randomized when the
-    /// node is configured to do so.
+    /// First half of one push exchange, under the cap: `None` — the node
+    /// keeps all of its mass and counts the skipped push — when its
+    /// denominator exponent has reached [`Self::denominator_cap`], else
+    /// [`Self::split_push`]. What the protocol calls: a push never carries
+    /// a denominator above the cap, and an absorb takes the larger of two
+    /// denominators at or under it, so no node ever exceeds it.
+    pub fn try_split_push<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<HePush> {
+        if self.denom_exp >= self.denom_cap {
+            self.pushes_capped += 1;
+            return None;
+        }
+        Some(self.split_push(rng))
+    }
+
+    /// First half of one push exchange, regardless of the cap: halves the
+    /// local mass (increment the denominator exponent, halve the weight —
+    /// ciphertexts untouched) and returns the shed half as a wire-ready
+    /// payload, re-randomized when the node is configured to do so.
     pub fn split_push<R: Rng + ?Sized>(&mut self, rng: &mut R) -> HePush {
         self.denom_exp += 1;
         self.weight *= 0.5;
@@ -299,6 +347,7 @@ impl std::fmt::Debug for HePushSumNode {
         f.debug_struct("HePushSumNode")
             .field("slots", &self.cipher.len())
             .field("denom_exp", &self.denom_exp)
+            .field("denom_cap", &self.denom_cap)
             .field("weight", &self.weight)
             .finish()
     }
@@ -309,10 +358,12 @@ impl CycleProtocol for HePushSumNode {
         debug_assert_eq!(self.dim(), peer.dim(), "dimension mismatch");
         // The shared-memory exchange is the message-passing one with a
         // perfect link: split (re-randomizing so the wire ciphertext cannot
-        // be linked to this node's stored one), deliver, absorb.
-        let push = self.split_push(ctx.rng);
-        peer.absorb(&push);
-        ctx.record_message(self.message_bytes());
+        // be linked to this node's stored one), deliver, absorb. A node at
+        // its cap sends nothing this cycle.
+        if let Some(push) = self.try_split_push(ctx.rng) {
+            peer.absorb(&push);
+            ctx.record_message(self.message_bytes());
+        }
     }
 }
 
@@ -492,6 +543,39 @@ mod tests {
             .map(|n| n.decrypt_mass(kp.private(), &codec)[0])
             .sum();
         assert!((after - before.iter().sum::<f64>()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_node_at_its_cap_keeps_its_mass_and_counts_the_push() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let (_pk, kp, codec, nodes) = setup(2, 17);
+        let mut nodes: Vec<HePushSumNode> = nodes
+            .into_iter()
+            .map(|n| n.with_denominator_cap(2))
+            .collect();
+        let mut sent = 0;
+        for _ in 0..5 {
+            if let Some(push) = nodes[0].try_split_push(&mut rng) {
+                nodes[1].absorb(&push);
+                sent += 1;
+            }
+        }
+        assert_eq!((sent, nodes[0].pushes_capped()), (2, 3));
+        assert_eq!(nodes[0].denominator_exp(), 2);
+        assert_eq!(nodes[0].weight(), 0.25);
+        // Slot 0 started at 0 on node 0 and 1 on node 1: its total stays 1.
+        let mass: f64 = nodes
+            .iter()
+            .map(|n| n.decrypt_mass(kp.private(), &codec)[0])
+            .sum();
+        assert!((mass - 1.0).abs() < 1e-9, "mass {mass}");
+        // Node 1 absorbed denominator 2, so both sit at the cap: a cycle of
+        // the simulator sends nothing and counts two capped pushes.
+        let mut net = Network::new(nodes, Overlay::Full, FailureModel::none(), 18);
+        net.run_cycle();
+        assert_eq!(net.traffic().messages, 0);
+        let capped: u64 = net.nodes().iter().map(|n| n.pushes_capped()).sum();
+        assert_eq!(capped, 3 + 2);
     }
 
     #[test]

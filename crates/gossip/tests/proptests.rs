@@ -2,10 +2,16 @@
 //! invariants must hold for arbitrary populations, values, seeds, and
 //! failure settings.
 
+use cs_bigint::BigUint;
+use cs_crypto::{CryptoError, FixedPointCodec, KeyGenOptions, KeyPair, PackedCodec};
 use cs_gossip::epidemic::{coverage, EpidemicNode, Versioned};
+use cs_gossip::homomorphic_pushsum::{HePush, HePushSumNode};
 use cs_gossip::pushsum::{max_relative_error, PushSumNode};
 use cs_gossip::{FailureModel, Network, Overlay};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::{Arc, OnceLock};
 
 fn network_from(values: &[f64], seed: u64, failure: FailureModel) -> Network<PushSumNode> {
     let nodes: Vec<PushSumNode> = values
@@ -140,5 +146,124 @@ proptest! {
         net_b.run_cycles(35);
         prop_assert!(max_relative_error(net_a.nodes(), &[truth]) < 1e-3);
         prop_assert!(max_relative_error(net_b.nodes(), &[truth]) < 1e-3);
+    }
+}
+
+/// One 256-bit key pair for the encrypted cases (keygen dominates).
+fn keys() -> &'static KeyPair {
+    static KEYS: OnceLock<KeyPair> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(0xCA9_0001);
+        KeyPair::generate(&KeyGenOptions::insecure_test_size(), &mut rng)
+    })
+}
+
+/// What a requester decodes at push-sum state `(denom, weight)`: its
+/// plaintexts stacked by the codec's decrypt-time fold, then unfolded.
+fn unfold(
+    codec: &PackedCodec,
+    plaintexts: &[BigUint],
+    slots: usize,
+    denom: u32,
+    weight: f64,
+) -> Result<Vec<i128>, CryptoError> {
+    let fold = codec.fold(denom, weight);
+    let folded: Vec<BigUint> = plaintexts
+        .chunks(fold.group)
+        .map(|run| {
+            run.iter()
+                .enumerate()
+                .fold(BigUint::zero(), |acc, (m, pt)| {
+                    &acc + &(pt << (m * fold.unit_bits as usize))
+                })
+        })
+        .collect();
+    codec.unfold_integers(&folded, slots, denom, weight)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The denominator cap under any schedule: random splits (each to a
+    /// random peer), deliveries in any order, crashes and rejoins. A split
+    /// at the cap is skipped — the node keeps its mass — so no node ever
+    /// carries an exponent past the cap, every contribution's integer mass
+    /// is conserved exactly, and every node's aggregate decodes inside the
+    /// lane plan sized for the cap: never `LaneHeadroomExceeded`.
+    #[test]
+    fn the_denominator_cap_holds_and_conserves_mass(
+        population in 2usize..7,
+        cap_floor in 1u32..7,
+        slots in 1usize..7,
+        values in proptest::collection::vec(-16.0f64..16.0, 42),
+        ops in proptest::collection::vec((0u8..6, 0usize..64, 0usize..64), 0..120),
+        seed in any::<u64>(),
+    ) {
+        let kp = keys();
+        let pk = Arc::new(kp.public().clone());
+        let fp = FixedPointCodec::new(8);
+        let codec = PackedCodec::plan(fp, 16.0, population, cap_floor, pk.n_s()).unwrap();
+        let cap = codec.denominator_cap(population);
+        prop_assert_eq!(cap, cap_floor);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let contributions: Vec<&[f64]> = values.chunks(slots).take(population).collect();
+        let mut nodes: Vec<HePushSumNode> = contributions
+            .iter()
+            .map(|v| {
+                let cipher = codec.pack(v).unwrap().iter().map(|m| pk.encrypt(m, &mut rng)).collect();
+                HePushSumNode::from_ciphertexts(pk.clone(), cipher, 1.0, false)
+                    .with_denominator_cap(cap)
+            })
+            .collect();
+        let mut alive = vec![true; population];
+        let mut in_flight: Vec<(usize, HePush)> = Vec::new();
+        let mut skipped = 0u64;
+        for (kind, a, b) in ops {
+            let (i, j) = (a % population, b % population);
+            match kind {
+                0 | 1 if alive[i] && i != j => match nodes[i].try_split_push(&mut rng) {
+                    Some(push) => {
+                        prop_assert!(push.denom_exp <= cap);
+                        in_flight.push((j, push));
+                    }
+                    None => skipped += 1,
+                },
+                2 | 3 if !in_flight.is_empty() => {
+                    let at = b % in_flight.len();
+                    let to = in_flight[at].0;
+                    if alive[to] {
+                        let (_, push) = in_flight.swap_remove(at);
+                        nodes[to].absorb(&push);
+                    }
+                }
+                4 => alive[i] = false,
+                5 => alive[i] = true,
+                _ => {}
+            }
+            prop_assert!(nodes.iter().all(|n| n.denominator_exp() <= cap));
+        }
+        // Everyone comes back and every push lands.
+        for (to, push) in in_flight.drain(..) {
+            nodes[to].absorb(&push);
+        }
+        let capped: u64 = nodes.iter().map(HePushSumNode::pushes_capped).sum();
+        prop_assert_eq!(capped, skipped);
+        prop_assert_eq!(nodes.iter().map(|n| n.weight()).sum::<f64>(), population as f64);
+
+        // Σ_i ints_i · 2^(cap − k_i) = 2^cap · Σ contributions, per bucket.
+        let mut mass = vec![0i128; slots];
+        for node in &nodes {
+            prop_assert!(node.denominator_exp() <= cap);
+            let plaintexts: Vec<_> = node.ciphertexts().iter().map(|c| kp.private().decrypt(c)).collect();
+            let ints = unfold(&codec, &plaintexts, slots, node.denominator_exp(), node.weight());
+            prop_assert!(ints.is_ok(), "{:?} at {:?}", ints, node);
+            for (m, v) in mass.iter_mut().zip(ints.unwrap()) {
+                *m += v << (cap - node.denominator_exp());
+            }
+        }
+        for (s, m) in mass.iter().enumerate() {
+            let fixed: i128 = contributions.iter().map(|v| (v[s] * fp.scale()).round() as i128).sum();
+            prop_assert_eq!(*m, fixed << cap, "bucket {}", s);
+        }
     }
 }

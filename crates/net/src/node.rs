@@ -16,7 +16,9 @@
 //! with its noise share already folded in, so there is no 2c to run):
 //!
 //! 1. **Gossip** — every pacing tick, split the local mass and push it to a
-//!    uniformly-sampled live peer, until the push quota is exhausted;
+//!    uniformly-sampled live peer, until the push quota is exhausted (a
+//!    real-crypto node at the step's denominator cap keeps its mass for
+//!    that tick instead: `StepCipher::denominator_cap`);
 //!    incoming pushes are absorbed in any phase (they keep mixing mass even
 //!    after this node snapshots its own estimate — the ratio estimate is
 //!    unaffected because value and weight travel together).
@@ -75,6 +77,9 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Mixed into [`NodeParams::seed`] to seed a node's crypto stream.
+const CRYPTO_STREAM: u64 = 0xC0DE_C0DE_5EED_0001;
 
 /// One outbound message with the trace context that causally links it to
 /// whatever triggered it ([`TraceContext::NONE`] on untraced nodes).
@@ -146,7 +151,8 @@ pub struct NodeParams {
     /// Nodes holding key shares, in share order (node `committee[j]` holds
     /// share `j`).
     pub committee: Vec<NodeId>,
-    /// Per-node RNG seed (peer sampling, encryption randomness).
+    /// Per-node RNG seed: peer sampling, and — on a stream of its own,
+    /// forked from it — the node's encryption and re-randomization draws.
     pub seed: u64,
     /// Fault injection (tests and chaos drills only): corrupt every
     /// partial decryption this node produces — both the shares it serves
@@ -261,6 +267,11 @@ pub struct NodeReport {
     pub decrypt_ops: DecryptionOps,
     /// Pushes this node actually initiated.
     pub pushes_sent: usize,
+    /// Pacing ticks of the push quota on which this node sat at the step's
+    /// denominator cap and kept its mass instead of pushing
+    /// (`gossip.pushes_capped`). `pushes_sent + pushes_capped` is the quota
+    /// unless the gossip was cut short.
+    pub pushes_capped: u64,
     /// `true` if the gossip phase ended early because no live peer was
     /// reachable (the push quota went unmet).
     pub gossip_cut_short: bool,
@@ -303,6 +314,7 @@ impl NodeReport {
             ops: HomomorphicOpCounts::default(),
             decrypt_ops: DecryptionOps::default(),
             pushes_sent: 0,
+            pushes_capped: 0,
             gossip_cut_short: false,
             peer_failures: 0,
             bad_frames: 0,
@@ -321,7 +333,12 @@ pub struct ProtocolNode {
     /// absorbed push arrived in, which the next split fills instead of
     /// allocating. Never read by the protocol.
     spare: Option<Vec<f64>>,
+    /// Peer sampling. Nothing else draws from it, so whom a node gossips
+    /// with does not depend on how many ciphertexts its lane plan gives it.
     rng: StdRng,
+    /// The node's crypto draws: contribution encryption, and the
+    /// randomizers of forwards its pool cannot serve.
+    crypto_rng: StdRng,
     /// Population view as its sparse complement: ids currently believed
     /// dead. The dense `Vec<bool>` this replaces cost O(population) *per
     /// node* — quadratic memory across a sharded run, and the dominant
@@ -374,7 +391,8 @@ impl ProtocolNode {
             contribution.is_none_or(|v| v.len() == layout.total()),
             "contribution length"
         );
-        let mut rng = StdRng::seed_from_u64(params.seed);
+        let rng = StdRng::seed_from_u64(params.seed);
+        let mut crypto_rng = StdRng::seed_from_u64(params.seed ^ CRYPTO_STREAM);
         let mut ops = HomomorphicOpCounts::default();
         let mut profile = PhaseProfile::default();
         let encrypt_started = Instant::now();
@@ -383,7 +401,7 @@ impl ProtocolNode {
             // state, not shared crypto configuration.
             NodeCrypto::Real { cipher, pool, .. } => {
                 let (he, encryptions) = cipher
-                    .node(contribution, pool.take(), &mut rng)
+                    .node(contribution, pool.take(), &mut crypto_rng)
                     .expect("the host checked that the cipher admits the contribution");
                 ops.encryptions += encryptions;
                 Aggregator::Encrypted(he)
@@ -405,6 +423,7 @@ impl ProtocolNode {
             agg,
             spare: None,
             rng,
+            crypto_rng,
             dead_view: BTreeSet::new(),
             phase: Phase::Gossip,
             pushes_sent: 0,
@@ -475,36 +494,38 @@ impl ProtocolNode {
         if let Some(t) = &mut self.tracer {
             t.local_root();
         }
-        if self.pushes_sent < self.params.pushes {
+        if self.quota_used() < self.params.pushes {
             match self.sample_peer() {
                 Some(peer) => {
-                    let msg = match &mut self.agg {
-                        Aggregator::Encrypted(he) => {
-                            let HePush {
-                                slots,
-                                denom_exp,
-                                weight,
-                            } = he.split_push(&mut self.rng);
-                            Message::PackedPush {
-                                iteration: self.params.iteration,
-                                denom_exp,
-                                weight,
-                                buckets: self.layout.total() as u32,
-                                slots,
+                    let msg =
+                        match &mut self.agg {
+                            // At the denominator cap the node keeps its mass:
+                            // the tick is spent, nothing is sent. The peer was
+                            // sampled all the same, so the schedule of every
+                            // later push is the one an uncapped node would run.
+                            Aggregator::Encrypted(he) => he
+                                .try_split_push(&mut self.crypto_rng)
+                                .map(|push| Message::PackedPush {
+                                    iteration: self.params.iteration,
+                                    denom_exp: push.denom_exp,
+                                    weight: push.weight,
+                                    buckets: self.layout.total() as u32,
+                                    slots: push.slots,
+                                }),
+                            Aggregator::Plain(ps) => {
+                                let buf = self.spare.take().unwrap_or_default();
+                                let PlainPush { values, weight } = ps.split_push_into(buf);
+                                Some(Message::PlainPush {
+                                    iteration: self.params.iteration,
+                                    weight,
+                                    slots: values,
+                                })
                             }
-                        }
-                        Aggregator::Plain(ps) => {
-                            let buf = self.spare.take().unwrap_or_default();
-                            let PlainPush { values, weight } = ps.split_push_into(buf);
-                            Message::PlainPush {
-                                iteration: self.params.iteration,
-                                weight,
-                                slots: values,
-                            }
-                        }
-                    };
-                    self.emit(peer, msg, out);
-                    self.pushes_sent += 1;
+                        };
+                    if let Some(msg) = msg {
+                        self.emit(peer, msg, out);
+                        self.pushes_sent += 1;
+                    }
                 }
                 None => {
                     // Nobody left to gossip with: the remaining quota is
@@ -516,8 +537,21 @@ impl ProtocolNode {
                 }
             }
         }
-        if self.pushes_sent >= self.params.pushes || self.gossip_cut_short {
+        if self.quota_used() >= self.params.pushes || self.gossip_cut_short {
             self.start_decrypt(out);
+        }
+    }
+
+    /// Ticks of the push quota spent: pushes sent plus pushes skipped at
+    /// the denominator cap.
+    fn quota_used(&self) -> usize {
+        self.pushes_sent + self.pushes_capped() as usize
+    }
+
+    fn pushes_capped(&self) -> u64 {
+        match &self.agg {
+            Aggregator::Encrypted(he) => he.pushes_capped(),
+            Aggregator::Plain(_) => 0,
         }
     }
 
@@ -702,6 +736,7 @@ impl ProtocolNode {
             }
             Aggregator::Plain(_) => self.ops,
         };
+        let pushes_capped = self.pushes_capped();
         let lane_headroom_bits = match &self.crypto {
             NodeCrypto::Real { cipher, .. } => Some(cipher.lane_headroom_bits()),
             NodeCrypto::Plain => None,
@@ -714,6 +749,7 @@ impl ProtocolNode {
             ops,
             decrypt_ops: self.decrypt_ops,
             pushes_sent: self.pushes_sent,
+            pushes_capped,
             gossip_cut_short: self.gossip_cut_short,
             peer_failures: 0,
             bad_frames: self.bad_frames,
@@ -906,9 +942,11 @@ impl ProtocolNode {
     /// Folds an incoming push into the local mass — in any phase: pushes
     /// keep mixing after this node snapshots its own estimate. The one
     /// check every push variant goes through: a push in another dialect
-    /// than this node's (cleartext into ciphertexts or the reverse), or
-    /// of another width or bucket count (the lane bias accounting would not
-    /// survive it), is a bad frame, counted once and dropped.
+    /// than this node's (cleartext into ciphertexts or the reverse), of
+    /// another width or bucket count (the lane bias accounting would not
+    /// survive it), or with a denominator past the step's cap (the lanes
+    /// would not hold the aggregate) is a bad frame, counted once and
+    /// dropped.
     fn absorb(&mut self, iteration: u64, inbound: Inbound) {
         if iteration != self.params.iteration {
             return;
@@ -916,7 +954,9 @@ impl ProtocolNode {
         let buckets_here = self.layout.total() as u32;
         match (&mut self.agg, inbound) {
             (Aggregator::Encrypted(he), Inbound::Ciphertexts(buckets, push))
-                if buckets == buckets_here && push.slots.len() == he.dim() =>
+                if buckets == buckets_here
+                    && push.slots.len() == he.dim()
+                    && push.denom_exp <= he.denominator_cap() =>
             {
                 he.absorb(&push);
             }

@@ -117,10 +117,12 @@ pub fn assemble_outcome(
     let mut ops = HomomorphicOpCounts::default();
     let mut decrypt_ops = DecryptionOps::default();
     let mut phases = cs_obs::PhaseProfile::default();
+    let mut pushes_capped = 0;
     for r in reports {
         ops.merge(&r.ops);
         decrypt_ops.merge(&r.decrypt_ops);
         phases = phases.plus(&r.profile);
+        pushes_capped += r.pushes_capped;
     }
     decrypt_ops.messages += snapshot.decrypt.messages;
     decrypt_ops.bytes += snapshot.decrypt.bytes;
@@ -136,6 +138,7 @@ pub fn assemble_outcome(
         ops,
         decrypt_ops,
         traffic,
+        pushes_capped,
         alive_after,
         phases,
     }
@@ -225,7 +228,9 @@ impl StepRun {
     /// The tail both in-process step runners share once their nodes have
     /// reported — `nodes` holds each node's report, whether it ended the
     /// step alive, and its trace when tracing was on. Puts them in id
-    /// order, distills the audit evidence from a pre-audit metrics reading,
+    /// order, counts the pushes skipped at the denominator cap
+    /// (`gossip.pushes_capped`), distills the audit evidence from a
+    /// pre-audit metrics reading,
     /// runs the monitors (minting `obs.alert.<kind>` counters into
     /// `registry`), then takes the final metrics snapshot so the step's
     /// metrics include the verdict.
@@ -246,12 +251,16 @@ impl StepRun {
             alive_after.push(alive);
             traces.extend(trace);
         }
+        let outcome = assemble_outcome(&reports, alive_after, &snapshot);
+        registry
+            .counter("gossip.pushes_capped")
+            .add(outcome.pushes_capped);
         let pre_audit = registry.snapshot();
         let evidence =
             crate::audit::StepEvidence::distill(step_seed, &reports, &snapshot, &pre_audit);
         let alerts = crate::audit::audit_step(audit, &evidence, registry, None, None);
         StepRun {
-            outcome: assemble_outcome(&reports, alive_after, &snapshot),
+            outcome,
             reports,
             snapshot,
             metrics: registry.snapshot(),

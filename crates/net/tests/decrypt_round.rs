@@ -19,9 +19,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::OnceLock;
 
+/// 16 slots: under the fixtures' envelope, 4 ciphertexts of 4 lanes — a
+/// width off the fold grid exists (3), and a fresh snapshot folds in two.
 const LAYOUT: SlotLayout = SlotLayout {
     k: 2,
-    series_len: 3,
+    series_len: 7,
 };
 const ITERATION: u64 = 7;
 
@@ -41,6 +43,8 @@ fn context(params: ThresholdParams) -> &'static Fixture {
         let config = ChiaroscuroConfig {
             threshold: params,
             rerandomize: false,
+            // Noise far below the value bound: 26-bit lane values.
+            epsilon: 1e5,
             ..ChiaroscuroConfig::test_real()
         };
         let crypto = CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(5)).unwrap();
@@ -391,6 +395,33 @@ fn a_push_in_another_dialect_is_one_counted_bad_frame() {
             let absorbed = sender == receiver && sender != Dialect::Plain;
             assert_eq!(report.ops.additions > 0, absorbed);
         }
+    }
+}
+
+/// A push whose denominator is past the step's cap — no honest node sends
+/// one, and the lanes would not hold the aggregate — is one bad frame,
+/// counted and not absorbed; one at the cap is absorbed.
+#[test]
+fn a_push_past_the_denominator_cap_is_one_counted_bad_frame() {
+    let ctx = context(ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    });
+    let cap = cipher(ctx).denominator_cap();
+    let values = contribution(&[1.0, -0.5]);
+    let mut out = Vec::new();
+    build(ctx, Dialect::Encrypted, 3, 1, &values, 61).tick(&mut out);
+    for (denom, bad) in [(cap, 0), (cap + 1, 1)] {
+        let mut push = out[0].1.clone();
+        let Message::PackedPush { denom_exp, .. } = &mut push else {
+            panic!("an encrypting node pushes ciphertexts");
+        };
+        *denom_exp = denom;
+        let mut node = build(ctx, Dialect::Encrypted, 4, 1, &values, 62);
+        node.handle(3, push, TraceContext::NONE, &mut Vec::new());
+        let report = node.into_report();
+        assert_eq!(report.bad_frames, bad, "denominator {denom}, cap {cap}");
+        assert_eq!(report.ops.additions > 0, bad == 0);
     }
 }
 

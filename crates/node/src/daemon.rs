@@ -463,9 +463,13 @@ fn serve_steps(
                     rx,
                     control,
                 )?;
-                // Fold the step's phase profile into the registry *before*
-                // snapshotting, so `phase.<name>.ns` counters ride the same
-                // delta discipline as the transport counters.
+                // Fold the step's phase profile and capped pushes into the
+                // registry *before* snapshotting, so `phase.<name>.ns` and
+                // `gossip.pushes_capped` ride the same delta discipline as
+                // the transport counters.
+                registry
+                    .counter("gossip.pushes_capped")
+                    .add(report.pushes_capped);
                 for phase in cs_obs::StepPhase::ALL {
                     let ns = report.profile.get(phase);
                     if ns > 0 {
@@ -912,7 +916,7 @@ mod tests {
 
     /// The lane plan's limit, on every host. Nothing but a longer schedule
     /// than a packed lane can carry separates these runs from a good one:
-    /// 78 gossip cycles of the demo's 24-point series at `test_real`, eight
+    /// 42 gossip cycles of the demo's 24-point series at `test_real`, eight
     /// nodes, one past where the plan stops
     /// (`lane_plan_is_feasible_on_the_default_real_config`). Each host
     /// refuses it with the typed error from the plan — before a worker or
@@ -924,7 +928,7 @@ mod tests {
         use chiaroscuro::ChiaroscuroError;
         let config = ChiaroscuroConfig {
             k: 2,
-            gossip_cycles: 78,
+            gossip_cycles: 42,
             ..ChiaroscuroConfig::test_real()
         };
         let layout = SlotLayout {

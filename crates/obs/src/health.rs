@@ -457,7 +457,11 @@ impl InvariantMonitor for ShareCount {
     }
 }
 
-/// Packed-lane carry headroom watermark.
+/// Packed-lane carry headroom watermark. An honest run cannot trip it: a
+/// lane plan reserves `bits(P+1)` bits plus a denominator cap of at least
+/// `2·cycles + bits(P)`, and every node enforces that cap (it keeps its
+/// mass rather than split past it), so no aggregate outruns its lanes. An
+/// alert means a plan that did not come from the protocol's planner.
 #[derive(Clone, Copy, Debug)]
 pub struct LaneHeadroom {
     /// Minimum acceptable headroom in bits.

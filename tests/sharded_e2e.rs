@@ -25,11 +25,15 @@ use rand::SeedableRng;
 use std::time::Duration;
 
 fn dataset(count: usize, seed: u64) -> (Vec<TimeSeries>, Vec<usize>) {
+    series_of_len(count, seed, 5)
+}
+
+fn series_of_len(count: usize, seed: u64, len: usize) -> (Vec<TimeSeries>, Vec<usize>) {
     let (ds, _) = generate_with_centers(
         &BlobsConfig {
             count,
             clusters: 2,
-            len: 5,
+            len,
             noise: 0.2,
             center_amplitude: 3.0,
             ..Default::default()
@@ -369,15 +373,18 @@ fn sharded_packed_crypto_churn_matches_simulator() {
 /// exactly `threshold` partial-decryption vectors per requester, each as
 /// wide as that requester's snapshot folds to: the count the in-process
 /// simulator performs on its own snapshots and the analytical cost model
-/// charges for the same packed configuration.
+/// charges for the same packed configuration. Two-point series keep the
+/// vector at 6 slots, which the lane plan carries in 2 ciphertexts of 3
+/// wide lanes — headroom a fold can use even after the cycle simulator's
+/// denominator cascade.
 #[test]
 fn decrypt_round_count_parity_sharded_vs_simulator() {
     let n = 12;
-    let (series, _) = dataset(n, 73);
+    let (series, _) = series_of_len(n, 73, 2);
     let mut cfg = ChiaroscuroConfig::test_real();
     cfg.k = 2;
     cfg.max_iterations = 1;
-    cfg.gossip_cycles = 8;
+    cfg.gossip_cycles = 6;
     cfg.epsilon = 1e5;
     cfg.value_bound = 8.0;
     let threshold = cfg.threshold.threshold;
@@ -407,7 +414,7 @@ fn decrypt_round_count_parity_sharded_vs_simulator() {
     }
     assert!(
         widths.iter().sum::<usize>() < n * ciphertexts,
-        "8 pushes leave headroom to fold into: {widths:?}"
+        "6 pushes leave headroom to fold into: {widths:?}"
     );
     let ops = &step.outcome.decrypt_ops;
     assert_eq!(
@@ -418,9 +425,8 @@ fn decrypt_round_count_parity_sharded_vs_simulator() {
     // The simulator's committee[..t] works over its own folded snapshots:
     // on every schedule `t` partials per ciphertext a requester had
     // decrypted, and never more ciphertexts than were pushed. Whether some
-    // node is left the headroom to fold into is the schedule's choice
-    // (about every other seed at 8 cycles), so the strict half is asked of
-    // sixteen schedules, not of one.
+    // node is left the headroom to fold into is the schedule's choice, so
+    // the strict half is asked of sixteen schedules, not of one.
     let mut folding_schedules = 0;
     for seed in 0..16 {
         let sim = Engine::new(ChiaroscuroConfig {
@@ -466,6 +472,90 @@ fn decrypt_round_count_parity_sharded_vs_simulator() {
         additions,
         step.snapshot.gossip.messages * ciphertexts as u64
     );
+}
+
+/// The lane plan decides how many ciphertexts carry a contribution, and
+/// nothing a node computes. ε reaches a computation step only through the
+/// plan's value envelope, so one step at ε = 5 and at ε = 5·10⁻⁷ runs the
+/// same schedule under two layouts — 2 ciphertexts of 4 lanes a push, and
+/// 4 of 2, the two-lane shape of the plan before the denominator cap — and
+/// must decode every estimate to the same bits: a node samples its peers
+/// from a stream its crypto draws nothing from, and an aggregate's
+/// integers do not depend on how its lanes are laid out. (The link has no
+/// bandwidth term: a frame's length would move its delivery time.)
+#[test]
+fn the_lane_plan_leaves_every_estimate_bit_identical() {
+    let n = 16;
+    let layout = chiaroscuro::noise::SlotLayout {
+        k: 2,
+        series_len: 3,
+    };
+    let contributions: Vec<Option<Vec<f64>>> = (0..n)
+        .map(|i| {
+            let mut v = vec![0.0; layout.total()];
+            let series = [[1.0, 2.0, 3.0], [10.0, 10.0, 10.0]][i % 2];
+            let block = &mut v[(i % 2) * 4..][..4];
+            block[..3].copy_from_slice(&series);
+            block[3] = 1.0;
+            Some(v)
+        })
+        .collect();
+    let config = ChiaroscuroConfig {
+        k: 2,
+        gossip_cycles: 10,
+        ..ChiaroscuroConfig::test_real()
+    };
+    let crypto =
+        chiaroscuro::rounds::CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(3))
+            .unwrap();
+    let sharded = ShardedConfig {
+        shards: 4,
+        link: cs_net::LinkConfig {
+            latency: Duration::from_micros(300),
+            jitter: Duration::from_micros(150),
+            loss: 0.02,
+            bandwidth_bytes_per_sec: None,
+        },
+        ..ShardedConfig::default()
+    };
+    let [wide, two_lanes] = [5.0, 5e-7].map(|epsilon| {
+        let config = ChiaroscuroConfig {
+            epsilon,
+            ..config.clone()
+        };
+        cs_net::run_step_sharded(&config, &layout, &contributions, &crypto, 11, &sharded, &[])
+            .unwrap()
+    });
+    let per_push = |run: &cs_net::StepRun| run.reports[0].ops.encryptions;
+    assert_eq!((per_push(&wide), per_push(&two_lanes)), (2, 4));
+    let bits = |run: &cs_net::StepRun| -> Vec<Option<Vec<u64>>> {
+        let estimates = run.outcome.estimates.iter();
+        estimates
+            .map(|e| {
+                let e = e.as_ref()?;
+                let values = e.sums.iter().flatten().chain(&e.counts);
+                Some(values.map(|v| v.to_bits()).collect())
+            })
+            .collect()
+    };
+    assert!(wide.outcome.estimates.iter().all(Option::is_some));
+    assert_eq!(
+        bits(&wide),
+        bits(&two_lanes),
+        "estimates moved with the lanes"
+    );
+    assert_eq!(
+        wide.snapshot.gossip.messages,
+        two_lanes.snapshot.gossip.messages
+    );
+    assert!(wide.snapshot.gossip.bytes < two_lanes.snapshot.gossip.bytes);
+    for run in [&wide, &two_lanes] {
+        assert_eq!(
+            run.outcome.pushes_capped, 0,
+            "lock-step pushes stay under the cap"
+        );
+        assert_eq!(run.metrics.counter("gossip.pushes_capped"), 0);
+    }
 }
 
 /// Everything the golden-timeline test pins about one step: per-class
@@ -630,6 +720,28 @@ fn timeline_of(step: &cs_net::StepRun) -> Timeline {
 /// whose sequence numbers did move, lose and re-ask the same number of
 /// frames on this schedule. No estimate bit could move: a node's estimate
 /// is its own snapshot, and the vote never fed one.
+///
+/// The packed half was re-recorded once more for two causes, confirmed
+/// apart. The stream fork: a node's crypto draws — its contribution's
+/// randomizers, and those of forwards its pool cannot serve — moved to a
+/// stream of their own, so the stream it samples its peers from no longer
+/// depends on how many ciphertexts it encrypts. Applied alone to the
+/// previous commit (its lane plan still 6 ciphertexts a push), the fork
+/// moves the in/cross-shard split 40/182 → 42/180 (222 either way), the
+/// `estimates` hash to the value below, gossip and `decrypt` `bytes` by a
+/// few bytes (73 780, 15 639: new ciphertext values) and the `traces` hash;
+/// frame counts and `epochs` stay. The lane plan: the push-sum denominator
+/// is capped and the lanes sized for the cap, 3 ciphertexts of 4 lanes a
+/// push where there were 6 of 2. On top of the fork it moves only what a
+/// ciphertext count can move — gossip `bytes` 73 780 → 41 550 over the same
+/// 158 + 2 frames, `decrypt` 15 639 → 15 785 over the same 61 + 1 (each
+/// request and answer 3 wide: the 6 wide lanes folded in pairs, the 3
+/// narrow ones do not fold) and the `traces` hash, which covers frame
+/// lengths. The `estimates` hash, the split and `epochs` are the fork's
+/// values: no estimate bit depends on the lanes, which is what
+/// `the_lane_plan_leaves_every_estimate_bit_identical` holds every commit
+/// to. The plain half has neither lanes nor a crypto
+/// stream, and did not move.
 #[test]
 fn sharded_timeline_matches_the_recorded_golden_values() {
     let link = cs_net::LinkConfig {
@@ -693,14 +805,14 @@ fn sharded_timeline_matches_the_recorded_golden_values() {
         ..ShardedConfig::default()
     };
     let packed = Timeline {
-        gossip: [158, 73_783, 2],
-        decrypt: [61, 15_637, 1],
+        gossip: [158, 41_550, 2],
+        decrypt: [61, 15_785, 1],
         control: [0, 0, 0],
-        in_shard: 40,
-        cross_shard: 182,
+        in_shard: 42,
+        cross_shard: 180,
         epochs: 28,
-        estimates: 2_973_346_806_510_875_488,
-        traces: 11_165_505_549_947_264_365,
+        estimates: 12_466_287_731_050_810_451,
+        traces: 9_721_234_553_778_720_074,
     };
     for got in run(&cfg, &series, &sharded) {
         assert_eq!(got, packed, "packed 16-node timeline moved");
