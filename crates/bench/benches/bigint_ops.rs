@@ -55,9 +55,9 @@ fn bench_mont_mul(c: &mut Criterion) {
 }
 
 /// Squaring chains (`pow_mod_pow2`, 64 squarings): the kernel every
-/// exponentiation spends most of its time in. 512 bits runs the fixed-width
-/// kernels; 2048 and 4096 bits (32/64 limbs, the `n²` of a 1024/2048-bit
-/// key) run the slice-based engine.
+/// exponentiation spends most of its time in. 512 bits runs on stack arrays;
+/// 2048 and 4096 bits (32/64 limbs, the `n²` of a 1024/2048-bit key) on
+/// slices — the same two-row bodies either way.
 fn bench_mont_sqr(c: &mut Criterion) {
     let mut group = c.benchmark_group("bigint/montgomery_sqr_x64");
     let mut rng = StdRng::seed_from_u64(5);

@@ -19,13 +19,15 @@
 //! `BENCH_CRYPTO.json` is readable, below twice its recorded unpacked
 //! baseline (the absolute guard; slack ×2 absorbs runner variance).
 //!
-//! The `1024b`/`2048b` rows (ROADMAP 1(b)) time the operations a
-//! deployment-grade key pays — `mont_mul`, `mont_sqr`, `pow_mod` at the
-//! ciphertext modulus `n²`, one fixed-base `randomizer`, one CRT
-//! `partial_decrypt` — all on the slice-based Montgomery engine that serves
-//! moduli above 8 limbs. `--check` holds each below twice its committed
-//! figure. Next to each `randomizer` row a `randomizer_table` row records
-//! what the randomizers cost a device up front: the build time of the
+//! The per-key rows time the operations a key pays — `mont_mul`, `mont_sqr`,
+//! `pow_mod` at the ciphertext modulus `n²`, one fixed-base `randomizer`,
+//! one CRT `partial_decrypt` and one `partial_decrypt_honest`, the same
+//! partial decryption by a share after a serde round-trip (no CRT hint: what
+//! every `csnoded` member runs). At `256b` the `n²` rows run on the
+//! stack-array kernels (≤ 8 limbs), at `1024b`/`2048b` on the slice shape of
+//! the same bodies. `--check` holds each below twice its committed figure.
+//! Next to each `randomizer` row a `randomizer_table` row records what the
+//! randomizers cost a device up front: the build time of the
 //! `FastEncryptor` and, in `bytes`, the fixed-base table it keeps resident.
 
 use chiaroscuro::noise::SlotLayout;
@@ -37,8 +39,8 @@ use cs_bigint::rng::random_below;
 use cs_bigint::MontgomeryCtx;
 use cs_crypto::threshold::{combine_partials_naive, CombinePlanCache};
 use cs_crypto::{
-    Ciphertext, FastEncryptor, FixedPointCodec, KeyGenOptions, PackedCodec, ThresholdKeyPair,
-    ThresholdParams,
+    Ciphertext, FastEncryptor, FixedPointCodec, KeyGenOptions, KeyShare, PackedCodec,
+    ThresholdKeyPair, ThresholdParams,
 };
 use cs_net::executor::{run_step_sharded, ShardedConfig};
 use rand::rngs::StdRng;
@@ -350,8 +352,9 @@ fn entry(name: &str, mode: &str, total_ms: f64) -> CryptoBenchEntry {
     }
 }
 
-/// Key sizes of the deployment-grade rows.
-const WIDE_KEY_BITS: [usize; 2] = [1024, 2048];
+/// Key sizes of the per-key rows: the test key every in-repo real-crypto run
+/// uses, then two deployment-grade ones.
+const WIDE_KEY_BITS: [usize; 3] = [256, 1024, 2048];
 
 /// The `mode` of a wide-key row.
 fn wide_mode(bits: usize) -> String {
@@ -359,12 +362,13 @@ fn wide_mode(bits: usize) -> String {
 }
 
 /// The rows measured per wide key, in table order.
-const WIDE_ROWS: [&str; 5] = [
+const WIDE_ROWS: [&str; 6] = [
     "mont_mul",
     "mont_sqr",
     "pow_mod",
     "randomizer",
     "partial_decrypt",
+    "partial_decrypt_honest",
 ];
 
 /// The ungated row that follows each `randomizer` row: `total_ms` is one
@@ -390,7 +394,8 @@ fn wide_entry(name: &str, bits: usize, units: usize, samples: &mut [f64]) -> Cry
 /// Per-operation cost at a `bits`-bit key (plain primes, as csbench's
 /// `sharded_packed_2048b` generates them): the Montgomery kernels and a
 /// full exponentiation at `n²`, one pooled randomizer from the 8-tooth
-/// fixed-base comb table, one CRT partial decryption.
+/// fixed-base comb table, one CRT partial decryption and one by a share
+/// rebuilt from its serialized form.
 fn bench_wide_key(bits: usize, reps: usize, rng: &mut StdRng) -> Vec<CryptoBenchEntry> {
     let tkp = ThresholdKeyPair::generate(
         &KeyGenOptions {
@@ -415,6 +420,9 @@ fn bench_wide_key(bits: usize, reps: usize, rng: &mut StdRng) -> Vec<CryptoBench
     let e = random_below(rng, pk.n());
     let c = enc.encrypt(&random_below(rng, pk.n_s()), rng);
     let share = &tkp.shares()[0];
+    let wire = serde_json::to_string(share).expect("share serializes");
+    let honest: KeyShare = serde_json::from_str(&wire).expect("share deserializes");
+    assert!(share.has_crt_hint() && !honest.has_crt_hint());
 
     let time = |reps: usize, op: &mut dyn FnMut()| -> Vec<f64> {
         (0..reps)
@@ -441,8 +449,18 @@ fn bench_wide_key(bits: usize, reps: usize, rng: &mut StdRng) -> Vec<CryptoBench
     let mut partial = time(reps.min(6), &mut || {
         black_box(share.partial_decrypt(black_box(&c)));
     });
-    let units = [2, SQR_CHAIN as usize, 1, 1, 1];
-    let samples = [&mut mul, &mut sqr, &mut pow, &mut randomizer, &mut partial];
+    let mut honest_partial = time(reps.min(6), &mut || {
+        black_box(honest.partial_decrypt(black_box(&c)));
+    });
+    let units = [2, SQR_CHAIN as usize, 1, 1, 1, 1];
+    let samples = [
+        &mut mul,
+        &mut sqr,
+        &mut pow,
+        &mut randomizer,
+        &mut partial,
+        &mut honest_partial,
+    ];
     let mut rows: Vec<CryptoBenchEntry> = WIDE_ROWS
         .iter()
         .zip(units)

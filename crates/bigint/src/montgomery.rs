@@ -2,160 +2,55 @@
 //!
 //! All Damgård-Jurik moduli (`n`, `n^s`, `n^(s+1)`) are odd, so modular
 //! exponentiation — the dominant cost of encryption, decryption shares, and
-//! push-sum rescaling — always takes this fast path. Two sets of kernels
-//! serve it, chosen by the modulus' limb count alone:
+//! push-sum rescaling — always takes this fast path. One set of bodies serves
+//! every width: the `wide` module's double-width product or square (two
+//! multiplier limbs per pass, so two carry chains in flight) followed by its
+//! two-row reduction. They run in one of two storage shapes, chosen by the
+//! modulus' limb count alone:
 //!
-//! * up to `FIXED_MAX_LIMBS` (8) limbs, the const-generic kernels in this file
-//!   (word-level CIOS multiplication, SOS squaring) on stack arrays, and a
-//!   4-bit fixed-window exponentiation;
-//! * above that, the slice-based engine in the `wide` module — two-row
-//!   kernels writing into caller-owned buffers — and a sliding-window
-//!   exponentiation over an odd-power table whose width follows the
-//!   exponent's bit length.
+//! * up to `FIXED_MAX_LIMBS` (8) limbs, on stack arrays: `mmul_k`/`msqr_k`
+//!   hand the bodies constant lengths, so every row unrolls at compile time;
+//! * above that, on caller-owned slices, so a chain of thousands of
+//!   multiplications allocates nothing.
 //!
-//! Every result is a canonical residue, so which kernel computed it never
-//! shows in a value.
+//! Both shapes exponentiate with the same sliding window over an odd-power
+//! table whose width follows the exponent's bit length. Every result is a
+//! canonical residue, so which shape computed it never shows in a value.
 
 use crate::{wide, BigUint};
 
-/// Largest limb count served by the fixed-width kernels below. Moduli up to
-/// `8 × 64 = 512` bits — every prime-power and `n^(s+1)` modulus in the test
-/// parameter sets — run on stack arrays with fully unrolled loops. Anything
-/// wider runs on the slice-based engine in [`crate::wide`], production keys
-/// included: a 2048-bit key has 32-limb CRT sides (`p²`, `q²`) and a 64-limb
-/// `n²`, as csbench's `sharded_packed_2048b` workload exercises.
+/// Largest limb count served on stack arrays. Moduli up to `8 × 64 = 512`
+/// bits — every prime-power and `n^(s+1)` modulus of a 256-bit key — run
+/// with constant lengths and no heap scratch. Anything wider runs the same
+/// bodies over slices, production keys included: a 2048-bit key has 32-limb
+/// CRT sides (`p²`, `q²`) and a 64-limb `n²`, as csbench's
+/// `sharded_packed_2048b` workload exercises.
 const FIXED_MAX_LIMBS: usize = 8;
 
-/// Fixed-width CIOS Montgomery multiplication: `a·b·R^{-1} mod n` with all
-/// state in registers/stack. `K ≤ FIXED_MAX_LIMBS`.
+/// `a·b·R^{-1} mod n` for a `K`-limb modulus, `K ≤ FIXED_MAX_LIMBS`: the
+/// slice engine's product and reduction on a stack scratch.
 #[inline(always)]
 fn mmul_k<const K: usize>(a: &[u64; K], b: &[u64; K], n: &[u64; K], n0_inv: u64) -> [u64; K] {
-    let mut t = [0u64; K];
-    let mut t_hi = 0u64; // t[K]
-    let mut t_hi2 = 0u64; // t[K+1] (0 or 1)
-    for &ai in a.iter() {
-        // t += ai * b
-        let mut carry = 0u128;
-        for j in 0..K {
-            let s = t[j] as u128 + ai as u128 * b[j] as u128 + carry;
-            t[j] = s as u64;
-            carry = s >> 64;
-        }
-        let s = t_hi as u128 + carry;
-        t_hi = s as u64;
-        t_hi2 = (s >> 64) as u64;
-
-        // m = t[0] * n0_inv mod 2^64; then t = (t + m*n) / 2^64
-        let m = t[0].wrapping_mul(n0_inv);
-        let s = t[0] as u128 + m as u128 * n[0] as u128;
-        debug_assert_eq!(s as u64, 0);
-        let mut carry = s >> 64;
-        for j in 1..K {
-            let s = t[j] as u128 + m as u128 * n[j] as u128 + carry;
-            t[j - 1] = s as u64;
-            carry = s >> 64;
-        }
-        let s = t_hi as u128 + carry;
-        t[K - 1] = s as u64;
-        let s2 = t_hi2 as u128 + (s >> 64);
-        t_hi = s2 as u64;
-        t_hi2 = 0;
-        debug_assert_eq!(s2 >> 64, 0);
-    }
-    let _ = t_hi2;
-    if t_hi != 0 || !lt_k(&t, n) {
-        sub_k(&mut t, n);
-    }
-    t
-}
-
-/// Fixed-width Montgomery squaring (separated operand scanning, off-diagonal
-/// products doubled). Scratch is sized for `FIXED_MAX_LIMBS`; only the first
-/// `2K + 1` slots are touched.
-#[inline(always)]
-fn msqr_k<const K: usize>(a: &[u64; K], n: &[u64; K], n0_inv: u64) -> [u64; K] {
-    let mut t = [0u64; 2 * FIXED_MAX_LIMBS + 1];
-    for i in 0..K {
-        let ai = a[i];
-        let mut carry = 0u128;
-        for j in (i + 1)..K {
-            let s = t[i + j] as u128 + ai as u128 * a[j] as u128 + carry;
-            t[i + j] = s as u64;
-            carry = s >> 64;
-        }
-        t[i + K] = carry as u64;
-    }
-    // Double the off-diagonal triangle …
-    let mut carry = 0u64;
-    for limb in t.iter_mut().take(2 * K) {
-        let next = *limb >> 63;
-        *limb = (*limb << 1) | carry;
-        carry = next;
-    }
-    debug_assert_eq!(carry, 0);
-    // … and add the diagonal squares.
-    let mut carry = 0u128;
-    for i in 0..K {
-        let sq = a[i] as u128 * a[i] as u128;
-        let s = t[2 * i] as u128 + (sq as u64) as u128 + carry;
-        t[2 * i] = s as u64;
-        let s = t[2 * i + 1] as u128 + (sq >> 64) + (s >> 64);
-        t[2 * i + 1] = s as u64;
-        carry = s >> 64;
-    }
-    debug_assert_eq!(carry, 0);
-
-    // Montgomery reduction: K rounds of t += m·n·2^(64i), then shift.
-    for i in 0..K {
-        let m = t[i].wrapping_mul(n0_inv);
-        let mut carry = 0u128;
-        for j in 0..K {
-            let s = t[i + j] as u128 + m as u128 * n[j] as u128 + carry;
-            t[i + j] = s as u64;
-            carry = s >> 64;
-        }
-        let mut idx = i + K;
-        while carry != 0 {
-            let s = t[idx] as u128 + carry;
-            t[idx] = s as u64;
-            carry = s >> 64;
-            idx += 1;
-        }
-    }
+    let mut t = [0u64; 2 * FIXED_MAX_LIMBS];
     let mut out = [0u64; K];
-    out.copy_from_slice(&t[K..2 * K]);
-    if t[2 * K] != 0 || !lt_k(&out, n) {
-        sub_k(&mut out, n);
-    }
+    wide::mul_into(&mut t[..2 * K], a, b);
+    wide::redc(&mut out, &mut t[..2 * K], n, n0_inv);
     out
 }
 
-/// `a < b` over fixed-width limb arrays (little-endian).
+/// `a²·R^{-1} mod n` for a `K`-limb modulus, `K ≤ FIXED_MAX_LIMBS`.
 #[inline(always)]
-fn lt_k<const K: usize>(a: &[u64; K], b: &[u64; K]) -> bool {
-    for j in (0..K).rev() {
-        if a[j] != b[j] {
-            return a[j] < b[j];
-        }
-    }
-    false
-}
-
-/// `a -= n` in place; any top borrow cancels against the caller's carry limb.
-#[inline(always)]
-fn sub_k<const K: usize>(a: &mut [u64; K], n: &[u64; K]) {
-    let mut borrow = 0u64;
-    for j in 0..K {
-        let (d1, b1) = a[j].overflowing_sub(n[j]);
-        let (d2, b2) = d1.overflowing_sub(borrow);
-        a[j] = d2;
-        borrow = (b1 as u64) + (b2 as u64);
-    }
+fn msqr_k<const K: usize>(a: &[u64; K], n: &[u64; K], n0_inv: u64) -> [u64; K] {
+    let mut t = [0u64; 2 * FIXED_MAX_LIMBS];
+    let mut out = [0u64; K];
+    wide::sqr_into(&mut t[..2 * K], a);
+    wide::redc(&mut out, &mut t[..2 * K], n, n0_inv);
+    out
 }
 
 /// Runs `$body` — and returns its value from the enclosing function — with
-/// `$K` bound to the modulus' limb count when a fixed-width kernel serves it;
-/// falls through for wider moduli.
+/// `$K` bound to the modulus' limb count when the stack-array shape serves
+/// it; falls through for wider moduli.
 macro_rules! dispatch_fixed {
     ($k:expr, $K:ident => $body:expr) => {
         dispatch_fixed!(@arms $k, $K, $body, 1 2 3 4 5 6 7 8)
@@ -173,14 +68,70 @@ macro_rules! dispatch_fixed {
 
 /// Window width of the sliding-window chain for a `bits`-bit exponent: the
 /// `w` minimising `2^(w-1)` table entries plus one multiplication per `w + 1`
-/// exponent bits. The 2048-bit exponents of partial decryption get `w = 6`.
+/// exponent bits. The ≈ 515-bit exponent of a 256-bit key's partial
+/// decryption gets `w = 5`, a 2048-bit key's ≈ 4 100-bit one `w = 6`.
 fn sliding_window_bits(bits: usize) -> usize {
     match bits {
         0..=23 => 1,
         24..=79 => 3,
         80..=239 => 4,
         240..=671 => 5,
-        _ => 6,
+        _ => MAX_WINDOW,
+    }
+}
+
+/// The widest window `sliding_window_bits` picks.
+const MAX_WINDOW: usize = 6;
+
+/// Odd-power table entries at that width.
+const MAX_TABLE: usize = 1 << (MAX_WINDOW - 1);
+
+/// The sliding-window recoding of a non-zero exponent below its top window,
+/// from the top down: per window, the squarings that precede it and its index
+/// into the odd-power table (`digit >> 1`); the trailing zero bits come last,
+/// as squarings with no multiplication. Each window ends on a set bit, so its
+/// digit is odd.
+struct Windows<'a> {
+    exp: &'a BigUint,
+    w: usize,
+    /// Bits at and above `i` are consumed.
+    i: usize,
+}
+
+impl<'a> Windows<'a> {
+    /// The table index of `exp`'s top window, and the windows after it.
+    fn new(exp: &'a BigUint, w: usize) -> (usize, Self) {
+        let mut windows = Windows {
+            exp,
+            w,
+            i: exp.bit_len(),
+        };
+        let (_, top) = windows.next().expect("a non-zero exponent has a window");
+        (top.expect("the top bit is set"), windows)
+    }
+}
+
+impl Iterator for Windows<'_> {
+    type Item = (usize, Option<usize>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (exp, start) = (self.exp, self.i);
+        if start == 0 {
+            return None;
+        }
+        while self.i > 0 && !exp.bit(self.i - 1) {
+            self.i -= 1;
+        }
+        let hi = self.i;
+        if hi == 0 {
+            return Some((start, None));
+        }
+        let mut lo = hi.saturating_sub(self.w);
+        while !exp.bit(lo) {
+            lo += 1;
+        }
+        self.i = lo;
+        Some((start - lo, Some(exp.bits_at(lo, hi - lo) >> 1)))
     }
 }
 
@@ -355,11 +306,11 @@ impl MontgomeryCtx {
     /// `base^exp` in Montgomery form, for a non-zero `base < n` and a
     /// non-zero `exp`.
     ///
-    /// Moduli of up to `FIXED_MAX_LIMBS` limbs keep the whole chain in
-    /// stack arrays with a 4-bit fixed window (binary below 32 bits). Wider
-    /// moduli run a sliding window over an odd-power table, its width set by
-    /// `sliding_window_bits`; table, accumulators and scratch are one
-    /// buffer sized up front, so the chain itself allocates nothing.
+    /// A sliding window over an odd-power table, its width set by
+    /// `sliding_window_bits`. Moduli of up to `FIXED_MAX_LIMBS` limbs keep
+    /// the whole chain in stack arrays; wider ones keep table, accumulators
+    /// and scratch in one buffer sized up front, so the chain itself
+    /// allocates nothing.
     pub(crate) fn pow_mont(&self, base: &BigUint, exp: &BigUint) -> Vec<u64> {
         debug_assert!(!base.is_zero() && *base < self.modulus && !exp.is_zero());
         let k = self.limbs();
@@ -367,8 +318,7 @@ impl MontgomeryCtx {
             self.pow_windowed_fixed::<K>(&self.to_mont_fixed(base), exp).to_vec()
         });
 
-        let bits = exp.bit_len();
-        let w = sliding_window_bits(bits);
+        let w = sliding_window_bits(exp.bit_len());
         let entries = 1usize << (w - 1); // base^1, base^3, …, base^(2^w − 1)
         let mut buf = vec![0u64; (entries + 2) * k + self.scratch_len()];
         let (table, rest) = buf.split_at_mut(entries * k);
@@ -385,66 +335,48 @@ impl MontgomeryCtx {
             }
         }
 
-        // Bits at and above `i` are consumed. Each window ends on a set bit,
-        // so its digit is odd and in the table; zero bits between windows
-        // cost one squaring each.
-        let mut i = bits;
-        let mut started = false;
-        while i > 0 {
-            if !exp.bit(i - 1) {
+        let (top, windows) = Windows::new(exp, w);
+        acc.copy_from_slice(&table[top * k..][..k]);
+        for (squarings, entry) in windows {
+            for _ in 0..squarings {
                 self.mont_sqr_into(tmp, acc, t);
                 std::mem::swap(&mut acc, &mut tmp);
-                i -= 1;
-                continue;
             }
-            let mut lo = i.saturating_sub(w);
-            while !exp.bit(lo) {
-                lo += 1;
-            }
-            let entry = &table[(exp.bits_at(lo, i - lo) >> 1) * k..][..k];
-            if started {
-                for _ in lo..i {
-                    self.mont_sqr_into(tmp, acc, t);
-                    std::mem::swap(&mut acc, &mut tmp);
-                }
-                self.mont_mul_into(tmp, acc, entry, t);
+            if let Some(e) = entry {
+                self.mont_mul_into(tmp, acc, &table[e * k..][..k], t);
                 std::mem::swap(&mut acc, &mut tmp);
-            } else {
-                acc.copy_from_slice(entry);
-                started = true;
             }
-            i = lo;
         }
         acc.to_vec()
     }
 
-    /// Windowed exponentiation specialized to a `K`-limb modulus: every
-    /// intermediate is a stack array and the CIOS/SOS inner loops unroll at
-    /// compile time. Takes and returns Montgomery form.
+    /// [`Self::pow_mont`]'s chain for a `K`-limb modulus, every intermediate
+    /// a stack array. Takes and returns Montgomery form. At the ≈ 515-bit
+    /// exponent of a 256-bit key's partial decryption the 5-bit window costs
+    /// ≈ 512 squarings and 100 multiplications (16 of them building the
+    /// table); the 4-bit fixed window it replaced paid 512 and 135.
     fn pow_windowed_fixed<const K: usize>(&self, base: &[u64; K], exp: &BigUint) -> [u64; K] {
         let n = fixed(self.modulus.limbs());
         let n0 = self.n0_inv;
 
-        let bits = exp.bit_len();
-        let window = if bits >= 32 { 4usize } else { 1 };
-        let table_len = (1usize << window) - 1;
-        let mut table = [[0u64; K]; 15];
+        let w = sliding_window_bits(exp.bit_len());
+        let mut table = [[0u64; K]; MAX_TABLE];
         table[0] = *base;
-        for i in 1..table_len {
-            table[i] = mmul_k(&table[i - 1], base, n, n0);
+        if w > 1 {
+            let base_sq = msqr_k(base, n, n0);
+            for i in 1..1 << (w - 1) {
+                table[i] = mmul_k(&table[i - 1], &base_sq, n, n0);
+            }
         }
 
-        let top_window = bits.div_ceil(window);
-        let mut acc = *fixed::<K>(&self.one);
-        for w in (0..top_window).rev() {
-            if w + 1 != top_window {
-                for _ in 0..window {
-                    acc = msqr_k(&acc, n, n0);
-                }
+        let (top, windows) = Windows::new(exp, w);
+        let mut acc = table[top];
+        for (squarings, entry) in windows {
+            for _ in 0..squarings {
+                acc = msqr_k(&acc, n, n0);
             }
-            let digit = exp.bits_at(w * window, window);
-            if digit != 0 {
-                acc = mmul_k(&acc, &table[digit - 1], n, n0);
+            if let Some(e) = entry {
+                acc = mmul_k(&acc, &table[e], n, n0);
             }
         }
         acc
@@ -480,7 +412,7 @@ impl MontgomeryCtx {
     }
 }
 
-/// A `K`-limb residue as the array the fixed-width kernels take.
+/// A `K`-limb residue as the array `mmul_k`/`msqr_k` take.
 #[inline(always)]
 fn fixed<const K: usize>(limbs: &[u64]) -> &[u64; K] {
     limbs
@@ -518,8 +450,9 @@ mod tests {
     }
 
     /// `mul_mod` against schoolbook `(a·b) % n` on both sides of
-    /// `FIXED_MAX_LIMBS`: the fixed-width kernels (1, 8 limbs) and the
-    /// dynamic path (32, 64 limbs), including the edge operands.
+    /// `FIXED_MAX_LIMBS`: every stack-array width (1–8 limbs, the odd ones
+    /// taking the single-row tails) and the slice shape (9, 32, 64 limbs),
+    /// including the edge operands.
     #[test]
     fn mul_mod_matches_schoolbook_across_limb_counts() {
         // xorshift64*: deterministic, full-width limbs.
@@ -530,7 +463,7 @@ mod tests {
             state ^= state >> 27;
             state.wrapping_mul(0x2545_F491_4F6C_DD1D)
         };
-        for k in [1usize, 8, 32, 64] {
+        for k in (1usize..=9).chain([32, 64]) {
             let mut limbs: Vec<u64> = (0..k).map(|_| next()).collect();
             limbs[0] |= 1; // odd
             limbs[k - 1] |= 1 << 63; // exactly k limbs
@@ -608,7 +541,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(99);
-        // Every fixed-width kernel, then the slice engine at even and odd
+        // Every stack-array width, then the slice shape at even and odd
         // limb counts; values spanning the full range.
         for limbs in (1..=8usize).chain([9, 16, 17, 33]) {
             let mut m = crate::rng::random_bits(&mut rng, limbs * 64);

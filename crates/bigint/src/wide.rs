@@ -1,14 +1,18 @@
-//! Slice-based Montgomery kernels: the one code path for every modulus wider
-//! than the fixed-width kernels in [`crate::montgomery`].
+//! The Montgomery kernels' bodies, for every modulus width.
 //!
-//! Everything here writes into caller-owned buffers, so a chain of thousands
-//! of multiplications allocates nothing. The shape is separated operand
-//! scanning: a full double-width product (or square) into a `2k`-limb scratch,
-//! then one shared [`redc`]. Both halves are built from two row primitives
-//! whose loops walk exact-length slices in lockstep (no index arithmetic, so
-//! no bounds checks): [`addmul_1`], and the two-row [`addmul_2`], which feeds
-//! two multiplier limbs per pass and so keeps two independent carry chains in
-//! flight instead of one.
+//! The shape is separated operand scanning: a full double-width product (or
+//! square) into a `2k`-limb scratch, then one shared [`redc`]. Both halves
+//! are built from two row primitives whose loops walk exact-length slices in
+//! lockstep (no index arithmetic, so no bounds checks): [`addmul_1`], and the
+//! two-row [`addmul_2`], which feeds two multiplier limbs per pass and so
+//! keeps two independent carry chains in flight instead of one.
+//!
+//! Everything writes into caller-owned buffers. Moduli wider than eight limbs
+//! call [`mont_mul`]/[`mont_sqr`] on slices, so a chain of thousands of
+//! multiplications allocates nothing. Narrower ones reach [`mul_into`],
+//! [`sqr_into`] and [`redc`] through [`crate::montgomery`]'s const-generic
+//! wrappers on stack arrays; those three always inline, so there the lengths
+//! are constants and the rows unroll.
 
 use std::cmp::Ordering;
 
@@ -59,7 +63,8 @@ fn addmul_2(out: &mut [u64], a: &[u64], b0: u64, b1: u64, mut c0: u64) -> u128 {
 }
 
 /// `t[..2k] = a · b` for a `k`-limb `a` and a `b` of at most `k` limbs.
-fn mul_into(t: &mut [u64], a: &[u64], b: &[u64]) {
+#[inline(always)]
+pub(crate) fn mul_into(t: &mut [u64], a: &[u64], b: &[u64]) {
     let k = a.len();
     debug_assert!(b.len() <= k && t.len() >= 2 * k);
     t[..2 * k].fill(0);
@@ -80,7 +85,8 @@ fn mul_into(t: &mut [u64], a: &[u64], b: &[u64]) {
 
 /// `t[..2k] = a²`: the off-diagonal triangle once (two rows per pass), then a
 /// single sweep that doubles it and adds the diagonal squares.
-fn sqr_into(t: &mut [u64], a: &[u64]) {
+#[inline(always)]
+pub(crate) fn sqr_into(t: &mut [u64], a: &[u64]) {
     let k = a.len();
     debug_assert!(t.len() >= 2 * k);
     t[..2 * k].fill(0);
@@ -119,6 +125,7 @@ fn sqr_into(t: &mut [u64], a: &[u64]) {
 
 /// Montgomery reduction: `out = t · 2^(-64k) mod n` for `t[..2k] < n·2^(64k)`,
 /// canonical (`< n`). Clobbers `t`.
+#[inline(always)]
 pub(crate) fn redc(out: &mut [u64], t: &mut [u64], n: &[u64], n0_inv: u64) {
     let k = n.len();
     debug_assert!(out.len() == k && t.len() >= 2 * k);

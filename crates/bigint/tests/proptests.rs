@@ -2,9 +2,10 @@
 //!
 //! Three families: (1) cross-checks against native `u128` arithmetic on
 //! small values, (2) algebraic identities on arbitrarily large values built
-//! from random byte strings (≤ 8 limbs: the fixed-width Montgomery kernels),
-//! (3) the slice-based Montgomery engine that serves every wider modulus,
-//! checked against division-based `BigUint` arithmetic at 9–72 limbs.
+//! from random byte strings, (3) the Montgomery kernels checked against
+//! division-based `BigUint` arithmetic on carry-heavy moduli, in both storage
+//! shapes: stack arrays at 1–8 limbs (`fixed_width_`), slices at 9–72
+//! (`wide_`).
 
 use cs_bigint::multi_exp::{multi_exp_signed, MultiExpTerm};
 use cs_bigint::{
@@ -219,7 +220,7 @@ proptest! {
     }
 }
 
-// ---- the wide-modulus Montgomery engine (> 8 limbs) -------------------------
+// ---- the Montgomery kernels against division ---------------------------------
 
 /// A limb that is often all-zeros or all-ones, so carry chains run long.
 fn spiky_limb() -> impl Strategy<Value = u64> {
@@ -230,23 +231,52 @@ fn spiky_limb() -> impl Strategy<Value = u64> {
     })
 }
 
-/// Strategy: an odd modulus of exactly 9–72 limbs. Half the draws take one
-/// of the odd counts 9/17/33/65, so the two-row kernels' single-row and
+/// Strategy: an odd modulus of exactly `limbs` limbs. Half the draws take
+/// one of the odd counts `odd`, so the two-row kernels' single-row and
 /// single-limb remainders run at every size class.
-fn wide_modulus() -> impl Strategy<Value = BigUint> {
-    (0usize..8, 9usize..=72)
-        .prop_map(|(pick, any)| [9, 17, 33, 65].get(pick).copied().unwrap_or(any))
+fn modulus(
+    odd: [usize; 4],
+    limbs: std::ops::RangeInclusive<usize>,
+) -> impl Strategy<Value = BigUint> {
+    (0usize..8, limbs)
+        .prop_map(move |(pick, any)| odd.get(pick).copied().unwrap_or(any))
         .prop_flat_map(|k| proptest::collection::vec(spiky_limb(), k))
         .prop_map(|mut limbs| {
             limbs[0] |= 1;
-            *limbs.last_mut().expect("k >= 9") |= 1 << 63;
+            *limbs.last_mut().expect("k >= 1") |= 1 << 63;
             BigUint::from_limbs(limbs)
         })
 }
 
-/// Strategy: raw material for an operand — reduce it mod the case's modulus.
+/// Strategy: a modulus the stack-array kernels serve (1–8 limbs).
+fn fixed_width_modulus() -> impl Strategy<Value = BigUint> {
+    modulus([1, 3, 5, 7], 1..=8)
+}
+
+/// Strategy: a modulus the slice shape serves (9–72 limbs).
+fn wide_modulus() -> impl Strategy<Value = BigUint> {
+    modulus([9, 17, 33, 65], 9..=72)
+}
+
+/// Strategy: raw material for an operand of up to `limbs` limbs — reduce it
+/// mod the case's modulus.
+fn operand(limbs: usize) -> impl Strategy<Value = BigUint> {
+    proptest::collection::vec(spiky_limb(), 0..=limbs).prop_map(BigUint::from_limbs)
+}
+
 fn wide_operand() -> impl Strategy<Value = BigUint> {
-    proptest::collection::vec(spiky_limb(), 0..=72).prop_map(BigUint::from_limbs)
+    operand(72)
+}
+
+/// Strategy: an exponent length, half the time one bit either side of a
+/// width threshold of the sliding-window rule (24, 80, 240, 672 bits).
+fn window_straddling_bits() -> impl Strategy<Value = usize> {
+    (0usize..16, 0usize..=700).prop_map(|(pick, any)| {
+        [23, 24, 79, 80, 239, 240, 671, 672]
+            .get(pick)
+            .copied()
+            .unwrap_or(any)
+    })
 }
 
 /// `0`, `1`, `n − 1`, then the given values reduced mod `n`.
@@ -279,30 +309,68 @@ fn ref_pow(base: &BigUint, exp: &BigUint, n: &BigUint) -> BigUint {
     acc
 }
 
+/// `mont_mul` through `mul_mod`, `mont_sqr` through one `pow_mod_pow2`
+/// squaring, over every pair of edge and random operands.
+fn mul_and_sqr_match_division(n: &BigUint, a: &BigUint, b: &BigUint) {
+    let ctx = MontgomeryCtx::new(n);
+    let operands = with_edges(n, &[a, b]);
+    for x in &operands {
+        prop_assert_eq!(ctx.pow_mod_pow2(x, 1), &(x * x) % n);
+        for y in &operands {
+            prop_assert_eq!(ctx.mul_mod(x, y), &(x * y) % n);
+        }
+    }
+}
+
+/// The sliding-window chain and the pure squaring chain.
+fn pow_mod_matches_reference(n: &BigUint, base: &BigUint, exp: &BigUint, j: u32) {
+    let ctx = MontgomeryCtx::new(n);
+    for b in with_edges(n, &[base]) {
+        prop_assert_eq!(ctx.pow_mod(&b, exp), ref_pow(&b, exp, n));
+        prop_assert_eq!(
+            ctx.pow_mod_pow2(&b, j),
+            ref_pow(&b, &(BigUint::one() << j as usize), n)
+        );
+    }
+    // An unreduced base is reduced first.
+    let big = base + n;
+    prop_assert_eq!(ctx.pow_mod(&big, exp), ref_pow(&(&big % n), exp, n));
+}
+
 proptest! {
     // Debug builds keep the kernels' `debug_assert`s on but are ~20× slower
     // at these widths: a few cases there, the search proper in release (CI).
     #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 3 } else { 128 }))]
 
-    /// `mont_mul` through `mul_mod`, `mont_sqr` through one `pow_mod_pow2`
-    /// squaring, over every pair of edge and random operands.
+    #[test]
+    fn fixed_width_mul_and_sqr_match_division(
+        n in fixed_width_modulus(),
+        a in operand(8),
+        b in operand(8),
+    ) {
+        mul_and_sqr_match_division(&n, &a, &b);
+    }
+
+    #[test]
+    fn fixed_width_pow_mod_matches_reference(
+        n in fixed_width_modulus(),
+        base in operand(8),
+        raw_exp in operand(11),
+        exp_bits in window_straddling_bits(),
+        j in 0u32..24,
+    ) {
+        pow_mod_matches_reference(&n, &base, &exponent_of_bits(&raw_exp, exp_bits), j);
+    }
+
     #[test]
     fn wide_mul_and_sqr_match_division(
         n in wide_modulus(),
         a in wide_operand(),
         b in wide_operand(),
     ) {
-        let ctx = MontgomeryCtx::new(&n);
-        let operands = with_edges(&n, &[&a, &b]);
-        for x in &operands {
-            prop_assert_eq!(ctx.pow_mod_pow2(x, 1), &(x * x) % &n);
-            for y in &operands {
-                prop_assert_eq!(ctx.mul_mod(x, y), &(x * y) % &n);
-            }
-        }
+        mul_and_sqr_match_division(&n, &a, &b);
     }
 
-    /// The sliding-window chain and the pure squaring chain.
     #[test]
     fn wide_pow_mod_matches_reference(
         n in wide_modulus(),
@@ -311,18 +379,7 @@ proptest! {
         exp_bits in 0usize..=300,
         j in 0u32..24,
     ) {
-        let ctx = MontgomeryCtx::new(&n);
-        let exp = exponent_of_bits(&raw_exp, exp_bits);
-        for b in with_edges(&n, &[&base]) {
-            prop_assert_eq!(ctx.pow_mod(&b, &exp), ref_pow(&b, &exp, &n));
-            prop_assert_eq!(
-                ctx.pow_mod_pow2(&b, j),
-                ref_pow(&b, &(BigUint::one() << j as usize), &n)
-            );
-        }
-        // An unreduced base is reduced first.
-        let big = &base + &n;
-        prop_assert_eq!(ctx.pow_mod(&big, &exp), ref_pow(&(&big % &n), &exp, &n));
+        pow_mod_matches_reference(&n, &base, &exponent_of_bits(&raw_exp, exp_bits), j);
     }
 
     /// The flat fixed-base table at 4- and 8-bit windows, with the exponent
