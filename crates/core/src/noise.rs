@@ -79,9 +79,7 @@ pub fn contribution_vector<R: Rng + ?Sized>(
         v[layout.data_slot(cluster, d)] = x;
     }
     v[layout.count_slot(cluster)] = 1.0;
-    for slot in &mut v {
-        *slot += shares.sample_share(rng);
-    }
+    shares.add_shares(&mut v, rng);
     v
 }
 

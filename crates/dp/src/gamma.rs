@@ -5,6 +5,27 @@
 //! squeeze method for shapes `>= 1` and the standard `α+1` boost
 //! (`Gamma(α) = Gamma(α+1) · U^{1/α}`) below 1, evaluated in log space so a
 //! draw whose factor underflows a double costs one uniform word.
+//!
+//! A [`GammaSampler`] is built once per `(shape, scale)` and holds what a
+//! draw would otherwise recompute: Marsaglia–Tsang's `d` and `c`, and below
+//! shape 1 `ln(scale)` and the uniform threshold
+//! `t = exp((LN_UNDERFLOW − ln scale)·shape)`. The boost's factor underflows
+//! when `ln(U)/shape + ln(scale) < LN_UNDERFLOW`, which over the reals is
+//! `U < t`; the sampler decides that on `U` itself:
+//!
+//! * `U < t·(1 − 1e-9)` returns `0.0` with no logarithm;
+//! * `U ≥ t·(1 + 1e-9)` keeps the draw without the test;
+//! * only the band between takes the logarithm and tests it exactly as
+//!   the log-space form always did.
+//!
+//! No bit can change. `U ≥ 2^-53`, so `|ln U| < 37`, and the rounding in
+//! `ln(U)/shape + ln(scale)` is below `3e-13/shape`; `t` is computed to
+//! within a relative `6e-13`. Outside the band `ln U` is at least `1e-9`
+//! away from `ln t`, which puts the log-space sum at least `1e-9/shape`
+//! away from `LN_UNDERFLOW` — over a thousand times the rounding. So the
+//! exact test, had it run, would have decided every such `U` the same way,
+//! and the draws, the words they consume and the values they return are
+//! those of the log-space sampler.
 
 use rand::Rng;
 
@@ -36,6 +57,10 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> f64 {
 /// uniforms) with `shape + 1 < 2` returns less than 400.
 const LN_UNDERFLOW: f64 = -800.0;
 
+/// Half-width of the band around the uniform threshold, relative to it,
+/// inside which the sampler takes the logarithm (module docs).
+const BAND: f64 = 1e-9;
+
 /// Samples `Gamma(shape, scale)` (mean = `shape·scale`).
 ///
 /// For `shape < 1` this is the boost `Gamma(shape+1) · U^{1/shape}`, taken
@@ -44,47 +69,112 @@ const LN_UNDERFLOW: f64 = -800.0;
 /// (`e^{-(800 + ln scale)/n}` of them: 82 % at `n = 4000`), and those return
 /// the `0.0` the product would have rounded to after one uniform word,
 /// without running the rejection sampler for an `x` that cannot matter.
+/// Drawing many values at one `(shape, scale)`, build a [`GammaSampler`]
+/// once instead.
 ///
 /// Panics if `shape` or `scale` is not strictly positive.
 pub fn gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64, scale: f64) -> f64 {
-    assert!(shape > 0.0, "shape must be positive");
-    assert!(scale > 0.0, "scale must be positive");
-    if shape < 1.0 {
-        let u: f64 = loop {
-            let u = rng.gen::<f64>();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        let ln_factor = u.ln() / shape + scale.ln();
-        if ln_factor < LN_UNDERFLOW {
-            return 0.0;
-        }
-        gamma_shape_ge_one(rng, shape + 1.0) * ln_factor.exp()
-    } else {
-        gamma_shape_ge_one(rng, shape) * scale
-    }
+    GammaSampler::new(shape, scale).sample(rng)
 }
 
-/// Marsaglia-Tsang for `shape >= 1`, unit scale.
-fn gamma_shape_ge_one<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
-    debug_assert!(shape >= 1.0);
-    let d = shape - 1.0 / 3.0;
-    let c = 1.0 / (9.0 * d).sqrt();
-    loop {
-        let x = standard_normal(rng);
-        let v = 1.0 + c * x;
-        if v <= 0.0 {
-            continue;
+/// `Gamma(shape, scale)` with its per-draw constants worked out once.
+#[derive(Clone, Copy, Debug)]
+pub struct GammaSampler {
+    /// Marsaglia–Tsang's `d = shape′ − 1/3`, `shape′` being `shape`, or
+    /// `shape + 1` below 1.
+    d: f64,
+    /// Marsaglia–Tsang's `c = 1/√(9d)`.
+    c: f64,
+    /// What multiplies the unit-scale draw.
+    factor: Factor,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Factor {
+    /// `shape ≥ 1`: the scale.
+    Scale(f64),
+    /// `shape < 1`: `U^{1/shape} · scale`, with `U` drawn first. `U` below
+    /// `below` underflows, `U` from `above` up does not, and the band
+    /// between is decided in log space.
+    Boost {
+        shape: f64,
+        ln_scale: f64,
+        below: f64,
+        above: f64,
+    },
+}
+
+impl GammaSampler {
+    /// A sampler for `Gamma(shape, scale)`.
+    ///
+    /// Panics if `shape` or `scale` is not strictly positive.
+    pub fn new(shape: f64, scale: f64) -> Self {
+        assert!(shape > 0.0, "shape must be positive");
+        assert!(scale > 0.0, "scale must be positive");
+        let (unit_shape, factor) = if shape < 1.0 {
+            let ln_scale = scale.ln();
+            let t = ((LN_UNDERFLOW - ln_scale) * shape).exp();
+            let boost = Factor::Boost {
+                shape,
+                ln_scale,
+                below: t * (1.0 - BAND),
+                above: t * (1.0 + BAND),
+            };
+            (shape + 1.0, boost)
+        } else {
+            (shape, Factor::Scale(scale))
+        };
+        let d = unit_shape - 1.0 / 3.0;
+        let c = 1.0 / (9.0 * d).sqrt();
+        GammaSampler { d, c, factor }
+    }
+
+    /// One draw.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        match self.factor {
+            Factor::Scale(scale) => self.unit(rng) * scale,
+            Factor::Boost {
+                shape,
+                ln_scale,
+                below,
+                above,
+            } => {
+                let u: f64 = loop {
+                    let u = rng.gen::<f64>();
+                    if u > 0.0 {
+                        break u;
+                    }
+                };
+                if u < below {
+                    return 0.0;
+                }
+                let ln_factor = u.ln() / shape + ln_scale;
+                if u < above && ln_factor < LN_UNDERFLOW {
+                    return 0.0;
+                }
+                self.unit(rng) * ln_factor.exp()
+            }
         }
-        let v3 = v * v * v;
-        let u: f64 = rng.gen();
-        // Squeeze, then full acceptance test.
-        if u < 1.0 - 0.0331 * x.powi(4) {
-            return d * v3;
-        }
-        if u > 0.0 && u.ln() < 0.5 * x * x + d * (1.0 - v3 + v3.ln()) {
-            return d * v3;
+    }
+
+    /// Marsaglia-Tsang at unit scale.
+    fn unit<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        let (d, c) = (self.d, self.c);
+        loop {
+            let x = standard_normal(rng);
+            let v = 1.0 + c * x;
+            if v <= 0.0 {
+                continue;
+            }
+            let v3 = v * v * v;
+            let u: f64 = rng.gen();
+            // Squeeze, then full acceptance test.
+            if u < 1.0 - 0.0331 * x.powi(4) {
+                return d * v3;
+            }
+            if u > 0.0 && u.ln() < 0.5 * x * x + d * (1.0 - v3 + v3.ln()) {
+                return d * v3;
+            }
         }
     }
 }

@@ -13,7 +13,7 @@
 //! under-dispersed — the source of the paper's *probabilistic* ε-DP variant.
 //! [`NoiseShareGenerator::effective_scale`] quantifies it.
 
-use crate::gamma::gamma;
+use crate::gamma::GammaSampler;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -47,13 +47,28 @@ impl NoiseShareGenerator {
 
     /// Samples this participant's share: `Gamma(1/n, b) − Gamma(1/n, b)`.
     pub fn sample_share<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let shape = 1.0 / self.population as f64;
-        gamma(rng, shape, self.scale) - gamma(rng, shape, self.scale)
+        let mut share = [0.0];
+        self.add_shares(&mut share, rng);
+        share[0]
     }
 
     /// Samples one share per coordinate of a `len`-dimensional aggregate.
     pub fn sample_share_vec<R: Rng + ?Sized>(&self, len: usize, rng: &mut R) -> Vec<f64> {
-        (0..len).map(|_| self.sample_share(rng)).collect()
+        let mut shares = vec![0.0; len];
+        self.add_shares(&mut shares, rng);
+        shares
+    }
+
+    /// Adds a fresh share to every element of `values`, in order. The
+    /// gamma sampler is built once for the whole slice.
+    ///
+    /// A share is never `-0.0` (both gammas are `≥ +0.0`), so a zero
+    /// element ends up holding exactly the share's bits.
+    pub fn add_shares<R: Rng + ?Sized>(&self, values: &mut [f64], rng: &mut R) {
+        let gamma = GammaSampler::new(1.0 / self.population as f64, self.scale);
+        for v in values {
+            *v += gamma.sample(rng) - gamma.sample(rng);
+        }
     }
 
     /// The Laplace scale actually realized when only `contributing` of the

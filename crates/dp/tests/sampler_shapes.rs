@@ -6,37 +6,13 @@
 //! at those shapes and pin the fast path itself: by word count, not by
 //! time.
 
+mod common;
+
+use common::Counting;
 use cs_dp::gamma::gamma;
 use cs_dp::NoiseShareGenerator;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
-
-/// Counts the words drawn from the generator it wraps.
-struct Counting<R> {
-    inner: R,
-    words: u64,
-}
-
-impl<R: RngCore> Counting<R> {
-    fn new(inner: R) -> Self {
-        Counting { inner, words: 0 }
-    }
-}
-
-impl<R: RngCore> RngCore for Counting<R> {
-    fn next_u32(&mut self) -> u32 {
-        self.words += 1;
-        self.inner.next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.words += 1;
-        self.inner.next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.words += dest.len().div_ceil(8) as u64;
-        self.inner.fill_bytes(dest)
-    }
-}
+use rand::SeedableRng;
 
 /// `draws` gamma draws: how many consumed exactly one word, and how many
 /// returned `0.0` after consuming more.
