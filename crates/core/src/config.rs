@@ -10,7 +10,7 @@
 use crate::error::ChiaroscuroError;
 use cs_crypto::{CryptoCostProfile, KeyGenOptions, ThresholdParams};
 use cs_dp::BudgetStrategy;
-use cs_gossip::{FailureModel, Overlay};
+use cs_gossip::FailureModel;
 use cs_timeseries::smooth::Smoothing;
 use cs_timeseries::Distance;
 use serde::{Deserialize, Serialize};
@@ -89,9 +89,10 @@ pub struct ChiaroscuroConfig {
     /// Gossip cycles per computation step ("number of exchanges per
     /// participant").
     pub gossip_cycles: usize,
-    /// Overlay used for peer sampling.
-    pub overlay: Overlay,
-    /// Failure injection.
+    /// The cycle simulator's per-cycle crash, recovery and loss
+    /// probabilities. The message-passing hosts script failures with knobs
+    /// of their own and refuse any other value than [`FailureModel::none`]
+    /// ([`Self::failure_free`]).
     pub failure: FailureModel,
 
     // ---- simulation ----
@@ -124,7 +125,6 @@ impl ChiaroscuroConfig {
             rerandomize: true,
             packing: false,
             gossip_cycles: 12,
-            overlay: Overlay::Full,
             failure: FailureModel::none(),
             seed: 42,
         }
@@ -154,7 +154,6 @@ impl ChiaroscuroConfig {
             rerandomize: true,
             packing: false,
             gossip_cycles: 30,
-            overlay: Overlay::Full,
             failure: FailureModel::none(),
             seed: 42,
         }
@@ -186,6 +185,18 @@ impl ChiaroscuroConfig {
         }
         self.failure.validate();
         Ok(())
+    }
+
+    /// Refuses a [`Self::failure`] model on a host that cannot honour it:
+    /// `knobs` names the host's own way of scripting loss and churn.
+    pub fn failure_free(&self, knobs: &str) -> Result<(), ChiaroscuroError> {
+        if self.failure == FailureModel::none() {
+            return Ok(());
+        }
+        Err(ChiaroscuroError::InvalidConfig(format!(
+            "config.failure is read by the cycle simulator only; this host \
+             scripts loss and churn through {knobs}"
+        )))
     }
 
     /// The L1 sensitivity of one iteration's disclosed aggregate family:

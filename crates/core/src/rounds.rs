@@ -24,12 +24,10 @@ use crate::error::ChiaroscuroError;
 use crate::noise::SlotLayout;
 use cs_bigint::BigUint;
 use cs_crypto::threshold::{CombinePlanCache, ThresholdKeyPair};
-use cs_crypto::{
-    Ciphertext, FastEncryptor, FixedPointCodec, PackedCodec, PublicKey, RandomizerPool,
-};
+use cs_crypto::{Ciphertext, FastEncryptor, FixedPointCodec, PackedCodec, PublicKey};
 use cs_gossip::homomorphic_pushsum::{HePushSumNode, HomomorphicOpCounts};
 use cs_gossip::pushsum::PushSumNode;
-use cs_gossip::{Network, TrafficStats};
+use cs_gossip::{Network, Overlay, TrafficStats};
 use cs_obs::phase::{PhaseProfile, StepPhase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -210,8 +208,6 @@ pub struct StepCipher {
     pk: Arc<PublicKey>,
     layout: SlotLayout,
     rerandomize: bool,
-    /// Randomizers a node's gossip is expected to draw (0 = no pooling).
-    pool_target: usize,
     codec: PackedCodec,
     /// The denominator exponent no node of the step splits past.
     denom_cap: u32,
@@ -229,22 +225,10 @@ impl StepCipher {
     ) -> Result<Self, ChiaroscuroError> {
         let fp = FixedPointCodec::new(config.codec_scale_bits);
         let codec = plan_packed_codec(config, pk, &fp, layout, population)?;
-        // The expected demand of a full gossip run — each push re-randomizes
-        // the node's whole ciphertext vector — capped so huge lane counts
-        // don't make the refill the bottleneck. A node that forwards more
-        // falls back to on-the-fly randomizers; one that terminates early
-        // wastes the tail.
-        let demand = config.gossip_cycles * codec.ciphertexts_for(layout.total());
-        let pool_target = if config.rerandomize {
-            demand.min(512)
-        } else {
-            0
-        };
         Ok(StepCipher {
             pk: pk.clone(),
             layout: *layout,
             rerandomize: config.rerandomize,
-            pool_target,
             codec,
             denom_cap: codec.denominator_cap(population),
             enc: enc.clone(),
@@ -288,13 +272,12 @@ impl StepCipher {
     /// weight 1, or — for a participant down at step start — holds zero
     /// weight over *unbiased* trivial zeros (the lane bias must travel
     /// exactly with the weight mass). The node is capped at
-    /// [`Self::denominator_cap`]; `pool` serves the forward
-    /// re-randomizations when given. Returns the node and the number of
-    /// real encryptions performed.
+    /// [`Self::denominator_cap`] and re-randomizes its forwards through the
+    /// step's [`FastEncryptor`]. Returns the node and the number of real
+    /// encryptions performed.
     pub fn node<R: Rng + ?Sized>(
         &self,
         contribution: Option<&[f64]>,
-        pool: Option<RandomizerPool>,
         rng: &mut R,
     ) -> Result<(HePushSumNode, u64), ChiaroscuroError> {
         let (cipher, weight, encryptions) = match contribution {
@@ -309,13 +292,10 @@ impl StepCipher {
                 (cipher, 1.0, encryptions)
             }
         };
-        let mut node =
+        let node =
             HePushSumNode::from_ciphertexts(self.pk.clone(), cipher, weight, self.rerandomize)
                 .with_encryptor(self.enc.clone())
                 .with_denominator_cap(self.denom_cap);
-        if let Some(pool) = pool {
-            node = node.with_pool(pool);
-        }
         Ok((node, encryptions))
     }
 
@@ -385,23 +365,6 @@ impl StepCipher {
             .codec
             .unfold_aggregate(raws, self.layout.total(), denom_exp, weight)?;
         Ok(assemble_aggregates(&self.layout, |slot| values[slot]))
-    }
-
-    /// Tops `pool` up — or builds one — to the randomizers a node's gossip
-    /// is expected to draw, so forwards pop precomputed randomizers instead
-    /// of paying a fixed-base exponentiation each. `None` when the step
-    /// pools nothing (re-randomization off).
-    pub fn fill_pool<R: Rng + ?Sized>(
-        &self,
-        pool: Option<RandomizerPool>,
-        rng: &mut R,
-    ) -> Option<RandomizerPool> {
-        if self.pool_target == 0 {
-            return None;
-        }
-        let mut pool = pool.unwrap_or_else(|| RandomizerPool::new(self.enc.clone()));
-        pool.refill(self.pool_target.saturating_sub(pool.len()), rng);
-        Some(pool)
     }
 }
 
@@ -500,7 +463,7 @@ pub fn run_computation_step(
             None => PushSumNode::new(vec![0.0; layout.total()], 0.0),
         })
         .collect();
-    let mut net = Network::new(nodes, config.overlay.clone(), config.failure, step_seed);
+    let mut net = Network::new(nodes, Overlay::Full, config.failure, step_seed);
     for (i, c) in contributions.iter().enumerate() {
         if c.is_none() {
             net.set_alive(i, false);
@@ -674,7 +637,7 @@ mod tests {
                 let values: Vec<f64> = (0..layout.total())
                     .map(|s| ((s * 7 + i * 3) % 17) as f64 * 0.37 - 3.0)
                     .collect();
-                cipher.node(Some(&values), None, &mut rng).unwrap().0
+                cipher.node(Some(&values), &mut rng).unwrap().0
             })
             .collect();
         let bits = |a: &PerturbedAggregates| -> Vec<u64> {
@@ -786,7 +749,7 @@ mod tests {
             let cipher = crypto.step_cipher(&config, &layout(), 4).unwrap().unwrap();
             let verdict = cipher.admits(contributions[1].as_ref().unwrap());
             assert!(verdict.is_err(), "{value:e}");
-            let node = cipher.node(contributions[1].as_deref(), None, &mut rng);
+            let node = cipher.node(contributions[1].as_deref(), &mut rng);
             assert!(node.is_err(), "{value:e}");
         }
     }

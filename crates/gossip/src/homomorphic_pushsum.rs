@@ -187,13 +187,6 @@ impl HePushSumNode {
         self
     }
 
-    /// Detaches the randomizer pool (leftovers included) so a long-lived
-    /// host — the `cs_node` daemon — can refill it between steps and hand
-    /// it to the next step's node.
-    pub fn take_pool(&mut self) -> Option<RandomizerPool> {
-        self.pool.take()
-    }
-
     /// The encrypted slots (for collaborative decryption).
     pub fn ciphertexts(&self) -> &[Ciphertext] {
         &self.cipher
@@ -606,8 +599,7 @@ mod tests {
             let push = a.split_push(&mut rng);
             b.absorb(&push);
         }
-        let leftover = a.take_pool().expect("pool installed");
-        assert!(leftover.is_empty(), "all three pooled randomizers consumed");
+        assert_eq!(a.op_counts().rerandomizations, 4);
         let mass: f64 = a
             .decrypt_mass(kp.private(), &codec)
             .iter()

@@ -28,7 +28,6 @@
 use crate::node::{NodeReport, Outbound, ProtocolNode};
 use crate::transport::NodeId;
 use crate::wire::{Message, TraceContext};
-use cs_crypto::RandomizerPool;
 use cs_obs::{CausalTracer, PhaseProfile};
 use std::time::Duration;
 
@@ -267,12 +266,9 @@ impl NodeDriver {
         self.node.step_done() || now >= self.step_timeout
     }
 
-    /// Consumes the driver into the node's report and its (possibly
-    /// drained) randomizer pool, for substrates that keep pools across
-    /// steps.
-    pub fn finish(mut self) -> (NodeReport, Option<RandomizerPool>) {
-        let pool = self.node.take_randomizer_pool();
-        (self.node.into_report(), pool)
+    /// Consumes the driver into the node's report.
+    pub fn finish(self) -> NodeReport {
+        self.node.into_report()
     }
 
     fn gossiping(&self) -> bool {

@@ -722,9 +722,10 @@ pub fn run_step_sharded(
 ) -> Result<StepRun, ChiaroscuroError> {
     let n = contributions.len();
     sharded.validate(n)?;
+    config.failure_free("ShardedConfig.link / ShardedConfig.churn")?;
     let started = Instant::now();
 
-    let step = StepCrypto::prepare(config, layout, contributions, crypto, step_seed)?;
+    let step = StepCrypto::prepare(config, layout, contributions, crypto)?;
     let shard_count = sharded.shards.min(n);
     let workers = match sharded.workers {
         0 => thread::available_parallelism().map_or(4, |v| v.get()),
@@ -862,7 +863,7 @@ pub fn run_step_sharded(
                 .trace
                 .map(|(_, tracer)| NodeTrace::capture(id, &tracer));
             let alive = slot.driver.is_alive();
-            let report = slot.driver.finish().0;
+            let report = slot.driver.finish();
             timed += report.profile.total_ns() - report.profile.encrypt_ns;
             nodes.push((report, alive, trace));
         }
@@ -919,7 +920,6 @@ mod tests {
 
     #[test]
     fn same_seed_same_step_bitwise() {
-        let step = Step::new(Crypto::Simulated, 25, 48, [3, 4, 11]);
         let sharded = ShardedConfig {
             shards: 8,
             link: LinkConfig {
@@ -930,37 +930,41 @@ mod tests {
             },
             ..ShardedConfig::default()
         };
-        let run = |workers: usize| {
-            let cfg = ShardedConfig {
-                workers,
-                ..sharded.clone()
-            };
-            step.on_shards(&cfg, &[]).unwrap()
-        };
-        let a = run(0);
         // The same estimates to the bit, the same accounting and the same
         // deterministic `exec.*` counters, run after run and whatever the
         // worker count: parallelism never changes results, only wall-clock.
         // Eight workers is more than this box has cores — a waiting
-        // worker's spin must not starve the one that is working.
-        for workers in [0, 1, 2, 3, 8] {
-            let b = run(workers);
-            assert_eq!(a.outcome.estimates, b.outcome.estimates, "{workers}");
-            assert_eq!(a.snapshot, b.snapshot, "{workers} workers");
-            for name in [
-                "exec.deliveries.cross_shard",
-                "exec.epochs",
-                "exec.buffers.allocated",
-            ] {
-                let count = a.metrics.counter(name);
-                assert!(count > 0, "{name} must be populated");
-                assert_eq!(
-                    count,
-                    b.metrics.counter(name),
-                    "{name} at {workers} workers"
-                );
+        // worker's spin must not starve the one that is working. Packed
+        // wire bytes follow each ciphertext's minimal-length encoding, so
+        // equal bytes hold every forward's randomizer to the node's own
+        // crypto stream; packed pushes borrow no plaintext buffer.
+        for (step, buffers) in [
+            (Step::new(Crypto::Simulated, 25, 48, [3, 4, 11]), 1),
+            (Step::new(Crypto::Packed, 10, 16, [3, 4, 11]), 0),
+        ] {
+            let run = |workers| {
+                let cfg = ShardedConfig {
+                    workers,
+                    ..sharded.clone()
+                };
+                step.on_shards(&cfg, &[]).unwrap()
+            };
+            let a = run(0);
+            for workers in [0, 1, 2, 3, 8] {
+                let b = run(workers);
+                assert_eq!(a.outcome.estimates, b.outcome.estimates, "{workers}");
+                assert_eq!(a.snapshot, b.snapshot, "{workers} workers");
+                for (name, floor) in [
+                    ("exec.deliveries.cross_shard", 1),
+                    ("exec.epochs", 1),
+                    ("exec.buffers.allocated", buffers),
+                ] {
+                    let count = a.metrics.counter(name);
+                    assert!(count >= floor, "{name} must be populated");
+                    assert_eq!(count, b.metrics.counter(name), "{name} at {workers}");
+                }
+                assert!(b.metrics.counter("exec.worker.busy_ns") > 0);
             }
-            assert!(b.metrics.counter("exec.worker.busy_ns") > 0);
         }
     }
 
@@ -1167,7 +1171,7 @@ mod tests {
             .filter(|e| e.name == "recv")
             .count();
         let slot = shard.slots.into_iter().next().unwrap();
-        (snapshot, received, slot.driver.finish().0.bad_frames)
+        (snapshot, received, slot.driver.finish().bad_frames)
     }
 
     #[test]

@@ -104,8 +104,11 @@ pub enum NodeCrypto {
         /// Cached per-committee-subset combine plans, shared across the
         /// population and across steps.
         plans: Arc<CombinePlanCache>,
-        /// Precomputed randomizers for this node's forward
-        /// re-randomizations; `None` generates them on the hot path.
+        /// Randomizers a host built in its idle time for this node's
+        /// forwards — a `csnoded` between steps. The node drains it and
+        /// drops the rest; forwards it cannot serve, and every forward
+        /// when `None` (the in-process hosts), draw from the node's crypto
+        /// stream.
         pool: Option<RandomizerPool>,
     },
     /// Plaintext pipeline (simulated-crypto mode): same dataflow, cleartext
@@ -337,7 +340,7 @@ pub struct ProtocolNode {
     /// with does not depend on how many ciphertexts its lane plan gives it.
     rng: StdRng,
     /// The node's crypto draws: contribution encryption, and the
-    /// randomizers of forwards its pool cannot serve.
+    /// randomizers of forwards no host-built pool serves.
     crypto_rng: StdRng,
     /// Population view as its sparse complement: ids currently believed
     /// dead. The dense `Vec<bool>` this replaces cost O(population) *per
@@ -400,9 +403,12 @@ impl ProtocolNode {
             // The randomizer pool moves into the aggregator: it is per-node
             // state, not shared crypto configuration.
             NodeCrypto::Real { cipher, pool, .. } => {
-                let (he, encryptions) = cipher
-                    .node(contribution, pool.take(), &mut crypto_rng)
+                let (mut he, encryptions) = cipher
+                    .node(contribution, &mut crypto_rng)
                     .expect("the host checked that the cipher admits the contribution");
+                if let Some(pool) = pool.take() {
+                    he = he.with_pool(pool);
+                }
                 ops.encryptions += encryptions;
                 Aggregator::Encrypted(he)
             }
@@ -710,20 +716,6 @@ impl ProtocolNode {
             node: self.params.id as u64,
         };
         self.broadcast(msg, out);
-    }
-
-    /// Recovers the (possibly drained) randomizer pool from the aggregator.
-    ///
-    /// [`crate::driver::NodeDriver::finish`] calls this before
-    /// [`ProtocolNode::into_report`] so a daemon's persistent pool survives
-    /// the step and can be refilled during idle time; the in-process
-    /// runtimes build each node's pool from the step seed and drop what is
-    /// left of it.
-    pub fn take_randomizer_pool(&mut self) -> Option<cs_crypto::RandomizerPool> {
-        match &mut self.agg {
-            Aggregator::Encrypted(he) => he.take_pool(),
-            Aggregator::Plain(_) => None,
-        }
     }
 
     /// Consumes the node into its final report.

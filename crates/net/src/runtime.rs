@@ -28,8 +28,6 @@ use cs_gossip::homomorphic_pushsum::HomomorphicOpCounts;
 use cs_gossip::TrafficStats;
 use cs_obs::health::Alert;
 use cs_obs::{AuditConfig, CausalTracer, NodeTrace, StepPhase, Tracer, WallClock};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,7 +46,6 @@ pub(crate) struct StepCrypto<'a> {
     crypto: &'a CryptoContext,
     /// `None` in simulated mode.
     cipher: Option<StepCipher>,
-    step_seed: u64,
 }
 
 impl<'a> StepCrypto<'a> {
@@ -63,7 +60,6 @@ impl<'a> StepCrypto<'a> {
         layout: &SlotLayout,
         contributions: &[Option<Vec<f64>>],
         crypto: &'a CryptoContext,
-        step_seed: u64,
     ) -> Result<Self, ChiaroscuroError> {
         let population = contributions.len();
         let cipher = crypto.step_cipher(config, layout, population)?;
@@ -76,25 +72,21 @@ impl<'a> StepCrypto<'a> {
             committee: crypto.committee(population),
             crypto,
             cipher,
-            step_seed,
         })
     }
 
-    /// The crypto substrate node `i` runs with. Its randomizer pool, when
-    /// the step pools at all, is a **pure function of `(step_seed, i)`**:
-    /// it moves the fixed-base exponentiations of the node's forwards out
-    /// of the gossip phase and into node construction without the bits on
-    /// the wire depending on which substrate, worker or thread built it.
+    /// The crypto substrate node `i` runs with. It carries no randomizer
+    /// pool: an in-process host has no idle time to fill one in, so a
+    /// forward re-randomizes inside the gossip phase that pays for it,
+    /// drawing from the node's own crypto stream — which no substrate,
+    /// worker or thread can change.
     pub fn node_crypto(&self, i: usize) -> NodeCrypto {
         let (Some(cipher), CryptoContext::Real { tkp, plans, .. }) = (&self.cipher, self.crypto)
         else {
             return NodeCrypto::Plain;
         };
-        let seed =
-            self.step_seed ^ 0x005E_ED0F_9001_u64 ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let pool = cipher.fill_pool(None, &mut StdRng::seed_from_u64(seed));
         let share = self.committee.contains(&i).then(|| tkp.shares()[i].clone());
-        NodeCrypto::real(cipher, share, tkp.params(), plans, pool)
+        NodeCrypto::real(cipher, share, tkp.params(), plans, None)
     }
 }
 
@@ -296,9 +288,10 @@ pub fn run_step_over_tcp(
         ));
     }
     net.link.validate()?;
+    config.failure_free("NetConfig.link / NetConfig.churn")?;
     // A contribution or a schedule the step's cipher refuses fails the step
     // here, before a socket is bound or a node thread exists.
-    let step = StepCrypto::prepare(config, layout, contributions, crypto, step_seed)?;
+    let step = StepCrypto::prepare(config, layout, contributions, crypto)?;
     let registry = cs_obs::Registry::new();
     let transport = Arc::new(
         TcpTransport::loopback(
@@ -402,7 +395,7 @@ pub fn run_step_over_tcp(
                         Ok(())
                     };
                     let Ok(()) = pump::<Infallible>(&mut driver, &transport, turn, announce);
-                    driver.finish().0
+                    driver.finish()
                 })
                 .expect("spawn node thread"),
         );

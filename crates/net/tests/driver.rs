@@ -188,7 +188,7 @@ fn tick_chain_stops_at_await_shares() {
     out.clear();
     requester.poll(PUSH + retry() - 1, &mut out);
     assert!(out.is_empty(), "no tick fires once the round has started");
-    assert_eq!(requester.finish().0.pushes_sent, 2);
+    assert_eq!(requester.finish().pushes_sent, 2);
 }
 
 #[test]
@@ -209,7 +209,7 @@ fn deadline_abandons_once_and_only_while_awaiting() {
     out.clear();
     stranded.poll(3 * DEADLINE, &mut out);
     assert!(out.is_empty(), "abandoned once");
-    assert!(stranded.finish().0.estimate.is_none());
+    assert!(stranded.finish().estimate.is_none());
 
     // Answered in time: the round's clocks end with the round, so the
     // deadline instant passes without a second verdict.
@@ -226,7 +226,7 @@ fn deadline_abandons_once_and_only_while_awaiting() {
     out.clear();
     served.poll(DEADLINE, &mut out);
     assert!(out.is_empty());
-    assert!(served.finish().0.estimate.is_some());
+    assert!(served.finish().estimate.is_some());
 }
 
 /// Complete = done ∨ timed out. A node's own part of the step is over the
@@ -317,7 +317,7 @@ fn rejoin_while_gossiping_starts_one_fresh_tick_chain() {
     assert_eq!(count(&out, |m| matches!(m, Message::Leave { .. })), 4);
     assert!(!gossiper.is_alive());
     assert_eq!(gossiper.armed(), Armed::default());
-    assert_eq!(gossiper.finish().0.pushes_sent, 4);
+    assert_eq!(gossiper.finish().pushes_sent, 4);
 }
 
 /// One step of a random schedule.
@@ -491,7 +491,7 @@ fn run(ops: &[Op], pushes: usize, clocking: Clocking) -> (Vec<(u64, Outbound)>, 
         }
         assert!(armed.iter().all(|(_, at)| at >= now), "nothing overdue");
     }
-    let mut report = driver.finish().0;
+    let mut report = driver.finish();
     report.profile = Default::default();
     (log, format!("{report:?}"))
 }

@@ -229,7 +229,7 @@ fn the_pump_counts_retired_frames_as_bad_frames() {
         Ok(ControlFlow::Continue(Liveness::Alive))
     };
     let Ok(()) = pump::<Infallible>(&mut driver, &transport, turn, || Ok(()));
-    assert_eq!(driver.finish().0.bad_frames, 3);
+    assert_eq!(driver.finish().bad_frames, 3);
 }
 
 #[test]

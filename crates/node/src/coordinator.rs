@@ -538,6 +538,7 @@ impl ComputationBackend for ClusterBackend {
         _rng: &mut StdRng,
     ) -> Result<ComputationOutcome, ChiaroscuroError> {
         let n = contributions.len();
+        config.failure_free("ClusterConfig.link / ClusterBackend::with_kills")?;
         if !self.bootstrapped {
             self.bootstrap(config, layout, n, crypto)?;
         }

@@ -163,18 +163,17 @@ struct RunContext {
     /// Per-committee-subset combine plans, cached across every step this
     /// daemon serves (the subset only changes when the responder set does).
     plans: Arc<CombinePlanCache>,
-    /// The persistent randomizer pool: recovered from the node after each
-    /// step ([`ProtocolNode::take_randomizer_pool`]) and restocked *after*
-    /// the step's `Report` ships — i.e. while the daemon idles waiting for
-    /// the next `Step` — so the gossip hot path pops precomputed
-    /// randomizers. The in-process substrates have no idle time to refill
-    /// in and rebuild each node's pool from the step seed; this one draws
-    /// from a private RNG that advances across steps: daemons learn the
-    /// step seed only when the `Step` command arrives, and no
-    /// bitwise-replay harness spans processes, so consumption-dependent
-    /// contents are fine here.
-    pool: Mutex<Option<RandomizerPool>>,
-    /// Private randomness feeding [`RunContext::take_pool`].
+    /// The encryptor and size of a step's randomizer pool; `None` when the
+    /// run re-randomizes nothing.
+    pool_plan: Option<(Arc<FastEncryptor>, usize)>,
+    /// The next step's randomizer pool, built while the daemon idles —
+    /// at bootstrap, then between each `Report` and the next `Step` — so
+    /// the gossip hot path pops precomputed randomizers. It flows one way:
+    /// the node drains it and what it leaves dies with the step. Its RNG
+    /// is private and advances across steps: no bitwise-replay harness
+    /// spans processes.
+    next_pool: Mutex<Option<RandomizerPool>>,
+    /// Private randomness feeding [`RunContext::restock_pool`].
     pool_rng: Mutex<StdRng>,
     /// The Bootstrap's fault spec. When it names *this* daemon, every
     /// partial decryption it emits gets its value bytes corrupted — a
@@ -215,7 +214,7 @@ impl RunContext {
         }
         let link = link.to_link_config();
         link.validate().map_err(|e| bad_data(e.to_string()))?;
-        let cipher = match pk {
+        let (cipher, pool_plan) = match pk {
             Some(_) if !matches!(config.crypto, CryptoMode::Real { .. }) => {
                 return Err(bad_data("public key shipped for a simulated-crypto run"));
             }
@@ -228,9 +227,12 @@ impl RunContext {
                 let enc = Arc::new(FastEncryptor::new(pk.clone(), &mut enc_rng));
                 let cipher = StepCipher::plan(&config, &pk, &enc, &layout, n)
                     .map_err(|e| bad_data(format!("step cipher: {e}")))?;
-                Some(cipher)
+                // A node's whole gossip draw, capped so huge lane counts
+                // don't make the refill the bottleneck.
+                let size = (config.gossip_cycles * cipher.ciphertexts()).min(512);
+                (Some(cipher), config.rerandomize.then_some((enc, size)))
             }
-            None => None,
+            None => (None, None),
         };
         let directory: Vec<SocketAddr> = population
             .iter()
@@ -248,7 +250,7 @@ impl RunContext {
             Some(registry),
         ));
         let pool_rng_seed = config.seed ^ 0x5EED_B007_u64 ^ ((id as u64) << 32);
-        Ok(RunContext {
+        let ctx = RunContext {
             config,
             layout,
             committee,
@@ -257,25 +259,24 @@ impl RunContext {
             timing,
             transport,
             plans: Arc::new(CombinePlanCache::new()),
-            pool: Mutex::new(None),
+            pool_plan,
+            next_pool: Mutex::new(None),
             pool_rng: Mutex::new(StdRng::seed_from_u64(pool_rng_seed)),
             fault,
-        })
+        };
+        // The first step's pool, built before any `Step` arrives.
+        ctx.restock_pool();
+        Ok(ctx)
     }
 
-    /// Takes the persistent pool, topped up to a step's expected demand —
-    /// built here on the first step of the run, when nothing has been
-    /// restocked yet. `None` when the run pools no randomizers.
-    fn take_pool(&self) -> Option<RandomizerPool> {
-        let stashed = self.pool.lock().expect("pool lock").take();
-        let mut rng = self.pool_rng.lock().expect("pool rng lock");
-        self.cipher.as_ref()?.fill_pool(stashed, &mut *rng)
-    }
-
-    /// Puts back the (possibly drained) pool recovered from a finished
-    /// step (`None` when the run keeps none — the slot was empty already).
-    fn stash_pool(&self, pool: Option<RandomizerPool>) {
-        *self.pool.lock().expect("pool lock") = pool;
+    /// Builds the next step's randomizer pool.
+    fn restock_pool(&self) {
+        let pool = self.pool_plan.as_ref().map(|(enc, size)| {
+            let mut pool = RandomizerPool::new(enc.clone());
+            pool.refill(*size, &mut *self.pool_rng.lock().expect("pool rng lock"));
+            pool
+        });
+        *self.next_pool.lock().expect("pool lock") = pool;
     }
 }
 
@@ -546,11 +547,11 @@ fn serve_steps(
                         metrics: metrics_delta,
                     },
                 )?;
-                // Report shipped, coordinator satisfied: restock the
-                // randomizer pool now, while waiting for the next Step —
-                // the fixed-base exponentiations land in idle time instead
-                // of the next step's gossip hot path.
-                ctx.stash_pool(ctx.take_pool());
+                // Report shipped, coordinator satisfied: build the next
+                // step's randomizer pool now, while waiting for the next
+                // Step — the fixed-base exponentiations land in idle time
+                // instead of the next step's gossip hot path.
+                ctx.restock_pool();
             }
             // Live scrape: cumulative since daemon start, not delta'd.
             Ok(ControlMsg::Metrics) => {
@@ -705,20 +706,12 @@ fn run_step(
             ctx.share.clone(),
             ctx.config.threshold,
             &ctx.plans,
-            ctx.take_pool(),
+            ctx.next_pool.lock().expect("pool lock").take(),
         ),
         None => NodeCrypto::Plain,
     };
     let node = ProtocolNode::new(params, ctx.layout, node_crypto, Some(&contribution));
     let mut driver = NodeDriver::new(node, &timing, true);
-    // However the step ends, the (possibly drained) randomizer pool
-    // survives it; it is restocked after the Report ships (see
-    // `serve_steps`).
-    let finish = |driver: NodeDriver| {
-        let (report, pool) = driver.finish();
-        ctx.stash_pool(pool);
-        report
-    };
 
     // Start barrier, mirroring the in-process host's start gate: node
     // construction (contribution encryption — the expensive part in
@@ -732,7 +725,7 @@ fn run_step(
             Ok(ControlMsg::Go { step: s }) if s == step => break,
             // A coordinator that timed out collecting Readys may skip
             // straight to ending the step.
-            Ok(ControlMsg::StepEnd) => return Ok(finish(driver)),
+            Ok(ControlMsg::StepEnd) => return Ok(driver.finish()),
             Ok(ControlMsg::Shutdown) => return Err(bad_data("shutdown mid-step")),
             Ok(_) => {}
             Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -762,7 +755,7 @@ fn run_step(
     let turn = || Ok(poll_control(rx)?.map_continue(|()| cs_net::churn::Liveness::Alive));
     let announce = || write_msg(control, &ControlMsg::Done { step, node: id });
     pump(&mut driver, transport, turn, announce)?;
-    Ok(finish(driver))
+    Ok(driver.finish())
 }
 
 #[cfg(test)]

@@ -53,8 +53,9 @@ use std::time::Duration;
 /// pair, the observability address carried by `Hello`, and the fault
 /// spec carried by `Bootstrap`; v5 dropped the post-completion wait from
 /// the `Bootstrap`'s [`TimingSpec`] along with the termination votes it
-/// waited for.
-pub const PROTO_VERSION: u8 = 5;
+/// waited for; v6 dropped the `overlay` field from the config `Bootstrap`
+/// carries.
+pub const PROTO_VERSION: u8 = 6;
 
 /// Upper bound on one control message (guards the length-prefix read).
 pub const MAX_CONTROL_BYTES: usize = 64 << 20;

@@ -830,6 +830,17 @@ fn timeline_of(step: &cs_net::StepRun) -> Timeline {
 /// `the_lane_plan_leaves_every_estimate_bit_identical` holds every commit
 /// to. The plain half has neither lanes nor a crypto
 /// stream, and did not move.
+///
+/// The packed half was re-recorded once more when in-process nodes lost
+/// their construction-time randomizer pool: a forward's randomizers come
+/// from the node's crypto stream instead of a pool seeded by
+/// `(step_seed, node)`. Ciphertext values move, frame counts do not, and
+/// `put_biguint` writes each one at its minimal length, so only what
+/// covers ciphertext lengths moved: `decrypt` bytes 15 785 → 15 783 (the
+/// requests' folded snapshots are 2 bytes shorter in total) and the
+/// `traces` hash 9 721 234 553 778 720 074 → the value below. Gossip bytes
+/// happen to total the same; the estimates hash, the split and `epochs`
+/// cannot move — a randomizer never changes a plaintext.
 #[test]
 fn sharded_timeline_matches_the_recorded_golden_values() {
     let link = cs_net::LinkConfig {
@@ -894,15 +905,61 @@ fn sharded_timeline_matches_the_recorded_golden_values() {
     };
     let packed = Timeline {
         gossip: [158, 41_550, 2],
-        decrypt: [61, 15_785, 1],
+        decrypt: [61, 15_783, 1],
         control: [0, 0, 0],
         in_shard: 42,
         cross_shard: 180,
         epochs: 28,
         estimates: 12_466_287_731_050_810_451,
-        traces: 9_721_234_553_778_720_074,
+        traces: 3_863_194_933_759_812_303,
     };
     for got in run(&cfg, &series, &sharded) {
         assert_eq!(got, packed, "packed 16-node timeline moved");
+    }
+}
+
+/// `ChiaroscuroConfig::failure` is the cycle simulator's knob: it loses
+/// messages there, while a message-passing host — which scripts loss and
+/// churn through its own config — refuses it by name instead of running
+/// failure-free.
+#[test]
+fn only_the_cycle_simulator_takes_a_failure_model() {
+    use chiaroscuro::noise::SlotLayout;
+    use chiaroscuro::rounds::CryptoContext;
+    use chiaroscuro::{ChiaroscuroError, ComputationBackend, SimulatorBackend};
+
+    let mut config = ChiaroscuroConfig::demo_simulated();
+    config.k = 2;
+    config.gossip_cycles = 10;
+    config.failure = cs_gossip::FailureModel::lossy(0.1);
+    let layout = SlotLayout {
+        k: 2,
+        series_len: 3,
+    };
+    let mut rng = StdRng::seed_from_u64(5);
+    let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
+    let contributions = vec![Some(vec![1.0; layout.total()]); 16];
+    let mut step = |backend: &mut dyn ComputationBackend| {
+        backend.run_step(&config, &layout, &contributions, &crypto, 9, &mut rng)
+    };
+
+    let outcome = step(&mut SimulatorBackend).unwrap();
+    assert!(outcome.traffic.dropped > 0, "the simulator loses messages");
+    for (mut host, knob) in [
+        (
+            NetBackend::sharded(ShardedConfig::default()),
+            "ShardedConfig.link",
+        ),
+        (NetBackend::tcp(NetConfig::default()), "NetConfig.link"),
+    ] {
+        match step(&mut host) {
+            Err(ChiaroscuroError::InvalidConfig(msg)) => assert!(msg.contains(knob), "{msg}"),
+            other => panic!(
+                "{} ran a failure model: {:?}",
+                host.label(),
+                other.map(|_| ())
+            ),
+        }
+        assert_eq!(host.steps_run(), 0);
     }
 }
