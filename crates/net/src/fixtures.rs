@@ -53,16 +53,15 @@ pub(crate) fn check_estimates(outcome: &ComputationOutcome, n: usize, tol: f64) 
         produced > n / 2,
         "most nodes should produce estimates, got {produced}/{n}"
     );
-    for est in outcome.estimates.iter().flatten() {
+    for (id, est) in outcome.estimates.iter().enumerate() {
+        let Some(est) = est else { continue };
+        let node = format!("node {id}: sums {:?}, counts {:?}", est.sums, est.counts);
         for d in 0..3 {
-            let mean0 = est.sums[0][d] / est.counts[0];
-            let mean1 = est.sums[1][d] / est.counts[1];
-            let want0 = [1.0, 2.0, 3.0][d];
-            assert!(
-                (mean0 - want0).abs() < tol,
-                "cluster0 dim{d}: {mean0} vs {want0}"
-            );
-            assert!((mean1 - 10.0).abs() < tol, "cluster1 dim{d}: {mean1}");
+            for (c, want) in [[1.0, 2.0, 3.0][d], 10.0].into_iter().enumerate() {
+                let mean = est.sums[c][d] / est.counts[c];
+                let ok = (mean - want).abs() < tol;
+                assert!(ok, "cluster{c} dim{d}: {mean} vs {want}; {node}");
+            }
         }
     }
 }
@@ -270,7 +269,7 @@ pub(crate) fn scenarios() -> Vec<Scenario> {
                 // normalize).
                 let est = run.outcome.estimates[0].as_ref().unwrap();
                 let total: f64 = est.counts.iter().sum();
-                assert!((total - 1.0).abs() < 0.15, "normalized count sum {total}");
+                assert!((total - 1.0).abs() < 0.15, "node 0 sum {total}: {est:?}");
             },
             ..plain()
         },
@@ -318,18 +317,18 @@ pub(crate) fn scenarios() -> Vec<Scenario> {
             },
             ..plain()
         },
-        // 2-of-3 committee on nodes 0–2; nodes 0 and 1 silently crash
-        // before the decryption round. Requesters other than node 2 can
-        // never reach the threshold — they must give up (no estimate) at
-        // the decrypt deadline, not pin the step to its hard timeout (and on
-        // virtual time the deadline must not cost wall-clock at all).
+        // 2-of-3 committee on nodes 0–2; nodes 0 and 1 silently crash one
+        // push into the gossip, long before a request can reach them.
+        // Requesters other than node 2 can never reach the threshold — they
+        // must give up (no estimate) at the decrypt deadline, not pin the
+        // step to its hard timeout (on virtual time, at no wall-clock cost).
         Scenario {
             name: "dead_committee_is_bounded_by_the_decrypt_deadline",
             population: 5,
             cycles: 8,
             crypto: Crypto::Packed,
             seeds: [51, 52, 53],
-            churn: &[(7, 0, ChurnKind::Crash), (7, 1, ChurnKind::Crash)],
+            churn: &[(1, 0, ChurnKind::Crash), (1, 1, ChurnKind::Crash)],
             decrypt_deadline: Duration::from_millis(600),
             expect: |run| {
                 assert!(

@@ -1,101 +1,20 @@
 //! In-process cluster tests: the daemon body (`cs_node::daemon::run`) is a
 //! plain function, so a whole cluster can run as threads of the test
 //! process — same control protocol, same TCP data plane, no process
-//! spawning. The facade's `tests/tcp_e2e.rs` covers the real multi-process
-//! deployment; these tests keep the bootstrap/step/report machinery honest
-//! at unit-test speed.
+//! spawning. These tests keep the handshake, the refusals and the metrics
+//! and obs surfaces honest at unit-test speed; the engine-level rows of
+//! the substrate table run such a cluster from `tests/substrates.rs`, and
+//! on real processes from `tests/tcp_e2e.rs`.
+
+#[path = "../../../tests/common/mod.rs"]
+mod common;
 
 use chiaroscuro::{ChiaroscuroConfig, Engine};
-use cs_node::{ClusterBackend, ClusterConfig, Coordinator, DaemonOpts, TimingSpec};
-use cs_timeseries::datasets::blobs::{generate, BlobsConfig};
+use common::*;
+use cs_node::{ClusterBackend, ClusterConfig, Coordinator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::thread;
 use std::time::Duration;
-
-fn spawn_daemon_threads(n: usize, coordinator: String) -> Vec<thread::JoinHandle<()>> {
-    (0..n)
-        .map(|id| {
-            let coordinator = coordinator.clone();
-            thread::Builder::new()
-                .name(format!("inproc-daemon-{id}"))
-                .spawn(move || {
-                    cs_node::daemon::run(&DaemonOpts::new(id, coordinator))
-                        .unwrap_or_else(|e| panic!("daemon {id} failed: {e}"));
-                })
-                .expect("spawn daemon thread")
-        })
-        .collect()
-}
-
-fn fast_timing() -> TimingSpec {
-    TimingSpec {
-        push_interval_us: 200,
-        decrypt_deadline_ms: 10_000,
-        step_timeout_ms: 30_000,
-    }
-}
-
-#[test]
-fn plain_cluster_runs_an_engine_end_to_end() {
-    let n = 8;
-    let data = generate(
-        &BlobsConfig {
-            count: n,
-            clusters: 2,
-            len: 4,
-            noise: 0.2,
-            ..Default::default()
-        },
-        &mut StdRng::seed_from_u64(11),
-    );
-    let mut config = ChiaroscuroConfig::demo_simulated();
-    config.k = 2;
-    config.max_iterations = 2;
-    config.gossip_cycles = 20;
-    config.epsilon = 1000.0;
-    let engine = Engine::new(config).unwrap();
-
-    let coordinator = Coordinator::bind().unwrap();
-    let addr = coordinator.addr().unwrap().to_string();
-    let daemons = spawn_daemon_threads(n, addr);
-    let cluster = coordinator
-        .accept_cluster(n, Duration::from_secs(20))
-        .unwrap();
-    let mut backend = ClusterBackend::new(
-        cluster,
-        ClusterConfig {
-            timing: fast_timing(),
-            ..ClusterConfig::default()
-        },
-    );
-
-    let out = engine.run_with_backend(&data.series, &mut backend).unwrap();
-    assert_eq!(out.iterations, 2);
-    assert_eq!(backend.steps_run(), 2);
-    assert_eq!(out.centroids.len(), 2);
-    assert!(out.log.records.iter().all(|r| r.cost.gossip_messages > 0));
-    let snap = backend.last_snapshot().unwrap();
-    assert!(snap.gossip.bytes > 0, "gossip bytes crossed the sockets");
-    // Completion is the coordinator's to see (one `Done` per daemon on the
-    // control channel): the data plane carries pushes and nothing else.
-    assert_eq!(snap.control, Default::default(), "no control frames");
-    assert_eq!(snap.gossip.messages, (n * 20) as u64, "one push per cycle");
-    let reports = backend.last_reports().unwrap();
-    assert!(
-        reports.iter().all(|r| r.bad_frames == 0),
-        "clean decode across the cluster"
-    );
-    assert!(
-        reports.iter().all(|r| r.peer_failures == 0),
-        "no connection toward a peer failed"
-    );
-
-    backend.shutdown();
-    for d in daemons {
-        d.join().expect("daemon thread exits cleanly");
-    }
-}
 
 /// The handshake refuses a daemon of the previous control protocol — v5
 /// still shipped an `overlay` in the `Bootstrap`'s config — with a typed
@@ -180,38 +99,18 @@ fn a_cluster_refuses_a_failure_model() {
 #[test]
 fn metrics_scrape_reconciles_with_coordinator_deltas() {
     let n = 6;
-    let data = generate(
-        &BlobsConfig {
-            count: n,
-            clusters: 2,
-            len: 4,
-            noise: 0.2,
-            ..Default::default()
-        },
-        &mut StdRng::seed_from_u64(31),
-    );
-    let mut config = ChiaroscuroConfig::demo_simulated();
-    config.k = 2;
-    config.max_iterations = 2;
-    config.gossip_cycles = 15;
-    config.epsilon = 1000.0;
-    let engine = Engine::new(config).unwrap();
+    let (series, _) = blobs(n, 4, 31);
+    let engine = Engine::new(ChiaroscuroConfig {
+        k: 2,
+        max_iterations: 2,
+        gossip_cycles: 15,
+        epsilon: 1000.0,
+        ..ChiaroscuroConfig::demo_simulated()
+    })
+    .unwrap();
+    let (daemons, mut backend) = in_threads(n, paced(200, 10_000, 30_000));
 
-    let coordinator = Coordinator::bind().unwrap();
-    let addr = coordinator.addr().unwrap().to_string();
-    let daemons = spawn_daemon_threads(n, addr);
-    let cluster = coordinator
-        .accept_cluster(n, Duration::from_secs(20))
-        .unwrap();
-    let mut backend = ClusterBackend::new(
-        cluster,
-        ClusterConfig {
-            timing: fast_timing(),
-            ..ClusterConfig::default()
-        },
-    );
-
-    engine.run_with_backend(&data.series, &mut backend).unwrap();
+    engine.run_with_backend(&series, &mut backend).unwrap();
     assert_eq!(backend.steps_run(), 2);
 
     // Report-carried deltas reconcile with the traffic snapshot: the
@@ -259,109 +158,7 @@ fn metrics_scrape_reconciles_with_coordinator_deltas() {
         .flatten()
         .fold(cs_obs::MetricsSnapshot::default(), |acc, m| acc.plus(m));
     assert_eq!(scrape_sum, total, "scrape reconciles with summed deltas");
-
-    backend.shutdown();
-    for d in daemons {
-        d.join().expect("daemon thread exits cleanly");
-    }
-}
-
-#[test]
-fn real_crypto_cluster_distributes_shares_and_decrypts() {
-    let n = 5;
-    let data = generate(
-        &BlobsConfig {
-            count: n,
-            clusters: 2,
-            len: 3,
-            noise: 0.2,
-            ..Default::default()
-        },
-        &mut StdRng::seed_from_u64(21),
-    );
-    let mut config = ChiaroscuroConfig::test_real();
-    config.k = 2;
-    config.max_iterations = 1;
-    config.gossip_cycles = 6;
-    config.epsilon = 1e5;
-    let threshold = config.threshold.threshold;
-    let engine = Engine::new(config).unwrap();
-
-    let coordinator = Coordinator::bind().unwrap();
-    let addr = coordinator.addr().unwrap().to_string();
-    let daemons = spawn_daemon_threads(n, addr);
-    let cluster = coordinator
-        .accept_cluster(n, Duration::from_secs(20))
-        .unwrap();
-    let mut timing = fast_timing();
-    // Real crypto in debug builds is slow; give the pacing some air.
-    timing.push_interval_us = if cfg!(debug_assertions) {
-        50_000
-    } else {
-        2_000
-    };
-    let mut backend = ClusterBackend::new(
-        cluster,
-        ClusterConfig {
-            timing,
-            ..ClusterConfig::default()
-        },
-    );
-
-    let out = engine.run_with_backend(&data.series, &mut backend).unwrap();
-    assert_eq!(backend.steps_run(), 1);
-    assert_eq!(out.centroids.len(), 2);
-    let reports = backend.last_reports().unwrap();
-    let with_estimates = reports.iter().filter(|r| r.estimate.is_some()).count();
-    assert!(
-        with_estimates > n / 2,
-        "most daemons decrypt an estimate, got {with_estimates}/{n}"
-    );
-    // Fault-free: every daemon decrypts, and the committee daemons compute
-    // exactly the `threshold` vectors per requester the combines read, each
-    // as wide as the requester's snapshot folds to — the cost model's
-    // Σ wᵢ·t. (The debug pacing above also keeps the retry interval, 50
-    // pushes, far above the committee's service time: a hedge that fired
-    // would show up here.)
-    assert_eq!(with_estimates, n);
-    let ciphertexts = reports[0].ops.encryptions as usize;
-    let widths: Vec<usize> = reports
-        .iter()
-        .map(|r| r.decrypt_ops.combinations as usize)
-        .collect();
-    assert!(
-        widths
-            .iter()
-            .all(|&w| (1..=ciphertexts).any(|g| ciphertexts.div_ceil(g) == w)),
-        "every width is a fold of {ciphertexts} ciphertexts: {widths:?}"
-    );
-    let partials: u64 = reports
-        .iter()
-        .map(|r| r.decrypt_ops.partial_decryptions)
-        .sum();
-    assert_eq!(
-        partials,
-        chiaroscuro::cost::synthesize_decrypt_ops(&widths, threshold, 0).partial_decryptions,
-        "the cost model's Σ wᵢ·t"
-    );
-    // The gossip side of the same parity: a daemon encrypts, and on every
-    // push re-randomizes, exactly the ciphertexts it later has decrypted.
-    for r in reports {
-        assert_eq!(r.ops.encryptions, ciphertexts as u64, "node {}", r.id);
-        assert_eq!(
-            r.ops.rerandomizations,
-            (r.pushes_sent * ciphertexts) as u64,
-            "node {}",
-            r.id
-        );
-    }
-    let snap = backend.last_snapshot().unwrap();
-    assert!(snap.decrypt.bytes > 0, "decrypt frames crossed the sockets");
-
-    backend.shutdown();
-    for d in daemons {
-        d.join().expect("daemon thread exits cleanly");
-    }
+    stop(backend, daemons);
 }
 
 /// Drives the `--obs-addr` surface end-to-end: node 0 runs as a real
@@ -380,53 +177,27 @@ fn obs_endpoint_serves_metrics_and_trace_from_a_live_daemon() {
     };
 
     let n = 4;
-    let data = generate(
-        &BlobsConfig {
-            count: n,
-            clusters: 2,
-            len: 4,
-            noise: 0.2,
-            ..Default::default()
-        },
-        &mut StdRng::seed_from_u64(47),
-    );
-    let mut config = ChiaroscuroConfig::demo_simulated();
-    config.k = 2;
-    config.max_iterations = 1;
-    config.gossip_cycles = 15;
-    config.epsilon = 1000.0;
-    let engine = Engine::new(config).unwrap();
-
-    let coordinator = Coordinator::bind().unwrap();
-    let addr = coordinator.addr().unwrap().to_string();
-    let mut child = Command::new(&binary)
-        .args(["--id", "0", "--coordinator", &addr])
-        .args(["--obs-addr", "127.0.0.1:0"])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn csnoded");
-    let daemons: Vec<_> = (1..n)
-        .map(|id| {
-            let coordinator = addr.clone();
-            thread::spawn(move || {
-                cs_node::daemon::run(&DaemonOpts::new(id, coordinator))
-                    .unwrap_or_else(|e| panic!("daemon {id} failed: {e}"));
-            })
-        })
-        .collect();
-    let cluster = coordinator
-        .accept_cluster(n, Duration::from_secs(20))
-        .unwrap();
-    let mut backend = ClusterBackend::new(
-        cluster,
-        ClusterConfig {
-            timing: fast_timing(),
-            ..ClusterConfig::default()
-        },
-    );
-    engine.run_with_backend(&data.series, &mut backend).unwrap();
+    let (series, _) = blobs(n, 4, 47);
+    let engine = Engine::new(ChiaroscuroConfig {
+        k: 2,
+        max_iterations: 1,
+        gossip_cycles: 15,
+        epsilon: 1000.0,
+        ..ChiaroscuroConfig::demo_simulated()
+    })
+    .unwrap();
+    let ((mut child, daemons), mut backend) = launch(n, paced(200, 10_000, 30_000), |addr| {
+        let child = Command::new(&binary)
+            .args(["--id", "0", "--coordinator", addr])
+            .args(["--obs-addr", "127.0.0.1:0"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn csnoded");
+        (child, daemon_threads(1..n, addr))
+    });
+    engine.run_with_backend(&series, &mut backend).unwrap();
 
     // The daemon announced its ephemeral endpoint on stderr right after
     // bootstrap, so the line is already buffered in the pipe by now.
@@ -467,9 +238,6 @@ fn obs_endpoint_serves_metrics_and_trace_from_a_live_daemon() {
         "flight recorder holds the step's causal events"
     );
 
-    backend.shutdown();
-    for d in daemons {
-        d.join().expect("daemon thread exits cleanly");
-    }
+    stop(backend, daemons);
     assert!(child.wait().unwrap().success(), "csnoded exits cleanly");
 }

@@ -5,27 +5,12 @@
 //! runs in process on the sharded executor (the cycle simulator runs
 //! simulated crypto only).
 
-use chiaroscuro::{ChiaroscuroConfig, Engine, RunOutput};
-use cs_net::{LinkConfig, NetBackend, ShardedConfig};
-use cs_timeseries::datasets::blobs::{generate_with_centers, BlobsConfig};
-use cs_timeseries::{Distance, TimeSeries};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+mod common;
 
-fn tiny_dataset(seed: u64) -> (Vec<TimeSeries>, Vec<usize>) {
-    let (ds, _) = generate_with_centers(
-        &BlobsConfig {
-            count: 16,
-            clusters: 2,
-            len: 5,
-            noise: 0.2,
-            center_amplitude: 3.0,
-            ..Default::default()
-        },
-        &mut StdRng::seed_from_u64(seed),
-    );
-    (ds.series, ds.labels)
-}
+use chiaroscuro::{ChiaroscuroConfig, Engine, RunOutput};
+use common::blobs;
+use cs_net::{LinkConfig, NetBackend, ShardedConfig};
+use cs_timeseries::{Distance, TimeSeries};
 
 fn real_config() -> ChiaroscuroConfig {
     let mut cfg = ChiaroscuroConfig::test_real();
@@ -51,7 +36,7 @@ fn run(cfg: ChiaroscuroConfig, series: &[TimeSeries]) -> RunOutput {
 
 #[test]
 fn real_crypto_run_recovers_clusters() {
-    let (series, labels) = tiny_dataset(1);
+    let (series, labels) = blobs(16, 5, 1);
     let out = run(real_config(), &series);
     assert_eq!(out.centroids.len(), 2);
     let ari = cs_kmeans::adjusted_rand_index(&out.assignment, &labels);
@@ -63,7 +48,7 @@ fn real_crypto_run_recovers_clusters() {
 
 #[test]
 fn real_crypto_budget_and_log_consistent() {
-    let (series, _) = tiny_dataset(2);
+    let (series, _) = blobs(16, 5, 2);
     let cfg = real_config();
     let eps = cfg.epsilon;
     let out = run(cfg, &series);
@@ -87,7 +72,7 @@ fn real_crypto_budget_and_log_consistent() {
 
 #[test]
 fn real_crypto_deterministic_given_seed() {
-    let (series, _) = tiny_dataset(3);
+    let (series, _) = blobs(16, 5, 3);
     let run = || run(real_config(), &series);
     let a = run();
     let b = run();
@@ -100,7 +85,7 @@ fn real_crypto_deterministic_given_seed() {
 #[test]
 fn real_crypto_with_degree_two() {
     // Damgård-Jurik with s = 2: larger message space, same protocol.
-    let (series, _) = tiny_dataset(4);
+    let (series, _) = blobs(16, 5, 4);
     let mut cfg = real_config();
     cfg.crypto = chiaroscuro::CryptoMode::Real {
         keygen: cs_crypto::KeyGenOptions::insecure_test_size_s(2),
@@ -113,7 +98,7 @@ fn real_crypto_with_degree_two() {
 
 #[test]
 fn real_crypto_survives_message_loss() {
-    let (series, _) = tiny_dataset(5);
+    let (series, _) = blobs(16, 5, 5);
     let lossy = ShardedConfig {
         link: LinkConfig {
             loss: 0.15,
@@ -133,7 +118,7 @@ fn real_crypto_survives_message_loss() {
 fn final_centroids_are_usable_for_matching() {
     // The E6 pipeline on real crypto output: subsequence matching over the
     // decrypted perturbed profiles.
-    let (series, _) = tiny_dataset(6);
+    let (series, _) = blobs(16, 5, 6);
     let out = run(real_config(), &series);
     let query = series[0].window(1, 3);
     let matches = cs_timeseries::subsequence::closest_profiles(

@@ -22,41 +22,13 @@
 //! lane decode — whose only checks are on the cleartext push-sum metadata —
 //! reads garbage mass out of it, the silent shape the auditor exists for.
 
+mod common;
+
 use chiaroscuro::{ChiaroscuroConfig, Engine};
+use common::*;
 use cs_net::{FaultSpec, NetBackend, NetConfig, ShardedConfig};
 use cs_obs::{Alert, AlertKind, HealthStatus};
-use cs_timeseries::datasets::blobs::{generate_with_centers, BlobsConfig};
-use cs_timeseries::TimeSeries;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Duration;
-
-fn dataset(count: usize, seed: u64) -> Vec<TimeSeries> {
-    let (ds, _) = generate_with_centers(
-        &BlobsConfig {
-            count,
-            clusters: 2,
-            len: 5,
-            noise: 0.2,
-            center_amplitude: 3.0,
-            ..Default::default()
-        },
-        &mut StdRng::seed_from_u64(seed),
-    );
-    ds.series
-}
-
-/// A real-crypto engine tuned for the drills: negligible noise, one
-/// iteration.
-fn drill_engine(gossip_cycles: usize) -> Engine {
-    let mut cfg = ChiaroscuroConfig::test_real();
-    cfg.k = 2;
-    cfg.max_iterations = 1;
-    cfg.gossip_cycles = gossip_cycles;
-    cfg.epsilon = 1e5;
-    cfg.value_bound = 8.0;
-    Engine::new(cfg).unwrap()
-}
 
 fn mass_alerts(alerts: &[Alert]) -> usize {
     alerts
@@ -72,7 +44,7 @@ fn mass_alerts(alerts: &[Alert]) -> usize {
 /// monitor stays silent on real sockets too.
 #[test]
 fn honest_runs_stay_byte_identical_and_alert_free_with_monitoring_on() {
-    let series = dataset(64, 47);
+    let (series, _) = blobs(64, 5, 47);
     let mut cfg = ChiaroscuroConfig::demo_simulated();
     cfg.k = 2;
     cfg.max_iterations = 2;
@@ -109,7 +81,7 @@ fn honest_runs_stay_byte_identical_and_alert_free_with_monitoring_on() {
 
     // The TCP loopback adds the frame-accounting dimension: send-attempt
     // counters exist there, so TrafficAccounting actually compares.
-    let series = dataset(8, 48);
+    let (series, _) = blobs(8, 5, 48);
     let mut cfg = ChiaroscuroConfig::demo_simulated();
     cfg.k = 2;
     cfg.max_iterations = 1;
@@ -137,8 +109,8 @@ fn honest_runs_stay_byte_identical_and_alert_free_with_monitoring_on() {
 /// and the mass audit names the garbage — deterministically, twice.
 #[test]
 fn corrupted_partials_trip_the_mass_audit_on_the_sharded_executor() {
-    let series = dataset(8, 51);
-    let engine = drill_engine(10);
+    let (series, _) = blobs(8, 5, 51);
+    let engine = real_engine(10);
 
     let run = || {
         let mut backend = NetBackend::sharded(ShardedConfig {
@@ -173,8 +145,8 @@ fn corrupted_partials_trip_the_mass_audit_on_the_sharded_executor() {
 /// frame crosses a real kernel socket.
 #[test]
 fn corrupted_partials_trip_the_mass_audit_over_the_tcp_loopback() {
-    let series = dataset(8, 53);
-    let engine = drill_engine(8);
+    let (series, _) = blobs(8, 5, 53);
+    let engine = real_engine(8);
 
     let push_us: u64 = if cfg!(debug_assertions) {
         40_000
@@ -204,32 +176,12 @@ fn launch_cluster(
     n: usize,
     fault: Option<FaultSpec>,
 ) -> (std::sync::Arc<cs_node::Supervisor>, cs_node::ClusterBackend) {
-    let csnoded = cs_node::find_csnoded().expect(
-        "csnoded binary not found near the test executable — \
-         run `cargo build -p cs_node --bins` (same profile) first",
-    );
-    let coordinator = cs_node::Coordinator::bind().expect("bind coordinator");
-    let addr = coordinator.addr().expect("coordinator addr").to_string();
-    let supervisor = std::sync::Arc::new(
-        cs_node::Supervisor::spawn_with_obs(&csnoded, &addr, n).expect("spawn csnoded cluster"),
-    );
-    let cluster = coordinator
-        .accept_cluster(n, Duration::from_secs(60))
-        .expect("all daemons connect");
     let push_ms: u64 = if cfg!(debug_assertions) { 150 } else { 10 };
-    let backend = cs_node::ClusterBackend::new(
-        cluster,
-        cs_node::ClusterConfig {
-            timing: cs_node::TimingSpec {
-                push_interval_us: push_ms * 1000,
-                decrypt_deadline_ms: 20_000,
-                step_timeout_ms: 120_000,
-            },
-            fault,
-            ..cs_node::ClusterConfig::default()
-        },
-    );
-    (supervisor, backend)
+    let cfg = cs_node::ClusterConfig {
+        fault,
+        ..paced(push_ms * 1000, 20_000, 120_000)
+    };
+    in_processes(n, cfg, cs_node::Supervisor::spawn_with_obs)
 }
 
 /// Runs `cswatch --once --check` against the given scrape addresses and
@@ -258,8 +210,8 @@ fn cswatch_once_check(addrs: &[String]) -> (bool, String) {
 #[test]
 fn cluster_corruption_degrades_health_routes_and_fails_the_watchdog() {
     let n = 5;
-    let series = dataset(n, 57);
-    let engine = drill_engine(8);
+    let (series, _) = blobs(n, 5, 57);
+    let engine = real_engine(8);
 
     // Node 0 sits on the 3-member decryption committee; every combine
     // that uses its share decodes garbage.
@@ -317,8 +269,8 @@ fn cluster_corruption_degrades_health_routes_and_fails_the_watchdog() {
 #[test]
 fn honest_cluster_is_healthy_and_a_sigkilled_daemon_only_flags_churn() {
     let n = 5;
-    let series = dataset(n, 59);
-    let engine = drill_engine(8);
+    let (series, _) = blobs(n, 5, 59);
+    let engine = real_engine(8);
 
     let (supervisor, mut backend) = launch_cluster(n, None);
     engine

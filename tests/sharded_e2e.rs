@@ -18,44 +18,15 @@
 //!    the cycle simulator for plaintext, the same-seed failure-free sharded
 //!    run for real crypto.
 
+mod common;
+
 use chiaroscuro::{ChiaroscuroConfig, Engine};
+use common::*;
 use cs_net::{ChurnSchedule, NetBackend, NetConfig, ShardedConfig};
-use cs_timeseries::datasets::blobs::{generate_with_centers, BlobsConfig};
 use cs_timeseries::TimeSeries;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
-
-fn dataset(count: usize, seed: u64) -> (Vec<TimeSeries>, Vec<usize>) {
-    series_of_len(count, seed, 5)
-}
-
-fn series_of_len(count: usize, seed: u64, len: usize) -> (Vec<TimeSeries>, Vec<usize>) {
-    let (ds, _) = generate_with_centers(
-        &BlobsConfig {
-            count,
-            clusters: 2,
-            len,
-            noise: 0.2,
-            center_amplitude: 3.0,
-            ..Default::default()
-        },
-        &mut StdRng::seed_from_u64(seed),
-    );
-    (ds.series, ds.labels)
-}
-
-fn max_centroid_gap(a: &[TimeSeries], b: &[TimeSeries]) -> f64 {
-    a.iter()
-        .zip(b)
-        .flat_map(|(x, y)| {
-            x.values()
-                .iter()
-                .zip(y.values())
-                .map(|(u, v)| (u - v).abs())
-        })
-        .fold(0.0f64, f64::max)
-}
 
 /// Two same-seed sharded runs must be indistinguishable: identical
 /// execution logs (the full per-iteration record, serialized), identical
@@ -63,13 +34,15 @@ fn max_centroid_gap(a: &[TimeSeries], b: &[TimeSeries]) -> f64 {
 /// how many workers drove the shards.
 #[test]
 fn sharded_run_is_deterministic_end_to_end() {
-    let (series, _) = dataset(128, 41);
-    let mut cfg = ChiaroscuroConfig::demo_simulated();
-    cfg.k = 2;
-    cfg.max_iterations = 2;
-    cfg.gossip_cycles = 25;
-    cfg.epsilon = 50.0;
-    let engine = Engine::new(cfg).unwrap();
+    let (series, _) = blobs(128, 5, 41);
+    let engine = Engine::new(ChiaroscuroConfig {
+        k: 2,
+        max_iterations: 2,
+        gossip_cycles: 25,
+        epsilon: 50.0,
+        ..ChiaroscuroConfig::demo_simulated()
+    })
+    .unwrap();
 
     // A non-trivial link so the determinism claim covers the loss/jitter
     // draws, not just the ideal path.
@@ -117,15 +90,8 @@ fn sharded_run_is_deterministic_end_to_end() {
 /// *identical* across same-seed repetitions.
 #[test]
 fn sharded_vs_threaded_differential_at_population_64() {
-    let (series, labels) = dataset(64, 43);
-    let mut cfg = ChiaroscuroConfig::demo_simulated();
-    cfg.k = 2;
-    cfg.max_iterations = 2;
-    cfg.gossip_cycles = 30;
-    cfg.epsilon = 1e5; // negligible noise isolates the protocol path
-    cfg.value_bound = 8.0;
-    cfg.smoothing = cs_timeseries::smooth::Smoothing::None;
-    let engine = Engine::new(cfg).unwrap();
+    let (series, labels) = blobs(64, 5, 43);
+    let engine = Engine::new(config(ChiaroscuroConfig::demo_simulated(), 2, 30)).unwrap();
 
     let sim = engine.run(&series).unwrap();
 
@@ -193,15 +159,8 @@ fn sharded_vs_threaded_differential_at_population_64() {
 #[test]
 fn sharded_traces_are_byte_identical_across_worker_counts() {
     let n: usize = if cfg!(debug_assertions) { 128 } else { 1024 };
-    let (series, _) = dataset(n, 59);
-    let mut cfg = ChiaroscuroConfig::demo_simulated();
-    cfg.k = 2;
-    cfg.max_iterations = 1;
-    cfg.gossip_cycles = 20;
-    cfg.epsilon = 1e5;
-    cfg.value_bound = 8.0;
-    cfg.smoothing = cs_timeseries::smooth::Smoothing::None;
-    let engine = Engine::new(cfg).unwrap();
+    let (series, _) = blobs(n, 5, 59);
+    let engine = Engine::new(config(ChiaroscuroConfig::demo_simulated(), 1, 20)).unwrap();
 
     // Loss and jitter on, so the determinism claim covers traced frames
     // riding the same bandwidth-delay arithmetic as payload bytes.
@@ -271,15 +230,8 @@ fn sharded_traces_are_byte_identical_across_worker_counts() {
 #[test]
 fn sharded_plain_churn_at_1k_matches_simulator() {
     let n: usize = if cfg!(debug_assertions) { 256 } else { 1024 };
-    let (series, _) = dataset(n, 47);
-    let mut cfg = ChiaroscuroConfig::demo_simulated();
-    cfg.k = 2;
-    cfg.max_iterations = 1;
-    cfg.gossip_cycles = 25;
-    cfg.epsilon = 1e5;
-    cfg.value_bound = 8.0;
-    cfg.smoothing = cs_timeseries::smooth::Smoothing::None;
-    let engine = Engine::new(cfg).unwrap();
+    let (series, _) = blobs(n, 5, 47);
+    let engine = Engine::new(config(ChiaroscuroConfig::demo_simulated(), 1, 25)).unwrap();
 
     let sim = engine.run(&series).unwrap();
 
@@ -337,14 +289,8 @@ fn sharded_plain_churn_at_1k_matches_simulator() {
 #[test]
 fn sharded_packed_crypto_churn_matches_simulator() {
     let n: usize = if cfg!(debug_assertions) { 24 } else { 1024 };
-    let (series, _) = dataset(n, 53);
-    let mut cfg = ChiaroscuroConfig::test_real();
-    cfg.k = 2;
-    cfg.max_iterations = 1;
-    cfg.gossip_cycles = 12;
-    cfg.epsilon = 1e5;
-    cfg.value_bound = 8.0;
-    let engine = Engine::new(cfg).unwrap();
+    let (series, _) = blobs(n, 5, 53);
+    let engine = real_engine(12);
 
     // Reference: the identical configuration, no churn.
     let reference = engine
@@ -374,79 +320,6 @@ fn sharded_packed_crypto_churn_matches_simulator() {
 
     let gap = max_centroid_gap(&reference.centroids, &net.centroids);
     assert!(gap < 0.35, "packed churned sharded run diverged: gap {gap}");
-}
-
-/// Fault-free on an ideal link, the sharded executor's committee computes
-/// exactly `threshold` partial-decryption vectors per requester, each as
-/// wide as that requester's snapshot folds to: the count the analytical
-/// cost model charges for the same packed configuration. Two-point series
-/// keep the vector at 6 slots, which the lane plan carries in 2
-/// ciphertexts of 3 wide lanes — headroom a fold can use.
-#[test]
-fn decrypt_round_count_parity_sharded_vs_simulator() {
-    let n = 12;
-    let (series, _) = series_of_len(n, 73, 2);
-    let mut cfg = ChiaroscuroConfig::test_real();
-    cfg.k = 2;
-    cfg.max_iterations = 1;
-    cfg.gossip_cycles = 6;
-    cfg.epsilon = 1e5;
-    cfg.value_bound = 8.0;
-    let threshold = cfg.threshold.threshold;
-    let engine = Engine::new(cfg).unwrap();
-
-    let mut backend = NetBackend::sharded(ShardedConfig {
-        shards: 4,
-        ..ShardedConfig::default()
-    });
-    engine.run_with_backend(&series, &mut backend).unwrap();
-
-    let step = backend.last_step().expect("one step ran");
-    assert!(step.outcome.estimates.iter().all(|e| e.is_some()));
-    // A requester combines one plaintext per ciphertext it had decrypted:
-    // its folded width, somewhere on the grid ⌈ciphertexts/g⌉.
-    let ciphertexts = step.reports[0].ops.encryptions as usize;
-    let widths: Vec<usize> = step
-        .reports
-        .iter()
-        .map(|r| r.decrypt_ops.combinations as usize)
-        .collect();
-    for (id, &w) in widths.iter().enumerate() {
-        assert!(
-            (1..=ciphertexts).any(|g| ciphertexts.div_ceil(g) == w),
-            "node {id} asked for {w} of {ciphertexts} ciphertexts"
-        );
-    }
-    assert!(
-        widths.iter().sum::<usize>() < n * ciphertexts,
-        "6 pushes leave headroom to fold into: {widths:?}"
-    );
-    let ops = &step.outcome.decrypt_ops;
-    assert_eq!(
-        ops.partial_decryptions,
-        chiaroscuro::cost::synthesize_decrypt_ops(&widths, threshold, 0).partial_decryptions,
-        "the cost model's Σ wᵢ·t"
-    );
-    // The gossip side of the same parity: a node encrypts, and on every
-    // push re-randomizes, exactly the ciphertexts it later has decrypted —
-    // and every `PackedPush` carries that many: each delivered push is
-    // absorbed with one addition per ciphertext, and one of any other
-    // width is a bad frame.
-    for r in &step.reports {
-        assert_eq!(r.ops.encryptions, ciphertexts as u64, "node {}", r.id);
-        assert_eq!(
-            r.ops.rerandomizations,
-            (r.pushes_sent * ciphertexts) as u64,
-            "node {}",
-            r.id
-        );
-        assert_eq!(r.bad_frames, 0, "node {}", r.id);
-    }
-    let additions: u64 = step.reports.iter().map(|r| r.ops.additions).sum();
-    assert_eq!(
-        additions,
-        step.snapshot.gossip.messages * ciphertexts as u64
-    );
 }
 
 /// One real-crypto step of `n` nodes on four ideal-link shards over
@@ -849,8 +722,7 @@ fn sharded_timeline_matches_the_recorded_golden_values() {
         loss: 0.02,
         bandwidth_bytes_per_sec: Some(20_000_000),
     };
-    let run = |cfg: &ChiaroscuroConfig, series: &[TimeSeries], sharded: &ShardedConfig| {
-        let engine = Engine::new(cfg.clone()).unwrap();
+    let run = |engine: &Engine, series: &[TimeSeries], sharded: &ShardedConfig| {
         [1usize, 0].map(|workers| {
             let mut backend = NetBackend::sharded(ShardedConfig {
                 workers,
@@ -862,12 +734,15 @@ fn sharded_timeline_matches_the_recorded_golden_values() {
     };
 
     // Plain (simulated-crypto) step, 256 nodes.
-    let (series, _) = dataset(256, 67);
-    let mut cfg = ChiaroscuroConfig::demo_simulated();
-    cfg.k = 2;
-    cfg.max_iterations = 1;
-    cfg.gossip_cycles = 20;
-    cfg.epsilon = 50.0;
+    let (series, _) = blobs(256, 5, 67);
+    let engine = Engine::new(ChiaroscuroConfig {
+        k: 2,
+        max_iterations: 1,
+        gossip_cycles: 20,
+        epsilon: 50.0,
+        ..ChiaroscuroConfig::demo_simulated()
+    })
+    .unwrap();
     let sharded = ShardedConfig {
         shards: 16,
         trace: true,
@@ -884,19 +759,13 @@ fn sharded_timeline_matches_the_recorded_golden_values() {
         estimates: 6_997_497_537_324_381_149,
         traces: 16_461_281_230_549_215_536,
     };
-    for got in run(&cfg, &series, &sharded) {
+    for got in run(&engine, &series, &sharded) {
         assert_eq!(got, plain, "plain 256-node timeline moved");
     }
 
     // Packed real-crypto step, 16 nodes: ciphertext pushes, decrypt
     // requests and shares all cross shards under the same link.
-    let (series, _) = dataset(16, 71);
-    let mut cfg = ChiaroscuroConfig::test_real();
-    cfg.k = 2;
-    cfg.max_iterations = 1;
-    cfg.gossip_cycles = 10;
-    cfg.epsilon = 1e5;
-    cfg.value_bound = 8.0;
+    let (series, _) = blobs(16, 5, 71);
     let sharded = ShardedConfig {
         shards: 4,
         trace: true,
@@ -913,7 +782,7 @@ fn sharded_timeline_matches_the_recorded_golden_values() {
         estimates: 12_466_287_731_050_810_451,
         traces: 3_863_194_933_759_812_303,
     };
-    for got in run(&cfg, &series, &sharded) {
+    for got in run(&real_engine(10), &series, &sharded) {
         assert_eq!(got, packed, "packed 16-node timeline moved");
     }
 }
