@@ -7,18 +7,18 @@
 //! experiments can place failures at protocol-critical moments
 //! (mid-gossip, during decryption). [`ChurnSchedule`] is that script.
 //!
-//! The two in-process hosts interpret an event's offset differently:
-//!
-//! * **TCP host** — the offset is *wall-clock*: the driver thread applies
-//!   due events through the population's [`Controls`], so where an event
-//!   lands relative to the protocol depends on the OS scheduler.
-//! * **Sharded executor** — the offset is *virtual time*: the event is
-//!   scheduled into the owning shard's event queue like any message or
-//!   timer, so "crash at 3 ms" hits the exact same protocol moment in
-//!   every same-seed run.
+//! A host only splits a step's events per node ([`split`]); each node's
+//! [`crate::driver::NodeDriver`] applies its own part on its own clock, as
+//! the `Churn` timer, like its pacing tick. An offset therefore means the
+//! same on every host — time since the step's gossip start — and what it
+//! is measured on is the host's clock: virtual time on the sharded
+//! executor, so "crash at 3 ms" hits the exact same protocol moment in
+//! every same-seed run, and the wall clock shared by the node threads on
+//! the TCP host, where a frame handed to the node after its crash instant
+//! is lost, however busy its thread was.
 
 use crate::transport::NodeId;
-use std::sync::atomic::{AtomicU8, Ordering};
+use chiaroscuro::ChiaroscuroError;
 use std::time::Duration;
 
 /// What happens to the node.
@@ -111,71 +111,28 @@ impl ChurnSchedule {
     }
 }
 
-/// Per-node liveness switches shared between the driver (which applies the
-/// schedule) and the node threads (which obey it).
-#[derive(Debug)]
-pub struct Controls {
-    // 0 = alive, 1 = crashed, 2 = leave requested (node broadcasts Leave,
-    // then moves itself to crashed).
-    state: Vec<AtomicU8>,
-}
+/// One node's part of a step's script: `(instant, kind)` pairs in script
+/// order, instants in nanoseconds since the step's gossip start.
+pub type Script = Vec<(u64, ChurnKind)>;
 
-/// Node liveness as seen through [`Controls`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Liveness {
-    /// Participating normally.
-    Alive,
-    /// Fail-stopped (silently or after a graceful leave).
-    Crashed,
-    /// Asked to leave gracefully; transitions to `Crashed` once announced.
-    Leaving,
-}
-
-impl Controls {
-    /// All-alive switches for `n` nodes.
-    pub fn new(n: usize) -> Self {
-        Controls {
-            state: (0..n).map(|_| AtomicU8::new(0)).collect(),
-        }
-    }
-
-    /// Current liveness of `node`.
-    pub fn liveness(&self, node: NodeId) -> Liveness {
-        match self.state[node].load(Ordering::Acquire) {
-            0 => Liveness::Alive,
-            1 => Liveness::Crashed,
-            _ => Liveness::Leaving,
-        }
-    }
-
-    /// `true` iff the node is fail-stopped.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.liveness(node) == Liveness::Crashed
-    }
-
-    /// Applies one scripted event's `kind` to `node`.
-    pub fn apply(&self, node: NodeId, kind: ChurnKind) {
-        let v = match kind {
-            ChurnKind::Crash => 1,
-            ChurnKind::Rejoin => 0,
-            ChurnKind::Leave => 2,
+/// Splits one step's events per node, each node's sorted by offset with
+/// ties in script order. An event addressed to no node of the
+/// `population` is refused before any node exists.
+pub fn split(events: &[ChurnEvent], population: usize) -> Result<Vec<Script>, ChiaroscuroError> {
+    let mut scripts = vec![Script::new(); population];
+    for event in events {
+        let Some(script) = scripts.get_mut(event.node) else {
+            return Err(ChiaroscuroError::InvalidConfig(format!(
+                "a churn event targets node {} of a {population}-node step",
+                event.node
+            )));
         };
-        self.state[node].store(v, Ordering::Release);
+        script.push((event.after.as_nanos() as u64, event.kind));
     }
-
-    /// Node-side acknowledgement of a leave request: the departure is
-    /// announced, now fail-stop.
-    pub fn confirm_left(&self, node: NodeId) {
-        self.state[node].store(1, Ordering::Release);
-    }
-
-    /// Number of nodes currently alive or leaving.
-    pub fn alive_count(&self) -> usize {
-        self.state
-            .iter()
-            .filter(|s| s.load(Ordering::Acquire) != 1)
-            .count()
-    }
+    scripts
+        .iter_mut()
+        .for_each(|script| script.sort_by_key(|&(at, _)| at));
+    Ok(scripts)
 }
 
 #[cfg(test)]
@@ -195,21 +152,5 @@ mod tests {
         assert_eq!(s.for_step(1).len(), 1);
         assert!(s.for_step(2).is_empty());
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn controls_walk_the_liveness_lattice() {
-        let c = Controls::new(3);
-        assert_eq!(c.alive_count(), 3);
-        c.apply(1, ChurnKind::Crash);
-        assert!(c.is_crashed(1));
-        assert_eq!(c.alive_count(), 2);
-        c.apply(1, ChurnKind::Rejoin);
-        assert_eq!(c.liveness(1), Liveness::Alive);
-        c.apply(2, ChurnKind::Leave);
-        assert_eq!(c.liveness(2), Liveness::Leaving);
-        assert!(!c.is_crashed(2), "leaving nodes still run");
-        c.confirm_left(2);
-        assert!(c.is_crashed(2));
     }
 }

@@ -1,13 +1,13 @@
 //! The node driver: the one owner of a [`ProtocolNode`]'s clocks.
 //!
 //! The paper's protocol "proceeds without any global synchronization", so
-//! a participant's only clocks are its own: the gossip pacing tick, the
-//! decryption round's retry (= hedge) and give-up timers, and the step's
-//! hard deadline. [`NodeDriver`] wraps one [`ProtocolNode`] and owns all of
-//! that step-local timing state, including what a crash, a rejoin and a
-//! leave do to it. Like the node it
-//! is *sans-IO*: time comes in as a number (nanoseconds since the step's
-//! gossip start), messages come in decoded, and what goes out is
+//! a participant's only clocks are its own: its scripted churn, the gossip
+//! pacing tick, the decryption round's retry (= hedge) and give-up timers,
+//! and the step's hard deadline. [`NodeDriver`] wraps one [`ProtocolNode`]
+//! and owns all of that step-local timing state, including when the node
+//! crashes, rejoins and leaves and what that does to the rest. Like the
+//! node it is *sans-IO*: time comes in as a number (nanoseconds since the
+//! step's gossip start), messages come in decoded, and what goes out is
 //! [`Outbound`]s plus the armed timers as plain values. Every substrate is
 //! a way of feeding it:
 //!
@@ -20,11 +20,13 @@
 //!   not a second implementation.
 //!
 //! What arms, fires and clears each [`Timer`] is stated on the methods
-//! below and, as one table, under "One driver, three clocks" in
-//! `docs/architecture.md`. In short: a crash clears every armed timer and a
-//! rejoin re-arms from the rejoin instant, so a node never resumes a
-//! pre-crash pacing chain and never abandons a round on a pre-crash clock.
+//! below and, as one table, under "One driver, four clocks" in
+//! `docs/architecture.md`. In short: a crash clears every armed timer but
+//! the script and a rejoin re-arms from the rejoin instant, so a node
+//! never resumes a pre-crash pacing chain and never abandons a round on a
+//! pre-crash clock.
 
+use crate::churn::{ChurnKind, Script};
 use crate::node::{NodeReport, Outbound, ProtocolNode};
 use crate::transport::NodeId;
 use crate::wire::{Message, TraceContext};
@@ -59,10 +61,14 @@ pub fn decrypt_retry_interval(push_interval: Duration) -> Duration {
 }
 
 /// A node's timers. The declaration order is the firing order among timers
-/// due at the same instant: the deadline wins over a retry, so a round
-/// that is out of time is abandoned without one last re-request burst.
+/// due at the same instant: scripted churn comes first, so a node crashed
+/// at an instant does nothing else at it, and the deadline wins over a
+/// retry, so a round that is out of time is abandoned without one last
+/// re-request burst.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Timer {
+    /// The node's next scripted crash, rejoin or leave.
+    Churn,
     /// The gossip pacing tick.
     Tick,
     /// The decryption round's give-up timer.
@@ -73,12 +79,12 @@ pub enum Timer {
 
 impl Timer {
     /// Every timer, in firing order.
-    pub const ALL: [Timer; 3] = [Timer::Tick, Timer::Deadline, Timer::Retry];
+    pub const ALL: [Timer; 4] = [Timer::Churn, Timer::Tick, Timer::Deadline, Timer::Retry];
 }
 
 /// The instants a node's timers are armed for — at most one per [`Timer`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Armed([Option<u64>; 3]);
+pub struct Armed([Option<u64>; 4]);
 
 impl Armed {
     /// When `timer` is due, if it is armed.
@@ -94,12 +100,15 @@ impl Armed {
     }
 }
 
-/// One [`ProtocolNode`] plus every tick, retry, deadline and completion
-/// decision of its step. All instants are nanoseconds since the step's
-/// gossip start.
+/// One [`ProtocolNode`] plus every churn, tick, retry, deadline and
+/// completion decision of its step. All instants are nanoseconds since the
+/// step's gossip start.
 pub struct NodeDriver {
     node: ProtocolNode,
     alive: bool,
+    /// The node's scripted events; those before `scripted` are applied.
+    script: Script,
+    scripted: usize,
     /// The pacing tick: armed while the node is alive and gossiping.
     tick: Option<u64>,
     /// The decryption round's clocks: both armed while the node is alive
@@ -115,12 +124,15 @@ pub struct NodeDriver {
 impl NodeDriver {
     /// Wraps `node` for one step. A node that is `alive` at step start has
     /// its first tick armed at 0; one that is down holds its slot with no
-    /// timer armed until a [`NodeDriver::rejoin`].
-    pub fn new(node: ProtocolNode, timing: &Timing, alive: bool) -> Self {
+    /// tick armed until a scripted rejoin. `script` is the node's own part
+    /// of the step's churn, in order (see [`crate::churn::split`]).
+    pub fn new(node: ProtocolNode, timing: &Timing, alive: bool, script: Script) -> Self {
         let ns = |d: Duration| d.as_nanos() as u64;
         NodeDriver {
             node,
             alive,
+            script,
+            scripted: 0,
             tick: alive.then_some(0),
             retry: None,
             deadline: None,
@@ -171,18 +183,25 @@ impl NodeDriver {
     /// The timers currently armed. A substrate that keeps timers as events
     /// compares this across an input to learn what the input armed.
     pub fn armed(&self) -> Armed {
-        Armed([self.tick, self.deadline, self.retry])
+        let churn = self.script.get(self.scripted).map(|&(at, _)| at);
+        Armed([churn, self.tick, self.deadline, self.retry])
     }
 
     /// Fires `timer` at instant `now` if it is armed and due — armed for an
     /// instant no later than `now` — and returns whether it did. An event
     /// scheduled for a timer that has since been cleared or re-armed for
-    /// later is stale, and asking is how a substrate finds out.
+    /// later is stale, and asking is how a substrate finds out. `Churn`
+    /// applies every scripted event due by `now`, in order, so it is
+    /// re-armed, if at all, for later than `now`.
     pub fn fire(&mut self, timer: Timer, now: u64, out: &mut Vec<Outbound>) -> bool {
         if self.armed().at(timer).is_none_or(|at| at > now) {
             return false;
         }
         match timer {
+            Timer::Churn => {
+                self.churn(now, out);
+                return true;
+            }
             Timer::Tick => {
                 self.node.tick(out);
                 self.tick = self.gossiping().then_some(now + self.push_interval);
@@ -205,7 +224,8 @@ impl NodeDriver {
         }
     }
 
-    /// Hands the node one decoded message. A crashed node loses everything
+    /// Hands the node one decoded message at instant `now`, after any
+    /// scripted event due by then. A crashed node loses everything
     /// addressed to it.
     pub fn deliver(
         &mut self,
@@ -215,19 +235,36 @@ impl NodeDriver {
         now: u64,
         out: &mut Vec<Outbound>,
     ) {
+        self.churn(now, out);
         if self.alive {
             self.node.handle(from, msg, ctx, out);
             self.settle(now);
         }
     }
 
-    /// Records a frame that failed to decode.
-    pub fn note_bad_frame(&mut self) {
-        self.node.note_bad_frame();
+    /// Records a frame that failed to decode at instant `now`, after any
+    /// scripted event due by then. A crashed node counts nothing.
+    pub fn note_bad_frame(&mut self, now: u64, out: &mut Vec<Outbound>) {
+        self.churn(now, out);
+        if self.alive {
+            self.node.note_bad_frame();
+        }
     }
 
-    /// Silent fail-stop: every armed timer is cleared.
-    pub fn crash(&mut self) {
+    /// Applies the scripted events due by `now`, in script order.
+    fn churn(&mut self, now: u64, out: &mut Vec<Outbound>) {
+        while let Some(&(_, kind)) = self.script.get(self.scripted).filter(|&&(at, _)| at <= now) {
+            self.scripted += 1;
+            match kind {
+                ChurnKind::Crash => self.crash(),
+                ChurnKind::Rejoin => self.rejoin(now, out),
+                ChurnKind::Leave => self.leave(out),
+            }
+        }
+    }
+
+    /// Silent fail-stop: every armed timer but the script is cleared.
+    fn crash(&mut self) {
         self.alive = false;
         (self.tick, self.retry, self.deadline) = (None, None, None);
     }
@@ -236,7 +273,7 @@ impl NodeDriver {
     /// clocks restart from `now` — a fresh tick chain one `push_interval`
     /// later if it is still gossiping, fresh retry and deadline clocks if
     /// it is awaiting shares. No-op on a live node.
-    pub fn rejoin(&mut self, now: u64, out: &mut Vec<Outbound>) {
+    fn rejoin(&mut self, now: u64, out: &mut Vec<Outbound>) {
         if self.alive {
             return;
         }
@@ -248,22 +285,23 @@ impl NodeDriver {
 
     /// Graceful departure: the node announces it, then fail-stops. No-op
     /// on a node that is already down.
-    pub fn leave(&mut self, out: &mut Vec<Outbound>) {
+    fn leave(&mut self, out: &mut Vec<Outbound>) {
         if self.alive {
             self.node.on_leave(out);
             self.crash();
         }
     }
 
-    /// `true` once the node's own part of the step is over — it is done
-    /// (estimate obtained or given up), or the step timed out. Whether the
-    /// *step* is over is the host's to observe, not the node's: the TCP
-    /// host and the coordinator collect one announcement per live node,
-    /// and the sharded executor sees its queues drain and never asks. A
-    /// done node keeps serving committee duties until the host ends the
-    /// step.
+    /// `true` once the node's own part of the step is over — no scripted
+    /// event is pending, and it is down, or done (estimate obtained or
+    /// given up), or the step timed out. Whether the *step* is over is the
+    /// host's to observe, not the node's: the TCP host and the coordinator
+    /// collect one announcement per node, and the sharded executor sees
+    /// its queues drain and never asks. A done node keeps serving
+    /// committee duties until the host ends the step.
     pub fn complete(&self, now: u64) -> bool {
-        self.node.step_done() || now >= self.step_timeout
+        self.scripted == self.script.len()
+            && (!self.alive || self.node.step_done() || now >= self.step_timeout)
     }
 
     /// Consumes the driver into the node's report.

@@ -47,11 +47,11 @@
 //!   becoming visible at the next epoch boundary. With the default 64
 //!   shards only `1/64` of the traffic takes the perfect edge; see
 //!   [`ShardedConfig::link`] for when that matters.
-//! * **Churn is executor-scheduled**: a [`crate::churn::ChurnEvent`]'s
-//!   offset is a *virtual* timestamp here, so "node 7 crashes 3 ms into the
+//! * **Churn is a node timer**: each node's [`NodeDriver`] arms its next
+//!   scripted event as [`Timer::Churn`], queued like any timer but ahead of
+//!   every other event at its instant, so "node 7 crashes 3 ms into the
 //!   step" happens at exactly the same protocol moment in every same-seed
-//!   run — unlike the TCP host, where the offset is wall-clock and at the
-//!   mercy of the OS scheduler.
+//!   run.
 //!
 //! ## Determinism
 //!
@@ -74,7 +74,7 @@
 //! not per node — that would take the per-event read.
 
 use crate::calendar::{Calendar, Key};
-use crate::churn::{ChurnEvent, ChurnKind};
+use crate::churn::ChurnEvent;
 use crate::driver::{Armed, NodeDriver, Timer, Timing};
 use crate::node::{FaultSpec, NodeParams, Outbound, ProtocolNode};
 use crate::runtime::{StepCrypto, StepRun};
@@ -213,7 +213,6 @@ const CLASS_DELIVER: u8 = 2;
 /// resurrect the pre-crash pacing chain (double push rate) nor fire a
 /// decrypt deadline from the pre-crash clock.
 enum EventKind {
-    Churn(ChurnKind),
     Timer(Timer),
     /// A message in flight — the node's [`Outbound`] itself, moved (never
     /// serialized) on the in-shard and the cross-shard edge alike.
@@ -222,9 +221,9 @@ enum EventKind {
 
 /// A shard's events under their keys `(at, class, actor, seq)`, earliest
 /// first. The key is unique and deterministic: `actor` is the sender
-/// (deliveries) or the target node (timers, churn); `seq` is a per-actor
-/// monotone counter (send sequence, timer sequence, or churn-script
-/// index). The order therefore never depends on insertion order — which is
+/// (deliveries) or the target node (timers); `seq` is a per-actor
+/// monotone counter (send sequence or timer sequence). The order
+/// therefore never depends on insertion order — which is
 /// the whole determinism story, since mailbox insertion order *does* vary
 /// across runs.
 type Queue = Calendar<EventKind>;
@@ -259,12 +258,18 @@ impl Slot {
 }
 
 /// Schedules an event for every timer `slot`'s driver has armed since
-/// `before`, its armed set ahead of the input just handled.
+/// `before`, its armed set ahead of the input just handled. Scripted churn
+/// keeps a class of its own.
 fn schedule_armed(queue: &mut Queue, slot: &mut Slot, before: Armed) {
     for (timer, at) in slot.driver.armed().iter() {
         if before.at(timer) != Some(at) {
             slot.timer_seq += 1;
-            let key = (at, CLASS_TIMER, slot.driver.id() as u32, slot.timer_seq);
+            let class = if timer == Timer::Churn {
+                CLASS_CHURN
+            } else {
+                CLASS_TIMER
+            };
+            let key = (at, class, slot.driver.id() as u32, slot.timer_seq);
             queue.push(key, EventKind::Timer(timer));
         }
     }
@@ -565,9 +570,6 @@ impl<'a> Exec<'a> {
         let starved = spare.is_none();
         let before = slot.driver.armed();
         match kind {
-            EventKind::Churn(ChurnKind::Crash) => slot.driver.crash(),
-            EventKind::Churn(ChurnKind::Rejoin) => slot.driver.rejoin(now, &mut out),
-            EventKind::Churn(ChurnKind::Leave) => slot.driver.leave(&mut out),
             EventKind::Timer(timer) => {
                 slot.driver.fire(timer, now, &mut out);
             }
@@ -708,7 +710,8 @@ impl<'a> Exec<'a> {
 /// Mirrors [`crate::runtime::run_step_over_tcp`]: `contributions[i]`
 /// is `Some(vector)` for participants alive at step start, `None` for
 /// crashed ones (zero weight, revivable by churn); `step_churn` lists this
-/// step's scripted events at *virtual* offsets. The returned [`StepRun`] is
+/// step's scripted events at *virtual* offsets, an event for a node past
+/// the population being a typed error. The returned [`StepRun`] is
 /// structurally identical to the TCP host's, so everything
 /// downstream (engine, benches, experiments) is substrate-agnostic.
 pub fn run_step_sharded(
@@ -726,6 +729,7 @@ pub fn run_step_sharded(
     let started = Instant::now();
 
     let step = StepCrypto::prepare(config, layout, contributions, crypto)?;
+    let scripts = crate::churn::split(step_churn, n)?;
     let shard_count = sharded.shards.min(n);
     let workers = match sharded.workers {
         0 => thread::available_parallelism().map_or(4, |v| v.get()),
@@ -789,23 +793,15 @@ pub fn run_step_sharded(
                     TraceContext::NONE,
                 ));
             }
-            let driver = NodeDriver::new(node, &timing, contribution.is_some());
+            let script = scripts[id].clone();
+            let driver = NodeDriver::new(node, &timing, contribution.is_some(), script);
             let mut slot = Slot::new(driver, trace);
-            // A node alive at step start has its first tick armed at 0.
+            // A node alive at step start has its first tick armed at 0, one
+            // with a script its first scripted event.
             schedule_armed(&mut shard.queue, &mut slot, Armed::default());
             shard.slots.push(slot);
         }
     };
-
-    // Scripted churn, scheduled into the owning shards at virtual offsets.
-    for (index, churn) in step_churn.iter().enumerate() {
-        let at = churn.after.as_nanos() as u64;
-        let key = (at, CLASS_CHURN, churn.node as u32, index as u64);
-        let mut shard = shards[home[churn.node].0 as usize]
-            .lock()
-            .expect("shard poisoned");
-        shard.queue.push(key, EventKind::Churn(churn.kind));
-    }
 
     let registry = Registry::new();
     let exec = Exec::new(
@@ -980,7 +976,7 @@ mod tests {
             let params = NodeParams::for_step(id, 3, 9, 4, Vec::new(), None);
             let crypto = crate::node::NodeCrypto::Plain;
             let node = ProtocolNode::new(params, layout(), crypto, Some(&values));
-            let driver = NodeDriver::new(node, &sharded.timing(), true);
+            let driver = NodeDriver::new(node, &sharded.timing(), true, Vec::new());
             shard.slots.push(Slot::new(driver, None));
         }
         // Ten pushes land on node 1; nobody's tick is scheduled yet.
@@ -1135,7 +1131,8 @@ mod tests {
                     trace = Some((clock.clone(), tracer.clone()));
                 }
                 let mut shard = Shard::new(2, sharded.epoch.as_nanos() as u64);
-                let driver = NodeDriver::new(node, &timing, id == 0 || destination_alive);
+                let driver =
+                    NodeDriver::new(node, &timing, id == 0 || destination_alive, Vec::new());
                 shard.slots.push(Slot::new(driver, trace));
                 Mutex::new(shard)
             })

@@ -317,18 +317,18 @@ pub(crate) fn scenarios() -> Vec<Scenario> {
             },
             ..plain()
         },
-        // 2-of-3 committee on nodes 0–2; nodes 0 and 1 silently crash one
-        // push into the gossip, long before a request can reach them.
-        // Requesters other than node 2 can never reach the threshold — they
-        // must give up (no estimate) at the decrypt deadline, not pin the
-        // step to its hard timeout (on virtual time, at no wall-clock cost).
+        // 2-of-3 committee on nodes 0–2; nodes 0 and 1 silently crash
+        // before the decryption round. Requesters other than node 2 can
+        // never reach the threshold — they must give up (no estimate) at
+        // the decrypt deadline, not pin the step to its hard timeout (and on
+        // virtual time the deadline must not cost wall-clock at all).
         Scenario {
             name: "dead_committee_is_bounded_by_the_decrypt_deadline",
             population: 5,
             cycles: 8,
             crypto: Crypto::Packed,
             seeds: [51, 52, 53],
-            churn: &[(1, 0, ChurnKind::Crash), (1, 1, ChurnKind::Crash)],
+            churn: &[(7, 0, ChurnKind::Crash), (7, 1, ChurnKind::Crash)],
             decrypt_deadline: Duration::from_millis(600),
             expect: |run| {
                 assert!(
@@ -422,3 +422,23 @@ macro_rules! scenario_tests {
     };
 }
 pub(crate) use scenario_tests;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::churn::ChurnSchedule;
+
+    /// A churn event for a node past the population is refused by both
+    /// hosts before any worker or node thread exists.
+    #[test]
+    fn an_out_of_range_churn_node_is_a_typed_error() {
+        let step = Step::new(Crypto::Simulated, 4, 4, [1, 2, 3]);
+        let churn = ChurnSchedule::none().crash(0, Duration::ZERO, 4);
+        let on_shards = step.on_shards(&ShardedConfig::default(), &churn.for_step(0));
+        for run in [on_shards, step.on_tcp(&fast_net(), &churn.for_step(0))] {
+            let refused =
+                matches!(&run, Err(ChiaroscuroError::InvalidConfig(m)) if m.contains("node 4"));
+            assert!(refused, "{:?}", run.map(|r| r.elapsed));
+        }
+    }
+}

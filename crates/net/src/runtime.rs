@@ -11,7 +11,7 @@
 //! (assignment → computation → convergence) runs end-to-end over real
 //! messages.
 
-use crate::churn::{ChurnKind, ChurnSchedule, Controls, Liveness};
+use crate::churn::ChurnSchedule;
 use crate::driver::{NodeDriver, Timing};
 use crate::executor::ShardedConfig;
 use crate::node::{FaultSpec, NodeCrypto, NodeParams, NodeReport, Outbound, ProtocolNode};
@@ -31,7 +31,7 @@ use cs_obs::{AuditConfig, CausalTracer, NodeTrace, StepPhase, Tracer, WallClock}
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Barrier, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -157,7 +157,7 @@ pub struct NetConfig {
     pub decrypt_deadline: Duration,
     /// Hard wall-clock deadline for one step.
     pub step_timeout: Duration,
-    /// Scripted churn, applied per step by the driver.
+    /// Scripted churn, applied per step by each node's own driver.
     pub churn: ChurnSchedule,
     /// Causal tracing: every node records its sends, receives, and phase
     /// markers on a shared wall clock, and [`StepRun::traces`] carries the
@@ -265,13 +265,14 @@ impl StepRun {
 
 /// Runs one computation step on the thread-per-node substrate, over a
 /// freshly bound [`TcpTransport::loopback`]: spawns one thread per node
-/// against it, applies the scripted churn, and folds reports + traffic into
-/// a [`StepRun`].
+/// against it, hands each its part of the scripted churn, and folds
+/// reports + traffic into a [`StepRun`].
 ///
 /// `contributions[i]` is `Some(vector)` for participants alive at step
 /// start and `None` for crashed ones (they spawn fail-stopped and can be
 /// revived by the churn schedule). `step_churn` lists this step's scripted
-/// events.
+/// events at wall-clock offsets from the gossip start, an event for a node
+/// past the population being a typed error.
 pub fn run_step_over_tcp(
     config: &ChiaroscuroConfig,
     layout: &SlotLayout,
@@ -292,6 +293,7 @@ pub fn run_step_over_tcp(
     // A contribution or a schedule the step's cipher refuses fails the step
     // here, before a socket is bound or a node thread exists.
     let step = StepCrypto::prepare(config, layout, contributions, crypto)?;
+    let scripts = crate::churn::split(step_churn, n)?;
     let registry = cs_obs::Registry::new();
     let transport = Arc::new(
         TcpTransport::loopback(
@@ -305,16 +307,16 @@ pub fn run_step_over_tcp(
     );
     let started = Instant::now();
 
-    let controls = Arc::new(Controls::new(n));
     let shutdown = Arc::new(AtomicBool::new(false));
-    // Each node announces the end of its part of the step here, which also
-    // wakes the driver thread below without sleep-polling.
-    let (announce_tx, announced) = mpsc::channel::<NodeId>();
+    // Each node announces the end of its part of the step here.
+    let (announce_tx, announced) = mpsc::channel::<()>();
     // Start barrier: every node finishes construction (contribution
-    // encryption included) before anyone gossips and before the churn clock
-    // starts — scripted offsets are relative to the *gossip* start, so
-    // "crash 16 ms in" means the same thing on every machine.
-    let start_gate = Arc::new(std::sync::Barrier::new(n + 1));
+    // encryption included) before anyone gossips. The first node past it
+    // reads the gossip start for all of them: every node's clock — its
+    // pacing and its scripted churn alike — counts from that one instant,
+    // so "crash 16 ms in" means the same thing on every node and machine.
+    let start_gate = Arc::new(Barrier::new(n));
+    let gossip_start = Arc::new(OnceLock::new());
 
     // One wall clock shared by every node's tracer, so the per-node traces
     // merge onto a single step timeline.
@@ -332,11 +334,7 @@ pub fn run_step_over_tcp(
     };
 
     let mut handles = Vec::with_capacity(n);
-    for (i, contribution) in contributions.iter().enumerate() {
-        if contribution.is_none() {
-            // Down at step start, exactly like the simulator's crashed nodes.
-            controls.apply(i, ChurnKind::Crash);
-        }
+    for (i, (contribution, script)) in contributions.iter().zip(scripts).enumerate() {
         let params = NodeParams::for_step(
             i,
             n,
@@ -349,10 +347,10 @@ pub fn run_step_over_tcp(
         let contribution = contribution.clone();
         let layout = *layout;
         let transport = transport.clone();
-        let controls = controls.clone();
         let shutdown = shutdown.clone();
         let announce_tx = announce_tx.clone();
         let start_gate = start_gate.clone();
+        let gossip_start = gossip_start.clone();
         let tracer = tracers[i].clone();
         handles.push(
             thread::Builder::new()
@@ -360,11 +358,15 @@ pub fn run_step_over_tcp(
                 .spawn(move || {
                     // Construct inside the thread: the contribution
                     // encryption (the expensive part in real-crypto mode)
-                    // runs on all node threads concurrently.
+                    // runs on all node threads concurrently. A node down at
+                    // step start, exactly like the simulator's crashed
+                    // nodes, holds its slot until its script revives it.
                     let node =
                         ProtocolNode::new(params, layout, node_crypto, contribution.as_deref());
-                    let mut driver = NodeDriver::new(node, &timing, contribution.is_some());
+                    let alive = contribution.is_some();
+                    let mut driver = NodeDriver::new(node, &timing, alive, script);
                     start_gate.wait();
+                    let epoch = *gossip_start.get_or_init(Instant::now);
                     if let Some(tracer) = tracer {
                         // Attached after the barrier, so every node's
                         // `step.start` lands at the shared gossip start.
@@ -375,62 +377,29 @@ pub fn run_step_over_tcp(
                             TraceContext::NONE,
                         ));
                     }
-                    // The population's switches decide each turn; completion
-                    // is a message to the driver thread.
-                    let turn = || {
-                        if shutdown.load(Ordering::Acquire) {
-                            return Ok(ControlFlow::Break(()));
-                        }
-                        let liveness = controls.liveness(i);
-                        if liveness == Liveness::Leaving {
-                            // The pump announces the departure this turn;
-                            // from here on the node counts as fail-stopped.
-                            controls.confirm_left(i);
-                        }
-                        Ok(ControlFlow::Continue(liveness))
+                    let turn = || match shutdown.load(Ordering::Acquire) {
+                        true => Ok(ControlFlow::Break(())),
+                        false => Ok(ControlFlow::Continue(())),
                     };
                     let announce = || {
-                        // The driver thread may have timed the step out.
-                        let _ = announce_tx.send(i);
+                        // The host may have timed the step out.
+                        let _ = announce_tx.send(());
                         Ok(())
                     };
-                    let Ok(()) = pump::<Infallible>(&mut driver, &transport, turn, announce);
-                    driver.finish()
+                    let Ok(()) = pump::<Infallible>(&mut driver, &transport, epoch, turn, announce);
+                    (driver.is_alive(), driver.finish())
                 })
                 .expect("spawn node thread"),
         );
     }
 
-    // Driver: apply scripted churn at its offsets, then shut the population
-    // down once every (currently live) node completed its part of the step.
-    // The driver parks on the announcement channel between churn deadlines
-    // — no sleep-polling, no busy core while the population works.
-    start_gate.wait();
-    let churn_clock = Instant::now();
-    let mut events: Vec<_> = step_churn.to_vec();
-    events.sort_by_key(|e| e.after);
-    let mut pending: std::collections::VecDeque<_> = events.into_iter().collect();
-    let mut completed = vec![false; n];
-    loop {
-        let now = churn_clock.elapsed();
-        while pending.front().is_some_and(|e| e.after <= now) {
-            let event = pending.pop_front().unwrap();
-            controls.apply(event.node, event.kind);
-        }
-        let all_done = pending.is_empty() && (0..n).all(|i| controls.is_crashed(i) || completed[i]);
-        if all_done || started.elapsed() >= net.step_timeout {
+    // The step is over once every node has announced the end of its own
+    // part (its script played out, and it is down, done or timed out), or
+    // at the step timeout. The host parks on the channel meanwhile.
+    for _ in 0..n {
+        let left = net.step_timeout.saturating_sub(started.elapsed());
+        if announced.recv_timeout(left).is_err() {
             break;
-        }
-        // Wake for whichever comes first: the next scripted churn event, the
-        // step deadline, or a node announcing completion.
-        let until_timeout = net.step_timeout.saturating_sub(started.elapsed());
-        let wait = pending
-            .front()
-            .map(|e| e.after.saturating_sub(now))
-            .map_or(until_timeout, |d| d.min(until_timeout))
-            .max(Duration::from_micros(50));
-        if let Ok(id) = announced.recv_timeout(wait) {
-            completed[id] = true;
         }
     }
     shutdown.store(true, Ordering::Release);
@@ -438,12 +407,12 @@ pub fn run_step_over_tcp(
     let nodes = handles
         .into_iter()
         .map(|handle| {
-            let report = handle.join().expect("node thread panicked");
+            let (alive, report) = handle.join().expect("node thread panicked");
             let id = report.id;
             let trace = tracers[id]
                 .as_ref()
                 .map(|tracer| NodeTrace::capture(id as u64, tracer));
-            (report, !controls.is_crashed(id), trace)
+            (report, alive, trace)
         })
         .collect();
     Ok(StepRun::conclude(
@@ -458,68 +427,48 @@ pub fn run_step_over_tcp(
 
 /// The wall-clock pump: one node's event loop on every substrate that runs
 /// on real time — a node thread of [`run_step_over_tcp`], a `csnoded`
-/// process. Each turn: ask the host how to go on, wait briefly for frames
-/// and decode them into the driver, let the driver fire what is due, flush
-/// what it emitted, and announce completion once. All protocol timing is
-/// the [`NodeDriver`]'s; the pump only supplies the clock (nanoseconds
-/// since it was entered, i.e. since the gossip start), three reads a turn,
-/// and books the turn's message work as the node's [`StepPhase::Gossip`].
+/// process. Each turn: ask the host whether to go on, wait briefly for
+/// frames and decode them into the driver, let the driver fire what is
+/// due, flush what it emitted, and announce completion once. All protocol
+/// timing is the [`NodeDriver`]'s, scripted churn included; the pump only
+/// supplies the clock — nanoseconds since `epoch`, the gossip start, read
+/// once per delivered frame so a frame handed over after a scripted crash
+/// is lost — and books the turn's message work as the node's
+/// [`StepPhase::Gossip`].
 ///
 /// The hosts differ in two closures. `turn` runs at the top of every turn:
-/// `Break` ends the loop (shutdown flag, `StepEnd`), `Continue` carries the
-/// node's scripted [`Liveness`]. `announce` runs once, when the node's part
-/// of the step is complete ([`NodeDriver::complete`]). Either may fail; the
-/// error ends the pump.
+/// `Break` ends the loop (shutdown flag, `StepEnd`). `announce` runs once,
+/// when the node's part of the step is complete ([`NodeDriver::complete`]).
+/// Either may fail; the error ends the pump.
 pub fn pump<E>(
     driver: &mut NodeDriver,
     transport: &TcpTransport,
-    mut turn: impl FnMut() -> Result<ControlFlow<(), Liveness>, E>,
+    epoch: Instant,
+    mut turn: impl FnMut() -> Result<ControlFlow<()>, E>,
     mut announce: impl FnMut() -> Result<(), E>,
 ) -> Result<(), E> {
     let id = driver.id();
-    let epoch = Instant::now();
     let now = || epoch.elapsed().as_nanos() as u64;
-    // A short receive wait keeps ticks and control flips prompt.
+    // A short receive wait keeps ticks and scripted events prompt.
     let wait = driver.push_interval().min(Duration::from_micros(500));
     let mut out: Vec<Outbound> = Vec::new();
     let mut announced = false;
-    loop {
-        match turn()? {
-            ControlFlow::Break(()) => return Ok(()),
-            // The rest of the turn flushes the announcement; whatever
-            // arrives meanwhile is already lost on the departed node.
-            ControlFlow::Continue(Liveness::Leaving) => driver.leave(&mut out),
-            ControlFlow::Continue(Liveness::Crashed) => {
-                driver.crash();
-                // A crashed node loses everything addressed to it. The
-                // blocking receive parks the thread on the inbox condvar
-                // between liveness polls instead of spin-sleeping.
-                while transport.try_recv(id).is_some() {}
-                let _ = transport.recv_timeout(id, Duration::from_micros(250));
-                continue;
-            }
-            ControlFlow::Continue(Liveness::Alive) => {
-                if !driver.is_alive() {
-                    driver.rejoin(now(), &mut out);
-                }
-            }
-        }
-
+    while turn()?.is_continue() {
         let mut next = transport.recv_timeout(id, wait);
         let arrived = now();
         let timed = driver.profile_mut().total_ns();
         while let Some(env) = next {
             // Corrupt frames are counted, never fatal.
             match decode_frame_traced(&env.frame) {
-                Ok((msg, ctx)) => driver.deliver(env.from, msg, ctx, arrived, &mut out),
-                Err(_) => driver.note_bad_frame(),
+                Ok((msg, ctx)) => driver.deliver(env.from, msg, ctx, now(), &mut out),
+                Err(_) => driver.note_bad_frame(now(), &mut out),
             }
             next = transport.try_recv(id);
         }
         driver.poll(now(), &mut out);
         // The turn's message work — decoding, absorbing, splitting — from
         // the frames' arrival to the end of the poll, net of the crypto the
-        // node timed itself meanwhile: no clock is read per message.
+        // node timed itself meanwhile.
         let polled = now();
         let profile = driver.profile_mut();
         let work = (polled - arrived).saturating_sub(profile.total_ns() - timed);
@@ -531,6 +480,7 @@ pub fn pump<E>(
             announced = true;
         }
     }
+    Ok(())
 }
 
 fn flush(id: NodeId, out: &mut Vec<Outbound>, transport: &TcpTransport) {

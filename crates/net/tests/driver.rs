@@ -6,6 +6,7 @@
 use chiaroscuro::config::ChiaroscuroConfig;
 use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::CryptoContext;
+use cs_net::churn::{ChurnKind, Script};
 use cs_net::driver::{decrypt_retry_interval, Armed, NodeDriver, Timer, Timing};
 use cs_net::node::{NodeCrypto, NodeParams, Outbound, ProtocolNode};
 use cs_net::transport::NodeId;
@@ -89,7 +90,18 @@ fn node(id: NodeId, pushes: usize, real: bool) -> ProtocolNode {
 }
 
 fn driver(id: NodeId, pushes: usize, real: bool) -> NodeDriver {
-    NodeDriver::new(node(id, pushes, real), &timing(), true)
+    scripted(id, pushes, real, Vec::new())
+}
+
+fn scripted(id: NodeId, pushes: usize, real: bool, script: Script) -> NodeDriver {
+    NodeDriver::new(node(id, pushes, real), &timing(), true, script)
+}
+
+/// The report's `Debug` text without its wall-clock profile.
+fn settled(driver: NodeDriver) -> String {
+    let mut report = driver.finish();
+    report.profile = Default::default();
+    format!("{report:?}")
 }
 
 fn count(out: &[Outbound], wanted: fn(&Message) -> bool) -> usize {
@@ -229,8 +241,9 @@ fn deadline_abandons_once_and_only_while_awaiting() {
     assert!(served.finish().estimate.is_some());
 }
 
-/// Complete = done ∨ timed out. A node's own part of the step is over the
-/// instant it is done: there is nothing it waits to hear from its peers.
+/// Complete = no scripted event pending ∧ (down ∨ done ∨ timed out). A
+/// node's own part of the step is over the instant it is done: there is
+/// nothing it waits to hear from its peers, only its own script.
 #[test]
 fn completion_is_done_or_timed_out() {
     // Done at 1 ms (plain: the second tick finishes the step).
@@ -255,6 +268,19 @@ fn completion_is_done_or_timed_out() {
     assert!(stuck.node().awaiting_shares());
     assert!(!stuck.complete(TIMEOUT - 1));
     assert!(stuck.complete(TIMEOUT));
+
+    // Down: complete once its script is played out, not while a rejoin is
+    // pending.
+    let script = vec![
+        (PUSH, ChurnKind::Crash),
+        (3 * PUSH, ChurnKind::Rejoin),
+        (5 * PUSH, ChurnKind::Crash),
+    ];
+    let mut churned = scripted(3, 10, false, script);
+    churned.poll(PUSH, &mut out);
+    assert!(!churned.complete(PUSH), "down, with a rejoin pending");
+    churned.poll(5 * PUSH, &mut out);
+    assert!(!churned.is_alive() && churned.complete(5 * PUSH));
 }
 
 /// The cross-substrate bugfix. A node that crashes while awaiting shares
@@ -265,24 +291,29 @@ fn completion_is_done_or_timed_out() {
 /// the node gave up the instant it was back.)
 #[test]
 fn rejoin_restarts_the_decrypt_clocks_from_the_rejoin_instant() {
-    let mut requester = driver(3, 0, true);
+    let back = 2 * DEADLINE + 3 * MS;
+    let script = vec![(MS, ChurnKind::Crash), (back, ChurnKind::Rejoin)];
+    let mut requester = scripted(3, 0, true, script);
     let mut out = Vec::new();
     requester.poll(0, &mut out);
     assert!(requester.node().awaiting_shares());
 
-    requester.crash();
-    assert_eq!(requester.armed(), Armed::default(), "a crash clears all");
+    requester.poll(MS, &mut out);
+    let armed: Vec<_> = requester.armed().iter().collect();
+    assert_eq!(
+        armed,
+        [(Timer::Churn, back)],
+        "a crash clears all but the script"
+    );
     out.clear();
     requester.poll(2 * DEADLINE, &mut out);
     assert!(out.is_empty(), "a crashed node's clocks do not run");
 
-    let back = 2 * DEADLINE + 3 * MS;
-    requester.rejoin(back, &mut out);
-    assert_eq!(count(&out, |m| matches!(m, Message::Join { .. })), 4);
-    out.clear();
     requester.poll(back, &mut out);
+    assert_eq!(count(&out, |m| matches!(m, Message::Join { .. })), 4);
     assert!(requester.node().awaiting_shares(), "not abandoned");
-    assert!(out.is_empty(), "and no immediate retry");
+    assert_eq!(out.len(), 4, "and no immediate retry");
+    out.clear();
     let armed = requester.armed();
     assert_eq!(armed.at(Timer::Retry), Some(back + retry()));
     assert_eq!(armed.at(Timer::Deadline), Some(back + DEADLINE));
@@ -297,13 +328,20 @@ fn rejoin_restarts_the_decrypt_clocks_from_the_rejoin_instant() {
 /// one `push_interval` after the rejoin.
 #[test]
 fn rejoin_while_gossiping_starts_one_fresh_tick_chain() {
-    let mut gossiper = driver(3, 10, false);
+    let back = 7 * MS + 300_000;
+    let gone = back + 2 * PUSH + 1;
+    let script = vec![
+        (PUSH + 1, ChurnKind::Crash),
+        (back, ChurnKind::Rejoin),
+        (gone, ChurnKind::Leave),
+    ];
+    let mut gossiper = scripted(3, 10, false, script);
     let mut out = Vec::new();
     gossiper.poll(0, &mut out);
     gossiper.poll(PUSH, &mut out);
-    gossiper.crash();
-    let back = 7 * MS + 300_000;
-    gossiper.rejoin(back, &mut out);
+    // One poll past both the crash and the rejoin applies them in order.
+    gossiper.poll(back, &mut out);
+    assert!(gossiper.is_alive());
     assert_eq!(gossiper.armed().at(Timer::Tick), Some(back + PUSH));
     out.clear();
     gossiper.poll(back + PUSH - 1, &mut out);
@@ -313,11 +351,73 @@ fn rejoin_while_gossiping_starts_one_fresh_tick_chain() {
     assert_eq!(count(&out, is_push), 2);
     // Leaving announces, then clears like a crash.
     out.clear();
-    gossiper.leave(&mut out);
+    gossiper.poll(gone, &mut out);
     assert_eq!(count(&out, |m| matches!(m, Message::Leave { .. })), 4);
     assert!(!gossiper.is_alive());
     assert_eq!(gossiper.armed(), Armed::default());
     assert_eq!(gossiper.finish().pushes_sent, 4);
+}
+
+/// A frame handed to the node at or after its scripted crash instant is
+/// lost: nothing goes out and nothing is counted, exactly as if it never
+/// came. One instant earlier it is handled.
+#[test]
+fn a_frame_at_or_after_a_scripted_crash_is_lost_and_uncounted() {
+    let crash = 5 * MS;
+    let [mut hit, mut quiet, mut early] =
+        [0, 1, 2].map(|_| scripted(3, 10, true, vec![(crash, ChurnKind::Crash)]));
+    let mut out = Vec::new();
+    for driver in [&mut hit, &mut quiet, &mut early] {
+        driver.poll(0, &mut out);
+    }
+    out.clear();
+    for at in [crash, crash + 3 * MS] {
+        hit.deliver(4, push_from(4), TraceContext::NONE, at, &mut out);
+        hit.note_bad_frame(at, &mut out);
+    }
+    assert!(out.is_empty(), "a dead node emits nothing");
+    assert!(!hit.is_alive());
+    quiet.poll(crash + 3 * MS, &mut out);
+    assert_eq!(settled(hit), settled(quiet), "and counts nothing");
+
+    early.note_bad_frame(crash - 1, &mut out);
+    assert_eq!(
+        early.finish().bad_frames,
+        1,
+        "one instant earlier it counts"
+    );
+}
+
+/// A crash and a rejoin scripted for one instant are applied in script
+/// order before a frame handed over at that instant, whether the host fires
+/// the `Churn` timer first (the executor's event order) or only hands over
+/// the frame (a wall-clock pump mid-turn): the node announces itself, then
+/// serves the request, identically.
+#[test]
+fn frames_at_a_crash_then_rejoin_instant_follow_the_script_on_both_clockings() {
+    let back = 3 * MS;
+    let script = vec![(back, ChurnKind::Crash), (back, ChurnKind::Rejoin)];
+    let mut requests = Vec::new();
+    driver(3, 0, true).poll(0, &mut requests);
+    let request = requests.swap_remove(0).1;
+    let logs = [true, false].map(|fire_first| {
+        let mut member = scripted(0, 10, true, script.clone());
+        let mut out = Vec::new();
+        member.poll(0, &mut out);
+        out.clear();
+        if fire_first {
+            assert!(member.fire(Timer::Churn, back, &mut out));
+        }
+        member.deliver(3, request.clone(), TraceContext::NONE, back, &mut out);
+        assert!(member.is_alive());
+        assert_eq!(member.armed().at(Timer::Churn), None);
+        out
+    });
+    assert_eq!(logs[0], logs[1]);
+    let joins = count(&logs[0], |m| matches!(m, Message::Join { .. }));
+    assert_eq!(joins, 4);
+    assert!(matches!(logs[0][4], (3, Message::DecryptShare { .. }, _)));
+    assert_eq!(logs[0].len(), 5);
 }
 
 /// One step of a random schedule.
@@ -325,6 +425,8 @@ fn rejoin_while_gossiping_starts_one_fresh_tick_chain() {
 enum Op {
     /// Let this many nanoseconds pass.
     Advance(u64),
+    /// The node's scripted crash, rejoin and leave, at the instant the ops
+    /// before them reach: the script handed to the driver at step start.
     Crash,
     Rejoin,
     Leave,
@@ -375,7 +477,21 @@ enum Clocking {
 /// Drives node 3 through `ops`; returns every outbound with the instant it
 /// was emitted at, and the final report (without its wall-clock profile).
 fn run(ops: &[Op], pushes: usize, clocking: Clocking) -> (Vec<(u64, Outbound)>, String) {
-    let mut driver = driver(3, pushes, true);
+    let mut script = Script::new();
+    let mut at = 0;
+    for op in ops {
+        match op {
+            Op::Advance(by) => at += by,
+            Op::Crash => script.push((at, ChurnKind::Crash)),
+            Op::Rejoin => script.push((at, ChurnKind::Rejoin)),
+            Op::Leave => script.push((at, ChurnKind::Leave)),
+            _ => {}
+        }
+    }
+    let mut driver = scripted(3, pushes, true, script.clone());
+    // The latest instant an input reached: every scripted event due by
+    // then is applied.
+    let mut reached = None;
     let mut now = 0u64;
     let mut log: Vec<(u64, Outbound)> = Vec::new();
     let mut out: Vec<Outbound> = Vec::new();
@@ -393,6 +509,11 @@ fn run(ops: &[Op], pushes: usize, clocking: Clocking) -> (Vec<(u64, Outbound)>, 
 
     for op in ops {
         let before = driver.armed();
+        let handed = match op {
+            Op::Crash | Op::Rejoin | Op::Leave => false,
+            Op::Share(_) => log.iter().any(|(_, o)| is_request(&o.1)),
+            _ => true,
+        };
         match op {
             Op::Advance(by) => {
                 let target = now + by;
@@ -423,9 +544,8 @@ fn run(ops: &[Op], pushes: usize, clocking: Clocking) -> (Vec<(u64, Outbound)>, 
                 }
                 now = target;
             }
-            Op::Crash => driver.crash(),
-            Op::Rejoin => driver.rejoin(now, &mut out),
-            Op::Leave => driver.leave(&mut out),
+            // Scripted: the driver applies them on its own clock.
+            Op::Crash | Op::Rejoin | Op::Leave => {}
             Op::StalePush(from) => {
                 let Message::PackedPush {
                     denom_exp,
@@ -472,9 +592,18 @@ fn run(ops: &[Op], pushes: usize, clocking: Clocking) -> (Vec<(u64, Outbound)>, 
             enqueue(&mut queue, before, driver.armed());
         }
         log.extend(out.drain(..).map(|o| (now, o)));
+        if handed {
+            reached = Some(now);
+        }
 
         // (b) what may be armed, after every input.
         let armed = driver.armed();
+        let mut next = script.iter().map(|&(at, _)| at);
+        assert_eq!(
+            armed.at(Timer::Churn),
+            next.find(|&at| reached.is_none_or(|r| at > r)),
+            "Churn is armed iff a scripted event remains, for the next one ({op:?})"
+        );
         let node = driver.node();
         let gossiping = !node.awaiting_shares() && !node.step_done();
         assert_eq!(
@@ -491,9 +620,7 @@ fn run(ops: &[Op], pushes: usize, clocking: Clocking) -> (Vec<(u64, Outbound)>, 
         }
         assert!(armed.iter().all(|(_, at)| at >= now), "nothing overdue");
     }
-    let mut report = driver.finish();
-    report.profile = Default::default();
-    (log, format!("{report:?}"))
+    (log, settled(driver))
 }
 
 proptest! {

@@ -17,7 +17,6 @@
 use chiaroscuro::noise::SlotLayout;
 use cs_bigint::BigUint;
 use cs_crypto::{Ciphertext, PartialDecryption};
-use cs_net::churn::Liveness;
 use cs_net::driver::{NodeDriver, Timing};
 use cs_net::node::{NodeCrypto, NodeParams, ProtocolNode};
 use cs_net::runtime::pump;
@@ -210,7 +209,7 @@ fn the_pump_counts_retired_frames_as_bad_frames() {
         decrypt_deadline: Duration::from_secs(1),
         step_timeout: Duration::from_secs(5),
     };
-    let mut driver = NodeDriver::new(node, &timing, true);
+    let mut driver = NodeDriver::new(node, &timing, true, Vec::new());
     // The transport records every frame it schedules into an inbox; on an
     // ideal link all three are due at once, so the turn after the third
     // lands drains them, and the one after that ends the pump. The
@@ -226,9 +225,9 @@ fn the_pump_counts_retired_frames_as_bad_frames() {
             return Ok(ControlFlow::Break(()));
         }
         drained = scheduled() == 3;
-        Ok(ControlFlow::Continue(Liveness::Alive))
+        Ok(ControlFlow::Continue(()))
     };
-    let Ok(()) = pump::<Infallible>(&mut driver, &transport, turn, || Ok(()));
+    let Ok(()) = pump::<Infallible>(&mut driver, &transport, Instant::now(), turn, || Ok(()));
     assert_eq!(driver.finish().bad_frames, 3);
 }
 

@@ -711,7 +711,7 @@ fn run_step(
         None => NodeCrypto::Plain,
     };
     let node = ProtocolNode::new(params, ctx.layout, node_crypto, Some(&contribution));
-    let mut driver = NodeDriver::new(node, &timing, true);
+    let mut driver = NodeDriver::new(node, &timing, true, Vec::new());
 
     // Start barrier, mirroring the in-process host's start gate: node
     // construction (contribution encryption — the expensive part in
@@ -720,9 +720,9 @@ fn run_step(
     // phase", not "into the encryption stampede".
     write_msg(control, &ControlMsg::Ready { step, node: id })?;
     let barrier = Instant::now();
-    loop {
+    let go = loop {
         match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(ControlMsg::Go { step: s }) if s == step => break,
+            Ok(ControlMsg::Go { step: s }) if s == step => break Instant::now(),
             // A coordinator that timed out collecting Readys may skip
             // straight to ending the step.
             Ok(ControlMsg::StepEnd) => return Ok(driver.finish()),
@@ -737,7 +737,7 @@ fn run_step(
                 return Err(bad_data("control channel died at the start barrier"));
             }
         }
-    }
+    };
 
     // The tracer attaches after the Go barrier (like the in-process
     // host's post-gate attach) so the `step.start` span marks the start
@@ -752,9 +752,8 @@ fn run_step(
 
     // This deployment scripts no churn: a daemon's node is alive until the
     // coordinator ends the step (a SIGKILL needs no bookkeeping).
-    let turn = || Ok(poll_control(rx)?.map_continue(|()| cs_net::churn::Liveness::Alive));
     let announce = || write_msg(control, &ControlMsg::Done { step, node: id });
-    pump(&mut driver, transport, turn, announce)?;
+    pump(&mut driver, transport, go, || poll_control(rx), announce)?;
     Ok(driver.finish())
 }
 

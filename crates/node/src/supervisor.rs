@@ -1,7 +1,7 @@
 //! Local cluster supervision: spawn, kill, and reap `csnoded` processes.
 //!
 //! This is the test/example harness for the multi-process deployment — the
-//! moral equivalent of the in-process TCP host's churn `Controls`, except the
+//! moral equivalent of the in-process hosts' scripted churn, except the
 //! "nodes" are real OS processes and a crash is a real `SIGKILL`. Anything
 //! production-shaped (systemd units, containers, restarts) stays out of
 //! scope; see `docs/deployment.md` for how the pieces compose.
