@@ -337,9 +337,10 @@ fn run_check(summary: &BenchSummary) {
     }
 }
 
-/// Median wall-clock of encode+decode for a realistic encrypted push frame
-/// (24 ciphertexts of 256 bytes, the width of a k=4, len=5 aggregate at one
-/// ciphertext per bucket and 2048-bit keys).
+/// Median wall-clock of encode+decode for one packed push frame of 24
+/// random 256-byte ciphertexts — the ciphertext width of a 1024-bit key
+/// (`n²`), in one fixed-width block. A fixed codec workload: a real push
+/// carries `⌈buckets/lanes⌉` ciphertexts, not one per bucket.
 fn bench_wire_codec(quick: bool) -> BenchEntry {
     let mut rng = StdRng::seed_from_u64(1);
     let slots: Vec<Ciphertext> = (0..24)

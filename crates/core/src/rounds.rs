@@ -240,6 +240,13 @@ impl StepCipher {
         &self.pk
     }
 
+    /// The byte width every ciphertext and partial decryption of the step
+    /// travels at on the wire: `byte_len(n^(s+1))`, a public constant of the
+    /// run.
+    pub fn key_width(&self) -> u16 {
+        self.pk.ciphertext_bytes() as u16
+    }
+
     /// Ciphertexts a node gossips and snapshots for decryption: one per
     /// lane group.
     pub fn ciphertexts(&self) -> usize {

@@ -1070,7 +1070,7 @@ mod tests {
     /// A traced `PackedPush` and a traced `DecryptShare`.
     fn traced_crypto_messages() -> ([Message; 2], TraceContext) {
         use cs_bigint::BigUint;
-        use cs_crypto::{Ciphertext, PartialDecryption};
+        use cs_crypto::Ciphertext;
 
         let big = |bytes: usize| BigUint::from_bytes_le(&vec![0xA5; bytes]);
         let messages = [
@@ -1086,7 +1086,9 @@ mod tests {
             },
             Message::DecryptShare {
                 iteration: 9,
-                partials: vec![PartialDecryption::from_parts(2, big(61))],
+                member: 2,
+                width: 64,
+                partials: vec![big(61)],
             },
         ];
         let ctx = TraceContext {

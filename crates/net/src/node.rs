@@ -286,7 +286,8 @@ pub struct NodeReport {
     /// and therefore knows.
     pub peer_failures: u64,
     /// Frames that failed to decode (corrupt or mis-versioned) or whose
-    /// payload did not fit this node's slot layout. Decode failures are
+    /// payload did not fit this node's slot layout, key width or committee
+    /// (a reply under another member's share index). Decode failures are
     /// raised by the substrates that put bytes on a wire (TCP loopback,
     /// cluster); the sharded executor moves messages and has none.
     pub bad_frames: u64,
@@ -642,7 +643,11 @@ impl ProtocolNode {
                 };
                 self.absorb(iteration, Inbound::Cleartext(push));
             }
-            Message::DecryptRequest { iteration, slots } => {
+            Message::DecryptRequest {
+                iteration,
+                width,
+                slots,
+            } => {
                 if iteration != self.params.iteration {
                     return;
                 }
@@ -654,9 +659,10 @@ impl ProtocolNode {
                 {
                     // A partial decryption is the step's most expensive
                     // operation, and an honest request asks for one per
-                    // ciphertext of the step's layout, folded or not:
-                    // anything else is refused before one is computed.
-                    if !cipher.serves_width(slots.len()) {
+                    // ciphertext of the step's layout, folded or not, at the
+                    // key's width: anything else is refused before one is
+                    // computed.
+                    if !cipher.serves_width(slots.len()) || width != cipher.key_width() {
                         self.bad_frames += 1;
                         return;
                     }
@@ -666,9 +672,11 @@ impl ProtocolNode {
                     if let Some(reply) = self.served_replies.get(&from) {
                         let reply = reply.clone();
                         self.emit(from, reply, out);
-                    } else if let Some(partials) = self.partials_of(&slots) {
+                    } else if let Some((member, partials)) = self.partials_of(&slots) {
                         let reply = Message::DecryptShare {
                             iteration,
+                            member,
+                            width,
                             partials,
                         };
                         self.served_replies.insert(from, reply.clone());
@@ -678,12 +686,14 @@ impl ProtocolNode {
             }
             Message::DecryptShare {
                 iteration,
+                member,
+                width,
                 partials,
             } => {
                 if iteration != self.params.iteration {
                     return;
                 }
-                self.accept_share(from, partials);
+                self.accept_share(from, member, width, partials);
             }
             Message::Join { node, .. } => {
                 if (node as usize) < self.params.population {
@@ -751,31 +761,12 @@ impl ProtocolNode {
 
     // -- internals ----------------------------------------------------------
 
-    /// Applies the `corrupt_partials` fault when armed: flips the low bit
-    /// of each partial's value, leaving indices intact so the combine
-    /// proceeds and decodes to garbage instead of failing fast — the
-    /// silent-corruption shape the auditor must catch.
-    fn maybe_corrupt(&self, partials: Vec<PartialDecryption>) -> Vec<PartialDecryption> {
-        if !self.params.corrupt_partials {
-            return partials;
-        }
-        partials
-            .into_iter()
-            .map(|p| {
-                let mut bytes = p.value().to_bytes_le();
-                if bytes.is_empty() {
-                    bytes.push(1);
-                } else {
-                    bytes[0] ^= 1;
-                }
-                PartialDecryption::from_parts(p.index(), BigUint::from_bytes_le(&bytes))
-            })
-            .collect()
-    }
-
-    /// This node's partial decryptions of `slots`, `None` off the committee:
-    /// timed, counted, and corrupted when the fault is armed.
-    fn partials_of(&mut self, slots: &[Ciphertext]) -> Option<Vec<PartialDecryption>> {
+    /// This node's share index and its partial decryptions of `slots`,
+    /// `None` off the committee: timed, counted, and — when the
+    /// `corrupt_partials` fault is armed — each value's low bit flipped, so
+    /// the combine proceeds and decodes to garbage instead of failing fast:
+    /// the silent-corruption shape the auditor must catch.
+    fn partials_of(&mut self, slots: &[Ciphertext]) -> Option<(u64, Vec<BigUint>)> {
         let NodeCrypto::Real {
             share: Some(share), ..
         } = &self.crypto
@@ -783,11 +774,17 @@ impl ProtocolNode {
             return None;
         };
         let started = Instant::now();
-        let partials: Vec<_> = slots.iter().map(|c| share.partial_decrypt(c)).collect();
+        let partial = |c| share.partial_decrypt(c).value().clone();
+        let partials: Vec<BigUint> = slots.iter().map(partial).collect();
         let elapsed = started.elapsed().as_nanos() as u64;
         self.profile.add(StepPhase::DecryptShare, elapsed);
         self.decrypt_ops.partial_decryptions += partials.len() as u64;
-        Some(self.maybe_corrupt(partials))
+        if !self.params.corrupt_partials {
+            return Some((share.index(), partials));
+        }
+        let one = BigUint::one();
+        let corrupt = |v: BigUint| if v.is_odd() { v - &one } else { v + &one };
+        Some((share.index(), partials.into_iter().map(corrupt).collect()))
     }
 
     /// Whether this node currently believes `i` is alive.
@@ -838,7 +835,7 @@ impl ProtocolNode {
         if let Some(t) = &mut self.tracer {
             t.mark("gossip.end", &[("pushes", self.pushes_sent as u64)]);
         }
-        let snapshot = match (&self.agg, &self.crypto) {
+        let (width, snapshot) = match (&self.agg, &self.crypto) {
             (Aggregator::Plain(ps), _) => {
                 let est = ps
                     .estimate()
@@ -856,7 +853,7 @@ impl ProtocolNode {
                 let folded = cipher.fold(he.ciphertexts(), denom, weight, &mut self.ops);
                 let fold_ns = fold_started.elapsed().as_nanos() as u64;
                 self.profile.add(StepPhase::Unpack, fold_ns);
-                folded
+                (cipher.key_width(), folded)
             }
             _ => return self.finish(None),
         };
@@ -888,11 +885,12 @@ impl ProtocolNode {
             asked: 0,
             request: Message::DecryptRequest {
                 iteration: self.params.iteration,
+                width,
                 slots: snapshot,
             },
         });
-        if let Some(partials) = own_partials {
-            self.accept_share(self.params.id, partials);
+        if let Some((member, partials)) = own_partials {
+            self.accept_share(self.params.id, member, width, partials);
         }
         self.ask_committee(out);
     }
@@ -936,23 +934,32 @@ impl ProtocolNode {
     /// check every push variant goes through: a push in another dialect
     /// than this node's (cleartext into ciphertexts or the reverse), of
     /// another width or bucket count (the lane bias accounting would not
-    /// survive it), or with a denominator past the step's cap (the lanes
-    /// would not hold the aggregate) is a bad frame, counted once and
-    /// dropped.
+    /// survive it), with a ciphertext wider than the key, or with a
+    /// denominator past the step's cap (the lanes would not hold the
+    /// aggregate) is a bad frame, counted once and dropped.
     fn absorb(&mut self, iteration: u64, inbound: Inbound) {
         if iteration != self.params.iteration {
             return;
         }
         let buckets_here = self.layout.total() as u32;
-        match (&mut self.agg, inbound) {
-            (Aggregator::Encrypted(he), Inbound::Ciphertexts(buckets, push))
-                if buckets == buckets_here
-                    && push.slots.len() == he.dim()
-                    && push.denom_exp <= he.denominator_cap() =>
+        match (&mut self.agg, &self.crypto, inbound) {
+            (
+                Aggregator::Encrypted(he),
+                NodeCrypto::Real { cipher, .. },
+                Inbound::Ciphertexts(buckets, push),
+            ) if buckets == buckets_here
+                && push.slots.len() == he.dim()
+                && push
+                    .slots
+                    .iter()
+                    .all(|c| c.byte_len() <= cipher.key_width() as usize)
+                && push.denom_exp <= he.denominator_cap() =>
             {
                 he.absorb(&push);
             }
-            (Aggregator::Plain(ps), Inbound::Cleartext(push)) if push.values.len() == ps.dim() => {
+            (Aggregator::Plain(ps), _, Inbound::Cleartext(push))
+                if push.values.len() == ps.dim() =>
+            {
                 ps.absorb(&push);
                 self.spare = Some(push.values);
             }
@@ -960,7 +967,7 @@ impl ProtocolNode {
         }
     }
 
-    fn accept_share(&mut self, from: NodeId, partials: Vec<PartialDecryption>) {
+    fn accept_share(&mut self, from: NodeId, member: u64, width: u16, partials: Vec<BigUint>) {
         // Audit evidence first: a share from outside the committee is an
         // invariant violation whenever it arrives, even if the phase or
         // dedup checks would discard it below. Detection only — behavior
@@ -981,18 +988,26 @@ impl ProtocolNode {
         else {
             return;
         };
-        // One partial per ciphertext of the folded snapshot, or the frame
-        // is not an answer to this node's request.
+        // One partial per ciphertext of the folded snapshot, at the key's
+        // width, under the share index the committee gives the sender — or
+        // the frame is not an answer to this node's request.
         let (denom, weight) = self.snapshot;
-        let width = cipher.width(denom, weight);
-        if partials.len() != width {
+        let count = cipher.width(denom, weight);
+        // Node `committee[j]` holds share `j + 1`.
+        let index = self.params.committee.iter().position(|&c| c == from);
+        if partials.len() != count
+            || width != cipher.key_width()
+            || index.map(|j| j as u64 + 1) != Some(member)
+        {
             self.bad_frames += 1;
             return;
         }
         if self.shares_by_sender.contains_key(&from) {
             return;
         }
-        self.shares_by_sender.insert(from, partials);
+        let partials = partials.into_iter();
+        let partials = partials.map(|v| PartialDecryption::from_parts(member, v));
+        self.shares_by_sender.insert(from, partials.collect());
         if self.shares_by_sender.len() > self.params.committee.len() {
             self.audit.oversized_rounds += 1;
         }
@@ -1013,7 +1028,7 @@ impl ProtocolNode {
             self.audit.undersized_combines += 1;
         }
         let combine_started = Instant::now();
-        let groups: Vec<Vec<PartialDecryption>> = (0..width)
+        let groups: Vec<Vec<PartialDecryption>> = (0..count)
             .map(|j| contributors.iter().map(|c| c[j].clone()).collect())
             .collect();
         let raws = plans

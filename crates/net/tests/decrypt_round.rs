@@ -245,8 +245,9 @@ fn on_the_fold_grid(ciphertexts: usize, width: usize) -> bool {
 
 /// A member computes partial decryptions — the step's most expensive
 /// operation — only for a request as wide as a snapshot of the step's layout
-/// can be: an empty request, one off the fold grid and one wider than the
-/// step's ciphertexts cost nothing and leave nothing behind.
+/// can be, at the key's byte width: an empty request, one off the fold
+/// grid, one wider than the step's ciphertexts and one whose ciphertexts
+/// travel at another byte width cost nothing and leave nothing behind.
 #[test]
 fn decrypt_round_refuses_a_request_of_the_wrong_width() {
     let ctx = context(ThresholdParams {
@@ -257,12 +258,23 @@ fn decrypt_round_refuses_a_request_of_the_wrong_width() {
     let mut out = Vec::new();
     node(ctx, 3, &values, 31).tick(&mut out);
     let request = out[0].1.clone();
-    let Message::DecryptRequest { iteration, slots } = &request else {
+    let Message::DecryptRequest {
+        iteration,
+        width: key_width,
+        slots,
+    } = &request
+    else {
         panic!("the round opens with a request");
     };
     let resized = |width: usize| Message::DecryptRequest {
         iteration: *iteration,
+        width: *key_width,
         slots: slots.iter().cycle().take(width).cloned().collect(),
+    };
+    let widened = Message::DecryptRequest {
+        iteration: *iteration,
+        width: key_width + 1,
+        slots: slots.clone(),
     };
     let full = cipher(ctx).ciphertexts();
     let off_grid = (1..full)
@@ -271,7 +283,7 @@ fn decrypt_round_refuses_a_request_of_the_wrong_width() {
 
     let mut member = node(ctx, 0, &values, 32);
     let mut reply = Vec::new();
-    for bad in [resized(0), resized(off_grid), resized(2 * full)] {
+    for bad in [resized(0), resized(off_grid), resized(2 * full), widened] {
         member.handle(3, bad, TraceContext::NONE, &mut reply);
         assert!(reply.is_empty(), "a malformed request gets no reply");
     }
@@ -283,7 +295,7 @@ fn decrypt_round_refuses_a_request_of_the_wrong_width() {
     };
     assert_eq!(partials.len(), slots.len());
     let report = member.into_report();
-    assert_eq!(report.bad_frames, 3);
+    assert_eq!(report.bad_frames, 4);
     assert_eq!(
         report.decrypt_ops.partial_decryptions,
         slots.len() as u64,
@@ -339,6 +351,8 @@ fn decrypt_round_share_of_another_width_is_one_counted_bad_frame() {
         .collect();
     let Message::DecryptShare {
         iteration,
+        member,
+        width: key_width,
         partials,
     } = &shares[0]
     else {
@@ -349,6 +363,8 @@ fn decrypt_round_share_of_another_width_is_one_counted_bad_frame() {
     for width in [0, partials.len() - 1, full] {
         let resized = Message::DecryptShare {
             iteration: *iteration,
+            member: *member,
+            width: *key_width,
             partials: partials.iter().cycle().take(width).cloned().collect(),
         };
         requester.handle(0, resized, TraceContext::NONE, &mut out);
@@ -362,6 +378,72 @@ fn decrypt_round_share_of_another_width_is_one_counted_bad_frame() {
     assert_eq!(report.bad_frames, 3);
     assert!(report.estimate.is_some());
     assert_eq!(report.decrypt_ops.combinations, partials.len() as u64);
+}
+
+/// A share must come from its sender: a reply names the share index the
+/// committee gives the member that sends it (node `j` holds share `j + 1`)
+/// and travels at the key's width. A reply from member 0 under member 1's
+/// index, and one of member 0's at another width, are one counted bad frame
+/// each; the honest replies still complete the round, to the same bits.
+#[test]
+fn decrypt_round_forged_reply_is_one_counted_bad_frame() {
+    let ctx = context(ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    });
+    let values = contribution(&[0.25, 3.0, -1.0]);
+    let start = |out: &mut Vec<Outbound>| {
+        let mut requester = node(ctx, 3, &values, 71);
+        requester.tick(out);
+        requester
+    };
+    let mut out = Vec::new();
+    let mut requester = start(&mut out);
+    assert_eq!(requested(&out), [0, 1]);
+    let request = out[0].1.clone();
+    let shares: Vec<Message> = [0, 1]
+        .iter()
+        .map(|&m| {
+            let mut reply = Vec::new();
+            node(ctx, m, &values, 72).handle(3, request.clone(), TraceContext::NONE, &mut reply);
+            reply.pop().expect("a member serves the request").1
+        })
+        .collect();
+    let Message::DecryptShare {
+        iteration,
+        member,
+        width,
+        partials,
+    } = &shares[0]
+    else {
+        panic!("a member answers with a share vector");
+    };
+    assert_eq!(*member, 1, "node 0 holds share 1");
+    let forgeries = [(member + 1, *width), (*member, width + 1)];
+    for (member, width) in forgeries {
+        let forged = Message::DecryptShare {
+            iteration: *iteration,
+            member,
+            width,
+            partials: partials.clone(),
+        };
+        requester.handle(0, forged, TraceContext::NONE, &mut out);
+        assert!(
+            requester.awaiting_shares(),
+            "member {member}, width {width}"
+        );
+    }
+    let mut honest = start(&mut Vec::new());
+    for (m, share) in shares.iter().enumerate() {
+        requester.handle(m, share.clone(), TraceContext::NONE, &mut out);
+        honest.handle(m, share.clone(), TraceContext::NONE, &mut out);
+    }
+    let (report, honest) = (requester.into_report(), honest.into_report());
+    assert_eq!(report.bad_frames, 2);
+    let estimate = report
+        .estimate
+        .expect("the honest members complete the round");
+    assert_eq!(bits(&estimate), bits(&honest.estimate.unwrap()));
 }
 
 /// Every (node, push) pairing: a push in the node's own dialect is absorbed,

@@ -118,15 +118,26 @@ fn is_request(msg: &Message) -> bool {
 
 /// The reply committee member `member` serves to `request`.
 fn share_from(member: NodeId, request: &Message) -> Message {
-    let (CryptoContext::Real { tkp, .. }, Message::DecryptRequest { iteration, slots }) =
-        (context(), request)
+    let (
+        CryptoContext::Real { tkp, .. },
+        Message::DecryptRequest {
+            iteration,
+            width,
+            slots,
+        },
+    ) = (context(), request)
     else {
         unreachable!("a decrypt request under the real-crypto fixture");
     };
     let share = &tkp.shares()[member];
     Message::DecryptShare {
         iteration: *iteration,
-        partials: slots.iter().map(|c| share.partial_decrypt(c)).collect(),
+        member: share.index(),
+        width: *width,
+        partials: slots
+            .iter()
+            .map(|c| share.partial_decrypt(c).value().clone())
+            .collect(),
     }
 }
 

@@ -1,11 +1,11 @@
 //! Property-based tests for the wire codec: every message variant must
 //! round-trip through the binary frame format and the serde JSON mirror,
-//! and corrupt input must be rejected (or decode to something else), never
-//! panic.
+//! and corrupt input — hostile big-integer blocks included — must be
+//! rejected with a typed error (or decode to something else), never panic.
 
 use cs_bigint::BigUint;
-use cs_crypto::{Ciphertext, PartialDecryption};
-use cs_net::wire::{decode_frame, encode_frame, Message, WIRE_VERSION};
+use cs_crypto::Ciphertext;
+use cs_net::wire::{decode_frame, encode_frame, Message, WireError, WIRE_VERSION};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -19,6 +19,9 @@ fn build_message(
     floats: &[f64],
 ) -> Message {
     let cipher = |bytes: &Vec<u8>| Ciphertext::from_biguint(BigUint::from_bytes_le(bytes));
+    let values = || raw_slots.iter().map(|bytes| BigUint::from_bytes_le(bytes));
+    // A block is as wide as its widest value, at least one byte.
+    let width = values().map(|v| v.byte_len()).max().unwrap_or(0).max(1) as u16;
     match variant % 6 {
         0 => Message::PlainPush {
             iteration,
@@ -27,17 +30,14 @@ fn build_message(
         },
         1 => Message::DecryptRequest {
             iteration,
+            width,
             slots: raw_slots.iter().map(cipher).collect(),
         },
         2 => Message::DecryptShare {
             iteration,
-            partials: raw_slots
-                .iter()
-                .enumerate()
-                .map(|(i, bytes)| {
-                    PartialDecryption::from_parts(i as u64 + 1, BigUint::from_bytes_le(bytes))
-                })
-                .collect(),
+            member: u64::from(denom_exp) + 1,
+            width,
+            partials: values().collect(),
         },
         3 => Message::Join {
             node: denom_exp as u64,
@@ -137,5 +137,70 @@ proptest! {
         let mut frame = encode_frame(&msg);
         frame[4] = wrong;
         prop_assert!(decode_frame(&frame).is_err());
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile bytes for the block decoder: an arbitrary `(count, width,
+    /// body)` block under each tag that carries one either decodes to
+    /// exactly `count` values sized by the frame, or is the typed error the
+    /// layout predicts — a block that claims more than the bytes left is
+    /// `Truncated`, before any `Vec` is sized from its count.
+    #[test]
+    fn hostile_blocks_decode_or_fail_typed(
+        tag in 0usize..3,
+        small in (any::<bool>(), any::<bool>()),
+        (small_count, any_count) in (0u32..8, any::<u32>()),
+        (small_width, any_width) in (0u16..72, any::<u16>()),
+        slack in -3i64..4,
+        fill in any::<u8>(),
+    ) {
+        const MAX_ELEMENTS: u64 = 1 << 20;
+        let tag = [2u8, 3, 7][tag];
+        let count = if small.0 { small_count } else { any_count };
+        let width = if small.1 { small_width } else { any_width };
+        let claimed = u64::from(count) * u64::from(width);
+        let body_len = (claimed as i64 + slack).clamp(0, 2048) as usize;
+        let mut body = vec![WIRE_VERSION, tag, 0];
+        body.extend_from_slice(&5u64.to_le_bytes()); // iteration
+        match tag {
+            3 => body.extend_from_slice(&2u64.to_le_bytes()), // member
+            7 => body.extend_from_slice(&[0; 16]), // denom_exp, weight, buckets
+            _ => {}
+        }
+        body.extend_from_slice(&count.to_le_bytes());
+        body.extend_from_slice(&width.to_le_bytes());
+        body.extend((0..body_len).map(|i| fill.wrapping_add(i as u8)));
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+
+        let expected = if u64::from(count) > MAX_ELEMENTS {
+            Err(WireError::BadValue("element count exceeds the cap"))
+        } else if count > 0 && width == 0 {
+            Err(WireError::BadValue("a block of values has width 0"))
+        } else if claimed > body_len as u64 {
+            Err(WireError::Truncated)
+        } else if claimed < body_len as u64 {
+            Err(WireError::TrailingBytes(body_len - claimed as usize))
+        } else {
+            Ok(())
+        };
+        let decoded = decode_frame(&frame);
+        match (&decoded, expected) {
+            (Ok(msg), Ok(())) => {
+                let (got_width, held) = match msg {
+                    Message::DecryptRequest { width, slots, .. } => (Some(*width), slots.capacity()),
+                    Message::DecryptShare { width, partials, .. } => (Some(*width), partials.capacity()),
+                    Message::PackedPush { slots, .. } => (None, slots.capacity()),
+                    other => panic!("tag {tag} decoded as {other:?}"),
+                };
+                prop_assert!(got_width.is_none_or(|w| w == width));
+                prop_assert_eq!(held, count as usize, "a Vec sized past its block");
+            }
+            (got, want) => prop_assert_eq!(got.as_ref().err(), want.err().as_ref()),
+        }
     }
 }

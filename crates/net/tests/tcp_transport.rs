@@ -3,7 +3,7 @@
 //! against the encoded frames themselves.
 
 use cs_bigint::BigUint;
-use cs_crypto::{Ciphertext, PartialDecryption};
+use cs_crypto::Ciphertext;
 use cs_net::tcp::{encode_record, FrameReassembler, TcpTransport, TcpTuning, MAX_RECORD_LEN};
 use cs_net::transport::TrafficSnapshot;
 use cs_net::wire::FrameClass;
@@ -32,12 +32,11 @@ fn build_message(variant: u8, iteration: u64, raw_slots: &[Vec<u8>], floats: &[f
         },
         2 => Message::DecryptShare {
             iteration,
+            member: 1,
+            width: 24,
             partials: raw_slots
                 .iter()
-                .enumerate()
-                .map(|(i, bytes)| {
-                    PartialDecryption::from_parts(i as u64 + 1, BigUint::from_bytes_le(bytes))
-                })
+                .map(|b| BigUint::from_bytes_le(b))
                 .collect(),
         },
         _ => Message::Leave { node: iteration },
@@ -181,6 +180,7 @@ fn tcp_send_accounting_matches_the_encoded_frames() {
             3,
             Message::DecryptRequest {
                 iteration: 1,
+                width: 64,
                 slots: vec![Ciphertext::from_biguint(BigUint::from(42u64))],
             },
         ),
@@ -189,7 +189,9 @@ fn tcp_send_accounting_matches_the_encoded_frames() {
             0,
             Message::DecryptShare {
                 iteration: 1,
-                partials: vec![PartialDecryption::from_parts(1, BigUint::from(7u64))],
+                member: 1,
+                width: 64,
+                partials: vec![BigUint::from(7u64)],
             },
         ),
         (

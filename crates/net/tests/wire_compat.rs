@@ -1,22 +1,26 @@
 //! One wire layout: v1 frames (pre-packed-payload), v2 frames
-//! (pre-trace-context), v3 termination votes and v4 pushes of one
-//! ciphertext per slot, captured as fixture bytes from the encoders of
-//! their day, are rejected as foreign versions or a retired tag — and a
-//! pump that meets one counts it as a bad frame; every surviving message is
-//! still exactly those bytes behind the current header (v3 added the trace
-//! flag, v4 and v5 only retired tags); traced frames must round-trip their
-//! context; and corrupt packed or trace-context bytes must be rejected.
+//! (pre-trace-context), v3 termination votes, v4 pushes of one ciphertext
+//! per slot and v5 big integers each behind its own length prefix, captured
+//! as fixture bytes from the encoders of their day, are rejected as foreign
+//! versions or a retired tag — and a pump that meets one counts it as a
+//! bad frame; every message whose body never changed is still exactly those
+//! bytes behind the current header (v3 added the trace flag, v4 and v5 only
+//! retired tags, v6 rewrote only the big-integer blocks); traced frames
+//! must round-trip their context; and corrupt packed or trace-context bytes
+//! must be rejected.
 //!
 //! The hex strings below are real frames emitted by the v1 codec (PR 2)
-//! and the v2 codec (PR 3), and the vote and the per-slot push as the v3
-//! and v4 codecs laid them out (their v1 bytes under the later header);
-//! they are deliberately hardcoded rather than re-encoded, so they pin the
-//! decoder's version and tag checks to bytes a real old peer would send,
-//! and the current body layout to bytes no encoder in this tree produced.
+//! and the v2 codec (PR 3), the vote and the per-slot push as the v3
+//! and v4 codecs laid them out (their v1 bytes under the later header),
+//! and the three big-integer-bearing messages as the v5 encoder emitted
+//! them; they are deliberately hardcoded rather than re-encoded, so they
+//! pin the decoder's version and tag checks to bytes a real old peer would
+//! send, and the current body layout to bytes no encoder in this tree
+//! produced.
 
 use chiaroscuro::noise::SlotLayout;
 use cs_bigint::BigUint;
-use cs_crypto::{Ciphertext, PartialDecryption};
+use cs_crypto::Ciphertext;
 use cs_net::driver::{NodeDriver, Timing};
 use cs_net::node::{NodeCrypto, NodeParams, ProtocolNode};
 use cs_net::runtime::pump;
@@ -42,8 +46,16 @@ fn c(v: u64) -> Ciphertext {
     Ciphertext::from_biguint(BigUint::from(v))
 }
 
-/// Every v1 frame fixture of a surviving message, with the message it
-/// encoded at capture time.
+/// The v1 frames of the big-integer-bearing messages v6 re-laid out:
+/// `DecryptRequest { iteration: 2, slots: [9] }` and a `DecryptShare` of
+/// iteration 2 with partials `(1, 77)` and `(3, 0)` — two share indices in
+/// one reply, which no current message can express.
+const V1_DECRYPT_REQUEST: &str = "1300000001020200000000000000010000000100000009";
+const V1_DECRYPT_SHARE: &str =
+    "2700000001030200000000000000020000000100000000000000010000004d030000000000000000000000";
+
+/// Every v1 frame fixture of a message whose body no version since has
+/// changed, with the message it encoded at capture time.
 fn v1_fixtures() -> Vec<(&'static str, Message)> {
     vec![
         (
@@ -53,25 +65,6 @@ fn v1_fixtures() -> Vec<(&'static str, Message)> {
                 iteration: 1,
                 weight: 1.0,
                 slots: vec![0.0, -3.5, 1e300],
-            },
-        ),
-        (
-            // DecryptRequest { iteration: 2, slots: [9] }
-            "1300000001020200000000000000010000000100000009",
-            Message::DecryptRequest {
-                iteration: 2,
-                slots: vec![c(9)],
-            },
-        ),
-        (
-            // DecryptShare { iteration: 2, partials: [(1, 77), (3, 0)] }
-            "2700000001030200000000000000020000000100000000000000010000004d030000000000000000000000",
-            Message::DecryptShare {
-                iteration: 2,
-                partials: vec![
-                    PartialDecryption::from_parts(1, BigUint::from(77u64)),
-                    PartialDecryption::from_parts(3, BigUint::from(0u64)),
-                ],
             },
         ),
         (
@@ -90,6 +83,28 @@ fn v1_fixtures() -> Vec<(&'static str, Message)> {
     ]
 }
 
+/// Every v1 frame fixture: the unchanged bodies, the decryption pair v6
+/// re-laid out, and the two retired messages.
+fn all_v1_frames() -> Vec<&'static str> {
+    let unchanged = v1_fixtures().into_iter().map(|(hex, _)| hex);
+    let retired = [
+        V1_DECRYPT_REQUEST,
+        V1_DECRYPT_SHARE,
+        V1_VOTE,
+        V1_PER_SLOT_PUSH,
+    ];
+    unchanged.chain(retired).collect()
+}
+
+/// The v5 encoder's frames of `sample_packed()`, the request and the share
+/// of [`V1_DECRYPT_REQUEST`] and [`V1_DECRYPT_SHARE`]: each big integer
+/// behind a 4-byte length, each partial behind its share index.
+const V5_FRAMES: [&str; 3] = [
+    "3000000005070006000000000000000b000000000000000000d03f180000000200000008000000efcdab8967452301010000002a",
+    "140000000502000200000000000000010000000100000009",
+    "280000000503000200000000000000020000000100000000000000010000004d030000000000000000000000",
+];
+
 /// The termination vote `{ iteration: 5, completed: true }` — tag 4, retired in
 /// v4 with the vote — as the v1 codec emitted it and as the v3 codec laid
 /// it out.
@@ -103,21 +118,14 @@ const V3_VOTE: &str = "0c000000030400050000000000000001";
 const V1_PER_SLOT_PUSH: &str = "320000000100030000000000000007000000000000000000c03f0300000004000000efbeadde0000000008000000ffffffffffffffff";
 const V4_PER_SLOT_PUSH: &str = "33000000040000030000000000000007000000000000000000c03f0300000004000000efbeadde0000000008000000ffffffffffffffff";
 
-/// The one frame shape v2 added over v1: the packed push (tag 7), captured
-/// from the v2 encoder before the trace-context bump.
-fn v2_packed_fixture() -> (&'static str, Message) {
-    (
-        // PackedPush { iteration: 6, denom_exp: 11, weight: 0.25,
-        //              buckets: 24, slots: [0x0123456789ABCDEF, 42] }
-        "2f000000020706000000000000000b000000000000000000d03f180000000200000008000000efcdab8967452301010000002a",
-        sample_packed(),
-    )
-}
+/// The one frame shape v2 added over v1: the packed push (tag 7) of
+/// `sample_packed()`, captured from the v2 encoder before the trace-context
+/// bump.
+const V2_PACKED_PUSH: &str = "2f000000020706000000000000000b000000000000000000d03f180000000200000008000000efcdab8967452301010000002a";
 
 #[test]
 fn every_v1_fixture_is_rejected_as_a_bad_version() {
-    let retired = [V1_VOTE, V1_PER_SLOT_PUSH];
-    for hex in v1_fixtures().into_iter().map(|(hex, _)| hex).chain(retired) {
+    for hex in all_v1_frames() {
         let frame = unhex(hex);
         assert_eq!(frame[4], 1, "fixture is a v1 frame");
         assert_eq!(decode_frame(&frame), Err(WireError::BadVersion(1)), "{hex}");
@@ -128,17 +136,15 @@ fn every_v1_fixture_is_rejected_as_a_bad_version() {
 fn every_v2_fixture_is_rejected_as_a_bad_version() {
     // For the tags v1 had, a v2 frame is a v1 frame with the version byte
     // bumped — the body layout never changed between the two.
-    let mut fixtures: Vec<Vec<u8>> = v1_fixtures()
+    let mut fixtures: Vec<Vec<u8>> = all_v1_frames()
         .into_iter()
-        .map(|(hex, _)| hex)
-        .chain([V1_VOTE, V1_PER_SLOT_PUSH])
         .map(|hex| {
             let mut frame = unhex(hex);
             frame[4] = 2;
             frame
         })
         .collect();
-    fixtures.push(unhex(v2_packed_fixture().0));
+    fixtures.push(unhex(V2_PACKED_PUSH));
     for frame in fixtures {
         assert_eq!(frame[4], 2, "fixture is a v2 frame");
         assert_eq!(decode_frame_traced(&frame), Err(WireError::BadVersion(2)));
@@ -182,6 +188,29 @@ fn a_v4_per_slot_push_is_a_typed_rejection() {
     let mut survivor = encode_frame(&sample_packed());
     survivor[4] = 4;
     assert_eq!(decode_frame(&survivor), Err(WireError::BadVersion(4)));
+}
+
+/// A v5 peer's push, request and reply are foreign versions: v6 writes
+/// each vector of big integers as one fixed-width block and a reply's
+/// share index once, so no v5 body of these three would parse anyway.
+#[test]
+fn every_v5_fixture_is_rejected_as_a_bad_version() {
+    for (hex, tag) in V5_FRAMES.into_iter().zip([7, 2, 3]) {
+        let frame = unhex(hex);
+        assert_eq!(
+            frame[4..7],
+            [5, tag, 0],
+            "a v5 header: version, tag, trace flag"
+        );
+        assert_eq!(decode_frame_traced(&frame), Err(WireError::BadVersion(5)));
+    }
+    // Behind the v3 header, v5 laid the v1 decryption bodies out unchanged.
+    for (v5, v1) in V5_FRAMES[1..]
+        .iter()
+        .zip([V1_DECRYPT_REQUEST, V1_DECRYPT_SHARE])
+    {
+        assert_eq!(unhex(v5)[7..], unhex(v1)[6..]);
+    }
 }
 
 /// Wherever a pump meets a retired frame — a v4 peer's push, the same
@@ -231,9 +260,29 @@ fn the_pump_counts_retired_frames_as_bad_frames() {
     assert_eq!(driver.finish().bad_frames, 3);
 }
 
+/// The current forms of the messages v6 re-laid out, at the v1
+/// fixtures' values.
+fn v6_samples() -> Vec<Message> {
+    vec![
+        sample_packed(),
+        Message::DecryptRequest {
+            iteration: 2,
+            width: 8,
+            slots: vec![c(9)],
+        },
+        Message::DecryptShare {
+            iteration: 2,
+            member: 3,
+            width: 1,
+            partials: vec![BigUint::from(77u64), BigUint::from(0u64)],
+        },
+    ]
+}
+
 #[test]
 fn current_encoder_emits_the_bumped_version() {
-    for (_, msg) in v1_fixtures() {
+    let unchanged = v1_fixtures().into_iter().map(|(_, msg)| msg);
+    for msg in unchanged.chain(v6_samples()) {
         let frame = encode_frame(&msg);
         assert_eq!(frame[4], WIRE_VERSION);
         assert_eq!(decode_frame(&frame).unwrap(), msg, "self-roundtrip");
@@ -242,14 +291,13 @@ fn current_encoder_emits_the_bumped_version() {
 
 #[test]
 fn downgraded_v3_frames_match_the_v1_fixtures_byte_for_byte() {
-    // What v3 changed is the header and nothing else, and v4 and v5 only
-    // retired tags: an untraced current frame is the captured frame with
-    // the version bumped and one cleared trace-flag byte after the tag. The
+    // What v3 changed is the header and nothing else, v4 and v5 only
+    // retired tags, and v6 only the big-integer blocks: an untraced current
+    // `PlainPush`, `Join` or `Leave` frame is the captured frame with the
+    // version bumped and one cleared trace-flag byte after the tag. The
     // bodies — and with them every byte count the benches record — are the
     // captured bytes exactly.
-    let mut fixtures = v1_fixtures();
-    fixtures.push(v2_packed_fixture());
-    for (hex, msg) in fixtures {
+    for (hex, msg) in v1_fixtures() {
         let old = unhex(hex);
         let v3 = encode_frame(&msg);
         assert_eq!(v3[..4], (old.len() as u32 - 4 + 1).to_le_bytes());
@@ -265,9 +313,8 @@ fn traced_v3_frames_roundtrip_their_context() {
         span_id: (5 << 32) | 9,
         parent_id: (5 << 32) | 1,
     };
-    let mut msgs: Vec<Message> = v1_fixtures().into_iter().map(|(_, m)| m).collect();
-    msgs.push(sample_packed());
-    for msg in msgs {
+    let unchanged = v1_fixtures().into_iter().map(|(_, msg)| msg);
+    for msg in unchanged.chain(v6_samples()) {
         let frame = encode_frame_traced(&msg, ctx);
         assert_eq!(frame[4], WIRE_VERSION);
         assert_eq!(frame[6], 1, "trace flag set");
@@ -326,7 +373,7 @@ fn packed_frames_roundtrip_on_the_current_version_only() {
     assert_eq!(decode_frame(&frame).unwrap(), sample_packed());
     // The version is checked before the tag: the same bytes stamped with
     // an older version are a foreign frame, whatever they claim to carry.
-    for version in [1, 2, 3, 4] {
+    for version in [1, 2, 3, 4, 5] {
         let mut old = frame.clone();
         old[4] = version;
         assert_eq!(decode_frame(&old), Err(WireError::BadVersion(version)));

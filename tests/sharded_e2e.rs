@@ -708,12 +708,12 @@ fn timeline_of(step: &cs_net::StepRun) -> Timeline {
 /// their construction-time randomizer pool: a forward's randomizers come
 /// from the node's crypto stream instead of a pool seeded by
 /// `(step_seed, node)`. Ciphertext values move, frame counts do not, and
-/// `put_biguint` writes each one at its minimal length, so only what
-/// covers ciphertext lengths moved: `decrypt` bytes 15 785 → 15 783 (the
-/// requests' folded snapshots are 2 bytes shorter in total) and the
-/// `traces` hash 9 721 234 553 778 720 074 → the value below. Gossip bytes
-/// happen to total the same; the estimates hash, the split and `epochs`
-/// cannot move — a randomizer never changes a plaintext.
+/// wire v5 wrote each one at its minimal length, so only what covers
+/// ciphertext lengths moved: `decrypt` bytes 15 785 → 15 783 and `traces`
+/// 9 721 234 553 778 720 074 → 3 863 194 933 759 812 303. Wire v6 (fixed-
+/// width blocks, docs/benchmarks.md) re-pinned bytes 41 550 → 39 974,
+/// 15 783 → 14 697 and `traces`; counts, split, epochs, estimates stayed.
+/// A randomizer never changes a plaintext.
 #[test]
 fn sharded_timeline_matches_the_recorded_golden_values() {
     let link = cs_net::LinkConfig {
@@ -773,14 +773,14 @@ fn sharded_timeline_matches_the_recorded_golden_values() {
         ..ShardedConfig::default()
     };
     let packed = Timeline {
-        gossip: [158, 41_550, 2],
-        decrypt: [61, 15_783, 1],
+        gossip: [158, 39_974, 2],
+        decrypt: [61, 14_697, 1],
         control: [0, 0, 0],
         in_shard: 42,
         cross_shard: 180,
         epochs: 28,
         estimates: 12_466_287_731_050_810_451,
-        traces: 3_863_194_933_759_812_303,
+        traces: 7_626_779_365_379_255_730,
     };
     for got in run(&real_engine(10), &series, &sharded) {
         assert_eq!(got, packed, "packed 16-node timeline moved");
