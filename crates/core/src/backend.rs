@@ -44,9 +44,11 @@ pub trait ComputationBackend {
     ) -> Result<ComputationOutcome, ChiaroscuroError>;
 }
 
-/// The default substrate: the in-process cycle-driven gossip simulator
-/// (`cs_gossip::Network`), byte-for-byte the behavior `Engine::run` always
-/// had. Simulated crypto only: a real-crypto step is refused with
+/// The default substrate: the in-process cycle-driven gossip simulator —
+/// `cs_gossip::Network` draws the step's exchanges, and
+/// `cs_gossip::pushsum::PushSumBlocks` replays them slot block by slot
+/// block, bit for bit what running the cycles node by node computes.
+/// Simulated crypto only: a real-crypto step is refused with
 /// [`ChiaroscuroError::InvalidConfig`] (see [`run_computation_step`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimulatorBackend;

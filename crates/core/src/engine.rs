@@ -25,6 +25,7 @@ use cs_timeseries::TimeSeries;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::PI;
+use std::time::Instant;
 
 /// Result of a complete run.
 #[derive(Clone, Debug)]
@@ -284,33 +285,36 @@ const MIN_CHUNK: usize = 512;
 
 /// How many chunks the local passes of an `n`-participant job run in: one
 /// per core, as long as each holds at least [`MIN_CHUNK`] participants.
-fn local_chunks(n: usize) -> usize {
+pub(crate) fn local_chunks(n: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     cores.min(n / MIN_CHUNK).max(1)
 }
 
-/// `f(id, participant)` for every participant, results in id order: inline
-/// when `chunks` is 1, else over that many contiguous ranges on scoped
-/// threads. Every participant draws from its own stream, so the results do
+/// `f(id, item)` for every item, results in id order: inline when `chunks`
+/// is 1, else over that many contiguous ranges on scoped threads. Returns
+/// the results with the workers' summed busy time in nanoseconds. Every
+/// participant draws from its own stream, so the local passes' results do
 /// not depend on `chunks`.
-fn map_participants<U: Send>(
-    participants: &mut [Participant],
+pub(crate) fn map_chunked<T: Send, U: Send>(
+    items: &mut [T],
     chunks: usize,
-    f: impl Fn(usize, &mut Participant) -> U + Sync,
-) -> Vec<U> {
-    let run = |offset: usize, chunk: &mut [Participant]| -> Vec<U> {
-        chunk
+    f: impl Fn(usize, &mut T) -> U + Sync,
+) -> (Vec<U>, u64) {
+    let run = |offset: usize, chunk: &mut [T]| -> (Vec<U>, u64) {
+        let started = Instant::now();
+        let out = chunk
             .iter_mut()
             .enumerate()
-            .map(|(i, p)| f(offset + i, p))
-            .collect()
+            .map(|(i, item)| f(offset + i, item))
+            .collect();
+        (out, started.elapsed().as_nanos() as u64)
     };
     if chunks <= 1 {
-        return run(0, participants);
+        return run(0, items);
     }
-    let size = participants.len().div_ceil(chunks).max(1);
+    let (n, size) = (items.len(), items.len().div_ceil(chunks).max(1));
     std::thread::scope(|scope| {
-        let workers: Vec<_> = participants
+        let workers: Vec<_> = items
             .chunks_mut(size)
             .enumerate()
             .map(|(c, chunk)| {
@@ -318,10 +322,13 @@ fn map_participants<U: Send>(
                 scope.spawn(move || run(c * size, chunk))
             })
             .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("a local pass does not panic"))
-            .collect()
+        let (mut out, mut busy_ns) = (Vec::with_capacity(n), 0);
+        for worker in workers {
+            let (part, ns) = worker.join().expect("a chunked pass does not panic");
+            out.extend(part);
+            busy_ns += ns;
+        }
+        (out, busy_ns)
     })
 }
 
@@ -339,13 +346,14 @@ fn local_contributions(
     distance: cs_timeseries::Distance,
     chunks: usize,
 ) -> Vec<Option<Vec<f64>>> {
-    map_participants(participants, chunks, |id, p| {
+    let (contributions, _) = map_chunked(participants, chunks, |id, p| {
         p.begin_iteration(iteration_word, id);
         if !alive[id] {
             return None;
         }
         Some(p.contribute(layout, shares, distance))
-    })
+    });
+    contributions
 }
 
 /// Paper step 3 for the whole population: every participant holding an
@@ -358,13 +366,14 @@ fn local_convergence(
     alive_count: usize,
     chunks: usize,
 ) -> Vec<Option<f64>> {
-    map_participants(participants, chunks, |id, p| {
+    let (movements, _) = map_chunked(participants, chunks, |id, p| {
         let est = estimates[id].as_ref()?;
         let new_centroids = perturbed_means_to_centroids(est, cfg, alive_count, p.stream());
         let movement = p.convergence_step(&new_centroids, cfg.convergence_threshold);
         p.diptych_mut().advance(new_centroids);
         Some(movement)
-    })
+    });
+    movements
 }
 
 /// Public random initial centroids: smooth low-frequency curves inside the
@@ -543,6 +552,7 @@ fn sync_laggards(participants: &mut [Participant], alive: &[bool], rng: &mut Std
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rounds::{simulate_step, ComputationOutcome};
     use cs_timeseries::datasets::blobs::{generate, BlobsConfig};
 
     fn blob_series(count: usize, clusters: usize, noise: f64, seed: u64) -> Vec<TimeSeries> {
@@ -721,6 +731,78 @@ mod tests {
         assert_eq!(one, run(2), "2 chunks");
         assert_eq!(one, run(7), "7 chunks");
         assert_eq!(one, run(1), "and across runs");
+    }
+
+    /// The cycle simulator with its replay pinned to `threads` threads over
+    /// `width`-column slot blocks.
+    struct PinnedReplay {
+        threads: usize,
+        width: usize,
+    }
+
+    impl ComputationBackend for PinnedReplay {
+        fn label(&self) -> &'static str {
+            "pinned-replay"
+        }
+
+        fn run_step(
+            &mut self,
+            config: &ChiaroscuroConfig,
+            layout: &SlotLayout,
+            contributions: &[Option<Vec<f64>>],
+            crypto: &CryptoContext,
+            step_seed: u64,
+            _rng: &mut StdRng,
+        ) -> Result<ComputationOutcome, ChiaroscuroError> {
+            let &CryptoContext::Simulated { ciphertext_bytes } = crypto else {
+                unreachable!("simulated crypto only");
+            };
+            simulate_step(
+                config,
+                layout,
+                contributions,
+                ciphertext_bytes,
+                step_seed,
+                self.threads,
+                self.width,
+            )
+        }
+    }
+
+    #[test]
+    fn run_output_is_bit_identical_for_every_replay_thread_count() {
+        // Churn and loss, so the schedule has dead initiators, dead targets
+        // and drops; 4 × (8 + 1) = 36 slots plus the weight cut into 1, 2,
+        // 6 and 37 blocks.
+        let series = blob_series(90, 3, 0.4, 12);
+        let mut cfg = ChiaroscuroConfig::demo_simulated();
+        cfg.k = 4;
+        cfg.epsilon = 4.0;
+        cfg.max_iterations = 4;
+        cfg.failure = cs_gossip::FailureModel {
+            crash_prob: 0.02,
+            recovery_prob: 0.3,
+            drop_prob: 0.05,
+        };
+        let engine = Engine::new(cfg).unwrap();
+        let run = |backend: &mut dyn ComputationBackend| {
+            let out = engine.run_chunked(&series, backend, 1).unwrap();
+            let centroids: Vec<Vec<u64>> = out
+                .centroids
+                .iter()
+                .chain(out.per_participant_centroids.iter().flatten())
+                .map(|c| c.values().iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (centroids, out.assignment, out.log)
+        };
+        let default = run(&mut SimulatorBackend);
+        for (threads, width) in [(1, 37), (2, 7), (3, 32), (7, 7), (2, 1)] {
+            assert_eq!(
+                default,
+                run(&mut PinnedReplay { threads, width }),
+                "{threads} threads, {width}-column blocks"
+            );
+        }
     }
 
     #[test]

@@ -20,13 +20,14 @@
 
 use crate::config::{ChiaroscuroConfig, CryptoMode};
 use crate::cost::{synthesize_decrypt_ops, synthesize_ops, DecryptionOps};
+use crate::engine::{local_chunks, map_chunked};
 use crate::error::ChiaroscuroError;
 use crate::noise::SlotLayout;
 use cs_bigint::BigUint;
 use cs_crypto::threshold::{CombinePlanCache, ThresholdKeyPair};
 use cs_crypto::{Ciphertext, FastEncryptor, FixedPointCodec, PackedCodec, PublicKey};
 use cs_gossip::homomorphic_pushsum::{HePushSumNode, HomomorphicOpCounts};
-use cs_gossip::pushsum::PushSumNode;
+use cs_gossip::pushsum::{PlainPush, PushSumBlocks};
 use cs_gossip::{Network, Overlay, TrafficStats};
 use cs_obs::phase::{PhaseProfile, StepPhase};
 use rand::rngs::StdRng;
@@ -463,56 +464,86 @@ pub fn run_computation_step(
                 .into(),
         ));
     };
-    let nodes: Vec<PushSumNode> = contributions
-        .iter()
-        .map(|c| match c {
-            Some(values) => PushSumNode::new(values.clone(), 1.0),
-            None => PushSumNode::new(vec![0.0; layout.total()], 0.0),
-        })
-        .collect();
-    let mut net = Network::new(nodes, Overlay::Full, config.failure, step_seed);
+    let population = contributions.len();
+    simulate_step(
+        config,
+        layout,
+        contributions,
+        ciphertext_bytes,
+        step_seed,
+        local_chunks(population),
+        PushSumBlocks::width_for(population),
+    )
+}
+
+/// [`run_computation_step`]'s simulation on `threads` threads, over slot
+/// blocks `width` columns wide: the network draws the whole step's
+/// exchanges, then [`PushSumBlocks`] replays them block by block. Neither
+/// knob moves a bit of the outcome.
+pub(crate) fn simulate_step(
+    config: &ChiaroscuroConfig,
+    layout: &SlotLayout,
+    contributions: &[Option<Vec<f64>>],
+    ciphertext_bytes: usize,
+    step_seed: u64,
+    threads: usize,
+    width: usize,
+) -> Result<ComputationOutcome, ChiaroscuroError> {
+    let dim = layout.total();
+    let mut phases = PhaseProfile::default();
+    // The push-sum state lives in the blocks; the network only draws who
+    // meets whom.
+    let mut net = Network::new(
+        vec![(); contributions.len()],
+        Overlay::Full,
+        config.failure,
+        step_seed,
+    );
     for (i, c) in contributions.iter().enumerate() {
         if c.is_none() {
             net.set_alive(i, false);
         }
     }
-    let mut phases = PhaseProfile::default();
-    let gossip_started = Instant::now();
-    net.run_cycles(config.gossip_cycles);
-    phases.add(
-        StepPhase::Gossip,
-        gossip_started.elapsed().as_nanos() as u64,
-    );
+    let absent = vec![0.0; dim];
+    let lay_out = || {
+        let started = Instant::now();
+        let rows = contributions.iter().map(|c| match c {
+            Some(values) => (values.as_slice(), 1.0),
+            None => (absent.as_slice(), 0.0),
+        });
+        let blocks = PushSumBlocks::new(dim, width, rows);
+        (blocks, started.elapsed().as_nanos() as u64)
+    };
+    // The draw and the layout are independent: with a second thread, the
+    // layout runs beside the draw, off the step's critical path.
+    let (schedule, drawn_ns, (mut blocks, laid_ns)) = std::thread::scope(|scope| {
+        let laid = (threads > 1).then(|| scope.spawn(lay_out));
+        let started = Instant::now();
+        let schedule = net.draw_cycles(config.gossip_cycles, PlainPush::bytes_for(dim));
+        let drawn_ns = started.elapsed().as_nanos() as u64;
+        let laid = laid.map_or_else(lay_out, |h| h.join().expect("a layout does not panic"));
+        (schedule, drawn_ns, laid)
+    });
+    let replay_ns = blocks.replay(&schedule, threads);
+    phases.add(StepPhase::Gossip, drawn_ns + laid_ns + replay_ns);
 
-    let alive_after: Vec<bool> = (0..net.len()).map(|i| net.is_alive(i)).collect();
+    let mut alive_after: Vec<bool> = (0..net.len()).map(|i| net.is_alive(i)).collect();
     // Bytes on the wire are ciphertext-sized even though we simulate — the
     // plaintext push-sum already recorded 8-byte-per-slot messages, so the
     // traffic is rescaled to ciphertext size.
     let mut traffic = net.traffic().clone();
     let scale = ciphertext_bytes as f64 / 8.0;
     traffic.bytes = (traffic.bytes as f64 * scale) as u64;
-    let (nodes, _) = net.into_parts();
 
-    let mut estimates = Vec::with_capacity(nodes.len());
-    let mut decryptors = 0usize;
-    let combine_started = Instant::now();
-    for (i, node) in nodes.iter().enumerate() {
-        if !alive_after[i] {
-            estimates.push(None);
-            continue;
+    let (estimates, combine_ns) = map_chunked(&mut alive_after, threads, |i, &mut alive| {
+        if !alive {
+            return None;
         }
-        match node.estimate() {
-            Some(est) => {
-                decryptors += 1;
-                estimates.push(Some(assemble_aggregates(layout, |slot| est[slot])));
-            }
-            None => estimates.push(None),
-        }
-    }
-    phases.add(
-        StepPhase::Combine,
-        combine_started.elapsed().as_nanos() as u64,
-    );
+        let est = blocks.estimate(i)?;
+        Some(assemble_aggregates(layout, |slot| est[slot]))
+    });
+    phases.add(StepPhase::Combine, combine_ns);
+    let decryptors = estimates.iter().filter(|e| e.is_some()).count();
 
     let participants = contributions.iter().filter(|c| c.is_some()).count();
     let ops = synthesize_ops(

@@ -12,7 +12,11 @@
 //!   ([`traffic::TrafficStats`]);
 //! * [`pushsum`]: Kempe-Dobra-Gehrke push-sum over plaintext vectors — the
 //!   gossip aggregation whose "approximation error … is guaranteed to
-//!   converge to zero exponentially fast" (paper §II-A);
+//!   converge to zero exponentially fast" (paper §II-A). A whole
+//!   population's run is also a draw and a replay:
+//!   [`network::Network::draw_cycles`] draws the exchanges, and
+//!   [`pushsum::PushSumBlocks`] replays them slot block by slot block on
+//!   several threads, bit for bit what `run_cycles` computes;
 //! * [`homomorphic_pushsum`]: the paper's key building block, "a gossip sum
 //!   algorithm working on additively-homomorphic encrypted data". Push-sum's
 //!   halving cannot touch an encrypted value, so a node holds `(C, k)` with

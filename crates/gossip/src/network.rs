@@ -47,6 +47,13 @@ pub trait CycleProtocol {
     fn exchange(&mut self, peer: &mut Self, ctx: &mut ExchangeCtx<'_>);
 }
 
+/// A population whose state lives elsewhere: its exchanges are drawn
+/// ([`Network::draw_cycles`]) and replayed by their owner
+/// (`pushsum::PushSumBlocks`), so running one does nothing.
+impl CycleProtocol for () {
+    fn exchange(&mut self, _peer: &mut Self, _ctx: &mut ExchangeCtx<'_>) {}
+}
+
 /// A simulated population of `P` instances.
 pub struct Network<P: CycleProtocol> {
     nodes: Vec<P>,
@@ -141,6 +148,38 @@ impl<P: CycleProtocol> Network<P> {
     /// Runs one cycle: churn step, then one initiated exchange per live node
     /// in randomized order.
     pub fn run_cycle(&mut self) {
+        self.cycle_with(|nodes, ctx| {
+            let (initiator, peer) = pair_mut(nodes, ctx.initiator, ctx.target);
+            initiator.exchange(peer, ctx);
+        });
+    }
+
+    /// Draws `cycles` cycles of exchanges without running them, for a
+    /// protocol whose exchange draws nothing from the simulation RNG and
+    /// puts one `message_bytes` message on the wire: `(initiator, target)`
+    /// in the order [`Self::run_cycles`] would run them.
+    ///
+    /// Churn, visit order, targets, drops, liveness, traffic and the cycle
+    /// count advance exactly as they would under `run_cycles`; the nodes are
+    /// not touched. Replaying the schedule (`pushsum::PushSumBlocks`) is
+    /// what running the cycles would have done to them.
+    pub fn draw_cycles(&mut self, cycles: usize, message_bytes: usize) -> Vec<(u32, u32)> {
+        let id = |i: NodeId| u32::try_from(i).expect("a drawn schedule indexes nodes by u32");
+        let mut schedule = Vec::with_capacity(cycles * self.alive_count());
+        for _ in 0..cycles {
+            self.cycle_with(|_, ctx| {
+                schedule.push((id(ctx.initiator), id(ctx.target)));
+                ctx.record_message(message_bytes);
+            });
+        }
+        schedule
+    }
+
+    /// One cycle's draws — churn, then the shuffled visit order, then each
+    /// live initiator's target and drop draw — with `exchange` run for every
+    /// exchange that goes through. [`Self::run_cycle`] and
+    /// [`Self::draw_cycles`] share it, so their RNG sequences are one.
+    fn cycle_with(&mut self, mut exchange: impl FnMut(&mut [P], &mut ExchangeCtx<'_>)) {
         // Churn.
         if self.failure.crash_prob > 0.0 || self.failure.recovery_prob > 0.0 {
             for i in 0..self.nodes.len() {
@@ -168,7 +207,6 @@ impl<P: CycleProtocol> Network<P> {
                 self.traffic.record_drop();
                 continue;
             }
-            let (initiator, peer) = pair_mut(&mut self.nodes, me, target);
             let mut ctx = ExchangeCtx {
                 cycle: self.cycle,
                 initiator: me,
@@ -176,7 +214,7 @@ impl<P: CycleProtocol> Network<P> {
                 rng: &mut self.rng,
                 traffic: &mut self.traffic,
             };
-            initiator.exchange(peer, &mut ctx);
+            exchange(&mut self.nodes, &mut ctx);
         }
         self.cycle += 1;
     }

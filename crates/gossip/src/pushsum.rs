@@ -13,6 +13,8 @@
 
 use crate::network::{CycleProtocol, ExchangeCtx};
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// One half of a push-sum exchange: the value/weight mass the initiator
 /// sheds toward a peer. This is exactly what crosses the wire in a
@@ -118,6 +120,151 @@ impl CycleProtocol for PushSumNode {
         self.weight *= 0.5;
         peer.weight += self.weight;
         ctx.record_message(PlainPush::bytes_for(self.value.len()));
+    }
+}
+
+/// A whole population's push-sum state, laid out to replay a drawn
+/// schedule ([`crate::Network::draw_cycles`]) slot block by slot block.
+///
+/// Push-sum's exchange is independent per slot, so the population's value
+/// columns, plus the weight as column `dim`, are cut into blocks of
+/// `width` columns. Each block is its own allocation, node-major inside
+/// (node `i`'s columns are one run of the block), sized by
+/// [`Self::width_for`] to stay cache-resident, and is replayed whole by one
+/// thread. Every slot sees the operations of [`PushSumNode`]'s exchange in
+/// the schedule's order, so the result is bit for bit what
+/// `Network<PushSumNode>::run_cycles` computes, whatever the width and the
+/// thread count.
+#[derive(Debug)]
+pub struct PushSumBlocks {
+    nodes: usize,
+    dim: usize,
+    width: usize,
+    blocks: Vec<Vec<f64>>,
+}
+
+impl PushSumBlocks {
+    /// Bytes one block aims at: about 32 columns at 4 000 nodes.
+    const BLOCK_BYTES: usize = 1 << 20;
+
+    /// The block width for a population of `nodes`: as many columns as fit
+    /// in 1 MiB, at least one.
+    pub fn width_for(nodes: usize) -> usize {
+        (Self::BLOCK_BYTES / (8 * nodes.max(1))).max(1)
+    }
+
+    /// Lays out one node per row — its `dim` values and its weight, what
+    /// [`PushSumNode::new`] takes — in blocks of `width` columns.
+    pub fn new<'a>(
+        dim: usize,
+        width: usize,
+        rows: impl ExactSizeIterator<Item = (&'a [f64], f64)>,
+    ) -> Self {
+        assert!(width > 0, "a block holds at least one column");
+        let nodes = rows.len();
+        let starts = (0..=dim).step_by(width);
+        let mut blocks: Vec<Vec<f64>> = starts
+            .map(|start| Vec::with_capacity(nodes * width.min(dim + 1 - start)))
+            .collect();
+        for (values, weight) in rows {
+            assert_eq!(values.len(), dim, "dimension mismatch");
+            assert!(weight >= 0.0 && weight.is_finite(), "invalid weight");
+            let (last, full) = blocks.split_last_mut().expect("one block at least");
+            for (block, chunk) in full.iter_mut().zip(values.chunks(width)) {
+                block.extend_from_slice(chunk);
+            }
+            last.extend_from_slice(&values[full.len() * width..]);
+            last.push(weight);
+        }
+        PushSumBlocks {
+            nodes,
+            dim,
+            width,
+            blocks,
+        }
+    }
+
+    /// Replays `schedule` — each pair one exchange, initiator then target,
+    /// as [`crate::Network::draw_cycles`] drew them — over every block, the
+    /// blocks shared out to `threads` scoped threads (the caller's one of
+    /// them). Returns the threads' summed busy time in nanoseconds.
+    pub fn replay(&mut self, schedule: &[(u32, u32)], threads: usize) -> u64 {
+        let threads = threads.clamp(1, self.blocks.len());
+        let (dim, width) = (self.dim, self.width);
+        let queue = Mutex::new(self.blocks.iter_mut().enumerate());
+        let work = || {
+            let started = Instant::now();
+            loop {
+                let next = queue.lock().expect("a replay does not panic").next();
+                let Some((b, block)) = next else { break };
+                replay_block(block, width.min(dim + 1 - b * width), schedule);
+            }
+            started.elapsed().as_nanos() as u64
+        };
+        if threads == 1 {
+            return work();
+        }
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+            let mine = work();
+            mine + helpers
+                .into_iter()
+                .map(|h| h.join().expect("a replay does not panic"))
+                .sum::<u64>()
+        })
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.nodes
+    }
+
+    /// `true` iff there are no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.nodes == 0
+    }
+
+    /// [`PushSumNode::mass`] of node `node`, gathered from the blocks.
+    pub fn mass(&self, node: usize) -> (Vec<f64>, f64) {
+        assert!(node < self.nodes, "node {node} out of range");
+        let mut row = Vec::with_capacity(self.dim + 1);
+        for block in &self.blocks {
+            let w = block.len() / self.nodes;
+            row.extend_from_slice(&block[node * w..(node + 1) * w]);
+        }
+        let weight = row.pop().expect("the weight column");
+        (row, weight)
+    }
+
+    /// [`PushSumNode::estimate`] of node `node`.
+    pub fn estimate(&self, node: usize) -> Option<Vec<f64>> {
+        let (mut values, weight) = self.mass(node);
+        if weight <= f64::MIN_POSITIVE {
+            return None;
+        }
+        for v in &mut values {
+            *v /= weight;
+        }
+        Some(values)
+    }
+}
+
+/// One block's replay: `w` columns per node, every exchange of `schedule`
+/// in order, with [`PushSumNode`]'s exchange arithmetic on each column.
+fn replay_block(block: &mut [f64], w: usize, schedule: &[(u32, u32)]) {
+    for &(initiator, target) in schedule {
+        let (i, t) = (initiator as usize * w, target as usize * w);
+        let (from, to) = if i < t {
+            let (lo, hi) = block.split_at_mut(t);
+            (&mut lo[i..i + w], &mut hi[..w])
+        } else {
+            let (lo, hi) = block.split_at_mut(i);
+            (&mut hi[..w], &mut lo[t..t + w])
+        };
+        for (v, p) in from.iter_mut().zip(to) {
+            *v *= 0.5;
+            *p += *v;
+        }
     }
 }
 

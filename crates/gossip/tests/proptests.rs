@@ -6,11 +6,11 @@ use cs_bigint::BigUint;
 use cs_crypto::{CryptoError, FixedPointCodec, KeyGenOptions, KeyPair, PackedCodec};
 use cs_gossip::epidemic::{coverage, EpidemicNode, Versioned};
 use cs_gossip::homomorphic_pushsum::{HePush, HePushSumNode};
-use cs_gossip::pushsum::{max_relative_error, PushSumNode};
+use cs_gossip::pushsum::{max_relative_error, PushSumBlocks, PushSumNode};
 use cs_gossip::{FailureModel, Network, Overlay};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::{Arc, OnceLock};
 
 fn network_from(values: &[f64], seed: u64, failure: FailureModel) -> Network<PushSumNode> {
@@ -146,6 +146,73 @@ proptest! {
         net_b.run_cycles(35);
         prop_assert!(max_relative_error(net_a.nodes(), &[truth]) < 1e-3);
         prop_assert!(max_relative_error(net_b.nodes(), &[truth]) < 1e-3);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn a_drawn_schedule_replayed_by_blocks_is_run_cycles_bit_for_bit(
+        n in 2usize..600,
+        dim in 1usize..130,
+        seed in any::<u64>(),
+        cycles in 1usize..12,
+        kind in 0usize..3,
+        rates in (0.0f64..0.3, 0.0f64..0.6, 0.0f64..0.3),
+        width in 0usize..4,
+        threads in 0usize..4,
+    ) {
+        // Every slot sees the same exchanges in the same order, so the
+        // blocks hold what the nodes hold, whatever the width and the thread
+        // count: none, lossy and churned schedules; 1, 7, 32 or all dim + 1
+        // columns per block; 1, 2, 3 or 7 threads.
+        let (crash, recovery, drop) = rates;
+        let failure = [
+            FailureModel::none(),
+            FailureModel::lossy(drop),
+            FailureModel { crash_prob: crash, recovery_prob: recovery, drop_prob: drop },
+        ][kind];
+        let width = [1, 7, 32, dim + 1][width];
+        let threads = [1, 2, 3, 7][threads];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows: Vec<(Vec<f64>, f64)> = (0..n)
+            .map(|_| {
+                let values = (0..dim).map(|_| rng.gen_range(-1e3..1e3)).collect();
+                // Some nodes start empty, as a participant down at the step's
+                // start does.
+                let weight = if rng.gen_bool(0.1) { 0.0 } else { rng.gen_range(0.0..2.0) };
+                (values, weight)
+            })
+            .collect();
+        let nodes = rows.iter().map(|(v, w)| PushSumNode::new(v.clone(), *w)).collect();
+        let mut reference = Network::new(nodes, Overlay::Full, failure, seed);
+        let mut drawn = Network::new(vec![(); n], Overlay::Full, failure, seed);
+        for i in (0..n).filter(|i| i % 5 == 3) {
+            reference.set_alive(i, false);
+            drawn.set_alive(i, false);
+        }
+        reference.run_cycles(cycles);
+        let schedule = drawn.draw_cycles(cycles, 8 * (dim + 1));
+        let rows = rows.iter().map(|(v, w)| (v.as_slice(), *w));
+        let mut blocks = PushSumBlocks::new(dim, width, rows);
+        blocks.replay(&schedule, threads);
+
+        prop_assert_eq!(reference.traffic(), drawn.traffic());
+        prop_assert_eq!(reference.cycle(), drawn.cycle());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (i, node) in reference.nodes().iter().enumerate() {
+            prop_assert_eq!(reference.is_alive(i), drawn.is_alive(i), "node {}", i);
+            let (values, weight) = node.mass();
+            let (replayed, replayed_weight) = blocks.mass(i);
+            prop_assert_eq!(weight.to_bits(), replayed_weight.to_bits(), "node {}", i);
+            prop_assert_eq!(bits(values), bits(&replayed), "node {}", i);
+            prop_assert_eq!(
+                node.estimate().map(|e| bits(&e)),
+                blocks.estimate(i).map(|e| bits(&e)),
+                "node {}", i
+            );
+        }
     }
 }
 

@@ -1,9 +1,8 @@
 //! # cs-net — the message-passing node runtime
 //!
-//! The Chiaroscuro reproduction's cycle-driven simulator
-//! (`cs_gossip::Network`) advances the protocol as shared-memory
-//! interactions: no participant ever serializes a message or runs
-//! concurrently. This crate closes that gap — the paper's
+//! The reproduction's cycle simulator (`cs_gossip::Network`) advances the
+//! protocol as shared-memory interactions: no participant ever serializes a
+//! message or runs concurrently. This crate closes that gap — the paper's
 //! claim is clustering that "proceeds without any global synchronization",
 //! and what actually crosses the wire is the security-relevant object:
 //!
@@ -40,8 +39,7 @@
 //!   virtual nodes dealt into per-shard event queues and driven by a fixed
 //!   worker pool in virtual time — no per-node threads, no sleep-polling,
 //!   fully deterministic under a seed. The scaling substrate
-//!   (`NetBackend::sharded`); the TCP host is the
-//!   nondeterministic-interleaving side of its differential tests.
+//!   (`NetBackend::sharded`); the TCP host is its differential twin.
 //! * [`audit`] — the end-of-step **invariant audit**: distills per-node
 //!   reports and transport accounting into `cs_obs::health` evidence
 //!   (push-sum mass, frame conservation, share discipline, lane headroom)
@@ -51,14 +49,12 @@
 //!   [`executor::ShardedConfig`] injects the corruption the drills detect.
 //! * [`tcp`] — the **TCP socket transport**: the same wire frames over
 //!   `std::net` streams, with a peer directory, stream reassembly at
-//!   arbitrary read boundaries, and the link model's loss/latency shims,
-//!   all driven by a **readiness reactor** — a small fixed thread
-//!   pool multiplexing every peer socket through nonblocking I/O, with
-//!   per-peer bounded outbound queues, partial-write resumption, and
-//!   timer-driven reconnect/backoff — serving both as the in-process
-//!   loopback substrate (`NetBackend::tcp`) and as the inter-process
-//!   substrate under the `cs_node` crate's `csnoded` daemons, where the
-//!   protocol finally runs across real OS processes.
+//!   arbitrary read boundaries and the link model's loss/latency shims,
+//!   driven by a **readiness reactor** (a small fixed thread pool over
+//!   nonblocking sockets: bounded per-peer queues, partial-write
+//!   resumption, reconnect/backoff). It is both the in-process loopback
+//!   substrate (`NetBackend::tcp`) and the one under `cs_node`'s `csnoded`
+//!   daemons, where the protocol runs across real OS processes.
 //!
 //! ## Example: one engine run over the TCP loopback
 //!

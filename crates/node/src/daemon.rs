@@ -13,11 +13,10 @@
 //! [`cs_net::node::NodeReport`] plus the step's traffic delta back up the
 //! control channel.
 //!
-//! The daemon is deliberately boring: all protocol behavior lives in
-//! `cs_net::node`, all timing in `cs_net::driver`, all transport behavior
-//! in `cs_net::tcp`; this module only sequences bootstrap and steps. If the control connection dies the
-//! daemon exits — in this deployment the coordinator *is* the experiment,
-//! so an orphaned participant has nothing left to do.
+//! The daemon is deliberately boring: protocol behavior lives in
+//! `cs_net::node`, timing in `cs_net::driver`, transport in `cs_net::tcp`;
+//! this module only sequences bootstrap and steps. If the control connection
+//! dies the daemon exits: the coordinator *is* the experiment.
 //!
 //! For forensics every daemon keeps a *flight recorder*: a bounded
 //! DropOld ring of causal trace events fed by each step's
@@ -166,12 +165,10 @@ struct RunContext {
     /// The encryptor and size of a step's randomizer pool; `None` when the
     /// run re-randomizes nothing.
     pool_plan: Option<(Arc<FastEncryptor>, usize)>,
-    /// The next step's randomizer pool, built while the daemon idles —
-    /// at bootstrap, then between each `Report` and the next `Step` — so
-    /// the gossip hot path pops precomputed randomizers. It flows one way:
-    /// the node drains it and what it leaves dies with the step. Its RNG
-    /// is private and advances across steps: no bitwise-replay harness
-    /// spans processes.
+    /// The next step's randomizer pool, built in idle time (at bootstrap,
+    /// then after each `Report` but the last step's) so gossip pops
+    /// precomputed randomizers. The node drains it; what it leaves dies
+    /// with the step. Its RNG is private and advances across steps.
     next_pool: Mutex<Option<RandomizerPool>>,
     /// Private randomness feeding [`RunContext::restock_pool`].
     pool_rng: Mutex<StdRng>,
@@ -265,13 +262,15 @@ impl RunContext {
             fault,
         };
         // The first step's pool, built before any `Step` arrives.
-        ctx.restock_pool();
+        ctx.restock_pool(0);
         Ok(ctx)
     }
 
-    /// Builds the next step's randomizer pool.
-    fn restock_pool(&self) {
-        let pool = self.pool_plan.as_ref().map(|(enc, size)| {
+    /// Builds step `next`'s randomizer pool, or none past the job's last.
+    fn restock_pool(&self, next: usize) {
+        let wanted = step_follows(next, self.config.max_iterations);
+        let pool = self.pool_plan.as_ref().filter(|_| wanted);
+        let pool = pool.map(|(enc, size)| {
             let mut pool = RandomizerPool::new(enc.clone());
             pool.refill(*size, &mut *self.pool_rng.lock().expect("pool rng lock"));
             pool
@@ -547,11 +546,9 @@ fn serve_steps(
                         metrics: metrics_delta,
                     },
                 )?;
-                // Report shipped, coordinator satisfied: build the next
-                // step's randomizer pool now, while waiting for the next
-                // Step — the fixed-base exponentiations land in idle time
-                // instead of the next step's gossip hot path.
-                ctx.restock_pool();
+                // Report shipped: build the next step's pool while waiting
+                // for its `Step`, off the gossip hot path.
+                ctx.restock_pool(step + 1);
             }
             // Live scrape: cumulative since daemon start, not delta'd.
             Ok(ControlMsg::Metrics) => {
@@ -603,6 +600,12 @@ fn serve_steps(
             Ok(_) => {}
         }
     }
+}
+
+/// Whether a job runs step `next`: the engine stops after `max_iterations`
+/// steps, so a pool built after the last would never be drawn.
+fn step_follows(next: usize, max_iterations: usize) -> bool {
+    next < max_iterations
 }
 
 /// Polls the control channel mid-step: `Break` once the coordinator ends
@@ -760,6 +763,7 @@ fn run_step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::LinkSpec;
 
     const LAYOUT: SlotLayout = SlotLayout {
         k: 2,
@@ -794,6 +798,12 @@ mod tests {
             cs_net::run_step_sharded(config, layout, contributions, crypto, 9, &sharded, &[]),
             cs_net::run_step_over_tcp(config, layout, contributions, crypto, 9, &net, &[]),
         ]
+    }
+
+    #[test]
+    fn no_pool_is_built_after_the_last_step() {
+        let follows: Vec<bool> = (0..5).map(|next| step_follows(next, 3)).collect();
+        assert_eq!(follows, [true, true, true, false, false]);
     }
 
     #[test]
@@ -847,15 +857,21 @@ mod tests {
         }
     }
 
-    /// How the daemon takes a `Bootstrap` carrying `link` for a population
-    /// of `population` addresses.
-    fn bootstrapped_with(link: crate::proto::LinkSpec, population: usize) -> io::Result<()> {
+    /// How the daemon takes a `Bootstrap` of `config` and `layout` for a
+    /// population of `population` addresses, carrying `link` and `pk`.
+    fn bootstrapped_with(
+        config: ChiaroscuroConfig,
+        layout: SlotLayout,
+        pk: Option<cs_crypto::PublicKey>,
+        link: LinkSpec,
+        population: usize,
+    ) -> io::Result<()> {
         let boot = ControlMsg::Bootstrap {
-            config: ChiaroscuroConfig::demo_simulated(),
-            layout: LAYOUT,
+            config,
+            layout,
             population: (1..=population).map(|i| format!("127.0.0.1:{i}")).collect(),
             committee: Vec::new(),
-            pk: None,
+            pk,
             share: None,
             link,
             timing: TimingSpec::default(),
@@ -868,7 +884,6 @@ mod tests {
 
     #[test]
     fn malformed_bootstraps_are_typed_errors() {
-        use crate::proto::LinkSpec;
         let ideal = LinkSpec::ideal();
         let starved = LinkSpec {
             bandwidth_bytes_per_sec: Some(0),
@@ -882,12 +897,13 @@ mod tests {
             (starved, 2, "bandwidth"),
             (ideal, 1, "at least two nodes"),
         ];
+        let demo = ChiaroscuroConfig::demo_simulated();
         for (link, population, what) in cases {
-            let err = bootstrapped_with(link, population).unwrap_err();
+            let err = bootstrapped_with(demo.clone(), LAYOUT, None, link, population).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
             assert!(err.to_string().contains(what), "{err}");
         }
-        assert!(bootstrapped_with(ideal, 2).is_ok());
+        assert!(bootstrapped_with(demo, LAYOUT, None, ideal, 2).is_ok());
 
         // The same link values fail a step on both in-process hosts, with
         // a typed error too.
@@ -943,22 +959,8 @@ mod tests {
         let CryptoContext::Real { pk, .. } = &crypto else {
             unreachable!("test_real is real crypto");
         };
-        let boot = ControlMsg::Bootstrap {
-            config,
-            layout,
-            population: (1..=8).map(|i| format!("127.0.0.1:{i}")).collect(),
-            committee: vec![0, 1, 2],
-            pk: Some(pk.as_ref().clone()),
-            share: None,
-            link: crate::proto::LinkSpec::ideal(),
-            timing: TimingSpec::default(),
-            transport_seed: 1,
-            fault: None,
-        };
-        let endpoint = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let err = RunContext::bootstrap(0, endpoint, &Registry::new(), boot)
-            .err()
-            .expect("the daemon refuses the schedule");
+        let pk = Some(pk.as_ref().clone());
+        let err = bootstrapped_with(config, layout, pk, LinkSpec::ideal(), 8).expect_err("refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         assert!(err.to_string().starts_with("step cipher: "), "{err}");
     }
