@@ -337,6 +337,49 @@ fn pow_mod_matches_reference(n: &BigUint, base: &BigUint, exp: &BigUint, j: u32)
     prop_assert_eq!(ctx.pow_mod(&big, exp), ref_pow(&(&big % n), exp, n));
 }
 
+/// Strategy: `(a, m)` for the inverse oracle — `m` of 1–64 limbs (half the
+/// draws 1–4) with a top limb of any length, forced odd, forced even or left
+/// as drawn, and `a` up to one limb longer. Both are multiplied by a common
+/// factor, 1 in half the draws: above 1 it makes `a` a non-unit.
+fn inverse_case() -> impl Strategy<Value = (BigUint, BigUint)> {
+    (
+        (0usize..8, 1usize..=64, 0u32..64),
+        proptest::collection::vec(spiky_limb(), 64),
+        operand(65),
+        (0u8..3, 0usize..8),
+    )
+        .prop_map(|((pick, any, shift), mut limbs, a, (parity, c))| {
+            let k = [1, 2, 3, 4].get(pick).copied().unwrap_or(any);
+            limbs.truncate(k);
+            limbs[k - 1] = (limbs[k - 1] >> shift) | 2;
+            match parity {
+                0 => limbs[0] |= 1,
+                1 => limbs[0] &= !1,
+                _ => {}
+            }
+            let m = BigUint::from_limbs(limbs);
+            let common = [1, 1, 1, 1, 2, 3, 6, 10][c];
+            (a.mul_u64(common), m.mul_u64(common))
+        })
+}
+
+/// `mod_inverse` against the extended-Euclid oracle, on `a`, its edges
+/// (`0`, `1`, `m − 1`), `m − a` — the pair the binary GCD's word
+/// approximations find hardest to tell apart — and `a`'s low word, which
+/// takes the one-word path.
+fn inverse_matches_extended_gcd(a: &BigUint, m: &BigUint) {
+    let mut values = with_edges(m, &[a]);
+    values.push(m - &(a % m));
+    values.push(a.clone());
+    values.push(BigUint::from(a.limbs().first().copied().unwrap_or(2)));
+    for a in &values {
+        let reduced = BigInt::from_biguint(a % m);
+        let (g, x, _) = extended_gcd(&reduced, &BigInt::from_biguint(m.clone()));
+        let expected = (g == BigInt::one()).then(|| x.mod_floor(m));
+        prop_assert_eq!(a.mod_inverse(m), expected);
+    }
+}
+
 proptest! {
     // Debug builds keep the kernels' `debug_assert`s on but are ~20× slower
     // at these widths: a few cases there, the search proper in release (CI).
@@ -510,4 +553,15 @@ fn fermat_identity_2048_bit_modulus() {
     let a = BigUint::from(65537u64);
     assert_eq!(a.mod_pow(&exp, &nk), BigUint::one());
     assert!(nk.bit_len() > 2000);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 8 } else { 256 }))]
+
+    /// Units and non-units, odd and even moduli of 1–64 limbs: the binary
+    /// GCD returns exactly what extended Euclid does.
+    #[test]
+    fn mod_inverse_matches_the_extended_gcd_oracle((a, m) in inverse_case()) {
+        inverse_matches_extended_gcd(&a, &m);
+    }
 }

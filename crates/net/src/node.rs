@@ -85,35 +85,35 @@ const CRYPTO_STREAM: u64 = 0xC0DE_C0DE_5EED_0001;
 /// whatever triggered it ([`TraceContext::NONE`] on untraced nodes).
 pub type Outbound = (NodeId, Message, TraceContext);
 
-/// Crypto substrate of one node.
-// One value per node per step; the size gap to `Plain` is irrelevant next
-// to the ciphertext vectors the node holds anyway.
-#[allow(clippy::large_enum_variant)]
+/// Crypto substrate of one node. The real pipeline's key material sits
+/// behind a pointer, so a plaintext node's slot does not carry its size.
 pub enum NodeCrypto {
     /// Real Damgård-Jurik pipeline.
-    Real {
-        /// The step's ciphertext layout, public key included — the same
-        /// for the whole population.
-        cipher: StepCipher,
-        /// This node's key share, if it sits on the decryption committee.
-        share: Option<KeyShare>,
-        /// Threshold parameters of the committee.
-        params: ThresholdParams,
-        /// `Δ = parties!` for share combination.
-        delta: BigUint,
-        /// Cached per-committee-subset combine plans, shared across the
-        /// population and across steps.
-        plans: Arc<CombinePlanCache>,
-        /// Randomizers a host built in its idle time for this node's
-        /// forwards — a `csnoded` between steps. The node drains it and
-        /// drops the rest; forwards it cannot serve, and every forward
-        /// when `None` (the in-process hosts), draw from the node's crypto
-        /// stream.
-        pool: Option<RandomizerPool>,
-    },
+    Real(Box<RealCrypto>),
     /// Plaintext pipeline (simulated-crypto mode): same dataflow, cleartext
     /// slots, no decryption round.
     Plain,
+}
+
+/// A real-crypto node's step layout and key material ([`NodeCrypto::real`]).
+pub struct RealCrypto {
+    /// The step's ciphertext layout, public key included — the same for
+    /// the whole population.
+    cipher: StepCipher,
+    /// This node's key share, if it sits on the decryption committee.
+    share: Option<KeyShare>,
+    /// Threshold parameters of the committee.
+    params: ThresholdParams,
+    /// `Δ = parties!` for share combination.
+    delta: BigUint,
+    /// Cached per-committee-subset combine plans, shared across the
+    /// population and across steps.
+    plans: Arc<CombinePlanCache>,
+    /// Randomizers a host built in its idle time for this node's forwards —
+    /// a `csnoded` between steps. The node drains it and drops the rest;
+    /// forwards it cannot serve, and every forward when `None` (the
+    /// in-process hosts), draw from the node's crypto stream.
+    pool: Option<RandomizerPool>,
 }
 
 impl NodeCrypto {
@@ -129,13 +129,20 @@ impl NodeCrypto {
         plans: &Arc<CombinePlanCache>,
         pool: Option<RandomizerPool>,
     ) -> Self {
-        NodeCrypto::Real {
+        NodeCrypto::Real(Box::new(RealCrypto {
             cipher: cipher.clone(),
             share,
             params,
             delta: delta_for(params.parties),
             plans: plans.clone(),
             pool,
+        }))
+    }
+
+    fn as_real(&self) -> Option<&RealCrypto> {
+        match self {
+            NodeCrypto::Real(real) => Some(real),
+            NodeCrypto::Plain => None,
         }
     }
 }
@@ -217,7 +224,7 @@ impl FaultSpec {
 }
 
 enum Aggregator {
-    Encrypted(HePushSumNode),
+    Encrypted(Box<HePushSumNode>),
     Plain(PushSumNode),
 }
 
@@ -250,7 +257,7 @@ struct PendingRequest {
 /// Serializable: in the multi-process deployment (`cs_node`) the report is
 /// what a `csnoded` daemon ships back to its coordinator over the control
 /// channel.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
 pub struct NodeReport {
     /// This node's identifier.
     pub id: NodeId,
@@ -309,20 +316,11 @@ impl NodeReport {
     pub fn dead(id: NodeId) -> Self {
         NodeReport {
             id,
-            estimate: None,
             decrypt_audit: DecryptAudit {
                 node: id as u64,
                 ..DecryptAudit::default()
             },
-            lane_headroom_bits: None,
-            ops: HomomorphicOpCounts::default(),
-            decrypt_ops: DecryptionOps::default(),
-            pushes_sent: 0,
-            pushes_capped: 0,
-            gossip_cut_short: false,
-            peer_failures: 0,
-            bad_frames: 0,
-            profile: PhaseProfile::default(),
+            ..NodeReport::default()
         }
     }
 }
@@ -403,15 +401,16 @@ impl ProtocolNode {
         let agg = match &mut crypto {
             // The randomizer pool moves into the aggregator: it is per-node
             // state, not shared crypto configuration.
-            NodeCrypto::Real { cipher, pool, .. } => {
-                let (mut he, encryptions) = cipher
+            NodeCrypto::Real(real) => {
+                let (mut he, encryptions) = real
+                    .cipher
                     .node(contribution, &mut crypto_rng)
                     .expect("the host checked that the cipher admits the contribution");
-                if let Some(pool) = pool.take() {
+                if let Some(pool) = real.pool.take() {
                     he = he.with_pool(pool);
                 }
                 ops.encryptions += encryptions;
-                Aggregator::Encrypted(he)
+                Aggregator::Encrypted(Box::new(he))
             }
             NodeCrypto::Plain => Aggregator::Plain(match contribution {
                 Some(values) => PushSumNode::new(values.to_vec(), 1.0),
@@ -651,11 +650,11 @@ impl ProtocolNode {
                 if iteration != self.params.iteration {
                     return;
                 }
-                if let NodeCrypto::Real {
+                if let Some(RealCrypto {
                     cipher,
                     share: Some(_),
                     ..
-                } = &self.crypto
+                }) = self.crypto.as_real()
                 {
                     // A partial decryption is the step's most expensive
                     // operation, and an honest request asks for one per
@@ -739,10 +738,7 @@ impl ProtocolNode {
             Aggregator::Plain(_) => self.ops,
         };
         let pushes_capped = self.pushes_capped();
-        let lane_headroom_bits = match &self.crypto {
-            NodeCrypto::Real { cipher, .. } => Some(cipher.lane_headroom_bits()),
-            NodeCrypto::Plain => None,
-        };
+        let lane_headroom_bits = self.crypto.as_real().map(|r| r.cipher.lane_headroom_bits());
         NodeReport {
             id: self.params.id,
             estimate: self.estimate,
@@ -767,9 +763,9 @@ impl ProtocolNode {
     /// the combine proceeds and decodes to garbage instead of failing fast:
     /// the silent-corruption shape the auditor must catch.
     fn partials_of(&mut self, slots: &[Ciphertext]) -> Option<(u64, Vec<BigUint>)> {
-        let NodeCrypto::Real {
+        let Some(RealCrypto {
             share: Some(share), ..
-        } = &self.crypto
+        }) = self.crypto.as_real()
         else {
             return None;
         };
@@ -835,7 +831,7 @@ impl ProtocolNode {
         if let Some(t) = &mut self.tracer {
             t.mark("gossip.end", &[("pushes", self.pushes_sent as u64)]);
         }
-        let (width, snapshot) = match (&self.agg, &self.crypto) {
+        let (width, snapshot) = match (&self.agg, self.crypto.as_real()) {
             (Aggregator::Plain(ps), _) => {
                 let est = ps
                     .estimate()
@@ -844,7 +840,7 @@ impl ProtocolNode {
             }
             // Snapshot — later absorbs keep mixing the gossip state but no
             // longer affect this estimate — folded to what it occupies.
-            (Aggregator::Encrypted(he), NodeCrypto::Real { cipher, .. })
+            (Aggregator::Encrypted(he), Some(RealCrypto { cipher, .. }))
                 if he.weight() > f64::MIN_POSITIVE =>
             {
                 let (denom, weight) = (he.denominator_exp(), he.weight());
@@ -897,10 +893,11 @@ impl ProtocolNode {
 
     /// Shares the combine needs.
     fn threshold(&self) -> usize {
-        match &self.crypto {
-            NodeCrypto::Real { params, .. } => params.threshold,
-            NodeCrypto::Plain => unreachable!("decrypt phase implies real crypto"),
-        }
+        let real = self
+            .crypto
+            .as_real()
+            .expect("decrypt phase implies real crypto");
+        real.params.threshold
     }
 
     /// Sends the pending request to further committee members, in rotation
@@ -942,10 +939,10 @@ impl ProtocolNode {
             return;
         }
         let buckets_here = self.layout.total() as u32;
-        match (&mut self.agg, &self.crypto, inbound) {
+        match (&mut self.agg, self.crypto.as_real(), inbound) {
             (
                 Aggregator::Encrypted(he),
-                NodeCrypto::Real { cipher, .. },
+                Some(RealCrypto { cipher, .. }),
                 Inbound::Ciphertexts(buckets, push),
             ) if buckets == buckets_here
                 && push.slots.len() == he.dim()
@@ -978,13 +975,13 @@ impl ProtocolNode {
         if !matches!(self.phase, Phase::AwaitShares) {
             return;
         }
-        let NodeCrypto::Real {
+        let Some(RealCrypto {
             cipher,
             params,
             delta,
             plans,
             ..
-        } = &self.crypto
+        }) = self.crypto.as_real()
         else {
             return;
         };

@@ -22,7 +22,7 @@ use chiaroscuro::backend::ComputationBackend;
 use chiaroscuro::config::ChiaroscuroConfig;
 use chiaroscuro::cost::DecryptionOps;
 use chiaroscuro::noise::SlotLayout;
-use chiaroscuro::rounds::{ComputationOutcome, CryptoContext, StepCipher};
+use chiaroscuro::rounds::{ComputationOutcome, CryptoContext, PerturbedAggregates, StepCipher};
 use chiaroscuro::ChiaroscuroError;
 use cs_gossip::homomorphic_pushsum::HomomorphicOpCounts;
 use cs_gossip::TrafficStats;
@@ -192,7 +192,8 @@ impl Default for NetConfig {
 /// Everything one step hands back, beyond the engine-facing outcome.
 #[derive(Debug)]
 pub struct StepRun {
-    /// The engine-facing outcome (estimates, ops, traffic, liveness).
+    /// The engine-facing outcome (estimates, ops, traffic, liveness). A
+    /// run [`NetBackend`] keeps has moved its `estimates` to the engine.
     pub outcome: ComputationOutcome,
     /// Per-node reports (push counts, per-node ops, decode failures).
     pub reports: Vec<NodeReport>,
@@ -260,6 +261,15 @@ impl StepRun {
             alerts,
             elapsed: started.elapsed(),
         }
+    }
+
+    /// Node `id`'s estimate (`id` within the population), `None` if it
+    /// ended the step down or without one: the report's own. Read
+    /// estimates here — a run [`NetBackend::last_step`] keeps moved
+    /// `outcome.estimates` on.
+    pub fn estimate(&self, id: NodeId) -> Option<&PerturbedAggregates> {
+        let alive = self.outcome.alive_after[id];
+        self.reports[id].estimate.as_ref().filter(|_| alive)
     }
 }
 
@@ -542,8 +552,11 @@ impl NetBackend {
         self.steps_run
     }
 
-    /// Detailed run data of the most recent step (reports, per-class
-    /// bytes-on-wire, wall-clock).
+    /// Detailed run data of the step just run (reports, per-class
+    /// bytes-on-wire, wall-clock). It is released when the next step
+    /// begins, so a host holds one step's artifacts at a time, and it is
+    /// `None` after a failed step. Its estimates went to the engine: read
+    /// them with [`StepRun::estimate`].
     pub fn last_step(&self) -> Option<&StepRun> {
         self.last.as_ref()
     }
@@ -566,7 +579,9 @@ impl ComputationBackend for NetBackend {
         step_seed: u64,
         _rng: &mut rand::rngs::StdRng,
     ) -> Result<ComputationOutcome, ChiaroscuroError> {
-        let run = match &self.flavor {
+        // The previous step goes before this one allocates its own.
+        self.last = None;
+        let mut run = match &self.flavor {
             Flavor::Tcp(net) => run_step_over_tcp(
                 config,
                 layout,
@@ -587,7 +602,11 @@ impl ComputationBackend for NetBackend {
             )?,
         };
         self.steps_run += 1;
-        let outcome = run.outcome.clone();
+        let estimates = std::mem::take(&mut run.outcome.estimates);
+        let outcome = ComputationOutcome {
+            estimates,
+            ..run.outcome.clone()
+        };
         self.last = Some(run);
         Ok(outcome)
     }

@@ -45,7 +45,7 @@ impl fmt::Display for NetError {
 impl std::error::Error for NetError {}
 
 /// Per-link characteristics of the simulated network.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LinkConfig {
     /// Fixed one-way delivery delay.
     pub latency: Duration,
@@ -61,12 +61,7 @@ pub struct LinkConfig {
 impl LinkConfig {
     /// A perfect link: no delay, no jitter, no loss, infinite bandwidth.
     pub fn ideal() -> Self {
-        LinkConfig {
-            latency: Duration::ZERO,
-            jitter: Duration::ZERO,
-            loss: 0.0,
-            bandwidth_bytes_per_sec: None,
-        }
+        LinkConfig::default()
     }
 
     /// Validates probabilities and bandwidth. The values reach a daemon
@@ -80,12 +75,6 @@ impl LinkConfig {
             return fail("link bandwidth must be positive".into());
         }
         Ok(())
-    }
-}
-
-impl Default for LinkConfig {
-    fn default() -> Self {
-        LinkConfig::ideal()
     }
 }
 

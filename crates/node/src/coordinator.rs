@@ -292,9 +292,8 @@ pub struct ClusterBackend {
     steps_run: usize,
     kills: Vec<(usize, Duration, usize)>,
     supervisor: Option<Arc<Supervisor>>,
-    last_reports: Option<Vec<NodeReport>>,
-    last_snapshot: Option<TrafficSnapshot>,
-    last_metrics: Option<MetricsSnapshot>,
+    /// The step just run: its reports, summed traffic and metrics delta.
+    last: Option<(Vec<NodeReport>, TrafficSnapshot, MetricsSnapshot)>,
     metrics_total: MetricsSnapshot,
     /// The coordinator's own flight recorder: every `Step` send is traced
     /// here, so each daemon's `step.start` span has a causal parent in the
@@ -318,9 +317,7 @@ impl ClusterBackend {
             steps_run: 0,
             kills: Vec::new(),
             supervisor: None,
-            last_reports: None,
-            last_snapshot: None,
-            last_metrics: None,
+            last: None,
             metrics_total: MetricsSnapshot::default(),
             tracer: Arc::new(Tracer::ring(
                 Arc::new(WallClock::new()) as Arc<dyn Clock>,
@@ -349,19 +346,20 @@ impl ClusterBackend {
         self.steps_run
     }
 
-    /// Per-node reports of the most recent step.
+    /// Per-node reports of the step just run: released when the next step
+    /// begins, `None` after a failed step (so are the two below).
     pub fn last_reports(&self) -> Option<&[NodeReport]> {
-        self.last_reports.as_deref()
+        self.last.as_ref().map(|last| &last.0[..])
     }
 
     /// Cluster-summed per-class traffic of the most recent step.
     pub fn last_snapshot(&self) -> Option<&TrafficSnapshot> {
-        self.last_snapshot.as_ref()
+        self.last.as_ref().map(|last| &last.1)
     }
 
     /// Cluster-summed metrics delta of the most recent step.
     pub fn last_metrics(&self) -> Option<&MetricsSnapshot> {
-        self.last_metrics.as_ref()
+        self.last.as_ref().map(|last| &last.2)
     }
 
     /// Cluster-summed metrics accumulated over every step run so far —
@@ -537,6 +535,8 @@ impl ComputationBackend for ClusterBackend {
         step_seed: u64,
         _rng: &mut StdRng,
     ) -> Result<ComputationOutcome, ChiaroscuroError> {
+        // One step's artifacts at a time: the last step's go first.
+        self.last = None;
         let n = contributions.len();
         config.failure_free("ClusterConfig.link / ClusterBackend::with_kills")?;
         if !self.bootstrapped {
@@ -700,10 +700,8 @@ impl ComputationBackend for ClusterBackend {
         }
         let outcome = assemble_outcome(&reports, alive_after, &total);
         self.steps_run += 1;
-        self.last_reports = Some(reports);
-        self.last_snapshot = Some(total);
         self.metrics_total = self.metrics_total.plus(&metrics_step);
-        self.last_metrics = Some(metrics_step);
+        self.last = Some((reports, total, metrics_step));
         Ok(outcome)
     }
 }

@@ -62,7 +62,7 @@ pub const MAX_CONTROL_BYTES: usize = 64 << 20;
 
 /// A [`LinkConfig`] in wire-friendly units (the vendored serde stand-in has
 /// no `Duration` impl, and explicit microseconds are unambiguous anyway).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct LinkSpec {
     /// Fixed one-way delivery delay, microseconds.
     pub latency_us: u64,
@@ -78,12 +78,7 @@ impl LinkSpec {
     /// A perfect link (the right default for a real TCP cluster — the
     /// kernel provides the genuine article).
     pub fn ideal() -> Self {
-        LinkSpec {
-            latency_us: 0,
-            jitter_us: 0,
-            loss: 0.0,
-            bandwidth_bytes_per_sec: None,
-        }
+        LinkSpec::default()
     }
 
     /// Converts to the transport's native form.

@@ -254,10 +254,10 @@ fn sharded_plain_churn_at_1k_matches_simulator() {
     assert!(step.outcome.alive_after[17], "node 17 rejoined");
     assert!(!step.outcome.alive_after[33], "node 33 left");
     assert!(!step.outcome.alive_after[71], "node 71 stayed down");
-    assert!(step.outcome.estimates[33].is_none());
-    assert!(step.outcome.estimates[71].is_none());
+    assert!(step.estimate(33).is_none());
+    assert!(step.estimate(71).is_none());
     assert!(
-        step.outcome.estimates[17].is_some(),
+        step.estimate(17).is_some(),
         "a rejoined node finishes the step"
     );
     assert_eq!(
@@ -306,7 +306,7 @@ fn sharded_packed_crypto_churn_matches_simulator() {
 
     let step = backend.last_step().expect("one step ran");
     assert!(!step.outcome.alive_after[5], "node 5 stayed down");
-    assert!(step.outcome.estimates[5].is_none());
+    assert!(step.estimate(5).is_none());
     assert!(
         step.reports[5].pushes_sent < 12,
         "node 5 crashed before finishing its quota ({} pushes)",
@@ -544,8 +544,8 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 fn timeline_of(step: &cs_net::StepRun) -> Timeline {
     let class = |c: &cs_net::transport::ClassCounts| [c.messages, c.bytes, c.dropped];
     let mut estimates = 0xCBF2_9CE4_8422_2325u64;
-    for est in &step.outcome.estimates {
-        match est {
+    for id in 0..step.reports.len() {
+        match step.estimate(id) {
             None => fnv1a(&mut estimates, &[0]),
             Some(est) => {
                 fnv1a(&mut estimates, &[1]);
