@@ -1,9 +1,7 @@
 //! Gossip-layer throughput: cost of one full cycle (every node initiates one
-//! exchange) for plaintext push-sum, per population and vector size, plus
-//! the epidemic dissemination layer.
+//! exchange) for plaintext push-sum, per population and vector size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use cs_gossip::epidemic::{EpidemicNode, Versioned};
 use cs_gossip::pushsum::PushSumNode;
 use cs_gossip::{FailureModel, Network, Overlay};
 
@@ -49,30 +47,5 @@ fn bench_pushsum_vector_width(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_epidemic_cycle(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gossip/epidemic_cycle");
-    for n in [1024usize, 4096] {
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, &n| {
-            bench.iter_batched(
-                || {
-                    let nodes: Vec<_> = (0..n)
-                        .map(|i| EpidemicNode::new(Versioned::new(i as u64 % 7, i as u64, 64)))
-                        .collect();
-                    Network::new(nodes, Overlay::Full, FailureModel::none(), 9)
-                },
-                |mut net| net.run_cycle(),
-                criterion::BatchSize::SmallInput,
-            );
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_pushsum_cycle,
-    bench_pushsum_vector_width,
-    bench_epidemic_cycle
-);
+criterion_group!(benches, bench_pushsum_cycle, bench_pushsum_vector_width);
 criterion_main!(benches);

@@ -137,7 +137,8 @@ fn main() {
     let pk = Arc::new(tkp.public().clone());
     let enc = Arc::new(FastEncryptor::new(pk.clone(), &mut rng));
     let fp = FixedPointCodec::new(20);
-    let codec = PackedCodec::plan(fp, 16.0, 64, 8, pk.n_s()).expect("plan fits test keys");
+    let codec =
+        PackedCodec::plan(fp, 16.0, 64, 8, pk.n_s().bit_len()).expect("plan fits test keys");
     let ctx = Ctx {
         tkp,
         enc,

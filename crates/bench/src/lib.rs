@@ -19,7 +19,6 @@
 //! passed, writes the same rows as CSV. `--quick` shrinks workloads for
 //! smoke runs.
 
-use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;
 
@@ -85,11 +84,6 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
         self.rows.push(cells);
-    }
-
-    /// Convenience: appends a row of displayable cells.
-    pub fn push_display(&mut self, cells: &[&dyn Display]) {
-        self.row(cells.iter().map(|c| c.to_string()).collect());
     }
 
     /// Renders the aligned text form.

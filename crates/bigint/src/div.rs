@@ -99,11 +99,6 @@ impl BigUint {
         (BigUint::from_limbs(q), BigUint::from_limbs(rem))
     }
 
-    /// `self mod divisor` as a convenience wrapper over [`BigUint::div_rem`].
-    pub fn rem_of(&self, divisor: &BigUint) -> BigUint {
-        self.div_rem(divisor).1
-    }
-
     /// `self / 2`, truncating.
     pub fn half(&self) -> BigUint {
         self >> 1

@@ -59,6 +59,3 @@ pub use fixed_base::FixedBaseExp;
 pub use int::{BigInt, Sign};
 pub use montgomery::MontgomeryCtx;
 pub use uint::BigUint;
-
-/// Number of bits in one limb of a [`BigUint`].
-pub const LIMB_BITS: usize = 64;

@@ -4,9 +4,14 @@
 //! crypto time "based on actual average measures performed beforehand". The
 //! [`CostModel`] turns operation counts (measured in real mode, synthesized
 //! in simulated mode) into per-participant wall-clock using a
-//! [`CryptoCostProfile`], and extrapolates to the paper's target population
-//! (10⁶): per-participant gossip work is population-independent, which is
-//! precisely why the paper's approach scales.
+//! [`CryptoCostProfile`]. Per-participant gossip work is
+//! population-independent, which is precisely why the paper's approach
+//! scales.
+//!
+//! Synthesized counts are per ciphertext of the step's lane plan
+//! ([`crate::rounds::lane_plan`]), the layout every real-crypto host runs:
+//! [`synthesize_ops`] and [`synthesize_decrypt_ops`] take the plan's
+//! ciphertext count, never the slot count.
 
 use cs_crypto::CryptoCostProfile;
 use cs_gossip::homomorphic_pushsum::HomomorphicOpCounts;
@@ -69,11 +74,6 @@ impl CostModel {
         CostModel { profile }
     }
 
-    /// The underlying profile.
-    pub fn profile(&self) -> &CryptoCostProfile {
-        &self.profile
-    }
-
     /// Assembles an [`IterationCost`] from raw counters.
     pub fn iteration_cost(
         &self,
@@ -101,55 +101,37 @@ impl CostModel {
             bytes_per_participant: (gossip_traffic.bytes + decrypt_ops.bytes) as f64 / n,
         }
     }
-
-    /// Extrapolates one iteration's per-participant cost to a larger
-    /// population.
-    ///
-    /// Gossip work per participant is O(cycles × slots) regardless of `n`,
-    /// so per-participant numbers carry over unchanged; only the aggregate
-    /// network volume scales linearly. Returns
-    /// `(seconds_per_participant, total_network_bytes)`.
-    pub fn extrapolate(&self, cost: &IterationCost, population: usize) -> (f64, f64) {
-        (
-            cost.crypto_seconds_per_participant,
-            cost.bytes_per_participant * population as f64,
-        )
-    }
 }
 
-/// Synthesizes the homomorphic op counts the *real* backend would have
-/// produced, for simulated-mode accounting:
+/// Synthesizes the homomorphic op counts a real host would have produced
+/// for a step whose lane plan ships `ciphertexts` per contribution, for
+/// simulated-mode accounting:
 ///
 /// * every participant encrypts its whole contribution — a noise share
-///   sits on every one of the `slots = k·(series_len+1)` slots, so none
-///   ships as a free trivial encryption;
-/// * every delivered gossip message carries `slots` additions, up to
-///   `slots` pow2-rescalings, and — when enabled — `slots`
+///   sits on every slot, so no ciphertext ships as a free trivial
+///   encryption;
+/// * every delivered gossip message carries `ciphertexts` additions, up to
+///   `ciphertexts` pow2-rescalings, and — when enabled — `ciphertexts`
 ///   re-randomizations.
 pub fn synthesize_ops(
-    k: usize,
-    series_len: usize,
+    ciphertexts: usize,
     participants: usize,
     delivered_messages: u64,
     rerandomize: bool,
 ) -> HomomorphicOpCounts {
-    let slots = (k * (series_len + 1)) as u64;
+    let per_push = delivered_messages * ciphertexts as u64;
     HomomorphicOpCounts {
-        encryptions: participants as u64 * slots,
-        additions: delivered_messages * slots,
-        pow2_scalings: delivered_messages * slots,
-        rerandomizations: if rerandomize {
-            delivered_messages * slots
-        } else {
-            0
-        },
+        encryptions: (participants * ciphertexts) as u64,
+        additions: per_push,
+        pow2_scalings: per_push,
+        rerandomizations: if rerandomize { per_push } else { 0 },
     }
 }
 
 /// Decryption ops for one iteration: requester `i` has the `widths[i]`
 /// ciphertexts its snapshot folds to
-/// ([`crate::rounds::StepCipher::width`]; unfolded, all of them)
-/// threshold-decrypted with `t` partials each.
+/// ([`crate::rounds::StepCipher::width`]; unfolded, all of the plan's
+/// ciphertexts) threshold-decrypted with `t` partials each.
 pub fn synthesize_decrypt_ops(
     widths: &[usize],
     threshold: usize,
@@ -208,27 +190,14 @@ mod tests {
     }
 
     #[test]
-    fn extrapolation_scales_bytes_not_time() {
-        let model = CostModel::new(CryptoCostProfile::nominal_2048());
-        let cost = IterationCost {
-            crypto_seconds_per_participant: 2.5,
-            bytes_per_participant: 1000.0,
-            ..Default::default()
-        };
-        let (secs, bytes) = model.extrapolate(&cost, 1_000_000);
-        assert_eq!(secs, 2.5);
-        assert_eq!(bytes, 1e9);
-    }
-
-    #[test]
     fn synthesized_ops_formulas() {
-        let ops = synthesize_ops(2, 3, 10, 100, true);
-        // slots = 2 * 4 = 8; encryptions = 10 * 8
-        assert_eq!(ops.encryptions, 80);
-        assert_eq!(ops.additions, 800);
-        assert_eq!(ops.pow2_scalings, 800);
-        assert_eq!(ops.rerandomizations, 800);
-        let ops = synthesize_ops(2, 3, 10, 100, false);
+        // 3 ciphertexts a contribution, 10 participants, 100 deliveries.
+        let ops = synthesize_ops(3, 10, 100, true);
+        assert_eq!(ops.encryptions, 30);
+        assert_eq!(ops.additions, 300);
+        assert_eq!(ops.pow2_scalings, 300);
+        assert_eq!(ops.rerandomizations, 300);
+        let ops = synthesize_ops(3, 10, 100, false);
         assert_eq!(ops.rerandomizations, 0);
     }
 

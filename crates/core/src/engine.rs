@@ -754,14 +754,11 @@ mod tests {
             step_seed: u64,
             _rng: &mut StdRng,
         ) -> Result<ComputationOutcome, ChiaroscuroError> {
-            let &CryptoContext::Simulated { ciphertext_bytes } = crypto else {
-                unreachable!("simulated crypto only");
-            };
             simulate_step(
                 config,
                 layout,
                 contributions,
-                ciphertext_bytes,
+                crypto,
                 step_seed,
                 self.threads,
                 self.width,

@@ -12,11 +12,11 @@
 //!        threshold partial decryptions.
 //!
 //! This module decides the step's data format for every host
-//! ([`StepCipher`]) and runs the cycle simulator's step
+//! ([`lane_plan`], [`StepCipher`]) and runs the cycle simulator's step
 //! ([`run_computation_step`]): the identical dataflow on plaintext
-//! (`cs_gossip::pushsum`), with the homomorphic work synthesized into the
-//! cost counters — the demo's own trick. Real crypto runs on `cs_net`'s
-//! message-passing hosts.
+//! (`cs_gossip::pushsum`), its homomorphic work synthesized into the cost
+//! counters per ciphertext of that same lane plan — the demo's own trick.
+//! Real crypto runs on `cs_net`'s message-passing hosts.
 
 use crate::config::{ChiaroscuroConfig, CryptoMode};
 use crate::cost::{synthesize_decrypt_ops, synthesize_ops, DecryptionOps};
@@ -27,7 +27,7 @@ use cs_bigint::BigUint;
 use cs_crypto::threshold::{CombinePlanCache, ThresholdKeyPair};
 use cs_crypto::{Ciphertext, FastEncryptor, FixedPointCodec, PackedCodec, PublicKey};
 use cs_gossip::homomorphic_pushsum::{HePushSumNode, HomomorphicOpCounts};
-use cs_gossip::pushsum::{PlainPush, PushSumBlocks};
+use cs_gossip::pushsum::PushSumBlocks;
 use cs_gossip::{Network, Overlay, TrafficStats};
 use cs_obs::phase::{PhaseProfile, StepPhase};
 use rand::rngs::StdRng;
@@ -59,6 +59,8 @@ pub enum CryptoContext {
     Simulated {
         /// Ciphertext size used for byte accounting.
         ciphertext_bytes: usize,
+        /// The profile's `key_bits · s`: the lane plan's `n^s` width.
+        plaintext_bits: usize,
     },
 }
 
@@ -89,6 +91,7 @@ impl CryptoContext {
             }
             CryptoMode::Simulated { cost_profile } => Ok(CryptoContext::Simulated {
                 ciphertext_bytes: cost_profile.ciphertext_bytes.max(1),
+                plaintext_bits: cost_profile.key_bits * cost_profile.s as usize,
             }),
         }
     }
@@ -135,7 +138,7 @@ impl CryptoContext {
 /// at the median and up to 2.7× at the 99th percentile, the TCP loopback
 /// host 2–3× at the median. The floor
 /// covers the median of the asynchronous hosts with `bits(P)` to spare,
-/// and the widening in [`plan_packed_codec`] covers the tail: at the
+/// and the widening in [`lane_plan`] covers the tail: at the
 /// benchmark's and the tests' shapes at most ≈ 1 % of pushes meet the cap
 /// on any host.
 ///
@@ -147,7 +150,9 @@ pub fn denominator_floor(cycles: usize, population: usize) -> u32 {
     (cycles as u32).saturating_mul(2).saturating_add(pop_bits)
 }
 
-/// Plans the packed lane layout for one computation step.
+/// Plans the packed lane layout for one computation step under a
+/// `plaintext_bits`-bit `n^s`: keyless, so the cycle simulator prices the
+/// layout [`StepCipher::plan`] runs.
 ///
 /// The envelope is **public** protocol metadata only — the population
 /// size, the per-participant exchange budget, and a magnitude bound
@@ -177,12 +182,12 @@ pub fn denominator_floor(cycles: usize, population: usize) -> u32 {
 /// Where the floor's lane overflows 126 bits — `2·cycles + bits(P) +
 /// bits(P+1) + value_bits > 126` — the plan is refused with the codec's
 /// typed error.
-pub fn plan_packed_codec(
+pub fn lane_plan(
     config: &ChiaroscuroConfig,
-    pk: &PublicKey,
     codec: &FixedPointCodec,
     layout: &SlotLayout,
     population: usize,
+    plaintext_bits: usize,
 ) -> Result<PackedCodec, ChiaroscuroError> {
     // Worst per-iteration Laplace scale under the uniform budget split;
     // the 64× tail margin also absorbs moderately front-loaded strategies.
@@ -190,8 +195,19 @@ pub fn plan_packed_codec(
         config.sensitivity(layout.series_len) * config.max_iterations as f64 / config.epsilon;
     let max_abs = config.value_bound.max(1.0) + 64.0 * noise_scale;
     let floor = denominator_floor(config.gossip_cycles, population);
-    let narrowest = PackedCodec::plan(*codec, max_abs, population, floor, pk.n_s())?;
-    Ok(narrowest.widened(layout.total(), pk.n_s()))
+    let narrowest = PackedCodec::plan(*codec, max_abs, population, floor, plaintext_bits)?;
+    Ok(narrowest.widened(layout.total(), plaintext_bits))
+}
+
+/// [`lane_plan`] under `pk`'s plaintext modulus.
+pub fn plan_packed_codec(
+    config: &ChiaroscuroConfig,
+    pk: &PublicKey,
+    codec: &FixedPointCodec,
+    layout: &SlotLayout,
+    population: usize,
+) -> Result<PackedCodec, ChiaroscuroError> {
+    lane_plan(config, codec, layout, population, pk.n_s().bit_len())
 }
 
 /// How one computation step's contributions become ciphertexts and its
@@ -200,7 +216,7 @@ pub fn plan_packed_codec(
 /// [`FastEncryptor`]'s fixed-base encryption and re-randomization. Every
 /// real-crypto substrate — the `cs_net` runtimes, a `csnoded` process —
 /// plans one from public inputs alone (see
-/// [`plan_packed_codec`]), so the whole population agrees on it without
+/// [`lane_plan`]), so the whole population agrees on it without
 /// coordination. A schedule the lane plan cannot hold is refused here, as a
 /// typed error, before any node exists. The plan's denominator cap travels
 /// with it: every node built here enforces it.
@@ -225,7 +241,7 @@ impl StepCipher {
         population: usize,
     ) -> Result<Self, ChiaroscuroError> {
         let fp = FixedPointCodec::new(config.codec_scale_bits);
-        let codec = plan_packed_codec(config, pk, &fp, layout, population)?;
+        let codec = lane_plan(config, &fp, layout, population, pk.n_s().bit_len())?;
         Ok(StepCipher {
             pk: pk.clone(),
             layout: *layout,
@@ -439,7 +455,8 @@ pub struct ComputationOutcome {
 
 /// Runs the computation step on the cycle simulator: the paper's
 /// experiment shape, plaintext push-sum with the homomorphic work
-/// synthesized into the cost counters.
+/// synthesized into the cost counters per ciphertext of the step's
+/// [`lane_plan`]. A shape the plan refuses fails the step as on a real host.
 ///
 /// `contributions[i]` is `Some(vector)` for participants alive at the start
 /// of the iteration and `None` for crashed ones (they hold zero weight and
@@ -457,19 +474,12 @@ pub fn run_computation_step(
     crypto: &CryptoContext,
     step_seed: u64,
 ) -> Result<ComputationOutcome, ChiaroscuroError> {
-    let &CryptoContext::Simulated { ciphertext_bytes } = crypto else {
-        return Err(ChiaroscuroError::InvalidConfig(
-            "the cycle simulator runs simulated crypto only; run real crypto with \
-             run_with_backend(&mut NetBackend::sharded(..))"
-                .into(),
-        ));
-    };
     let population = contributions.len();
     simulate_step(
         config,
         layout,
         contributions,
-        ciphertext_bytes,
+        crypto,
         step_seed,
         local_chunks(population),
         PushSumBlocks::width_for(population),
@@ -484,12 +494,26 @@ pub(crate) fn simulate_step(
     config: &ChiaroscuroConfig,
     layout: &SlotLayout,
     contributions: &[Option<Vec<f64>>],
-    ciphertext_bytes: usize,
+    crypto: &CryptoContext,
     step_seed: u64,
     threads: usize,
     width: usize,
 ) -> Result<ComputationOutcome, ChiaroscuroError> {
+    let &CryptoContext::Simulated {
+        ciphertext_bytes,
+        plaintext_bits,
+    } = crypto
+    else {
+        return Err(ChiaroscuroError::InvalidConfig(
+            "the cycle simulator runs simulated crypto only; run real crypto with \
+             run_with_backend(&mut NetBackend::sharded(..))"
+                .into(),
+        ));
+    };
     let dim = layout.total();
+    let fp = FixedPointCodec::new(config.codec_scale_bits);
+    let ciphertexts =
+        lane_plan(config, &fp, layout, contributions.len(), plaintext_bits)?.ciphertexts_for(dim);
     let mut phases = PhaseProfile::default();
     // The push-sum state lives in the blocks; the network only draws who
     // meets whom.
@@ -519,7 +543,7 @@ pub(crate) fn simulate_step(
     let (schedule, drawn_ns, (mut blocks, laid_ns)) = std::thread::scope(|scope| {
         let laid = (threads > 1).then(|| scope.spawn(lay_out));
         let started = Instant::now();
-        let schedule = net.draw_cycles(config.gossip_cycles, PlainPush::bytes_for(dim));
+        let schedule = net.draw_cycles(config.gossip_cycles, ciphertexts * ciphertext_bytes);
         let drawn_ns = started.elapsed().as_nanos() as u64;
         let laid = laid.map_or_else(lay_out, |h| h.join().expect("a layout does not panic"));
         (schedule, drawn_ns, laid)
@@ -528,12 +552,7 @@ pub(crate) fn simulate_step(
     phases.add(StepPhase::Gossip, drawn_ns + laid_ns + replay_ns);
 
     let mut alive_after: Vec<bool> = (0..net.len()).map(|i| net.is_alive(i)).collect();
-    // Bytes on the wire are ciphertext-sized even though we simulate — the
-    // plaintext push-sum already recorded 8-byte-per-slot messages, so the
-    // traffic is rescaled to ciphertext size.
-    let mut traffic = net.traffic().clone();
-    let scale = ciphertext_bytes as f64 / 8.0;
-    traffic.bytes = (traffic.bytes as f64 * scale) as u64;
+    let traffic = net.traffic().clone();
 
     let (estimates, combine_ns) = map_chunked(&mut alive_after, threads, |i, &mut alive| {
         if !alive {
@@ -547,15 +566,15 @@ pub(crate) fn simulate_step(
 
     let participants = contributions.iter().filter(|c| c.is_some()).count();
     let ops = synthesize_ops(
-        layout.k,
-        layout.series_len,
+        ciphertexts,
         participants,
         traffic.messages,
         config.rerandomize,
     );
-    // The simulated run prices one ciphertext per slot, none of them folded.
+    // Every requester asks for its whole snapshot, unfolded: the fold reads
+    // a node's denominator exponent, which the plaintext replay has not.
     let decrypt_ops = synthesize_decrypt_ops(
-        &vec![layout.total(); decryptors],
+        &vec![ciphertexts; decryptors],
         config.threshold.threshold,
         ciphertext_bytes,
     );
@@ -635,6 +654,47 @@ mod tests {
         check_estimates(&outcome, 16);
         assert!(outcome.ops.encryptions > 0, "synthesized encryption counts");
         assert!(outcome.traffic.messages > 0);
+    }
+
+    /// The cycle simulator prices per ciphertext of the step's lane plan;
+    /// every snapshot is decrypted unfolded.
+    #[test]
+    fn a_simulated_step_is_priced_at_the_lane_plan() {
+        let config = ChiaroscuroConfig::demo_simulated();
+        let layout = SlotLayout {
+            k: 4,
+            series_len: 24,
+        };
+        let mut contributions = vec![Some(vec![0.5; layout.total()]); 40];
+        contributions[9] = None;
+        let crypto = CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(3)).unwrap();
+        let CryptoContext::Simulated {
+            ciphertext_bytes,
+            plaintext_bits,
+        } = crypto
+        else {
+            panic!("simulated mode");
+        };
+        let fp = FixedPointCodec::new(config.codec_scale_bits);
+        let ciphertexts = lane_plan(&config, &fp, &layout, 40, plaintext_bits)
+            .unwrap()
+            .ciphertexts_for(layout.total());
+        assert!(1 < ciphertexts && ciphertexts < layout.total());
+
+        let outcome = run_computation_step(&config, &layout, &contributions, &crypto, 5).unwrap();
+        let (traffic, decryptors) = (&outcome.traffic, outcome.estimates.iter().flatten().count());
+        assert!(traffic.messages > 0 && decryptors > 0);
+        assert_eq!(outcome.ops.encryptions, 39 * ciphertexts as u64);
+        let push_bytes = (ciphertexts * ciphertext_bytes) as u64;
+        assert_eq!(traffic.bytes, traffic.messages * push_bytes);
+        assert_eq!(
+            outcome.decrypt_ops,
+            synthesize_decrypt_ops(
+                &vec![ciphertexts; decryptors],
+                config.threshold.threshold,
+                ciphertext_bytes
+            )
+        );
     }
 
     /// The decrypt-time fold through a real threshold decryption: a node's

@@ -114,22 +114,6 @@ impl CryptoCostProfile {
         }
     }
 
-    /// A zero-cost profile (used when crypto accounting is disabled).
-    pub fn zero() -> CryptoCostProfile {
-        CryptoCostProfile {
-            key_bits: 0,
-            s: 1,
-            threshold: 0,
-            encrypt_us: 0.0,
-            add_us: 0.0,
-            scalar_pow2_us: 0.0,
-            rerandomize_us: 0.0,
-            partial_decrypt_us: 0.0,
-            combine_us: 0.0,
-            ciphertext_bytes: 0,
-        }
-    }
-
     /// A static profile with plausible 2048-bit laptop numbers, for when
     /// measuring is too slow (documentation examples, smoke tests). Derived
     /// from a one-off `measure` run on commodity hardware; real experiments

@@ -76,13 +76,6 @@ impl PublicKey {
     pub fn trivial_zero(&self) -> Ciphertext {
         Ciphertext(BigUint::one())
     }
-
-    /// A deterministic "trivial" encryption of `m` (randomness fixed to 1).
-    /// Used for protocol-internal constants; never for private data.
-    pub fn trivial_encrypt(&self, m: &BigUint) -> Ciphertext {
-        assert!(m < self.n_s(), "plaintext out of range");
-        Ciphertext(self.one_plus_n_pow(m))
-    }
 }
 
 #[cfg(test)]

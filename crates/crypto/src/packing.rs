@@ -118,16 +118,17 @@ impl PackedCodec {
     /// * `max_population` — upper bound on the aggregating population `P`;
     /// * `max_denom_exp` — the push-sum denominator exponent `K` the
     ///   protocol caps aggregates at;
-    /// * `n_s` — the plaintext modulus the lanes must fit below.
+    /// * `plaintext_bits` — the bit length of the plaintext modulus `n^s`
+    ///   the lanes must fit below; nothing else of the key enters a plan.
     ///
     /// Errors with [`CryptoError::InvalidParameters`] when even a single
-    /// lane does not fit `n_s`, or a lane would exceed 126 bits.
+    /// lane does not fit `n^s`, or a lane would exceed 126 bits.
     pub fn plan(
         fp: FixedPointCodec,
         max_abs_value: f64,
         max_population: usize,
         max_denom_exp: u32,
-        n_s: &BigUint,
+        plaintext_bits: usize,
     ) -> Result<PackedCodec, CryptoError> {
         if !(max_abs_value.is_finite() && max_abs_value >= 0.0) {
             return Err(CryptoError::InvalidParameters(
@@ -152,7 +153,7 @@ impl PackedCodec {
         }
         // Lanes must sit strictly below n^s; reserving the top bit keeps
         // every packable plaintext < n^s by construction.
-        let lanes = n_s.bit_len().saturating_sub(1) / lane_bits;
+        let lanes = plaintext_bits.saturating_sub(1) / lane_bits;
         if lanes == 0 {
             return Err(CryptoError::InvalidParameters(
                 "plaintext space too small for one packed lane",
@@ -229,18 +230,19 @@ impl PackedCodec {
     }
 
     /// This plan at the widest lane that still carries `slots` buckets in
-    /// [`Self::ciphertexts_for`]`(slots)` ciphertexts of `n_s`: as few
+    /// [`Self::ciphertexts_for`]`(slots)` ciphertexts of a
+    /// `plaintext_bits`-bit `n^s`: as few
     /// lanes per ciphertext as that count needs, each as wide as the
     /// plaintext space (and the 126-bit lane arithmetic) allows. Every bit
     /// gained goes to the headroom, so the value range is unchanged and the
     /// [`Self::denominator_cap`] only grows.
-    pub fn widened(&self, slots: usize, n_s: &BigUint) -> PackedCodec {
+    pub fn widened(&self, slots: usize, plaintext_bits: usize) -> PackedCodec {
         let ciphertexts = self.ciphertexts_for(slots);
         if ciphertexts == 0 {
             return *self;
         }
         let lanes = slots.div_ceil(ciphertexts);
-        let lane_bits = (n_s.bit_len().saturating_sub(1) / lanes).min(126) as u32;
+        let lane_bits = (plaintext_bits.saturating_sub(1) / lanes).min(126) as u32;
         PackedCodec {
             headroom_bits: lane_bits.max(self.lane_bits()) - self.value_bits,
             lanes,
@@ -468,13 +470,11 @@ impl PackedCodec {
 mod tests {
     use super::*;
 
-    fn modulus_256() -> BigUint {
-        // 2^255 + 95: odd, 256 bits — shaped like a test-size n^s.
-        (BigUint::one() << 255) + &BigUint::from(95u64)
-    }
+    /// A test-size `n^s`.
+    const PLAINTEXT_BITS: usize = 256;
 
     fn codec() -> PackedCodec {
-        PackedCodec::plan(FixedPointCodec::new(12), 16.0, 64, 10, &modulus_256()).unwrap()
+        PackedCodec::plan(FixedPointCodec::new(12), 16.0, 64, 10, PLAINTEXT_BITS).unwrap()
     }
 
     #[test]
@@ -493,7 +493,7 @@ mod tests {
     fn widening_keeps_the_ciphertext_count_and_grows_the_cap() {
         let c = codec();
         for slots in [1usize, 7, 12, 13, 50] {
-            let w = c.widened(slots, &modulus_256());
+            let w = c.widened(slots, PLAINTEXT_BITS);
             assert_eq!(
                 w.ciphertexts_for(slots),
                 c.ciphertexts_for(slots),
@@ -506,7 +506,7 @@ mod tests {
             assert!(w.denominator_cap(64) >= c.denominator_cap(64));
         }
         // One bucket has the plaintext to itself, up to the 126-bit lane.
-        let one = c.widened(1, &modulus_256());
+        let one = c.widened(1, PLAINTEXT_BITS);
         assert_eq!((one.lanes(), one.lane_bits()), (1, 126));
     }
 
@@ -598,9 +598,9 @@ mod tests {
 
     #[test]
     fn plan_rejects_impossible_envelopes() {
-        let tiny = BigUint::from(1_000_003u64);
+        // A 20-bit plaintext space holds no 69-bit lane.
         assert!(matches!(
-            PackedCodec::plan(FixedPointCodec::new(20), 10.0, 1000, 30, &tiny),
+            PackedCodec::plan(FixedPointCodec::new(20), 10.0, 1000, 30, 20),
             Err(CryptoError::InvalidParameters(_))
         ));
     }

@@ -126,11 +126,6 @@ impl KeyShare {
         }
     }
 
-    /// Raw share value (used by tests asserting secrecy properties).
-    pub fn share_value(&self) -> &BigUint {
-        &self.value
-    }
-
     /// Rebuilds a share from its wire parts (deserialization path — the
     /// caller vouches that `value` is a genuine Shamir share of the key
     /// behind `pk` and that `exponent = 2Δ·value` for the committee's Δ).

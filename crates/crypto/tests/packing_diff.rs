@@ -167,7 +167,7 @@ proptest! {
         let population = population.min(ks.len());
         let sched = Schedule::new(ks[..population].to_vec());
         let fp = FixedPointCodec::new(8);
-        let codec = PackedCodec::plan(fp, 64.0, population, 8, tkp().public().n_s()).unwrap();
+        let codec = PackedCodec::plan(fp, 64.0, population, 8, tkp().public().n_s().bit_len()).unwrap();
 
         // Signed data and noise vectors, recycled from the sampled pool.
         let value = |i: usize, b: usize, flip: f64| -> f64 {
@@ -197,7 +197,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let fp = FixedPointCodec::new(8);
-        let codec = PackedCodec::plan(fp, 64.0, 4, 8, tkp().public().n_s()).unwrap();
+        let codec = PackedCodec::plan(fp, 64.0, 4, 8, tkp().public().n_s().bit_len()).unwrap();
         let enc = fast_enc();
         let values: Vec<f64> = (0..buckets).map(|b| b as f64 * 1.5 - 3.0).collect();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -334,7 +334,14 @@ fn wide_key_fast_ciphertexts_decrypt_like_plain_ones() {
     // One pooled randomizer per plaintext: `encrypt` pops it, `rerandomize`
     // then takes the run-dry fallback.
     let mut pool = RandomizerPool::new(enc.clone());
-    let codec = PackedCodec::plan(FixedPointCodec::new(8), 64.0, 4, 8, t.public().n_s()).unwrap();
+    let codec = PackedCodec::plan(
+        FixedPointCodec::new(8),
+        64.0,
+        4,
+        8,
+        t.public().n_s().bit_len(),
+    )
+    .unwrap();
     let values = [1.5, -2.25, 40.0, -39.5, 0.0];
     for m in codec.pack(&values).unwrap() {
         pool.refill(1, &mut rng);

@@ -24,9 +24,7 @@
 //!   addition aligns denominators with homomorphic power-of-two scalings
 //!   (DESIGN.md §3.1);
 //! * [`coalescence`]: an exactly-once merge-and-forward aggregation kept as
-//!   an ablation baseline;
-//! * [`epidemic`]: push-pull dissemination of mergeable state (decrypted
-//!   results, iteration synchronization for late participants).
+//!   an ablation baseline.
 //!
 //! Execution without global rounds is not simulated here: the `cs_net`
 //! substrates (sharded executor, TCP loopback, `cs_node` cluster)
@@ -50,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod coalescence;
-pub mod epidemic;
 pub mod failure;
 pub mod homomorphic_pushsum;
 pub mod network;

@@ -113,11 +113,6 @@ impl<P: CycleProtocol> Network<P> {
         self.alive[i]
     }
 
-    /// Indices of currently live nodes.
-    pub fn alive_nodes(&self) -> Vec<NodeId> {
-        (0..self.nodes.len()).filter(|&i| self.alive[i]).collect()
-    }
-
     /// Number of currently live nodes.
     pub fn alive_count(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()
@@ -131,12 +126,6 @@ impl<P: CycleProtocol> Network<P> {
     /// Completed cycles.
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// The deterministic simulation RNG (for protocol setup draws that must
-    /// share the simulation's stream).
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
     }
 
     /// Forces the liveness of a node (experiments scripting targeted
@@ -224,11 +213,6 @@ impl<P: CycleProtocol> Network<P> {
         for _ in 0..n {
             self.run_cycle();
         }
-    }
-
-    /// Consumes the network, returning the protocol instances and traffic.
-    pub fn into_parts(self) -> (Vec<P>, TrafficStats) {
-        (self.nodes, self.traffic)
     }
 }
 

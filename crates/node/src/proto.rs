@@ -36,7 +36,6 @@
 //! corrupting a run.
 
 use chiaroscuro::noise::SlotLayout;
-use chiaroscuro::rounds::PerturbedAggregates;
 use chiaroscuro::ChiaroscuroConfig;
 use cs_crypto::{KeyShare, PublicKey};
 use cs_net::node::NodeReport;
@@ -272,9 +271,6 @@ pub enum ControlMsg {
     /// Coordinator → daemon: exit cleanly.
     Shutdown,
 }
-
-/// The estimate type re-exported where control-plane users expect it.
-pub type Estimate = PerturbedAggregates;
 
 /// Writes one length-prefixed control message.
 pub fn write_msg<W: Write>(w: &mut W, msg: &ControlMsg) -> io::Result<()> {

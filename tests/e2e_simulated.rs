@@ -1,7 +1,10 @@
 //! Demo-scale end-to-end runs in simulated-crypto mode (the paper's own
 //! large-population setting) on both use-case generators.
 
-use chiaroscuro::{compare_with_baseline, ChiaroscuroConfig, Engine};
+use chiaroscuro::noise::SlotLayout;
+use chiaroscuro::rounds::{lane_plan, CryptoContext};
+use chiaroscuro::{compare_with_baseline, ChiaroscuroConfig, CryptoMode, Engine};
+use cs_crypto::{CryptoCostProfile, FixedPointCodec};
 use cs_timeseries::datasets::cer::{self, CerConfig};
 use cs_timeseries::datasets::numed::{self, NumedConfig};
 use cs_timeseries::normalize::Normalization;
@@ -146,5 +149,60 @@ fn churn_population_still_produces_result() {
     // functioning population.
     for r in &out.log.records {
         assert!(r.alive > 200, "alive {} too low", r.alive);
+    }
+}
+
+/// One lane plan for every host: a real 256-bit, s = 1 key's step cipher
+/// and the cycle simulator's keyless plan for a profile of that size ship
+/// the same ciphertexts.
+#[test]
+fn one_plan_for_every_host() {
+    let real = ChiaroscuroConfig {
+        k: 2,
+        gossip_cycles: 30,
+        ..ChiaroscuroConfig::test_real()
+    };
+    let simulated = ChiaroscuroConfig {
+        crypto: CryptoMode::Simulated {
+            cost_profile: CryptoCostProfile {
+                key_bits: 256,
+                s: 1,
+                ..CryptoCostProfile::nominal_2048()
+            },
+        },
+        ..real.clone()
+    };
+    let mut rng = StdRng::seed_from_u64(61);
+    let crypto = CryptoContext::from_config(&real, &mut rng).unwrap();
+    let CryptoContext::Simulated { plaintext_bits, .. } =
+        CryptoContext::from_config(&simulated, &mut rng).unwrap()
+    else {
+        panic!("simulated mode");
+    };
+    assert_eq!(plaintext_bits, 256);
+    let fp = FixedPointCodec::new(simulated.codec_scale_bits);
+    for (k, series_len, population) in [(2, 3, 4), (2, 3, 1000), (2, 24, 8), (5, 24, 64)] {
+        let layout = SlotLayout { k, series_len };
+        let cipher = crypto
+            .step_cipher(&real, &layout, population)
+            .unwrap()
+            .unwrap();
+        let keyless = lane_plan(&simulated, &fp, &layout, population, plaintext_bits).unwrap();
+        let at = format!("k = {k}, series_len = {series_len}, P = {population}");
+        assert_eq!(
+            cipher.ciphertexts(),
+            keyless.ciphertexts_for(layout.total()),
+            "{at}"
+        );
+        assert_eq!(
+            cipher.lane_headroom_bits(),
+            keyless.headroom_bits() as u64,
+            "{at}"
+        );
+        assert_eq!(
+            cipher.denominator_cap(),
+            keyless.denominator_cap(population),
+            "{at}"
+        );
     }
 }

@@ -366,9 +366,8 @@ fn real_step(
 }
 
 /// The homomorphic half of the cost model against the step it models.
-/// The model charges one ciphertext per slot; a real step packs the slots
-/// into fewer ciphertexts and does per ciphertext what the model charges
-/// per slot. Failure-free, every node encrypts its whole contribution,
+/// The model charges per ciphertext of the step's lane plan, what a real
+/// step does. Failure-free, every node encrypts its whole contribution,
 /// every push is one split (re-randomizations) and, on delivery, one
 /// absorb (additions, at most as many rescalings), and nothing else
 /// rescales but the decrypt-time fold (fewer than one per ciphertext a
@@ -410,13 +409,13 @@ fn cost_model_matches_a_real_step() {
     }
     assert_eq!(absorbed, messages, "every delivered push is absorbed once");
 
-    let per_ciphertext = |per_slot: u64| per_slot / slots * ciphertexts;
-    let model = chiaroscuro::cost::synthesize_ops(2, 3, n, delivered, config.rerandomize);
+    let model =
+        chiaroscuro::cost::synthesize_ops(cipher.ciphertexts(), n, delivered, config.rerandomize);
     let ops = &run.outcome.ops;
-    assert_eq!(ops.encryptions, per_ciphertext(model.encryptions));
-    assert_eq!(ops.rerandomizations, per_ciphertext(model.rerandomizations));
-    assert_eq!(ops.additions, per_ciphertext(model.additions));
-    assert!(ops.pow2_scalings <= per_ciphertext(model.pow2_scalings) + n as u64 * ciphertexts);
+    assert_eq!(ops.encryptions, model.encryptions);
+    assert_eq!(ops.rerandomizations, model.rerandomizations);
+    assert_eq!(ops.additions, model.additions);
+    assert!(ops.pow2_scalings <= model.pow2_scalings + n as u64 * ciphertexts);
 }
 
 /// A contribution outside the lane plan's envelope fails the step with a
