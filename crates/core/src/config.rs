@@ -9,8 +9,7 @@
 
 use crate::error::ChiaroscuroError;
 use cs_crypto::{CryptoCostProfile, KeyGenOptions, ThresholdParams};
-use cs_dp::BudgetStrategy;
-use cs_gossip::FailureModel;
+use cs_dp::{BudgetPlan, BudgetStrategy};
 use cs_timeseries::smooth::Smoothing;
 use cs_timeseries::Distance;
 use serde::{Deserialize, Serialize};
@@ -38,13 +37,18 @@ pub enum CryptoMode {
     },
 }
 
+/// The most k-means iterations a job may run; the budget plan holds a slice
+/// of ε for each.
+pub const MAX_ITERATIONS: usize = 1_000;
+
 /// Full engine configuration.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ChiaroscuroConfig {
     // ---- k-means (fixed parameters in the demo) ----
     /// Number of clusters.
     pub k: usize,
-    /// Maximum k-means iterations (also the privacy-budget horizon).
+    /// Maximum k-means iterations (also the privacy-budget horizon), at
+    /// most [`MAX_ITERATIONS`].
     pub max_iterations: usize,
     /// Convergence threshold on summed centroid displacement.
     pub convergence_threshold: f64,
@@ -89,11 +93,6 @@ pub struct ChiaroscuroConfig {
     /// Gossip cycles per computation step ("number of exchanges per
     /// participant").
     pub gossip_cycles: usize,
-    /// The cycle simulator's per-cycle crash, recovery and loss
-    /// probabilities. The message-passing hosts script failures with knobs
-    /// of their own and refuse any other value than [`FailureModel::none`]
-    /// ([`Self::failure_free`]).
-    pub failure: FailureModel,
 
     // ---- simulation ----
     /// Master seed (all randomness derives from it).
@@ -125,7 +124,6 @@ impl ChiaroscuroConfig {
             rerandomize: true,
             packing: false,
             gossip_cycles: 12,
-            failure: FailureModel::none(),
             seed: 42,
         }
     }
@@ -154,7 +152,6 @@ impl ChiaroscuroConfig {
             rerandomize: true,
             packing: false,
             gossip_cycles: 30,
-            failure: FailureModel::none(),
             seed: 42,
         }
     }
@@ -165,8 +162,8 @@ impl ChiaroscuroConfig {
         if self.k == 0 {
             return fail("k must be positive");
         }
-        if self.max_iterations == 0 {
-            return fail("max_iterations must be positive");
+        if !(1..=MAX_ITERATIONS).contains(&self.max_iterations) {
+            return fail("max_iterations must be in 1..=MAX_ITERATIONS");
         }
         if !(self.epsilon > 0.0 && self.epsilon.is_finite()) {
             return fail("epsilon must be positive");
@@ -183,20 +180,30 @@ impl ChiaroscuroConfig {
         if self.codec_scale_bits > 60 {
             return fail("codec_scale_bits too large for the value headroom");
         }
-        self.failure.validate();
-        Ok(())
-    }
-
-    /// Refuses a [`Self::failure`] model on a host that cannot honour it:
-    /// `knobs` names the host's own way of scripting loss and churn.
-    pub fn failure_free(&self, knobs: &str) -> Result<(), ChiaroscuroError> {
-        if self.failure == FailureModel::none() {
-            return Ok(());
+        let floor = match self.budget_strategy {
+            BudgetStrategy::Increasing { ratio } if ratio.is_nan() || ratio < 1.0 => {
+                return fail("the increasing budget ratio must be at least 1");
+            }
+            BudgetStrategy::Adaptive { floor_fraction, .. } => floor_fraction,
+            _ => 1.0,
+        };
+        let alpha = match self.smoothing {
+            Smoothing::Exponential { alpha } => alpha,
+            _ => 1.0,
+        };
+        for (value, name) in [(floor, "floor_fraction"), (alpha, "smoothing alpha")] {
+            if !(value > 0.0 && value <= 1.0) {
+                return fail(&format!("{name} must be in (0, 1]"));
+            }
         }
-        Err(ChiaroscuroError::InvalidConfig(format!(
-            "config.failure is read by the cycle simulator only; this host \
-             scripts loss and churn through {knobs}"
-        )))
+        // The accountant takes a positive, finite ε: a ratio whose weights
+        // overflow charges NaN, a slice or a floor that underflows charges 0.
+        let plan = BudgetPlan::new(self.budget_strategy, self.epsilon, self.max_iterations);
+        let slices = plan.slices();
+        if !slices.iter().all(|s| s.is_finite() && s * floor > 0.0) {
+            return fail("the budget strategy leaves an iteration no positive, finite epsilon");
+        }
+        Ok(())
     }
 
     /// The L1 sensitivity of one iteration's disclosed aggregate family:
@@ -234,6 +241,30 @@ mod tests {
 
         let mut c = ChiaroscuroConfig::demo_simulated();
         c.gossip_cycles = 0;
+        assert!(c.validate().is_err());
+
+        // Each of these passed `Engine::new`, then panicked `Engine::run`
+        // or (a floor above 1) spent the budget before its last iteration.
+        let adaptive = |floor_fraction| BudgetStrategy::Adaptive {
+            settle_threshold: 0.05,
+            floor_fraction,
+        };
+        for (budget_strategy, max_iterations) in [
+            (BudgetStrategy::Increasing { ratio: 0.5 }, 12),
+            (BudgetStrategy::Increasing { ratio: f64::NAN }, 12),
+            (BudgetStrategy::Increasing { ratio: 2.1 }, MAX_ITERATIONS),
+            (adaptive(0.0), 12),
+            (adaptive(-1.0), 12),
+            (adaptive(f64::NAN), 12),
+            (adaptive(1.5), 12),
+            (BudgetStrategy::Uniform, usize::MAX),
+        ] {
+            let mut c = ChiaroscuroConfig::demo_simulated();
+            (c.budget_strategy, c.max_iterations) = (budget_strategy, max_iterations);
+            assert!(c.validate().is_err(), "{budget_strategy:?}");
+        }
+        let mut c = ChiaroscuroConfig::demo_simulated();
+        c.smoothing = Smoothing::Exponential { alpha: 0.0 };
         assert!(c.validate().is_err());
     }
 

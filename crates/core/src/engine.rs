@@ -553,6 +553,7 @@ fn sync_laggards(participants: &mut [Participant], alive: &[bool], rng: &mut Std
 mod tests {
     use super::*;
     use crate::rounds::{simulate_step, ComputationOutcome};
+    use cs_gossip::pushsum::PushSumBlocks;
     use cs_timeseries::datasets::blobs::{generate, BlobsConfig};
 
     fn blob_series(count: usize, clusters: usize, noise: f64, seed: u64) -> Vec<TimeSeries> {
@@ -699,50 +700,20 @@ mod tests {
         assert!((tail - (-1.0f64).exp()).abs() < 0.03, "tail {tail}");
     }
 
-    #[test]
-    fn run_output_is_bit_identical_for_every_chunk_count() {
-        // Churn, so resurfacing participants and laggard sync are on the
-        // path; few members per cluster at k = 4, so the empty-cluster
-        // jitter is too.
-        let series = blob_series(90, 3, 0.4, 12);
-        let mut cfg = ChiaroscuroConfig::demo_simulated();
-        cfg.k = 4;
-        cfg.epsilon = 4.0;
-        cfg.max_iterations = 4;
-        cfg.failure = cs_gossip::FailureModel {
-            crash_prob: 0.02,
-            recovery_prob: 0.3,
-            drop_prob: 0.05,
-        };
-        let engine = Engine::new(cfg).unwrap();
-        let run = |chunks: usize| {
-            let out = engine
-                .run_chunked(&series, &mut SimulatorBackend, chunks)
-                .unwrap();
-            let centroids: Vec<Vec<u64>> = out
-                .centroids
-                .iter()
-                .chain(out.per_participant_centroids.iter().flatten())
-                .map(|c| c.values().iter().map(|v| v.to_bits()).collect())
-                .collect();
-            (centroids, out.assignment, out.log)
-        };
-        let one = run(1);
-        assert_eq!(one, run(2), "2 chunks");
-        assert_eq!(one, run(7), "7 chunks");
-        assert_eq!(one, run(1), "and across runs");
-    }
-
-    /// The cycle simulator with its replay pinned to `threads` threads over
-    /// `width`-column slot blocks.
-    struct PinnedReplay {
+    /// The cycle simulator, its replay pinned to `threads` threads over
+    /// `width`-column slot blocks, with churn between steps: after step
+    /// `s`, every ninth participant from `s % 9` goes down, and those taken
+    /// down after step `s − 1` come back.
+    struct ChurnBetweenSteps {
         threads: usize,
         width: usize,
+        steps: usize,
+        rejoined: usize,
     }
 
-    impl ComputationBackend for PinnedReplay {
+    impl ComputationBackend for ChurnBetweenSteps {
         fn label(&self) -> &'static str {
-            "pinned-replay"
+            "churn-between-steps"
         }
 
         fn run_step(
@@ -754,7 +725,7 @@ mod tests {
             step_seed: u64,
             _rng: &mut StdRng,
         ) -> Result<ComputationOutcome, ChiaroscuroError> {
-            simulate_step(
+            let mut outcome = simulate_step(
                 config,
                 layout,
                 contributions,
@@ -762,41 +733,73 @@ mod tests {
                 step_seed,
                 self.threads,
                 self.width,
-            )
+            )?;
+            let down = self.steps % 9;
+            self.rejoined += contributions
+                .iter()
+                .enumerate()
+                .filter(|&(i, c)| c.is_none() && i % 9 != down)
+                .count();
+            outcome.alive_after = (0..contributions.len()).map(|i| i % 9 != down).collect();
+            self.steps += 1;
+            Ok(outcome)
         }
     }
 
-    #[test]
-    fn run_output_is_bit_identical_for_every_replay_thread_count() {
-        // Churn and loss, so the schedule has dead initiators, dead targets
-        // and drops; 4 × (8 + 1) = 36 slots plus the weight cut into 1, 2,
-        // 6 and 37 blocks.
+    /// A 90-participant, 4-iteration job churned between steps, its replay
+    /// pinned as given (`None`: as the simulator picks it), as bits. Asserts
+    /// that some iteration ran with a participant down and that one came back.
+    fn churned_run(
+        replay: Option<(usize, usize)>,
+        chunks: usize,
+    ) -> (Vec<Vec<u64>>, Vec<usize>, ExecutionLog) {
+        // Few members per cluster at k = 4, so the empty-cluster jitter is
+        // on the path too.
         let series = blob_series(90, 3, 0.4, 12);
         let mut cfg = ChiaroscuroConfig::demo_simulated();
         cfg.k = 4;
         cfg.epsilon = 4.0;
         cfg.max_iterations = 4;
-        cfg.failure = cs_gossip::FailureModel {
-            crash_prob: 0.02,
-            recovery_prob: 0.3,
-            drop_prob: 0.05,
+        let (threads, width) = replay.unwrap_or((local_chunks(90), PushSumBlocks::width_for(90)));
+        let mut backend = ChurnBetweenSteps {
+            threads,
+            width,
+            steps: 0,
+            rejoined: 0,
         };
         let engine = Engine::new(cfg).unwrap();
-        let run = |backend: &mut dyn ComputationBackend| {
-            let out = engine.run_chunked(&series, backend, 1).unwrap();
-            let centroids: Vec<Vec<u64>> = out
-                .centroids
-                .iter()
-                .chain(out.per_participant_centroids.iter().flatten())
-                .map(|c| c.values().iter().map(|v| v.to_bits()).collect())
-                .collect();
-            (centroids, out.assignment, out.log)
-        };
-        let default = run(&mut SimulatorBackend);
+        let out = engine.run_chunked(&series, &mut backend, chunks).unwrap();
+        assert!(out.log.records.iter().any(|r| r.alive < series.len()));
+        assert!(backend.rejoined > 0, "no participant came back");
+        let centroids: Vec<Vec<u64>> = out
+            .centroids
+            .iter()
+            .chain(out.per_participant_centroids.iter().flatten())
+            .map(|c| c.values().iter().map(|v| v.to_bits()).collect())
+            .collect();
+        (centroids, out.assignment, out.log)
+    }
+
+    #[test]
+    fn run_output_is_bit_identical_for_every_chunk_count() {
+        // Churn between steps, so resurfacing participants and laggard sync
+        // are on the path.
+        let one = churned_run(None, 1);
+        assert_eq!(one, churned_run(None, 2), "2 chunks");
+        assert_eq!(one, churned_run(None, 7), "7 chunks");
+        assert_eq!(one, churned_run(None, 1), "and across runs");
+    }
+
+    #[test]
+    fn run_output_is_bit_identical_for_every_replay_thread_count() {
+        // Participants down in every step after the first, so the schedule
+        // has dead initiators and dead targets; 4 × (8 + 1) = 36 slots plus
+        // the weight cut into 1, 2, 6 and 37 blocks.
+        let default = churned_run(None, 1);
         for (threads, width) in [(1, 37), (2, 7), (3, 32), (7, 7), (2, 1)] {
             assert_eq!(
                 default,
-                run(&mut PinnedReplay { threads, width }),
+                churned_run(Some((threads, width)), 1),
                 "{threads} threads, {width}-column blocks"
             );
         }
@@ -919,20 +922,5 @@ mod tests {
             series.len(),
             "every series belongs to exactly one cluster"
         );
-    }
-
-    #[test]
-    fn churn_does_not_crash_the_run() {
-        let series = blob_series(60, 2, 0.4, 6);
-        let mut cfg = ChiaroscuroConfig::demo_simulated();
-        cfg.k = 2;
-        cfg.max_iterations = 4;
-        cfg.failure = cs_gossip::FailureModel {
-            crash_prob: 0.02,
-            recovery_prob: 0.3,
-            drop_prob: 0.05,
-        };
-        let out = Engine::new(cfg).unwrap().run(&series).unwrap();
-        assert!(out.iterations >= 1);
     }
 }

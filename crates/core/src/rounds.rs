@@ -28,7 +28,7 @@ use cs_crypto::threshold::{CombinePlanCache, ThresholdKeyPair};
 use cs_crypto::{Ciphertext, FastEncryptor, FixedPointCodec, PackedCodec, PublicKey};
 use cs_gossip::homomorphic_pushsum::{HePushSumNode, HomomorphicOpCounts};
 use cs_gossip::pushsum::PushSumBlocks;
-use cs_gossip::{Network, Overlay, TrafficStats};
+use cs_gossip::{FailureModel, Network, Overlay, TrafficStats};
 use cs_obs::phase::{PhaseProfile, StepPhase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -459,9 +459,9 @@ pub struct ComputationOutcome {
 /// [`lane_plan`]. A shape the plan refuses fails the step as on a real host.
 ///
 /// `contributions[i]` is `Some(vector)` for participants alive at the start
-/// of the iteration and `None` for crashed ones (they hold zero weight and
-/// contribute nothing, but still occupy a network slot so they can recover
-/// mid-step).
+/// of the iteration and `None` for crashed ones: they hold zero weight and
+/// sit the step out. Nothing else fails — no message is lost, no one crashes
+/// mid-step; churn and loss are scripted on the `cs_net` hosts.
 ///
 /// The cycle simulator runs simulated crypto only: a real-crypto context is
 /// refused with [`ChiaroscuroError::InvalidConfig`]. Real crypto runs in
@@ -520,7 +520,7 @@ pub(crate) fn simulate_step(
     let mut net = Network::new(
         vec![(); contributions.len()],
         Overlay::Full,
-        config.failure,
+        FailureModel::none(),
         step_seed,
     );
     for (i, c) in contributions.iter().enumerate() {

@@ -11,10 +11,10 @@
 //! alert it mints — is deterministic for a deterministic substrate.
 //!
 //! The traffic check is only meaningful where the transport exports the
-//! send-attempt counters (`net.<class>.sent.messages`): the channel and
-//! TCP transports do; the sharded executor's shard-local accounting has
-//! no independent send path, so its classes are skipped rather than
-//! trivially compared against themselves.
+//! send-attempt counters (`net.<class>.sent.messages`): the TCP transport
+//! does; the sharded executor's shard-local accounting has no independent
+//! send path, so its classes are skipped rather than trivially compared
+//! against themselves.
 
 use crate::node::NodeReport;
 use crate::transport::TrafficSnapshot;

@@ -1,11 +1,11 @@
 //! Churn injection: scripted crash / rejoin / leave events against a
 //! running population.
 //!
-//! The cycle simulator models churn probabilistically per cycle
-//! (`cs_gossip::FailureModel`); a message-passing runtime needs the *timed*
-//! counterpart — "node 7 crashes 3 ms into the step, rejoins at 9 ms" — so
-//! experiments can place failures at protocol-critical moments
-//! (mid-gossip, during decryption). [`ChurnSchedule`] is that script.
+//! Churn is scripted in time — "node 7 crashes 3 ms into the step, rejoins
+//! at 9 ms" — so experiments can place failures at protocol-critical
+//! moments (mid-gossip, during decryption). [`ChurnSchedule`] is that
+//! script; the cycle simulator runs no churn and is the failure-free
+//! reference a churned run is compared against.
 //!
 //! A host only splits a step's events per node ([`split`]); each node's
 //! [`crate::driver::NodeDriver`] applies its own part on its own clock, as
@@ -27,9 +27,8 @@ pub enum ChurnKind {
     /// Silent fail-stop: the node stops participating without telling
     /// anyone; in-flight and future frames to it are lost.
     Crash,
-    /// Recovery with pre-crash state (the crash-recovery model — the same
-    /// semantics as the simulator's `recovery_prob`); the node announces
-    /// itself with a `Join`.
+    /// Recovery with pre-crash state (the crash-recovery model); the node
+    /// announces itself with a `Join`.
     Rejoin,
     /// Graceful departure: the node broadcasts `Leave`, then stops.
     Leave,

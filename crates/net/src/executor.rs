@@ -725,7 +725,6 @@ pub fn run_step_sharded(
 ) -> Result<StepRun, ChiaroscuroError> {
     let n = contributions.len();
     sharded.validate(n)?;
-    config.failure_free("ShardedConfig.link / ShardedConfig.churn")?;
     let started = Instant::now();
 
     let step = StepCrypto::prepare(config, layout, contributions, crypto)?;

@@ -299,7 +299,6 @@ pub fn run_step_over_tcp(
         ));
     }
     net.link.validate()?;
-    config.failure_free("NetConfig.link / NetConfig.churn")?;
     // A contribution or a schedule the step's cipher refuses fails the step
     // here, before a socket is bound or a node thread exists.
     let step = StepCrypto::prepare(config, layout, contributions, crypto)?;

@@ -538,7 +538,6 @@ impl ComputationBackend for ClusterBackend {
         // One step's artifacts at a time: the last step's go first.
         self.last = None;
         let n = contributions.len();
-        config.failure_free("ClusterConfig.link / ClusterBackend::with_kills")?;
         if !self.bootstrapped {
             self.bootstrap(config, layout, n, crypto)?;
         }

@@ -204,6 +204,7 @@ impl RunContext {
         else {
             return Err(bad_data("expected Bootstrap after Hello"));
         };
+        config.validate().map_err(|e| bad_data(e.to_string()))?;
         let n = population.len();
         if id >= n || n < 2 {
             let msg = format!("node id {id} in a population of {n} — need at least two nodes");
@@ -764,6 +765,7 @@ fn run_step(
 mod tests {
     use super::*;
     use crate::proto::LinkSpec;
+    use chiaroscuro::rounds::CryptoContext;
 
     const LAYOUT: SlotLayout = SlotLayout {
         k: 2,
@@ -778,10 +780,24 @@ mod tests {
         contributions
     }
 
+    /// `test_real` at k = 2, its test-size key and the key's public half.
+    fn test_real_crypto() -> (ChiaroscuroConfig, CryptoContext, cs_crypto::PublicKey) {
+        let config = ChiaroscuroConfig {
+            k: 2,
+            ..ChiaroscuroConfig::test_real()
+        };
+        let crypto = CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(7)).unwrap();
+        let CryptoContext::Real { pk, .. } = &crypto else {
+            unreachable!("test_real is real crypto");
+        };
+        let pk = pk.as_ref().clone();
+        (config, crypto, pk)
+    }
+
     /// One step of `contributions` on each in-process host, over `link`s.
     fn on_both_hosts(
         config: &ChiaroscuroConfig,
-        crypto: &chiaroscuro::rounds::CryptoContext,
+        crypto: &CryptoContext,
         layout: &SlotLayout,
         contributions: &[Option<Vec<f64>>],
         link: cs_net::LinkConfig,
@@ -831,13 +847,7 @@ mod tests {
         let mut values = [0.5; 8];
         values[5] = 1e30;
         assert!(check_contribution(&layout, None, &values).is_ok());
-        let config = ChiaroscuroConfig {
-            k: 2,
-            ..ChiaroscuroConfig::test_real()
-        };
-        let crypto =
-            chiaroscuro::rounds::CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(7))
-                .unwrap();
+        let (config, crypto, _) = test_real_crypto();
         let cipher = crypto.step_cipher(&config, &layout, 4).unwrap().unwrap();
         assert!(check_contribution(&layout, Some(&cipher), &[0.5; 8]).is_ok());
         let err = check_contribution(&layout, Some(&cipher), &values).unwrap_err();
@@ -891,15 +901,23 @@ mod tests {
         };
         let lossy = |loss: f64| LinkSpec { loss, ..ideal };
         let nan = lossy(f64::NAN);
-        let cases = [
-            (lossy(1.5), 2, "loss"),
-            (nan, 2, "loss"),
-            (starved, 2, "bandwidth"),
-            (ideal, 1, "at least two nodes"),
-        ];
+        // Configs `validate` refuses, before anything is built from them: a
+        // scale the codec panics on (with a key, to reach it), no cycles.
         let demo = ChiaroscuroConfig::demo_simulated();
-        for (link, population, what) in cases {
-            let err = bootstrapped_with(demo.clone(), LAYOUT, None, link, population).unwrap_err();
+        let (mut wide, _, pk) = test_real_crypto();
+        wide.codec_scale_bits = 101;
+        let mut idle = demo.clone();
+        idle.gossip_cycles = 0;
+        let cases = [
+            (demo.clone(), None, lossy(1.5), 2, "loss"),
+            (demo.clone(), None, nan, 2, "loss"),
+            (demo.clone(), None, starved, 2, "bandwidth"),
+            (demo.clone(), None, ideal, 1, "at least two nodes"),
+            (wide, Some(pk), ideal, 2, "codec_scale_bits"),
+            (idle, None, ideal, 2, "gossip_cycles"),
+        ];
+        for (config, pk, link, population, what) in cases {
+            let err = bootstrapped_with(config, LAYOUT, pk, link, population).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
             assert!(err.to_string().contains(what), "{err}");
         }
@@ -911,9 +929,7 @@ mod tests {
             k: 2,
             ..ChiaroscuroConfig::demo_simulated()
         };
-        let crypto =
-            chiaroscuro::rounds::CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(7))
-                .unwrap();
+        let crypto = CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(7)).unwrap();
         for link in [lossy(1.5), nan, starved].map(LinkSpec::to_link_config) {
             for run in on_both_hosts(&config, &crypto, &LAYOUT, &four_nodes(&[0.5; 8]), link) {
                 let typed = matches!(run, Err(chiaroscuro::ChiaroscuroError::InvalidConfig(_)));
@@ -932,19 +948,13 @@ mod tests {
     /// `Bootstrap` carrying it.
     #[test]
     fn an_over_long_schedule_is_a_typed_error_on_every_host() {
-        use chiaroscuro::rounds::CryptoContext;
         use chiaroscuro::ChiaroscuroError;
-        let config = ChiaroscuroConfig {
-            k: 2,
-            gossip_cycles: 42,
-            ..ChiaroscuroConfig::test_real()
-        };
+        let (mut config, crypto, pk) = test_real_crypto();
+        config.gossip_cycles = 42;
         let layout = SlotLayout {
             k: 2,
             series_len: 24,
         };
-        let mut rng = StdRng::seed_from_u64(7);
-        let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
         let contributions = vec![Some(vec![0.5; layout.total()]); 8];
         let refused = |run: Result<(), ChiaroscuroError>, host: &str| match run {
             Err(ChiaroscuroError::Crypto(cs_crypto::CryptoError::InvalidParameters(_))) => {}
@@ -956,11 +966,8 @@ mod tests {
             refused(run.map(drop), host);
         }
 
-        let CryptoContext::Real { pk, .. } = &crypto else {
-            unreachable!("test_real is real crypto");
-        };
-        let pk = Some(pk.as_ref().clone());
-        let err = bootstrapped_with(config, layout, pk, LinkSpec::ideal(), 8).expect_err("refused");
+        let err =
+            bootstrapped_with(config, layout, Some(pk), LinkSpec::ideal(), 8).expect_err("refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         assert!(err.to_string().starts_with("step cipher: "), "{err}");
     }

@@ -1,7 +1,7 @@
 //! In-process cluster tests: the daemon body (`cs_node::daemon::run`) is a
 //! plain function, so a whole cluster can run as threads of the test
 //! process — same control protocol, same TCP data plane, no process
-//! spawning. These tests keep the handshake, the refusals and the metrics
+//! spawning. These tests keep the handshake's refusal and the metrics
 //! and obs surfaces honest at unit-test speed; the engine-level rows of
 //! the substrate table run such a cluster from `tests/substrates.rs`, and
 //! on real processes from `tests/tcp_e2e.rs`.
@@ -11,89 +11,35 @@ mod common;
 
 use chiaroscuro::{ChiaroscuroConfig, Engine};
 use common::*;
-use cs_node::{ClusterBackend, ClusterConfig, Coordinator};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use cs_node::Coordinator;
 use std::time::Duration;
 
-/// The handshake refuses a daemon of the previous control protocol — v5
-/// still shipped an `overlay` in the `Bootstrap`'s config — with a typed
-/// error naming both versions, before any `Bootstrap` is sent.
+/// The handshake refuses a daemon of the previous control protocol — v6
+/// still shipped a `failure` model in the `Bootstrap`'s config — with a
+/// typed error naming both versions, before any `Bootstrap` is sent.
 #[test]
 fn a_previous_proto_daemon_is_refused_at_the_handshake() {
     use cs_node::proto::write_msg;
     use cs_node::{ControlMsg, PROTO_VERSION};
 
-    assert_eq!(PROTO_VERSION, 6);
+    assert_eq!(PROTO_VERSION, 7);
     let coordinator = Coordinator::bind().unwrap();
     let mut daemon = std::net::TcpStream::connect(coordinator.addr().unwrap()).unwrap();
     let hello = ControlMsg::Hello {
         node: 0,
         wire_version: cs_net::wire::WIRE_VERSION,
-        proto_version: 5,
+        proto_version: 6,
         data_addr: "127.0.0.1:1".into(),
         obs_addr: None,
     };
     write_msg(&mut daemon, &hello).unwrap();
     let err = match coordinator.accept_cluster(1, Duration::from_secs(10)) {
-        Ok(_) => panic!("a v5 daemon joined a v6 cluster"),
+        Ok(_) => panic!("a v6 daemon joined a v7 cluster"),
         Err(err) => err,
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     let msg = err.to_string();
-    assert!(msg.contains("proto 5 (want 6)"), "{msg}");
-}
-
-/// A cluster scripts loss through `ClusterConfig.link` and churn through
-/// process kills: a `ChiaroscuroConfig::failure` model is refused by name
-/// before anything ships, not silently run failure-free.
-#[test]
-fn a_cluster_refuses_a_failure_model() {
-    use chiaroscuro::noise::SlotLayout;
-    use chiaroscuro::rounds::CryptoContext;
-    use chiaroscuro::{ChiaroscuroError, ComputationBackend};
-    use cs_node::proto::write_msg;
-    use cs_node::{ControlMsg, PROTO_VERSION};
-
-    // Two members that say Hello and nothing else: the refusal comes
-    // first, so no daemon body is needed.
-    let coordinator = Coordinator::bind().unwrap();
-    let _members: Vec<std::net::TcpStream> = (0..2)
-        .map(|node| {
-            let mut member = std::net::TcpStream::connect(coordinator.addr().unwrap()).unwrap();
-            let hello = ControlMsg::Hello {
-                node,
-                wire_version: cs_net::wire::WIRE_VERSION,
-                proto_version: PROTO_VERSION,
-                data_addr: "127.0.0.1:1".into(),
-                obs_addr: None,
-            };
-            write_msg(&mut member, &hello).unwrap();
-            member
-        })
-        .collect();
-    let cluster = coordinator
-        .accept_cluster(2, Duration::from_secs(10))
-        .unwrap();
-    let mut backend = ClusterBackend::new(cluster, ClusterConfig::default());
-
-    let mut config = ChiaroscuroConfig::demo_simulated();
-    config.k = 2;
-    config.failure = cs_gossip::FailureModel::lossy(0.1);
-    let layout = SlotLayout {
-        k: 2,
-        series_len: 3,
-    };
-    let mut rng = StdRng::seed_from_u64(5);
-    let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-    let contributions = vec![Some(vec![1.0; layout.total()]); 2];
-    match backend.run_step(&config, &layout, &contributions, &crypto, 9, &mut rng) {
-        Err(ChiaroscuroError::InvalidConfig(msg)) => {
-            assert!(msg.contains("ClusterConfig.link"), "{msg}")
-        }
-        other => panic!("a cluster ran a failure model: {:?}", other.map(|_| ())),
-    }
-    assert_eq!(backend.steps_run(), 0);
+    assert!(msg.contains("proto 6 (want 7)"), "{msg}");
 }
 
 #[test]

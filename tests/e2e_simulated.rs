@@ -5,6 +5,7 @@ use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::{lane_plan, CryptoContext};
 use chiaroscuro::{compare_with_baseline, ChiaroscuroConfig, CryptoMode, Engine};
 use cs_crypto::{CryptoCostProfile, FixedPointCodec};
+use cs_net::{NetBackend, ShardedConfig};
 use cs_timeseries::datasets::cer::{self, CerConfig};
 use cs_timeseries::datasets::numed::{self, NumedConfig};
 use cs_timeseries::normalize::Normalization;
@@ -135,14 +136,23 @@ fn per_participant_views_stay_coherent() {
 
 #[test]
 fn churn_population_still_produces_result() {
+    // Scripted on the sharded executor: each step one node crashes and
+    // rejoins mid-gossip and another crashes for good; links lose 5 %.
     let series = cer_series(250, 6);
-    let mut cfg = base_config(500.0);
-    cfg.failure = cs_gossip::FailureModel {
-        crash_prob: 0.01,
-        recovery_prob: 0.2,
-        drop_prob: 0.05,
-    };
-    let out = Engine::new(cfg).unwrap().run(&series).unwrap();
+    let cfg = base_config(500.0);
+    let mut sharded = ShardedConfig::default();
+    sharded.link.loss = 0.05;
+    for step in 0..cfg.max_iterations {
+        let (node, ms) = (31 * step + 5, std::time::Duration::from_millis);
+        sharded.churn = sharded
+            .churn
+            .crash(step, ms(4), node)
+            .rejoin(step, ms(14), node)
+            .crash(step, ms(8), node + 15);
+    }
+    let engine = Engine::new(cfg).unwrap();
+    let mut backend = NetBackend::sharded(sharded);
+    let out = engine.run_with_backend(&series, &mut backend).unwrap();
     assert_eq!(out.centroids.len(), 4);
     assert!(out.iterations >= 1);
     // Some participants crashed mid-run, but every iteration retained a

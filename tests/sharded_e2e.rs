@@ -785,49 +785,3 @@ fn sharded_timeline_matches_the_recorded_golden_values() {
         assert_eq!(got, packed, "packed 16-node timeline moved");
     }
 }
-
-/// `ChiaroscuroConfig::failure` is the cycle simulator's knob: it loses
-/// messages there, while a message-passing host — which scripts loss and
-/// churn through its own config — refuses it by name instead of running
-/// failure-free.
-#[test]
-fn only_the_cycle_simulator_takes_a_failure_model() {
-    use chiaroscuro::noise::SlotLayout;
-    use chiaroscuro::rounds::CryptoContext;
-    use chiaroscuro::{ChiaroscuroError, ComputationBackend, SimulatorBackend};
-
-    let mut config = ChiaroscuroConfig::demo_simulated();
-    config.k = 2;
-    config.gossip_cycles = 10;
-    config.failure = cs_gossip::FailureModel::lossy(0.1);
-    let layout = SlotLayout {
-        k: 2,
-        series_len: 3,
-    };
-    let mut rng = StdRng::seed_from_u64(5);
-    let crypto = CryptoContext::from_config(&config, &mut rng).unwrap();
-    let contributions = vec![Some(vec![1.0; layout.total()]); 16];
-    let mut step = |backend: &mut dyn ComputationBackend| {
-        backend.run_step(&config, &layout, &contributions, &crypto, 9, &mut rng)
-    };
-
-    let outcome = step(&mut SimulatorBackend).unwrap();
-    assert!(outcome.traffic.dropped > 0, "the simulator loses messages");
-    for (mut host, knob) in [
-        (
-            NetBackend::sharded(ShardedConfig::default()),
-            "ShardedConfig.link",
-        ),
-        (NetBackend::tcp(NetConfig::default()), "NetConfig.link"),
-    ] {
-        match step(&mut host) {
-            Err(ChiaroscuroError::InvalidConfig(msg)) => assert!(msg.contains(knob), "{msg}"),
-            other => panic!(
-                "{} ran a failure model: {:?}",
-                host.label(),
-                other.map(|_| ())
-            ),
-        }
-        assert_eq!(host.steps_run(), 0);
-    }
-}
