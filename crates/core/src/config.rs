@@ -212,6 +212,25 @@ impl ChiaroscuroConfig {
     pub fn sensitivity(&self, series_len: usize) -> f64 {
         self.value_bound * series_len as f64 + 1.0
     }
+
+    /// The Laplace scale of one iteration's noise, `sensitivity / eps_t`.
+    /// `validate` cannot see the series length, so a `value_bound` whose
+    /// sensitivity (or scale) overflows is refused here, before any noise
+    /// is drawn: both must be positive and finite.
+    pub fn noise_scale(&self, series_len: usize, eps_t: f64) -> Result<f64, ChiaroscuroError> {
+        let sensitivity = self.sensitivity(series_len);
+        let scale = sensitivity / eps_t;
+        let ok = |x: f64| x > 0.0 && x.is_finite();
+        if ok(sensitivity) && ok(scale) {
+            Ok(scale)
+        } else {
+            Err(ChiaroscuroError::InvalidConfig(format!(
+                "value_bound {} over {series_len}-point series gives sensitivity {sensitivity} \
+                 and noise scale {scale} at epsilon {eps_t}; both must be positive and finite",
+                self.value_bound
+            )))
+        }
+    }
 }
 
 #[cfg(test)]

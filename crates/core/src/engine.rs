@@ -156,7 +156,6 @@ impl Engine {
         let mut last_relative_movement: Option<f64> = None;
         let mut converged = false;
         let mut iterations = 0;
-        let sensitivity = cfg.sensitivity(series_len);
         let mut monitor = TerminationMonitor::new(cfg.termination, cfg.convergence_threshold);
 
         for iter in 0..cfg.max_iterations {
@@ -173,7 +172,7 @@ impl Engine {
             // Step 1 (local): assignment. One master word seeds every
             // participant's own stream for this iteration.
             let alive_count = alive.iter().filter(|&&a| a).count().max(1);
-            let noise_scale = sensitivity / eps_t;
+            let noise_scale = cfg.noise_scale(series_len, eps_t)?;
             let shares = NoiseShareGenerator::new(alive_count, noise_scale);
             let contributions = local_contributions(
                 &mut participants,
@@ -834,6 +833,16 @@ mod tests {
         let engine = Engine::new(cfg).unwrap();
         let err = engine.run(&[TimeSeries::zeros(4)]).unwrap_err();
         assert!(matches!(err, ChiaroscuroError::NotEnoughData { .. }));
+    }
+
+    #[test]
+    fn an_overflowing_sensitivity_is_refused_not_a_panic() {
+        let mut cfg = ChiaroscuroConfig::demo_simulated();
+        cfg.k = 2;
+        cfg.value_bound = 1e307;
+        let engine = Engine::new(cfg).unwrap();
+        let err = engine.run(&blob_series(6, 2, 0.3, 1)).unwrap_err();
+        assert!(matches!(err, ChiaroscuroError::InvalidConfig(_)), "{err:?}");
     }
 
     #[test]

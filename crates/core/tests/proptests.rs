@@ -9,6 +9,12 @@ use proptest::prelude::*;
 
 const INF: f64 = f64::INFINITY;
 
+/// A magnitude `10^x`, `x` log-uniform in `[lo, hi)`, or one of `edges`
+/// a quarter of the time.
+fn magnitude(edges: [f64; 2], lo: f64, hi: f64) -> impl Strategy<Value = f64> {
+    (0usize..8, lo..hi).prop_map(move |(pick, x)| edges.get(pick).copied().unwrap_or(10f64.powf(x)))
+}
+
 /// Half the time a value in `[-4, 4)`; otherwise one that breaks
 /// arithmetic: NaN, ±∞, ±0, the smallest subnormal, 1 or a huge value.
 fn edgy() -> impl Strategy<Value = f64> {
@@ -59,5 +65,23 @@ proptest! {
         prop_assert_eq!(iteration, max_iterations);
         let series = TimeSeries::new(vec![0.3, -1.2, 4.0, 0.0, 2.5]);
         prop_assert_eq!(config.smoothing.apply(&series).len(), series.len());
+    }
+
+    /// The noise scale `Engine::run` draws from is positive and finite or
+    /// a typed refusal, for every bound up to `f64::MAX`, every series
+    /// length up to 10⁴ and every per-iteration ε, edges included.
+    #[test]
+    fn a_noise_scale_is_positive_and_finite_or_refused(
+        value_bound in magnitude([f64::MAX, 1e307], -3.0, 308.25),
+        series_len in 1usize..=10_000,
+        (pick, edge, eps) in (0usize..4, edgy(), magnitude([5e-324, 1e-300], -300.0, 1.0)),
+    ) {
+        let eps_t = if pick == 0 { edge } else { eps };
+        let mut config = ChiaroscuroConfig::demo_simulated();
+        config.value_bound = value_bound;
+        if let Ok(scale) = config.noise_scale(series_len, eps_t) {
+            prop_assert!(scale.is_finite() && scale > 0.0, "{value_bound} {series_len} {eps_t}: {scale}");
+            prop_assert_eq!(scale, config.sensitivity(series_len) / eps_t);
+        }
     }
 }

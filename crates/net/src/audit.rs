@@ -1,14 +1,13 @@
-//! Distills one step's run artifacts into the invariant auditor's
-//! evidence and runs the standard monitor set over it.
+//! Distills one step's run artifacts into the invariant audit's evidence.
 //!
-//! Substrates produce three things the monitors care about: per-node
+//! Substrates produce three things the audit cares about: per-node
 //! [`NodeReport`]s (decoded estimates → push-sum mass, decryption-round
 //! share discipline, packed-lane headroom), the transport's
 //! [`TrafficSnapshot`] (delivered frames per class), and the metrics
-//! registry (send-attempt counters per class). [`StepEvidence::distill`]
-//! folds them into the plain-data evidence [`cs_obs::health`] consumes,
-//! in node-id order, so the audit — and therefore every counter and
-//! alert it mints — is deterministic for a deterministic substrate.
+//! registry (send-attempt counters per class). [`distill`] folds them into
+//! the plain-data [`StepEvidence`] that [`cs_obs::health::audit`] checks,
+//! in node-id order, so the audit — and therefore every counter and alert
+//! it mints — is deterministic for a deterministic substrate.
 //!
 //! The traffic check is only meaningful where the transport exports the
 //! send-attempt counters (`net.<class>.sent.messages`): the TCP transport
@@ -18,115 +17,65 @@
 
 use crate::node::NodeReport;
 use crate::transport::TrafficSnapshot;
-use cs_obs::health::{self, Alert, DecryptAudit, HealthState, LaneAudit, NodeMass, TrafficAudit};
-use cs_obs::{AuditConfig, AuditScope, MetricsSnapshot, Registry, Tracer};
+use cs_obs::health::{LaneAudit, NodeMass, StepEvidence, TrafficAudit};
+use cs_obs::MetricsSnapshot;
 
-/// One step's worth of owned audit evidence, distilled from run
-/// artifacts. Borrow it as an [`AuditScope`] via [`StepEvidence::scope`].
-#[derive(Clone, Debug, Default)]
-pub struct StepEvidence {
-    /// The computation step (the step seed in the in-process substrates).
-    pub step: u64,
-    /// Push-sum mass per node with a decoded estimate, in node-id order.
-    pub masses: Vec<NodeMass>,
-    /// Per-class frame accounting (classes with send-attempt counters).
-    pub traffic: Vec<TrafficAudit>,
-    /// Decryption-round share discipline per node, in node-id order.
-    pub decrypts: Vec<DecryptAudit>,
-    /// Lane headroom per real-crypto node (empty on a plaintext step).
-    pub lanes: Vec<LaneAudit>,
-}
-
-impl StepEvidence {
-    /// Folds reports, the transport snapshot, and a pre-audit metrics
-    /// snapshot into evidence. `reports` must be in node-id order (every
-    /// substrate sorts before assembling its [`crate::runtime::StepRun`]).
-    pub fn distill(
-        step: u64,
-        reports: &[NodeReport],
-        snapshot: &TrafficSnapshot,
-        metrics: &MetricsSnapshot,
-    ) -> StepEvidence {
-        let masses = reports
-            .iter()
-            .filter_map(|r| {
-                r.estimate.as_ref().map(|est| NodeMass {
-                    node: r.id as u64,
-                    mass: est.counts.iter().sum(),
+/// Folds reports, the transport snapshot, and a pre-audit metrics snapshot
+/// into evidence. `reports` must be in node-id order (every substrate sorts
+/// before assembling its [`crate::runtime::StepRun`]).
+pub fn distill(
+    step: u64,
+    reports: &[NodeReport],
+    snapshot: &TrafficSnapshot,
+    metrics: &MetricsSnapshot,
+) -> StepEvidence {
+    let masses = reports
+        .iter()
+        .filter_map(|r| {
+            r.estimate.as_ref().map(|est| NodeMass {
+                node: r.id as u64,
+                mass: est.counts.iter().sum(),
+            })
+        })
+        .collect();
+    let classes = [
+        ("gossip", snapshot.gossip),
+        ("decrypt", snapshot.decrypt),
+        ("control", snapshot.control),
+    ];
+    let traffic = classes
+        .iter()
+        .filter_map(|(name, counts)| {
+            let sent_name = format!("net.{name}.sent.messages");
+            metrics
+                .counters
+                .iter()
+                .any(|c| c.name == sent_name)
+                .then(|| TrafficAudit {
+                    class: (*name).to_string(),
+                    sent: metrics.counter(&sent_name),
+                    dropped: metrics.counter(&format!("net.{name}.dropped")),
+                    delivered: counts.messages,
                 })
+        })
+        .collect();
+    let decrypts = reports.iter().map(|r| r.decrypt_audit).collect();
+    let lanes = reports
+        .iter()
+        .filter_map(|r| {
+            r.lane_headroom_bits.map(|bits| LaneAudit {
+                node: r.id as u64,
+                headroom_bits: bits,
             })
-            .collect();
-        let classes = [
-            ("gossip", snapshot.gossip),
-            ("decrypt", snapshot.decrypt),
-            ("control", snapshot.control),
-        ];
-        let traffic = classes
-            .iter()
-            .filter_map(|(name, counts)| {
-                let sent_name = format!("net.{name}.sent.messages");
-                metrics
-                    .counters
-                    .iter()
-                    .any(|c| c.name == sent_name)
-                    .then(|| TrafficAudit {
-                        class: (*name).to_string(),
-                        sent: metrics.counter(&sent_name),
-                        dropped: metrics.counter(&format!("net.{name}.dropped")),
-                        delivered: counts.messages,
-                    })
-            })
-            .collect();
-        let decrypts = reports.iter().map(|r| r.decrypt_audit).collect();
-        let lanes = reports
-            .iter()
-            .filter_map(|r| {
-                r.lane_headroom_bits.map(|bits| LaneAudit {
-                    node: r.id as u64,
-                    headroom_bits: bits,
-                })
-            })
-            .collect();
-        StepEvidence {
-            step,
-            masses,
-            traffic,
-            decrypts,
-            lanes,
-        }
+        })
+        .collect();
+    StepEvidence {
+        step,
+        masses,
+        traffic,
+        decrypts,
+        lanes,
     }
-
-    /// Borrows the evidence as the monitors' input.
-    pub fn scope<'a>(&'a self, metrics: Option<&'a MetricsSnapshot>) -> AuditScope<'a> {
-        AuditScope {
-            step: self.step,
-            metrics,
-            masses: &self.masses,
-            traffic: &self.traffic,
-            decrypts: &self.decrypts,
-            lanes: &self.lanes,
-        }
-    }
-}
-
-/// Runs the standard monitor set over the evidence, minting every
-/// violation into `registry` (and, when given, the tracer's flight
-/// recorder and the shared health state). Returns the violations in
-/// deterministic order.
-pub fn audit_step(
-    cfg: &AuditConfig,
-    evidence: &StepEvidence,
-    registry: &Registry,
-    tracer: Option<&Tracer>,
-    state: Option<&HealthState>,
-) -> Vec<Alert> {
-    health::audit(
-        &cfg.monitors(),
-        &evidence.scope(None),
-        registry,
-        tracer,
-        state,
-    )
 }
 
 #[cfg(test)]
@@ -134,7 +83,8 @@ mod tests {
     use super::*;
     use crate::node::NodeReport;
     use chiaroscuro::rounds::PerturbedAggregates;
-    use cs_obs::health::AlertKind;
+    use cs_obs::health::{audit, AlertKind};
+    use cs_obs::Registry;
 
     fn report(id: usize, counts: Vec<f64>) -> NodeReport {
         let mut r = NodeReport::dead(id);
@@ -161,7 +111,7 @@ mod tests {
             },
             ..TrafficSnapshot::default()
         };
-        let evidence = StepEvidence::distill(9, &reports, &snapshot, &registry.snapshot());
+        let evidence = distill(9, &reports, &snapshot, &registry.snapshot());
         assert_eq!(evidence.step, 9);
         assert_eq!(evidence.masses.len(), 2, "dead node contributes no mass");
         assert_eq!(evidence.masses[0].node, 0);
@@ -174,7 +124,7 @@ mod tests {
         assert_eq!(evidence.decrypts.len(), 3);
         assert!(evidence.lanes.is_empty(), "no real crypto, no lanes");
 
-        let alerts = audit_step(&AuditConfig::default(), &evidence, &registry, None, None);
+        let alerts = audit(&evidence, &registry, None, None);
         assert!(alerts.is_empty(), "{alerts:?}");
     }
 
@@ -191,8 +141,8 @@ mod tests {
             },
             ..TrafficSnapshot::default()
         };
-        let evidence = StepEvidence::distill(4, &reports, &snapshot, &registry.snapshot());
-        let alerts = audit_step(&AuditConfig::default(), &evidence, &registry, None, None);
+        let evidence = distill(4, &reports, &snapshot, &registry.snapshot());
+        let alerts = audit(&evidence, &registry, None, None);
         assert_eq!(alerts.len(), 2, "{alerts:?}");
         assert_eq!(alerts[0].kind, AlertKind::MassConservation);
         assert_eq!(alerts[1].kind, AlertKind::TrafficAccounting);

@@ -140,10 +140,6 @@ pub struct ShardedConfig {
     /// Scripted fault injection (tests and chaos drills only); `None` is
     /// an honest run.
     pub fault: Option<FaultSpec>,
-    /// Thresholds for the end-of-step invariant audit. The audit is a
-    /// pure function of the deterministic timeline's evidence, so the
-    /// executor's byte-identity contract holds with monitoring enabled.
-    pub audit: cs_obs::AuditConfig,
 }
 
 impl Default for ShardedConfig {
@@ -159,7 +155,6 @@ impl Default for ShardedConfig {
             churn: crate::churn::ChurnSchedule::none(),
             trace: false,
             fault: None,
-            audit: cs_obs::AuditConfig::default(),
         }
     }
 }
@@ -865,14 +860,7 @@ pub fn run_step_sharded(
         gossip_ns += shard.busy_ns.saturating_sub(timed);
     }
     let snapshot = TrafficSnapshot::read(|ci, cell| counters[ci][cell]);
-    let mut run = StepRun::conclude(
-        step_seed,
-        &sharded.audit,
-        &registry,
-        started,
-        nodes,
-        snapshot,
-    );
+    let mut run = StepRun::conclude(step_seed, &registry, started, nodes, snapshot);
     run.outcome.phases.add(StepPhase::Gossip, gossip_ns);
     Ok(run)
 }

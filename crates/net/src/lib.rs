@@ -43,7 +43,7 @@
 //! * [`audit`] — the end-of-step **invariant audit**: distills per-node
 //!   reports and transport accounting into `cs_obs::health` evidence
 //!   (push-sum mass, frame conservation, share discipline, lane headroom)
-//!   and runs the monitor set, minting `obs.alert.<kind>` counters and
+//!   for `cs_obs::health::audit`, minting `obs.alert.<kind>` counters and
 //!   [`runtime::StepRun::alerts`]. Both step runners call it; the scripted
 //!   [`node::FaultSpec`] knob on [`runtime::NetConfig`] /
 //!   [`executor::ShardedConfig`] injects the corruption the drills detect.
@@ -100,7 +100,6 @@ pub mod tcp;
 pub mod transport;
 pub mod wire;
 
-pub use audit::{audit_step, StepEvidence};
 pub use churn::{ChurnEvent, ChurnKind, ChurnSchedule};
 pub use executor::{run_step_sharded, ShardedConfig};
 pub use node::FaultSpec;

@@ -263,12 +263,12 @@ pub struct NodeReport {
     pub id: NodeId,
     /// The decrypted perturbed aggregates, if the node obtained them.
     pub estimate: Option<PerturbedAggregates>,
-    /// Decryption-round audit evidence for the invariant monitors: share
+    /// Decryption-round audit evidence for the invariant audit: share
     /// provenance and committee-cardinality discipline (see
-    /// [`cs_obs::health::ShareCount`]).
+    /// [`cs_obs::health::AlertKind::ShareCount`]).
     pub decrypt_audit: DecryptAudit,
     /// The lane plan's carry headroom in bits on a real-crypto node — the
-    /// watermark [`cs_obs::health::LaneHeadroom`] audits.
+    /// watermark [`cs_obs::health::AlertKind::LaneHeadroom`] audits.
     pub lane_headroom_bits: Option<u64>,
     /// Homomorphic work this node performed.
     pub ops: HomomorphicOpCounts,
@@ -365,7 +365,7 @@ pub struct ProtocolNode {
     ops: HomomorphicOpCounts,
     decrypt_ops: DecryptionOps,
     bad_frames: u64,
-    /// Share-provenance evidence accumulated for the invariant monitors.
+    /// Share-provenance evidence accumulated for the invariant audit.
     audit: DecryptAudit,
     profile: PhaseProfile,
     tracer: Option<CausalTracer>,

@@ -27,7 +27,7 @@ use chiaroscuro::ChiaroscuroError;
 use cs_gossip::homomorphic_pushsum::HomomorphicOpCounts;
 use cs_gossip::TrafficStats;
 use cs_obs::health::Alert;
-use cs_obs::{AuditConfig, CausalTracer, NodeTrace, StepPhase, Tracer, WallClock};
+use cs_obs::{CausalTracer, NodeTrace, StepPhase, Tracer, WallClock};
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -167,10 +167,6 @@ pub struct NetConfig {
     /// Scripted fault injection (tests and chaos drills only); `None` is
     /// an honest run.
     pub fault: Option<FaultSpec>,
-    /// Thresholds for the end-of-step invariant audit. The audit always
-    /// runs — it is a pure side channel (evidence in, alerts out), so an
-    /// honest run's protocol bits are untouched by it.
-    pub audit: AuditConfig,
 }
 
 impl Default for NetConfig {
@@ -184,7 +180,6 @@ impl Default for NetConfig {
             churn: ChurnSchedule::none(),
             trace: false,
             fault: None,
-            audit: AuditConfig::default(),
         }
     }
 }
@@ -208,7 +203,7 @@ pub struct StepRun {
     /// [`ShardedConfig::trace`]).
     pub traces: Vec<NodeTrace>,
     /// Invariant violations the end-of-step audit detected, in
-    /// deterministic order (monitors in [`cs_obs::health::AlertKind::ALL`]
+    /// deterministic order (checks in [`cs_obs::health::AlertKind::ALL`]
     /// order, evidence in node-id order). Each is also minted as an
     /// `obs.alert.<kind>` counter in [`StepRun::metrics`]. Empty on an
     /// honest run.
@@ -223,13 +218,11 @@ impl StepRun {
     /// step alive, and its trace when tracing was on. Puts them in id
     /// order, counts the pushes skipped at the denominator cap
     /// (`gossip.pushes_capped`), distills the audit evidence from a
-    /// pre-audit metrics reading,
-    /// runs the monitors (minting `obs.alert.<kind>` counters into
-    /// `registry`), then takes the final metrics snapshot so the step's
-    /// metrics include the verdict.
+    /// pre-audit metrics reading, audits it (minting `obs.alert.<kind>`
+    /// counters into `registry`), then takes the final metrics snapshot so
+    /// the step's metrics include the verdict.
     pub(crate) fn conclude(
         step_seed: u64,
-        audit: &AuditConfig,
         registry: &cs_obs::Registry,
         started: Instant,
         mut nodes: Vec<(NodeReport, bool, Option<NodeTrace>)>,
@@ -248,10 +241,8 @@ impl StepRun {
         registry
             .counter("gossip.pushes_capped")
             .add(outcome.pushes_capped);
-        let pre_audit = registry.snapshot();
-        let evidence =
-            crate::audit::StepEvidence::distill(step_seed, &reports, &snapshot, &pre_audit);
-        let alerts = crate::audit::audit_step(audit, &evidence, registry, None, None);
+        let evidence = crate::audit::distill(step_seed, &reports, &snapshot, &registry.snapshot());
+        let alerts = cs_obs::health::audit(&evidence, registry, None, None);
         StepRun {
             outcome,
             reports,
@@ -426,7 +417,6 @@ pub fn run_step_over_tcp(
         .collect();
     Ok(StepRun::conclude(
         step_seed,
-        &net.audit,
         &registry,
         started,
         nodes,

@@ -59,8 +59,6 @@ pub struct ClusterConfig {
     /// (`None` on honest runs): the named daemon corrupts its partial
     /// decryptions, and the invariant audit must catch it.
     pub fault: Option<cs_net::FaultSpec>,
-    /// Tolerances for the coordinator-side cluster-level invariant audit.
-    pub audit: cs_obs::AuditConfig,
 }
 
 impl Default for ClusterConfig {
@@ -71,7 +69,6 @@ impl Default for ClusterConfig {
             transport_seed: 0x7C50_C4E7,
             report_timeout: Duration::from_secs(20),
             fault: None,
-            audit: cs_obs::AuditConfig::default(),
         }
     }
 }
@@ -687,10 +684,8 @@ impl ComputationBackend for ClusterBackend {
         // daemon died or withheld its report — churn legitimately breaks
         // frame conservation and is not an invariant violation.
         if all_reported && alive_after.iter().all(|&a| a) {
-            let evidence =
-                cs_net::StepEvidence::distill(step as u64, &reports, &total, &metrics_step);
-            let _ = cs_net::audit_step(
-                &self.cfg.audit,
+            let evidence = cs_net::audit::distill(step as u64, &reports, &total, &metrics_step);
+            cs_obs::health::audit(
                 &evidence,
                 &self.registry,
                 Some(&self.tracer),

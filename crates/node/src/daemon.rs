@@ -50,8 +50,8 @@ use cs_net::transport::{NodeId, TrafficSnapshot};
 use cs_net::wire::WIRE_VERSION;
 use cs_obs::http::{ObsProviders, ObsServer};
 use cs_obs::{
-    AuditConfig, CausalTracer, Clock, HealthState, Liveness, NodeTrace, Registry, SeriesRing,
-    TraceContext, Tracer, WallClock,
+    CausalTracer, Clock, HealthState, Liveness, NodeTrace, Registry, SeriesRing, TraceContext,
+    Tracer, WallClock,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -504,7 +504,7 @@ fn serve_steps(
                     // still holds it.
                     dump_flight(opts.id as u64, flight, "peer death detected");
                 }
-                let mut evidence = cs_net::StepEvidence::distill(
+                let mut evidence = cs_net::audit::distill(
                     step as u64,
                     std::slice::from_ref(&report),
                     &delta,
@@ -518,13 +518,7 @@ fn serve_steps(
                 if report.peer_failures > 0 {
                     evidence.traffic.clear();
                 }
-                let _ = cs_net::audit_step(
-                    &AuditConfig::default(),
-                    &evidence,
-                    registry,
-                    Some(flight),
-                    Some(&monitor.health),
-                );
+                cs_obs::health::audit(&evidence, registry, Some(flight), Some(&monitor.health));
                 registry
                     .gauge("obs.uptime.seconds")
                     .set(monitor.uptime_seconds() as i64);

@@ -1,15 +1,15 @@
-//! Invariant auditing and health: structured alerts, the
-//! [`InvariantMonitor`] trait with the protocol's built-in conservation
-//! checks, and the degraded/healthy state served at `/health`.
+//! Invariant auditing and health: structured alerts, the protocol's four
+//! conservation checks behind one [`audit`] call, and the degraded/healthy
+//! state served at `/health`.
 //!
 //! The protocol has hard invariants — push-sum conserves mass, transports
 //! conserve frames, a threshold decryption uses exactly the committee's
 //! shares, packed lanes keep carry headroom — yet a violation today
 //! corrupts centroids *silently*. This module is the detection half of
 //! catch-the-cheater (ROADMAP item 3): substrates distill the step's
-//! evidence into an [`AuditScope`], run it through a fixed set of
-//! monitors, and every violation mints a structured [`Alert`] three ways
-//! at once:
+//! evidence into a [`StepEvidence`], [`audit`] checks it against two
+//! thresholds ([`MASS_ENVELOPE`], [`LANE_MIN_BITS`]), and every violation
+//! mints a structured [`Alert`] three ways at once:
 //!
 //! 1. an `obs.alert.<kind>` counter in the [`Registry`] (scrapes, deltas,
 //!    and `/metrics` all see it);
@@ -18,11 +18,11 @@
 //! 3. the shared [`HealthState`], which flips `/health` to degraded and
 //!    keeps the recent-alert feed.
 //!
-//! Monitors are pure: evidence in, alerts out, in deterministic order —
+//! The checks are pure: evidence in, alerts out, in deterministic order —
 //! auditing a same-seed run never perturbs it, so the sharded executor's
-//! byte-identity contract survives with monitoring enabled.
+//! byte-identity contract survives with the audit enabled.
 
-use crate::metrics::{MetricsSnapshot, Registry};
+use crate::metrics::Registry;
 use crate::trace::Tracer;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -52,7 +52,7 @@ pub enum AlertKind {
 }
 
 impl AlertKind {
-    /// Every kind, in the deterministic order monitors run in.
+    /// Every kind, in the deterministic order [`audit`] checks them in.
     pub const ALL: [AlertKind; 4] = [
         AlertKind::MassConservation,
         AlertKind::TrafficAccounting,
@@ -278,7 +278,7 @@ pub struct Liveness {
 pub struct NodeMass {
     /// Reporting node.
     pub node: u64,
-    /// Σₖ counts[k] of the node's decoded estimate.
+    /// Σₖ `counts[k]` of the node's decoded estimate.
     pub mass: f64,
 }
 
@@ -319,214 +319,117 @@ pub struct LaneAudit {
     pub headroom_bits: u64,
 }
 
-/// One step's worth of evidence, distilled by a substrate for the
-/// monitors. Slices are ordered by node id so alert order — and therefore
-/// trace byte-identity — is deterministic.
+/// The push-sum mass envelope: every decoded estimate's weight sum must
+/// stay within this of 1. It sits above what honest runs produce (churn
+/// skews the sum by the dead fraction, ≈ 0.15 at n = 12; DP noise perturbs
+/// it further) and far below what corruption produces (a wrong partial
+/// decryption decodes to garbage orders of magnitude off).
+pub const MASS_ENVELOPE: f64 = 0.5;
+
+/// The packed-lane headroom watermark in bits. An honest run cannot trip
+/// it: a lane plan reserves `bits(P+1)` bits plus a denominator cap of at
+/// least `2·cycles + bits(P)`, and every node enforces that cap (it keeps
+/// its mass rather than split past it), so no aggregate outruns its lanes.
+/// An alert means a plan that did not come from the protocol's planner.
+pub const LANE_MIN_BITS: u64 = 1;
+
+/// One step's worth of audit evidence, distilled by a substrate from its
+/// run artifacts. Vectors are ordered by node id so alert order — and
+/// therefore trace byte-identity — is deterministic.
 #[derive(Clone, Debug, Default)]
-pub struct AuditScope<'a> {
-    /// The computation step the evidence belongs to.
+pub struct StepEvidence {
+    /// The computation step (the step seed in the in-process substrates).
     pub step: u64,
-    /// The step's metrics (delta or cumulative; monitors only compare
-    /// within it).
-    pub metrics: Option<&'a MetricsSnapshot>,
-    /// Mass evidence, one entry per node with a decoded estimate.
-    pub masses: &'a [NodeMass],
-    /// Transport accounting, one entry per traffic class.
-    pub traffic: &'a [TrafficAudit],
-    /// Decryption-round evidence per node.
-    pub decrypts: &'a [DecryptAudit],
-    /// Lane evidence per real-crypto node (absent on a plaintext step).
-    pub lanes: &'a [LaneAudit],
+    /// Push-sum mass per node with a decoded estimate.
+    pub masses: Vec<NodeMass>,
+    /// Per-class frame accounting (classes with send-attempt counters).
+    pub traffic: Vec<TrafficAudit>,
+    /// Decryption-round share discipline per node.
+    pub decrypts: Vec<DecryptAudit>,
+    /// Lane headroom per real-crypto node (empty on a plaintext step).
+    pub lanes: Vec<LaneAudit>,
 }
 
-/// A pure invariant check: evidence in, violations out.
-pub trait InvariantMonitor: Send + Sync {
-    /// The alert kind this monitor raises.
-    fn kind(&self) -> AlertKind;
-    /// Checks the evidence, returning every violation found (empty when
-    /// the invariant holds).
-    fn check(&self, scope: &AuditScope<'_>) -> Vec<Alert>;
-}
-
-/// Push-sum mass conservation: every decoded estimate's weight sum must
-/// stay within `envelope` of 1. The envelope must sit above what honest
-/// runs produce (churn skews the sum by the dead fraction; DP noise
-/// perturbs it further) and below what corruption produces (a wrong
-/// partial decryption decodes to garbage orders of magnitude off).
-#[derive(Clone, Copy, Debug)]
-pub struct MassConservation {
-    /// Allowed |mass − 1| deviation.
-    pub envelope: f64,
-}
-
-impl InvariantMonitor for MassConservation {
-    fn kind(&self) -> AlertKind {
-        AlertKind::MassConservation
-    }
-
-    fn check(&self, scope: &AuditScope<'_>) -> Vec<Alert> {
-        scope
-            .masses
-            .iter()
-            .filter(|m| !(m.mass - 1.0).abs().is_finite() || (m.mass - 1.0).abs() > self.envelope)
-            .map(|m| Alert {
-                kind: AlertKind::MassConservation,
-                node: Some(m.node),
-                step: scope.step,
-                measured: m.mass,
-                limit: self.envelope,
-                detail: format!(
-                    "node {}: push-sum mass {:.4} strayed more than {} from 1",
-                    m.node, m.mass, self.envelope
-                ),
-            })
-            .collect()
-    }
+/// Push-sum mass conservation: mass in `1 ± MASS_ENVELOPE`, edges included
+/// (NaN is outside). Compared against the edges themselves: `|mass − 1|`
+/// rounds the largest mass below `1 − MASS_ENVELOPE` onto the edge.
+fn mass_conservation(e: &StepEvidence) -> impl Iterator<Item = Alert> + '_ {
+    e.masses
+        .iter()
+        .filter(|m| !(1.0 - MASS_ENVELOPE..=1.0 + MASS_ENVELOPE).contains(&m.mass))
+        .map(|m| Alert {
+            kind: AlertKind::MassConservation,
+            node: Some(m.node),
+            step: e.step,
+            measured: m.mass,
+            limit: MASS_ENVELOPE,
+            detail: format!(
+                "node {}: push-sum mass {:.4} strayed more than {} from 1",
+                m.node, m.mass, MASS_ENVELOPE
+            ),
+        })
 }
 
 /// Transport frame conservation: `delivered == sent − dropped` per class.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TrafficAccounting;
-
-impl InvariantMonitor for TrafficAccounting {
-    fn kind(&self) -> AlertKind {
-        AlertKind::TrafficAccounting
-    }
-
-    fn check(&self, scope: &AuditScope<'_>) -> Vec<Alert> {
-        scope
-            .traffic
-            .iter()
-            .filter(|t| t.delivered != t.sent.saturating_sub(t.dropped))
-            .map(|t| Alert {
-                kind: AlertKind::TrafficAccounting,
-                node: None,
-                step: scope.step,
-                measured: t.delivered as f64,
-                limit: t.sent.saturating_sub(t.dropped) as f64,
-                detail: format!(
-                    "class {}: delivered {} ≠ sent {} − dropped {}",
-                    t.class, t.delivered, t.sent, t.dropped
-                ),
-            })
-            .collect()
-    }
+fn traffic_accounting(e: &StepEvidence) -> impl Iterator<Item = Alert> + '_ {
+    e.traffic
+        .iter()
+        .filter(|t| t.delivered != t.sent.saturating_sub(t.dropped))
+        .map(|t| Alert {
+            kind: AlertKind::TrafficAccounting,
+            node: None,
+            step: e.step,
+            measured: t.delivered as f64,
+            limit: t.sent.saturating_sub(t.dropped) as f64,
+            detail: format!(
+                "class {}: delivered {} ≠ sent {} − dropped {}",
+                t.class, t.delivered, t.sent, t.dropped
+            ),
+        })
 }
 
 /// Share-count / committee-cardinality discipline per decryption round.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShareCount;
-
-impl InvariantMonitor for ShareCount {
-    fn kind(&self) -> AlertKind {
-        AlertKind::ShareCount
-    }
-
-    fn check(&self, scope: &AuditScope<'_>) -> Vec<Alert> {
-        let mut alerts = Vec::new();
-        for d in scope.decrypts {
-            let mut bad = Vec::new();
-            if d.foreign_shares > 0 {
-                bad.push(format!(
-                    "{} shares from outside the committee",
-                    d.foreign_shares
-                ));
-            }
-            if d.undersized_combines > 0 {
-                bad.push(format!("{} sub-threshold combines", d.undersized_combines));
-            }
-            if d.oversized_rounds > 0 {
-                bad.push(format!(
-                    "{} rounds with more senders than the committee",
-                    d.oversized_rounds
-                ));
-            }
-            if !bad.is_empty() {
-                alerts.push(Alert {
-                    kind: AlertKind::ShareCount,
-                    node: Some(d.node),
-                    step: scope.step,
-                    measured: (d.foreign_shares + d.undersized_combines + d.oversized_rounds)
-                        as f64,
-                    limit: 0.0,
-                    detail: format!("node {}: {}", d.node, bad.join(", ")),
-                });
-            }
-        }
-        alerts
-    }
-}
-
-/// Packed-lane carry headroom watermark. An honest run cannot trip it: a
-/// lane plan reserves `bits(P+1)` bits plus a denominator cap of at least
-/// `2·cycles + bits(P)`, and every node enforces that cap (it keeps its
-/// mass rather than split past it), so no aggregate outruns its lanes. An
-/// alert means a plan that did not come from the protocol's planner.
-#[derive(Clone, Copy, Debug)]
-pub struct LaneHeadroom {
-    /// Minimum acceptable headroom in bits.
-    pub min_bits: u64,
-}
-
-impl InvariantMonitor for LaneHeadroom {
-    fn kind(&self) -> AlertKind {
-        AlertKind::LaneHeadroom
-    }
-
-    fn check(&self, scope: &AuditScope<'_>) -> Vec<Alert> {
-        scope
-            .lanes
-            .iter()
-            .filter(|l| l.headroom_bits < self.min_bits)
-            .map(|l| Alert {
-                kind: AlertKind::LaneHeadroom,
-                node: Some(l.node),
-                step: scope.step,
-                measured: l.headroom_bits as f64,
-                limit: self.min_bits as f64,
-                detail: format!(
-                    "node {}: packed-lane headroom {} bits under the {}-bit watermark",
-                    l.node, l.headroom_bits, self.min_bits
-                ),
-            })
-            .collect()
-    }
-}
-
-/// Knobs for the standard monitor set.
-#[derive(Clone, Copy, Debug)]
-pub struct AuditConfig {
-    /// [`MassConservation::envelope`]. The default 0.5 sits above the
-    /// honest-run deviations the e2e suites produce (churn ≈ 0.15 at
-    /// n = 12, plus DP noise) and far below decode garbage.
-    pub mass_envelope: f64,
-    /// [`LaneHeadroom::min_bits`].
-    pub lane_min_bits: u64,
-}
-
-impl Default for AuditConfig {
-    fn default() -> Self {
-        AuditConfig {
-            mass_envelope: 0.5,
-            lane_min_bits: 1,
-        }
-    }
-}
-
-impl AuditConfig {
-    /// The built-in monitors, in [`AlertKind::ALL`] order.
-    pub fn monitors(&self) -> Vec<Box<dyn InvariantMonitor>> {
-        vec![
-            Box::new(MassConservation {
-                envelope: self.mass_envelope,
-            }),
-            Box::new(TrafficAccounting),
-            Box::new(ShareCount),
-            Box::new(LaneHeadroom {
-                min_bits: self.lane_min_bits,
-            }),
+fn share_count(e: &StepEvidence) -> impl Iterator<Item = Alert> + '_ {
+    e.decrypts.iter().filter_map(|d| {
+        let bad: Vec<String> = [
+            (d.foreign_shares, "shares from outside the committee"),
+            (d.undersized_combines, "sub-threshold combines"),
+            (
+                d.oversized_rounds,
+                "rounds with more senders than the committee",
+            ),
         ]
-    }
+        .iter()
+        .filter(|(n, _)| *n > 0)
+        .map(|(n, what)| format!("{n} {what}"))
+        .collect();
+        (!bad.is_empty()).then(|| Alert {
+            kind: AlertKind::ShareCount,
+            node: Some(d.node),
+            step: e.step,
+            measured: (d.foreign_shares + d.undersized_combines + d.oversized_rounds) as f64,
+            limit: 0.0,
+            detail: format!("node {}: {}", d.node, bad.join(", ")),
+        })
+    })
+}
+
+/// Packed-lane carry headroom: at least [`LANE_MIN_BITS`] per node.
+fn lane_headroom(e: &StepEvidence) -> impl Iterator<Item = Alert> + '_ {
+    e.lanes
+        .iter()
+        .filter(|l| l.headroom_bits < LANE_MIN_BITS)
+        .map(|l| Alert {
+            kind: AlertKind::LaneHeadroom,
+            node: Some(l.node),
+            step: e.step,
+            measured: l.headroom_bits as f64,
+            limit: LANE_MIN_BITS as f64,
+            detail: format!(
+                "node {}: packed-lane headroom {} bits under the {}-bit watermark",
+                l.node, l.headroom_bits, LANE_MIN_BITS
+            ),
+        })
 }
 
 /// Scales a measurement into the flight recorder's u64 field domain
@@ -535,49 +438,40 @@ fn milli(v: f64) -> u64 {
     (v.abs() * 1000.0).min(u64::MAX as f64) as u64
 }
 
-/// Mints one alert everywhere at once: the `obs.alert.<kind>` counter,
-/// the flight-recorder event (when a tracer is attached), and the shared
-/// health state (when one exists).
-pub fn raise_alert(
-    alert: Alert,
-    registry: &Registry,
-    tracer: Option<&Tracer>,
-    state: Option<&HealthState>,
-) {
-    registry.counter(&alert.kind.counter_name()).inc();
-    if let Some(tracer) = tracer {
-        tracer.event(
-            &alert.kind.event_name(),
-            &[
-                ("node", alert.node.unwrap_or(u64::MAX)),
-                ("step", alert.step),
-                ("measured_milli", milli(alert.measured)),
-                ("limit_milli", milli(alert.limit)),
-            ],
-        );
-    }
-    if let Some(state) = state {
-        state.raise(alert);
-    }
-}
-
-/// Runs every monitor over the evidence and mints each violation via
-/// [`raise_alert`]; returns the violations in deterministic order.
+/// Runs the four checks over the evidence in [`AlertKind::ALL`] order and
+/// mints every violation everywhere at once: the `obs.alert.<kind>`
+/// counter, the flight-recorder event (when a tracer is attached) and the
+/// shared health state (when one exists). Returns the violations in that
+/// deterministic order.
 pub fn audit(
-    monitors: &[Box<dyn InvariantMonitor>],
-    scope: &AuditScope<'_>,
+    evidence: &StepEvidence,
     registry: &Registry,
     tracer: Option<&Tracer>,
     state: Option<&HealthState>,
 ) -> Vec<Alert> {
-    let mut all = Vec::new();
-    for monitor in monitors {
-        for alert in monitor.check(scope) {
-            raise_alert(alert.clone(), registry, tracer, state);
-            all.push(alert);
+    let alerts: Vec<Alert> = mass_conservation(evidence)
+        .chain(traffic_accounting(evidence))
+        .chain(share_count(evidence))
+        .chain(lane_headroom(evidence))
+        .collect();
+    for alert in &alerts {
+        registry.counter(&alert.kind.counter_name()).inc();
+        if let Some(tracer) = tracer {
+            tracer.event(
+                &alert.kind.event_name(),
+                &[
+                    ("node", alert.node.unwrap_or(u64::MAX)),
+                    ("step", alert.step),
+                    ("measured_milli", milli(alert.measured)),
+                    ("limit_milli", milli(alert.limit)),
+                ],
+            );
+        }
+        if let Some(state) = state {
+            state.raise(alert.clone());
         }
     }
-    all
+    alerts
 }
 
 #[cfg(test)]
@@ -588,48 +482,37 @@ mod tests {
 
     #[test]
     fn clean_evidence_raises_nothing() {
-        let masses = [
-            NodeMass {
-                node: 0,
-                mass: 1.02,
-            },
-            NodeMass {
-                node: 1,
-                mass: 0.91,
-            },
-        ];
-        let traffic = [TrafficAudit {
-            class: "gossip".into(),
-            sent: 10,
-            dropped: 3,
-            delivered: 7,
-        }];
-        let decrypts = [DecryptAudit {
-            node: 0,
-            combines: 2,
-            ..DecryptAudit::default()
-        }];
-        let lanes = [LaneAudit {
-            node: 0,
-            headroom_bits: 6,
-        }];
-        let scope = AuditScope {
+        let evidence = StepEvidence {
             step: 3,
-            metrics: None,
-            masses: &masses,
-            traffic: &traffic,
-            decrypts: &decrypts,
-            lanes: &lanes,
+            masses: vec![
+                NodeMass {
+                    node: 0,
+                    mass: 1.02,
+                },
+                NodeMass {
+                    node: 1,
+                    mass: 0.91,
+                },
+            ],
+            traffic: vec![TrafficAudit {
+                class: "gossip".into(),
+                sent: 10,
+                dropped: 3,
+                delivered: 7,
+            }],
+            decrypts: vec![DecryptAudit {
+                node: 0,
+                combines: 2,
+                ..DecryptAudit::default()
+            }],
+            lanes: vec![LaneAudit {
+                node: 0,
+                headroom_bits: 6,
+            }],
         };
         let registry = Registry::new();
         let state = HealthState::new();
-        let alerts = audit(
-            &AuditConfig::default().monitors(),
-            &scope,
-            &registry,
-            None,
-            Some(&state),
-        );
+        let alerts = audit(&evidence, &registry, None, Some(&state));
         assert!(alerts.is_empty(), "{alerts:?}");
         assert_eq!(state.status(), HealthStatus::Healthy);
         assert_eq!(
@@ -640,44 +523,33 @@ mod tests {
 
     #[test]
     fn each_violation_mints_counter_event_and_degraded_state() {
-        let masses = [NodeMass {
-            node: 4,
-            mass: 817.3, // decode garbage
-        }];
-        let traffic = [TrafficAudit {
-            class: "decrypt".into(),
-            sent: 10,
-            dropped: 0,
-            delivered: 9,
-        }];
-        let decrypts = [DecryptAudit {
-            node: 2,
-            combines: 1,
-            foreign_shares: 3,
-            ..DecryptAudit::default()
-        }];
-        let lanes = [LaneAudit {
-            node: 1,
-            headroom_bits: 0,
-        }];
-        let scope = AuditScope {
+        let evidence = StepEvidence {
             step: 7,
-            metrics: None,
-            masses: &masses,
-            traffic: &traffic,
-            decrypts: &decrypts,
-            lanes: &lanes,
+            masses: vec![NodeMass {
+                node: 4,
+                mass: 817.3, // decode garbage
+            }],
+            traffic: vec![TrafficAudit {
+                class: "decrypt".into(),
+                sent: 10,
+                dropped: 0,
+                delivered: 9,
+            }],
+            decrypts: vec![DecryptAudit {
+                node: 2,
+                combines: 1,
+                foreign_shares: 3,
+                ..DecryptAudit::default()
+            }],
+            lanes: vec![LaneAudit {
+                node: 1,
+                headroom_bits: 0,
+            }],
         };
         let registry = Registry::new();
         let state = HealthState::new();
         let tracer = Tracer::ring(Arc::new(VirtualClock::new()), 64);
-        let alerts = audit(
-            &AuditConfig::default().monitors(),
-            &scope,
-            &registry,
-            Some(&tracer),
-            Some(&state),
-        );
+        let alerts = audit(&evidence, &registry, Some(&tracer), Some(&state));
         assert_eq!(alerts.len(), 4);
         let snap = registry.snapshot();
         for kind in AlertKind::ALL {
@@ -694,16 +566,58 @@ mod tests {
 
     #[test]
     fn non_finite_mass_is_a_violation() {
-        let masses = [NodeMass {
-            node: 0,
-            mass: f64::NAN,
-        }];
-        let scope = AuditScope {
-            masses: &masses,
-            ..AuditScope::default()
+        let evidence = StepEvidence {
+            masses: vec![NodeMass {
+                node: 0,
+                mass: f64::NAN,
+            }],
+            ..StepEvidence::default()
         };
-        let alerts = MassConservation { envelope: 0.5 }.check(&scope);
+        let alerts = audit(&evidence, &Registry::new(), None, None);
         assert_eq!(alerts.len(), 1);
+    }
+
+    /// Audits one node's mass alone and returns the alerts it raised.
+    fn mass_alerts(mass: f64) -> Vec<Alert> {
+        let evidence = StepEvidence {
+            masses: vec![NodeMass { node: 0, mass }],
+            ..StepEvidence::default()
+        };
+        audit(&evidence, &Registry::new(), None, None)
+    }
+
+    #[test]
+    fn mass_on_the_envelope_passes_and_one_ulp_past_it_alerts() {
+        let (low, high) = (1.0 - MASS_ENVELOPE, 1.0 + MASS_ENVELOPE);
+        assert!(mass_alerts(low).is_empty(), "mass {low}");
+        assert!(mass_alerts(high).is_empty(), "mass {high}");
+        for past in [low.next_down(), high.next_up()] {
+            let alerts = mass_alerts(past);
+            assert_eq!(alerts.len(), 1, "mass {past}: {alerts:?}");
+            assert_eq!(alerts[0].kind, AlertKind::MassConservation);
+            assert_eq!(alerts[0].measured, past);
+            assert_eq!(alerts[0].limit, MASS_ENVELOPE);
+        }
+    }
+
+    #[test]
+    fn headroom_at_the_watermark_passes_and_one_bit_under_alerts() {
+        let lane_alerts = |headroom_bits| {
+            let evidence = StepEvidence {
+                lanes: vec![LaneAudit {
+                    node: 5,
+                    headroom_bits,
+                }],
+                ..StepEvidence::default()
+            };
+            audit(&evidence, &Registry::new(), None, None)
+        };
+        assert!(lane_alerts(LANE_MIN_BITS).is_empty());
+        let alerts = lane_alerts(LANE_MIN_BITS - 1);
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        assert_eq!(alerts[0].kind, AlertKind::LaneHeadroom);
+        assert_eq!(alerts[0].node, Some(5));
+        assert_eq!(alerts[0].limit, LANE_MIN_BITS as f64);
     }
 
     #[test]

@@ -41,11 +41,11 @@
 //!
 //! The *continuous* layer sits on top of those: [`series`] keeps a
 //! fixed-capacity ring of scrapes with rate and windowed-quantile views
-//! (the `/series` route), and [`health`] holds the invariant-audit
-//! vocabulary — [`health::InvariantMonitor`], the built-in conservation
-//! checks, structured [`health::Alert`]s minted as `obs.alert.<kind>`
-//! counters plus flight-recorder events, and the [`health::HealthState`]
-//! behind the `/health` and `/healthz` routes.
+//! (the `/series` route), and [`health`] holds the invariant audit —
+//! [`health::audit`], which runs the four conservation checks over one
+//! step's [`health::StepEvidence`], structured [`health::Alert`]s minted
+//! as `obs.alert.<kind>` counters plus flight-recorder events, and the
+//! [`health::HealthState`] behind the `/health` and `/healthz` routes.
 //!
 //! ```
 //! use cs_obs::metrics::Registry;
@@ -76,14 +76,10 @@ pub mod prom;
 pub mod series;
 pub mod trace;
 
-pub use health::{
-    Alert, AlertKind, AuditConfig, AuditScope, HealthReport, HealthState, HealthStatus,
-    InvariantMonitor, Liveness,
-};
+pub use health::{Alert, AlertKind, HealthReport, HealthState, HealthStatus, Liveness};
 pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use phase::{PhaseProfile, StepPhase};
 pub use series::{SeriesRing, SeriesView};
 pub use trace::{
-    CausalTracer, Clock, ClusterTrace, NodeTrace, OverflowPolicy, TraceContext, Tracer,
-    VirtualClock, WallClock,
+    CausalTracer, Clock, ClusterTrace, NodeTrace, TraceContext, Tracer, VirtualClock, WallClock,
 };

@@ -9,11 +9,11 @@
 //! the determinism e2e can assert on traces as strongly as it asserts on
 //! execution logs.
 //!
-//! The buffer is bounded ([`Tracer::with_capacity`]); overflow handling is
-//! a policy choice ([`OverflowPolicy`]): a per-step tracer drops *new*
-//! events (the step's opening matters most for causality), while a
-//! daemon-lifetime flight recorder keeps the *newest* events (the crash's
-//! immediate past matters most for forensics). Either way drops are
+//! The buffer is bounded, and its two constructors differ only in what
+//! overflows: a per-step tracer ([`Tracer::new`]) drops *new* events (the
+//! step's opening matters most for causality), while a daemon-lifetime
+//! flight recorder ([`Tracer::ring`]) keeps the *newest* events (the
+//! crash's immediate past matters most for forensics). Either way drops are
 //! counted, and [`Tracer::count_drops_in`] surfaces the count as the
 //! `obs.trace.dropped` registry counter so trace loss is never silent.
 //!
@@ -115,11 +115,10 @@ pub struct TraceEvent {
 }
 
 /// What a full [`Tracer`] buffer does with the next event.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OverflowPolicy {
+#[derive(Clone, Copy, Debug)]
+enum OverflowPolicy {
     /// Keep the oldest events, drop the incoming one (per-step tracers:
     /// the step's opening carries the causal roots).
-    #[default]
     DropNew,
     /// Evict the oldest event to admit the incoming one (flight
     /// recorders: the newest events explain the crash).
@@ -137,15 +136,10 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A tracer with the default 4096-event buffer.
+    /// A tracer holding at most 4096 events; further events are dropped
+    /// and counted ([`Tracer::dropped`]).
     pub fn new(clock: Arc<dyn Clock>) -> Tracer {
-        Tracer::with_capacity(clock, 4096)
-    }
-
-    /// A tracer holding at most `capacity` events; further events are
-    /// dropped and counted ([`Tracer::dropped`]).
-    pub fn with_capacity(clock: Arc<dyn Clock>, capacity: usize) -> Tracer {
-        Tracer::with_policy(clock, capacity, OverflowPolicy::DropNew)
+        Tracer::with_policy(clock, 4096, OverflowPolicy::DropNew)
     }
 
     /// A flight-recorder ring: at most `capacity` events, evicting the
@@ -154,8 +148,7 @@ impl Tracer {
         Tracer::with_policy(clock, capacity, OverflowPolicy::DropOld)
     }
 
-    /// A tracer with an explicit overflow policy.
-    pub fn with_policy(clock: Arc<dyn Clock>, capacity: usize, policy: OverflowPolicy) -> Tracer {
+    fn with_policy(clock: Arc<dyn Clock>, capacity: usize, policy: OverflowPolicy) -> Tracer {
         Tracer {
             clock,
             events: Mutex::new(VecDeque::new()),
@@ -505,7 +498,7 @@ mod tests {
 
     #[test]
     fn bounded_buffer_drops_and_counts_overflow() {
-        let tracer = Tracer::with_capacity(Arc::new(VirtualClock::new()), 2);
+        let tracer = Tracer::with_policy(Arc::new(VirtualClock::new()), 2, OverflowPolicy::DropNew);
         tracer.event("a", &[]);
         tracer.event("b", &[]);
         tracer.event("c", &[]);
