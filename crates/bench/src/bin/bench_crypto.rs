@@ -608,11 +608,9 @@ fn bench_decrypt(ctx: &Ctx, reps: usize, rng: &mut StdRng) -> Vec<CryptoBenchEnt
 }
 
 /// Share combination alone (partials precomputed): the naive per-share
-/// `pow_mod` path vs the cached [`CombinePlan`] batch path (Straus
+/// `pow_mod` path vs the [`CombinePlanCache`] batch path (Straus
 /// multi-exponentiation + one batched Lagrange-denominator inversion) the
 /// protocol substrates actually run.
-///
-/// [`CombinePlan`]: cs_crypto::threshold::CombinePlan
 fn bench_combine(ctx: &Ctx, reps: usize, rng: &mut StdRng) -> Vec<CryptoBenchEntry> {
     let pk = ctx.tkp.public();
     let params = ctx.tkp.params();

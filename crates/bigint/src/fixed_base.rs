@@ -27,7 +27,7 @@
 //! is also the faster, since each multiplication of an exponentiation reads
 //! an entry no other one touches. [`FixedBaseExp::with_window`] therefore
 //! derives the row count from the table's size and nothing else: the
-//! one-row size over [`TABLE_TARGET_BYTES`], rounded up.
+//! one-row size over `TABLE_TARGET_BYTES`, rounded up.
 
 use crate::{BigUint, MontgomeryCtx};
 

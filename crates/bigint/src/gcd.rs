@@ -31,7 +31,7 @@ impl BigUint {
     ///
     /// With `a = self mod m` of several limbs and an odd modulus — what the
     /// cryptosystem inverts — a binary extended GCD runs in one scratch
-    /// buffer ([`inverse_odd`]). Otherwise the roles swap: with
+    /// buffer (`inverse_odd`). Otherwise the roles swap: with
     /// `y = m⁻¹ mod a`, `m·y = 1 + a·k` for some `0 < k < m`, so
     /// `a·(m − k) ≡ 1 (mod m)`; `y` takes one machine word's Euclid when
     /// `a` fits a word (a small constant such as `k!` or `4Δ²`) and the

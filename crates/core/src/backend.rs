@@ -13,9 +13,7 @@ use crate::config::ChiaroscuroConfig;
 use crate::error::ChiaroscuroError;
 use crate::noise::SlotLayout;
 use crate::rounds::{run_computation_step, ComputationOutcome, CryptoContext};
-use cs_obs::{CausalTracer, TraceContext, Tracer};
 use rand::rngs::StdRng;
-use std::sync::Arc;
 
 /// An execution substrate for the distributed computation step.
 ///
@@ -71,72 +69,9 @@ impl ComputationBackend for SimulatorBackend {
     }
 }
 
-/// Wraps any backend with coarse causal tracing: one `step.start` /
-/// `step.done` span pair per computation step, trace id = step seed.
-///
-/// The in-process cycle simulator executes a whole step inside one call,
-/// so — unlike the message-passing substrates, which trace per node — the
-/// wrapper records the substrate as a single actor. The resulting trace segments cleanly under
-/// [`cs_obs::critical::analyze`] (one participant per round) and lines a
-/// simulator run up against cluster timelines in the same tooling.
-pub struct TracedBackend<B> {
-    inner: B,
-    tracer: Arc<Tracer>,
-    actor: u64,
-}
-
-impl<B: ComputationBackend> TracedBackend<B> {
-    /// Wraps `inner`, recording into `tracer` as `actor`.
-    pub fn new(inner: B, tracer: Arc<Tracer>, actor: u64) -> Self {
-        TracedBackend {
-            inner,
-            tracer,
-            actor,
-        }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-}
-
-impl<B: ComputationBackend> ComputationBackend for TracedBackend<B> {
-    fn label(&self) -> &'static str {
-        self.inner.label()
-    }
-
-    fn run_step(
-        &mut self,
-        config: &ChiaroscuroConfig,
-        layout: &SlotLayout,
-        contributions: &[Option<Vec<f64>>],
-        crypto: &CryptoContext,
-        step_seed: u64,
-        rng: &mut StdRng,
-    ) -> Result<ComputationOutcome, ChiaroscuroError> {
-        let mut causal = CausalTracer::new(
-            self.tracer.clone(),
-            step_seed,
-            self.actor,
-            TraceContext::NONE,
-        );
-        let result = self
-            .inner
-            .run_step(config, layout, contributions, crypto, step_seed, rng);
-        let completed = result
-            .as_ref()
-            .map(|o| u64::from(o.estimates.iter().any(Option::is_some)))
-            .unwrap_or(0);
-        causal.mark("step.done", &[("completed", completed)]);
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cs_obs::{Clock, NodeTrace, VirtualClock};
 
     #[test]
     fn simulator_backend_is_the_default_substrate() {
@@ -154,14 +89,11 @@ mod tests {
         let mut cfg = crate::config::ChiaroscuroConfig::test_real();
         cfg.k = 2;
         let engine = crate::engine::Engine::new(cfg).unwrap();
-        let tracer = Arc::new(Tracer::new(Arc::new(VirtualClock::new()) as Arc<dyn Clock>));
-        let mut traced = TracedBackend::new(SimulatorBackend, tracer, 0);
         let runs = [
             engine.run(&series),
             engine.run_with_backend(&series, &mut SimulatorBackend),
-            engine.run_with_backend(&series, &mut traced),
         ];
-        let hosts = ["Engine::run", "SimulatorBackend", "TracedBackend"];
+        let hosts = ["Engine::run", "SimulatorBackend"];
         for (host, run) in hosts.into_iter().zip(runs) {
             match run {
                 Err(ChiaroscuroError::InvalidConfig(msg)) => {
@@ -170,45 +102,5 @@ mod tests {
                 other => panic!("{host}: expected the refusal, got {:?}", other.err()),
             }
         }
-    }
-
-    #[test]
-    fn traced_backend_records_one_round_per_engine_iteration() {
-        let series: Vec<cs_timeseries::TimeSeries> = (0..12)
-            .map(|i| cs_timeseries::TimeSeries::new(vec![(i % 3) as f64; 8]))
-            .collect();
-        let mut cfg = crate::config::ChiaroscuroConfig::demo_simulated();
-        cfg.k = 2;
-        cfg.max_iterations = 3;
-        let tracer = Arc::new(Tracer::new(Arc::new(VirtualClock::new()) as Arc<dyn Clock>));
-        let mut backend = TracedBackend::new(SimulatorBackend, tracer.clone(), 0);
-        let out = crate::engine::Engine::new(cfg)
-            .unwrap()
-            .run_with_backend(&series, &mut backend)
-            .unwrap();
-        assert_eq!(backend.inner().label(), "cycle-simulator");
-
-        let trace = NodeTrace::capture(0, &tracer);
-        let starts = trace
-            .events
-            .iter()
-            .filter(|e| e.name == "step.start")
-            .count();
-        let dones = trace
-            .events
-            .iter()
-            .filter(|e| e.name == "step.done")
-            .count();
-        assert_eq!(starts, out.iterations, "one span pair per computation step");
-        assert_eq!(dones, out.iterations);
-
-        // The coarse trace segments under the same critical-path analyzer
-        // as the per-node substrates (the simulator is the sole actor, so
-        // it is trivially the straggler of every round).
-        let rounds = cs_obs::critical::analyze(&cs_obs::ClusterTrace {
-            traces: vec![trace],
-        });
-        assert_eq!(rounds.len(), out.iterations);
-        assert!(rounds.iter().all(|r| r.straggler == 0));
     }
 }

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 /// Whether homomorphic operations really run or are cost-modeled.
 ///
-/// The demo itself "disable[s] the homomorphic operations (a single machine
+/// The demo itself "disable\[s\] the homomorphic operations (a single machine
 /// can hardly cope with the encryption load of a thousand participants)"
 /// while displaying costs "based on actual average measures performed
 /// beforehand" — [`CryptoMode::Simulated`] reproduces exactly that;

@@ -37,7 +37,7 @@ pub mod quality;
 pub mod rounds;
 pub mod termination;
 
-pub use backend::{ComputationBackend, SimulatorBackend, TracedBackend};
+pub use backend::{ComputationBackend, SimulatorBackend};
 pub use config::{ChiaroscuroConfig, CryptoMode};
 pub use diptych::Diptych;
 pub use engine::{Engine, RunOutput};

@@ -24,7 +24,7 @@ pub struct QualityReport {
     /// Adjusted Rand index between the two assignments.
     pub ari_vs_baseline: f64,
     /// Silhouette score of the Chiaroscuro assignment (sampled to at most
-    /// [`SILHOUETTE_SAMPLE`] series; the measure is O(n²)).
+    /// `SILHOUETTE_SAMPLE` series; the measure is O(n²)).
     pub silhouette: f64,
 }
 
@@ -36,7 +36,7 @@ const BASELINE_RESTARTS: u64 = 5;
 const SILHOUETTE_SAMPLE: usize = 400;
 
 /// Compares final Chiaroscuro centroids against the best of
-/// [`BASELINE_RESTARTS`] centralized k-means runs with the same `k` (seeded
+/// `BASELINE_RESTARTS` centralized k-means runs with the same `k` (seeded
 /// deterministically from `seed`).
 pub fn compare_with_baseline(
     series: &[TimeSeries],

@@ -3,15 +3,17 @@
 //! The ICDE demo disables homomorphic operations during large simulations and
 //! reports costs "based on actual average measures performed beforehand".
 //! [`CryptoCostProfile::measure`] is that calibration pass: it times every
-//! operation the protocol issues at the requested key size, so the simulator
-//! can account realistic crypto cost without paying it on every simulated
-//! message.
+//! operation the protocol issues at the requested key size, on the path the
+//! hosts run it, so the simulator can account realistic crypto cost without
+//! paying it on every simulated message.
 
-use crate::{KeyGenOptions, ThresholdKeyPair, ThresholdParams};
+use crate::threshold::CombinePlanCache;
+use crate::{FastEncryptor, KeyGenOptions, ThresholdKeyPair, ThresholdParams};
 use cs_bigint::rng::random_below;
 use cs_bigint::BigUint;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Average wall-clock cost of each Damgård-Jurik operation, in microseconds.
@@ -44,7 +46,10 @@ pub struct CryptoCostProfile {
 
 impl CryptoCostProfile {
     /// Measures a profile by running `reps` of each operation at the given
-    /// parameters. Key generation time is excluded (one-time setup).
+    /// parameters. Key generation, the fixed-base randomizer table and the
+    /// first combine plan are one-time setup, and are excluded: encryption
+    /// and re-randomization are timed through [`FastEncryptor`], combines
+    /// through one [`CombinePlanCache`] reused across the reps.
     pub fn measure<R: Rng + ?Sized>(
         opts: &KeyGenOptions,
         threshold: ThresholdParams,
@@ -55,11 +60,12 @@ impl CryptoCostProfile {
         let tkp =
             ThresholdKeyPair::generate(opts, threshold, rng).expect("valid threshold parameters");
         let pk = tkp.public();
+        let enc = FastEncryptor::new(Arc::new(pk.clone()), rng);
 
         let plaintexts: Vec<BigUint> = (0..reps).map(|_| random_below(rng, pk.n_s())).collect();
 
         let t0 = Instant::now();
-        let cts: Vec<_> = plaintexts.iter().map(|m| pk.encrypt(m, rng)).collect();
+        let cts: Vec<_> = plaintexts.iter().map(|m| enc.encrypt(m, rng)).collect();
         let encrypt_us = per_op_us(t0, reps);
 
         let t0 = Instant::now();
@@ -76,7 +82,7 @@ impl CryptoCostProfile {
 
         let t0 = Instant::now();
         for c in &cts {
-            let _ = pk.rerandomize(c, rng);
+            let _ = enc.rerandomize(c, rng);
         }
         let rerandomize_us = per_op_us(t0, reps);
 
@@ -94,9 +100,16 @@ impl CryptoCostProfile {
             .iter()
             .map(|sh| sh.partial_decrypt(c))
             .collect();
+        let plans = CombinePlanCache::new();
+        let combine = || {
+            plans
+                .combine(pk, tkp.params(), tkp.delta(), &partials)
+                .expect("combine")
+        };
+        combine();
         let t0 = Instant::now();
         for _ in 0..reps {
-            let _ = tkp.combine(&partials).expect("combine");
+            let _ = combine();
         }
         let combine_us = per_op_us(t0, reps);
 

@@ -44,7 +44,7 @@
 //! rather than of all of `Z*_n`; deployments needing full-entropy
 //! randomizers can keep [`crate::PublicKey::encrypt`] on cold paths.
 
-use crate::{Ciphertext, CryptoError, PublicKey};
+use crate::{Ciphertext, PublicKey};
 use cs_bigint::rng::{random_below_pow2, random_unit};
 use cs_bigint::{BigUint, FixedBaseExp};
 use rand::Rng;
@@ -78,11 +78,6 @@ impl FastEncryptor {
         FastEncryptor { pk, h_ns, exp_bits }
     }
 
-    /// The public key this encryptor serves.
-    pub fn public(&self) -> &PublicKey {
-        &self.pk
-    }
-
     /// Bit length of the random exponent `t`: `⌈|n|/2⌉`.
     pub fn exp_bits(&self) -> usize {
         self.exp_bits
@@ -106,14 +101,10 @@ impl FastEncryptor {
     /// Panics if `m >= n^s` (mirrors [`PublicKey::encrypt`]); use
     /// [`PublicKey::check_plaintext`] for untrusted inputs.
     pub fn encrypt<R: Rng + ?Sized>(&self, m: &BigUint, rng: &mut R) -> Ciphertext {
-        self.encrypt_with_randomizer(m, &self.randomizer(rng))
-    }
-
-    /// Encrypts with a caller-provided randomizer (pool path).
-    fn encrypt_with_randomizer(&self, m: &BigUint, blind: &BigUint) -> Ciphertext {
+        let blind = self.randomizer(rng);
         assert!(m < self.pk.n_s(), "plaintext out of range");
         let g_m = self.pk.one_plus_n_pow(m);
-        Ciphertext::from_biguint(self.pk.mont().mul_mod(&g_m, blind))
+        Ciphertext::from_biguint(self.pk.mont().mul_mod(&g_m, &blind))
     }
 
     /// Re-randomizes a ciphertext with a fixed-base randomizer: same
@@ -129,8 +120,10 @@ impl FastEncryptor {
 }
 
 /// A pool of precomputed randomizers: refill in bulk off the hot path, pop
-/// per encryption. Falls back to fresh fixed-base generation when empty, so
-/// it never blocks.
+/// per forward re-randomization. Falls back to fresh fixed-base generation
+/// when empty — exactly [`FastEncryptor::randomizer`] from the caller's RNG,
+/// so an empty pool re-randomizes like [`FastEncryptor::rerandomize`] — and
+/// never blocks.
 #[derive(Clone, Debug)]
 pub struct RandomizerPool {
     enc: Arc<FastEncryptor>,
@@ -169,22 +162,6 @@ impl RandomizerPool {
         self.pool.pop().unwrap_or_else(|| self.enc.randomizer(rng))
     }
 
-    /// Encrypts using a pooled randomizer.
-    pub fn encrypt<R: Rng + ?Sized>(&mut self, m: &BigUint, rng: &mut R) -> Ciphertext {
-        let blind = self.next(rng);
-        self.enc.encrypt_with_randomizer(m, &blind)
-    }
-
-    /// Validates `m` before a pooled encryption (non-panicking variant).
-    pub fn try_encrypt<R: Rng + ?Sized>(
-        &mut self,
-        m: &BigUint,
-        rng: &mut R,
-    ) -> Result<Ciphertext, CryptoError> {
-        self.enc.public().check_plaintext(m)?;
-        Ok(self.encrypt(m, rng))
-    }
-
     /// Re-randomizes a ciphertext with a pooled randomizer — the gossip
     /// forwarding hot path. Falls back to fresh fixed-base generation
     /// (drawing from `rng`) when the pool ran dry, like [`Self::next`].
@@ -200,7 +177,7 @@ mod tests {
     use crate::{KeyGenOptions, KeyPair};
     use cs_bigint::rng::random_below;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn setup(seed: u64) -> (KeyPair, Arc<FastEncryptor>, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -254,14 +231,25 @@ mod tests {
         assert!(pool.is_empty());
         pool.refill(3, &mut rng);
         assert_eq!(pool.len(), 3);
-        let m = BigUint::from(9u64);
         for _ in 0..5 {
-            // Two of these five encryptions exercise the dry-pool fallback.
-            let c = pool.encrypt(&m, &mut rng);
-            assert_eq!(kp.private().decrypt(&c), m);
+            // Two of these five randomizers exercise the dry-pool fallback.
+            let r = pool.next(&mut rng);
+            assert!(kp.private().decrypt(&Ciphertext::from_biguint(r)).is_zero());
         }
         assert!(pool.is_empty());
-        assert!(pool.try_encrypt(kp.public().n_s(), &mut rng).is_err());
+    }
+
+    #[test]
+    fn an_empty_pool_rerandomizes_like_the_encryptor() {
+        let (kp, enc, mut rng) = setup(8);
+        let c = kp.public().encrypt(&BigUint::from(55u64), &mut rng);
+        let mut pooled_rng = StdRng::seed_from_u64(81);
+        let mut direct_rng = StdRng::seed_from_u64(81);
+        let mut pool = RandomizerPool::new(enc.clone());
+        let pooled = pool.rerandomize(&c, &mut pooled_rng);
+        let direct = enc.rerandomize(&c, &mut direct_rng);
+        assert_eq!(pooled, direct);
+        assert_eq!(pooled_rng.next_u64(), direct_rng.next_u64());
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //!
 //! Everything the Chiaroscuro computation step needs: addition of encrypted
 //! means and noise shares, scalar multiplication (notably by powers of two
-//! for the push-sum denominator alignment), negation, plaintext addition,
-//! and re-randomization of forwarded ciphertexts.
+//! for the push-sum denominator alignment), negation and plaintext addition.
+//! Forwarded ciphertexts are re-randomized with a fixed-base randomizer
+//! ([`crate::FastEncryptor::rerandomize`]), the one path every host runs.
 
 use crate::{Ciphertext, PublicKey};
-use cs_bigint::rng::random_unit;
 use cs_bigint::BigUint;
-use rand::Rng;
 
 impl PublicKey {
     /// Homomorphic addition: `Dec(add(c1, c2)) = Dec(c1) + Dec(c2) mod n^s`.
@@ -54,17 +53,6 @@ impl PublicKey {
     /// Homomorphic subtraction: `Dec(sub(c1, c2)) = Dec(c1) - Dec(c2) mod n^s`.
     pub fn sub(&self, c1: &Ciphertext, c2: &Ciphertext) -> Ciphertext {
         self.add(c1, &self.neg(c2))
-    }
-
-    /// Re-randomizes a ciphertext: same plaintext, fresh randomness.
-    ///
-    /// Chiaroscuro participants re-randomize before forwarding so an
-    /// eavesdropper cannot link a forwarded ciphertext to the exchange it
-    /// came from.
-    pub fn rerandomize<R: Rng + ?Sized>(&self, c: &Ciphertext, rng: &mut R) -> Ciphertext {
-        let r = random_unit(rng, self.n());
-        let blind = self.mont().pow_mod(&r, self.n_s());
-        Ciphertext(self.mont().mul_mod(&c.0, &blind))
     }
 
     /// An encryption of zero with fixed randomness `r = 1`.
@@ -150,17 +138,6 @@ mod tests {
         // a - b where b > a wraps mod n^s:
         let wrapped = sk.decrypt(&pk.sub(&cb, &ca));
         assert_eq!(wrapped, pk.n_s().sub_u64(42));
-    }
-
-    #[test]
-    fn rerandomize_preserves_plaintext_changes_ciphertext() {
-        let (kp, mut rng) = setup(105);
-        let (pk, sk) = (kp.public(), kp.private());
-        let a = BigUint::from(777u64);
-        let c = pk.encrypt(&a, &mut rng);
-        let c2 = pk.rerandomize(&c, &mut rng);
-        assert_ne!(c, c2);
-        assert_eq!(sk.decrypt(&c2), a);
     }
 
     #[test]

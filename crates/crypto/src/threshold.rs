@@ -312,18 +312,22 @@ impl ThresholdKeyPair {
         &self.keypair
     }
 
-    /// Combines at least `threshold` partial decryptions into the plaintext.
+    /// Combines at least `threshold` partial decryptions into the plaintext,
+    /// through a fresh [`CombinePlanCache`] (a caller that combines more than
+    /// once keeps its own cache).
     pub fn combine(&self, partials: &[PartialDecryption]) -> Result<BigUint, CryptoError> {
-        combine_partials(self.public(), self.params, &self.delta, partials)
+        CombinePlanCache::new().combine(self.public(), self.params, &self.delta, partials)
     }
 }
 
-/// Validates the first `threshold` partials of a combine call and returns
-/// their indices, in arrival order.
+/// Validates the parameters and the first `threshold` partials of a combine
+/// call and returns their indices, in arrival order — the one subset check
+/// both the plan cache and [`combine_partials_naive`] run.
 fn validated_subset_indices(
     params: ThresholdParams,
     partials: &[PartialDecryption],
 ) -> Result<Vec<u64>, CryptoError> {
+    params.validate()?;
     if partials.len() < params.threshold {
         return Err(CryptoError::NotEnoughShares {
             got: partials.len(),
@@ -350,30 +354,10 @@ fn validated_subset_indices(
     Ok(indices)
 }
 
-/// Combines partial decryptions without needing the dealer object (the
-/// protocol layer only has the public key and parameters).
-///
-/// Builds a one-shot [`CombinePlan`] for the subset and evaluates it —
-/// Straus multi-exponentiation, one inversion. Callers that decrypt many
-/// ciphertexts against the same committee subset should cache the plan in
-/// a [`CombinePlanCache`] instead of re-deriving the Lagrange data per
-/// call. [`combine_partials_naive`] keeps the per-partial `pow_mod` path
-/// as the differential oracle.
-pub fn combine_partials(
-    pk: &PublicKey,
-    params: ThresholdParams,
-    delta: &BigUint,
-    partials: &[PartialDecryption],
-) -> Result<BigUint, CryptoError> {
-    let indices = validated_subset_indices(params, partials)?;
-    let plan = CombinePlan::new(pk, params, delta, &indices)?;
-    plan.combine(pk, &partials[..params.threshold])
-}
-
 /// The pre-Straus reference combine: one full `pow_mod` per partial and a
 /// `mod_inverse` per negative Lagrange coefficient (plus one for `4Δ²`).
-/// Kept verbatim as the differential oracle for [`combine_partials`] and
-/// [`CombinePlan`]; every production caller uses the fast path.
+/// Kept verbatim as the differential oracle for [`CombinePlanCache`]; every
+/// production caller combines through a cache.
 pub fn combine_partials_naive(
     pk: &PublicKey,
     params: ThresholdParams,
@@ -420,11 +404,11 @@ pub fn combine_partials_naive(
 ///
 /// Evaluation is a Straus interleaved multi-exponentiation: all `t`
 /// partials share one squaring chain, positive-λ factors accumulate into a
-/// numerator and negative-λ factors into a denominator, and a single
-/// inversion (batched across ciphertexts in [`Self::combine_batch`])
-/// replaces the per-partial `mod_inverse` calls of the naive path.
-#[derive(Clone, Debug)]
-pub struct CombinePlan {
+/// numerator and negative-λ factors into a denominator, and one inversion
+/// batched across the ciphertexts ([`Self::combine_batch`]) replaces the
+/// per-partial `mod_inverse` calls of the naive path.
+#[derive(Debug)]
+struct CombinePlan {
     /// The subset's share indices, in plan order.
     indices: Vec<u64>,
     /// Per index: `|2λ_{0,i}|` and whether the coefficient is negative.
@@ -434,36 +418,16 @@ pub struct CombinePlan {
 }
 
 impl CombinePlan {
-    /// Derives the plan for a committee subset given as share indices
-    /// (exactly `threshold` of them, each in `1..=parties`, no duplicates).
-    pub fn new(
-        pk: &PublicKey,
-        params: ThresholdParams,
-        delta: &BigUint,
-        indices: &[u64],
-    ) -> Result<CombinePlan, CryptoError> {
-        params.validate()?;
-        if indices.len() != params.threshold {
-            return Err(CryptoError::NotEnoughShares {
-                got: indices.len(),
-                need: params.threshold,
-            });
-        }
-        let mut sorted = indices.to_vec();
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            if w[0] == w[1] {
-                return Err(CryptoError::DuplicateShareIndex(w[0]));
-            }
-        }
-        let mut terms = Vec::with_capacity(indices.len());
-        for &i in indices {
-            if i == 0 || i > params.parties as u64 {
-                return Err(CryptoError::ShareIndexOutOfRange(i));
-            }
-            let two_lambda = &shamir::lagrange_at_zero(indices, i, delta) * &BigInt::from(2u64);
-            terms.push((two_lambda.magnitude().clone(), two_lambda.is_negative()));
-        }
+    /// Derives the plan for a committee subset given as share indices that
+    /// [`validated_subset_indices`] returned.
+    fn new(pk: &PublicKey, delta: &BigUint, indices: &[u64]) -> Result<CombinePlan, CryptoError> {
+        let terms = indices
+            .iter()
+            .map(|&i| {
+                let two_lambda = &shamir::lagrange_at_zero(indices, i, delta) * &BigInt::from(2u64);
+                (two_lambda.magnitude().clone(), two_lambda.is_negative())
+            })
+            .collect();
         let four_delta_sq_inv = delta
             .square()
             .mul_u64(4)
@@ -476,22 +440,24 @@ impl CombinePlan {
         })
     }
 
-    /// The subset this plan was derived for, in plan order.
-    pub fn indices(&self) -> &[u64] {
-        &self.indices
-    }
-
     /// Straus-evaluates the numerator/denominator pair for one
-    /// ciphertext's partials. Partials must cover exactly this plan's
-    /// subset (any order).
+    /// ciphertext's partials. The first `threshold` of them must cover
+    /// exactly this plan's subset (any order); the rest are ignored.
     fn split_products(
         &self,
         pk: &PublicKey,
         partials: &[PartialDecryption],
     ) -> Result<(BigUint, BigUint), CryptoError> {
-        let mut exp_terms = Vec::with_capacity(self.indices.len());
+        let need = self.indices.len();
+        let subset = partials.get(..need).ok_or(CryptoError::NotEnoughShares {
+            got: partials.len(),
+            need,
+        })?;
+        let mut exp_terms = Vec::with_capacity(need);
         for (&idx, (mag, neg)) in self.indices.iter().zip(&self.terms) {
-            let p = partials
+            // All `need` distinct plan indices among `need` partials: the
+            // partials are the plan's subset, in some order.
+            let p = subset
                 .iter()
                 .find(|p| p.index == idx)
                 .ok_or(CryptoError::MismatchedShares)?;
@@ -500,9 +466,6 @@ impl CombinePlan {
                 exp: mag.clone(),
                 negative: *neg,
             });
-        }
-        if partials.len() != self.indices.len() {
-            return Err(CryptoError::MismatchedShares);
         }
         Ok(multi_exp_signed(pk.mont(), &exp_terms))
     }
@@ -514,27 +477,11 @@ impl CombinePlan {
         scaled.mod_mul(&self.four_delta_sq_inv, pk.n_s())
     }
 
-    /// Combines one ciphertext's partial decryptions into the plaintext.
-    pub fn combine(
-        &self,
-        pk: &PublicKey,
-        partials: &[PartialDecryption],
-    ) -> Result<BigUint, CryptoError> {
-        let (num, den) = self.split_products(pk, partials)?;
-        let acc = if den.is_one() {
-            num
-        } else {
-            let den_inv = den.mod_inverse(pk.n_s1()).ok_or(CryptoError::NotAUnit)?;
-            pk.mont().mul_mod(&num, &den_inv)
-        };
-        Ok(self.finish(pk, &acc))
-    }
-
     /// Combines many ciphertexts decrypted by the same subset, amortizing
     /// the denominator inversions across the whole batch with Montgomery's
     /// trick: one extended-gcd for the entire batch instead of one per
     /// ciphertext.
-    pub fn combine_batch(
+    fn combine_batch(
         &self,
         pk: &PublicKey,
         groups: &[Vec<PartialDecryption>],
@@ -558,7 +505,11 @@ impl CombinePlan {
     }
 }
 
-/// A per-run cache of [`CombinePlan`]s keyed by committee subset.
+/// A per-run cache of combine plans keyed by committee subset: the one
+/// path every threshold combine takes. A plan holds a subset's `2λ_{0,i}`
+/// Lagrange coefficients and `(4Δ²)^{-1} mod n^s`; evaluating it is one
+/// Straus multi-exponentiation per ciphertext and one inversion per batch
+/// ([`combine_partials_naive`] is the differential oracle).
 ///
 /// Interior-locked so one cache can be shared across worker threads (the
 /// sharded executor) or across a daemon's steps behind an `Arc`. The map
@@ -575,13 +526,12 @@ impl CombinePlanCache {
         Self::default()
     }
 
-    /// Returns the cached plan for a subset, deriving and inserting it on
-    /// first sight. The key is the *sorted* index set — arrival order does
-    /// not fragment the cache.
-    pub fn plan_for(
+    /// Returns the cached plan for a validated subset, deriving and
+    /// inserting it on first sight. The key is the *sorted* index set —
+    /// arrival order does not fragment the cache.
+    fn plan_for(
         &self,
         pk: &PublicKey,
-        params: ThresholdParams,
         delta: &BigUint,
         indices: &[u64],
     ) -> Result<Arc<CombinePlan>, CryptoError> {
@@ -590,7 +540,7 @@ impl CombinePlanCache {
         if let Some(plan) = self.plans.lock().expect("plan cache lock").get(&key) {
             return Ok(plan.clone());
         }
-        let plan = Arc::new(CombinePlan::new(pk, params, delta, indices)?);
+        let plan = Arc::new(CombinePlan::new(pk, delta, indices)?);
         self.plans
             .lock()
             .expect("plan cache lock")
@@ -598,8 +548,7 @@ impl CombinePlanCache {
         Ok(plan)
     }
 
-    /// Validates and combines one ciphertext's partials through the cached
-    /// plan for their subset.
+    /// Validates and combines one ciphertext's partials: a batch of one.
     pub fn combine(
         &self,
         pk: &PublicKey,
@@ -607,13 +556,13 @@ impl CombinePlanCache {
         delta: &BigUint,
         partials: &[PartialDecryption],
     ) -> Result<BigUint, CryptoError> {
-        let indices = validated_subset_indices(params, partials)?;
-        let plan = self.plan_for(pk, params, delta, &indices)?;
-        plan.combine(pk, &partials[..params.threshold])
+        let mut plaintexts = self.combine_batch(pk, params, delta, &[partials.to_vec()])?;
+        Ok(plaintexts.pop().expect("one group in, one plaintext out"))
     }
 
-    /// Combines many ciphertexts decrypted by one subset (the subset of
-    /// the first group; all groups must match it), batching the inversions.
+    /// Combines many ciphertexts decrypted by one subset (the first
+    /// `threshold` partials of the first group name it; every group's first
+    /// `threshold` must match it), batching the inversions.
     pub fn combine_batch(
         &self,
         pk: &PublicKey,
@@ -625,21 +574,8 @@ impl CombinePlanCache {
             return Ok(Vec::new());
         };
         let indices = validated_subset_indices(params, first)?;
-        let plan = self.plan_for(pk, params, delta, &indices)?;
-        let trimmed: Vec<Vec<PartialDecryption>> = groups
-            .iter()
-            .map(|g| {
-                if g.len() < params.threshold {
-                    Err(CryptoError::NotEnoughShares {
-                        got: g.len(),
-                        need: params.threshold,
-                    })
-                } else {
-                    Ok(g[..params.threshold].to_vec())
-                }
-            })
-            .collect::<Result<_, _>>()?;
-        plan.combine_batch(pk, &trimmed)
+        let plan = self.plan_for(pk, delta, &indices)?;
+        plan.combine_batch(pk, groups)
     }
 }
 
@@ -813,8 +749,9 @@ mod tests {
                     continue;
                 }
                 let subset = vec![all[a].clone(), all[b].clone()];
-                let fast =
-                    combine_partials(tkp.public(), tkp.params(), &tkp.delta, &subset).unwrap();
+                let fast = CombinePlanCache::new()
+                    .combine(tkp.public(), tkp.params(), &tkp.delta, &subset)
+                    .unwrap();
                 let naive = combine_partials_naive(tkp.public(), tkp.params(), &tkp.delta, &subset)
                     .unwrap();
                 assert_eq!(fast, naive, "subset ({a},{b})");
@@ -890,32 +827,41 @@ mod tests {
         let (tkp, mut rng) = setup(224, 2, 3, 1);
         let pk = tkp.public();
         let params = tkp.params();
+        let subset = |indices: &[u64]| -> Vec<PartialDecryption> {
+            indices
+                .iter()
+                .map(|&i| PartialDecryption::from_parts(i, BigUint::one()))
+                .collect()
+        };
         assert!(matches!(
-            CombinePlan::new(pk, params, &tkp.delta, &[1]),
+            validated_subset_indices(params, &subset(&[1])),
             Err(CryptoError::NotEnoughShares { got: 1, need: 2 })
         ));
         assert!(matches!(
-            CombinePlan::new(pk, params, &tkp.delta, &[2, 2]),
+            validated_subset_indices(params, &subset(&[2, 2])),
             Err(CryptoError::DuplicateShareIndex(2))
         ));
         assert!(matches!(
-            CombinePlan::new(pk, params, &tkp.delta, &[1, 4]),
+            validated_subset_indices(params, &subset(&[1, 4])),
             Err(CryptoError::ShareIndexOutOfRange(4))
         ));
         assert!(matches!(
-            CombinePlan::new(pk, params, &tkp.delta, &[0, 1]),
+            validated_subset_indices(params, &subset(&[0, 1])),
             Err(CryptoError::ShareIndexOutOfRange(0))
         ));
         // A plan evaluated against partials from a different subset is
         // rejected, not silently miscombined.
-        let plan = CombinePlan::new(pk, params, &tkp.delta, &[1, 2]).unwrap();
         let c = pk.encrypt(&BigUint::from(5u64), &mut rng);
+        let right = vec![
+            tkp.shares()[0].partial_decrypt(&c),
+            tkp.shares()[1].partial_decrypt(&c),
+        ];
         let wrong = vec![
             tkp.shares()[0].partial_decrypt(&c),
             tkp.shares()[2].partial_decrypt(&c),
         ];
         assert!(matches!(
-            plan.combine(pk, &wrong),
+            CombinePlanCache::new().combine_batch(pk, params, &tkp.delta, &[right, wrong]),
             Err(CryptoError::MismatchedShares)
         ));
     }
@@ -932,7 +878,8 @@ mod tests {
             vec![p1.clone(), forged.clone()],
             vec![p1.clone()],
         ] {
-            let fast = combine_partials(tkp.public(), tkp.params(), &tkp.delta, &partials);
+            let fast =
+                CombinePlanCache::new().combine(tkp.public(), tkp.params(), &tkp.delta, &partials);
             let naive = combine_partials_naive(tkp.public(), tkp.params(), &tkp.delta, &partials);
             assert_eq!(
                 format!("{:?}", fast.as_ref().err()),

@@ -3,7 +3,7 @@
 //! PR "crypto hot path round two" rebuilt the entire decryption side on
 //! fast paths — CRT-split exponentiation for private decryption and
 //! partial-decryption shares, Straus multi-exponentiation behind cached
-//! per-committee [`CombinePlan`]s for share combination — and every one of
+//! per-committee plans ([`CombinePlanCache`]) for share combination — and every one of
 //! them keeps its slow predecessor in-tree as a differential oracle. This
 //! suite pins the equivalences down under randomized inputs:
 //!
@@ -15,11 +15,11 @@
 //! * the fast and naive paths reject malformed subsets (duplicates, out of
 //!   range, too few shares) with the *same* typed errors.
 //!
-//! [`CombinePlan`]: cs_crypto::threshold::CombinePlan
+//! [`CombinePlanCache`]: cs_crypto::threshold::CombinePlanCache
 
 use cs_bigint::rng::random_below;
 use cs_bigint::BigUint;
-use cs_crypto::threshold::{combine_partials, combine_partials_naive, CombinePlanCache};
+use cs_crypto::threshold::{combine_partials_naive, CombinePlanCache};
 use cs_crypto::{KeyGenOptions, ThresholdKeyPair, ThresholdParams};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -128,7 +128,7 @@ proptest! {
             .collect();
 
         let naive = combine_partials_naive(t.public(), params, &delta, &subset).unwrap();
-        let fast = combine_partials(t.public(), params, &delta, &subset).unwrap();
+        let fast = CombinePlanCache::new().combine(t.public(), params, &delta, &subset).unwrap();
         prop_assert_eq!(&fast, &naive);
         prop_assert_eq!(&fast, &m);
 
@@ -191,7 +191,7 @@ proptest! {
         let p = t.shares()[dup].partial_decrypt(&c);
         let subset = vec![p.clone(), p];
         let naive = combine_partials_naive(t.public(), params, &delta, &subset).unwrap_err();
-        let fast = combine_partials(t.public(), params, &delta, &subset).unwrap_err();
+        let fast = CombinePlanCache::new().combine(t.public(), params, &delta, &subset).unwrap_err();
         let cached = CombinePlanCache::new()
             .combine(t.public(), params, &delta, &subset)
             .unwrap_err();
@@ -210,7 +210,9 @@ fn short_subsets_are_rejected_everywhere() {
     let c = t.public().encrypt(&BigUint::from(9u64), &mut rng);
     let subset = vec![t.shares()[1].partial_decrypt(&c)];
     let naive = combine_partials_naive(t.public(), params, &delta, &subset).unwrap_err();
-    let fast = combine_partials(t.public(), params, &delta, &subset).unwrap_err();
+    let fast = CombinePlanCache::new()
+        .combine(t.public(), params, &delta, &subset)
+        .unwrap_err();
     let cached = CombinePlanCache::new()
         .combine(t.public(), params, &delta, &subset)
         .unwrap_err();
@@ -257,7 +259,9 @@ fn wide_key_fast_paths_equal_their_oracles() {
             let naive = combine_partials_naive(t.public(), params, &delta, &subset).unwrap();
             assert_eq!(naive, m);
             assert_eq!(
-                combine_partials(t.public(), params, &delta, &subset).unwrap(),
+                CombinePlanCache::new()
+                    .combine(t.public(), params, &delta, &subset)
+                    .unwrap(),
                 naive
             );
             assert_eq!(

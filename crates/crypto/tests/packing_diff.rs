@@ -306,8 +306,8 @@ fn weight_zero_aggregate_is_rejected() {
 
 /// The encryption fast paths at a 1024-bit key (32-limb `n²`: fixed-base
 /// table, pool and CRT decryption all on the slice-based Montgomery
-/// engine): ciphertexts from [`FastEncryptor`] and [`RandomizerPool`],
-/// fresh or re-randomized, decrypt like [`PublicKey::encrypt`] ones.
+/// engine): ciphertexts from [`FastEncryptor`], fresh or re-randomized by it
+/// or a [`RandomizerPool`], decrypt like [`PublicKey::encrypt`] ones.
 ///
 /// [`PublicKey::encrypt`]: cs_crypto::PublicKey::encrypt
 #[test]
@@ -331,8 +331,7 @@ fn wide_key_fast_ciphertexts_decrypt_like_plain_ones() {
         t.combine(&partials).expect("enough shares")
     };
     let enc = Arc::new(FastEncryptor::new(Arc::new(t.public().clone()), &mut rng));
-    // One pooled randomizer per plaintext: `encrypt` pops it, `rerandomize`
-    // then takes the run-dry fallback.
+    // One pooled randomizer per plaintext, which `rerandomize` pops.
     let mut pool = RandomizerPool::new(enc.clone());
     let codec = PackedCodec::plan(
         FixedPointCodec::new(8),
@@ -347,11 +346,10 @@ fn wide_key_fast_ciphertexts_decrypt_like_plain_ones() {
         pool.refill(1, &mut rng);
         let plain = t.public().encrypt(&m, &mut rng);
         let fast = enc.encrypt(&m, &mut rng);
-        let pooled = pool.encrypt(&m, &mut rng);
         let rerandomized = enc.rerandomize(&plain, &mut rng);
         let pool_rerandomized = pool.rerandomize(&fast, &mut rng);
         assert!(rerandomized != plain && pool_rerandomized != fast);
-        for c in [&plain, &fast, &pooled, &rerandomized, &pool_rerandomized] {
+        for c in [&plain, &fast, &rerandomized, &pool_rerandomized] {
             assert_eq!(decrypt(c), m);
         }
     }

@@ -87,12 +87,9 @@ impl std::fmt::Debug for HePush {
 #[derive(Clone)]
 pub struct HePushSumNode {
     pk: Arc<PublicKey>,
-    /// Fixed-base fast path for the forward re-randomizations; `None` falls
-    /// back to the generic [`PublicKey::rerandomize`].
-    enc: Option<Arc<FastEncryptor>>,
-    /// Pre-warmed randomizer pool for the forward re-randomizations; takes
-    /// precedence over per-call generation when present (dry pools fall
-    /// back transparently).
+    /// The one randomizer source of the forward re-randomizations: a pool
+    /// over a [`FastEncryptor`], pre-warmed or empty (a dry pool draws
+    /// [`FastEncryptor::randomizer`] from the caller's RNG).
     pool: Option<RandomizerPool>,
     cipher: Vec<Ciphertext>,
     denom_exp: u32,
@@ -128,7 +125,6 @@ impl HePushSumNode {
         };
         HePushSumNode {
             pk,
-            enc: None,
             pool: None,
             cipher,
             denom_exp: 0,
@@ -151,7 +147,6 @@ impl HePushSumNode {
     ) -> Self {
         HePushSumNode {
             pk,
-            enc: None,
             pool: None,
             cipher,
             denom_exp: 0,
@@ -163,11 +158,10 @@ impl HePushSumNode {
         }
     }
 
-    /// Attaches a fixed-base [`FastEncryptor`] so forward re-randomizations
-    /// take the precomputed-window path instead of a full exponentiation.
-    pub fn with_encryptor(mut self, enc: Arc<FastEncryptor>) -> Self {
-        self.enc = Some(enc);
-        self
+    /// Re-randomizes forwards with fresh fixed-base randomizers from `enc`:
+    /// an empty pool over it ([`Self::with_pool`]).
+    pub fn with_encryptor(self, enc: Arc<FastEncryptor>) -> Self {
+        self.with_pool(RandomizerPool::new(enc))
     }
 
     /// Caps the denominator exponent: once it reaches `cap`, the node keeps
@@ -178,10 +172,11 @@ impl HePushSumNode {
         self
     }
 
-    /// Attaches a pre-warmed [`RandomizerPool`]: forward re-randomizations
-    /// pop pooled randomizers (built during idle time) instead of paying a
-    /// fixed-base exponentiation on the hot path. A dry pool falls back to
-    /// fresh generation, so correctness never depends on pool sizing.
+    /// Attaches a pre-warmed [`RandomizerPool`] (replacing any source set
+    /// before): forward re-randomizations pop pooled randomizers (built
+    /// during idle time) instead of paying a fixed-base exponentiation on
+    /// the hot path. A dry pool falls back to fresh generation, so
+    /// correctness never depends on pool sizing.
     pub fn with_pool(mut self, pool: RandomizerPool) -> Self {
         self.pool = Some(pool);
         self
@@ -274,25 +269,25 @@ impl HePushSumNode {
     /// local mass (increment the denominator exponent, halve the weight —
     /// ciphertexts untouched) and returns the shed half as a wire-ready
     /// payload, re-randomized when the node is configured to do so.
+    ///
+    /// Panics if the node re-randomizes but was given no randomizer source
+    /// ([`Self::with_encryptor`] or [`Self::with_pool`]).
     pub fn split_push<R: Rng + ?Sized>(&mut self, rng: &mut R) -> HePush {
         self.denom_exp += 1;
         self.weight *= 0.5;
-        let slots: Vec<Ciphertext> = self
-            .cipher
-            .iter()
-            .map(|c| {
-                if self.rerandomize {
-                    self.ops.rerandomizations += 1;
-                    match (&mut self.pool, &self.enc) {
-                        (Some(pool), _) => pool.rerandomize(c, rng),
-                        (None, Some(enc)) => enc.rerandomize(c, rng),
-                        (None, None) => self.pk.rerandomize(c, rng),
-                    }
-                } else {
-                    c.clone()
-                }
-            })
-            .collect();
+        let slots: Vec<Ciphertext> = if self.rerandomize {
+            let pool = self
+                .pool
+                .as_mut()
+                .expect("a re-randomizing node needs with_encryptor or with_pool");
+            self.ops.rerandomizations += self.cipher.len() as u64;
+            self.cipher
+                .iter()
+                .map(|c| pool.rerandomize(c, rng))
+                .collect()
+        } else {
+            self.cipher.clone()
+        };
         HePush {
             slots,
             denom_exp: self.denom_exp,
@@ -484,9 +479,11 @@ mod tests {
         let kp = KeyPair::generate(&KeyGenOptions::insecure_test_size(), &mut rng);
         let pk = Arc::new(kp.public().clone());
         let codec = FixedPointCodec::new(20);
+        let enc = Arc::new(FastEncryptor::new(pk.clone(), &mut rng));
         let nodes: Vec<HePushSumNode> = (0..8)
             .map(|i| {
                 HePushSumNode::from_values(pk.clone(), &codec, &[i as f64], 1.0, true, &mut rng)
+                    .with_encryptor(enc.clone())
             })
             .collect();
         let mut net = Network::new(nodes, Overlay::Full, FailureModel::none(), 9);
@@ -589,10 +586,11 @@ mod tests {
         let mut a =
             HePushSumNode::from_values(pk.clone(), &codec, &[8.0, -4.0], 1.0, true, &mut rng)
                 .with_encryptor(enc.clone());
-        let mut pool = RandomizerPool::new(enc);
+        let mut pool = RandomizerPool::new(enc.clone());
         pool.refill(3, &mut rng);
         a = a.with_pool(pool);
-        let mut b = HePushSumNode::from_values(pk, &codec, &[0.0, 0.0], 1.0, true, &mut rng);
+        let mut b = HePushSumNode::from_values(pk, &codec, &[0.0, 0.0], 1.0, true, &mut rng)
+            .with_encryptor(enc);
         // Two splits × two slots = four re-randomizations: three pooled,
         // one dry-pool fallback.
         for _ in 0..2 {

@@ -102,12 +102,6 @@ impl<P: CycleProtocol> Network<P> {
         &self.nodes
     }
 
-    /// Mutable view of all protocol instances (setup / inspection between
-    /// phases).
-    pub fn nodes_mut(&mut self) -> &mut [P] {
-        &mut self.nodes
-    }
-
     /// Liveness of node `i`.
     pub fn is_alive(&self, i: NodeId) -> bool {
         self.alive[i]

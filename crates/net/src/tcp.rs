@@ -46,7 +46,7 @@
 //!   next writability event; a connection that dies mid-record resets the
 //!   cursor and replays the record on the fresh connection (safe because
 //!   the receiver discards an incomplete record along with the dead
-//!   connection). After [`WRITE_ATTEMPTS`] consecutive failures the whole
+//!   connection). After `WRITE_ATTEMPTS` consecutive failures the whole
 //!   queue is drained and counted as dropped — a dead peer degrades into
 //!   frame loss, never into a wedged sender.
 //! * **Fast path.** When the connection is up and nothing is queued
@@ -74,7 +74,7 @@
 //!   after ACK/cwnd round-trips), so level-triggered readiness is the
 //!   backstop for whatever an inline drain misses. A per-connection duty
 //!   word keeps concurrent drainers exclusive (see
-//!   [`TcpInner::drain_inbound`]).
+//!   `TcpInner::drain_inbound`).
 //! * **Backpressure.** The outbound queue is bounded
 //!   ([`TcpTuning::writer_queue_cap`]); beyond it the link counts as
 //!   congested-to-death and the frame is dropped at enqueue, surfaced by
@@ -421,7 +421,7 @@ struct PeerOut {
     cursor: usize,
     /// Preamble bytes still unsent on the current connection.
     preamble_left: usize,
-    /// Consecutive connect/write failures; at [`WRITE_ATTEMPTS`] the queue
+    /// Consecutive connect/write failures; at `WRITE_ATTEMPTS` the queue
     /// is drained into the dropped bucket and the counter resets.
     failures: u32,
     /// Next backoff duration (doubles to [`BACKOFF_CAP`], resets on
@@ -1158,7 +1158,7 @@ struct Inbound {
     /// it (unmaps, closes) on its next pass.
     dead: AtomicBool,
     /// Drain-duty word — 0 idle, 1 draining. See
-    /// [`TcpInner::drain_inbound`].
+    /// `TcpInner::drain_inbound`.
     duty: AtomicU8,
     /// The readable half's cursor state. Only the duty owner locks this,
     /// so the mutex is uncontended; it exists to hand the owner `&mut`.

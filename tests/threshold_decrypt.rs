@@ -3,7 +3,7 @@
 //! decryptor would see — with fewer-than-threshold shares revealing nothing.
 
 use cs_bigint::BigUint;
-use cs_crypto::{FixedPointCodec, KeyGenOptions, ThresholdKeyPair, ThresholdParams};
+use cs_crypto::{FastEncryptor, FixedPointCodec, KeyGenOptions, ThresholdKeyPair, ThresholdParams};
 use cs_gossip::homomorphic_pushsum::HePushSumNode;
 use cs_gossip::{FailureModel, Network, Overlay};
 use rand::rngs::StdRng;
@@ -68,9 +68,11 @@ fn threshold_matches_trusted_decryptor_on_gossiped_ciphertext() {
     let (tkp, mut rng) = setup(2, 4, 3);
     let pk = Arc::new(tkp.public().clone());
     let codec = FixedPointCodec::new(16);
+    let enc = Arc::new(FastEncryptor::new(pk.clone(), &mut rng));
     let nodes: Vec<HePushSumNode> = (0..6)
         .map(|i| {
             HePushSumNode::from_values(pk.clone(), &codec, &[i as f64 - 2.5], 1.0, true, &mut rng)
+                .with_encryptor(enc.clone())
         })
         .collect();
     let mut net = Network::new(nodes, Overlay::Full, FailureModel::none(), 4);
@@ -127,8 +129,12 @@ fn committee_subsets_agree_through_rerandomized_gossip() {
     let (tkp, mut rng) = setup(3, 7, 7);
     let pk = Arc::new(tkp.public().clone());
     let codec = FixedPointCodec::new(12);
+    let enc = Arc::new(FastEncryptor::new(pk.clone(), &mut rng));
     let nodes: Vec<HePushSumNode> = (0..5)
-        .map(|i| HePushSumNode::from_values(pk.clone(), &codec, &[i as f64], 1.0, true, &mut rng))
+        .map(|i| {
+            HePushSumNode::from_values(pk.clone(), &codec, &[i as f64], 1.0, true, &mut rng)
+                .with_encryptor(enc.clone())
+        })
         .collect();
     let mut net = Network::new(nodes, Overlay::Full, FailureModel::none(), 8);
     net.run_cycles(12);
