@@ -98,27 +98,16 @@ struct Ctx {
     fp: FixedPointCodec,
 }
 
+const USAGE: &str = "usage: bench_crypto [--quick] [--check] [--out PATH]";
+
+/// The command line: `--quick`, `--check`, and the document's path.
+fn cli(args: impl IntoIterator<Item = String>) -> Result<([bool; 2], PathBuf), (i32, String)> {
+    cs_bench::doc_args(args, USAGE, ["--quick", "--check"], "BENCH_CRYPTO.json")
+}
+
 fn main() {
-    let mut quick = false;
-    let mut check = false;
-    let mut out = PathBuf::from("BENCH_CRYPTO.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--check" => check = true,
-            "--out" => match args.next() {
-                Some(p) => out = PathBuf::from(p),
-                None => {
-                    // Falling back to the default here would clobber the
-                    // committed baseline with whatever mode this run used.
-                    eprintln!("error: --out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            other => eprintln!("warning: ignoring unknown argument {other:?}"),
-        }
-    }
+    let ([quick, check], out) =
+        cli(std::env::args().skip(1)).unwrap_or_else(|e| cs_bench::exit_with(e));
 
     // Shared key material: test-size keys (the envelope of every in-repo
     // real-crypto run), a 2-of-3 committee, and a packed plan sized for a
@@ -733,5 +722,31 @@ fn bench_net_step(n: usize) -> CryptoBenchEntry {
         } else {
             bytes as f64 / messages as f64
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(args: &[&str]) -> Result<([bool; 2], PathBuf), (i32, String)> {
+        cli(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn help_and_unknown_flags_exit_before_a_run() {
+        for help in ["--help", "-h"] {
+            let (code, msg) = parsed(&["--quick", help]).unwrap_err();
+            assert_eq!((code, msg.as_str()), (0, USAGE));
+        }
+        for bad in [&["--bogus"][..], &["--quick", "--out"]] {
+            let (code, msg) = parsed(bad).unwrap_err();
+            assert_eq!(code, 2);
+            assert!(msg.ends_with(USAGE), "{msg}");
+        }
+        let (flags, out) = parsed(&["--check", "--out", "x.json"]).unwrap();
+        assert_eq!(flags, [false, true]);
+        assert_eq!(out, PathBuf::from("x.json"));
+        assert_eq!(parsed(&[]).unwrap().1, PathBuf::from("BENCH_CRYPTO.json"));
     }
 }

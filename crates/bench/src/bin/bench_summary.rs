@@ -106,25 +106,21 @@ struct BenchSummary {
     entries: Vec<BenchEntry>,
 }
 
+const USAGE: &str = "usage: bench_summary [--quick] [--check] [--profile] [--out PATH]";
+
+/// The command line: `--quick`, `--check`, `--profile`, and the document's path.
+fn cli(args: impl IntoIterator<Item = String>) -> Result<([bool; 3], PathBuf), (i32, String)> {
+    cs_bench::doc_args(
+        args,
+        USAGE,
+        ["--quick", "--check", "--profile"],
+        "BENCH_net.json",
+    )
+}
+
 fn main() {
-    let mut quick = false;
-    let mut check = false;
-    let mut profile = false;
-    let mut out = PathBuf::from("BENCH_net.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--check" => check = true,
-            "--profile" => profile = true,
-            "--out" => {
-                if let Some(p) = args.next() {
-                    out = PathBuf::from(p);
-                }
-            }
-            other => eprintln!("warning: ignoring unknown argument {other:?}"),
-        }
-    }
+    let ([quick, check, profile], out) =
+        cli(std::env::args().skip(1)).unwrap_or_else(|e| cs_bench::exit_with(e));
 
     let mut entries = Vec::new();
     entries.push(bench_wire_codec(quick));
@@ -609,5 +605,31 @@ impl StepWorkload {
         )
         .expect("step");
         self.entry(n, t.elapsed().as_secs_f64() * 1e3, &run)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(args: &[&str]) -> Result<([bool; 3], PathBuf), (i32, String)> {
+        cli(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn help_and_unknown_flags_exit_before_a_run() {
+        for help in ["--help", "-h"] {
+            let (code, msg) = parsed(&["--quick", help]).unwrap_err();
+            assert_eq!((code, msg.as_str()), (0, USAGE));
+        }
+        for bad in [&["--bogus"][..], &["--quick", "--out"]] {
+            let (code, msg) = parsed(bad).unwrap_err();
+            assert_eq!(code, 2);
+            assert!(msg.ends_with(USAGE), "{msg}");
+        }
+        let (flags, out) = parsed(&["--check", "--out", "x.json"]).unwrap();
+        assert_eq!(flags, [false, true, false]);
+        assert_eq!(out, PathBuf::from("x.json"));
+        assert_eq!(parsed(&[]).unwrap().1, PathBuf::from("BENCH_net.json"));
     }
 }

@@ -62,6 +62,48 @@ impl ExpArgs {
     }
 }
 
+/// The command line of a binary that writes a committed document
+/// (`bench_summary`, `bench_crypto`): the on/off `flags`, in order, and
+/// `--out PATH` (default `out`). `Err((code, message))` ends the process
+/// before anything is measured or written ([`exit_with`]): code 0 with
+/// `usage` for `--help` or `-h`, code 2 for an unknown flag or a missing
+/// path. Running on would overwrite the committed document.
+pub fn doc_args<const N: usize>(
+    args: impl IntoIterator<Item = String>,
+    usage: &str,
+    flags: [&str; N],
+    out: &str,
+) -> Result<([bool; N], PathBuf), (i32, String)> {
+    let mut on = [false; N];
+    let mut out = PathBuf::from(out);
+    let mut args = args.into_iter();
+    while let Some(a) = args.next() {
+        if let Some(i) = flags.iter().position(|f| *f == a) {
+            on[i] = true;
+            continue;
+        }
+        match a.as_str() {
+            "--out" => match args.next() {
+                Some(p) => out = PathBuf::from(p),
+                None => return Err((2, format!("error: --out requires a path\n{usage}"))),
+            },
+            "--help" | "-h" => return Err((0, usage.into())),
+            other => return Err((2, format!("error: unknown argument {other:?}\n{usage}"))),
+        }
+    }
+    Ok((on, out))
+}
+
+/// Ends the process as [`doc_args`] decided: the message on stdout for
+/// code 0, on stderr otherwise.
+pub fn exit_with((code, message): (i32, String)) -> ! {
+    match code {
+        0 => println!("{message}"),
+        _ => eprintln!("{message}"),
+    }
+    std::process::exit(code)
+}
+
 /// An aligned text table that doubles as a CSV document.
 #[derive(Clone, Debug)]
 pub struct Table {

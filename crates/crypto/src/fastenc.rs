@@ -27,8 +27,10 @@
 //! table the cache holds (135 operations at 2048 bits against the one-row
 //! table's 128, and still the shorter exponentiation).
 //!
-//! [`RandomizerPool`] adds batch amortization on top: refill during idle
-//! time, pop on the hot path.
+//! [`RandomizerPool`] adds batch amortization on top: refill off the hot
+//! path, pop on it. No host builds one: a refill moves exponentiations into
+//! time the rest of the step waits for rather than saving them
+//! (`docs/architecture.md`, "No host precomputes randomizers").
 //!
 //! **Scope note** (honest-but-curious model, as in the paper): `H^t` is
 //! always an `n^s`-th power, so correctness and the additive homomorphism

@@ -29,9 +29,7 @@
 //! computation step.
 
 use crate::network::{CycleProtocol, ExchangeCtx};
-use cs_crypto::{
-    Ciphertext, FastEncryptor, FixedPointCodec, PrivateKey, PublicKey, RandomizerPool,
-};
+use cs_crypto::{Ciphertext, FastEncryptor, FixedPointCodec, PrivateKey, PublicKey};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -87,10 +85,9 @@ impl std::fmt::Debug for HePush {
 #[derive(Clone)]
 pub struct HePushSumNode {
     pk: Arc<PublicKey>,
-    /// The one randomizer source of the forward re-randomizations: a pool
-    /// over a [`FastEncryptor`], pre-warmed or empty (a dry pool draws
-    /// [`FastEncryptor::randomizer`] from the caller's RNG).
-    pool: Option<RandomizerPool>,
+    /// The one randomizer source of the forward re-randomizations: a
+    /// [`FastEncryptor`], drawing from the caller's RNG.
+    enc: Option<Arc<FastEncryptor>>,
     cipher: Vec<Ciphertext>,
     denom_exp: u32,
     /// The denominator exponent this node never splits past.
@@ -125,7 +122,7 @@ impl HePushSumNode {
         };
         HePushSumNode {
             pk,
-            pool: None,
+            enc: None,
             cipher,
             denom_exp: 0,
             denom_cap: u32::MAX,
@@ -147,7 +144,7 @@ impl HePushSumNode {
     ) -> Self {
         HePushSumNode {
             pk,
-            pool: None,
+            enc: None,
             cipher,
             denom_exp: 0,
             denom_cap: u32::MAX,
@@ -158,10 +155,10 @@ impl HePushSumNode {
         }
     }
 
-    /// Re-randomizes forwards with fresh fixed-base randomizers from `enc`:
-    /// an empty pool over it ([`Self::with_pool`]).
-    pub fn with_encryptor(self, enc: Arc<FastEncryptor>) -> Self {
-        self.with_pool(RandomizerPool::new(enc))
+    /// Re-randomizes forwards with fresh fixed-base randomizers from `enc`.
+    pub fn with_encryptor(mut self, enc: Arc<FastEncryptor>) -> Self {
+        self.enc = Some(enc);
+        self
     }
 
     /// Caps the denominator exponent: once it reaches `cap`, the node keeps
@@ -169,16 +166,6 @@ impl HePushSumNode {
     /// node splits forever.
     pub fn with_denominator_cap(mut self, cap: u32) -> Self {
         self.denom_cap = cap;
-        self
-    }
-
-    /// Attaches a pre-warmed [`RandomizerPool`] (replacing any source set
-    /// before): forward re-randomizations pop pooled randomizers (built
-    /// during idle time) instead of paying a fixed-base exponentiation on
-    /// the hot path. A dry pool falls back to fresh generation, so
-    /// correctness never depends on pool sizing.
-    pub fn with_pool(mut self, pool: RandomizerPool) -> Self {
-        self.pool = Some(pool);
         self
     }
 
@@ -271,19 +258,19 @@ impl HePushSumNode {
     /// payload, re-randomized when the node is configured to do so.
     ///
     /// Panics if the node re-randomizes but was given no randomizer source
-    /// ([`Self::with_encryptor`] or [`Self::with_pool`]).
+    /// ([`Self::with_encryptor`]).
     pub fn split_push<R: Rng + ?Sized>(&mut self, rng: &mut R) -> HePush {
         self.denom_exp += 1;
         self.weight *= 0.5;
         let slots: Vec<Ciphertext> = if self.rerandomize {
-            let pool = self
-                .pool
-                .as_mut()
-                .expect("a re-randomizing node needs with_encryptor or with_pool");
+            let enc = self
+                .enc
+                .as_ref()
+                .expect("a re-randomizing node needs with_encryptor");
             self.ops.rerandomizations += self.cipher.len() as u64;
             self.cipher
                 .iter()
-                .map(|c| pool.rerandomize(c, rng))
+                .map(|c| enc.rerandomize(c, rng))
                 .collect()
         } else {
             self.cipher.clone()
@@ -574,36 +561,5 @@ mod tests {
         // 256-bit n → 512-bit n² → 64-byte ciphertexts; 2 slots + k + weight.
         let expected = 2 * 64 + 4 + 8;
         assert_eq!(nodes[0].message_bytes(), expected);
-    }
-
-    #[test]
-    fn pooled_splits_preserve_mass_and_run_pool_dry() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let kp = KeyPair::generate(&KeyGenOptions::insecure_test_size(), &mut rng);
-        let pk = Arc::new(kp.public().clone());
-        let codec = FixedPointCodec::new(20);
-        let enc = Arc::new(FastEncryptor::new(pk.clone(), &mut rng));
-        let mut a =
-            HePushSumNode::from_values(pk.clone(), &codec, &[8.0, -4.0], 1.0, true, &mut rng)
-                .with_encryptor(enc.clone());
-        let mut pool = RandomizerPool::new(enc.clone());
-        pool.refill(3, &mut rng);
-        a = a.with_pool(pool);
-        let mut b = HePushSumNode::from_values(pk, &codec, &[0.0, 0.0], 1.0, true, &mut rng)
-            .with_encryptor(enc);
-        // Two splits × two slots = four re-randomizations: three pooled,
-        // one dry-pool fallback.
-        for _ in 0..2 {
-            let push = a.split_push(&mut rng);
-            b.absorb(&push);
-        }
-        assert_eq!(a.op_counts().rerandomizations, 4);
-        let mass: f64 = a
-            .decrypt_mass(kp.private(), &codec)
-            .iter()
-            .zip(b.decrypt_mass(kp.private(), &codec).iter())
-            .map(|(x, y)| x + y)
-            .sum();
-        assert!((mass - 4.0).abs() < 1e-6, "8 − 4 conserved, got {mass}");
     }
 }

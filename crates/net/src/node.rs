@@ -66,7 +66,7 @@ use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::{assemble_aggregates, PerturbedAggregates, StepCipher};
 use cs_bigint::BigUint;
 use cs_crypto::threshold::{delta_for, CombinePlanCache};
-use cs_crypto::{Ciphertext, KeyShare, PartialDecryption, RandomizerPool, ThresholdParams};
+use cs_crypto::{Ciphertext, KeyShare, PartialDecryption, ThresholdParams};
 use cs_gossip::homomorphic_pushsum::{HePush, HePushSumNode, HomomorphicOpCounts};
 use cs_gossip::pushsum::{PlainPush, PushSumNode};
 use cs_obs::health::DecryptAudit;
@@ -109,11 +109,6 @@ pub struct RealCrypto {
     /// Cached per-committee-subset combine plans, shared across the
     /// population and across steps.
     plans: Arc<CombinePlanCache>,
-    /// Randomizers a host built in its idle time for this node's forwards —
-    /// a `csnoded` between steps. The node drains it and drops the rest;
-    /// forwards it cannot serve, and every forward when `None` (the
-    /// in-process hosts), draw from the node's crypto stream.
-    pool: Option<RandomizerPool>,
 }
 
 impl NodeCrypto {
@@ -127,7 +122,6 @@ impl NodeCrypto {
         share: Option<KeyShare>,
         params: ThresholdParams,
         plans: &Arc<CombinePlanCache>,
-        pool: Option<RandomizerPool>,
     ) -> Self {
         NodeCrypto::Real(Box::new(RealCrypto {
             cipher: cipher.clone(),
@@ -135,7 +129,6 @@ impl NodeCrypto {
             params,
             delta: delta_for(params.parties),
             plans: plans.clone(),
-            pool,
         }))
     }
 
@@ -338,8 +331,8 @@ pub struct ProtocolNode {
     /// Peer sampling. Nothing else draws from it, so whom a node gossips
     /// with does not depend on how many ciphertexts its lane plan gives it.
     rng: StdRng,
-    /// The node's crypto draws: contribution encryption, and the
-    /// randomizers of forwards no host-built pool serves.
+    /// The node's crypto draws: contribution encryption and the
+    /// randomizers of its forwards.
     crypto_rng: StdRng,
     /// Population view as its sparse complement: ids currently believed
     /// dead. The dense `Vec<bool>` this replaces cost O(population) *per
@@ -384,7 +377,7 @@ impl ProtocolNode {
     pub fn new(
         params: NodeParams,
         layout: SlotLayout,
-        mut crypto: NodeCrypto,
+        crypto: NodeCrypto,
         contribution: Option<&[f64]>,
     ) -> Self {
         assert!(params.population >= 2, "need at least two nodes");
@@ -398,17 +391,12 @@ impl ProtocolNode {
         let mut ops = HomomorphicOpCounts::default();
         let mut profile = PhaseProfile::default();
         let encrypt_started = Instant::now();
-        let agg = match &mut crypto {
-            // The randomizer pool moves into the aggregator: it is per-node
-            // state, not shared crypto configuration.
+        let agg = match &crypto {
             NodeCrypto::Real(real) => {
-                let (mut he, encryptions) = real
+                let (he, encryptions) = real
                     .cipher
                     .node(contribution, &mut crypto_rng)
                     .expect("the host checked that the cipher admits the contribution");
-                if let Some(pool) = real.pool.take() {
-                    he = he.with_pool(pool);
-                }
                 ops.encryptions += encryptions;
                 Aggregator::Encrypted(Box::new(he))
             }

@@ -75,18 +75,16 @@ impl<'a> StepCrypto<'a> {
         })
     }
 
-    /// The crypto substrate node `i` runs with. It carries no randomizer
-    /// pool: an in-process host has no idle time to fill one in, so a
-    /// forward re-randomizes inside the gossip phase that pays for it,
-    /// drawing from the node's own crypto stream — which no substrate,
-    /// worker or thread can change.
+    /// The crypto substrate node `i` runs with. A forward re-randomizes
+    /// inside the gossip phase that pays for it, drawing from the node's
+    /// own crypto stream — which no substrate, worker or thread can change.
     pub fn node_crypto(&self, i: usize) -> NodeCrypto {
         let (Some(cipher), CryptoContext::Real { tkp, plans, .. }) = (&self.cipher, self.crypto)
         else {
             return NodeCrypto::Plain;
         };
         let share = self.committee.contains(&i).then(|| tkp.shares()[i].clone());
-        NodeCrypto::real(cipher, share, tkp.params(), plans, None)
+        NodeCrypto::real(cipher, share, tkp.params(), plans)
     }
 }
 

@@ -87,7 +87,7 @@ fn build(
         NodeCrypto::Plain
     } else {
         let share = (id < parties).then(|| tkp.shares()[id].clone());
-        NodeCrypto::real(&cipher(ctx), share, tkp.params(), plans, None)
+        NodeCrypto::real(&cipher(ctx), share, tkp.params(), plans)
     };
     ProtocolNode::new(params, LAYOUT, crypto, Some(contribution))
 }

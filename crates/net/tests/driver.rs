@@ -82,7 +82,7 @@ fn node(id: NodeId, pushes: usize, real: bool) -> ProtocolNode {
             .unwrap()
             .expect("real crypto has a cipher");
         let share = (id < parties).then(|| tkp.shares()[id].clone());
-        NodeCrypto::real(&cipher, share, tkp.params(), plans, None)
+        NodeCrypto::real(&cipher, share, tkp.params(), plans)
     } else {
         NodeCrypto::Plain
     };

@@ -589,18 +589,13 @@ impl ComputationBackend for ClusterBackend {
         // Phase 0 — the start barrier: every living daemon constructs its
         // node (contribution encryption included) and acknowledges Ready
         // before anyone gossips, mirroring the in-process TCP host's start
-        // gate. Dark slots Ready-then-Done immediately, so their Done must
-        // be buffered here too. On the deadline, release whoever is ready
-        // rather than deadlock.
-        self.cluster
-            .gather(step_deadline, &mut ready, |i, msg| match msg {
-                ControlMsg::Ready { step: s, .. } if s == step => true,
-                ControlMsg::Done { step: s, .. } if s == step => {
-                    done[i] = true;
-                    false
-                }
-                _ => false,
-            })?;
+        // gate. No daemon announces Done before its Go. On the deadline,
+        // release whoever is ready rather than deadlock.
+        self.cluster.gather(
+            step_deadline,
+            &mut ready,
+            |_, msg| matches!(msg, ControlMsg::Ready { step: s, .. } if s == step),
+        )?;
         for i in 0..n {
             self.cluster.send(i, &ControlMsg::Go { step });
         }

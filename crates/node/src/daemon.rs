@@ -41,7 +41,7 @@ use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::StepCipher;
 use chiaroscuro::ChiaroscuroConfig;
 use cs_crypto::threshold::CombinePlanCache;
-use cs_crypto::{FastEncryptor, KeyShare, RandomizerPool};
+use cs_crypto::{FastEncryptor, KeyShare};
 use cs_net::driver::{NodeDriver, Timing};
 use cs_net::node::{NodeCrypto, NodeParams, ProtocolNode};
 use cs_net::runtime::pump;
@@ -162,16 +162,6 @@ struct RunContext {
     /// Per-committee-subset combine plans, cached across every step this
     /// daemon serves (the subset only changes when the responder set does).
     plans: Arc<CombinePlanCache>,
-    /// The encryptor and size of a step's randomizer pool; `None` when the
-    /// run re-randomizes nothing.
-    pool_plan: Option<(Arc<FastEncryptor>, usize)>,
-    /// The next step's randomizer pool, built in idle time (at bootstrap,
-    /// then after each `Report` but the last step's) so gossip pops
-    /// precomputed randomizers. The node drains it; what it leaves dies
-    /// with the step. Its RNG is private and advances across steps.
-    next_pool: Mutex<Option<RandomizerPool>>,
-    /// Private randomness feeding [`RunContext::restock_pool`].
-    pool_rng: Mutex<StdRng>,
     /// The Bootstrap's fault spec. When it names *this* daemon, every
     /// partial decryption it emits gets its value bytes corrupted — a
     /// scripted drill the invariant audit must catch.
@@ -212,7 +202,7 @@ impl RunContext {
         }
         let link = link.to_link_config();
         link.validate().map_err(|e| bad_data(e.to_string()))?;
-        let (cipher, pool_plan) = match pk {
+        let cipher = match pk {
             Some(_) if !matches!(config.crypto, CryptoMode::Real { .. }) => {
                 return Err(bad_data("public key shipped for a simulated-crypto run"));
             }
@@ -223,14 +213,12 @@ impl RunContext {
                 let mut enc_rng =
                     StdRng::seed_from_u64(config.seed ^ 0x5EED_DAE0 ^ (id as u64) << 32);
                 let enc = Arc::new(FastEncryptor::new(pk.clone(), &mut enc_rng));
-                let cipher = StepCipher::plan(&config, &pk, &enc, &layout, n)
-                    .map_err(|e| bad_data(format!("step cipher: {e}")))?;
-                // A node's whole gossip draw, capped so huge lane counts
-                // don't make the refill the bottleneck.
-                let size = (config.gossip_cycles * cipher.ciphertexts()).min(512);
-                (Some(cipher), config.rerandomize.then_some((enc, size)))
+                Some(
+                    StepCipher::plan(&config, &pk, &enc, &layout, n)
+                        .map_err(|e| bad_data(format!("step cipher: {e}")))?,
+                )
             }
-            None => (None, None),
+            None => None,
         };
         let directory: Vec<SocketAddr> = population
             .iter()
@@ -247,8 +235,7 @@ impl RunContext {
             TcpTuning::default(),
             Some(registry),
         ));
-        let pool_rng_seed = config.seed ^ 0x5EED_B007_u64 ^ ((id as u64) << 32);
-        let ctx = RunContext {
+        Ok(RunContext {
             config,
             layout,
             committee,
@@ -257,26 +244,8 @@ impl RunContext {
             timing,
             transport,
             plans: Arc::new(CombinePlanCache::new()),
-            pool_plan,
-            next_pool: Mutex::new(None),
-            pool_rng: Mutex::new(StdRng::seed_from_u64(pool_rng_seed)),
             fault,
-        };
-        // The first step's pool, built before any `Step` arrives.
-        ctx.restock_pool(0);
-        Ok(ctx)
-    }
-
-    /// Builds step `next`'s randomizer pool, or none past the job's last.
-    fn restock_pool(&self, next: usize) {
-        let wanted = step_follows(next, self.config.max_iterations);
-        let pool = self.pool_plan.as_ref().filter(|_| wanted);
-        let pool = pool.map(|(enc, size)| {
-            let mut pool = RandomizerPool::new(enc.clone());
-            pool.refill(*size, &mut *self.pool_rng.lock().expect("pool rng lock"));
-            pool
-        });
-        *self.next_pool.lock().expect("pool lock") = pool;
+        })
     }
 }
 
@@ -350,17 +319,15 @@ pub fn run(opts: &DaemonOpts) -> io::Result<()> {
                             reg.snapshot()
                         }),
                         trace: Box::new(move || NodeTrace::capture(node, &fl)),
-                        series: Some(Box::new(move || {
-                            mon_s.series.lock().expect("series lock").view()
-                        })),
-                        health: Some(Box::new(move || mon_h.health.report())),
-                        healthz: Some(Box::new(move || Liveness {
+                        series: Box::new(move || mon_s.series.lock().expect("series lock").view()),
+                        health: Box::new(move || mon_h.health.report()),
+                        healthz: Box::new(move || Liveness {
                             node,
                             uptime_seconds: mon_z.uptime_seconds(),
                             proto_version: PROTO_VERSION as u32,
                             wire_version: WIRE_VERSION as u32,
                             build: env!("CARGO_PKG_VERSION").into(),
-                        })),
+                        }),
                     },
                 )?
             };
@@ -541,9 +508,6 @@ fn serve_steps(
                         metrics: metrics_delta,
                     },
                 )?;
-                // Report shipped: build the next step's pool while waiting
-                // for its `Step`, off the gossip hot path.
-                ctx.restock_pool(step + 1);
             }
             // Live scrape: cumulative since daemon start, not delta'd.
             Ok(ControlMsg::Metrics) => {
@@ -589,18 +553,12 @@ fn serve_steps(
                 }
                 return Ok(());
             }
-            // A StepEnd can trail a step this daemon already left (the
-            // dark-mode timeout path); late duplicates are harmless, so
-            // ignore anything that is neither work nor a shutdown.
+            // A late `Go` or `StepEnd` of a step this daemon already left
+            // is harmless, so ignore anything that is neither work nor a
+            // shutdown.
             Ok(_) => {}
         }
     }
-}
-
-/// Whether a job runs step `next`: the engine stops after `max_iterations`
-/// steps, so a pool built after the last would never be drawn.
-fn step_follows(next: usize, max_iterations: usize) -> bool {
-    next < max_iterations
 }
 
 /// Polls the control channel mid-step: `Break` once the coordinator ends
@@ -648,8 +606,9 @@ fn check_contribution(
 /// [`pump`] the in-process TCP host's node threads run, hosted differently —
 /// completion is *announced* to the coordinator instead of ringing a shared
 /// bell, and the loop ends on `StepEnd` instead of a shutdown flag. A
-/// `None` contribution runs the step dark — drain and discard, exactly the
-/// crashed-node semantics of the other substrates.
+/// `None` contribution is a node down at step start, built and driven the
+/// way every other host builds and drives one: it holds its slot, loses
+/// everything addressed to it and announces `Done` on its first turn.
 #[allow(clippy::too_many_arguments)] // one call site; mirrors the Step fields
 fn run_step(
     ctx: &RunContext,
@@ -668,28 +627,9 @@ fn run_step(
         decrypt_deadline: Duration::from_millis(ctx.timing.decrypt_deadline_ms),
         step_timeout: Duration::from_millis(ctx.timing.step_timeout_ms),
     };
-
-    let Some(contribution) = contribution else {
-        // Down at step start: hold the slot dark. Everything addressed to
-        // this node is received and destroyed, like a crashed node. A dark
-        // slot still acknowledges Ready so it can never stall the
-        // population's start barrier.
-        write_msg(control, &ControlMsg::Ready { step, node: id })?;
-        write_msg(control, &ControlMsg::Done { step, node: id })?;
-        let started = Instant::now();
-        loop {
-            if poll_control(rx)?.is_break() {
-                return Ok(cs_net::node::NodeReport::dead(id));
-            }
-            while transport.try_recv(id).is_some() {}
-            let _ = transport.recv_timeout(id, Duration::from_millis(2));
-            if started.elapsed() >= timing.step_timeout {
-                return Ok(cs_net::node::NodeReport::dead(id));
-            }
-        }
-    };
-
-    check_contribution(&ctx.layout, ctx.cipher.as_ref(), &contribution)?;
+    if let Some(contribution) = &contribution {
+        check_contribution(&ctx.layout, ctx.cipher.as_ref(), contribution)?;
+    }
     let params = NodeParams::for_step(
         id,
         transport.node_count(),
@@ -699,17 +639,14 @@ fn run_step(
         ctx.fault,
     );
     let node_crypto = match &ctx.cipher {
-        Some(cipher) => NodeCrypto::real(
-            cipher,
-            ctx.share.clone(),
-            ctx.config.threshold,
-            &ctx.plans,
-            ctx.next_pool.lock().expect("pool lock").take(),
-        ),
+        Some(cipher) => {
+            NodeCrypto::real(cipher, ctx.share.clone(), ctx.config.threshold, &ctx.plans)
+        }
         None => NodeCrypto::Plain,
     };
-    let node = ProtocolNode::new(params, ctx.layout, node_crypto, Some(&contribution));
-    let mut driver = NodeDriver::new(node, &timing, true, Vec::new());
+    let node = ProtocolNode::new(params, ctx.layout, node_crypto, contribution.as_deref());
+    let alive = contribution.is_some();
+    let mut driver = NodeDriver::new(node, &timing, alive, Vec::new());
 
     // Start barrier, mirroring the in-process host's start gate: node
     // construction (contribution encryption — the expensive part in
@@ -748,8 +685,9 @@ fn run_step(
         step_ctx,
     ));
 
-    // This deployment scripts no churn: a daemon's node is alive until the
-    // coordinator ends the step (a SIGKILL needs no bookkeeping).
+    // This deployment scripts no churn: a daemon's node keeps the liveness
+    // it started the step with until the coordinator ends the step (a
+    // SIGKILL needs no bookkeeping).
     let announce = || write_msg(control, &ControlMsg::Done { step, node: id });
     pump(&mut driver, transport, go, || poll_control(rx), announce)?;
     Ok(driver.finish())
@@ -810,10 +748,60 @@ mod tests {
         ]
     }
 
+    /// A daemon down at step start runs the one node path: its node is
+    /// built with no contribution under a driver that starts down, passes
+    /// the start barrier, announces `Done` on its first turn and reports
+    /// what its driver holds — so the step ends at the live nodes' pace.
     #[test]
-    fn no_pool_is_built_after_the_last_step() {
-        let follows: Vec<bool> = (0..5).map(|next| step_follows(next, 3)).collect();
-        assert_eq!(follows, [true, true, true, false, false]);
+    fn a_daemon_down_at_step_start_is_driven_like_any_node() {
+        use crate::coordinator::{ClusterBackend, ClusterConfig, Coordinator};
+        use chiaroscuro::ComputationBackend;
+        let config = ChiaroscuroConfig {
+            k: 2,
+            gossip_cycles: 15,
+            ..ChiaroscuroConfig::demo_simulated()
+        };
+        let crypto = CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(7)).unwrap();
+        let coordinator = Coordinator::bind().unwrap();
+        let addr = coordinator.addr().unwrap().to_string();
+        let daemons: Vec<_> = (0..4)
+            .map(|id| {
+                let opts = DaemonOpts::new(id, addr.clone());
+                thread::spawn(move || run(&opts).unwrap())
+            })
+            .collect();
+        let cluster = coordinator
+            .accept_cluster(4, Duration::from_secs(60))
+            .unwrap();
+        let timing = TimingSpec {
+            push_interval_us: 200,
+            decrypt_deadline_ms: 10_000,
+            step_timeout_ms: 30_000,
+        };
+        let cfg = ClusterConfig {
+            timing,
+            ..ClusterConfig::default()
+        };
+        let mut backend = ClusterBackend::new(cluster, cfg);
+        let mut contributions = four_nodes(&[0.5; 8]);
+        contributions[1] = None;
+        let started = Instant::now();
+        let rng = &mut StdRng::seed_from_u64(9);
+        let outcome = backend
+            .run_step(&config, &LAYOUT, &contributions, &crypto, 9, rng)
+            .unwrap();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(10), "step took {took:?}");
+        assert!(outcome.estimates[1].is_none() && !outcome.alive_after[1]);
+        assert!([0, 2, 3].iter().all(|&i| outcome.estimates[i].is_some()));
+        // Not `NodeReport::dead`: the pump booked the down node's turns.
+        let report = &backend.last_reports().unwrap()[1];
+        assert_eq!((report.id, report.pushes_sent), (1, 0));
+        assert!(report.profile.gossip_ns > 0, "{report:?}");
+        backend.shutdown();
+        for daemon in daemons {
+            daemon.join().unwrap();
+        }
     }
 
     #[test]

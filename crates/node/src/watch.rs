@@ -296,15 +296,15 @@ mod tests {
             ObsProviders {
                 metrics: Box::new(move || reg.snapshot()),
                 trace: Box::new(move || NodeTrace::capture(2, &tracer)),
-                series: Some(Box::new(move || ri.lock().unwrap().view())),
-                health: Some(Box::new(move || st.report())),
-                healthz: Some(Box::new(|| Liveness {
+                series: Box::new(move || ri.lock().unwrap().view()),
+                health: Box::new(move || st.report()),
+                healthz: Box::new(|| Liveness {
                     node: 2,
                     uptime_seconds: 7,
                     proto_version: crate::proto::PROTO_VERSION as u32,
                     wire_version: cs_net::wire::WIRE_VERSION as u32,
                     build: "test".into(),
-                })),
+                }),
             },
         )
         .unwrap()

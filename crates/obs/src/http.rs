@@ -22,37 +22,20 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// The state providers an [`ObsServer`] snapshots per request. The
-/// health-monitor routes are optional: a `None` provider makes its route
-/// answer 404, so a bare metrics/trace endpoint stays exactly that.
+/// The state providers an [`ObsServer`] snapshots per request, one per
+/// route.
 pub struct ObsProviders {
     /// Produces the cumulative metrics snapshot served at `/metrics`.
     pub metrics: Box<dyn Fn() -> MetricsSnapshot + Send + Sync>,
     /// Produces the flight-recorder capture served at `/trace`.
     pub trace: Box<dyn Fn() -> NodeTrace + Send + Sync>,
     /// Produces the time-series view served at `/series`.
-    pub series: Option<Box<dyn Fn() -> SeriesView + Send + Sync>>,
+    pub series: Box<dyn Fn() -> SeriesView + Send + Sync>,
     /// Produces the invariant verdict served at `/health` (HTTP 200 when
     /// healthy, 503 when degraded — probes can route on the status line).
-    pub health: Option<Box<dyn Fn() -> HealthReport + Send + Sync>>,
+    pub health: Box<dyn Fn() -> HealthReport + Send + Sync>,
     /// Produces the liveness facts served at `/healthz` (always 200).
-    pub healthz: Option<Box<dyn Fn() -> Liveness + Send + Sync>>,
-}
-
-impl ObsProviders {
-    /// The classic two-route provider set (`/metrics` + `/trace`).
-    pub fn new(
-        metrics: Box<dyn Fn() -> MetricsSnapshot + Send + Sync>,
-        trace: Box<dyn Fn() -> NodeTrace + Send + Sync>,
-    ) -> ObsProviders {
-        ObsProviders {
-            metrics,
-            trace,
-            series: None,
-            health: None,
-            healthz: None,
-        }
-    }
+    pub healthz: Box<dyn Fn() -> Liveness + Send + Sync>,
 }
 
 /// A running exposition endpoint; shuts down when dropped.
@@ -140,13 +123,6 @@ fn handle_connection(mut stream: TcpStream, providers: &ObsProviders) -> io::Res
             "method not allowed\n".to_string(),
         )
     } else {
-        let not_found = || {
-            (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "not found (try /metrics, /trace, /series, /health, or /healthz)\n".to_string(),
-            )
-        };
         let json = |body: String| ("200 OK", "application/json", body);
         match path {
             "/metrics" => (
@@ -159,35 +135,30 @@ fn handle_connection(mut stream: TcpStream, providers: &ObsProviders) -> io::Res
                 "application/json",
                 serde_json::to_string(&(providers.trace)()).unwrap_or_else(|_| "{}".into()),
             ),
-            "/series" => match &providers.series {
-                Some(series) => {
-                    json(serde_json::to_string(&series()).unwrap_or_else(|_| "{}".into()))
-                }
-                None => not_found(),
-            },
-            "/health" => match &providers.health {
-                Some(health) => {
-                    let report = health();
-                    let status = if report.status == HealthStatus::Degraded {
-                        "503 Service Unavailable"
-                    } else {
-                        "200 OK"
-                    };
-                    (
-                        status,
-                        "application/json",
-                        serde_json::to_string(&report).unwrap_or_else(|_| "{}".into()),
-                    )
-                }
-                None => not_found(),
-            },
-            "/healthz" => match &providers.healthz {
-                Some(healthz) => {
-                    json(serde_json::to_string(&healthz()).unwrap_or_else(|_| "{}".into()))
-                }
-                None => not_found(),
-            },
-            _ => not_found(),
+            "/series" => {
+                json(serde_json::to_string(&(providers.series)()).unwrap_or_else(|_| "{}".into()))
+            }
+            "/health" => {
+                let report = (providers.health)();
+                let status = if report.status == HealthStatus::Degraded {
+                    "503 Service Unavailable"
+                } else {
+                    "200 OK"
+                };
+                (
+                    status,
+                    "application/json",
+                    serde_json::to_string(&report).unwrap_or_else(|_| "{}".into()),
+                )
+            }
+            "/healthz" => {
+                json(serde_json::to_string(&(providers.healthz)()).unwrap_or_else(|_| "{}".into()))
+            }
+            _ => (
+                "404 Not Found",
+                "text/plain; charset=utf-8",
+                "not found (try /metrics, /trace, /series, /health, or /healthz)\n".to_string(),
+            ),
         }
     };
     let response = format!(
@@ -222,10 +193,19 @@ mod tests {
         let tr = tracer.clone();
         let server = ObsServer::serve(
             "127.0.0.1:0",
-            ObsProviders::new(
-                Box::new(move || reg.snapshot()),
-                Box::new(move || NodeTrace::capture(5, &tr)),
-            ),
+            ObsProviders {
+                metrics: Box::new(move || reg.snapshot()),
+                trace: Box::new(move || NodeTrace::capture(5, &tr)),
+                series: Box::new(|| crate::series::SeriesRing::new(1).view()),
+                health: Box::new(|| crate::health::HealthState::new().report()),
+                healthz: Box::new(|| Liveness {
+                    node: 5,
+                    uptime_seconds: 0,
+                    proto_version: 4,
+                    wire_version: 3,
+                    build: "test".into(),
+                }),
+            },
         )
         .unwrap();
         let addr = server.addr();
@@ -247,18 +227,13 @@ mod tests {
 
         let missing = probe(addr, "GET /nope HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
-        let series = probe(addr, "GET /series HTTP/1.1\r\nHost: x\r\n\r\n");
-        assert!(
-            series.starts_with("HTTP/1.1 404"),
-            "routes without providers answer 404: {series}"
-        );
 
         drop(server); // clean shutdown joins the accept loop
     }
 
     #[test]
     fn health_family_routes_serve_json_and_degrade_to_503() {
-        use crate::health::{Alert, AlertKind, HealthState, Liveness};
+        use crate::health::{Alert, AlertKind, HealthState};
         use crate::series::SeriesRing;
         use std::sync::Mutex;
 
@@ -280,15 +255,15 @@ mod tests {
             ObsProviders {
                 metrics: Box::new(move || reg.snapshot()),
                 trace: Box::new(move || NodeTrace::capture(5, &tr)),
-                series: Some(Box::new(move || ri.lock().unwrap().view())),
-                health: Some(Box::new(move || st.report())),
-                healthz: Some(Box::new(|| Liveness {
+                series: Box::new(move || ri.lock().unwrap().view()),
+                health: Box::new(move || st.report()),
+                healthz: Box::new(|| Liveness {
                     node: 5,
                     uptime_seconds: 42,
                     proto_version: 4,
                     wire_version: 3,
                     build: "test".into(),
-                })),
+                }),
             },
         )
         .unwrap();
