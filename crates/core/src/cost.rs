@@ -128,24 +128,32 @@ pub fn synthesize_ops(
     }
 }
 
-/// Decryption ops for one iteration: requester `i` has the `widths[i]`
-/// ciphertexts its snapshot folds to
-/// ([`crate::rounds::StepCipher::width`]; unfolded, all of the plan's
-/// ciphertexts) threshold-decrypted with `t` partials each.
+/// Decryption ops for one iteration under the committee rule: only the
+/// live committee members decrypt. Member `i` has the `widths[i]`
+/// ciphertexts its snapshot folds to ([`crate::rounds::StepCipher::width`];
+/// unfolded, all of the plan's ciphertexts) threshold-decrypted — its own
+/// partials and those of the `t − 1` members it asks — and each of the
+/// `adopters` other participants fetches one member's release of
+/// `release_values` values (`SlotLayout::total()`) instead.
 pub fn synthesize_decrypt_ops(
     widths: &[usize],
     threshold: usize,
     ciphertext_bytes: usize,
+    adopters: usize,
+    release_values: usize,
 ) -> DecryptionOps {
     let d = widths.len() as u64;
     let s = widths.iter().sum::<usize>() as u64;
     let t = threshold as u64;
+    let asked = t.saturating_sub(1);
+    let a = adopters as u64;
     DecryptionOps {
         partial_decryptions: s * t,
         combinations: s,
-        // One request to each of t committee members + t responses.
-        messages: d * 2 * t,
-        bytes: 2 * t * s * ciphertext_bytes as u64,
+        // A member's request to each of the t − 1 it asks and their
+        // replies; an adopter's request and the release that answers it.
+        messages: d * 2 * asked + a * 2,
+        bytes: 2 * asked * s * ciphertext_bytes as u64 + a * 8 * release_values as u64,
     }
 }
 
@@ -203,16 +211,18 @@ mod tests {
 
     #[test]
     fn synthesized_decrypt_ops_formulas() {
-        let d = synthesize_decrypt_ops(&[8; 10], 3, 512);
+        // 10 members of a 3-of-10 committee, nobody else.
+        let d = synthesize_decrypt_ops(&[8; 10], 3, 512, 0, 125);
         assert_eq!(d.partial_decryptions, 240);
         assert_eq!(d.combinations, 80);
-        assert_eq!(d.messages, 60);
-        assert_eq!(d.bytes, 10 * 2 * 3 * 8 * 512);
-        // Folded requesters are charged for what they ask: Σ wᵢ·t.
-        let d = synthesize_decrypt_ops(&[8, 4, 3], 3, 512);
+        assert_eq!(d.messages, 40);
+        assert_eq!(d.bytes, 10 * 2 * 2 * 8 * 512);
+        // Folded members are charged for what they ask: Σ wᵢ·t; each of 40
+        // adopters for one request and one 125-value release.
+        let d = synthesize_decrypt_ops(&[8, 4, 3], 3, 512, 40, 125);
         assert_eq!(d.partial_decryptions, 45);
         assert_eq!(d.combinations, 15);
-        assert_eq!(d.messages, 18);
-        assert_eq!(d.bytes, 2 * 3 * 15 * 512);
+        assert_eq!(d.messages, 12 + 80);
+        assert_eq!(d.bytes, 2 * 2 * 15 * 512 + 40 * 8 * 125);
     }
 }

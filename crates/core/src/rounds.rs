@@ -562,7 +562,13 @@ pub(crate) fn simulate_step(
         Some(assemble_aggregates(layout, |slot| est[slot]))
     });
     phases.add(StepPhase::Combine, combine_ns);
-    let decryptors = estimates.iter().filter(|e| e.is_some()).count();
+    // Priced by the committee rule the real hosts run: the first `parties`
+    // nodes decrypt their own snapshots, unfolded (the fold reads a node's
+    // denominator exponent, which the plaintext replay has not); every
+    // other node that ends with an estimate adopts a member's release.
+    let parties = config.threshold.parties.min(estimates.len());
+    let members = estimates[..parties].iter().flatten().count();
+    let adopters = estimates[parties..].iter().flatten().count();
 
     let participants = contributions.iter().filter(|c| c.is_some()).count();
     let ops = synthesize_ops(
@@ -571,12 +577,12 @@ pub(crate) fn simulate_step(
         traffic.messages,
         config.rerandomize,
     );
-    // Every requester asks for its whole snapshot, unfolded: the fold reads
-    // a node's denominator exponent, which the plaintext replay has not.
     let decrypt_ops = synthesize_decrypt_ops(
-        &vec![ciphertexts; decryptors],
+        &vec![ciphertexts; members],
         config.threshold.threshold,
         ciphertext_bytes,
+        adopters,
+        dim,
     );
 
     Ok(ComputationOutcome {
@@ -657,7 +663,8 @@ mod tests {
     }
 
     /// The cycle simulator prices per ciphertext of the step's lane plan;
-    /// every snapshot is decrypted unfolded.
+    /// the committee members' snapshots are decrypted unfolded, and every
+    /// other participant adopts a release of the layout's values.
     #[test]
     fn a_simulated_step_is_priced_at_the_lane_plan() {
         let config = ChiaroscuroConfig::demo_simulated();
@@ -684,15 +691,21 @@ mod tests {
         let outcome = run_computation_step(&config, &layout, &contributions, &crypto, 5).unwrap();
         let (traffic, decryptors) = (&outcome.traffic, outcome.estimates.iter().flatten().count());
         assert!(traffic.messages > 0 && decryptors > 0);
+        // The demo's committee is the first 16 nodes; node 9 sits the step
+        // out, so 15 members decrypt and the other 24 participants adopt.
+        assert_eq!((config.threshold.parties, decryptors), (16, 39));
+        let members = 15;
         assert_eq!(outcome.ops.encryptions, 39 * ciphertexts as u64);
         let push_bytes = (ciphertexts * ciphertext_bytes) as u64;
         assert_eq!(traffic.bytes, traffic.messages * push_bytes);
         assert_eq!(
             outcome.decrypt_ops,
             synthesize_decrypt_ops(
-                &vec![ciphertexts; decryptors],
+                &vec![ciphertexts; members],
                 config.threshold.threshold,
-                ciphertext_bytes
+                ciphertext_bytes,
+                decryptors - members,
+                layout.total()
             )
         );
     }

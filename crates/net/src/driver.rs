@@ -50,12 +50,12 @@ pub struct Timing {
 /// Coarse by design: a retry is loss recovery, not pacing — it must stay
 /// well above the committee's worst-case service time for one request so
 /// slow replies are never mistaken for lost ones. It is also the **hedging
-/// delay**: a requester first asks only the `threshold` members whose
-/// shares it will combine, and the first retry — one interval after the
-/// round started — is what reaches the rest of the committee, so this is
-/// what a silently dead asked member costs the requester (and a retry that
-/// fires while a live member is merely slow buys a discarded vector of
-/// partial decryptions from each member not yet asked).
+/// delay**: a node first asks only the members its round completes on
+/// (`threshold − 1` shares on a member, one release elsewhere), and the
+/// first retry, one interval into the round, reaches the rest of the
+/// committee: this is what a silently dead asked member costs (and a retry
+/// that fires while a live member is merely slow buys a discarded share
+/// vector, or a second release, from each member not yet asked).
 pub fn decrypt_retry_interval(push_interval: Duration) -> Duration {
     (push_interval * 50).max(Duration::from_millis(150))
 }

@@ -1264,11 +1264,12 @@ mod tests {
     }
 
     /// Committee member 1 dies silently 1 ms into the gossip phase: nobody
-    /// learns of it, so the requesters whose rotation reaches it — members
-    /// 0 (asks 1) and non-members with `id % 3` of 0 (ask 0, 1) or 1 (ask
-    /// 1, 2) — ask a dead node. Their first retry, one interval after the
-    /// round started, reaches the member they held back, and they complete
-    /// there: not at the decrypt deadline, and with a full-size combine.
+    /// learns of it, so the nodes whose rotation reaches it wait on a dead
+    /// node — member 0 (asks 1 for a share), non-members with `id % 3` of 1
+    /// (ask 1 for its release) and of 0 (ask member 0, whose release waits
+    /// on 1). The first retry, one interval after the round started,
+    /// reaches the members held back, and they complete there: not at the
+    /// decrypt deadline, and with a full-size combine.
     #[test]
     fn decrypt_round_hedges_past_a_silently_dead_asked_member() {
         let step = Step::new(Crypto::Packed, 8, 8, [81, 82, 83]);
@@ -1311,9 +1312,9 @@ mod tests {
 
     /// A 5 % lossy cross-shard link: every node still ends with an
     /// estimate, and the committee computes more than `t` partial
-    /// decryption vectors per requester only where a retry fired — each
-    /// requester whose round outlived one retry interval widened to the
-    /// `parties − t` members it had held back, nobody else did.
+    /// decryption vectors per member only where a retry fired — each member
+    /// whose round outlived one retry interval widened to the `parties − t`
+    /// members it had held back; a non-member's hedge buys only releases.
     #[test]
     fn decrypt_round_on_a_lossy_link_pays_only_for_the_hedges_that_fired() {
         let step = Step::new(Crypto::Packed, 8, 16, [91, 92, 93]);
@@ -1340,31 +1341,30 @@ mod tests {
         // the vector a node encrypted.
         let ciphertexts = run.reports[0].ops.encryptions;
         let params = step.config.threshold;
-        let asked = params.threshold as u64 * ops.combinations;
+        let (t, m) = (params.threshold, params.parties);
+        let asked = t as u64 * ops.combinations;
         let retry = decrypt_retry_interval(cfg.push_interval);
-        let hedgers = run
-            .traces
-            .iter()
-            .filter(|t| decrypt_round_time(t) >= retry)
-            .count() as u64;
-        assert!(hedgers > 0, "a lost decrypt frame stalls its requester");
+        let slow = |of: &[NodeTrace]| of.iter().filter(|t| decrypt_round_time(t) >= retry).count();
+        assert!(slow(&run.traces) > 0, "a lost decrypt frame stalls a node");
         let hedged = ops.partial_decryptions - asked;
-        let held_back = (params.parties - params.threshold) as u64;
+        let held_back = (m - t) as u64;
+        let member_hedgers = slow(&run.traces[..m]) as u64;
         assert!(
-            hedged > 0 && hedged <= hedgers * held_back * ciphertexts,
-            "{hedged} partial decryptions beyond ask-t, {hedgers} hedgers"
+            hedged <= member_hedgers * held_back * ciphertexts,
+            "{hedged} beyond ask-t"
         );
+        let sent = run.snapshot.decrypt.messages + run.snapshot.decrypt.dropped;
+        assert!(sent > 2 * (m * (t - 1) + 16 - m) as u64, "no hedge fired");
         assert!(run
             .reports
             .iter()
             .all(|r| r.decrypt_audit.undersized_combines == 0));
     }
 
-    /// Fault-free, the committee computes exactly what the combines read —
-    /// `threshold` vectors per requester, the count the analytical cost
-    /// model charges — and the rotation
-    /// spreads it: no member serves more than ⌈N·t/parties⌉ + 1 requesters
-    /// (its own round included), where asking everyone made each serve N.
+    /// Fault-free, the committee computes exactly what its members'
+    /// combines read — `threshold` vectors each, the count the cost model
+    /// charges; everyone else adopts a release — and the rotation spreads
+    /// it: no member serves over ⌈m·(t − 1)/m⌉ + 1 snapshots, its own too.
     #[test]
     fn decrypt_round_asks_exactly_threshold_and_spreads_the_load() {
         let n = 16u64;
@@ -1376,17 +1376,17 @@ mod tests {
             step.config.threshold.threshold as u64,
             step.config.threshold.parties as u64,
         );
-        // A requester combines what it asked for: its folded width.
-        let widths: Vec<usize> = (run.reports.iter())
+        // A member combines what it asked for: its folded width.
+        let widths: Vec<usize> = (run.reports[..parties as usize].iter())
             .map(|r| r.decrypt_ops.combinations as usize)
             .collect();
-        let model = chiaroscuro::cost::synthesize_decrypt_ops(&widths, t as usize, 0);
+        let model = chiaroscuro::cost::synthesize_decrypt_ops(&widths, t as usize, 0, 0, 0);
         assert_eq!(ops.partial_decryptions, model.partial_decryptions);
         let widest = *widths.iter().max().unwrap() as u64;
-        // One request and one reply per vector that crossed the network:
-        // everything but the committee members' own.
-        assert_eq!(ops.messages, 2 * (t * n - parties));
-        let ceiling = (n * t).div_ceil(parties) + 1;
+        // One request and one reply per vector that crossed the network,
+        // `t − 1` per member; a release request and a release per non-member.
+        assert_eq!(ops.messages, 2 * (parties * (t - 1) + n - parties));
+        let ceiling = (parties * (t - 1)).div_ceil(parties) + 1;
         for member in 0..parties as usize {
             let served = run.reports[member].decrypt_ops.partial_decryptions;
             assert!(

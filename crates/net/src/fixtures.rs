@@ -293,9 +293,9 @@ pub(crate) fn scenarios() -> Vec<Scenario> {
             },
             ..plain()
         },
-        // 25% frame loss hits DecryptRequest/DecryptShare traffic too; the
-        // periodic re-request must still carry every requester over the
-        // threshold well before the step deadline.
+        // 25% frame loss hits the decryption round's frames too; the
+        // periodic re-request must still complete every round that can
+        // complete well before the step deadline.
         Scenario {
             name: "lossy_link_decrypt_round_recovers_via_retry",
             population: 6,
@@ -318,8 +318,8 @@ pub(crate) fn scenarios() -> Vec<Scenario> {
             ..plain()
         },
         // 2-of-3 committee on nodes 0–2; nodes 0 and 1 silently crash
-        // before the decryption round. Requesters other than node 2 can
-        // never reach the threshold — they must give up (no estimate) at
+        // before the decryption round. Node 2 can never reach the threshold,
+        // so no member releases — nodes 3 and 4 must give up (no estimate) at
         // the decrypt deadline, not pin the step to its hard timeout (and on
         // virtual time the deadline must not cost wall-clock at all).
         Scenario {

@@ -22,29 +22,31 @@
 //!    incoming pushes are absorbed in any phase (they keep mixing mass even
 //!    after this node snapshots its own estimate — the ratio estimate is
 //!    unaffected because value and weight travel together).
-//! 2. **AwaitShares** (real crypto) — snapshot the gossip ciphertexts,
-//!    folded to what the aggregate occupies (`StepCipher::fold`), and ask
-//!    the key committee for exactly the `threshold` partial decryption
-//!    vectors the combine will read (see below); combine the first replies.
-//! 3. **Done** — keep serving committee duties (partial decryptions for
-//!    slower peers) until the host ends the step. Nothing is announced to
-//!    peers: when the step is over is the host's to observe, not theirs.
+//! 2. **AwaitShares** (real crypto) — the decryption round (below).
+//! 3. **Done** — keep serving committee duties (partial decryptions and
+//!    releases for slower peers) until the host ends the step. Nothing is
+//!    announced to peers: when the step is over is the host's to observe.
 //!
-//! ## The decryption round: ask *t*, hedge the rest
+//! ## The decryption round: members decrypt, everyone else adopts
 //!
-//! A partial decryption is the step's most expensive operation and the
-//! combine reads exactly `threshold` of them, so the requester asks for
-//! exactly that many: `threshold` minus its own share (when it sits on the
-//! committee) of the live committee members, taken from the live committee
-//! **rotated by the requester's id**. The rotation draws nothing from the
-//! node's RNG (the peer-sampling stream, and with it every estimate bit,
-//! is untouched) and spreads the committee's work: each member serves
-//! ≈ `N·t/parties` of `N` requesters instead of the first `t` members
-//! serving everyone. Threshold combining is exact over any `t`-subset, so
-//! the estimate does not depend on who answers.
+//! A partial decryption is the step's most expensive operation, so only
+//! the live committee members decrypt: a step computes `m·C·t` partials
+//! (m members, C ciphertexts, threshold t), not `n·C·t`. A **member**
+//! snapshots its gossip ciphertexts, folded to what the aggregate occupies
+//! (`StepCipher::fold`), asks exactly `threshold − 1` other live members
+//! for their partials, combines them with its own and keeps the estimate
+//! as the step's release: it answers every [`Message::ReleaseRequest`] with
+//! a [`Message::Release`], once the release is ready. **Everyone else**
+//! takes no snapshot and sends no `DecryptRequest`: it asks one member for
+//! its release and adopts the first well-formed one from a member it asked.
 //!
-//! The rest of the live committee is the **hedge**. The node keeps the
-//! full rotated list with the request, and widens in two cases:
+//! Either way a node asks exactly what its round completes on, taken from
+//! the live committee **rotated by its id**: no RNG draw (the peer-sampling
+//! stream, and every estimate bit, is untouched), and the work spreads
+//! evenly. Threshold combining is exact over any `t`-subset, so an estimate
+//! does not depend on who answers. The rest of the live committee is the
+//! **hedge**; the node keeps the whole rotated list and widens in two
+//! cases:
 //!
 //! * the driver's retry timer ([`ProtocolNode::retry_decrypt`]) fires: the
 //!   request goes to *every* live member that has not answered — the ones
@@ -56,8 +58,9 @@
 //! * a `Leave` for a member that was asked and has not answered arrives
 //!   during the round: the next member in the rotation is asked at once.
 //!
-//! Decrypt-class traffic above `threshold` requests per estimate is
-//! therefore a hedge that fired, never background noise.
+//! Decrypt-class traffic above what the round completes on is therefore a
+//! hedge that fired, never background noise. When no member can release,
+//! no node could have assembled `threshold` shares either.
 
 use crate::transport::NodeId;
 use crate::wire::Message;
@@ -234,7 +237,9 @@ enum Phase {
     Done,
 }
 
-/// The decryption request a node in `AwaitShares` has in flight.
+/// The request a node in `AwaitShares` has in flight: partial decryptions
+/// on a committee member, a release everywhere else. Kept once the round
+/// is over, so a late answer can still be told from an unsolicited one.
 struct PendingRequest {
     /// The committee members alive when the round started (this node
     /// excluded), rotated by this node's id: the order they are asked in.
@@ -242,6 +247,9 @@ struct PendingRequest {
     /// `recipients[..asked]` have been sent the request; the rest are the
     /// hedge.
     asked: usize,
+    /// Answers the round completes on: `threshold` shares (this node's
+    /// own included) on a member, one release elsewhere.
+    need: usize,
     request: Message,
 }
 
@@ -265,8 +273,8 @@ pub struct NodeReport {
     pub lane_headroom_bits: Option<u64>,
     /// Homomorphic work this node performed.
     pub ops: HomomorphicOpCounts,
-    /// Decryption work this node performed (as requester and as committee
-    /// member).
+    /// Decryption work this node performed: none off the committee, whose
+    /// members alone decrypt.
     pub decrypt_ops: DecryptionOps,
     /// Pushes this node actually initiated.
     pub pushes_sent: usize,
@@ -353,6 +361,9 @@ pub struct ProtocolNode {
     shares_by_sender: BTreeMap<NodeId, Vec<PartialDecryption>>,
     pending_request: Option<PendingRequest>,
     served_replies: HashMap<NodeId, Message>,
+    /// Peers whose `ReleaseRequest` reached this member before its release
+    /// was ready: answered the moment it is.
+    release_waiters: Vec<NodeId>,
     gossip_cut_short: bool,
     estimate: Option<PerturbedAggregates>,
     ops: HomomorphicOpCounts,
@@ -425,6 +436,7 @@ impl ProtocolNode {
             shares_by_sender: BTreeMap::new(),
             pending_request: None,
             served_replies: HashMap::new(),
+            release_waiters: Vec::new(),
             gossip_cut_short: false,
             estimate: None,
             audit: DecryptAudit {
@@ -558,11 +570,12 @@ impl ProtocolNode {
     }
 
     /// Resilience nudge for the decryption round, and its hedge: sends the
-    /// pending `DecryptRequest` to every live committee member that has not
-    /// answered — the ones already asked (their request or reply may have
-    /// been lost) and the ones held back so far (an asked member may be
-    /// dead without this node knowing). Idempotent — members answer a
-    /// repeated request from their reply cache and duplicate replies are
+    /// pending request — a `DecryptRequest` on a member, a `ReleaseRequest`
+    /// elsewhere — to every live committee member that has not answered:
+    /// the ones already asked (their request or reply may have been lost)
+    /// and the ones held back so far (an asked member may be dead without
+    /// this node knowing). Idempotent — members answer a repeated request
+    /// from their reply cache or their release, and duplicate answers are
     /// ignored by [`Self::handle`]. The runtime calls this at a coarse
     /// interval while the node awaits shares.
     pub fn retry_decrypt(&mut self, out: &mut Vec<Outbound>) {
@@ -585,7 +598,8 @@ impl ProtocolNode {
         self.pending_request = Some(pending);
     }
 
-    /// `true` while the node is waiting for partial decryptions.
+    /// `true` while the node is waiting for partial decryptions or a
+    /// release.
     pub fn awaiting_shares(&self) -> bool {
         matches!(self.phase, Phase::AwaitShares)
     }
@@ -681,7 +695,25 @@ impl ProtocolNode {
                     return;
                 }
                 self.accept_share(from, member, width, partials);
+                self.answer_release_waiters(out);
             }
+            Message::ReleaseRequest { iteration } => {
+                // Only a member releases; a request anywhere else is
+                // ignored.
+                if iteration != self.params.iteration || self.share_index().is_none() {
+                    return;
+                }
+                if let Some(release) = self.release() {
+                    self.emit(from, release, out);
+                } else if !self.step_done() && !self.release_waiters.contains(&from) {
+                    self.release_waiters.push(from);
+                }
+            }
+            Message::Release {
+                iteration,
+                member,
+                values,
+            } => self.adopt_release(from, iteration, member, values),
             Message::Join { node, .. } => {
                 if (node as usize) < self.params.population {
                     self.dead_view.remove(&(node as usize));
@@ -771,6 +803,69 @@ impl ProtocolNode {
         Some((share.index(), partials.into_iter().map(corrupt).collect()))
     }
 
+    /// This node's 1-based share index, `None` off the committee.
+    fn share_index(&self) -> Option<u64> {
+        let real = self.crypto.as_real()?;
+        real.share.as_ref().map(KeyShare::index)
+    }
+
+    /// The release this member answers `ReleaseRequest`s with: its decoded
+    /// estimate, slot by slot. `None` off the committee, or before (or
+    /// without) an estimate.
+    fn release(&self) -> Option<Message> {
+        let member = self.share_index()?;
+        let est = self.estimate.as_ref()?;
+        let clusters = est.sums.iter().zip(&est.counts);
+        let values = clusters.flat_map(|(sums, count)| sums.iter().chain([count]));
+        Some(Message::Release {
+            iteration: self.params.iteration,
+            member,
+            values: values.copied().collect(),
+        })
+    }
+
+    /// Sends the release to every peer that asked for it before it was
+    /// ready — once there is one.
+    fn answer_release_waiters(&mut self, out: &mut Vec<Outbound>) {
+        if self.release_waiters.is_empty() {
+            return;
+        }
+        let Some(release) = self.release() else {
+            return;
+        };
+        for peer in std::mem::take(&mut self.release_waiters) {
+            self.emit(peer, release.clone(), out);
+        }
+    }
+
+    /// Adopts a member's release as this node's estimate — the first
+    /// well-formed one from a member this node asked, while it awaits one.
+    /// A release from outside the committee (audit evidence, like a foreign
+    /// share), from a member this node did not ask, for another iteration
+    /// or of another length than the layout's is one counted bad frame.
+    fn adopt_release(&mut self, from: NodeId, iteration: u64, member: u64, values: Vec<f64>) {
+        let index = self.params.committee.iter().position(|&c| c == from);
+        if index.is_none() {
+            self.audit.foreign_shares += 1;
+        }
+        let asked = self.pending_request.as_ref().is_some_and(|p| {
+            matches!(p.request, Message::ReleaseRequest { .. })
+                && p.recipients[..p.asked].contains(&from)
+        });
+        if !asked
+            || iteration != self.params.iteration
+            || values.len() != self.layout.total()
+            || index.map(|j| j as u64 + 1) != Some(member)
+        {
+            self.bad_frames += 1;
+            return;
+        }
+        if matches!(self.phase, Phase::AwaitShares) {
+            let est = assemble_aggregates(&self.layout, |slot| values[slot]);
+            self.finish(Some(est));
+        }
+    }
+
     /// Whether this node currently believes `i` is alive.
     fn peer_alive(&self, i: NodeId) -> bool {
         !self.dead_view.contains(&i)
@@ -819,26 +914,33 @@ impl ProtocolNode {
         if let Some(t) = &mut self.tracer {
             t.mark("gossip.end", &[("pushes", self.pushes_sent as u64)]);
         }
-        let (width, snapshot) = match (&self.agg, self.crypto.as_real()) {
+        // A member's snapshot — later absorbs keep mixing the gossip state
+        // but no longer affect this estimate — folded to what it occupies.
+        // A non-member takes none.
+        let snapshot = match (&self.agg, self.crypto.as_real()) {
             (Aggregator::Plain(ps), _) => {
                 let est = ps
                     .estimate()
                     .map(|est| assemble_aggregates(&self.layout, |slot| est[slot]));
                 return self.finish(est);
             }
-            // Snapshot — later absorbs keep mixing the gossip state but no
-            // longer affect this estimate — folded to what it occupies.
-            (Aggregator::Encrypted(he), Some(RealCrypto { cipher, .. }))
-                if he.weight() > f64::MIN_POSITIVE =>
-            {
+            (
+                Aggregator::Encrypted(he),
+                Some(RealCrypto {
+                    cipher,
+                    share,
+                    params,
+                    ..
+                }),
+            ) if he.weight() > f64::MIN_POSITIVE => share.as_ref().map(|_| {
                 let (denom, weight) = (he.denominator_exp(), he.weight());
                 self.snapshot = (denom, weight);
                 let fold_started = Instant::now();
                 let folded = cipher.fold(he.ciphertexts(), denom, weight, &mut self.ops);
                 let fold_ns = fold_started.elapsed().as_nanos() as u64;
                 self.profile.add(StepPhase::Unpack, fold_ns);
-                (cipher.key_width(), folded)
-            }
+                (cipher.key_width(), folded, params.threshold)
+            }),
             _ => return self.finish(None),
         };
 
@@ -849,61 +951,62 @@ impl ProtocolNode {
             .copied()
             .filter(|&m| m != self.params.id && self.peer_alive(m))
             .collect();
-        // Committee members contribute their own partials without a
-        // network hop.
-        let own_partials = self.partials_of(&snapshot);
-        if recipients.len() + usize::from(own_partials.is_some()) < self.threshold() {
-            // Not enough live committee members: no estimate.
-            self.finish(None);
-            return;
-        }
-        // Rotated by the requester's id — no RNG draw — so the
-        // population's requests spread evenly over the committee.
+        // Rotated by the node's id — no RNG draw — so the population's
+        // requests spread evenly over the committee.
         if !recipients.is_empty() {
             let start = self.params.id % recipients.len();
             recipients.rotate_left(start);
+        }
+        let iteration = self.params.iteration;
+        let (need, request, own) = match snapshot {
+            // A member contributes its own partials without a network hop.
+            Some((width, slots, threshold)) => {
+                let own = self.partials_of(&slots).map(|own| (own, width));
+                let request = Message::DecryptRequest {
+                    iteration,
+                    width,
+                    slots,
+                };
+                (threshold, request, own)
+            }
+            None => (1, Message::ReleaseRequest { iteration }, None),
+        };
+        if recipients.len() + usize::from(own.is_some()) < need {
+            // Not enough live committee members: no estimate.
+            return self.finish(None);
         }
         self.phase = Phase::AwaitShares;
         self.pending_request = Some(PendingRequest {
             recipients,
             asked: 0,
-            request: Message::DecryptRequest {
-                iteration: self.params.iteration,
-                width,
-                slots: snapshot,
-            },
+            need,
+            request,
         });
-        if let Some((member, partials)) = own_partials {
+        if let Some(((member, partials), width)) = own {
             self.accept_share(self.params.id, member, width, partials);
+            self.answer_release_waiters(out);
         }
         self.ask_committee(out);
     }
 
-    /// Shares the combine needs.
-    fn threshold(&self) -> usize {
-        let real = self
-            .crypto
-            .as_real()
-            .expect("decrypt phase implies real crypto");
-        real.params.threshold
-    }
-
     /// Sends the pending request to further committee members, in rotation
-    /// order, until the shares already held plus the live members asked
-    /// and still to answer reach `threshold` — exactly what the combine
-    /// will read, no more. The rest of the committee stays the hedge
+    /// order, until the answers already held plus the live members asked
+    /// and still to answer reach what the round completes on — exactly
+    /// that, no more. The rest of the committee stays the hedge
     /// [`Self::retry_decrypt`] falls back on. No-op outside the round.
     fn ask_committee(&mut self, out: &mut Vec<Outbound>) {
+        if !matches!(self.phase, Phase::AwaitShares) {
+            return;
+        }
         let Some(mut pending) = self.pending_request.take() else {
             return;
         };
-        let threshold = self.threshold();
         let mut expected = self.shares_by_sender.len()
             + pending.recipients[..pending.asked]
                 .iter()
                 .filter(|&&m| self.peer_alive(m) && !self.shares_by_sender.contains_key(&m))
                 .count();
-        while expected < threshold && pending.asked < pending.recipients.len() {
+        while expected < pending.need && pending.asked < pending.recipients.len() {
             let m = pending.recipients[pending.asked];
             pending.asked += 1;
             if self.peer_alive(m) {
@@ -963,14 +1066,16 @@ impl ProtocolNode {
         if !matches!(self.phase, Phase::AwaitShares) {
             return;
         }
+        // Only a member combines: shares are no answer to a release request.
         let Some(RealCrypto {
             cipher,
+            share: Some(_),
             params,
             delta,
             plans,
-            ..
         }) = self.crypto.as_real()
         else {
+            self.bad_frames += 1;
             return;
         };
         // One partial per ciphertext of the folded snapshot, at the key's
@@ -1040,6 +1145,5 @@ impl ProtocolNode {
         }
         self.estimate = estimate;
         self.phase = Phase::Done;
-        self.pending_request = None;
     }
 }

@@ -134,6 +134,19 @@ pub fn assemble_outcome(
     }
 }
 
+/// Books the step's worst node — the most partial decryptions and combines
+/// any one node computed, the committee's load that a population mean
+/// hides — as the `crypto.partials_max` and `crypto.combines_max` gauges.
+pub fn book_worst_node(reports: &[NodeReport], registry: &cs_obs::Registry) {
+    let max = |of: fn(&DecryptionOps) -> u64| reports.iter().map(|r| of(&r.decrypt_ops)).max();
+    for (name, worst) in [
+        ("crypto.partials_max", max(|d| d.partial_decryptions)),
+        ("crypto.combines_max", max(|d| d.combinations)),
+    ] {
+        registry.gauge(name).set(worst.unwrap_or(0) as i64);
+    }
+}
+
 /// Tuning knobs of the thread-per-node TCP host.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
@@ -239,6 +252,7 @@ impl StepRun {
         registry
             .counter("gossip.pushes_capped")
             .add(outcome.pushes_capped);
+        book_worst_node(&reports, registry);
         let evidence = crate::audit::distill(step_seed, &reports, &snapshot, &registry.snapshot());
         let alerts = cs_obs::health::audit(&evidence, registry, None, None);
         StepRun {

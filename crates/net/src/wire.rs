@@ -33,9 +33,13 @@
 //! frames of the earlier layouts (v1: no packed push; v2: no trace block;
 //! v3: a termination vote under tag 4, retired with the vote; v4: a push of
 //! one ciphertext per slot under tag 0, retired with that layout; v5: a
-//! length prefix per big integer and a share index per partial) are
-//! rejected as [`WireError::BadVersion`] like any other foreign byte, and
-//! tags 0 and 4 in a current frame are a [`WireError::BadTag`].
+//! length prefix per big integer and a share index per partial; v6: no
+//! release, every participant had its own estimate decrypted) are rejected
+//! as [`WireError::BadVersion`] like any other foreign byte, and tags 0 and
+//! 4 in a current frame are a [`WireError::BadTag`]. v7 added tags 8 and 9:
+//! a non-member asks a committee member for its decrypted estimate
+//! ([`Message::ReleaseRequest`]) and adopts the answer
+//! ([`Message::Release`]), whose values travel as a push's `f64` block.
 //!
 //! The [`Message`] type also derives serde, so every variant has a JSON
 //! form for logs and debugging; the binary frame codec is the transport
@@ -49,7 +53,7 @@ use std::fmt;
 
 /// The wire format version — the only one [`decode_frame`] accepts and
 /// [`encode_frame`] emits. Bump on any layout change.
-pub const WIRE_VERSION: u8 = 6;
+pub const WIRE_VERSION: u8 = 7;
 
 /// Hard upper bound on one frame's body, guarding decode against hostile
 /// length prefixes (64 MiB comfortably fits any realistic slot vector).
@@ -103,8 +107,9 @@ pub enum Message {
         /// The pushed plaintext slots.
         slots: Vec<f64>,
     },
-    /// A request for partial decryptions of the requester's snapshot of its
-    /// gossip ciphertexts — the perturbed aggregate (step 2d).
+    /// A committee member's request for partial decryptions of its
+    /// snapshot of its gossip ciphertexts — the perturbed aggregate (step
+    /// 2d).
     DecryptRequest {
         /// Protocol iteration of the decryption round.
         iteration: u64,
@@ -123,6 +128,23 @@ pub enum Message {
         width: u16,
         /// One partial decryption per requested slot, in request order.
         partials: Vec<BigUint>,
+    },
+    /// A non-member's request for a committee member's release: the
+    /// member's own decrypted estimate of the step, which the requester
+    /// adopts instead of having its own ciphertexts decrypted (step 2d).
+    ReleaseRequest {
+        /// Protocol iteration of the decryption round.
+        iteration: u64,
+    },
+    /// A committee member's decrypted, perturbed aggregates, one value per
+    /// slot of the step's layout (`SlotLayout::total()`), in slot order.
+    Release {
+        /// Protocol iteration of the decryption round.
+        iteration: u64,
+        /// The member's 1-based share index.
+        member: u64,
+        /// The aggregates, slot by slot.
+        values: Vec<f64>,
     },
     /// Membership: a (re)joining node announcing itself.
     Join {
@@ -144,7 +166,10 @@ impl Message {
     pub fn class(&self) -> FrameClass {
         match self {
             Message::PackedPush { .. } | Message::PlainPush { .. } => FrameClass::Gossip,
-            Message::DecryptRequest { .. } | Message::DecryptShare { .. } => FrameClass::Decrypt,
+            Message::DecryptRequest { .. }
+            | Message::DecryptShare { .. }
+            | Message::ReleaseRequest { .. }
+            | Message::Release { .. } => FrameClass::Decrypt,
             Message::Join { .. } | Message::Leave { .. } => FrameClass::Control,
         }
     }
@@ -159,6 +184,8 @@ impl Message {
             Message::Join { .. } => 5,
             Message::Leave { .. } => 6,
             Message::PackedPush { .. } => 7,
+            Message::ReleaseRequest { .. } => 8,
+            Message::Release { .. } => 9,
         }
     }
 
@@ -185,6 +212,9 @@ impl Message {
             Message::DecryptShare {
                 width, partials: p, ..
             } => 16 + block(p.len(), *width),
+            Message::ReleaseRequest { .. } => 8,
+            // iteration, member, values
+            Message::Release { values, .. } => 8 + 8 + 4 + 8 * values.len(),
             Message::Join { .. } => 8 + 8,
             Message::Leave { .. } => 8,
         }
@@ -264,6 +294,16 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
+/// Writes an `f64` block: `count u32`, then each value's bit pattern.
+fn put_f64s(buf: &mut Vec<u8>, values: &[f64]) {
+    put_u32(buf, values.len() as u32);
+    let start = buf.len();
+    buf.resize(start + 8 * values.len(), 0);
+    for (dst, v) in buf[start..].chunks_exact_mut(8).zip(values) {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
 /// A push's block width: its widest ciphertext's byte length, at least 1.
 fn push_width(slots: &[Ciphertext]) -> u16 {
     let widest = slots.iter().map(Ciphertext::byte_len).max().unwrap_or(0);
@@ -317,12 +357,7 @@ pub fn encode_frame_traced(msg: &Message, ctx: TraceContext) -> Vec<u8> {
         } => {
             put_u64(&mut frame, *iteration);
             put_f64(&mut frame, *weight);
-            put_u32(&mut frame, slots.len() as u32);
-            let start = frame.len();
-            frame.resize(start + 8 * slots.len(), 0);
-            for (dst, v) in frame[start..].chunks_exact_mut(8).zip(slots) {
-                dst.copy_from_slice(&v.to_bits().to_le_bytes());
-            }
+            put_f64s(&mut frame, slots);
         }
         Message::DecryptRequest {
             iteration,
@@ -341,6 +376,16 @@ pub fn encode_frame_traced(msg: &Message, ctx: TraceContext) -> Vec<u8> {
             put_u64(&mut frame, *iteration);
             put_u64(&mut frame, *member);
             put_block(&mut frame, *width, partials.iter());
+        }
+        Message::ReleaseRequest { iteration } => put_u64(&mut frame, *iteration),
+        Message::Release {
+            iteration,
+            member,
+            values,
+        } => {
+            put_u64(&mut frame, *iteration);
+            put_u64(&mut frame, *member);
+            put_f64s(&mut frame, values);
         }
         Message::Join { node, iteration } => {
             put_u64(&mut frame, *node);
@@ -426,6 +471,25 @@ impl<'a> Reader<'a> {
         Ok((width, values.map(BigUint::from_bytes_le)))
     }
 
+    /// Reads an `f64` block: one bounds check for the whole block (the
+    /// count is capped, so `8 * n` cannot overflow), then a straight
+    /// conversion pass.
+    fn f64s(&mut self) -> Result<Vec<f64>, WireError> {
+        let n = self.count()?;
+        let bytes = self.take(8 * n)?.chunks_exact(8);
+        Ok(bytes
+            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
+            .collect())
+    }
+
+    /// A share index, which is 1-based.
+    fn member(&mut self) -> Result<u64, WireError> {
+        match self.u64()? {
+            0 => Err(WireError::BadValue("share index must be >= 1")),
+            member => Ok(member),
+        }
+    }
+
     fn ciphertexts(&mut self) -> Result<(u16, Vec<Ciphertext>), WireError> {
         let (width, values) = self.block()?;
         Ok((width, values.map(Ciphertext::from_biguint).collect()))
@@ -479,23 +543,11 @@ pub fn decode_frame_traced(frame: &[u8]) -> Result<(Message, TraceContext), Wire
         _ => return Err(WireError::BadValue("trace flag must be 0 or 1")),
     };
     let msg = match tag {
-        1 => {
-            let iteration = r.u64()?;
-            let weight = r.f64()?;
-            let n = r.count()?;
-            // One bounds check for the whole slot block (`n` is capped, so
-            // `8 * n` cannot overflow), then a straight conversion pass.
-            let slots = r
-                .take(8 * n)?
-                .chunks_exact(8)
-                .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-                .collect();
-            Message::PlainPush {
-                iteration,
-                weight,
-                slots,
-            }
-        }
+        1 => Message::PlainPush {
+            iteration: r.u64()?,
+            weight: r.f64()?,
+            slots: r.f64s()?,
+        },
         2 => {
             let iteration = r.u64()?;
             let (width, slots) = r.ciphertexts()?;
@@ -507,10 +559,7 @@ pub fn decode_frame_traced(frame: &[u8]) -> Result<(Message, TraceContext), Wire
         }
         3 => {
             let iteration = r.u64()?;
-            let member = r.u64()?;
-            if member == 0 {
-                return Err(WireError::BadValue("share index must be >= 1"));
-            }
+            let member = r.member()?;
             let (width, partials) = r.block()?;
             Message::DecryptShare {
                 iteration,
@@ -530,6 +579,14 @@ pub fn decode_frame_traced(frame: &[u8]) -> Result<(Message, TraceContext), Wire
             weight: r.f64()?,
             buckets: r.u32()?,
             slots: r.ciphertexts()?.1,
+        },
+        8 => Message::ReleaseRequest {
+            iteration: r.u64()?,
+        },
+        9 => Message::Release {
+            iteration: r.u64()?,
+            member: r.member()?,
+            values: r.f64s()?,
         },
         other => return Err(WireError::BadTag(other)),
     };

@@ -1,11 +1,14 @@
 //! The decryption round at the `ProtocolNode` level, driven by hand: who a
-//! requester asks, when it widens to the committee members it held back,
-//! and that the estimate it combines does not depend on which `threshold`
-//! members answered or in which order. The timer-driven half of the hedge
-//! is tested on the virtual-time executor (`executor::tests`), where a
-//! retry interval is an exact number. Also here, because it needs the same
-//! bare nodes: what a node refuses — a decryption request of the wrong
-//! width, a push in another dialect than its own.
+//! committee member asks, when it widens to the members it held back, and
+//! that the estimate it combines does not depend on which `threshold`
+//! members answered or in which order; that a non-member asks one member
+//! for its release instead, and adopts it bit for bit. The timer-driven
+//! half of the hedge is tested on the virtual-time executor
+//! (`executor::tests`), where a retry interval is an exact number. Also
+//! here, because it needs the same bare nodes: what a node refuses — a
+//! decryption request of the wrong width, a hostile or unsolicited release,
+//! a push in another dialect than its own — and the committee rule's load
+//! on one executor step.
 
 use chiaroscuro::config::ChiaroscuroConfig;
 use chiaroscuro::noise::SlotLayout;
@@ -14,6 +17,7 @@ use cs_crypto::ThresholdParams;
 use cs_net::node::{NodeCrypto, NodeParams, Outbound, ProtocolNode};
 use cs_net::transport::NodeId;
 use cs_net::wire::{Message, TraceContext};
+use cs_net::{run_step_sharded, ShardedConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -117,6 +121,27 @@ fn requested(out: &[Outbound]) -> Vec<NodeId> {
         .collect()
 }
 
+/// Destinations of the `ReleaseRequest`s in `out`, in emission order.
+fn release_requested(out: &[Outbound]) -> Vec<NodeId> {
+    out.iter()
+        .filter(|(_, msg, _)| matches!(msg, Message::ReleaseRequest { .. }))
+        .map(|(to, _, _)| *to)
+        .collect()
+}
+
+/// The share vector member `m` serves to `request` from `requester`.
+fn share_of(ctx: &Fixture, m: NodeId, requester: NodeId, request: &Message) -> Message {
+    let mut reply = Vec::new();
+    let values = contribution(&[0.5]);
+    node(ctx, m, &values, 90 + m as u64).handle(
+        requester,
+        request.clone(),
+        TraceContext::NONE,
+        &mut reply,
+    );
+    reply.pop().expect("a member serves the request").1
+}
+
 fn contribution(values: &[f64]) -> Vec<f64> {
     (0..LAYOUT.total())
         .map(|i| values[i % values.len()])
@@ -144,29 +169,30 @@ fn bits(est: &PerturbedAggregates) -> Vec<u64> {
     values.map(|v| v.to_bits()).collect()
 }
 
-/// A non-member of a 2-of-3 committee, id 3: the rotation starts at member
-/// `3 % 3 = 0`, so it asks 0 and 1 and holds 2 back.
+/// Member 0 of a 3-of-5 committee holds a share of its own, so it asks
+/// two of the other four members: the rotation by its id starts at member
+/// 1, so it asks 1 and 2 and holds 3 and 4 back.
 #[test]
 fn decrypt_round_widens_on_leave_of_an_asked_member_without_the_timer() {
     let ctx = context(ThresholdParams {
-        threshold: 2,
-        parties: 3,
+        threshold: 3,
+        parties: 5,
     });
     let values = contribution(&[1.5, -2.0, 0.25]);
-    let mut requester = node(ctx, 3, &values, 11);
+    let mut requester = node(ctx, 0, &values, 11);
     let mut out = Vec::new();
     requester.tick(&mut out);
     assert!(requester.awaiting_shares());
     assert_eq!(
         requested(&out),
-        [0, 1],
-        "exactly `threshold` members are asked"
+        [1, 2],
+        "exactly `threshold` less its own share are asked"
     );
     let request = out[0].1.clone();
 
     // Departures that cost the round nothing ask nobody: a non-member, and
-    // the member held back.
-    for bystander in [4u64, 2] {
+    // a member held back.
+    for bystander in [5u64, 4] {
         out.clear();
         requester.handle(
             bystander as NodeId,
@@ -178,38 +204,38 @@ fn decrypt_round_widens_on_leave_of_an_asked_member_without_the_timer() {
     }
     out.clear();
     requester.handle(
-        2,
+        4,
         Message::Join {
-            node: 2,
+            node: 4,
             iteration: ITERATION,
         },
         TraceContext::NONE,
         &mut out,
     );
 
-    // Member 1 was asked and has not answered: its departure sends the
-    // request to member 2 at once.
+    // Member 2 was asked and has not answered: its departure sends the
+    // request to member 3 at once.
     out.clear();
-    requester.handle(1, Message::Leave { node: 1 }, TraceContext::NONE, &mut out);
-    assert_eq!(requested(&out), [2], "the held-back member is asked now");
+    requester.handle(2, Message::Leave { node: 2 }, TraceContext::NONE, &mut out);
+    assert_eq!(
+        requested(&out),
+        [3],
+        "the next held-back member is asked now"
+    );
     assert_eq!(out[0].1, request, "with the same request");
 
-    // Member 0 answers; its later departure needs no replacement, and the
-    // retry timer re-asks only the live member still owing a reply.
-    let mut reply = Vec::new();
-    node(ctx, 0, &values, 12).handle(3, request.clone(), TraceContext::NONE, &mut reply);
-    let (_, share, _) = reply.pop().expect("member 0 serves the request");
+    // Member 1 answers; its later departure needs no replacement, and the
+    // retry timer re-asks only the live members still owing a reply.
+    let share = share_of(ctx, 1, 0, &request);
     out.clear();
-    requester.handle(0, share, TraceContext::NONE, &mut out);
-    requester.handle(0, Message::Leave { node: 0 }, TraceContext::NONE, &mut out);
+    requester.handle(1, share, TraceContext::NONE, &mut out);
+    requester.handle(1, Message::Leave { node: 1 }, TraceContext::NONE, &mut out);
     assert!(requested(&out).is_empty());
     requester.retry_decrypt(&mut out);
-    assert_eq!(requested(&out), [2]);
+    assert_eq!(requested(&out), [3, 4]);
 
-    let mut reply = Vec::new();
-    node(ctx, 2, &values, 13).handle(3, request, TraceContext::NONE, &mut reply);
-    let (_, share, _) = reply.pop().expect("member 2 serves the request");
-    requester.handle(2, share, TraceContext::NONE, &mut out);
+    let share = share_of(ctx, 3, 0, &request);
+    requester.handle(3, share, TraceContext::NONE, &mut out);
     assert!(requester.step_done());
     let report = requester.into_report();
     assert!(report.estimate.is_some());
@@ -256,7 +282,9 @@ fn decrypt_round_refuses_a_request_of_the_wrong_width() {
     });
     let values = contribution(&[0.5]);
     let mut out = Vec::new();
-    node(ctx, 3, &values, 31).tick(&mut out);
+    // Member 1 asks member 2; member 0 is handed its request too.
+    node(ctx, 1, &values, 31).tick(&mut out);
+    assert_eq!(requested(&out), [2]);
     let request = out[0].1.clone();
     let Message::DecryptRequest {
         iteration,
@@ -284,13 +312,13 @@ fn decrypt_round_refuses_a_request_of_the_wrong_width() {
     let mut member = node(ctx, 0, &values, 32);
     let mut reply = Vec::new();
     for bad in [resized(0), resized(off_grid), resized(2 * full), widened] {
-        member.handle(3, bad, TraceContext::NONE, &mut reply);
+        member.handle(1, bad, TraceContext::NONE, &mut reply);
         assert!(reply.is_empty(), "a malformed request gets no reply");
     }
     // Nothing was cached for the requester: its honest request is served
     // from scratch.
-    member.handle(3, request.clone(), TraceContext::NONE, &mut reply);
-    let [(3, Message::DecryptShare { partials, .. }, _)] = &reply[..] else {
+    member.handle(1, request.clone(), TraceContext::NONE, &mut reply);
+    let [(1, Message::DecryptShare { partials, .. }, _)] = &reply[..] else {
         panic!("one share vector back to the requester, got {reply:?}");
     };
     assert_eq!(partials.len(), slots.len());
@@ -336,19 +364,13 @@ fn decrypt_round_share_of_another_width_is_one_counted_bad_frame() {
         parties: 3,
     });
     let values = contribution(&[0.75, -1.5]);
-    let mut requester = node(ctx, 3, &values, 51);
+    // Member 2 holds its own share and asks member 0 for the other.
+    let mut requester = node(ctx, 2, &values, 51);
     let mut out = Vec::new();
     requester.tick(&mut out);
-    assert_eq!(requested(&out), [0, 1]);
+    assert_eq!(requested(&out), [0]);
     let request = out[0].1.clone();
-    let shares: Vec<Message> = [0, 1]
-        .iter()
-        .map(|&m| {
-            let mut reply = Vec::new();
-            node(ctx, m, &values, 52).handle(3, request.clone(), TraceContext::NONE, &mut reply);
-            reply.pop().expect("a member serves the request").1
-        })
-        .collect();
+    let shares = [share_of(ctx, 0, 2, &request)];
     let Message::DecryptShare {
         iteration,
         member,
@@ -392,23 +414,17 @@ fn decrypt_round_forged_reply_is_one_counted_bad_frame() {
         parties: 3,
     });
     let values = contribution(&[0.25, 3.0, -1.0]);
+    // Member 2 holds its own share and asks member 0 for the other.
     let start = |out: &mut Vec<Outbound>| {
-        let mut requester = node(ctx, 3, &values, 71);
+        let mut requester = node(ctx, 2, &values, 71);
         requester.tick(out);
         requester
     };
     let mut out = Vec::new();
     let mut requester = start(&mut out);
-    assert_eq!(requested(&out), [0, 1]);
+    assert_eq!(requested(&out), [0]);
     let request = out[0].1.clone();
-    let shares: Vec<Message> = [0, 1]
-        .iter()
-        .map(|&m| {
-            let mut reply = Vec::new();
-            node(ctx, m, &values, 72).handle(3, request.clone(), TraceContext::NONE, &mut reply);
-            reply.pop().expect("a member serves the request").1
-        })
-        .collect();
+    let shares = [share_of(ctx, 0, 2, &request)];
     let Message::DecryptShare {
         iteration,
         member,
@@ -444,6 +460,252 @@ fn decrypt_round_forged_reply_is_one_counted_bad_frame() {
         .estimate
         .expect("the honest members complete the round");
     assert_eq!(bits(&estimate), bits(&honest.estimate.unwrap()));
+}
+
+/// A non-member takes no snapshot and decrypts nothing: at the end of its
+/// quota it sends one `ReleaseRequest` — never a `DecryptRequest` — to the
+/// live committee rotated by its id (node 3 asks member `3 % 3 = 0`, node 4
+/// member 1). A `Leave` of the asked member sends it to the next one at
+/// once; the retry reaches every live member that has not answered.
+#[test]
+fn decrypt_round_non_member_asks_one_member_for_its_release_and_never_decrypts() {
+    let ctx = context(ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    });
+    let values = contribution(&[0.5, -1.0]);
+    for (id, first) in [(3, 0), (4, 1)] {
+        let mut out = Vec::new();
+        let mut asker = node(ctx, id, &values, 81);
+        asker.tick(&mut out);
+        assert!(asker.awaiting_shares());
+        assert_eq!(release_requested(&out), [first], "node {id}");
+        assert_eq!(out.len(), 1, "one small request and nothing else");
+        assert_eq!(
+            out[0].1,
+            Message::ReleaseRequest {
+                iteration: ITERATION
+            }
+        );
+
+        out.clear();
+        let leave = Message::Leave { node: first as u64 };
+        asker.handle(first, leave, TraceContext::NONE, &mut out);
+        let next = (first + 1) % 3;
+        assert_eq!(release_requested(&out), [next], "node {id}");
+        out.clear();
+        asker.retry_decrypt(&mut out);
+        let rest: Vec<NodeId> = (0..3)
+            .map(|m| (next + m) % 3)
+            .filter(|&m| m != first)
+            .collect();
+        assert_eq!(release_requested(&out), rest, "node {id}");
+        assert!(requested(&out).is_empty());
+        let report = asker.into_report();
+        assert_eq!(report.decrypt_ops, Default::default(), "node {id}");
+        assert_eq!(report.ops.pow2_scalings, 0, "no fold: node {id}");
+    }
+}
+
+/// A member answers a `ReleaseRequest` with the estimate it decrypted: one
+/// that arrives before its round is over waits for it, one after is
+/// answered at once. The non-member that asked adopts it bit for bit. A
+/// `ReleaseRequest` that reaches a non-member is ignored.
+#[test]
+fn decrypt_round_member_release_is_adopted_bit_for_bit() {
+    let ctx = context(ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    });
+    let values = contribution(&[0.25, 3.0, -1.0]);
+    let mut out = Vec::new();
+    let mut member = node(ctx, 1, &values, 91);
+    member.tick(&mut out);
+    assert_eq!(requested(&out), [2]);
+    let request = out[0].1.clone();
+    let mut adopter = node(ctx, 4, &values, 92);
+    out.clear();
+    adopter.tick(&mut out);
+    assert_eq!(release_requested(&out), [1]);
+    let ask = out[0].1.clone();
+
+    // Before the release is ready the request waits.
+    out.clear();
+    member.handle(4, ask.clone(), TraceContext::NONE, &mut out);
+    assert!(out.is_empty(), "nothing to release yet: {out:?}");
+    member.handle(
+        2,
+        share_of(ctx, 2, 1, &request),
+        TraceContext::NONE,
+        &mut out,
+    );
+    assert!(member.step_done());
+    let [(4, release, _)] = &out[..] else {
+        panic!("the waiting request is answered, got {out:?}");
+    };
+    let release = release.clone();
+    let Message::Release {
+        iteration,
+        member: index,
+        values: released,
+    } = &release
+    else {
+        panic!("a member answers with its release");
+    };
+    assert_eq!((*iteration, *index), (ITERATION, 2), "node 1 holds share 2");
+    assert_eq!(released.len(), LAYOUT.total());
+    // A repeated request (the asker's retry) is answered from the release.
+    out.clear();
+    member.handle(4, ask.clone(), TraceContext::NONE, &mut out);
+    assert_eq!(out.len(), 1);
+    assert_eq!(out[0].1, release);
+
+    out.clear();
+    adopter.handle(1, release, TraceContext::NONE, &mut out);
+    assert!(adopter.step_done());
+    assert!(out.is_empty());
+    let (member, adopter) = (member.into_report(), adopter.into_report());
+    assert_eq!(
+        bits(adopter.estimate.as_ref().expect("the release is adopted")),
+        bits(member.estimate.as_ref().expect("the member decrypted")),
+    );
+    assert_eq!(adopter.bad_frames, 0);
+    assert_eq!(adopter.decrypt_ops, Default::default());
+
+    // A non-member has nothing to release and says nothing.
+    let mut bystander = node(ctx, 3, &values, 93);
+    out.clear();
+    bystander.handle(4, ask, TraceContext::NONE, &mut out);
+    assert!(out.is_empty());
+    assert_eq!(bystander.into_report().bad_frames, 0);
+}
+
+/// What a node adopts must come from a member it asked, for this step, and
+/// fit the layout. A release from outside the committee (also counted as a
+/// foreign share), from a member it did not ask, for another iteration, of
+/// another length than the layout's or under another member's share index
+/// is one counted bad frame each and adopts nothing; the honest release
+/// still completes the round. A member asks nobody for a release, so any
+/// release that reaches it is unsolicited.
+#[test]
+fn decrypt_round_hostile_and_unsolicited_releases_are_counted_bad_frames() {
+    let ctx = context(ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    });
+    let values = contribution(&[0.75]);
+    let mut out = Vec::new();
+    let mut asker = node(ctx, 3, &values, 101);
+    asker.tick(&mut out);
+    assert_eq!(release_requested(&out), [0]);
+    let total = LAYOUT.total();
+    let release = |iteration: u64, member: u64, len: usize| Message::Release {
+        iteration,
+        member,
+        values: vec![0.5; len],
+    };
+    let hostile = [
+        (4, release(ITERATION, 1, total)),
+        (1, release(ITERATION, 2, total)),
+        (0, release(ITERATION + 1, 1, total)),
+        (0, release(ITERATION, 1, total - 1)),
+        (0, release(ITERATION, 1, total + 1)),
+        (0, release(ITERATION, 2, total)),
+    ];
+    for (from, msg) in hostile.iter().cloned() {
+        asker.handle(from, msg, TraceContext::NONE, &mut out);
+        assert!(asker.awaiting_shares(), "adopted a release from {from}");
+    }
+    asker.handle(
+        0,
+        release(ITERATION, 1, total),
+        TraceContext::NONE,
+        &mut out,
+    );
+    assert!(asker.step_done());
+    let report = asker.into_report();
+    assert_eq!(report.bad_frames, hostile.len() as u64);
+    assert_eq!(report.decrypt_audit.foreign_shares, 1);
+    let estimate = report.estimate.expect("the honest release is adopted");
+    assert_eq!(estimate.counts, vec![0.5; LAYOUT.k]);
+
+    let mut member = node(ctx, 0, &values, 102);
+    member.handle(
+        1,
+        release(ITERATION, 2, total),
+        TraceContext::NONE,
+        &mut out,
+    );
+    member.tick(&mut out);
+    member.handle(
+        1,
+        release(ITERATION, 2, total),
+        TraceContext::NONE,
+        &mut out,
+    );
+    assert!(member.awaiting_shares());
+    assert_eq!(member.into_report().bad_frames, 2);
+}
+
+/// The committee rule's load on one honest, loss-free executor step: n = 16
+/// under a 2-of-3 committee, C ciphertexts a contribution. Every member
+/// computes at most C·t + C partial decryptions (its own snapshot and the
+/// one other member that asks it), every non-member none, and at most m
+/// distinct estimates come out of the step. The step's metrics carry the
+/// worst node: `crypto.partials_max` and `crypto.combines_max`.
+#[test]
+fn decrypt_round_worst_node_is_a_member_at_most_c_t_plus_c_partials() {
+    let params = ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    };
+    let (config, crypto) = context(params);
+    let n = 16;
+    let contributions: Vec<_> = (0..n)
+        .map(|i| Some(contribution(&[i as f64 * 0.25, -1.0])))
+        .collect();
+    let sharded = ShardedConfig {
+        shards: 4,
+        ..ShardedConfig::default()
+    };
+    let run = run_step_sharded(config, &LAYOUT, &contributions, crypto, 13, &sharded, &[]);
+    let run = run.unwrap();
+    assert!(run.outcome.estimates.iter().all(Option::is_some));
+    let c = crypto
+        .step_cipher(config, &LAYOUT, n)
+        .unwrap()
+        .unwrap()
+        .ciphertexts() as u64;
+    let t = params.threshold as u64;
+    let partials: Vec<u64> = (run.reports.iter())
+        .map(|r| r.decrypt_ops.partial_decryptions)
+        .collect();
+    let (members, others) = partials.split_at(params.parties);
+    assert!(
+        members.iter().all(|&p| 0 < p && p <= c * t + c),
+        "members computed {members:?} partials, C = {c}"
+    );
+    assert!(others.iter().all(|&p| p == 0), "{others:?}");
+    let released: std::collections::BTreeSet<Vec<u64>> = (run.outcome.estimates.iter())
+        .map(|e| bits(e.as_ref().unwrap()))
+        .collect();
+    assert!(
+        released.len() <= params.parties,
+        "{} estimates",
+        released.len()
+    );
+    let worst =
+        |of: fn(&cs_net::node::NodeReport) -> u64| run.reports.iter().map(of).max().unwrap() as i64;
+    let gauge = |name| run.metrics.gauge(name);
+    assert_eq!(
+        gauge("crypto.partials_max"),
+        worst(|r| r.decrypt_ops.partial_decryptions)
+    );
+    assert_eq!(
+        gauge("crypto.combines_max"),
+        worst(|r| r.decrypt_ops.combinations)
+    );
+    assert!(gauge("crypto.combines_max") <= c as i64);
 }
 
 /// Every (node, push) pairing: a push in the node's own dialect is absorbed,
@@ -511,8 +773,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Threshold combining is exact over any `t`-subset: whichever members
-    /// answer, in whatever order, the requester decodes the same bits. This
-    /// is what lets the round ask `t` members chosen by rotation and accept
+    /// answer, in whatever order, the member decodes the same bits. This is
+    /// what lets the round ask `t − 1` members chosen by rotation and accept
     /// a hedged reply in place of a lost one without the estimate noticing.
     #[test]
     fn decrypt_round_estimate_is_identical_for_every_subset_and_arrival_order(
@@ -527,10 +789,11 @@ proptest! {
             ThresholdParams { threshold: 2, parties: 3 }
         };
         let ctx = context(params);
-        let id = requester_id % (params.parties + 2);
+        // Only a member decrypts: it holds one share and asks for the rest.
+        let id = requester_id % params.parties;
         let values = contribution(&values);
         let others: Vec<NodeId> = (0..params.parties).filter(|&m| m != id).collect();
-        let needed = params.threshold - usize::from(id < params.parties);
+        let needed = params.threshold - 1;
 
         let start = |out: &mut Vec<Outbound>| {
             let mut requester = node(ctx, id, &values, seed);

@@ -112,32 +112,18 @@ fn is_push(msg: &Message) -> bool {
     matches!(msg, Message::PackedPush { .. } | Message::PlainPush { .. })
 }
 
+/// Node 3 holds no share: its decryption round is one `ReleaseRequest` at
+/// a time.
 fn is_request(msg: &Message) -> bool {
-    matches!(msg, Message::DecryptRequest { .. })
+    matches!(msg, Message::ReleaseRequest { .. })
 }
 
-/// The reply committee member `member` serves to `request`.
-fn share_from(member: NodeId, request: &Message) -> Message {
-    let (
-        CryptoContext::Real { tkp, .. },
-        Message::DecryptRequest {
-            iteration,
-            width,
-            slots,
-        },
-    ) = (context(), request)
-    else {
-        unreachable!("a decrypt request under the real-crypto fixture");
-    };
-    let share = &tkp.shares()[member];
-    Message::DecryptShare {
-        iteration: *iteration,
-        member: share.index(),
-        width: *width,
-        partials: slots
-            .iter()
-            .map(|c| share.partial_decrypt(c).value().clone())
-            .collect(),
+/// The release committee member `member` answers node 3's request with.
+fn release_from(member: NodeId) -> Message {
+    Message::Release {
+        iteration: STEP_SEED,
+        member: member as u64 + 1,
+        values: contribution(),
     }
 }
 
@@ -158,7 +144,7 @@ fn push_from(from: NodeId) -> Message {
 
 /// PR 14's regression, pinned below the substrates: both round clocks
 /// start with the round, not with the step, and the first retry — exactly
-/// one interval later — is the hedge that reaches the member held back.
+/// one interval later — is the hedge that reaches the members held back.
 #[test]
 fn first_retry_is_the_hedge_exactly_one_interval_after_the_round_starts() {
     // Two pushes at 0 and 1 ms; the second exhausts the quota and starts
@@ -172,7 +158,7 @@ fn first_retry_is_the_hedge_exactly_one_interval_after_the_round_starts() {
     requester.poll(round_start, &mut out);
     assert!(requester.node().awaiting_shares());
     assert_eq!(count(&out, is_push), 1);
-    assert_eq!(count(&out, is_request), 2, "exactly `threshold` are asked");
+    assert_eq!(count(&out, is_request), 1, "one member is asked to release");
     let armed = requester.armed();
     assert_eq!(armed.at(Timer::Retry), Some(round_start + retry()));
     assert_eq!(armed.at(Timer::Deadline), Some(round_start + DEADLINE));
@@ -239,11 +225,8 @@ fn deadline_abandons_once_and_only_while_awaiting() {
     let mut served = driver(3, 0, true);
     let mut out = Vec::new();
     served.poll(0, &mut out);
-    let request = out[0].1.clone();
-    for member in [0, 1] {
-        let share = share_from(member, &request);
-        served.deliver(member, share, TraceContext::NONE, 5 * MS, &mut out);
-    }
+    assert_eq!(out[0].0, 0, "node 3 asks member 3 % 3");
+    served.deliver(0, release_from(0), TraceContext::NONE, 5 * MS, &mut out);
     assert!(served.node().step_done());
     assert_eq!(served.armed(), Armed::default());
     out.clear();
@@ -403,14 +386,16 @@ fn a_frame_at_or_after_a_scripted_crash_is_lost_and_uncounted() {
 /// order before a frame handed over at that instant, whether the host fires
 /// the `Churn` timer first (the executor's event order) or only hands over
 /// the frame (a wall-clock pump mid-turn): the node announces itself, then
-/// serves the request, identically.
+/// serves the request, identically. The request is member 2's, which asks
+/// member 0 for the share its own does not cover.
 #[test]
 fn frames_at_a_crash_then_rejoin_instant_follow_the_script_on_both_clockings() {
     let back = 3 * MS;
     let script = vec![(back, ChurnKind::Crash), (back, ChurnKind::Rejoin)];
     let mut requests = Vec::new();
-    driver(3, 0, true).poll(0, &mut requests);
-    let request = requests.swap_remove(0).1;
+    driver(2, 0, true).poll(0, &mut requests);
+    let (to, request, _) = requests.swap_remove(0);
+    assert!(matches!(request, Message::DecryptRequest { .. }) && to == 0);
     let logs = [true, false].map(|fire_first| {
         let mut member = scripted(0, 10, true, script.clone());
         let mut out = Vec::new();
@@ -419,7 +404,7 @@ fn frames_at_a_crash_then_rejoin_instant_follow_the_script_on_both_clockings() {
         if fire_first {
             assert!(member.fire(Timer::Churn, back, &mut out));
         }
-        member.deliver(3, request.clone(), TraceContext::NONE, back, &mut out);
+        member.deliver(2, request.clone(), TraceContext::NONE, back, &mut out);
         assert!(member.is_alive());
         assert_eq!(member.armed().at(Timer::Churn), None);
         out
@@ -427,7 +412,7 @@ fn frames_at_a_crash_then_rejoin_instant_follow_the_script_on_both_clockings() {
     assert_eq!(logs[0], logs[1]);
     let joins = count(&logs[0], |m| matches!(m, Message::Join { .. }));
     assert_eq!(joins, 4);
-    assert!(matches!(logs[0][4], (3, Message::DecryptShare { .. }, _)));
+    assert!(matches!(logs[0][4], (2, Message::DecryptShare { .. }, _)));
     assert_eq!(logs[0].len(), 5);
 }
 
@@ -445,7 +430,7 @@ enum Op {
     StalePush(NodeId),
     PeerLeaves(NodeId),
     PeerJoins(NodeId),
-    /// The committee member's reply to the pending request, if one is out.
+    /// The committee member's release, if a request is out.
     Share(NodeId),
     /// A gossip push from a peer.
     Push(NodeId),
@@ -589,10 +574,9 @@ fn run(ops: &[Op], pushes: usize, clocking: Clocking) -> (Vec<(u64, Outbound)>, 
                 driver.deliver(*peer, join, TraceContext::NONE, now, &mut out);
             }
             Op::Share(member) => {
-                let request = log.iter().map(|(_, o)| &o.1).find(|m| is_request(m));
-                if let Some(request) = request {
-                    let share = share_from(*member, request);
-                    driver.deliver(*member, share, TraceContext::NONE, now, &mut out);
+                if log.iter().any(|(_, o)| is_request(&o.1)) {
+                    let release = release_from(*member);
+                    driver.deliver(*member, release, TraceContext::NONE, now, &mut out);
                 }
             }
             Op::Push(from) => {

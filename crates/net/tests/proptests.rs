@@ -1,7 +1,8 @@
 //! Property-based tests for the wire codec: every message variant must
 //! round-trip through the binary frame format and the serde JSON mirror,
-//! and corrupt input — hostile big-integer blocks included — must be
-//! rejected with a typed error (or decode to something else), never panic.
+//! and corrupt input — hostile big-integer and `f64` blocks included —
+//! must be rejected with a typed error (or decode to something else),
+//! never panic.
 
 use cs_bigint::BigUint;
 use cs_crypto::Ciphertext;
@@ -22,7 +23,7 @@ fn build_message(
     let values = || raw_slots.iter().map(|bytes| BigUint::from_bytes_le(bytes));
     // A block is as wide as its widest value, at least one byte.
     let width = values().map(|v| v.byte_len()).max().unwrap_or(0).max(1) as u16;
-    match variant % 6 {
+    match variant % 8 {
         0 => Message::PlainPush {
             iteration,
             weight,
@@ -46,6 +47,12 @@ fn build_message(
         4 => Message::Leave {
             node: denom_exp as u64,
         },
+        5 => Message::ReleaseRequest { iteration },
+        6 => Message::Release {
+            iteration,
+            member: u64::from(denom_exp) + 1,
+            values: floats.to_vec(),
+        },
         _ => Message::PackedPush {
             iteration,
             denom_exp,
@@ -56,12 +63,28 @@ fn build_message(
     }
 }
 
+/// A release names its member by share index, which is 1-based, like a
+/// share vector: index 0 is refused before the values are read.
+#[test]
+fn a_release_under_share_index_zero_is_rejected() {
+    let release = Message::Release {
+        iteration: 1,
+        member: 1,
+        values: vec![5.0],
+    };
+    let mut frame = encode_frame(&release);
+    // The member sits right after len(4) + version + tag + flag + iteration(8).
+    frame[15] = 0;
+    let refused = Err(WireError::BadValue("share index must be >= 1"));
+    assert_eq!(decode_frame(&frame), refused);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn every_variant_roundtrips_binary_and_json(
-        variant in 0u8..6,
+        variant in 0u8..8,
         iteration in any::<u64>(),
         denom_exp in any::<u32>(),
         weight in -1e12f64..1e12,
@@ -80,7 +103,7 @@ proptest! {
 
     #[test]
     fn encoded_len_agrees_with_the_codec_on_every_variant(
-        variant in 0u8..6,
+        variant in 0u8..8,
         iteration in any::<u64>(),
         denom_exp in any::<u32>(),
         weight in -1e12f64..1e12,
@@ -96,7 +119,7 @@ proptest! {
 
     #[test]
     fn any_truncation_is_rejected(
-        variant in 0u8..6,
+        variant in 0u8..8,
         iteration in any::<u64>(),
         raw_slots in vec(vec(any::<u8>(), 0..16), 0..4),
         cut_frac in 0.0f64..1.0,
@@ -110,7 +133,7 @@ proptest! {
 
     #[test]
     fn single_byte_corruption_never_yields_the_original(
-        variant in 0u8..6,
+        variant in 0u8..8,
         iteration in any::<u64>(),
         raw_slots in vec(vec(any::<u8>(), 1..16), 1..4),
         pos_frac in 0.0f64..1.0,
@@ -129,7 +152,7 @@ proptest! {
 
     #[test]
     fn version_is_enforced_on_every_variant(
-        variant in 0u8..6,
+        variant in 0u8..8,
         wrong in any::<u8>(),
     ) {
         prop_assume!(wrong != WIRE_VERSION);
@@ -198,6 +221,55 @@ proptest! {
                     other => panic!("tag {tag} decoded as {other:?}"),
                 };
                 prop_assert!(got_width.is_none_or(|w| w == width));
+                prop_assert_eq!(held, count as usize, "a Vec sized past its block");
+            }
+            (got, want) => prop_assert_eq!(got.as_ref().err(), want.err().as_ref()),
+        }
+    }
+
+    /// The same for the `f64` block a plaintext push and a release carry:
+    /// an arbitrary `(count, body)` either decodes to exactly `count`
+    /// values or is the typed error the layout predicts, and no `Vec` is
+    /// sized from a count the frame's bytes do not hold.
+    #[test]
+    fn hostile_f64_blocks_decode_or_fail_typed(
+        release in any::<bool>(),
+        small in any::<bool>(),
+        (small_count, any_count) in (0u32..64, any::<u32>()),
+        slack in -9i64..10,
+        fill in any::<u8>(),
+    ) {
+        const MAX_ELEMENTS: u64 = 1 << 20;
+        let tag = if release { 9u8 } else { 1 };
+        let count = if small { small_count } else { any_count };
+        let claimed = 8 * u64::from(count);
+        let body_len = (claimed as i64 + slack).clamp(0, 2048) as usize;
+        let mut body = vec![WIRE_VERSION, tag, 0];
+        body.extend_from_slice(&5u64.to_le_bytes()); // iteration
+        // A release's member, a push's weight: both 8 bytes, any nonzero.
+        body.extend_from_slice(&2u64.to_le_bytes());
+        body.extend_from_slice(&count.to_le_bytes());
+        body.extend((0..body_len).map(|i| fill.wrapping_add(i as u8)));
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+
+        let expected = if u64::from(count) > MAX_ELEMENTS {
+            Err(WireError::BadValue("element count exceeds the cap"))
+        } else if claimed > body_len as u64 {
+            Err(WireError::Truncated)
+        } else if claimed < body_len as u64 {
+            Err(WireError::TrailingBytes(body_len - claimed as usize))
+        } else {
+            Ok(())
+        };
+        let decoded = decode_frame(&frame);
+        match (&decoded, expected) {
+            (Ok(msg), Ok(())) => {
+                let held = match msg {
+                    Message::Release { values, .. } => values.capacity(),
+                    Message::PlainPush { slots, .. } => slots.capacity(),
+                    other => panic!("tag {tag} decoded as {other:?}"),
+                };
                 prop_assert_eq!(held, count as usize, "a Vec sized past its block");
             }
             (got, want) => prop_assert_eq!(got.as_ref().err(), want.err().as_ref()),

@@ -1,11 +1,12 @@
 //! One wire layout: v1 frames (pre-packed-payload), v2 frames
 //! (pre-trace-context), v3 termination votes, v4 pushes of one ciphertext
-//! per slot and v5 big integers each behind its own length prefix, captured
-//! as fixture bytes from the encoders of their day, are rejected as foreign
-//! versions or a retired tag — and a pump that meets one counts it as a
-//! bad frame; every message whose body never changed is still exactly those
-//! bytes behind the current header (v3 added the trace flag, v4 and v5 only
-//! retired tags, v6 rewrote only the big-integer blocks); traced frames
+//! per slot, v5 big integers each behind its own length prefix and v6
+//! frames from before the release, captured as fixture bytes from the
+//! encoders of their day, are rejected as foreign versions or a retired
+//! tag — and a pump that meets one counts it as a bad frame; every message
+//! whose body never changed is still exactly those bytes behind the current
+//! header (v3 added the trace flag, v4 and v5 only retired tags, v6
+//! rewrote only the big-integer blocks, v7 only added tags); traced frames
 //! must round-trip their context; and corrupt packed or trace-context bytes
 //! must be rejected.
 //!
@@ -211,6 +212,20 @@ fn every_v5_fixture_is_rejected_as_a_bad_version() {
     {
         assert_eq!(unhex(v5)[7..], unhex(v1)[6..]);
     }
+}
+
+/// `Leave { node: 12 }` as the v6 encoder emitted it.
+const V6_LEAVE: &str = "0b0000000606000c00000000000000";
+
+/// A v6 peer, which had every participant's own estimate decrypted, is a
+/// foreign version too, though v7 only added the release's two tags: the
+/// same body parses under the current version byte alone.
+#[test]
+fn a_v6_frame_is_a_bad_version() {
+    let mut frame = unhex(V6_LEAVE);
+    assert_eq!(decode_frame(&frame), Err(WireError::BadVersion(6)));
+    frame[4] = WIRE_VERSION;
+    assert_eq!(decode_frame(&frame), Ok(Message::Leave { node: 12 }));
 }
 
 /// Wherever a pump meets a retired frame — a v4 peer's push, the same

@@ -27,7 +27,7 @@ use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::{ComputationOutcome, CryptoContext};
 use chiaroscuro::ChiaroscuroError;
 use cs_net::node::NodeReport;
-use cs_net::runtime::assemble_outcome;
+use cs_net::runtime::{assemble_outcome, book_worst_node};
 use cs_net::transport::TrafficSnapshot;
 use cs_net::wire::WIRE_VERSION;
 use cs_obs::{
@@ -354,7 +354,8 @@ impl ClusterBackend {
         self.last.as_ref().map(|last| &last.1)
     }
 
-    /// Cluster-summed metrics delta of the most recent step.
+    /// Cluster-summed metrics delta of the most recent step, with the
+    /// step's worst node (`crypto.partials_max`, `crypto.combines_max`).
     pub fn last_metrics(&self) -> Option<&MetricsSnapshot> {
         self.last.as_ref().map(|last| &last.2)
     }
@@ -690,6 +691,11 @@ impl ComputationBackend for ClusterBackend {
         let outcome = assemble_outcome(&reports, alive_after, &total);
         self.steps_run += 1;
         self.metrics_total = self.metrics_total.plus(&metrics_step);
+        // The worst node is a maximum over the reports, not a sum: booked
+        // here, into the step's metrics only (a scrape sums to the total).
+        let worst = cs_obs::Registry::new();
+        book_worst_node(&reports, &worst);
+        let metrics_step = metrics_step.plus(&worst.snapshot());
         self.last = Some((reports, total, metrics_step));
         Ok(outcome)
     }

@@ -247,12 +247,11 @@ pub fn crash_mid_gossip(
 }
 
 /// Row `decrypt_round_count_parity`: fault-free on an ideal link, the
-/// committee computes exactly the partial decryptions the combines read —
-/// `threshold` vectors per requester, each as wide as that requester's
-/// snapshot folds to, the cost model's `Σ wᵢ·t` — and a node encrypts, and
-/// on every push re-randomizes, exactly the ciphertexts it later has
-/// decrypted. Returns the run, the ciphertexts a push carries and each
-/// requester's width.
+/// committee computes exactly the partial decryptions its members' combines
+/// read — `threshold` vectors per member, each as wide as its snapshot
+/// folds to, the cost model's `Σ wᵢ·t` — and nobody else decrypts; a node
+/// encrypts, and re-randomizes on every push, exactly its contribution's
+/// ciphertexts. Returns the run, the push's ciphertexts, the members' widths.
 pub fn decrypt_round_count_parity(
     engine: &Engine,
     series: &[TimeSeries],
@@ -264,27 +263,25 @@ pub fn decrypt_round_count_parity(
         .filter(|&id| !view.alive_after[id] || view.reports[id].estimate.is_none())
         .collect();
     assert!(missing.is_empty(), "nodes without an estimate: {missing:?}");
-    // A requester combines one plaintext per ciphertext it had decrypted:
-    // its folded width wᵢ, somewhere on the grid ⌈ciphertexts/g⌉.
+    // A member combines one plaintext per ciphertext it had decrypted: its
+    // folded width wᵢ, somewhere on the grid ⌈ciphertexts/g⌉.
     let ciphertexts = view.reports[0].ops.encryptions as usize;
-    let widths: Vec<usize> = (view.reports.iter())
+    let parties = engine.config().threshold.parties.min(n);
+    let (members, others) = view.reports.split_at(parties);
+    let widths: Vec<usize> = (members.iter())
         .map(|r| r.decrypt_ops.combinations as usize)
         .collect();
     for (id, &w) in widths.iter().enumerate() {
         assert!(
             (1..=ciphertexts).any(|g| ciphertexts.div_ceil(g) == w),
-            "node {id} asked for {w} of {ciphertexts} ciphertexts"
+            "member {id} asked for {w} of {ciphertexts} ciphertexts"
         );
     }
-    let partials: u64 = (view.reports.iter())
-        .map(|r| r.decrypt_ops.partial_decryptions)
-        .sum();
-    let threshold = engine.config().threshold.threshold;
-    assert_eq!(
-        partials,
-        chiaroscuro::cost::synthesize_decrypt_ops(&widths, threshold, 0).partial_decryptions,
-        "the cost model's Σ wᵢ·t"
-    );
+    assert!(others.iter().all(|r| r.decrypt_ops == Default::default()));
+    let partials = members.iter().map(|r| r.decrypt_ops.partial_decryptions);
+    let t = engine.config().threshold.threshold;
+    let model = chiaroscuro::cost::synthesize_decrypt_ops(&widths, t, 0, 0, 0);
+    assert_eq!(partials.sum::<u64>(), model.partial_decryptions, "Σ wᵢ·t");
     for r in &view.reports {
         let id = r.id;
         assert_eq!(r.ops.encryptions, ciphertexts as u64, "node {id}");

@@ -129,3 +129,43 @@ fn final_centroids_are_usable_for_matching() {
     assert_eq!(matches.len(), 2);
     assert!(matches[0].distance <= matches[1].distance);
 }
+
+/// A cluster's step metrics carry its worst node, booked by the
+/// coordinator over the daemons' reports (a maximum is no sum of the
+/// daemons' deltas): only the three committee members decrypt, so the
+/// worst node is one of them.
+#[test]
+fn decrypt_round_worst_node_is_booked_by_the_cluster() {
+    let (series, _) = blobs(5, 3, 21);
+    let engine = Engine::new(ChiaroscuroConfig {
+        k: 2,
+        max_iterations: 1,
+        gossip_cycles: 6,
+        epsilon: 1e5,
+        ..ChiaroscuroConfig::test_real()
+    })
+    .unwrap();
+    let push_us = if cfg!(debug_assertions) {
+        50_000
+    } else {
+        2_000
+    };
+    let (daemons, mut backend) = common::in_threads(5, common::paced(push_us, 10_000, 30_000));
+    engine.run_with_backend(&series, &mut backend).unwrap();
+    let reports = backend.last_reports().expect("a step ran");
+    let worst = |of: fn(&chiaroscuro::cost::DecryptionOps) -> u64| {
+        reports.iter().map(|r| of(&r.decrypt_ops)).max().unwrap() as i64
+    };
+    let metrics = backend.last_metrics().expect("a step ran");
+    let partials = metrics.gauge("crypto.partials_max");
+    assert_eq!(partials, worst(|d| d.partial_decryptions));
+    assert_eq!(
+        metrics.gauge("crypto.combines_max"),
+        worst(|d| d.combinations)
+    );
+    assert!(partials > 0);
+    assert!(reports[3..]
+        .iter()
+        .all(|r| r.decrypt_ops == Default::default()));
+    common::stop(backend, daemons);
+}

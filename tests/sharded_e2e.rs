@@ -581,15 +581,16 @@ fn timeline_of(step: &cs_net::StepRun) -> Timeline {
 /// worker count.
 ///
 /// The packed half's `decrypt`, `in_shard`, `cross_shard`, `epochs` and
-/// `traces` were re-recorded when the decryption round started asking
-/// exactly `threshold` committee members: 13 non-members × 2 + 3 members × 1
-/// = 29 requests and as many replies, less the one request the 2 % link
-/// loses (56 frames), plus what the retry timer sends for it one interval
-/// later — the re-ask and the hedge to the member held back, each answered
-/// (4 frames): 60 where asking the whole committee took 88. `gossip`,
-/// `control` and the `estimates` hash are the values recorded before —
-/// who answers changes no estimate bit — and the plain half has no
-/// decryption round, so none of it moved.
+/// `traces` were re-recorded when the round asked exactly `threshold`
+/// members (60 frames where asking the whole committee took 88; no estimate
+/// bit moved), and with the `estimates` hash once more when only the
+/// members came to decrypt: 3 members × (request + share) and 13
+/// non-members × (release request + release), 61 + 1 dropped frames and
+/// 14 697 B → 32 + 0 and 3 864 B; 30 fewer deliveries (42/180 → 36/156)
+/// and a round that closes sooner (epochs 28 → 25). The three members'
+/// estimate bits are the parent's, node by node, and non-member `i` holds
+/// member `i % 3`'s — which is how the cause was confirmed. `gossip`,
+/// `control` and the plain half did not move.
 ///
 /// The packed half was re-recorded once more when `FastEncryptor` started
 /// drawing its exponent from `⌈|n|/2⌉` bits: a node encrypts its
@@ -763,7 +764,7 @@ fn sharded_timeline_matches_the_recorded_golden_values() {
     }
 
     // Packed real-crypto step, 16 nodes: ciphertext pushes, decrypt
-    // requests and shares all cross shards under the same link.
+    // requests, shares and releases all cross shards under the same link.
     let (series, _) = blobs(16, 5, 71);
     let sharded = ShardedConfig {
         shards: 4,
@@ -773,13 +774,13 @@ fn sharded_timeline_matches_the_recorded_golden_values() {
     };
     let packed = Timeline {
         gossip: [158, 39_974, 2],
-        decrypt: [61, 14_697, 1],
+        decrypt: [32, 3_864, 0],
         control: [0, 0, 0],
-        in_shard: 42,
-        cross_shard: 180,
-        epochs: 28,
-        estimates: 12_466_287_731_050_810_451,
-        traces: 7_626_779_365_379_255_730,
+        in_shard: 36,
+        cross_shard: 156,
+        epochs: 25,
+        estimates: 17_220_314_895_417_876_011,
+        traces: 1_986_214_698_939_545_001,
     };
     for got in run(&real_engine(10), &series, &sharded) {
         assert_eq!(got, packed, "packed 16-node timeline moved");

@@ -70,7 +70,7 @@ fn decrypt_round_count_parity_on_sharded() {
     let (_, view, ciphertexts, widths) =
         decrypt_round_count_parity(&real_engine(6), &series, &mut sharded);
     assert!(
-        widths.iter().sum::<usize>() < 12 * ciphertexts,
+        widths.iter().sum::<usize>() < widths.len() * ciphertexts,
         "6 pushes leave headroom to fold into: {widths:?}"
     );
     // Every `PackedPush` carries `ciphertexts`: each delivered push is
