@@ -1,17 +1,23 @@
 //! `bench_crypto` — the crypto fast path's machine-readable scorecard.
 //!
-//! Measures the per-bucket cost of the Damgård-Jurik pipeline — encrypt,
-//! homomorphic add, threshold decrypt — **packed vs unpacked**, plus one
-//! full `net_step_real_crypto` computation step on the sharded executor,
-//! and writes `BENCH_CRYPTO.json` so the
-//! repository keeps a comparable record of the fast path across PRs.
+//! Measures the crypto layer's kernels — the per-bucket cost of the
+//! Damgård-Jurik pipeline (encrypt, homomorphic add, threshold decrypt)
+//! **packed vs unpacked**, the combine and multi-exponentiation fast paths
+//! against their oracles, and the per-key rows below — and writes
+//! `BENCH_CRYPTO.json` so the repository keeps a comparable record of the
+//! fast path across PRs. Each layer is measured once: whole computation
+//! steps are `bench_summary`'s rows (`BENCH_net.json`, the packed
+//! real-crypto step included), whole jobs csbench's workloads.
 //!
 //! ```sh
 //! cargo run --release -p cs_bench --bin bench_crypto              # full
-//! cargo run --release -p cs_bench --bin bench_crypto -- --quick   # smoke
+//! cargo run ... -- --quick --out target/BENCH_CRYPTO_quick.json   # smoke
 //! cargo run ... -- --check   # exit non-zero if packing regressed
 //! cargo run ... -- --out target/BENCH_CRYPTO.json
 //! ```
+//!
+//! `--quick` needs `--out`: a smoke document never replaces the committed
+//! full one.
 //!
 //! `--check` is the CI regression gate: the packed per-bucket encrypt (and
 //! encrypt+decrypt) cost must stay below the unpacked baseline measured in
@@ -30,9 +36,6 @@
 //! randomizers cost a device up front: the build time of the
 //! `FastEncryptor` and, in `bytes`, the fixed-base table it keeps resident.
 
-use chiaroscuro::noise::SlotLayout;
-use chiaroscuro::rounds::CryptoContext;
-use chiaroscuro::ChiaroscuroConfig;
 use cs_bench::{f, Table};
 use cs_bigint::multi_exp::multi_exp;
 use cs_bigint::rng::random_below;
@@ -42,7 +45,6 @@ use cs_crypto::{
     Ciphertext, FastEncryptor, FixedPointCodec, KeyGenOptions, KeyShare, PackedCodec,
     ThresholdKeyPair, ThresholdParams,
 };
-use cs_net::executor::{run_step_sharded, ShardedConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -59,22 +61,24 @@ const BUCKETS: usize = 24;
 /// One measurement row.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct CryptoBenchEntry {
-    /// Operation (`encrypt`, `add`, `decrypt`, `net_step_real_crypto`).
+    /// Operation (`encrypt`, `add`, `decrypt`, `combine`, `multi_exp`, or a
+    /// per-key row).
     name: String,
-    /// `packed` or `unpacked`.
+    /// `packed`/`unpacked`, the fast path or its oracle, or the key size.
     mode: String,
-    /// Buckets the unit carried (0 for the net step rows).
+    /// Buckets the unit carried (kernel invocations on the per-key rows).
     buckets: usize,
     /// Wall-clock of the measured unit, milliseconds.
     total_ms: f64,
-    /// Cost per bucket, microseconds (0 for the net step rows).
+    /// Cost per bucket, microseconds.
     per_bucket_us: f64,
-    /// Frames on the wire (net step rows only).
+    /// 0 on every row (no row puts frames on a wire); kept so every
+    /// `chiaroscuro-bench-crypto/v1` document has one shape.
     messages: u64,
-    /// Bytes on the wire (net step rows); resident fixed-base table bytes
-    /// (`randomizer_table` rows).
+    /// Resident fixed-base table bytes (`randomizer_table` rows), 0
+    /// elsewhere.
     bytes: u64,
-    /// Average frame size (net step rows only).
+    /// 0 on every row, like `messages`.
     bytes_per_message: f64,
 }
 
@@ -112,7 +116,8 @@ fn main() {
     // Shared key material: test-size keys (the envelope of every in-repo
     // real-crypto run), a 2-of-3 committee, and a packed plan sized for a
     // population of 64 with a modest denominator budget — the per-op
-    // envelope; gossip-scale denominators are exercised by the net rows.
+    // envelope; gossip-scale denominators are exercised by
+    // `bench_summary`'s step rows.
     let mut rng = StdRng::seed_from_u64(0xBE7C);
     let tkp = ThresholdKeyPair::generate(
         &KeyGenOptions::insecure_test_size(),
@@ -145,13 +150,10 @@ fn main() {
     for bits in WIDE_KEY_BITS {
         entries.extend(bench_wide_key(bits, reps, &mut rng));
     }
-    if !quick {
-        entries.push(bench_net_step(8));
-    }
 
     let mut table = Table::new(
         "crypto fast path: packed vs unpacked",
-        &["name", "mode", "buckets", "total_ms", "us/bucket", "B/msg"],
+        &["name", "mode", "buckets", "total_ms", "us/bucket"],
     );
     for e in &entries {
         table.row(vec![
@@ -160,7 +162,6 @@ fn main() {
             e.buckets.to_string(),
             f(e.total_ms, 3),
             f(e.per_bucket_us, 2),
-            f(e.bytes_per_message, 1),
         ]);
     }
     println!("{}", table.render());
@@ -675,54 +676,6 @@ fn bench_multi_exp(ctx: &Ctx, reps: usize, rng: &mut StdRng) -> Vec<CryptoBenchE
         entry("multi_exp", "naive", median(&mut naive)),
         entry("multi_exp", "straus", median(&mut straus)),
     ]
-}
-
-/// One full computation step with the real Damgård-Jurik pipeline
-/// (test-size keys) — the `net_step_real_crypto` line. Packed: a step has
-/// no other layout, so the row has no unpacked twin. On the sharded
-/// executor, whose virtual clock costs no wall time: a crypto row should
-/// not carry a pacing floor.
-fn bench_net_step(n: usize) -> CryptoBenchEntry {
-    let config = ChiaroscuroConfig {
-        k: 2,
-        gossip_cycles: 10,
-        ..ChiaroscuroConfig::test_real()
-    };
-    let layout = SlotLayout {
-        k: 2,
-        series_len: 5,
-    };
-    let mut rng = StdRng::seed_from_u64(4);
-    let crypto = CryptoContext::from_config(&config, &mut rng).expect("context");
-    let contributions = cs_bench::datasets::synthetic_contributions(n, &layout, 5);
-    let t = Instant::now();
-    let run = run_step_sharded(
-        &config,
-        &layout,
-        &contributions,
-        &crypto,
-        43,
-        &ShardedConfig::default(),
-        &[],
-    )
-    .expect("step");
-    let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    let messages = run.snapshot.messages();
-    let bytes = run.snapshot.bytes();
-    CryptoBenchEntry {
-        name: "net_step_real_crypto".into(),
-        mode: "packed".into(),
-        buckets: 0,
-        total_ms: wall_ms,
-        per_bucket_us: 0.0,
-        messages,
-        bytes,
-        bytes_per_message: if messages == 0 {
-            0.0
-        } else {
-            bytes as f64 / messages as f64
-        },
-    }
 }
 
 #[cfg(test)]

@@ -11,11 +11,14 @@
 //!
 //! ```sh
 //! cargo run --release -p cs_bench --bin bench_summary            # full
-//! cargo run --release -p cs_bench --bin bench_summary -- --quick # smoke
-//! cargo run ... -- --quick --check  # CI gate: scaling, step budget, frame counts
+//! cargo run ... -- --quick --out target/BENCH_net_quick.json     # smoke
+//! cargo run ... -- --quick --check --out target/BENCH_net_ci.json  # CI gate: scaling, step budget, frame counts
 //! cargo run ... -- --out target/BENCH_net.json                   # custom path
 //! cargo run ... -- --profile   # per-phase step breakdown in the entries
 //! ```
+//!
+//! `--quick` needs `--out`: a smoke document never replaces the committed
+//! full one.
 
 use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::{ComputationOutcome, CryptoContext};
@@ -631,5 +634,34 @@ mod tests {
         assert_eq!(flags, [false, true, false]);
         assert_eq!(out, PathBuf::from("x.json"));
         assert_eq!(parsed(&[]).unwrap().1, PathBuf::from("BENCH_net.json"));
+    }
+
+    /// A committed count is one the code produces: the smallest full-mode
+    /// plain and real-crypto sharded rows, re-run through the workloads the
+    /// binary measures, against `BENCH_net.json`. A change that moves these
+    /// counts re-records the document.
+    #[test]
+    fn committed_counts_match_the_code() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_net.json");
+        let text = std::fs::read_to_string(&path).expect("committed BENCH_net.json");
+        let committed: BenchSummary = serde_json::from_str(&text).expect("document parses");
+        assert!(!committed.quick, "the committed document is a full run");
+        for fresh in [
+            StepWorkload::plain("net_step_plain_sharded", false).measure_sharded(64, 0),
+            StepWorkload::real("net_step_real_packed_sharded").measure_sharded(256, 0),
+        ] {
+            let row = committed
+                .entries
+                .iter()
+                .find(|e| e.name == fresh.name && e.population == fresh.population)
+                .unwrap_or_else(|| panic!("{} @ {} committed", fresh.name, fresh.population));
+            assert_eq!(
+                (fresh.messages, fresh.bytes),
+                (row.messages, row.bytes),
+                "{} @ {}: (messages, bytes) produced vs committed",
+                fresh.name,
+                fresh.population
+            );
+        }
     }
 }

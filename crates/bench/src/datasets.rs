@@ -81,12 +81,10 @@ pub fn rescale_epsilon(target_epsilon: f64, simulated_population: usize) -> f64 
     target_epsilon * TARGET_POPULATION / simulated_population as f64
 }
 
-/// A checkable two-cluster contribution fixture for the `cs_net` bench
-/// surface: node `i` contributes a fixed series (`[0, 1, …]` for even
-/// nodes, all-fives for odd) to cluster `i % 2`, with near-zero noise
-/// shares, so a computation step's estimates are predictable. One home for
-/// the fixture keeps `bench_summary` and the criterion benches in lockstep
-/// with `SlotLayout`.
+/// A checkable two-cluster contribution fixture for `bench_summary`'s step
+/// rows: node `i` contributes a fixed series (`[0, 1, …]` for even nodes,
+/// all-fives for odd) to cluster `i % 2`, with near-zero noise shares, so a
+/// computation step's estimates are predictable.
 pub fn synthetic_contributions(
     n: usize,
     layout: &chiaroscuro::noise::SlotLayout,

@@ -64,18 +64,20 @@ impl ExpArgs {
 
 /// The command line of a binary that writes a committed document
 /// (`bench_summary`, `bench_crypto`): the on/off `flags`, in order, and
-/// `--out PATH` (default `out`). `Err((code, message))` ends the process
+/// `--out PATH` (default `committed`). `Err((code, message))` ends the process
 /// before anything is measured or written ([`exit_with`]): code 0 with
-/// `usage` for `--help` or `-h`, code 2 for an unknown flag or a missing
-/// path. Running on would overwrite the committed document.
+/// `usage` for `--help` or `-h`, code 2 for an unknown flag, a missing
+/// path, or `--quick` without `--out` (a smoke document must not replace
+/// the committed full one). Running on would overwrite the committed
+/// document.
 pub fn doc_args<const N: usize>(
     args: impl IntoIterator<Item = String>,
     usage: &str,
     flags: [&str; N],
-    out: &str,
+    committed: &str,
 ) -> Result<([bool; N], PathBuf), (i32, String)> {
     let mut on = [false; N];
-    let mut out = PathBuf::from(out);
+    let mut out = None;
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         if let Some(i) = flags.iter().position(|f| *f == a) {
@@ -84,14 +86,22 @@ pub fn doc_args<const N: usize>(
         }
         match a.as_str() {
             "--out" => match args.next() {
-                Some(p) => out = PathBuf::from(p),
+                Some(p) => out = Some(PathBuf::from(p)),
                 None => return Err((2, format!("error: --out requires a path\n{usage}"))),
             },
             "--help" | "-h" => return Err((0, usage.into())),
             other => return Err((2, format!("error: unknown argument {other:?}\n{usage}"))),
         }
     }
-    Ok((on, out))
+    let quick = flags.iter().zip(on).any(|(f, on)| on && *f == "--quick");
+    match out {
+        Some(out) => Ok((on, out)),
+        None if quick => Err((
+            2,
+            format!("error: --quick needs --out PATH; it would overwrite {committed}\n{usage}"),
+        )),
+        None => Ok((on, PathBuf::from(committed))),
+    }
 }
 
 /// Ends the process as [`doc_args`] decided: the message on stdout for
@@ -255,6 +265,22 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new("x", &["a"]);
         t.row(vec!["1".into(), "2".into()]);
+    }
+
+    fn doc(args: &[&str]) -> Result<([bool; 2], PathBuf), (i32, String)> {
+        let args = args.iter().map(|a| a.to_string());
+        doc_args(args, "usage", ["--quick", "--check"], "DOC.json")
+    }
+
+    #[test]
+    fn quick_without_out_exits_before_a_run() {
+        let (code, msg) = doc(&["--quick", "--check"]).unwrap_err();
+        assert_eq!(code, 2);
+        assert!(msg.contains("DOC.json") && msg.ends_with("usage"), "{msg}");
+        let (flags, out) = doc(&["--quick", "--out", "smoke.json"]).unwrap();
+        assert_eq!((flags, out), ([true, false], PathBuf::from("smoke.json")));
+        let (flags, out) = doc(&["--check"]).unwrap();
+        assert_eq!((flags, out), ([false, true], PathBuf::from("DOC.json")));
     }
 
     #[test]
