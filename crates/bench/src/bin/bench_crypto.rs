@@ -72,14 +72,9 @@ struct CryptoBenchEntry {
     total_ms: f64,
     /// Cost per bucket, microseconds.
     per_bucket_us: f64,
-    /// 0 on every row (no row puts frames on a wire); kept so every
-    /// `chiaroscuro-bench-crypto/v1` document has one shape.
-    messages: u64,
     /// Resident fixed-base table bytes (`randomizer_table` rows), 0
     /// elsewhere.
     bytes: u64,
-    /// 0 on every row, like `messages`.
-    bytes_per_message: f64,
 }
 
 /// The whole document.
@@ -187,7 +182,7 @@ fn main() {
     }
 
     let summary = CryptoBenchSummary {
-        schema: "chiaroscuro-bench-crypto/v1".to_string(),
+        schema: "chiaroscuro-bench-crypto/v2".to_string(),
         quick,
         lanes: ctx.codec.lanes(),
         entries,
@@ -337,9 +332,7 @@ fn entry(name: &str, mode: &str, total_ms: f64) -> CryptoBenchEntry {
         buckets: BUCKETS,
         total_ms,
         per_bucket_us: total_ms * 1e3 / BUCKETS as f64,
-        messages: 0,
         bytes: 0,
-        bytes_per_message: 0.0,
     }
 }
 

@@ -268,6 +268,21 @@ fn main() {
 /// `compare` plus `crates/net/tests/tcp_reactor.rs`. Time on the wall-clock
 /// substrate is not gateable; its frame counts are.
 fn run_check(summary: &BenchSummary) {
+    match check(summary) {
+        Ok(held) => println!("[check] {held}"),
+        Err(failures) => {
+            for f in &failures {
+                eprintln!("[check] REGRESSION: {f}");
+            }
+            std::process::exit(1);
+        }
+    }
+}
+
+/// The gates over `summary`: `Ok` names the gates held and each gate
+/// skipped with the rows it lacked (a quick document holds none of the
+/// scaling or step-budget rows), `Err` the regressions.
+fn check(summary: &BenchSummary) -> Result<String, Vec<String>> {
     let wall = |name: &str, population: usize| {
         summary
             .entries
@@ -276,6 +291,19 @@ fn run_check(summary: &BenchSummary) {
             .map(|e| e.wall_ms)
     };
     let mut failures = Vec::new();
+    let (mut held, mut skipped) = (Vec::new(), Vec::new());
+    let mut gate = |name: String, rows: &[(&str, usize)]| {
+        let lacked: Vec<String> = rows
+            .iter()
+            .filter(|&&(row, n)| wall(row, n).is_none())
+            .map(|(row, n)| format!("{row}@{n}"))
+            .collect();
+        if lacked.is_empty() {
+            held.push(name);
+        } else {
+            skipped.push(format!("{name} (no row {})", lacked.join(", ")));
+        }
+    };
     // Scaling gates (full-mode rows only): the sharded executor must stay
     // near-linear in population — a super-linear blowup means per-node
     // state is leaking into a hot loop (a quadratic broadcast, rebuilt
@@ -285,6 +313,10 @@ fn run_check(summary: &BenchSummary) {
         ("net_step_real_packed_sharded", 512, 1024),
     ];
     for &(name, lo, hi) in scaling_pairs {
+        gate(
+            format!("scaling {name} {lo}→{hi}"),
+            &[(name, lo), (name, hi)],
+        );
         if let (Some(small), Some(large)) = (wall(name, lo), wall(name, hi)) {
             // 2x headroom over perfectly linear absorbs the DRAM pressure
             // of 16k-node state plus scheduler noise; the dense-view bug
@@ -303,6 +335,10 @@ fn run_check(summary: &BenchSummary) {
     // reference machine, its randomizers included (CRT partial decryption,
     // cached combine plans and half-length fixed-base randomizers are what
     // bought this).
+    gate(
+        "step budget".into(),
+        &[("net_step_real_packed_sharded", 512)],
+    );
     if let Some(w) = wall("net_step_real_packed_sharded", 512) {
         if w > 1000.0 {
             failures.push(format!(
@@ -326,14 +362,15 @@ fn run_check(summary: &BenchSummary) {
             ));
         }
     }
-    if failures.is_empty() {
-        println!("[check] all gates passed: scaling, step budget, message movement, frame counts");
-    } else {
-        for f in &failures {
-            eprintln!("[check] REGRESSION: {f}");
-        }
-        std::process::exit(1);
+    held.extend(["message movement".into(), "frame counts".into()]);
+    if !failures.is_empty() {
+        return Err(failures);
     }
+    let mut msg = format!("gates passed: {}", held.join(", "));
+    if !skipped.is_empty() {
+        msg += &format!("; gates skipped: {}", skipped.join("; "));
+    }
+    Ok(msg)
 }
 
 /// Median wall-clock of encode+decode for one packed push frame of 24
@@ -634,6 +671,62 @@ mod tests {
         assert_eq!(flags, [false, true, false]);
         assert_eq!(out, PathBuf::from("x.json"));
         assert_eq!(parsed(&[]).unwrap().1, PathBuf::from("BENCH_net.json"));
+    }
+
+    /// A quick document holds none of the scaling or step-budget rows, so
+    /// `--quick --check` names the two gates it held and each it skipped
+    /// with the rows that gate lacked; the committed full document holds
+    /// all five.
+    #[test]
+    fn a_check_names_the_gates_it_held_and_skipped() {
+        let cycles = StepWorkload::plain("", true).config.gossip_cycles as u64;
+        let row = |name: &str, population: usize, messages: u64| BenchEntry {
+            name: name.into(),
+            population,
+            wall_ms: 1.0,
+            messages,
+            bytes: messages * 171,
+            bytes_per_message: 171.0,
+            phases: None,
+            job: None,
+        };
+        let mut entries = vec![row("wire_codec_encrypted_push_roundtrip", 0, 1)];
+        for (name, n) in [
+            ("net_step_plain_tcp", 16),
+            ("net_step_plain_tcp", 64),
+            ("net_step_plain_sharded", 64),
+            ("net_step_plain_sharded", 256),
+            ("net_step_plain_sharded_w1", 256),
+        ] {
+            entries.push(row(name, n, n as u64 * cycles));
+        }
+        entries.push(row("net_step_real_packed_tcp", 8, 96));
+        entries.push(row("net_step_real_packed_sharded", 32, 384));
+        entries.push(row("job_plain_sim", 1000, 200_000));
+        let quick = BenchSummary {
+            schema: "chiaroscuro-bench-net/v1".into(),
+            quick: true,
+            entries,
+        };
+        assert_eq!(
+            check(&quick).unwrap(),
+            "gates passed: message movement, frame counts; gates skipped: \
+             scaling net_step_plain_sharded 1024→16384 (no row \
+             net_step_plain_sharded@1024, net_step_plain_sharded@16384); \
+             scaling net_step_real_packed_sharded 512→1024 (no row \
+             net_step_real_packed_sharded@512, net_step_real_packed_sharded@1024); \
+             step budget (no row net_step_real_packed_sharded@512)"
+        );
+
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_net.json");
+        let text = std::fs::read_to_string(&path).expect("committed BENCH_net.json");
+        let full: BenchSummary = serde_json::from_str(&text).expect("document parses");
+        assert_eq!(
+            check(&full).unwrap(),
+            "gates passed: scaling net_step_plain_sharded 1024→16384, \
+             scaling net_step_real_packed_sharded 512→1024, step budget, \
+             message movement, frame counts"
+        );
     }
 
     /// A committed count is one the code produces: the smallest full-mode

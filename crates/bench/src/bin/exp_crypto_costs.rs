@@ -14,6 +14,7 @@
 //!    share of the step's threshold decryptions, which only the members
 //!    compute.
 
+use chiaroscuro::cost::{crypto_seconds, DecryptionOps};
 use chiaroscuro::{ChiaroscuroConfig, CryptoMode, Engine};
 use cs_bench::datasets::UseCase;
 use cs_bench::{f, human_bytes, ExpArgs, Table};
@@ -147,7 +148,8 @@ fn main() {
     for profile in profiles.iter().chain(std::iter::once(&profile_s2)) {
         let mut cfg = ChiaroscuroConfig::demo_simulated();
         cfg.crypto = CryptoMode::Simulated {
-            cost_profile: *profile,
+            modulus_bits: profile.key_bits,
+            s: profile.s,
         };
         cfg.k = use_case.default_k();
         cfg.epsilon = 1.0;
@@ -156,20 +158,18 @@ fn main() {
         cfg.gossip_cycles = if args.quick { 20 } else { 30 };
         let members = cfg.threshold.parties as f64;
         let out = Engine::new(cfg).unwrap().run(&ds.series).unwrap();
-        let per_iter_s =
-            out.log.total_crypto_seconds_per_participant() / out.log.records.len().max(1) as f64;
-        let per_iter_bytes =
-            out.log.total_bytes_per_participant() / out.log.records.len().max(1) as f64;
-        // The decryption share of each iteration moves from an average over
-        // the participants onto the committee's members.
-        let per_member_s = out.log.records.iter().map(|r| {
-            let d = &r.cost.decrypt_ops;
-            let decrypt_us = d.partial_decryptions as f64 * profile.partial_decrypt_us
-                + d.combinations as f64 * profile.combine_us;
-            let shift = decrypt_us / 1e6 * (1.0 / members - 1.0 / r.alive.max(1) as f64);
-            r.cost.crypto_seconds_per_participant + shift
-        });
-        let per_member_s = per_member_s.sum::<f64>() / out.log.records.len().max(1) as f64;
+        let iters = out.log.records.len().max(1) as f64;
+        let per_iter_bytes = out.log.total_bytes_per_participant() / iters;
+        // Everyone pays the gossip side; only the committee's members
+        // compute the decryptions.
+        let (mut per_iter_s, mut per_member_s) = (0.0, 0.0);
+        for r in &out.log.records {
+            let (c, alive) = (&r.cost, r.alive.max(1) as f64);
+            let gossip_s = crypto_seconds(profile, &c.ops, &DecryptionOps::default());
+            let decrypt_s = crypto_seconds(profile, &Default::default(), &c.decrypt_ops);
+            per_iter_s += (gossip_s + decrypt_s) / alive / iters;
+            per_member_s += (gossip_s / alive + decrypt_s / members) / iters;
+        }
         t3.row(vec![
             format!("{}bit/s={}", profile.key_bits, profile.s),
             f(per_iter_s, 2),

@@ -8,18 +8,20 @@
 //! both sets.
 
 use crate::error::ChiaroscuroError;
-use cs_crypto::{CryptoCostProfile, KeyGenOptions, ThresholdParams};
+use cs_crypto::{KeyGenOptions, ThresholdParams};
 use cs_dp::{BudgetPlan, BudgetStrategy};
 use cs_timeseries::smooth::Smoothing;
 use cs_timeseries::Distance;
 use serde::{Deserialize, Serialize};
 
-/// Whether homomorphic operations really run or are cost-modeled.
+/// Whether homomorphic operations really run or are only counted.
 ///
 /// The demo itself "disable\[s\] the homomorphic operations (a single machine
 /// can hardly cope with the encryption load of a thousand participants)"
 /// while displaying costs "based on actual average measures performed
-/// beforehand" — [`CryptoMode::Simulated`] reproduces exactly that;
+/// beforehand" — [`CryptoMode::Simulated`] counts the operations and bytes
+/// a key of its shape would cost, and the caller prices the counts with a
+/// profile it measured ([`crate::cost::crypto_seconds`]);
 /// [`CryptoMode::Real`] runs the genuine Damgård-Jurik pipeline.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum CryptoMode {
@@ -29,11 +31,14 @@ pub enum CryptoMode {
         /// Key generation parameters.
         keygen: KeyGenOptions,
     },
-    /// Plaintext arithmetic with crypto costs charged from a measured (or
-    /// nominal) profile.
+    /// Plaintext arithmetic, counted as if encrypted under a key of this
+    /// shape: the lane plan's `n^s` width and the ciphertext bytes on the
+    /// wire follow from it.
     Simulated {
-        /// Per-operation costs used by the accounting.
-        cost_profile: CryptoCostProfile,
+        /// Modulus size of the key the run stands in for.
+        modulus_bits: usize,
+        /// Damgård-Jurik degree.
+        s: u32,
     },
 }
 
@@ -142,7 +147,8 @@ impl ChiaroscuroConfig {
             smoothing: Smoothing::MovingAverage { window: 3 },
             value_bound: 10.0,
             crypto: CryptoMode::Simulated {
-                cost_profile: CryptoCostProfile::nominal_2048(),
+                modulus_bits: 2048,
+                s: 1,
             },
             threshold: ThresholdParams {
                 threshold: 5,
@@ -179,6 +185,11 @@ impl ChiaroscuroConfig {
         }
         if self.codec_scale_bits > 60 {
             return fail("codec_scale_bits too large for the value headroom");
+        }
+        if let CryptoMode::Simulated { modulus_bits, s } = self.crypto {
+            if modulus_bits == 0 || s == 0 || modulus_bits.checked_mul(s as usize + 1).is_none() {
+                return fail("a simulated key needs positive modulus_bits and s");
+            }
         }
         let floor = match self.budget_strategy {
             BudgetStrategy::Increasing { ratio } if ratio.is_nan() || ratio < 1.0 => {
@@ -261,6 +272,14 @@ mod tests {
         let mut c = ChiaroscuroConfig::demo_simulated();
         c.gossip_cycles = 0;
         assert!(c.validate().is_err());
+
+        // A key shape is read off a daemon's socket like any other field.
+        for (modulus_bits, s) in [(0, 1), (2048, 0), (usize::MAX, 1)] {
+            let mut c = ChiaroscuroConfig::demo_simulated();
+            c.crypto = CryptoMode::Simulated { modulus_bits, s };
+            let err = c.validate().unwrap_err();
+            assert!(matches!(err, ChiaroscuroError::InvalidConfig(_)), "{err:?}");
+        }
 
         // Each of these passed `Engine::new`, then panicked `Engine::run`
         // or (a floor above 1) spent the budget before its last iteration.

@@ -2,9 +2,10 @@
 //!
 //! The demo displays encryption and network costs per participant, with the
 //! crypto time "based on actual average measures performed beforehand". The
-//! [`CostModel`] turns operation counts (measured in real mode, synthesized
-//! in simulated mode) into per-participant wall-clock using a
-//! [`CryptoCostProfile`]. Per-participant gossip work is
+//! engine only counts: an [`IterationCost`] holds an iteration's operation
+//! counts (measured in real mode, synthesized in simulated mode) and its
+//! bytes. Seconds come at the end, from [`crypto_seconds`] and a
+//! [`CryptoCostProfile`] the caller measured. Per-participant gossip work is
 //! population-independent, which is precisely why the paper's approach
 //! scales.
 //!
@@ -15,7 +16,6 @@
 
 use cs_crypto::CryptoCostProfile;
 use cs_gossip::homomorphic_pushsum::HomomorphicOpCounts;
-use cs_gossip::TrafficStats;
 use serde::{Deserialize, Serialize};
 
 /// Operation counts for one iteration's collaborative decryptions.
@@ -41,66 +41,42 @@ impl DecryptionOps {
     }
 }
 
-/// Cost summary of one protocol iteration.
+/// Cost counters of one protocol iteration.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct IterationCost {
     /// Gossip messages delivered.
     pub gossip_messages: u64,
     /// Gossip payload bytes.
     pub gossip_bytes: u64,
-    /// Decryption messages.
-    pub decrypt_messages: u64,
-    /// Decryption bytes.
-    pub decrypt_bytes: u64,
     /// Homomorphic op counts (gossip side).
     pub ops: HomomorphicOpCounts,
-    /// Decryption op counts.
+    /// Decryption op counts, messages and bytes.
     pub decrypt_ops: DecryptionOps,
-    /// Estimated crypto seconds per participant for this iteration.
-    pub crypto_seconds_per_participant: f64,
-    /// Network bytes per participant.
-    pub bytes_per_participant: f64,
 }
 
-/// Converts op counts into time using a measured profile.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CostModel {
-    profile: CryptoCostProfile,
+impl IterationCost {
+    /// Gossip and decryption bytes per participant, over `participants`.
+    pub fn bytes_per_participant(&self, participants: usize) -> f64 {
+        (self.gossip_bytes + self.decrypt_ops.bytes) as f64 / participants.max(1) as f64
+    }
 }
 
-impl CostModel {
-    /// Creates a model from a (measured or nominal) profile.
-    pub fn new(profile: CryptoCostProfile) -> Self {
-        CostModel { profile }
-    }
-
-    /// Assembles an [`IterationCost`] from raw counters.
-    pub fn iteration_cost(
-        &self,
-        ops: HomomorphicOpCounts,
-        decrypt_ops: DecryptionOps,
-        gossip_traffic: &TrafficStats,
-        participants: usize,
-    ) -> IterationCost {
-        let p = &self.profile;
-        let total_us = ops.encryptions as f64 * p.encrypt_us
-            + ops.additions as f64 * p.add_us
-            + ops.pow2_scalings as f64 * p.scalar_pow2_us
-            + ops.rerandomizations as f64 * p.rerandomize_us
-            + decrypt_ops.partial_decryptions as f64 * p.partial_decrypt_us
-            + decrypt_ops.combinations as f64 * p.combine_us;
-        let n = participants.max(1) as f64;
-        IterationCost {
-            gossip_messages: gossip_traffic.messages,
-            gossip_bytes: gossip_traffic.bytes,
-            decrypt_messages: decrypt_ops.messages,
-            decrypt_bytes: decrypt_ops.bytes,
-            ops,
-            decrypt_ops,
-            crypto_seconds_per_participant: total_us / n / 1e6,
-            bytes_per_participant: (gossip_traffic.bytes + decrypt_ops.bytes) as f64 / n,
-        }
-    }
+/// Seconds of crypto work `ops` and `decrypt_ops` cost at the measured
+/// profile `p`'s per-operation prices, summed over whoever performed them.
+/// Divide by the participants for the participant's share, or price the
+/// decryptions alone and divide by the committee for a member's.
+pub fn crypto_seconds(
+    p: &CryptoCostProfile,
+    ops: &HomomorphicOpCounts,
+    decrypt_ops: &DecryptionOps,
+) -> f64 {
+    let total_us = ops.encryptions as f64 * p.encrypt_us
+        + ops.additions as f64 * p.add_us
+        + ops.pow2_scalings as f64 * p.scalar_pow2_us
+        + ops.rerandomizations as f64 * p.rerandomize_us
+        + decrypt_ops.partial_decryptions as f64 * p.partial_decrypt_us
+        + decrypt_ops.combinations as f64 * p.combine_us;
+    total_us / 1e6
 }
 
 /// Synthesizes the homomorphic op counts a real host would have produced
@@ -163,7 +139,7 @@ mod tests {
 
     #[test]
     fn iteration_cost_aggregates_time() {
-        let model = CostModel::new(CryptoCostProfile {
+        let profile = CryptoCostProfile {
             key_bits: 2048,
             s: 1,
             threshold: 3,
@@ -174,7 +150,7 @@ mod tests {
             partial_decrypt_us: 200.0,
             combine_us: 1000.0,
             ciphertext_bytes: 512,
-        });
+        };
         let ops = HomomorphicOpCounts {
             encryptions: 10,
             additions: 100,
@@ -187,14 +163,26 @@ mod tests {
             messages: 20,
             bytes: 1000,
         };
-        let mut traffic = TrafficStats::new();
-        traffic.record_message(5000);
-        let cost = model.iteration_cost(ops, dec, &traffic, 10);
-        // (10*100 + 100*1 + 50*10 + 30*200 + 10*1000) µs / 10 / 1e6
-        let want = (1000.0 + 100.0 + 500.0 + 6000.0 + 10_000.0) / 10.0 / 1e6;
-        assert!((cost.crypto_seconds_per_participant - want).abs() < 1e-12);
-        assert_eq!(cost.gossip_bytes, 5000);
-        assert!((cost.bytes_per_participant - 600.0).abs() < 1e-9);
+        let cost = IterationCost {
+            gossip_messages: 1,
+            gossip_bytes: 5000,
+            ops,
+            decrypt_ops: dec,
+        };
+        let (n, members) = (10, 4);
+        // (10*100 + 100*1 + 50*10 + 30*200 + 10*1000) µs / 10 = 1.76 ms.
+        let participant = crypto_seconds(&profile, &cost.ops, &cost.decrypt_ops) / n as f64;
+        assert!((participant - 1.76e-3).abs() < 1e-12);
+        assert!((cost.bytes_per_participant(n) - 600.0).abs() < 1e-9);
+        // A member pays the gossip side like everyone and the decryptions
+        // split over the committee: the participant's share shifted by the
+        // decryptions' (1/members − 1/n).
+        let none = (HomomorphicOpCounts::default(), DecryptionOps::default());
+        let member = crypto_seconds(&profile, &cost.ops, &none.1) / n as f64
+            + crypto_seconds(&profile, &none.0, &cost.decrypt_ops) / members as f64;
+        let decrypt_us = 30.0 * 200.0 + 10.0 * 1000.0;
+        let shift = decrypt_us / 1e6 * (1.0 / members as f64 - 1.0 / n as f64);
+        assert!((member - (participant + shift)).abs() < 1e-12);
     }
 
     #[test]

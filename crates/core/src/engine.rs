@@ -9,8 +9,8 @@
 //! late participants adopt a peer's newer Diptych when they resurface.
 
 use crate::backend::{ComputationBackend, SimulatorBackend};
-use crate::config::{ChiaroscuroConfig, CryptoMode};
-use crate::cost::{CostModel, IterationCost};
+use crate::config::ChiaroscuroConfig;
+use crate::cost::IterationCost;
 use crate::diptych::Diptych;
 use crate::error::ChiaroscuroError;
 use crate::log::{ExecutionLog, IterationRecord};
@@ -18,7 +18,6 @@ use crate::noise::SlotLayout;
 use crate::participant::Participant;
 use crate::rounds::{CryptoContext, PerturbedAggregates};
 use crate::termination::TerminationMonitor;
-use cs_crypto::CryptoCostProfile;
 use cs_dp::{BudgetPlan, NoiseShareGenerator, PrivacyAccountant};
 use cs_kmeans::assign::{cluster_means, cluster_sums};
 use cs_timeseries::TimeSeries;
@@ -139,10 +138,9 @@ impl Engine {
         };
         let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-        // Setup: dealer, cost model, initial centroids (public random
-        // curves — initialization must not peek at private data).
+        // Setup: dealer, initial centroids (public random curves —
+        // initialization must not peek at private data).
         let crypto = CryptoContext::from_config(cfg, &mut rng)?;
-        let cost_model = CostModel::new(self.cost_profile());
         let initial = initial_centroids(cfg.k, series_len, cfg.value_bound, &mut rng);
         let mut participants: Vec<Participant> = series
             .iter()
@@ -226,12 +224,12 @@ impl Engine {
             // "clean mean" to perturb.
             let canonical = canonical_centroids(&participants, &alive, cfg.k, series_len);
             let noise_impact = mean_abs_difference(&canonical, &clean, &clean_counts);
-            let cost: IterationCost = cost_model.iteration_cost(
-                outcome.ops,
-                outcome.decrypt_ops,
-                &outcome.traffic,
-                alive_count,
-            );
+            let cost = IterationCost {
+                gossip_messages: outcome.traffic.messages,
+                gossip_bytes: outcome.traffic.bytes,
+                ops: outcome.ops,
+                decrypt_ops: outcome.decrypt_ops,
+            };
             log.push(IterationRecord {
                 iteration: iter,
                 epsilon: eps_t,
@@ -265,16 +263,6 @@ impl Engine {
                 .map(|p| p.diptych().centroids.clone())
                 .collect(),
         })
-    }
-
-    /// The cost profile used for accounting.
-    fn cost_profile(&self) -> CryptoCostProfile {
-        match &self.config.crypto {
-            CryptoMode::Simulated { cost_profile } => *cost_profile,
-            // Real mode: ops are counted by running them; they are priced
-            // with the nominal 2048-bit profile whatever the key size.
-            CryptoMode::Real { .. } => CryptoCostProfile::nominal_2048(),
-        }
     }
 }
 

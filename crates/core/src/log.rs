@@ -86,11 +86,11 @@ impl ExecutionLog {
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
             "iteration,epsilon,noise_scale,alive,movement,converged_fraction,noise_impact,\
-             gossip_messages,gossip_bytes,crypto_s_per_participant,bytes_per_participant\n",
+             gossip_messages,gossip_bytes,bytes_per_participant\n",
         );
         for r in &self.records {
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{}\n",
+                "{},{},{},{},{},{},{},{},{},{}\n",
                 r.iteration,
                 r.epsilon,
                 r.noise_scale,
@@ -100,26 +100,17 @@ impl ExecutionLog {
                 r.noise_impact,
                 r.cost.gossip_messages,
                 r.cost.gossip_bytes,
-                r.cost.crypto_seconds_per_participant,
-                r.cost.bytes_per_participant,
+                r.cost.bytes_per_participant(r.alive),
             ));
         }
         out
-    }
-
-    /// Total estimated crypto seconds per participant over the whole run.
-    pub fn total_crypto_seconds_per_participant(&self) -> f64 {
-        self.records
-            .iter()
-            .map(|r| r.cost.crypto_seconds_per_participant)
-            .sum()
     }
 
     /// Total bytes per participant over the whole run.
     pub fn total_bytes_per_participant(&self) -> f64 {
         self.records
             .iter()
-            .map(|r| r.cost.bytes_per_participant)
+            .map(|r| r.cost.bytes_per_participant(r.alive))
             .sum()
     }
 }
@@ -127,6 +118,7 @@ impl ExecutionLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::DecryptionOps;
 
     fn record(i: usize) -> IterationRecord {
         IterationRecord {
@@ -140,8 +132,11 @@ mod tests {
             observer_clean_centroids: vec![vec![1.1, 2.1]],
             noise_impact: 0.1,
             cost: IterationCost {
-                crypto_seconds_per_participant: 0.5,
-                bytes_per_participant: 100.0,
+                gossip_bytes: 9_000,
+                decrypt_ops: DecryptionOps {
+                    bytes: 1_000,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
         }
@@ -172,7 +167,6 @@ mod tests {
         let mut log = ExecutionLog::new("test", 100, 2);
         log.push(record(0));
         log.push(record(1));
-        assert!((log.total_crypto_seconds_per_participant() - 1.0).abs() < 1e-12);
         assert!((log.total_bytes_per_participant() - 200.0).abs() < 1e-12);
     }
 }

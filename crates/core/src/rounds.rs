@@ -55,11 +55,11 @@ pub enum CryptoContext {
         /// `(4Δ²)^{-1}` constant), shared across every step of the run.
         plans: Arc<CombinePlanCache>,
     },
-    /// Plaintext pipeline with synthesized cost accounting.
+    /// Plaintext pipeline with synthesized operation counts.
     Simulated {
-        /// Ciphertext size used for byte accounting.
+        /// Ciphertext size used for byte accounting: `n^(s+1)`'s bytes.
         ciphertext_bytes: usize,
-        /// The profile's `key_bits · s`: the lane plan's `n^s` width.
+        /// The key shape's `modulus_bits · s`: the lane plan's `n^s` width.
         plaintext_bits: usize,
     },
 }
@@ -89,9 +89,9 @@ impl CryptoContext {
                     plans: Arc::new(CombinePlanCache::new()),
                 })
             }
-            CryptoMode::Simulated { cost_profile } => Ok(CryptoContext::Simulated {
-                ciphertext_bytes: cost_profile.ciphertext_bytes.max(1),
-                plaintext_bits: cost_profile.key_bits * cost_profile.s as usize,
+            &CryptoMode::Simulated { modulus_bits, s } => Ok(CryptoContext::Simulated {
+                ciphertext_bytes: (modulus_bits * (s as usize + 1)).div_ceil(8),
+                plaintext_bits: modulus_bits * s as usize,
             }),
         }
     }
@@ -682,6 +682,9 @@ mod tests {
         else {
             panic!("simulated mode");
         };
+        // The demo's 2 048-bit, s = 1 key shape: `n²`'s 512 B a ciphertext
+        // and a 2 048-bit plan, what `sim_cer_4k`'s byte accounting rests on.
+        assert_eq!((ciphertext_bytes, plaintext_bits), (512, 2048));
         let fp = FixedPointCodec::new(config.codec_scale_bits);
         let ciphertexts = lane_plan(&config, &fp, &layout, 40, plaintext_bits)
             .unwrap()

@@ -4,8 +4,8 @@
 //! reports costs "based on actual average measures performed beforehand".
 //! [`CryptoCostProfile::measure`] is that calibration pass: it times every
 //! operation the protocol issues at the requested key size, on the path the
-//! hosts run it, so the simulator can account realistic crypto cost without
-//! paying it on every simulated message.
+//! hosts run it. The engine only counts operations; a caller prices a run's
+//! counts with a profile it measured (`chiaroscuro::cost::crypto_seconds`).
 
 use crate::threshold::CombinePlanCache;
 use crate::{FastEncryptor, KeyGenOptions, ThresholdKeyPair, ThresholdParams};
@@ -126,25 +126,6 @@ impl CryptoCostProfile {
             ciphertext_bytes: pk.ciphertext_bytes(),
         }
     }
-
-    /// A static profile with plausible 2048-bit laptop numbers, for when
-    /// measuring is too slow (documentation examples, smoke tests). Derived
-    /// from a one-off `measure` run on commodity hardware; real experiments
-    /// should call [`CryptoCostProfile::measure`].
-    pub fn nominal_2048() -> CryptoCostProfile {
-        CryptoCostProfile {
-            key_bits: 2048,
-            s: 1,
-            threshold: 5,
-            encrypt_us: 9_000.0,
-            add_us: 14.0,
-            scalar_pow2_us: 260.0,
-            rerandomize_us: 8_800.0,
-            partial_decrypt_us: 31_000.0,
-            combine_us: 160_000.0,
-            ciphertext_bytes: 512,
-        }
-    }
 }
 
 fn per_op_us(start: Instant, ops: usize) -> f64 {
@@ -180,7 +161,13 @@ mod tests {
 
     #[test]
     fn profile_serde_roundtrip() {
-        let p = CryptoCostProfile::nominal_2048();
+        let mut rng = StdRng::seed_from_u64(301);
+        let opts = KeyGenOptions::insecure_test_size();
+        let t = ThresholdParams {
+            threshold: 2,
+            parties: 3,
+        };
+        let p = CryptoCostProfile::measure(&opts, t, 1, &mut rng);
         let json = serde_json::to_string(&p).unwrap();
         let back: CryptoCostProfile = serde_json::from_str(&json).unwrap();
         assert_eq!(back, p);

@@ -21,8 +21,8 @@
 //!   the paper requires ("the decryption is performed collaboratively by any
 //!   subset of participants provided it is sufficiently large");
 //! * fixed-point encoding of real-valued time-series into `Z_{n^s}`;
-//! * a measured cost profile used by the simulator's cost model, mirroring
-//!   the demo's "actual average measures performed beforehand".
+//! * a measured cost profile a caller prices a run's operation counts with,
+//!   mirroring the demo's "actual average measures performed beforehand".
 //!
 //! The adversary model is the paper's: honest-but-curious participants. No
 //! zero-knowledge proofs of correct partial decryption are attached (they

@@ -53,8 +53,8 @@ use std::time::Duration;
 /// spec carried by `Bootstrap`; v5 dropped the post-completion wait from
 /// the `Bootstrap`'s [`TimingSpec`] along with the termination votes it
 /// waited for; v6 dropped the `overlay` field from the config `Bootstrap`
-/// carries; v7 dropped its `failure` model.
-pub const PROTO_VERSION: u8 = 7;
+/// carries; v7 dropped its `failure` model; v8 its simulated price list.
+pub const PROTO_VERSION: u8 = 8;
 
 /// Upper bound on one control message (guards the length-prefix read).
 pub const MAX_CONTROL_BYTES: usize = 64 << 20;

@@ -4,7 +4,7 @@
 use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::{lane_plan, CryptoContext};
 use chiaroscuro::{compare_with_baseline, ChiaroscuroConfig, CryptoMode, Engine};
-use cs_crypto::{CryptoCostProfile, FixedPointCodec};
+use cs_crypto::FixedPointCodec;
 use cs_net::{NetBackend, ShardedConfig};
 use cs_timeseries::datasets::cer::{self, CerConfig};
 use cs_timeseries::datasets::numed::{self, NumedConfig};
@@ -163,7 +163,7 @@ fn churn_population_still_produces_result() {
 }
 
 /// One lane plan for every host: a real 256-bit, s = 1 key's step cipher
-/// and the cycle simulator's keyless plan for a profile of that size ship
+/// and the cycle simulator's keyless plan for a key shape of that size ship
 /// the same ciphertexts.
 #[test]
 fn one_plan_for_every_host() {
@@ -174,11 +174,8 @@ fn one_plan_for_every_host() {
     };
     let simulated = ChiaroscuroConfig {
         crypto: CryptoMode::Simulated {
-            cost_profile: CryptoCostProfile {
-                key_bits: 256,
-                s: 1,
-                ..CryptoCostProfile::nominal_2048()
-            },
+            modulus_bits: 256,
+            s: 1,
         },
         ..real.clone()
     };

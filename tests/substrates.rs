@@ -33,7 +33,8 @@ fn crash_mid_gossip_over_tcp_matches_simulated_crypto() {
     let engine = real_engine(14);
     let simulated = ChiaroscuroConfig {
         crypto: CryptoMode::Simulated {
-            cost_profile: cs_crypto::CryptoCostProfile::nominal_2048(),
+            modulus_bits: 2048,
+            s: 1,
         },
         ..engine.config().clone()
     };
