@@ -104,32 +104,32 @@ pub fn synthesize_ops(
     }
 }
 
-/// Decryption ops for one iteration under the committee rule: only the
-/// live committee members decrypt. Member `i` has the `widths[i]`
-/// ciphertexts its snapshot folds to ([`crate::rounds::StepCipher::width`];
-/// unfolded, all of the plan's ciphertexts) threshold-decrypted — its own
+/// Decryption ops for one iteration under the leader rule: one node
+/// decrypts, the lowest-id live committee member. Its snapshot folds to
+/// `leader_width` ciphertexts ([`crate::rounds::StepCipher::width`];
+/// unfolded, all of the plan's ciphertexts), threshold-decrypted — its own
 /// partials and those of the `t − 1` members it asks — and each of the
-/// `adopters` other participants fetches one member's release of
-/// `release_values` values (`SlotLayout::total()`) instead.
+/// `adopters` other participants fetches a release of `release_values`
+/// values (`SlotLayout::total()`) instead. `None`: no live member, nothing
+/// decrypted.
 pub fn synthesize_decrypt_ops(
-    widths: &[usize],
+    leader_width: Option<usize>,
     threshold: usize,
     ciphertext_bytes: usize,
     adopters: usize,
     release_values: usize,
 ) -> DecryptionOps {
-    let d = widths.len() as u64;
-    let s = widths.iter().sum::<usize>() as u64;
+    let (d, w) = leader_width.map_or((0, 0), |w| (1, w as u64));
     let t = threshold as u64;
     let asked = t.saturating_sub(1);
     let a = adopters as u64;
     DecryptionOps {
-        partial_decryptions: s * t,
-        combinations: s,
-        // A member's request to each of the t − 1 it asks and their
+        partial_decryptions: w * t,
+        combinations: w,
+        // The leader's request to each of the t − 1 it asks and their
         // replies; an adopter's request and the release that answers it.
         messages: d * 2 * asked + a * 2,
-        bytes: 2 * asked * s * ciphertext_bytes as u64 + a * 8 * release_values as u64,
+        bytes: 2 * asked * w * ciphertext_bytes as u64 + a * 8 * release_values as u64,
     }
 }
 
@@ -199,18 +199,22 @@ mod tests {
 
     #[test]
     fn synthesized_decrypt_ops_formulas() {
-        // 10 members of a 3-of-10 committee, nobody else.
-        let d = synthesize_decrypt_ops(&[8; 10], 3, 512, 0, 125);
-        assert_eq!(d.partial_decryptions, 240);
-        assert_eq!(d.combinations, 80);
-        assert_eq!(d.messages, 40);
-        assert_eq!(d.bytes, 10 * 2 * 2 * 8 * 512);
-        // Folded members are charged for what they ask: Σ wᵢ·t; each of 40
+        // A 3-of-10 committee's leader, nobody else.
+        let d = synthesize_decrypt_ops(Some(8), 3, 512, 0, 125);
+        assert_eq!(d.partial_decryptions, 24);
+        assert_eq!(d.combinations, 8);
+        assert_eq!(d.messages, 4);
+        assert_eq!(d.bytes, 2 * 2 * 8 * 512);
+        // A folded leader is charged for what it asks: w·t; each of 40
         // adopters for one request and one 125-value release.
-        let d = synthesize_decrypt_ops(&[8, 4, 3], 3, 512, 40, 125);
-        assert_eq!(d.partial_decryptions, 45);
-        assert_eq!(d.combinations, 15);
-        assert_eq!(d.messages, 12 + 80);
-        assert_eq!(d.bytes, 2 * 2 * 15 * 512 + 40 * 8 * 125);
+        let d = synthesize_decrypt_ops(Some(3), 3, 512, 40, 125);
+        assert_eq!(d.partial_decryptions, 9);
+        assert_eq!(d.combinations, 3);
+        assert_eq!(d.messages, 4 + 80);
+        assert_eq!(d.bytes, 2 * 2 * 3 * 512 + 40 * 8 * 125);
+        // No live member: nothing is decrypted, the adopters still ask.
+        let d = synthesize_decrypt_ops(None, 3, 512, 40, 125);
+        assert_eq!((d.partial_decryptions, d.combinations), (0, 0));
+        assert_eq!((d.messages, d.bytes), (80, 40 * 8 * 125));
     }
 }

@@ -562,13 +562,14 @@ pub(crate) fn simulate_step(
         Some(assemble_aggregates(layout, |slot| est[slot]))
     });
     phases.add(StepPhase::Combine, combine_ns);
-    // Priced by the committee rule the real hosts run: the first `parties`
-    // nodes decrypt their own snapshots, unfolded (the fold reads a node's
-    // denominator exponent, which the plaintext replay has not); every
-    // other node that ends with an estimate adopts a member's release.
+    // Priced by the leader rule the real hosts run: the lowest-id live
+    // member of the committee — the first `parties` nodes — decrypts its
+    // own snapshot, unfolded (the fold reads a node's denominator exponent,
+    // which the plaintext replay has not); every other node that ends with
+    // an estimate adopts a release.
     let parties = config.threshold.parties.min(estimates.len());
-    let members = estimates[..parties].iter().flatten().count();
-    let adopters = estimates[parties..].iter().flatten().count();
+    let leader = estimates[..parties].iter().any(Option::is_some);
+    let adopters = estimates.iter().flatten().count() - usize::from(leader);
 
     let participants = contributions.iter().filter(|c| c.is_some()).count();
     let ops = synthesize_ops(
@@ -578,7 +579,7 @@ pub(crate) fn simulate_step(
         config.rerandomize,
     );
     let decrypt_ops = synthesize_decrypt_ops(
-        &vec![ciphertexts; members],
+        leader.then_some(ciphertexts),
         config.threshold.threshold,
         ciphertext_bytes,
         adopters,
@@ -663,8 +664,9 @@ mod tests {
     }
 
     /// The cycle simulator prices per ciphertext of the step's lane plan;
-    /// the committee members' snapshots are decrypted unfolded, and every
-    /// other participant adopts a release of the layout's values.
+    /// the leader's snapshot — the lowest-id live committee member's — is
+    /// decrypted unfolded, and every other participant adopts a release of
+    /// the layout's values.
     #[test]
     fn a_simulated_step_is_priced_at_the_lane_plan() {
         let config = ChiaroscuroConfig::demo_simulated();
@@ -692,25 +694,22 @@ mod tests {
         assert!(1 < ciphertexts && ciphertexts < layout.total());
 
         let outcome = run_computation_step(&config, &layout, &contributions, &crypto, 5).unwrap();
-        let (traffic, decryptors) = (&outcome.traffic, outcome.estimates.iter().flatten().count());
-        assert!(traffic.messages > 0 && decryptors > 0);
+        let (traffic, estimates) = (&outcome.traffic, outcome.estimates.iter().flatten().count());
+        assert!(traffic.messages > 0);
         // The demo's committee is the first 16 nodes; node 9 sits the step
-        // out, so 15 members decrypt and the other 24 participants adopt.
-        assert_eq!((config.threshold.parties, decryptors), (16, 39));
-        let members = 15;
+        // out, so node 0 leads and the other 38 participants adopt.
+        assert_eq!((config.threshold.parties, estimates), (16, 39));
         assert_eq!(outcome.ops.encryptions, 39 * ciphertexts as u64);
         let push_bytes = (ciphertexts * ciphertext_bytes) as u64;
         assert_eq!(traffic.bytes, traffic.messages * push_bytes);
-        assert_eq!(
-            outcome.decrypt_ops,
-            synthesize_decrypt_ops(
-                &vec![ciphertexts; members],
-                config.threshold.threshold,
-                ciphertext_bytes,
-                decryptors - members,
-                layout.total()
-            )
-        );
+        let t = config.threshold.threshold;
+        let priced =
+            synthesize_decrypt_ops(Some(ciphertexts), t, ciphertext_bytes, 38, layout.total());
+        assert_eq!(outcome.decrypt_ops, priced);
+        assert_eq!(priced.partial_decryptions, (ciphertexts * t) as u64);
+        let asked = (t - 1) * ciphertexts * ciphertext_bytes;
+        let release = 8 * layout.total();
+        assert_eq!(priced.bytes, (2 * asked + 38 * release) as u64);
     }
 
     /// The decrypt-time fold through a real threshold decryption: a node's

@@ -1264,12 +1264,14 @@ mod tests {
     }
 
     /// Committee member 1 dies silently 1 ms into the gossip phase: nobody
-    /// learns of it, so the nodes whose rotation reaches it wait on a dead
-    /// node — member 0 (asks 1 for a share), non-members with `id % 3` of 1
-    /// (ask 1 for its release) and of 0 (ask member 0, whose release waits
-    /// on 1). The first retry, one interval after the round started,
-    /// reaches the members held back, and they complete there: not at the
-    /// decrypt deadline, and with a full-size combine.
+    /// learns of it, so the leader, member 0, asks it for a share and waits
+    /// on a dead node; so does every node whose release depends on the
+    /// leader's — member 2 and every non-member, whichever member its
+    /// rotation reaches (non-members with `id % 3` of 1 ask node 1 itself).
+    /// The leader's first retry, one interval into its round, reaches member
+    /// 2, held back, and the step completes there: not at the decrypt
+    /// deadline, with a full-size combine, one release and the partials of
+    /// one decryption.
     #[test]
     fn decrypt_round_hedges_past_a_silently_dead_asked_member() {
         let step = Step::new(Crypto::Packed, 8, 8, [81, 82, 83]);
@@ -1294,27 +1296,28 @@ mod tests {
                 "node {id} must complete despite the dead member"
             );
             assert_eq!(report.decrypt_audit.undersized_combines, 0, "node {id}");
-            let asked_the_dead = id == 0 || (id > 2 && id % 3 != 2);
             let took = decrypt_round_time(trace);
-            if asked_the_dead {
-                assert!(
-                    took >= retry && took < retry + Duration::from_millis(5),
-                    "node {id} should complete one retry interval into the round, took {took:?}"
-                );
-            } else {
-                assert!(
-                    took < Duration::from_millis(5),
-                    "node {id} asked two live members, took {took:?}"
-                );
-            }
+            assert!(
+                took < retry + Duration::from_millis(5),
+                "node {id} should complete one retry interval into the leader's round, took {took:?}"
+            );
         }
+        let leader = decrypt_round_time(&run.traces[0]);
+        assert!(leader >= retry, "the leader waited on the dead member");
+        let ops = &run.outcome.decrypt_ops;
+        let t = step.config.threshold.threshold as u64;
+        assert_eq!(ops.combinations, run.reports[0].decrypt_ops.combinations);
+        assert_eq!(ops.partial_decryptions, t * ops.combinations);
+        assert_eq!(run.metrics.gauge("crypto.releases_distinct"), 1);
     }
 
     /// A 5 % lossy cross-shard link: every node still ends with an
-    /// estimate, and the committee computes more than `t` partial
-    /// decryption vectors per member only where a retry fired — each member
-    /// whose round outlived one retry interval widened to the `parties − t`
-    /// members it had held back; a non-member's hedge buys only releases.
+    /// estimate, and the committee computes more partial decryptions than
+    /// its combines read only where a retry fired — a leader whose round
+    /// outlived one retry interval widened to the `parties − t` members it
+    /// had held back, and a member that waited out two retries with no
+    /// release led a decryption of its own; a non-member's hedge buys only
+    /// releases. A second release exists only where such a failover fired.
     #[test]
     fn decrypt_round_on_a_lossy_link_pays_only_for_the_hedges_that_fired() {
         let step = Step::new(Crypto::Packed, 8, 16, [91, 92, 93]);
@@ -1341,30 +1344,42 @@ mod tests {
         // the vector a node encrypted.
         let ciphertexts = run.reports[0].ops.encryptions;
         let params = step.config.threshold;
-        let (t, m) = (params.threshold, params.parties);
-        let asked = t as u64 * ops.combinations;
+        let (t, m) = (params.threshold as u64, params.parties);
+        let asked = t * ops.combinations;
         let retry = decrypt_retry_interval(cfg.push_interval);
-        let slow = |of: &[NodeTrace]| of.iter().filter(|t| decrypt_round_time(t) >= retry).count();
-        assert!(slow(&run.traces) > 0, "a lost decrypt frame stalls a node");
-        let hedged = ops.partial_decryptions - asked;
-        let held_back = (m - t) as u64;
-        let member_hedgers = slow(&run.traces[..m]) as u64;
+        let slow = |of: &[NodeTrace], after: Duration| {
+            of.iter().filter(|t| decrypt_round_time(t) >= after).count() as u64
+        };
         assert!(
-            hedged <= member_hedgers * held_back * ciphertexts,
+            slow(&run.traces, retry) > 0,
+            "a lost decrypt frame stalls a node"
+        );
+        let failovers = slow(&run.traces[1..m], 2 * retry);
+        let releases = run.metrics.gauge("crypto.releases_distinct") as u64;
+        assert!(
+            (1..=1 + failovers).contains(&releases),
+            "{releases} releases, {failovers} failovers"
+        );
+        let hedged = ops.partial_decryptions - asked;
+        let held_back = m as u64 - t;
+        let hedgers = slow(&run.traces[..m], retry);
+        assert!(
+            hedged <= (hedgers * held_back + failovers * t) * ciphertexts,
             "{hedged} beyond ask-t"
         );
         let sent = run.snapshot.decrypt.messages + run.snapshot.decrypt.dropped;
-        assert!(sent > 2 * (m * (t - 1) + 16 - m) as u64, "no hedge fired");
+        assert!(sent > 2 * (t - 1 + 15), "no hedge fired");
         assert!(run
             .reports
             .iter()
             .all(|r| r.decrypt_audit.undersized_combines == 0));
     }
 
-    /// Fault-free, the committee computes exactly what its members'
-    /// combines read — `threshold` vectors each, the count the cost model
-    /// charges; everyone else adopts a release — and the rotation spreads
-    /// it: no member serves over ⌈m·(t − 1)/m⌉ + 1 snapshots, its own too.
+    /// Fault-free, one node decrypts: the leader, member 0, combines its
+    /// folded width `w` and the step computes exactly the `w·t` partials
+    /// the cost model charges, spread `w` to a node over the leader and
+    /// the `t − 1` members it asks; every other node adopts the one
+    /// release.
     #[test]
     fn decrypt_round_asks_exactly_threshold_and_spreads_the_load() {
         let n = 16u64;
@@ -1372,28 +1387,22 @@ mod tests {
         let run = step.on_shards(&small_sharded(), &[]).unwrap();
         assert!(run.outcome.estimates.iter().all(|e| e.is_some()));
         let ops = &run.outcome.decrypt_ops;
-        let (t, parties) = (
-            step.config.threshold.threshold as u64,
-            step.config.threshold.parties as u64,
-        );
-        // A member combines what it asked for: its folded width.
-        let widths: Vec<usize> = (run.reports[..parties as usize].iter())
-            .map(|r| r.decrypt_ops.combinations as usize)
-            .collect();
-        let model = chiaroscuro::cost::synthesize_decrypt_ops(&widths, t as usize, 0, 0, 0);
+        let t = step.config.threshold.threshold as u64;
+        // The leader combines what it asked for: its folded width.
+        let w = run.reports[0].decrypt_ops.combinations;
+        assert_eq!(ops.combinations, w);
+        let model =
+            chiaroscuro::cost::synthesize_decrypt_ops(Some(w as usize), t as usize, 0, 0, 0);
         assert_eq!(ops.partial_decryptions, model.partial_decryptions);
-        let widest = *widths.iter().max().unwrap() as u64;
-        // One request and one reply per vector that crossed the network,
-        // `t − 1` per member; a release request and a release per non-member.
-        assert_eq!(ops.messages, 2 * (parties * (t - 1) + n - parties));
-        let ceiling = (parties * (t - 1)).div_ceil(parties) + 1;
-        for member in 0..parties as usize {
-            let served = run.reports[member].decrypt_ops.partial_decryptions;
-            assert!(
-                served <= ceiling * widest,
-                "member {member} computed {served} partials, ceiling {ceiling} × {widest}"
-            );
+        for r in &run.reports {
+            let p = r.decrypt_ops.partial_decryptions;
+            assert!(p == 0 || p == w, "node {} computed {p} partials", r.id);
         }
+        assert_eq!(run.metrics.gauge("crypto.releases_distinct"), 1);
+        // One request and one reply per vector that crossed the network,
+        // `t − 1` from the leader; a release request and a release from
+        // every other node.
+        assert_eq!(ops.messages, 2 * (t - 1 + n - 1));
     }
 
     /// Regression: a rejoin landing *before* a pre-crash timer fires must

@@ -27,26 +27,36 @@
 //!    releases for slower peers) until the host ends the step. Nothing is
 //!    announced to peers: when the step is over is the host's to observe.
 //!
-//! ## The decryption round: members decrypt, everyone else adopts
+//! ## The decryption round: the leader decrypts, everyone else adopts
 //!
-//! A partial decryption is the step's most expensive operation, so only
-//! the live committee members decrypt: a step computes `m·C·t` partials
-//! (m members, C ciphertexts, threshold t), not `n·C·t`. A **member**
-//! snapshots its gossip ciphertexts, folded to what the aggregate occupies
-//! (`StepCipher::fold`), asks exactly `threshold − 1` other live members
-//! for their partials, combines them with its own and keeps the estimate
-//! as the step's release: it answers every [`Message::ReleaseRequest`] with
-//! a [`Message::Release`], once the release is ready. **Everyone else**
-//! takes no snapshot and sends no `DecryptRequest`: it asks one member for
-//! its release and adopts the first well-formed one from a member it asked.
+//! A partial decryption is the step's most expensive operation, so one
+//! node decrypts: the **leader**, the lowest-id committee member alive in
+//! a node's own view. Every node computes it from public inputs (the
+//! committee) and its view, with no agreement round; a loss-free step
+//! computes `C·t` partials (C ciphertexts, threshold t) and makes one
+//! release, whatever the population.
 //!
-//! Either way a node asks exactly what its round completes on, taken from
-//! the live committee **rotated by its id**: no RNG draw (the peer-sampling
-//! stream, and every estimate bit, is untouched), and the work spreads
-//! evenly. Threshold combining is exact over any `t`-subset, so an estimate
-//! does not depend on who answers. The rest of the live committee is the
-//! **hedge**; the node keeps the whole rotated list and widens in two
-//! cases:
+//! * **The leader** snapshots its gossip ciphertexts, folded to what the
+//!   aggregate occupies (`StepCipher::fold`), asks exactly `threshold − 1`
+//!   other live members for their partials, combines them with its own and
+//!   keeps the estimate as the step's release: it answers every
+//!   [`Message::ReleaseRequest`] with a [`Message::Release`], once the
+//!   release is ready.
+//! * **The other members** serve the leader's `DecryptRequest` in any
+//!   phase, take no snapshot and fold or combine nothing: each asks the
+//!   leader for its release, adopts it, and from then on answers its own
+//!   release requests with it.
+//! * **Everyone else** asks one member for its release, taken from the
+//!   live committee **rotated by its id** — no RNG draw (the peer-sampling
+//!   stream, and every estimate bit, is untouched), so the replies spread
+//!   over the committee — and adopts the first well-formed release from a
+//!   member it asked. A member that is not the leader answers once it has
+//!   adopted the leader's.
+//!
+//! Threshold combining is exact over any `t`-subset, so the leader's
+//! estimate does not depend on who answers. The rest of the live committee
+//! is the **hedge**; the leader and the non-members keep the whole rotated
+//! list and widen in two cases:
 //!
 //! * the driver's retry timer ([`ProtocolNode::retry_decrypt`]) fires: the
 //!   request goes to *every* live member that has not answered — the ones
@@ -58,9 +68,16 @@
 //! * a `Leave` for a member that was asked and has not answered arrives
 //!   during the round: the next member in the rotation is asked at once.
 //!
+//! A member that waits on the leader fails over without a config switch:
+//! a `Leave` for the leader makes it ask the next leader in its view — or
+//! lead, if that is itself — and a retry timer that fires **twice** with no
+//! release makes it lead itself. The first retry only re-asks the leader,
+//! so one lost frame never starts a second decryption; a member that leads
+//! after the leader went quiet asks the quiet leader last.
+//!
 //! Decrypt-class traffic above what the round completes on is therefore a
-//! hedge that fired, never background noise. When no member can release,
-//! no node could have assembled `threshold` shares either.
+//! hedge or a failover that fired, never background noise. When no member
+//! can release, no node could have assembled `threshold` shares either.
 
 use crate::transport::NodeId;
 use crate::wire::Message;
@@ -238,19 +255,23 @@ enum Phase {
 }
 
 /// The request a node in `AwaitShares` has in flight: partial decryptions
-/// on a committee member, a release everywhere else. Kept once the round
-/// is over, so a late answer can still be told from an unsolicited one.
+/// on the leader, a release everywhere else. Kept once the round is over,
+/// so a late answer can still be told from an unsolicited one.
 struct PendingRequest {
-    /// The committee members alive when the round started (this node
-    /// excluded), rotated by this node's id: the order they are asked in.
+    /// Whom the request goes to, in the order they are asked: the leader
+    /// alone on a member that follows it, else the committee members alive
+    /// when the round started (this node excluded), rotated by its id.
     recipients: Vec<NodeId>,
     /// `recipients[..asked]` have been sent the request; the rest are the
     /// hedge.
     asked: usize,
     /// Answers the round completes on: `threshold` shares (this node's
-    /// own included) on a member, one release elsewhere.
+    /// own included) on the leader, one release elsewhere.
     need: usize,
     request: Message,
+    /// Retry timers fired on this request: a member that follows the
+    /// leader leads itself on the second.
+    retries: u32,
 }
 
 /// What a node hands back to the driver when the step completes.
@@ -273,8 +294,8 @@ pub struct NodeReport {
     pub lane_headroom_bits: Option<u64>,
     /// Homomorphic work this node performed.
     pub ops: HomomorphicOpCounts,
-    /// Decryption work this node performed: none off the committee, whose
-    /// members alone decrypt.
+    /// Decryption work this node performed: the leader's own partials and
+    /// combine, the partials a member served; none off the committee.
     pub decrypt_ops: DecryptionOps,
     /// Pushes this node actually initiated.
     pub pushes_sent: usize,
@@ -360,6 +381,9 @@ pub struct ProtocolNode {
     snapshot: (u32, f64),
     shares_by_sender: BTreeMap<NodeId, Vec<PartialDecryption>>,
     pending_request: Option<PendingRequest>,
+    /// The leader this member last asked for its release: its release is
+    /// adopted even after this member has led itself.
+    followed: Option<NodeId>,
     served_replies: HashMap<NodeId, Message>,
     /// Peers whose `ReleaseRequest` reached this member before its release
     /// was ready: answered the moment it is.
@@ -435,6 +459,7 @@ impl ProtocolNode {
             snapshot: (0, 0.0),
             shares_by_sender: BTreeMap::new(),
             pending_request: None,
+            followed: None,
             served_replies: HashMap::new(),
             release_waiters: Vec::new(),
             gossip_cut_short: false,
@@ -570,11 +595,13 @@ impl ProtocolNode {
     }
 
     /// Resilience nudge for the decryption round, and its hedge: sends the
-    /// pending request — a `DecryptRequest` on a member, a `ReleaseRequest`
-    /// elsewhere — to every live committee member that has not answered:
-    /// the ones already asked (their request or reply may have been lost)
-    /// and the ones held back so far (an asked member may be dead without
-    /// this node knowing). Idempotent — members answer a repeated request
+    /// pending request — a `DecryptRequest` on the leader, a
+    /// `ReleaseRequest` elsewhere — to every live committee member that has
+    /// not answered: the ones already asked (their request or reply may
+    /// have been lost) and the ones held back so far (an asked member may
+    /// be dead without this node knowing). A member that follows the leader
+    /// re-asks the leader on the first retry and leads itself on the
+    /// second. Idempotent otherwise — members answer a repeated request
     /// from their reply cache or their release, and duplicate answers are
     /// ignored by [`Self::handle`]. The runtime calls this at a coarse
     /// interval while the node awaits shares.
@@ -586,9 +613,14 @@ impl ProtocolNode {
         if let Some(t) = &mut self.tracer {
             t.local_root();
         }
+        let follows = self.following().is_some();
         let Some(mut pending) = self.pending_request.take() else {
             return;
         };
+        pending.retries += 1;
+        if follows && pending.retries >= 2 {
+            return self.lead(out);
+        }
         for &m in &pending.recipients {
             if !self.shares_by_sender.contains_key(&m) && self.peer_alive(m) {
                 self.emit(m, pending.request.clone(), out);
@@ -713,18 +745,26 @@ impl ProtocolNode {
                 iteration,
                 member,
                 values,
-            } => self.adopt_release(from, iteration, member, values),
+            } => self.adopt_release(from, iteration, member, values, out),
             Message::Join { node, .. } => {
                 if (node as usize) < self.params.population {
                     self.dead_view.remove(&(node as usize));
                 }
             }
             Message::Leave { node } => {
-                if (node as usize) < self.params.population {
-                    self.dead_view.insert(node as usize);
-                    // A departed member that was asked will never answer:
-                    // widen to the next one now, not on the retry timer.
-                    self.ask_committee(out);
+                let node = node as usize;
+                if node < self.params.population {
+                    self.dead_view.insert(node);
+                    if self.following() == Some(node) {
+                        // The leader left: the next one in this member's
+                        // view leads.
+                        self.follow_or_lead(out);
+                    } else {
+                        // A departed member that was asked will never
+                        // answer: widen to the next one now, not on the
+                        // retry timer.
+                        self.ask_committee(out);
+                    }
                 }
             }
         }
@@ -809,9 +849,9 @@ impl ProtocolNode {
         real.share.as_ref().map(KeyShare::index)
     }
 
-    /// The release this member answers `ReleaseRequest`s with: its decoded
-    /// estimate, slot by slot. `None` off the committee, or before (or
-    /// without) an estimate.
+    /// The release this member answers `ReleaseRequest`s with: its estimate,
+    /// decrypted or adopted, slot by slot, under its own share index. `None`
+    /// off the committee, or before (or without) an estimate.
     fn release(&self) -> Option<Message> {
         let member = self.share_index()?;
         let est = self.estimate.as_ref()?;
@@ -839,19 +879,28 @@ impl ProtocolNode {
     }
 
     /// Adopts a member's release as this node's estimate — the first
-    /// well-formed one from a member this node asked, while it awaits one.
+    /// well-formed one from a member this node asked, while it awaits one —
+    /// and, on a member, answers the release requests waiting for it.
     /// A release from outside the committee (audit evidence, like a foreign
     /// share), from a member this node did not ask, for another iteration
     /// or of another length than the layout's is one counted bad frame.
-    fn adopt_release(&mut self, from: NodeId, iteration: u64, member: u64, values: Vec<f64>) {
+    fn adopt_release(
+        &mut self,
+        from: NodeId,
+        iteration: u64,
+        member: u64,
+        values: Vec<f64>,
+        out: &mut Vec<Outbound>,
+    ) {
         let index = self.params.committee.iter().position(|&c| c == from);
         if index.is_none() {
             self.audit.foreign_shares += 1;
         }
-        let asked = self.pending_request.as_ref().is_some_and(|p| {
-            matches!(p.request, Message::ReleaseRequest { .. })
-                && p.recipients[..p.asked].contains(&from)
-        });
+        let asked = self.followed == Some(from)
+            || self.pending_request.as_ref().is_some_and(|p| {
+                matches!(p.request, Message::ReleaseRequest { .. })
+                    && p.recipients[..p.asked].contains(&from)
+            });
         if !asked
             || iteration != self.params.iteration
             || values.len() != self.layout.total()
@@ -863,6 +912,7 @@ impl ProtocolNode {
         if matches!(self.phase, Phase::AwaitShares) {
             let est = assemble_aggregates(&self.layout, |slot| values[slot]);
             self.finish(Some(est));
+            self.answer_release_waiters(out);
         }
     }
 
@@ -914,36 +964,57 @@ impl ProtocolNode {
         if let Some(t) = &mut self.tracer {
             t.mark("gossip.end", &[("pushes", self.pushes_sent as u64)]);
         }
-        // A member's snapshot — later absorbs keep mixing the gossip state
-        // but no longer affect this estimate — folded to what it occupies.
-        // A non-member takes none.
-        let snapshot = match (&self.agg, self.crypto.as_real()) {
-            (Aggregator::Plain(ps), _) => {
+        match &self.agg {
+            Aggregator::Plain(ps) => {
                 let est = ps
                     .estimate()
                     .map(|est| assemble_aggregates(&self.layout, |slot| est[slot]));
                 return self.finish(est);
             }
-            (
-                Aggregator::Encrypted(he),
-                Some(RealCrypto {
-                    cipher,
-                    share,
-                    params,
-                    ..
-                }),
-            ) if he.weight() > f64::MIN_POSITIVE => share.as_ref().map(|_| {
-                let (denom, weight) = (he.denominator_exp(), he.weight());
-                self.snapshot = (denom, weight);
-                let fold_started = Instant::now();
-                let folded = cipher.fold(he.ciphertexts(), denom, weight, &mut self.ops);
-                let fold_ns = fold_started.elapsed().as_nanos() as u64;
-                self.profile.add(StepPhase::Unpack, fold_ns);
-                (cipher.key_width(), folded, params.threshold)
-            }),
-            _ => return self.finish(None),
-        };
+            Aggregator::Encrypted(he) if he.weight() > f64::MIN_POSITIVE => {}
+            Aggregator::Encrypted(_) => return self.finish(None),
+        }
+        self.phase = Phase::AwaitShares;
+        if self.share_index().is_some() {
+            self.follow_or_lead(out);
+        } else {
+            let recipients = self.rotated_committee(None);
+            self.await_release(recipients, out);
+        }
+    }
 
+    /// The step's leader in this node's view: the lowest-id committee member
+    /// it believes alive, itself included.
+    fn leader(&self) -> Option<NodeId> {
+        let committee = self.params.committee.iter().copied();
+        committee.filter(|&m| self.peer_alive(m)).min()
+    }
+
+    /// The leader a member waits on for its release, while it does.
+    fn following(&self) -> Option<NodeId> {
+        self.share_index()?;
+        let pending = self.pending_request.as_ref()?;
+        let waits = matches!(self.phase, Phase::AwaitShares)
+            && matches!(pending.request, Message::ReleaseRequest { .. });
+        waits.then(|| pending.recipients[0])
+    }
+
+    /// A member's round: it leads if it is the leader in its own view, and
+    /// otherwise asks the leader for its release.
+    fn follow_or_lead(&mut self, out: &mut Vec<Outbound>) {
+        match self.leader() {
+            Some(leader) if leader != self.params.id => {
+                self.followed = Some(leader);
+                self.await_release(vec![leader], out);
+            }
+            _ => self.lead(out),
+        }
+    }
+
+    /// The live committee members other than this node, rotated by its id
+    /// — no RNG draw — so the population's requests spread evenly over the
+    /// committee; `last`, a leader that went quiet, is asked last.
+    fn rotated_committee(&self, last: Option<NodeId>) -> Vec<NodeId> {
         let mut recipients: Vec<NodeId> = self
             .params
             .committee
@@ -951,41 +1022,69 @@ impl ProtocolNode {
             .copied()
             .filter(|&m| m != self.params.id && self.peer_alive(m))
             .collect();
-        // Rotated by the node's id — no RNG draw — so the population's
-        // requests spread evenly over the committee.
         if !recipients.is_empty() {
             let start = self.params.id % recipients.len();
             recipients.rotate_left(start);
         }
-        let iteration = self.params.iteration;
-        let (need, request, own) = match snapshot {
-            // A member contributes its own partials without a network hop.
-            Some((width, slots, threshold)) => {
-                let own = self.partials_of(&slots).map(|own| (own, width));
-                let request = Message::DecryptRequest {
-                    iteration,
-                    width,
-                    slots,
-                };
-                (threshold, request, own)
-            }
-            None => (1, Message::ReleaseRequest { iteration }, None),
+        recipients.sort_by_key(|&m| Some(m) == last);
+        recipients
+    }
+
+    /// Asks `recipients[0]` for its release, the rest held back as the
+    /// hedge; no estimate if nobody is left to ask.
+    fn await_release(&mut self, recipients: Vec<NodeId>, out: &mut Vec<Outbound>) {
+        if recipients.is_empty() {
+            return self.finish(None);
+        }
+        self.pending_request = Some(PendingRequest {
+            recipients,
+            asked: 0,
+            need: 1,
+            request: Message::ReleaseRequest {
+                iteration: self.params.iteration,
+            },
+            retries: 0,
+        });
+        self.ask_committee(out);
+    }
+
+    /// The leader's round: snapshot the gossip ciphertexts — later absorbs
+    /// keep mixing the gossip state but no longer affect this estimate —
+    /// folded to what they occupy, contribute this member's own partials
+    /// without a network hop and ask `threshold − 1` other live members for
+    /// theirs.
+    fn lead(&mut self, out: &mut Vec<Outbound>) {
+        let recipients = self.rotated_committee(self.followed);
+        let (Aggregator::Encrypted(he), Some(RealCrypto { cipher, params, .. })) =
+            (&self.agg, self.crypto.as_real())
+        else {
+            unreachable!("only a real-crypto member leads");
         };
-        if recipients.len() + usize::from(own.is_some()) < need {
+        if recipients.len() + 1 < params.threshold {
             // Not enough live committee members: no estimate.
             return self.finish(None);
         }
-        self.phase = Phase::AwaitShares;
+        let (denom, weight) = (he.denominator_exp(), he.weight());
+        self.snapshot = (denom, weight);
+        let fold_started = Instant::now();
+        let slots = cipher.fold(he.ciphertexts(), denom, weight, &mut self.ops);
+        self.profile
+            .add(StepPhase::Unpack, fold_started.elapsed().as_nanos() as u64);
+        let (width, need) = (cipher.key_width(), params.threshold);
+        let (member, partials) = self.partials_of(&slots).expect("a member holds a share");
         self.pending_request = Some(PendingRequest {
             recipients,
             asked: 0,
             need,
-            request,
+            request: Message::DecryptRequest {
+                iteration: self.params.iteration,
+                width,
+                slots,
+            },
+            retries: 0,
         });
-        if let Some(((member, partials), width)) = own {
-            self.accept_share(self.params.id, member, width, partials);
-            self.answer_release_waiters(out);
-        }
+        self.accept_share(self.params.id, member, width, partials);
+        self.answer_release_waiters(out);
         self.ask_committee(out);
     }
 
@@ -1066,14 +1165,17 @@ impl ProtocolNode {
         if !matches!(self.phase, Phase::AwaitShares) {
             return;
         }
-        // Only a member combines: shares are no answer to a release request.
+        // Only the leader combines: shares are no answer to a release
+        // request.
+        let leads = (self.pending_request.as_ref())
+            .is_some_and(|p| matches!(p.request, Message::DecryptRequest { .. }));
         let Some(RealCrypto {
             cipher,
-            share: Some(_),
             params,
             delta,
             plans,
-        }) = self.crypto.as_real()
+            ..
+        }) = self.crypto.as_real().filter(|_| leads)
         else {
             self.bad_frames += 1;
             return;

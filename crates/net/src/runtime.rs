@@ -136,14 +136,31 @@ pub fn assemble_outcome(
 
 /// Books the step's worst node — the most partial decryptions and combines
 /// any one node computed, the committee's load that a population mean
-/// hides — as the `crypto.partials_max` and `crypto.combines_max` gauges.
-pub fn book_worst_node(reports: &[NodeReport], registry: &cs_obs::Registry) {
+/// hides — as the `crypto.partials_max` and `crypto.combines_max` gauges,
+/// and how many different estimates the live nodes ended with (distinct bit
+/// patterns; one when every node holds the leader's release) as
+/// `crypto.releases_distinct`.
+pub fn book_worst_node(
+    reports: &[NodeReport],
+    estimates: &[Option<PerturbedAggregates>],
+    registry: &cs_obs::Registry,
+) {
     let max = |of: fn(&DecryptionOps) -> u64| reports.iter().map(|r| of(&r.decrypt_ops)).max();
-    for (name, worst) in [
+    // Sorted in place: a plain host's n estimates all differ, and a copy
+    // of their bits cost a 4 096-node step ≈ 8 MB of peak memory.
+    fn bits(est: &PerturbedAggregates) -> impl Iterator<Item = u64> + '_ {
+        let values = est.sums.iter().flatten().chain(&est.counts);
+        values.map(|v| v.to_bits())
+    }
+    let mut distinct: Vec<&PerturbedAggregates> = estimates.iter().flatten().collect();
+    distinct.sort_unstable_by(|a, b| bits(a).cmp(bits(b)));
+    distinct.dedup_by(|a, b| bits(a).eq(bits(b)));
+    for (name, value) in [
         ("crypto.partials_max", max(|d| d.partial_decryptions)),
         ("crypto.combines_max", max(|d| d.combinations)),
+        ("crypto.releases_distinct", Some(distinct.len() as u64)),
     ] {
-        registry.gauge(name).set(worst.unwrap_or(0) as i64);
+        registry.gauge(name).set(value.unwrap_or(0) as i64);
     }
 }
 
@@ -252,7 +269,7 @@ impl StepRun {
         registry
             .counter("gossip.pushes_capped")
             .add(outcome.pushes_capped);
-        book_worst_node(&reports, registry);
+        book_worst_node(&reports, &outcome.estimates, registry);
         let evidence = crate::audit::distill(step_seed, &reports, &snapshot, &registry.snapshot());
         let alerts = cs_obs::health::audit(&evidence, registry, None, None);
         StepRun {

@@ -1,14 +1,15 @@
-//! The decryption round at the `ProtocolNode` level, driven by hand: who a
-//! committee member asks, when it widens to the members it held back, and
-//! that the estimate it combines does not depend on which `threshold`
-//! members answered or in which order; that a non-member asks one member
-//! for its release instead, and adopts it bit for bit. The timer-driven
-//! half of the hedge is tested on the virtual-time executor
-//! (`executor::tests`), where a retry interval is an exact number. Also
-//! here, because it needs the same bare nodes: what a node refuses — a
-//! decryption request of the wrong width, a hostile or unsolicited release,
-//! a push in another dialect than its own — and the committee rule's load
-//! on one executor step.
+//! The decryption round at the `ProtocolNode` level, driven by hand: who
+//! the leader — the lowest-id live committee member — asks, when it widens
+//! to the members it held back, and that the estimate it combines does not
+//! depend on which `threshold` members answered or in which order; that
+//! every other node asks for a release instead and adopts it bit for bit,
+//! a member from the leader, which it relays; when a member stops waiting
+//! on the leader and leads itself. The timer-driven half of the hedge is
+//! tested on the virtual-time executor (`executor::tests`), where a retry
+//! interval is an exact number. Also here, because it needs the same bare
+//! nodes: what a node refuses — a decryption request of the wrong width, a
+//! hostile or unsolicited release, a push in another dialect than its own —
+//! and the leader rule's load on executor steps.
 
 use chiaroscuro::config::ChiaroscuroConfig;
 use chiaroscuro::noise::SlotLayout;
@@ -17,11 +18,13 @@ use cs_crypto::ThresholdParams;
 use cs_net::node::{NodeCrypto, NodeParams, Outbound, ProtocolNode};
 use cs_net::transport::NodeId;
 use cs_net::wire::{Message, TraceContext};
-use cs_net::{run_step_sharded, ShardedConfig};
+use cs_net::{run_step_sharded, ChurnSchedule, ShardedConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
+use std::sync::Mutex;
+use std::time::Duration;
 
 /// 16 slots: under the fixtures' envelope, 4 ciphertexts of 4 lanes — a
 /// width off the fold grid exists (3), and a fresh snapshot folds in two.
@@ -36,14 +39,11 @@ type Fixture = (ChiaroscuroConfig, CryptoContext);
 
 /// One dealer run per committee shape, shared by every case.
 fn context(params: ThresholdParams) -> &'static Fixture {
-    static TWO_OF_THREE: OnceLock<Fixture> = OnceLock::new();
-    static THREE_OF_FIVE: OnceLock<Fixture> = OnceLock::new();
-    let cell = match (params.threshold, params.parties) {
-        (2, 3) => &TWO_OF_THREE,
-        (3, 5) => &THREE_OF_FIVE,
-        other => panic!("no fixture for a {other:?} committee"),
-    };
-    cell.get_or_init(|| {
+    type Fixtures = BTreeMap<(usize, usize), &'static Fixture>;
+    static FIXTURES: Mutex<Fixtures> = Mutex::new(BTreeMap::new());
+    let mut fixtures = FIXTURES.lock().unwrap_or_else(|e| e.into_inner());
+    let shape = (params.threshold, params.parties);
+    fixtures.entry(shape).or_insert_with(|| {
         let config = ChiaroscuroConfig {
             threshold: params,
             rerandomize: false,
@@ -52,7 +52,7 @@ fn context(params: ThresholdParams) -> &'static Fixture {
             ..ChiaroscuroConfig::test_real()
         };
         let crypto = CryptoContext::from_config(&config, &mut StdRng::seed_from_u64(5)).unwrap();
-        (config, crypto)
+        Box::leak(Box::new((config, crypto)))
     })
 }
 
@@ -242,8 +242,8 @@ fn decrypt_round_widens_on_leave_of_an_asked_member_without_the_timer() {
     assert_eq!(report.decrypt_audit.undersized_combines, 0);
 }
 
-/// The first retry reaches every live member that has not answered — the
-/// ones asked and the one held back.
+/// The leader's first retry reaches every live member that has not
+/// answered — the one asked and the one held back.
 #[test]
 fn decrypt_round_retry_reaches_the_members_held_back() {
     let ctx = context(ThresholdParams {
@@ -251,14 +251,119 @@ fn decrypt_round_retry_reaches_the_members_held_back() {
         parties: 3,
     });
     let values = contribution(&[0.5]);
-    // Member 1 holds a share of its own: it asks one other member.
-    let mut requester = node(ctx, 1, &values, 21);
+    // The leader, member 0, holds a share of its own: it asks one other
+    // member.
+    let mut requester = node(ctx, 0, &values, 21);
     let mut out = Vec::new();
     requester.tick(&mut out);
-    assert_eq!(requested(&out), [2], "own share + one reply = threshold");
+    assert_eq!(requested(&out), [1], "own share + one reply = threshold");
     out.clear();
     requester.retry_decrypt(&mut out);
-    assert_eq!(requested(&out), [2, 0]);
+    assert_eq!(requested(&out), [1, 2]);
+}
+
+/// A member that is not the leader decrypts nothing of its own: it asks
+/// the leader alone for its release. Its first retry only re-asks the
+/// leader — one lost frame must not start a second decryption — and its
+/// second leads: it snapshots, and asks `threshold − 1` members for
+/// partials, the quiet leader last. Whichever answer comes first then
+/// completes its round: the share it asked for, or the late release of the
+/// leader it followed.
+#[test]
+fn decrypt_round_member_leads_itself_on_the_second_retry_only() {
+    let ctx = context(ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    });
+    let values = contribution(&[0.5, 2.0]);
+    let led = |out: &mut Vec<Outbound>| {
+        let mut follower = node(ctx, 1, &values, 22);
+        follower.tick(out);
+        assert!(follower.awaiting_shares());
+        assert_eq!(release_requested(out), [0], "the leader is member 0");
+        assert_eq!(out.len(), 1);
+        out.clear();
+        follower.retry_decrypt(out);
+        assert_eq!(release_requested(out), [0], "the first retry re-asks");
+        assert!(requested(out).is_empty());
+        out.clear();
+        follower.retry_decrypt(out);
+        assert!(release_requested(out).is_empty());
+        assert_eq!(requested(out), [2], "the second leads, the leader last");
+        follower
+    };
+    let mut out = Vec::new();
+    let mut follower = led(&mut out);
+    let request = out[0].1.clone();
+    follower.handle(
+        2,
+        share_of(ctx, 2, 1, &request),
+        TraceContext::NONE,
+        &mut out,
+    );
+    assert!(follower.step_done());
+    let report = follower.into_report();
+    assert!(report.estimate.is_some());
+    assert!(report.decrypt_ops.combinations > 0, "it led and combined");
+
+    // The leader's release, late.
+    let mut leader = node(ctx, 0, &values, 23);
+    out.clear();
+    leader.tick(&mut out);
+    let share = share_of(ctx, 1, 0, &out[0].1);
+    out.clear();
+    leader.handle(1, share, TraceContext::NONE, &mut out);
+    let ask = Message::ReleaseRequest {
+        iteration: ITERATION,
+    };
+    leader.handle(1, ask, TraceContext::NONE, &mut out);
+    let [(1, release, _)] = &out[..] else {
+        panic!("the leader releases to member 1, got {out:?}");
+    };
+    let mut follower = led(&mut Vec::new());
+    follower.handle(0, release.clone(), TraceContext::NONE, &mut Vec::new());
+    assert!(follower.step_done());
+    let report = follower.into_report();
+    assert_eq!(report.bad_frames, 0);
+    assert_eq!(report.decrypt_ops.combinations, 0, "the release came first");
+    assert_eq!(
+        bits(report.estimate.as_ref().unwrap()),
+        bits(leader.into_report().estimate.as_ref().unwrap())
+    );
+}
+
+/// A `Leave` for the leader makes a member that follows it ask the next
+/// leader in its view at once — or lead, if that is itself.
+#[test]
+fn decrypt_round_leave_of_the_leader_moves_the_lead() {
+    let ctx = context(ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    });
+    let values = contribution(&[0.5]);
+    let mut out = Vec::new();
+    let mut second = node(ctx, 2, &values, 24);
+    second.tick(&mut out);
+    assert_eq!(release_requested(&out), [0]);
+    out.clear();
+    second.handle(0, Message::Leave { node: 0 }, TraceContext::NONE, &mut out);
+    assert_eq!(release_requested(&out), [1], "member 1 leads now");
+    assert!(requested(&out).is_empty());
+
+    let mut next = node(ctx, 1, &values, 25);
+    out.clear();
+    next.tick(&mut out);
+    assert_eq!(release_requested(&out), [0]);
+    out.clear();
+    next.handle(0, Message::Leave { node: 0 }, TraceContext::NONE, &mut out);
+    assert_eq!(requested(&out), [2], "member 1 leads itself");
+    // A Leave of a member that is not the leader changes nothing.
+    let mut third = node(ctx, 2, &values, 26);
+    out.clear();
+    third.tick(&mut out);
+    out.clear();
+    third.handle(1, Message::Leave { node: 1 }, TraceContext::NONE, &mut out);
+    assert!(out.is_empty(), "{out:?}");
 }
 
 /// A snapshot folds to `⌈ciphertexts / g⌉` for the `g` its push-sum state
@@ -282,9 +387,10 @@ fn decrypt_round_refuses_a_request_of_the_wrong_width() {
     });
     let values = contribution(&[0.5]);
     let mut out = Vec::new();
-    // Member 1 asks member 2; member 0 is handed its request too.
-    node(ctx, 1, &values, 31).tick(&mut out);
-    assert_eq!(requested(&out), [2]);
+    // The leader, member 0, asks member 1; member 2 is handed its request
+    // too.
+    node(ctx, 0, &values, 31).tick(&mut out);
+    assert_eq!(requested(&out), [1]);
     let request = out[0].1.clone();
     let Message::DecryptRequest {
         iteration,
@@ -309,16 +415,16 @@ fn decrypt_round_refuses_a_request_of_the_wrong_width() {
         .find(|&w| !on_the_fold_grid(full, w))
         .expect("the fixture's layout has a width no fold produces");
 
-    let mut member = node(ctx, 0, &values, 32);
+    let mut member = node(ctx, 2, &values, 32);
     let mut reply = Vec::new();
     for bad in [resized(0), resized(off_grid), resized(2 * full), widened] {
-        member.handle(1, bad, TraceContext::NONE, &mut reply);
+        member.handle(0, bad, TraceContext::NONE, &mut reply);
         assert!(reply.is_empty(), "a malformed request gets no reply");
     }
     // Nothing was cached for the requester: its honest request is served
     // from scratch.
-    member.handle(1, request.clone(), TraceContext::NONE, &mut reply);
-    let [(1, Message::DecryptShare { partials, .. }, _)] = &reply[..] else {
+    member.handle(0, request.clone(), TraceContext::NONE, &mut reply);
+    let [(0, Message::DecryptShare { partials, .. }, _)] = &reply[..] else {
         panic!("one share vector back to the requester, got {reply:?}");
     };
     assert_eq!(partials.len(), slots.len());
@@ -364,19 +470,20 @@ fn decrypt_round_share_of_another_width_is_one_counted_bad_frame() {
         parties: 3,
     });
     let values = contribution(&[0.75, -1.5]);
-    // Member 2 holds its own share and asks member 0 for the other.
-    let mut requester = node(ctx, 2, &values, 51);
+    // The leader, member 0, holds its own share and asks member 1 for the
+    // other.
+    let mut requester = node(ctx, 0, &values, 51);
     let mut out = Vec::new();
     requester.tick(&mut out);
-    assert_eq!(requested(&out), [0]);
+    assert_eq!(requested(&out), [1]);
     let request = out[0].1.clone();
-    let shares = [share_of(ctx, 0, 2, &request)];
+    let share = share_of(ctx, 1, 0, &request);
     let Message::DecryptShare {
         iteration,
         member,
         width: key_width,
         partials,
-    } = &shares[0]
+    } = &share
     else {
         panic!("a member answers with a share vector");
     };
@@ -389,12 +496,10 @@ fn decrypt_round_share_of_another_width_is_one_counted_bad_frame() {
             width: *key_width,
             partials: partials.iter().cycle().take(width).cloned().collect(),
         };
-        requester.handle(0, resized, TraceContext::NONE, &mut out);
+        requester.handle(1, resized, TraceContext::NONE, &mut out);
         assert!(requester.awaiting_shares());
     }
-    for (m, share) in shares.iter().enumerate() {
-        requester.handle(m, share.clone(), TraceContext::NONE, &mut out);
-    }
+    requester.handle(1, share.clone(), TraceContext::NONE, &mut out);
     assert!(requester.step_done());
     let report = requester.into_report();
     assert_eq!(report.bad_frames, 3);
@@ -404,8 +509,8 @@ fn decrypt_round_share_of_another_width_is_one_counted_bad_frame() {
 
 /// A share must come from its sender: a reply names the share index the
 /// committee gives the member that sends it (node `j` holds share `j + 1`)
-/// and travels at the key's width. A reply from member 0 under member 1's
-/// index, and one of member 0's at another width, are one counted bad frame
+/// and travels at the key's width. A reply from member 1 under member 2's
+/// index, and one of member 1's at another width, are one counted bad frame
 /// each; the honest replies still complete the round, to the same bits.
 #[test]
 fn decrypt_round_forged_reply_is_one_counted_bad_frame() {
@@ -414,27 +519,28 @@ fn decrypt_round_forged_reply_is_one_counted_bad_frame() {
         parties: 3,
     });
     let values = contribution(&[0.25, 3.0, -1.0]);
-    // Member 2 holds its own share and asks member 0 for the other.
+    // The leader, member 0, holds its own share and asks member 1 for the
+    // other.
     let start = |out: &mut Vec<Outbound>| {
-        let mut requester = node(ctx, 2, &values, 71);
+        let mut requester = node(ctx, 0, &values, 71);
         requester.tick(out);
         requester
     };
     let mut out = Vec::new();
     let mut requester = start(&mut out);
-    assert_eq!(requested(&out), [0]);
+    assert_eq!(requested(&out), [1]);
     let request = out[0].1.clone();
-    let shares = [share_of(ctx, 0, 2, &request)];
+    let share = share_of(ctx, 1, 0, &request);
     let Message::DecryptShare {
         iteration,
         member,
         width,
         partials,
-    } = &shares[0]
+    } = &share
     else {
         panic!("a member answers with a share vector");
     };
-    assert_eq!(*member, 1, "node 0 holds share 1");
+    assert_eq!(*member, 2, "node 1 holds share 2");
     let forgeries = [(member + 1, *width), (*member, width + 1)];
     for (member, width) in forgeries {
         let forged = Message::DecryptShare {
@@ -443,17 +549,15 @@ fn decrypt_round_forged_reply_is_one_counted_bad_frame() {
             width,
             partials: partials.clone(),
         };
-        requester.handle(0, forged, TraceContext::NONE, &mut out);
+        requester.handle(1, forged, TraceContext::NONE, &mut out);
         assert!(
             requester.awaiting_shares(),
             "member {member}, width {width}"
         );
     }
     let mut honest = start(&mut Vec::new());
-    for (m, share) in shares.iter().enumerate() {
-        requester.handle(m, share.clone(), TraceContext::NONE, &mut out);
-        honest.handle(m, share.clone(), TraceContext::NONE, &mut out);
-    }
+    requester.handle(1, share.clone(), TraceContext::NONE, &mut out);
+    honest.handle(1, share.clone(), TraceContext::NONE, &mut out);
     let (report, honest) = (requester.into_report(), honest.into_report());
     assert_eq!(report.bad_frames, 2);
     let estimate = report
@@ -507,10 +611,13 @@ fn decrypt_round_non_member_asks_one_member_for_its_release_and_never_decrypts()
     }
 }
 
-/// A member answers a `ReleaseRequest` with the estimate it decrypted: one
-/// that arrives before its round is over waits for it, one after is
-/// answered at once. The non-member that asked adopts it bit for bit. A
-/// `ReleaseRequest` that reaches a non-member is ignored.
+/// The leader answers a `ReleaseRequest` with the estimate it decrypted:
+/// one that arrives before its round is over waits for it, one after is
+/// answered at once. A member that follows it serves the leader's
+/// `DecryptRequest`, adopts its release without a fold or a combine, and
+/// relays it to the non-members that asked it meanwhile. Every node ends
+/// with the leader's bits. A `ReleaseRequest` that reaches a non-member is
+/// ignored.
 #[test]
 fn decrypt_round_member_release_is_adopted_bit_for_bit() {
     let ctx = context(ThresholdParams {
@@ -519,30 +626,49 @@ fn decrypt_round_member_release_is_adopted_bit_for_bit() {
     });
     let values = contribution(&[0.25, 3.0, -1.0]);
     let mut out = Vec::new();
-    let mut member = node(ctx, 1, &values, 91);
-    member.tick(&mut out);
-    assert_eq!(requested(&out), [2]);
+    let mut leader = node(ctx, 0, &values, 91);
+    leader.tick(&mut out);
+    assert_eq!(requested(&out), [1]);
     let request = out[0].1.clone();
-    let mut adopter = node(ctx, 4, &values, 92);
-    out.clear();
-    adopter.tick(&mut out);
-    assert_eq!(release_requested(&out), [1]);
-    let ask = out[0].1.clone();
+    // Member 1 asks the leader; node 3's rotation reaches member 0, node
+    // 4's member 1.
+    let mut asks = Vec::new();
+    let mut askers: Vec<ProtocolNode> = [(1, 0), (3, 0), (4, 1)]
+        .into_iter()
+        .map(|(id, asked)| {
+            let mut asker = node(ctx, id, &values, 92 + id as u64);
+            out.clear();
+            asker.tick(&mut out);
+            assert_eq!(release_requested(&out), [asked], "node {id}");
+            assert_eq!(
+                out.len(),
+                1,
+                "node {id} asks for a release and nothing else"
+            );
+            asks.push(out[0].1.clone());
+            asker
+        })
+        .collect();
 
-    // Before the release is ready the request waits.
+    // Before a release is ready the requests wait, on the leader and on
+    // the member that follows it.
     out.clear();
-    member.handle(4, ask.clone(), TraceContext::NONE, &mut out);
+    leader.handle(1, asks[0].clone(), TraceContext::NONE, &mut out);
+    leader.handle(3, asks[1].clone(), TraceContext::NONE, &mut out);
+    askers[0].handle(4, asks[2].clone(), TraceContext::NONE, &mut out);
     assert!(out.is_empty(), "nothing to release yet: {out:?}");
-    member.handle(
-        2,
-        share_of(ctx, 2, 1, &request),
-        TraceContext::NONE,
-        &mut out,
-    );
-    assert!(member.step_done());
-    let [(4, release, _)] = &out[..] else {
-        panic!("the waiting request is answered, got {out:?}");
+    askers[0].handle(0, request, TraceContext::NONE, &mut out);
+    let [(0, share, _)] = &out[..] else {
+        panic!("member 1 serves the leader's request, got {out:?}");
     };
+    let share = share.clone();
+    out.clear();
+    leader.handle(1, share, TraceContext::NONE, &mut out);
+    assert!(leader.step_done());
+    let [(1, release, _), (3, to_three, _)] = &out[..] else {
+        panic!("both waiting requests are answered, got {out:?}");
+    };
+    assert_eq!(release, to_three);
     let release = release.clone();
     let Message::Release {
         iteration,
@@ -550,32 +676,47 @@ fn decrypt_round_member_release_is_adopted_bit_for_bit() {
         values: released,
     } = &release
     else {
-        panic!("a member answers with its release");
+        panic!("the leader answers with its release");
     };
-    assert_eq!((*iteration, *index), (ITERATION, 2), "node 1 holds share 2");
+    assert_eq!((*iteration, *index), (ITERATION, 1), "node 0 holds share 1");
     assert_eq!(released.len(), LAYOUT.total());
     // A repeated request (the asker's retry) is answered from the release.
     out.clear();
-    member.handle(4, ask.clone(), TraceContext::NONE, &mut out);
+    leader.handle(3, asks[1].clone(), TraceContext::NONE, &mut out);
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].1, release);
 
     out.clear();
-    adopter.handle(1, release, TraceContext::NONE, &mut out);
-    assert!(adopter.step_done());
-    assert!(out.is_empty());
-    let (member, adopter) = (member.into_report(), adopter.into_report());
-    assert_eq!(
-        bits(adopter.estimate.as_ref().expect("the release is adopted")),
-        bits(member.estimate.as_ref().expect("the member decrypted")),
+    askers[1].handle(0, release.clone(), TraceContext::NONE, &mut out);
+    askers[0].handle(0, release, TraceContext::NONE, &mut out);
+    let [(4, relayed, _)] = &out[..] else {
+        panic!("member 1 relays the release to node 4, got {out:?}");
+    };
+    let relayed = relayed.clone();
+    assert!(
+        matches!(relayed, Message::Release { member: 2, .. }),
+        "under member 1's share index"
     );
-    assert_eq!(adopter.bad_frames, 0);
-    assert_eq!(adopter.decrypt_ops, Default::default());
+    askers[2].handle(1, relayed, TraceContext::NONE, &mut out);
+    let leader = leader.into_report();
+    let want = bits(leader.estimate.as_ref().expect("the leader decrypted"));
+    for asker in askers {
+        let report = asker.into_report();
+        let id = report.id;
+        let estimate = report.estimate.as_ref().expect("the release is adopted");
+        assert_eq!(bits(estimate), want, "node {id}");
+        assert_eq!(report.bad_frames, 0, "node {id}");
+        let ops = report.decrypt_ops;
+        assert_eq!(ops.combinations, 0, "node {id} combines nothing");
+        let served = ops.partial_decryptions > 0;
+        assert_eq!(served, id == 1, "only member 1 served: node {id}");
+        assert_eq!(report.ops.pow2_scalings, 0, "no fold: node {id}");
+    }
 
     // A non-member has nothing to release and says nothing.
     let mut bystander = node(ctx, 3, &values, 93);
     out.clear();
-    bystander.handle(4, ask, TraceContext::NONE, &mut out);
+    bystander.handle(4, asks[2].clone(), TraceContext::NONE, &mut out);
     assert!(out.is_empty());
     assert_eq!(bystander.into_report().bad_frames, 0);
 }
@@ -585,8 +726,9 @@ fn decrypt_round_member_release_is_adopted_bit_for_bit() {
 /// foreign share), from a member it did not ask, for another iteration, of
 /// another length than the layout's or under another member's share index
 /// is one counted bad frame each and adopts nothing; the honest release
-/// still completes the round. A member asks nobody for a release, so any
-/// release that reaches it is unsolicited.
+/// still completes the round. The leader asks nobody for a release, so any
+/// release that reaches it is unsolicited; a member that follows it asks
+/// the leader alone, so one from another member is.
 #[test]
 fn decrypt_round_hostile_and_unsolicited_releases_are_counted_bad_frames() {
     let ctx = context(ThresholdParams {
@@ -629,38 +771,51 @@ fn decrypt_round_hostile_and_unsolicited_releases_are_counted_bad_frames() {
     let estimate = report.estimate.expect("the honest release is adopted");
     assert_eq!(estimate.counts, vec![0.5; LAYOUT.k]);
 
-    let mut member = node(ctx, 0, &values, 102);
-    member.handle(
+    let mut leader = node(ctx, 0, &values, 102);
+    leader.handle(
         1,
         release(ITERATION, 2, total),
         TraceContext::NONE,
         &mut out,
     );
-    member.tick(&mut out);
-    member.handle(
+    leader.tick(&mut out);
+    leader.handle(
         1,
         release(ITERATION, 2, total),
         TraceContext::NONE,
         &mut out,
     );
-    assert!(member.awaiting_shares());
-    assert_eq!(member.into_report().bad_frames, 2);
+    assert!(leader.awaiting_shares());
+    assert_eq!(leader.into_report().bad_frames, 2);
+
+    let mut follower = node(ctx, 2, &values, 103);
+    follower.tick(&mut out);
+    follower.handle(
+        1,
+        release(ITERATION, 2, total),
+        TraceContext::NONE,
+        &mut out,
+    );
+    assert!(follower.awaiting_shares());
+    follower.handle(
+        0,
+        release(ITERATION, 1, total),
+        TraceContext::NONE,
+        &mut out,
+    );
+    assert!(follower.step_done());
+    assert_eq!(follower.into_report().bad_frames, 1);
 }
 
-/// The committee rule's load on one honest, loss-free executor step: n = 16
-/// under a 2-of-3 committee, C ciphertexts a contribution. Every member
-/// computes at most C·t + C partial decryptions (its own snapshot and the
-/// one other member that asks it), every non-member none, and at most m
-/// distinct estimates come out of the step. The step's metrics carry the
-/// worst node: `crypto.partials_max` and `crypto.combines_max`.
-#[test]
-fn decrypt_round_worst_node_is_a_member_at_most_c_t_plus_c_partials() {
-    let params = ThresholdParams {
-        threshold: 2,
-        parties: 3,
-    };
+/// One honest executor step of `n` nodes at seed `seed`, `shards` 4, with
+/// scripted churn `events`.
+fn executor_step(
+    params: ThresholdParams,
+    n: usize,
+    seed: u64,
+    events: &[cs_net::ChurnEvent],
+) -> (cs_net::StepRun, u64) {
     let (config, crypto) = context(params);
-    let n = 16;
     let contributions: Vec<_> = (0..n)
         .map(|i| Some(contribution(&[i as f64 * 0.25, -1.0])))
         .collect();
@@ -668,32 +823,46 @@ fn decrypt_round_worst_node_is_a_member_at_most_c_t_plus_c_partials() {
         shards: 4,
         ..ShardedConfig::default()
     };
-    let run = run_step_sharded(config, &LAYOUT, &contributions, crypto, 13, &sharded, &[]);
-    let run = run.unwrap();
+    let run = run_step_sharded(
+        config,
+        &LAYOUT,
+        &contributions,
+        crypto,
+        seed,
+        &sharded,
+        events,
+    );
+    let c = crypto.step_cipher(config, &LAYOUT, n).unwrap().unwrap();
+    (run.unwrap(), c.ciphertexts() as u64)
+}
+
+const TWO_OF_THREE: ThresholdParams = ThresholdParams {
+    threshold: 2,
+    parties: 3,
+};
+
+/// The leader rule's load on one honest, loss-free executor step: n = 16
+/// under a 2-of-3 committee, C ciphertexts a contribution. No node computes
+/// more than C partial decryptions — the leader its own snapshot's, one
+/// other member the leader's — non-members none, and only the leader
+/// combines. The step's metrics carry the worst node:
+/// `crypto.partials_max` and `crypto.combines_max`.
+#[test]
+fn decrypt_round_worst_node_computes_at_most_c_partials() {
+    let (run, c) = executor_step(TWO_OF_THREE, 16, 13, &[]);
     assert!(run.outcome.estimates.iter().all(Option::is_some));
-    let c = crypto
-        .step_cipher(config, &LAYOUT, n)
-        .unwrap()
-        .unwrap()
-        .ciphertexts() as u64;
-    let t = params.threshold as u64;
     let partials: Vec<u64> = (run.reports.iter())
         .map(|r| r.decrypt_ops.partial_decryptions)
         .collect();
-    let (members, others) = partials.split_at(params.parties);
+    let (members, others) = partials.split_at(TWO_OF_THREE.parties);
     assert!(
-        members.iter().all(|&p| 0 < p && p <= c * t + c),
+        members.iter().all(|&p| p <= c),
         "members computed {members:?} partials, C = {c}"
     );
+    assert!(members[0] > 0, "the leader decrypted");
     assert!(others.iter().all(|&p| p == 0), "{others:?}");
-    let released: std::collections::BTreeSet<Vec<u64>> = (run.outcome.estimates.iter())
-        .map(|e| bits(e.as_ref().unwrap()))
-        .collect();
-    assert!(
-        released.len() <= params.parties,
-        "{} estimates",
-        released.len()
-    );
+    let combines = (run.reports.iter()).filter(|r| r.decrypt_ops.combinations > 0);
+    assert_eq!(combines.map(|r| r.id).collect::<Vec<_>>(), [0]);
     let worst =
         |of: fn(&cs_net::node::NodeReport) -> u64| run.reports.iter().map(of).max().unwrap() as i64;
     let gauge = |name| run.metrics.gauge(name);
@@ -705,7 +874,94 @@ fn decrypt_round_worst_node_is_a_member_at_most_c_t_plus_c_partials() {
         gauge("crypto.combines_max"),
         worst(|r| r.decrypt_ops.combinations)
     );
+    assert!(gauge("crypto.partials_max") <= c as i64);
     assert!(gauge("crypto.combines_max") <= c as i64);
+}
+
+/// Member 0's release on the step above at the commit before the leader
+/// rule, when every member decrypted its own snapshot: the same snapshot,
+/// combined exactly, so the leader's bits.
+const MEMBER_0_RELEASE: [u64; 16] = {
+    let (a, b) = (0x3ffd_c7bb_4671_655e, 0xbff0_0000_0000_0000);
+    [a, b, a, b, a, b, a, a, b, a, b, a, b, a, b, b]
+};
+
+/// A loss-free n = 16, 2-of-3 executor step decrypts once: the leader
+/// combines its folded width `w ≤ C`, the step computes `w·t` partials and
+/// `w` combines, and every node ends with the leader's estimate, bit for
+/// bit — the one release (`crypto.releases_distinct` = 1), which is what
+/// member 0 released before the leader rule.
+#[test]
+fn decrypt_round_one_leader_one_release_on_a_loss_free_step() {
+    let (run, c) = executor_step(TWO_OF_THREE, 16, 13, &[]);
+    let ops = &run.outcome.decrypt_ops;
+    let w = run.reports[0].decrypt_ops.combinations;
+    assert!(0 < w && w <= c);
+    assert_eq!(ops.combinations, w);
+    assert_eq!(ops.partial_decryptions, w * TWO_OF_THREE.threshold as u64);
+    assert_eq!(run.metrics.gauge("crypto.releases_distinct"), 1);
+    let leader = bits(run.outcome.estimates[0].as_ref().unwrap());
+    for (id, est) in run.outcome.estimates.iter().enumerate() {
+        assert_eq!(bits(est.as_ref().unwrap()), leader, "node {id}");
+    }
+    assert_eq!(leader, MEMBER_0_RELEASE);
+}
+
+/// The leader, node 0, dies silently as its gossip ends: nobody learns of
+/// it, so members 1 and 2 wait on it, re-ask once, and each leads itself
+/// on its second retry. Every live node still ends with an estimate, at
+/// most two estimates exist, and the partials stay within the two
+/// failover decryptions' `2·C·t`. Had node 0 died a moment later, after
+/// opening its round, its own partials and member 1's reply to it would
+/// come on top: at most `C·t` more.
+#[test]
+fn decrypt_round_survives_a_silent_crash_of_the_leader() {
+    let t = TWO_OF_THREE.threshold as u64;
+    let last_tick =
+        ShardedConfig::default().push_interval * (context(TWO_OF_THREE).0.gossip_cycles as u32 - 1);
+    for (after, extra) in [(last_tick, 0), (last_tick + Duration::from_micros(1), 1)] {
+        let events = ChurnSchedule::none().crash(0, after, 0).for_step(0);
+        let (run, c) = executor_step(TWO_OF_THREE, 16, 13, &events);
+        assert!(!run.outcome.alive_after[0]);
+        for (id, est) in run.outcome.estimates.iter().enumerate().skip(1) {
+            assert!(
+                est.is_some(),
+                "node {id} has no estimate, crash at {after:?}"
+            );
+        }
+        let releases = run.metrics.gauge("crypto.releases_distinct");
+        assert!((1..=2).contains(&releases), "{releases} releases");
+        let partials = run.outcome.decrypt_ops.partial_decryptions;
+        let opened = run.reports[0].decrypt_ops.partial_decryptions;
+        assert_eq!(opened > 0, extra == 1, "crash at {after:?}");
+        assert!(
+            partials <= (2 + extra) * c * t,
+            "{partials} partials, C = {c}, crash at {after:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Whatever the committee's shape, a loss-free round computes exactly
+    /// `C·t` partials — C the leader's folded width — and makes one
+    /// release.
+    #[test]
+    fn decrypt_round_one_release_for_every_committee_shape(
+        (parties, threshold) in (2usize..=5).prop_flat_map(|m| (Just(m), 2..=m)),
+        seed in 0u64..1_000,
+    ) {
+        let params = ThresholdParams { threshold, parties };
+        let (run, c) = executor_step(params, 8, seed, &[]);
+        prop_assert!(run.outcome.estimates.iter().all(Option::is_some));
+        let ops = &run.outcome.decrypt_ops;
+        let w = run.reports[0].decrypt_ops.combinations;
+        prop_assert!(0 < w && w <= c);
+        prop_assert_eq!(ops.combinations, w);
+        prop_assert_eq!(ops.partial_decryptions, w * threshold as u64);
+        prop_assert_eq!(run.metrics.gauge("crypto.releases_distinct"), 1);
+    }
 }
 
 /// Every (node, push) pairing: a push in the node's own dialect is absorbed,
@@ -773,9 +1029,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Threshold combining is exact over any `t`-subset: whichever members
-    /// answer, in whatever order, the member decodes the same bits. This is
-    /// what lets the round ask `t − 1` members chosen by rotation and accept
-    /// a hedged reply in place of a lost one without the estimate noticing.
+    /// answer, in whatever order, the member that leads decodes the same
+    /// bits — the leader, or a member that led itself after two retries.
+    /// This is what lets the round ask `t − 1` members chosen by rotation
+    /// and accept a hedged reply in place of a lost one without the
+    /// estimate noticing.
     #[test]
     fn decrypt_round_estimate_is_identical_for_every_subset_and_arrival_order(
         three_of_five in any::<bool>(),
@@ -790,6 +1048,7 @@ proptest! {
         };
         let ctx = context(params);
         // Only a member decrypts: it holds one share and asks for the rest.
+        // Member 0 leads; any other leads itself on its second retry.
         let id = requester_id % params.parties;
         let values = contribution(&values);
         let others: Vec<NodeId> = (0..params.parties).filter(|&m| m != id).collect();
@@ -798,6 +1057,11 @@ proptest! {
         let start = |out: &mut Vec<Outbound>| {
             let mut requester = node(ctx, id, &values, seed);
             requester.tick(out);
+            if id != 0 {
+                requester.retry_decrypt(out);
+                out.clear();
+                requester.retry_decrypt(out);
+            }
             requester
         };
         let mut out = Vec::new();

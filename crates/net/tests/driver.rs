@@ -386,25 +386,25 @@ fn a_frame_at_or_after_a_scripted_crash_is_lost_and_uncounted() {
 /// order before a frame handed over at that instant, whether the host fires
 /// the `Churn` timer first (the executor's event order) or only hands over
 /// the frame (a wall-clock pump mid-turn): the node announces itself, then
-/// serves the request, identically. The request is member 2's, which asks
-/// member 0 for the share its own does not cover.
+/// serves the request, identically. The request is the leader's, member
+/// 0's, which asks member 1 for the share its own does not cover.
 #[test]
 fn frames_at_a_crash_then_rejoin_instant_follow_the_script_on_both_clockings() {
     let back = 3 * MS;
     let script = vec![(back, ChurnKind::Crash), (back, ChurnKind::Rejoin)];
     let mut requests = Vec::new();
-    driver(2, 0, true).poll(0, &mut requests);
+    driver(0, 0, true).poll(0, &mut requests);
     let (to, request, _) = requests.swap_remove(0);
-    assert!(matches!(request, Message::DecryptRequest { .. }) && to == 0);
+    assert!(matches!(request, Message::DecryptRequest { .. }) && to == 1);
     let logs = [true, false].map(|fire_first| {
-        let mut member = scripted(0, 10, true, script.clone());
+        let mut member = scripted(1, 10, true, script.clone());
         let mut out = Vec::new();
         member.poll(0, &mut out);
         out.clear();
         if fire_first {
             assert!(member.fire(Timer::Churn, back, &mut out));
         }
-        member.deliver(2, request.clone(), TraceContext::NONE, back, &mut out);
+        member.deliver(0, request.clone(), TraceContext::NONE, back, &mut out);
         assert!(member.is_alive());
         assert_eq!(member.armed().at(Timer::Churn), None);
         out
@@ -412,7 +412,7 @@ fn frames_at_a_crash_then_rejoin_instant_follow_the_script_on_both_clockings() {
     assert_eq!(logs[0], logs[1]);
     let joins = count(&logs[0], |m| matches!(m, Message::Join { .. }));
     assert_eq!(joins, 4);
-    assert!(matches!(logs[0][4], (2, Message::DecryptShare { .. }, _)));
+    assert!(matches!(logs[0][4], (0, Message::DecryptShare { .. }, _)));
     assert_eq!(logs[0].len(), 5);
 }
 

@@ -3,7 +3,7 @@
 //! form in public inputs: per frame, its header plus its element count
 //! times the key width `byte_len(n^(s+1))`. No ciphertext value enters the
 //! sum — the element counts come from the nodes' reports (pushes sent, the
-//! ciphertexts a committee member's snapshot folded to), the width from the
+//! ciphertexts the leader's snapshot folded to), the width from the
 //! key; a release is the layout's values, 8 bytes each.
 //! A decryption frame names the key width; a push names none and travels
 //! at its widest ciphertext's length, which is the key width unless every
@@ -77,16 +77,16 @@ fn bytes_are_a_closed_form(modulus_bits: usize, key_width: u64) {
         "{modulus_bits}-bit key"
     );
 
-    // A member asks `threshold − 1` other members for its folded snapshot
-    // of `w` ciphertexts; each answers `w` partials under its share index.
-    // Every other node asks one member for its release and gets the
-    // layout's values back, 8 bytes each.
+    // The leader, member 0, asks `threshold − 1` other members for its
+    // folded snapshot of `w` ciphertexts; each answers `w` partials under
+    // its share index. Every other node asks one member for its release and
+    // gets the layout's values back, 8 bytes each.
     let params = config.threshold;
     let release_request = HEADER + 8;
     let release = HEADER + 8 + 8 + 4 + 8 * LAYOUT.total() as u64;
     let (mut frames, mut bytes) = (0, 0);
     for report in &run.reports {
-        if report.id >= params.parties {
+        if report.id != 0 {
             frames += 2;
             bytes += release_request + release;
             continue;

@@ -355,7 +355,8 @@ impl ClusterBackend {
     }
 
     /// Cluster-summed metrics delta of the most recent step, with the
-    /// step's worst node (`crypto.partials_max`, `crypto.combines_max`).
+    /// step's worst node (`crypto.partials_max`, `crypto.combines_max`) and
+    /// its distinct estimates (`crypto.releases_distinct`).
     pub fn last_metrics(&self) -> Option<&MetricsSnapshot> {
         self.last.as_ref().map(|last| &last.2)
     }
@@ -691,10 +692,11 @@ impl ComputationBackend for ClusterBackend {
         let outcome = assemble_outcome(&reports, alive_after, &total);
         self.steps_run += 1;
         self.metrics_total = self.metrics_total.plus(&metrics_step);
-        // The worst node is a maximum over the reports, not a sum: booked
-        // here, into the step's metrics only (a scrape sums to the total).
+        // The worst node and the distinct releases are a maximum and a
+        // count over the reports, not sums: booked here, into the step's
+        // metrics only (a scrape sums to the total).
         let worst = cs_obs::Registry::new();
-        book_worst_node(&reports, &worst);
+        book_worst_node(&reports, &outcome.estimates, &worst);
         let metrics_step = metrics_step.plus(&worst.snapshot());
         self.last = Some((reports, total, metrics_step));
         Ok(outcome)

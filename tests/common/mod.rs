@@ -246,50 +246,47 @@ pub fn crash_mid_gossip(
     (out, view)
 }
 
-/// Row `decrypt_round_count_parity`: fault-free on an ideal link, the
-/// committee computes exactly the partial decryptions its members' combines
-/// read — `threshold` vectors per member, each as wide as its snapshot
-/// folds to, the cost model's `Σ wᵢ·t` — and nobody else decrypts; a node
-/// encrypts, and re-randomizes on every push, exactly its contribution's
-/// ciphertexts. Returns the run, the push's ciphertexts, the members' widths.
+/// Row `decrypt_round_count_parity`: fault-free on an ideal link, one node
+/// decrypts — the leader, node 0 — and the committee computes exactly the
+/// partial decryptions its combine reads: `threshold` vectors as wide as
+/// its snapshot folds to, the cost model's `w·t`, none wider on any node;
+/// nobody else combines, and every node ends with the leader's release. A
+/// node encrypts, and re-randomizes on every push, exactly its
+/// contribution's ciphertexts. Returns the run, the push's ciphertexts,
+/// the leader's width.
 pub fn decrypt_round_count_parity(
     engine: &Engine,
     series: &[TimeSeries],
     host: &mut impl Host,
-) -> (RunOutput, View, usize, Vec<usize>) {
+) -> (RunOutput, View, usize, usize) {
     let (out, view) = run(engine, series, host);
-    let n = view.reports.len();
-    let missing: Vec<usize> = (0..n)
-        .filter(|&id| !view.alive_after[id] || view.reports[id].estimate.is_none())
-        .collect();
-    assert!(missing.is_empty(), "nodes without an estimate: {missing:?}");
-    // A member combines one plaintext per ciphertext it had decrypted: its
-    // folded width wᵢ, somewhere on the grid ⌈ciphertexts/g⌉.
+    // The leader combines one plaintext per ciphertext it had decrypted:
+    // its folded width w, somewhere on the grid ⌈ciphertexts/g⌉; it and the
+    // t − 1 members it asks compute w partials each.
     let ciphertexts = view.reports[0].ops.encryptions as usize;
-    let parties = engine.config().threshold.parties.min(n);
-    let (members, others) = view.reports.split_at(parties);
-    let widths: Vec<usize> = (members.iter())
-        .map(|r| r.decrypt_ops.combinations as usize)
-        .collect();
-    for (id, &w) in widths.iter().enumerate() {
-        assert!(
-            (1..=ciphertexts).any(|g| ciphertexts.div_ceil(g) == w),
-            "member {id} asked for {w} of {ciphertexts} ciphertexts"
-        );
-    }
-    assert!(others.iter().all(|r| r.decrypt_ops == Default::default()));
-    let partials = members.iter().map(|r| r.decrypt_ops.partial_decryptions);
-    let t = engine.config().threshold.threshold;
-    let model = chiaroscuro::cost::synthesize_decrypt_ops(&widths, t, 0, 0, 0);
-    assert_eq!(partials.sum::<u64>(), model.partial_decryptions, "Σ wᵢ·t");
+    let parties = engine.config().threshold.parties.min(view.reports.len());
+    let width = view.reports[0].decrypt_ops.combinations as usize;
+    let on_grid = (1..=ciphertexts).any(|g| ciphertexts.div_ceil(g) == width);
+    let decoded = view.reports[0].estimate.is_some();
+    assert!(on_grid && decoded, "leader: {width} of {ciphertexts}");
+    let mut partials = 0;
     for r in &view.reports {
-        let id = r.id;
+        let (id, ops) = (r.id, r.decrypt_ops);
+        let most = if id < parties { width as u64 } else { 0 };
+        assert!(ops.partial_decryptions <= most, "node {id}: {ops:?}");
+        assert_eq!(ops.combinations, if id == 0 { width as u64 } else { 0 });
+        partials += ops.partial_decryptions;
+        let estimate = r.estimate.as_ref().filter(|_| view.alive_after[id]);
+        assert_eq!(estimate, view.reports[0].estimate.as_ref(), "node {id}");
         assert_eq!(r.ops.encryptions, ciphertexts as u64, "node {id}");
         let rerandomized = (r.pushes_sent * ciphertexts) as u64;
         assert_eq!(r.ops.rerandomizations, rerandomized, "node {id}");
         assert_eq!(r.bad_frames, 0, "node {id}");
     }
-    (out, view, ciphertexts, widths)
+    let t = engine.config().threshold.threshold;
+    let model = chiaroscuro::cost::synthesize_decrypt_ops(Some(width), t, 0, 0, 0);
+    assert_eq!(partials, model.partial_decryptions, "w·t");
+    (out, view, ciphertexts, width)
 }
 
 /// Row `plain_matches_the_simulator`: two iterations of simulated crypto

@@ -130,10 +130,11 @@ fn final_centroids_are_usable_for_matching() {
     assert!(matches[0].distance <= matches[1].distance);
 }
 
-/// A cluster's step metrics carry its worst node, booked by the
-/// coordinator over the daemons' reports (a maximum is no sum of the
-/// daemons' deltas): only the three committee members decrypt, so the
-/// worst node is one of them.
+/// A cluster's step metrics carry its worst node and its distinct
+/// releases, booked by the coordinator over the daemons' reports (a
+/// maximum or a count is no sum of the daemons' deltas): only the leader
+/// and the member it asks decrypt, so the worst node is a committee
+/// member, and every daemon ends with the leader's release.
 #[test]
 fn decrypt_round_worst_node_is_booked_by_the_cluster() {
     let (series, _) = blobs(5, 3, 21);
@@ -164,6 +165,7 @@ fn decrypt_round_worst_node_is_booked_by_the_cluster() {
         worst(|d| d.combinations)
     );
     assert!(partials > 0);
+    assert_eq!(metrics.gauge("crypto.releases_distinct"), 1);
     assert!(reports[3..]
         .iter()
         .all(|r| r.decrypt_ops == Default::default()));
