@@ -46,6 +46,10 @@ pub enum CryptoMode {
 /// of ε for each.
 pub const MAX_ITERATIONS: usize = 1_000;
 
+/// Fixed-point fractional bits of the plaintext encoding: a fixed parameter
+/// of the encryption scheme, the same on every host and every run.
+pub const CODEC_SCALE_BITS: u32 = 20;
+
 /// Full engine configuration.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ChiaroscuroConfig {
@@ -82,8 +86,6 @@ pub struct ChiaroscuroConfig {
     /// key committee (the demo's "number of participants required for
     /// decryption").
     pub threshold: ThresholdParams,
-    /// Fixed-point fractional bits for plaintext encoding.
-    pub codec_scale_bits: u32,
     /// Re-randomize ciphertexts before each forward (hides which ciphertexts
     /// are trivial zero encryptions). Ignored in simulated mode except for
     /// cost.
@@ -125,7 +127,6 @@ impl ChiaroscuroConfig {
                 threshold: 2,
                 parties: 3,
             },
-            codec_scale_bits: 20,
             rerandomize: true,
             packing: false,
             gossip_cycles: 12,
@@ -154,7 +155,6 @@ impl ChiaroscuroConfig {
                 threshold: 5,
                 parties: 16,
             },
-            codec_scale_bits: 20,
             rerandomize: true,
             packing: false,
             gossip_cycles: 30,
@@ -182,9 +182,6 @@ impl ChiaroscuroConfig {
         }
         if self.threshold.validate().is_err() {
             return fail("threshold must satisfy 1 <= threshold <= parties");
-        }
-        if self.codec_scale_bits > 60 {
-            return fail("codec_scale_bits too large for the value headroom");
         }
         if let CryptoMode::Simulated { modulus_bits, s } = self.crypto {
             if modulus_bits == 0 || s == 0 || modulus_bits.checked_mul(s as usize + 1).is_none() {

@@ -18,7 +18,7 @@
 //! counters per ciphertext of that same lane plan — the demo's own trick.
 //! Real crypto runs on `cs_net`'s message-passing hosts.
 
-use crate::config::{ChiaroscuroConfig, CryptoMode};
+use crate::config::{ChiaroscuroConfig, CryptoMode, CODEC_SCALE_BITS};
 use crate::cost::{synthesize_decrypt_ops, synthesize_ops, DecryptionOps};
 use crate::engine::{local_chunks, map_chunked};
 use crate::error::ChiaroscuroError;
@@ -84,7 +84,7 @@ impl CryptoContext {
                 Ok(CryptoContext::Real {
                     tkp: Box::new(tkp),
                     pk,
-                    codec: FixedPointCodec::new(config.codec_scale_bits),
+                    codec: FixedPointCodec::new(CODEC_SCALE_BITS),
                     fast: Some(fast),
                     plans: Arc::new(CombinePlanCache::new()),
                 })
@@ -96,12 +96,10 @@ impl CryptoContext {
         }
     }
 
-    /// The decryption committee of a `population`-node run: the first
-    /// `parties` nodes, in share order — the dealer hands share `j` to node
-    /// `j`. Empty in simulated mode.
+    /// The run's decryption [`committee`]; empty in simulated mode.
     pub fn committee(&self, population: usize) -> Vec<usize> {
         match self {
-            CryptoContext::Real { tkp, .. } => (0..tkp.params().parties.min(population)).collect(),
+            CryptoContext::Real { tkp, .. } => committee(tkp.params().parties, population),
             CryptoContext::Simulated { .. } => Vec::new(),
         }
     }
@@ -124,6 +122,13 @@ impl CryptoContext {
             CryptoContext::Simulated { .. } => Ok(None),
         }
     }
+}
+
+/// The decryption committee of a `population`-node run keyed for `parties`
+/// shares: the first `parties` nodes, in share order — the dealer hands
+/// share `j` to node `j`.
+pub fn committee(parties: usize, population: usize) -> Vec<usize> {
+    (0..parties.min(population)).collect()
 }
 
 /// The smallest denominator cap a lane plan may enforce on a schedule of
@@ -240,7 +245,7 @@ impl StepCipher {
         layout: &SlotLayout,
         population: usize,
     ) -> Result<Self, ChiaroscuroError> {
-        let fp = FixedPointCodec::new(config.codec_scale_bits);
+        let fp = FixedPointCodec::new(CODEC_SCALE_BITS);
         let codec = lane_plan(config, &fp, layout, population, pk.n_s().bit_len())?;
         Ok(StepCipher {
             pk: pk.clone(),
@@ -511,7 +516,7 @@ pub(crate) fn simulate_step(
         ));
     };
     let dim = layout.total();
-    let fp = FixedPointCodec::new(config.codec_scale_bits);
+    let fp = FixedPointCodec::new(CODEC_SCALE_BITS);
     let ciphertexts =
         lane_plan(config, &fp, layout, contributions.len(), plaintext_bits)?.ciphertexts_for(dim);
     let mut phases = PhaseProfile::default();
@@ -687,7 +692,7 @@ mod tests {
         // The demo's 2 048-bit, s = 1 key shape: `n²`'s 512 B a ciphertext
         // and a 2 048-bit plan, what `sim_cer_4k`'s byte accounting rests on.
         assert_eq!((ciphertext_bytes, plaintext_bits), (512, 2048));
-        let fp = FixedPointCodec::new(config.codec_scale_bits);
+        let fp = FixedPointCodec::new(CODEC_SCALE_BITS);
         let ciphertexts = lane_plan(&config, &fp, &layout, 40, plaintext_bits)
             .unwrap()
             .ciphertexts_for(layout.total());

@@ -95,6 +95,11 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
+/// Virtual epoch quantum, nanoseconds: cross-shard deliveries become
+/// visible at the next multiple of it. A smaller quantum would interleave
+/// shards more finely at the cost of more barriers.
+const EPOCH_NS: u64 = 250_000;
+
 /// Tuning knobs of the sharded executor. All durations are **virtual
 /// time** — they shape the simulated timeline, not wall-clock, and cost
 /// nothing to skip over.
@@ -118,10 +123,6 @@ pub struct ShardedConfig {
     pub link: LinkConfig,
     /// Virtual pacing between a node's gossip pushes.
     pub push_interval: Duration,
-    /// Virtual epoch quantum: cross-shard deliveries become visible at the
-    /// next multiple of this. Smaller quanta interleave shards more finely
-    /// at the cost of more barriers.
-    pub epoch: Duration,
     /// How long (virtual) a node waits in the decryption round before
     /// giving up with no estimate.
     pub decrypt_deadline: Duration,
@@ -149,7 +150,6 @@ impl Default for ShardedConfig {
             workers: 0,
             link: LinkConfig::ideal(),
             push_interval: Duration::from_millis(1),
-            epoch: Duration::from_micros(250),
             decrypt_deadline: Duration::from_secs(5),
             step_timeout: Duration::from_secs(60),
             churn: crate::churn::ChurnSchedule::none(),
@@ -184,9 +184,6 @@ impl ShardedConfig {
         }
         if self.shards == 0 {
             return fail("sharded executor needs at least one shard");
-        }
-        if self.epoch.is_zero() {
-            return fail("epoch quantum must be positive");
         }
         if self.push_interval.is_zero() {
             return fail("push_interval must be positive");
@@ -307,10 +304,10 @@ struct Shard {
 
 impl Shard {
     /// A shard with no nodes yet, its calendar bucketed by the epoch
-    /// quantum (nanoseconds), so that a window is exactly one bucket.
-    fn new(shard_count: usize, quantum: u64) -> Self {
+    /// quantum, so that a window is exactly one bucket.
+    fn new(shard_count: usize) -> Self {
         Shard {
-            queue: Calendar::new(quantum),
+            queue: Calendar::new(EPOCH_NS),
             slots: Vec::new(),
             counters: [[0; 3]; 3],
             in_shard: 0,
@@ -397,8 +394,7 @@ struct Exec<'a> {
     injector: AtomicUsize,
     coord: Coord,
     workers: usize,
-    /// Virtual epoch quantum and step deadline, nanoseconds.
-    quantum: u64,
+    /// Virtual step deadline, nanoseconds.
     timeout: u64,
     /// `exec.epochs`: epoch windows driven to completion. Like the
     /// counters the shards carry and `exec.queue.depth`, **deterministic**:
@@ -454,7 +450,6 @@ impl<'a> Exec<'a> {
                 epoch_hint: AtomicU64::new(0),
             },
             workers,
-            quantum: sharded.epoch.as_nanos() as u64,
             timeout: sharded.step_timeout.as_nanos() as u64,
             step_seed,
             loss: sharded.link.loss,
@@ -662,7 +657,7 @@ impl<'a> Exec<'a> {
                 coord.shut_down(state);
                 return None;
             };
-            let window_end = next - next % self.quantum + self.quantum;
+            let window_end = next - next % EPOCH_NS + EPOCH_NS;
             self.injector.store(0, Ordering::SeqCst);
             state.epoch += 1;
             state.window_end = window_end;
@@ -745,9 +740,8 @@ pub fn run_step_sharded(
         members[shard].push(node);
     }
 
-    let quantum = sharded.epoch.as_nanos() as u64;
     let shards: Vec<Mutex<Shard>> = (0..shard_count)
-        .map(|_| Mutex::new(Shard::new(shard_count, quantum)))
+        .map(|_| Mutex::new(Shard::new(shard_count)))
         .collect();
     let mailboxes: Vec<Mailbox> = (0..shard_count).map(|_| Mailbox::default()).collect();
 
@@ -957,7 +951,7 @@ mod tests {
     #[test]
     fn buffer_pool_is_capped_at_the_shard_node_count() {
         let sharded = ShardedConfig::default();
-        let mut shard = Shard::new(1, sharded.epoch.as_nanos() as u64);
+        let mut shard = Shard::new(1);
         let values = vec![1.0; layout().total()];
         for id in 0..3 {
             let params = NodeParams::for_step(id, 3, 9, 4, Vec::new(), None);
@@ -1119,7 +1113,7 @@ mod tests {
                     ));
                     trace = Some((clock.clone(), tracer.clone()));
                 }
-                let mut shard = Shard::new(2, sharded.epoch.as_nanos() as u64);
+                let mut shard = Shard::new(2);
                 let driver =
                     NodeDriver::new(node, &timing, id == 0 || destination_alive, Vec::new());
                 shard.slots.push(Slot::new(driver, trace));
@@ -1311,21 +1305,22 @@ mod tests {
         assert_eq!(run.metrics.gauge("crypto.releases_distinct"), 1);
     }
 
-    /// A 5 % lossy cross-shard link: every node still ends with an
-    /// estimate, and the committee computes more partial decryptions than
-    /// its combines read only where a retry fired — a leader whose round
+    /// A lossy cross-shard link: every node still ends with an estimate,
+    /// and the committee computes more partial decryptions than its
+    /// combines read only where a retry fired — a leader whose round
     /// outlived one retry interval widened to the `parties − t` members it
     /// had held back, and a member that waited out two retries with no
     /// release led a decryption of its own; a non-member's hedge buys only
     /// releases. A second release exists only where such a failover fired.
-    #[test]
-    fn decrypt_round_on_a_lossy_link_pays_only_for_the_hedges_that_fired() {
-        let step = Step::new(Crypto::Packed, 8, 16, [91, 92, 93]);
+    /// Returns the hedged partials, the failovers and the members other
+    /// than node 0 that combined.
+    fn lossy_decrypt_round(seeds: [u64; 3], loss: f64) -> (u64, u64, usize) {
+        let step = Step::new(Crypto::Packed, 8, 16, seeds);
         let cfg = ShardedConfig {
             shards: 8,
             trace: true,
             link: LinkConfig {
-                loss: 0.05,
+                loss,
                 ..LinkConfig::ideal()
             },
             ..ShardedConfig::default()
@@ -1373,6 +1368,24 @@ mod tests {
             .reports
             .iter()
             .all(|r| r.decrypt_audit.undersized_combines == 0));
+        let led = run.reports[1..m]
+            .iter()
+            .filter(|r| r.decrypt_ops.combinations > 0)
+            .count();
+        (hedged, failovers, led)
+    }
+
+    /// At 5 % loss on seeds [91, 92, 93] no bound binds: the stalled node
+    /// hedges nothing and no member fails over. At 20 % on seeds [115, 116,
+    /// 117] the bounds hold where they bind: members lead after two retries
+    /// and a slow leader's held-back members compute hedged partials.
+    #[test]
+    fn decrypt_round_on_a_lossy_link_pays_only_for_the_hedges_that_fired() {
+        lossy_decrypt_round([91, 92, 93], 0.05);
+        let (hedged, failovers, led) = lossy_decrypt_round([115, 116, 117], 0.2);
+        assert!(hedged > 0, "no hedged partial at 20 % loss");
+        assert!(failovers > 0, "no member waited out two retries");
+        assert!(led > 0, "no member other than node 0 led a decryption");
     }
 
     /// Fault-free, one node decrypts: the leader, member 0, combines its

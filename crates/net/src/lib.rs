@@ -104,6 +104,6 @@ pub use churn::{ChurnEvent, ChurnKind, ChurnSchedule};
 pub use executor::{run_step_sharded, ShardedConfig};
 pub use node::FaultSpec;
 pub use runtime::{run_step_over_tcp, NetBackend, NetConfig, StepRun};
-pub use tcp::{FrameReassembler, PeerDirectory, TcpEndpoint, TcpRecord, TcpTransport, TcpTuning};
+pub use tcp::{FrameReassembler, PeerDirectory, TcpEndpoint, TcpRecord, TcpTransport};
 pub use transport::{Envelope, LinkConfig, NetError};
 pub use wire::{decode_frame, encode_frame, FrameClass, Message, WireError, WIRE_VERSION};

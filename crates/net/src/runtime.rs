@@ -15,7 +15,7 @@ use crate::churn::ChurnSchedule;
 use crate::driver::{NodeDriver, Timing};
 use crate::executor::ShardedConfig;
 use crate::node::{FaultSpec, NodeCrypto, NodeParams, NodeReport, Outbound, ProtocolNode};
-use crate::tcp::{TcpTransport, TcpTuning};
+use crate::tcp::TcpTransport;
 use crate::transport::{LinkConfig, NodeId, TrafficSnapshot};
 use crate::wire::{decode_frame_traced, encode_frame_traced, TraceContext};
 use chiaroscuro::backend::ComputationBackend;
@@ -325,14 +325,8 @@ pub fn run_step_over_tcp(
     let scripts = crate::churn::split(step_churn, n)?;
     let registry = cs_obs::Registry::new();
     let transport = Arc::new(
-        TcpTransport::loopback(
-            n,
-            net.link.clone(),
-            step_seed,
-            TcpTuning::default(),
-            Some(&registry),
-        )
-        .map_err(|e| ChiaroscuroError::Transport(format!("tcp loopback bind: {e}")))?,
+        TcpTransport::loopback(n, net.link.clone(), step_seed, Some(&registry))
+            .map_err(|e| ChiaroscuroError::Transport(format!("tcp loopback bind: {e}")))?,
     );
     let started = Instant::now();
 

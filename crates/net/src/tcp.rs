@@ -76,7 +76,7 @@
 //!   word keeps concurrent drainers exclusive (see
 //!   `TcpInner::drain_inbound`).
 //! * **Backpressure.** The outbound queue is bounded
-//!   ([`TcpTuning::writer_queue_cap`]); beyond it the link counts as
+//!   ([`WRITER_QUEUE_CAP`] records); beyond it the link counts as
 //!   congested-to-death and the frame is dropped at enqueue, surfaced by
 //!   the `tcp.writer.overflow` counter and reclassified in the snapshot.
 //!
@@ -122,9 +122,10 @@ const RECORD_HEADER_BYTES: usize = 8;
 /// [`WireError::RecordTooLarge`] before any buffer is sized from it.
 pub const MAX_RECORD_LEN: usize = RECORD_HEADER_BYTES + 4 + MAX_FRAME_BYTES;
 
-/// Default outbound queue capacity per destination (records). Beyond it the
-/// link is treated as congested-to-death and frames are dropped (counted).
-const WRITER_QUEUE_CAP: usize = 8192;
+/// Outbound queue capacity per destination, in records. Beyond it the link
+/// counts as congested-to-death: the frame is dropped at enqueue
+/// (`tcp.writer.overflow`) and reclassified as lost.
+pub const WRITER_QUEUE_CAP: usize = 8192;
 
 /// Reactor pool size: one thread to own the listener plus one more so
 /// inbound service and outbound flushing overlap. O(pool) threads serve any
@@ -287,25 +288,6 @@ impl PeerDirectory {
     }
 }
 
-/// Tuning knob for the TCP reactor. The default serves every benchmark in
-/// the workspace; tests shrink the queue to force backpressure
-/// deterministically.
-#[derive(Clone, Copy, Debug)]
-pub struct TcpTuning {
-    /// Outbound queue capacity per destination, in records. Beyond it the
-    /// link counts as congested-to-death: the frame is dropped at enqueue
-    /// (`tcp.writer.overflow`) and reclassified as lost.
-    pub writer_queue_cap: usize,
-}
-
-impl Default for TcpTuning {
-    fn default() -> Self {
-        TcpTuning {
-            writer_queue_cap: WRITER_QUEUE_CAP,
-        }
-    }
-}
-
 /// A bound-but-not-yet-wired TCP endpoint.
 ///
 /// Splitting bind from wiring matters for the daemon bootstrap: a
@@ -340,11 +322,10 @@ impl TcpEndpoint {
         directory: PeerDirectory,
         cfg: LinkConfig,
         seed: u64,
-        tuning: TcpTuning,
         registry: Option<&Registry>,
     ) -> TcpTransport {
         let metrics = registry.map(TcpMetrics::new);
-        TcpTransport::start(self.listener, local, directory, cfg, seed, tuning, metrics)
+        TcpTransport::start(self.listener, local, directory, cfg, seed, metrics)
     }
 }
 
@@ -412,7 +393,7 @@ enum ConnState {
 struct PeerOut {
     state: ConnState,
     /// Encoded records awaiting the socket, bounded by
-    /// [`TcpTuning::writer_queue_cap`].
+    /// [`WRITER_QUEUE_CAP`].
     queue: VecDeque<(FrameClass, Vec<u8>)>,
     /// Bytes of `queue.front()` already written — partial-write resumption
     /// point. Reset to 0 when a connection dies, replaying the front
@@ -502,7 +483,6 @@ struct TcpInner {
     /// pairing against ([`ReadBack::Probe`]). The owning reactor removes
     /// an entry when it retires the connection.
     in_by_peer: Mutex<HashMap<SocketAddr, Arc<Inbound>>>,
-    tuning: TcpTuning,
     shutdown: AtomicBool,
     /// Gate + bell for `recv_timeout` against a node this transport does
     /// not host: the wait parks here (interruptible, deadline-bounded)
@@ -624,7 +604,7 @@ impl TcpInner {
     /// send to the reactor's scheduling latency).
     fn submit(&self, to: NodeId, class: FrameClass, record: Vec<u8>) -> bool {
         let mut st = plock(&self.peers[to]);
-        if st.queue.len() >= self.tuning.writer_queue_cap {
+        if st.queue.len() >= WRITER_QUEUE_CAP {
             return false;
         }
         let was_empty = st.queue.is_empty();
@@ -903,30 +883,27 @@ impl TcpTransport {
     /// One-call constructor for the in-process loopback substrate: binds an
     /// ephemeral localhost listener and hosts the *entire* population of
     /// `n` nodes behind it, so every exchange crosses a real kernel socket
-    /// while the node threads stay in one process. `tuning` and `registry`
-    /// as in [`TcpEndpoint::into_transport`].
+    /// while the node threads stay in one process. `registry` as in
+    /// [`TcpEndpoint::into_transport`].
     pub fn loopback(
         n: usize,
         cfg: LinkConfig,
         seed: u64,
-        tuning: TcpTuning,
         registry: Option<&Registry>,
     ) -> io::Result<TcpTransport> {
         let endpoint = TcpEndpoint::bind("127.0.0.1:0")?;
         let addr = endpoint.local_addr()?;
         let local: Vec<NodeId> = (0..n).collect();
         let directory = PeerDirectory::new(vec![addr; n]);
-        Ok(endpoint.into_transport(&local, directory, cfg, seed, tuning, registry))
+        Ok(endpoint.into_transport(&local, directory, cfg, seed, registry))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn start(
         listener: TcpListener,
         local: &[NodeId],
         directory: PeerDirectory,
         cfg: LinkConfig,
         seed: u64,
-        tuning: TcpTuning,
         metrics: Option<TcpMetrics>,
     ) -> TcpTransport {
         let n = directory.len();
@@ -963,7 +940,6 @@ impl TcpTransport {
             attention: (0..n).map(|_| AtomicBool::new(false)).collect(),
             reactors,
             in_by_peer: Mutex::new(HashMap::new()),
-            tuning,
             shutdown: AtomicBool::new(false),
             idle_gate: Mutex::new(false),
             idle_bell: Condvar::new(),
@@ -1421,7 +1397,7 @@ mod tests {
     }
 
     fn loopback(n: usize, cfg: LinkConfig, seed: u64) -> TcpTransport {
-        TcpTransport::loopback(n, cfg, seed, TcpTuning::default(), None).unwrap()
+        TcpTransport::loopback(n, cfg, seed, None).unwrap()
     }
 
     /// A 2-node population split over two transports, node `i` behind the
@@ -1432,7 +1408,7 @@ mod tests {
         let [a, b] = ends;
         let wire = |end: TcpEndpoint, id| {
             let cfg = LinkConfig::ideal();
-            end.into_transport(&[id], dir.clone(), cfg, seed, TcpTuning::default(), None)
+            end.into_transport(&[id], dir.clone(), cfg, seed, None)
         };
         (wire(a, 0), wire(b, 1))
     }

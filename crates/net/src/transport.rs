@@ -337,7 +337,7 @@ pub(crate) fn unit_f64(bits: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcp::{TcpTransport, TcpTuning};
+    use crate::tcp::TcpTransport;
     use crate::wire::{encode_frame, FrameClass, Message};
 
     fn frame(node: u64) -> Vec<u8> {
@@ -345,7 +345,7 @@ mod tests {
     }
 
     fn loopback(cfg: LinkConfig, seed: u64, registry: Option<&Registry>) -> TcpTransport {
-        TcpTransport::loopback(2, cfg, seed, TcpTuning::default(), registry).unwrap()
+        TcpTransport::loopback(2, cfg, seed, registry).unwrap()
     }
 
     #[test]

@@ -40,15 +40,10 @@
 //! a non-member asks a committee member for its decrypted estimate
 //! ([`Message::ReleaseRequest`]) and adopts the answer
 //! ([`Message::Release`]), whose values travel as a push's `f64` block.
-//!
-//! The [`Message`] type also derives serde, so every variant has a JSON
-//! form for logs and debugging; the binary frame codec is the transport
-//! format.
 
 use cs_bigint::BigUint;
 use cs_crypto::Ciphertext;
 pub use cs_obs::TraceContext;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The wire format version — the only one [`decode_frame`] accepts and
@@ -76,7 +71,7 @@ pub enum FrameClass {
 }
 
 /// Everything a Chiaroscuro participant ever puts on the wire.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Message {
     /// One encrypted push-sum half-exchange (steps 2a–2c as one aggregate):
     /// the sender's one-block contribution — noise shares folded in before
@@ -784,14 +779,5 @@ mod tests {
             decode_frame(&frame),
             Err(WireError::BadValue("share index must be >= 1"))
         );
-    }
-
-    #[test]
-    fn serde_json_mirror_exists_for_logging() {
-        for msg in sample_messages() {
-            let json = serde_json::to_string(&msg).unwrap();
-            let back: Message = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, msg);
-        }
     }
 }

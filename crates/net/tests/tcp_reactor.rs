@@ -4,11 +4,7 @@
 //! a restarted peer, sub-timeout `recv_timeout` wakeups, and the O(pool)
 //! resident-thread bound.
 
-// `TcpTuning` has a single field; the backpressure test still spells the
-// struct-update form, so adding a knob back would not touch it.
-#![allow(clippy::needless_update)]
-
-use cs_net::tcp::{FrameReassembler, PeerDirectory, TcpEndpoint, TcpTransport, TcpTuning};
+use cs_net::tcp::{FrameReassembler, PeerDirectory, TcpEndpoint, TcpTransport, WRITER_QUEUE_CAP};
 use cs_net::wire::FrameClass;
 use cs_net::LinkConfig;
 use cs_obs::Registry;
@@ -42,9 +38,7 @@ fn two_node_dir(endpoint: &TcpEndpoint, peer: std::net::SocketAddr) -> PeerDirec
 /// frame arrives, not burn the whole timeout.
 #[test]
 fn recv_timeout_wakes_well_before_the_deadline_on_arrival() {
-    let t = Arc::new(
-        TcpTransport::loopback(2, LinkConfig::ideal(), 11, TcpTuning::default(), None).unwrap(),
-    );
+    let t = Arc::new(TcpTransport::loopback(2, LinkConfig::ideal(), 11, None).unwrap());
     let sender = t.clone();
     let h = thread::spawn(move || {
         thread::sleep(Duration::from_millis(100));
@@ -70,14 +64,7 @@ fn recv_timeout_for_an_unhosted_node_is_deadline_bounded() {
     let a = TcpEndpoint::bind("127.0.0.1:0").unwrap();
     let addr = a.local_addr().unwrap();
     let dir = PeerDirectory::new(vec![addr, addr]);
-    let t = a.into_transport(
-        &[0],
-        dir,
-        LinkConfig::ideal(),
-        12,
-        TcpTuning::default(),
-        None,
-    );
+    let t = a.into_transport(&[0], dir, LinkConfig::ideal(), 12, None);
     let start = Instant::now();
     assert!(t.recv_timeout(1, Duration::from_millis(200)).is_none());
     let waited = start.elapsed();
@@ -105,14 +92,7 @@ fn partial_writes_resume_without_corruption_against_a_slow_reader() {
     let endpoint = TcpEndpoint::bind("127.0.0.1:0").unwrap();
     let dir = two_node_dir(&endpoint, peer_addr);
     let registry = Registry::new();
-    let t = endpoint.into_transport(
-        &[0],
-        dir,
-        LinkConfig::ideal(),
-        13,
-        TcpTuning::default(),
-        Some(&registry),
-    );
+    let t = endpoint.into_transport(&[0], dir, LinkConfig::ideal(), 13, Some(&registry));
 
     let frames: Vec<Vec<u8>> = (0..RECORDS)
         .map(|i| pseudo_frame(FRAME_BYTES, i as u8))
@@ -177,62 +157,80 @@ fn partial_writes_resume_without_corruption_against_a_slow_reader() {
     );
 }
 
-/// Backpressure: with a tiny outbound queue and a peer that never reads,
-/// overflow drops are surfaced on `tcp.writer.overflow` and every frame
-/// still lands in exactly one accounting bucket — attempt semantics,
-/// `sent == delivered + dropped`.
+/// Backpressure at the production cap: against a peer that never reads,
+/// small frames fill the kernel's socket buffers (a few MiB on loopback)
+/// and then the [`WRITER_QUEUE_CAP`]-record outbound queue, until a send
+/// overflows. Overflow drops are surfaced on `tcp.writer.overflow` and
+/// every frame still lands in exactly one accounting bucket — attempt
+/// semantics, `sent == delivered + dropped`.
 #[test]
 fn backpressure_overflow_keeps_accounting_parity() {
-    const SENDS: usize = 200;
-    const FRAME_BYTES: usize = 64 * 1024;
+    const FRAME_BYTES: usize = 1024;
+    // The queue plus 64 MiB of frames: far more than the kernel holds for a
+    // connection whose reader never reads.
+    const MAX_SENDS: usize = WRITER_QUEUE_CAP + (64 << 20) / FRAME_BYTES;
 
     let fake_peer = TcpListener::bind("127.0.0.1:0").unwrap();
     let peer_addr = fake_peer.local_addr().unwrap();
     let endpoint = TcpEndpoint::bind("127.0.0.1:0").unwrap();
     let dir = two_node_dir(&endpoint, peer_addr);
     let registry = Registry::new();
-    let tuning = TcpTuning {
-        writer_queue_cap: 4,
-        ..TcpTuning::default()
-    };
-    let t = endpoint.into_transport(&[0], dir, LinkConfig::ideal(), 14, tuning, Some(&registry));
+    let t = endpoint.into_transport(&[0], dir, LinkConfig::ideal(), 14, Some(&registry));
+    let overflow = registry.counter("tcp.writer.overflow");
 
     // Accept so the connection establishes, then hold it open without ever
     // reading a byte (released when `hold_tx` drops at the end).
+    let (accepted_tx, accepted_rx) = std::sync::mpsc::channel::<()>();
     let (hold_tx, hold_rx) = std::sync::mpsc::channel::<()>();
     let holder = thread::spawn(move || {
         let (conn, _) = fake_peer.accept().unwrap();
+        accepted_tx.send(()).unwrap();
         let _ = hold_rx.recv_timeout(Duration::from_secs(60));
         drop(conn);
     });
 
-    for i in 0..SENDS {
+    let mut sends = 0;
+    while overflow.get() == 0 {
+        assert!(
+            sends < MAX_SENDS,
+            "{sends} sends never overflowed the queue"
+        );
         let start = Instant::now();
-        t.send(0, 1, pseudo_frame(FRAME_BYTES, i as u8), FrameClass::Gossip)
-            .unwrap();
+        t.send(
+            0,
+            1,
+            pseudo_frame(FRAME_BYTES, sends as u8),
+            FrameClass::Gossip,
+        )
+        .unwrap();
         assert!(
             start.elapsed() < Duration::from_millis(500),
             "send must never block on a congested link"
         );
+        sends += 1;
+        if sends == 1 {
+            // The flood goes through the kernel, not only the queue.
+            accepted_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        }
     }
+    assert!(
+        sends > WRITER_QUEUE_CAP,
+        "the queue filled at {sends} sends"
+    );
 
     let snap = t.snapshot();
     let m = registry.snapshot();
-    assert!(
-        m.counter("tcp.writer.overflow") >= 1,
-        "a 4-deep queue against a never-reading peer must overflow"
-    );
     assert_eq!(
         snap.gossip.messages + snap.gossip.dropped,
-        SENDS as u64,
+        sends as u64,
         "every frame in exactly one bucket: {snap:?}"
     );
     assert_eq!(snap.gossip.dropped, m.counter("tcp.writer.overflow"));
-    assert_eq!(m.counter("net.gossip.sent.messages"), SENDS as u64);
+    assert_eq!(m.counter("net.gossip.sent.messages"), sends as u64);
     assert_eq!(m.counter("net.gossip.dropped"), snap.gossip.dropped);
     assert_eq!(
         m.counter("net.gossip.sent.bytes"),
-        (SENDS * FRAME_BYTES) as u64
+        (sends * FRAME_BYTES) as u64
     );
     drop(hold_tx);
     holder.join().unwrap();
@@ -254,14 +252,7 @@ fn reconnect_backoff_loss_counters_are_deterministic() {
     let endpoint = TcpEndpoint::bind("127.0.0.1:0").unwrap();
     let dir = two_node_dir(&endpoint, dead_addr);
     let registry = Registry::new();
-    let t = endpoint.into_transport(
-        &[0],
-        dir,
-        LinkConfig::ideal(),
-        15,
-        TcpTuning::default(),
-        Some(&registry),
-    );
+    let t = endpoint.into_transport(&[0], dir, LinkConfig::ideal(), 15, Some(&registry));
 
     for i in 0..SENDS {
         t.send(0, 1, pseudo_frame(64, i as u8), FrameClass::Decrypt)
@@ -303,14 +294,7 @@ fn a_restarted_peer_is_reconnected() {
     let dir = PeerDirectory::new(vec![a.local_addr().unwrap(), b_addr]);
     let registry = Registry::new();
     let wire = |end: TcpEndpoint, id, registry| {
-        end.into_transport(
-            &[id],
-            dir.clone(),
-            LinkConfig::ideal(),
-            17,
-            TcpTuning::default(),
-            registry,
-        )
+        end.into_transport(&[id], dir.clone(), LinkConfig::ideal(), 17, registry)
     };
     let ta = Arc::new(wire(a, 0, Some(&registry)));
     let tb = wire(b, 1, None);
@@ -367,8 +351,7 @@ fn resident_threads_stay_o_pool_at_population_64() {
             .count()
     }
 
-    let t =
-        TcpTransport::loopback(64, LinkConfig::ideal(), 16, TcpTuning::default(), None).unwrap();
+    let t = TcpTransport::loopback(64, LinkConfig::ideal(), 16, None).unwrap();
     // Fan out to every destination so every outbound connection (and its
     // accepted twin) exists, then drain to prove they all work.
     for p in 1..64 {

@@ -4,7 +4,7 @@
 
 use cs_bigint::BigUint;
 use cs_crypto::Ciphertext;
-use cs_net::tcp::{encode_record, FrameReassembler, TcpTransport, TcpTuning, MAX_RECORD_LEN};
+use cs_net::tcp::{encode_record, FrameReassembler, TcpTransport, MAX_RECORD_LEN};
 use cs_net::transport::TrafficSnapshot;
 use cs_net::wire::FrameClass;
 use cs_net::wire::{decode_frame, encode_frame, Message, WireError};
@@ -151,8 +151,7 @@ proptest! {
 #[test]
 fn tcp_send_accounting_matches_the_encoded_frames() {
     let n = 4;
-    let tcp =
-        TcpTransport::loopback(n, LinkConfig::ideal(), 9, TcpTuning::default(), None).unwrap();
+    let tcp = TcpTransport::loopback(n, LinkConfig::ideal(), 9, None).unwrap();
 
     let messages = vec![
         (

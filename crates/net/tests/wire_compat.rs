@@ -29,7 +29,7 @@ use cs_net::wire::{
     decode_frame, decode_frame_traced, encode_frame, encode_frame_traced, FrameClass, Message,
     TraceContext, WireError, WIRE_VERSION,
 };
-use cs_net::{LinkConfig, TcpTransport, TcpTuning};
+use cs_net::{LinkConfig, TcpTransport};
 use cs_obs::Registry;
 use std::convert::Infallible;
 use std::ops::ControlFlow;
@@ -234,9 +234,7 @@ fn a_v6_frame_is_a_bad_version() {
 #[test]
 fn the_pump_counts_retired_frames_as_bad_frames() {
     let registry = Registry::new();
-    let tuning = TcpTuning::default();
-    let transport =
-        TcpTransport::loopback(2, LinkConfig::ideal(), 1, tuning, Some(&registry)).unwrap();
+    let transport = TcpTransport::loopback(2, LinkConfig::ideal(), 1, Some(&registry)).unwrap();
     let mut current_tag_0 = unhex(V4_PER_SLOT_PUSH);
     current_tag_0[4] = WIRE_VERSION;
     for frame in [unhex(V4_PER_SLOT_PUSH), current_tag_0, unhex(V3_VOTE)] {

@@ -50,11 +50,6 @@ pub struct ClusterConfig {
     pub link: LinkSpec,
     /// Per-node event-loop timing.
     pub timing: TimingSpec,
-    /// Seed for the data-plane loss/jitter draws.
-    pub transport_seed: u64,
-    /// How long the coordinator waits for straggler `Report`s after
-    /// `StepEnd`.
-    pub report_timeout: Duration,
     /// Scripted fault injection shipped to the daemons in the `Bootstrap`
     /// (`None` on honest runs): the named daemon corrupts its partial
     /// decryptions, and the invariant audit must catch it.
@@ -66,12 +61,13 @@ impl Default for ClusterConfig {
         ClusterConfig {
             link: LinkSpec::ideal(),
             timing: TimingSpec::default(),
-            transport_seed: 0x7C50_C4E7,
-            report_timeout: Duration::from_secs(20),
             fault: None,
         }
     }
 }
+
+/// How long the coordinator waits for straggler `Report`s after `StepEnd`.
+const REPORT_WAIT: Duration = Duration::from_secs(20);
 
 fn transport_err(msg: impl Into<String>) -> ChiaroscuroError {
     ChiaroscuroError::Transport(msg.into())
@@ -505,12 +501,10 @@ impl ClusterBackend {
                 config: config.clone(),
                 layout: *layout,
                 population: manifest.clone(),
-                committee: committee.clone(),
                 pk,
                 share,
                 link: self.cfg.link,
                 timing: self.cfg.timing,
-                transport_seed: self.cfg.transport_seed,
                 fault: self.cfg.fault,
             };
             self.cluster.send(i, &msg);
@@ -652,7 +646,7 @@ impl ComputationBackend for ClusterBackend {
         for i in 0..n {
             self.cluster.send(i, &ControlMsg::StepEnd);
         }
-        let report_deadline = Instant::now() + self.cfg.report_timeout;
+        let report_deadline = Instant::now() + REPORT_WAIT;
         self.cluster
             .gather(report_deadline, &mut reported, &mut keep_report)?;
 

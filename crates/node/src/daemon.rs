@@ -38,14 +38,14 @@
 use crate::proto::{bad_data, read_msg, write_msg, ControlMsg, TimingSpec, PROTO_VERSION};
 use chiaroscuro::config::CryptoMode;
 use chiaroscuro::noise::SlotLayout;
-use chiaroscuro::rounds::StepCipher;
+use chiaroscuro::rounds::{self, StepCipher};
 use chiaroscuro::ChiaroscuroConfig;
 use cs_crypto::threshold::CombinePlanCache;
 use cs_crypto::{FastEncryptor, KeyShare};
 use cs_net::driver::{NodeDriver, Timing};
 use cs_net::node::{NodeCrypto, NodeParams, ProtocolNode};
 use cs_net::runtime::pump;
-use cs_net::tcp::{PeerDirectory, TcpEndpoint, TcpTransport, TcpTuning};
+use cs_net::tcp::{PeerDirectory, TcpEndpoint, TcpTransport};
 use cs_net::transport::{NodeId, TrafficSnapshot};
 use cs_net::wire::WIRE_VERSION;
 use cs_obs::http::{ObsProviders, ObsServer};
@@ -183,12 +183,10 @@ impl RunContext {
             config,
             layout,
             population,
-            committee,
             pk,
             share,
             link,
             timing,
-            transport_seed,
             fault,
         } = boot
         else {
@@ -220,6 +218,13 @@ impl RunContext {
             }
             None => None,
         };
+        // The coordinator's own rule, from the same public inputs: a keyed
+        // run's first `parties` nodes hold the shares.
+        let committee = if cipher.is_some() {
+            rounds::committee(config.threshold.parties, n)
+        } else {
+            Vec::new()
+        };
         let directory: Vec<SocketAddr> = population
             .iter()
             .map(|a| {
@@ -227,12 +232,12 @@ impl RunContext {
                     .map_err(|e| bad_data(format!("bad address {a:?}: {e}")))
             })
             .collect::<io::Result<_>>()?;
+        // The link shims draw from the run seed, one stream per daemon.
         let transport = Arc::new(endpoint.into_transport(
             &[id],
             PeerDirectory::new(directory),
             link,
-            transport_seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            TcpTuning::default(),
+            config.seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             Some(registry),
         ));
         Ok(RunContext {
@@ -862,12 +867,10 @@ mod tests {
             config,
             layout,
             population: (1..=population).map(|i| format!("127.0.0.1:{i}")).collect(),
-            committee: Vec::new(),
             pk,
             share: None,
             link,
             timing: TimingSpec::default(),
-            transport_seed: 1,
             fault: None,
         };
         let endpoint = TcpEndpoint::bind("127.0.0.1:0")?;
@@ -883,23 +886,20 @@ mod tests {
         };
         let lossy = |loss: f64| LinkSpec { loss, ..ideal };
         let nan = lossy(f64::NAN);
-        // Configs `validate` refuses, before anything is built from them: a
-        // scale the codec panics on (with a key, to reach it), no cycles.
+        // A config `validate` refuses, before anything is built from it: no
+        // cycles.
         let demo = ChiaroscuroConfig::demo_simulated();
-        let (mut wide, _, pk) = test_real_crypto();
-        wide.codec_scale_bits = 101;
         let mut idle = demo.clone();
         idle.gossip_cycles = 0;
         let cases = [
-            (demo.clone(), None, lossy(1.5), 2, "loss"),
-            (demo.clone(), None, nan, 2, "loss"),
-            (demo.clone(), None, starved, 2, "bandwidth"),
-            (demo.clone(), None, ideal, 1, "at least two nodes"),
-            (wide, Some(pk), ideal, 2, "codec_scale_bits"),
-            (idle, None, ideal, 2, "gossip_cycles"),
+            (demo.clone(), lossy(1.5), 2, "loss"),
+            (demo.clone(), nan, 2, "loss"),
+            (demo.clone(), starved, 2, "bandwidth"),
+            (demo.clone(), ideal, 1, "at least two nodes"),
+            (idle, ideal, 2, "gossip_cycles"),
         ];
-        for (config, pk, link, population, what) in cases {
-            let err = bootstrapped_with(config, LAYOUT, pk, link, population).unwrap_err();
+        for (config, link, population, what) in cases {
+            let err = bootstrapped_with(config, LAYOUT, None, link, population).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
             assert!(err.to_string().contains(what), "{err}");
         }

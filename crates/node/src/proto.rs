@@ -53,8 +53,11 @@ use std::time::Duration;
 /// spec carried by `Bootstrap`; v5 dropped the post-completion wait from
 /// the `Bootstrap`'s [`TimingSpec`] along with the termination votes it
 /// waited for; v6 dropped the `overlay` field from the config `Bootstrap`
-/// carries; v7 dropped its `failure` model; v8 its simulated price list.
-pub const PROTO_VERSION: u8 = 8;
+/// carries; v7 dropped its `failure` model; v8 its simulated price list;
+/// v9 its fixed-point scale (a constant), and the `Bootstrap`'s committee
+/// and link-draw seed, which a daemon derives from the config and the
+/// manifest.
+pub const PROTO_VERSION: u8 = 9;
 
 /// Upper bound on one control message (guards the length-prefix read).
 pub const MAX_CONTROL_BYTES: usize = 64 << 20;
@@ -145,10 +148,10 @@ pub enum ControlMsg {
         /// Aggregate-vector slot layout of the run.
         layout: SlotLayout,
         /// The population manifest: `population[i]` is node `i`'s
-        /// data-plane listener address.
+        /// data-plane listener address. With a key, its first
+        /// `config.threshold.parties` nodes are the decryption committee
+        /// (`chiaroscuro::rounds::committee`).
         population: Vec<String>,
-        /// The decryption committee, in share order.
-        committee: Vec<usize>,
         /// The shared public key (`None` in simulated-crypto mode).
         pk: Option<PublicKey>,
         /// This daemon's key share, if it sits on the committee.
@@ -157,8 +160,6 @@ pub enum ControlMsg {
         link: LinkSpec,
         /// Event-loop timing.
         timing: TimingSpec,
-        /// Seed for the data-plane transport's loss/jitter draws.
-        transport_seed: u64,
         /// Scripted fault injection for monitoring drills (`None` on
         /// honest runs). The daemon named by the spec corrupts its own
         /// partial decryptions; the invariant audit must catch it.
@@ -406,29 +407,20 @@ mod tests {
                 series_len: 3,
             },
             population: vec!["127.0.0.1:1000".into(), "127.0.0.1:1001".into()],
-            committee: vec![0, 1, 2],
             pk: Some(tkp.public().clone()),
             share: Some(tkp.shares()[0].clone()),
             link: LinkSpec::ideal(),
             timing: TimingSpec::default(),
-            transport_seed: 99,
             fault: Some(cs_net::FaultSpec::CorruptPartials { node: 1 }),
         };
         let mut buf = Vec::new();
         write_msg(&mut buf, &msg).unwrap();
         let back = read_msg(&mut std::io::Cursor::new(buf)).unwrap();
-        let ControlMsg::Bootstrap {
-            pk,
-            share,
-            committee,
-            ..
-        } = back
-        else {
+        let ControlMsg::Bootstrap { pk, share, .. } = back else {
             panic!("wrong variant");
         };
         assert_eq!(pk.as_ref(), Some(tkp.public()));
         assert_eq!(share.as_ref(), Some(&tkp.shares()[0]));
-        assert_eq!(committee, vec![0, 1, 2]);
     }
 
     #[test]

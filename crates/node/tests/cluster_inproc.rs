@@ -14,32 +14,33 @@ use common::*;
 use cs_node::Coordinator;
 use std::time::Duration;
 
-/// The handshake refuses a daemon of the previous control protocol — v7
-/// still shipped a price list in the `Bootstrap`'s simulated crypto — with a
-/// typed error naming both versions, before any `Bootstrap` is sent.
+/// The handshake refuses a daemon of the previous control protocol — v8
+/// still read the committee, the link-draw seed and the fixed-point scale
+/// from the `Bootstrap` — with a typed error naming both versions, before
+/// any `Bootstrap` is sent.
 #[test]
 fn a_previous_proto_daemon_is_refused_at_the_handshake() {
     use cs_node::proto::write_msg;
     use cs_node::{ControlMsg, PROTO_VERSION};
 
-    assert_eq!(PROTO_VERSION, 8);
+    assert_eq!(PROTO_VERSION, 9);
     let coordinator = Coordinator::bind().unwrap();
     let mut daemon = std::net::TcpStream::connect(coordinator.addr().unwrap()).unwrap();
     let hello = ControlMsg::Hello {
         node: 0,
         wire_version: cs_net::wire::WIRE_VERSION,
-        proto_version: 7,
+        proto_version: 8,
         data_addr: "127.0.0.1:1".into(),
         obs_addr: None,
     };
     write_msg(&mut daemon, &hello).unwrap();
     let err = match coordinator.accept_cluster(1, Duration::from_secs(10)) {
-        Ok(_) => panic!("a v7 daemon joined a v8 cluster"),
+        Ok(_) => panic!("a v8 daemon joined a v9 cluster"),
         Err(err) => err,
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     let msg = err.to_string();
-    assert!(msg.contains("proto 7 (want 8)"), "{msg}");
+    assert!(msg.contains("proto 8 (want 9)"), "{msg}");
 }
 
 #[test]

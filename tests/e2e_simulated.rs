@@ -1,6 +1,7 @@
 //! Demo-scale end-to-end runs in simulated-crypto mode (the paper's own
 //! large-population setting) on both use-case generators.
 
+use chiaroscuro::config::CODEC_SCALE_BITS;
 use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::{lane_plan, CryptoContext};
 use chiaroscuro::{compare_with_baseline, ChiaroscuroConfig, CryptoMode, Engine};
@@ -187,7 +188,7 @@ fn one_plan_for_every_host() {
         panic!("simulated mode");
     };
     assert_eq!(plaintext_bits, 256);
-    let fp = FixedPointCodec::new(simulated.codec_scale_bits);
+    let fp = FixedPointCodec::new(CODEC_SCALE_BITS);
     for (k, series_len, population) in [(2, 3, 4), (2, 3, 1000), (2, 24, 8), (5, 24, 64)] {
         let layout = SlotLayout { k, series_len };
         let cipher = crypto
