@@ -26,12 +26,18 @@
 //! baseline (the absolute guard; slack ×2 absorbs runner variance).
 //!
 //! The per-key rows time the operations a key pays — `mont_mul`, `mont_sqr`,
-//! `pow_mod` at the ciphertext modulus `n²`, one fixed-base `randomizer`,
-//! one CRT `partial_decrypt` and one `partial_decrypt_honest`, the same
-//! partial decryption by a share after a serde round-trip (no CRT hint: what
-//! every `csnoded` member runs). At `256b` the `n²` rows run on the
-//! stack-array kernels (≤ 8 limbs), at `1024b`/`2048b` on the slice shape of
-//! the same bodies. `--check` holds each below twice its committed figure.
+//! `pow_mod` at the ciphertext modulus `n²`, one fixed-base `randomizer` and
+//! one `partial_decrypt_honest`, a partial decryption by a share after a
+//! serde round-trip (what every committee member runs). Each records the
+//! Montgomery `engine` its `n²` ran on: at `256b` the scalar engine's
+//! stack-array kernels (≤ 8 limbs), at `1024b`/`2048b` the IFMA engine on a
+//! CPU with AVX-512 IFMA and the scalar engine's slices elsewhere. A full
+//! run keeps the committed rows of an engine it did not run, so the
+//! document holds both engines' figures. `--check` holds each row of the
+//! engine it ran on below twice its committed figure, both measured in
+//! units of their own run's `pow_mod@256b` (the yardstick: a kernel no
+//! wide row shares), so a quick run on a slower machine compares like with
+//! like; it names the rows it skipped.
 //! Next to each `randomizer` row a `randomizer_table` row records what the
 //! randomizers cost a device up front: the build time of the
 //! `FastEncryptor` and, in `bytes`, the fixed-base table it keeps resident.
@@ -75,6 +81,12 @@ struct CryptoBenchEntry {
     /// Resident fixed-base table bytes (`randomizer_table` rows), 0
     /// elsewhere.
     bytes: u64,
+    /// The Montgomery engine of a per-key row (`scalar`/`ifma`); empty on
+    /// the other rows.
+    engine: String,
+    /// A per-key row's `per_bucket_us` over its own run's `pow_mod@256b`
+    /// (what `--check` compares); 0 on the other rows.
+    yardsticks: f64,
 }
 
 /// The whole document.
@@ -145,6 +157,10 @@ fn main() {
     for bits in WIDE_KEY_BITS {
         entries.extend(bench_wide_key(bits, reps, &mut rng));
     }
+    let unit = mode_us(&entries, YARDSTICK.0, YARDSTICK.1).expect("the yardstick is measured");
+    for e in entries.iter_mut().filter(|e| !e.engine.is_empty()) {
+        e.yardsticks = e.per_bucket_us / unit;
+    }
 
     let mut table = Table::new(
         "crypto fast path: packed vs unpacked",
@@ -181,19 +197,43 @@ fn main() {
         println!("encrypt+decrypt: packed is {ratio:.1}x cheaper per bucket");
     }
 
+    let committed = read_committed_baseline();
     let summary = CryptoBenchSummary {
         schema: "chiaroscuro-bench-crypto/v2".to_string(),
         quick,
         lanes: ctx.codec.lanes(),
-        entries,
+        entries: match (&committed, quick) {
+            (Some(committed), false) => with_other_engines(&entries, committed),
+            _ => entries.clone(),
+        },
     };
     let json = serde_json::to_string_pretty(&summary).expect("summary serializes");
     std::fs::write(&out, &json).expect("write BENCH_CRYPTO.json");
     println!("[json written to {}]", out.display());
 
     if check {
-        run_check(&summary);
+        run_check(&entries, committed.as_ref());
     }
+}
+
+/// `entries`, then the committed per-key rows of every key and engine this
+/// run did not measure: a machine runs one engine per key, and the
+/// document keeps the other's figures.
+fn with_other_engines(
+    entries: &[CryptoBenchEntry],
+    committed: &CryptoBenchSummary,
+) -> Vec<CryptoBenchEntry> {
+    let ran = |k: &CryptoBenchEntry| {
+        entries
+            .iter()
+            .any(|e| (&e.mode, &e.engine) == (&k.mode, &k.engine))
+    };
+    let kept = committed
+        .entries
+        .iter()
+        .filter(|k| !k.engine.is_empty() && !ran(k))
+        .filter(|k| k.name == TABLE_ROW || WIDE_ROWS.contains(&k.name.as_str()));
+    entries.iter().chain(kept).cloned().collect()
 }
 
 /// `(unpacked, packed)` per-bucket microseconds for a measurement name.
@@ -224,10 +264,10 @@ fn mode_us(entries: &[CryptoBenchEntry], name: &str, mode: &str) -> Option<f64> 
 /// baselines (machine-speed-independent), and packed threshold decryption
 /// must stay under an absolute per-bucket ceiling (the tentpole budget of
 /// the CRT + multi-exp PR — it sat at 67 µs/bucket before).
-fn run_check(summary: &CryptoBenchSummary) {
+fn run_check(entries: &[CryptoBenchEntry], committed: Option<&CryptoBenchSummary>) {
     let mut failures = Vec::new();
     for name in ["encrypt", "decrypt"] {
-        match per_bucket(&summary.entries, name) {
+        match per_bucket(entries, name) {
             Some((unpacked, packed)) if packed < unpacked => {}
             Some((unpacked, packed)) => failures.push(format!(
                 "{name}: packed {packed:.2} us/bucket >= unpacked baseline {unpacked:.2}"
@@ -241,10 +281,7 @@ fn run_check(summary: &CryptoBenchSummary) {
         ("combine", "naive", "plan"),
         ("multi_exp", "naive", "straus"),
     ] {
-        match (
-            mode_us(&summary.entries, name, slow),
-            mode_us(&summary.entries, name, fast),
-        ) {
+        match (mode_us(entries, name, slow), mode_us(entries, name, fast)) {
             (Some(s), Some(f)) if f < s => {}
             (Some(s), Some(f)) => failures.push(format!(
                 "{name}: {fast} {f:.2} us/bucket >= {slow} baseline {s:.2}"
@@ -257,7 +294,7 @@ fn run_check(summary: &CryptoBenchSummary) {
     // margin once CRT decomposition is in; only losing the fast path again
     // would breach it.
     const PACKED_DECRYPT_CEILING_US: f64 = 30.0;
-    match mode_us(&summary.entries, "decrypt", "packed") {
+    match mode_us(entries, "decrypt", "packed") {
         Some(packed) if packed <= PACKED_DECRYPT_CEILING_US => {}
         Some(packed) => failures.push(format!(
             "decrypt: packed {packed:.2} us/bucket exceeds the {PACKED_DECRYPT_CEILING_US:.0} us \
@@ -265,27 +302,44 @@ fn run_check(summary: &CryptoBenchSummary) {
         )),
         None => failures.push("decrypt: packed measurement missing".into()),
     }
-    // Relative guard against drift, when a committed baseline is readable.
-    if let Some(committed) = read_committed_baseline() {
+    // Relative guard against drift, when a committed baseline is readable:
+    // each per-key row against the committed row of the engine it ran on,
+    // both in units of their own run's yardstick.
+    if let Some(committed) = committed {
+        let mut skipped = Vec::new();
         for (bits, name) in WIDE_KEY_BITS
             .iter()
             .flat_map(|bits| WIDE_ROWS.map(|name| (bits, name)))
         {
             let mode = wide_mode(*bits);
-            match (
-                mode_us(&summary.entries, name, &mode),
-                mode_us(&committed.entries, name, &mode),
-            ) {
-                (Some(now), Some(was)) if now >= was * 2.0 => failures.push(format!(
-                    "{name}@{mode}: {now:.2} us exceeds 2x the committed {was:.2}"
-                )),
-                (None, _) => failures.push(format!("{name}@{mode}: measurement missing")),
-                _ => {}
+            let Some(now) = entries.iter().find(|e| e.name == name && e.mode == mode) else {
+                failures.push(format!("{name}@{mode}: measurement missing"));
+                continue;
+            };
+            let row = format!("{name}@{mode} ({})", now.engine);
+            if (name, mode.as_str()) == YARDSTICK {
+                skipped.push(format!("{row}: the yardstick"));
+                continue;
             }
+            let was = committed.entries.iter().find(|e| {
+                (&e.name, &e.mode, &e.engine) == (&now.name, &now.mode, &now.engine)
+                    && e.yardsticks > 0.0
+            });
+            match was {
+                Some(was) if now.yardsticks >= was.yardsticks * 2.0 => failures.push(format!(
+                    "{row}: {:.3} yardsticks exceeds 2x the committed {:.3}",
+                    now.yardsticks, was.yardsticks
+                )),
+                Some(_) => {}
+                None => skipped.push(format!("{row}: no committed row of its engine")),
+            }
+        }
+        if !skipped.is_empty() {
+            println!("[check] per-key rows skipped: {}", skipped.join("; "));
         }
         for name in ["encrypt", "decrypt"] {
             if let (Some((_, packed)), Some((committed_unpacked, _))) = (
-                per_bucket(&summary.entries, name),
+                per_bucket(entries, name),
                 per_bucket(&committed.entries, name),
             ) {
                 if packed >= committed_unpacked * 2.0 {
@@ -333,6 +387,8 @@ fn entry(name: &str, mode: &str, total_ms: f64) -> CryptoBenchEntry {
         total_ms,
         per_bucket_us: total_ms * 1e3 / BUCKETS as f64,
         bytes: 0,
+        engine: String::new(),
+        yardsticks: 0.0,
     }
 }
 
@@ -346,14 +402,17 @@ fn wide_mode(bits: usize) -> String {
 }
 
 /// The rows measured per wide key, in table order.
-const WIDE_ROWS: [&str; 6] = [
+const WIDE_ROWS: [&str; 5] = [
     "mont_mul",
     "mont_sqr",
     "pow_mod",
     "randomizer",
-    "partial_decrypt",
     "partial_decrypt_honest",
 ];
+
+/// The per-key row `--check` measures every other one in: a 256-bit key's
+/// exponentiation at `n²`, on the scalar engine's stack arrays.
+const YARDSTICK: (&str, &str) = ("pow_mod", "256b");
 
 /// The ungated row that follows each `randomizer` row: `total_ms` is one
 /// `FastEncryptor::new` (the generic `h^(n^s)` plus the table fill), `bytes`
@@ -364,22 +423,29 @@ const TABLE_ROW: &str = "randomizer_table";
 /// and out of Montgomery form around the chain are under 1 % of it.
 const SQR_CHAIN: u32 = 256;
 
-/// A row of the wide-key table: `units` kernel invocations per sample,
-/// `per_bucket_us` the cost of one.
-fn wide_entry(name: &str, bits: usize, units: usize, samples: &mut [f64]) -> CryptoBenchEntry {
+/// A row of the wide-key table: `units` kernel invocations per sample on
+/// `engine`, `per_bucket_us` the cost of one.
+fn wide_entry(
+    name: &str,
+    bits: usize,
+    engine: &str,
+    units: usize,
+    samples: &mut [f64],
+) -> CryptoBenchEntry {
     let total_ms = median(samples);
     CryptoBenchEntry {
         buckets: units,
         per_bucket_us: total_ms * 1e3 / units as f64,
+        engine: engine.into(),
         ..entry(name, &wide_mode(bits), total_ms)
     }
 }
 
 /// Per-operation cost at a `bits`-bit key (plain primes, as csbench's
 /// `sharded_packed_2048b` generates them): the Montgomery kernels and a
-/// full exponentiation at `n²`, one pooled randomizer from the 8-tooth
-/// fixed-base comb table, one CRT partial decryption and one by a share
-/// rebuilt from its serialized form.
+/// full exponentiation at `n²`, one randomizer from the 8-tooth fixed-base
+/// comb table and one partial decryption by a share rebuilt from its
+/// serialized form.
 fn bench_wide_key(bits: usize, reps: usize, rng: &mut StdRng) -> Vec<CryptoBenchEntry> {
     let tkp = ThresholdKeyPair::generate(
         &KeyGenOptions {
@@ -403,10 +469,8 @@ fn bench_wide_key(bits: usize, reps: usize, rng: &mut StdRng) -> Vec<CryptoBench
     let b = random_below(rng, pk.n_s1());
     let e = random_below(rng, pk.n());
     let c = enc.encrypt(&random_below(rng, pk.n_s()), rng);
-    let share = &tkp.shares()[0];
-    let wire = serde_json::to_string(share).expect("share serializes");
+    let wire = serde_json::to_string(&tkp.shares()[0]).expect("share serializes");
     let honest: KeyShare = serde_json::from_str(&wire).expect("share deserializes");
-    assert!(share.has_crt_hint() && !honest.has_crt_hint());
 
     let time = |reps: usize, op: &mut dyn FnMut()| -> Vec<f64> {
         (0..reps)
@@ -430,26 +494,23 @@ fn bench_wide_key(bits: usize, reps: usize, rng: &mut StdRng) -> Vec<CryptoBench
     let mut randomizer = time(reps, &mut || {
         black_box(enc.randomizer(rng));
     });
-    let mut partial = time(reps.min(6), &mut || {
-        black_box(share.partial_decrypt(black_box(&c)));
-    });
     let mut honest_partial = time(reps.min(6), &mut || {
         black_box(honest.partial_decrypt(black_box(&c)));
     });
-    let units = [2, SQR_CHAIN as usize, 1, 1, 1, 1];
+    let units = [2, SQR_CHAIN as usize, 1, 1, 1];
     let samples = [
         &mut mul,
         &mut sqr,
         &mut pow,
         &mut randomizer,
-        &mut partial,
         &mut honest_partial,
     ];
+    let engine = mont.engine();
     let mut rows: Vec<CryptoBenchEntry> = WIDE_ROWS
         .iter()
         .zip(units)
         .zip(samples)
-        .map(|((name, units), samples)| wide_entry(name, bits, units, samples))
+        .map(|((name, units), samples)| wide_entry(name, bits, engine, units, samples))
         .collect();
     let after_randomizer = 1 + rows
         .iter()
@@ -459,7 +520,7 @@ fn bench_wide_key(bits: usize, reps: usize, rng: &mut StdRng) -> Vec<CryptoBench
         after_randomizer,
         CryptoBenchEntry {
             bytes: enc.table().table_bytes() as u64,
-            ..wide_entry(TABLE_ROW, bits, 1, &mut [table_build_ms])
+            ..wide_entry(TABLE_ROW, bits, engine, 1, &mut [table_build_ms])
         },
     );
     rows

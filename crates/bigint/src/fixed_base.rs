@@ -39,8 +39,9 @@ use crate::{BigUint, MontgomeryCtx};
 const DEFAULT_WINDOW_BITS: usize = 4;
 
 /// What a table is folded down to. The 8-bit one-row table of a 2048-bit
-/// key's randomizers is 16 MiB — every entry read is a cache miss, and a
-/// personal device keeps all of it resident; at 2 MiB it is neither.
+/// key's randomizers is 16 MiB (20 MiB in the IFMA engine's wider
+/// residues) — every entry read is a cache miss, and a personal device
+/// keeps all of it resident; at 2 MiB it is neither.
 const TABLE_TARGET_BYTES: usize = 2 << 20;
 
 /// Precomputed fixed-base exponentiation table for one `(base, modulus)`
@@ -63,10 +64,13 @@ pub struct FixedBaseExp {
     /// The base reduced mod n (kept for the oversized-exponent fallback).
     base: BigUint,
     /// `Π_{t ∈ digit} base^(2^((column·w + t)·rows))` in Montgomery form for
-    /// every column and digit `≥ 1`, as one flat run of `k`-limb entries
-    /// (see [`Self::entry`]): the 1024-bit-exponent, 8-tooth, 8-row table
-    /// of a 2048-bit key's randomizers is 16 × 255 = 4 080 entries of 64
-    /// limbs, ~2 MiB, in a single allocation. Empty for a zero base.
+    /// every column and digit `≥ 1`, as one flat run of entries of the
+    /// context's residue width (see [`Self::entry`]), in a single
+    /// allocation. A 2048-bit key's randomizers (1024-bit exponents, 8
+    /// teeth) fold to 8 rows of 16 columns on the scalar engine — 4 080
+    /// entries of 64 limbs, 2 088 960 B — and to 10 rows of 13 columns on
+    /// the IFMA engine, whose residues are 80 words: 3 315 entries,
+    /// 2 121 600 B. Empty for a zero base.
     table: Vec<u64>,
     window_bits: usize,
     rows: usize,
@@ -100,7 +104,7 @@ impl FixedBaseExp {
             "window_bits must be in 1..=12"
         );
         let windows = max_exp_bits.max(1).div_ceil(window_bits);
-        let one_row_bytes = windows * ((1usize << window_bits) - 1) * ctx.limbs() * 8;
+        let one_row_bytes = windows * ((1usize << window_bits) - 1) * entry_bytes(ctx);
         let rows = one_row_bytes.div_ceil(TABLE_TARGET_BYTES).clamp(1, windows);
         Self::with_rows(ctx, base, max_exp_bits, window_bits, rows)
     }
@@ -180,6 +184,12 @@ impl FixedBaseExp {
         std::mem::size_of_val(self.table.as_slice())
     }
 
+    /// Bytes of one table entry: a residue of the context's engine, so it
+    /// follows the engine's residue width, not the modulus' 64-bit limbs.
+    pub fn entry_bytes(&self) -> usize {
+        entry_bytes(&self.ctx)
+    }
+
     /// The product of `column`'s generators selected by `digit ≥ 1`.
     fn entry(&self, column: usize, digit: usize) -> &[u64] {
         let k = self.ctx.limbs();
@@ -244,6 +254,11 @@ impl FixedBaseExp {
     }
 }
 
+/// Bytes of one residue of `ctx`'s engine.
+fn entry_bytes(ctx: &MontgomeryCtx) -> usize {
+    std::mem::size_of::<u64>() * ctx.limbs()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,20 +297,38 @@ mod tests {
 
     #[test]
     fn rows_follow_from_the_one_row_table_size() {
-        // 40-limb modulus, 8-bit window: a one-row table is 81 600 B per
-        // exponent byte, so 25 bytes of exponent fit 2 MiB and 26 do not.
+        // 40-limb modulus, 8-bit window. On the scalar engine an entry is
+        // 40 limbs and a one-row table 81 600 B per exponent byte, so 25
+        // bytes of exponent fit 2 MiB and 26 do not. On the IFMA engine an
+        // entry is 56 52-bit words (2 562 bits, rounded up to a vector):
+        // 114 240 B per exponent byte, so 18 bytes fit.
         let m = (BigUint::one() << 2559) + &BigUint::from(1u64);
-        let ctx = MontgomeryCtx::new(&m);
         let base = BigUint::from(3u64);
-        for (exp_bits, rows) in [(200usize, 1usize), (208, 2), (408, 2), (416, 3)] {
-            let fixed = FixedBaseExp::with_window(&ctx, &base, exp_bits, 8);
-            assert_eq!(fixed.rows(), rows, "{exp_bits}-bit exponents");
-            // On target to within the one column a ragged last row adds.
-            assert!(fixed.table_bytes() < TABLE_TARGET_BYTES + 255 * 40 * 8);
-            assert!(fixed.max_exp_bits() >= exp_bits);
-            assert!(fixed.max_exp_bits() < exp_bits + 8 * rows);
-            let e = (BigUint::one() << exp_bits) - &BigUint::one();
-            assert_eq!(fixed.pow_mod(&e), ctx.pow_mod(&base, &e));
+        let engines = [
+            (
+                false,
+                320,
+                [(200usize, 1usize), (208, 2), (408, 2), (416, 3)],
+            ),
+            (true, 448, [(144, 1), (152, 2), (288, 2), (296, 3)]),
+        ];
+        for (ifma, entry_bytes, pins) in engines {
+            let ctx = MontgomeryCtx::with_engine(&m, ifma);
+            if (ctx.engine() == "ifma") != ifma {
+                eprintln!("no avx512ifma on this CPU: the IFMA engine's rows are not run");
+                continue;
+            }
+            for (exp_bits, rows) in pins {
+                let fixed = FixedBaseExp::with_window(&ctx, &base, exp_bits, 8);
+                assert_eq!(fixed.entry_bytes(), entry_bytes);
+                assert_eq!(fixed.rows(), rows, "{exp_bits}-bit exponents");
+                // On target to within the one column a ragged last row adds.
+                assert!(fixed.table_bytes() < TABLE_TARGET_BYTES + 255 * entry_bytes);
+                assert!(fixed.max_exp_bits() >= exp_bits);
+                assert!(fixed.max_exp_bits() < exp_bits + 8 * rows);
+                let e = (BigUint::one() << exp_bits) - &BigUint::one();
+                assert_eq!(fixed.pow_mod(&e), ctx.pow_mod(&base, &e));
+            }
         }
     }
 

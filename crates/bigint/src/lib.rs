@@ -31,7 +31,7 @@
 //! assert!(p < m);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod add_sub;
@@ -42,6 +42,7 @@ mod div;
 pub mod fixed_base;
 mod fmt;
 pub mod gcd;
+mod ifma;
 mod int;
 pub mod modular;
 pub mod montgomery;

@@ -2,21 +2,30 @@
 //!
 //! All Damgård-Jurik moduli (`n`, `n^s`, `n^(s+1)`) are odd, so modular
 //! exponentiation — the dominant cost of encryption, decryption shares, and
-//! push-sum rescaling — always takes this fast path. One set of bodies serves
-//! every width: the `wide` module's double-width product or square (two
-//! multiplier limbs per pass, so two carry chains in flight) followed by its
-//! two-row reduction. They run in one of two storage shapes, chosen by the
-//! modulus' limb count alone:
+//! push-sum rescaling — always takes this fast path. A context runs one of
+//! two engines, picked once in [`MontgomeryCtx::new`] from the modulus'
+//! width and the CPU:
 //!
-//! * up to `FIXED_MAX_LIMBS` (8) limbs, on stack arrays: `mmul_k`/`msqr_k`
-//!   hand the bodies constant lengths, so every row unrolls at compile time;
-//! * above that, on caller-owned slices, so a chain of thousands of
-//!   multiplications allocates nothing.
+//! * the scalar engine, on 64-bit limbs with `R = 2^(64k)`: the `wide`
+//!   module's double-width product or square (two multiplier limbs per
+//!   pass, so two carry chains in flight) followed by its two-row
+//!   reduction. Up to `FIXED_MAX_LIMBS` (8) limbs it runs on stack arrays
+//!   (`mmul_k`/`msqr_k` hand the bodies constant lengths, so every row
+//!   unrolls at compile time), above that on caller-owned slices. Every
+//!   value it holds is canonical. It is the portable path and the other
+//!   engine's oracle;
+//! * from `IFMA_MIN_LIMBS` limbs up, on a CPU with AVX-512 IFMA, the
+//!   `ifma` module's radix-2^52 almost-Montgomery kernel, whose in-domain
+//!   values lie in `[0, 2n)`.
 //!
-//! Both shapes exponentiate with the same sliding window over an odd-power
-//! table whose width follows the exponent's bit length. Every result is a
-//! canonical residue, so which shape computed it never shows in a value.
+//! Residues are opaque runs of `MontgomeryCtx::limbs` words to every
+//! caller, and every exit — `MontgomeryCtx::from_mont` and the `±1`
+//! checks — compares or converts canonical residues, so which engine
+//! computed a result never shows in a value. Both exponentiate with the
+//! same sliding window over an odd-power table whose width follows the
+//! exponent's bit length.
 
+use crate::ifma::Ifma;
 use crate::{wide, BigUint};
 
 /// Largest limb count served on stack arrays. Moduli up to `8 × 64 = 512`
@@ -26,6 +35,13 @@ use crate::{wide, BigUint};
 /// CRT sides (`p²`, `q²`) and a 64-limb `n²`, as csbench's
 /// `sharded_packed_2048b` workload exercises.
 const FIXED_MAX_LIMBS: usize = 8;
+
+/// Narrowest modulus, in 64-bit limbs, that runs on the IFMA engine when
+/// the CPU has it. A full `pow_mod` on the radix-2^52 kernel measured 0.8×
+/// the scalar engine's speed at 9 limbs, 1.0–1.2× at 12–14, 1.3× at 16 (a
+/// 1024-bit key's CRT halves), 2.7× at 32 and 4.2× at 64
+/// (docs/benchmarks.md, "What the IFMA engine buys").
+const IFMA_MIN_LIMBS: usize = 16;
 
 /// `a·b·R^{-1} mod n` for a `K`-limb modulus, `K ≤ FIXED_MAX_LIMBS`: the
 /// slice engine's product and reduction on a stack scratch.
@@ -148,26 +164,35 @@ impl Iterator for Windows<'_> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MontgomeryCtx {
-    /// The modulus `n` (odd, > 1); the kernels read its limbs.
+    /// The modulus `n` (odd, > 1); the scalar kernels read its limbs.
     modulus: BigUint,
     /// `-n^{-1} mod 2^64`.
     n0_inv: u64,
-    /// `R² mod n` where `R = 2^(64·limbs)`; converts into Montgomery form.
+    /// The IFMA engine, when this context runs on it.
+    ifma: Option<Ifma>,
+    /// `R² mod n` in the engine's words; converts into Montgomery form.
     rr: Vec<u64>,
-    /// `R mod n`: the Montgomery representation of 1.
+    /// `R mod n` in the engine's words: the Montgomery representation of 1.
     one: Vec<u64>,
 }
 
 impl MontgomeryCtx {
-    /// Builds a context for an odd modulus `> 1`.
+    /// Builds a context for an odd modulus `> 1`, on the IFMA engine when
+    /// the modulus has at least `IFMA_MIN_LIMBS` limbs and the CPU has
+    /// AVX-512 IFMA, else on the scalar engine.
     ///
     /// Panics if `n` is even or `<= 1`.
     pub fn new(n: &BigUint) -> Self {
+        Self::with_engine(n, n.limb_len() >= IFMA_MIN_LIMBS)
+    }
+
+    /// [`Self::new`] with the width test decided by the caller: `ifma`
+    /// asks for the IFMA engine, which a CPU without it does not give.
+    pub(crate) fn with_engine(n: &BigUint, ifma: bool) -> Self {
         assert!(
             n.is_odd() && !n.is_one(),
             "Montgomery requires an odd modulus > 1"
         );
-        let k = n.limb_len();
 
         // n0_inv = -n^{-1} mod 2^64 via Newton-Hensel lifting:
         // x_{i+1} = x_i * (2 - n*x_i) doubles correct low bits each step.
@@ -178,17 +203,48 @@ impl MontgomeryCtx {
         }
         debug_assert_eq!(n0.wrapping_mul(x), 1);
         let n0_inv = x.wrapping_neg();
+        let ifma = if ifma { Ifma::new(n, n0_inv) } else { None };
 
         // R mod n and R² mod n via plain division (setup cost only).
-        let r = BigUint::one() << (64 * k);
-        let one = (&r % n).limbs().to_vec();
-        let rr = (&(&r * &r) % n).limbs().to_vec();
-
-        MontgomeryCtx {
+        let r_bits = ifma.as_ref().map_or(64 * n.limb_len(), Ifma::r_bits);
+        let r = BigUint::one() << r_bits;
+        let mut ctx = MontgomeryCtx {
             modulus: n.clone(),
             n0_inv,
-            rr: pad(rr, k),
-            one: pad(one, k),
+            ifma,
+            rr: Vec::new(),
+            one: Vec::new(),
+        };
+        ctx.rr = ctx.words_of(&(&(&r * &r) % n));
+        ctx.one = ctx.words_of(&(&r % n));
+        ctx
+    }
+
+    /// The engine this context runs on, `"ifma"` or `"scalar"`: a label
+    /// for measurements, which `new` alone decides.
+    pub fn engine(&self) -> &'static str {
+        match self.ifma {
+            Some(_) => "ifma",
+            None => "scalar",
+        }
+    }
+
+    /// `a < R` in the engine's words: [`Self::limbs`] of them.
+    fn words_of(&self, a: &BigUint) -> Vec<u64> {
+        let mut out = vec![0u64; self.limbs()];
+        match &self.ifma {
+            Some(e) => e.load(&mut out, a),
+            None => out[..a.limb_len()].copy_from_slice(a.limbs()),
+        }
+        out
+    }
+
+    /// The limb count the stack-array shape dispatches on: the modulus'
+    /// on the scalar engine, none on the IFMA engine.
+    fn fixed_limbs(&self) -> usize {
+        match self.ifma {
+            Some(_) => 0,
+            None => self.modulus.limb_len(),
         }
     }
 
@@ -197,21 +253,31 @@ impl MontgomeryCtx {
         &self.modulus
     }
 
-    /// Limb count `k` of the modulus: the length of every Montgomery-form
-    /// residue this context reads or writes.
+    /// Word count of a Montgomery-form residue on this context's engine:
+    /// the modulus' limb count `k` on the scalar engine, a multiple of 8
+    /// 52-bit words on the IFMA engine. Every residue this context reads or
+    /// writes is this long.
     pub(crate) fn limbs(&self) -> usize {
-        self.modulus.limb_len()
+        self.ifma
+            .as_ref()
+            .map_or(self.modulus.limb_len(), Ifma::words)
     }
 
     /// Length of the scratch buffer the `*_into` kernels take.
     pub(crate) fn scratch_len(&self) -> usize {
-        2 * self.limbs()
+        match self.ifma {
+            Some(_) => self.limbs(),
+            None => 2 * self.limbs(),
+        }
     }
 
     /// Montgomery multiplication into a caller-owned buffer:
-    /// `out = a·b·R^{-1} mod n` for `k`-limb `a, b < n`, with
-    /// [`Self::scratch_len`] limbs of scratch. Allocates nothing.
+    /// `out = a·b·R^{-1} mod n` for residues `a, b`, with
+    /// [`Self::scratch_len`] words of scratch. Allocates nothing.
     pub(crate) fn mont_mul_into(&self, out: &mut [u64], a: &[u64], b: &[u64], t: &mut [u64]) {
+        if let Some(e) = &self.ifma {
+            return e.mul(out, a, b);
+        }
         let n = self.modulus.limbs();
         debug_assert!(out.len() == n.len() && a.len() == n.len() && b.len() == n.len());
         dispatch_fixed!(n.len(), K => {
@@ -225,7 +291,11 @@ impl MontgomeryCtx {
     /// The double-width square counts each off-diagonal product once and
     /// doubles it — ~25% fewer word multiplications than
     /// `mont_mul_into(a, a)`, and squarings dominate every exponentiation.
+    /// The IFMA engine multiplies `a` by itself.
     pub(crate) fn mont_sqr_into(&self, out: &mut [u64], a: &[u64], t: &mut [u64]) {
+        if let Some(e) = &self.ifma {
+            return e.mul(out, a, a);
+        }
         let n = self.modulus.limbs();
         debug_assert!(out.len() == n.len() && a.len() == n.len());
         dispatch_fixed!(n.len(), K => {
@@ -239,9 +309,35 @@ impl MontgomeryCtx {
         &self.one
     }
 
+    /// Whether the residue `x` is the Montgomery image of 1, compared as
+    /// canonical residues.
+    pub(crate) fn is_one_mont(&self, x: &[u64]) -> bool {
+        self.residue(x) == self.residue(&self.one)
+    }
+
+    /// Whether the residue `x` is the Montgomery image of `n − 1`, compared
+    /// as canonical residues.
+    pub(crate) fn is_minus_one_mont(&self, x: &[u64]) -> bool {
+        &self.residue(x) + &self.residue(&self.one) == self.modulus
+    }
+
+    /// The canonical residue (`< n`) that the residue `x` stands for, as an
+    /// integer — `x` itself, still in Montgomery form.
+    fn residue(&self, x: &[u64]) -> BigUint {
+        match &self.ifma {
+            Some(e) => e.value(x),
+            None => BigUint::from_limbs(x.to_vec()),
+        }
+    }
+
     /// Converts `a < n` into Montgomery form (`out = a·R mod n`).
     pub(crate) fn to_mont_into(&self, out: &mut [u64], a: &BigUint, t: &mut [u64]) {
         debug_assert!(*a < self.modulus);
+        if let Some(e) = &self.ifma {
+            let a_words = &mut t[..out.len()];
+            e.load(a_words, a);
+            return e.mul(out, a_words, &self.rr);
+        }
         let n = self.modulus.limbs();
         dispatch_fixed!(n.len(), K => out.copy_from_slice(&self.to_mont_fixed::<K>(a)));
         wide::mont_mul(out, &self.rr, a.limbs(), n, self.n0_inv, t);
@@ -260,6 +356,12 @@ impl MontgomeryCtx {
     #[allow(clippy::wrong_self_convention)] // "from Montgomery domain", not a constructor
     pub(crate) fn from_mont(&self, a: &[u64]) -> BigUint {
         let k = self.limbs();
+        if let Some(e) = &self.ifma {
+            let (mut unit, mut out) = (vec![0u64; k], vec![0u64; k]);
+            unit[0] = 1;
+            e.mul(&mut out, a, &unit);
+            return e.value(&out);
+        }
         let mut t = vec![0u64; 2 * k];
         t[..k].copy_from_slice(a);
         // Its own exact-size vector: results live on in pools and ciphertexts.
@@ -274,19 +376,27 @@ impl MontgomeryCtx {
         // reduction's R⁻¹, so the product never needs converting back.
         debug_assert!(*a < self.modulus && *b < self.modulus);
         let n = self.modulus.limbs();
-        dispatch_fixed!(n.len(), K => {
+        dispatch_fixed!(self.fixed_limbs(), K => {
             let mut b_padded = [0u64; K];
             b_padded[..b.limb_len()].copy_from_slice(b.limbs());
             let a_m = self.to_mont_fixed::<K>(a);
             BigUint::from_limbs(mmul_k(&a_m, &b_padded, fixed(n), self.n0_inv).to_vec())
         });
-        let k = n.len();
+        let k = self.limbs();
         let mut buf = vec![0u64; k + self.scratch_len()];
         let (a_m, t) = buf.split_at_mut(k);
         self.to_mont_into(a_m, a, t);
         let mut out = vec![0u64; k];
-        wide::mont_mul(&mut out, a_m, b.limbs(), n, self.n0_inv, t);
-        BigUint::from_limbs(out)
+        match &self.ifma {
+            Some(e) => {
+                e.mul(&mut out, a_m, &self.words_of(b));
+                e.value(&out)
+            }
+            None => {
+                wide::mont_mul(&mut out, a_m, b.limbs(), n, self.n0_inv, t);
+                BigUint::from_limbs(out)
+            }
+        }
     }
 
     /// `base^exp mod n` with a windowed square-and-multiply chain.
@@ -314,7 +424,7 @@ impl MontgomeryCtx {
     pub(crate) fn pow_mont(&self, base: &BigUint, exp: &BigUint) -> Vec<u64> {
         debug_assert!(!base.is_zero() && *base < self.modulus && !exp.is_zero());
         let k = self.limbs();
-        dispatch_fixed!(k, K => {
+        dispatch_fixed!(self.fixed_limbs(), K => {
             self.pow_windowed_fixed::<K>(&self.to_mont_fixed(base), exp).to_vec()
         });
 
@@ -392,7 +502,7 @@ impl MontgomeryCtx {
             return BigUint::zero();
         }
         let k = self.limbs();
-        dispatch_fixed!(k, K => {
+        dispatch_fixed!(self.fixed_limbs(), K => {
             let n = fixed(self.modulus.limbs());
             let mut a = self.to_mont_fixed::<K>(&base);
             for _ in 0..j {
@@ -420,10 +530,8 @@ fn fixed<const K: usize>(limbs: &[u64]) -> &[u64; K] {
         .expect("a residue has the modulus' limb count")
 }
 
-fn pad(mut v: Vec<u64>, k: usize) -> Vec<u64> {
-    v.resize(k.max(v.len()), 0);
-    v
-}
+#[cfg(test)]
+mod engine_diff;
 
 #[cfg(test)]
 mod tests {
@@ -554,7 +662,7 @@ mod tests {
             let edges = [BigUint::zero(), BigUint::one(), m.sub_u64(1)];
             let random: Vec<BigUint> = (0..25).map(|_| random_below(&mut rng, &m)).collect();
             for a in edges.iter().chain(&random) {
-                let am = pad(a.limbs().to_vec(), k);
+                let am = ctx.words_of(a);
                 ctx.mont_sqr_into(&mut sqr, &am, &mut t);
                 ctx.mont_mul_into(&mut mul, &am, &am, &mut t);
                 assert_eq!(sqr, mul, "limbs={limbs} a={a:?}");

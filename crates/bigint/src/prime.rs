@@ -1,6 +1,5 @@
 //! Primality testing (Miller-Rabin) and random prime generation.
 
-use crate::add_sub::sub_assign_limbs;
 use crate::rng::{random_bits, random_range};
 use crate::{BigUint, MontgomeryCtx};
 use rand::Rng;
@@ -31,17 +30,11 @@ fn small_primes() -> &'static [u64] {
 
 /// One Miller-Rabin round for witness `1 < a < n − 1` against odd
 /// `n = d·2^r + 1`. The whole round stays in Montgomery form: `a^d` is
-/// squared in place and compared against the Montgomery images of `±1`
-/// (`minus_one` is `n − R mod n`).
-fn miller_rabin_round(
-    ctx: &MontgomeryCtx,
-    minus_one: &[u64],
-    d: &BigUint,
-    r: usize,
-    a: &BigUint,
-) -> bool {
+/// squared in place and checked against `±1` by the context, which compares
+/// canonical residues (an engine's in-domain values need not be canonical).
+fn miller_rabin_round(ctx: &MontgomeryCtx, d: &BigUint, r: usize, a: &BigUint) -> bool {
     let mut x = ctx.pow_mont(a, d);
-    if x == ctx.one_mont() || x == minus_one {
+    if ctx.is_one_mont(&x) || ctx.is_minus_one_mont(&x) {
         return true;
     }
     let mut next = vec![0u64; x.len()];
@@ -49,10 +42,10 @@ fn miller_rabin_round(
     for _ in 1..r {
         ctx.mont_sqr_into(&mut next, &x, &mut scratch);
         std::mem::swap(&mut x, &mut next);
-        if x == minus_one {
+        if ctx.is_minus_one_mont(&x) {
             return true;
         }
-        if x == ctx.one_mont() {
+        if ctx.is_one_mont(&x) {
             return false; // non-trivial square root of 1
         }
     }
@@ -78,22 +71,28 @@ pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut 
         }
     }
     // n is odd and > 2048² here.
-    let n_minus_1 = n.sub_u64(1);
+    miller_rabin(&MontgomeryCtx::new(n), rounds, rng)
+}
+
+/// Miller-Rabin over the context's odd modulus `n > 2048²`: a base-2 round,
+/// then `rounds` random witnesses.
+pub(crate) fn miller_rabin<R: Rng + ?Sized>(
+    ctx: &MontgomeryCtx,
+    rounds: usize,
+    rng: &mut R,
+) -> bool {
+    let n_minus_1 = ctx.modulus().sub_u64(1);
     let r = n_minus_1
         .trailing_zeros()
         .expect("n-1 of odd n > 1 is non-zero even");
     let d = &n_minus_1 >> r;
-    let ctx = MontgomeryCtx::new(n);
-    let mut minus_one = n.limbs().to_vec();
-    sub_assign_limbs(&mut minus_one, ctx.one_mont());
-
-    if !miller_rabin_round(&ctx, &minus_one, &d, r, &BigUint::two()) {
+    let two = BigUint::two();
+    if !miller_rabin_round(ctx, &d, r, &two) {
         return false;
     }
-    let two = BigUint::two();
     for _ in 0..rounds {
         let a = random_range(rng, &two, &n_minus_1);
-        if !miller_rabin_round(&ctx, &minus_one, &d, r, &a) {
+        if !miller_rabin_round(ctx, &d, r, &a) {
             return false;
         }
     }

@@ -5,7 +5,8 @@
 //! from random byte strings, (3) the Montgomery kernels checked against
 //! division-based `BigUint` arithmetic on carry-heavy moduli, in both storage
 //! shapes: stack arrays at 1–8 limbs (`fixed_width_`), slices at 9–72
-//! (`wide_`).
+//! (`wide_`) — where, from 16 limbs on a CPU with AVX-512 IFMA,
+//! `MontgomeryCtx::new` runs the IFMA engine instead.
 
 use cs_bigint::multi_exp::{multi_exp_signed, MultiExpTerm};
 use cs_bigint::{

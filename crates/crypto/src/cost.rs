@@ -33,10 +33,9 @@ pub struct CryptoCostProfile {
     pub scalar_pow2_us: f64,
     /// Re-randomization of one ciphertext.
     pub rerandomize_us: f64,
-    /// One partial decryption, by a committee member's share as a member
-    /// holds it: without the dealer's CRT hint, the full-width
-    /// exponentiation a `csnoded` pays (`bench_crypto`'s
-    /// `partial_decrypt_honest` row, not its hinted `partial_decrypt`).
+    /// One partial decryption by a committee member's share: the
+    /// full-width exponentiation every member pays (`bench_crypto`'s
+    /// `partial_decrypt_honest` row).
     pub partial_decrypt_us: f64,
     /// Combination of `threshold` partial decryptions.
     pub combine_us: f64,
@@ -86,9 +85,7 @@ impl CryptoCostProfile {
         }
         let rerandomize_us = per_op_us(t0, reps);
 
-        // The dealer's share carries the factorisation hint; a member's,
-        // deserialised from its bootstrap, does not.
-        let share = tkp.shares()[0].without_crt();
+        let share = &tkp.shares()[0];
         let t0 = Instant::now();
         for c in &cts {
             let _ = share.partial_decrypt(c);

@@ -20,12 +20,15 @@
 //!
 //! The exponent length is derived from the key and nothing else: half the
 //! bits of `n`, so half the products and half the table of a full-length
-//! exponent. The comb's row count follows from the table's size in turn
-//! (one row — the plain window table, no squarings — at a 256-bit key, 8 at
-//! 2048 bits): a device keeps at most ≈ 2 MiB resident, where the one-row
-//! table of a 2048-bit key is 16 MiB, and the hot loop multiplies out of a
-//! table the cache holds (135 operations at 2048 bits against the one-row
-//! table's 128, and still the shorter exponentiation).
+//! exponent. The comb's row count follows from the table's size in turn,
+//! and so from the width of a residue on the Montgomery engine the key's
+//! `n^(s+1)` runs on (one row — the plain window table, no squarings — at a
+//! 256-bit key; 8 at 2048 bits on the scalar engine, 10 on the IFMA
+//! engine's 80-word residues): a device keeps at most ≈ 2 MiB resident,
+//! where the one-row table of a 2048-bit key is 16 MiB (20 MiB on IFMA),
+//! and the hot loop multiplies out of a table the cache holds (135
+//! operations at 2048 bits against the one-row table's 128 on the scalar
+//! engine, 137 on IFMA, and still the shorter exponentiation).
 //!
 //! [`RandomizerPool`] adds batch amortization on top: refill off the hot
 //! path, pop on it. No host builds one: a refill moves exponentiations into

@@ -7,7 +7,6 @@ use cs_bigint::prime::{gen_prime, gen_safe_prime};
 use cs_bigint::{BigUint, MontgomeryCtx};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Parameters controlling key generation.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -163,18 +162,16 @@ impl<'de> Deserialize<'de> for PublicKey {
 /// CRT exponentiation context for a factored Damgård-Jurik modulus.
 ///
 /// Holding one is **equivalent to knowing the factorization of `n`** —
-/// whoever has it can decrypt unilaterally. The contexts built here never
-/// leave the process: key shares serialize without their CRT hint (a
-/// deserialized share transparently uses the generic full-width path), so
-/// shipping a share over the wire cannot leak `p`/`q`. In-process callers
-/// (the dealer, [`crate::ThresholdKeyPair`], and the simulation substrates
-/// that hold the dealer object anyway) get the fast path for free.
+/// whoever has it can decrypt unilaterally. So only a [`PrivateKey`] holds
+/// one, and it never leaves the process: no key share carries one, whether
+/// dealt in process or read from the wire, and every partial decryption is
+/// one full-width exponentiation (a member with the factorisation could
+/// decrypt alone).
 ///
 /// **Scope note.** This matches the repository's honest-but-curious,
 /// trusted-dealer model (see `fastenc` for the analogous trade on the
-/// encryption side): the dealer knows everything by construction, and the
-/// per-process CRT hint grants no capability its holder did not already
-/// have. A deployment with a distributed key generation ceremony must not
+/// encryption side): the dealer knows everything by construction. A
+/// deployment with a distributed key generation ceremony must not
 /// construct these.
 ///
 /// The speedup: exponentiation mod `n^(s+1)` splits into one chain mod
@@ -231,7 +228,8 @@ impl CrtContext {
     }
 
     /// Reduces an exponent to its per-prime-power residues, for callers
-    /// that exponentiate with the same exponent many times (key shares).
+    /// that exponentiate with the same exponent many times (the private
+    /// key's `d`).
     pub(crate) fn reduce_exp(&self, exp: &BigUint) -> (BigUint, BigUint) {
         (exp % &self.order_p, exp % &self.order_q)
     }
@@ -267,7 +265,7 @@ pub struct PrivateKey {
     pub(crate) lambda: BigUint,
     /// CRT fast path: per-prime-power contexts plus `d` reduced per side.
     /// Always present for locally generated keys; never serialized.
-    crt: Option<Arc<CrtContext>>,
+    crt: Option<CrtContext>,
     pub(crate) d_p: BigUint,
     pub(crate) d_q: BigUint,
     pk: PublicKey,
@@ -289,8 +287,9 @@ impl PrivateKey {
         &self.d
     }
 
-    /// The CRT context, shared with key shares dealt from this key.
-    pub(crate) fn crt(&self) -> Option<&Arc<CrtContext>> {
+    /// The CRT context (a test oracle for the shares' full-width path).
+    #[cfg(test)]
+    pub(crate) fn crt(&self) -> Option<&CrtContext> {
         self.crt.as_ref()
     }
 
@@ -357,7 +356,7 @@ impl KeyPair {
             let private = PrivateKey {
                 d,
                 lambda,
-                crt: Some(Arc::new(crt)),
+                crt: Some(crt),
                 d_p,
                 d_q,
                 pk: public.clone(),

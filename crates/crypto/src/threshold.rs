@@ -14,7 +14,6 @@
 //!    from which the plaintext is extracted with the discrete-log algorithm
 //!    and a final multiplication by `(4Δ²)^{-1} mod n^s`.
 
-use crate::keys::CrtContext;
 use crate::shamir::{self, Share};
 use crate::{Ciphertext, CryptoError, KeyGenOptions, KeyPair, PublicKey};
 use cs_bigint::multi_exp::{batch_inverse, multi_exp_signed, MultiExpTerm};
@@ -48,16 +47,6 @@ impl ThresholdParams {
     }
 }
 
-/// Process-local CRT acceleration for one key share: the shared per-prime
-/// contexts plus this share's exponent reduced mod each unit-group order.
-/// Never serialized (see [`CrtContext`]'s scope note).
-#[derive(Clone, Debug)]
-struct ShareCrt {
-    ctx: Arc<CrtContext>,
-    exp_p: BigUint,
-    exp_q: BigUint,
-}
-
 /// One party's share of the decryption key.
 #[derive(Clone, Debug)]
 pub struct KeyShare {
@@ -65,10 +54,6 @@ pub struct KeyShare {
     value: BigUint,
     /// `2Δ·s_i`, precomputed — the exponent of every partial decryption.
     exponent: BigUint,
-    /// CRT fast path for the exponentiation; present when dealt in-process
-    /// from a keypair that knows its factorization, absent on shares that
-    /// crossed a serialization boundary.
-    crt: Option<ShareCrt>,
     pk: PublicKey,
 }
 
@@ -83,59 +68,25 @@ impl KeyShare {
         &self.pk
     }
 
-    /// Computes this party's partial decryption `c^(2Δ·s_i) mod n^(s+1)`.
-    ///
-    /// Runs the CRT fast path (half-width moduli, group-order-reduced
-    /// exponents) when the share was dealt in-process; shares rebuilt from
-    /// the wire take the generic full-width path. Both produce identical
-    /// bytes for unit ciphertexts — [`Self::partial_decrypt_slow`] is the
-    /// differential oracle.
+    /// Computes this party's partial decryption `c^(2Δ·s_i) mod n^(s+1)`:
+    /// one full-width exponentiation modulo `n^(s+1)`. A share knows nothing
+    /// of the factorisation of `n` — a member that did could decrypt alone —
+    /// so it has no CRT path, wherever it was dealt.
     pub fn partial_decrypt(&self, c: &Ciphertext) -> PartialDecryption {
-        let value = match &self.crt {
-            Some(crt) => crt
-                .ctx
-                .pow_mod_reduced(c.as_biguint(), &crt.exp_p, &crt.exp_q),
-            None => self.pk.mont().pow_mod(c.as_biguint(), &self.exponent),
-        };
-        PartialDecryption {
-            index: self.index,
-            value,
-        }
-    }
-
-    /// Partial decryption through the generic full-width path, ignoring
-    /// any CRT context — the differential oracle for the fast path.
-    pub fn partial_decrypt_slow(&self, c: &Ciphertext) -> PartialDecryption {
         PartialDecryption {
             index: self.index,
             value: self.pk.mont().pow_mod(c.as_biguint(), &self.exponent),
         }
     }
 
-    /// Whether this share carries the process-local CRT hint.
-    pub fn has_crt_hint(&self) -> bool {
-        self.crt.is_some()
-    }
-
-    /// A copy of this share without the CRT hint (the state a share is in
-    /// after a serde roundtrip).
-    pub fn without_crt(&self) -> KeyShare {
-        KeyShare {
-            crt: None,
-            ..self.clone()
-        }
-    }
-
     /// Rebuilds a share from its wire parts (deserialization path — the
     /// caller vouches that `value` is a genuine Shamir share of the key
     /// behind `pk` and that `exponent = 2Δ·value` for the committee's Δ).
-    /// Wire shares carry no CRT context.
     pub fn from_parts(index: u64, value: BigUint, exponent: BigUint, pk: PublicKey) -> Self {
         KeyShare {
             index,
             value,
             exponent,
-            crt: None,
             pk,
         }
     }
@@ -252,29 +203,14 @@ impl ThresholdKeyPair {
         );
         let delta = shamir::delta(params.parties);
         let two_delta = delta.mul_u64(2);
-        // The dealer holds the factorization, so every share it deals gets
-        // the process-local CRT fast path (reduced exponents + shared
-        // contexts). Serialization strips it; see `CrtContext`.
-        let crt_ctx = keypair.private().crt().cloned();
+        // The dealer holds the factorisation; the shares it deals do not.
         let shares = raw_shares
             .into_iter()
-            .map(|s| {
-                let exponent = &two_delta * &s.value;
-                let crt = crt_ctx.as_ref().map(|ctx| {
-                    let (exp_p, exp_q) = ctx.reduce_exp(&exponent);
-                    ShareCrt {
-                        ctx: ctx.clone(),
-                        exp_p,
-                        exp_q,
-                    }
-                });
-                KeyShare {
-                    index: s.index,
-                    exponent,
-                    value: s.value,
-                    crt,
-                    pk: pk.clone(),
-                }
+            .map(|s| KeyShare {
+                index: s.index,
+                exponent: &two_delta * &s.value,
+                value: s.value,
+                pk: pk.clone(),
             })
             .collect();
         ThresholdKeyPair {
@@ -760,18 +696,19 @@ mod tests {
         }
     }
 
+    /// A share's full-width partial decryption equals the dealer's CRT
+    /// split of the same exponentiation (half-width moduli, exponents
+    /// reduced per side), bit for bit.
     #[test]
     fn partial_decrypt_crt_matches_slow_path() {
         let (tkp, mut rng) = setup(221, 2, 3, 2);
+        let crt = tkp.as_keypair().private().crt().expect("the dealer's key");
         let m = random_below(&mut rng, tkp.public().n_s());
         let c = tkp.public().encrypt(&m, &mut rng);
         for sh in tkp.shares() {
-            assert!(sh.has_crt_hint(), "dealer-local shares carry CRT");
-            let stripped = sh.without_crt();
-            assert!(!stripped.has_crt_hint());
-            let fast = sh.partial_decrypt(&c);
-            assert_eq!(fast, sh.partial_decrypt_slow(&c), "share {}", sh.index());
-            assert_eq!(fast, stripped.partial_decrypt(&c), "share {}", sh.index());
+            let (exp_p, exp_q) = crt.reduce_exp(&sh.exponent);
+            let by_crt = crt.pow_mod_reduced(c.as_biguint(), &exp_p, &exp_q);
+            assert_eq!(sh.partial_decrypt(&c).value, by_crt, "share {}", sh.index());
         }
     }
 
@@ -896,9 +833,6 @@ mod tests {
         let sh = &tkp.shares()[0];
         let json = serde_json::to_string(sh).unwrap();
         let back: KeyShare = serde_json::from_str(&json).unwrap();
-        // The CRT hint is factorization knowledge — it must never survive
-        // serialization (a committee member with it could decrypt alone).
-        assert!(!back.has_crt_hint());
         assert_eq!(&back, sh);
         let c = tkp.public().encrypt(&BigUint::from(77u64), &mut rng);
         assert_eq!(back.partial_decrypt(&c), sh.partial_decrypt(&c));

@@ -8,7 +8,9 @@
 //! suite pins the equivalences down under randomized inputs:
 //!
 //! * CRT decryption ≡ generic decryption, bit for bit;
-//! * CRT partial decryption ≡ generic partial decryption, bit for bit;
+//! * a share's partial decryption is the same bits whether the share was
+//!   dealt in process or read from the wire (no share carries a CRT path:
+//!   a member holding the factorisation could decrypt alone);
 //! * plan-based (multi-exp, batched-inverse) combination ≡ the naive
 //!   per-share `pow_mod` combination, for every committee subset —
 //!   including the subsets whose Lagrange coefficients go negative;
@@ -20,7 +22,7 @@
 use cs_bigint::rng::random_below;
 use cs_bigint::BigUint;
 use cs_crypto::threshold::{combine_partials_naive, CombinePlanCache};
-use cs_crypto::{KeyGenOptions, ThresholdKeyPair, ThresholdParams};
+use cs_crypto::{KeyGenOptions, KeyShare, ThresholdKeyPair, ThresholdParams};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -61,6 +63,11 @@ fn tkp_wide() -> &'static ThresholdKeyPair {
     })
 }
 
+/// `share` after a serde round-trip: what a `csnoded` member holds.
+fn wire_copy(share: &KeyShare) -> KeyShare {
+    serde_json::from_str(&serde_json::to_string(share).expect("serializes")).expect("parses")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -78,21 +85,24 @@ proptest! {
         prop_assert_eq!(kp.private().without_crt().decrypt(&c), m);
     }
 
-    /// CRT-split partial decryption produces bit-identical shares to the
-    /// generic exponentiation, for every committee member.
+    /// A dealt share and its wire copy give bit-identical partials, for
+    /// every committee member, and every pair of them combines to `m`.
     #[test]
-    fn crt_partial_decrypt_equals_generic(seed in any::<u64>()) {
+    fn dealt_and_wire_shares_give_identical_partials(seed in any::<u64>()) {
         let t = tkp();
         let mut rng = StdRng::seed_from_u64(seed);
         let m = random_below(&mut rng, t.public().n_s());
         let c = t.public().encrypt(&m, &mut rng);
+        let mut partials = Vec::new();
         for share in t.shares() {
-            prop_assert!(share.has_crt_hint());
-            let fast = share.partial_decrypt(&c);
-            let slow = share.partial_decrypt_slow(&c);
-            let stripped = share.without_crt().partial_decrypt(&c);
-            prop_assert_eq!(&fast, &slow);
-            prop_assert_eq!(&fast, &stripped);
+            let partial = share.partial_decrypt(&c);
+            prop_assert_eq!(&partial, &wire_copy(share).partial_decrypt(&c));
+            partials.push(partial);
+        }
+        for (i, j) in [(0, 1), (2, 0), (1, 2)] {
+            let subset = [partials[i].clone(), partials[j].clone()];
+            let naive = combine_partials_naive(t.public(), t.params(), t.delta(), &subset);
+            prop_assert_eq!(naive.unwrap(), m.clone());
         }
     }
 
@@ -211,9 +221,10 @@ fn short_subsets_are_rejected_everywhere() {
 }
 
 /// The same equivalences at a 1024-bit key: the CRT sides `p²`, `q²` are 16
-/// limbs and `n²` is 32, so every exponentiation runs on the slice-based
-/// Montgomery engine instead of the ≤ 8-limb kernels the 256-bit suite
-/// above exercises. One key, a few ciphertexts, every committee pair.
+/// limbs and `n²` is 32, so every exponentiation runs on a wide Montgomery
+/// engine — the IFMA kernel on a CPU with AVX-512 IFMA, the scalar slices
+/// elsewhere — instead of the ≤ 8-limb kernels the 256-bit suite above
+/// exercises. One key, a few ciphertexts, every committee pair.
 #[test]
 fn wide_key_fast_paths_equal_their_oracles() {
     let mut rng = StdRng::seed_from_u64(0xC0FF_EE10);
@@ -237,11 +248,9 @@ fn wide_key_fast_paths_equal_their_oracles() {
             .shares()
             .iter()
             .map(|share| {
-                assert!(share.has_crt_hint());
-                let fast = share.partial_decrypt(&c);
-                assert_eq!(fast, share.partial_decrypt_slow(&c));
-                assert_eq!(fast, share.without_crt().partial_decrypt(&c));
-                fast
+                let partial = share.partial_decrypt(&c);
+                assert_eq!(partial, wire_copy(share).partial_decrypt(&c));
+                partial
             })
             .collect();
         for (i, j) in [(0, 1), (2, 0), (1, 2)] {

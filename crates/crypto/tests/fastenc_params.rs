@@ -32,8 +32,9 @@ fn derive_and_check(pk: &PublicKey, rng: &mut StdRng) -> FastEncryptor {
     assert_eq!(table.window_bits(), 8);
     // The comb's rows follow from the size of the one-row table — one
     // 255-entry window per exponent byte — and nothing else: that size over
-    // 2 MiB, rounded up.
-    let entry_bytes = pk.n_s1().limb_len() * 8;
+    // 2 MiB, rounded up. An entry is one residue of the Montgomery engine
+    // the key's `n^(s+1)` runs on.
+    let entry_bytes = table.entry_bytes();
     let one_row_bytes = enc.exp_bits().div_ceil(8) * 255 * entry_bytes;
     assert_eq!(table.rows(), one_row_bytes.div_ceil(2 << 20));
     // Covered, and by no more than the one partly used column: an exponent
@@ -75,19 +76,24 @@ fn randomizers_decrypt_to_zero(kp: &KeyPair, enc: &FastEncryptor, count: usize, 
 #[test]
 fn parameters_follow_from_the_key_at_256_1024_and_2048_bits() {
     let mut rng = StdRng::seed_from_u64(0xD1_5EED);
-    // What the derivation comes to: one row at 256 bits (the plain window
-    // table, 255 KiB), two at 1024, eight at 2048 — 2 088 960 B resident
-    // where the one-row table was 16 711 680.
-    for (bits, rows, table_bytes, draws) in [
-        (256usize, 1usize, 261_120usize, 64usize),
-        (1024, 2, 2_088_960, 8),
-        (2048, 8, 2_088_960, 4),
+    // What the derivation comes to, as `(rows, bytes)` on the scalar engine
+    // and on the IFMA engine: one row at 256 bits on both (the plain window
+    // table, 255 KiB; `n²` is 8 limbs, below the IFMA engine's width), two
+    // at 1024 bits and eight at 2048 on the scalar engine — 2 088 960 B
+    // resident where the one-row table was 16 711 680 — and three and ten
+    // on the IFMA engine, whose 40- and 80-word residues are 25 % wider.
+    for (bits, scalar, ifma, draws) in [
+        (256usize, (1usize, 261_120usize), (1, 261_120), 64usize),
+        (1024, (2, 2_088_960), (3, 1_795_200), 8),
+        (2048, (8, 2_088_960), (10, 2_121_600), 4),
     ] {
         let kp = key(bits, 1, &mut rng);
         assert_eq!(kp.public().n().bit_len(), bits);
         let enc = derive_and_check(kp.public(), &mut rng);
         assert_eq!(enc.exp_bits(), bits / 2);
-        assert_eq!(enc.table().rows(), rows);
+        let engine = MontgomeryCtx::new(kp.public().n_s1()).engine();
+        let (rows, table_bytes) = if engine == "ifma" { ifma } else { scalar };
+        assert_eq!(enc.table().rows(), rows, "{bits}-bit key, {engine} engine");
         assert_eq!(enc.table().table_bytes(), table_bytes);
         randomizers_decrypt_to_zero(&kp, &enc, draws, &mut rng);
     }

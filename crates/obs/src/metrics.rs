@@ -262,10 +262,14 @@ impl MetricsSnapshot {
         self.histograms.iter().find(|h| h.name == name)
     }
 
-    /// Element-wise sum (union of names) — cluster totals from per-node
-    /// snapshots, mirroring `TrafficSnapshot::plus`.
+    /// Merge by name (union of names) — cluster totals from per-node
+    /// snapshots, run totals from per-step ones, mirroring
+    /// `TrafficSnapshot::plus`. Counters and histograms are counts and
+    /// add; gauges are levels and take the larger (a name on one side
+    /// only keeps its level), so a merged `crypto.partials_max` is still
+    /// the worst node and a merged `obs.uptime.seconds` the oldest daemon.
     pub fn plus(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        merge(self, other, u64::wrapping_add, i64::wrapping_add)
+        merge(self, other)
     }
 
     /// The delta of this snapshot against an *earlier* scrape of the same
@@ -287,22 +291,17 @@ impl MetricsSnapshot {
     ///   the post-restart increments. A histogram that reset is taken
     ///   wholesale for the same reason.
     ///
-    /// Gauges are levels, not monotone counts, so their delta is a signed
-    /// subtraction (against 0 when newly registered).
+    /// Gauges are levels, not counts: a delta carries a gauge's later
+    /// level, which is what [`Self::plus`]'s max merges.
     ///
-    /// For a monotone, restart-free source whose key set only grows —
-    /// every per-step daemon scrape — `earlier.plus(&delta)` reassembles
-    /// this snapshot exactly.
+    /// For a monotone, restart-free source whose key set only grows and
+    /// whose gauges do not fall — every per-step daemon scrape of its
+    /// uptime — `earlier.plus(&delta)` reassembles this snapshot exactly.
     pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let then_counters: BTreeMap<&str, u64> = earlier
             .counters
             .iter()
             .map(|c| (c.name.as_str(), c.value))
-            .collect();
-        let then_gauges: BTreeMap<&str, i64> = earlier
-            .gauges
-            .iter()
-            .map(|g| (g.name.as_str(), g.value))
             .collect();
         let then_histograms: BTreeMap<&str, &HistogramValue> = earlier
             .histograms
@@ -325,17 +324,7 @@ impl MetricsSnapshot {
                     }
                 })
                 .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|g| {
-                    let then = then_gauges.get(g.name.as_str()).copied().unwrap_or(0);
-                    GaugeValue {
-                        name: g.name.clone(),
-                        value: g.value.wrapping_sub(then),
-                    }
-                })
-                .collect(),
+            gauges: self.gauges.clone(),
             histograms: self
                 .histograms
                 .iter()
@@ -375,14 +364,9 @@ fn diff_histogram(later: &HistogramValue, earlier: &HistogramValue) -> Histogram
     }
 }
 
-/// Merges two snapshots name-by-name with the given combining operators
-/// (the right-hand snapshot's lone entries combine against zero).
-fn merge(
-    a: &MetricsSnapshot,
-    b: &MetricsSnapshot,
-    op_u: fn(u64, u64) -> u64,
-    op_i: fn(i64, i64) -> i64,
-) -> MetricsSnapshot {
+/// Merges two snapshots name-by-name: counters and histograms add (a lone
+/// entry against zero), gauges take the larger level.
+fn merge(a: &MetricsSnapshot, b: &MetricsSnapshot) -> MetricsSnapshot {
     let mut counters: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
     for c in &a.counters {
         counters.entry(&c.name).or_default().0 = c.value;
@@ -390,12 +374,10 @@ fn merge(
     for c in &b.counters {
         counters.entry(&c.name).or_default().1 = c.value;
     }
-    let mut gauges: BTreeMap<&str, (i64, i64)> = BTreeMap::new();
-    for g in &a.gauges {
-        gauges.entry(&g.name).or_default().0 = g.value;
-    }
-    for g in &b.gauges {
-        gauges.entry(&g.name).or_default().1 = g.value;
+    let mut gauges: BTreeMap<&str, i64> = BTreeMap::new();
+    for g in a.gauges.iter().chain(&b.gauges) {
+        let level = gauges.entry(&g.name).or_insert(g.value);
+        *level = (*level).max(g.value);
     }
     let mut histograms: BTreeMap<&str, (Option<&HistogramValue>, Option<&HistogramValue>)> =
         BTreeMap::new();
@@ -410,19 +392,19 @@ fn merge(
             .into_iter()
             .map(|(name, (x, y))| CounterValue {
                 name: name.to_string(),
-                value: op_u(x, y),
+                value: x.wrapping_add(y),
             })
             .collect(),
         gauges: gauges
             .into_iter()
-            .map(|(name, (x, y))| GaugeValue {
+            .map(|(name, value)| GaugeValue {
                 name: name.to_string(),
-                value: op_i(x, y),
+                value,
             })
             .collect(),
         histograms: histograms
             .into_iter()
-            .map(|(name, (x, y))| merge_histogram(name, x, y, op_u))
+            .map(|(name, (x, y))| merge_histogram(name, x, y))
             .collect(),
     }
 }
@@ -431,8 +413,8 @@ fn merge_histogram(
     name: &str,
     a: Option<&HistogramValue>,
     b: Option<&HistogramValue>,
-    op: fn(u64, u64) -> u64,
 ) -> HistogramValue {
+    let op = u64::wrapping_add;
     let mut buckets = [0u64; HISTOGRAM_BUCKETS];
     let mut other = [0u64; HISTOGRAM_BUCKETS];
     for bc in a.map_or(&[][..], |h| &h.buckets) {
@@ -700,7 +682,7 @@ mod tests {
         let delta = after.since(&before);
         assert_eq!(delta.counter("a"), 7);
         assert_eq!(delta.counter("b"), 2);
-        assert_eq!(delta.gauge("g"), 7); // −3 → 4
+        assert_eq!(delta.gauge("g"), 4); // a level: −3 → 4 is 4
         let h = delta.histogram("h").unwrap();
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 9);
@@ -778,6 +760,31 @@ mod tests {
                 bucket: 4,
                 count: 1
             }]
+        );
+    }
+
+    /// The merge rule: counters and histograms add, gauges take the larger
+    /// level, and a gauge on one side only keeps its own (even negative).
+    #[test]
+    fn plus_sums_counts_and_takes_the_larger_level() {
+        let (a, b) = (Registry::new(), Registry::new());
+        a.counter("c").add(3);
+        b.counter("c").add(4);
+        a.histogram("h").record(5);
+        b.histogram("h").record(9);
+        a.gauge("worst").set(7);
+        b.gauge("worst").set(2);
+        a.gauge("only.a").set(-5);
+        let merged = a.snapshot().plus(&b.snapshot());
+        assert_eq!(merged.counter("c"), 7);
+        assert_eq!(merged.histogram("h").unwrap().count, 2);
+        assert_eq!(merged.histogram("h").unwrap().sum, 14);
+        assert_eq!(merged.gauge("worst"), 7);
+        assert_eq!(merged.gauge("only.a"), -5);
+        assert_eq!(
+            merged,
+            b.snapshot().plus(&a.snapshot()),
+            "the merge commutes"
         );
     }
 
