@@ -3,13 +3,13 @@
 //! The paper's protocol "proceeds without any global synchronization", so
 //! a participant's only clocks are its own: its scripted churn, the gossip
 //! pacing tick, the decryption round's retry (= hedge) and give-up timers,
-//! and the step's hard deadline. [`NodeDriver`] wraps one [`ProtocolNode`]
-//! and owns all of that step-local timing state, including when the node
-//! crashes, rejoins and leaves and what that does to the rest. Like the
-//! node it is *sans-IO*: time comes in as a number (nanoseconds since the
-//! step's gossip start), messages come in decoded, and what goes out is
-//! [`Outbound`]s plus the armed timers as plain values. Every substrate is
-//! a way of feeding it:
+//! the leader's own share, and the step's hard deadline. [`NodeDriver`]
+//! wraps one [`ProtocolNode`] and owns all of that step-local timing
+//! state, including when the node crashes, rejoins and leaves and what that
+//! does to the rest. Like the node it is *sans-IO*: time comes in as a
+//! number (nanoseconds since the step's gossip start), messages come in
+//! decoded, and what goes out is [`Outbound`]s plus the armed timers as
+//! plain values. Every substrate is a way of feeding it:
 //!
 //! * the sharded executor keeps each armed timer as a queued event and
 //!   calls [`NodeDriver::fire`] when it pops — a timer disarmed in the
@@ -19,8 +19,14 @@
 //!   [`NodeDriver::poll`] once a turn — a loop over [`NodeDriver::fire`],
 //!   not a second implementation.
 //!
+//! The leader asks before it decrypts: opening its round folds and sends,
+//! and arms [`Timer::Share`] for its own partials, which a host fires once
+//! the request is on its way — the executor when the request reaches an
+//! asked member, the pump after the turn's flush — so the leader's
+//! exponentiations and the member's run side by side.
+//!
 //! What arms, fires and clears each [`Timer`] is stated on the methods
-//! below and, as one table, under "One driver, four clocks" in
+//! below and, as one table, under "One driver, five clocks" in
 //! `docs/architecture.md`. In short: a crash clears every armed timer but
 //! the script and a rejoin re-arms from the rejoin instant, so a node
 //! never resumes a pre-crash pacing chain and never abandons a round on a
@@ -64,7 +70,7 @@ pub fn decrypt_retry_interval(push_interval: Duration) -> Duration {
 /// due at the same instant: scripted churn comes first, so a node crashed
 /// at an instant does nothing else at it, and the deadline wins over a
 /// retry, so a round that is out of time is abandoned without one last
-/// re-request burst.
+/// re-request burst. The leader's own share comes last.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Timer {
     /// The node's next scripted crash, rejoin or leave.
@@ -75,16 +81,26 @@ pub enum Timer {
     Deadline,
     /// The decryption round's re-request (and hedge) timer.
     Retry,
+    /// The leader's own partial decryptions, due the instant it opens its
+    /// round (or rejoins owing them); a host fires it once the round's
+    /// request is on its way.
+    Share,
 }
 
 impl Timer {
     /// Every timer, in firing order.
-    pub const ALL: [Timer; 4] = [Timer::Churn, Timer::Tick, Timer::Deadline, Timer::Retry];
+    pub const ALL: [Timer; 5] = [
+        Self::Churn,
+        Self::Tick,
+        Self::Deadline,
+        Self::Retry,
+        Self::Share,
+    ];
 }
 
 /// The instants a node's timers are armed for — at most one per [`Timer`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Armed([Option<u64>; 4]);
+pub struct Armed([Option<u64>; 5]);
 
 impl Armed {
     /// When `timer` is due, if it is armed.
@@ -115,6 +131,8 @@ pub struct NodeDriver {
     /// and awaiting shares — they start with the round and end with it.
     retry: Option<u64>,
     deadline: Option<u64>,
+    /// The leader's own partials: armed while it is alive and owes them.
+    share: Option<u64>,
     push_interval: u64,
     retry_interval: u64,
     decrypt_deadline: u64,
@@ -136,6 +154,7 @@ impl NodeDriver {
             tick: alive.then_some(0),
             retry: None,
             deadline: None,
+            share: None,
             push_interval: ns(timing.push_interval),
             retry_interval: ns(decrypt_retry_interval(timing.push_interval)),
             decrypt_deadline: ns(timing.decrypt_deadline),
@@ -184,7 +203,7 @@ impl NodeDriver {
     /// compares this across an input to learn what the input armed.
     pub fn armed(&self) -> Armed {
         let churn = self.script.get(self.scripted).map(|&(at, _)| at);
-        Armed([churn, self.tick, self.deadline, self.retry])
+        Armed([churn, self.tick, self.deadline, self.retry, self.share])
     }
 
     /// Fires `timer` at instant `now` if it is armed and due — armed for an
@@ -211,16 +230,20 @@ impl NodeDriver {
                 self.node.retry_decrypt(out);
                 self.retry = Some(now + self.retry_interval);
             }
+            Timer::Share => self.node.decrypt_own_share(out),
         }
         self.settle(now);
         true
     }
 
-    /// Fires every timer due at `now`, each at most once: the wall-clock
-    /// substrates' once-a-turn call.
+    /// Fires every timer due at `now` but [`Timer::Share`], each at most
+    /// once: the wall-clock substrates' once-a-turn call. The share waits
+    /// for the turn's output to be flushed, and the host fires it then.
     pub fn poll(&mut self, now: u64, out: &mut Vec<Outbound>) {
         for timer in Timer::ALL {
-            self.fire(timer, now, out);
+            if timer != Timer::Share {
+                self.fire(timer, now, out);
+            }
         }
     }
 
@@ -266,13 +289,14 @@ impl NodeDriver {
     /// Silent fail-stop: every armed timer but the script is cleared.
     fn crash(&mut self) {
         self.alive = false;
-        (self.tick, self.retry, self.deadline) = (None, None, None);
+        (self.tick, self.retry, self.deadline, self.share) = (None, None, None, None);
     }
 
     /// Recovery with pre-crash state: the node announces itself and its
     /// clocks restart from `now` — a fresh tick chain one `push_interval`
     /// later if it is still gossiping, fresh retry and deadline clocks if
-    /// it is awaiting shares. No-op on a live node.
+    /// it is awaiting shares, and its own share due at once if it leads and
+    /// still owes it. No-op on a live node.
     fn rejoin(&mut self, now: u64, out: &mut Vec<Outbound>) {
         if self.alive {
             return;
@@ -314,7 +338,7 @@ impl NodeDriver {
     }
 
     /// Brings the decryption-round clocks in line with the node's phase
-    /// after an input.
+    /// after an input; the leader's share is due from when it is owed.
     fn settle(&mut self, now: u64) {
         if !self.node.awaiting_shares() {
             (self.retry, self.deadline) = (None, None);
@@ -322,5 +346,6 @@ impl NodeDriver {
             self.retry = Some(now + self.retry_interval);
             self.deadline = Some(now + self.decrypt_deadline);
         }
+        self.share = self.node.owes_share().then(|| self.share.unwrap_or(now));
     }
 }

@@ -251,8 +251,12 @@ impl Slot {
 
 /// Schedules an event for every timer `slot`'s driver has armed since
 /// `before`, its armed set ahead of the input just handled. Scripted churn
-/// keeps a class of its own.
-fn schedule_armed(queue: &mut Queue, slot: &mut Slot, before: Armed) {
+/// keeps a class of its own. The leader's share is not queued here: its key
+/// is returned, for the caller to queue once it knows when the request
+/// first reaches an asked member ([`Exec::route`]), so that the two
+/// exponentiations fall into one window, on two workers.
+fn schedule_armed(queue: &mut Queue, slot: &mut Slot, before: Armed) -> Option<Key> {
+    let mut share = None;
     for (timer, at) in slot.driver.armed().iter() {
         if before.at(timer) != Some(at) {
             slot.timer_seq += 1;
@@ -262,9 +266,13 @@ fn schedule_armed(queue: &mut Queue, slot: &mut Slot, before: Armed) {
                 CLASS_TIMER
             };
             let key = (at, class, slot.driver.id() as u32, slot.timer_seq);
-            queue.push(key, EventKind::Timer(timer));
+            match timer {
+                Timer::Share => share = Some(key),
+                _ => queue.push(key, EventKind::Timer(timer)),
+            }
         }
     }
+    share
 }
 
 /// A shard: the nodes it owns, their event queue, and local (unsynchronized)
@@ -459,8 +467,9 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// Routes one activation's output messages. `from` owns its shard, so
-    /// its send sequence lives behind the same lock.
+    /// Routes one activation's output messages; returns the earliest
+    /// instant a `DecryptRequest` among them is delivered. `from` owns its
+    /// shard, so its send sequence lives behind the same lock.
     fn route(
         &self,
         shard: &mut Shard,
@@ -469,8 +478,14 @@ impl<'a> Exec<'a> {
         now: u64,
         window_end: u64,
         out: &mut Vec<Outbound>,
-    ) {
+    ) -> Option<u64> {
         let from_local = self.home[from].1 as usize;
+        let mut requested = None;
+        let mut request_at = |msg: &Message, at: u64| {
+            if matches!(msg, Message::DecryptRequest { .. }) {
+                requested = Some(requested.map_or(at, |r: u64| r.min(at)));
+            }
+        };
         for outbound in out.drain(..) {
             let (to, msg, ctx) = &outbound;
             let ci = msg.class() as usize;
@@ -490,6 +505,7 @@ impl<'a> Exec<'a> {
                 shard.in_shard += 1;
                 shard.counters[ci][0] += 1;
                 shard.counters[ci][1] += len as u64;
+                request_at(msg, now);
                 let key = (now, CLASS_DELIVER, from as u32, seq);
                 shard.queue.push(key, EventKind::Deliver(outbound));
                 continue;
@@ -523,10 +539,12 @@ impl<'a> Exec<'a> {
             // Visible no earlier than the next epoch boundary — the barrier
             // that makes cross-shard interleaving schedule-independent.
             let at = (now + delay).max(window_end);
+            request_at(msg, at);
             shard.earliest_out = shard.earliest_out.min(at);
             let key = (at, CLASS_DELIVER, from as u32, seq);
             shard.outboxes[target_shard].push((key, EventKind::Deliver(outbound)));
         }
+        requested
     }
 
     /// One event: feed it to the target node's driver, schedule whatever
@@ -571,8 +589,12 @@ impl<'a> Exec<'a> {
         if starved && matches!(out.first(), Some((_, Message::PlainPush { .. }, _))) {
             shard.buffers_allocated += 1;
         }
-        schedule_armed(&mut shard.queue, slot, before);
-        self.route(shard, shard_idx, node, now, window_end, &mut out);
+        let share = schedule_armed(&mut shard.queue, slot, before);
+        let requested = self.route(shard, shard_idx, node, now, window_end, &mut out);
+        if let Some((at, class, actor, seq)) = share {
+            let key = (requested.unwrap_or(at), class, actor, seq);
+            shard.queue.push(key, EventKind::Timer(Timer::Share));
+        }
         out.clear();
         shard.scratch = out;
     }

@@ -41,7 +41,9 @@
 //!   other live members for their partials, combines them with its own and
 //!   keeps the estimate as the step's release: it answers every
 //!   [`Message::ReleaseRequest`] with a [`Message::Release`], once the
-//!   release is ready.
+//!   release is ready. **The leader asks before it decrypts**: its own
+//!   partials are [`ProtocolNode::decrypt_own_share`], which the driver's
+//!   share timer runs once the request is on its way.
 //! * **The other members** serve the leader's `DecryptRequest` in any
 //!   phase, take no snapshot and fold or combine nothing: each asks the
 //!   leader for its release, adopts it, and from then on answers its own
@@ -636,6 +638,32 @@ impl ProtocolNode {
         matches!(self.phase, Phase::AwaitShares)
     }
 
+    /// `true` while this node leads a round without its own partials.
+    pub(crate) fn owes_share(&self) -> bool {
+        self.leads() && !self.shares_by_sender.contains_key(&self.params.id)
+    }
+
+    /// The leader's own partials of the request it sent, accepted like a
+    /// member's reply. No-op unless it still owes them. Timer-driven, like
+    /// a tick.
+    pub fn decrypt_own_share(&mut self, out: &mut Vec<Outbound>) {
+        if !self.owes_share() {
+            return;
+        }
+        if let Some(t) = &mut self.tracer {
+            t.local_root();
+        }
+        let pending = self.pending_request.take().expect("a leader asked");
+        let Message::DecryptRequest { width, slots, .. } = &pending.request else {
+            unreachable!("a leader asks for partials");
+        };
+        let (width, own) = (*width, self.partials_of(slots));
+        self.pending_request = Some(pending);
+        let (member, partials) = own.expect("a leader holds a share");
+        self.accept_share(self.params.id, member, width, partials);
+        self.answer_release_waiters(out);
+    }
+
     /// Handles one decoded incoming message. `ctx` is the trace context
     /// carried by the frame ([`TraceContext::NONE`] when absent): until
     /// the next receive or tick, everything this node emits is causally
@@ -990,6 +1018,13 @@ impl ProtocolNode {
         committee.filter(|&m| self.peer_alive(m)).min()
     }
 
+    /// `true` while this node awaits partials for its own request.
+    fn leads(&self) -> bool {
+        matches!(self.phase, Phase::AwaitShares)
+            && (self.pending_request.as_ref())
+                .is_some_and(|p| matches!(p.request, Message::DecryptRequest { .. }))
+    }
+
     /// The leader a member waits on for its release, while it does.
     fn following(&self) -> Option<NodeId> {
         self.share_index()?;
@@ -1050,9 +1085,9 @@ impl ProtocolNode {
 
     /// The leader's round: snapshot the gossip ciphertexts — later absorbs
     /// keep mixing the gossip state but no longer affect this estimate —
-    /// folded to what they occupy, contribute this member's own partials
-    /// without a network hop and ask `threshold − 1` other live members for
-    /// theirs.
+    /// folded to what they occupy, and ask `threshold − 1` other live
+    /// members for their partials; its own come later, without a network
+    /// hop ([`Self::decrypt_own_share`]).
     fn lead(&mut self, out: &mut Vec<Outbound>) {
         let recipients = self.rotated_committee(self.followed);
         let (Aggregator::Encrypted(he), Some(RealCrypto { cipher, params, .. })) =
@@ -1071,7 +1106,6 @@ impl ProtocolNode {
         self.profile
             .add(StepPhase::Unpack, fold_started.elapsed().as_nanos() as u64);
         let (width, need) = (cipher.key_width(), params.threshold);
-        let (member, partials) = self.partials_of(&slots).expect("a member holds a share");
         self.pending_request = Some(PendingRequest {
             recipients,
             asked: 0,
@@ -1083,24 +1117,25 @@ impl ProtocolNode {
             },
             retries: 0,
         });
-        self.accept_share(self.params.id, member, width, partials);
-        self.answer_release_waiters(out);
         self.ask_committee(out);
     }
 
     /// Sends the pending request to further committee members, in rotation
-    /// order, until the answers already held plus the live members asked
-    /// and still to answer reach what the round completes on — exactly
-    /// that, no more. The rest of the committee stays the hedge
-    /// [`Self::retry_decrypt`] falls back on. No-op outside the round.
+    /// order, until the answers already held or owed by this node plus the
+    /// live members asked and still to answer reach what the round
+    /// completes on — exactly that, no more. The rest of the committee
+    /// stays the hedge [`Self::retry_decrypt`] falls back on. No-op outside
+    /// the round.
     fn ask_committee(&mut self, out: &mut Vec<Outbound>) {
         if !matches!(self.phase, Phase::AwaitShares) {
             return;
         }
+        let owed = usize::from(self.owes_share());
         let Some(mut pending) = self.pending_request.take() else {
             return;
         };
         let mut expected = self.shares_by_sender.len()
+            + owed
             + pending.recipients[..pending.asked]
                 .iter()
                 .filter(|&&m| self.peer_alive(m) && !self.shares_by_sender.contains_key(&m))
@@ -1167,8 +1202,7 @@ impl ProtocolNode {
         }
         // Only the leader combines: shares are no answer to a release
         // request.
-        let leads = (self.pending_request.as_ref())
-            .is_some_and(|p| matches!(p.request, Message::DecryptRequest { .. }));
+        let leads = self.leads();
         let Some(RealCrypto {
             cipher,
             params,

@@ -12,7 +12,7 @@
 //! messages.
 
 use crate::churn::ChurnSchedule;
-use crate::driver::{NodeDriver, Timing};
+use crate::driver::{NodeDriver, Timer, Timing};
 use crate::executor::ShardedConfig;
 use crate::node::{FaultSpec, NodeCrypto, NodeParams, NodeReport, Outbound, ProtocolNode};
 use crate::tcp::TcpTransport;
@@ -451,12 +451,13 @@ pub fn run_step_over_tcp(
 /// on real time — a node thread of [`run_step_over_tcp`], a `csnoded`
 /// process. Each turn: ask the host whether to go on, wait briefly for
 /// frames and decode them into the driver, let the driver fire what is
-/// due, flush what it emitted, and announce completion once. All protocol
-/// timing is the [`NodeDriver`]'s, scripted churn included; the pump only
-/// supplies the clock — nanoseconds since `epoch`, the gossip start, read
-/// once per delivered frame so a frame handed over after a scripted crash
-/// is lost — and books the turn's message work as the node's
-/// [`StepPhase::Gossip`].
+/// due, flush what it emitted (then fire a leader's [`Timer::Share`] and
+/// flush again, without waiting), and announce completion once. All
+/// protocol timing is the [`NodeDriver`]'s, scripted churn included; the
+/// pump only supplies the clock — nanoseconds since `epoch`, the gossip
+/// start, read once per delivered frame so a frame handed over after a
+/// scripted crash is lost — and books the turn's message work as the
+/// node's [`StepPhase::Gossip`].
 ///
 /// The hosts differ in two closures. `turn` runs at the top of every turn:
 /// `Break` ends the loop (shutdown flag, `StepEnd`). `announce` runs once,
@@ -496,6 +497,10 @@ pub fn pump<E>(
         let work = (polled - arrived).saturating_sub(profile.total_ns() - timed);
         profile.add(StepPhase::Gossip, work);
         flush(id, &mut out, transport);
+        // The leader's own partials run once its request is out.
+        if driver.fire(Timer::Share, polled, &mut out) {
+            flush(id, &mut out, transport);
+        }
 
         if !announced && driver.complete(polled) {
             announce()?;

@@ -15,6 +15,7 @@ use chiaroscuro::config::ChiaroscuroConfig;
 use chiaroscuro::noise::SlotLayout;
 use chiaroscuro::rounds::{CryptoContext, PerturbedAggregates, StepCipher};
 use cs_crypto::ThresholdParams;
+use cs_net::driver::{Armed, NodeDriver, Timer, Timing};
 use cs_net::node::{NodeCrypto, NodeParams, Outbound, ProtocolNode};
 use cs_net::transport::NodeId;
 use cs_net::wire::{Message, TraceContext};
@@ -189,6 +190,7 @@ fn decrypt_round_widens_on_leave_of_an_asked_member_without_the_timer() {
         "exactly `threshold` less its own share are asked"
     );
     let request = out[0].1.clone();
+    requester.decrypt_own_share(&mut out);
 
     // Departures that cost the round nothing ask nobody: a non-member, and
     // a member held back.
@@ -262,6 +264,74 @@ fn decrypt_round_retry_reaches_the_members_held_back() {
     assert_eq!(requested(&out), [1, 2]);
 }
 
+/// The leader sends first and decrypts second. Driven through its
+/// `NodeDriver`, the tick that opens a 2-of-3 leader's round asks exactly
+/// `t − 1` members and computes no partial decryption: its own partials are
+/// the share timer, due at that very instant, which `poll` leaves to the
+/// host. Firing it books one partial per ciphertext of the folded request
+/// and asks nobody more; the member's reply then completes the round.
+#[test]
+fn decrypt_round_leader_asks_before_it_decrypts() {
+    let params = ThresholdParams {
+        threshold: 2,
+        parties: 3,
+    };
+    let ctx = context(params);
+    let values = contribution(&[0.5, -1.25]);
+    let timing = Timing {
+        push_interval: Duration::from_millis(1),
+        decrypt_deadline: Duration::from_secs(1),
+        step_timeout: Duration::from_secs(60),
+    };
+    let opened = 5_000_000;
+    let open = |out: &mut Vec<Outbound>| {
+        let mut leader = NodeDriver::new(node(ctx, 0, &values, 111), &timing, true, Vec::new());
+        assert!(leader.fire(Timer::Tick, opened, out));
+        leader
+    };
+
+    let mut out = Vec::new();
+    let mut leader = open(&mut out);
+    assert!(leader.node().awaiting_shares());
+    assert_eq!(requested(&out), [1], "t − 1 members are asked");
+    assert_eq!(out.len(), params.threshold - 1, "and nothing else is sent");
+    let request = out[0].1.clone();
+    let Message::DecryptRequest { slots, .. } = &request else {
+        panic!("the round opens with a request");
+    };
+    let width = slots.len() as u64;
+    assert_eq!(leader.armed().at(Timer::Share), Some(opened));
+    // The wall-clock pump's `poll` leaves the share to be fired after the
+    // turn's flush.
+    out.clear();
+    leader.poll(opened, &mut out);
+    assert!(out.is_empty(), "{out:?}");
+    assert_eq!(leader.armed().at(Timer::Share), Some(opened));
+    assert_eq!(
+        open(&mut Vec::new())
+            .finish()
+            .decrypt_ops
+            .partial_decryptions,
+        0,
+        "nothing decrypted when the request goes out"
+    );
+
+    assert!(leader.fire(Timer::Share, opened, &mut out));
+    assert!(out.is_empty(), "no further request: {out:?}");
+    assert_eq!(leader.armed().at(Timer::Share), None);
+    assert!(leader.node().awaiting_shares());
+    assert!(!leader.fire(Timer::Share, opened, &mut out), "fired once");
+
+    let share = share_of(ctx, 1, 0, &request);
+    leader.deliver(1, share, TraceContext::NONE, opened + 1, &mut out);
+    assert!(leader.node().step_done());
+    assert_eq!(leader.armed(), Armed::default());
+    let report = leader.finish();
+    assert!(report.estimate.is_some());
+    assert_eq!(report.decrypt_ops.partial_decryptions, width);
+    assert_eq!(report.decrypt_ops.combinations, width);
+}
+
 /// A member that is not the leader decrypts nothing of its own: it asks
 /// the leader alone for its release. Its first retry only re-asks the
 /// leader — one lost frame must not start a second decryption — and its
@@ -290,6 +360,7 @@ fn decrypt_round_member_leads_itself_on_the_second_retry_only() {
         follower.retry_decrypt(out);
         assert!(release_requested(out).is_empty());
         assert_eq!(requested(out), [2], "the second leads, the leader last");
+        follower.decrypt_own_share(out);
         follower
     };
     let mut out = Vec::new();
@@ -310,6 +381,7 @@ fn decrypt_round_member_leads_itself_on_the_second_retry_only() {
     let mut leader = node(ctx, 0, &values, 23);
     out.clear();
     leader.tick(&mut out);
+    leader.decrypt_own_share(&mut out);
     let share = share_of(ctx, 1, 0, &out[0].1);
     out.clear();
     leader.handle(1, share, TraceContext::NONE, &mut out);
@@ -477,6 +549,7 @@ fn decrypt_round_share_of_another_width_is_one_counted_bad_frame() {
     requester.tick(&mut out);
     assert_eq!(requested(&out), [1]);
     let request = out[0].1.clone();
+    requester.decrypt_own_share(&mut out);
     let share = share_of(ctx, 1, 0, &request);
     let Message::DecryptShare {
         iteration,
@@ -524,6 +597,7 @@ fn decrypt_round_forged_reply_is_one_counted_bad_frame() {
     let start = |out: &mut Vec<Outbound>| {
         let mut requester = node(ctx, 0, &values, 71);
         requester.tick(out);
+        requester.decrypt_own_share(out);
         requester
     };
     let mut out = Vec::new();
@@ -630,6 +704,7 @@ fn decrypt_round_member_release_is_adopted_bit_for_bit() {
     leader.tick(&mut out);
     assert_eq!(requested(&out), [1]);
     let request = out[0].1.clone();
+    leader.decrypt_own_share(&mut out);
     // Member 1 asks the leader; node 3's rotation reaches member 0, node
     // 4's member 1.
     let mut asks = Vec::new();
@@ -815,12 +890,24 @@ fn executor_step(
     seed: u64,
     events: &[cs_net::ChurnEvent],
 ) -> (cs_net::StepRun, u64) {
+    executor_step_on(params, n, seed, events, false)
+}
+
+/// [`executor_step`], with every node's causal trace when `trace` is set.
+fn executor_step_on(
+    params: ThresholdParams,
+    n: usize,
+    seed: u64,
+    events: &[cs_net::ChurnEvent],
+    trace: bool,
+) -> (cs_net::StepRun, u64) {
     let (config, crypto) = context(params);
     let contributions: Vec<_> = (0..n)
         .map(|i| Some(contribution(&[i as f64 * 0.25, -1.0])))
         .collect();
     let sharded = ShardedConfig {
         shards: 4,
+        trace,
         ..ShardedConfig::default()
     };
     let run = run_step_sharded(
@@ -912,8 +999,8 @@ fn decrypt_round_one_leader_one_release_on_a_loss_free_step() {
 /// on its second retry. Every live node still ends with an estimate, at
 /// most two estimates exist, and the partials stay within the two
 /// failover decryptions' `2·C·t`. Had node 0 died a moment later, after
-/// opening its round, its own partials and member 1's reply to it would
-/// come on top: at most `C·t` more.
+/// opening its round — its `DecryptRequest` sent, its own partials not yet
+/// due — member 1's reply to it would come on top: at most `C·t` more.
 #[test]
 fn decrypt_round_survives_a_silent_crash_of_the_leader() {
     let t = TWO_OF_THREE.threshold as u64;
@@ -921,7 +1008,7 @@ fn decrypt_round_survives_a_silent_crash_of_the_leader() {
         ShardedConfig::default().push_interval * (context(TWO_OF_THREE).0.gossip_cycles as u32 - 1);
     for (after, extra) in [(last_tick, 0), (last_tick + Duration::from_micros(1), 1)] {
         let events = ChurnSchedule::none().crash(0, after, 0).for_step(0);
-        let (run, c) = executor_step(TWO_OF_THREE, 16, 13, &events);
+        let (run, c) = executor_step_on(TWO_OF_THREE, 16, 13, &events, true);
         assert!(!run.outcome.alive_after[0]);
         for (id, est) in run.outcome.estimates.iter().enumerate().skip(1) {
             assert!(
@@ -932,8 +1019,19 @@ fn decrypt_round_survives_a_silent_crash_of_the_leader() {
         let releases = run.metrics.gauge("crypto.releases_distinct");
         assert!((1..=2).contains(&releases), "{releases} releases");
         let partials = run.outcome.decrypt_ops.partial_decryptions;
-        let opened = run.reports[0].decrypt_ops.partial_decryptions;
-        assert_eq!(opened > 0, extra == 1, "crash at {after:?}");
+        let request = u64::from(
+            Message::DecryptRequest {
+                iteration: 0,
+                width: 0,
+                slots: Vec::new(),
+            }
+            .wire_tag(),
+        );
+        let opened = run.traces[0].events.iter().any(|e| {
+            let kind = e.fields.iter().find(|f| f.key == "kind");
+            e.name == "send" && kind.is_some_and(|f| f.value == request)
+        });
+        assert_eq!(opened, extra == 1, "crash at {after:?}");
         assert!(
             partials <= (2 + extra) * c * t,
             "{partials} partials, C = {c}, crash at {after:?}"
@@ -1062,6 +1160,7 @@ proptest! {
                 out.clear();
                 requester.retry_decrypt(out);
             }
+            requester.decrypt_own_share(out);
             requester
         };
         let mut out = Vec::new();
