@@ -28,10 +28,13 @@
 //! The per-key rows time the operations a key pays — `mont_mul`, `mont_sqr`,
 //! `pow_mod` at the ciphertext modulus `n²`, one fixed-base `randomizer` and
 //! one `partial_decrypt_honest`, a partial decryption by a share after a
-//! serde round-trip (what every committee member runs). Each records the
-//! Montgomery `engine` its `n²` ran on: at `256b` the scalar engine's
-//! stack-array kernels (≤ 8 limbs), at `1024b`/`2048b` the IFMA engine on a
-//! CPU with AVX-512 IFMA and the scalar engine's slices elsewhere. A full
+//! serde round-trip (what every committee member runs) — and the
+//! `prime_search` that precedes them all: the dealer's two primes of half
+//! the key's bits, on each of [`PRIME_SEEDS`]. Each records the Montgomery
+//! `engine` its `n²` ran on (`prime_search` its primes'): at `256b` the
+//! scalar engine's stack-array kernels (≤ 8 limbs), at `1024b`/`2048b` the
+//! IFMA engine on a CPU with AVX-512 IFMA and the scalar engine's slices
+//! elsewhere. A full
 //! run keeps the committed rows of an engine it did not run, so the
 //! document holds both engines' figures. `--check` holds each row of the
 //! engine it ran on below twice its committed figure, both measured in
@@ -44,6 +47,7 @@
 
 use cs_bench::{f, Table};
 use cs_bigint::multi_exp::multi_exp;
+use cs_bigint::prime::gen_prime;
 use cs_bigint::rng::random_below;
 use cs_bigint::MontgomeryCtx;
 use cs_crypto::threshold::{combine_partials_naive, CombinePlanCache};
@@ -216,9 +220,9 @@ fn main() {
     }
 }
 
-/// `entries`, then the committed per-key rows of every key and engine this
-/// run did not measure: a machine runs one engine per key, and the
-/// document keeps the other's figures.
+/// `entries`, then the committed per-key rows of every row, key and engine
+/// this run did not measure: a machine runs one engine per modulus, and
+/// the document keeps the other's figures.
 fn with_other_engines(
     entries: &[CryptoBenchEntry],
     committed: &CryptoBenchSummary,
@@ -226,7 +230,7 @@ fn with_other_engines(
     let ran = |k: &CryptoBenchEntry| {
         entries
             .iter()
-            .any(|e| (&e.mode, &e.engine) == (&k.mode, &k.engine))
+            .any(|e| (&e.name, &e.mode, &e.engine) == (&k.name, &k.mode, &k.engine))
     };
     let kept = committed
         .entries
@@ -402,13 +406,18 @@ fn wide_mode(bits: usize) -> String {
 }
 
 /// The rows measured per wide key, in table order.
-const WIDE_ROWS: [&str; 5] = [
+const WIDE_ROWS: [&str; 6] = [
     "mont_mul",
     "mont_sqr",
     "pow_mod",
     "randomizer",
     "partial_decrypt_honest",
+    "prime_search",
 ];
+
+/// The seeds of the `prime_search` samples, quick and full runs alike: a
+/// search's length is the seed's luck, so both runs time the same ones.
+const PRIME_SEEDS: std::ops::Range<u64> = 0..8;
 
 /// The per-key row `--check` measures every other one in: a 256-bit key's
 /// exponentiation at `n²`, on the scalar engine's stack arrays.
@@ -445,7 +454,8 @@ fn wide_entry(
 /// `sharded_packed_2048b` generates them): the Montgomery kernels and a
 /// full exponentiation at `n²`, one randomizer from the 8-tooth fixed-base
 /// comb table and one partial decryption by a share rebuilt from its
-/// serialized form.
+/// serialized form; and the dealer's search for two primes of `bits / 2`
+/// bits from each seed of [`PRIME_SEEDS`].
 fn bench_wide_key(bits: usize, reps: usize, rng: &mut StdRng) -> Vec<CryptoBenchEntry> {
     let tkp = ThresholdKeyPair::generate(
         &KeyGenOptions {
@@ -497,20 +507,39 @@ fn bench_wide_key(bits: usize, reps: usize, rng: &mut StdRng) -> Vec<CryptoBench
     let mut honest_partial = time(reps.min(6), &mut || {
         black_box(honest.partial_decrypt(black_box(&c)));
     });
-    let units = [2, SQR_CHAIN as usize, 1, 1, 1];
+    let mut primes = Vec::new();
+    let mut search: Vec<f64> = PRIME_SEEDS
+        .map(|seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t = Instant::now();
+            primes.push(gen_prime(bits / 2, &mut rng));
+            primes.push(gen_prime(bits / 2, &mut rng));
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    let units = [2, SQR_CHAIN as usize, 1, 1, 1, 1];
     let samples = [
         &mut mul,
         &mut sqr,
         &mut pow,
         &mut randomizer,
         &mut honest_partial,
+        &mut search,
     ];
     let engine = mont.engine();
+    let prime_engine = MontgomeryCtx::new(&primes[0]).engine();
     let mut rows: Vec<CryptoBenchEntry> = WIDE_ROWS
         .iter()
         .zip(units)
         .zip(samples)
-        .map(|((name, units), samples)| wide_entry(name, bits, engine, units, samples))
+        .map(|((&name, units), samples)| {
+            let engine = if name == "prime_search" {
+                prime_engine
+            } else {
+                engine
+            };
+            wide_entry(name, bits, engine, units, samples)
+        })
         .collect();
     let after_randomizer = 1 + rows
         .iter()

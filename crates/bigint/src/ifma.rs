@@ -19,6 +19,22 @@
 //! tracked in a general-purpose register, so a row moves one word out of
 //! the vector unit and none back in.
 //!
+//! That word is the next row's bottom word, and the kernel reads it right
+//! after the shift, before the high halves land on it: the two that land
+//! there, `hi(a₀·b_i)` and `hi(n₀·y)`, are the top bits of the 128-bit
+//! products the row forms for its digit anyway, so the general-purpose
+//! register adds them. The next digit then waits on one broadcast, one low
+//! multiply-add, the read and the scalar multiply, not on the two
+//! dependent high multiply-adds as well. A row costs the longest chain it
+//! waits on or the multiplier's throughput, whichever is longer. Up to 56
+//! words the chains set the pace: a row costs about as much at 24 words
+//! (12 IFMA instructions) as at 40 (20). There an accumulator vector's own
+//! chain of four multiply-adds and a shift would be next in line, so its
+//! high halves go into a fresh vector, added after the shift: two
+//! multiply-adds, the shift and an add. At 80 words the 40 IFMA
+//! instructions of a row set the pace, and the extra adds would only cost
+//! (docs/benchmarks.md, "What the IFMA row chain costs").
+//!
 //! [`Ifma::new`] returns an engine only on a CPU that reports `avx512f`
 //! and `avx512ifma`, which is what makes the kernel's `unsafe` calls
 //! sound. This is the crate's only module with `unsafe` code.
@@ -39,6 +55,12 @@ const LANES: usize = 8;
 /// Widest residue the kernel is built for, in vectors: 128 words, moduli of
 /// up to 6 654 bits (a 2048-bit key's `n³`).
 const MAX_VECTORS: usize = 16;
+
+/// Widest residue, in vectors, whose rows gather their high halves in a
+/// vector of their own: from 64 words up, the adds that fold them in cost
+/// more than the shorter chain saves (docs/benchmarks.md, "What the IFMA
+/// row chain costs").
+const SPLIT_MAX_VECTORS: usize = 7;
 
 /// A modulus prepared for the IFMA kernel.
 #[derive(Clone, Debug)]
@@ -145,7 +167,7 @@ fn load(out: &mut [u64], limbs: &[u64]) {
 
 #[cfg(target_arch = "x86_64")]
 mod kernel {
-    use super::{LANES, MASK, WORD_BITS};
+    use super::{LANES, MASK, SPLIT_MAX_VECTORS, WORD_BITS};
     use std::arch::x86_64::*;
 
     /// Almost-Montgomery multiplication, `out = a·b·R^{-1} mod m` in
@@ -185,17 +207,26 @@ mod kernel {
             }
         }
         let (a0, m0) = (a[0] as u128, m[0] as u128);
-        // The bottom word's carry, owed to the next row's bottom word.
-        let mut carry = 0u64;
+        // The accumulator's bottom word, kept beside the vector, and the
+        // carry it owes the next row's bottom word.
+        let (mut bottom, mut carry) = (0u64, 0u64);
         for &bi in b {
             // The bottom word as the low products will leave it, and the
             // digit that clears it.
-            let bottom = _mm_cvtsi128_si64(_mm512_castsi512_si128(acc[0])) as u64;
-            let t = bottom + carry + ((a0 * bi as u128) as u64 & MASK);
+            let ab = a0 * bi as u128;
+            let t = bottom + carry + (ab as u64 & MASK);
             let y = t.wrapping_mul(k0) & MASK;
-            carry = (t + ((m0 * y as u128) as u64 & MASK)) >> WORD_BITS;
+            let my = m0 * y as u128;
+            carry = (t + (my as u64 & MASK)) >> WORD_BITS;
             let (bv, yv) = (_mm512_set1_epi64(bi as i64), _mm512_set1_epi64(y as i64));
+            // Narrow rows gather their high halves off the accumulator's
+            // chain and add them after the shift.
+            let mut hi = [zero; L];
             for v in 0..L {
+                if L <= SPLIT_MAX_VECTORS {
+                    hi[v] = _mm512_madd52hi_epu64(zero, av[v], bv);
+                    hi[v] = _mm512_madd52hi_epu64(hi[v], mv[v], yv);
+                }
                 acc[v] = _mm512_madd52lo_epu64(acc[v], av[v], bv);
                 acc[v] = _mm512_madd52lo_epu64(acc[v], mv[v], yv);
             }
@@ -205,9 +236,19 @@ mod kernel {
                 acc[v] = _mm512_alignr_epi64::<1>(acc[v + 1], acc[v]);
             }
             acc[L - 1] = _mm512_alignr_epi64::<1>(zero, acc[L - 1]);
+            // The next bottom word, read before the high halves land on it:
+            // they are the top bits of the two products above. The next
+            // row's digit waits on this read, not on the high halves.
+            bottom = _mm_cvtsi128_si64(_mm512_castsi512_si128(acc[0])) as u64
+                + (ab >> WORD_BITS) as u64
+                + (my >> WORD_BITS) as u64;
             for v in 0..L {
-                acc[v] = _mm512_madd52hi_epu64(acc[v], av[v], bv);
-                acc[v] = _mm512_madd52hi_epu64(acc[v], mv[v], yv);
+                if L <= SPLIT_MAX_VECTORS {
+                    acc[v] = _mm512_add_epi64(acc[v], hi[v]);
+                } else {
+                    acc[v] = _mm512_madd52hi_epu64(acc[v], av[v], bv);
+                    acc[v] = _mm512_madd52hi_epu64(acc[v], mv[v], yv);
+                }
             }
         }
         for (v, &x) in acc.iter().enumerate() {

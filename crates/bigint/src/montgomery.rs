@@ -37,11 +37,12 @@ use crate::{wide, BigUint};
 const FIXED_MAX_LIMBS: usize = 8;
 
 /// Narrowest modulus, in 64-bit limbs, that runs on the IFMA engine when
-/// the CPU has it. A full `pow_mod` on the radix-2^52 kernel measured 0.8×
-/// the scalar engine's speed at 9 limbs, 1.0–1.2× at 12–14, 1.3× at 16 (a
-/// 1024-bit key's CRT halves), 2.7× at 32 and 4.2× at 64
-/// (docs/benchmarks.md, "What the IFMA engine buys").
-const IFMA_MIN_LIMBS: usize = 16;
+/// the CPU has it. A full `pow_mod` on the radix-2^52 kernel measured
+/// 1.0–1.05× the scalar engine's speed at 9 limbs, 1.2× at 10, 1.2–1.65×
+/// at 11–15, 1.8× at 16 (a 1024-bit prime, a 1024-bit key's CRT halves),
+/// 3.6× at 32 and 4.9× at 64 (docs/benchmarks.md, "What the IFMA row
+/// chain costs").
+const IFMA_MIN_LIMBS: usize = 10;
 
 /// `a·b·R^{-1} mod n` for a `K`-limb modulus, `K ≤ FIXED_MAX_LIMBS`: the
 /// slice engine's product and reduction on a stack scratch.

@@ -210,3 +210,42 @@ fn the_minus_one_check_reads_a_non_canonical_image() {
         }
     }
 }
+
+/// The carry boundary of the kernel's row, at 16–128 words: a modulus whose
+/// 52-bit words are all `2^52 − 1` below a top word as full as `R ≥ 4n`
+/// lets it be, and operands in `[n, 2n)` whose words below the top are
+/// all `2^52 − 1` too. Each row's bottom word then takes the largest
+/// high halves a row can add (`hi(a₀·bᵢ)` is `2^52 − 2`, `m₀ = 2^52 − 1`),
+/// and its digit is the bottom word itself (`−n^{-1} ≡ 1`). Products are
+/// checked against `a·b·R^{-1} mod n` and a squaring chain against the
+/// scalar engine.
+#[test]
+fn the_row_holds_at_the_carry_boundary() {
+    for vectors in 2..=16 {
+        let words = 8 * vectors;
+        let n = (BigUint::one() << (52 * words - 2)).sub_u64(1);
+        let below_top = (BigUint::one() << (52 * (words - 1))).sub_u64(1);
+        let full_top = ((BigUint::one() << 51).sub_u64(2) << (52 * (words - 1))) + &below_top;
+        let operands = [n.clone(), (&n << 1).sub_u64(1), full_top];
+        let pair = engines(&n);
+        for x in &operands {
+            let square = agree(&pair, "pow_mod_pow2", |c| c.pow_mod_pow2(&(x % &n), 64));
+            assert_eq!(square, pair.0.pow_mod(&(x % &n), &(BigUint::one() << 64)));
+        }
+        let Some(ifma) = &pair.1 else { continue };
+        let r = BigUint::one() << (52 * words);
+        let (mut out, mut t) = (vec![0; ifma.limbs()], vec![0; ifma.scratch_len()]);
+        for a in &operands {
+            assert!(*a >= n && *a < (&n << 1));
+            for b in &operands {
+                ifma.mont_mul_into(&mut out, &ifma.words_of(a), &ifma.words_of(b), &mut t);
+                let product = integer(&out);
+                assert!(
+                    product < (&n << 1),
+                    "{words} words: the product left [0, 2n)"
+                );
+                assert_eq!(&(&product * &r) % &n, &(a * b) % &n, "{words} words");
+            }
+        }
+    }
+}

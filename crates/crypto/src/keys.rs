@@ -382,6 +382,37 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The modulus of a 2048-bit key on a fixed seed, and of a 256-bit key
+    /// of safe primes: the values key generation gave before its trial
+    /// division ran on machine words, digit for digit.
+    #[test]
+    fn generated_moduli_are_pinned() {
+        let n = |bits, safe_primes, seed| {
+            let opts = KeyGenOptions {
+                modulus_bits: bits,
+                s: 1,
+                safe_primes,
+            };
+            let kp = KeyPair::generate(&opts, &mut StdRng::seed_from_u64(seed));
+            format!("{:x}", kp.public().n())
+        };
+        let n_2048 = [
+            "d71dc20af910020d1f878c318d5e367b6d617f69391051d9c9d7389bff4ea42d",
+            "57693f4de493cfbb5a864e0204ce9e26ad93ffacc5ba14debe08cf5e5ed52e90",
+            "913984b887323c541493399ac4540dadfe173384b285784be5c8cea3ebe7abca",
+            "4cd55b9919441008cd6b181a00ed35aa97c8b505981420ed6b91e4bc60a53339",
+            "81ac6b8d3290ef8183b8bf0040672ef9263ff7aa1c2974877d3132036aa5c716",
+            "01c97d91d26dcc4d4302d6dc4500aa0cd65ad03c73bd20aa0fe7e4bb5725162d",
+            "a3c2dc606f74d84b2ae2c0785ee168ec0e4d139eb2c41381824e6bf7154f74f0",
+            "68334a22b2c219024a9bec3c2deb640f36ab69aa2ee1f5b212e1bfe65f55a3bb",
+        ];
+        assert_eq!(n(2048, false, 7), n_2048.concat());
+        assert_eq!(
+            n(256, true, 3),
+            "b6caeb670c5a85e4d9bad44c002422cfe1dcb53a105ba41cb339d2de44734921"
+        );
+    }
+
     #[test]
     fn keygen_produces_requested_modulus_size() {
         let mut rng = StdRng::seed_from_u64(1);
