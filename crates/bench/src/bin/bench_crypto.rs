@@ -266,8 +266,8 @@ fn mode_us(entries: &[CryptoBenchEntry], name: &str, mode: &str) -> Option<f64> 
 
 /// The CI gate: the fast paths must not regress against their same-run
 /// baselines (machine-speed-independent), and packed threshold decryption
-/// must stay under an absolute per-bucket ceiling (the tentpole budget of
-/// the CRT + multi-exp PR — it sat at 67 µs/bucket before).
+/// must stay under a per-bucket ceiling in yardsticks (the budget of the
+/// CRT + multi-exp change — it sat at 67 µs/bucket before).
 fn run_check(entries: &[CryptoBenchEntry], committed: Option<&CryptoBenchSummary>) {
     let mut failures = Vec::new();
     for name in ["encrypt", "decrypt"] {
@@ -293,18 +293,23 @@ fn run_check(entries: &[CryptoBenchEntry], committed: Option<&CryptoBenchSummary
             _ => failures.push(format!("{name}: measurement missing")),
         }
     }
-    // Absolute ceiling on the packed decrypt hot path (partials + combine +
-    // unpack). Test-size keys on any release build clear this with a wide
-    // margin once CRT decomposition is in; only losing the fast path again
+    // Ceiling on the packed decrypt hot path (partials + combine + unpack),
+    // in units of this run's yardstick like every per-key gate: 30 µs over
+    // the committed pow_mod@256b of 17.07 µs. Test-size keys on any release
+    // build clear this with a wide margin; only losing the fast path again
     // would breach it.
-    const PACKED_DECRYPT_CEILING_US: f64 = 30.0;
-    match mode_us(entries, "decrypt", "packed") {
-        Some(packed) if packed <= PACKED_DECRYPT_CEILING_US => {}
-        Some(packed) => failures.push(format!(
-            "decrypt: packed {packed:.2} us/bucket exceeds the {PACKED_DECRYPT_CEILING_US:.0} us \
-             absolute ceiling"
+    const PACKED_DECRYPT_CEILING_YARDSTICKS: f64 = 30.0 / 17.07;
+    match (
+        mode_us(entries, "decrypt", "packed"),
+        mode_us(entries, YARDSTICK.0, YARDSTICK.1),
+    ) {
+        (Some(packed), Some(unit)) if packed / unit <= PACKED_DECRYPT_CEILING_YARDSTICKS => {}
+        (Some(packed), Some(unit)) => failures.push(format!(
+            "decrypt: packed {:.3} yardsticks a bucket ({packed:.2} us) exceeds the \
+             {PACKED_DECRYPT_CEILING_YARDSTICKS:.3} yardstick ceiling",
+            packed / unit
         )),
-        None => failures.push("decrypt: packed measurement missing".into()),
+        _ => failures.push("decrypt: packed or yardstick measurement missing".into()),
     }
     // Relative guard against drift, when a committed baseline is readable:
     // each per-key row against the committed row of the engine it ran on,

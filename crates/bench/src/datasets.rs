@@ -71,7 +71,7 @@ impl UseCase {
 }
 
 /// The paper's target deployment size (10⁶ devices).
-pub const TARGET_POPULATION: f64 = 1e6;
+const TARGET_POPULATION: f64 = 1e6;
 
 /// The demo's ε-rescaling rule (§III-B): simulating a small population with
 /// "the same 'noise magnitude / population size' ratio" as the target

@@ -56,7 +56,7 @@ pub(crate) fn sub_assign_limbs(a: &mut [u64], b: &[u64]) {
 
 impl BigUint {
     /// `self - other`, or `None` if the result would be negative.
-    pub fn checked_sub(&self, other: &BigUint) -> Option<BigUint> {
+    fn checked_sub(&self, other: &BigUint) -> Option<BigUint> {
         if self < other {
             return None;
         }
@@ -125,8 +125,7 @@ impl AddAssign<&BigUint> for BigUint {
 
 impl Sub<&BigUint> for &BigUint {
     type Output = BigUint;
-    /// Panics if `rhs > self`; use [`BigUint::checked_sub`] when underflow is
-    /// possible.
+    /// Panics if `rhs > self`.
     fn sub(self, rhs: &BigUint) -> BigUint {
         self.checked_sub(rhs)
             .expect("BigUint subtraction underflow")

@@ -53,7 +53,8 @@ impl BigUint {
     }
 
     /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
+    #[cfg(test)]
+    fn count_ones(&self) -> usize {
         self.limbs.iter().map(|l| l.count_ones() as usize).sum()
     }
 

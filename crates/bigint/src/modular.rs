@@ -65,16 +65,6 @@ impl BigUint {
         }
         acc
     }
-
-    /// `-self mod m`, i.e. `m - (self mod m)` (or zero).
-    pub fn mod_neg(&self, m: &BigUint) -> BigUint {
-        let r = self % m;
-        if r.is_zero() {
-            r
-        } else {
-            m - &r
-        }
-    }
 }
 
 #[cfg(test)]
@@ -97,14 +87,6 @@ mod tests {
         let m = b(10);
         assert_eq!(b(3).mod_sub(&b(8), &m), b(5));
         assert_eq!(b(8).mod_sub(&b(3), &m), b(5));
-    }
-
-    #[test]
-    fn mod_neg_examples() {
-        let m = b(10);
-        assert_eq!(b(3).mod_neg(&m), b(7));
-        assert_eq!(b(0).mod_neg(&m), b(0));
-        assert_eq!(b(10).mod_neg(&m), b(0));
     }
 
     #[test]

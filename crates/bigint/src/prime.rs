@@ -153,7 +153,7 @@ pub(crate) fn miller_rabin<R: Rng + ?Sized>(
 }
 
 /// Default Miller-Rabin rounds used by the generators (error `<= 4^-32`).
-pub const DEFAULT_MR_ROUNDS: usize = 32;
+const DEFAULT_MR_ROUNDS: usize = 32;
 
 /// Generates a random prime with exactly `bits` bits (top two bits set, so
 /// products of two such primes have the full `2·bits` length).

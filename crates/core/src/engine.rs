@@ -62,7 +62,8 @@ impl RunOutput {
     }
 
     /// Size of the cluster a given participant's series was assigned to.
-    pub fn cluster_size(&self, cluster: usize) -> usize {
+    #[cfg(test)]
+    fn cluster_size(&self, cluster: usize) -> usize {
         self.assignment.iter().filter(|&&a| a == cluster).count()
     }
 }

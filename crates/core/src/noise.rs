@@ -34,13 +34,13 @@ impl SlotLayout {
     }
 
     /// Slot of coordinate `d` of cluster `j`.
-    pub fn data_slot(&self, j: usize, d: usize) -> usize {
+    fn data_slot(&self, j: usize, d: usize) -> usize {
         debug_assert!(j < self.k && d < self.series_len);
         j * self.per_cluster() + d
     }
 
     /// Count slot of cluster `j`.
-    pub fn count_slot(&self, j: usize) -> usize {
+    fn count_slot(&self, j: usize) -> usize {
         debug_assert!(j < self.k);
         j * self.per_cluster() + self.series_len
     }

@@ -74,7 +74,7 @@ impl Participant {
 
     /// Paper step 1 (local): assign the series to the closest perturbed
     /// centroid. Returns the chosen cluster.
-    pub fn assignment_step(&mut self, distance: Distance) -> usize {
+    fn assignment_step(&mut self, distance: Distance) -> usize {
         let (cluster, _) = nearest_centroid(&self.series, &self.diptych.centroids, distance);
         self.cluster = cluster;
         cluster

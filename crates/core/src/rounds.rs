@@ -150,7 +150,7 @@ pub fn committee(parties: usize, population: usize) -> Vec<usize> {
 /// One public rule of the two numbers every host knows before a step, so
 /// the sharded executor, the TCP host and every `csnoded` of a cluster
 /// plan the same lanes.
-pub fn denominator_floor(cycles: usize, population: usize) -> u32 {
+fn denominator_floor(cycles: usize, population: usize) -> u32 {
     let pop_bits = usize::BITS - population.leading_zeros();
     (cycles as u32).saturating_mul(2).saturating_add(pop_bits)
 }
@@ -177,7 +177,7 @@ pub fn denominator_floor(cycles: usize, population: usize) -> u32 {
 /// steps pick the lanes:
 ///
 /// 1. **the fewest ciphertexts** — lanes as narrow as
-///    [`denominator_floor`]`(cycles, P)` allows, and so as many per
+///    `denominator_floor(cycles, P)` allows, and so as many per
 ///    ciphertext as fit;
 /// 2. **the widest lane that keeps that count** ([`PackedCodec::widened`])
 ///    — every bit a ciphertext has to spare goes to the headroom, which

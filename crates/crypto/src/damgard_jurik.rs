@@ -18,9 +18,7 @@ impl PublicKey {
     }
 
     /// Deterministic encryption with caller-provided randomness `r ∈ Z*_n`.
-    /// Exposed for tests and for re-randomization; real users should call
-    /// [`PublicKey::encrypt`].
-    pub fn encrypt_with_randomness(&self, m: &BigUint, r: &BigUint) -> Ciphertext {
+    fn encrypt_with_randomness(&self, m: &BigUint, r: &BigUint) -> Ciphertext {
         let g_m = self.one_plus_n_pow(m);
         let r_ns = self.mont().pow_mod(r, self.n_s());
         Ciphertext(self.mont().mul_mod(&g_m, &r_ns))
@@ -107,20 +105,12 @@ impl PrivateKey {
     /// The exponentiation runs through the CRT fast path (two half-width
     /// chains mod `p^(s+1)` and `q^(s+1)` with group-order-reduced
     /// exponents, Garner recombination) whenever the key carries its CRT
-    /// context — always, for locally generated keys. [`Self::decrypt_slow`]
-    /// keeps the pre-CRT full-width path as the differential oracle.
+    /// context — always, for locally generated keys. A copy made by
+    /// [`Self::without_crt`] keeps the pre-CRT full-width path as the
+    /// differential oracle.
     pub fn decrypt(&self, c: &Ciphertext) -> BigUint {
         let pk = self.public();
         let b = self.pow_d(&c.0);
-        pk.dlog_one_plus_n(&b)
-    }
-
-    /// Decrypts through the generic full-width `pow_mod`, ignoring any CRT
-    /// context — the differential oracle for the CRT fast path (and the
-    /// path a key without factorization knowledge would take).
-    pub fn decrypt_slow(&self, c: &Ciphertext) -> BigUint {
-        let pk = self.public();
-        let b = pk.mont().pow_mod(&c.0, &self.d);
         pk.dlog_one_plus_n(&b)
     }
 }
@@ -231,7 +221,11 @@ mod tests {
                 let m = random_below(&mut rng, kp.public().n_s());
                 let c = kp.public().encrypt(&m, &mut rng);
                 assert_eq!(kp.private().decrypt(&c), m, "CRT path, s={s}");
-                assert_eq!(kp.private().decrypt_slow(&c), m, "slow path, s={s}");
+                assert_eq!(
+                    kp.private().without_crt().decrypt(&c),
+                    m,
+                    "slow path, s={s}"
+                );
                 assert_eq!(no_crt.decrypt(&c), m, "stripped key, s={s}");
             }
         }

@@ -58,7 +58,7 @@ impl FixedPointCodec {
     }
 
     /// Encodes a pre-scaled integer (already in `2^scale_bits` units).
-    pub fn encode_integer(&self, x: i128, n_s: &BigUint) -> Result<BigUint, CryptoError> {
+    fn encode_integer(&self, x: i128, n_s: &BigUint) -> Result<BigUint, CryptoError> {
         let mag = BigUint::from(x.unsigned_abs());
         if mag >= n_s.half() {
             return Err(CryptoError::EncodingOverflow);

@@ -18,7 +18,8 @@ impl PublicKey {
     /// Adds a plaintext constant: `Dec(add_plain(c, k)) = Dec(c) + k mod n^s`.
     ///
     /// Cheaper than `add(c, encrypt(k))` — no randomness, no `r^(n^s)`.
-    pub fn add_plain(&self, c: &Ciphertext, k: &BigUint) -> Ciphertext {
+    #[cfg(test)]
+    fn add_plain(&self, c: &Ciphertext, k: &BigUint) -> Ciphertext {
         let g_k = self.one_plus_n_pow(&(k % self.n_s()));
         Ciphertext(self.mont().mul_mod(&c.0, &g_k))
     }

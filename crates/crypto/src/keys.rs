@@ -57,7 +57,6 @@ pub struct PublicKey {
     s: u32,
     n_s: BigUint,
     n_s1: BigUint,
-    half_n_s: BigUint,
     mont: MontgomeryCtx,
 }
 
@@ -70,14 +69,12 @@ impl PublicKey {
             n_s = &n_s * &n;
         }
         let n_s1 = &n_s * &n;
-        let half_n_s = n_s.half();
         let mont = MontgomeryCtx::new(&n_s1);
         PublicKey {
             n,
             s,
             n_s,
             n_s1,
-            half_n_s,
             mont,
         }
     }
@@ -95,11 +92,6 @@ impl PublicKey {
     /// The plaintext modulus `n^s`.
     pub fn n_s(&self) -> &BigUint {
         &self.n_s
-    }
-
-    /// `n^s / 2`, the signed-encoding pivot.
-    pub fn half_n_s(&self) -> &BigUint {
-        &self.half_n_s
     }
 
     /// The ciphertext modulus `n^(s+1)`.

@@ -209,7 +209,8 @@ impl PackedCodec {
     }
 
     /// The per-bucket fixed-point codec.
-    pub fn fixed_point(&self) -> &FixedPointCodec {
+    #[cfg(test)]
+    fn fixed_point(&self) -> &FixedPointCodec {
         &self.fp
     }
 

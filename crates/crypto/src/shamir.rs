@@ -92,7 +92,8 @@ pub fn lagrange_at_zero(subset: &[u64], i: u64, delta: &BigUint) -> BigInt {
 /// Reconstructs `Δ · secret mod M` from `threshold` shares (sanity/test
 /// helper; the production path interpolates in the exponent — see
 /// [`crate::threshold`]).
-pub fn reconstruct_delta_secret(shares: &[Share], parties: usize, modulus: &BigUint) -> BigUint {
+#[cfg(test)]
+fn reconstruct_delta_secret(shares: &[Share], parties: usize, modulus: &BigUint) -> BigUint {
     let d = delta(parties);
     let subset: Vec<u64> = shares.iter().map(|s| s.index).collect();
     let mut acc = BigInt::zero();

@@ -99,14 +99,6 @@ impl LaplaceMechanism {
     pub fn perturb<R: Rng + ?Sized>(&self, value: f64, rng: &mut R) -> f64 {
         value + self.distribution().sample(rng)
     }
-
-    /// Perturbs each coordinate of a vector aggregate whose *total* L1
-    /// sensitivity is `self.sensitivity` (the per-coordinate noise shares a
-    /// single ε because the sensitivity already bounds the whole vector).
-    pub fn perturb_vec<R: Rng + ?Sized>(&self, values: &[f64], rng: &mut R) -> Vec<f64> {
-        let d = self.distribution();
-        values.iter().map(|v| v + d.sample(rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -160,17 +152,6 @@ mod tests {
         let m = LaplaceMechanism::new(0.5, 2.0);
         assert_eq!(m.noise_scale(), 4.0);
         assert_eq!(m.distribution().variance(), 32.0);
-    }
-
-    #[test]
-    fn perturb_vec_length_and_independence() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let m = LaplaceMechanism::new(1.0, 1.0);
-        let v = vec![1.0; 16];
-        let p = m.perturb_vec(&v, &mut rng);
-        assert_eq!(p.len(), 16);
-        // With continuous noise two coordinates are a.s. different.
-        assert_ne!(p[0], p[1]);
     }
 
     #[test]

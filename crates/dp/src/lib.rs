@@ -16,10 +16,8 @@
 //!   strategies behind the paper's "smart privacy budget distribution"
 //!   quality heuristic (uniform, geometric-increasing, adaptive);
 //! * a **privacy accountant** ([`accountant`]): sequential self-composition
-//!   bookkeeping across iterations and disclosed aggregates;
-//! * **composition theorems** ([`composition`]): basic (the paper's) and
-//!   advanced (Dwork-Rothblum-Vadhan) composition, including the inverse
-//!   "how much ε per iteration can k iterations afford" solver.
+//!   bookkeeping across iterations and disclosed aggregates — the paper's
+//!   basic composition, "each iteration … consumes ε/k".
 //!
 //! ## Example
 //!
@@ -39,7 +37,6 @@
 
 pub mod accountant;
 pub mod budget;
-pub mod composition;
 pub mod gamma;
 pub mod laplace;
 pub mod shares;

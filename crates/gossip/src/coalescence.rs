@@ -14,7 +14,7 @@
 //! which is exactly what experiment E5's ablation shows.
 
 use crate::network::{CycleProtocol, ExchangeCtx};
-use cs_crypto::{Ciphertext, PrivateKey, PublicKey};
+use cs_crypto::{Ciphertext, PublicKey};
 use std::sync::Arc;
 
 /// An aggregated partial sum: encrypted slot-wise total plus contributor
@@ -52,12 +52,16 @@ impl CoalescenceNode {
     }
 
     /// `true` iff this node still holds a bucket.
-    pub fn holds_bucket(&self) -> bool {
+    fn holds_bucket(&self) -> bool {
         self.bucket.is_some()
     }
 
     /// Decrypts the held partial sum (diagnostics).
-    pub fn decrypt_partial(&self, sk: &PrivateKey) -> Option<(Vec<cs_bigint::BigUint>, u64)> {
+    #[cfg(test)]
+    fn decrypt_partial(
+        &self,
+        sk: &cs_crypto::PrivateKey,
+    ) -> Option<(Vec<cs_bigint::BigUint>, u64)> {
         self.bucket.as_ref().map(|b| {
             (
                 b.cipher.iter().map(|c| sk.decrypt(c)).collect(),

@@ -34,7 +34,7 @@ impl PlainPush {
     }
 
     /// [`Self::message_bytes`] of a push over `dim` slots.
-    pub fn bytes_for(dim: usize) -> usize {
+    fn bytes_for(dim: usize) -> usize {
         8 * (dim + 1)
     }
 }

@@ -40,25 +40,6 @@ impl TrafficStats {
         self.initiator_down += 1;
     }
 
-    /// Average delivered bytes per message (0 when nothing was delivered).
-    pub fn avg_message_bytes(&self) -> f64 {
-        if self.messages == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.messages as f64
-        }
-    }
-
-    /// Fraction of attempted messages that were lost.
-    pub fn loss_rate(&self) -> f64 {
-        let attempted = self.messages + self.dropped;
-        if attempted == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / attempted as f64
-        }
-    }
-
     /// Merges another counter set into this one.
     pub fn merge(&mut self, other: &TrafficStats) {
         self.messages += other.messages;
@@ -80,15 +61,6 @@ mod tests {
         t.record_drop();
         assert_eq!(t.messages, 2);
         assert_eq!(t.bytes, 400);
-        assert_eq!(t.avg_message_bytes(), 200.0);
-        assert!((t.loss_rate() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let t = TrafficStats::new();
-        assert_eq!(t.avg_message_bytes(), 0.0);
-        assert_eq!(t.loss_rate(), 0.0);
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl KMeans {
     /// Runs Lloyd's algorithm from caller-provided initial centroids (used
     /// by experiments that compare the distributed and centralized runs from
     /// identical seeds).
-    pub fn fit_from<R: Rng + ?Sized>(
+    fn fit_from<R: Rng + ?Sized>(
         &self,
         series: &[TimeSeries],
         mut centroids: Vec<TimeSeries>,

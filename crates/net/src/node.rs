@@ -233,7 +233,7 @@ pub enum FaultSpec {
 
 impl FaultSpec {
     /// Whether this fault makes node `id` corrupt its partial decryptions.
-    pub fn corrupts_partials(&self, id: NodeId) -> bool {
+    fn corrupts_partials(&self, id: NodeId) -> bool {
         matches!(self, FaultSpec::CorruptPartials { node } if *node == id)
     }
 }

@@ -396,57 +396,41 @@ impl ClusterBackend {
         })
     }
 
-    /// Live flight-recorder scrape: sends [`ControlMsg::Trace`] to every
-    /// daemon and collects the per-daemon captures. Same discipline as
-    /// [`ClusterBackend::scrape_metrics`] — only valid *between* steps;
-    /// slots that died or missed the deadline stay `None`.
-    pub fn scrape_traces(&mut self, timeout: Duration) -> Vec<Option<NodeTrace>> {
-        self.scrape(&ControlMsg::Trace, timeout, |msg| match msg {
-            ControlMsg::TraceReport { trace, .. } => Some(trace),
-            _ => None,
-        })
-    }
-
-    /// Scrapes every daemon's flight recorder and merges the captures —
-    /// plus the coordinator's own ring, as node id `n` — into one cluster
-    /// timeline in node-id order: the shape `cstrace` loads. Daemons that
+    /// Scrapes every daemon's flight recorder ([`ControlMsg::Trace`]; only
+    /// valid *between* steps, like [`ClusterBackend::scrape_metrics`]) and
+    /// merges the captures — plus the coordinator's own ring, as node id
+    /// `n` — into one cluster timeline in node-id order: the shape
+    /// `cstrace` loads. Daemons that
     /// died (a SIGKILLed peer cannot answer a scrape; its last moments
     /// survive only in its stderr dump and in its neighbors' rings) are
     /// simply absent. Per-node timestamps come from unsynchronized wall
     /// clocks, so cross-node analysis must use intra-node deltas — which
     /// is exactly what the critical-path analyzer does.
     pub fn cluster_trace(&mut self, timeout: Duration) -> ClusterTrace {
-        let per_node = self.scrape_traces(timeout);
+        let per_node = self.scrape(&ControlMsg::Trace, timeout, |msg| match msg {
+            ControlMsg::TraceReport { trace, .. } => Some(trace),
+            _ => None,
+        });
         let mut traces: Vec<NodeTrace> = per_node.into_iter().flatten().collect();
         traces.push(NodeTrace::capture(self.cluster.len() as u64, &self.tracer));
         traces.sort_by_key(|t| t.node);
         ClusterTrace { traces }
     }
 
-    /// Live health scrape: sends [`ControlMsg::Health`] to every daemon
-    /// and collects `(verdict, uptime_seconds)` pairs. Same discipline as
-    /// [`ClusterBackend::scrape_metrics`] — only valid *between* steps;
-    /// slots that died or missed the deadline stay `None`.
-    pub fn scrape_health(&mut self, timeout: Duration) -> Vec<Option<(cs_obs::HealthReport, u64)>> {
-        self.scrape(&ControlMsg::Health, timeout, |msg| match msg {
-            ControlMsg::HealthReport {
-                report,
-                uptime_seconds,
-                ..
-            } => Some((report, uptime_seconds)),
-            _ => None,
-        })
-    }
-
-    /// Scrapes every daemon's health verdict and folds them — together
-    /// with the coordinator's own cluster-level audit state — into one
-    /// cluster verdict: the worst status wins and per-kind tallies sum.
+    /// Scrapes every daemon's health verdict ([`ControlMsg::Health`]; only
+    /// valid *between* steps, like [`ClusterBackend::scrape_metrics`]) and
+    /// folds them — together with the coordinator's own cluster-level
+    /// audit state — into one cluster verdict: the worst status wins and
+    /// per-kind tallies sum.
     /// Daemons that died or missed the deadline simply contribute nothing;
     /// their absence shows up in [`ClusterBackend::alive`], not here.
     pub fn cluster_health(&mut self, timeout: Duration) -> cs_obs::HealthReport {
-        let per_node = self.scrape_health(timeout);
+        let per_node = self.scrape(&ControlMsg::Health, timeout, |msg| match msg {
+            ControlMsg::HealthReport { report, .. } => Some(report),
+            _ => None,
+        });
         let mut folded = self.health.report();
-        for (report, _) in per_node.into_iter().flatten() {
+        for report in per_node.into_iter().flatten() {
             folded = folded.plus(&report);
         }
         folded

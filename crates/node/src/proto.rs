@@ -60,7 +60,7 @@ use std::time::Duration;
 pub const PROTO_VERSION: u8 = 9;
 
 /// Upper bound on one control message (guards the length-prefix read).
-pub const MAX_CONTROL_BYTES: usize = 64 << 20;
+const MAX_CONTROL_BYTES: usize = 64 << 20;
 
 /// A [`LinkConfig`] in wire-friendly units (the vendored serde stand-in has
 /// no `Duration` impl, and explicit microseconds are unambiguous anyway).

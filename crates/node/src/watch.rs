@@ -26,7 +26,7 @@ use std::time::Duration;
 /// One HTTP GET over a raw `TcpStream`: returns `(status_code, body)`.
 /// The obs server answers one request per connection and closes, so the
 /// response is simply read to EOF.
-pub fn http_get(addr: &str, path: &str, timeout: Duration) -> io::Result<(u16, String)> {
+fn http_get(addr: &str, path: &str, timeout: Duration) -> io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
@@ -136,7 +136,8 @@ fn spark(values: &[u64]) -> String {
             if max == 0 {
                 BARS[0]
             } else {
-                BARS[((v * 7).div_ceil(max)) as usize]
+                // In u128: `v` is a daemon's rate, and `v * 7` overflows u64.
+                BARS[(u128::from(v) * 7).div_ceil(u128::from(max)) as usize]
             }
         })
         .collect()
@@ -372,5 +373,10 @@ mod tests {
         assert_eq!(bar(0.0, 4), "░░░░");
         assert_eq!(bar(1.0, 4), "████");
         assert_eq!(bar(2.0, 4), "████", "overfull share clamps");
+    }
+
+    #[test]
+    fn sparkline_takes_a_rate_near_u64_max() {
+        assert_eq!(spark(&[u64::MAX, 1, 0]), "█▂▁");
     }
 }

@@ -76,7 +76,7 @@ impl AlertKind {
     }
 
     /// The flight-recorder event a violation emits.
-    pub fn event_name(&self) -> String {
+    fn event_name(&self) -> String {
         format!("alert.{}", self.as_str())
     }
 }
@@ -212,7 +212,7 @@ impl HealthState {
     }
 
     /// `true` once any alert has been raised.
-    pub fn is_degraded(&self) -> bool {
+    fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::Acquire)
     }
 

@@ -109,7 +109,7 @@ impl SeriesRing {
 
     /// The whole window's delta: newest sample since oldest, `None` below
     /// two samples. This is what the windowed quantiles are computed from.
-    pub fn window_delta(&self) -> Option<MetricsSnapshot> {
+    fn window_delta(&self) -> Option<MetricsSnapshot> {
         match (self.samples.front(), self.samples.back()) {
             (Some(first), Some(last)) if self.samples.len() >= 2 => {
                 Some(last.snapshot.since(&first.snapshot))

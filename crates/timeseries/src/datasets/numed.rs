@@ -82,7 +82,7 @@ impl Default for NumedConfig {
 }
 
 /// The Claret TGI closed form.
-pub fn claret_tumor_size(y0: f64, kl: f64, kd0: f64, lambda: f64, t_weeks: f64) -> f64 {
+fn claret_tumor_size(y0: f64, kl: f64, kd0: f64, lambda: f64, t_weeks: f64) -> f64 {
     let kill_integral = if lambda.abs() < 1e-12 {
         kd0 * t_weeks
     } else {

@@ -16,9 +16,7 @@
 //! * dataset generators ([`datasets`]): a CER-like electricity-consumption
 //!   generator and a NUMED-like tumor-growth generator (Claret et al. model),
 //!   plus controlled Gaussian blobs with ground-truth labels. The real CER
-//!   data is license-gated; DESIGN.md §4 documents the substitution, and
-//!   [`io`] loads the real thing (or any aligned-series CSV) for license
-//!   holders;
+//!   data is license-gated; DESIGN.md §4 documents the substitution;
 //! * [`paa`]: Piecewise Aggregate Approximation — shrinks the series length
 //!   (and with it the protocol's per-iteration crypto/network cost, which is
 //!   linear in it) while preserving Euclidean geometry up to a provable
@@ -30,7 +28,6 @@
 pub mod datasets;
 pub mod distance;
 pub mod dtw;
-pub mod io;
 pub mod normalize;
 pub mod paa;
 pub mod series;

@@ -93,21 +93,11 @@ impl Paa {
             reduced.values()[i * self.segments / self.input_len]
         })
     }
-
-    /// The PAA lower-bound distance: `√(T/S) · d_euclid(reduce(a),
-    /// reduce(b))` never exceeds the true Euclidean distance — the classic
-    /// GEMINI lower-bounding property used to prune candidates cheaply.
-    pub fn lower_bound_distance(&self, a: &TimeSeries, b: &TimeSeries) -> f64 {
-        let ra = self.reduce(a);
-        let rb = self.reduce(b);
-        (self.reduction_factor()).sqrt() * crate::Distance::Euclidean.compute(&ra, &rb)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Distance;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -160,21 +150,6 @@ mod tests {
         let paa = Paa::new(24, 6);
         let roundtrip = paa.expand(&paa.reduce(&ts));
         assert!((roundtrip.mean() - ts.mean()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lower_bound_property_holds() {
-        // The PAA distance must never exceed the true Euclidean distance,
-        // across many random pairs.
-        let mut rng = StdRng::seed_from_u64(2);
-        let paa = Paa::new(32, 8);
-        for _ in 0..200 {
-            let a: TimeSeries = (0..32).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
-            let b: TimeSeries = (0..32).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
-            let lb = paa.lower_bound_distance(&a, &b);
-            let true_d = Distance::Euclidean.compute(&a, &b);
-            assert!(lb <= true_d + 1e-9, "lower bound violated: {lb} > {true_d}");
-        }
     }
 
     #[test]

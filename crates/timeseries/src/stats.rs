@@ -55,15 +55,6 @@ pub fn quantile(xs: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Root-mean-square error between two equal-length slices.
-pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "length mismatch");
-    if a.is_empty() {
-        return 0.0;
-    }
-    (a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum::<f64>() / a.len() as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,12 +80,6 @@ mod tests {
         assert_eq!(quantile(&xs, 0.5), 2.0);
         assert_eq!(quantile(&xs, 1.0), 4.0);
         assert_eq!(quantile(&xs, 0.25), 1.0);
-    }
-
-    #[test]
-    fn rmse_known() {
-        assert_eq!(rmse(&[0.0, 0.0], &[3.0, 4.0]), (12.5f64).sqrt());
-        assert_eq!(rmse(&[], &[]), 0.0);
     }
 
     #[test]
